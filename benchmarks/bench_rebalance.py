@@ -2,10 +2,10 @@
 
 The A14 bench split synchronously between two traffic phases; this one
 exercises the ISSUE 10 machinery end to end: the hottest shard is split
-through the **budgeted pump** (:meth:`begin_split` + ``split_step``
+through the **budgeted pump** (:meth:`begin_split` + ``migration_step``
 slices interleaved with client traffic), served split for a phase, then
-fused back through the pumped **merge** (:meth:`begin_merge` +
-``merge_step``) -- five traffic phases total, with the reorganization
+fused back through the pumped **merge** (:meth:`begin_merge` + the same
+``migration_step``) -- five traffic phases total, with the reorganization
 *in progress* during two of them.  A final arm hands the decisions to
 :class:`~repro.wildfire.rebalance.RebalancePolicy` and lets its
 hysteresis drive the same round trip.
@@ -42,7 +42,7 @@ WARM_MSGS = 2
 OPS_PER_PHASE = 1_500
 MAINT_EVERY = 250  # ops between maintenance rounds
 PUMP_CHUNK = 100  # ops of traffic between pump steps
-PUMP_BUDGET = 512  # entries per split_step/merge_step slice
+PUMP_BUDGET = 512  # entries per migration_step slice
 SHARD_COUNTS = (1, 2, 4)
 DAEMONS = 2
 REPLAY_ARM = 2  # shard count of the arm that is run twice
@@ -136,13 +136,13 @@ def run_arm(num_shards: int):
     victim = table.shard_of_key((0,))  # the Zipfian head's shard
     table.begin_split(victim)
     during_split, split, split_steps = run_pumped(
-        driver, lambda: table.split_step(PUMP_BUDGET)
+        driver, lambda: table.migration_step(PUMP_BUDGET)
     )
     between = run_phase(driver, table, OPS_PER_PHASE, rr)
     left, right = split["successors"]
     table.begin_merge(left, right)
     during_merge, merge, merge_steps = run_pumped(
-        driver, lambda: table.merge_step(PUMP_BUDGET)
+        driver, lambda: table.migration_step(PUMP_BUDGET)
     )
     after = run_phase(driver, table, OPS_PER_PHASE, rr)
 

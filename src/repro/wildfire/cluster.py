@@ -10,7 +10,8 @@ This module provides that outer layer: a :class:`ShardedTable` routes
 upserts by the hash of the sharding key, runs each shard's lifecycle
 independently (shards share nothing -- separate storage hierarchies,
 logs, catalogs and index instances), and answers queries by routing
-(sharding key fully bound) or scatter-gather (otherwise).
+(sharding key fully bound) or scatter-gather (otherwise) -- every query
+kind through one pipeline, :meth:`ShardedTable._serve`.
 
 **Overload protection (ISSUE 7).**  Constructed with a
 :class:`~repro.qos.admission.QosConfig`, the table threads the full qos
@@ -28,44 +29,19 @@ stack through its serving path:
   for that shard degrade to local tiers + a pinned versionset snapshot
   (counted as ``degraded_reads``) instead of erroring.
 
-**Online shard split (ISSUE 8).**  Routing goes through immutable
-:class:`~repro.wildfire.shardmap.ShardMap` epochs published
-versionset-style: every query pins the current map for its lifetime
-(exactly one Ref and one Unref on the cluster ledger -- two refcount
-operations per query), so a split's two map publishes are atomic swaps
-that no in-flight query can observe torn.  :meth:`split_shard` drains a
-source shard into two successors with a write-first cutover:
-
-1. publish a ``migrating`` route (epoch N+1) -- new writes go to the
-   successors, reads *double-read* successor + source and keep the
-   newest version by raw ``beginTS``;
-2. quiesce the source, hand its hybrid clock forward to the successors
-   (so every post-split ``beginTS`` sorts after every pre-split one),
-   and stream the source's post-groomed runs into one run per successor
-   as raw ``(sort_key, blob)`` pairs -- the zero-decode evolve path;
-3. publish the ``split`` route (epoch N+2) and retire the source.
-
-Crash points ``split.pre_copy`` / ``mid_copy`` / ``pre_publish`` /
-``post_publish`` cover the protocol; recovery rolls back to fully-old
-routing before the cutover and rolls *forward* to fully-new after it --
-never a torn map (see :meth:`recover_split`).
-
-**Online shard merge + the rebalance pump (ISSUE 10).**
-:meth:`merge_shards` is the inverse: a slot whose route is ``split``
-fuses its two successors into one fresh target shard through a
-``merging`` route (target owns fresh writes; reads double-read target +
-old successor, newest ``beginTS`` wins), clock handoff taking the max of
-both successors' hybrid clocks, verbatim block adoption (the split-time
-block-id stride keeps the two sides' post-split blocks collision-free)
-and a zero-decode run interleave -- with ``merge.*`` crash points and
-:meth:`recover_merge` mirroring the split's roll-back/roll-forward
-split.  Both migrations can also run *pumped*: :meth:`begin_split` /
-:meth:`split_step` (and the merge twins) advance the copy in budgeted
-slices interleaved with live traffic, producing byte-identical results
-to the synchronous calls.  Shards carrying secondary indexes split and
-merge too: the copy runs one partition pass per index, recovering each
-entry's sharding key zero-decode from the primary-key suffix every
-secondary sort key carries.
+**Routing epochs and online migration (ISSUES 8, 10).**  Routing goes
+through immutable :class:`~repro.wildfire.shardmap.ShardMap` epochs
+published versionset-style: every query pins the current map for its
+lifetime (exactly one Ref and one Unref on the cluster ledger -- two
+refcount operations per query), so a migration's two map publishes are
+atomic swaps that no in-flight query can observe torn.
+:meth:`split_shard` drains one shard into two successors and
+:meth:`merge_shards` fuses them back, both online, both also *pumped*
+in budgeted slices (:meth:`begin_split` / :meth:`begin_merge` +
+:meth:`migration_step`) and both crash-safe
+(:meth:`recover_migration`); the protocol itself -- phases, double-read
+window, clock handoff, zero-decode copy, crash points -- lives in
+:mod:`repro.wildfire.migration`.
 
 **Scatter pruning (ISSUE 10).**  Typed scatter-gather queries consult
 each live shard's per-index :class:`AccessPathSynopsis` first and skip
@@ -83,11 +59,10 @@ simulated clock includes time spent waiting in queue.
 from __future__ import annotations
 
 import threading
-from typing import Callable, Dict, List, Optional, Sequence, Set, Tuple
+from typing import Callable, Dict, List, NamedTuple, Optional, Sequence, Set, Tuple
 
 from repro.core.encoding import KeyValue, encode_composite, fnv1a64
 from repro.core.entry import IndexEntry
-from repro.faults.crash import crash_point
 from repro.qos.admission import AdmissionController, QosConfig
 from repro.qos.breaker import BreakerState, CircuitBreaker
 from repro.qos.errors import PartialResultError
@@ -98,33 +73,35 @@ from repro.storage.retry import StorageBrownout, TransientIOError
 from repro.planner import Query
 from repro.wildfire.engine import ShardConfig, WildfireShard
 from repro.wildfire.indexes import PRIMARY_INDEX_NAME
+from repro.wildfire.migration import Migration, MigrationError
 from repro.wildfire.record import Record
 from repro.wildfire.schema import IndexSpec, SchemaError, TableSchema
-from repro.wildfire.shardmap import (
-    MapPin,
-    ShardMap,
-    ShardMapRegistry,
-    SlotRoute,
-)
-from repro.wildfire.merge import (
-    MergeAborted,
-    MergeError,
-    MergeState,
-    adopt_all_blocks,
-    merge_copy_stream,
-)
-from repro.wildfire.split import (
-    ShardCopyStream,
-    SplitAborted,
-    SplitError,
-    SplitState,
-    SplitUnsupported,
-    copy_post_groomed_blocks,
-    index_slicers,
-    split_copy_stream,
-)
+from repro.wildfire.shardmap import ShardMap, ShardMapRegistry
 
 ADMISSION_TIER = "admission"
+
+Row = Tuple[KeyValue, ...]
+TaggedRow = Tuple[Row, int, Row]  # (primary key, beginTS, projected row)
+
+
+class QueryKind(NamedTuple):
+    """What :meth:`ShardedTable._serve` needs to know about a query shape.
+
+    Methods are named, not bound: each call looks them up on the
+    instance, so a test or the e2e tracer can replace them per shard.
+    """
+
+    live: str  # shard method answering from the current version
+    degraded: Optional[str]  # snapshot-pinned fallback; None: never degraded
+    combine: str  # table method folding per-shard parts into the answer
+
+
+POINT = QueryKind("point_query", "degraded_point_query", "_newest_record")
+RANGE = QueryKind("range_query", "degraded_range_query", "_merge_versions")
+# A typed part is still ``(pk, beginTS, row)``-tagged, so even a single
+# shard's answer goes through the combine -- and its failure is reported
+# as a partial result like any other shard's (see ShardedTable.query).
+TYPED = QueryKind("_query_tagged", None, "_merge_rows")
 
 
 class ShardedTable:
@@ -152,17 +129,7 @@ class ShardedTable:
         # shards still share nothing -- one hierarchy each.
         self._hierarchy_factory = hierarchy_factory
         self.shards: List[WildfireShard] = [
-            WildfireShard(
-                schema,
-                index_spec,
-                hierarchy=(
-                    hierarchy_factory(shard_id)
-                    if hierarchy_factory is not None
-                    else None
-                ),
-                config=config,
-            )
-            for shard_id in range(num_shards)
+            self._build_shard(shard_id) for shard_id in range(num_shards)
         ]
         self._shard_positions = schema.positions(schema.sharding_key)
         # Which index key columns the sharding key pins (for routing reads).
@@ -189,7 +156,7 @@ class ShardedTable:
         for shard_id, shard in enumerate(self.shards):
             self._attach_qos(shard_id, shard)
 
-        # -- online split / routing epochs (ISSUE 8) ----------------------
+        # -- routing epochs + online migration (ISSUES 8, 10) -------------
         # The cluster ledger's EpochStats belongs exclusively to the map
         # registry (shard run-lifecycle pins live on each shard's own
         # ledger), so "two refcount ops per query" is directly observable.
@@ -197,13 +164,10 @@ class ShardedTable:
             ShardMap.initial(num_shards), stats=self._qos_io.epochs
         )
         self._retired: Set[int] = set()
-        # One lock serializes split *and* merge control flow (queries
-        # never take it); at most one migration is in flight at a time.
-        self._active_split: Optional[SplitState] = None
-        self._active_merge: Optional[MergeState] = None
-        self._split_stream: Optional[ShardCopyStream] = None
-        self._merge_stream: Optional[ShardCopyStream] = None
-        self._split_lock = threading.Lock()
+        # At most one migration (split *or* merge) is in flight; the lock
+        # serializes their control flow (queries never take it).
+        self._migration: Optional[Migration] = None
+        self._migration_lock = threading.Lock()
         self._daemons_running = False
         self._daemon_interval = 0.05
         # -- typed scatter-gather pruning counters (ISSUE 10) --------------
@@ -213,6 +177,18 @@ class ShardedTable:
             "shards_contacted": 0,
             "shards_pruned": 0,
         }
+
+    def _build_shard(self, shard_id: int) -> WildfireShard:
+        return WildfireShard(
+            self.schema,
+            self.index_spec,
+            hierarchy=(
+                self._hierarchy_factory(shard_id)
+                if self._hierarchy_factory is not None
+                else None
+            ),
+            config=self._config,
+        )
 
     def _attach_qos(self, shard_id: int, shard: WildfireShard) -> None:
         """Wire one shard into the qos stack (no-op without a config)."""
@@ -285,7 +261,7 @@ class ShardedTable:
 
     @property
     def maps(self) -> ShardMapRegistry:
-        """The routing-epoch registry (tests and the split controller)."""
+        """The routing-epoch registry (tests and the migration machine)."""
         return self._maps
 
     def routing_epoch(self) -> int:
@@ -326,7 +302,18 @@ class ShardedTable:
         except KeyError:
             return None
 
-    # -- ingestion -------------------------------------------------------------------
+    # -- admission + ingestion -------------------------------------------------------
+
+    def _admitted(self, serve: Callable, *args):
+        """Run ``serve(*args)`` behind admission control: one token per call."""
+        if self._admission is None:
+            return serve(*args)
+        ticket = self._admission.admit()
+        start = self.sim_now()
+        try:
+            return serve(*args)
+        finally:
+            ticket.finish(self.sim_now() - start)
 
     def ingest(self, rows: Sequence[Sequence[KeyValue]]) -> Dict[int, int]:
         """Route rows to shards; returns rows-per-shard for observability.
@@ -334,18 +321,9 @@ class ShardedTable:
         Under a qos config the whole batch passes admission control first
         (one token per batch) and its deadline is tracked like a query's.
         """
-        if self._admission is None:
-            return self._ingest_inner(rows)
-        ticket = self._admission.admit()
-        start = self.sim_now()
-        try:
-            return self._ingest_inner(rows)
-        finally:
-            ticket.finish(self.sim_now() - start)
+        return self._admitted(self._ingest_rows, rows)
 
-    def _ingest_inner(
-        self, rows: Sequence[Sequence[KeyValue]]
-    ) -> Dict[int, int]:
+    def _ingest_rows(self, rows: Sequence[Sequence[KeyValue]]) -> Dict[int, int]:
         per_shard: Dict[int, List[Sequence[KeyValue]]] = {}
         # One map pin covers the whole batch: every row of the batch is
         # routed by the same epoch, and a concurrent split's cutover
@@ -365,31 +343,13 @@ class ShardedTable:
         """Shards whose lifecycle must not run right now.
 
         Retired sources stay readable for old-epoch pins but never groom
-        again.  A split's successors -- and a merge's target -- are
-        frozen until their final publish: grooming there would assign
-        ``beginTS`` from a clock that has not yet been handed forward
-        from the source(s), which would break the double-read's
-        newest-wins comparison.
+        again.  The targets of an open migration window (see
+        :meth:`SlotRoute.fresh_write_shards`) are frozen until their
+        final publish: grooming there would assign ``beginTS`` from a
+        clock that has not yet been handed forward from the source(s),
+        which would break the double-read's newest-wins comparison.
         """
-        skip = set(self._retired)
-        state = self._active_split
-        if state is not None and state.phase in (
-            "pre_copy",
-            "migrating",
-            "copied",
-        ):
-            for successor_id in (state.left_id, state.right_id):
-                if successor_id >= 0:
-                    skip.add(successor_id)
-        merge_state = self._active_merge
-        if merge_state is not None and merge_state.phase in (
-            "pre_copy",
-            "merging",
-            "copied",
-        ):
-            if merge_state.target_id >= 0:
-                skip.add(merge_state.target_id)
-        return skip
+        return self._retired | self._maps.current.fresh_write_shards()
 
     def tick(self) -> None:
         """One lifecycle cycle on every live shard (deterministic driver)."""
@@ -406,526 +366,130 @@ class ShardedTable:
         self._daemons_running = True
         self._daemon_interval = groom_interval_s
         skip = self._maintenance_skip()
-        for shard_id, shard in enumerate(self.shards):
-            if shard_id not in skip and not shard._daemon_threads:
-                shard.start_daemons(groom_interval_s=groom_interval_s)
+        for shard_id in range(len(self.shards)):
+            if shard_id not in skip:
+                self._start_shard_daemons(shard_id)
 
     def stop_daemons(self) -> None:
         self._daemons_running = False
         for shard in self.shards:
             shard.stop_daemons()
 
-    # -- online shard split (ISSUE 8) ---------------------------------------------
+    # -- shard membership: the seam repro.wildfire.migration drives ----------------
 
-    def _check_no_migration(self) -> None:
-        if self._active_split is not None:
-            raise SplitError(
-                f"a split of shard {self._active_split.source_id} is "
-                "already in flight; recover it first"
-            )
-        if self._active_merge is not None:
-            raise MergeError(
-                f"a merge of shards {self._active_merge.left_id} and "
-                f"{self._active_merge.right_id} is already in flight; "
-                "recover it first"
-            )
+    def _new_shard(self) -> int:
+        """Append one fresh, empty shard wired into the qos stack."""
+        shard_id = len(self.shards)
+        shard = self._build_shard(shard_id)
+        self.shards.append(shard)
+        self._attach_qos(shard_id, shard)
+        self.num_shards = len(self.shards)
+        return shard_id
 
-    def _begin_split_state(self, shard_id: int) -> SplitState:
-        """Validate a split request and park its phase machine."""
-        self._check_no_migration()
-        if shard_id in self._retired:
-            raise SplitError(f"shard {shard_id} is retired")
-        # Raises SplitUnsupported (naming the offending indexes) when any
-        # index's key columns do not contain the sharding key; shards
-        # carrying secondary indexes pass -- every secondary's sort key
-        # ends with the primary key, which contains the sharding key.
-        index_slicers(self.shards[shard_id], shard_id)
-        current = self._maps.current
-        slot = next(
-            (
-                i
-                for i, route in enumerate(current.slots)
-                if route.state == "single" and route.primary == shard_id
-            ),
-            None,
-        )
-        if slot is None:
-            raise SplitError(
-                f"shard {shard_id} does not solely own a routable slot"
-            )
-        state = SplitState(source_id=shard_id, slot=slot)
-        self._active_split = state
-        return state
+    def _retire_shard(self, shard_id: int) -> None:
+        """Decommission a migration source: it keeps its data (an
+        old-epoch pin may still read it) but never grooms again."""
+        shard = self.shards[shard_id]
+        shard.stop_daemons()
+        shard.exit_degraded_mode()
+        self._retired.add(shard_id)
+
+    def _start_shard_daemons(self, shard_id: int) -> None:
+        """Start one shard's daemons iff the cluster runs them (idempotent)."""
+        shard = self.shards[shard_id]
+        if self._daemons_running and not shard.daemons_running:
+            shard.start_daemons(groom_interval_s=self._daemon_interval)
+
+    # -- online migration (ISSUES 8, 10) -------------------------------------------
+
+    def _begin_migration(
+        self, advance: Callable, kind: str, *shard_ids: int
+    ) -> Dict[str, object]:
+        """Validate a request, park its phase machine in the (one)
+        in-flight slot and make its first move."""
+        with self._migration_lock:
+            parked = self._migration
+            if parked is not None:
+                raise parked.direction.error(
+                    f"a {parked.direction.kind} of shard(s) {parked.sources} is "
+                    "already in flight; recover it first"
+                )
+            self._migration = Migration.begin(self, kind, shard_ids)
+            return self._drive(advance)
+
+    def _drive(self, advance: Callable, *args) -> Dict[str, object]:
+        """Advance the in-flight migration; free the slot once it has
+        landed or backed out.  A simulated crash leaves it parked."""
+        migration = self._migration
+        try:
+            return advance(migration, *args)
+        finally:
+            if migration.finished:
+                self._migration = None
 
     def split_shard(self, shard_id: int) -> Dict[str, object]:
         """Split one shard's slot into two successor shards, online.
 
         Serialized with other migrations; queries never take this lock.
         A :class:`~repro.faults.crash.SimulatedCrash` at any of the four
-        ``split.*`` crash points leaves the phase machine parked in
-        ``self._active_split`` for :meth:`recover_split`.
+        ``split.*`` crash points leaves the phase machine parked for
+        :meth:`recover_migration`.
         """
-        with self._split_lock:
-            state = self._begin_split_state(shard_id)
-            return self._run_split(state)
-
-    def begin_split(self, shard_id: int) -> Dict[str, object]:
-        """Start a *pumped* split: run the write cutover, then return.
-
-        The copy advances in budgeted slices via :meth:`split_step`
-        interleaved with live traffic; the double-read window stays open
-        (and correct) however long the pump takes.  The end state is
-        byte-identical to a synchronous :meth:`split_shard`.
-        """
-        with self._split_lock:
-            state = self._begin_split_state(shard_id)
-            self._split_cutover(state)
-            return {"epoch": self._maps.epoch, **state.summary()}
-
-    def split_step(self, budget: int = 2048) -> Dict[str, object]:
-        """Advance an in-flight split by up to ``budget`` copied pairs.
-
-        Runs the remaining phases (publish + retire) as soon as the copy
-        stream drains.  Returns the state summary plus ``pulled`` (pairs
-        copied this call); ``phase == "done"`` means the split finished.
-        """
-        with self._split_lock:
-            state = self._active_split
-            if state is None:
-                raise SplitError("no split is in flight")
-            pulled = 0
-            if state.phase == "pre_copy":
-                self._split_cutover(state)
-            elif state.phase == "migrating":
-                self._split_prepare(state)
-                pulled = self._split_stream.step(budget)
-                if self._split_stream.done:
-                    self._finish_split_copy(state)
-                    result = self._run_split(state)
-                    result["pulled"] = pulled
-                    return result
-            else:
-                result = self._run_split(state)
-                result["pulled"] = pulled
-                return result
-            return {
-                "epoch": self._maps.epoch,
-                "pulled": pulled,
-                **state.summary(),
-            }
-
-    def recover_split(self) -> Dict[str, object]:
-        """Resume (or roll back) a split interrupted by a crash.
-
-        * crash before the write cutover (``split.pre_copy``): nothing
-          was published -- discard the state, routing is fully-old;
-        * crash anywhere after the cutover: roll *forward* by replaying
-          the remaining phases (every copy step is idempotent) until the
-          final map is published and the source retired.
-
-        Idempotent: calling with no interrupted split is a no-op.
-        """
-        with self._split_lock:
-            state = self._active_split
-            if state is None:
-                return {"resumed": False, "epoch": self._maps.epoch}
-            if self._split_stream is not None:
-                # A partial pump (or a crash mid-stream) left pinned
-                # snapshots behind; drop them and replay the idempotent
-                # copy from the top.
-                self._split_stream.abort()
-                self._split_stream = None
-            if state.phase == "pre_copy":
-                self._active_split = None
-                return {
-                    "resumed": True,
-                    "outcome": "rolled_back",
-                    "epoch": self._maps.epoch,
-                }
-            result = self._run_split(state)
-            result["outcome"] = "rolled_forward"
-            return result
-
-    def _split_gate(self, state: SplitState) -> None:
-        """Backpressure gate: refuse to even start a split under duress.
-
-        Only consulted before the write cutover -- past that point the
-        only safe direction is forward, whatever the breakers say.
-        """
-        if self._scheduler is not None and not self._scheduler.allow_maintenance():
-            self._active_split = None
-            raise SplitAborted(
-                "maintenance backpressure: split refused before cutover"
-            )
-        breaker = self._breakers[state.source_id]
-        if breaker is not None and breaker.state() is BreakerState.OPEN:
-            self._active_split = None
-            raise SplitAborted(
-                f"shard {state.source_id} breaker is open; split refused"
-            )
-
-    def _split_cutover(self, state: SplitState) -> None:
-        """Phase ``pre_copy`` -> ``migrating``: the write cutover."""
-        self._split_gate(state)
-        crash_point("split.pre_copy")
-        if state.left_id < 0:
-            state.left_id = self._new_shard()
-            state.right_id = self._new_shard()
-        current = self._maps.current
-        migrating = current.with_slot(
-            state.slot,
-            SlotRoute(
-                "migrating",
-                primary=state.source_id,
-                left=state.left_id,
-                right=state.right_id,
-            ),
-            epoch=current.epoch + 1,
-        )
-        # Write cutover: from this swap on, new rows for the slot land
-        # on the successors and every read double-reads.
-        old = self._maps.publish(migrating)
-        state.migrating_epoch = migrating.epoch
-        state.phase = "migrating"
-        # No query pinned to the pre-cutover map may still be routing
-        # writes to the source once we start draining it.
-        self._maps.drain(old.epoch)
-
-    def _split_prepare(self, state: SplitState) -> None:
-        """Quiesce, hand the clock forward, adopt blocks, open the stream.
-
-        Idempotent: every sub-step tolerates replay, and the stream is
-        only (re)built when none is open -- a pump calls this once per
-        step, a crash recovery rebuilds from scratch.
-        """
-        if self._split_stream is not None:
-            return
-        source = self.shards[state.source_id]
-        left = self.shards[state.left_id]
-        right = self.shards[state.right_id]
-        # The source stops receiving writes at the cutover: its daemon
-        # threads (if any) retire now, and one synchronous quiesce
-        # empties its live and groomed zones for good.
-        source.stop_daemons()
-        state.quiesce_grooms += source.quiesce()["grooms"]
-        # Clock handoff: every beginTS the successors will ever assign
-        # must sort after every beginTS the source ever assigned, or
-        # the double-read's newest-wins comparison lies.
-        for successor in (left, right):
-            successor.clock.ensure_at_least(*source.clock.state())
-            # Ghosted secondary entries travel with the copy: each side
-            # inherits the source's tracker so index-only stays
-            # disqualified where the source had ghosts (ISSUE 10).
-            successor.indexes.adopt_ghost_state((source.indexes,))
-        state.copied_blocks += copy_post_groomed_blocks(
-            source, (left, right)
-        )
-        self._split_stream = split_copy_stream(
-            source, left, right, index_slicers(source, state.source_id)
-        )
-
-    def _finish_split_copy(self, state: SplitState) -> None:
-        state.copied_entries += self._split_stream.copied_entries
-        self._split_stream = None
-        state.phase = "copied"
-
-    def _run_split(self, state: SplitState) -> Dict[str, object]:
-        """Advance the split phase machine to completion (resumable)."""
-        if state.phase == "pre_copy":
-            self._split_cutover(state)
-
-        source = self.shards[state.source_id]
-        left = self.shards[state.left_id]
-        right = self.shards[state.right_id]
-
-        if state.phase == "migrating":
-            self._split_prepare(state)
-            self._split_stream.run_all()
-            self._finish_split_copy(state)
-
-        if state.phase == "copied":
-            crash_point("split.pre_publish")
-            current = self._maps.current
-            final = current.with_slot(
-                state.slot,
-                SlotRoute(
-                    "split",
-                    primary=state.source_id,
-                    left=state.left_id,
-                    right=state.right_id,
-                ),
-                epoch=state.migrating_epoch + 1,
-            )
-            self._maps.publish(final)
-            state.final_epoch = final.epoch
-            state.phase = "published"
-            self._maps.drain(state.migrating_epoch)
-
-        if state.phase == "published":
-            crash_point("split.post_publish")
-            # Decommission: the source keeps its data (an old-epoch pin may
-            # still read it) but never grooms again; the successors start
-            # their normal lifecycle, daemons included if the cluster runs
-            # them.
-            source.stop_daemons()
-            source.exit_degraded_mode()
-            self._retired.add(state.source_id)
-            if self._daemons_running:
-                for successor in (left, right):
-                    if not successor._daemon_threads:
-                        successor.start_daemons(
-                            groom_interval_s=self._daemon_interval
-                        )
-            state.phase = "done"
-            self._active_split = None
-
-        return {
-            "resumed": True,
-            "epoch": self._maps.epoch,
-            **state.summary(),
-        }
-
-    # -- online shard merge (ISSUE 10) ---------------------------------------------
-
-    def _begin_merge_state(self, left_id: int, right_id: int) -> MergeState:
-        """Validate a merge request and park its phase machine."""
-        self._check_no_migration()
-        for shard_id in (left_id, right_id):
-            if shard_id in self._retired:
-                raise MergeError(f"shard {shard_id} is retired")
-        current = self._maps.current
-        slot = next(
-            (
-                i
-                for i, route in enumerate(current.slots)
-                if route.state == "split"
-                and {route.left, route.right} == {left_id, right_id}
-            ),
-            None,
-        )
-        if slot is None:
-            raise MergeError(
-                f"shards {left_id} and {right_id} are not the two "
-                "successors of one split slot"
-            )
-        route = current.slots[slot]
-        state = MergeState(left_id=route.left, right_id=route.right, slot=slot)
-        self._active_merge = state
-        return state
+        return self._begin_migration(Migration.run, "split", shard_id)
 
     def merge_shards(self, left_id: int, right_id: int) -> Dict[str, object]:
         """Fuse a split slot's two successors back into one shard, online.
 
-        The reversed migration: publish a ``merging`` route (fresh
-        writes land on the fused target, reads double-read target + old
-        successor and keep the newest ``beginTS``), quiesce both
-        sources, hand the clock forward to the max of their two HLCs,
-        adopt both sides' record blocks verbatim and interleave their
-        runs zero-decode, then publish the ``single`` route and retire
-        both sources.  A :class:`~repro.faults.crash.SimulatedCrash` at
-        any of the four ``merge.*`` crash points leaves the phase
-        machine parked in ``self._active_merge`` for
-        :meth:`recover_merge`.
+        The reversed migration: fresh writes land on the fused target
+        while reads double-read target + old successor, then the
+        ``single`` route is published and both sources retire.  The
+        four ``merge.*`` crash points park the phase machine for
+        :meth:`recover_migration`.
         """
-        with self._split_lock:
-            state = self._begin_merge_state(left_id, right_id)
-            return self._run_merge(state)
+        return self._begin_migration(Migration.run, "merge", left_id, right_id)
+
+    def begin_split(self, shard_id: int) -> Dict[str, object]:
+        """Start a *pumped* split: run the write cutover, then return.
+
+        The copy advances in budgeted slices via :meth:`migration_step`
+        interleaved with live traffic; the double-read window stays open
+        (and correct) however long the pump takes.  The end state is
+        byte-identical to a synchronous :meth:`split_shard`.
+        """
+        return self._begin_migration(Migration.start, "split", shard_id)
 
     def begin_merge(self, left_id: int, right_id: int) -> Dict[str, object]:
-        """Start a *pumped* merge: run the write cutover, then return.
+        """Start a *pumped* merge (see :meth:`begin_split`); the end
+        state is byte-identical to a synchronous :meth:`merge_shards`."""
+        return self._begin_migration(Migration.start, "merge", left_id, right_id)
 
-        The copy advances in budgeted slices via :meth:`merge_step`; the
-        end state is byte-identical to a synchronous
-        :meth:`merge_shards`.
+    def migration_step(self, budget: int = 2048) -> Dict[str, object]:
+        """Advance the in-flight migration by up to ``budget`` copied pairs.
+
+        Runs the remaining phases (publish + retire) as soon as the copy
+        stream drains.  Returns the state summary plus ``pulled`` (pairs
+        copied this call); ``phase == "done"`` means it finished.
         """
-        with self._split_lock:
-            state = self._begin_merge_state(left_id, right_id)
-            self._merge_cutover(state)
-            return {"epoch": self._maps.epoch, **state.summary()}
+        with self._migration_lock:
+            if self._migration is None:
+                raise MigrationError("no migration is in flight")
+            return self._drive(Migration.step, budget)
 
-    def merge_step(self, budget: int = 2048) -> Dict[str, object]:
-        """Advance an in-flight merge by up to ``budget`` copied pairs."""
-        with self._split_lock:
-            state = self._active_merge
-            if state is None:
-                raise MergeError("no merge is in flight")
-            pulled = 0
-            if state.phase == "pre_copy":
-                self._merge_cutover(state)
-            elif state.phase == "merging":
-                self._merge_prepare(state)
-                pulled = self._merge_stream.step(budget)
-                if self._merge_stream.done:
-                    self._finish_merge_copy(state)
-                    result = self._run_merge(state)
-                    result["pulled"] = pulled
-                    return result
-            else:
-                result = self._run_merge(state)
-                result["pulled"] = pulled
-                return result
-            return {
-                "epoch": self._maps.epoch,
-                "pulled": pulled,
-                **state.summary(),
-            }
+    def recover_migration(self) -> Dict[str, object]:
+        """Resume (or roll back) a migration interrupted by a crash.
 
-    def recover_merge(self) -> Dict[str, object]:
-        """Resume (or roll back) a merge interrupted by a crash.
-
-        * crash before the write cutover (``merge.pre_copy``): nothing
-          was published -- discard the state, the slot keeps its
-          ``split`` route;
+        * crash before the write cutover (``*.pre_copy``): nothing was
+          published -- discard the state, routing is fully-old;
         * crash anywhere after the cutover: roll *forward* by replaying
-          the remaining phases (block adoption and the run interleave
-          are idempotent) until the ``single`` route is published and
-          both sources retired.
+          the remaining phases (every copy step is idempotent) until the
+          final map is published and the sources retired.
 
-        Idempotent: calling with no interrupted merge is a no-op.
+        Idempotent: calling with nothing interrupted is a no-op.
         """
-        with self._split_lock:
-            state = self._active_merge
-            if state is None:
+        with self._migration_lock:
+            if self._migration is None:
                 return {"resumed": False, "epoch": self._maps.epoch}
-            if self._merge_stream is not None:
-                self._merge_stream.abort()
-                self._merge_stream = None
-            if state.phase == "pre_copy":
-                self._active_merge = None
-                return {
-                    "resumed": True,
-                    "outcome": "rolled_back",
-                    "epoch": self._maps.epoch,
-                }
-            result = self._run_merge(state)
-            result["outcome"] = "rolled_forward"
-            return result
-
-    def _merge_gate(self, state: MergeState) -> None:
-        """Backpressure gate, mirroring :meth:`_split_gate`."""
-        if self._scheduler is not None and not self._scheduler.allow_maintenance():
-            self._active_merge = None
-            raise MergeAborted(
-                "maintenance backpressure: merge refused before cutover"
-            )
-        for shard_id in (state.left_id, state.right_id):
-            breaker = self._breakers[shard_id]
-            if breaker is not None and breaker.state() is BreakerState.OPEN:
-                self._active_merge = None
-                raise MergeAborted(
-                    f"shard {shard_id} breaker is open; merge refused"
-                )
-
-    def _merge_cutover(self, state: MergeState) -> None:
-        """Phase ``pre_copy`` -> ``merging``: the write cutover."""
-        self._merge_gate(state)
-        crash_point("merge.pre_copy")
-        if state.target_id < 0:
-            state.target_id = self._new_shard()
-        current = self._maps.current
-        merging = current.with_slot(
-            state.slot,
-            SlotRoute(
-                "merging",
-                primary=state.target_id,
-                left=state.left_id,
-                right=state.right_id,
-            ),
-            epoch=current.epoch + 1,
-        )
-        # Write cutover: from this swap on, new rows for the slot land on
-        # the fused target and every read double-reads target + the old
-        # successor that owned the key.
-        old = self._maps.publish(merging)
-        state.merging_epoch = merging.epoch
-        state.phase = "merging"
-        self._maps.drain(old.epoch)
-
-    def _merge_prepare(self, state: MergeState) -> None:
-        """Quiesce both sources, raise the clock, adopt blocks, open the
-        stream.  Idempotent, mirroring :meth:`_split_prepare`."""
-        if self._merge_stream is not None:
-            return
-        left = self.shards[state.left_id]
-        right = self.shards[state.right_id]
-        target = self.shards[state.target_id]
-        for source in (left, right):
-            source.stop_daemons()
-            state.quiesce_grooms += source.quiesce()["grooms"]
-            # Clock handoff: component-wise max over both sources, so no
-            # beginTS the target ever mints collides with either history.
-            target.clock.ensure_at_least(*source.clock.state())
-        # Ghost trackers union (disagreements collapse to "unknown",
-        # which counts the row's next update as a ghost -- conservative).
-        target.indexes.adopt_ghost_state((left.indexes, right.indexes))
-        state.copied_blocks += adopt_all_blocks((left, right), target)
-        self._merge_stream = merge_copy_stream((left, right), target)
-
-    def _finish_merge_copy(self, state: MergeState) -> None:
-        state.copied_entries += self._merge_stream.copied_entries
-        self._merge_stream = None
-        state.phase = "copied"
-
-    def _run_merge(self, state: MergeState) -> Dict[str, object]:
-        """Advance the merge phase machine to completion (resumable)."""
-        if state.phase == "pre_copy":
-            self._merge_cutover(state)
-
-        target = self.shards[state.target_id]
-
-        if state.phase == "merging":
-            self._merge_prepare(state)
-            self._merge_stream.run_all()
-            self._finish_merge_copy(state)
-
-        if state.phase == "copied":
-            crash_point("merge.pre_publish")
-            current = self._maps.current
-            final = current.with_slot(
-                state.slot,
-                SlotRoute("single", primary=state.target_id),
-                epoch=state.merging_epoch + 1,
-            )
-            self._maps.publish(final)
-            state.final_epoch = final.epoch
-            state.phase = "published"
-            self._maps.drain(state.merging_epoch)
-
-        if state.phase == "published":
-            crash_point("merge.post_publish")
-            for source_id in (state.left_id, state.right_id):
-                source = self.shards[source_id]
-                source.stop_daemons()
-                source.exit_degraded_mode()
-                self._retired.add(source_id)
-            if self._daemons_running and not target._daemon_threads:
-                target.start_daemons(groom_interval_s=self._daemon_interval)
-            state.phase = "done"
-            self._active_merge = None
-
-        return {
-            "resumed": True,
-            "epoch": self._maps.epoch,
-            **state.summary(),
-        }
-
-    def _new_shard(self) -> int:
-        """Append one fresh, empty shard wired into the qos stack."""
-        shard_id = len(self.shards)
-        shard = WildfireShard(
-            self.schema,
-            self.index_spec,
-            hierarchy=(
-                self._hierarchy_factory(shard_id)
-                if self._hierarchy_factory is not None
-                else None
-            ),
-            config=self._config,
-        )
-        self.shards.append(shard)
-        self._attach_qos(shard_id, shard)
-        self.num_shards = len(self.shards)
-        return shard_id
+            return self._drive(Migration.recover)
 
     # -- queries ----------------------------------------------------------------------
 
@@ -937,189 +501,11 @@ class ShardedTable:
     ) -> Optional[Record]:
         """Routed when the sharding key is bound (it is, for a primary-key
         lookup: the sharding key is a subset of the primary key)."""
-        if self._admission is None:
-            return self._point_query_inner(
-                equality_values, sort_values, query_ts
-            )
-        ticket = self._admission.admit()
-        start = self.sim_now()
-        try:
-            return self._point_query_inner(
-                equality_values, sort_values, query_ts
-            )
-        finally:
-            ticket.finish(self.sim_now() - start)
-
-    def _point_query_inner(
-        self,
-        equality_values: Sequence[KeyValue],
-        sort_values: Sequence[KeyValue],
-        query_ts: Optional[int],
-    ) -> Optional[Record]:
-        with self._maps.pin() as pin:
-            values = self._bound_sharding_values(equality_values, sort_values)
-            if values is not None:
-                return self._routed_point(
-                    pin, self.key_hash(values), equality_values, sort_values,
-                    query_ts,
-                )
-            return self._scatter_point(
-                pin, equality_values, sort_values, query_ts
-            )
-
-    def _routed_point(
-        self,
-        pin: MapPin,
-        key_hash: int,
-        equality_values: Sequence[KeyValue],
-        sort_values: Sequence[KeyValue],
-        query_ts: Optional[int],
-    ) -> Optional[Record]:
-        route = pin.map.route_of(key_hash)
-        reads = route.read_shards(key_hash)
-        if len(reads) == 1:
-            return self._shard_point_query(
-                reads[0],
-                equality_values,
-                sort_values,
-                query_ts,
-            )
-        # Migration window (split *or* merge): double-read both holders,
-        # newest beginTS wins.  The fresh-write holder (a split's
-        # successor; a merge's fused target) must answer authoritatively
-        # or not at all -- a degraded (snapshot-pinned) answer could
-        # silently miss freshly cut-over writes, so its brownouts surface
-        # as a typed partial result tagged with the serving epoch instead.
-        write_holder = route.write_shard(key_hash)
-        best: Optional[Record] = None
-        failed: List[int] = []
-        cause: Optional[BaseException] = None
-        for shard_id in reads:
-            allow_degraded = shard_id != write_holder
-            try:
-                record = self._shard_point_query(
-                    shard_id,
-                    equality_values,
-                    sort_values,
-                    query_ts,
-                    allow_degraded=allow_degraded,
-                )
-            except TransientIOError as exc:
-                failed.append(shard_id)
-                cause = exc
-                continue
-            if record is not None and (
-                best is None or record.begin_ts > best.begin_ts
-            ):
-                best = record
-        if failed:
-            raise PartialResultError(
-                tuple(failed),
-                (best,) if best is not None else (),
-                cause,
-                epoch=pin.epoch,
-            )
-        return best
-
-    def _scatter_point(
-        self,
-        pin: MapPin,
-        equality_values: Sequence[KeyValue],
-        sort_values: Sequence[KeyValue],
-        query_ts: Optional[int],
-    ) -> Optional[Record]:
-        # Defensive scatter fallback: a failing shard yields a typed
-        # partial-result error naming it, never a bare TransientIOError.
-        shard_map = pin.map
-        fresh = self._fresh_write_holders(shard_map)
-        best: Optional[Record] = None
-        failed: List[int] = []
-        cause: Optional[BaseException] = None
-        for scatter_id in shard_map.scatter_shards():
-            try:
-                record = self._shard_point_query(
-                    scatter_id,
-                    equality_values,
-                    sort_values,
-                    query_ts,
-                    allow_degraded=scatter_id not in fresh,
-                )
-            except TransientIOError as exc:
-                failed.append(scatter_id)
-                cause = exc
-                continue
-            if record is not None and (
-                best is None or record.begin_ts > best.begin_ts
-            ):
-                best = record
-        if failed:
-            raise PartialResultError(
-                tuple(failed),
-                (best,) if best is not None else (),
-                cause,
-                epoch=pin.epoch,
-            )
-        return best
-
-    @staticmethod
-    def _fresh_write_holders(shard_map: ShardMap) -> Set[int]:
-        """Shards holding freshly cut-over writes of an open migration.
-
-        These must answer authoritatively (never degraded): a split's
-        two successors during its ``migrating`` window, and a merge's
-        fused target during its ``merging`` window.
-        """
-        holders: Set[int] = set()
-        for route in shard_map.slots:
-            if route.state == "migrating":
-                holders.add(route.left)
-                holders.add(route.right)
-            elif route.state == "merging":
-                holders.add(route.primary)
-        return holders
-
-    def _shard_point_query(
-        self,
-        shard_id: int,
-        equality_values: Sequence[KeyValue],
-        sort_values: Sequence[KeyValue],
-        query_ts: Optional[int],
-        allow_degraded: bool = True,
-    ) -> Optional[Record]:
-        """One shard's point query, with breaker-aware degraded serving."""
-        shard = self.shards[shard_id]
-        breaker = self._breakers[shard_id]
-        if breaker is not None:
-            if breaker.state() is BreakerState.OPEN:
-                if not allow_degraded:
-                    raise StorageBrownout(f"shared/shard{shard_id}", 0)
-                return self._degraded_point(
-                    shard, equality_values, sort_values, query_ts
-                )
-            if shard.degraded:
-                shard.exit_degraded_mode()
-        try:
-            return shard.point_query(equality_values, sort_values, query_ts)
-        except StorageBrownout:
-            if breaker is None or not allow_degraded:
-                raise
-            # The breaker tripped mid-query: answer from the snapshot pin
-            # instead of surfacing the brownout to the client.
-            return self._degraded_point(
-                shard, equality_values, sort_values, query_ts
-            )
-
-    def _degraded_point(
-        self,
-        shard: WildfireShard,
-        equality_values: Sequence[KeyValue],
-        sort_values: Sequence[KeyValue],
-        query_ts: Optional[int],
-    ) -> Optional[Record]:
-        shard.enter_degraded_mode()
-        self._qos_io.qos.degraded_reads += 1
-        return shard.degraded_point_query(
-            equality_values, sort_values, query_ts
+        return self._admitted(
+            self._serve,
+            POINT,
+            self._bound_sharding_values(equality_values, sort_values),
+            (equality_values, sort_values, query_ts),
         )
 
     def range_query(
@@ -1131,197 +517,12 @@ class ShardedTable:
     ) -> List[IndexEntry]:
         """Routed if the equality columns pin the sharding key; otherwise a
         scatter-gather over every shard with a client-side merge."""
-        if self._admission is None:
-            return self._range_query_inner(
-                equality_values, sort_lower, sort_upper, query_ts
-            )
-        ticket = self._admission.admit()
-        start = self.sim_now()
-        try:
-            return self._range_query_inner(
-                equality_values, sort_lower, sort_upper, query_ts
-            )
-        finally:
-            ticket.finish(self.sim_now() - start)
-
-    def _range_query_inner(
-        self,
-        equality_values: Sequence[KeyValue],
-        sort_lower: Optional[Sequence[KeyValue]],
-        sort_upper: Optional[Sequence[KeyValue]],
-        query_ts: Optional[int],
-    ) -> List[IndexEntry]:
-        with self._maps.pin() as pin:
-            values = self._bound_sharding_values(equality_values, ())
-            if values is not None:
-                return self._routed_range(
-                    pin,
-                    self.key_hash(values),
-                    equality_values,
-                    sort_lower,
-                    sort_upper,
-                    query_ts,
-                )
-            return self._scatter_range(
-                pin, equality_values, sort_lower, sort_upper, query_ts
-            )
-
-    def _routed_range(
-        self,
-        pin: MapPin,
-        key_hash: int,
-        equality_values: Sequence[KeyValue],
-        sort_lower: Optional[Sequence[KeyValue]],
-        sort_upper: Optional[Sequence[KeyValue]],
-        query_ts: Optional[int],
-    ) -> List[IndexEntry]:
-        route = pin.map.route_of(key_hash)
-        reads = route.read_shards(key_hash)
-        if len(reads) == 1:
-            return self._shard_range_query(
-                reads[0],
-                equality_values,
-                sort_lower,
-                sort_upper,
-                query_ts,
-            )
-        write_holder = route.write_shard(key_hash)
-        gathered: List[IndexEntry] = []
-        failed: List[int] = []
-        cause: Optional[BaseException] = None
-        for shard_id in reads:
-            allow_degraded = shard_id != write_holder
-            try:
-                gathered.extend(
-                    self._shard_range_query(
-                        shard_id,
-                        equality_values,
-                        sort_lower,
-                        sort_upper,
-                        query_ts,
-                        allow_degraded=allow_degraded,
-                    )
-                )
-            except TransientIOError as exc:
-                failed.append(shard_id)
-                cause = exc
-        merged = self._merge_versions(gathered)
-        if failed:
-            raise PartialResultError(
-                tuple(failed), tuple(merged), cause, epoch=pin.epoch
-            )
-        return merged
-
-    def _scatter_range(
-        self,
-        pin: MapPin,
-        equality_values: Sequence[KeyValue],
-        sort_lower: Optional[Sequence[KeyValue]],
-        sort_upper: Optional[Sequence[KeyValue]],
-        query_ts: Optional[int],
-    ) -> List[IndexEntry]:
-        shard_map = pin.map
-        fresh = self._fresh_write_holders(shard_map)
-        gathered: List[IndexEntry] = []
-        failed: List[int] = []
-        cause: Optional[BaseException] = None
-        for scatter_id in shard_map.scatter_shards():
-            try:
-                gathered.extend(
-                    self._shard_range_query(
-                        scatter_id,
-                        equality_values,
-                        sort_lower,
-                        sort_upper,
-                        query_ts,
-                        allow_degraded=scatter_id not in fresh,
-                    )
-                )
-            except TransientIOError as exc:
-                # A shard whose retry budget ran out: name it instead of
-                # letting a bare TransientIOError escape the gather.
-                failed.append(scatter_id)
-                cause = exc
-        if shard_map.needs_merge():
-            gathered = self._merge_versions(gathered)
-        else:
-            definition = self.shards[0].index.definition
-            gathered.sort(key=lambda entry: entry.key_bytes(definition))
-        if failed:
-            raise PartialResultError(
-                tuple(failed), tuple(gathered), cause, epoch=pin.epoch
-            )
-        return gathered
-
-    def _merge_versions(self, entries: List[IndexEntry]) -> List[IndexEntry]:
-        """Client-side double-read merge: newest version per key wins.
-
-        Each shard already returns at most one (newest visible) version
-        per key; during a migration window the successor and the source
-        may both answer for the same key.  Sorting by the full sort key
-        (key bytes + descending-encoded beginTS) groups versions of one
-        key newest-first, so keeping the first entry per key drops both
-        exact duplicates (copied entries are byte-identical) and stale
-        source versions in one pass.
-        """
-        definition = self.shards[0].index.definition
-        entries.sort(key=lambda entry: entry.sort_key(definition))
-        merged: List[IndexEntry] = []
-        last_key: Optional[bytes] = None
-        for entry in entries:
-            key = entry.key_bytes(definition)
-            if key == last_key:
-                continue
-            last_key = key
-            merged.append(entry)
-        return merged
-
-    def _shard_range_query(
-        self,
-        shard_id: int,
-        equality_values: Sequence[KeyValue],
-        sort_lower: Optional[Sequence[KeyValue]],
-        sort_upper: Optional[Sequence[KeyValue]],
-        query_ts: Optional[int],
-        allow_degraded: bool = True,
-    ) -> List[IndexEntry]:
-        shard = self.shards[shard_id]
-        breaker = self._breakers[shard_id]
-        if breaker is not None:
-            if breaker.state() is BreakerState.OPEN:
-                if not allow_degraded:
-                    raise StorageBrownout(f"shared/shard{shard_id}", 0)
-                return self._degraded_range(
-                    shard, equality_values, sort_lower, sort_upper, query_ts
-                )
-            if shard.degraded:
-                shard.exit_degraded_mode()
-        try:
-            return shard.range_query(
-                equality_values, sort_lower, sort_upper, query_ts
-            )
-        except StorageBrownout:
-            if breaker is None or not allow_degraded:
-                raise
-            return self._degraded_range(
-                shard, equality_values, sort_lower, sort_upper, query_ts
-            )
-
-    def _degraded_range(
-        self,
-        shard: WildfireShard,
-        equality_values: Sequence[KeyValue],
-        sort_lower: Optional[Sequence[KeyValue]],
-        sort_upper: Optional[Sequence[KeyValue]],
-        query_ts: Optional[int],
-    ) -> List[IndexEntry]:
-        shard.enter_degraded_mode()
-        self._qos_io.qos.degraded_reads += 1
-        return shard.degraded_range_query(
-            equality_values, sort_lower, sort_upper, query_ts
+        return self._admitted(
+            self._serve,
+            RANGE,
+            self._bound_sharding_values(equality_values, ()),
+            (equality_values, sort_lower, sort_upper, query_ts),
         )
-
-    # -- typed queries through the access-path planner (ISSUE 9) ----------------------
 
     def query(self, query: Query) -> List[Tuple[KeyValue, ...]]:
         """Planner-routed typed query across the cluster.
@@ -1336,60 +537,135 @@ class ShardedTable:
         primary key), identical to :meth:`WildfireShard.query`.
 
         Typed queries never serve degraded (snapshot-pinned) answers: a
-        browned-out or breaker-open shard is reported in a
-        :class:`PartialResultError` naming it, tagged with the serving
-        epoch, instead of silently narrowing the result.
+        shard whose storage browns out -- routed or scattered -- is
+        reported in a :class:`PartialResultError` naming it, tagged with
+        the serving epoch, instead of silently narrowing the result.
         """
-        if self._admission is None:
-            return self._query_inner(query)
-        ticket = self._admission.admit()
-        start = self.sim_now()
+        bound = dict(query.equalities)
         try:
-            return self._query_inner(query)
-        finally:
-            ticket.finish(self.sim_now() - start)
+            values = tuple(bound[name] for name in self.schema.sharding_key)
+        except KeyError:
+            values = None
+        return self._admitted(self._serve, TYPED, values, (query,))
 
-    def _query_inner(self, query: Query) -> List[Tuple[KeyValue, ...]]:
+    def _serve(
+        self,
+        kind: QueryKind,
+        sharding_values: Optional[Tuple[KeyValue, ...]],
+        args: tuple,
+    ):
+        """The one serving pipeline: pin -> route or scatter -> gather.
+
+        A point or range query whose slot has a single holder returns
+        that shard's answer as is (errors included).  Everything else
+        -- a migration window's double-read, a scatter, any typed query
+        -- gathers per-shard parts, collects the shards that gave up
+        and combines the rest: a failing shard yields a typed
+        partial-result error naming it and the serving epoch, never a
+        bare ``TransientIOError``.
+
+        The fresh-write holders of an open migration window must answer
+        authoritatively or not at all: a degraded (snapshot-pinned)
+        answer could silently miss freshly cut-over writes, so their
+        brownouts surface in the partial result instead.
+        """
         with self._maps.pin() as pin:
-            values = self._query_sharding_values(query)
-            if values is not None:
-                route = pin.map.route_of(self.key_hash(values))
-                reads = route.read_shards(self.key_hash(values))
-                if len(reads) == 1:
-                    tagged = self.shards[reads[0]]._query_tagged(query)
-                    return [row for _, _, row in self._merge_tagged([tagged])]
-                shard_ids = list(reads)
+            if sharding_values is not None:
+                key_hash = self.key_hash(sharding_values)
+                route = pin.map.route_of(key_hash)
+                shard_ids = route.read_shards(key_hash)
+                if len(shard_ids) == 1 and kind is not TYPED:
+                    return self._shard_call(kind, shard_ids[0], args, True)
+                fresh = route.fresh_write_shards()
             else:
-                shard_ids = self._prune_scatter(
-                    list(pin.map.scatter_shards()), query
-                )
-            parts: List[
-                List[Tuple[Tuple[KeyValue, ...], int, Tuple[KeyValue, ...]]]
-            ] = []
+                shard_ids = pin.map.scatter_shards()
+                if kind is TYPED:
+                    shard_ids = self._prune_scatter(list(shard_ids), args[0])
+                fresh = pin.map.fresh_write_shards()
+            parts: list = []
             failed: List[int] = []
             cause: Optional[BaseException] = None
             for shard_id in shard_ids:
                 try:
-                    parts.append(self.shards[shard_id]._query_tagged(query))
+                    parts.append(
+                        self._shard_call(kind, shard_id, args, shard_id not in fresh)
+                    )
                 except TransientIOError as exc:
+                    # Retry budget exhausted, or a brownout that may not
+                    # be papered over: name the shard.
                     failed.append(shard_id)
                     cause = exc
-            rows = [row for _, _, row in self._merge_tagged(parts)]
+            answer = getattr(self, kind.combine)(parts)
             if failed:
+                if not isinstance(answer, list):  # a point's record or None
+                    answer = [] if answer is None else [answer]
                 raise PartialResultError(
-                    tuple(failed), tuple(rows), cause, epoch=pin.epoch
+                    tuple(failed), tuple(answer), cause, epoch=pin.epoch
                 )
-            return rows
+            return answer
 
-    def _query_sharding_values(
-        self, query: Query
-    ) -> Optional[Tuple[KeyValue, ...]]:
-        """Sharding values when the query equality-binds them all."""
-        bound = dict(query.equalities)
-        try:
-            return tuple(bound[name] for name in self.schema.sharding_key)
-        except KeyError:
-            return None
+    def _shard_call(
+        self, kind: QueryKind, shard_id: int, args: tuple, allow_degraded: bool
+    ):
+        """One shard's part, with breaker-aware degraded serving."""
+        shard = self.shards[shard_id]
+        breaker = self._breakers[shard_id]
+        if breaker is None or kind.degraded is None:
+            return getattr(shard, kind.live)(*args)
+        if breaker.state() is not BreakerState.OPEN:
+            if shard.degraded:
+                shard.exit_degraded_mode()
+            try:
+                return getattr(shard, kind.live)(*args)
+            except StorageBrownout:
+                # The breaker tripped mid-query: answer from the snapshot
+                # pin instead of surfacing the brownout to the client.
+                if not allow_degraded:
+                    raise
+        elif not allow_degraded:
+            raise StorageBrownout(f"shared/shard{shard_id}", 0)
+        shard.enter_degraded_mode()
+        self._qos_io.qos.degraded_reads += 1
+        return getattr(shard, kind.degraded)(*args)
+
+    @staticmethod
+    def _newest_record(parts: Sequence[Optional[Record]]) -> Optional[Record]:
+        """Double-read merge for points: newest ``beginTS`` wins (the
+        first holder asked -- the fresh-write one -- on a tie)."""
+        best: Optional[Record] = None
+        for record in parts:
+            if record is not None and (
+                best is None or record.begin_ts > best.begin_ts
+            ):
+                best = record
+        return best
+
+    def _merge_versions(self, parts: Sequence[List[IndexEntry]]) -> List[IndexEntry]:
+        """Client-side range merge: key order, newest version per key.
+
+        Each shard already returns at most one (newest visible) version
+        per key; during a migration window the successor and the source
+        may both answer for the same key.  Sorting by the full sort key
+        (key bytes + descending-encoded beginTS) groups versions of one
+        key newest-first, so keeping the first entry per key drops both
+        exact duplicates (copied entries are byte-identical) and stale
+        source versions in one pass.
+        """
+        definition = self.shards[0].index.definition
+        entries = [entry for part in parts for entry in part]
+        entries.sort(key=lambda entry: entry.sort_key(definition))
+        merged: List[IndexEntry] = []
+        last_key: Optional[bytes] = None
+        for entry in entries:
+            key = entry.key_bytes(definition)
+            if key == last_key:
+                continue
+            last_key = key
+            merged.append(entry)
+        return merged
+
+    def _merge_rows(self, parts: Sequence[Sequence[TaggedRow]]) -> List[Row]:
+        return [row for _, _, row in self._merge_tagged(parts)]
 
     def scatter_stats(self) -> Dict[str, int]:
         """Typed scatter-gather pruning counters (ISSUE 10)."""
@@ -1458,11 +734,7 @@ class ShardedTable:
         return False
 
     @staticmethod
-    def _merge_tagged(
-        parts: Sequence[
-            Sequence[Tuple[Tuple[KeyValue, ...], int, Tuple[KeyValue, ...]]]
-        ],
-    ) -> List[Tuple[Tuple[KeyValue, ...], int, Tuple[KeyValue, ...]]]:
+    def _merge_tagged(parts: Sequence[Sequence[TaggedRow]]) -> List[TaggedRow]:
         """Newest-beginTS-wins per primary key, then the output sort.
 
         Each shard already deduplicated its own versions; across shards
@@ -1470,9 +742,7 @@ class ShardedTable:
         both the source and a successor (copied rows tie on beginTS and
         are identical; post-cutover writes win by a larger beginTS).
         """
-        best: Dict[
-            Tuple[KeyValue, ...], Tuple[int, Tuple[KeyValue, ...]]
-        ] = {}
+        best: Dict[Row, Tuple[int, Row]] = {}
         for part in parts:
             for pk, begin_ts, row in part:
                 held = best.get(pk)

@@ -374,6 +374,11 @@ class WildfireShard:
         for service in self._secondary_maintenance:
             service.start()
 
+    @property
+    def daemons_running(self) -> bool:
+        """True between :meth:`start_daemons` and :meth:`stop_daemons`."""
+        return bool(self._daemon_threads)
+
     def stop_daemons(self) -> None:
         self._daemons_stop.set()
         for thread in self._daemon_threads:

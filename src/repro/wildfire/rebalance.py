@@ -20,8 +20,8 @@ shard must both drain to a fraction of the split trigger *and* stay
 that cold for ``merge_after`` evaluations before it is fused back.
 
 The policy never forces work through backpressure: a
-:class:`~repro.wildfire.split.SplitAborted` /
-:class:`~repro.wildfire.merge.MergeAborted` (the qos gate refusing the
+:class:`~repro.wildfire.migration.SplitAborted` /
+:class:`~repro.wildfire.migration.MergeAborted` (the qos gate refusing the
 copy) is recorded, counted, and retried only after the condition
 re-accumulates a full streak.  ``step()`` is synchronous and
 single-threaded by design -- benches and tests drive it interleaved
@@ -35,8 +35,7 @@ import threading
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Tuple
 
-from repro.wildfire.merge import MergeAborted
-from repro.wildfire.split import SplitAborted
+from repro.wildfire.migration import MergeAborted, SplitAborted
 
 
 @dataclass(frozen=True)

@@ -41,7 +41,7 @@ from __future__ import annotations
 import threading
 import time
 from dataclasses import dataclass
-from typing import Dict, Optional, Sequence, Tuple
+from typing import Dict, Optional, Sequence, Set, Tuple
 
 from repro.core.definition import ColumnType, IndexDefinition
 from repro.core.encoding import fnv1a64
@@ -138,6 +138,22 @@ class SlotRoute:
             return (self.primary, self.left, self.right)
         return (self.left, self.right)
 
+    def fresh_write_shards(self) -> Tuple[int, ...]:
+        """Shards holding freshly cut-over writes of an open migration.
+
+        A split's two successors during its ``migrating`` window, a
+        merge's fused target during its ``merging`` window.  Until the
+        final publish they are *frozen* (no maintenance: grooming would
+        assign ``beginTS`` from a clock not yet handed forward) and must
+        answer authoritatively or not at all (a snapshot-pinned answer
+        could silently miss fresh writes).
+        """
+        if self.state == "migrating":
+            return (self.left, self.right)
+        if self.state == "merging":
+            return (self.primary,)
+        return ()
+
 
 @dataclass(frozen=True)
 class ShardMap:
@@ -170,12 +186,13 @@ class ShardMap:
                 seen.setdefault(shard_id, None)
         return tuple(seen)
 
-    def needs_merge(self) -> bool:
-        """True while any slot double-reads (scatter results may contain
-        the same key from two shards and must dedup by beginTS)."""
-        return any(
-            route.state in ("migrating", "merging") for route in self.slots
-        )
+    def fresh_write_shards(self) -> Set[int]:
+        """Every slot's :meth:`SlotRoute.fresh_write_shards`."""
+        return {
+            shard_id
+            for route in self.slots
+            for shard_id in route.fresh_write_shards()
+        }
 
     def with_slot(self, slot: int, route: SlotRoute, epoch: int) -> "ShardMap":
         slots = list(self.slots)
@@ -223,7 +240,7 @@ class ShardMapRegistry:
     refcount whole epochs (one Ref + one Unref each, charged to the
     supplied :class:`~repro.storage.metrics.EpochStats`), and a
     superseded epoch is reclaimed when its last pin exits.  ``drain``
-    lets the split controller wait until no in-flight query can still be
+    lets a migration wait until no in-flight query can still be
     answering from a pre-publish view.
     """
 

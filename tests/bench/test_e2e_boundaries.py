@@ -1,0 +1,84 @@
+"""Guard for refactors: the e2e tracer's layer boundaries still exist.
+
+``benchmarks/e2e/tracer.py`` times the layers outside-in by replacing the
+bound methods named in its ``BOUNDARIES`` table on the instances the
+benchmark built.  A boundary whose attribute is gone only warns at run
+time and its time silently folds into the enclosing layer, so a rename
+in ``src/`` could shift the per-layer trajectory without anyone noticing.
+This test reads the table (nothing under ``benchmarks/e2e`` is modified)
+and fails instead.
+"""
+
+import importlib.util
+from collections import Counter
+from pathlib import Path
+
+import pytest
+
+from repro.planner import Query
+
+E2E = Path(__file__).resolve().parents[2] / "benchmarks" / "e2e"
+
+
+def load(name):
+    """Import one benchmark file by path, without touching ``sys.path``."""
+    spec = importlib.util.spec_from_file_location(f"e2e_{name}", E2E / f"{name}.py")
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+BOUNDARIES = load("tracer").BOUNDARIES
+make_table = load("workloads").make_table
+
+
+@pytest.mark.parametrize(
+    "layer,owners_of,method",
+    [boundary[:3] for boundary in BOUNDARIES],
+    ids=[f"{layer}:{method}" for layer, _, method, _ in BOUNDARIES],
+)
+def test_every_boundary_resolves_on_a_fresh_table(layer, owners_of, method):
+    owners = owners_of(make_table(2))
+    assert owners, f"{layer}:{method} has no owner"
+    for owner in owners:
+        assert callable(getattr(owner, method, None)), (
+            f"{layer}:{method} is absent on {type(owner).__name__}; its time "
+            "would fall into the enclosing layer"
+        )
+
+
+def test_front_door_reaches_boundaries_replaced_on_the_instance():
+    """The tracer (and ``monkeypatch``) replace *instance* attributes, so
+    the serving path must look each boundary up per call."""
+    table = make_table(2)
+    calls = Counter()
+
+    def count(owner, layer, method):
+        inner = getattr(owner, method)
+
+        def counted(*args, **kwargs):
+            calls[layer, method] += 1
+            return inner(*args, **kwargs)
+
+        setattr(owner, method, counted)
+
+    for layer, owners_of, method, _ in BOUNDARIES:
+        for owner in owners_of(table):
+            count(owner, layer, method)
+
+    table.ingest([(i, f"c{i % 3}", f"r{i % 2}", i) for i in range(40)])
+    for _ in range(4):
+        table.tick()
+    assert table.point_query((), (7,)).values == (7, "c1", "r1", 7)
+    assert table.query(Query(equalities=(("order_id", 7),))) == [(7, "c1", "r1", 7)]
+    assert len(table.query(Query(equalities=(("customer", "c1"),)))) == 13
+
+    assert calls["wildfire.cluster", "point_query"] == 1
+    assert calls["wildfire.cluster", "query"] == 2
+    assert calls["wildfire.cluster", "ingest"] == 1
+    assert calls["wildfire.cluster", "tick"] == 4
+    assert calls["qos.admission", "admit"] == 4  # one token per front-door op
+    assert calls["wildfire.engine", "ingest"] == 2  # both shards got rows
+    assert calls["wildfire.engine", "point_query"] == 1
+    assert calls["wildfire.engine", "_query_tagged"] == 3  # 1 routed + 2 scattered
+    assert calls["planner", "plan_query"] == 3

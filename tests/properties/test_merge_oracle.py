@@ -269,7 +269,7 @@ class TestPumpedRoundTrip:
         pumped.begin_merge(1, 2)
         steps = 0
         while True:
-            summary = pumped.merge_step(budget=budget)
+            summary = pumped.migration_step(budget=budget)
             steps += 1
             if summary["phase"] == "done":
                 break
@@ -294,7 +294,7 @@ class TestPumpedRoundTrip:
         pumped.begin_split(0)
         steps = 0
         while True:
-            summary = pumped.split_step(budget=budget)
+            summary = pumped.migration_step(budget=budget)
             steps += 1
             if summary["phase"] == "done":
                 break
@@ -326,7 +326,7 @@ class TestCrashMatrix:
             with pytest.raises(SimulatedCrash):
                 arm.merge_shards(1, 2)
 
-        outcome = arm.recover_merge()
+        outcome = arm.recover_migration()
         assert outcome["resumed"] is True, plan.describe()
         if site == "merge.pre_copy":
             # Nothing was published: the slot keeps its split route.
@@ -340,7 +340,7 @@ class TestCrashMatrix:
             assert arm.live_shard_ids() == [3]
 
         # Recovery is idempotent: a second call is a no-op at the same epoch.
-        again = arm.recover_merge()
+        again = arm.recover_migration()
         assert again["resumed"] is False
         assert again["epoch"] == arm.routing_epoch()
 

@@ -253,7 +253,7 @@ class TestCrashMatrix:
             with pytest.raises(SimulatedCrash):
                 split_arm.split_shard(0)
 
-        outcome = split_arm.recover_split()
+        outcome = split_arm.recover_migration()
         assert outcome["resumed"] is True, plan.describe()
         if site == "split.pre_copy":
             # Nothing was published: fully-old routing, no successors.
@@ -267,7 +267,7 @@ class TestCrashMatrix:
             assert split_arm.live_shard_ids() == [1, 2]
 
         # Recovery is idempotent: a second call is a no-op at the same epoch.
-        again = split_arm.recover_split()
+        again = split_arm.recover_migration()
         assert again["resumed"] is False
         assert again["epoch"] == split_arm.routing_epoch()
 

@@ -21,7 +21,7 @@ from repro.storage.retry import TransientIOError
 from repro.wildfire.cluster import ShardedTable
 from repro.wildfire.engine import ShardConfig
 from repro.wildfire.schema import IndexSpec, TableSchema
-from repro.wildfire.split import SplitAborted, SplitUnsupported
+from repro.wildfire.migration import SplitAborted, SplitUnsupported
 
 
 def make_orders_table(num_shards=3, planner="smart"):
@@ -99,26 +99,35 @@ class TestClusterTypedQueries:
         )
         assert table.query(query) == gathered
 
-    def test_failed_shard_surfaces_as_partial_result(self, monkeypatch):
+    @pytest.mark.parametrize(
+        "query",
+        [
+            Query(equalities=(("customer", "c2"),), projection=("order_id",)),
+            # Routed to a single shard: named and epoch-tagged all the same.
+            Query(equalities=(("order_id", 7),)),
+        ],
+        ids=["scatter", "routed"],
+    )
+    def test_failed_shard_surfaces_as_partial_result(self, monkeypatch, query):
         table = make_orders_table()
         seed_orders(table)
+        victim = table.shard_of_key((7,))
 
         def boom(query):
-            raise TransientIOError("shard 1 storage down")
+            raise TransientIOError(f"shard {victim} storage down")
 
-        monkeypatch.setattr(table.shards[1], "_query_tagged", boom)
-        query = Query(equalities=(("customer", "c2"),),
-                      projection=("order_id",))
+        monkeypatch.setattr(table.shards[victim], "_query_tagged", boom)
         with pytest.raises(PartialResultError) as excinfo:
             table.query(query)
         err = excinfo.value
-        assert err.failed_shards == (1,)
+        assert err.failed_shards == (victim,)
         assert err.epoch == table.routing_epoch()
-        # The partial rows are exactly the surviving shards' answer.
+        # The partial rows are exactly the surviving shards' answer
+        # (none at all when the failed shard was the only one asked).
         survivors = sorted(
             row
             for shard_id, shard in enumerate(table.shards)
-            if shard_id != 1
+            if shard_id != victim
             for row in shard.query(query)
         )
         assert list(err.partial) == survivors
@@ -320,7 +329,7 @@ class TestTypedQueriesAcrossSplit:
         ]
         # Roll forward, then update every key: the successors groom the
         # new versions and newest-beginTS wins over the retired copies.
-        table.recover_split()
+        table.recover_migration()
         table.ingest([(d, 0, 1000 + d) for d in range(8)])
         table.run_cycles(4)
         assert [table.query(q) for q in queries] == [

@@ -14,7 +14,7 @@ from repro.wildfire.cluster import ShardedTable
 from repro.wildfire.engine import ShardConfig
 from repro.wildfire.rebalance import RebalanceConfig, RebalancePolicy
 from repro.wildfire.schema import IndexSpec, TableSchema
-from repro.wildfire.split import SplitAborted
+from repro.wildfire.migration import SplitAborted
 
 pytestmark = pytest.mark.timeout(120)
 

@@ -1,17 +1,22 @@
-"""Qos integration of online shard split (ISSUE 8).
+"""Qos integration of online shard migration, both directions (ISSUES 8, 10).
 
-Two halves:
+Every case runs for a split *and* for a merge -- one state machine, one
+contract:
 
-* the split controller respects the overload stack -- maintenance
-  backpressure or an open source breaker aborts a split *before* its
-  write cutover with a typed :class:`SplitAborted`, leaving routing,
+* the migration respects the overload stack -- maintenance backpressure
+  or an open source breaker aborts it *before* its write cutover with a
+  typed :class:`SplitAborted` / :class:`MergeAborted`, leaving routing,
   data and clocks untouched;
-* inside the migration window a successor is not allowed to answer
-  degraded (a snapshot-pinned answer could silently miss freshly
-  cut-over writes), so an open successor breaker surfaces as a
+* inside the migration window the fresh-write holder (a split's
+  successor, a merge's fused target) is not allowed to answer degraded
+  (a snapshot-pinned answer could silently miss freshly cut-over
+  writes), so its open breaker surfaces as a
   :class:`PartialResultError` carrying the partial answer *and the
-  serving routing epoch* -- after roll-forward recovery the successor
-  owns the slot alone and may serve degraded like any other shard.
+  serving routing epoch* -- after roll-forward recovery it owns the slot
+  alone and may serve degraded like any other shard;
+* the table holds one in-flight slot: a second ``begin_*`` is refused
+  while it is occupied, and stepping or recovering an empty one is a
+  typed error / a no-op.
 """
 
 import pytest
@@ -27,8 +32,7 @@ from repro.storage.hierarchy import StorageHierarchy
 from repro.storage.metrics import IOStats
 from repro.wildfire.cluster import ShardedTable
 from repro.wildfire.engine import ShardConfig
-from repro.wildfire.shardmap import successor_side
-from repro.wildfire.split import SplitAborted
+from repro.wildfire.migration import MergeAborted, MigrationError, SplitAborted
 from repro.wildfire.schema import IndexSpec, TableSchema
 
 DEVICES = 16
@@ -82,92 +86,147 @@ def trip(breaker):
     assert breaker.state() is BreakerState.OPEN
 
 
-class TestSplitGate:
-    def test_open_source_breaker_aborts_before_cutover(self):
-        table = make_qos_table()
-        warm(table)
-        trip(table.breaker(0))
-        with pytest.raises(SplitAborted):
-            table.split_shard(0)
-        # Nothing happened: fully-old routing, no successors, retryable.
-        assert table.routing_epoch() == 0
-        assert table.live_shard_ids() == [0]
+DIRECTIONS = ("split", "merge")
+ABORTED = {"split": SplitAborted, "merge": MergeAborted}
+
+
+def ready(direction):
+    """A warmed table one call away from migrating in ``direction``:
+    ``(table, source shard ids)``.  The merge case has already split."""
+    table = make_qos_table()
+    warm(table)
+    if direction == "split":
+        return table, (0,)
+    return table, table.split_shard(0)["successors"]
+
+
+def migrate(table, direction, sources):
+    run = table.split_shard if direction == "split" else table.merge_shards
+    return run(*sources)
+
+
+def begin(table, direction, sources):
+    start = table.begin_split if direction == "split" else table.begin_merge
+    return start(*sources)
+
+
+@pytest.mark.parametrize("direction", DIRECTIONS)
+class TestGate:
+    def test_open_source_breaker_aborts_before_cutover(self, direction):
+        table, sources = ready(direction)
+        epoch, live = table.routing_epoch(), table.live_shard_ids()
+        trip(table.breaker(sources[-1]))
+        with pytest.raises(ABORTED[direction]):
+            migrate(table, direction, sources)
+        # Nothing happened: fully-old routing, no targets, retryable.
+        assert table.routing_epoch() == epoch
+        assert table.live_shard_ids() == live
         # The abort cleared the in-flight state: recovery is a no-op ...
-        assert table.recover_split()["resumed"] is False
-        # ... and once the breaker is happy again the same split goes
+        assert table.recover_migration()["resumed"] is False
+        # ... and once the breaker is happy again the same call goes
         # through (the gate is advisory backpressure, not a veto forever).
-        table.breaker(0)._state = BreakerState.CLOSED
-        assert table.split_shard(0)["phase"] == "done"
+        table.breaker(sources[-1])._state = BreakerState.CLOSED
+        assert migrate(table, direction, sources)["phase"] == "done"
 
-    def test_maintenance_backpressure_aborts_before_cutover(self):
-        table = make_qos_table()
-        warm(table)
+    def test_maintenance_backpressure_aborts_before_cutover(self, direction):
+        table, sources = ready(direction)
+        epoch = table.routing_epoch()
         # Any open breaker throttles the scheduler cluster-wide.
-        trip(table.breaker(0))
+        trip(table.breaker(sources[0]))
         assert table.scheduler.allow_maintenance() is False
-        with pytest.raises(SplitAborted):
-            table.split_shard(0)
-        assert table.routing_epoch() == 0
+        with pytest.raises(ABORTED[direction]):
+            migrate(table, direction, sources)
+        assert table.routing_epoch() == epoch
 
 
+@pytest.mark.parametrize("direction", DIRECTIONS)
 class TestPartialResultsInWindow:
-    def crash_into_migration_window(self, table):
-        """Park the table mid-split: copied, but final map unpublished."""
+    def crash_into_migration_window(self, table, direction, sources):
+        """Park the table mid-migration: copied, final map unpublished.
+        Returns the (window) epoch it is stuck on."""
+        epoch = table.routing_epoch()
         plan = FaultPlan(
-            seed=0, crash_triggers={"split.pre_publish": frozenset({1})}
+            seed=0, crash_triggers={f"{direction}.pre_publish": frozenset({1})}
         )
         with install_crash_schedule(plan.crash_schedule()):
             with pytest.raises(SimulatedCrash):
-                table.split_shard(0)
-        assert table.routing_epoch() == 1  # stuck on the migrating epoch
+                migrate(table, direction, sources)
+        assert table.routing_epoch() == epoch + 1
+        return epoch + 1
 
-    def successor_for(self, table, device):
-        route = table.maps.current.route_of(table.key_hash((device,)))
-        assert route.state == "migrating"
-        side = successor_side(table.key_hash((device,)))
-        return route.right if side else route.left
+    def fresh_write_holder(self, table, device):
+        key_hash = table.key_hash((device,))
+        route = table.maps.current.route_of(key_hash)
+        assert route.state in ("migrating", "merging")
+        holder = route.write_shard(key_hash)
+        assert holder in route.fresh_write_shards()
+        return holder
 
-    def test_successor_brownout_surfaces_epoch_tagged_partial(self):
-        table = make_qos_table()
-        warm(table)
-        self.crash_into_migration_window(table)
+    def test_fresh_holder_brownout_surfaces_epoch_tagged_partial(self, direction):
+        table, sources = ready(direction)
+        window_epoch = self.crash_into_migration_window(table, direction, sources)
 
         device = 0
-        successor = self.successor_for(table, device)
-        trip(table.breaker(successor))
+        holder = self.fresh_write_holder(table, device)
+        trip(table.breaker(holder))
 
         with pytest.raises(PartialResultError) as exc_info:
             table.point_query((device,), (1,))
         error = exc_info.value
-        assert error.failed_shards == (successor,)
-        assert error.epoch == 1  # tagged with the serving routing epoch
-        # The old primary's authoritative answer rode along.
+        assert error.failed_shards == (holder,)
+        assert error.epoch == window_epoch  # the serving routing epoch
+        # The old holder's authoritative answer rode along.
         assert len(error.partial) == 1
         assert error.partial[0].values == (device, 1, device * 10)
         # Range queries through the same window are tagged identically.
         with pytest.raises(PartialResultError) as exc_info:
             table.range_query((device,))
-        assert exc_info.value.epoch == 1
-        assert exc_info.value.failed_shards == (successor,)
-        # No degraded read was attempted for the successor: its snapshot
-        # could miss post-cutover writes, so partials are the contract.
+        assert exc_info.value.epoch == window_epoch
+        assert exc_info.value.failed_shards == (holder,)
+        # No degraded read was attempted for the fresh-write holder: its
+        # snapshot could miss post-cutover writes, so partials are the
+        # contract.
         assert table.qos_stats().degraded_reads == 0
 
-    def test_after_rollforward_successor_serves_degraded(self):
-        table = make_qos_table()
-        warm(table)
-        self.crash_into_migration_window(table)
+    def test_after_rollforward_fresh_holder_serves_degraded(self, direction):
+        table, sources = ready(direction)
+        window_epoch = self.crash_into_migration_window(table, direction, sources)
         device = 0
-        successor = self.successor_for(table, device)
-        trip(table.breaker(successor))
+        holder = self.fresh_write_holder(table, device)
+        trip(table.breaker(holder))
 
-        outcome = table.recover_split()
+        outcome = table.recover_migration()
         assert outcome["outcome"] == "rolled_forward"
-        assert table.routing_epoch() == 2
+        assert table.routing_epoch() == window_epoch + 1
 
-        # The successor now owns the slot alone; with its breaker still
+        # The holder now owns the slot alone; with its breaker still
         # open it degrades to the pinned snapshot (which holds the copied
         # data) instead of erroring -- the normal ISSUE 7 contract.
         record = table.point_query((device,), (1,))
         assert record is not None and record.values == (device, 1, device * 10)
         assert table.qos_stats().degraded_reads > 0
+
+
+class TestOneInFlightSlot:
+    @pytest.mark.parametrize("direction", DIRECTIONS)
+    def test_second_begin_while_in_flight_is_refused(self, direction):
+        table, sources = ready(direction)
+        summary = begin(table, direction, sources)
+        epoch = table.routing_epoch()
+        # Whatever is asked for next -- either direction -- is refused.
+        for other, ids in (("split", sources[:1]), ("merge", (sources * 2)[:2])):
+            with pytest.raises(MigrationError, match="already in flight"):
+                begin(table, other, ids)
+        # The refusal touched nothing: the parked migration pumps on.
+        assert table.routing_epoch() == epoch
+        while summary["phase"] != "done":
+            summary = table.migration_step(budget=4)
+        assert table.routing_epoch() == epoch + 1
+        assert table.recover_migration()["resumed"] is False
+
+    def test_nothing_in_flight(self):
+        table, _ = ready("split")
+        with pytest.raises(MigrationError, match="no migration is in flight"):
+            table.migration_step()
+        assert table.recover_migration() == {"resumed": False, "epoch": 0}
+        assert table.routing_epoch() == 0
