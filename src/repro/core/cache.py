@@ -15,7 +15,8 @@ queries to locate data blocks".
 * New runs created by merge or evolve are written through to the SSD cache
   iff their level is below (i.e. more recent than) the current cached level.
 * A query that had to touch a purged run releases those transient blocks
-  when it finishes.
+  when it finishes -- exactly the blocks fetched through the run handle
+  (``IndexRun.fetched_blocks``), not a sweep over every block of the run.
 
 ``set_cache_level`` provides the manual override the paper uses for the
 purge experiment (Figure 14).
@@ -133,6 +134,7 @@ class CacheManager:
         for i in range(run.header.num_data_blocks):
             if self.hierarchy.drop_from_cache(run.data_block_id(i)):
                 dropped += 1
+        run.fetched_blocks.clear()
         run.drop_decode_cache()
         # Keep (or restore) the header block locally so queries can plan.
         header_id = run.header_block_id()
@@ -171,6 +173,7 @@ class CacheManager:
             block_id = run.data_block_id(i)
             if not self.hierarchy.is_cached(block_id):
                 self.hierarchy.load_into_cache(block_id)
+                run.fetched_blocks.add(i)
         return True
 
     def release_after_query(
@@ -179,6 +182,12 @@ class CacheManager:
         intent: Optional[ReadIntent] = None,
     ) -> None:
         """Drop transient blocks a query pulled in from purged runs.
+
+        Per run: is its level purged and did the handle fetch anything
+        (``IndexRun.fetched_blocks``)?  Only then is there a release
+        decision, which a pin held by another query defers
+        (``eviction_pin_skips``) and which otherwise drops exactly the
+        fetched blocks.
 
         Maintenance touches are skipped symmetrically to :meth:`load_run`:
         under the intent-aware read mode a maintenance scan never admitted
@@ -195,6 +204,9 @@ class CacheManager:
             self.maintenance_bypasses += 1
             return
         for run in touched_purged_runs:
+            fetched = run.fetched_blocks
+            if not fetched or not self.is_purged_level(run.level):
+                continue  # nothing transient to release: no decision made
             if self._pin_checker(run.run_id):
                 # Another query's pinned snapshot still holds this run:
                 # dropping its blocks (and decoded views) now would yank
@@ -204,10 +216,16 @@ class CacheManager:
                 # pass under pressure.
                 self.hierarchy.stats.epochs.eviction_pin_skips += 1
                 continue
-            if self.is_purged_level(run.level):
-                for i in range(run.header.num_data_blocks):
-                    self.hierarchy.drop_from_cache(run.data_block_id(i))
-                run.drop_decode_cache()
+            # At a purged level only what the handle pulled in is
+            # resident; deleting an absent block charges nothing, so
+            # skipping the never-fetched ones moves no I/O counter.
+            while True:
+                try:  # pop-then-drop stays safe against a concurrent exit
+                    block_index = fetched.pop()
+                except KeyError:
+                    break
+                self.hierarchy.drop_from_cache(run.data_block_id(block_index))
+            run.drop_decode_cache()
 
     # -- the dynamic policy --------------------------------------------------------------
 

@@ -47,9 +47,8 @@ from __future__ import annotations
 
 import gc
 import threading
-from contextlib import contextmanager
 from dataclasses import dataclass
-from typing import Callable, Dict, Iterator, List, Optional, Sequence, Tuple, Union
+from typing import Callable, Dict, List, Optional, Sequence, Tuple, Union
 
 from repro.core.run import IndexRun
 from repro.storage.metrics import EpochStats
@@ -188,6 +187,37 @@ class _RetiredRun:
         self.reclaim = reclaim
 
 
+class _OwnedLock:
+    """The lifecycle mutex plus its owner thread, as a context manager.
+
+    ``owner`` is for finalizer re-entrancy detection: a cyclic-GC pass can
+    run at any allocation, including one made *inside* a locked section,
+    and may finalize an abandoned iterator whose cleanup calls
+    ``release()``.  The lock is non-reentrant, so such a release must
+    park instead of acquiring (see ``RunLifecycle._pending_releases``).
+    """
+
+    __slots__ = ("_lock", "owner")
+
+    def __init__(self) -> None:
+        self._lock = threading.Lock()
+        self.owner: Optional[int] = None
+
+    def __enter__(self) -> None:
+        # get_ident() before acquire: the int allocation could trigger
+        # cyclic GC, and a finalizer release() must never observe this
+        # thread as lock-holder-with-unset-owner.  The store itself is a
+        # slot write, so it cannot allocate -- there is no window between
+        # acquiring and publishing ownership in which GC can run.
+        ident = threading.get_ident()
+        self._lock.acquire()
+        self.owner = ident
+
+    def __exit__(self, *exc_info) -> None:
+        self.owner = None
+        self._lock.release()
+
+
 class RunLifecycle:
     """Pin/retire/reclaim coordinator for one index instance.
 
@@ -218,14 +248,7 @@ class RunLifecycle:
             )
         self.mode = mode
         self.stats = stats
-        self._lock = threading.Lock()
-        # Owner thread of `_lock`, for finalizer re-entrancy detection: a
-        # cyclic-GC pass can run at any allocation, including one made
-        # *inside* a locked section, and may finalize an abandoned
-        # iterator whose cleanup calls release().  The lock is
-        # non-reentrant, so such a release must park instead of acquiring
-        # (see `_pending_releases`).
-        self._owner: Optional[int] = None
+        self._locked = _OwnedLock()
         self._version_seq = 0
         # run_id -> number of live pins whose snapshot contains the run
         # (epoch mode; versionset fallback for ad-hoc collectors).
@@ -253,23 +276,6 @@ class RunLifecycle:
         # Legacy mode: deliberately unprotected in-flight query counter --
         # just enough bookkeeping to *measure* the hazard, none to stop it.
         self._inflight = 0
-
-    @contextmanager
-    def _locked(self) -> Iterator[None]:
-        # get_ident() before acquire: the int allocation could trigger
-        # cyclic GC, and a finalizer release() must never observe this
-        # thread as lock-holder-with-unset-owner.  The store itself
-        # replaces a pre-existing instance-dict entry (set in __init__),
-        # so it cannot allocate -- there is no window between acquiring
-        # and publishing ownership in which GC can run.
-        ident = threading.get_ident()
-        self._lock.acquire()
-        self._owner = ident
-        try:
-            yield
-        finally:
-            self._owner = None
-            self._lock.release()
 
     # -- version publication -----------------------------------------------------
 
@@ -314,7 +320,7 @@ class RunLifecycle:
         lifecycle operation that runs unlocked (the retire that follows
         every unlink, a pin, a release, or a backlog probe).
         """
-        with self._locked():
+        with self._locked:
             self._version_seq += 1
             self.stats.versions_published += 1
             seq = self._version_seq
@@ -397,7 +403,7 @@ class RunLifecycle:
             and self._collector is not None
             and collect == self._collector
         )
-        with self._locked():
+        with self._locked:
             hooks = self._drain_pending_locked()
             if use_version:
                 node = self._current_node_locked()
@@ -456,11 +462,11 @@ class RunLifecycle:
             if after is not None:
                 after()
             return
-        if _in_gc_finalizer() or self._owner == threading.get_ident():
+        if _in_gc_finalizer() or self._locked.owner == threading.get_ident():
             self._pending_releases.append((pin, after))
             return
         ready: List[_RetiredRun] = []
-        with self._locked():
+        with self._locked:
             hooks = self._drain_pending_locked()
             self._release_pin_locked(pin)
             ready = self._drain_locked()
@@ -530,7 +536,7 @@ class RunLifecycle:
             return
         inline = False
         ready: List[_RetiredRun] = []
-        with self._locked():
+        with self._locked:
             hooks = self._drain_pending_locked()
             if self.mode == "versionset" and self._collector is not None:
                 # Maintenance-side refresh: make sure the current node
@@ -607,7 +613,7 @@ class RunLifecycle:
         """
         if self.mode == "legacy":
             return False
-        with self._locked():
+        with self._locked:
             # No pending-drain here: this runs inside cache eviction
             # passes, which must not execute drained release hooks.  A
             # parked (not yet drained) release just keeps the run looking
@@ -624,7 +630,7 @@ class RunLifecycle:
         return node.refs - (1 if node is self._current else 0)
 
     def pinned_run_ids(self) -> List[str]:
-        with self._locked():
+        with self._locked:
             hooks = self._drain_pending_locked()
             ids = set(self._pin_counts)
             for node in self._versions:
@@ -641,13 +647,13 @@ class RunLifecycle:
         versions still pinned by in-flight queries -- the whole point of
         the design: chain length tracks concurrency, not run count.
         """
-        with self._locked():
+        with self._locked:
             return len(self._versions)
 
     def retired_backlog(self) -> int:
         """Retired-but-not-yet-reclaimed run count (0 when idle)."""
         ready: List[_RetiredRun] = []
-        with self._locked():
+        with self._locked:
             # Parked finalizer releases may have just unblocked reclaims;
             # apply them so the reported backlog reflects live pins only.
             hooks = self._drain_pending_locked()

@@ -80,9 +80,6 @@ class UmziConfig:
     reconcile: ReconcileStrategy = ReconcileStrategy.PRIORITY_QUEUE
     use_synopsis: bool = True
     use_offset_array: bool = True
-    # Ablation hook: False restores the legacy decode-per-probe run search
-    # (see benchmarks/bench_ablation_zero_decode.py).
-    use_raw_keys: bool = True
     # Extension beyond the paper: per-key (instead of batch-granularity)
     # synopsis pruning for batched lookups.  See QueryExecutor.
     per_key_batch_pruning: bool = False
@@ -205,7 +202,6 @@ class UmziIndex:
             collect_runs=self._collect_version,
             use_synopsis=self.config.use_synopsis,
             use_offset_array=self.config.use_offset_array,
-            use_raw_keys=self.config.use_raw_keys,
             per_key_batch_pruning=self.config.per_key_batch_pruning,
             on_query_done=(
                 self.cache.release_after_query
@@ -464,7 +460,6 @@ class UmziIndex:
             collect_runs=lambda: list(pin.runs),
             use_synopsis=self.config.use_synopsis,
             use_offset_array=self.config.use_offset_array,
-            use_raw_keys=self.config.use_raw_keys,
             per_key_batch_pruning=self.config.per_key_batch_pruning,
         )
         return SnapshotPin(pin, executor)
@@ -505,7 +500,6 @@ class UmziIndex:
             collect_runs=self.run_lists[Zone.POST_GROOMED].snapshot,
             use_synopsis=self.config.use_synopsis,
             use_offset_array=self.config.use_offset_array,
-            use_raw_keys=self.config.use_raw_keys,
             # The post-groomer's lookup races concurrent merges of the
             # post-groomed zone like any query does; pin its snapshot too.
             lifecycle=self.lifecycle,

@@ -45,7 +45,7 @@ from repro.core.run import IndexRun
 from repro.core.search import (
     UNBOUNDED,
     batch_lookup_in_run,
-    search_run,
+    lookup_key_in_run,
     search_run_raw,
 )
 
@@ -226,7 +226,6 @@ class QueryExecutor:
         collect_runs: Callable[[], List[IndexRun]],
         use_synopsis: bool = True,
         use_offset_array: bool = True,
-        use_raw_keys: bool = True,
         per_key_batch_pruning: bool = False,
         on_query_done: Optional[Callable[[List[IndexRun]], None]] = None,
         lifecycle: Optional[RunLifecycle] = None,
@@ -236,9 +235,6 @@ class QueryExecutor:
         self._lifecycle = lifecycle
         self.use_synopsis = use_synopsis
         self.use_offset_array = use_offset_array
-        # Ablation hook: False restores the legacy decode-per-probe run
-        # search (see benchmarks/bench_ablation_zero_decode.py).
-        self.use_raw_keys = use_raw_keys
         # Paper-faithful batched lookups prune runs against the *batch's*
         # value bounding box (that granularity is what makes random batches
         # degrade linearly with run count in Figure 10b).  Per-key pruning
@@ -327,7 +323,6 @@ class QueryExecutor:
                 query_ts,
                 bounds.hash_value,
                 self.use_offset_array,
-                self.use_raw_keys,
             ):
                 key = user_key_of_sort_key(sort_key)
                 begin_ts = begin_ts_of_sort_key(sort_key)
@@ -395,7 +390,6 @@ class QueryExecutor:
                 query_ts,
                 bounds.hash_value,
                 self.use_offset_array,
-                self.use_raw_keys,
             ):
                 yield sort_key, recency, entry
 
@@ -421,29 +415,26 @@ class QueryExecutor:
             query_ts=lookup.query_ts,
         )
         pin, runs = self._enter_query()
-        candidates: List[IndexRun] = []
+        # Only the runs searched are handed to the release hook, not every
+        # synopsis candidate: the lookup stops at the first visible match.
+        searched: List[IndexRun] = []
         try:
-            candidates = [
-                run
-                for run in runs
-                if run_may_contain(run, probe, self.use_synopsis)
-            ]
-            for run in candidates:
-                if not run.may_contain_key(bounds.lower_key):
-                    continue  # Bloom filter says definitely absent
-                for entry in search_run(
+            for run in runs:
+                if not run_may_contain(run, probe, self.use_synopsis):
+                    continue
+                searched.append(run)
+                entry = lookup_key_in_run(
                     run,
                     bounds.lower_key,
-                    bounds.upper_exclusive,
                     lookup.query_ts,
                     bounds.hash_value,
                     self.use_offset_array,
-                    self.use_raw_keys,
-                ):
+                )
+                if entry is not None:
                     return entry
             return None
         finally:
-            self._exit_query(pin, candidates)
+            self._exit_query(pin, searched)
 
     def batch_lookup(
         self, lookups: Sequence[PointLookup]
@@ -593,13 +584,13 @@ class QueryExecutor:
         if len(unique_ts) == 1:
             return batch_lookup_in_run(
                 run, batch, unique_ts.pop(), self.use_offset_array,
-                self.use_raw_keys, use_bloom=False,
+                use_bloom=False,
             )
         results: List[Optional[IndexEntry]] = []
         for (key, hash_value), ts in zip(batch, batch_ts):
             single = batch_lookup_in_run(
                 run, [(key, hash_value)], ts, self.use_offset_array,
-                self.use_raw_keys, use_bloom=False,
+                use_bloom=False,
             )
             results.append(single[0])
         return results

@@ -28,7 +28,8 @@ Data blocks come in two formats:
   K-way merges compare memory directly and decode an :class:`IndexEntry`
   only for entries actually emitted.  The beginTS is the fixed 8-byte
   descending-encoded suffix of the sort key, so visibility checks are a
-  slice plus one integer subtraction.
+  slice plus one integer subtraction.  A view reads both tables through
+  one ``array`` of u32s (no per-entry Python objects).
 
 The two formats are distinguished by the leading 4 bytes: the v2 magic
 ``UMB2`` decodes as an entry count of ~1.4 billion, far beyond what any
@@ -43,10 +44,13 @@ storage hierarchy like any other block.
 from __future__ import annotations
 
 import struct
+import sys
 import zlib
+from array import array
 from bisect import bisect_left, bisect_right
-from dataclasses import dataclass, field, replace
-from typing import Dict, Iterator, List, Optional, Sequence, Tuple
+from dataclasses import dataclass
+from itertools import accumulate
+from typing import Dict, Iterator, List, Optional, Sequence, Set, Tuple
 
 from repro.core.definition import ColumnType, IndexDefinition
 from repro.core.encoding import (
@@ -74,6 +78,7 @@ _MAGIC = b"UMZI"
 _VERSION = 3
 _SUPPORTED_VERSIONS = (1, 2, 3)
 _BLOCK_MAGIC_V2 = b"UMB2"
+_UNPACK_U32 = struct.Struct(">I").unpack_from
 
 
 def block_checksum(payload: bytes) -> int:
@@ -434,6 +439,25 @@ def encode_data_block_v1(
     return b"".join(parts)
 
 
+# array typecode of a 4-byte unsigned integer on this platform.
+_U32 = "I" if array("I").itemsize == 4 else "L"
+_SWAP_U32 = sys.byteorder == "little"  # tables are stored big-endian
+
+
+def _u32_table(payload: bytes, start: int, length: int) -> array:
+    """``length`` big-endian u32s at ``payload[start:]`` as one array.
+
+    One Python object however long the table is, so a view costs the same
+    few allocations over ten entries or five thousand.
+    """
+    table = array(_U32, payload[start : start + 4 * length])
+    if len(table) != length:
+        raise ValueError("data block is shorter than its offset table")
+    if _SWAP_U32:
+        table.byteswap()
+    return table
+
+
 class DataBlockView:
     """Lazy, memoizing view over one encoded data block (v1 or v2).
 
@@ -442,15 +466,19 @@ class DataBlockView:
     pure payload slices -- no column decoding, no object construction.  On
     legacy v1 payloads they fall back to decoding the entry and re-encoding
     its sort key (memoized), preserving readability of old blocks.
+
+    ``table`` holds the entry offsets in ``[0, count)`` and, on v2, the
+    sort-key lengths in ``[count, 2 * count)``; entry ``i`` starts at
+    ``payload[base + table[i]]``.  ``payload`` / ``base`` / ``table`` /
+    ``count`` are what the run-level search kernels lift into locals.
     """
 
     __slots__ = (
         "definition",
         "payload",
         "version",
-        "_offsets",
-        "_sklens",
-        "_base",
+        "table",
+        "base",
         "_cache",
         "_sort_key_cache",
         "_stats",
@@ -468,22 +496,17 @@ class DataBlockView:
         self._stats = stats
         if payload[:4] == _BLOCK_MAGIC_V2:
             self.version = 2
-            (self.count,) = struct.unpack_from(">I", payload, 4)
-            self._offsets = struct.unpack_from(f">{self.count}I", payload, 8)
-            self._sklens = struct.unpack_from(
-                f">{self.count}I", payload, 8 + 4 * self.count
-            )
-            self._base = 8 + 8 * self.count
+            (self.count,) = _UNPACK_U32(payload, 4)
+            self.table = _u32_table(payload, 8, 2 * self.count)
+            self.base = 8 + 8 * self.count
+            self._sort_key_cache: Optional[Dict[int, bytes]] = None
         else:
             self.version = 1
-            (self.count,) = struct.unpack_from(">I", payload, 0)
-            self._offsets = struct.unpack_from(f">{self.count}I", payload, 4)
-            self._sklens = None
-            self._base = 4 + 4 * self.count
+            (self.count,) = _UNPACK_U32(payload, 0)
+            self.table = _u32_table(payload, 4, self.count)
+            self.base = 4 + 4 * self.count
+            self._sort_key_cache = {}
         self._cache: Dict[int, IndexEntry] = {}
-        self._sort_key_cache: Optional[Dict[int, bytes]] = (
-            None if self._sklens is not None else {}
-        )
 
     def entry(self, index: int) -> IndexEntry:
         cached = self._cache.get(index)
@@ -492,7 +515,7 @@ class DataBlockView:
         if self._stats is not None:
             self._stats.entry_decodes += 1
         entry, _ = IndexEntry.from_bytes(
-            self.definition, self.payload, self._base + self._offsets[index]
+            self.definition, self.payload, self.base + self.table[index]
         )
         self._cache[index] = entry
         return entry
@@ -501,11 +524,11 @@ class DataBlockView:
 
     def sort_key_at(self, index: int) -> bytes:
         """Raw sort key of entry ``index`` -- a payload slice on v2."""
-        if self._sklens is not None:
+        if self.version == 2:
             if self._stats is not None:
                 self._stats.raw_key_probes += 1
-            start = self._base + self._offsets[index]
-            return self.payload[start : start + self._sklens[index]]
+            start = self.base + self.table[index]
+            return self.payload[start : start + self.table[self.count + index]]
         # v1 fallback: decode once, memoize the re-encoded key.
         cached = self._sort_key_cache.get(index)
         if cached is None:
@@ -515,11 +538,6 @@ class DataBlockView:
 
     def key_bytes_at(self, index: int) -> bytes:
         """Raw user key (sort key minus the 8-byte beginTS suffix)."""
-        if self._sklens is not None:
-            if self._stats is not None:
-                self._stats.raw_key_probes += 1
-            start = self._base + self._offsets[index]
-            return self.payload[start : start + self._sklens[index] - SORT_KEY_TS_BYTES]
         return self.sort_key_at(index)[:-SORT_KEY_TS_BYTES]
 
     def begin_ts_at(self, index: int) -> int:
@@ -530,9 +548,9 @@ class DataBlockView:
         """The raw serialized entry, verbatim (merge copy path)."""
         if self._stats is not None:
             self._stats.blob_copies += 1
-        start = self._base + self._offsets[index]
+        start = self.base + self.table[index]
         if index + 1 < self.count:
-            return self.payload[start : self._base + self._offsets[index + 1]]
+            return self.payload[start : self.base + self.table[index + 1]]
         return self.payload[start:]
 
     # -- decoded iteration ------------------------------------------------------
@@ -571,29 +589,30 @@ class IndexRun:
         self.definition = definition
         self.header = header
         self.hierarchy = hierarchy
+        # Read several times per searched run; the header never changes.
+        self.run_id = header.run_id
+        self.level = header.level
+        self.entry_count = header.entry_count
         self._views: Dict[int, DataBlockView] = {}
-        self._cumulative: Optional[List[int]] = None
-        self._first_keys: Optional[List[bytes]] = None
+        # Data blocks pulled into the local tiers on this handle's behalf
+        # (``block_view`` fetches, ``CacheManager.load_run``) and not yet
+        # dropped again: what a query exit over a purged run releases.
+        self.fetched_blocks: Set[int] = set()
+        # ``_cum[i]`` = number of entries before data block ``i``.
+        self._cum: List[int] = [
+            0, *accumulate(meta.entry_count for meta in header.block_meta)
+        ]
+        self._first_keys: List[bytes] = [
+            meta.first_sort_key for meta in header.block_meta
+        ]
         self._bloom = None  # decoded lazily from header.bloom_blob
         self._bloom_decoded = False
 
     # -- identity / metadata ----------------------------------------------------
 
     @property
-    def run_id(self) -> str:
-        return self.header.run_id
-
-    @property
     def zone(self) -> Zone:
         return self.header.zone
-
-    @property
-    def level(self) -> int:
-        return self.header.level
-
-    @property
-    def entry_count(self) -> int:
-        return self.header.entry_count
 
     @property
     def min_groomed_id(self) -> int:
@@ -669,6 +688,7 @@ class IndexRun:
         )
         if not transient:
             self._views[block_index] = view
+            self.fetched_blocks.add(block_index)
         return view
 
     def read_block(self, block_index: int) -> List[IndexEntry]:
@@ -681,83 +701,103 @@ class IndexRun:
 
     # -- global-ordinal navigation --------------------------------------------------
 
-    def _cumulative_counts(self) -> List[int]:
-        """``cum[i]`` = number of entries before data block ``i``."""
-        if self._cumulative is None:
-            cum = [0]
-            for meta in self.header.block_meta:
-                cum.append(cum[-1] + meta.entry_count)
-            self._cumulative = cum
-        return self._cumulative
-
     def locate(self, ordinal: int) -> Tuple[int, int]:
         """Map a global entry ordinal to ``(block_index, in_block_index)``."""
         if not 0 <= ordinal < self.entry_count:
             raise IndexError(f"ordinal {ordinal} out of range 0..{self.entry_count}")
-        cum = self._cumulative_counts()
-        lo, hi = 0, len(cum) - 1
-        while lo + 1 < hi:
-            mid = (lo + hi) // 2
-            if cum[mid] <= ordinal:
-                lo = mid
-            else:
-                hi = mid
-        return lo, ordinal - cum[lo]
+        block_index = bisect_right(self._cum, ordinal) - 1
+        return block_index, ordinal - self._cum[block_index]
 
     def entry_at(self, ordinal: int) -> IndexEntry:
         block_index, in_block = self.locate(ordinal)
         return self.block_view(block_index).entry(in_block)
 
-    def sort_key_at(self, ordinal: int) -> bytes:
-        """Raw sort key at a global ordinal -- zero decode on v2 blocks."""
-        block_index, in_block = self.locate(ordinal)
-        return self.block_view(block_index).sort_key_at(in_block)
+    def first_geq(self, target: bytes, lo: int, hi: int) -> int:
+        """First ordinal in ``[lo, hi)`` whose sort key is ``>= target``.
 
-    def key_bytes_at(self, ordinal: int) -> bytes:
-        """Raw user key (no beginTS suffix) at a global ordinal."""
-        block_index, in_block = self.locate(ordinal)
-        return self.block_view(block_index).key_bytes_at(in_block)
+        The binary-search kernel (paper section 7.1.1).  Entries with
+        ``key_bytes == target`` have sort keys that *extend* ``target``
+        (the descending-beginTS suffix), and extensions of a prefix
+        compare greater, so this also finds the first entry of an exactly
+        matching key.
 
-    def begin_ts_at(self, ordinal: int) -> int:
-        """``beginTS`` at a global ordinal, from the raw sort-key suffix."""
-        block_index, in_block = self.locate(ordinal)
-        return self.block_view(block_index).begin_ts_at(in_block)
-
-    def entry_blob_at(self, ordinal: int) -> bytes:
-        """Raw serialized entry at a global ordinal (merge copy path)."""
-        block_index, in_block = self.locate(ordinal)
-        return self.block_view(block_index).entry_blob_at(in_block)
+        It probes ``(lo + hi) // 2`` until the range is empty, holding the
+        probed block's ordinal window ``[start, end)``, payload and tables
+        in locals; the block is re-resolved (C ``bisect`` over the
+        cumulative counts, memoized :meth:`block_view`) only when a probe
+        leaves the window, so blocks are fetched in probe order and a
+        probe on a v2 block is two table reads and a slice.  v1 blocks
+        take :meth:`DataBlockView.sort_key_at`'s memoized decode fallback.
+        ``raw_key_probes`` is charged once per search.
+        """
+        cum = self._cum
+        start = end = probes = 0  # empty window: the first probe resolves
+        try:
+            while lo < hi:
+                mid = (lo + hi) // 2
+                if not start <= mid < end:
+                    block_index = bisect_right(cum, mid) - 1
+                    start, end = cum[block_index], cum[block_index + 1]
+                    view = self.block_view(block_index)
+                    raw = view.version == 2
+                    payload, base, table = view.payload, view.base, view.table
+                    count = view.count
+                i = mid - start
+                if raw:
+                    probes += 1
+                    at = base + table[i]
+                    key = payload[at : at + table[count + i]]
+                else:
+                    key = view.sort_key_at(i)
+                if key < target:
+                    lo = mid + 1
+                else:
+                    hi = mid
+        finally:  # a failed block fetch still pays for the probes made
+            self.hierarchy.stats.decode.raw_key_probes += probes
+        return lo
 
     def iter_entries(self, start_ordinal: int = 0):
         """Yield entries in sort-key order from ``start_ordinal`` onward."""
         if start_ordinal >= self.entry_count:
             return
-        block_index, in_block = self.locate(start_ordinal)
+        block_index, first = self.locate(start_ordinal)
         for bi in range(block_index, self.header.num_data_blocks):
-            view = self.block_view(bi)
-            start = in_block if bi == block_index else 0
-            yield from view.iter_from(start)
+            yield from self.block_view(bi).iter_from(first)
+            first = 0
 
-    def iter_positions(
-        self, start_ordinal: int = 0, intent: Optional[ReadIntent] = None
-    ) -> Iterator[Tuple[DataBlockView, int]]:
-        """Yield ``(block_view, in_block_index)`` in sort-key order.
+    def iter_sort_keys(
+        self, start_ordinal: int = 0
+    ) -> Iterator[Tuple[bytes, DataBlockView, int]]:
+        """Yield ``(sort_key, block_view, in_block_index)`` in key order.
 
-        The raw-slice iteration primitive: callers probe
-        ``view.sort_key_at(i)`` / ``view.begin_ts_at(i)`` and decode an
-        entry only when they actually emit it.  ``intent`` flows to
-        :meth:`block_view` (maintenance scans pass
-        ``ReadIntent.MAINTENANCE`` so streamed blocks bypass cache
-        admission).
+        The forward-scan kernel: keys are sliced out of the current v2
+        block with its payload and tables in locals, and callers decode
+        ``view.entry(i)`` only for entries they emit.  One raw-key probe
+        is charged per key handed out, when the block is left or the scan
+        is abandoned; v1 blocks take the decode fallback.
         """
         if start_ordinal >= self.entry_count:
             return
-        block_index, in_block = self.locate(start_ordinal)
+        stats = self.hierarchy.stats.decode
+        block_index, first = self.locate(start_ordinal)
         for bi in range(block_index, self.header.num_data_blocks):
-            view = self.block_view(bi, intent=intent)
-            start = in_block if bi == block_index else 0
-            for i in range(start, view.count):
-                yield view, i
+            view = self.block_view(bi)
+            if view.version != 2:
+                for i in range(first, view.count):
+                    yield view.sort_key_at(i), view, i
+            else:
+                payload, base, table = view.payload, view.base, view.table
+                count = view.count
+                probes = 0
+                try:
+                    for i in range(first, count):
+                        probes += 1
+                        at = base + table[i]
+                        yield payload[at : at + table[count + i]], view, i
+                finally:
+                    stats.raw_key_probes += probes
+            first = 0
 
     def iter_raw(
         self, start_ordinal: int = 0, intent: Optional[ReadIntent] = None
@@ -765,21 +805,25 @@ class IndexRun:
         """Yield ``(sort_key, entry_blob)`` pairs in sort-key order.
 
         The zero-decode merge input: blobs stream out verbatim, keys are
-        payload slices (on v2 blocks).
+        payload slices (on v2 blocks).  ``intent`` flows to
+        :meth:`block_view` (maintenance scans pass
+        ``ReadIntent.MAINTENANCE`` so streamed blocks bypass cache
+        admission).
         """
-        for view, i in self.iter_positions(start_ordinal, intent=intent):
-            yield view.sort_key_at(i), view.entry_blob_at(i)
+        if start_ordinal >= self.entry_count:
+            return
+        block_index, first = self.locate(start_ordinal)
+        for bi in range(block_index, self.header.num_data_blocks):
+            view = self.block_view(bi, intent=intent)
+            for i in range(first, view.count):
+                yield view.sort_key_at(i), view.entry_blob_at(i)
+            first = 0
 
     def all_entries(self) -> List[IndexEntry]:
         """Materialize every entry (tests / merges; charges block reads)."""
         return list(self.iter_entries(0))
 
     # -- block-index narrowing ------------------------------------------------------
-
-    def _block_first_keys(self) -> List[bytes]:
-        if self._first_keys is None:
-            self._first_keys = [m.first_sort_key for m in self.header.block_meta]
-        return self._first_keys
 
     def key_position_bounds(self, target: bytes) -> Tuple[int, int]:
         """Ordinal bounds on ``first_geq(target)`` from the block index.
@@ -790,14 +834,13 @@ class IndexRun:
         Probing within these fences means binary search never fetches data
         blocks outside the key range.
         """
-        first_keys = self._block_first_keys()
-        cum = self._cumulative_counts()
+        first_keys = self._first_keys
         # Blocks before b_lo end strictly below target (bisect_left keeps
         # duplicates of target on the safe side); blocks from b_hi on start
         # strictly above it.
         b_lo = max(0, bisect_left(first_keys, target) - 1)
         b_hi = bisect_right(first_keys, target)
-        return cum[b_lo], cum[b_hi]
+        return self._cum[b_lo], self._cum[b_hi]
 
     # -- bloom membership (extension) -----------------------------------------------
 

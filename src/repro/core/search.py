@@ -12,16 +12,17 @@ The hot path is **zero decode**: binary-search probes and the forward scan
 compare raw sort-key slices served straight out of v2 data-block payloads
 (section 4.2: keys "can be compared by simply using memory compare
 operations"), and an :class:`IndexEntry` is materialized only for entries
-actually emitted.  ``use_raw_keys=False`` switches back to the legacy
-decode-and-re-encode comparison -- an ablation hook used by
-``benchmarks/bench_ablation_zero_decode.py`` to quantify the win.
+actually emitted.  This module decides *where* to search (offset array,
+block-index fences, visibility, newest version per key); the probe and
+scan loops themselves are the run-level kernels
+:meth:`IndexRun.first_geq` and :meth:`IndexRun.iter_sort_keys`.
 """
 
 from __future__ import annotations
 
 from typing import Iterator, List, Optional, Sequence, Tuple
 
-from repro.core.encoding import high_bits, prefix_successor
+from repro.core.encoding import high_bits
 from repro.core.entry import (
     IndexEntry,
     SORT_KEY_TS_BYTES,
@@ -31,36 +32,6 @@ from repro.core.run import IndexRun
 
 # Sentinel: an empty upper bound means "+infinity" (scan to end of run).
 UNBOUNDED = b""
-
-
-def _first_geq(
-    run: IndexRun, target: bytes, lo: int, hi: int, use_raw_keys: bool = True
-) -> int:
-    """First ordinal in [lo, hi) whose sort key is >= ``target``.
-
-    Entries with ``key_bytes == target`` have sort keys that *extend*
-    ``target`` (the descending-beginTS suffix), and extensions of a prefix
-    compare greater, so this also finds the first entry of an exactly
-    matching key.
-    """
-    if use_raw_keys:
-        while lo < hi:
-            mid = (lo + hi) // 2
-            if run.sort_key_at(mid) < target:
-                lo = mid + 1
-            else:
-                hi = mid
-        return lo
-    # Legacy decode path: materialize the probed entry and re-encode its
-    # sort key (kept for the zero-decode ablation).
-    definition = run.definition
-    while lo < hi:
-        mid = (lo + hi) // 2
-        if run.entry_at(mid).sort_key(definition) < target:
-            lo = mid + 1
-        else:
-            hi = mid
-    return lo
 
 
 def narrow_with_offset_array(
@@ -112,7 +83,6 @@ def search_run(
     query_ts: int,
     hash_value: Optional[int] = None,
     use_offset_array: bool = True,
-    use_raw_keys: bool = True,
 ) -> Iterator[IndexEntry]:
     """Yield the newest visible version of each matching key in one run.
 
@@ -130,20 +100,25 @@ def search_run(
         initial binary-search range.
     use_offset_array:
         Ablation hook -- benchmarks disable it to measure its benefit.
-    use_raw_keys:
-        Ablation hook -- ``False`` restores the legacy decode-per-probe
-        comparison path.
     """
     for _sort_key, entry in search_run_raw(
-        run,
-        lower_key,
-        upper_exclusive,
-        query_ts,
-        hash_value,
-        use_offset_array,
-        use_raw_keys,
+        run, lower_key, upper_exclusive, query_ts, hash_value, use_offset_array
     ):
         yield entry
+
+
+def _search_start(
+    run: IndexRun,
+    lower_key: bytes,
+    hash_value: Optional[int],
+    use_offset_array: bool,
+) -> int:
+    """Ordinal of the first entry whose sort key is ``>= lower_key``."""
+    if hash_value is not None and use_offset_array:
+        lo, hi = narrow_with_offset_array(run, hash_value)
+    else:
+        lo, hi = 0, run.entry_count
+    return run.first_geq(lower_key, *_probe_fences(run, lower_key, lo, hi))
 
 
 def search_run_raw(
@@ -153,7 +128,6 @@ def search_run_raw(
     query_ts: int,
     hash_value: Optional[int] = None,
     use_offset_array: bool = True,
-    use_raw_keys: bool = True,
 ) -> Iterator[Tuple[bytes, IndexEntry]]:
     """Like :func:`search_run` but yields ``(sort_key, entry)`` pairs.
 
@@ -163,39 +137,13 @@ def search_run_raw(
     """
     if run.entry_count == 0:
         return
-    if hash_value is not None and use_offset_array:
-        lo, hi = narrow_with_offset_array(run, hash_value)
-    else:
-        lo, hi = 0, run.entry_count
-    lo, hi = _probe_fences(run, lower_key, lo, hi)
-    start = _first_geq(run, lower_key, lo, hi, use_raw_keys)
-
-    if not use_raw_keys:
-        # Legacy ablation path: decode every scanned entry.
-        definition = run.definition
-        previous_key: Optional[bytes] = None
-        emitted_previous = False
-        for entry in run.iter_entries(start):
-            key = entry.key_bytes(definition)
-            if upper_exclusive != UNBOUNDED and key >= upper_exclusive:
-                break
-            if key != previous_key:
-                previous_key = key
-                emitted_previous = False
-            if emitted_previous:
-                continue  # an older version of a key we already answered
-            if entry.begin_ts > query_ts:
-                continue  # newer than the snapshot; keep looking within the key
-            emitted_previous = True
-            yield entry.sort_key(definition), entry
-        return
-
+    start = _search_start(run, lower_key, hash_value, use_offset_array)
+    bounded = upper_exclusive != UNBOUNDED
     previous_key = None
     emitted_previous = False
-    for view, i in run.iter_positions(start):
-        sort_key = view.sort_key_at(i)
+    for sort_key, view, i in run.iter_sort_keys(start):
         key = sort_key[:-SORT_KEY_TS_BYTES]
-        if upper_exclusive != UNBOUNDED and key >= upper_exclusive:
+        if bounded and key >= upper_exclusive:
             break
         if key != previous_key:
             previous_key = key
@@ -208,13 +156,28 @@ def search_run_raw(
         yield sort_key, view.entry(i)
 
 
+def _first_visible(
+    run: IndexRun, start: int, key: bytes, query_ts: int
+) -> Optional[IndexEntry]:
+    """Newest visible version of exactly ``key``, scanning from ``start``.
+
+    ``start`` is ``first_geq(key)``; fully-bound keys match exactly or not
+    at all, so the scan ends at the first entry of another key.
+    """
+    for sort_key, view, i in run.iter_sort_keys(start):
+        if sort_key[:-SORT_KEY_TS_BYTES] != key:
+            return None
+        if begin_ts_of_sort_key(sort_key) <= query_ts:
+            return view.entry(i)
+    return None
+
+
 def lookup_key_in_run(
     run: IndexRun,
     key: bytes,
     query_ts: int,
     hash_value: Optional[int] = None,
     use_offset_array: bool = True,
-    use_raw_keys: bool = True,
     use_bloom: bool = True,
 ) -> Optional[IndexEntry]:
     """Point lookup: the newest visible version of one exact key, if any.
@@ -224,14 +187,10 @@ def lookup_key_in_run(
     is consulted *before* any block fetch, so definite misses cost zero
     data-block I/O.
     """
-    if use_bloom and not run.may_contain_key(key):
+    if run.entry_count == 0 or (use_bloom and not run.may_contain_key(key)):
         return None
-    upper = prefix_successor(key)
-    for entry in search_run(
-        run, key, upper, query_ts, hash_value, use_offset_array, use_raw_keys
-    ):
-        return entry
-    return None
+    start = _search_start(run, key, hash_value, use_offset_array)
+    return _first_visible(run, start, key, query_ts)
 
 
 def batch_lookup_in_run(
@@ -239,7 +198,6 @@ def batch_lookup_in_run(
     sorted_keys: Sequence[Tuple[bytes, int]],
     query_ts: int,
     use_offset_array: bool = True,
-    use_raw_keys: bool = True,
     use_bloom: bool = True,
 ) -> List[Optional[IndexEntry]]:
     """Look up a pre-sorted key batch with one sequential pass over the run.
@@ -277,31 +235,8 @@ def batch_lookup_in_run(
             # full-run search -- is what makes the sequential pass stay
             # sequential.
             continue
-        start = _first_geq(
-            run, key, *_probe_fences(run, key, lo, hi), use_raw_keys
-        )
-        floor = start
-        if not use_raw_keys:
-            # Legacy ablation path: decode every scanned entry.
-            upper = prefix_successor(key)
-            definition = run.definition
-            for entry in run.iter_entries(start):
-                entry_key = entry.key_bytes(definition)
-                if upper != b"" and entry_key >= upper:
-                    break
-                if entry.begin_ts > query_ts:
-                    continue
-                results[i] = entry
-                break
-            continue
-        for view, in_block in run.iter_positions(start):
-            sort_key = view.sort_key_at(in_block)
-            if sort_key[:-SORT_KEY_TS_BYTES] != key:
-                break  # fully-bound keys match exactly or not at all
-            if begin_ts_of_sort_key(sort_key) > query_ts:
-                continue
-            results[i] = view.entry(in_block)
-            break
+        floor = run.first_geq(key, *_probe_fences(run, key, lo, hi))
+        results[i] = _first_visible(run, floor, key, query_ts)
     return results
 
 

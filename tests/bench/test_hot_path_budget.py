@@ -1,0 +1,119 @@
+"""A deterministic hot-path guard: Python calls per ``point_query``.
+
+Wall-clock numbers do not repeat on a shared CI box; the number of Python
+``call`` events a front-door point lookup makes does.  This test loads the
+e2e benchmark's orders table (``make_table`` from
+``benchmarks/e2e/workloads.py``, imported by path, read-only) on 2 shards
+until every index holds several runs in both zones, then counts ``call``
+events with ``sys.setprofile`` over a fixed key list -- once with
+everything cached and once after ``set_cache_level(-1)`` on every index
+(each lookup then refetches its blocks from shared storage and releases
+them at query exit).
+
+Recorded on this fixture (Python 3.11, calls per ``point_query``):
+
+====================  =====  ======
+commit                 warm  purged
+====================  =====  ======
+af7751c (before)      357.9   508.4
+block-local kernel    161.6   294.3
+====================  =====  ======
+
+The ceilings below are the post-kernel values plus a little headroom for
+interpreter versions, and must stay at or under 65 % of the ``before``
+row: a change that brings back per-probe ``locate -> block_view ->
+sort_key_at`` hops, per-block table unpacking or a whole-run release
+sweep fails here, without a stopwatch.  Lower them when the path gets
+shorter; raise them only deliberately.
+"""
+
+import gc
+import importlib.util
+import sys
+from pathlib import Path
+
+E2E = Path(__file__).resolve().parents[2] / "benchmarks" / "e2e"
+
+BEFORE = {"warm": 357.9, "purged": 508.4}
+CEILING = {"warm": 168.0, "purged": 305.0}
+
+ROWS = 6_000
+BATCH = 125  # 48 ingest+tick rounds: two post-grooms, eight grooms after
+ARRIVAL_GAP_NS = 100_000  # keeps the admission bucket full
+
+
+def load_make_table():
+    """``make_table`` from the benchmark's workloads file, by path."""
+    spec = importlib.util.spec_from_file_location(
+        "e2e_workloads", E2E / "workloads.py"
+    )
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module.make_table
+
+
+def loaded_table():
+    table = load_make_table()(2)
+    # Every order_id once, in a fixed scrambled order (7919 is coprime
+    # with ROWS), plus re-upserts of the oldest keys so runs overlap.
+    order = [2 * ((i * 7919) % ROWS) for i in range(ROWS)]
+    for start in range(0, ROWS, BATCH):
+        fresh = order[start : start + BATCH]
+        again = order[start // 4 : start // 4 + BATCH // 5] if start else []
+        table.ingest([
+            (k, f"c{k % 90:03d}", f"r{(k // 2) % 50:02d}", (k * 31 + start) % 5000)
+            for k in again + fresh
+        ])
+        table.tick()
+    for shard in table.shards:
+        stats = shard.index.stats()
+        assert stats.groomed_run_count >= 1 and stats.post_groomed_run_count >= 1
+        assert stats.total_runs >= 3
+    return table, order
+
+
+def calls_per_query(table, keys):
+    """Mean Python ``call`` events inside ``point_query`` over ``keys``."""
+    calls = 0
+
+    def profiler(frame, event, arg):
+        nonlocal calls
+        if event == "call":
+            calls += 1
+
+    point_query, advance = table.point_query, table.advance_clock
+    gc.collect()
+    gc.disable()  # a collection pass would add its callbacks' calls
+    try:
+        for key in keys:
+            advance(ARRIVAL_GAP_NS)
+            sys.setprofile(profiler)
+            try:
+                row = point_query((), (key,))
+            finally:
+                sys.setprofile(None)
+            assert row is not None and row.values[0] == key
+    finally:
+        gc.enable()
+    return calls / len(keys)
+
+
+def test_python_calls_per_point_query_stay_under_budget():
+    table, order = loaded_table()
+    keys = order[::9]  # 667 keys spread over every run
+    for key in keys:  # warm views, planner hints and admission state
+        table.advance_clock(ARRIVAL_GAP_NS)
+        table.point_query((), (key,))
+
+    measured = {"warm": calls_per_query(table, keys)}
+    for shard in table.shards:
+        for shard_index in shard.indexes.all():
+            shard_index.index.cache.set_cache_level(-1)
+    measured["purged"] = calls_per_query(table, keys)
+
+    for regime, ceiling in CEILING.items():
+        assert ceiling <= 0.65 * BEFORE[regime]
+        assert measured[regime] <= ceiling, (
+            f"{regime}: {measured[regime]:.1f} Python calls per point_query, "
+            f"budget {ceiling} (was {BEFORE[regime]} before the kernel)"
+        )

@@ -107,3 +107,16 @@ def key_of(definition: IndexDefinition, k: int) -> Tuple[Tuple[int, ...], Tuple[
         tuple(k + i for i in range(len(definition.equality_columns))),
         tuple(k + i for i in range(len(definition.sort_columns))),
     )
+
+
+def downgrade_blocks_to_v1(run) -> None:
+    """Rewrite every data block of ``run`` in the legacy v1 encoding."""
+    from repro.core.run import encode_data_block_v1
+    from repro.storage.block import Block
+
+    for bi in range(run.header.num_data_blocks):
+        payload = encode_data_block_v1(run.definition, run.read_block(bi))
+        block_id = run.data_block_id(bi)
+        run.hierarchy.delete_everywhere(block_id)  # shared storage is immutable
+        run.hierarchy.write_persisted(Block(block_id, payload))
+    run.drop_decode_cache()

@@ -15,6 +15,8 @@ from repro.storage.hierarchy import StorageHierarchy
 from repro.storage.metrics import ReadIntent
 from repro.storage.ssd import SSDTier
 
+from tests.reference_search import sort_key_at
+
 
 def make_definition():
     from repro.core.definition import i1_definition
@@ -154,7 +156,7 @@ class TestEvolveDoesNotThrashCache:
             "maintenance streams must not retain block views on the handle"
         )
         # A query-path touch still memoizes.
-        run.sort_key_at(0)
+        sort_key_at(run, 0)
         assert run._views
 
     def test_scoped_maintenance_probes_still_memoize_views(self):
@@ -169,7 +171,7 @@ class TestEvolveDoesNotThrashCache:
         with index.hierarchy.reading_as(ReadIntent.MAINTENANCE):
             before = stats.snapshot()
             for ordinal in range(0, run.entry_count, 7):
-                run.sort_key_at(ordinal)
+                sort_key_at(run, ordinal)
             delta = stats.diff(before)
         assert run._views, "scope-inherited probes must memoize views"
         assert delta.reads <= run.header.num_data_blocks, (

@@ -348,6 +348,22 @@ class TestCachePinAwareness:
         index.cache.release_after_query([run])
         assert not index.cache.is_run_cached(run)
 
+    def test_release_at_a_cached_level_is_no_decision_and_no_skip(self, protected_mode):
+        """``eviction_pin_skips`` counts release decisions skipped for a
+        pin; a fully cached run at a cached level has nothing to release,
+        so another reader's pin must not bump it (it used to)."""
+        index = build_index(mode=protected_mode, runs=2)
+        run = index.run_lists[Zone.GROOMED].snapshot()[0]
+        run.read_block(0)  # the handle has fetched something
+        assert not index.cache.is_purged_level(run.level)
+        with index.snapshot_view():
+            skips_before = index.hierarchy.stats.epochs.eviction_pin_skips
+            index.cache.release_after_query([run])
+            assert (
+                index.hierarchy.stats.epochs.eviction_pin_skips == skips_before
+            )
+        assert index.cache.is_run_cached(run)
+
 
 class TestPurgePassUnderPins:
     def test_purge_pass_returns_instead_of_spinning_on_pinned_level(self, protected_mode):

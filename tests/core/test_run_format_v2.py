@@ -12,12 +12,11 @@ import pytest
 from repro.core.builder import RunBuilder
 from repro.core.definition import i1_definition
 from repro.core.entry import Zone
-from repro.core.run import encode_data_block_v1
 from repro.core.search import batch_lookup_in_run, lookup_key_in_run, search_run
-from repro.storage.block import Block
 from repro.storage.hierarchy import StorageHierarchy
 
-from tests.conftest import make_entries
+from tests.conftest import downgrade_blocks_to_v1, make_entries
+from tests.reference_search import sort_key_at
 
 DEF = i1_definition()
 
@@ -28,17 +27,6 @@ def build_run(keys, block_bytes=256, bloom_fpr=None):
     entries = make_entries(DEF, keys)
     run = builder.build("r", entries, Zone.GROOMED, 0, 0, 0)
     return run, hierarchy, entries
-
-
-def downgrade_blocks_to_v1(run, hierarchy):
-    """Rewrite every data block of ``run`` in the legacy v1 encoding."""
-    for bi in range(run.header.num_data_blocks):
-        entries = run.read_block(bi)
-        payload = encode_data_block_v1(DEF, entries)
-        block_id = run.data_block_id(bi)
-        hierarchy.delete_everywhere(block_id)  # shared storage is immutable
-        hierarchy.write_persisted(Block(block_id, payload))
-    run.drop_decode_cache()
 
 
 def key_bytes_of(k):
@@ -56,7 +44,7 @@ class TestV1RunCompat:
             lookup_key_in_run(run, key_bytes_of(k), 1 << 40, DEF.hash_of((k,)))
             for k in range(-2, 124)
         ]
-        downgrade_blocks_to_v1(run, hierarchy)
+        downgrade_blocks_to_v1(run)
         assert all(v.version == 1 for v in run._views.values()) or not run._views
         v1_answers = [
             lookup_key_in_run(run, key_bytes_of(k), 1 << 40, DEF.hash_of((k,)))
@@ -70,7 +58,7 @@ class TestV1RunCompat:
         run, hierarchy, _ = build_run(keys)
         lower, upper = b"", b""
         v2_scan = list(search_run(run, lower, upper, 1 << 40))
-        downgrade_blocks_to_v1(run, hierarchy)
+        downgrade_blocks_to_v1(run)
         v1_scan = list(search_run(run, lower, upper, 1 << 40))
         assert v1_scan == v2_scan
         assert len(v2_scan) == len(keys)
@@ -141,7 +129,7 @@ class TestBlockIndexNarrowing:
                 (
                     i
                     for i in range(run.entry_count)
-                    if run.sort_key_at(i) >= target
+                    if sort_key_at(run, i) >= target
                 ),
                 run.entry_count,
             )

@@ -30,6 +30,8 @@ from repro.core.run import (
 )
 from repro.storage.hierarchy import StorageHierarchy
 
+from tests.reference_search import sort_key_at, view_at
+
 _CTYPES = (
     ColumnType.INT64,
     ColumnType.FLOAT64,
@@ -102,9 +104,10 @@ class TestRawSliceEquivalence:
         for ordinal in range(run.entry_count):
             entry = run.entry_at(ordinal)
             expected_sort_key = entry.sort_key(definition)
-            assert run.sort_key_at(ordinal) == expected_sort_key
-            assert run.key_bytes_at(ordinal) == entry.key_bytes(definition)
-            assert run.begin_ts_at(ordinal) == entry.begin_ts
+            view, in_block = view_at(run, ordinal)
+            assert view.sort_key_at(in_block) == expected_sort_key
+            assert view.key_bytes_at(in_block) == entry.key_bytes(definition)
+            assert view.begin_ts_at(in_block) == entry.begin_ts
             assert user_key_of_sort_key(expected_sort_key) == entry.key_bytes(
                 definition
             )
@@ -116,7 +119,7 @@ class TestRawSliceEquivalence:
         definition, entries = case
         builder = RunBuilder(definition, StorageHierarchy(), data_block_bytes=512)
         run = builder.build("p", entries, Zone.GROOMED, 0, 0, 0)
-        raw_keys = [run.sort_key_at(i) for i in range(run.entry_count)]
+        raw_keys = [sort_key_at(run, i) for i in range(run.entry_count)]
         assert raw_keys == sorted(raw_keys)
         assert raw_keys == sorted(e.sort_key(definition) for e in entries)
 
@@ -127,7 +130,8 @@ class TestRawSliceEquivalence:
         builder = RunBuilder(definition, StorageHierarchy(), data_block_bytes=256)
         run = builder.build("p", entries, Zone.GROOMED, 0, 0, 0)
         for ordinal in range(run.entry_count):
-            blob = run.entry_blob_at(ordinal)
+            view, in_block = view_at(run, ordinal)
+            blob = view.entry_blob_at(in_block)
             decoded, consumed = IndexEntry.from_bytes(definition, blob)
             assert consumed == len(blob)
             assert decoded == run.entry_at(ordinal)

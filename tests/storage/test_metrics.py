@@ -2,7 +2,21 @@
 
 import threading
 
+from hypothesis import given, settings, strategies as st
+
 from repro.storage.metrics import IOStats, ReadIntent, TierStats
+
+# One ledger operation: (method name, tier, nbytes, sim_ns).  "merge" folds
+# in a second ledger charged with (tier, sim_ns); "reset" zeroes everything.
+_LEDGER_OPS = st.tuples(
+    st.sampled_from(
+        ["record_read", "record_write", "record_delete", "record_backoff",
+         "merge", "reset"]
+    ),
+    st.sampled_from(["memory", "ssd", "shared"]),
+    st.integers(0, 1 << 20),
+    st.integers(0, 1 << 40),
+)
 
 
 class TestTierStats:
@@ -42,11 +56,34 @@ class TestIOStats:
         ledger.record_read("b", 0, 32)
         assert ledger.total_sim_ns == 42
 
+    @settings(max_examples=100, deadline=None)
+    @given(ops=st.lists(_LEDGER_OPS, max_size=40))
+    def test_running_total_matches_the_tier_sum_after_every_step(self, ops):
+        """``total_sim_ns`` is a running int (the cluster clock reads it
+        unlocked twice per op); it must never drift from the per-tier sum."""
+        ledger = IOStats()
+        for method, tier, nbytes, sim_ns in ops:
+            if method == "merge":
+                other = IOStats()
+                other.record_write(tier, nbytes, sim_ns)
+                other.record_backoff("shared", sim_ns // 3)
+                ledger.merge(other)
+            elif method == "reset":
+                ledger.reset()
+            elif method in ("record_read", "record_write"):
+                getattr(ledger, method)(tier, nbytes, sim_ns)
+            else:
+                getattr(ledger, method)(tier, sim_ns)
+            assert ledger.total_sim_ns == sum(
+                t.sim_ns for t in ledger.snapshot().values()
+            )
+
     def test_reset(self):
         ledger = IOStats()
         ledger.record_read("a", 1, 1)
         ledger.reset()
         assert ledger.snapshot() == {}
+        assert ledger.total_sim_ns == 0
 
     def test_merge_folds_every_sub_ledger(self):
         """ISSUE 8 regression: cluster rollups must not drop sub-ledgers.
@@ -108,3 +145,4 @@ class TestIOStats:
             t.join()
         assert ledger.tier("x").reads == 8000
         assert ledger.tier("x").sim_ns == 8000
+        assert ledger.total_sim_ns == 8000
