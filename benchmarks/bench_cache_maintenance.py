@@ -1,22 +1,24 @@
-"""Ablation A10: maintenance-aware cache admission (`maintenance_read_mode`).
+"""Ablation A10: maintenance-aware cache admission (``ReadIntent``).
 
 The scan-thrash scenario ROADMAP flagged after PR 2: streaming evolve reads
-entire (purged) groomed runs through the normal hierarchy path.  Under the
-legacy promote-everything policy those one-pass maintenance reads flood a
-bounded SSD cache with blocks no query will touch again, so the query path
-can no longer admit its own hot blocks and every lookup falls through to
-shared storage.  With ``maintenance_read_mode="intent"`` (the default),
-maintenance reads carry ``ReadIntent.MAINTENANCE`` and are never promoted:
-the query working set warms once and then hits the cache.
+entire (purged) groomed runs through the normal hierarchy path.  If those
+one-pass maintenance reads were admitted like query reads they would flood
+a bounded SSD cache with blocks no query will touch again, so the query
+path could no longer admit its own hot blocks and every lookup would fall
+through to shared storage.  Maintenance reads carry
+``ReadIntent.MAINTENANCE`` and are never promoted: the query working set
+warms once and then hits the cache.
 
 The experiment pins the cache level to -1 (everything purged, Figure-14
 style), interleaves two streaming evolves with rounds of hot point lookups
-over the most recent runs, and compares the query-path cache hit rate and
-the per-intent promotion counters between the two modes.
+over the most recent runs, and reports the query-path cache hit rate and
+the per-intent promotion counters.
 
-Acceptance (ISSUE 3): the query-path hit rate under concurrent evolve is
-strictly higher with the intent mode than with the legacy mode, and
-maintenance reads register **zero** SSD promotions in the intent mode.
+Acceptance (ISSUE 3): maintenance reads register **zero** SSD promotions
+and the query path keeps its cache.  The promote-everything comparison
+arm (``maintenance_read_mode="legacy"``: hit rate 0.00, 66 maintenance
+promotions on the same fixture) was retired with the flag in PR 15; its
+numbers are frozen in docs/benchmarks.md under "Frozen verdicts".
 
 Set ``UMZI_BENCH_SMOKE=1`` for the CI-sized fixture.
 """
@@ -42,7 +44,7 @@ QUERY_ROUNDS = 6 if _SMOKE else 10
 DEF = i1_definition()
 
 
-def _build_index(name, mode):
+def _build_index(name):
     levels = LevelConfig(
         groomed_levels=3, post_groomed_levels=2,
         max_runs_per_level=4, size_ratio=4,
@@ -53,7 +55,6 @@ def _build_index(name, mode):
             name=name,
             levels=levels,
             data_block_bytes=2048,
-            maintenance_read_mode=mode,
             # Query-driven caching: blocks a query promotes from purged
             # runs stay resident (the cache the evolve must not displace).
             release_purged_blocks_after_query=False,
@@ -94,12 +95,12 @@ def _hot_keys():
     return list(range(lo, hi, step))[:HOT_KEYS]
 
 
-def _run_mode(mode):
-    index, mapper = _build_index(f"cache-maint-{mode}", mode)
+def _run():
+    index, mapper = _build_index("cache-maint")
 
     # Bound the SSD at half a wide groomed run: comfortably larger than the
-    # hot query working set, but small enough that legacy maintenance
-    # promotions exhaust it before the queries can admit anything.
+    # hot query working set, but small enough that admitted maintenance
+    # reads would exhaust it before the queries could admit anything.
     wide_runs = [
         run for run in index.run_lists[Zone.GROOMED].snapshot()
         if run.level == 1
@@ -129,8 +130,8 @@ def _run_mode(mode):
     start = time.perf_counter()
     # Both evolves cover only a prefix of the first wide run's 0..3 span,
     # so the run is never fully under the watermark and never collected --
-    # the sustained-churn case where the blocks a legacy evolve promoted
-    # are not cleaned up by garbage collection either.
+    # the sustained-churn case where blocks an evolve promoted would not
+    # be cleaned up by garbage collection either.
     index.evolve_streaming(1, _rid_mapper(1, 2 * ENTRIES_PER_RUN), 0, 1)
     for round_no in range(QUERY_ROUNDS):
         query_round()
@@ -146,7 +147,6 @@ def _run_mode(mode):
     query_delta = stats.intents[ReadIntent.QUERY].diff(query_before)
     maint_delta = stats.intents[ReadIntent.MAINTENANCE].diff(maint_before)
     return {
-        "mode": mode,
         "query_hit_rate": query_delta.local_hit_rate(),
         "query_reads": query_delta.reads,
         "query_promotions": query_delta.promotions,
@@ -159,27 +159,21 @@ def _run_mode(mode):
 
 
 def test_cache_hit_rate_under_concurrent_evolve(reporter):
-    intent = _run_mode("intent")
-    legacy = _run_mode("legacy")
+    measured = _run()
 
-    # Both modes streamed the maintenance workload.  (Counts differ:
-    # legacy memoizes stream views exactly like the pre-intent code, so
-    # its second evolve re-reads nothing.)
-    assert intent["maintenance_reads"] > 0
-    assert legacy["maintenance_reads"] > 0
-
-    # Acceptance: maintenance reads register zero SSD promotions with the
-    # intent-aware mode; the legacy mode floods the cache.
-    assert intent["maintenance_promotions"] == 0, (
-        f"intent mode promoted {intent['maintenance_promotions']} "
-        "maintenance blocks; maintenance reads must bypass admission"
+    # Acceptance: the maintenance workload streamed, and registered zero
+    # SSD promotions.
+    assert measured["maintenance_reads"] > 0
+    assert measured["maintenance_promotions"] == 0, (
+        f"{measured['maintenance_promotions']} maintenance blocks promoted; "
+        "maintenance reads must bypass admission"
     )
-    assert legacy["maintenance_promotions"] > 0
-
-    # Acceptance: the query path keeps its cache under maintenance churn.
-    assert intent["query_hit_rate"] > legacy["query_hit_rate"], (
-        f"query hit rate {intent['query_hit_rate']:.3f} (intent) must beat "
-        f"{legacy['query_hit_rate']:.3f} (legacy)"
+    # Acceptance: the query path keeps its cache under maintenance churn --
+    # every round after the first hits locally.
+    assert measured["query_promotions"] > 0
+    assert measured["query_hit_rate"] >= 1 - 1.5 / QUERY_ROUNDS, (
+        f"query hit rate {measured['query_hit_rate']:.3f}: the hot working "
+        "set must stay cached while the evolves stream"
     )
 
     result = ExperimentResult(
@@ -188,15 +182,10 @@ def test_cache_hit_rate_under_concurrent_evolve(reporter):
         x_label="metric",
         y_label="value",
         series=[
-            Series("intent-aware (maintenance_read_mode=intent)", [
-                ("query hit rate", intent["query_hit_rate"]),
-                ("maintenance promotions", float(intent["maintenance_promotions"])),
-                ("query promotions", float(intent["query_promotions"])),
-            ]),
-            Series("legacy (promote everything)", [
-                ("query hit rate", legacy["query_hit_rate"]),
-                ("maintenance promotions", float(legacy["maintenance_promotions"])),
-                ("query promotions", float(legacy["query_promotions"])),
+            Series("maintenance reads never admitted (ReadIntent)", [
+                ("query hit rate", measured["query_hit_rate"]),
+                ("maintenance promotions", float(measured["maintenance_promotions"])),
+                ("query promotions", float(measured["query_promotions"])),
             ]),
         ],
         notes=(
@@ -204,22 +193,15 @@ def test_cache_hit_rate_under_concurrent_evolve(reporter):
             f"levels purged, SSD bounded at half a wide run; {QUERY_ROUNDS} "
             f"rounds x {len(_hot_keys())} hot lookups with two streaming "
             "evolves interleaved.  Hit rate = local hits / reads on the "
-            "QUERY intent ledger."
+            "QUERY intent ledger.  The retired promote-everything arm "
+            "scored hit rate 0.00 with 66 maintenance promotions."
         ),
         metrics={
-            "query_hit_rate_intent": intent["query_hit_rate"],
-            "query_hit_rate_legacy": legacy["query_hit_rate"],
-            "maintenance_promotions_intent": float(
-                intent["maintenance_promotions"]
-            ),
-            "maintenance_promotions_legacy": float(
-                legacy["maintenance_promotions"]
-            ),
-            "maintenance_reads_intent": float(intent["maintenance_reads"]),
-            "maintenance_reads_legacy": float(legacy["maintenance_reads"]),
-            "query_reads_per_mode": float(intent["query_reads"]),
-            "wall_s_intent": intent["wall_s"],
-            "wall_s_legacy": legacy["wall_s"],
+            "query_hit_rate": measured["query_hit_rate"],
+            "maintenance_promotions": float(measured["maintenance_promotions"]),
+            "maintenance_reads": float(measured["maintenance_reads"]),
+            "query_reads": float(measured["query_reads"]),
+            "wall_s": measured["wall_s"],
         },
     )
     reporter(result, "cache_maintenance")

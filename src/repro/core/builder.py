@@ -9,10 +9,10 @@ the input entries come from and which level/zone the run lands in.
 Two input shapes are accepted:
 
 * :meth:`RunBuilder.build` takes decoded :class:`IndexEntry` objects
-  (groom, evolve, tests) and serializes each once;
+  (the legacy evolve, tests) and serializes each once;
 * :meth:`RunBuilder.build_from_blobs` takes pre-serialized
-  ``(sort_key, entry_blob)`` pairs (the K-way merge path) and copies them
-  verbatim -- merged entries are never decoded and re-encoded.  Everything
+  ``(sort_key, entry_blob)`` pairs (groom, streaming evolve, the K-way
+  merge) and copies them verbatim -- no entry is decoded.  Everything
   derivable from raw sort keys (offset array, begin-TS range, Bloom
   filter, block index) is computed from the bytes; only the synopsis,
   whose per-column min/max needs decoded values, is supplied by the
@@ -21,6 +21,7 @@ Two input shapes are accepted:
 
 from __future__ import annotations
 
+from itertools import accumulate
 from typing import Iterable, List, Optional, Sequence, Tuple
 
 from repro.core.definition import IndexDefinition
@@ -36,9 +37,8 @@ from repro.core.run import (
     RunHeader,
     Synopsis,
     block_checksum,
-    encode_data_block_from_blobs,
+    pack_data_block,
 )
-from repro.core.encoding import high_bits
 from repro.faults.crash import crash_point
 from repro.storage.block import Block, BlockId
 from repro.storage.hierarchy import StorageHierarchy
@@ -76,42 +76,6 @@ class RunBuilder:
         # distinct key bytes with this false-positive rate (extension).
         self.bloom_fpr = bloom_fpr
 
-    # -- entry ordering -----------------------------------------------------------
-
-    def sort_entries(self, entries: Iterable[IndexEntry]) -> List[IndexEntry]:
-        """Sort into run order: hash | eq cols | sort cols | beginTS desc."""
-        definition = self.definition
-        return sorted(entries, key=lambda e: e.sort_key(definition))
-
-    # -- offset array ----------------------------------------------------------------
-
-    def compute_offset_array(self, sorted_entries: Sequence[IndexEntry]) -> Tuple[int, ...]:
-        """``offset[b]`` = ordinal of the first entry with hash high-bits >= b.
-
-        Matches the paper's Figure 2b; ``offset_array_size`` buckets, and a
-        query for bucket ``i`` searches ``[offset[i], offset[i+1])`` (with
-        the entry count as the implicit final fence).
-        """
-        return self._offset_array_from_hashes(
-            [e.hash_value for e in sorted_entries]
-        )
-
-    def _offset_array_from_hashes(self, hashes: Sequence[int]) -> Tuple[int, ...]:
-        definition = self.definition
-        size = definition.offset_array_size
-        if size == 0:
-            return ()
-        nbits = definition.hash_bits
-        counts = [0] * size
-        for hash_value in hashes:
-            counts[high_bits(hash_value, nbits)] += 1
-        offsets: List[int] = []
-        running = 0
-        for bucket in range(size):
-            offsets.append(running)
-            running += counts[bucket]
-        return tuple(offsets)
-
     # -- build -------------------------------------------------------------------------
 
     def build(
@@ -136,26 +100,16 @@ class RunBuilder:
         """
         definition = self.definition
         # Encode once: each entry serializes to (sort_key, blob) a single
-        # time and the run order comes from sorting the raw key slices --
-        # the old sort-then-serialize path encoded every sort key twice
-        # (once for the sort key function, once inside to_blob).
+        # time and the run order comes from sorting the raw key slices.
         materialized = list(entries)
         synopsis = Synopsis.from_entries(definition, materialized)
         pairs = [entry.to_blob(definition) for entry in materialized]
         if not presorted:
             pairs.sort(key=lambda pair: pair[0])
-        return self._build_common(
-            run_id=run_id,
-            blob_pairs=pairs,
-            synopsis=synopsis,
-            zone=zone,
-            level=level,
-            min_groomed_id=min_groomed_id,
-            max_groomed_id=max_groomed_id,
-            persisted=persisted,
-            write_through_ssd=write_through_ssd,
-            spill_to_ssd=spill_to_ssd,
-            ancestor_run_ids=ancestor_run_ids,
+        return self.build_from_blobs(
+            run_id, pairs, synopsis, zone, level, min_groomed_id,
+            max_groomed_id, persisted, write_through_ssd, spill_to_ssd,
+            ancestor_run_ids,
         )
 
     def build_from_blobs(
@@ -180,67 +134,51 @@ class RunBuilder:
         from the first 8 sort-key bytes, begin-TS bounds come from the
         8-byte suffix, and the Bloom filter hashes raw user-key slices.
         """
-        return self._build_common(
-            run_id=run_id,
-            blob_pairs=list(blob_pairs),
-            synopsis=synopsis,
-            zone=zone,
-            level=level,
-            min_groomed_id=min_groomed_id,
-            max_groomed_id=max_groomed_id,
-            persisted=persisted,
-            write_through_ssd=write_through_ssd,
-            spill_to_ssd=spill_to_ssd,
-            ancestor_run_ids=ancestor_run_ids,
-        )
-
-    # -- internals -----------------------------------------------------------------------
-
-    def _build_common(
-        self,
-        run_id: str,
-        blob_pairs: List[Tuple[bytes, bytes]],
-        synopsis: Synopsis,
-        zone: Zone,
-        level: int,
-        min_groomed_id: int,
-        max_groomed_id: int,
-        persisted: bool,
-        write_through_ssd: bool,
-        spill_to_ssd: bool,
-        ancestor_run_ids: Sequence[str],
-    ) -> IndexRun:
+        blob_pairs = list(blob_pairs)
         definition = self.definition
-        if definition.has_hash_column:
-            # The sort key starts with the 8-byte big-endian hash column.
-            offset_array = self._offset_array_from_hashes(
-                [int.from_bytes(sk[:8], "big") for sk, _blob in blob_pairs]
-            )
-        else:
-            offset_array = ()
-
-        # Slice into data blocks of ~data_block_bytes each.
+        # One pass over the pairs: slice them into data blocks of
+        # ~data_block_bytes each while counting the offset-array buckets
+        # (the sort key starts with the 8-byte big-endian hash column) and
+        # tracking the beginTS range as raw descending sort-key suffixes.
+        limit = self.data_block_bytes
+        counts = [0] * definition.offset_array_size
+        shift = 64 - definition.hash_bits
         block_metas: List[DataBlockMeta] = []
         block_payloads: List[bytes] = []
-        current: List[Tuple[bytes, bytes]] = []
-        current_bytes = 0
-        for pair in blob_pairs:
-            blob_len = len(pair[1])
-            if current and current_bytes + blob_len > self.data_block_bytes:
-                self._seal_block(current, block_metas, block_payloads)
-                current = []
-                current_bytes = 0
-            current.append(pair)
-            current_bytes += blob_len
-        if current:
-            self._seal_block(current, block_metas, block_payloads)
-
-        if blob_pairs:
-            ts_values = [begin_ts_of_sort_key(sk) for sk, _blob in blob_pairs]
-            min_ts = min(ts_values)
-            max_ts = max(ts_values)
-        else:
-            min_ts = max_ts = 0
+        offsets: List[int] = []
+        sort_key_lengths: List[int] = []
+        blobs: List[bytes] = []
+        position = 0
+        newest = oldest = (
+            blob_pairs[0][0][-SORT_KEY_TS_BYTES:] if blob_pairs else b""
+        )
+        for sort_key, blob in blob_pairs:
+            blob_len = len(blob)
+            if position and position + blob_len > limit:
+                self._seal_block(
+                    offsets, sort_key_lengths, blobs, block_metas, block_payloads
+                )
+                offsets, sort_key_lengths, blobs = [], [], []
+                position = 0
+            offsets.append(position)
+            sort_key_lengths.append(len(sort_key))
+            blobs.append(blob)
+            position += blob_len
+            if counts:
+                counts[int.from_bytes(sort_key[:8], "big") >> shift] += 1
+            suffix = sort_key[-SORT_KEY_TS_BYTES:]
+            if suffix < newest:
+                newest = suffix
+            elif suffix > oldest:
+                oldest = suffix
+        if blobs:
+            self._seal_block(
+                offsets, sort_key_lengths, blobs, block_metas, block_payloads
+            )
+        # offset[b] = ordinal of the first entry with hash high-bits >= b.
+        offset_array = tuple(accumulate(counts, initial=0))[:-1]
+        min_ts = begin_ts_of_sort_key(oldest) if blob_pairs else 0
+        max_ts = begin_ts_of_sort_key(newest) if blob_pairs else 0
 
         bloom_blob = None
         if self.bloom_fpr is not None and blob_pairs:
@@ -273,15 +211,18 @@ class RunBuilder:
 
     def _seal_block(
         self,
-        blob_pairs: List[Tuple[bytes, bytes]],
+        offsets: List[int],
+        sort_key_lengths: List[int],
+        blobs: List[bytes],
         metas: List[DataBlockMeta],
         payloads: List[bytes],
     ) -> None:
-        payload = encode_data_block_from_blobs(blob_pairs)
+        payload = pack_data_block(offsets, sort_key_lengths, blobs)
         metas.append(
             DataBlockMeta(
-                entry_count=len(blob_pairs),
-                first_sort_key=blob_pairs[0][0],
+                entry_count=len(blobs),
+                # Every entry blob starts with its sort key.
+                first_sort_key=blobs[0][: sort_key_lengths[0]],
                 size_bytes=len(payload),
                 # Recovery re-validates the run by checksumming raw
                 # payloads against this -- no entry decodes on the clean

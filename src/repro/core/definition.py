@@ -18,12 +18,25 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass, field
-from typing import Dict, List, Mapping, Sequence, Tuple
+from typing import Dict, Iterable, List, Mapping, Sequence, Tuple
 
 from repro.core.encoding import (
+    INT64_MAX,
+    INT64_MIN,
     EncodingError,
     KeyValue,
-    encode_value,
+    decode_bytes,
+    decode_float64,
+    decode_int64,
+    decode_str,
+    encode_bytes,
+    encode_bytes_column,
+    encode_float64,
+    encode_float64_column,
+    encode_int64,
+    encode_int64_column,
+    encode_str,
+    encode_str_column,
     hash_values,
 )
 
@@ -44,6 +57,30 @@ _PYTHON_TYPES = {
     ColumnType.BYTES: (bytes,),
 }
 
+# One codec per declared column type: index and block paths encode and
+# decode through these tables and never dispatch on a value's runtime
+# type.  COLUMN_ENCODERS are the same encodings a whole column at a time
+# (``values -> [bytes]``), for values already checked by
+# :meth:`ColumnSpec.validate`.
+DECODERS = {
+    ColumnType.INT64: decode_int64,
+    ColumnType.FLOAT64: decode_float64,
+    ColumnType.STRING: decode_str,
+    ColumnType.BYTES: decode_bytes,
+}
+ENCODERS = {
+    ColumnType.INT64: encode_int64,
+    ColumnType.FLOAT64: encode_float64,
+    ColumnType.STRING: encode_str,
+    ColumnType.BYTES: encode_bytes,
+}
+COLUMN_ENCODERS = {
+    ColumnType.INT64: encode_int64_column,
+    ColumnType.FLOAT64: encode_float64_column,
+    ColumnType.STRING: encode_str_column,
+    ColumnType.BYTES: encode_bytes_column,
+}
+
 
 @dataclass(frozen=True)
 class ColumnSpec:
@@ -53,16 +90,36 @@ class ColumnSpec:
     ctype: ColumnType = ColumnType.INT64
 
     def validate(self, value: KeyValue) -> KeyValue:
-        """Type-check (and normalize) one value for this column."""
-        expected = _PYTHON_TYPES[self.ctype]
-        if isinstance(value, bool) or not isinstance(value, expected):
+        """Type- and domain-check (and normalize) one value for this column.
+
+        This is the only check a value gets: the write path encodes what
+        passed here without looking again, so everything the encodings
+        cannot represent (integers beyond int64, NaN) is refused here.
+        """
+        ctype = self.ctype
+        if isinstance(value, bool) or not isinstance(value, _PYTHON_TYPES[ctype]):
             raise EncodingError(
-                f"column {self.name!r} expects {self.ctype.value}, "
+                f"column {self.name!r} expects {ctype.value}, "
                 f"got {type(value).__name__} ({value!r})"
             )
-        if self.ctype is ColumnType.FLOAT64:
-            return float(value)
+        if ctype is ColumnType.INT64:
+            if not INT64_MIN <= value <= INT64_MAX:
+                raise EncodingError(
+                    f"column {self.name!r}: integer {value} outside "
+                    "signed 64-bit range"
+                )
+        elif ctype is ColumnType.FLOAT64:
+            value = float(value)
+            if value != value:
+                raise EncodingError(f"column {self.name!r}: NaN is not orderable")
         return value
+
+
+def encode_typed(
+    specs: Sequence[ColumnSpec], values: Iterable[KeyValue]
+) -> bytes:
+    """Concatenated encodings of ``values`` under their columns' types."""
+    return b"".join([ENCODERS[spec.ctype](v) for spec, v in zip(specs, values)])
 
 
 class IndexDefinitionError(ValueError):
@@ -173,7 +230,7 @@ class IndexDefinition:
         """The 64-bit hash column value for a set of equality values."""
         if not self.has_hash_column:
             return 0
-        return hash_values(encode_value(v) for v in equality_values)
+        return hash_values((encode_typed(self.equality_columns, equality_values),))
 
     def describe(self) -> str:
         """One-line human-readable summary (used in stats/CLI output)."""
@@ -221,10 +278,14 @@ def i3_definition(hash_bits: int = 8) -> IndexDefinition:
 
 
 __all__ = [
+    "COLUMN_ENCODERS",
+    "DECODERS",
+    "ENCODERS",
     "ColumnSpec",
     "ColumnType",
     "IndexDefinition",
     "IndexDefinitionError",
+    "encode_typed",
     "i1_definition",
     "i2_definition",
     "i3_definition",

@@ -144,6 +144,51 @@ def decode_str(data: bytes, offset: int = 0) -> Tuple[str, int]:
 
 
 # ---------------------------------------------------------------------------
+# whole-column encodings (the groom kernel)
+# ---------------------------------------------------------------------------
+#
+# The scalar encodings above a column at a time, without their domain
+# checks: ``ColumnSpec.validate`` checked the values once, at ``upsert``.
+
+_PACK_U64 = struct.Struct(">Q").pack
+_SIGN_BIT = 1 << 63
+
+
+def encode_int64_column(values: Iterable[int]) -> List[bytes]:
+    return [_PACK_U64(value + _SIGN_BIT) for value in values]
+
+
+def encode_float64_column(values: Sequence[float]) -> List[bytes]:
+    count = len(values)
+    images = struct.unpack(f">{count}Q", struct.pack(f">{count}d", *values))
+    # An image above the sign bit is a negative float (all bits flip); the
+    # sign bit alone is -0.0, which encodes as +0.0 like every other image
+    # at or below it (sign bit set).
+    return [
+        _PACK_U64(raw ^ UINT64_MAX if raw > _SIGN_BIT else raw | _SIGN_BIT)
+        for raw in images
+    ]
+
+
+def encode_bytes_column(values: Iterable[bytes]) -> List[bytes]:
+    return [
+        value.replace(b"\x00", _STRING_ESCAPED_ZERO) + _STRING_TERMINATOR
+        for value in values
+    ]
+
+
+def encode_str_column(values: Iterable[str]) -> List[bytes]:
+    return [
+        value.encode().replace(b"\x00", _STRING_ESCAPED_ZERO) + _STRING_TERMINATOR
+        for value in values
+    ]
+
+
+def encode_ts_desc_column(timestamps: Iterable[int]) -> List[bytes]:
+    return [_PACK_U64(UINT64_MAX - timestamp) for timestamp in timestamps]
+
+
+# ---------------------------------------------------------------------------
 # descending timestamps
 # ---------------------------------------------------------------------------
 
@@ -258,11 +303,16 @@ __all__ = [
     "decode_ts_desc",
     "decode_uint64",
     "encode_bytes",
+    "encode_bytes_column",
     "encode_composite",
     "encode_float64",
+    "encode_float64_column",
     "encode_int64",
+    "encode_int64_column",
     "encode_str",
+    "encode_str_column",
     "encode_ts_desc",
+    "encode_ts_desc_column",
     "encode_uint64",
     "encode_value",
     "fnv1a64",

@@ -16,21 +16,16 @@ from __future__ import annotations
 import enum
 import struct
 from dataclasses import dataclass
-from typing import Optional, Tuple
+from typing import List, Sequence, Tuple
 
-from repro.core.definition import ColumnType, IndexDefinition
+from repro.core.definition import DECODERS, IndexDefinition, encode_typed
 from repro.core.encoding import (
     KeyValue,
-    decode_bytes,
-    decode_float64,
-    decode_int64,
-    decode_str,
     decode_ts_desc,
     decode_uint64,
-    encode_composite,
     encode_ts_desc,
     encode_uint64,
-    encode_value,
+    hash_values,
 )
 
 
@@ -71,13 +66,6 @@ class RID:
         return f"{self.zone.name.lower()}:{self.block_id}:{self.offset}"
 
 
-_DECODERS = {
-    ColumnType.INT64: decode_int64,
-    ColumnType.FLOAT64: decode_float64,
-    ColumnType.STRING: decode_str,
-    ColumnType.BYTES: decode_bytes,
-}
-
 # The sort key always ends in the fixed-width descending-beginTS encoding
 # (section 4.2), so blob-level code can split ``user key | beginTS`` without
 # decoding any column.
@@ -101,25 +89,6 @@ def begin_ts_of_sort_key(sort_key: bytes) -> int:
 RID_BYTES = RID._STRUCT.size
 
 
-def reencode_sort_key(
-    blob: bytes, new_sort_key: bytes, old_sort_key_len: Optional[int] = None
-) -> bytes:
-    """Splice ``new_sort_key`` over the sort key a blob starts with.
-
-    The general zero-decode re-key primitive: an entry blob's layout is
-    ``sort_key | includes | rid``, so rewriting the key columns or beginTS
-    of an entry is a byte splice -- the include columns and RID are
-    forwarded verbatim, never decoded.  The current streaming evolve path
-    needs only the RID-suffix specialization (:func:`replace_rid_in_blob`)
-    because a record's key and beginTS survive zone migration unchanged;
-    this helper is for maintenance rewrites that *do* change the key
-    (e.g. a future beginTS-remapping groom).  ``old_sort_key_len``
-    defaults to ``len(new_sort_key)`` (same-shape keys).
-    """
-    old_len = len(new_sort_key) if old_sort_key_len is None else old_sort_key_len
-    return new_sort_key + blob[old_len:]
-
-
 def replace_rid_in_blob(blob: bytes, new_rid: "RID") -> bytes:
     """Splice a new RID over a blob's fixed-width RID suffix.
 
@@ -129,6 +98,42 @@ def replace_rid_in_blob(blob: bytes, new_rid: "RID") -> bytes:
     one slice plus a 13-byte pack.
     """
     return blob[: len(blob) - RID_BYTES] + new_rid.to_bytes()
+
+
+def encode_rid_column(zone: Zone, block_id: int, count: int) -> List[bytes]:
+    """Serialized RIDs of offsets ``0..count-1`` of one data block."""
+    pack = RID._STRUCT.pack
+    zone_raw = int(zone)
+    return [pack(zone_raw, block_id, offset) for offset in range(count)]
+
+
+def entry_blob_columns(
+    definition: IndexDefinition,
+    equality: Sequence[List[bytes]],
+    sort: Sequence[List[bytes]],
+    includes: Sequence[List[bytes]],
+    ts_desc: List[bytes],
+    rids: List[bytes],
+) -> List[Tuple[bytes, bytes]]:
+    """:meth:`IndexEntry.to_blob` for a whole batch, column at a time.
+
+    Every argument is a column of already encoded values, one element per
+    entry (``ts_desc`` = descending ``beginTS``, ``rids`` = serialized
+    RIDs); the result is the unsorted ``(sort_key, blob)`` list in input
+    order, byte for byte what ``IndexEntry.create(...).to_blob`` yields
+    per entry.  Nothing is validated and no entry object is built.
+    """
+    key_columns = [*equality, *sort, ts_desc]
+    if definition.has_hash_column:
+        hashed = list(map(b"".join, zip(*equality)))
+        hash_of = {
+            encoded: encode_uint64(hash_values((encoded,)))
+            for encoded in set(hashed)
+        }
+        key_columns.insert(0, [hash_of[encoded] for encoded in hashed])
+    sort_keys = list(map(b"".join, zip(*key_columns)))
+    blobs = map(b"".join, zip(sort_keys, *includes, rids))
+    return list(zip(sort_keys, blobs))
 
 
 @dataclass(frozen=True)
@@ -181,8 +186,8 @@ class IndexEntry:
         parts = []
         if definition.has_hash_column:
             parts.append(encode_uint64(self.hash_value))
-        parts.append(encode_composite(self.equality_values))
-        parts.append(encode_composite(self.sort_values))
+        parts.append(encode_typed(definition.equality_columns, self.equality_values))
+        parts.append(encode_typed(definition.sort_columns, self.sort_values))
         return b"".join(parts)
 
     def sort_key(self, definition: IndexDefinition) -> bytes:
@@ -207,10 +212,8 @@ class IndexEntry:
         run builder, the blob-level merge) avoid encoding the key twice.
         """
         sort_key = self.sort_key(definition)
-        parts = [sort_key]
-        parts.extend(encode_value(v) for v in self.include_values)
-        parts.append(self.rid.to_bytes())
-        return sort_key, b"".join(parts)
+        includes = encode_typed(definition.included_columns, self.include_values)
+        return sort_key, sort_key + includes + self.rid.to_bytes()
 
     @classmethod
     def from_bytes(
@@ -223,16 +226,16 @@ class IndexEntry:
             hash_value, pos = decode_uint64(data, pos)
         eq_values = []
         for spec in definition.equality_columns:
-            value, pos = _DECODERS[spec.ctype](data, pos)
+            value, pos = DECODERS[spec.ctype](data, pos)
             eq_values.append(value)
         sort_values = []
         for spec in definition.sort_columns:
-            value, pos = _DECODERS[spec.ctype](data, pos)
+            value, pos = DECODERS[spec.ctype](data, pos)
             sort_values.append(value)
         begin_ts, pos = decode_ts_desc(data, pos)
         include_values = []
         for spec in definition.included_columns:
-            value, pos = _DECODERS[spec.ctype](data, pos)
+            value, pos = DECODERS[spec.ctype](data, pos)
             include_values.append(value)
         rid, pos = RID.from_bytes(data, pos)
         return (
@@ -255,7 +258,8 @@ __all__ = [
     "SORT_KEY_TS_BYTES",
     "Zone",
     "begin_ts_of_sort_key",
-    "reencode_sort_key",
+    "encode_rid_column",
+    "entry_blob_columns",
     "replace_rid_in_blob",
     "user_key_of_sort_key",
 ]

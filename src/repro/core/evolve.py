@@ -97,11 +97,9 @@ class EvolveController:
 
     Evolve is maintenance: the streaming path reads every covered groomed
     run end to end exactly once, so those block fetches carry
-    ``ReadIntent.MAINTENANCE`` -- under the default maintenance-aware cache
-    policy they are served from whatever tier holds them but are never
-    promoted into the SSD cache and never evict query-hot blocks of a
-    purged level (``maintenance_read_mode="legacy"`` on the hierarchy
-    restores the old promote-everything behaviour for ablations).
+    ``ReadIntent.MAINTENANCE`` -- they are served from whatever tier holds
+    them but are never promoted into the SSD cache and never evict
+    query-hot blocks of a purged level.
     """
 
     def __init__(
@@ -280,20 +278,9 @@ class EvolveController:
         max_groomed_id: int,
     ) -> IndexRun:
         """Sub-operation 1: build the post-groomed run and publish it."""
-        level = self.config.first_post_groomed_level
-        run = self.builder.build(
-            run_id=self.allocator.allocate(Zone.POST_GROOMED),
-            entries=entries,
-            zone=Zone.POST_GROOMED,
-            level=level,
-            min_groomed_id=min_groomed_id,
-            max_groomed_id=max_groomed_id,
-            persisted=True,  # post-groomed runs are always durable
-            write_through_ssd=self._write_through(level),
+        return self._step1(
+            self.builder.build, min_groomed_id, max_groomed_id, entries=entries
         )
-        crash_point("evolve.pre_publish")
-        self.run_lists[Zone.POST_GROOMED].push_front(run)  # atomic
-        return run
 
     def step1_build_run_from_blobs(
         self,
@@ -303,17 +290,22 @@ class EvolveController:
         max_groomed_id: int,
     ) -> IndexRun:
         """Sub-operation 1 on the streaming path: build from raw blobs."""
+        return self._step1(
+            self.builder.build_from_blobs, min_groomed_id, max_groomed_id,
+            blob_pairs=blob_pairs, synopsis=synopsis,
+        )
+
+    def _step1(self, build, min_groomed_id: int, max_groomed_id: int, **source):
         level = self.config.first_post_groomed_level
-        run = self.builder.build_from_blobs(
+        run = build(
             run_id=self.allocator.allocate(Zone.POST_GROOMED),
-            blob_pairs=blob_pairs,
-            synopsis=synopsis,
             zone=Zone.POST_GROOMED,
             level=level,
             min_groomed_id=min_groomed_id,
             max_groomed_id=max_groomed_id,
             persisted=True,  # post-groomed runs are always durable
             write_through_ssd=self._write_through(level),
+            **source,
         )
         crash_point("evolve.pre_publish")
         self.run_lists[Zone.POST_GROOMED].push_front(run)  # atomic

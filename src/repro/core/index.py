@@ -31,7 +31,7 @@ from repro.core.query import (
     ReconcileStrategy,
 )
 from repro.core.recovery import RecoveredState, recover_index_state
-from repro.core.run import IndexRun
+from repro.core.run import IndexRun, Synopsis
 from repro.core.runlist import RunList
 from repro.core.stats import IndexStats, LevelStats
 from repro.core.encoding import KeyValue
@@ -89,14 +89,6 @@ class UmziConfig:
     cache_high_watermark: float = 0.85
     cache_low_watermark: float = 0.60
     release_purged_blocks_after_query: bool = True
-    # Maintenance-aware cache admission: "intent" (default) means
-    # MAINTENANCE-intent reads (evolve streams, merges, recovery
-    # validation) never promote blocks into the SSD cache; "legacy" is the
-    # promote-everything ablation baseline.  Applied only when the index
-    # constructs its own hierarchy -- an externally supplied hierarchy
-    # keeps its owner's policy (e.g. ShardConfig.maintenance_read_mode).
-    # See storage.metrics.ReadIntent.
-    maintenance_read_mode: str = "intent"
     # Run lifecycle under concurrent maintenance: "versionset" (default)
     # refcounts immutable RunListVersions LevelDB/RocksDB-style -- one
     # Ref/Unref per query, O(1) regardless of run count -- and defers
@@ -118,16 +110,9 @@ class UmziIndex:
     ) -> None:
         self.definition = definition
         self.config = config if config is not None else UmziConfig()
-        if hierarchy is None:
-            self.hierarchy = StorageHierarchy(
-                maintenance_read_mode=self.config.maintenance_read_mode
-            )
-        else:
-            # An externally supplied hierarchy may serve several indexes
-            # (one per shard); cache-admission policy belongs to its owner
-            # (e.g. ShardConfig.maintenance_read_mode via WildfireShard),
-            # so a per-index config must not stomp it.
-            self.hierarchy = hierarchy
+        # An externally supplied hierarchy may serve several indexes (one
+        # per shard).
+        self.hierarchy = hierarchy if hierarchy is not None else StorageHierarchy()
 
         self._run_prefix = f"{self.config.name}-run"
         self.allocator = RunIdAllocator(prefix=self._run_prefix)
@@ -249,16 +234,40 @@ class UmziIndex:
         Builds a level-0 run (always persisted) over the newly groomed data
         and publishes it at the head of the groomed run list.
         """
+        return self._publish_groomed(
+            self.builder.build, min_groomed_id, max_groomed_id, entries=entries
+        )
+
+    def add_groomed_blobs(
+        self,
+        blob_pairs: Iterable[Tuple[bytes, bytes]],
+        synopsis: Synopsis,
+        min_groomed_id: int,
+        max_groomed_id: int,
+    ) -> IndexRun:
+        """:meth:`add_groomed_run` over sorted ``(sort_key, blob)`` pairs.
+
+        The groomer's form: its column kernel produces the serialized
+        entries directly, so no :class:`IndexEntry` is built or decoded.
+        """
+        return self._publish_groomed(
+            self.builder.build_from_blobs, min_groomed_id, max_groomed_id,
+            blob_pairs=blob_pairs, synopsis=synopsis,
+        )
+
+    def _publish_groomed(
+        self, build, min_groomed_id: int, max_groomed_id: int, **source
+    ) -> IndexRun:
         with self._build_lock:
-            run = self.builder.build(
+            run = build(
                 run_id=self.allocator.allocate(Zone.GROOMED),
-                entries=entries,
                 zone=Zone.GROOMED,
                 level=0,
                 min_groomed_id=min_groomed_id,
                 max_groomed_id=max_groomed_id,
                 persisted=True,
                 write_through_ssd=self.cache.write_through(0),
+                **source,
             )
             self.run_lists[Zone.GROOMED].push_front(run)
             return run
@@ -479,35 +488,30 @@ class UmziIndex:
         finally:
             snapshot.release()
 
-    def post_groomed_lookup(
-        self,
-        equality_values: Sequence[KeyValue],
-        sort_values: Sequence[KeyValue],
-        query_ts: int = MAX_QUERY_TS,
-    ) -> Optional[IndexEntry]:
-        """Point lookup restricted to the post-groomed portion of the index.
+    def post_groomed_batch_lookup(
+        self, lookups: Sequence[PointLookup]
+    ) -> List[Optional[IndexEntry]]:
+        """Batched point lookups over the post-groomed portion of the index.
 
         Used by the post-groomer (paper section 2.1: the post-groom
         operation "utilizes the post-groomed portion of the indexes to
         collect the RIDs of the already post-groomed records that will be
-        replaced").  Although it reuses the ordinary query machinery, the
-        caller is background maintenance, so the whole lookup runs under a
-        ``ReadIntent.MAINTENANCE`` scope: blocks it pulls from purged
-        post-groomed levels are not admitted into the SSD cache.
+        replaced"), one sorted batch per post-groom (section 7.2).  It
+        reuses the query machinery, but the caller is maintenance, so the
+        sweep runs under ``ReadIntent.MAINTENANCE``: blocks it pulls from
+        purged post-groomed levels are not admitted into the SSD cache.
         """
         executor = QueryExecutor(
             self.definition,
             collect_runs=self.run_lists[Zone.POST_GROOMED].snapshot,
             use_synopsis=self.config.use_synopsis,
             use_offset_array=self.config.use_offset_array,
-            # The post-groomer's lookup races concurrent merges of the
-            # post-groomed zone like any query does; pin its snapshot too.
+            # The sweep races concurrent merges of the post-groomed zone
+            # like any query does; pin its snapshot too.
             lifecycle=self.lifecycle,
         )
         with self.hierarchy.reading_as(ReadIntent.MAINTENANCE):
-            return executor.point_lookup(
-                PointLookup(tuple(equality_values), tuple(sort_values), query_ts)
-            )
+            return executor.batch_lookup(lookups)
 
     def all_runs(self) -> List[IndexRun]:
         """Every run in both lists (no watermark filtering); newest first."""

@@ -199,7 +199,7 @@ class QueryExecutor:
     run hit locally, and ``on_query_done`` releases those transient blocks
     afterwards when the cache manager asks for it.  When an executor is
     driven by background machinery instead (the post-groomer's
-    ``post_groomed_lookup``), the caller wraps the call in
+    ``post_groomed_batch_lookup``), the caller wraps the call in
     ``hierarchy.reading_as(ReadIntent.MAINTENANCE)`` -- the same code path
     then neither promotes nor perturbs the query-path hit/miss counters.
 

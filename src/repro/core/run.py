@@ -52,15 +52,8 @@ from dataclasses import dataclass
 from itertools import accumulate
 from typing import Dict, Iterator, List, Optional, Sequence, Set, Tuple
 
-from repro.core.definition import ColumnType, IndexDefinition
-from repro.core.encoding import (
-    KeyValue,
-    decode_bytes,
-    decode_float64,
-    decode_int64,
-    decode_str,
-    encode_value,
-)
+from repro.core.definition import DECODERS, ENCODERS, IndexDefinition
+from repro.core.encoding import KeyValue
 from repro.core.entry import (
     IndexEntry,
     SORT_KEY_TS_BYTES,
@@ -90,13 +83,6 @@ def block_checksum(payload: bytes) -> int:
     changes the digest -- is identical.
     """
     return zlib.crc32(payload) & 0xFFFFFFFF
-
-_DECODERS = {
-    ColumnType.INT64: decode_int64,
-    ColumnType.FLOAT64: decode_float64,
-    ColumnType.STRING: decode_str,
-    ColumnType.BYTES: decode_bytes,
-}
 
 
 def _pack_bytes(data: bytes) -> bytes:
@@ -260,13 +246,16 @@ class RunHeader:
         parts.append(struct.pack(">QQB", self.min_begin_ts, self.max_begin_ts, int(self.persisted)))
         # synopsis: presence flag + encoded min/max per key column
         parts.append(struct.pack(">H", len(self.synopsis.ranges)))
-        for crange in self.synopsis.ranges:
+        for spec, crange in zip(
+            definition.key_columns, self.synopsis.ranges, strict=True
+        ):
             if crange is None:
                 parts.append(b"\x00")
             else:
+                encode = ENCODERS[spec.ctype]
                 parts.append(b"\x01")
-                parts.append(encode_value(crange.min_value))
-                parts.append(encode_value(crange.max_value))
+                parts.append(encode(crange.min_value))
+                parts.append(encode(crange.max_value))
         # offset array
         parts.append(struct.pack(">I", len(self.offset_array)))
         if self.offset_array:
@@ -322,7 +311,7 @@ class RunHeader:
             if not present:
                 ranges.append(None)
                 continue
-            decoder = _DECODERS[spec.ctype]
+            decoder = DECODERS[spec.ctype]
             min_value, pos = decoder(data, pos)
             max_value, pos = decoder(data, pos)
             ranges.append(ColumnRange(min_value, max_value))
@@ -381,10 +370,10 @@ class RunHeader:
         )
 
 
-def encode_data_block_from_blobs(
-    blob_pairs: Sequence[Tuple[bytes, bytes]]
+def pack_data_block(
+    offsets: Sequence[int], sort_key_lengths: Sequence[int], blobs: Sequence[bytes]
 ) -> bytes:
-    """Serialize one v2 data block from ``(sort_key, entry_blob)`` pairs.
+    """Serialize one v2 data block from its two tables and entry blobs.
 
     Layout: ``"UMB2" | count | per-entry offsets | per-entry sort-key
     lengths | entry bytes``.  The offset table lets binary-search probes
@@ -393,20 +382,25 @@ def encode_data_block_from_blobs(
     decode -- each entry blob starts with its sort key, so a probe is a
     pure payload slice.
     """
-    offsets: List[int] = []
-    sklens: List[int] = []
-    position = 0
-    for sort_key, blob in blob_pairs:
-        offsets.append(position)
-        sklens.append(len(sort_key))
-        position += len(blob)
-    count = len(blob_pairs)
+    count = len(blobs)
     parts = [_BLOCK_MAGIC_V2, struct.pack(">I", count)]
     if count:
         parts.append(struct.pack(f">{count}I", *offsets))
-        parts.append(struct.pack(f">{count}I", *sklens))
-    parts.extend(blob for _sk, blob in blob_pairs)
+        parts.append(struct.pack(f">{count}I", *sort_key_lengths))
+    parts.extend(blobs)
     return b"".join(parts)
+
+
+def encode_data_block_from_blobs(
+    blob_pairs: Sequence[Tuple[bytes, bytes]]
+) -> bytes:
+    """:func:`pack_data_block` over ``(sort_key, entry_blob)`` pairs."""
+    blobs = [blob for _sort_key, blob in blob_pairs]
+    return pack_data_block(
+        [0, *accumulate(map(len, blobs[:-1]))],
+        [len(sort_key) for sort_key, _blob in blob_pairs],
+        blobs,
+    )
 
 
 def encode_data_block(
@@ -658,15 +652,14 @@ class IndexRun:
         ``intent`` is the cache-admission signal passed down to
         :meth:`StorageHierarchy.read` (``None`` resolves through the
         hierarchy's scoped default).  An *explicitly* MAINTENANCE-intent
-        fetch additionally skips the per-handle view cache (when the
-        hierarchy runs the ``"intent"`` admission mode): the explicit
+        fetch additionally skips the per-handle view cache: the explicit
         intent is only passed by one-pass streams -- merges and streaming
         evolves touch each block exactly once, so memoizing their views
         would only retain dead payloads on a handle queries share.
-        Scope-*inherited* maintenance reads (e.g. the post-groomer's point
-        lookups under ``reading_as``) keep memoizing: binary-search probes
-        revisit the same block many times, and re-fetching it per probe
-        would multiply their I/O.
+        Scope-*inherited* maintenance reads (e.g. the post-groomer's
+        predecessor sweep under ``reading_as``) keep memoizing:
+        binary-search probes revisit the same block many times, and
+        re-fetching it per probe would multiply their I/O.
         """
         cached = self._views.get(block_index)
         if cached is not None:
@@ -682,11 +675,7 @@ class IndexRun:
         view = DataBlockView(
             self.definition, block.payload, stats=self.hierarchy.stats.decode
         )
-        transient = (
-            intent is ReadIntent.MAINTENANCE
-            and self.hierarchy.maintenance_read_mode == "intent"
-        )
-        if not transient:
+        if intent is not ReadIntent.MAINTENANCE:
             self._views[block_index] = view
             self.fetched_blocks.add(block_index)
         return view
@@ -883,5 +872,6 @@ __all__ = [
     "encode_data_block",
     "encode_data_block_from_blobs",
     "encode_data_block_v1",
+    "pack_data_block",
     "HEADER_ORDINAL",
 ]

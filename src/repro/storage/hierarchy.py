@@ -29,8 +29,6 @@ from repro.storage.shared import SharedStorage
 from repro.storage.ssd import SSDTier
 from repro.storage.tier import TierName
 
-MAINTENANCE_READ_MODES = ("intent", "legacy")
-
 
 class BlockNotFoundError(KeyError):
     """A block was requested that exists in no tier."""
@@ -46,12 +44,8 @@ class StorageHierarchy:
       repeated queries over the same purged run warm up;
     * ``ReadIntent.MAINTENANCE`` -- background machinery (streaming evolve,
       merges, the post-groomer, recovery validation) streams each block
-      once; under the default ``maintenance_read_mode="intent"`` those
-      reads **never** promote into the memory or SSD tiers and never evict
-      query-hot blocks.  ``maintenance_read_mode="legacy"`` restores the
-      promote-everything behaviour as an ablation baseline
-      (``ShardConfig.maintenance_read_mode`` threads the flag down from the
-      engine).
+      once; those reads **never** promote into the memory or SSD tiers
+      and never evict query-hot blocks.
 
     The intent is either passed explicitly to :meth:`read`/:meth:`read_many`
     or installed for a whole call tree with the :meth:`reading_as` scope
@@ -67,7 +61,6 @@ class StorageHierarchy:
         ssd: Optional[SSDTier] = None,
         shared: Optional[SharedStorage] = None,
         stats: Optional[IOStats] = None,
-        maintenance_read_mode: str = "intent",
         retry_policy: Optional[RetryPolicy] = DEFAULT_RETRY_POLICY,
     ) -> None:
         self.stats = stats if stats is not None else IOStats()
@@ -83,7 +76,6 @@ class StorageHierarchy:
         self.memory.stats = self.stats
         self.ssd.stats = self.stats
         self.shared.stats = self.stats
-        self.set_maintenance_read_mode(maintenance_read_mode)
         self._intent_local = threading.local()
         self._attribution_local = threading.local()
         # Optional per-tier circuit breaker on the shared tier (ISSUE 7):
@@ -93,19 +85,6 @@ class StorageHierarchy:
         self._shared_breaker = None
 
     # -- read-intent policy ----------------------------------------------------
-
-    @property
-    def maintenance_read_mode(self) -> str:
-        """``"intent"`` (maintenance never promotes) or ``"legacy"``."""
-        return self._maintenance_read_mode
-
-    def set_maintenance_read_mode(self, mode: str) -> None:
-        if mode not in MAINTENANCE_READ_MODES:
-            raise ValueError(
-                f"maintenance_read_mode must be one of "
-                f"{MAINTENANCE_READ_MODES}; got {mode!r}"
-            )
-        self._maintenance_read_mode = mode
 
     def current_read_intent(self) -> ReadIntent:
         """The effective intent for reads that do not pass one explicitly."""
@@ -117,7 +96,7 @@ class StorageHierarchy:
         """Scope a default read intent over a call tree (thread-local).
 
         Used by maintenance drivers whose reads funnel through code shared
-        with the query path (e.g. the post-groomer's ``post_groomed_lookup``
+        with the query path (e.g. the post-groomer's predecessor sweep
         runs an ordinary :class:`QueryExecutor`); everything under the scope
         that does not pass an explicit intent inherits this one.
         """
@@ -127,13 +106,6 @@ class StorageHierarchy:
             yield self
         finally:
             self._intent_local.intent = previous
-
-    def _admits(self, intent: ReadIntent) -> bool:
-        """Does a shared-storage miss with this intent admit into the SSD?"""
-        return (
-            intent is ReadIntent.QUERY
-            or self._maintenance_read_mode == "legacy"
-        )
 
     # -- read attribution (ISSUE 9) --------------------------------------------
 
@@ -280,9 +252,8 @@ class StorageHierarchy:
 
         On a shared-storage hit the block is promoted into the SSD cache,
         reproducing the paper's block-basis transfer of purged runs --
-        but only when ``promote`` is set *and* the read intent admits
-        (QUERY always; MAINTENANCE only in ``maintenance_read_mode=
-        "legacy"``).  ``intent=None`` resolves through the
+        but only when ``promote`` is set *and* the read intent is QUERY
+        (a MAINTENANCE read never admits).  ``intent=None`` resolves through the
         :meth:`reading_as` scope, defaulting to QUERY.  Raises
         :class:`BlockNotFoundError` if the block is absent everywhere.
         """
@@ -305,7 +276,7 @@ class StorageHierarchy:
         if block is None:
             raise BlockNotFoundError(block_id)
         istats.shared_reads += 1
-        if promote and self._admits(intent):
+        if promote and intent is ReadIntent.QUERY:
             if self.ssd.would_fit(block.size):
                 self.ssd.write(block)
                 istats.promotions += 1

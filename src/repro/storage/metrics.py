@@ -28,9 +28,8 @@ class ReadIntent(enum.Enum):
     post-groomer's groomed-block scans, crash-recovery validation -- that
     touches each block once and never again; admitting those blocks would
     only displace query-hot data from a bounded cache (classic scan
-    thrashing).  Under the default ``maintenance_read_mode="intent"``
-    policy, MAINTENANCE reads never promote into the memory or SSD tiers;
-    the ``"legacy"`` ablation mode restores promote-everything behaviour.
+    thrashing), so MAINTENANCE reads never promote into the memory or SSD
+    tiers.
     """
 
     QUERY = "query"

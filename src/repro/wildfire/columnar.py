@@ -12,32 +12,29 @@ from __future__ import annotations
 
 import struct
 from dataclasses import dataclass
-from typing import Dict, Iterator, List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple
 
-from repro.core.definition import ColumnType
-from repro.core.encoding import (
-    KeyValue,
-    decode_bytes,
-    decode_float64,
-    decode_int64,
-    decode_str,
-    decode_uint64,
-    encode_uint64,
-    encode_value,
-)
+from repro.core.definition import COLUMN_ENCODERS, DECODERS
+from repro.core.encoding import KeyValue, decode_uint64
 from repro.core.entry import RID, Zone
 from repro.wildfire.record import Record
 from repro.wildfire.schema import TableSchema
 
 _MAGIC = b"UMZC"
 _VERSION = 1
+_PACK_U64 = struct.Struct(">Q").pack
 
-_DECODERS = {
-    ColumnType.INT64: decode_int64,
-    ColumnType.FLOAT64: decode_float64,
-    ColumnType.STRING: decode_str,
-    ColumnType.BYTES: decode_bytes,
-}
+
+def encode_columns(
+    schema: TableSchema, rows: Sequence[Sequence[KeyValue]]
+) -> List[List[bytes]]:
+    """The rows' user values, column-major, each encoded by its type."""
+    if not rows:
+        return [[] for _ in schema.columns]
+    return [
+        COLUMN_ENCODERS[spec.ctype](column)
+        for spec, column in zip(schema.columns, zip(*rows))
+    ]
 
 
 @dataclass(frozen=True)
@@ -65,25 +62,6 @@ class DataBlock:
     def record_count(self) -> int:
         return len(self.records)
 
-    def rid_of(self, offset: int) -> RID:
-        if not 0 <= offset < len(self.records):
-            raise IndexError(f"offset {offset} out of range")
-        return RID(zone=self.zone, block_id=self.block_id, offset=offset)
-
-    # -- batched index hand-off -------------------------------------------------
-
-    def iter_indexable(self) -> Iterator[Tuple[RID, Record]]:
-        """Yield ``(rid, record)`` pairs in offset order.
-
-        The batched hand-off for index builds: one pass over the block
-        with the zone/block-id constants bound once, instead of a
-        bounds-checked :meth:`rid_of` call per record.
-        """
-        zone = self.zone
-        block_id = self.block_id
-        for offset, record in enumerate(self.records):
-            yield RID(zone=zone, block_id=block_id, offset=offset), record
-
     def rid_by_begin_ts(self) -> Dict[int, RID]:
         """Map each record version's ``beginTS`` to its RID in this block.
 
@@ -93,7 +71,11 @@ class DataBlock:
         groomed index entries at their post-groomed copies -- everything
         else moves as raw blob splices.
         """
-        return {record.begin_ts: rid for rid, record in self.iter_indexable()}
+        zone, block_id = self.zone, self.block_id
+        return {
+            record.begin_ts: RID(zone, block_id, offset)
+            for offset, record in enumerate(self.records)
+        }
 
     def column_stats(self, schema: TableSchema, column: str) -> ColumnStats:
         position = schema.position(column)
@@ -105,29 +87,25 @@ class DataBlock:
     # -- serialization ---------------------------------------------------------
 
     def to_bytes(self, schema: TableSchema) -> bytes:
+        records = self.records
         parts: List[bytes] = [
             _MAGIC,
             struct.pack(
-                ">HBQI", _VERSION, int(self.zone), self.block_id, len(self.records)
+                ">HBQI", _VERSION, int(self.zone), self.block_id, len(records)
             ),
         ]
-        # Column-major user values.
-        for position in range(len(schema.columns)):
-            for record in self.records:
-                parts.append(encode_value(record.values[position]))
-        # Hidden columns, also column-major.
-        for record in self.records:
-            parts.append(encode_uint64(record.begin_ts))
-        for record in self.records:
-            if record.end_ts is None:
-                parts.append(b"\x00")
-            else:
-                parts.append(b"\x01" + encode_uint64(record.end_ts))
-        for record in self.records:
-            if record.prev_rid is None:
-                parts.append(b"\x00")
-            else:
-                parts.append(b"\x01" + record.prev_rid.to_bytes())
+        # Column-major user values, then the hidden columns.
+        for column in encode_columns(schema, [r.values for r in records]):
+            parts.extend(column)
+        parts.extend([_PACK_U64(r.begin_ts) for r in records])
+        parts.extend([
+            b"\x00" if r.end_ts is None else b"\x01" + _PACK_U64(r.end_ts)
+            for r in records
+        ])
+        parts.extend([
+            b"\x00" if r.prev_rid is None else b"\x01" + r.prev_rid.to_bytes()
+            for r in records
+        ])
         return b"".join(parts)
 
     @classmethod
@@ -140,7 +118,7 @@ class DataBlock:
         pos = 4 + struct.calcsize(">HBQI")
         columns: List[List[KeyValue]] = []
         for spec in schema.columns:
-            decoder = _DECODERS[spec.ctype]
+            decoder = DECODERS[spec.ctype]
             values: List[KeyValue] = []
             for _ in range(count):
                 value, pos = decoder(data, pos)

@@ -55,11 +55,9 @@ class ShardConfig:
 
     Most fields mirror a knob of the paper's deployment (groom/post-groom
     cadence, partition buckets); the ablation-style flags are
-    ``streaming_evolve`` (zero-decode evolve vs legacy rebuild),
-    ``maintenance_read_mode`` (maintenance-aware cache admission vs the
-    legacy promote-everything read path) and ``run_lifecycle``
-    (version-set query pins vs the per-run epoch ledger vs the
-    unprotected legacy reclamation).
+    ``streaming_evolve`` (zero-decode evolve vs legacy rebuild) and
+    ``run_lifecycle`` (version-set query pins vs the per-run epoch ledger
+    vs the unprotected legacy reclamation).
     """
 
     post_groom_every: int = 20  # groom cycles per post-groom (paper: 1s vs 20s)
@@ -70,15 +68,6 @@ class ShardConfig:
     # Zero-decode evolve (raw RID splices over groomed entry blobs) vs the
     # legacy per-index entry rebuild; see wildfire.indexer.
     streaming_evolve: bool = True
-    # Maintenance-aware cache admission for the whole shard: "intent"
-    # (default) makes MAINTENANCE-intent reads -- evolve streams, merges,
-    # post-groomer scans, recovery validation -- bypass SSD-cache promotion
-    # so background churn never evicts query-hot blocks; "legacy" restores
-    # the promote-everything behaviour as an ablation baseline.  Applied
-    # only when the shard constructs its own hierarchy; an externally
-    # supplied hierarchy keeps its owner's policy.  See
-    # storage.metrics.ReadIntent and benchmarks/bench_cache_maintenance.py.
-    maintenance_read_mode: str = "intent"
     # Run lifecycle for every index of the shard: "versionset" (default)
     # refcounts immutable run-list versions LevelDB/RocksDB-style (one
     # Ref/Unref per query, O(1) in run count) and defers physical
@@ -118,7 +107,6 @@ class WildfireShard:
         self.config = config if config is not None else ShardConfig()
         if self.config.require_primary_index:
             index_spec.validate_primary(schema)
-        self._owns_hierarchy = hierarchy is None
         self.hierarchy = hierarchy if hierarchy is not None else StorageHierarchy()
 
         self.clock = HybridClock()
@@ -152,15 +140,6 @@ class WildfireShard:
             require_primary=self.config.require_primary_index,
         )
         self.index = self.indexes.primary.index  # the primary Umzi index
-        # One hierarchy serves every index of the shard, so cache-admission
-        # policy is decided once, by whoever owns the hierarchy: the shard
-        # applies its flag only to a hierarchy it constructed itself; an
-        # externally supplied one keeps its owner's policy (the same rule
-        # UmziIndex follows).
-        if self._owns_hierarchy:
-            self.hierarchy.set_maintenance_read_mode(
-                self.config.maintenance_read_mode
-            )
         self.groomer = Groomer(
             schema, self.clock, self.committed_log, self.catalog, self.indexes
         )

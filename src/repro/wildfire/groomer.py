@@ -16,7 +16,6 @@ from typing import List, Optional, Tuple
 
 from repro.faults.crash import crash_point
 from repro.storage.metrics import ReadIntent
-from repro.storage.retry import TransientIOError
 from repro.wildfire.blockstore import BlockCatalog
 from repro.wildfire.clock import HybridClock, compose_begin_ts
 from repro.wildfire.indexes import ShardIndexes
@@ -75,13 +74,15 @@ class Groomer:
                 return None
             try:
                 return self._groom_drained(transactions)
-            except TransientIOError:
+            except Exception:
                 # Abort safety (ISSUE 7): the drain already consumed the
-                # rows; hand them back before surfacing the storage error
-                # so nothing is lost without a crash/recover cycle.  The
-                # groomed block that half-landed is superseded by the
-                # retried groom's block (append-only namespaces; recovery
-                # validation ignores headerless partial runs).
+                # rows; hand them back before surfacing the error --
+                # whatever it is -- so nothing is lost without a
+                # crash/recover cycle.  The groomed block that half-landed
+                # is superseded by the retried groom's block (append-only
+                # namespaces; recovery validation ignores headerless
+                # partial runs).  A SimulatedCrash is a BaseException and
+                # passes through: a crash loses the process, not an abort.
                 self.committed_log.requeue(transactions)
                 raise
 
@@ -94,20 +95,21 @@ class Groomer:
         # The low-order component preserves the replicas' commit order
         # while keeping every record version's timestamp unique and
         # monotonic within the cycle.
-        records: List[Record] = []
-        order = 0
-        for transaction in transactions:  # drain() returns commit order
-            for row in transaction.rows:
-                records.append(
-                    Record(values=row, begin_ts=compose_begin_ts(cycle, order))
-                )
-                order += 1
+        rows = [
+            row
+            for transaction in transactions  # drain() returns commit order
+            for row in transaction.rows
+        ]
+        records = [
+            Record(values=row, begin_ts=compose_begin_ts(cycle, order))
+            for order, row in enumerate(rows)
+        ]
 
         block = self.catalog.store_groomed(records)
         crash_point("groom.pre_index")
 
-        # One index run per attached index (primary + secondaries),
-        # fed through the block's batched (rid, record) hand-off.
+        # One index run per attached index (primary + secondaries), built
+        # column at a time over the block's rows.
         run_ids = self.indexes.build_groomed_runs(block)
         self.grooms_done += 1
         return GroomResult(

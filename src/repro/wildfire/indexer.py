@@ -107,9 +107,9 @@ class IndexerDaemon:
                 # evolve never rebuilds an entry, it splices RIDs into
                 # each index's own groomed blobs.  The map published in
                 # the PSN record spares even the block fetches; older op
-                # records without one fall back to the blocks' batched
-                # hand-off (a maintenance read: the blocks are consumed
-                # once, not query traffic).
+                # records without one fall back to the blocks' own maps
+                # (a maintenance read: the blocks are consumed once, not
+                # query traffic).
                 if op.rid_by_begin_ts:
                     new_rid_by_ts = dict(op.rid_by_begin_ts)
                 else:
@@ -152,11 +152,12 @@ class IndexerDaemon:
                 else:
                     entries = []
                     for block in blocks:
-                        for rid, record in block.iter_indexable():
+                        for offset, record in enumerate(block.records):
                             eq, sort, incl = shard_index.extract(record.values)
                             entries.append(
                                 shard_index.index.make_entry(
-                                    eq, sort, incl, record.begin_ts, rid
+                                    eq, sort, incl, record.begin_ts,
+                                    RID(block.zone, block.block_id, offset),
                                 )
                             )
                     result = shard_index.index.evolve(
@@ -169,9 +170,7 @@ class IndexerDaemon:
             if primary_result is None:
                 # Primary was already at this PSN (crash replay): synthesize
                 # a no-op record so callers still get a coherent result.
-                from repro.core.evolve import EvolveResult as _ER
-
-                primary_result = _ER(
+                primary_result = EvolveResult(
                     psn=next_psn, new_run_id="", new_run_entries=0,
                     watermark_before=self.index.watermark.value,
                     watermark_after=self.index.watermark.value,

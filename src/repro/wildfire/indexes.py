@@ -18,11 +18,15 @@ returning every matching (primary) row's newest visible version.
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
-from typing import Callable, Dict, Iterator, List, Optional, Sequence, Tuple
+from operator import itemgetter
+from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
-from repro.core.encoding import KeyValue
+from repro.core.encoding import encode_ts_desc_column
+from repro.core.entry import encode_rid_column, entry_blob_columns
 from repro.core.index import UmziConfig, UmziIndex
+from repro.core.run import ColumnRange, Synopsis
 from repro.storage.hierarchy import StorageHierarchy
+from repro.wildfire.columnar import DataBlock, encode_columns
 from repro.wildfire.schema import IndexSpec, SchemaError, TableSchema
 
 PRIMARY_INDEX_NAME = "primary"
@@ -36,6 +40,7 @@ class ShardIndex:
     spec: IndexSpec
     index: UmziIndex
     extract: Callable
+    positions: Tuple[Tuple[int, ...], ...]  # IndexSpec.positions(schema)
     # Entries whose secondary *key* columns were superseded by a newer
     # version of the same row (ISSUE 10).  Such an entry stays visible
     # forever under its old key -- secondary entries carry no endTS and
@@ -65,16 +70,12 @@ class ShardIndexes:
             PRIMARY_INDEX_NAME, primary_spec, hierarchy, umzi_config
         )
         self.secondaries: Dict[str, ShardIndex] = {}
-        column_names = [spec.name for spec in schema.columns]
-        self._pk_positions = tuple(
-            column_names.index(name) for name in schema.primary_key
-        )
+        self._pk_positions = schema.positions(schema.primary_key)
         # Ghost tracking (ISSUE 10): per secondary, the last groomed
         # secondary-key tuple of every primary key.  ``None`` marks a key
         # whose last value is unknown (merge of diverged successors) and
         # compares unequal to everything, so the next update of that row
         # is conservatively counted as a ghost.
-        self._key_positions: Dict[str, Tuple[int, ...]] = {}
         self._key_memo: Dict[str, Dict[Tuple, Optional[Tuple]]] = {}
         for name, spec in (secondary_specs or {}).items():
             self.add_secondary(name, spec, hierarchy, umzi_config)
@@ -93,6 +94,7 @@ class ShardIndexes:
         return ShardIndex(
             name=name, spec=spec, index=index,
             extract=spec.extractor(self.schema),
+            positions=spec.positions(self.schema),
         )
 
     def add_secondary(
@@ -116,11 +118,6 @@ class ShardIndexes:
         spec = spec.with_primary_key_suffix(self.schema)
         attached = self._attach(name, spec, hierarchy, umzi_config)
         self.secondaries[name] = attached
-        column_names = [cspec.name for cspec in self.schema.columns]
-        self._key_positions[name] = tuple(
-            column_names.index(column)
-            for column in spec.equality_columns + spec.sort_columns
-        )
         self._key_memo[name] = {}
         return attached
 
@@ -141,54 +138,71 @@ class ShardIndexes:
 
     # -- lifecycle fan-out ---------------------------------------------------------
 
-    def build_groomed_runs(self, block) -> Dict[str, str]:
+    def build_groomed_runs(self, block: DataBlock) -> Dict[str, str]:
         """One index run per index over one newly groomed block.
 
-        Uses the block's batched ``(rid, record)`` hand-off; each entry is
-        then serialized exactly once by the run builder's encode-once path.
+        Column at a time: every user column is encoded once for all
+        indexes, ``~beginTS`` and the RID are packed once per record, and
+        each index joins its own columns into ``(sort_key, blob)`` pairs,
+        sorts them and hands them to the blob builder.  No
+        :class:`IndexEntry` is built and nothing is re-validated -- rows
+        were checked at ``upsert``.  The persisted run is byte-identical
+        to ``IndexEntry.create(...)`` + ``RunBuilder.build``
+        (tests/core/test_groom_kernel.py).
         """
+        records = block.records
+        rows = [record.values for record in records]
+        encoded = encode_columns(self.schema, rows)
+        raw = list(zip(*rows))
+        ts_desc = encode_ts_desc_column([record.begin_ts for record in records])
+        rids = encode_rid_column(block.zone, block.block_id, len(records))
         run_ids: Dict[str, str] = {}
         # Count ghosts *before* publishing the runs that contain them: a
         # planner racing this groom may cache a synopsis at the new
         # version sequence, and it must already see the ghost count that
         # disqualifies index-only for the new entries.
-        if self.secondaries:
-            self._track_ghosts(block)
+        if self.secondaries and rows:
+            self._track_ghosts(raw)
         for shard_index in self.all():
-            make_entry = shard_index.index.make_entry
-            extract = shard_index.extract
-            entries = [
-                make_entry(*extract(record.values), record.begin_ts, rid)
-                for rid, record in block.iter_indexable()
-            ]
-            run = shard_index.index.add_groomed_run(
-                entries,
+            equality, sort, included = shard_index.positions
+            # The per-index column lists die with each iteration, so peak
+            # memory holds one index's pairs, not every index's.
+            pairs = entry_blob_columns(
+                shard_index.index.definition,
+                [encoded[p] for p in equality],
+                [encoded[p] for p in sort],
+                [encoded[p] for p in included],
+                ts_desc,
+                rids,
+            )
+            pairs.sort(key=itemgetter(0))
+            synopsis = Synopsis(tuple(
+                ColumnRange(min(raw[p]), max(raw[p])) if rows else None
+                for p in equality + sort
+            ))
+            run = shard_index.index.add_groomed_blobs(
+                pairs,
+                synopsis,
                 min_groomed_id=block.block_id,
                 max_groomed_id=block.block_id,
             )
             run_ids[shard_index.name] = run.run_id
         return run_ids
 
-    def _track_ghosts(self, block) -> None:
-        """Count secondary entries ghosted by this block's versions.
+    def _track_ghosts(self, raw: Sequence[Tuple]) -> None:
+        """Count secondary entries ghosted by these newly groomed rows.
 
-        A new version whose secondary-key columns differ from the row's
-        previous version leaves the previous entry visible forever under
-        its old key; the comparison is a pure tuple equality over the
-        already-decoded record values (zero extra decodes, nothing when a
-        shard has no secondaries).
+        ``raw`` holds the rows' values column-major.  A new version whose
+        secondary-key columns differ from the row's previous version
+        leaves the previous entry visible forever under its old key; the
+        comparison is a pure tuple equality over the row values.
         """
-        pk_positions = self._pk_positions
-        for _, record in block.iter_indexable():
-            values = record.values
-            pk = tuple(values[pos] for pos in pk_positions)
-            for name, shard_index in self.secondaries.items():
-                memo = self._key_memo[name]
-                key = tuple(
-                    values[pos] for pos in self._key_positions[name]
-                )
-                previous = memo.get(pk, key)
-                if previous != key:
+        pks = list(zip(*[raw[p] for p in self._pk_positions]))
+        for name, shard_index in self.secondaries.items():
+            memo = self._key_memo[name]
+            equality, sort, _included = shard_index.positions
+            for pk, key in zip(pks, zip(*[raw[p] for p in equality + sort])):
+                if memo.get(pk, key) != key:
                     shard_index.ghost_entries += 1
                 memo[pk] = key
 

@@ -25,9 +25,10 @@ import threading
 from dataclasses import dataclass, field
 from typing import Dict, List, Mapping, Optional, Sequence, Tuple
 
-from repro.core.encoding import KeyValue
+from repro.core.encoding import KeyValue, encode_composite, fnv1a64
 from repro.core.entry import RID, Zone
 from repro.core.index import UmziIndex
+from repro.core.query import PointLookup
 from repro.faults.crash import crash_point
 from repro.storage.metrics import ReadIntent
 from repro.wildfire.blockstore import BlockCatalog
@@ -76,9 +77,8 @@ class PostGroomer:
         self._ops: Dict[int, PostGroomOp] = {}
         self._max_psn = 0
         self._last_post_groomed_gid = -1
-        self._partition_positions = (
-            schema.positions(schema.partition_key) if schema.partition_key else ()
-        )
+        self._partition_positions = schema.positions(schema.partition_key)
+        self._pk_positions = schema.positions(schema.primary_key)
 
     # -- published metadata (polled by the indexer) -----------------------------------
 
@@ -175,19 +175,28 @@ class PostGroomer:
             bucket: first_id + i for i, bucket in enumerate(sorted_buckets)
         }
 
+        # Predecessors outside the batch: every distinct key goes through
+        # the post-groomed portion of the index in ONE sorted sweep
+        # (section 7.2).  Every post-groomed entry predates the batch, so
+        # one snapshot timestamp serves all keys.
+        keys = [
+            tuple(record.values[i] for i in self._pk_positions)
+            for record in records
+        ]
+        distinct = dict(zip(keys, records))
+        query_ts = records[0].begin_ts - 1 if records else 0
+        hits = self.index.post_groomed_batch_lookup([
+            PointLookup(*self._extract(record.values)[:2], query_ts)
+            for record in distinct.values()
+        ])
+        last_rid: Dict[Tuple[KeyValue, ...], RID] = {
+            key: hit.rid for key, hit in zip(distinct, hits) if hit is not None
+        }
+
         # Resolve version chains in global beginTS order (= batch order).
-        last_rid: Dict[Tuple[KeyValue, ...], RID] = {}
         rid_by_begin_ts: Dict[int, RID] = {}
-        for record, (bucket, offset) in zip(records, placement):
-            key = self.schema.primary_key_of(record.values)
+        for key, record, (bucket, offset) in zip(keys, records, placement):
             prev_rid = last_rid.get(key)
-            if prev_rid is None:
-                eq, sort, _ = self._extract(record.values)
-                hit = self.index.post_groomed_lookup(
-                    eq, sort, query_ts=record.begin_ts - 1
-                )
-                if hit is not None:
-                    prev_rid = hit.rid
             if prev_rid is not None:
                 self.catalog.set_end_ts(prev_rid, record.begin_ts)
             new_rid = RID(Zone.POST_GROOMED, block_id_of[bucket], offset)
@@ -208,8 +217,6 @@ class PostGroomer:
             return 0
         value = tuple(record.values[i] for i in self._partition_positions)
         # Deterministic partition bucketing (Python's hash is salted).
-        from repro.core.encoding import encode_composite, fnv1a64
-
         return fnv1a64(encode_composite(value)) % self.partition_buckets
 
 

@@ -9,7 +9,7 @@ post-groomer for time travel chains).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Optional, Tuple
 
 from repro.core.encoding import KeyValue
@@ -25,14 +25,11 @@ class Record:
     end_ts: Optional[int] = None
     prev_rid: Optional[RID] = None
 
-    def with_begin_ts(self, begin_ts: int) -> "Record":
-        return replace(self, begin_ts=begin_ts)
-
     def with_prev_rid(self, prev_rid: Optional[RID]) -> "Record":
-        return replace(self, prev_rid=prev_rid)
+        return Record(self.values, self.begin_ts, self.end_ts, prev_rid)
 
     def with_end_ts(self, end_ts: int) -> "Record":
-        return replace(self, end_ts=end_ts)
+        return Record(self.values, self.begin_ts, end_ts, self.prev_rid)
 
     def visible_at(self, query_ts: int) -> bool:
         """Snapshot-isolation visibility: begun, and not yet ended."""

@@ -139,11 +139,18 @@ class IndexSpec:
             hash_bits=self.hash_bits,
         )
 
+    def positions(self, schema: TableSchema) -> Tuple[Tuple[int, ...], ...]:
+        """Schema positions of the (equality, sort, included) columns."""
+        return tuple(
+            schema.positions(group)
+            for group in (
+                self.equality_columns, self.sort_columns, self.included_columns
+            )
+        )
+
     def extractor(self, schema: TableSchema):
         """Return a function mapping a row tuple to (eq, sort, include)."""
-        eq_pos = schema.positions(self.equality_columns)
-        sort_pos = schema.positions(self.sort_columns)
-        incl_pos = schema.positions(self.included_columns)
+        eq_pos, sort_pos, incl_pos = self.positions(schema)
 
         def extract(values: Sequence[KeyValue]):
             return (

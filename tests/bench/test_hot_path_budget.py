@@ -1,4 +1,4 @@
-"""A deterministic hot-path guard: Python calls per ``point_query``.
+"""Deterministic hot-path guards: Python calls per ``point_query`` and per row.
 
 Wall-clock numbers do not repeat on a shared CI box; the number of Python
 ``call`` events a front-door point lookup makes does.  This test loads the
@@ -25,6 +25,20 @@ row: a change that brings back per-probe ``locate -> block_view ->
 sort_key_at`` hops, per-block table unpacking or a whole-run release
 sweep fails here, without a stopwatch.  Lower them when the path gets
 shorter; raise them only deliberately.
+
+The write path has the same guard: ``call`` events per ingested row inside
+``ingest`` + ``tick`` over the whole load of this fixture (48 rounds, 7 175
+rows, two post-grooms, every groom, evolve and merge included):
+
+=======================  ==============
+commit                   calls per row
+=======================  ==============
+4d5e3c1 (before)                  343.0
+columnar write path               123.7
+=======================  ==============
+
+A per-row ``IndexEntry``, a per-value runtime-type dispatch or a per-key
+post-groom lookup coming back shows up here.
 """
 
 import gc
@@ -36,6 +50,9 @@ E2E = Path(__file__).resolve().parents[2] / "benchmarks" / "e2e"
 
 BEFORE = {"warm": 357.9, "purged": 508.4}
 CEILING = {"warm": 168.0, "purged": 305.0}
+
+WRITE_BEFORE = 343.0
+WRITE_CEILING = 130.0
 
 ROWS = 6_000
 BATCH = 125  # 48 ingest+tick rounds: two post-grooms, eight grooms after
@@ -52,7 +69,8 @@ def load_make_table():
     return module.make_table
 
 
-def loaded_table():
+def loaded_table(profiler=None):
+    """The fixture; ``profiler`` is installed around each ingest + tick."""
     table = load_make_table()(2)
     # Every order_id once, in a fixed scrambled order (7919 is coprime
     # with ROWS), plus re-upserts of the oldest keys so runs overlap.
@@ -60,11 +78,16 @@ def loaded_table():
     for start in range(0, ROWS, BATCH):
         fresh = order[start : start + BATCH]
         again = order[start // 4 : start // 4 + BATCH // 5] if start else []
-        table.ingest([
+        rows = [
             (k, f"c{k % 90:03d}", f"r{(k // 2) % 50:02d}", (k * 31 + start) % 5000)
             for k in again + fresh
-        ])
-        table.tick()
+        ]
+        sys.setprofile(profiler)
+        try:
+            table.ingest(rows)
+            table.tick()
+        finally:
+            sys.setprofile(None)
     for shard in table.shards:
         stats = shard.index.stats()
         assert stats.groomed_run_count >= 1 and stats.post_groomed_run_count >= 1
@@ -117,3 +140,26 @@ def test_python_calls_per_point_query_stay_under_budget():
             f"{regime}: {measured[regime]:.1f} Python calls per point_query, "
             f"budget {ceiling} (was {BEFORE[regime]} before the kernel)"
         )
+
+
+def test_python_calls_per_ingested_row_stay_under_budget():
+    calls = 0
+
+    def profiler(frame, event, arg):
+        nonlocal calls
+        if event == "call":
+            calls += 1
+
+    gc.collect()
+    gc.disable()
+    try:
+        loaded_table(profiler)
+    finally:
+        gc.enable()
+    rows = ROWS + (ROWS // BATCH - 1) * (BATCH // 5)
+    measured = calls / rows
+    assert WRITE_CEILING <= 0.65 * WRITE_BEFORE
+    assert measured <= WRITE_CEILING, (
+        f"{measured:.1f} Python calls per ingested row through ingest + tick, "
+        f"budget {WRITE_CEILING} (was {WRITE_BEFORE} before the write kernel)"
+    )

@@ -36,7 +36,10 @@ class TestSorting:
 
     def test_presorted_skips_resort(self, builder):
         definition = builder.definition
-        entries = builder.sort_entries(make_entries(definition, range(20)))
+        entries = sorted(
+            make_entries(definition, range(20)),
+            key=lambda e: e.sort_key(definition),
+        )
         run = builder.build("r", entries, Zone.GROOMED, 0, 0, 0, presorted=True)
         keys = [e.sort_key(definition) for e in run.iter_entries()]
         assert keys == sorted(keys)
@@ -46,11 +49,13 @@ class TestOffsetArray:
     def test_paper_figure_2b_semantics(self, builder):
         """offset[b] = ordinal of first entry with hash high-bits >= b."""
         definition = builder.definition
-        entries = make_entries(definition, range(64))
-        ordered = builder.sort_entries(entries)
-        offsets = builder.compute_offset_array(ordered)
+        run = builder.build(
+            "r", make_entries(definition, range(64)), Zone.GROOMED, 0, 0, 0
+        )
+        offsets = run.header.offset_array
         assert len(offsets) == definition.offset_array_size
         nbits = definition.hash_bits
+        ordered = run.all_entries()
         for bucket, offset in enumerate(offsets):
             expected = sum(
                 1 for e in ordered if high_bits(e.hash_value, nbits) < bucket
@@ -59,7 +64,9 @@ class TestOffsetArray:
 
     def test_offset_array_monotone(self, builder):
         entries = make_entries(builder.definition, range(100))
-        offsets = builder.compute_offset_array(builder.sort_entries(entries))
+        offsets = builder.build(
+            "r", entries, Zone.GROOMED, 0, 0, 0
+        ).header.offset_array
         assert list(offsets) == sorted(offsets)
         assert offsets[0] == 0
 
@@ -70,7 +77,8 @@ class TestOffsetArray:
             IndexEntry.create(definition, (), (k,), (), 1, RID(Zone.GROOMED, 0, k))
             for k in range(10)
         ]
-        assert builder.compute_offset_array(builder.sort_entries(entries)) == ()
+        run = builder.build("r", entries, Zone.GROOMED, 0, 0, 0)
+        assert run.header.offset_array == ()
 
 
 class TestBlockSlicing:

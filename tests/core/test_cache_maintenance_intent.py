@@ -2,9 +2,8 @@
 
 The scan-thrashing scenario ROADMAP flagged after PR 2: a streaming evolve
 reads entire (possibly purged) groomed runs through the normal hierarchy
-path.  Under ``maintenance_read_mode="intent"`` those reads must not
-promote blocks into the SSD cache or churn the cache manager's accounting;
-``"legacy"`` restores the old behaviour as an ablation baseline.
+path.  Those reads must not promote blocks into the SSD cache or churn the
+cache manager's accounting.
 """
 
 from repro.core.cache import CacheManager
@@ -24,7 +23,7 @@ def make_definition():
     return i1_definition()
 
 
-def build_index(name, mode="intent", num_runs=3, entries_per_run=200):
+def build_index(name, num_runs=3, entries_per_run=200):
     from repro.bench.fixtures import entries_for_keys
     from repro.workloads.generator import KeyMapper
 
@@ -37,7 +36,6 @@ def build_index(name, mode="intent", num_runs=3, entries_per_run=200):
         definition,
         config=UmziConfig(
             name=name, levels=levels, data_block_bytes=2048,
-            maintenance_read_mode=mode,
         ),
     )
     mapper = KeyMapper(definition)
@@ -54,54 +52,6 @@ def build_index(name, mode="intent", num_runs=3, entries_per_run=200):
 
 def new_rid_of(begin_ts):
     return RID(Zone.POST_GROOMED, begin_ts // 100, begin_ts % 100)
-
-
-class TestConfigPlumbing:
-    def test_umzi_config_applies_mode_to_hierarchy(self):
-        index = build_index("cfg-intent", mode="intent", num_runs=1)
-        assert index.hierarchy.maintenance_read_mode == "intent"
-        legacy = build_index("cfg-legacy", mode="legacy", num_runs=1)
-        assert legacy.hierarchy.maintenance_read_mode == "legacy"
-
-    def test_shard_config_wins_over_umzi_default(self):
-        from repro.core.definition import ColumnSpec
-        from repro.wildfire.engine import ShardConfig, WildfireShard
-        from repro.wildfire.schema import IndexSpec, TableSchema
-
-        schema = TableSchema(
-            name="t",
-            columns=(ColumnSpec("k"), ColumnSpec("v")),
-            primary_key=("k",),
-            sharding_key=("k",),
-        )
-        shard = WildfireShard(
-            schema,
-            IndexSpec(("k",), (), ("v",)),
-            config=ShardConfig(maintenance_read_mode="legacy"),
-        )
-        assert shard.hierarchy.maintenance_read_mode == "legacy"
-        # Building another index on the shard's hierarchy must not stomp
-        # the owner's policy (the external-hierarchy rule).
-        UmziIndex(
-            make_definition(),
-            hierarchy=shard.hierarchy,
-            config=UmziConfig(name="late", maintenance_read_mode="intent"),
-        )
-        assert shard.hierarchy.maintenance_read_mode == "legacy"
-        # Symmetrically, a shard given an external hierarchy respects the
-        # hierarchy owner's policy instead of applying its own flag.
-        sibling = WildfireShard(
-            TableSchema(
-                name="t2",
-                columns=(ColumnSpec("k"), ColumnSpec("v")),
-                primary_key=("k",),
-                sharding_key=("k",),
-            ),
-            IndexSpec(("k",), (), ("v",)),
-            hierarchy=shard.hierarchy,
-            config=ShardConfig(maintenance_read_mode="intent"),
-        )
-        assert sibling.hierarchy.maintenance_read_mode == "legacy"
 
 
 class TestEvolveDoesNotThrashCache:
@@ -131,20 +81,6 @@ class TestEvolveDoesNotThrashCache:
             bid for bid in ssd_ids_after - ssd_ids_before if bid.ordinal > 0
         ]
         assert not new_data_blocks
-
-    def test_legacy_mode_promotes_maintenance_reads(self):
-        index = build_index("ev-legacy", mode="legacy")
-        index.cache.set_cache_level(-1)
-        before = index.hierarchy.stats.intents[
-            ReadIntent.MAINTENANCE
-        ].snapshot()
-        index.evolve_streaming(1, new_rid_of, 0, 2)
-        delta = index.hierarchy.stats.intents[ReadIntent.MAINTENANCE].diff(
-            before
-        )
-        assert delta.promotions > 0, (
-            "the legacy ablation must keep the promote-everything behaviour"
-        )
 
     def test_maintenance_iteration_does_not_pollute_view_cache(self):
         index = build_index("view-cache", num_runs=1)
@@ -178,17 +114,6 @@ class TestEvolveDoesNotThrashCache:
             f"{delta.reads} block reads for probes over "
             f"{run.header.num_data_blocks} blocks; views must be reused"
         )
-
-    def test_legacy_mode_keeps_memoizing_stream_views(self):
-        # The "legacy" ablation must reproduce the pre-intent behaviour
-        # wholesale, including view memoization on maintenance streams.
-        index = build_index("legacy-views", mode="legacy", num_runs=1)
-        run = index.run_lists[Zone.GROOMED].snapshot()[0]
-        run.drop_decode_cache()
-        for _ in run.iter_raw(intent=ReadIntent.MAINTENANCE):
-            pass
-        assert run._views
-
 
 class TestCacheManagerBypass:
     def make_manager(self):

@@ -10,7 +10,6 @@ from repro.core.definition import i1_definition
 from repro.core.entry import (
     RID,
     Zone,
-    reencode_sort_key,
     replace_rid_in_blob,
 )
 from repro.core.evolve import EvolveController, Watermark
@@ -71,17 +70,6 @@ class TestBlobSpliceHelpers:
         decoded, _ = IndexEntry.from_bytes(DEF, spliced)
         assert decoded == replace(entry, rid=target)
         assert spliced[: len(sort_key)] == sort_key
-
-    def test_reencode_sort_key_splices_prefix(self):
-        entry = make_entries(DEF, [7], begin_ts_start=11)[0]
-        sort_key, blob = entry.to_blob(DEF)
-        other = make_entries(DEF, [9], begin_ts_start=11)[0]
-        new_key = other.sort_key(DEF)
-        rekeyed = reencode_sort_key(blob, new_key, len(sort_key))
-        assert rekeyed[: len(new_key)] == new_key
-        assert rekeyed[len(new_key):] == blob[len(sort_key):]
-        # Same-shape keys: the explicit length is optional.
-        assert rekeyed == reencode_sort_key(blob, new_key)
 
 
 class TestStreamingEquivalence:

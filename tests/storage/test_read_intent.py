@@ -1,10 +1,10 @@
 """Read-intent semantics of the storage hierarchy.
 
 QUERY reads promote shared-storage misses into the SSD cache (the paper's
-block-basis transfer); MAINTENANCE reads never do under the default
-``maintenance_read_mode="intent"`` policy, and both are tracked in
-per-intent hit/miss/promotion counters.  ``"legacy"`` restores the
-promote-everything behaviour for ablations.
+block-basis transfer); MAINTENANCE reads never do, and both are tracked
+in per-intent hit/miss/promotion counters.  (The promote-everything
+``maintenance_read_mode="legacy"`` arm was retired in PR 15; its A10
+verdict is frozen in docs/benchmarks.md.)
 """
 
 import pytest
@@ -51,21 +51,6 @@ class TestIntentAdmission:
         assert stats.promotions == 0
         # The query ledger is untouched.
         assert h.stats.intents[ReadIntent.QUERY].reads == 0
-
-    def test_legacy_mode_restores_maintenance_promotion(self):
-        h = make_hierarchy(maintenance_read_mode="legacy")
-        block = shared_only_block(h)
-        h.read(block.block_id, intent=ReadIntent.MAINTENANCE)
-        assert h.ssd.contains(block.block_id)
-        assert h.stats.intents[ReadIntent.MAINTENANCE].promotions == 1
-
-    def test_mode_is_mutable_and_validated(self):
-        h = make_hierarchy()
-        assert h.maintenance_read_mode == "intent"
-        h.set_maintenance_read_mode("legacy")
-        assert h.maintenance_read_mode == "legacy"
-        with pytest.raises(ValueError):
-            h.set_maintenance_read_mode("bogus")
 
     def test_local_hits_counted_per_intent(self):
         h = make_hierarchy()
@@ -131,7 +116,7 @@ class TestReadShared:
         assert h.read_shared(local_only.block_id) is None
 
     def test_read_shared_counts_and_never_promotes(self):
-        h = make_hierarchy(maintenance_read_mode="legacy")
+        h = make_hierarchy()
         block = shared_only_block(h)
         out = h.read_shared(block.block_id)
         assert out is not None

@@ -71,11 +71,13 @@ class TestColumnarRoundtrip:
         with pytest.raises(ValueError):
             DataBlock.from_bytes(schema(), b"JUNKJUNKJUNK")
 
-    def test_rid_of(self):
+    def test_rid_by_begin_ts_mints_one_rid_per_offset(self):
         block = DataBlock(Zone.GROOMED, 5, records((3)))
-        assert block.rid_of(2) == RID(Zone.GROOMED, 5, 2)
-        with pytest.raises(IndexError):
-            block.rid_of(3)
+        assert block.rid_by_begin_ts() == {
+            record.begin_ts: RID(Zone.GROOMED, 5, offset)
+            for offset, record in enumerate(block.records)
+        }
+        assert len(block.rid_by_begin_ts()) == 3
 
     def test_column_stats(self):
         s = schema()
@@ -95,7 +97,7 @@ class TestBlockCatalog:
     def test_fetch_record_applies_end_ts_overlay(self):
         catalog = BlockCatalog(schema(), StorageHierarchy())
         block = catalog.store_groomed(records(1))
-        rid = block.rid_of(0)
+        rid = RID(block.zone, block.block_id, 0)
         assert catalog.fetch_record(rid).end_ts is None
         catalog.set_end_ts(rid, 99)
         assert catalog.fetch_record(rid).end_ts == 99

@@ -2,7 +2,8 @@
 
 import pytest
 
-from repro.core.definition import ColumnSpec
+from repro.core.definition import ColumnSpec, ColumnType
+from repro.core.encoding import EncodingError
 from repro.core.entry import Zone
 from repro.wildfire.engine import ShardConfig, WildfireShard
 from repro.wildfire.schema import IndexSpec, TableSchema
@@ -52,6 +53,67 @@ class TestGroomer:
         shard.groomer.groom()
         record = shard.point_query((1,), (1,))
         assert record.values == (1, 1, 20)  # last writer wins
+
+
+class TestPoisonRows:
+    """A value the encodings cannot hold must never reach the groomer.
+
+    On the parent commit ``(4, 2, 2**70)`` passed ``upsert`` and raised
+    ``EncodingError`` inside the groom *after* the committed log was
+    drained; only ``TransientIOError`` requeued, so the valid row sharing
+    the batch was lost.
+    """
+
+    def make_float_shard(self):
+        schema = TableSchema(
+            name="f",
+            columns=(ColumnSpec("k"), ColumnSpec("x", ColumnType.FLOAT64)),
+            primary_key=("k",),
+            sharding_key=("k",),
+        )
+        return WildfireShard(schema, IndexSpec((), ("k",), ("x",)))
+
+    def test_out_of_range_integer_is_refused_at_ingest(self):
+        shard = make_shard()
+        for poison in (2**70, -(2**63) - 1):
+            with pytest.raises(EncodingError):
+                shard.ingest([(2, 1, 5), (4, 2, poison)])
+        assert shard.committed_log.pending_rows() == 0
+        shard.ingest([(2, 1, 5), (4, 2, 2**63 - 1), (5, 2, -(2**63))])
+        shard.tick()
+        assert shard.point_query((2,), (1,)).values == (2, 1, 5)
+        assert shard.point_query((4,), (2,)).values == (4, 2, 2**63 - 1)
+        assert shard.point_query((5,), (2,)).values == (5, 2, -(2**63))
+
+    def test_nan_is_refused_in_a_float_column(self):
+        shard = self.make_float_shard()
+        with pytest.raises(EncodingError):
+            shard.ingest([(1, 1.5), (2, float("nan"))])
+        assert shard.committed_log.pending_rows() == 0
+        shard.ingest([(1, 1.5), (2, float("inf")), (3, -0.0), (4, 7)])
+        shard.tick()
+        assert shard.point_query((), (2,)).values == (2, float("inf"))
+        assert shard.point_query((), (4,)).values == (4, 7.0)
+
+    def test_any_groom_failure_requeues_the_drained_rows(self, monkeypatch):
+        shard = make_shard()
+        shard.ingest([(1, 1, 10), (2, 1, 20)])
+        shard.ingest([(3, 1, 30)])
+
+        def boom(block):
+            raise RuntimeError("injected fault inside build_groomed_runs")
+
+        monkeypatch.setattr(shard.indexes, "build_groomed_runs", boom)
+        with pytest.raises(RuntimeError):
+            shard.tick()
+        assert shard.committed_log.pending_rows() == 3
+        monkeypatch.undo()
+        shard.tick()
+        assert shard.committed_log.pending_rows() == 0
+        for device, reading in ((1, 10), (2, 20), (3, 30)):
+            assert shard.point_query((device,), (1,)).values == (
+                device, 1, reading,
+            )
 
 
 class TestPostGroomer:

@@ -1,11 +1,16 @@
 """Focused unit tests for the post-groomer (paper section 2.1)."""
 
+import functools
+
 import pytest
 
 from repro.core.definition import ColumnSpec
 from repro.core.entry import Zone
+from repro.storage.metrics import ReadIntent
 from repro.wildfire.engine import ShardConfig, WildfireShard
 from repro.wildfire.schema import IndexSpec, TableSchema
+
+from tests.reference_postgroom import reference_repartition_and_write
 
 
 def make_shard(partition_buckets=3):
@@ -129,3 +134,118 @@ class TestHiddenColumnMaintenance:
             d: shard.index_lookup((d,), (1,)).begin_ts for d in (1, 2)
         }
         assert before == after
+
+
+class TestOneSweepPredecessors:
+    """The post-groom sweep against the per-key lookup it replaced.
+
+    Two post-grooms leave an older and a newer post-groomed run; the batch
+    under test then spans three grooms with keys updated 0, 1 and 3 times
+    inside it, predecessors in either run, and keys the index has never
+    seen.  ``tests/reference_postgroom.py`` replays the same batch one
+    lookup per key.
+    """
+
+    BATCH = (
+        # device 5: predecessor only in the older run; 25: a version in
+        # both runs (newest must win); 35: only in the newer run; 100 and
+        # 101: absent.  Device 5 is updated once more inside the batch,
+        # device 101 three times (twice within one groom).
+        [(5, 1, 205), (25, 1, 225), (35, 1, 235), (100, 1, 300), (101, 2, 301)],
+        [(101, 2, 302), (5, 1, 206)],
+        [(101, 2, 303), (101, 2, 304)],
+    )
+
+    def run_scenario(self, reference=False, purged=False):
+        shard = make_shard()
+        if reference:
+            shard.post_groomer._repartition_and_write = functools.partial(
+                reference_repartition_and_write, shard.post_groomer
+            )
+        for rows in (
+            [(d, 1, d) for d in range(30)],
+            [(d, 1, 100 + d) for d in range(20, 50)],
+        ):
+            shard.ingest(rows)
+            shard.groomer.groom()
+            shard.post_groomer.post_groom()
+            shard.indexer.drain()
+        post_groomed = shard.index.run_lists[Zone.POST_GROOMED].snapshot()
+        assert len(post_groomed) == 2
+        if purged:
+            shard.index.cache.set_cache_level(-1)
+
+        end_ts_calls = []
+        set_end_ts = shard.catalog.set_end_ts
+
+        def recording_set_end_ts(rid, end_ts):
+            end_ts_calls.append((rid, end_ts))
+            set_end_ts(rid, end_ts)
+
+        shard.catalog.set_end_ts = recording_set_end_ts
+        for rows in self.BATCH:
+            shard.ingest(rows)
+            shard.groomer.groom()
+        maintenance = shard.hierarchy.stats.intents[ReadIntent.MAINTENANCE]
+        before = maintenance.snapshot()
+        op = shard.post_groomer.post_groom()
+        reads = {
+            "shared": maintenance.shared_reads - before.shared_reads,
+            "promotions": maintenance.promotions - before.promotions,
+        }
+        blocks = [
+            shard.catalog.get_block(Zone.POST_GROOMED, block_id).records
+            for block_id in op.post_groomed_block_ids
+        ]
+        return shard, op, blocks, end_ts_calls, reads, post_groomed
+
+    @pytest.mark.parametrize("purged", [False, True])
+    def test_identical_to_the_per_key_path(self, purged):
+        _, op, blocks, end_ts_calls, _, _ = self.run_scenario(purged=purged)
+        _, ref_op, ref_blocks, ref_calls, _, _ = self.run_scenario(
+            reference=True, purged=purged
+        )
+        assert op.rid_by_begin_ts == ref_op.rid_by_begin_ts
+        assert op.post_groomed_block_ids == ref_op.post_groomed_block_ids
+        assert blocks == ref_blocks  # prevRID chains included
+        assert end_ts_calls == ref_calls
+        assert len(end_ts_calls) == 7  # every version but 100's and 101's first
+
+    def test_chains_are_what_the_scenario_says(self):
+        shard, op, blocks, end_ts_calls, _, _ = self.run_scenario()
+        by_begin_ts = {r.begin_ts: r for records in blocks for r in records}
+        rid_of = op.rid_by_begin_ts
+        begin_ts_of = {rid: ts for ts, rid in rid_of.items()}
+
+        def chain(device, msg):
+            """Readings along the prevRID chain, newest first."""
+            newest = max(
+                (r for r in by_begin_ts.values() if r.values[:2] == (device, msg)),
+                key=lambda r: r.begin_ts,
+            )
+            readings, record = [], newest
+            while True:
+                readings.append(record.values[2])
+                if record.prev_rid is None:
+                    return readings
+                if record.prev_rid in begin_ts_of:
+                    record = by_begin_ts[begin_ts_of[record.prev_rid]]
+                else:  # a predecessor from an earlier post-groom
+                    record = shard.catalog.fetch_record(record.prev_rid)
+
+        assert chain(101, 2) == [304, 303, 302, 301]
+        assert chain(100, 1) == [300]
+        assert chain(5, 1) == [206, 205, 5]
+        assert chain(25, 1) == [225, 125, 25]  # through the newest run's version
+        assert chain(35, 1) == [235, 135]
+
+    def test_purged_runs_are_swept_without_promotion_or_residue(self):
+        shard, _, _, _, reads, post_groomed = self.run_scenario(purged=True)
+        _, _, _, _, ref_reads, _ = self.run_scenario(reference=True, purged=True)
+        assert reads["promotions"] == 0
+        assert 0 < reads["shared"] <= ref_reads["shared"]
+        for run in post_groomed:
+            for index in range(run.header.num_data_blocks):
+                block_id = run.data_block_id(index)
+                assert not shard.hierarchy.memory.contains(block_id)
+                assert not shard.hierarchy.ssd.contains(block_id)
