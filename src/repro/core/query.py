@@ -23,8 +23,11 @@ from __future__ import annotations
 
 import enum
 import heapq
-from dataclasses import dataclass, field
-from typing import Callable, Dict, Iterator, List, Optional, Sequence, Tuple
+from itertools import chain
+from operator import itemgetter
+from typing import (
+    Callable, Dict, Iterator, List, NamedTuple, Optional, Sequence, Tuple,
+)
 
 from repro.core.definition import IndexDefinition
 from repro.core.epoch import QueryPin, RunLifecycle
@@ -35,21 +38,18 @@ from repro.core.encoding import (
     encode_uint64,
     prefix_successor,
 )
-from repro.core.entry import (
-    IndexEntry,
-    Zone,
-    begin_ts_of_sort_key,
-    user_key_of_sort_key,
-)
+from repro.core.entry import IndexEntry, SORT_KEY_TS_BYTES
 from repro.core.run import IndexRun
 from repro.core.search import (
     UNBOUNDED,
+    Hit,
     batch_lookup_in_run,
     lookup_key_in_run,
-    search_run_raw,
+    search_run_hits,
 )
 
 MAX_QUERY_TS = UINT64_MAX
+_SORT_KEY = itemgetter(0)  # of a scan hit
 
 
 class QueryError(ValueError):
@@ -63,8 +63,7 @@ class ReconcileStrategy(enum.Enum):
     PRIORITY_QUEUE = "priority_queue"
 
 
-@dataclass(frozen=True)
-class RangeScanQuery:
+class RangeScanQuery(NamedTuple):
     """Values for all equality columns plus bounds on the sort columns.
 
     ``sort_lower`` / ``sort_upper`` are inclusive bounds over a *prefix* of
@@ -77,8 +76,7 @@ class RangeScanQuery:
     query_ts: int = MAX_QUERY_TS
 
 
-@dataclass(frozen=True)
-class PointLookup:
+class PointLookup(NamedTuple):
     """The entire index key (the primary key for a primary index)."""
 
     equality_values: Tuple[KeyValue, ...] = ()
@@ -86,8 +84,7 @@ class PointLookup:
     query_ts: int = MAX_QUERY_TS
 
 
-@dataclass(frozen=True)
-class _Bounds:
+class _Bounds(NamedTuple):
     """Encoded search interval plus the hash for offset-array narrowing."""
 
     lower_key: bytes
@@ -95,28 +92,34 @@ class _Bounds:
     hash_value: Optional[int]
 
 
+def _key_prefix(
+    definition: IndexDefinition, equality_values: Sequence[KeyValue], what: str
+) -> Tuple[bytes, Optional[int]]:
+    """``hash | equality columns`` of a search key, and the hash."""
+    if len(equality_values) != len(definition.equality_columns):
+        raise QueryError(
+            f"{what} must bind all {len(definition.equality_columns)} "
+            f"equality columns; got {len(equality_values)}"
+        )
+    if not definition.has_hash_column:
+        return encode_composite(equality_values), None
+    hash_value = definition.hash_of(equality_values)
+    return encode_uint64(hash_value) + encode_composite(equality_values), hash_value
+
+
 def compute_scan_bounds(
     definition: IndexDefinition, query: RangeScanQuery
 ) -> _Bounds:
     """Concatenated lower/upper bounds of section 7.1.1."""
-    if len(query.equality_values) != len(definition.equality_columns):
-        raise QueryError(
-            f"range scan must bind all {len(definition.equality_columns)} "
-            f"equality columns; got {len(query.equality_values)}"
-        )
+    prefix, hash_value = _key_prefix(
+        definition, query.equality_values, "range scan"
+    )
     for bound in (query.sort_lower, query.sort_upper):
         if bound is not None and len(bound) > len(definition.sort_columns):
             raise QueryError(
                 f"sort bound {bound} longer than the "
                 f"{len(definition.sort_columns)} sort columns"
             )
-    hash_value: Optional[int] = None
-    prefix = b""
-    if definition.has_hash_column:
-        hash_value = definition.hash_of(query.equality_values)
-        prefix = encode_uint64(hash_value)
-    prefix += encode_composite(query.equality_values)
-
     lower = prefix
     if query.sort_lower:
         lower += encode_composite(query.sort_lower)
@@ -130,26 +133,52 @@ def compute_scan_bounds(
     return _Bounds(lower_key=lower, upper_exclusive=upper, hash_value=hash_value)
 
 
-def compute_point_bounds(
-    definition: IndexDefinition, lookup: PointLookup
-) -> _Bounds:
-    if len(lookup.sort_values) != len(definition.sort_columns):
+def encode_point_key(
+    definition: IndexDefinition,
+    equality_values: Sequence[KeyValue],
+    sort_values: Sequence[KeyValue],
+) -> Tuple[bytes, Optional[int]]:
+    """The full ``key_bytes`` of a point lookup, and its hash -- the lower
+    bound of the degenerate range scan a point lookup is (section 7.2)."""
+    if len(sort_values) != len(definition.sort_columns):
         raise QueryError(
             f"point lookup must bind all {len(definition.sort_columns)} "
-            f"sort columns; got {len(lookup.sort_values)}"
+            f"sort columns; got {len(sort_values)}"
         )
-    scan = RangeScanQuery(
-        equality_values=lookup.equality_values,
-        sort_lower=lookup.sort_values or None,
-        sort_upper=lookup.sort_values or None,
-        query_ts=lookup.query_ts,
-    )
-    return compute_scan_bounds(definition, scan)
+    prefix, hash_value = _key_prefix(definition, equality_values, "point lookup")
+    return prefix + encode_composite(sort_values), hash_value
 
 
 # ---------------------------------------------------------------------------
 # run pruning
 # ---------------------------------------------------------------------------
+
+
+def _synopsis_overlaps(run: IndexRun, query_ts: int, boxes) -> bool:
+    """Can ``run`` hold a version visible at ``query_ts`` inside ``boxes``?
+
+    ``boxes`` gives an inclusive ``(low, high)`` per leading key column
+    (``None``: open); the run's synopsis must overlap every one (section 7).
+    """
+    header = run.header
+    if header.min_begin_ts > query_ts:
+        return False  # every version in the run is newer than the snapshot
+    for crange, (low, high) in zip(header.synopsis.ranges, boxes):
+        if crange is not None and not crange.overlaps_range(low, high):
+            return False
+    return True
+
+
+def _scan_boxes(definition: IndexDefinition, query: RangeScanQuery) -> list:
+    """A range scan's boxes: every equality column, then -- the only sort
+    column whose range is a sound filter alone -- the leading one."""
+    boxes = [(value, value) for value in query.equality_values]
+    if definition.sort_columns:
+        boxes.append((
+            query.sort_lower[0] if query.sort_lower else None,
+            query.sort_upper[0] if query.sort_upper else None,
+        ))
+    return boxes
 
 
 def run_may_contain(
@@ -159,25 +188,10 @@ def run_may_contain(
 ) -> bool:
     """Synopsis check of section 7: a run is a candidate only if every bound
     column value overlaps the run's recorded range."""
-    if run.entry_count == 0:
-        return False
-    if run.header.min_begin_ts > query.query_ts:
-        return False  # every version in the run is newer than the snapshot
-    if not use_synopsis:
-        return True
-    synopsis = run.header.synopsis
-    n_eq = len(run.definition.equality_columns)
-    for position, value in enumerate(query.equality_values):
-        crange = synopsis.column_range(position)
-        if crange is not None and not crange.overlaps_point(value):
-            return False
-    if run.definition.sort_columns:
-        low = query.sort_lower[0] if query.sort_lower else None
-        high = query.sort_upper[0] if query.sort_upper else None
-        crange = synopsis.column_range(n_eq)
-        if crange is not None and not crange.overlaps_range(low, high):
-            return False
-    return True
+    return run.entry_count > 0 and _synopsis_overlaps(
+        run, query.query_ts,
+        _scan_boxes(run.definition, query) if use_synopsis else (),
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -282,54 +296,105 @@ class QueryExecutor:
         query: RangeScanQuery,
         strategy: ReconcileStrategy = ReconcileStrategy.PRIORITY_QUEUE,
     ) -> List[IndexEntry]:
-        """Newest visible version of every key in the range, key-ordered."""
+        """Newest visible version of every key in the range, key-ordered.
+
+        Runs are scanned undecoded (:func:`search_run_hits`), reconciled on
+        raw sort keys, and only the winners are decoded.
+        """
         bounds = compute_scan_bounds(self.definition, query)
         pin, runs = self._enter_query()
         # Everything after the pin runs under the finally, so an exception
         # anywhere (even in candidate filtering) cannot leak the epoch.
         candidates: List[IndexRun] = []
         try:
-            candidates = [
-                run
-                for run in runs
-                if run_may_contain(run, query, self.use_synopsis)
+            candidates = self._candidates(runs, query)
+            reconcile = (
+                self._reconcile_set if strategy is ReconcileStrategy.SET
+                else self._reconcile_sorted
+            )
+            return [
+                view.entry(i)
+                for _, view, i in reconcile(candidates, bounds, query.query_ts)
             ]
-            if strategy is ReconcileStrategy.SET:
-                return self._reconcile_set(candidates, bounds, query.query_ts)
-            return self._reconcile_priority_queue(candidates, bounds, query.query_ts)
         finally:
             self._exit_query(pin, candidates)
 
+    def _candidates(
+        self, runs: Sequence[IndexRun], query: RangeScanQuery
+    ) -> List[IndexRun]:
+        """The runs a scan must search (:func:`run_may_contain`)."""
+        boxes = _scan_boxes(self.definition, query) if self.use_synopsis else ()
+        return [
+            run for run in runs
+            if run.entry_count and _synopsis_overlaps(run, query.query_ts, boxes)
+        ]
+
+    def _run_hits(
+        self, run: IndexRun, bounds: _Bounds, query_ts: int
+    ) -> Iterator[List[Hit]]:
+        return search_run_hits(
+            run, bounds.lower_key, bounds.upper_exclusive, query_ts,
+            bounds.hash_value, self.use_offset_array,
+        )
+
     def _reconcile_set(
         self, runs: Sequence[IndexRun], bounds: _Bounds, query_ts: int
-    ) -> List[IndexEntry]:
+    ) -> List[Hit]:
         """Set approach: scan run by run, remember the best version per key.
 
         Works well for small ranges; keeps all intermediate results in
         memory (the trade-off the paper calls out).  Versions are compared
-        by raw ``beginTS`` slices, not run recency: run order tracks when
+        by raw ``~beginTS`` suffix, not run recency: run order tracks when
         entries were *indexed*, and a newer run may carry an older version
         of a key (evolve duplicates, out-of-order grooms), so first-seen-
         per-key would answer with the wrong version.  Runs are walked
         newest first so identical versions surfacing from both zones keep
         the newer zone's copy.
         """
-        best: Dict[bytes, Tuple[int, IndexEntry]] = {}
+        best: Dict[bytes, Hit] = {}
         for run in runs:  # newest -> oldest
-            for sort_key, entry in search_run_raw(
-                run,
-                bounds.lower_key,
-                bounds.upper_exclusive,
-                query_ts,
-                bounds.hash_value,
-                self.use_offset_array,
-            ):
-                key = user_key_of_sort_key(sort_key)
-                begin_ts = begin_ts_of_sort_key(sort_key)
-                current = best.get(key)
-                if current is None or begin_ts > current[0]:
-                    best[key] = (begin_ts, entry)
-        return [best[key][1] for key in sorted(best)]
+            for hits in self._run_hits(run, bounds, query_ts):
+                for hit in hits:
+                    key = hit[0][:-SORT_KEY_TS_BYTES]
+                    held = best.get(key)
+                    # Same key, so the smaller sort key is the newer version.
+                    if held is None or hit[0] < held[0]:
+                        best[key] = hit
+        return [best[key] for key in sorted(best)]
+
+    def _reconcile_sorted(
+        self, runs: Sequence[IndexRun], bounds: _Bounds, query_ts: int
+    ) -> List[Hit]:
+        """Priority-queue approach, materialized: one global key order.
+
+        The runs' hits are concatenated newest run first and sorted by
+        sort key with a *stable* sort, which is the order the section
+        7.1.2 heap pops them in -- user key, newest version first, newer
+        run first among identical versions surfacing from two zones --
+        and the first hit per user key is the answer.  The lists are
+        already sorted per run, which is the case the C sort merges in
+        linear time; a single contributing run needs no reconciliation.
+        """
+        merged: List[Hit] = []
+        contributing = 0
+        for run in runs:  # newest -> oldest
+            before = len(merged)
+            for hits in self._run_hits(run, bounds, query_ts):
+                merged += hits
+            contributing += len(merged) > before
+        if contributing < 2:
+            return merged
+        merged.sort(key=_SORT_KEY)
+        return list(self._first_per_key(merged))
+
+    @staticmethod
+    def _first_per_key(hits) -> Iterator[Hit]:
+        previous_key: Optional[bytes] = None
+        for hit in hits:
+            key = hit[0][:-SORT_KEY_TS_BYTES]
+            if key != previous_key:  # else an older (or duplicate) version
+                previous_key = key
+                yield hit
 
     def range_scan_iter(
         self, query: RangeScanQuery
@@ -338,97 +403,65 @@ class QueryExecutor:
 
         Yields the newest visible version per key in key order without
         materializing the result set -- the point of the priority-queue
-        approach (section 7.1.2).  The run snapshot is taken (and pinned)
-        once, at call time.  Cleanup -- epoch exit and purged-block
-        release -- runs in the generator's ``finally``, which fires on
-        exhaustion, on an explicit ``close()``, *and* when an abandoned
-        iterator is garbage-collected (CPython calls ``close()`` from the
-        generator's finalizer); a pin captured by a never-started iterator
-        is released by the pin's own finalizer backstop.
+        approach (section 7.1.2): the runs' hit streams are merged a block
+        at a time.  The run snapshot is taken (and pinned) once, at call
+        time.  Cleanup -- epoch exit and purged-block release -- runs in
+        the generator's ``finally``, which fires on exhaustion, on an
+        explicit ``close()``, *and* when an abandoned iterator is
+        garbage-collected (CPython calls ``close()`` from the generator's
+        finalizer); a pin captured by a never-started iterator is released
+        by the pin's own finalizer backstop.
         """
         bounds = compute_scan_bounds(self.definition, query)
         pin, runs = self._enter_query()
         try:
-            candidates = [
-                run
-                for run in runs
-                if run_may_contain(run, query, self.use_synopsis)
-            ]
-            inner = self._merge_runs_iter(candidates, bounds, query.query_ts)
+            candidates = self._candidates(runs, query)
+            # Equal sort keys come out in argument order: newer run first.
+            merged = heapq.merge(
+                *[
+                    chain.from_iterable(
+                        self._run_hits(run, bounds, query.query_ts)
+                    )
+                    for run in candidates
+                ],
+                key=_SORT_KEY,
+            )
         except BaseException:
             self._exit_query(pin, [])
             raise
 
         def guarded() -> Iterator[IndexEntry]:
             try:
-                yield from inner
+                for _, view, i in self._first_per_key(merged):
+                    yield view.entry(i)
             finally:
                 self._exit_query(pin, candidates)
 
         return guarded()
-
-    def _reconcile_priority_queue(
-        self, runs: Sequence[IndexRun], bounds: _Bounds, query_ts: int
-    ) -> List[IndexEntry]:
-        """Priority-queue approach: merge all run streams into one global
-        key order and keep the first (newest) entry per key -- no
-        intermediate result set (the merge step of merge sort)."""
-        return list(self._merge_runs_iter(runs, bounds, query_ts))
-
-    def _merge_runs_iter(
-        self, runs: Sequence[IndexRun], bounds: _Bounds, query_ts: int
-    ) -> Iterator[IndexEntry]:
-        def stream(run: IndexRun, recency: int):
-            # recency must be bound per stream (0 = newest run); it breaks
-            # ties between identical versions surfacing from two zones.
-            # The raw sort key (user key | descending beginTS) is exactly
-            # the order the reconciliation heap needs -- no re-encoding.
-            for sort_key, entry in search_run_raw(
-                run,
-                bounds.lower_key,
-                bounds.upper_exclusive,
-                query_ts,
-                bounds.hash_value,
-                self.use_offset_array,
-            ):
-                yield sort_key, recency, entry
-
-        streams = [stream(run, recency) for recency, run in enumerate(runs)]
-        previous_key: Optional[bytes] = None
-        for sort_key, _recency, entry in heapq.merge(*streams):
-            key = user_key_of_sort_key(sort_key)
-            if key == previous_key:
-                continue  # an older (or duplicate) version of an answered key
-            previous_key = key
-            yield entry
 
     # -- point lookups ------------------------------------------------------------------
 
     def point_lookup(self, lookup: PointLookup) -> Optional[IndexEntry]:
         """Search newest to oldest, stopping at the first visible match
         (the section 7.2 optimization)."""
-        bounds = compute_point_bounds(self.definition, lookup)
+        key, hash_value = encode_point_key(
+            self.definition, lookup.equality_values, lookup.sort_values
+        )
         probe = RangeScanQuery(
-            equality_values=lookup.equality_values,
-            sort_lower=lookup.sort_values or None,
-            sort_upper=lookup.sort_values or None,
-            query_ts=lookup.query_ts,
+            lookup.equality_values,
+            lookup.sort_values or None,
+            lookup.sort_values or None,
+            lookup.query_ts,
         )
         pin, runs = self._enter_query()
         # Only the runs searched are handed to the release hook, not every
         # synopsis candidate: the lookup stops at the first visible match.
         searched: List[IndexRun] = []
         try:
-            for run in runs:
-                if not run_may_contain(run, probe, self.use_synopsis):
-                    continue
+            for run in self._candidates(runs, probe):
                 searched.append(run)
                 entry = lookup_key_in_run(
-                    run,
-                    bounds.lower_key,
-                    lookup.query_ts,
-                    bounds.hash_value,
-                    self.use_offset_array,
+                    run, key, lookup.query_ts, hash_value, self.use_offset_array
                 )
                 if entry is not None:
                     return entry
@@ -443,157 +476,97 @@ class QueryExecutor:
 
         Keys are sorted by their encoded bytes, then searched against each
         run newest to oldest -- one sequential pass per run -- until every
-        key is resolved or the runs are exhausted.  All lookups in a batch
-        share one snapshot timestamp (the max is used; per-lookup filtering
-        still applies).
+        key is resolved or the runs are exhausted.  Runs are pruned at the
+        latest snapshot in the batch; every key is filtered at its own.
         """
         if not lookups:
             return []
+        definition = self.definition
         # (encoded key, hash, input position) sorted by encoded key.
-        encoded: List[Tuple[bytes, int, int]] = []
-        for position, lookup in enumerate(lookups):
-            bounds = compute_point_bounds(self.definition, lookup)
-            encoded.append((bounds.lower_key, bounds.hash_value or 0, position))
-        encoded.sort(key=lambda item: item[0])
-
+        encoded = sorted(
+            (
+                (*encode_point_key(
+                    definition, lookup.equality_values, lookup.sort_values
+                ), position)
+                for position, lookup in enumerate(lookups)
+            ),
+            key=_SORT_KEY,
+        )
+        pairs = [(key, hash_value or 0) for key, hash_value, _ in encoded]
+        positions = [position for _, _, position in encoded]
+        timestamps = {lookup.query_ts for lookup in lookups}
+        # Runs are pruned at the batch's latest snapshot; the run search
+        # takes the one shared snapshot, or each key's own.
+        max_ts = max(timestamps)
+        shared_ts = max_ts if len(timestamps) == 1 else None
         results: List[Optional[IndexEntry]] = [None] * len(lookups)
-        unresolved = list(range(len(encoded)))  # indexes into `encoded`
+        unresolved = list(range(len(pairs)))  # indexes into pairs / positions
         pin, candidates = self._enter_query()
         touched: List[IndexRun] = []
         try:
-            batch_box = (
-                self._batch_bounding_box(lookups) if self.use_synopsis else None
-            )
-            self._batch_lookup_runs(
-                candidates, encoded, lookups, unresolved, results,
-                batch_box, touched,
-            )
+            batch_box = self._batch_bounding_box(lookups)
+            for run in candidates:  # newest -> oldest
+                if not unresolved:
+                    break
+                if run.entry_count == 0:
+                    continue
+                probe_slots = unresolved
+                if self.use_synopsis:
+                    # Batch-granularity synopsis pruning (section 8.3: "the
+                    # run synopsis enables pruning most of the irrelevant
+                    # runs" for sequential batches, while random batches
+                    # span the key space and must search every run).
+                    if not _synopsis_overlaps(run, max_ts, batch_box):
+                        continue
+                    if self.per_key_batch_pruning:
+                        probe_slots = [
+                            i for i in unresolved
+                            if self._key_may_be_in_run(run, lookups[positions[i]])
+                        ]
+                if probe_slots and run.header.bloom_blob is not None:
+                    # Bloom membership is orthogonal to pruning granularity:
+                    # it filters individual keys whenever a filter exists.
+                    probe_slots = [
+                        i for i in probe_slots if run.may_contain_key(pairs[i][0])
+                    ]
+                if not probe_slots:
+                    continue
+                batch = [pairs[i] for i in probe_slots]
+                if self.use_synopsis and not self._run_overlaps_batch(run, batch):
+                    continue
+                touched.append(run)
+                # The Bloom filter was consulted above, per key: the
+                # run-level search must not re-hash every key against it.
+                found = batch_lookup_in_run(
+                    run,
+                    batch,
+                    shared_ts if shared_ts is not None
+                    else [lookups[positions[i]].query_ts for i in probe_slots],
+                    self.use_offset_array,
+                    use_bloom=False,
+                )
+                for slot, entry in zip(probe_slots, found):
+                    if entry is not None:
+                        results[positions[slot]] = entry
+                unresolved = [
+                    i for i in unresolved if results[positions[i]] is None
+                ]
         finally:
             self._exit_query(pin, touched)
         return results
 
-    def _batch_lookup_runs(
-        self,
-        candidates: Sequence[IndexRun],
-        encoded: List[Tuple[bytes, int, int]],
-        lookups: Sequence[PointLookup],
-        unresolved: List[int],
-        results: List[Optional[IndexEntry]],
-        batch_box,
-        touched: List[IndexRun],
-    ) -> None:
-        for run in candidates:  # newest -> oldest
-            if not unresolved:
-                break
-            if run.entry_count == 0:
-                continue
-            if self.use_synopsis:
-                # Batch-granularity synopsis pruning (section 8.3: "the run
-                # synopsis enables pruning most of the irrelevant runs" for
-                # sequential batches, while random batches span the key
-                # space and must search every run).
-                if not self._run_overlaps_box(run, batch_box, lookups):
-                    continue
-                if self.per_key_batch_pruning:
-                    probe_slots = [
-                        i for i in unresolved
-                        if self._key_may_be_in_run(run, lookups[encoded[i][2]])
-                    ]
-                else:
-                    probe_slots = unresolved
-            else:
-                probe_slots = unresolved
-            if probe_slots and run.header.bloom_blob is not None:
-                # Bloom membership is orthogonal to pruning granularity:
-                # it filters individual keys whenever a filter exists.
-                probe_slots = [
-                    i for i in probe_slots
-                    if run.may_contain_key(encoded[i][0])
-                ]
-            if not probe_slots:
-                continue
-            batch = [(encoded[i][0], encoded[i][1]) for i in probe_slots]
-            batch_ts = [lookups[encoded[i][2]].query_ts for i in probe_slots]
-            if self.use_synopsis and not self._run_overlaps_batch(run, batch):
-                continue
-            touched.append(run)
-            resolved_slots = set()
-            found = self._batch_search_run(run, batch, batch_ts)
-            for slot, entry in zip(probe_slots, found):
-                if entry is not None:
-                    results[encoded[slot][2]] = entry
-                    resolved_slots.add(slot)
-            unresolved = [i for i in unresolved if i not in resolved_slots]
+    @staticmethod
+    def _key_may_be_in_run(run: IndexRun, lookup: PointLookup) -> bool:
+        """A point lookup pins every column, so each column's synopsis
+        range is independently a sound filter (unlike range scans)."""
+        key = lookup.equality_values + lookup.sort_values
+        return _synopsis_overlaps(run, lookup.query_ts, [(v, v) for v in key])
 
-    def _batch_bounding_box(self, lookups: Sequence[PointLookup]):
-        """Per-column (min, max) over the whole batch, plus the max TS."""
-        n_eq = len(self.definition.equality_columns)
-        n_sort = len(self.definition.sort_columns)
-        boxes = []
-        for position in range(n_eq):
-            values = [lk.equality_values[position] for lk in lookups]
-            boxes.append((min(values), max(values)))
-        for position in range(n_sort):
-            values = [lk.sort_values[position] for lk in lookups]
-            boxes.append((min(values), max(values)))
-        max_ts = max(lk.query_ts for lk in lookups)
-        return boxes, max_ts
-
-    def _run_overlaps_box(self, run: IndexRun, box, lookups) -> bool:
-        boxes, max_ts = box
-        if run.header.min_begin_ts > max_ts:
-            return False
-        synopsis = run.header.synopsis
-        for position, (low, high) in enumerate(boxes):
-            crange = synopsis.column_range(position)
-            if crange is not None and not crange.overlaps_range(low, high):
-                return False
-        return True
-
-    def _key_may_be_in_run(self, run: IndexRun, lookup: PointLookup) -> bool:
-        """Synopsis check for one point-lookup key against one run."""
-        if run.header.min_begin_ts > lookup.query_ts:
-            return False
-        synopsis = run.header.synopsis
-        for position, value in enumerate(lookup.equality_values):
-            crange = synopsis.column_range(position)
-            if crange is not None and not crange.overlaps_point(value):
-                return False
-        n_eq = len(self.definition.equality_columns)
-        for offset, value in enumerate(lookup.sort_values):
-            # A point lookup pins every column, so each column's synopsis
-            # range is independently a sound filter (unlike range scans,
-            # where only the leading sort column's range is usable alone).
-            crange = synopsis.column_range(n_eq + offset)
-            if crange is not None and not crange.overlaps_point(value):
-                return False
-        return True
-
-    def _batch_search_run(
-        self,
-        run: IndexRun,
-        batch: Sequence[Tuple[bytes, int]],
-        batch_ts: Sequence[int],
-    ) -> List[Optional[IndexEntry]]:
-        # batch_lookup_in_run uses one shared query_ts; when the batch mixes
-        # timestamps (rare), fall back to per-key searches.
-        # batch_lookup already consulted the run's Bloom filter per key when
-        # building the probe slots, so the run-level search must not re-hash
-        # every key against it (use_bloom=False).
-        unique_ts = set(batch_ts)
-        if len(unique_ts) == 1:
-            return batch_lookup_in_run(
-                run, batch, unique_ts.pop(), self.use_offset_array,
-                use_bloom=False,
-            )
-        results: List[Optional[IndexEntry]] = []
-        for (key, hash_value), ts in zip(batch, batch_ts):
-            single = batch_lookup_in_run(
-                run, [(key, hash_value)], ts, self.use_offset_array,
-                use_bloom=False,
-            )
-            results.append(single[0])
-        return results
+    @staticmethod
+    def _batch_bounding_box(lookups: Sequence[PointLookup]) -> list:
+        """Per-key-column (min, max) over the whole batch."""
+        keys = [lookup.equality_values + lookup.sort_values for lookup in lookups]
+        return [(min(column), max(column)) for column in zip(*keys)]
 
     def _run_overlaps_batch(
         self, run: IndexRun, batch: Sequence[Tuple[bytes, int]]
@@ -626,7 +599,7 @@ __all__ = [
     "QueryExecutor",
     "RangeScanQuery",
     "ReconcileStrategy",
-    "compute_point_bounds",
     "compute_scan_bounds",
+    "encode_point_key",
     "run_may_contain",
 ]

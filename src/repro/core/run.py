@@ -701,7 +701,9 @@ class IndexRun:
         block_index, in_block = self.locate(ordinal)
         return self.block_view(block_index).entry(in_block)
 
-    def first_geq(self, target: bytes, lo: int, hi: int) -> int:
+    def first_geq(
+        self, target: bytes, lo: int, hi: int, window: Optional[list] = None
+    ) -> int:
         """First ordinal in ``[lo, hi)`` whose sort key is ``>= target``.
 
         The binary-search kernel (paper section 7.1.1).  Entries with
@@ -717,10 +719,18 @@ class IndexRun:
         leaves the window, so blocks are fetched in probe order and a
         probe on a v2 block is two table reads and a slice.  v1 blocks
         take :meth:`DataBlockView.sort_key_at`'s memoized decode fallback.
-        ``raw_key_probes`` is charged once per search.
+        ``raw_key_probes`` is charged once per search.  ``window`` lets
+        a caller searching many sorted keys keep the window across calls:
+        a list, empty at first, left as ``[start, end, view]``.
         """
         cum = self._cum
         start = end = probes = 0  # empty window: the first probe resolves
+        view = None
+        if window:
+            start, end, view = window
+            raw = view.version == 2
+            payload, base, table = view.payload, view.base, view.table
+            count = view.count
         try:
             while lo < hi:
                 mid = (lo + hi) // 2
@@ -744,6 +754,8 @@ class IndexRun:
                     hi = mid
         finally:  # a failed block fetch still pays for the probes made
             self.hierarchy.stats.decode.raw_key_probes += probes
+            if window is not None and view is not None:
+                window[:] = (start, end, view)
         return lo
 
     def iter_entries(self, start_ordinal: int = 0):
@@ -755,37 +767,67 @@ class IndexRun:
             yield from self.block_view(bi).iter_from(first)
             first = 0
 
-    def iter_sort_keys(
-        self, start_ordinal: int = 0
-    ) -> Iterator[Tuple[bytes, DataBlockView, int]]:
-        """Yield ``(sort_key, block_view, in_block_index)`` in key order.
+    def scan_visible(
+        self,
+        start_ordinal: int,
+        upper_exclusive: bytes,
+        ts_floor: bytes,
+        first_only: bool = False,
+    ) -> Iterator[List[Tuple[bytes, DataBlockView, int]]]:
+        """Newest visible version of each key from ``start_ordinal`` on.
 
-        The forward-scan kernel: keys are sliced out of the current v2
-        block with its payload and tables in locals, and callers decode
-        ``view.entry(i)`` only for entries they emit.  One raw-key probe
-        is charged per key handed out, when the block is left or the scan
-        is abandoned; v1 blocks take the decode fallback.
+        The forward-scan kernel: one block at a time, payload and tables
+        in locals, until the first user key ``>= upper_exclusive``
+        (``b""``: the run's end).  Yields, per block that has any, the
+        ``(sort_key, view, in_block_index)`` hits: per user key the first
+        entry whose raw ``~beginTS`` suffix is ``>= ts_floor`` (newest
+        first within a key, so the newest version visible).  Nothing is
+        decoded -- callers decode ``view.entry(i)`` for what they return.
+        ``first_only`` stops at the first hit (exact-key lookups).  One
+        raw-key probe per entry looked at; v1 blocks decode.
         """
         if start_ordinal >= self.entry_count:
             return
         stats = self.hierarchy.stats.decode
+        bounded = upper_exclusive != b""
+        previous = None  # the last user key seen ...
+        answered = False  # ... and whether one of its versions was a hit
         block_index, first = self.locate(start_ordinal)
         for bi in range(block_index, self.header.num_data_blocks):
             view = self.block_view(bi)
-            if view.version != 2:
-                for i in range(first, view.count):
-                    yield view.sort_key_at(i), view, i
-            else:
-                payload, base, table = view.payload, view.base, view.table
-                count = view.count
-                probes = 0
-                try:
-                    for i in range(first, count):
-                        probes += 1
-                        at = base + table[i]
-                        yield payload[at : at + table[count + i]], view, i
-                finally:
-                    stats.raw_key_probes += probes
+            raw = view.version == 2
+            payload, base, table = view.payload, view.base, view.table
+            count = view.count
+            hits = []
+            done = False
+            for i in range(first, count):
+                if raw:
+                    at = base + table[i]
+                    sort_key = payload[at : at + table[count + i]]
+                else:
+                    sort_key = view.sort_key_at(i)
+                key = sort_key[:-SORT_KEY_TS_BYTES]
+                if bounded and key >= upper_exclusive:
+                    done = True
+                    break
+                if key != previous:
+                    previous = key
+                    answered = False
+                elif answered:
+                    continue  # an older version of a key already answered
+                if sort_key[-SORT_KEY_TS_BYTES:] < ts_floor:
+                    continue  # newer than the snapshot; keep looking
+                answered = True
+                hits.append((sort_key, view, i))
+                if first_only:
+                    done = True
+                    break
+            if raw:
+                stats.raw_key_probes += (i + 1 if done else count) - first
+            if hits:
+                yield hits
+            if done:
+                return
             first = 0
 
     def iter_raw(

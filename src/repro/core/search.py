@@ -11,27 +11,40 @@ answer).
 The hot path is **zero decode**: binary-search probes and the forward scan
 compare raw sort-key slices served straight out of v2 data-block payloads
 (section 4.2: keys "can be compared by simply using memory compare
-operations"), and an :class:`IndexEntry` is materialized only for entries
-actually emitted.  This module decides *where* to search (offset array,
-block-index fences, visibility, newest version per key); the probe and
-scan loops themselves are the run-level kernels
-:meth:`IndexRun.first_geq` and :meth:`IndexRun.iter_sort_keys`.
+operations"), visibility is a compare of the raw ``~beginTS`` suffix
+against the snapshot's, and an :class:`IndexEntry` is materialized only
+for entries actually returned.  This module decides *where* to search
+(offset array, block-index fences, the monotone cursor of a sorted batch);
+the two loops are the run-level kernels :meth:`IndexRun.first_geq` (binary
+search) and :meth:`IndexRun.scan_visible` (forward scan), and every range
+scan, point lookup and batched lookup goes through them.
 """
 
 from __future__ import annotations
 
-from typing import Iterator, List, Optional, Sequence, Tuple
+from itertools import repeat
+from typing import Iterator, List, Optional, Sequence, Tuple, Union
 
-from repro.core.encoding import high_bits
-from repro.core.entry import (
-    IndexEntry,
-    SORT_KEY_TS_BYTES,
-    begin_ts_of_sort_key,
-)
-from repro.core.run import IndexRun
+from repro.core.encoding import UINT64_MAX, encode_uint64, high_bits
+from repro.core.entry import IndexEntry, SORT_KEY_TS_BYTES
+from repro.core.run import DataBlockView, IndexRun
 
 # Sentinel: an empty upper bound means "+infinity" (scan to end of run).
 UNBOUNDED = b""
+
+# One scan hit: ``(sort_key, block_view, in_block_index)``.
+Hit = Tuple[bytes, DataBlockView, int]
+
+
+def ts_floor(query_ts: int) -> bytes:
+    """Smallest raw ``~beginTS`` suffix visible at ``query_ts``: beginTS
+    is stored descending, so ``beginTS <= query_ts`` is one bytes compare,
+    ``suffix >= ts_floor(query_ts)``.  Out-of-domain snapshots saturate."""
+    if query_ts >= UINT64_MAX:
+        return b""
+    if query_ts < 0:
+        return b"\xff" * (SORT_KEY_TS_BYTES + 1)
+    return encode_uint64(UINT64_MAX - query_ts)
 
 
 def narrow_with_offset_array(
@@ -52,39 +65,49 @@ def narrow_with_offset_array(
     return lo, hi
 
 
-def _probe_fences(
-    run: IndexRun,
-    target: bytes,
-    lo: int,
-    hi: int,
-) -> Tuple[int, int]:
-    """Intersect a candidate range with the header block index.
+def _seek(
+    run: IndexRun, target: bytes, lo: int, hi: int, window: Optional[list] = None
+) -> int:
+    """``first_geq(target)`` over ``[lo, hi)``, fenced by the block index.
 
-    ``key_position_bounds`` brackets where the run-global
-    ``first_geq(target)`` can fall using only header metadata, so
-    binary-search probes never fetch data blocks outside the target's key
-    range.  The clamped intersection is chosen so that a binary search over
-    the returned ``[L, H)`` lands on exactly the same ordinal a search over
-    the original ``[lo, hi)`` would -- including when the block bracket and
-    the candidate range are disjoint (the result then degenerates to the
-    nearer original fence, never to a position before the global
-    ``first_geq``, which would leak out-of-range entries into the scan).
+    ``key_position_bounds`` brackets the run-global ``first_geq(target)``
+    from header metadata alone, so probes never fetch blocks outside the
+    target's key range.  The clamped intersection lands on the ordinal a
+    search over all of ``[lo, hi)`` would -- also when bracket and range
+    are disjoint (the nearer original fence, never a position before the
+    global ``first_geq``, which would leak entries into the scan).
     """
     block_lo, block_hi = run.key_position_bounds(target)
-    narrowed_lo = max(lo, min(block_lo, hi))
-    narrowed_hi = min(hi, max(block_hi, lo))
-    return narrowed_lo, narrowed_hi
+    return run.first_geq(
+        target, max(lo, min(block_lo, hi)), min(hi, max(block_hi, lo)), window
+    )
 
 
-def search_run(
+def _search_start(
+    run: IndexRun,
+    lower_key: bytes,
+    hash_value: Optional[int],
+    use_offset_array: bool,
+) -> int:
+    """Ordinal of the first entry whose sort key is ``>= lower_key``."""
+    if hash_value is not None and use_offset_array:
+        lo, hi = narrow_with_offset_array(run, hash_value)
+    else:
+        lo, hi = 0, run.entry_count
+    return _seek(run, lower_key, lo, hi)
+
+
+def search_run_hits(
     run: IndexRun,
     lower_key: bytes,
     upper_exclusive: bytes,
     query_ts: int,
     hash_value: Optional[int] = None,
     use_offset_array: bool = True,
-) -> Iterator[IndexEntry]:
-    """Yield the newest visible version of each matching key in one run.
+) -> Iterator[List[Hit]]:
+    """:meth:`IndexRun.scan_visible`'s per-block hit lists for a key range.
+
+    Lazy: no probe and no block fetch before the first list is asked for.
 
     Parameters
     ----------
@@ -101,75 +124,26 @@ def search_run(
     use_offset_array:
         Ablation hook -- benchmarks disable it to measure its benefit.
     """
-    for _sort_key, entry in search_run_raw(
-        run, lower_key, upper_exclusive, query_ts, hash_value, use_offset_array
-    ):
-        yield entry
+    if run.entry_count == 0:
+        return
+    start = _search_start(run, lower_key, hash_value, use_offset_array)
+    yield from run.scan_visible(start, upper_exclusive, ts_floor(query_ts))
 
 
-def _search_start(
-    run: IndexRun,
-    lower_key: bytes,
-    hash_value: Optional[int],
-    use_offset_array: bool,
-) -> int:
-    """Ordinal of the first entry whose sort key is ``>= lower_key``."""
-    if hash_value is not None and use_offset_array:
-        lo, hi = narrow_with_offset_array(run, hash_value)
-    else:
-        lo, hi = 0, run.entry_count
-    return run.first_geq(lower_key, *_probe_fences(run, lower_key, lo, hi))
-
-
-def search_run_raw(
+def search_run(
     run: IndexRun,
     lower_key: bytes,
     upper_exclusive: bytes,
     query_ts: int,
     hash_value: Optional[int] = None,
     use_offset_array: bool = True,
-) -> Iterator[Tuple[bytes, IndexEntry]]:
-    """Like :func:`search_run` but yields ``(sort_key, entry)`` pairs.
-
-    The raw sort key rides along so multi-run reconciliation
-    (:mod:`repro.core.query`) can order and deduplicate streams without
-    re-encoding keys from decoded entries.
-    """
-    if run.entry_count == 0:
-        return
-    start = _search_start(run, lower_key, hash_value, use_offset_array)
-    bounded = upper_exclusive != UNBOUNDED
-    previous_key = None
-    emitted_previous = False
-    for sort_key, view, i in run.iter_sort_keys(start):
-        key = sort_key[:-SORT_KEY_TS_BYTES]
-        if bounded and key >= upper_exclusive:
-            break
-        if key != previous_key:
-            previous_key = key
-            emitted_previous = False
-        if emitted_previous:
-            continue  # an older version of a key we already answered
-        if begin_ts_of_sort_key(sort_key) > query_ts:
-            continue  # newer than the snapshot; keep looking within the key
-        emitted_previous = True
-        yield sort_key, view.entry(i)
-
-
-def _first_visible(
-    run: IndexRun, start: int, key: bytes, query_ts: int
-) -> Optional[IndexEntry]:
-    """Newest visible version of exactly ``key``, scanning from ``start``.
-
-    ``start`` is ``first_geq(key)``; fully-bound keys match exactly or not
-    at all, so the scan ends at the first entry of another key.
-    """
-    for sort_key, view, i in run.iter_sort_keys(start):
-        if sort_key[:-SORT_KEY_TS_BYTES] != key:
-            return None
-        if begin_ts_of_sort_key(sort_key) <= query_ts:
-            return view.entry(i)
-    return None
+) -> Iterator[IndexEntry]:
+    """:func:`search_run_hits`, flattened and decoded entry by entry."""
+    for hits in search_run_hits(
+        run, lower_key, upper_exclusive, query_ts, hash_value, use_offset_array
+    ):
+        for _sort_key, view, i in hits:
+            yield view.entry(i)
 
 
 def lookup_key_in_run(
@@ -190,13 +164,19 @@ def lookup_key_in_run(
     if run.entry_count == 0 or (use_bloom and not run.may_contain_key(key)):
         return None
     start = _search_start(run, key, hash_value, use_offset_array)
-    return _first_visible(run, start, key, query_ts)
+    # Every key above ``key`` is ``>= key + b"\x00"``: the scan ends at the
+    # first entry of another key.
+    for hits in run.scan_visible(
+        start, key + b"\x00", ts_floor(query_ts), first_only=True
+    ):
+        return hits[0][1].entry(hits[0][2])
+    return None
 
 
 def batch_lookup_in_run(
     run: IndexRun,
     sorted_keys: Sequence[Tuple[bytes, int]],
-    query_ts: int,
+    query_ts: Union[int, Sequence[int]],
     use_offset_array: bool = True,
     use_bloom: bool = True,
 ) -> List[Optional[IndexEntry]]:
@@ -205,38 +185,60 @@ def batch_lookup_in_run(
     Paper section 7.2: "The sorted input keys are searched against each run
     sequentially ... This guarantees that each run is accessed sequentially
     and only once."  Keys must be sorted ascending by their encoded bytes;
-    each element is ``(key_bytes, hash_value)``.
+    each element is ``(key_bytes, hash_value)``.  ``query_ts`` is the
+    batch's snapshot, or one snapshot per key.
 
     Each key consults the run's Bloom filter (when present) before any
     block is fetched.  The monotone cursor narrows but never widens the
     offset-array bucket: keys are sorted, so when the cursor has moved past
     a key's entire bucket the key cannot exist in this run and is skipped
     outright -- the bucket's upper fence is kept rather than falling back
-    to a full-run search.
+    to a full-run search.  The last probe's block window is held across
+    keys; a key whose first entry settles it costs one probe, no scan.
     """
     results: List[Optional[IndexEntry]] = [None] * len(sorted_keys)
-    if run.entry_count == 0:
+    count = run.entry_count
+    if count == 0:
         return results
-    floor = 0  # monotone cursor: keys are sorted, so never search backwards
-    for i, (key, hash_value) in enumerate(sorted_keys):
+    floors = (
+        repeat(ts_floor(query_ts)) if isinstance(query_ts, int)
+        else map(ts_floor, query_ts)
+    )
+    bucketed = use_offset_array and bool(run.header.offset_array)
+    window: list = []
+    cursor = 0  # monotone: keys are sorted, so never search backwards
+    for n, ((key, hash_value), floor) in enumerate(zip(sorted_keys, floors)):
         if use_bloom and not run.may_contain_key(key):
             continue  # definite miss: zero probes, zero block fetches
-        if use_offset_array and run.header.offset_array:
-            lo, hi = narrow_with_offset_array(run, hash_value)
-            if floor > lo:
-                lo = floor
-        else:
-            lo, hi = floor, run.entry_count
+        lo, hi = cursor, count
+        if bucketed:
+            bucket_lo, hi = narrow_with_offset_array(run, hash_value)
+            lo = max(lo, bucket_lo)
         if lo >= hi:
             # Matching entries can only live inside the key's bucket, and
-            # the monotone cursor has already moved past it (or the bucket
-            # is empty): the key is absent from this run.  Keeping the
-            # bucket's upper fence here -- instead of widening to a
-            # full-run search -- is what makes the sequential pass stay
-            # sequential.
+            # the cursor has already moved past it (or the bucket is
+            # empty): the key is absent from this run.
             continue
-        floor = run.first_geq(key, *_probe_fences(run, key, lo, hi))
-        results[i] = _first_visible(run, floor, key, query_ts)
+        cursor = _seek(run, key, lo, hi, window)
+        if cursor >= count:
+            continue
+        if window and window[0] <= cursor < window[1]:
+            view, i = window[2], cursor - window[0]
+        else:  # no probe was needed, or the answer opens the next block
+            block_index, i = run.locate(cursor)
+            view = run.block_view(block_index)
+        sort_key = view.sort_key_at(i)
+        if sort_key[:-SORT_KEY_TS_BYTES] != key:
+            continue
+        if sort_key[-SORT_KEY_TS_BYTES:] >= floor:
+            results[n] = view.entry(i)
+            continue
+        # The newest version is newer than the snapshot: scan on through
+        # the key's older ones.
+        for hits in run.scan_visible(
+            cursor + 1, key + b"\x00", floor, first_only=True
+        ):
+            results[n] = hits[0][1].entry(hits[0][2])
     return results
 
 
@@ -246,5 +248,6 @@ __all__ = [
     "lookup_key_in_run",
     "narrow_with_offset_array",
     "search_run",
-    "search_run_raw",
+    "search_run_hits",
+    "ts_floor",
 ]

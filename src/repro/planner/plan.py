@@ -10,6 +10,12 @@ entries without fetching a record) or record-level residuals (forcing a
 record fetch), whether the answer is index-only, and whether secondary
 hits must be resolved against the primary by RID (the fetch-back path).
 
+Compilation has two halves.  What follows from the query's *shape*
+(:attr:`Query.shape`) is worked out once per index -- :func:`candidate_shape`
+and :func:`plan_prototype`: consumed columns, residuals, the getters the
+executor runs -- and kept per shape by the smart planner; a call only
+binds its validated values (:func:`bind_values`, :meth:`AccessPlan.bind`).
+
 The legacy wrapper methods (``index_lookup``/``range_query``/
 ``secondary_*``) ride the *hinted* path: they construct a Query carrying
 ``index_hint`` + ``mode`` + raw lexicographic sort bounds, and
@@ -21,24 +27,32 @@ statistics work on the hot path.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Mapping, Optional, Sequence, Tuple
+from functools import cached_property
+from operator import itemgetter
+from typing import (
+    Callable, Dict, List, NamedTuple, Optional, Sequence, Tuple,
+)
 
-from repro.core.encoding import KeyValue
+from repro.core.encoding import EncodingError, KeyValue
 
 QUERY_MODES = ("point", "scan", "batch")
+
+Bounds = Tuple[Tuple[Optional[KeyValue], Optional[KeyValue]], ...]
 
 
 class PlanError(ValueError):
     """The query cannot be planned (unbound key columns, bad hint...)."""
 
 
-@dataclass(frozen=True)
-class Predicate:
+class Predicate(NamedTuple):
     """One residual predicate, pre-resolved for the executor.
 
-    ``slot`` locates the column inside an index entry (``("eq", i)`` /
-    ``("sort", i)`` / ``("incl", i)``) for entry-level checks; ``position``
-    is the column's table-schema position for record-level re-checks.
+    ``offset`` locates the column inside an index entry's concatenated
+    ``equality + sort + include`` values (:func:`entry_offset`), for
+    entry-level checks; ``position`` is the column's table-schema position
+    for record-level re-checks.  A compiled predicate has no values: they
+    are bound from the query's equalities or ranges at ``source`` (an
+    equality into ``low`` and ``high`` too: the executor checks ranges).
     """
 
     column: str
@@ -46,8 +60,9 @@ class Predicate:
     value: Optional[KeyValue] = None
     low: Optional[KeyValue] = None
     high: Optional[KeyValue] = None
-    slot: Optional[Tuple[str, int]] = None
+    offset: Optional[int] = None
     position: Optional[int] = None
+    source: int = 0
 
     def matches(self, value: KeyValue) -> bool:
         if self.kind == "eq":
@@ -86,12 +101,6 @@ class Query:
         Tuple[Tuple[Tuple[KeyValue, ...], Tuple[KeyValue, ...]], ...]
     ] = None
     fetch_records: bool = True
-    # Ablation escape hatch (ISSUE 10): a secondary that has accumulated
-    # ghost entries (a key-column update left the old entry visible under
-    # its old key) is disqualified from index-only plans, because only a
-    # record re-check can filter the ghosts.  Setting this True restores
-    # the old fast-but-stale behavior for measurement.
-    allow_stale_included: bool = False
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "equalities", tuple(
@@ -126,9 +135,51 @@ class Query:
             raise PlanError("batch_keys requires mode='batch'")
 
     def predicate_columns(self) -> Tuple[str, ...]:
-        return tuple(
-            [c for c, _ in self.equalities] + [c for c, _, _ in self.ranges]
+        return self.shape[0] + self.shape[1]
+
+    @cached_property
+    def shape(self) -> Tuple:
+        """Everything but the values: equality columns, range columns,
+        projection, hint.  Queries of one shape compile to the same plans
+        and differ only in what is bound into them."""
+        return (
+            tuple([c for c, _ in self.equalities]),
+            tuple([c for c, _, _ in self.ranges]),
+            self.projection,
+            self.index_hint,
         )
+
+
+def bind_values(schema, query: Query) -> Tuple[Tuple[KeyValue, ...], Bounds]:
+    """The query's equality values and ``(low, high)`` range bounds, typed.
+
+    Each value passes :meth:`ColumnSpec.validate` -- ``upsert``'s check, so
+    an int bound on a FLOAT64 column comes back as the float the index
+    stores; ``None`` (an open bound) passes through.  A mistyped value is
+    a :class:`PlanError` naming column, expected type and value.
+    """
+    spec_of = {name: schema.columns[schema.position(name)]
+               for name in query.predicate_columns()}
+    try:
+        return tuple([
+            spec_of[name].validate(value) for name, value in query.equalities
+        ]), tuple([
+            (low if low is None else spec_of[name].validate(low),
+             high if high is None else spec_of[name].validate(high))
+            for name, low, high in query.ranges
+        ])
+    except EncodingError as exc:
+        raise PlanError(f"query predicate: {exc}") from exc
+
+
+def tuple_getter(positions: Sequence[int]) -> Callable[[Sequence], Tuple]:
+    """``values -> tuple(values[p] for p in positions)``, compiled."""
+    if len(positions) == 1:
+        (only,) = positions
+        return lambda values: (values[only],)
+    if not positions:
+        return lambda values: ()
+    return itemgetter(*positions)
 
 
 @dataclass(frozen=True)
@@ -141,10 +192,11 @@ class AccessPlan:
     work; ``record_checks`` are re-applied to every fetched record (for
     fetch-back plans they are *all* the query's predicates, which is what
     makes secondary answers byte-identical to the primary path even when
-    a stale secondary entry surfaces a since-changed row).  ``pk_slots``
-    extract the primary-key tuple from an entry; ``projection_slots``
-    (index-only) and ``projection_positions`` (record plans) render the
-    output row.
+    a stale secondary entry surfaces a since-changed row).  ``entry_pk``
+    / ``entry_row`` extract the primary key and (index-only) the output
+    row from an entry's concatenated ``equality + sort + include`` values,
+    ``record_pk`` / ``record_row`` from a record's values (``record_row``
+    is ``None`` for the full row, which needs no copy).
     """
 
     index_name: str
@@ -162,16 +214,46 @@ class AccessPlan:
     fetch_records: bool = True
     entry_residuals: Tuple[Predicate, ...] = ()
     record_checks: Tuple[Predicate, ...] = ()
-    pk_slots: Tuple[Tuple[str, int], ...] = ()
     projection: Tuple[str, ...] = ()
-    projection_slots: Tuple[Tuple[str, int], ...] = ()
-    projection_positions: Tuple[int, ...] = ()
     cost: float = 0.0
     rows_est: float = 0.0
     bound_prefix: int = 0
     range_column: Optional[str] = None
     hinted: bool = False
-    considered: Tuple[Mapping[str, object], ...] = ()
+    # Every costed candidate, in evaluation order, as
+    # (index, mode, index_only, cost, rows_est).
+    scored: Tuple[Tuple[str, str, bool, float, float], ...] = ()
+    # The compiled half (planner-built plans): the shape the plan serves,
+    # and the getters.
+    shape: Optional["CandidateShape"] = field(
+        default=None, repr=False, compare=False
+    )
+    entry_pk: Optional[Callable] = field(default=None, repr=False, compare=False)
+    entry_row: Optional[Callable] = field(default=None, repr=False, compare=False)
+    record_pk: Optional[Callable] = field(default=None, repr=False, compare=False)
+    record_row: Optional[Callable] = field(default=None, repr=False, compare=False)
+
+    def bind(self, equalities, bounds, **costed) -> "AccessPlan":
+        """This (prototype) plan with one call's values bound into it: a
+        copy sharing every compiled field, without the ``__init__``."""
+        plan = object.__new__(AccessPlan)
+        plan.__dict__.update(
+            self.__dict__,
+            entry_residuals=bind_predicates(self.entry_residuals, equalities, bounds),
+            record_checks=bind_predicates(self.record_checks, equalities, bounds),
+            **self.shape.key_values(equalities, bounds),
+            **costed,
+        )
+        return plan
+
+    @property
+    def considered(self) -> Tuple[Dict[str, object], ...]:
+        """The costed candidates as ``explain()`` prints them."""
+        names = ("index", "mode", "index_only", "cost", "rows_est")
+        return tuple(
+            dict(zip(names, (*row[:3], round(row[3], 4), round(row[4], 4))))
+            for row in self.scored
+        )
 
     def explain(self) -> Dict[str, object]:
         """Render the plan for tests, golden files, and the dev helper."""
@@ -188,39 +270,26 @@ class AccessPlan:
             "rows_est": round(self.rows_est, 4),
             "cost": round(self.cost, 4),
             "hinted": self.hinted,
-            "candidates": [dict(c) for c in self.considered],
+            "candidates": list(self.considered),
         }
 
 
 # ---------------------------------------------------------------------------
-# entry-slot resolution
+# entry-column resolution
 # ---------------------------------------------------------------------------
 
 
-def entry_slot(spec, column: str) -> Optional[Tuple[str, int]]:
-    """Locate ``column`` inside entries of an index with ``spec``.
+def entry_offset(spec, column: str) -> Optional[int]:
+    """Where ``column`` sits in the ``equality + sort + include`` values of
+    an entry of an index with ``spec``, or None.
 
     Secondary specs are stored primary-key-suffixed (see
     ``ShardIndexes.add_secondary``), so every primary-key column of the
-    table resolves to a slot on every index -- the invariant the
-    fetch-back path and entry tagging rely on.
+    table resolves on every index -- the invariant the fetch-back path
+    and entry tagging rely on.
     """
-    if column in spec.equality_columns:
-        return ("eq", spec.equality_columns.index(column))
-    if column in spec.sort_columns:
-        return ("sort", spec.sort_columns.index(column))
-    if column in spec.included_columns:
-        return ("incl", spec.included_columns.index(column))
-    return None
-
-
-def entry_value(entry, slot: Tuple[str, int]) -> KeyValue:
-    kind, i = slot
-    if kind == "eq":
-        return entry.equality_values[i]
-    if kind == "sort":
-        return entry.sort_values[i]
-    return entry.include_values[i]
+    columns = spec.equality_columns + spec.sort_columns + spec.included_columns
+    return columns.index(column) if column in columns else None
 
 
 # ---------------------------------------------------------------------------
@@ -230,46 +299,87 @@ def entry_value(entry, slot: Tuple[str, int]) -> KeyValue:
 
 @dataclass(frozen=True)
 class CandidateShape:
-    """How one index can serve a query, before costing."""
+    """How one index can serve one query *shape*, before costing or values.
+
+    ``equality_sources`` / ``prefix_sources`` index the query's
+    equalities (the index's equality columns, and the equality-bound
+    prefix of its sort columns); ``range_source`` indexes its ranges (the
+    one range predicate the sort columns consume, if any).  The residual
+    predicates are compiled, not bound.
+    """
 
     index_name: str
     is_primary: bool
     mode: str  # "point" | "scan"
-    equality_values: Tuple[KeyValue, ...]
-    sort_values: Tuple[KeyValue, ...]
-    sort_lower: Optional[Tuple[KeyValue, ...]]
-    sort_upper: Optional[Tuple[KeyValue, ...]]
-    bound_prefix: int
+    equality_sources: Tuple[int, ...]
+    prefix_sources: Tuple[int, ...]
+    range_source: Optional[int]
     range_column: Optional[str]
-    range_low: Optional[KeyValue]
-    range_high: Optional[KeyValue]
+    bound_prefix: int
     entry_residuals: Tuple[Predicate, ...]
     record_residuals: Tuple[Predicate, ...]
     covers_projection: bool
 
+    def key_values(
+        self, equalities: Sequence[KeyValue], bounds: Bounds
+    ) -> Dict[str, object]:
+        """The ``UmziIndex.lookup``/``scan`` arguments of one call's values."""
+        prefix = tuple([equalities[i] for i in self.prefix_sources])
+        sort_lower = sort_upper = None if self.mode == "point" else prefix or None
+        if self.range_source is not None:
+            low, high = bounds[self.range_source]
+            if low is not None:
+                sort_lower = prefix + (low,)
+            if high is not None:
+                sort_upper = prefix + (high,)
+        return {
+            "equality_values": tuple(
+                [equalities[i] for i in self.equality_sources]
+            ),
+            "sort_values": prefix if self.mode == "point" else (),
+            "sort_lower": sort_lower,
+            "sort_upper": sort_upper,
+        }
 
-def _predicate(query: Query, schema, spec, column: str) -> Predicate:
-    for name, value in query.equalities:
-        if name == column:
-            return Predicate(
-                column=column, kind="eq", value=value,
-                slot=entry_slot(spec, column),
-                position=schema.position(column),
-            )
-    for name, low, high in query.ranges:
-        if name == column:
-            return Predicate(
-                column=column, kind="range", low=low, high=high,
-                slot=entry_slot(spec, column),
-                position=schema.position(column),
-            )
-    raise PlanError(f"column {column!r} is not bound by the query")
+
+def bind_predicates(
+    compiled: Sequence[Predicate], equalities: Sequence[KeyValue], bounds: Bounds
+) -> Tuple[Predicate, ...]:
+    bound = []
+    for p in compiled:
+        if p.kind == "eq":
+            value = low = high = equalities[p.source]
+        else:
+            value, (low, high) = None, bounds[p.source]
+        bound.append(Predicate(
+            p.column, p.kind, value, low, high, p.offset, p.position
+        ))
+    return tuple(bound)
+
+
+def _compile_predicates(
+    shape: Tuple, schema, spec, columns: Sequence[str]
+) -> Tuple[Predicate, ...]:
+    eq_names, range_names = shape[0], shape[1]
+    compiled = []
+    for column in columns:
+        if column in eq_names:
+            kind, source = "eq", eq_names.index(column)
+        elif column in range_names:
+            kind, source = "range", range_names.index(column)
+        else:
+            raise PlanError(f"column {column!r} is not bound by the query")
+        compiled.append(Predicate(
+            column, kind, offset=entry_offset(spec, column),
+            position=schema.position(column), source=source,
+        ))
+    return tuple(compiled)
 
 
 def candidate_shape(
     query: Query, schema, shard_index, is_primary: bool
 ) -> Optional[CandidateShape]:
-    """Shape one index as a candidate path, or None if unusable.
+    """Shape one index as a candidate path for ``query.shape``, or None.
 
     An index is usable when every equality column is equality-bound;
     sort columns then consume an equality prefix plus at most one range
@@ -277,86 +387,102 @@ def candidate_shape(
     inclusive of all extensions, so prefix bounds need no padding).
     Unconsumed predicates become entry-level residuals when the column
     lives in the entry (key or included columns) and record-level
-    residuals otherwise.
+    residuals otherwise.  Nothing here reads the query's values.
     """
     spec = shard_index.spec
-    eq_map = dict(query.equalities)
-    range_map = {c: (lo, hi) for c, lo, hi in query.ranges}
-    for column in query.predicate_columns():
+    eq_names, range_names, projection, _hint = shape = query.shape
+    predicate_columns = query.predicate_columns()
+    for column in predicate_columns:
         schema.position(column)  # raises SchemaError on unknown columns
-    used: set = set()
-    equality_values: List[KeyValue] = []
-    for column in spec.equality_columns:
-        if column not in eq_map:
-            return None
-        equality_values.append(eq_map[column])
-        used.add(column)
-    prefix: List[KeyValue] = []
-    range_column: Optional[str] = None
-    range_low: Optional[KeyValue] = None
-    range_high: Optional[KeyValue] = None
+    if not set(spec.equality_columns) <= set(eq_names):
+        return None
+    used = set(spec.equality_columns)
+    prefix_sources: List[int] = []
+    range_source: Optional[int] = None
     for column in spec.sort_columns:
-        if column in eq_map:
-            prefix.append(eq_map[column])
+        if column in eq_names:
+            prefix_sources.append(eq_names.index(column))
             used.add(column)
             continue
-        if column in range_map:
-            range_column = column
-            range_low, range_high = range_map[column]
+        if column in range_names:
+            range_source = range_names.index(column)
             used.add(column)
         break
-    residual_columns = [
-        c for c in query.predicate_columns() if c not in used
-    ]
-    entry_residuals: List[Predicate] = []
-    record_residuals: List[Predicate] = []
-    for column in residual_columns:
-        predicate = _predicate(query, schema, spec, column)
-        if predicate.slot is not None:
-            entry_residuals.append(predicate)
-        else:
-            record_residuals.append(predicate)
-    is_point = (
-        range_column is None and len(prefix) == len(spec.sort_columns)
+    residuals = _compile_predicates(
+        shape, schema, spec, [c for c in predicate_columns if c not in used]
     )
-    if is_point:
-        mode = "point"
-        sort_lower = sort_upper = None
-        sort_values = tuple(prefix)
-    else:
-        mode = "scan"
-        sort_values = ()
-        if range_column is not None:
-            sort_lower = (
-                tuple(prefix) + (range_low,) if range_low is not None
-                else (tuple(prefix) or None)
-            )
-            sort_upper = (
-                tuple(prefix) + (range_high,) if range_high is not None
-                else (tuple(prefix) or None)
-            )
-        else:
-            sort_lower = sort_upper = tuple(prefix) or None
+    is_point = (
+        range_source is None and len(prefix_sources) == len(spec.sort_columns)
+    )
+    return CandidateShape(
+        index_name=shard_index.name,
+        is_primary=is_primary,
+        mode="point" if is_point else "scan",
+        equality_sources=tuple(
+            eq_names.index(column) for column in spec.equality_columns
+        ),
+        prefix_sources=tuple(prefix_sources),
+        range_source=range_source,
+        range_column=None if range_source is None else range_names[range_source],
+        bound_prefix=len(spec.equality_columns) + len(prefix_sources),
+        entry_residuals=tuple(p for p in residuals if p.offset is not None),
+        record_residuals=tuple(p for p in residuals if p.offset is None),
+        covers_projection=all(
+            entry_offset(spec, c) is not None
+            for c in (schema.column_names if projection is None else projection)
+        ),
+    )
+
+
+def plan_prototype(
+    shape: CandidateShape, query: Query, schema, shard_index,
+    *, planner: str, index_only: bool,
+) -> AccessPlan:
+    """The value-free half of an AccessPlan: :meth:`AccessPlan.bind` it."""
+    spec = shard_index.spec
     projection = (
         query.projection if query.projection is not None
         else schema.column_names
     )
-    covers = all(entry_slot(spec, c) is not None for c in projection)
-    return CandidateShape(
-        index_name=shard_index.name,
-        is_primary=is_primary,
-        mode=mode,
-        equality_values=tuple(equality_values),
-        sort_values=sort_values,
-        sort_lower=sort_lower,
-        sort_upper=sort_upper,
-        bound_prefix=len(equality_values) + len(prefix),
-        range_column=range_column,
-        range_low=range_low,
-        range_high=range_high,
-        entry_residuals=tuple(entry_residuals),
-        record_residuals=tuple(record_residuals),
-        covers_projection=covers,
+    pk_offsets = [entry_offset(spec, column) for column in schema.primary_key]
+    if None in pk_offsets:
+        raise PlanError(
+            f"index {shape.index_name!r} cannot recover the primary key"
+        )
+    fetch_back = (not shape.is_primary) and not index_only
+    if index_only:
+        record_checks: Tuple[Predicate, ...] = ()
+    elif fetch_back:
+        # Re-check EVERY predicate on the fetched record: a secondary
+        # entry has no endTS, so a since-changed row can surface under
+        # its old key; the record re-check drops it, keeping fetch-back
+        # answers byte-identical to the primary path.
+        record_checks = _compile_predicates(
+            query.shape, schema, spec, query.predicate_columns()
+        )
+    else:
+        record_checks = shape.record_residuals
+    projection_positions = schema.positions(projection)
+    full_row = projection_positions == tuple(range(len(schema.columns)))
+    return AccessPlan(
+        index_name=shape.index_name,
+        mode=shape.mode,
+        planner=planner,
+        index_only=index_only,
+        fetch_back=fetch_back,
+        entry_residuals=shape.entry_residuals,
+        record_checks=record_checks,
+        projection=projection,
+        bound_prefix=shape.bound_prefix,
+        range_column=shape.range_column,
+        shape=shape,
+        entry_pk=tuple_getter(pk_offsets),
+        entry_row=tuple_getter([
+            entry_offset(spec, column)
+            for column in (projection if index_only else ())
+        ]),
+        record_pk=tuple_getter(schema.positions(schema.primary_key)),
+        record_row=None if full_row else tuple_getter(projection_positions),
     )
 
 
@@ -368,64 +494,11 @@ def shape_to_plan(
     *,
     planner: str,
     index_only: bool,
-    cost: float = 0.0,
-    rows_est: float = 0.0,
-    considered: Tuple[Mapping[str, object], ...] = (),
 ) -> AccessPlan:
-    """Materialize a costed shape into an executable AccessPlan."""
-    spec = shard_index.spec
-    projection = (
-        query.projection if query.projection is not None
-        else schema.column_names
-    )
-    pk_slots = tuple(
-        entry_slot(spec, column) for column in schema.primary_key
-    )
-    if any(slot is None for slot in pk_slots):
-        raise PlanError(
-            f"index {shape.index_name!r} cannot recover the primary key"
-        )
-    fetch_back = (not shape.is_primary) and not index_only
-    if index_only:
-        record_checks: Tuple[Predicate, ...] = ()
-        projection_slots = tuple(
-            entry_slot(spec, column) for column in projection
-        )
-    elif fetch_back:
-        # Re-check EVERY predicate on the fetched record: a secondary
-        # entry has no endTS, so a since-changed row can surface under
-        # its old key; the record re-check drops it, keeping fetch-back
-        # answers byte-identical to the primary path.
-        record_checks = tuple(
-            _predicate(query, schema, spec, column)
-            for column in query.predicate_columns()
-        )
-        projection_slots = ()
-    else:
-        record_checks = shape.record_residuals
-        projection_slots = ()
-    return AccessPlan(
-        index_name=shape.index_name,
-        mode=shape.mode,
-        planner=planner,
-        equality_values=shape.equality_values,
-        sort_values=shape.sort_values,
-        sort_lower=shape.sort_lower,
-        sort_upper=shape.sort_upper,
-        index_only=index_only,
-        fetch_back=fetch_back,
-        entry_residuals=shape.entry_residuals,
-        record_checks=record_checks,
-        pk_slots=pk_slots,
-        projection=projection,
-        projection_slots=projection_slots,
-        projection_positions=schema.positions(projection),
-        cost=cost,
-        rows_est=rows_est,
-        bound_prefix=shape.bound_prefix,
-        range_column=shape.range_column,
-        considered=considered,
-    )
+    """Materialize a shape into an executable AccessPlan for ``query``."""
+    return plan_prototype(
+        shape, query, schema, shard_index, planner=planner, index_only=index_only
+    ).bind(*bind_values(schema, query))
 
 
 # ---------------------------------------------------------------------------
@@ -468,9 +541,12 @@ __all__ = [
     "PlanError",
     "Predicate",
     "Query",
+    "bind_predicates",
+    "bind_values",
     "candidate_shape",
-    "entry_slot",
-    "entry_value",
+    "entry_offset",
     "plan_hinted",
+    "plan_prototype",
     "shape_to_plan",
+    "tuple_getter",
 ]

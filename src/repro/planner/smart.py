@@ -22,24 +22,24 @@ may change freely -- versions of one row share the full entry key and
 reconcile newest-wins).  Shards track ghosted entries at groom time
 (:meth:`ShardIndexes._track_ghosts`) and surface the count through the
 synopsis; any nonzero ``pending_ghosts`` disqualifies that secondary
-from index-only plans unless the query sets ``allow_stale_included``
-(the ablation flag preserving the old fast-but-stale behavior).
-Fetch-back plans re-check every predicate on the fetched record and
-are always exact.
+from index-only plans.  Fetch-back plans re-check every predicate on
+the fetched record and are always exact.
 """
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Tuple
+from typing import Tuple
 
 from repro.core.definition import ColumnType
 from repro.planner.plan import (
     AccessPlan,
+    Bounds,
     CandidateShape,
     PlanError,
     Query,
+    bind_values,
     candidate_shape,
-    shape_to_plan,
+    plan_prototype,
 )
 from repro.planner.stats import AccessPathSynopsis, SynopsisCatalog
 
@@ -48,14 +48,24 @@ BLOOM_PROBE_COST = 0.5  # point probe when every run is Bloom-gated
 ENTRY_SCAN_COST = 0.05  # one entry streamed through a range scan
 RECORD_FETCH_COST = 4.0  # resolve a RID through the block catalog
 FETCH_BACK_PROBE_COST = 2.0  # one primary point lookup per secondary hit
+# Compiled shapes kept per shard.  They depend on nothing that changes
+# with data, so they are never invalidated; the bound only stops a client
+# that invents shapes from growing the dict.
+TEMPLATE_LIMIT = 256
+
+# What a query shape compiles to: per usable index, in index order, its
+# CandidateShape and the plan prototypes of its variants (fetching
+# records, then index-only when the entry columns cover the query).
+Template = Tuple[Tuple[CandidateShape, Tuple[AccessPlan, ...]], ...]
 
 
 def _range_fraction(
-    shape: CandidateShape, synopsis: AccessPathSynopsis
+    shape: CandidateShape, bounds: Bounds, synopsis: AccessPathSynopsis
 ) -> float:
     """Estimated selectivity of the consumed range predicate (1.0 if none)."""
-    if shape.range_column is None:
+    if shape.range_source is None:
         return 1.0
+    low, high = bounds[shape.range_source]
     position = shape.bound_prefix
     if (
         position < len(synopsis.key_types)
@@ -65,12 +75,8 @@ def _range_fraction(
         column_range = synopsis.key_ranges[position]
         domain_low = int(column_range.min_value)
         domain_high = int(column_range.max_value)
-        low = domain_low if shape.range_low is None else int(shape.range_low)
-        high = (
-            domain_high if shape.range_high is None else int(shape.range_high)
-        )
-        low = max(low, domain_low)
-        high = min(high, domain_high)
+        low = domain_low if low is None else max(int(low), domain_low)
+        high = domain_high if high is None else min(int(high), domain_high)
         if high < low:
             return 0.0
         return min(1.0, (high - low + 1) / (domain_high - domain_low + 1))
@@ -78,12 +84,12 @@ def _range_fraction(
 
 
 def _estimate_rows(
-    shape: CandidateShape, synopsis: AccessPathSynopsis
+    shape: CandidateShape, bounds: Bounds, synopsis: AccessPathSynopsis
 ) -> float:
     cap = max(1, synopsis.entry_count)
     prefix = min(shape.bound_prefix, len(synopsis.distinct_prefix) - 1)
     rows = cap / synopsis.distinct_prefix[prefix]
-    return rows * _range_fraction(shape, synopsis)
+    return rows * _range_fraction(shape, bounds, synopsis)
 
 
 def _cost(
@@ -106,74 +112,82 @@ def _cost(
     return probe + scan + fetch
 
 
-def plan_smart(
-    query: Query, schema, indexes, catalog: SynopsisCatalog
-) -> AccessPlan:
-    """Compile ``query`` to the cheapest candidate access path."""
+def _compile(query: Query, schema, indexes) -> Template:
+    """Every index that can serve ``query.shape``, with its plan prototypes."""
     names = list(indexes.names())
     if query.index_hint is not None:
         if query.index_hint not in names:
             raise PlanError(f"index_hint names unknown index "
                             f"{query.index_hint!r} (have {names})")
         names = [query.index_hint]
-    scored: List[
-        Tuple[float, int, str, CandidateShape, bool, float]
-    ] = []
-    considered: List[Dict[str, object]] = []
+    template = []
     for name in names:
         shard_index = indexes.get(name)
-        is_primary = name == "primary"
         shape = candidate_shape(
-            query, schema, shard_index, is_primary=is_primary
+            query, schema, shard_index, is_primary=name == "primary"
         )
         if shape is None:
             continue
-        synopsis = catalog.synopsis(name)
-        rows_est = _estimate_rows(shape, synopsis)
-        variants = [False]
-        if shape.covers_projection and not shape.record_residuals:
-            # ISSUE 10 bugfix: a secondary holding ghost entries (a key
-            # column changed across versions, leaving the old entry
-            # visible under its old key) cannot serve index-only answers
-            # -- only the fetch-back's record re-check filters ghosts.
-            ghosted = (
-                not is_primary
-                and synopsis.pending_ghosts > 0
-                and not query.allow_stale_included
+        coverable = shape.covers_projection and not shape.record_residuals
+        template.append((shape, tuple(
+            plan_prototype(
+                shape, query, schema, shard_index,
+                planner="smart", index_only=index_only,
             )
-            if not ghosted:
-                variants.append(True)
-        for index_only in variants:
-            cost = _cost(shape, synopsis, rows_est, index_only)
-            scored.append(
-                (cost, 0 if is_primary else 1, name, shape,
-                 index_only, rows_est)
-            )
-            considered.append({
-                "index": name,
-                "mode": shape.mode,
-                "index_only": index_only,
-                "cost": round(cost, 4),
-                "rows_est": round(rows_est, 4),
-            })
-    if not scored:
+            for index_only in ((False, True) if coverable else (False,))
+        )))
+    if not template:
         raise PlanError(
             "no index can serve the query: every index leaves some "
             "equality column unbound "
             f"(predicates: {list(query.predicate_columns())})"
         )
-    scored.sort(key=lambda item: (item[0], item[1], item[2], not item[4]))
-    cost, _, name, shape, index_only, rows_est = scored[0]
-    return shape_to_plan(
-        shape,
-        query,
-        schema,
-        indexes.get(name),
-        planner="smart",
-        index_only=index_only,
-        cost=cost,
-        rows_est=rows_est,
-        considered=tuple(considered),
+    return tuple(template)
+
+
+def plan_smart(
+    query: Query, schema, indexes, catalog: SynopsisCatalog
+) -> AccessPlan:
+    """Compile ``query`` to the cheapest candidate access path.
+
+    The query's shape is compiled once per shard
+    (``indexes.plan_templates``); a call binds its values, costs the
+    candidates against the current synopses and binds the winner.
+    """
+    templates = indexes.plan_templates
+    template = templates.get(query.shape)
+    if template is None:
+        template = _compile(query, schema, indexes)
+        if len(templates) >= TEMPLATE_LIMIT:
+            templates.clear()
+        templates[query.shape] = template
+    equalities, bounds = bind_values(schema, query)
+    scored = []
+    best = None
+    for shape, prototypes in template:
+        synopsis = catalog.synopsis(shape.index_name)
+        rows_est = _estimate_rows(shape, bounds, synopsis)
+        for prototype in prototypes:
+            index_only = prototype.index_only
+            # ISSUE 10 bugfix: a secondary holding ghost entries (a key
+            # column changed across versions, leaving the old entry
+            # visible under its old key) cannot serve index-only answers
+            # -- only the fetch-back's record re-check filters ghosts.
+            if index_only and not shape.is_primary and synopsis.pending_ghosts:
+                continue
+            cost = _cost(shape, synopsis, rows_est, index_only)
+            scored.append(
+                (shape.index_name, shape.mode, index_only, cost, rows_est)
+            )
+            # Ties break deterministically: primary first, then index
+            # name, then the index-only variant.
+            rank = (cost, not shape.is_primary, shape.index_name, not index_only)
+            if best is None or rank < best[0]:
+                best = (rank, prototype, rows_est)
+    rank, prototype, rows_est = best
+    return prototype.bind(
+        equalities, bounds,
+        cost=rank[0], rows_est=rows_est, scored=tuple(scored),
     )
 
 

@@ -71,6 +71,7 @@ from repro.storage.hierarchy import StorageHierarchy
 from repro.storage.metrics import IOStats, QosStats
 from repro.storage.retry import StorageBrownout, TransientIOError
 from repro.planner import Query
+from repro.planner.plan import bind_values
 from repro.wildfire.engine import ShardConfig, WildfireShard
 from repro.wildfire.indexes import PRIMARY_INDEX_NAME
 from repro.wildfire.migration import Migration, MigrationError
@@ -540,8 +541,10 @@ class ShardedTable:
         shard whose storage browns out -- routed or scattered -- is
         reported in a :class:`PartialResultError` naming it, tagged with
         the serving epoch, instead of silently narrowing the result.
+        Predicate values are type-checked (``PlanError``) and normalised
+        first: a mistyped sharding value would hash to the wrong shard.
         """
-        bound = dict(query.equalities)
+        bound = dict(zip(query.shape[0], bind_values(self.schema, query)[0]))
         try:
             values = tuple(bound[name] for name in self.schema.sharding_key)
         except KeyError:
@@ -595,7 +598,8 @@ class ShardedTable:
                     # be papered over: name the shard.
                     failed.append(shard_id)
                     cause = exc
-            answer = getattr(self, kind.combine)(parts)
+            # Outside a migration window no key is held by two shards.
+            answer = getattr(self, kind.combine)(parts, bool(fresh))
             if failed:
                 if not isinstance(answer, list):  # a point's record or None
                     answer = [] if answer is None else [answer]
@@ -629,7 +633,9 @@ class ShardedTable:
         return getattr(shard, kind.degraded)(*args)
 
     @staticmethod
-    def _newest_record(parts: Sequence[Optional[Record]]) -> Optional[Record]:
+    def _newest_record(
+        parts: Sequence[Optional[Record]], _overlap: bool = True
+    ) -> Optional[Record]:
         """Double-read merge for points: newest ``beginTS`` wins (the
         first holder asked -- the fresh-write one -- on a tie)."""
         best: Optional[Record] = None
@@ -640,7 +646,9 @@ class ShardedTable:
                 best = record
         return best
 
-    def _merge_versions(self, parts: Sequence[List[IndexEntry]]) -> List[IndexEntry]:
+    def _merge_versions(
+        self, parts: Sequence[List[IndexEntry]], _overlap: bool = True
+    ) -> List[IndexEntry]:
         """Client-side range merge: key order, newest version per key.
 
         Each shard already returns at most one (newest visible) version
@@ -664,8 +672,14 @@ class ShardedTable:
             merged.append(entry)
         return merged
 
-    def _merge_rows(self, parts: Sequence[Sequence[TaggedRow]]) -> List[Row]:
-        return [row for _, _, row in self._merge_tagged(parts)]
+    def _merge_rows(
+        self, parts: Sequence[Sequence[TaggedRow]], overlap: bool = True
+    ) -> List[Row]:
+        """The output sort is by (row values, primary key); between
+        disjoint shards that is simply the sorted rows."""
+        if overlap:
+            return [row for _, _, row in self._merge_tagged(parts)]
+        return sorted([row for part in parts for _, _, row in part])
 
     def scatter_stats(self) -> Dict[str, int]:
         """Typed scatter-gather pruning counters (ISSUE 10)."""
@@ -686,51 +700,39 @@ class ShardedTable:
         pruned shard is exactly one whose current version would have
         answered with zero rows.
         """
-        self._scatter_stats["scatter_queries"] += 1
-        self._scatter_stats["shards_considered"] += len(shard_ids)
-        kept: List[int] = []
-        for shard_id in shard_ids:
-            if self._shard_prunable(shard_id, query):
-                self._scatter_stats["shards_pruned"] += 1
-            else:
-                kept.append(shard_id)
-        self._scatter_stats["shards_contacted"] += len(kept)
+        bounds = {column: (value, value) for column, value in query.equalities}
+        bounds.update((column, (low, high)) for column, low, high in query.ranges)
+        kept = [
+            shard_id for shard_id in shard_ids
+            if not self._shard_prunable(shard_id, bounds)
+        ]
+        stats = self._scatter_stats
+        stats["scatter_queries"] += 1
+        stats["shards_considered"] += len(shard_ids)
+        stats["shards_pruned"] += len(shard_ids) - len(kept)
+        stats["shards_contacted"] += len(kept)
         return kept
 
-    def _shard_prunable(self, shard_id: int, query: Query) -> bool:
+    def _shard_prunable(self, shard_id: int, bounds: Dict[str, tuple]) -> bool:
         shard = self.shards[shard_id]
-        bounds: Dict[str, Tuple[Optional[KeyValue], Optional[KeyValue]]] = {
-            column: (value, value) for column, value in query.equalities
-        }
-        for column, low, high in query.ranges:
-            bounds[column] = (low, high)
         for shard_index in shard.indexes.all():
             synopsis = shard.synopses.synopsis(shard_index.name)
-            if (
-                shard_index.name == PRIMARY_INDEX_NAME
-                and synopsis.entry_count == 0
-            ):
-                # No groomed records at all: typed plans (which execute
-                # over index runs) cannot produce a row from this shard.
-                return True
             if synopsis.entry_count == 0:
+                if shard_index.name == PRIMARY_INDEX_NAME:
+                    # No groomed records at all: typed plans (which execute
+                    # over index runs) cannot produce a row from this shard.
+                    return True
                 continue
-            key_specs = shard_index.index.definition.key_columns
-            for position, spec in enumerate(key_specs):
+            for spec, column_range in zip(
+                shard_index.index.definition.key_columns, synopsis.key_ranges
+            ):
                 bound = bounds.get(spec.name)
-                if bound is None or position >= len(synopsis.key_ranges):
-                    continue
-                column_range = synopsis.key_ranges[position]
-                if column_range is None:
-                    continue
-                low, high = bound
-                try:
-                    if low is not None and low > column_range.max_value:
-                        return True
-                    if high is not None and high < column_range.min_value:
-                        return True
-                except TypeError:
-                    continue
+                if (
+                    bound is not None
+                    and column_range is not None
+                    and not column_range.overlaps_range(*bound)
+                ):
+                    return True
         return False
 
     @staticmethod

@@ -34,7 +34,7 @@ from repro.planner import (
     plan_hinted,
     plan_smart,
 )
-from repro.planner.plan import entry_value
+from repro.planner.plan import tuple_getter
 from repro.storage.hierarchy import StorageHierarchy
 from repro.storage.retry import TransientIOError
 from repro.wildfire.blockstore import BlockCatalog
@@ -47,6 +47,32 @@ from repro.wildfire.record import Record
 from repro.wildfire.schema import IndexSpec, SchemaError, TableSchema
 from repro.wildfire.transaction import Transaction
 from repro.wildfire.txlog import CommittedLog
+
+
+def _entry_values(entry: IndexEntry) -> Tuple[KeyValue, ...]:
+    """An entry's columns in one tuple, as ``Predicate.offset`` and the
+    plan's ``entry_pk``/``entry_row`` getters index them."""
+    return entry.equality_values + entry.sort_values + entry.include_values
+
+
+def _compile_checks(checks: Sequence[Tuple[int, KeyValue, KeyValue]]):
+    """``values -> bool``: every ``values[position]`` within ``[low, high]``
+    (``None``: open).  Built per executed plan, called per entry or record;
+    one closed range -- an equality, a BETWEEN -- is one chained compare."""
+    if len(checks) == 1 and None not in checks[0]:
+        ((position, low, high),) = checks
+        return lambda values: low <= values[position] <= high
+
+    def passes(values) -> bool:
+        for position, low, high in checks:
+            value = values[position]
+            if (low is not None and value < low) or (
+                high is not None and value > high
+            ):
+                return False
+        return True
+
+    return passes
 
 
 @dataclass(frozen=True)
@@ -165,10 +191,9 @@ class WildfireShard:
         ]
         self._extract = index_spec.extractor(schema)
         # Access-path planning (ISSUE 9): the per-index statistics cache
-        # (version-seq refreshed, zero-decode) and the primary-key ->
-        # primary-index positional maps the fetch-back path uses to turn
-        # a pk tuple recovered from a secondary entry into a primary
-        # point lookup.
+        # (version-seq refreshed, zero-decode) and the getters the
+        # fetch-back path uses to turn a pk tuple recovered from a
+        # secondary entry into the primary index's (equality, sort) key.
         if self.config.planner not in ("baseline", "smart"):
             raise ValueError(
                 f"ShardConfig.planner must be 'baseline' or 'smart'; "
@@ -177,19 +202,16 @@ class WildfireShard:
         self.synopses = SynopsisCatalog(self.indexes)
         try:
             primary_spec = self.indexes.primary.spec
-            self._pk_to_primary_eq: Optional[Tuple[int, ...]] = tuple(
-                schema.primary_key.index(c)
-                for c in primary_spec.equality_columns
-            )
-            self._pk_to_primary_sort: Optional[Tuple[int, ...]] = tuple(
-                schema.primary_key.index(c)
-                for c in primary_spec.sort_columns
+            self._primary_key_of_pk = tuple(
+                tuple_getter([schema.primary_key.index(c) for c in columns])
+                for columns in (
+                    primary_spec.equality_columns, primary_spec.sort_columns
+                )
             )
         except ValueError:
             # Non-primary-key "primary" index (require_primary_index=False
             # shards): typed fetch-back plans are unavailable.
-            self._pk_to_primary_eq = None
-            self._pk_to_primary_sort = None
+            self._primary_key_of_pk = None
         self._daemon_threads: List[threading.Thread] = []
         self._daemons_stop = threading.Event()
         self._cycle = 0
@@ -471,7 +493,7 @@ class WildfireShard:
         )
         if not plan.fetch_records:
             return entries
-        return [self.catalog.fetch_record(entry.rid) for entry in entries]
+        return self.catalog.fetch_records([entry.rid for entry in entries])
 
     def index_lookup(
         self,
@@ -662,16 +684,18 @@ class WildfireShard:
         identical queries under either planner -- the ablation the A15
         bench byte-compares.
         """
-        return [row for _, _, row in self._query_tagged(query)]
+        tagged = self._query_tagged(query)
+        tagged.sort(key=lambda item: (item[2], item[0]))
+        return [row for _, _, row in tagged]
 
     def _query_tagged(
         self, query: Query
     ) -> List[Tuple[Tuple[KeyValue, ...], int, Tuple[KeyValue, ...]]]:
-        """Execute, returning ``(pk, begin_ts, row)`` triples.
+        """Execute, returning one ``(pk, begin_ts, row)`` per key, unordered.
 
         The pk/begin_ts tags let the cluster layer merge scatter-gather
         and split-migration double-reads newest-wins per primary key
-        before dropping the tags.
+        before dropping the tags; whoever hands out rows sorts them.
         """
         plan = self.plan_query(query)
         if plan.hinted:
@@ -698,57 +722,54 @@ class WildfireShard:
                     plan.equality_values, plan.sort_lower, plan.sort_upper, ts
                 )
         if plan.entry_residuals:
+            passes = _compile_checks(
+                [(p.offset, p.low, p.high) for p in plan.entry_residuals]
+            )
             entries = [
-                entry for entry in entries
-                if all(
-                    p.matches(entry_value(entry, p.slot))
-                    for p in plan.entry_residuals
-                )
+                entry for entry in entries if passes(_entry_values(entry))
             ]
-        if plan.index_only:
-            produced = [
-                (
-                    tuple(entry_value(entry, slot) for slot in plan.pk_slots),
-                    entry.begin_ts,
-                    tuple(
-                        entry_value(entry, slot)
-                        for slot in plan.projection_slots
-                    ),
-                )
-                for entry in entries
-            ]
-        elif plan.fetch_back:
-            produced = self._fetch_back(plan, entries, ts)
-        else:
+        if plan.fetch_back:
+            return self._fetch_back(plan, entries, ts)
+        if not plan.index_only:
             with self.hierarchy.attributing("records"):
                 records = self.catalog.fetch_records(
                     [entry.rid for entry in entries]
                 )
-            produced = self._check_and_project(plan, records)
-        # Newest-wins dedup per primary key: index-only secondary scans can
-        # surface several versions of one row (distinct full entry keys);
-        # the newest beginTS is the visible one.
-        best: Dict[Tuple[KeyValue, ...], Tuple[int, Tuple[KeyValue, ...]]] = {}
-        for pk, begin_ts, row in produced:
-            current = best.get(pk)
-            if current is None or begin_ts > current[0]:
-                best[pk] = (begin_ts, row)
-        return sorted(
-            ((pk, begin_ts, row) for pk, (begin_ts, row) in best.items()),
-            key=lambda item: (item[2], item[0]),
-        )
+            return self._check_and_project(plan, records)
+        entry_pk, entry_row = plan.entry_pk, plan.entry_row
+        produced = [
+            (entry_pk(values), entry.begin_ts, entry_row(values))
+            for entry, values in zip(entries, map(_entry_values, entries))
+        ]
+        if plan.index_name == PRIMARY_INDEX_NAME:
+            return produced
+        # Newest-wins dedup per primary key: only an index-only secondary
+        # scan can surface several versions of one row (distinct full entry
+        # keys); the newest beginTS is the visible one.
+        best: Dict[Tuple[KeyValue, ...], Tuple] = {}
+        for tagged in produced:
+            held = best.get(tagged[0])
+            if held is None or tagged[1] > held[1]:
+                best[tagged[0]] = tagged
+        return list(best.values())
 
-    def _check_and_project(self, plan: AccessPlan, records) -> List:
-        produced = []
-        for record in records:
-            values = record.values
-            if all(p.matches(values[p.position]) for p in plan.record_checks):
-                produced.append((
-                    self.schema.primary_key_of(values),
-                    record.begin_ts,
-                    tuple(values[i] for i in plan.projection_positions),
-                ))
-        return produced
+    @staticmethod
+    def _check_and_project(plan: AccessPlan, records) -> List:
+        record_pk, record_row = plan.record_pk, plan.record_row
+        if plan.record_checks:
+            passes = _compile_checks(
+                [(p.position, p.low, p.high) for p in plan.record_checks]
+            )
+            records = [record for record in records if passes(record.values)]
+        if record_row is None:  # the full row: the record's own tuple
+            return [
+                (record_pk(record.values), record.begin_ts, record.values)
+                for record in records
+            ]
+        return [
+            (record_pk(record.values), record.begin_ts, record_row(record.values))
+            for record in records
+        ]
 
     def _fetch_back(self, plan: AccessPlan, entries, ts: int) -> List:
         """Resolve secondary hits against the primary by RID (ISSUE 9).
@@ -761,21 +782,14 @@ class WildfireShard:
         primary path even when a stale secondary entry surfaces a row
         whose key columns have since changed.
         """
-        if self._pk_to_primary_eq is None:
+        if self._primary_key_of_pk is None:
             raise PlanError(
                 "fetch-back requires a primary-key primary index"
             )
-        pk_tuples = sorted({
-            tuple(entry_value(entry, slot) for slot in plan.pk_slots)
-            for entry in entries
-        })
+        equality_of, sort_of = self._primary_key_of_pk
         lookups = [
-            PointLookup(
-                tuple(pk[i] for i in self._pk_to_primary_eq),
-                tuple(pk[i] for i in self._pk_to_primary_sort),
-                ts,
-            )
-            for pk in pk_tuples
+            PointLookup(equality_of(pk), sort_of(pk), ts)
+            for pk in sorted(set(map(plan.entry_pk, map(_entry_values, entries))))
         ]
         with self.hierarchy.attributing(f"index:{PRIMARY_INDEX_NAME}"):
             hits = self.index.batch_lookup(lookups)

@@ -14,7 +14,7 @@ key lands), and ``prevRID`` (the previous version's RID); they live on
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, Mapping, Sequence, Tuple
+from typing import Dict, Sequence, Tuple
 
 from repro.core.definition import ColumnSpec, IndexDefinition
 from repro.core.encoding import KeyValue
@@ -33,6 +33,8 @@ class TableSchema:
     primary_key: Tuple[str, ...]
     sharding_key: Tuple[str, ...] = ()
     partition_key: Tuple[str, ...] = ()
+    # Derived once (columns never change): column name -> position.
+    _position: Dict[str, int] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         names = [c.name for c in self.columns]
@@ -51,14 +53,17 @@ class TableSchema:
                     raise SchemaError(f"{label} column {column!r} not in schema")
         if not set(self.sharding_key) <= set(self.primary_key):
             raise SchemaError("the sharding key must be a subset of the primary key")
+        object.__setattr__(  # the dataclass is frozen
+            self, "_position", {name: i for i, name in enumerate(names)}
+        )
 
     # -- positional access ---------------------------------------------------------
 
     def position(self, column: str) -> int:
-        for i, spec in enumerate(self.columns):
-            if spec.name == column:
-                return i
-        raise SchemaError(f"unknown column {column!r}")
+        try:
+            return self._position[column]
+        except KeyError:
+            raise SchemaError(f"unknown column {column!r}") from None
 
     def positions(self, columns: Sequence[str]) -> Tuple[int, ...]:
         return tuple(self.position(c) for c in columns)

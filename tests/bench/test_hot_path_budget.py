@@ -39,6 +39,25 @@ columnar write path               123.7
 
 A per-row ``IndexEntry``, a per-value runtime-type dispatch or a per-key
 post-groom lookup coming back shows up here.
+
+And the typed path: ``call`` events per ``table.query`` on the same warmed
+fixture, one row per query shape of the e2e ``typed_scatter`` workload
+(``customer = c`` full row: secondary scan + batched fetch-back, 133 rows;
+``region = r AND amount <= 200`` projected: index-only; ``order_id BETWEEN
+k AND k + 200``: primary scan on both shards; ``order_id = k``: routed):
+
+=======================  ========  ======  ========  ===========
+commit                   customer  region  pk range  pk equality
+=======================  ========  ======  ========  ===========
+8bb587f (before)          11308.5  2112.6    3235.7        282.6
+template + scan kernels    4669.9   904.0     821.8        194.3
+=======================  ========  ======  ========  ===========
+
+A per-call ``candidate_shape``, a per-entry generator hop in the scan, a
+per-key fence / search / first-visible call chain in the fetch-back or a
+per-row ``Predicate.matches`` coming back shows up in the three scatter
+shapes; the routed equality is mostly the point path, which has its own
+budget above.
 """
 
 import gc
@@ -53,6 +72,13 @@ CEILING = {"warm": 168.0, "purged": 305.0}
 
 WRITE_BEFORE = 343.0
 WRITE_CEILING = 130.0
+
+TYPED_BEFORE = {
+    "customer": 11308.5, "region": 2112.6, "range": 3235.7, "equality": 282.6,
+}
+TYPED_CEILING = {
+    "customer": 4800.0, "region": 930.0, "range": 850.0, "equality": 200.0,
+}
 
 ROWS = 6_000
 BATCH = 125  # 48 ingest+tick rounds: two post-grooms, eight grooms after
@@ -119,6 +145,75 @@ def calls_per_query(table, keys):
     finally:
         gc.enable()
     return calls / len(keys)
+
+
+def calls_per_typed_query(table, queries):
+    """Mean Python ``call`` events inside ``table.query`` over ``queries``."""
+    calls = 0
+
+    def profiler(frame, event, arg):
+        nonlocal calls
+        if event == "call":
+            calls += 1
+
+    query, advance = table.query, table.advance_clock
+    gc.collect()
+    gc.disable()
+    try:
+        for typed in queries:
+            advance(ARRIVAL_GAP_NS)
+            sys.setprofile(profiler)
+            try:
+                rows = query(typed)
+            finally:
+                sys.setprofile(None)
+            assert rows
+    finally:
+        gc.enable()
+    return calls / len(queries)
+
+
+def typed_queries(order):
+    """The four e2e shapes over the fixture's keys, a fixed list each."""
+    from repro.planner import Query
+
+    return {
+        "customer": [
+            # order_ids are even, so only even customers exist.
+            Query(equalities=(("customer", f"c{n:03d}"),)) for n in range(0, 90, 2)
+        ],
+        "region": [
+            Query(
+                ranges=(("region", f"r{n:02d}", f"r{n:02d}"), ("amount", 0, 200)),
+                projection=("order_id", "amount"),
+            )
+            for n in range(50)
+        ],
+        "range": [
+            Query(ranges=(("order_id", low, low + 200),))
+            for low in range(0, 2 * ROWS - 200, 131)
+        ],
+        "equality": [
+            Query(equalities=(("order_id", key),)) for key in order[::40]
+        ],
+    }
+
+
+def test_python_calls_per_typed_query_stay_under_budget():
+    table, order = loaded_table()
+    queries = typed_queries(order)
+    for shape in queries.values():  # warm views, entry memos, plan templates
+        for typed in shape:
+            table.advance_clock(ARRIVAL_GAP_NS)
+            table.query(typed)
+    for shape, ceiling in TYPED_CEILING.items():
+        measured = calls_per_typed_query(table, queries[shape])
+        if shape != "equality":  # the routed one rides the point budget
+            assert ceiling <= 0.65 * TYPED_BEFORE[shape]
+        assert measured <= ceiling, (
+            f"{shape}: {measured:.1f} Python calls per table.query, budget "
+            f"{ceiling} (was {TYPED_BEFORE[shape]} before the typed-path kernels)"
+        )
 
 
 def test_python_calls_per_point_query_stay_under_budget():

@@ -14,8 +14,8 @@ from repro.core.query import (
     QueryExecutor,
     RangeScanQuery,
     ReconcileStrategy,
-    compute_point_bounds,
     compute_scan_bounds,
+    encode_point_key,
     run_may_contain,
 )
 from repro.storage.hierarchy import StorageHierarchy
@@ -57,7 +57,7 @@ class TestBounds:
 
     def test_point_requires_full_key(self):
         with pytest.raises(QueryError):
-            compute_point_bounds(DEF, PointLookup(equality_values=(1,)))
+            encode_point_key(DEF, (1,), ())
 
     def test_unbounded_scan_covers_prefix(self):
         bounds = compute_scan_bounds(DEF, RangeScanQuery(equality_values=(5,)))

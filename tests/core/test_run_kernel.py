@@ -3,7 +3,9 @@
 Four guards: the kernel probes exactly what the old per-probe
 ``locate -> block_view -> sort_key_at`` loop probed (the oracle lives in
 ``tests/reference_search.py``); the decode / probe / I/O counters of a
-fixed fixture stay at the values the pre-kernel commit produced; building
+fixed fixture stay at the values the pre-kernel commit produced (but for
+``entry_decodes`` of the range rows, which fell when scans began decoding
+only the entries they return -- see ``GOLDEN``); building
 a block view allocates a bounded number of objects whatever the entry
 count; and a lookup over a purged level releases exactly the blocks it
 fetched.
@@ -191,21 +193,25 @@ def counters(index):
 # (raw_key_probes, entry_decodes, hierarchy reads, shared reads, sim ns) per
 # step, as produced by the commit before the kernel (af7751c) on this exact
 # fixture.  The kernel must probe the same ordinals in the same order and
-# fetch the same blocks, so none of these may move.
+# fetch the same blocks, so none of these may move -- with one exception:
+# since the block-granular scan kernel (PR 16) a range scan decodes only
+# the entries it returns, not every version the cross-run reconcile then
+# drops, so ``entry_decodes`` of the four ``range`` rows fell (256 -> 118,
+# 132 -> 61).  Every other figure in those rows is the pre-kernel one.
 GOLDEN = {
     ("hashed", "point"): (156, 32, 33, 0, 2655378),
     ("hashed", "point_old_ts"): (185, 16, 24, 0, 1931184),
-    ("hashed", "range"): (290, 256, 6, 0, 482796),
+    ("hashed", "range"): (290, 118, 6, 0, 482796),
     ("hashed", "batch"): (874, 94, 9, 0, 723853),
     ("hashed", "point_purged"): (156, 32, 33, 33, 72700122),
-    ("hashed", "range_purged"): (141, 132, 11, 11, 24233374),
+    ("hashed", "range_purged"): (141, 61, 11, 11, 24233374),
     ("hashed", "batch_purged"): (874, 120, 52, 52, 114555547),
     ("unbucketed", "point"): (418, 32, 37, 0, 2977098),
     ("unbucketed", "point_old_ts"): (195, 16, 20, 0, 1609380),
-    ("unbucketed", "range"): (297, 256, 4, 0, 321876),
+    ("unbucketed", "range"): (297, 118, 4, 0, 321876),
     ("unbucketed", "batch"): (931, 94, 3, 0, 241407),
     ("unbucketed", "point_purged"): (418, 32, 80, 80, 176242507),
-    ("unbucketed", "range_purged"): (150, 132, 10, 10, 22030520),
+    ("unbucketed", "range_purged"): (150, 61, 10, 10, 22030520),
     ("unbucketed", "batch_purged"): (931, 120, 48, 48, 105745945),
 }
 

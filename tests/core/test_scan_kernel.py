@@ -1,0 +1,326 @@
+"""The block-granular scan and batch kernels against the per-entry oracle.
+
+``tests/reference_scan.py`` keeps the loops the kernels replaced.  Over
+multi-block, multi-run fixtures -- several versions per key, identical
+versions surfacing from two runs, hashed and unhashed definitions, v1 and
+v2 blocks, bounds on block edges, empty ranges, unbounded uppers and
+snapshots below / inside / above a key's versions -- the kernels must
+return the same entries, charge the same ``raw_key_probes`` and fetch the
+same blocks in the same order.
+
+Two differences are by design and asserted as such.  ``range_scan`` walks
+its runs one after the other (like the set approach always did) instead of
+interleaving them through a heap, so against the heap oracle its block
+fetches are the same *set*, grouped by run; ``range_scan_iter`` still
+interleaves and must match the heap oracle fetch for fetch.  And a batch
+that mixes snapshots is searched in the same single pass as any other,
+where the oracle re-enters the run once per key with the cursor reset: the
+kernel may then only probe and fetch less.
+"""
+
+import pytest
+from hypothesis import given, settings, strategies as st
+
+from repro.core.builder import RunBuilder
+from repro.core.definition import ColumnSpec, IndexDefinition, i1_definition
+from repro.core.entry import IndexEntry, RID, Zone
+from repro.core.query import (
+    PointLookup,
+    QueryExecutor,
+    RangeScanQuery,
+    ReconcileStrategy,
+    compute_scan_bounds,
+    encode_point_key,
+    run_may_contain,
+)
+from repro.core.search import (
+    batch_lookup_in_run,
+    lookup_key_in_run,
+    search_run,
+)
+from repro.storage.hierarchy import StorageHierarchy
+
+from tests.conftest import downgrade_blocks_to_v1
+from tests.reference_scan import (
+    reference_batch_lookup_in_run,
+    reference_lookup_key_in_run,
+    reference_merge_runs_iter,
+    reference_reconcile_set,
+    reference_search_run_raw,
+)
+
+HASHED = i1_definition(hash_bits=3)
+UNBUCKETED = IndexDefinition(
+    sort_columns=(ColumnSpec("s0"), ColumnSpec("s1")),
+    included_columns=(ColumnSpec("incl0"),),
+)
+DEVICES, MSGS, MAX_TS = 5, 12, 40
+
+
+def make_entry(definition, device, msg, begin_ts, gid):
+    hashed = bool(definition.equality_columns)
+    return IndexEntry.create(
+        definition,
+        (device,) if hashed else (),
+        (msg,) if hashed else (device, msg),
+        (begin_ts,),
+        begin_ts,
+        RID(Zone.GROOMED, gid, device * 100 + msg),
+    )
+
+
+@st.composite
+def fixtures(draw):
+    """1-4 overlapping multi-block runs over one hierarchy, newest first."""
+    definition = draw(st.sampled_from([HASHED, UNBUCKETED]))
+    hierarchy = StorageHierarchy()
+    builder = RunBuilder(
+        definition, hierarchy,
+        data_block_bytes=draw(st.sampled_from([96, 160, 320])),
+    )
+    versions = st.tuples(
+        st.integers(0, DEVICES - 1), st.integers(0, MSGS - 1),
+        st.integers(1, MAX_TS),
+    )
+    runs, previous = [], []
+    for gid in range(draw(st.integers(1, 4))):
+        drawn = draw(st.lists(versions, min_size=1, max_size=40, unique=True))
+        # Identical versions in two runs: what both zones hold mid-evolve.
+        shared = [v for v in previous if draw(st.booleans())][:6]
+        entries = [
+            make_entry(definition, d, m, ts, gid)
+            for d, m, ts in sorted(set(drawn) | set(shared))
+        ]
+        run = builder.build(f"r{gid}", entries, Zone.GROOMED, 0, gid, gid)
+        if draw(st.booleans()):
+            downgrade_blocks_to_v1(run)
+        runs.insert(0, run)
+        previous = drawn
+    return definition, hierarchy, runs
+
+
+@st.composite
+def scans(draw, definition, runs):
+    """A RangeScanQuery: points, prefixes, block edges, empty, unbounded."""
+    hashed = bool(definition.equality_columns)
+    query_ts = draw(st.sampled_from([0, 1, MAX_TS // 2, MAX_TS, 1 << 60]))
+    device = draw(st.integers(0, DEVICES))
+    low = draw(st.integers(-1, MSGS))
+    high = draw(st.integers(-1, MSGS + 1))
+    edge = draw(st.booleans())
+    if edge:  # start exactly on some block's first entry
+        run = draw(st.sampled_from(runs))
+        block = draw(st.integers(0, run.header.num_data_blocks - 1))
+        first = run.block_view(block).entry(0)
+        device, low = (
+            (first.equality_values[0], first.sort_values[0]) if hashed
+            else first.sort_values
+        )
+    if hashed:
+        lower = draw(st.sampled_from([None, (low,)]))
+        upper = draw(st.sampled_from([None, (high,)]))
+        return RangeScanQuery((device,), lower, upper, query_ts)
+    lower = draw(st.sampled_from([None, (device,), (device, low)]))
+    upper = draw(st.sampled_from([None, (device,), (device, high)]))
+    return RangeScanQuery((), lower, upper, query_ts)
+
+
+class Observed:
+    """Entries, probe count and the block-fetch sequence of one action."""
+
+    def __init__(self, hierarchy, runs, action):
+        for run in runs:
+            run.drop_decode_cache()
+        fetched = []
+        real_read = hierarchy.read
+
+        def recording_read(block_id, *args, **kwargs):
+            fetched.append(block_id)
+            return real_read(block_id, *args, **kwargs)
+
+        decode = hierarchy.stats.decode
+        probes = decode.raw_key_probes
+        hierarchy.read = recording_read
+        try:
+            self.result = action()
+        finally:
+            del hierarchy.read
+        self.probes = decode.raw_key_probes - probes
+        self.fetched = fetched
+
+
+def executor_for(definition, runs):
+    return QueryExecutor(definition, collect_runs=lambda: list(runs))
+
+
+class TestRangeScan:
+    @settings(max_examples=150, deadline=None)
+    @given(data=st.data())
+    def test_both_strategies_and_the_iterator_match_the_oracle(self, data):
+        definition, hierarchy, runs = data.draw(fixtures())
+        query = data.draw(scans(definition, runs))
+        bounds = compute_scan_bounds(definition, query)
+        candidates = [run for run in runs if run_may_contain(run, query)]
+        executor = executor_for(definition, runs)
+
+        heap = Observed(hierarchy, runs, lambda: list(reference_merge_runs_iter(
+            candidates, *bounds[:2], query.query_ts, bounds.hash_value
+        )))
+        by_set = Observed(hierarchy, runs, lambda: reference_reconcile_set(
+            candidates, *bounds[:2], query.query_ts, bounds.hash_value
+        ))
+        assert heap.result == by_set.result  # the oracles agree
+
+        for strategy in ReconcileStrategy:
+            scan = Observed(
+                hierarchy, runs, lambda: executor.range_scan(query, strategy)
+            )
+            assert scan.result == heap.result
+            assert scan.probes == heap.probes == by_set.probes
+            # Run by run: the set oracle's order, the heap oracle's set.
+            assert scan.fetched == by_set.fetched
+            assert sorted(scan.fetched) == sorted(heap.fetched)
+
+        streamed = Observed(
+            hierarchy, runs, lambda: list(executor.range_scan_iter(query))
+        )
+        assert streamed.result == heap.result
+        assert streamed.probes == heap.probes
+        assert streamed.fetched == heap.fetched
+
+    @settings(max_examples=100, deadline=None)
+    @given(data=st.data())
+    def test_search_run_flattens_the_same_kernel(self, data):
+        definition, hierarchy, runs = data.draw(fixtures())
+        query = data.draw(scans(definition, runs))
+        bounds = compute_scan_bounds(definition, query)
+        run = data.draw(st.sampled_from(runs))
+        use_offset_array = data.draw(st.booleans())
+        arguments = (
+            run, *bounds[:2], query.query_ts, bounds.hash_value, use_offset_array
+        )
+        expected = Observed(hierarchy, runs, lambda: [
+            entry for _, entry in reference_search_run_raw(*arguments)
+        ])
+        got = Observed(hierarchy, runs, lambda: list(search_run(*arguments)))
+        assert got.result == expected.result
+        assert got.probes == expected.probes
+        assert got.fetched == expected.fetched
+
+    def test_a_scan_decodes_only_the_entries_it_returns(self):
+        hierarchy = StorageHierarchy()
+        builder = RunBuilder(HASHED, hierarchy, data_block_bytes=160)
+        old = builder.build("old", [
+            make_entry(HASHED, 1, m, ts, 0) for m in range(30) for ts in (1, 2, 3)
+        ], Zone.GROOMED, 0, 0, 0)
+        new = builder.build("new", [
+            make_entry(HASHED, 1, m, 9, 1) for m in range(0, 30, 2)
+        ], Zone.GROOMED, 0, 1, 1)
+        executor = executor_for(HASHED, [new, old])
+        decode = hierarchy.stats.decode
+        for strategy in ReconcileStrategy:
+            for run in (new, old):
+                run.drop_decode_cache()
+            before = decode.entry_decodes
+            entries = executor.range_scan(RangeScanQuery((1,)), strategy)
+            assert len(entries) == 30
+            assert decode.entry_decodes - before == 30  # not 30 + 15
+
+
+@st.composite
+def point_keys(draw, definition, count):
+    hashed = bool(definition.equality_columns)
+    keys = draw(st.lists(
+        st.tuples(st.integers(0, DEVICES), st.integers(-1, MSGS)),
+        min_size=1, max_size=count,
+    ))
+    return [((d,), (m,)) if hashed else ((), (d, m)) for d, m in keys]
+
+
+class TestLookups:
+    @settings(max_examples=150, deadline=None)
+    @given(data=st.data())
+    def test_run_level_lookups_match_the_oracle(self, data):
+        definition, hierarchy, runs = data.draw(fixtures())
+        run = data.draw(st.sampled_from(runs))
+        keys = sorted({
+            (key, hash_value or 0)
+            for key, hash_value in (
+                encode_point_key(definition, eq, sort)
+                for eq, sort in data.draw(point_keys(definition, 12))
+            )
+        })
+        use_offset_array = data.draw(st.booleans())
+        query_ts = data.draw(st.sampled_from([
+            0, MAX_TS // 2, 1 << 60,
+            [data.draw(st.integers(0, MAX_TS)) for _ in keys],  # one per key
+        ]))
+
+        expected = Observed(hierarchy, runs, lambda: reference_batch_lookup_in_run(
+            run, keys, query_ts, use_offset_array
+        ))
+        got = Observed(hierarchy, runs, lambda: batch_lookup_in_run(
+            run, keys, query_ts, use_offset_array
+        ))
+        assert got.result == expected.result
+        if isinstance(query_ts, int):
+            assert got.probes == expected.probes
+            assert got.fetched == expected.fetched
+        else:  # one pass with the cursor kept, where the oracle re-enters
+            assert got.probes <= expected.probes
+            assert set(got.fetched) <= set(expected.fetched)
+
+        key, hash_value = keys[0]
+        ts = query_ts if isinstance(query_ts, int) else query_ts[0]
+        one = Observed(hierarchy, runs, lambda: lookup_key_in_run(
+            run, key, ts, hash_value, use_offset_array
+        ))
+        reference = Observed(hierarchy, runs, lambda: reference_lookup_key_in_run(
+            run, key, ts, hash_value, use_offset_array
+        ))
+        assert one.result == reference.result
+        assert (one.probes, one.fetched) == (reference.probes, reference.fetched)
+
+    @settings(max_examples=150, deadline=None)
+    @given(data=st.data())
+    def test_executor_batch_lookup_matches_the_oracle(self, data):
+        definition, hierarchy, runs = data.draw(fixtures())
+        mixed = data.draw(st.booleans())
+        lookups = [
+            PointLookup(eq, sort, data.draw(st.integers(0, MAX_TS)) if mixed else 1 << 60)
+            for eq, sort in data.draw(point_keys(definition, 16))
+        ]
+        executor = executor_for(definition, runs)
+        got = Observed(hierarchy, runs, lambda: executor.batch_lookup(lookups))
+
+        import repro.core.query as query_module
+
+        kernel = query_module.batch_lookup_in_run
+        query_module.batch_lookup_in_run = reference_batch_lookup_in_run
+        try:
+            expected = Observed(
+                hierarchy, runs, lambda: executor.batch_lookup(lookups)
+            )
+        finally:
+            query_module.batch_lookup_in_run = kernel
+        assert got.result == expected.result
+        assert got.result == [executor.point_lookup(lk) for lk in lookups]
+        if mixed:  # one pass with the cursor kept, where the oracle re-enters
+            assert got.probes <= expected.probes
+            assert set(got.fetched) <= set(expected.fetched)
+        else:
+            assert got.probes == expected.probes
+            assert got.fetched == expected.fetched
+
+
+@pytest.mark.parametrize("definition", [HASHED, UNBUCKETED])
+def test_point_key_is_the_degenerate_scan_bound(definition):
+    """``encode_point_key`` builds what the two ``RangeScanQuery`` hops built."""
+    hashed = bool(definition.equality_columns)
+    eq, sort = ((3,), (7,)) if hashed else ((), (3, 7))
+    via_scan = compute_scan_bounds(
+        definition, RangeScanQuery(eq, sort or None, sort or None)
+    )
+    assert encode_point_key(definition, eq, sort) == (
+        via_scan.lower_key, via_scan.hash_value
+    )

@@ -164,27 +164,6 @@ class TestPlannerEquivalence:
         assert plan["fetch_back"]
         assert smart.query(ghost) == baseline.query(ghost)
 
-    def test_allow_stale_included_restores_index_only(self):
-        # The ablation flag: opting into stale included columns brings
-        # back the index-only plan -- and with it, row 0's ghost.
-        smart = make_shard()
-        baseline = make_shard(planner="baseline")
-        for shard in (smart, baseline):
-            seed(shard)
-            shard.ingest([(0, "c9", "r9", 7)])
-            shard.run_cycles(4)
-        stale = Query(ranges=(("region", "r0", "r0"),),
-                      projection=("region", "amount"),
-                      allow_stale_included=True)
-        assert smart.explain(stale)["index_only"]
-        observed = smart.query(stale)
-        truth = baseline.query(
-            Query(ranges=(("region", "r0", "r0"),),
-                  projection=("region", "amount"))
-        )
-        assert ("r0", 0) in observed  # row 0's ghost, the documented cost
-        assert [r for r in observed if r != ("r0", 0)] == truth
-
     def test_included_column_updates_keep_index_only(self):
         # Precision of the tracker: updates touching only *included*
         # columns keep the entry key stable, leave no ghosts, and keep

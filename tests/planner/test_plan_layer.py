@@ -9,8 +9,9 @@ from repro.planner.plan import (
     PlanError,
     Predicate,
     Query,
+    bind_values,
     candidate_shape,
-    entry_slot,
+    entry_offset,
     plan_hinted,
     shape_to_plan,
 )
@@ -77,26 +78,29 @@ class TestQueryValidation:
         assert open_low.matches(-100) and not open_low.matches(5)
 
 
-class TestEntrySlots:
-    def test_slots_cover_suffixed_secondary_spec(self):
+class TestEntryOffsets:
+    def test_offsets_cover_suffixed_secondary_spec(self):
         shard = make_shard()
         spec = shard.indexes.get("by_customer").spec
-        assert entry_slot(spec, "customer") == ("eq", 0)
+        # Entry values are equality | sort | include.
+        assert entry_offset(spec, "customer") == 0
         # The primary key was suffixed into the sort columns.
-        assert entry_slot(spec, "order_id") == ("sort", 0)
-        assert entry_slot(spec, "amount") == ("incl", 0)
-        assert entry_slot(spec, "region") is None
+        assert entry_offset(spec, "order_id") == 1
+        assert entry_offset(spec, "amount") == 2
+        assert entry_offset(spec, "region") is None
 
 
 class TestCandidateShapes:
     def test_primary_point(self):
         shard = make_shard()
+        query = Query(equalities=(("order_id", 7),))
         shape = candidate_shape(
-            Query(equalities=(("order_id", 7),)),
-            shard.schema, shard.indexes.get("primary"), is_primary=True,
+            query, shard.schema, shard.indexes.get("primary"), is_primary=True,
         )
         assert shape.mode == "point"
-        assert shape.sort_values == (7,)
+        # A shape holds no values; a call binds them.
+        bound = shape.key_values(*bind_values(shard.schema, query))
+        assert bound["sort_values"] == (7,)
         assert shape.bound_prefix == 1
         assert shape.entry_residuals == shape.record_residuals == ()
 
@@ -110,13 +114,14 @@ class TestCandidateShapes:
 
     def test_range_consumed_on_first_unbound_sort_column(self):
         shard = make_shard()
+        query = Query(ranges=(("region", "a", "m"),))
         shape = candidate_shape(
-            Query(ranges=(("region", "a", "m"),)),
-            shard.schema, shard.indexes.get("by_region"), is_primary=False,
+            query, shard.schema, shard.indexes.get("by_region"), is_primary=False,
         )
         assert shape.mode == "scan"
         assert shape.range_column == "region"
-        assert shape.sort_lower == ("a",) and shape.sort_upper == ("m",)
+        bound = shape.key_values(*bind_values(shard.schema, query))
+        assert bound["sort_lower"] == ("a",) and bound["sort_upper"] == ("m",)
 
     def test_residual_split_entry_vs_record(self):
         shard = make_shard()
@@ -187,7 +192,10 @@ class TestShapeToPlan:
         )
         assert plan.index_only and not plan.fetch_back
         assert plan.record_checks == ()
-        assert plan.projection_slots == (("sort", 0), ("incl", 0))
+        # Entry columns are (customer | order_id | amount): the row and the
+        # primary key come straight out of them.
+        assert plan.entry_row(("c1", 7, 50)) == (7, 50)
+        assert plan.entry_pk(("c1", 7, 50)) == (7,)
 
     def test_pk_slots_always_resolvable(self):
         shard = make_shard()
@@ -206,7 +214,8 @@ class TestShapeToPlan:
                 shape, query, shard.schema, shard.indexes.get(name),
                 planner="smart", index_only=False,
             )
-            assert len(plan.pk_slots) == 1 and plan.pk_slots[0] is not None
+            width = len(shard.indexes.get(name).index.definition.all_columns)
+            assert len(plan.entry_pk(tuple(range(width)))) == 1
 
 
 class TestHintedPath:
