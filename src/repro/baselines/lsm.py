@@ -24,14 +24,8 @@ from typing import Callable, Dict, Iterable, List, Optional, Tuple
 
 from repro.core.builder import RunBuilder
 from repro.core.definition import IndexDefinition
-from repro.core.entry import (
-    IndexEntry,
-    RID,
-    RID_BYTES,
-    Zone,
-    replace_rid_in_blob,
-)
-from repro.core.merge import merge_entry_blob_streams
+from repro.core.entry import IndexEntry, RID, RID_BYTES, Zone
+from repro.core.merge import merge_blocks, merge_entry_blob_streams
 from repro.core.query import MAX_QUERY_TS
 from repro.core.run import IndexRun, Synopsis
 from repro.core.search import lookup_key_in_run, search_run
@@ -120,13 +114,13 @@ class ClassicLSMIndex:
     def _merge_runs(self, inputs: List[IndexRun], level: int) -> IndexRun:
         """Merge ``inputs`` (newest first) into one run at ``level``.
 
-        Reuses the core blob-stream K-way merge: entry bytes move from the
-        input blocks to the new run verbatim, so baseline-vs-Umzi numbers
-        compare index *designs*, not decode overhead.
+        Reuses the core block-granular K-way merge: entry bytes move from
+        the input blocks to the new run verbatim, so baseline-vs-Umzi
+        numbers compare index *designs*, not decode overhead.
         """
-        return self.builder.build_from_blobs(
+        return self.builder.build_from_columns(
             run_id=self._next_run_id(),
-            blob_pairs=merge_entry_blob_streams(self.definition, inputs),
+            batches=merge_blocks(inputs),
             synopsis=Synopsis.union([r.header.synopsis for r in inputs]),
             zone=Zone.GROOMED,
             level=level,
@@ -263,9 +257,9 @@ class ClassicLSMIndex:
           stream off the runs as raw ``(sort_key, entry_blob)`` pairs, the
           callback decides the new RID from the raw slices (``beginTS`` is
           the sort key's fixed 8-byte suffix, the old RID the blob's
-          fixed 13-byte suffix), and the rewrite is a
-          :func:`replace_rid_in_blob` splice -- no :class:`IndexEntry` is
-          ever materialized for unchanged or spliced entries.  Because it
+          fixed 13-byte suffix), and the rewrite is a splice over that
+          suffix -- no :class:`IndexEntry` is ever materialized for
+          unchanged or spliced entries.  Because it
           reuses the K-way blob merge, *physical duplicates* -- the same
           ``(key, beginTS)`` version present in several runs -- collapse
           to the newest run's copy (and are not counted as rewritten),
@@ -308,9 +302,9 @@ class ClassicLSMIndex:
                 new_rid = remap_raw(sort_key, blob)
                 if new_rid is not None:
                     new_rid_bytes = new_rid.to_bytes()
-                    if new_rid_bytes != blob[len(blob) - RID_BYTES:]:
+                    if new_rid_bytes != blob[-RID_BYTES:]:
                         counts["rewritten"] += 1
-                        blob = replace_rid_in_blob(blob, new_rid)
+                        blob = blob[:-RID_BYTES] + new_rid_bytes
                 yield sort_key, blob
 
         new_run = self.builder.build_from_blobs(

@@ -6,22 +6,24 @@ offset array on the fly.  The builder is the single primitive shared by
 index build (after a groom), merge, and evolve -- they differ only in where
 the input entries come from and which level/zone the run lands in.
 
-Two input shapes are accepted:
-
-* :meth:`RunBuilder.build` takes decoded :class:`IndexEntry` objects
-  (the legacy evolve, tests) and serializes each once;
-* :meth:`RunBuilder.build_from_blobs` takes pre-serialized
-  ``(sort_key, entry_blob)`` pairs (groom, streaming evolve, the K-way
-  merge) and copies them verbatim -- no entry is decoded.  Everything
-  derivable from raw sort keys (offset array, begin-TS range, Bloom
-  filter, block index) is computed from the bytes; only the synopsis,
-  whose per-column min/max needs decoded values, is supplied by the
-  caller (merges pass the union of the input synopses).
+One column builder, :meth:`RunBuilder.build_from_columns`, sits behind
+every input shape: the K-way merge and the streaming evolve hand it the
+column batches of :func:`repro.core.merge.merge_blocks` as they are,
+:meth:`RunBuilder.build_from_blobs` takes sorted ``(sort_key, entry_blob)``
+pairs (groom, shard copy) and :meth:`RunBuilder.build` decoded
+:class:`IndexEntry` objects (the legacy evolve, tests), serialized once.
+Blobs are copied verbatim -- no entry is decoded.  Everything derivable
+from raw sort keys (offset array, begin-TS range, Bloom filter, block
+index) is computed from the bytes, a column at a time; only the synopsis,
+whose per-column min/max needs decoded values, is supplied by the caller
+(merges pass the union of the input synopses).
 """
 
 from __future__ import annotations
 
+from bisect import bisect_left, bisect_right
 from itertools import accumulate
+from operator import itemgetter
 from typing import Iterable, List, Optional, Sequence, Tuple
 
 from repro.core.definition import IndexDefinition
@@ -82,22 +84,12 @@ class RunBuilder:
         self,
         run_id: str,
         entries: Iterable[IndexEntry],
-        zone: Zone,
-        level: int,
-        min_groomed_id: int,
-        max_groomed_id: int,
-        persisted: bool = True,
-        write_through_ssd: bool = True,
-        spill_to_ssd: bool = False,
-        ancestor_run_ids: Sequence[str] = (),
+        *placement,
         presorted: bool = False,
+        **options,
     ) -> IndexRun:
-        """Sort, slice into data blocks, write, and return the run handle.
-
-        ``persisted`` selects the durable path (shared storage +
-        write-through SSD); non-persisted runs go to memory only (section
-        6.1), optionally spilling to SSD.
-        """
+        """Sort decoded entries, derive their synopsis and build the run
+        (``placement`` and ``options`` as for :meth:`build_from_columns`)."""
         definition = self.definition
         # Encode once: each entry serializes to (sort_key, blob) a single
         # time and the run order comes from sorting the raw key slices.
@@ -105,17 +97,28 @@ class RunBuilder:
         synopsis = Synopsis.from_entries(definition, materialized)
         pairs = [entry.to_blob(definition) for entry in materialized]
         if not presorted:
-            pairs.sort(key=lambda pair: pair[0])
-        return self.build_from_blobs(
-            run_id, pairs, synopsis, zone, level, min_groomed_id,
-            max_groomed_id, persisted, write_through_ssd, spill_to_ssd,
-            ancestor_run_ids,
-        )
+            pairs.sort(key=itemgetter(0))
+        return self.build_from_blobs(run_id, pairs, synopsis, *placement, **options)
 
     def build_from_blobs(
         self,
         run_id: str,
         blob_pairs: Iterable[Tuple[bytes, bytes]],
+        synopsis: Synopsis,
+        *placement,
+        **options,
+    ) -> IndexRun:
+        """:meth:`build_from_columns` over ``(sort_key, entry_blob)`` pairs
+        in sort-key order (the groomer's and the shard copy's shape)."""
+        columns = tuple(zip(*blob_pairs)) or ((), ())
+        return self.build_from_columns(
+            run_id, [columns], synopsis, *placement, **options
+        )
+
+    def build_from_columns(
+        self,
+        run_id: str,
+        batches: Iterable[Tuple[Sequence[bytes], Sequence[bytes]]],
         synopsis: Synopsis,
         zone: Zone,
         level: int,
@@ -126,65 +129,70 @@ class RunBuilder:
         spill_to_ssd: bool = False,
         ancestor_run_ids: Sequence[str] = (),
     ) -> IndexRun:
-        """Build a run from pre-serialized, pre-sorted entry blobs.
+        """Build a run from pre-serialized, pre-sorted entry columns.
 
-        ``blob_pairs`` yields ``(sort_key, entry_blob)`` in sort-key order
-        (the shape :meth:`IndexRun.iter_raw` and the blob-level merge
-        produce).  No entry is decoded: the offset array reads the hash
-        from the first 8 sort-key bytes, begin-TS bounds come from the
-        8-byte suffix, and the Bloom filter hashes raw user-key slices.
+        ``batches`` yields ``(sort_keys, entry_blobs)`` column pairs whose
+        concatenation is in sort-key order (:func:`merge_blocks`' shape).
+        No entry is looked at alone: blocks are cut by ``bisect`` over the
+        cumulative blob lengths (a block closes when the next blob would
+        pass ``data_block_bytes``, and is never empty), the offset array
+        is one ``bisect`` per bucket over the sorted keys (each starts
+        with the 8-byte big-endian hash) and the begin-TS bounds are
+        ``min`` / ``max`` of the raw 8-byte suffixes.  ``persisted``
+        selects the durable path (shared storage + write-through SSD);
+        non-persisted runs go to memory only (section 6.1), optionally
+        spilling to SSD.
         """
-        blob_pairs = list(blob_pairs)
         definition = self.definition
-        # One pass over the pairs: slice them into data blocks of
-        # ~data_block_bytes each while counting the offset-array buckets
-        # (the sort key starts with the 8-byte big-endian hash column) and
-        # tracking the beginTS range as raw descending sort-key suffixes.
+        sort_keys: List[bytes] = []
+        blobs: List[bytes] = []
+        for batch_keys, batch_blobs in batches:
+            sort_keys += batch_keys
+            blobs += batch_blobs
+        count = len(blobs)
+        key_lengths = list(map(len, sort_keys))
+        ends = list(accumulate(map(len, blobs)))  # ends[i]: bytes through blob i
         limit = self.data_block_bytes
-        counts = [0] * definition.offset_array_size
-        shift = 64 - definition.hash_bits
         block_metas: List[DataBlockMeta] = []
         block_payloads: List[bytes] = []
-        offsets: List[int] = []
-        sort_key_lengths: List[int] = []
-        blobs: List[bytes] = []
-        position = 0
-        newest = oldest = (
-            blob_pairs[0][0][-SORT_KEY_TS_BYTES:] if blob_pairs else b""
-        )
-        for sort_key, blob in blob_pairs:
-            blob_len = len(blob)
-            if position and position + blob_len > limit:
-                self._seal_block(
-                    offsets, sort_key_lengths, blobs, block_metas, block_payloads
-                )
-                offsets, sort_key_lengths, blobs = [], [], []
-                position = 0
-            offsets.append(position)
-            sort_key_lengths.append(len(sort_key))
-            blobs.append(blob)
-            position += blob_len
-            if counts:
-                counts[int.from_bytes(sort_key[:8], "big") >> shift] += 1
-            suffix = sort_key[-SORT_KEY_TS_BYTES:]
-            if suffix < newest:
-                newest = suffix
-            elif suffix > oldest:
-                oldest = suffix
-        if blobs:
-            self._seal_block(
-                offsets, sort_key_lengths, blobs, block_metas, block_payloads
+        first = base = 0
+        while first < count:
+            stop = max(bisect_right(ends, base + limit, first), first + 1)
+            payload = pack_data_block(
+                [0, *[end - base for end in ends[first : stop - 1]]],
+                key_lengths[first:stop],
+                blobs[first:stop],
             )
+            block_metas.append(
+                DataBlockMeta(
+                    entry_count=stop - first,
+                    first_sort_key=sort_keys[first],
+                    size_bytes=len(payload),
+                    # Recovery re-validates the run by checksumming raw
+                    # payloads against this -- no entry decodes on the
+                    # clean path (and the journal uses it for torn-write
+                    # detection).
+                    checksum=block_checksum(payload),
+                )
+            )
+            block_payloads.append(payload)
+            first, base = stop, ends[stop - 1]
         # offset[b] = ordinal of the first entry with hash high-bits >= b.
-        offset_array = tuple(accumulate(counts, initial=0))[:-1]
-        min_ts = begin_ts_of_sort_key(oldest) if blob_pairs else 0
-        max_ts = begin_ts_of_sort_key(newest) if blob_pairs else 0
+        shift = 64 - definition.hash_bits
+        offset_array = tuple(
+            bisect_left(sort_keys, (bucket << shift).to_bytes(8, "big"))
+            for bucket in range(definition.offset_array_size)
+        )
+        # ``~beginTS`` is stored descending: the smallest suffix is the newest.
+        suffixes = [key[-SORT_KEY_TS_BYTES:] for key in sort_keys]
+        min_ts = begin_ts_of_sort_key(max(suffixes)) if count else 0
+        max_ts = begin_ts_of_sort_key(min(suffixes)) if count else 0
 
         bloom_blob = None
-        if self.bloom_fpr is not None and blob_pairs:
+        if self.bloom_fpr is not None and count:
             from repro.core.bloom import BloomFilter
 
-            distinct = {sk[:-SORT_KEY_TS_BYTES] for sk, _blob in blob_pairs}
+            distinct = {key[:-SORT_KEY_TS_BYTES] for key in sort_keys}
             bloom = BloomFilter.for_capacity(len(distinct), self.bloom_fpr)
             bloom.add_all(distinct)
             bloom_blob = bloom.to_bytes()
@@ -195,7 +203,7 @@ class RunBuilder:
             level=level,
             min_groomed_id=min_groomed_id,
             max_groomed_id=max_groomed_id,
-            entry_count=len(blob_pairs),
+            entry_count=count,
             synopsis=synopsis,
             offset_array=offset_array,
             block_meta=tuple(block_metas),
@@ -208,29 +216,6 @@ class RunBuilder:
 
         self._write_blocks(header, block_payloads, write_through_ssd, spill_to_ssd)
         return IndexRun(definition, header, self.hierarchy)
-
-    def _seal_block(
-        self,
-        offsets: List[int],
-        sort_key_lengths: List[int],
-        blobs: List[bytes],
-        metas: List[DataBlockMeta],
-        payloads: List[bytes],
-    ) -> None:
-        payload = pack_data_block(offsets, sort_key_lengths, blobs)
-        metas.append(
-            DataBlockMeta(
-                entry_count=len(blobs),
-                # Every entry blob starts with its sort key.
-                first_sort_key=blobs[0][: sort_key_lengths[0]],
-                size_bytes=len(payload),
-                # Recovery re-validates the run by checksumming raw
-                # payloads against this -- no entry decodes on the clean
-                # path (and the journal uses it for torn-write detection).
-                checksum=block_checksum(payload),
-            )
-        )
-        payloads.append(payload)
 
     def _write_blocks(
         self,

@@ -17,6 +17,7 @@ as constructors: :func:`i1_definition`, :func:`i2_definition`,
 from __future__ import annotations
 
 import enum
+import struct
 from dataclasses import dataclass, field
 from typing import Dict, Iterable, List, Mapping, Sequence, Tuple
 
@@ -113,6 +114,10 @@ class ColumnSpec:
             if value != value:
                 raise EncodingError(f"column {self.name!r}: NaN is not orderable")
         return value
+
+
+# What an encoder raises when handed a value of another type than its own.
+WRONG_TYPE_ERRORS = (AttributeError, TypeError, struct.error)
 
 
 def encode_typed(
@@ -285,6 +290,7 @@ __all__ = [
     "ColumnType",
     "IndexDefinition",
     "IndexDefinitionError",
+    "WRONG_TYPE_ERRORS",
     "encode_typed",
     "i1_definition",
     "i2_definition",

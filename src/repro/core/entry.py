@@ -73,11 +73,6 @@ SORT_KEY_TS_BYTES = 8
 _UINT64_MAX = (1 << 64) - 1
 
 
-def user_key_of_sort_key(sort_key: bytes) -> bytes:
-    """The ``key_bytes`` portion of a raw sort key (drop the beginTS suffix)."""
-    return sort_key[:-SORT_KEY_TS_BYTES]
-
-
 def begin_ts_of_sort_key(sort_key: bytes) -> int:
     """Decode ``beginTS`` from a raw sort key's fixed 8-byte suffix."""
     return _UINT64_MAX - int.from_bytes(sort_key[-SORT_KEY_TS_BYTES:], "big")
@@ -89,22 +84,21 @@ def begin_ts_of_sort_key(sort_key: bytes) -> int:
 RID_BYTES = RID._STRUCT.size
 
 
-def replace_rid_in_blob(blob: bytes, new_rid: "RID") -> bytes:
-    """Splice a new RID over a blob's fixed-width RID suffix.
-
-    This is what the streaming evolve path does per entry: when a record
-    moves from the groomed to the post-groomed zone its key and beginTS
-    are unchanged -- only the RID suffix differs -- so the whole re-key is
-    one slice plus a 13-byte pack.
-    """
-    return blob[: len(blob) - RID_BYTES] + new_rid.to_bytes()
-
-
 def encode_rid_column(zone: Zone, block_id: int, count: int) -> List[bytes]:
     """Serialized RIDs of offsets ``0..count-1`` of one data block."""
     pack = RID._STRUCT.pack
     zone_raw = int(zone)
     return [pack(zone_raw, block_id, offset) for offset in range(count)]
+
+
+def hash_column(equality: Sequence[List[bytes]]) -> List[bytes]:
+    """The encoded hash column of a batch, from its encoded equality
+    columns; each distinct equality value is hashed once."""
+    hashed = list(map(b"".join, zip(*equality)))
+    hash_of = {
+        encoded: encode_uint64(hash_values((encoded,))) for encoded in set(hashed)
+    }
+    return [hash_of[encoded] for encoded in hashed]
 
 
 def entry_blob_columns(
@@ -125,12 +119,7 @@ def entry_blob_columns(
     """
     key_columns = [*equality, *sort, ts_desc]
     if definition.has_hash_column:
-        hashed = list(map(b"".join, zip(*equality)))
-        hash_of = {
-            encoded: encode_uint64(hash_values((encoded,)))
-            for encoded in set(hashed)
-        }
-        key_columns.insert(0, [hash_of[encoded] for encoded in hashed])
+        key_columns.insert(0, hash_column(equality))
     sort_keys = list(map(b"".join, zip(*key_columns)))
     blobs = map(b"".join, zip(sort_keys, *includes, rids))
     return list(zip(sort_keys, blobs))
@@ -260,6 +249,5 @@ __all__ = [
     "begin_ts_of_sort_key",
     "encode_rid_column",
     "entry_blob_columns",
-    "replace_rid_in_blob",
-    "user_key_of_sort_key",
+    "hash_column",
 ]

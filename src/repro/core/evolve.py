@@ -24,26 +24,27 @@ from __future__ import annotations
 
 import threading
 from dataclasses import dataclass
-from typing import Callable, Dict, Iterable, List, Optional, Sequence, Tuple
+from itertools import compress
+from typing import Callable, Dict, Iterable, List, Optional, Tuple
 
 from repro.core.builder import RunBuilder
 from repro.core.epoch import delete_run_action, drop_cache_action
 from repro.core.entry import (
     IndexEntry,
     RID,
+    RID_BYTES,
+    SORT_KEY_TS_BYTES,
     Zone,
     begin_ts_of_sort_key,
-    replace_rid_in_blob,
 )
 from repro.core.ids import RunIdAllocator
 from repro.core.journal import Checkpoint, MetadataJournal
 from repro.core.levels import LevelConfig
-from repro.core.merge import merge_entry_blob_streams
+from repro.core.merge import merge_blocks
 from repro.core.run import IndexRun, Synopsis
 from repro.core.runlist import RunList
 from repro.faults.crash import crash_point
 from repro.storage.hierarchy import StorageHierarchy
-from repro.storage.metrics import ReadIntent
 
 
 class EvolveError(RuntimeError):
@@ -70,6 +71,25 @@ class Watermark:
                 f"watermark may only advance ({self._value} -> {new_value})"
             )
         self._value = new_value  # atomic publication
+
+
+class RidSplices(dict):
+    """Raw ``~beginTS`` suffix -> the serialized new RID of that version.
+
+    What a streaming evolve splices over its entries' RID suffixes, filled
+    from ``new_rid_of(begin_ts)`` once per distinct suffix (``None``: the
+    version is outside the operation's coverage).  One instance can serve
+    the evolves of every index of one PSN: they migrate the same versions.
+    """
+
+    def __init__(self, new_rid_of: Callable[[int], Optional[RID]]) -> None:
+        super().__init__()
+        self._new_rid_of = new_rid_of
+
+    def __missing__(self, suffix: bytes) -> Optional[bytes]:
+        rid = self._new_rid_of(begin_ts_of_sort_key(suffix))
+        spliced = self[suffix] = None if rid is None else rid.to_bytes()
+        return spliced
 
 
 @dataclass
@@ -123,24 +143,16 @@ class EvolveController:
         self.run_lists = run_lists
         self.watermark = watermark
         self.journal = journal
-        self._write_through = write_through if write_through is not None else lambda _: True
-        self._ancestor_protector = (
-            ancestor_protector if ancestor_protector is not None else lambda _: False
-        )
-        # reclaimer(run_id, free) routes physical frees of unlinked runs
-        # through the run lifecycle (protected modes defer them while queries
-        # pin the run); the default executes immediately (legacy).
-        self._reclaim = (
-            reclaimer if reclaimer is not None else lambda _run_id, free: free()
-        )
+        # The optional callbacks are MergeController's (see there).
+        self._write_through = write_through or (lambda _: True)
+        self._ancestor_protector = ancestor_protector or (lambda _: False)
+        self._reclaim = reclaimer or (lambda _run_id, free: free())
         self.indexed_psn = 0  # PSNs start at 1; 0 means "nothing evolved yet"
         # Serializes evolves among themselves AND against merges when the
         # index supplies its shared maintenance structure mutex (an evolve's
         # step 3 unlinks groomed runs a concurrent merge may have selected
         # as victims).  Queries never take this lock.
-        self._lock = (
-            structure_lock if structure_lock is not None else threading.Lock()
-        )
+        self._lock = structure_lock or threading.Lock()
 
     # -- the full operation ------------------------------------------------------------
 
@@ -160,22 +172,7 @@ class EvolveController:
         with self._lock:
             self._check_psn(psn)
             new_run = self.step1_build_run(entries, min_groomed_id, max_groomed_id)
-            crash_point("evolve.post_publish")
-            before = self.watermark.value
-            self.step2_advance_watermark(max_groomed_id)
-            crash_point("evolve.pre_gc")
-            collected = self.step3_collect_obsolete()
-            self.indexed_psn = psn
-            crash_point("evolve.pre_checkpoint")
-            self._checkpoint()
-            return EvolveResult(
-                psn=psn,
-                new_run_id=new_run.run_id,
-                new_run_entries=new_run.entry_count,
-                watermark_before=before,
-                watermark_after=self.watermark.value,
-                collected_run_ids=tuple(collected),
-            )
+            return self._steps_2_and_3(psn, new_run, max_groomed_id)
 
     def evolve_streaming(
         self,
@@ -187,22 +184,24 @@ class EvolveController:
         """Zero-decode evolve: splice new RIDs into raw groomed entry blobs.
 
         Instead of materializing an :class:`IndexEntry` per migrated record
-        (the legacy ``evolve`` path), this streams ``(sort_key, blob)``
-        pairs straight off the covered groomed runs' data blocks.  A
-        record's key columns and ``beginTS`` do not change when it moves to
-        the post-groomed zone -- only its RID does -- so the migration is a
-        13-byte splice over the blob's fixed-width RID suffix; include
-        columns are forwarded verbatim and the stream stays in sort order.
+        (the legacy ``evolve`` path), this streams column batches
+        (:func:`merge_blocks`) straight off the covered groomed runs' data
+        blocks.  A record's key columns and ``beginTS`` do not change when
+        it moves to the post-groomed zone -- only its RID does -- so the
+        migration is a 13-byte splice over the blob's fixed-width RID
+        suffix, a batch at a time; include columns are forwarded verbatim
+        and the stream stays in sort order.
 
-        ``new_rid_of(begin_ts)`` maps a version's ``beginTS`` (read as a
-        raw sort-key suffix slice) to its post-groomed RID, or ``None`` for
-        entries outside this operation's coverage (already evolved, or
-        groomed after it was published) -- those are skipped, and partial
-        coverage reconciles at query time exactly like section 5.4's
-        duplicates.  ``beginTS`` values must uniquely identify record
-        versions (the groomer's ``cycle | order`` composition guarantees
-        this).  The output synopsis is the union of the inputs' synopses --
-        sound because the evolved entries are a key-identical subset.
+        ``new_rid_of(begin_ts)`` maps a version's ``beginTS`` to its
+        post-groomed RID, or ``None`` for entries outside this operation's
+        coverage (already evolved, or groomed after it was published) --
+        those are skipped, and partial coverage reconciles at query time
+        exactly like section 5.4's duplicates.  It is asked through a
+        :class:`RidSplices`; pass one to share it between the indexes of
+        one PSN.  ``beginTS`` values must uniquely identify record versions
+        (the groomer's ``cycle | order`` composition guarantees this).  The
+        output synopsis is the union of the inputs' synopses -- sound
+        because the evolved entries are a key-identical subset.
         """
         with self._lock:
             self._check_psn(psn)
@@ -213,54 +212,57 @@ class EvolveController:
                 and run.max_groomed_id >= min_groomed_id
             ]
             decode_stats = self.hierarchy.stats.decode
-            counts = {"spliced": 0, "skipped": 0}
-
-            def spliced_blobs():
-                # Maintenance intent: the one-pass stream over the covered
-                # groomed runs (possibly purged levels) must not thrash the
-                # SSD cache that concurrent queries depend on.
-                for sort_key, blob in merge_entry_blob_streams(
-                    self.builder.definition,
-                    sources,
-                    intent=ReadIntent.MAINTENANCE,
-                ):
-                    new_rid = new_rid_of(begin_ts_of_sort_key(sort_key))
-                    if new_rid is None:
-                        counts["skipped"] += 1
-                        continue
-                    counts["spliced"] += 1
-                    decode_stats.evolve_blob_splices += 1
-                    yield sort_key, replace_rid_in_blob(blob, new_rid)
-
-            if sources:
-                synopsis = Synopsis.union([r.header.synopsis for r in sources])
-            else:
-                synopsis = Synopsis(
-                    ranges=tuple(
-                        [None] * len(self.builder.definition.key_columns)
-                    )
-                )
-            new_run = self.step1_build_run_from_blobs(
-                spliced_blobs(), synopsis, min_groomed_id, max_groomed_id
+            splices = (
+                new_rid_of if isinstance(new_rid_of, RidSplices)
+                else RidSplices(new_rid_of)
             )
-            crash_point("evolve.post_publish")
-            before = self.watermark.value
-            self.step2_advance_watermark(max_groomed_id)
-            crash_point("evolve.pre_gc")
-            collected = self.step3_collect_obsolete()
-            self.indexed_psn = psn
-            crash_point("evolve.pre_checkpoint")
-            self._checkpoint()
-            return EvolveResult(
-                psn=psn,
-                new_run_id=new_run.run_id,
-                new_run_entries=new_run.entry_count,
-                watermark_before=before,
-                watermark_after=self.watermark.value,
-                collected_run_ids=tuple(collected),
-                spliced_blobs=counts["spliced"],
-                skipped_blobs=counts["skipped"],
+            counts = {"spliced_blobs": 0, "skipped_blobs": 0}
+
+            def spliced_batches():
+                for keys, blobs in merge_blocks(sources):
+                    rids = [splices[key[-SORT_KEY_TS_BYTES:]] for key in keys]
+                    if None in rids:  # a serialized RID is never falsy
+                        counts["skipped_blobs"] += rids.count(None)
+                        keys = list(compress(keys, rids))
+                        blobs = list(compress(blobs, rids))
+                        rids = list(filter(None, rids))
+                    counts["spliced_blobs"] += len(rids)
+                    decode_stats.evolve_blob_splices += len(rids)
+                    yield keys, [
+                        blob[:-RID_BYTES] + rid for blob, rid in zip(blobs, rids)
+                    ]
+
+            synopsis = (
+                Synopsis.union([r.header.synopsis for r in sources]) if sources
+                else Synopsis.from_entries(self.builder.definition, [])
             )
+            new_run = self._step1(
+                self.builder.build_from_columns, min_groomed_id, max_groomed_id,
+                batches=spliced_batches(), synopsis=synopsis,
+            )
+            return self._steps_2_and_3(psn, new_run, max_groomed_id, **counts)
+
+    def _steps_2_and_3(
+        self, psn: int, new_run: IndexRun, max_groomed_id: int, **counts: int
+    ) -> EvolveResult:
+        """Watermark, garbage collection and checkpoint after step 1."""
+        crash_point("evolve.post_publish")
+        before = self.watermark.value
+        self.step2_advance_watermark(max_groomed_id)
+        crash_point("evolve.pre_gc")
+        collected = self.step3_collect_obsolete()
+        self.indexed_psn = psn
+        crash_point("evolve.pre_checkpoint")
+        self._checkpoint()
+        return EvolveResult(
+            psn=psn,
+            new_run_id=new_run.run_id,
+            new_run_entries=new_run.entry_count,
+            watermark_before=before,
+            watermark_after=self.watermark.value,
+            collected_run_ids=tuple(collected),
+            **counts,
+        )
 
     def _check_psn(self, psn: int) -> None:
         if psn != self.indexed_psn + 1:
@@ -280,19 +282,6 @@ class EvolveController:
         """Sub-operation 1: build the post-groomed run and publish it."""
         return self._step1(
             self.builder.build, min_groomed_id, max_groomed_id, entries=entries
-        )
-
-    def step1_build_run_from_blobs(
-        self,
-        blob_pairs: Iterable[Tuple[bytes, bytes]],
-        synopsis: Synopsis,
-        min_groomed_id: int,
-        max_groomed_id: int,
-    ) -> IndexRun:
-        """Sub-operation 1 on the streaming path: build from raw blobs."""
-        return self._step1(
-            self.builder.build_from_blobs, min_groomed_id, max_groomed_id,
-            blob_pairs=blob_pairs, synopsis=synopsis,
         )
 
     def _step1(self, build, min_groomed_id: int, max_groomed_id: int, **source):
@@ -364,4 +353,10 @@ class EvolveController:
                 self.watermark.advance(checkpoint.max_covered_groomed_id)
 
 
-__all__ = ["EvolveController", "EvolveError", "EvolveResult", "Watermark"]
+__all__ = [
+    "EvolveController",
+    "EvolveError",
+    "EvolveResult",
+    "RidSplices",
+    "Watermark",
+]

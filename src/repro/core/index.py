@@ -489,9 +489,10 @@ class UmziIndex:
             snapshot.release()
 
     def post_groomed_batch_lookup(
-        self, lookups: Sequence[PointLookup]
+        self, key_columns: Sequence[Sequence[KeyValue]], query_ts: int
     ) -> List[Optional[IndexEntry]]:
-        """Batched point lookups over the post-groomed portion of the index.
+        """Batched point lookups over the post-groomed portion of the index
+        (keys column-major, see :meth:`QueryExecutor.batch_lookup_columns`).
 
         Used by the post-groomer (paper section 2.1: the post-groom
         operation "utilizes the post-groomed portion of the indexes to
@@ -511,7 +512,7 @@ class UmziIndex:
             lifecycle=self.lifecycle,
         )
         with self.hierarchy.reading_as(ReadIntent.MAINTENANCE):
-            return executor.batch_lookup(lookups)
+            return executor.batch_lookup_columns(key_columns, query_ts)
 
     def all_runs(self) -> List[IndexRun]:
         """Every run in both lists (no watermark filtering); newest first."""

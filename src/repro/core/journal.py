@@ -118,14 +118,6 @@ class MetadataJournal:
         indexed_psn, watermark, _ordinal = struct.unpack_from(_FORMAT, payload, 4)
         return Checkpoint(indexed_psn=indexed_psn, max_covered_groomed_id=watermark)
 
-    @staticmethod
-    def _decode(payload: bytes) -> Checkpoint:
-        """Strict decode (tests); raises instead of returning ``None``."""
-        if payload[:4] != _MAGIC:
-            raise ValueError("not an Umzi metadata checkpoint block")
-        indexed_psn, watermark, _ordinal = struct.unpack_from(_FORMAT, payload, 4)
-        return Checkpoint(indexed_psn=indexed_psn, max_covered_groomed_id=watermark)
-
     def _is_valid(self, bid: BlockId) -> bool:
         cached = self._validity.get(bid.ordinal)
         if cached is not None:

@@ -24,10 +24,12 @@ a descendant run reaches a persisted level again.
 
 from __future__ import annotations
 
-import heapq
 import threading
+from bisect import bisect_right
 from dataclasses import dataclass
-from typing import Callable, Dict, Iterable, List, Optional, Sequence, Set, Tuple
+from itertools import compress
+from operator import ne
+from typing import Callable, Dict, Iterator, List, Optional, Sequence, Set, Tuple
 
 from repro.core.builder import RunBuilder
 from repro.core.epoch import (
@@ -35,19 +37,14 @@ from repro.core.epoch import (
     delete_run_action,
     drop_cache_action,
 )
-from repro.core.entry import (
-    IndexEntry,
-    Zone,
-    begin_ts_of_sort_key,
-    user_key_of_sort_key,
-)
+from repro.core.entry import SORT_KEY_TS_BYTES, Zone
 from repro.core.ids import RunIdAllocator
 from repro.core.levels import LevelConfig
 from repro.core.run import IndexRun, Synopsis
 from repro.core.runlist import RunList
+from repro.core.search import ts_floor
 from repro.faults.crash import crash_point
 from repro.storage.hierarchy import StorageHierarchy
-from repro.storage.metrics import ReadIntent
 
 
 @dataclass
@@ -64,85 +61,117 @@ class MergeResult:
     deleted_run_ids: Tuple[str, ...]
 
 
+class _Cursor:
+    """One input run's current data block and how far it has been merged."""
+
+    __slots__ = ("run", "block", "keys", "blobs", "at")
+
+    def __init__(self, run: IndexRun) -> None:
+        self.run = run
+        self.block = 0  # the next data block to fetch
+
+    def load(self) -> bool:
+        """Fetch the run's next block (never empty); ``False`` at its end."""
+        if self.block == self.run.header.num_data_blocks:
+            return False
+        self.keys, self.blobs = self.run.block_columns(self.block)
+        self.block += 1
+        self.at = 0
+        return True
+
+
+def merge_blocks(
+    runs_newest_first: Sequence[IndexRun], retention_ts: Optional[int] = None
+) -> Iterator[Tuple[List[bytes], List[bytes]]]:
+    """Zero-decode K-way merge, a block at a time: yields column batches
+    ``(sort_keys, entry_blobs)`` in sort-key order.
+
+    Every input run has a cursor on one fetched block
+    (:meth:`IndexRun.block_columns`; no :class:`IndexEntry` is ever
+    constructed).  Each round takes the cursor whose block ends first --
+    the newest run among equals -- and emits everything at or below that
+    block's last key: one ``bisect`` per cursor, the slices concatenated
+    newest run first and, when more than one cursor contributed, ordered
+    by one *stable* sort.  Within one zone, two entries with identical
+    sort keys (same key, same ``beginTS``) describe the same record
+    version and are now adjacent, newest run first; the first copy wins.
+    Distinct versions of a key are all kept -- Umzi is a multi-version
+    index and must keep supporting time travel after merges.
+
+    The exhausted cursor's next block is fetched only after the batch has
+    been handed over, so blocks are read in the order, and at the count of
+    consumed entries, at which a per-entry heap merge reads them
+    (``tests/reference_merge.py``): a consumer that pulls under a budget
+    interleaves its reads with other traffic identically.
+
+    ``retention_ts`` enables MVCC garbage collection: the versions the
+    system must keep are those visible at some permitted snapshot
+    >= retention_ts, i.e. every version with ``beginTS > retention_ts``
+    plus, per key, the newest version with ``beginTS <= retention_ts``
+    (both read as raw slices of the sort key).  Anything older is
+    unreachable and dropped.  Every caller is background machinery, and a
+    one-pass stream over potentially purged runs must not flood the SSD
+    cache: input blocks are ``ReadIntent.MAINTENANCE`` reads.
+    """
+    cursors = [_Cursor(run) for run in runs_newest_first if run.entry_count]
+    cursors = [cursor for cursor in cursors if cursor.load()]
+    horizon = None if retention_ts is None else ts_floor(retention_ts)
+    previous: Optional[bytes] = None  # the last sort key merged
+    previous_user_key: Optional[bytes] = None
+    retained_at_horizon = False
+    while cursors:
+        # The first of equals: the newest run.
+        lead = min(cursors, key=lambda cursor: cursor.keys[-1])
+        bound = lead.keys[-1]
+        keys: List[bytes] = []
+        blobs: List[bytes] = []
+        contributors = 0
+        for cursor in cursors:
+            at = cursor.at
+            end = bisect_right(cursor.keys, bound, at)
+            if end > at:
+                contributors += 1
+                keys += cursor.keys[at:end]
+                blobs += cursor.blobs[at:end]
+                cursor.at = end
+        if contributors > 1:
+            order = sorted(range(len(keys)), key=keys.__getitem__)
+            keys = [keys[i] for i in order]
+            blobs = [blobs[i] for i in order]
+        if keys:
+            fresh = list(map(ne, keys, [previous, *keys[:-1]]))
+            previous = keys[-1]
+            if horizon is not None:
+                for n, sort_key in enumerate(keys):
+                    user_key = sort_key[:-SORT_KEY_TS_BYTES]
+                    if user_key != previous_user_key:
+                        previous_user_key = user_key
+                        retained_at_horizon = False
+                    if fresh[n] and sort_key[-SORT_KEY_TS_BYTES:] >= horizon:
+                        # Versions arrive newest first per key: the first
+                        # at or below the horizon is the version visible
+                        # at retention_ts; older ones are unreachable.
+                        fresh[n] = not retained_at_horizon
+                        retained_at_horizon = True
+            if not all(fresh):
+                keys = list(compress(keys, fresh))
+                blobs = list(compress(blobs, fresh))
+            if keys:
+                yield keys, blobs
+        if not lead.load():
+            cursors.remove(lead)
+
+
 def merge_entry_blob_streams(
     definition,
     runs_newest_first: Sequence[IndexRun],
     retention_ts: Optional[int] = None,
-    intent: ReadIntent = ReadIntent.MAINTENANCE,
-) -> Iterable[Tuple[bytes, bytes]]:
-    """Zero-decode K-way merge: yields ``(sort_key, entry_blob)`` pairs.
-
-    The heap merges ``(sort_key_slice, recency, entry_blob)`` triples read
-    straight off the inputs' data-block payloads -- no
-    :class:`IndexEntry` is ever constructed.  Within one zone, two entries
-    with identical sort keys (same key, same ``beginTS``) describe the
-    same record version; the copy from the newest run wins.  Distinct
-    versions of a key (different ``beginTS``) are all kept -- Umzi is a
-    multi-version index and must keep supporting time travel after merges.
-
-    ``retention_ts`` enables MVCC garbage collection (the general LSM
-    "reclaim disk space occupied by obsolete entries"): the versions the
-    system must keep are those visible at some permitted snapshot
-    >= retention_ts, i.e. every version with ``beginTS > retention_ts``
-    plus, per key, the newest version with ``beginTS <= retention_ts``.
-    Anything older is unreachable and dropped during the merge.  Both the
-    user key and ``beginTS`` needed for that decision are raw slices of
-    the sort key (beginTS is its fixed 8-byte suffix).
-
-    Every caller is background machinery (merges, streaming evolve, the
-    classic-LSM baseline), so input blocks are read with
-    ``ReadIntent.MAINTENANCE`` by default: a one-pass stream over
-    potentially purged runs must not flood the SSD cache with blocks no
-    query will touch again.
-    """
-    def stream(run: IndexRun, recency: int):
-        # recency is bound per stream so duplicate sort keys across runs
-        # tie-break on run recency instead of comparing raw blobs.
-        for sort_key, blob in run.iter_raw(intent=intent):
-            yield sort_key, recency, blob
-
-    streams = [
-        stream(run, recency) for recency, run in enumerate(runs_newest_first)
-    ]
-    previous_sort_key: Optional[bytes] = None
-    previous_user_key: Optional[bytes] = None
-    retained_at_horizon = False
-    for sort_key, _recency, blob in heapq.merge(*streams):
-        if sort_key == previous_sort_key:
-            continue
-        previous_sort_key = sort_key
-        if retention_ts is not None:
-            user_key = user_key_of_sort_key(sort_key)
-            if user_key != previous_user_key:
-                previous_user_key = user_key
-                retained_at_horizon = False
-            if begin_ts_of_sort_key(sort_key) <= retention_ts:
-                # Versions arrive newest-first per key: the first one at or
-                # below the horizon is the version visible at retention_ts;
-                # older ones for this key are unreachable.
-                if retained_at_horizon:
-                    continue
-                retained_at_horizon = True
-        yield sort_key, blob
-
-
-def merge_entry_streams(
-    definition,
-    runs_newest_first: Sequence[IndexRun],
-    retention_ts: Optional[int] = None,
-    intent: ReadIntent = ReadIntent.MAINTENANCE,
-) -> Iterable[IndexEntry]:
-    """Decoded-entry view of :func:`merge_entry_blob_streams`.
-
-    Compatibility shim for callers that want :class:`IndexEntry` objects
-    (baselines, tests); the Umzi merge path itself stays on blobs via
-    :meth:`RunBuilder.build_from_blobs`.
-    """
-    for _sort_key, blob in merge_entry_blob_streams(
-        definition, runs_newest_first, retention_ts, intent=intent
-    ):
-        entry, _ = IndexEntry.from_bytes(definition, blob)
-        yield entry
+) -> Iterator[Tuple[bytes, bytes]]:
+    """:func:`merge_blocks` flattened to ``(sort_key, entry_blob)`` pairs,
+    for consumers that count pairs (the budgeted shard copy, the
+    classic-LSM baseline)."""
+    for keys, blobs in merge_blocks(runs_newest_first, retention_ts):
+        yield from zip(keys, blobs)
 
 
 class MergeController:
@@ -173,23 +202,17 @@ class MergeController:
         self.run_lists = run_lists
         # write_through(level) -> should a new persisted run at `level` also
         # be written into the SSD cache?  Supplied by the cache manager.
-        self._write_through = write_through if write_through is not None else lambda _: True
+        self._write_through = write_through or (lambda _: True)
         # ancestor_protector(run_id) -> True if some live run still lists
         # run_id as an ancestor (so its shared-storage copy must survive).
-        self._ancestor_protector = (
-            ancestor_protector if ancestor_protector is not None else lambda _: False
-        )
+        self._ancestor_protector = ancestor_protector or (lambda _: False)
         # retention_provider() -> the MVCC retention horizon, or None to
         # keep every version forever (the default).
-        self._retention_provider = (
-            retention_provider if retention_provider is not None else lambda: None
-        )
+        self._retention_provider = retention_provider or (lambda: None)
         # reclaimer(run_id, free) routes physical frees of unlinked runs
         # through the run lifecycle (protected modes defer them while queries
         # pin the run); the default executes immediately (legacy).
-        self._reclaim = (
-            reclaimer if reclaimer is not None else lambda _run_id, free: free()
-        )
+        self._reclaim = reclaimer or (lambda _run_id, free: free())
         self._active: Dict[int, Optional[str]] = {}
         self._lock = threading.Lock()
         # Maintenance *structure* mutex, shared with the evolve controller
@@ -198,9 +221,7 @@ class MergeController:
         # collection of the same list (the evolve could unlink a victim
         # mid-merge, breaking the contiguous span -- or delete blocks the
         # merge is still streaming).  Queries never take this lock.
-        self._structure_lock = (
-            structure_lock if structure_lock is not None else threading.Lock()
-        )
+        self._structure_lock = structure_lock or threading.Lock()
 
     # -- policy inspection --------------------------------------------------------
 
@@ -253,11 +274,6 @@ class MergeController:
             results.append(result)
         return results
 
-    def merge_level(self, zone: Zone, level: int) -> MergeResult:
-        """Merge level ``level``'s K oldest inactive runs into ``level+1``."""
-        with self._structure_lock:
-            return self._merge_level_locked(zone, level)
-
     def _merge_level_locked(self, zone: Zone, level: int) -> MergeResult:
         config = self.config
         target_level = level + 1
@@ -288,24 +304,16 @@ class MergeController:
         if target_active is not None:
             inputs.append(target_active)
 
-        # Zero-decode merge: entry blobs stream from the input blocks into
-        # the new run verbatim; the output synopsis is the union of the
-        # input synopses (sound over-approximation -- merged entries are a
-        # subset of the inputs', and over-approximation only costs pruning).
-        # Input blocks are maintenance reads: each is consumed exactly once
-        # and must not displace query-hot blocks from the SSD cache.
-        merged_blobs = merge_entry_blob_streams(
-            self.builder.definition,
-            inputs,
-            self._retention_provider(),
-            intent=ReadIntent.MAINTENANCE,
-        )
+        # Zero-decode merge: entry blobs move from the input blocks into the
+        # new run verbatim; the output synopsis is the union of the inputs'
+        # (sound: merged entries are a subset, see Synopsis.union).
+        merged = merge_blocks(inputs, self._retention_provider())
         new_run_id = self.allocator.allocate(zone)
         persisted = config.is_persisted(target_level)
         ancestors = self._ancestors_for(inputs, persisted)
-        new_run = self.builder.build_from_blobs(
+        new_run = self.builder.build_from_columns(
             run_id=new_run_id,
-            blob_pairs=merged_blobs,
+            batches=merged,
             synopsis=Synopsis.union([r.header.synopsis for r in inputs]),
             zone=zone,
             level=target_level,
@@ -424,6 +432,6 @@ class MergeController:
 __all__ = [
     "MergeController",
     "MergeResult",
+    "merge_blocks",
     "merge_entry_blob_streams",
-    "merge_entry_streams",
 ]

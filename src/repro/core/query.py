@@ -26,19 +26,24 @@ import heapq
 from itertools import chain
 from operator import itemgetter
 from typing import (
-    Callable, Dict, Iterator, List, NamedTuple, Optional, Sequence, Tuple,
+    Callable, Dict, Iterator, List, NamedTuple, Optional, Sequence, Tuple, Union,
 )
 
-from repro.core.definition import IndexDefinition
+from repro.core.definition import (
+    COLUMN_ENCODERS,
+    WRONG_TYPE_ERRORS,
+    IndexDefinition,
+    encode_typed,
+)
 from repro.core.epoch import QueryPin, RunLifecycle
 from repro.core.encoding import (
     KeyValue,
     UINT64_MAX,
-    encode_composite,
     encode_uint64,
+    hash_values,
     prefix_successor,
 )
-from repro.core.entry import IndexEntry, SORT_KEY_TS_BYTES
+from repro.core.entry import IndexEntry, SORT_KEY_TS_BYTES, hash_column
 from repro.core.run import IndexRun
 from repro.core.search import (
     UNBOUNDED,
@@ -101,10 +106,20 @@ def _key_prefix(
             f"{what} must bind all {len(definition.equality_columns)} "
             f"equality columns; got {len(equality_values)}"
         )
+    encoded = _encode(definition.equality_columns, equality_values)
     if not definition.has_hash_column:
-        return encode_composite(equality_values), None
-    hash_value = definition.hash_of(equality_values)
-    return encode_uint64(hash_value) + encode_composite(equality_values), hash_value
+        return encoded, None
+    hash_value = hash_values((encoded,))
+    return encode_uint64(hash_value) + encoded, hash_value
+
+
+def _encode(specs, values: Sequence[KeyValue]) -> bytes:
+    """A search key's columns encoded by their *declared* types, as the
+    write path stored them (an int on a FLOAT64 column is that float)."""
+    try:
+        return encode_typed(specs, values)
+    except WRONG_TYPE_ERRORS as error:
+        raise QueryError(f"key value of the wrong type: {error}") from None
 
 
 def compute_scan_bounds(
@@ -122,10 +137,12 @@ def compute_scan_bounds(
             )
     lower = prefix
     if query.sort_lower:
-        lower += encode_composite(query.sort_lower)
+        lower += _encode(definition.sort_columns, query.sort_lower)
 
     if query.sort_upper:
-        upper = prefix_successor(prefix + encode_composite(query.sort_upper))
+        upper = prefix_successor(
+            prefix + _encode(definition.sort_columns, query.sort_upper)
+        )
     elif prefix:
         upper = prefix_successor(prefix)
     else:
@@ -146,7 +163,34 @@ def encode_point_key(
             f"sort columns; got {len(sort_values)}"
         )
     prefix, hash_value = _key_prefix(definition, equality_values, "point lookup")
-    return prefix + encode_composite(sort_values), hash_value
+    return prefix + _encode(definition.sort_columns, sort_values), hash_value
+
+
+def encode_point_keys(
+    definition: IndexDefinition, key_columns: Sequence[Sequence[KeyValue]]
+) -> Tuple[List[bytes], List[int]]:
+    """:func:`encode_point_key` for a whole batch, column at a time:
+    ``key_columns`` holds one sequence per key column (equality columns,
+    then sort columns), one element per lookup.  Returns the keys and
+    their hashes (0 without a hash column) in input order."""
+    specs = definition.key_columns
+    if len(key_columns) != len(specs):
+        raise QueryError(
+            f"point lookups must bind all {len(specs)} key columns; "
+            f"got {len(key_columns)}"
+        )
+    try:
+        encoded = [
+            COLUMN_ENCODERS[spec.ctype](column)
+            for spec, column in zip(specs, key_columns)
+        ]
+    except WRONG_TYPE_ERRORS as error:
+        raise QueryError(f"key value of the wrong type: {error}") from None
+    if not definition.has_hash_column:
+        return list(map(b"".join, zip(*encoded))), [0] * len(encoded[0])
+    encoded.insert(0, hash_column(encoded[: len(definition.equality_columns)]))
+    keys = list(map(b"".join, zip(*encoded)))
+    return keys, [int.from_bytes(key[:8], "big") for key in keys]
 
 
 # ---------------------------------------------------------------------------
@@ -472,39 +516,55 @@ class QueryExecutor:
     def batch_lookup(
         self, lookups: Sequence[PointLookup]
     ) -> List[Optional[IndexEntry]]:
-        """Batched point lookups (section 7.2).
-
-        Keys are sorted by their encoded bytes, then searched against each
-        run newest to oldest -- one sequential pass per run -- until every
-        key is resolved or the runs are exhausted.  Runs are pruned at the
-        latest snapshot in the batch; every key is filtered at its own.
-        """
+        """:meth:`batch_lookup_columns` over :class:`PointLookup` rows."""
         if not lookups:
             return []
-        definition = self.definition
-        # (encoded key, hash, input position) sorted by encoded key.
-        encoded = sorted(
-            (
-                (*encode_point_key(
-                    definition, lookup.equality_values, lookup.sort_values
-                ), position)
-                for position, lookup in enumerate(lookups)
-            ),
-            key=_SORT_KEY,
+        equality, sort, timestamps = zip(*lookups)
+        widths = len(self.definition.equality_columns), len(self.definition.sort_columns)
+        if {(len(eq), len(st)) for eq, st in zip(equality, sort)} != {widths}:
+            raise QueryError(
+                "every point lookup must bind all %d equality and %d sort "
+                "columns" % widths
+            )
+        return self.batch_lookup_columns(
+            [*zip(*equality), *zip(*sort)], timestamps
         )
-        pairs = [(key, hash_value or 0) for key, hash_value, _ in encoded]
-        positions = [position for _, _, position in encoded]
-        timestamps = {lookup.query_ts for lookup in lookups}
+
+    def batch_lookup_columns(
+        self,
+        key_columns: Sequence[Sequence[KeyValue]],
+        query_ts: Union[int, Sequence[int]],
+    ) -> List[Optional[IndexEntry]]:
+        """Batched point lookups (section 7.2), keys given column-major.
+
+        ``key_columns`` holds one sequence per key column (equality, then
+        sort), ``query_ts`` the batch's snapshot or one per key.  Keys are
+        encoded a column at a time (:func:`encode_point_keys`), sorted by
+        their encoded bytes, then searched against each run newest to
+        oldest -- one sequential pass per run -- until every key is
+        resolved or the runs are exhausted.  Runs are pruned at the latest
+        snapshot in the batch; every key is filtered at its own.
+        """
+        keys, hashes = encode_point_keys(self.definition, key_columns)
+        if not keys:
+            return []
+        # Input positions in encoded-key order, and the keys in that order.
+        positions = sorted(range(len(keys)), key=keys.__getitem__)
+        pairs = [(keys[i], hashes[i]) for i in positions]
         # Runs are pruned at the batch's latest snapshot; the run search
         # takes the one shared snapshot, or each key's own.
-        max_ts = max(timestamps)
-        shared_ts = max_ts if len(timestamps) == 1 else None
-        results: List[Optional[IndexEntry]] = [None] * len(lookups)
+        if isinstance(query_ts, int):
+            shared_ts = max_ts = query_ts
+        else:
+            max_ts = max(query_ts)
+            shared_ts = max_ts if min(query_ts) == max_ts else None
+        results: List[Optional[IndexEntry]] = [None] * len(keys)
         unresolved = list(range(len(pairs)))  # indexes into pairs / positions
         pin, candidates = self._enter_query()
         touched: List[IndexRun] = []
         try:
-            batch_box = self._batch_bounding_box(lookups)
+            # Per-key-column (min, max) over the whole batch.
+            batch_box = [(min(column), max(column)) for column in key_columns]
             for run in candidates:  # newest -> oldest
                 if not unresolved:
                     break
@@ -519,9 +579,16 @@ class QueryExecutor:
                     if not _synopsis_overlaps(run, max_ts, batch_box):
                         continue
                     if self.per_key_batch_pruning:
+                        # A point lookup pins every column, so each
+                        # column's range is a sound filter on its own.
                         probe_slots = [
                             i for i in unresolved
-                            if self._key_may_be_in_run(run, lookups[positions[i]])
+                            if _synopsis_overlaps(
+                                run,
+                                max_ts if shared_ts is not None
+                                else query_ts[positions[i]],
+                                [(c[positions[i]],) * 2 for c in key_columns],
+                            )
                         ]
                 if probe_slots and run.header.bloom_blob is not None:
                     # Bloom membership is orthogonal to pruning granularity:
@@ -541,7 +608,7 @@ class QueryExecutor:
                     run,
                     batch,
                     shared_ts if shared_ts is not None
-                    else [lookups[positions[i]].query_ts for i in probe_slots],
+                    else [query_ts[positions[i]] for i in probe_slots],
                     self.use_offset_array,
                     use_bloom=False,
                 )
@@ -554,19 +621,6 @@ class QueryExecutor:
         finally:
             self._exit_query(pin, touched)
         return results
-
-    @staticmethod
-    def _key_may_be_in_run(run: IndexRun, lookup: PointLookup) -> bool:
-        """A point lookup pins every column, so each column's synopsis
-        range is independently a sound filter (unlike range scans)."""
-        key = lookup.equality_values + lookup.sort_values
-        return _synopsis_overlaps(run, lookup.query_ts, [(v, v) for v in key])
-
-    @staticmethod
-    def _batch_bounding_box(lookups: Sequence[PointLookup]) -> list:
-        """Per-key-column (min, max) over the whole batch."""
-        keys = [lookup.equality_values + lookup.sort_values for lookup in lookups]
-        return [(min(column), max(column)) for column in zip(*keys)]
 
     def _run_overlaps_batch(
         self, run: IndexRun, batch: Sequence[Tuple[bytes, int]]
@@ -601,5 +655,6 @@ __all__ = [
     "ReconcileStrategy",
     "compute_scan_bounds",
     "encode_point_key",
+    "encode_point_keys",
     "run_may_contain",
 ]

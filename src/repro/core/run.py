@@ -391,24 +391,16 @@ def pack_data_block(
     return b"".join(parts)
 
 
-def encode_data_block_from_blobs(
-    blob_pairs: Sequence[Tuple[bytes, bytes]]
-) -> bytes:
-    """:func:`pack_data_block` over ``(sort_key, entry_blob)`` pairs."""
-    blobs = [blob for _sort_key, blob in blob_pairs]
-    return pack_data_block(
-        [0, *accumulate(map(len, blobs[:-1]))],
-        [len(sort_key) for sort_key, _blob in blob_pairs],
-        blobs,
-    )
-
-
 def encode_data_block(
     definition: IndexDefinition, entries: Sequence[IndexEntry]
 ) -> bytes:
     """Serialize one data block (current v2 format) from decoded entries."""
-    return encode_data_block_from_blobs(
-        [entry.to_blob(definition) for entry in entries]
+    pairs = [entry.to_blob(definition) for entry in entries]
+    blobs = [blob for _sort_key, blob in pairs]
+    return pack_data_block(
+        [0, *accumulate(map(len, blobs[:-1]))],
+        [len(sort_key) for sort_key, _blob in pairs],
+        blobs,
     )
 
 
@@ -830,25 +822,35 @@ class IndexRun:
                 return
             first = 0
 
-    def iter_raw(
-        self, start_ordinal: int = 0, intent: Optional[ReadIntent] = None
-    ) -> Iterator[Tuple[bytes, bytes]]:
-        """Yield ``(sort_key, entry_blob)`` pairs in sort-key order.
+    def block_columns(self, block_index: int) -> Tuple[List[bytes], List[bytes]]:
+        """One data block as two parallel lists ``(sort_keys, entry_blobs)``.
 
-        The zero-decode merge input: blobs stream out verbatim, keys are
-        payload slices (on v2 blocks).  ``intent`` flows to
-        :meth:`block_view` (maintenance scans pass
-        ``ReadIntent.MAINTENANCE`` so streamed blocks bypass cache
-        admission).
+        The zero-decode maintenance input, always a
+        ``ReadIntent.MAINTENANCE`` read (the block bypasses cache admission
+        and the per-handle view cache).  On a v2 block both columns are
+        sliced straight off the payload by its two tables, and the block
+        is charged as ``count`` raw-key probes and ``count`` blob copies;
+        v1 blocks go through the memoized decoding accessors, which charge
+        themselves.
         """
-        if start_ordinal >= self.entry_count:
-            return
-        block_index, first = self.locate(start_ordinal)
-        for bi in range(block_index, self.header.num_data_blocks):
-            view = self.block_view(bi, intent=intent)
-            for i in range(first, view.count):
-                yield view.sort_key_at(i), view.entry_blob_at(i)
-            first = 0
+        view = self.block_view(block_index, intent=ReadIntent.MAINTENANCE)
+        count = view.count
+        if view.version != 2:
+            return (
+                [view.sort_key_at(i) for i in range(count)],
+                [view.entry_blob_at(i) for i in range(count)],
+            )
+        stats = self.hierarchy.stats.decode
+        stats.raw_key_probes += count
+        stats.blob_copies += count
+        payload, base, table = view.payload, view.base, view.table
+        starts = [base + offset for offset in table[:count]]
+        blobs = [
+            payload[start:end]
+            for start, end in zip(starts, [*starts[1:], len(payload)])
+        ]
+        # Every entry blob starts with its sort key.
+        return [blob[:n] for blob, n in zip(blobs, table[count:])], blobs
 
     def all_entries(self) -> List[IndexEntry]:
         """Materialize every entry (tests / merges; charges block reads)."""
@@ -912,7 +914,6 @@ __all__ = [
     "block_checksum",
     "decode_data_block",
     "encode_data_block",
-    "encode_data_block_from_blobs",
     "encode_data_block_v1",
     "pack_data_block",
     "HEADER_ORDINAL",

@@ -195,6 +195,11 @@ def batch_lookup_in_run(
     outright -- the bucket's upper fence is kept rather than falling back
     to a full-run search.  The last probe's block window is held across
     keys; a key whose first entry settles it costs one probe, no scan.
+
+    A batch mixing snapshots is the same single pass: against searching
+    each key on its own every binary search runs over a sub-range, so no
+    other block is touched and the probes are at most one more per key
+    (where the midpoints of the narrower range fall less luckily).
     """
     results: List[Optional[IndexEntry]] = [None] * len(sorted_keys)
     count = run.entry_count

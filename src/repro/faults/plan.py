@@ -141,10 +141,6 @@ class BrownoutWindow:
             start_op=start_op,
         )
 
-    @property
-    def total_failures(self) -> int:
-        return len(self.failing_offsets)
-
 
 @dataclass
 class FaultPlan:

@@ -141,10 +141,6 @@ class StorageHierarchy:
         """
         self._shared_breaker = breaker
 
-    @property
-    def shared_breaker(self):
-        return self._shared_breaker
-
     def _shared_read(
         self, block_id: BlockId, istats: Optional[IntentStats] = None
     ) -> Optional[Block]:

@@ -14,7 +14,7 @@ from __future__ import annotations
 
 import enum
 import threading
-from dataclasses import dataclass, field, fields
+from dataclasses import dataclass, field, fields, replace
 from typing import Dict
 
 
@@ -414,8 +414,27 @@ class EpochStats:
         self.versions_coalesced = 0
 
 
+class _Counters:
+    """``snapshot`` / ``diff`` / ``reset`` for a dataclass of int counters."""
+
+    def snapshot(self):
+        """Return a copy of the current counters."""
+        return replace(self)
+
+    def diff(self, earlier):
+        """Return the delta between this snapshot and an ``earlier`` one."""
+        return type(self)(**{
+            spec.name: getattr(self, spec.name) - getattr(earlier, spec.name)
+            for spec in fields(self)
+        })
+
+    def reset(self) -> None:
+        for spec in fields(self):
+            setattr(self, spec.name, 0)
+
+
 @dataclass
-class TierStats:
+class TierStats(_Counters):
     """Counters for a single storage tier."""
 
     reads: int = 0
@@ -425,31 +444,9 @@ class TierStats:
     bytes_written: int = 0
     sim_ns: int = 0
 
-    def snapshot(self) -> "TierStats":
-        """Return a copy of the current counters."""
-        return TierStats(
-            reads=self.reads,
-            writes=self.writes,
-            deletes=self.deletes,
-            bytes_read=self.bytes_read,
-            bytes_written=self.bytes_written,
-            sim_ns=self.sim_ns,
-        )
-
-    def diff(self, earlier: "TierStats") -> "TierStats":
-        """Return the delta between this snapshot and an ``earlier`` one."""
-        return TierStats(
-            reads=self.reads - earlier.reads,
-            writes=self.writes - earlier.writes,
-            deletes=self.deletes - earlier.deletes,
-            bytes_read=self.bytes_read - earlier.bytes_read,
-            bytes_written=self.bytes_written - earlier.bytes_written,
-            sim_ns=self.sim_ns - earlier.sim_ns,
-        )
-
 
 @dataclass
-class DecodeStats:
+class DecodeStats(_Counters):
     """CPU-side counters for the run read path (zero-decode accounting).
 
     The simulated tiers charge I/O; these counters charge *object
@@ -479,36 +476,6 @@ class DecodeStats:
     evolve_blob_splices: int = 0
     checksum_validations: int = 0
     maintenance_entry_decodes: int = 0
-
-    def snapshot(self) -> "DecodeStats":
-        return DecodeStats(
-            entry_decodes=self.entry_decodes,
-            raw_key_probes=self.raw_key_probes,
-            blob_copies=self.blob_copies,
-            evolve_blob_splices=self.evolve_blob_splices,
-            checksum_validations=self.checksum_validations,
-            maintenance_entry_decodes=self.maintenance_entry_decodes,
-        )
-
-    def diff(self, earlier: "DecodeStats") -> "DecodeStats":
-        return DecodeStats(
-            entry_decodes=self.entry_decodes - earlier.entry_decodes,
-            raw_key_probes=self.raw_key_probes - earlier.raw_key_probes,
-            blob_copies=self.blob_copies - earlier.blob_copies,
-            evolve_blob_splices=self.evolve_blob_splices - earlier.evolve_blob_splices,
-            checksum_validations=self.checksum_validations - earlier.checksum_validations,
-            maintenance_entry_decodes=(
-                self.maintenance_entry_decodes - earlier.maintenance_entry_decodes
-            ),
-        )
-
-    def reset(self) -> None:
-        self.entry_decodes = 0
-        self.raw_key_probes = 0
-        self.blob_copies = 0
-        self.evolve_blob_splices = 0
-        self.checksum_validations = 0
-        self.maintenance_entry_decodes = 0
 
 
 def _add_fields(target, source) -> None:

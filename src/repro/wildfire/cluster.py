@@ -61,7 +61,8 @@ from __future__ import annotations
 import threading
 from typing import Callable, Dict, List, NamedTuple, Optional, Sequence, Set, Tuple
 
-from repro.core.encoding import KeyValue, encode_composite, fnv1a64
+from repro.core.definition import WRONG_TYPE_ERRORS, encode_typed
+from repro.core.encoding import EncodingError, KeyValue, fnv1a64
 from repro.core.entry import IndexEntry
 from repro.qos.admission import AdmissionController, QosConfig
 from repro.qos.breaker import BreakerState, CircuitBreaker
@@ -71,7 +72,7 @@ from repro.storage.hierarchy import StorageHierarchy
 from repro.storage.metrics import IOStats, QosStats
 from repro.storage.retry import StorageBrownout, TransientIOError
 from repro.planner import Query
-from repro.planner.plan import bind_values
+from repro.planner.plan import PlanError, bind_values
 from repro.wildfire.engine import ShardConfig, WildfireShard
 from repro.wildfire.indexes import PRIMARY_INDEX_NAME
 from repro.wildfire.migration import Migration, MigrationError
@@ -133,6 +134,7 @@ class ShardedTable:
             self._build_shard(shard_id) for shard_id in range(num_shards)
         ]
         self._shard_positions = schema.positions(schema.sharding_key)
+        self._shard_specs = [schema.columns[p] for p in self._shard_positions]
         # Which index key columns the sharding key pins (for routing reads).
         self._spec_eq = index_spec.equality_columns
         self._spec_sort = index_spec.sort_columns
@@ -276,12 +278,14 @@ class ShardedTable:
             if shard_id not in self._retired
         ]
 
-    def key_hash(self, sharding_values: Tuple[KeyValue, ...]) -> int:
-        return fnv1a64(encode_composite(tuple(sharding_values)))
+    def key_hash(self, sharding_values: Sequence[KeyValue]) -> int:
+        """Of the values as ``upsert`` stores them (its ``EncodingError``,
+        before anything is routed): 3 and 3.0 are one FLOAT64 key."""
+        values = [s.validate(v) for s, v in zip(self._shard_specs, sharding_values)]
+        return fnv1a64(encode_typed(self._shard_specs, values))
 
     def shard_of_row(self, row: Sequence[KeyValue]) -> int:
-        values = tuple(row[i] for i in self._shard_positions)
-        return self.shard_of_key(values)
+        return self.shard_of_key([row[i] for i in self._shard_positions])
 
     def shard_of_key(self, sharding_values: Tuple[KeyValue, ...]) -> int:
         """Where a new row for this sharding key lands *right now*."""
@@ -293,11 +297,8 @@ class ShardedTable:
         sort_values: Sequence[KeyValue],
     ) -> Optional[Tuple[KeyValue, ...]]:
         """Sharding values when the query binds them all, else ``None``."""
-        bound: Dict[str, KeyValue] = {}
-        for name, value in zip(self._spec_eq, equality_values):
-            bound[name] = value
-        for name, value in zip(self._spec_sort, sort_values):
-            bound[name] = value
+        bound = dict(zip(self._spec_eq, equality_values))
+        bound.update(zip(self._spec_sort, sort_values))
         try:
             return tuple(bound[name] for name in self.schema.sharding_key)
         except KeyError:
@@ -331,7 +332,7 @@ class ShardedTable:
         # publish happens entirely before or entirely after it.
         with self._maps.pin() as pin:
             for row in rows:
-                values = tuple(row[i] for i in self._shard_positions)
+                values = [row[i] for i in self._shard_positions]
                 shard_id = pin.map.write_shard(self.key_hash(values))
                 per_shard.setdefault(shard_id, []).append(row)
             for shard_id, shard_rows in per_shard.items():
@@ -574,7 +575,11 @@ class ShardedTable:
         """
         with self._maps.pin() as pin:
             if sharding_values is not None:
-                key_hash = self.key_hash(sharding_values)
+                try:  # by declared type, like key_hash: 3 routes as 3.0
+                    encoded = encode_typed(self._shard_specs, sharding_values)
+                except (*WRONG_TYPE_ERRORS, EncodingError) as exc:
+                    raise PlanError(f"sharding key: {exc}") from None
+                key_hash = fnv1a64(encoded)
                 route = pin.map.route_of(key_hash)
                 shard_ids = route.read_shards(key_hash)
                 if len(shard_ids) == 1 and kind is not TYPED:
@@ -638,13 +643,8 @@ class ShardedTable:
     ) -> Optional[Record]:
         """Double-read merge for points: newest ``beginTS`` wins (the
         first holder asked -- the fresh-write one -- on a tie)."""
-        best: Optional[Record] = None
-        for record in parts:
-            if record is not None and (
-                best is None or record.begin_ts > best.begin_ts
-            ):
-                best = record
-        return best
+        found = [record for record in parts if record is not None]
+        return max(found, key=lambda record: record.begin_ts, default=None)
 
     def _merge_versions(
         self, parts: Sequence[List[IndexEntry]], _overlap: bool = True

@@ -24,10 +24,10 @@ from __future__ import annotations
 import threading
 import time
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Tuple
+from typing import List, Optional, Tuple
 
 from repro.core.entry import RID, Zone
-from repro.core.evolve import EvolveResult
+from repro.core.evolve import EvolveResult, RidSplices
 from repro.faults.crash import crash_point
 from repro.storage.metrics import ReadIntent
 from repro.wildfire.blockstore import BlockCatalog
@@ -99,20 +99,20 @@ class IndexerDaemon:
             crash_point("indexer.pre_evolve")
             op = self.post_groomer.get_op(next_psn)
 
-            new_rid_by_ts: Dict[int, RID] = {}
             blocks = []
             use_streaming = self.streaming_evolve
             if use_streaming:
                 # One beginTS -> post-groomed RID map serves every index:
                 # evolve never rebuilds an entry, it splices RIDs into
                 # each index's own groomed blobs.  The map published in
-                # the PSN record spares even the block fetches; older op
-                # records without one fall back to the blocks' own maps
-                # (a maintenance read: the blocks are consumed once, not
-                # query traffic).
-                if op.rid_by_begin_ts:
-                    new_rid_by_ts = dict(op.rid_by_begin_ts)
-                else:
+                # the PSN record spares even the block fetches; op records
+                # without one (an older record, or one whose map was
+                # released because every index then attached had evolved
+                # it) fall back to the blocks' own maps (a maintenance
+                # read: the blocks are consumed once, not query traffic).
+                new_rid_by_ts = op.rid_by_begin_ts
+                if not new_rid_by_ts:
+                    new_rid_by_ts = {}
                     for block_id in op.post_groomed_block_ids:
                         block = self.catalog.get_block(
                             Zone.POST_GROOMED, block_id,
@@ -131,6 +131,8 @@ class IndexerDaemon:
                 if len(new_rid_by_ts) < op.record_count:
                     use_streaming = False
                     self.streaming_fallbacks += 1
+                # Serialized once per version, spliced by every index.
+                splices = RidSplices(new_rid_by_ts.get)
             if not use_streaming:
                 blocks = [
                     self.catalog.get_block(
@@ -146,7 +148,7 @@ class IndexerDaemon:
                     continue  # already evolved (e.g. resumed after crash)
                 if use_streaming:
                     result = shard_index.index.evolve_streaming(
-                        op.psn, new_rid_by_ts.get,
+                        op.psn, splices,
                         op.min_groomed_id, op.max_groomed_id,
                     )
                 else:
@@ -176,6 +178,10 @@ class IndexerDaemon:
                     watermark_after=self.index.watermark.value,
                     collected_run_ids=(),
                 )
+
+            # Every attached index has evolved this PSN: nobody will read
+            # its beginTS -> RID map again.
+            self.post_groomer.release_rid_map(next_psn)
 
             # Deferred physical cleanup of deprecated groomed blocks.
             grace_psn = op.psn - self.groomed_block_grace_psns

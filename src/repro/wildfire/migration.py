@@ -59,7 +59,6 @@ from repro.core.merge import merge_entry_blob_streams
 from repro.core.run import Synopsis
 from repro.faults.crash import crash_point
 from repro.qos.breaker import BreakerState
-from repro.storage.metrics import ReadIntent
 from repro.wildfire.engine import WildfireShard
 from repro.wildfire.shardmap import (
     ShardingKeySlicer,
@@ -296,12 +295,7 @@ class ShardCopyStream:
         definition = self._sources[0].indexes.get(name).index.definition
         self._pass_runs = runs
         self._buckets = [[] for _ in self._destinations]
-        if runs:
-            self._iterator = merge_entry_blob_streams(
-                definition, runs, intent=ReadIntent.MAINTENANCE
-            )
-        else:
-            self._iterator = iter(())
+        self._iterator = merge_entry_blob_streams(definition, runs)
 
     def _finish_pass(self) -> None:
         name = self._index_names[self._pass_no]

@@ -22,13 +22,12 @@ only) is exactly the paper's Figure 5.
 from __future__ import annotations
 
 import threading
-from dataclasses import dataclass, field
-from typing import Dict, List, Mapping, Optional, Sequence, Tuple
+from dataclasses import dataclass, field, replace
+from typing import Dict, List, Mapping, Optional, Tuple
 
 from repro.core.encoding import KeyValue, encode_composite, fnv1a64
 from repro.core.entry import RID, Zone
 from repro.core.index import UmziIndex
-from repro.core.query import PointLookup
 from repro.faults.crash import crash_point
 from repro.storage.metrics import ReadIntent
 from repro.wildfire.blockstore import BlockCatalog
@@ -45,6 +44,9 @@ class PostGroomOp:
     while stitching version chains, so publishing the map costs nothing
     extra -- and it lets the indexer's streaming evolve splice RIDs into
     raw groomed entry blobs without fetching a single post-groomed block.
+    Nobody reads it again once every attached index has evolved the PSN,
+    so the indexer then has it dropped (:meth:`PostGroomer.release_rid_map`;
+    an index attached later rebuilds it from the blocks).
     """
 
     psn: int
@@ -71,7 +73,8 @@ class PostGroomer:
         self.schema = schema
         self.catalog = catalog
         self.index = index
-        self._extract = index_spec.extractor(schema)
+        equality, sort, _included = index_spec.positions(schema)
+        self._key_positions = equality + sort
         self.partition_buckets = partition_buckets
         self._lock = threading.Lock()
         self._ops: Dict[int, PostGroomOp] = {}
@@ -93,6 +96,12 @@ class PostGroomer:
             if psn not in self._ops:
                 raise KeyError(f"no post-groom operation published for PSN {psn}")
             return self._ops[psn]
+
+    def release_rid_map(self, psn: int) -> None:
+        """Drop a fully evolved PSN's ``beginTS -> RID`` map; the groomed-id
+        range and block ids stay for the grace-PSN cleanup."""
+        with self._lock:
+            self._ops[psn] = replace(self._ops[psn], rid_by_begin_ts={})
 
     @property
     def last_post_groomed_gid(self) -> int:
@@ -177,21 +186,23 @@ class PostGroomer:
 
         # Predecessors outside the batch: every distinct key goes through
         # the post-groomed portion of the index in ONE sorted sweep
-        # (section 7.2).  Every post-groomed entry predates the batch, so
-        # one snapshot timestamp serves all keys.
-        keys = [
-            tuple(record.values[i] for i in self._pk_positions)
-            for record in records
-        ]
-        distinct = dict(zip(keys, records))
-        query_ts = records[0].begin_ts - 1 if records else 0
-        hits = self.index.post_groomed_batch_lookup([
-            PointLookup(*self._extract(record.values)[:2], query_ts)
-            for record in distinct.values()
-        ])
-        last_rid: Dict[Tuple[KeyValue, ...], RID] = {
-            key: hit.rid for key, hit in zip(distinct, hits) if hit is not None
-        }
+        # (section 7.2), its key columns handed over column-major.  Every
+        # post-groomed entry predates the batch, so one snapshot timestamp
+        # serves all keys.
+        keys: List[Tuple[KeyValue, ...]] = []
+        last_rid: Dict[Tuple[KeyValue, ...], RID] = {}
+        if records:
+            columns = list(zip(*[record.values for record in records]))
+            keys = list(zip(*[columns[i] for i in self._pk_positions]))
+            distinct = dict(zip(keys, records))
+            columns = list(zip(*[record.values for record in distinct.values()]))
+            hits = self.index.post_groomed_batch_lookup(
+                [columns[i] for i in self._key_positions],
+                query_ts=records[0].begin_ts - 1,
+            )
+            last_rid = {
+                key: hit.rid for key, hit in zip(distinct, hits) if hit is not None
+            }
 
         # Resolve version chains in global beginTS order (= batch order).
         rid_by_begin_ts: Dict[int, RID] = {}

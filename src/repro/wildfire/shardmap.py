@@ -166,9 +166,6 @@ class ShardMap:
     def num_slots(self) -> int:
         return len(self.slots)
 
-    def slot_of(self, key_hash: int) -> int:
-        return key_hash % len(self.slots)
-
     def route_of(self, key_hash: int) -> SlotRoute:
         return self.slots[key_hash % len(self.slots)]
 

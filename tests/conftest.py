@@ -120,3 +120,15 @@ def downgrade_blocks_to_v1(run) -> None:
         run.hierarchy.delete_everywhere(block_id)  # shared storage is immutable
         run.hierarchy.write_persisted(Block(block_id, payload))
     run.drop_decode_cache()
+
+
+def shared_bytes_digest(hierarchy) -> str:
+    """sha256 over every shared-storage block: namespace, ordinal, payload."""
+    import hashlib
+
+    digest = hashlib.sha256()
+    for namespace in hierarchy.shared.namespaces():
+        for block_id in hierarchy.shared.namespace_block_ids(namespace):
+            digest.update(f"{namespace}#{block_id.ordinal}:".encode())
+            digest.update(hierarchy.shared.read(block_id).payload)
+    return digest.hexdigest()

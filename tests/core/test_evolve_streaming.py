@@ -7,12 +7,8 @@ import pytest
 
 from repro.core.builder import RunBuilder
 from repro.core.definition import i1_definition
-from repro.core.entry import (
-    RID,
-    Zone,
-    replace_rid_in_blob,
-)
-from repro.core.evolve import EvolveController, Watermark
+from repro.core.entry import RID, RID_BYTES, SORT_KEY_TS_BYTES, Zone
+from repro.core.evolve import EvolveController, RidSplices, Watermark
 from repro.core.ids import RunIdAllocator
 from repro.core.journal import MetadataJournal
 from repro.core.levels import LevelConfig
@@ -61,11 +57,19 @@ def run_payloads(hierarchy, run):
 
 
 class TestBlobSpliceHelpers:
+    def test_uncovered_versions_splice_to_none(self):
+        assert RidSplices(lambda ts: None)[b"\xff" * 8] is None
+
     def test_replace_rid_keeps_everything_else(self):
         entry = make_entries(DEF, [7], begin_ts_start=11)[0]
         sort_key, blob = entry.to_blob(DEF)
         target = RID(Zone.POST_GROOMED, 42, 3)
-        spliced = replace_rid_in_blob(blob, target)
+        asked = []
+        splices = RidSplices(lambda ts: asked.append(ts) or target)
+        suffix = sort_key[-SORT_KEY_TS_BYTES:]
+        spliced = blob[:-RID_BYTES] + splices[suffix]
+        assert splices[suffix] == target.to_bytes()
+        assert asked == [11]  # once per distinct suffix
         from repro.core.entry import IndexEntry
         decoded, _ = IndexEntry.from_bytes(DEF, spliced)
         assert decoded == replace(entry, rid=target)

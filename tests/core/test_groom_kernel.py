@@ -9,8 +9,6 @@ to come out byte-identical: sorted pairs, synopsis, offset array, Bloom
 blob, block payloads and header bytes.
 """
 
-import hashlib
-
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -30,12 +28,15 @@ from repro.core.entry import (
     entry_blob_columns,
 )
 from repro.core.index import UmziConfig
+from repro.core.merge import merge_entry_blob_streams
 from repro.storage.hierarchy import StorageHierarchy
 from repro.wildfire.columnar import DataBlock, encode_columns
 from repro.wildfire.engine import ShardConfig, WildfireShard
 from repro.wildfire.indexes import ShardIndexes
 from repro.wildfire.record import Record
 from repro.wildfire.schema import IndexSpec, TableSchema
+
+from tests.conftest import shared_bytes_digest
 
 INT64 = st.integers(min_value=-(2**63), max_value=2**63 - 1)
 VALUES = {
@@ -120,7 +121,7 @@ def test_kernel_run_is_byte_identical_to_the_per_entry_build(
 
     # The sorted (sort_key, blob) list ...
     expected_pairs = sorted(e.to_blob(definition) for e in entries)
-    assert list(run.iter_raw()) == expected_pairs
+    assert list(merge_entry_blob_streams(definition, [run])) == expected_pairs
     # ... and everything the builder derives from it or is handed.
     assert run.header.synopsis == oracle.header.synopsis
     assert run.header.offset_array == oracle.header.offset_array
@@ -203,15 +204,6 @@ def test_empty_block_builds_empty_runs():
 GOLDEN_SHARED_BYTES = (
     "fc5b8e4bc7cdb5d978e15f79739148b7d7271ac6c648b8a9d6ffa988ebd5f93e"
 )
-
-
-def shared_bytes_digest(hierarchy) -> str:
-    digest = hashlib.sha256()
-    for namespace in hierarchy.shared.namespaces():
-        for block_id in hierarchy.shared.namespace_block_ids(namespace):
-            digest.update(f"{namespace}#{block_id.ordinal}:".encode())
-            digest.update(hierarchy.shared.read(block_id).payload)
-    return digest.hexdigest()
 
 
 def test_fixed_three_index_groom_writes_the_parents_bytes():

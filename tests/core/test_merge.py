@@ -7,11 +7,12 @@ from repro.core.definition import i1_definition
 from repro.core.entry import IndexEntry, RID, Zone
 from repro.core.ids import RunIdAllocator
 from repro.core.levels import LevelConfig
-from repro.core.merge import MergeController, merge_entry_streams
+from repro.core.merge import MergeController, merge_entry_blob_streams
 from repro.core.runlist import RunList
 from repro.storage.hierarchy import StorageHierarchy
 
 from tests.conftest import make_entries
+from tests.reference_merge import decode_pairs
 
 DEF = i1_definition()
 
@@ -49,14 +50,14 @@ class TestMergeEntryStreams:
         dup = IndexEntry.create(DEF, (1,), (1,), (0,), 20, RID(Zone.GROOMED, 1, 0))
         run_a = builder.build("a", [v2, v1], Zone.GROOMED, 0, 0, 0)
         run_b = builder.build("b", [dup], Zone.GROOMED, 0, 1, 1)
-        merged = list(merge_entry_streams(DEF, [run_b, run_a]))
+        merged = decode_pairs(DEF, merge_entry_blob_streams(DEF, [run_b, run_a]))
         assert [e.begin_ts for e in merged] == [20, 10]
 
     def test_global_order_maintained(self):
         builder = RunBuilder(DEF, StorageHierarchy())
         run_a = builder.build("a", make_entries(DEF, [1, 5, 9]), Zone.GROOMED, 0, 0, 0)
         run_b = builder.build("b", make_entries(DEF, [2, 6, 8]), Zone.GROOMED, 0, 1, 1)
-        merged = list(merge_entry_streams(DEF, [run_b, run_a]))
+        merged = decode_pairs(DEF, merge_entry_blob_streams(DEF, [run_b, run_a]))
         keys = [e.sort_key(DEF) for e in merged]
         assert keys == sorted(keys)
 

@@ -8,12 +8,20 @@ from repro.core.definition import i1_definition
 from repro.core.entry import IndexEntry, RID, Zone
 from repro.core.index import UmziConfig, UmziIndex
 from repro.core.levels import LevelConfig
-from repro.core.merge import merge_entry_streams
+from repro.core.merge import merge_entry_blob_streams
 from repro.storage.hierarchy import StorageHierarchy
 
 from tests.conftest import key_of
+from tests.reference_merge import decode_pairs
 
 DEF = i1_definition()
+
+
+def merged_entries(definition, runs, retention_ts=None):
+    """The merge kernel's pairs, decoded."""
+    return decode_pairs(
+        definition, merge_entry_blob_streams(definition, runs, retention_ts)
+    )
 
 
 def version(k: int, ts: int, offset: int = 0) -> IndexEntry:
@@ -30,25 +38,25 @@ def run_of(entries, run_id="r", gid=0):
 class TestMergeStreamRetention:
     def test_no_retention_keeps_all_versions(self):
         run = run_of([version(1, ts) for ts in (10, 20, 30)])
-        merged = list(merge_entry_streams(DEF, [run]))
+        merged = list(merged_entries(DEF, [run]))
         assert [e.begin_ts for e in merged] == [30, 20, 10]
 
     def test_retention_keeps_horizon_visible_version(self):
         run = run_of([version(1, ts) for ts in (10, 20, 30)])
-        merged = list(merge_entry_streams(DEF, [run], retention_ts=25))
+        merged = list(merged_entries(DEF, [run], retention_ts=25))
         # 30 (newer than horizon) and 20 (visible at 25) survive; 10 dies.
         assert [e.begin_ts for e in merged] == [30, 20]
 
     def test_retention_keeps_single_old_version(self):
         run = run_of([version(1, 5)])
-        merged = list(merge_entry_streams(DEF, [run], retention_ts=100))
+        merged = list(merged_entries(DEF, [run], retention_ts=100))
         assert [e.begin_ts for e in merged] == [5]
 
     def test_retention_is_per_key(self):
         run = run_of(
             [version(1, 10), version(1, 20), version(2, 5, 1), version(2, 15, 1)]
         )
-        merged = list(merge_entry_streams(DEF, [run], retention_ts=50))
+        merged = list(merged_entries(DEF, [run], retention_ts=50))
         by_key = {}
         for e in merged:
             by_key.setdefault(e.equality_values[0], []).append(e.begin_ts)
@@ -75,7 +83,7 @@ class TestMergeStreamRetention:
         entries = [version(k, ts, i) for i, (k, ts) in enumerate(versions)]
         full = run_of(entries, "full")
         compacted = run_of(
-            list(merge_entry_streams(DEF, [run_of(entries, "tmp")], horizon)),
+            list(merged_entries(DEF, [run_of(entries, "tmp")], horizon)),
             "compacted", gid=1,
         )
         ex_full = QueryExecutor(DEF, lambda: [full])

@@ -20,7 +20,7 @@ from repro.core.entry import (
     RID,
     Zone,
     begin_ts_of_sort_key,
-    user_key_of_sort_key,
+    SORT_KEY_TS_BYTES,
 )
 from repro.core.run import (
     DataBlockView,
@@ -108,7 +108,7 @@ class TestRawSliceEquivalence:
             assert view.sort_key_at(in_block) == expected_sort_key
             assert view.key_bytes_at(in_block) == entry.key_bytes(definition)
             assert view.begin_ts_at(in_block) == entry.begin_ts
-            assert user_key_of_sort_key(expected_sort_key) == entry.key_bytes(
+            assert expected_sort_key[:-SORT_KEY_TS_BYTES] == entry.key_bytes(
                 definition
             )
             assert begin_ts_of_sort_key(expected_sort_key) == entry.begin_ts

@@ -52,7 +52,9 @@ def reference_repartition_and_write(
         key = post_groomer.schema.primary_key_of(record.values)
         prev_rid = last_rid.get(key)
         if prev_rid is None:
-            eq, sort, _ = post_groomer._extract(record.values)
+            key_values = [record.values[i] for i in post_groomer._key_positions]
+            n_eq = len(post_groomer.index.definition.equality_columns)
+            eq, sort = key_values[:n_eq], key_values[n_eq:]
             hit = reference_post_groomed_lookup(
                 post_groomer.index, eq, sort, query_ts=record.begin_ts - 1
             )

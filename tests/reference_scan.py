@@ -22,7 +22,6 @@ from repro.core.entry import (
     IndexEntry,
     SORT_KEY_TS_BYTES,
     begin_ts_of_sort_key,
-    user_key_of_sort_key,
 )
 from repro.core.run import DataBlockView, IndexRun
 from repro.core.search import UNBOUNDED, narrow_with_offset_array
@@ -183,7 +182,7 @@ def reference_merge_runs_iter(
     streams = [stream(run, recency) for recency, run in enumerate(runs)]
     previous_key: Optional[bytes] = None
     for sort_key, _recency, entry in heapq.merge(*streams):
-        key = user_key_of_sort_key(sort_key)
+        key = sort_key[:-SORT_KEY_TS_BYTES]
         if key == previous_key:
             continue  # an older (or duplicate) version of an answered key
         previous_key = key
@@ -205,7 +204,7 @@ def reference_reconcile_set(
             run, lower_key, upper_exclusive, query_ts, hash_value,
             use_offset_array,
         ):
-            key = user_key_of_sort_key(sort_key)
+            key = sort_key[:-SORT_KEY_TS_BYTES]
             begin_ts = begin_ts_of_sort_key(sort_key)
             current = best.get(key)
             if current is None or begin_ts > current[0]:

@@ -4,7 +4,9 @@ import threading
 
 import pytest
 
-from repro.core.definition import ColumnSpec
+from repro.core.definition import ColumnSpec, ColumnType
+from repro.core.encoding import EncodingError
+from repro.planner import PlanError
 from repro.wildfire.cluster import ShardedTable
 from repro.wildfire.engine import ShardConfig
 from repro.wildfire.schema import IndexSpec, SchemaError, TableSchema
@@ -51,6 +53,57 @@ class TestRouting:
     def test_bad_shard_count(self):
         with pytest.raises(ValueError):
             make_table(num_shards=0)
+
+
+class TestRoutingOnTypedShardingValues:
+    """Rows and lookups route on the sharding values ``upsert`` stores.
+
+    The front doors used to hash the *raw* values while the shard
+    normalised them afterwards, so on a FLOAT64 sharding column a key
+    ingested as the int 3 sat on the shard of ``hash(3)`` and was looked
+    for on the shard of ``hash(3.0)``.
+    """
+
+    @staticmethod
+    def float_keyed_table():
+        schema = TableSchema(
+            name="f",
+            columns=(ColumnSpec("k", ColumnType.FLOAT64), ColumnSpec("v")),
+            primary_key=("k",),
+            sharding_key=("k",),
+        )
+        return ShardedTable(schema, IndexSpec(sort_columns=("k",)), num_shards=4)
+
+    def test_every_key_found_under_both_spellings(self):
+        table = self.float_keyed_table()
+        table.ingest([(k, k) for k in range(50)])  # ints into FLOAT64
+        table.tick()
+        for k in range(50):
+            as_float = table.point_query((), (float(k),))
+            as_int = table.point_query((), (k,))
+            assert as_float is not None and as_float.values == (float(k), k)
+            assert as_int == as_float
+            assert table.shard_of_row((k, 0)) == table.shard_of_key((float(k),))
+        assert len({table.shard_of_key((k,)) for k in range(50)}) == 4
+
+    @pytest.mark.parametrize("bad", ["3", None, True, float("nan"), b"3"])
+    def test_an_out_of_type_sharding_value_is_refused_before_routing(self, bad):
+        table = self.float_keyed_table()
+        # The write door: upsert's own error, but before any row is routed
+        # -- nothing of the batch reaches any shard.
+        with pytest.raises(EncodingError, match="column 'k'"):
+            table.ingest([(1.0, 1), (bad, 2), (3.0, 3)])
+        assert all(len(shard.committed_log) == 0 for shard in table.shards)
+        with pytest.raises(EncodingError):
+            table.shard_of_key((bad,))
+        # The read door routes on the declared-type encoding (no second
+        # validation per lookup): whatever no encoder takes is the typed
+        # error ``query`` raises, and True is simply 1.0.
+        if bad is True:
+            assert table.point_query((), (bad,)) is None
+        else:
+            with pytest.raises(PlanError, match="sharding key"):
+                table.point_query((), (bad,))
 
 
 class TestIngestAndQuery:

@@ -13,7 +13,7 @@ from repro.wildfire.schema import IndexSpec, TableSchema
 from tests.reference_postgroom import reference_repartition_and_write
 
 
-def make_shard(partition_buckets=3):
+def make_shard(partition_buckets=3, secondary_indexes=None):
     schema = TableSchema(
         name="pg",
         columns=(ColumnSpec("device"), ColumnSpec("msg"), ColumnSpec("reading")),
@@ -24,7 +24,8 @@ def make_shard(partition_buckets=3):
     return WildfireShard(
         schema, IndexSpec(("device",), ("msg",), ("reading",)),
         config=ShardConfig(post_groom_every=100,  # manual post-grooms only
-                           partition_buckets=partition_buckets),
+                           partition_buckets=partition_buckets,
+                           secondary_indexes=secondary_indexes),
     )
 
 
@@ -57,6 +58,83 @@ class TestPsnMetadata:
         shard.groomer.groom()
         shard.post_groomer.post_groom()
         assert shard.post_groomer.last_post_groomed_gid == 0
+
+
+class TestOpMapsAreReleased:
+    """A PSN's ``beginTS -> RID`` map lives until every index evolved it."""
+
+    BY_READING = {"by_reading": IndexSpec(sort_columns=("reading",))}
+
+    @staticmethod
+    def post_groom_a_batch(shard, batch):
+        shard.ingest([(device, batch % 2, 10 * batch + device) for device in range(6)])
+        shard.groomer.groom()
+        return shard.post_groomer.post_groom()
+
+    @staticmethod
+    def psns_holding_a_map(shard):
+        ops = shard.post_groomer._ops
+        return sorted(psn for psn, op in ops.items() if op.rid_by_begin_ts)
+
+    def test_only_unevolved_ops_hold_a_map(self):
+        shard = make_shard(secondary_indexes=self.BY_READING)
+        published = [self.post_groom_a_batch(shard, batch) for batch in range(4)]
+        assert self.psns_holding_a_map(shard) == [1, 2, 3, 4]
+        shard.indexer.step()
+        assert self.psns_holding_a_map(shard) == [2, 3, 4]
+        shard.indexer.drain()
+        assert self.psns_holding_a_map(shard) == []
+        assert shard.indexer.streaming_fallbacks == 0
+        # What the grace-PSN cleanup reads stays.
+        for op in published:
+            kept = shard.post_groomer.get_op(op.psn)
+            assert (kept.min_groomed_id, kept.max_groomed_id) == (
+                op.min_groomed_id, op.max_groomed_id,
+            )
+            assert kept.post_groomed_block_ids == op.post_groomed_block_ids
+            assert kept.record_count == op.record_count == 6
+        for device in range(6):
+            assert shard.point_query((device,), (1,)).values == (device, 1, 30 + device)
+            (hit,) = shard.secondary_scan("by_reading", (), (30 + device,), (30 + device,))
+            assert hit.rid.zone is Zone.POST_GROOMED
+
+    def test_crash_replay_of_an_unevolved_psn_still_finds_its_map(self):
+        from repro.faults.crash import CrashSchedule, install_crash_schedule
+        from repro.faults.errors import SimulatedCrash
+
+        shard = make_shard(secondary_indexes=self.BY_READING)
+        op = self.post_groom_a_batch(shard, 1)
+        # Die inside the *secondary's* evolve: the primary already has
+        # PSN 1, the step as a whole has not finished.
+        with install_crash_schedule(CrashSchedule({"evolve.pre_publish": {2}})):
+            with pytest.raises(SimulatedCrash):
+                shard.indexer.step()
+        assert shard.index.indexed_psn == 1
+        assert shard.indexes.min_indexed_psn() == 0
+        assert shard.post_groomer.get_op(1).rid_by_begin_ts == op.rid_by_begin_ts
+        shard.crash_and_recover()
+
+        result = shard.indexer.step()
+        assert result.evolve.new_run_id == ""  # the primary was not redone
+        (replayed,) = result.secondary_evolves
+        assert replayed.spliced_blobs == 6
+        assert self.psns_holding_a_map(shard) == []
+        assert shard.indexer.streaming_fallbacks == 0
+        for device in range(6):
+            (hit,) = shard.secondary_scan("by_reading", (), (10 + device,), (10 + device,))
+            assert hit.rid == op.rid_by_begin_ts[hit.begin_ts]
+
+    def test_a_released_map_is_rebuilt_from_the_blocks(self):
+        shard = make_shard(secondary_indexes=self.BY_READING)
+        op = self.post_groom_a_batch(shard, 1)
+        shard.post_groomer.release_rid_map(1)  # as for an index attached later
+        assert shard.post_groomer.get_op(1).rid_by_begin_ts == {}
+        (result,) = shard.indexer.drain()
+        assert result.evolve.spliced_blobs == 6
+        assert shard.indexer.streaming_fallbacks == 0
+        for device in range(6):
+            entry = shard.index_lookup((device,), (1,))
+            assert entry.rid == op.rid_by_begin_ts[entry.begin_ts]
 
 
 class TestPartitioning:
