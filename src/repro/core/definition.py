@@ -127,6 +127,28 @@ def encode_typed(
     return b"".join([ENCODERS[spec.ctype](v) for spec, v in zip(specs, values)])
 
 
+def encode_search_key(
+    specs: Sequence[ColumnSpec], values: Sequence[KeyValue]
+) -> bytes:
+    """:func:`encode_typed` for values a caller searches with.
+
+    They were never validated, so what :meth:`ColumnSpec.validate` would
+    refuse at ``upsert`` is refused here too, as its ``EncodingError``
+    naming column, declared type and value.  The encoders already fail
+    on every such value but a bool (an int to them), which costs a lookup
+    one check; the wording is worked out only once something was refused.
+    An int on a FLOAT64 column encodes as the float it was stored as.
+    """
+    try:
+        if bool not in map(type, values):
+            return encode_typed(specs, values)
+    except (*WRONG_TYPE_ERRORS, EncodingError):
+        pass
+    for spec, value in zip(specs, values):
+        spec.validate(value)
+    raise EncodingError(f"values {tuple(values)!r} cannot be encoded as a key")
+
+
 class IndexDefinitionError(ValueError):
     """Invalid index definition (e.g. duplicate columns, no key columns)."""
 
@@ -291,6 +313,7 @@ __all__ = [
     "IndexDefinition",
     "IndexDefinitionError",
     "WRONG_TYPE_ERRORS",
+    "encode_search_key",
     "encode_typed",
     "i1_definition",
     "i2_definition",

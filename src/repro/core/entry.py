@@ -16,7 +16,7 @@ from __future__ import annotations
 import enum
 import struct
 from dataclasses import dataclass
-from typing import List, Sequence, Tuple
+from typing import List, NamedTuple, Sequence, Tuple
 
 from repro.core.definition import DECODERS, IndexDefinition, encode_typed
 from repro.core.encoding import (
@@ -41,9 +41,11 @@ class Zone(enum.IntEnum):
     POST_GROOMED = 2
 
 
-@dataclass(frozen=True, order=True)
-class RID:
-    """Record identifier: (zone, block id, record offset)."""
+class RID(NamedTuple):
+    """Record identifier: (zone, block id, record offset).
+
+    A tuple, so the dict probes it keys (the endTS overlay on every record
+    fetch) hash and compare at C speed."""
 
     zone: Zone
     block_id: int

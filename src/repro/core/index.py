@@ -360,7 +360,7 @@ class UmziIndex:
         return self.executor.range_scan_iter(query)
 
     def point_lookup(self, lookup: PointLookup) -> Optional[IndexEntry]:
-        return self.executor.point_lookup(lookup)
+        return self.executor.lookup(*lookup)
 
     def batch_lookup(
         self, lookups: Sequence[PointLookup]
@@ -375,9 +375,7 @@ class UmziIndex:
         sort_values: Sequence[KeyValue] = (),
         query_ts: int = MAX_QUERY_TS,
     ) -> Optional[IndexEntry]:
-        return self.point_lookup(
-            PointLookup(tuple(equality_values), tuple(sort_values), query_ts)
-        )
+        return self.executor.lookup(equality_values, sort_values, query_ts)
 
     def scan(
         self,

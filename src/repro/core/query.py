@@ -33,10 +33,11 @@ from repro.core.definition import (
     COLUMN_ENCODERS,
     WRONG_TYPE_ERRORS,
     IndexDefinition,
-    encode_typed,
+    encode_search_key,
 )
 from repro.core.epoch import QueryPin, RunLifecycle
 from repro.core.encoding import (
+    EncodingError,
     KeyValue,
     UINT64_MAX,
     encode_uint64,
@@ -49,8 +50,9 @@ from repro.core.search import (
     UNBOUNDED,
     Hit,
     batch_lookup_in_run,
-    lookup_key_in_run,
+    narrow_with_offset_array,
     search_run_hits,
+    ts_floor,
 )
 
 MAX_QUERY_TS = UINT64_MAX
@@ -101,24 +103,26 @@ def _key_prefix(
     definition: IndexDefinition, equality_values: Sequence[KeyValue], what: str
 ) -> Tuple[bytes, Optional[int]]:
     """``hash | equality columns`` of a search key, and the hash."""
-    if len(equality_values) != len(definition.equality_columns):
+    specs = definition.equality_columns
+    if len(equality_values) != len(specs):
         raise QueryError(
-            f"{what} must bind all {len(definition.equality_columns)} "
+            f"{what} must bind all {len(specs)} "
             f"equality columns; got {len(equality_values)}"
         )
-    encoded = _encode(definition.equality_columns, equality_values)
-    if not definition.has_hash_column:
-        return encoded, None
+    if not specs:  # a pure range index: no hash column, nothing to encode
+        return b"", None
+    encoded = _encode(specs, equality_values)
     hash_value = hash_values((encoded,))
     return encode_uint64(hash_value) + encoded, hash_value
 
 
 def _encode(specs, values: Sequence[KeyValue]) -> bytes:
     """A search key's columns encoded by their *declared* types, as the
-    write path stored them (an int on a FLOAT64 column is that float)."""
+    write path stored them (an int on a FLOAT64 column is that float);
+    what ``upsert`` would refuse is a :class:`QueryError`."""
     try:
-        return encode_typed(specs, values)
-    except WRONG_TYPE_ERRORS as error:
+        return encode_search_key(specs, values)
+    except EncodingError as error:
         raise QueryError(f"key value of the wrong type: {error}") from None
 
 
@@ -486,29 +490,57 @@ class QueryExecutor:
     # -- point lookups ------------------------------------------------------------------
 
     def point_lookup(self, lookup: PointLookup) -> Optional[IndexEntry]:
+        """:meth:`lookup` of a :class:`PointLookup` row."""
+        return self.lookup(*lookup)
+
+    def lookup(
+        self,
+        equality_values: Sequence[KeyValue] = (),
+        sort_values: Sequence[KeyValue] = (),
+        query_ts: int = MAX_QUERY_TS,
+    ) -> Optional[IndexEntry]:
         """Search newest to oldest, stopping at the first visible match
-        (the section 7.2 optimization)."""
+        (the section 7.2 optimization).
+
+        The key and the snapshot's ``~beginTS`` floor are encoded once; a
+        run is skipped on ``min_begin_ts`` and on the synopsis ranges of
+        the equality columns and the leading sort column (the boxes a scan
+        over the same bounds is pruned by), and searched by the exact-key
+        kernel :meth:`IndexRun.lookup_visible`.
+        """
         key, hash_value = encode_point_key(
-            self.definition, lookup.equality_values, lookup.sort_values
+            self.definition, equality_values, sort_values
         )
-        probe = RangeScanQuery(
-            lookup.equality_values,
-            lookup.sort_values or None,
-            lookup.sort_values or None,
-            lookup.query_ts,
-        )
+        floor = ts_floor(query_ts)
+        boxes = (*equality_values, *sort_values[:1]) if self.use_synopsis else ()
+        bucketed = hash_value is not None and self.use_offset_array
         pin, runs = self._enter_query()
         # Only the runs searched are handed to the release hook, not every
         # synopsis candidate: the lookup stops at the first visible match.
         searched: List[IndexRun] = []
         try:
-            for run in self._candidates(runs, probe):
-                searched.append(run)
-                entry = lookup_key_in_run(
-                    run, key, lookup.query_ts, hash_value, self.use_offset_array
-                )
-                if entry is not None:
-                    return entry
+            for run in runs:
+                header = run.header
+                if not run.entry_count or header.min_begin_ts > query_ts:
+                    continue
+                for crange, value in zip(header.synopsis.ranges, boxes):
+                    if crange is not None and not (
+                        crange.min_value <= value <= crange.max_value
+                    ):
+                        break
+                else:
+                    searched.append(run)
+                    if header.bloom_blob is not None and not (
+                        run.may_contain_key(key)
+                    ):
+                        continue
+                    if bucketed:
+                        lo, hi = narrow_with_offset_array(run, hash_value)
+                    else:
+                        lo, hi = 0, run.entry_count
+                    entry = run.lookup_visible(key, floor, lo, hi)
+                    if entry is not None:
+                        return entry
             return None
         finally:
             self._exit_query(pin, searched)

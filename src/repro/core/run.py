@@ -750,6 +750,73 @@ class IndexRun:
                 window[:] = (start, end, view)
         return lo
 
+    def lookup_visible(
+        self, key: bytes, ts_floor: bytes, lo: int, hi: int
+    ) -> Optional[IndexEntry]:
+        """Newest version of exactly ``key`` visible at ``ts_floor``, or None.
+
+        The exact-key kernel (paper section 7.2), one frame for what a
+        point lookup does inside a run: the block-index fences of
+        :meth:`key_position_bounds` clamped onto ``[lo, hi)``, the binary
+        search of :meth:`first_geq`, then the step through the key's
+        versions (newest first) to the first whose raw ``~beginTS`` suffix
+        is ``>= ts_floor`` -- all over the probed block's payload and
+        tables.  It probes, charges ``raw_key_probes`` and fetches blocks
+        exactly as those three followed by ``scan_visible(first_only=True)``
+        would, and hands over to that scan where the key's versions run
+        into the next block or the block is v1.  Only the entry returned
+        is decoded.
+        """
+        cum, first_keys = self._cum, self._first_keys
+        block_lo = cum[max(0, bisect_left(first_keys, key) - 1)]
+        block_hi = cum[bisect_right(first_keys, key)]
+        lo, hi = max(lo, min(block_lo, hi)), min(hi, max(block_hi, lo))
+        start = end = probes = 0  # empty window: the first probe resolves
+        try:
+            while True:
+                # The next probe; once the range is empty, where it ended.
+                ordinal = (lo + hi) // 2 if lo < hi else lo
+                if ordinal >= self.entry_count:
+                    return None  # every entry is below the key
+                if not start <= ordinal < end:
+                    block_index = bisect_right(cum, ordinal) - 1
+                    start, end = cum[block_index], cum[block_index + 1]
+                    view = self.block_view(block_index)
+                    raw = view.version == 2
+                    payload, base, table = view.payload, view.base, view.table
+                    count = view.count
+                if lo >= hi:
+                    break
+                i = ordinal - start
+                if raw:
+                    probes += 1
+                    at = base + table[i]
+                    sort_key = payload[at : at + table[count + i]]
+                else:
+                    sort_key = view.sort_key_at(i)
+                if sort_key < key:
+                    lo = ordinal + 1
+                else:
+                    hi = ordinal
+            if raw:
+                # The key's versions, newest first, start at ``lo``.
+                for i in range(lo - start, count):
+                    probes += 1
+                    at = base + table[i]
+                    sort_key = payload[at : at + table[count + i]]
+                    if sort_key[:-SORT_KEY_TS_BYTES] != key:
+                        return None
+                    if sort_key[-SORT_KEY_TS_BYTES:] >= ts_floor:
+                        return view.entry(i)
+                lo = end  # all newer than the snapshot: on into the next block
+        finally:  # a failed block fetch still pays for the probes made
+            self.hierarchy.stats.decode.raw_key_probes += probes
+        for hits in self.scan_visible(
+            lo, key + b"\x00", ts_floor, first_only=True
+        ):
+            return hits[0][1].entry(hits[0][2])
+        return None
+
     def iter_entries(self, start_ordinal: int = 0):
         """Yield entries in sort-key order from ``start_ordinal`` onward."""
         if start_ordinal >= self.entry_count:

@@ -15,9 +15,11 @@ operations"), visibility is a compare of the raw ``~beginTS`` suffix
 against the snapshot's, and an :class:`IndexEntry` is materialized only
 for entries actually returned.  This module decides *where* to search
 (offset array, block-index fences, the monotone cursor of a sorted batch);
-the two loops are the run-level kernels :meth:`IndexRun.first_geq` (binary
-search) and :meth:`IndexRun.scan_visible` (forward scan), and every range
-scan, point lookup and batched lookup goes through them.
+the loops are the run-level kernels :meth:`IndexRun.first_geq` (binary
+search) and :meth:`IndexRun.scan_visible` (forward scan), which every
+range scan and batched lookup goes through, and
+:meth:`IndexRun.lookup_visible`, the two fused for one exact key, which
+every point lookup goes through.
 """
 
 from __future__ import annotations
@@ -83,18 +85,13 @@ def _seek(
     )
 
 
-def _search_start(
-    run: IndexRun,
-    lower_key: bytes,
-    hash_value: Optional[int],
-    use_offset_array: bool,
-) -> int:
-    """Ordinal of the first entry whose sort key is ``>= lower_key``."""
+def _search_range(
+    run: IndexRun, hash_value: Optional[int], use_offset_array: bool
+) -> Tuple[int, int]:
+    """Where a search starts out: the hash bucket, or the whole run."""
     if hash_value is not None and use_offset_array:
-        lo, hi = narrow_with_offset_array(run, hash_value)
-    else:
-        lo, hi = 0, run.entry_count
-    return _seek(run, lower_key, lo, hi)
+        return narrow_with_offset_array(run, hash_value)
+    return 0, run.entry_count
 
 
 def search_run_hits(
@@ -126,7 +123,9 @@ def search_run_hits(
     """
     if run.entry_count == 0:
         return
-    start = _search_start(run, lower_key, hash_value, use_offset_array)
+    start = _seek(
+        run, lower_key, *_search_range(run, hash_value, use_offset_array)
+    )
     yield from run.scan_visible(start, upper_exclusive, ts_floor(query_ts))
 
 
@@ -159,18 +158,14 @@ def lookup_key_in_run(
     Equivalent to a range scan whose lower and upper sort-column bounds
     coincide (paper section 7.2).  The run's Bloom filter (when present)
     is consulted *before* any block fetch, so definite misses cost zero
-    data-block I/O.
+    data-block I/O; the search itself is :meth:`IndexRun.lookup_visible`.
     """
     if run.entry_count == 0 or (use_bloom and not run.may_contain_key(key)):
         return None
-    start = _search_start(run, key, hash_value, use_offset_array)
-    # Every key above ``key`` is ``>= key + b"\x00"``: the scan ends at the
-    # first entry of another key.
-    for hits in run.scan_visible(
-        start, key + b"\x00", ts_floor(query_ts), first_only=True
-    ):
-        return hits[0][1].entry(hits[0][2])
-    return None
+    return run.lookup_visible(
+        key, ts_floor(query_ts),
+        *_search_range(run, hash_value, use_offset_array),
+    )
 
 
 def batch_lookup_in_run(

@@ -13,9 +13,11 @@ Layers (mirroring DevilsDatabase's ``planner/baseline.py`` vs
 * :mod:`repro.planner.stats` -- :class:`AccessPathSynopsis` per index,
   assembled from run headers without a single entry decode and kept
   fresh across evolve/merge via the versionset publication sequence;
-* :mod:`repro.planner.plan` -- the typed :class:`Query`, the executable
-  :class:`AccessPlan` (every plan renders an ``explain()`` dict), and
-  the hinted-plan path the legacy wrapper methods ride;
+* :mod:`repro.planner.plan` -- the typed :class:`Query` and the
+  executable :class:`AccessPlan` (every plan renders an ``explain()``
+  dict); only typed queries are planned -- the shard's wrapper methods
+  (``index_lookup``/``range_query``/``secondary_*``) call the index
+  themselves;
 * :mod:`repro.planner.baseline` -- always the primary index, never
   index-only: today's behaviour, kept as the ablation arm;
 * :mod:`repro.planner.smart` -- the cost model over all candidate
@@ -28,7 +30,6 @@ from repro.planner.plan import (
     PlanError,
     Predicate,
     Query,
-    plan_hinted,
 )
 from repro.planner.smart import plan_smart
 from repro.planner.stats import AccessPathSynopsis, SynopsisCatalog
@@ -41,6 +42,5 @@ __all__ = [
     "Query",
     "SynopsisCatalog",
     "plan_baseline",
-    "plan_hinted",
     "plan_smart",
 ]

@@ -16,12 +16,10 @@ and :func:`plan_prototype`: consumed columns, residuals, the getters the
 executor runs -- and kept per shape by the smart planner; a call only
 binds its validated values (:func:`bind_values`, :meth:`AccessPlan.bind`).
 
-The legacy wrapper methods (``index_lookup``/``range_query``/
-``secondary_*``) ride the *hinted* path: they construct a Query carrying
-``index_hint`` + ``mode`` + raw lexicographic sort bounds, and
-:func:`plan_hinted` passes everything through verbatim -- same index
-calls, same arity errors, same counters as before the refactor, and no
-statistics work on the hot path.
+Only typed queries are planned.  The shard's wrapper methods
+(``index_lookup``/``range_query``/``secondary_*``) already name their
+index and bounds, so they call ``UmziIndex.lookup``/``scan`` themselves
+and build neither a :class:`Query` nor an :class:`AccessPlan`.
 """
 
 from __future__ import annotations
@@ -34,8 +32,6 @@ from typing import (
 )
 
 from repro.core.encoding import EncodingError, KeyValue
-
-QUERY_MODES = ("point", "scan", "batch")
 
 Bounds = Tuple[Tuple[Optional[KeyValue], Optional[KeyValue]], ...]
 
@@ -80,13 +76,8 @@ class Query:
 
     ``equalities`` and ``ranges`` (both inclusive) name columns; a column
     may appear in at most one of them.  ``projection=None`` means the
-    full row.  The remaining fields exist for the *hinted* wrapper path
-    only: ``mode`` pins the access mode, ``sort_lower``/``sort_upper``
-    carry raw lexicographic sort-key prefix bounds (not expressible as
-    per-column predicates), and ``batch_keys`` carries a batched point
-    lookup's key list.  Hinted fields require ``index_hint``; a bare
-    ``index_hint`` without ``mode`` restricts the smart planner's
-    candidates to that index instead.
+    full row.  ``index_hint`` restricts the smart planner's candidates to
+    that index.
     """
 
     equalities: Tuple[Tuple[str, KeyValue], ...] = ()
@@ -94,13 +85,6 @@ class Query:
     projection: Optional[Tuple[str, ...]] = None
     query_ts: Optional[int] = None
     index_hint: Optional[str] = None
-    mode: Optional[str] = None
-    sort_lower: Optional[Tuple[KeyValue, ...]] = None
-    sort_upper: Optional[Tuple[KeyValue, ...]] = None
-    batch_keys: Optional[
-        Tuple[Tuple[Tuple[KeyValue, ...], Tuple[KeyValue, ...]], ...]
-    ] = None
-    fetch_records: bool = True
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "equalities", tuple(
@@ -114,25 +98,6 @@ class Query:
         named = [c for c, _ in self.equalities] + [c for c, _, _ in self.ranges]
         if len(set(named)) != len(named):
             raise PlanError(f"column bound more than once: {sorted(named)}")
-        if self.mode is not None:
-            if self.mode not in QUERY_MODES:
-                raise PlanError(
-                    f"mode must be one of {QUERY_MODES}; got {self.mode!r}"
-                )
-            if self.index_hint is None:
-                raise PlanError("mode requires index_hint (wrapper path)")
-        else:
-            for label, value in (
-                ("sort_lower", self.sort_lower),
-                ("sort_upper", self.sort_upper),
-                ("batch_keys", self.batch_keys),
-            ):
-                if value is not None:
-                    raise PlanError(
-                        f"{label} is a hinted-path field and requires mode"
-                    )
-        if self.batch_keys is not None and self.mode != "batch":
-            raise PlanError("batch_keys requires mode='batch'")
 
     def predicate_columns(self) -> Tuple[str, ...]:
         return self.shape[0] + self.shape[1]
@@ -206,12 +171,8 @@ class AccessPlan:
     sort_values: Tuple[KeyValue, ...] = ()
     sort_lower: Optional[Tuple[KeyValue, ...]] = None
     sort_upper: Optional[Tuple[KeyValue, ...]] = None
-    batch_keys: Optional[
-        Tuple[Tuple[Tuple[KeyValue, ...], Tuple[KeyValue, ...]], ...]
-    ] = None
     index_only: bool = False
     fetch_back: bool = False
-    fetch_records: bool = True
     entry_residuals: Tuple[Predicate, ...] = ()
     record_checks: Tuple[Predicate, ...] = ()
     projection: Tuple[str, ...] = ()
@@ -219,7 +180,6 @@ class AccessPlan:
     rows_est: float = 0.0
     bound_prefix: int = 0
     range_column: Optional[str] = None
-    hinted: bool = False
     # Every costed candidate, in evaluation order, as
     # (index, mode, index_only, cost, rows_est).
     scored: Tuple[Tuple[str, str, bool, float, float], ...] = ()
@@ -269,7 +229,6 @@ class AccessPlan:
             "record_checks": [p.column for p in self.record_checks],
             "rows_est": round(self.rows_est, 4),
             "cost": round(self.cost, 4),
-            "hinted": self.hinted,
             "candidates": list(self.considered),
         }
 
@@ -501,40 +460,6 @@ def shape_to_plan(
     ).bind(*bind_values(schema, query))
 
 
-# ---------------------------------------------------------------------------
-# the hinted path (legacy wrappers)
-# ---------------------------------------------------------------------------
-
-
-def plan_hinted(query: Query, schema, indexes) -> AccessPlan:
-    """Pass-through plan for the wrapper methods (``mode`` is set).
-
-    Everything is forwarded verbatim -- equality values in the order the
-    caller gave them, raw sort bounds untouched -- so arity mismatches
-    and type errors still surface from ``UmziIndex.lookup``/``scan``
-    exactly as they did before the refactor, and the hot path does no
-    statistics work at all.
-    """
-    if query.index_hint is None or query.mode is None:
-        raise PlanError("plan_hinted requires index_hint and mode")
-    try:
-        indexes.get(query.index_hint)
-    except KeyError as exc:
-        raise PlanError(str(exc)) from exc
-    return AccessPlan(
-        index_name=query.index_hint,
-        mode=query.mode,
-        planner="hinted",
-        equality_values=tuple(v for _, v in query.equalities),
-        sort_values=query.sort_lower or () if query.mode == "point" else (),
-        sort_lower=query.sort_lower if query.mode == "scan" else None,
-        sort_upper=query.sort_upper if query.mode == "scan" else None,
-        batch_keys=query.batch_keys,
-        fetch_records=query.fetch_records,
-        hinted=True,
-    )
-
-
 __all__ = [
     "AccessPlan",
     "CandidateShape",
@@ -545,7 +470,6 @@ __all__ = [
     "bind_values",
     "candidate_shape",
     "entry_offset",
-    "plan_hinted",
     "plan_prototype",
     "shape_to_plan",
     "tuple_getter",

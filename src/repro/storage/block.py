@@ -9,11 +9,12 @@ unit of every read, write, transfer, and cache decision in this codebase.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import NamedTuple
 
 
-@dataclass(frozen=True, order=True)
-class BlockId:
-    """Globally unique identifier of a stored block.
+class BlockId(NamedTuple):
+    """Globally unique identifier of a stored block (a tuple: every tier's
+    dict is keyed by it, so it hashes and compares at C speed).
 
     ``namespace`` groups the blocks of one logical object (e.g. one index
     run or one groomed data block file); ``ordinal`` is the block's position

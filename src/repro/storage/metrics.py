@@ -499,9 +499,10 @@ class IOStats:
     def __init__(self) -> None:
         self._lock = threading.Lock()
         self._tiers: Dict[str, TierStats] = {}
-        # Running sum of every tier's ``sim_ns``, kept under the lock at
-        # each charge so the simulated clock is one unlocked int read.
-        self._total_sim_ns = 0
+        # Total simulated nanoseconds charged across all tiers: the running
+        # sum of every tier's ``sim_ns``, kept under the lock at each charge
+        # so the simulated clock is one unlocked attribute read.
+        self.total_sim_ns = 0
         self.decode = DecodeStats()
         # Epoch-pinned run lifecycle counters (see core.epoch): query pins,
         # atomic version publications, and retire/reclaim progress.
@@ -558,7 +559,7 @@ class IOStats:
             stats.reads += 1
             stats.bytes_read += nbytes
             stats.sim_ns += sim_ns
-            self._total_sim_ns += sim_ns
+            self.total_sim_ns += sim_ns
 
     def record_write(self, tier: str, nbytes: int, sim_ns: int) -> None:
         with self._lock:
@@ -566,14 +567,14 @@ class IOStats:
             stats.writes += 1
             stats.bytes_written += nbytes
             stats.sim_ns += sim_ns
-            self._total_sim_ns += sim_ns
+            self.total_sim_ns += sim_ns
 
     def record_delete(self, tier: str, sim_ns: int) -> None:
         with self._lock:
             stats = self._tiers.setdefault(tier, TierStats())
             stats.deletes += 1
             stats.sim_ns += sim_ns
-            self._total_sim_ns += sim_ns
+            self.total_sim_ns += sim_ns
 
     def record_backoff(self, tier: str, sim_ns: int) -> None:
         """Charge retry-backoff waiting time to a tier's simulated clock.
@@ -585,7 +586,7 @@ class IOStats:
         with self._lock:
             stats = self._tiers.setdefault(tier, TierStats())
             stats.sim_ns += sim_ns
-            self._total_sim_ns += sim_ns
+            self.total_sim_ns += sim_ns
         self.faults.backoff_sim_ns += sim_ns
 
     def tier(self, tier: str) -> TierStats:
@@ -597,11 +598,6 @@ class IOStats:
         """Return a snapshot of all tiers' counters."""
         with self._lock:
             return {name: stats.snapshot() for name, stats in self._tiers.items()}
-
-    @property
-    def total_sim_ns(self) -> int:
-        """Total simulated nanoseconds charged across all tiers."""
-        return self._total_sim_ns
 
     def merge(self, other: "IOStats") -> "IOStats":
         """Fold another ledger's counters into this one; returns ``self``.
@@ -619,7 +615,7 @@ class IOStats:
         with self._lock:
             for name, tier_stats in other_tiers.items():
                 _add_fields(self._tiers.setdefault(name, TierStats()), tier_stats)
-                self._total_sim_ns += tier_stats.sim_ns
+                self.total_sim_ns += tier_stats.sim_ns
             for component, count in other_attribution.items():
                 self._attribution[component] = (
                     self._attribution.get(component, 0) + count
@@ -635,7 +631,7 @@ class IOStats:
     def reset(self) -> None:
         with self._lock:
             self._tiers.clear()
-            self._total_sim_ns = 0
+            self.total_sim_ns = 0
             self._attribution.clear()
         self.decode.reset()
         self.epochs.reset()

@@ -61,7 +61,7 @@ from __future__ import annotations
 import threading
 from typing import Callable, Dict, List, NamedTuple, Optional, Sequence, Set, Tuple
 
-from repro.core.definition import WRONG_TYPE_ERRORS, encode_typed
+from repro.core.definition import encode_search_key, encode_typed
 from repro.core.encoding import EncodingError, KeyValue, fnv1a64
 from repro.core.entry import IndexEntry
 from repro.qos.admission import AdmissionController, QosConfig
@@ -135,9 +135,9 @@ class ShardedTable:
         ]
         self._shard_positions = schema.positions(schema.sharding_key)
         self._shard_specs = [schema.columns[p] for p in self._shard_positions]
-        # Which index key columns the sharding key pins (for routing reads).
-        self._spec_eq = index_spec.equality_columns
-        self._spec_sort = index_spec.sort_columns
+        # Where a read's key holds the sharding values (for routing reads);
+        # None when it does not hold them all, so reads can only scatter.
+        self._shard_slots = index_spec.key_slots(schema.sharding_key)
 
         # -- overload protection (ISSUE 7) --------------------------------
         self.qos_config = qos
@@ -245,12 +245,11 @@ class ShardedTable:
         breaker's open window can lapse while the cluster waits for the
         next client batch, not only while it burns work ns.
         """
-        arrival = self._admission.now_ns if self._admission is not None else 0
-        return (
-            arrival
-            + self._qos_io.total_sim_ns
-            + sum(shard.hierarchy.stats.total_sim_ns for shard in self.shards)
-        )
+        now = self._admission.now_ns if self._admission is not None else 0
+        now += self._qos_io.total_sim_ns
+        for shard in self.shards:
+            now += shard.hierarchy.stats.total_sim_ns
+        return now
 
     def advance_clock(self, delta_ns: int) -> None:
         """Advance the admission arrival clock (offered-load time).
@@ -297,11 +296,12 @@ class ShardedTable:
         sort_values: Sequence[KeyValue],
     ) -> Optional[Tuple[KeyValue, ...]]:
         """Sharding values when the query binds them all, else ``None``."""
-        bound = dict(zip(self._spec_eq, equality_values))
-        bound.update(zip(self._spec_sort, sort_values))
+        if self._shard_slots is None:
+            return None
+        values = (equality_values, sort_values)
         try:
-            return tuple(bound[name] for name in self.schema.sharding_key)
-        except KeyError:
+            return tuple([values[g][i] for g, i in self._shard_slots])
+        except IndexError:
             return None
 
     # -- admission + ingestion -------------------------------------------------------
@@ -576,8 +576,8 @@ class ShardedTable:
         with self._maps.pin() as pin:
             if sharding_values is not None:
                 try:  # by declared type, like key_hash: 3 routes as 3.0
-                    encoded = encode_typed(self._shard_specs, sharding_values)
-                except (*WRONG_TYPE_ERRORS, EncodingError) as exc:
+                    encoded = encode_search_key(self._shard_specs, sharding_values)
+                except EncodingError as exc:
                     raise PlanError(f"sharding key: {exc}") from None
                 key_hash = fnv1a64(encoded)
                 route = pin.map.route_of(key_hash)

@@ -31,7 +31,6 @@ from repro.planner import (
     Query,
     SynopsisCatalog,
     plan_baseline,
-    plan_hinted,
     plan_smart,
 )
 from repro.planner.plan import tuple_getter
@@ -113,8 +112,8 @@ class ShardConfig:
     # scan + RID fetch-back, index-only covering answers -- from run-header
     # statistics; "baseline" always runs the primary and always fetches
     # records (pre-planner behaviour, kept as the ablation arm of
-    # benchmarks/bench_access_path.py).  The legacy wrapper methods are
-    # unaffected: they ride hinted plans under either setting.
+    # benchmarks/bench_access_path.py).  The index wrapper methods plan
+    # nothing and are unaffected.
     planner: str = "smart"
 
 
@@ -435,65 +434,10 @@ class WildfireShard:
         """Freshest groomed-visible snapshot timestamp."""
         return self.clock.now()
 
-    # -- legacy wrappers: thin Query constructors over hinted plans (ISSUE 9).
-    # Each builds a typed Query pinning index + mode + raw sort bounds and
-    # executes the resulting pass-through plan, so every call site routes
-    # through the planner without a single behavioural change: same index
-    # calls, same arity/validation errors, same counters.
-
-    def _hinted_query(
-        self,
-        index_name: str,
-        mode: str,
-        equality_values: Sequence[KeyValue] = (),
-        sort_values: Optional[Sequence[KeyValue]] = None,
-        sort_lower: Optional[Sequence[KeyValue]] = None,
-        sort_upper: Optional[Sequence[KeyValue]] = None,
-        query_ts: Optional[int] = None,
-        batch_keys=None,
-        fetch_records: bool = True,
-    ) -> Query:
-        spec = self.indexes.get(index_name).spec
-        values = tuple(equality_values)
-        names = spec.equality_columns
-        if len(names) != len(values):
-            # Preserve the arity mismatch verbatim: the error must surface
-            # from UmziIndex.lookup/scan at execution, exactly as before.
-            names = tuple(f"arg{i}" for i in range(len(values)))
-        if mode == "point":
-            sort_lower = tuple(sort_values) if sort_values is not None else ()
-            sort_upper = None
-        return Query(
-            equalities=tuple(zip(names, values)),
-            query_ts=query_ts,
-            index_hint=index_name,
-            mode=mode,
-            sort_lower=tuple(sort_lower) if sort_lower is not None else None,
-            sort_upper=tuple(sort_upper) if sort_upper is not None else None,
-            batch_keys=batch_keys,
-            fetch_records=fetch_records,
-        )
-
-    def _execute_hinted(self, plan: AccessPlan, query: Query):
-        """Run a wrapper plan with the legacy return conventions."""
-        ts = (
-            query.query_ts if query.query_ts is not None
-            else self.current_snapshot_ts()
-        )
-        index = self.indexes.get(plan.index_name).index
-        if plan.mode == "point":
-            return index.lookup(plan.equality_values, plan.sort_values, ts)
-        if plan.mode == "batch":
-            lookups = [
-                PointLookup(eq, sort, ts) for eq, sort in plan.batch_keys
-            ]
-            return index.batch_lookup(lookups)
-        entries = index.scan(
-            plan.equality_values, plan.sort_lower, plan.sort_upper, ts
-        )
-        if not plan.fetch_records:
-            return entries
-        return self.catalog.fetch_records([entry.rid for entry in entries])
+    # -- index wrappers: each calls the right UmziIndex itself -- same
+    # arguments, same arity and type errors surfacing from the index, same
+    # counters -- so a lookup or scan builds no Query and no plan; only
+    # typed queries (``query``) are planned.
 
     def index_lookup(
         self,
@@ -502,15 +446,9 @@ class WildfireShard:
         query_ts: Optional[int] = None,
     ) -> Optional[IndexEntry]:
         """Pure index point lookup (what the paper's experiments time)."""
-        query = self._hinted_query(
-            PRIMARY_INDEX_NAME,
-            "point",
-            equality_values=equality_values,
-            sort_values=sort_values,
-            query_ts=query_ts,
-        )
-        return self._execute_hinted(
-            plan_hinted(query, self.schema, self.indexes), query
+        return self.index.lookup(
+            equality_values, sort_values,
+            query_ts if query_ts is not None else self.current_snapshot_ts(),
         )
 
     def index_batch_lookup(
@@ -518,16 +456,9 @@ class WildfireShard:
         keys: Sequence[Tuple[Tuple[KeyValue, ...], Tuple[KeyValue, ...]]],
         query_ts: Optional[int] = None,
     ) -> List[Optional[IndexEntry]]:
-        query = self._hinted_query(
-            PRIMARY_INDEX_NAME,
-            "batch",
-            query_ts=query_ts,
-            batch_keys=tuple(
-                (tuple(eq), tuple(sort)) for eq, sort in keys
-            ),
-        )
-        return self._execute_hinted(
-            plan_hinted(query, self.schema, self.indexes), query
+        ts = query_ts if query_ts is not None else self.current_snapshot_ts()
+        return self.index.batch_lookup(
+            [PointLookup(tuple(eq), tuple(sort), ts) for eq, sort in keys]
         )
 
     def point_query(
@@ -596,18 +527,23 @@ class WildfireShard:
         query_ts: Optional[int] = None,
         fetch_records: bool = False,
     ) -> List:
-        query = self._hinted_query(
-            PRIMARY_INDEX_NAME,
-            "scan",
-            equality_values=equality_values,
-            sort_lower=sort_lower,
-            sort_upper=sort_upper,
-            query_ts=query_ts,
-            fetch_records=fetch_records,
+        return self._scan(
+            self.index, equality_values, sort_lower, sort_upper, query_ts,
+            fetch_records,
         )
-        return self._execute_hinted(
-            plan_hinted(query, self.schema, self.indexes), query
+
+    def _scan(
+        self, index: UmziIndex, equality_values, sort_lower, sort_upper,
+        query_ts: Optional[int], fetch_records: bool,
+    ) -> List:
+        """``index.scan`` at the default snapshot: entries, or their records."""
+        entries = index.scan(
+            equality_values, sort_lower, sort_upper,
+            query_ts if query_ts is not None else self.current_snapshot_ts(),
         )
+        if not fetch_records:
+            return entries
+        return self.catalog.fetch_records([entry.rid for entry in entries])
 
     # -- secondary index queries -------------------------------------------------
 
@@ -622,17 +558,9 @@ class WildfireShard:
     ) -> List:
         """Scan a secondary index; secondary keys are not unique, so this
         returns every matching row's newest visible version."""
-        query = self._hinted_query(
-            index_name,
-            "scan",
-            equality_values=equality_values,
-            sort_lower=sort_lower,
-            sort_upper=sort_upper,
-            query_ts=query_ts,
-            fetch_records=fetch_records,
-        )
-        return self._execute_hinted(
-            plan_hinted(query, self.schema, self.indexes), query
+        return self._scan(
+            self.indexes.get(index_name).index, equality_values, sort_lower,
+            sort_upper, query_ts, fetch_records,
         )
 
     def secondary_lookup(
@@ -657,13 +585,10 @@ class WildfireShard:
     def plan_query(self, query: Query) -> AccessPlan:
         """Compile a typed query without executing it (``explain`` tests).
 
-        Wrapper-style queries (``mode`` set) pass through verbatim;
-        otherwise ``ShardConfig.planner`` selects the cost-based planner
-        (default) or the always-primary baseline.  A bare ``index_hint``
-        restricts the smart planner's candidates to that index.
+        ``ShardConfig.planner`` selects the cost-based planner (default)
+        or the always-primary baseline.  An ``index_hint`` restricts the
+        smart planner's candidates to that index.
         """
-        if query.mode is not None:
-            return plan_hinted(query, self.schema, self.indexes)
         if self.config.planner == "baseline":
             return plan_baseline(query, self.schema, self.indexes)
         return plan_smart(query, self.schema, self.indexes, self.synopses)
@@ -698,11 +623,6 @@ class WildfireShard:
         before dropping the tags; whoever hands out rows sorts them.
         """
         plan = self.plan_query(query)
-        if plan.hinted:
-            raise PlanError(
-                "typed query() does not execute wrapper-hinted plans; "
-                "drop the mode field or call the wrapper method"
-            )
         ts = (
             query.query_ts if query.query_ts is not None
             else self.current_snapshot_ts()
@@ -860,9 +780,7 @@ class WildfireShard:
         if pin is None:
             raise RuntimeError("shard is not in degraded mode")
         ts = query_ts if query_ts is not None else self.current_snapshot_ts()
-        entry = pin.executor.point_lookup(
-            PointLookup(tuple(equality_values), tuple(sort_values), ts)
-        )
+        entry = pin.executor.lookup(equality_values, sort_values, ts)
         if entry is None:
             return None
         return self.catalog.fetch_record(entry.rid)

@@ -14,7 +14,7 @@ key lands), and ``prevRID`` (the previous version's RID); they live on
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, Sequence, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple
 
 from repro.core.definition import ColumnSpec, IndexDefinition
 from repro.core.encoding import KeyValue
@@ -152,6 +152,22 @@ class IndexSpec:
                 self.equality_columns, self.sort_columns, self.included_columns
             )
         )
+
+    def key_slots(
+        self, columns: Sequence[str]
+    ) -> Optional[List[Tuple[int, int]]]:
+        """Where a search key holds each of ``columns``: one ``(group,
+        position)`` each, group 0 the equality values and 1 the sort values
+        -- or ``None`` when the index key lacks one of them."""
+        groups = (self.equality_columns, self.sort_columns)
+        slots = {
+            name: (group, position)
+            for group, names in enumerate(groups)
+            for position, name in enumerate(names)
+        }
+        if not slots.keys() >= set(columns):
+            return None
+        return [slots[column] for column in columns]
 
     def extractor(self, schema: TableSchema):
         """Return a function mapping a row tuple to (eq, sort, include)."""

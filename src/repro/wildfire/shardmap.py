@@ -207,20 +207,20 @@ class ShardMap:
 class MapPin:
     """One query's hold on a routing epoch (idempotent release)."""
 
-    __slots__ = ("map", "_release")
+    __slots__ = ("map", "_registry")
 
-    def __init__(self, shard_map: ShardMap, release) -> None:
+    def __init__(self, shard_map: ShardMap, registry: "ShardMapRegistry") -> None:
         self.map = shard_map
-        self._release = release
+        self._registry = registry
 
     @property
     def epoch(self) -> int:
         return self.map.epoch
 
     def release(self) -> None:
-        release, self._release = self._release, None
-        if release is not None:
-            release()
+        registry, self._registry = self._registry, None
+        if registry is not None:
+            registry._unpin(self.map.epoch)
 
     def __enter__(self) -> "MapPin":
         return self
@@ -270,7 +270,7 @@ class ShardMapRegistry:
             self._refs[shard_map.epoch] += 1
             self._stats.pins_entered += 1
             self._stats.version_refs += 1
-        return MapPin(shard_map, lambda: self._unpin(shard_map.epoch))
+        return MapPin(shard_map, self)
 
     def _unpin(self, epoch: int) -> None:
         with self._cond:

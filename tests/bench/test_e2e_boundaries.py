@@ -49,7 +49,10 @@ def test_every_boundary_resolves_on_a_fresh_table(layer, owners_of, method):
 
 def test_front_door_reaches_boundaries_replaced_on_the_instance():
     """The tracer (and ``monkeypatch``) replace *instance* attributes, so
-    the serving path must look each boundary up per call."""
+    the serving path must look each boundary up per call -- the whole
+    point chain included: a point lookup plans nothing and calls the index
+    directly, and must still find ``lookup``, ``fetch_record`` and (once
+    its blocks are purged) ``read`` on the instance."""
     table = make_table(2)
     calls = Counter()
 
@@ -70,6 +73,7 @@ def test_front_door_reaches_boundaries_replaced_on_the_instance():
     for _ in range(4):
         table.tick()
     assert table.point_query((), (7,)).values == (7, "c1", "r1", 7)
+    point = calls.copy()
     assert table.query(Query(equalities=(("order_id", 7),))) == [(7, "c1", "r1", 7)]
     assert len(table.query(Query(equalities=(("customer", "c1"),)))) == 13
 
@@ -82,3 +86,16 @@ def test_front_door_reaches_boundaries_replaced_on_the_instance():
     assert calls["wildfire.engine", "point_query"] == 1
     assert calls["wildfire.engine", "_query_tagged"] == 3  # 1 routed + 2 scattered
     assert calls["planner", "plan_query"] == 3
+    assert point["planner", "plan_query"] == 0
+    assert point["core.index", "lookup"] == 1
+    assert point["wildfire.blockstore", "fetch_record"] == 1
+    assert calls["core.index", "scan"] >= 1  # the customer query's
+    assert calls["core.index", "batch_lookup"] >= 1
+    assert calls["wildfire.blockstore", "fetch_records"] >= 1
+
+    for shard in table.shards:
+        for shard_index in shard.indexes.all():
+            shard_index.index.cache.set_cache_level(-1)
+    reads = calls["storage.hierarchy", "read"]
+    assert table.point_query((), (7,)).values == (7, "c1", "r1", 7)
+    assert calls["storage.hierarchy", "read"] >= reads + 1

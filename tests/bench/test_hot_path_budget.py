@@ -12,18 +12,27 @@ them at query exit).
 
 Recorded on this fixture (Python 3.11, calls per ``point_query``):
 
-====================  =====  ======
-commit                 warm  purged
-====================  =====  ======
-af7751c (before)      357.9   508.4
-block-local kernel    161.6   294.3
-====================  =====  ======
+=========================  =====  ======
+commit                      warm  purged
+=========================  =====  ======
+af7751c (before)           357.9   508.4
+block-local kernel         161.6   294.3
+2d5f04b                    154.3   284.9
+no plan, exact-key kernel   88.3   202.1
+=========================  =====  ======
 
-The ceilings below are the post-kernel values plus a little headroom for
+The ceilings below are the last row plus a little headroom for
 interpreter versions, and must stay at or under 65 % of the ``before``
 row: a change that brings back per-probe ``locate -> block_view ->
 sort_key_at`` hops, per-block table unpacking or a whole-run release
-sweep fails here, without a stopwatch.  Lower them when the path gets
+sweep fails here, without a stopwatch -- and so does a ``Query`` or an
+``AccessPlan`` built per lookup (the hinted pass-through layer was ~15
+calls and a third of the time), a ``RangeScanQuery`` probe and candidate
+list per lookup, the per-run ``_search_start -> _seek -> first_geq ->
+scan_visible`` chain (9 calls per run searched), a generator or a
+property hop in ``sim_now`` (8 calls per call at two shards, twice per
+op) or a Python-level ``__hash__`` on ``BlockId`` / ``RID`` (one per tier
+dict probe: 17 per purged lookup).  Lower them when the path gets
 shorter; raise them only deliberately.
 
 The write path has the same guard: ``call`` events per ingested row inside
@@ -58,6 +67,7 @@ commit                     customer  region  pk range  pk equality
 8bb587f (before)            11308.5  2112.6    3235.7        282.6
 template + scan kernels      4669.9   904.0     821.8        194.3
 column-encoded batch keys    3196.1   902.0     819.8        191.3
+point path (see above)       3049.8   885.0     702.4        140.3
 =========================  ========  ======  ========  ===========
 
 A per-call ``candidate_shape``, a per-entry generator hop in the scan, a
@@ -75,7 +85,7 @@ from pathlib import Path
 E2E = Path(__file__).resolve().parents[2] / "benchmarks" / "e2e"
 
 BEFORE = {"warm": 357.9, "purged": 508.4}
-CEILING = {"warm": 168.0, "purged": 305.0}
+CEILING = {"warm": 92.0, "purged": 212.0}
 
 WRITE_BEFORE = 114.2
 WRITE_CEILING = 62.0
@@ -84,7 +94,7 @@ TYPED_BEFORE = {
     "customer": 11308.5, "region": 2112.6, "range": 3235.7, "equality": 282.6,
 }
 TYPED_CEILING = {
-    "customer": 3300.0, "region": 930.0, "range": 850.0, "equality": 200.0,
+    "customer": 3150.0, "region": 910.0, "range": 725.0, "equality": 146.0,
 }
 
 ROWS = 6_000

@@ -72,6 +72,66 @@ class TestBounds:
         assert bounds.hash_value is None
 
 
+class TestMistypedKeyValues:
+    """A search key is encoded by declared type, unvalidated: what
+    ``upsert`` would refuse must be a QueryError naming column, declared
+    type and value -- not an answer (a bool is an int to the encoder), not
+    the interpreter's text, and never a bare EncodingError."""
+
+    BAD = [
+        (True, "column 'sort0' expects int64, got bool (True)"),
+        (1.0, "column 'sort0' expects int64, got float (1.0)"),
+        ("2", "column 'sort0' expects int64, got str ('2')"),
+        (None, "column 'sort0' expects int64, got NoneType (None)"),
+        (2**70, "column 'sort0': integer 1180591620717411303424 outside "
+                "signed 64-bit range"),
+    ]
+    IDS = ["bool", "float", "str", "none", "beyond-int64"]
+
+    @pytest.mark.parametrize("bad,refusal", BAD, ids=IDS)
+    def test_index_doors_refuse_with_the_column_named(self, bad, refusal):
+        executor = executor_for(build_runs([[entry(1, 1, 5)]]))
+        message = f"key value of the wrong type: {refusal}"
+        for door in (
+            lambda: executor.lookup((1,), (bad,)),
+            lambda: executor.point_lookup(PointLookup((1,), (bad,))),
+            lambda: executor.range_scan(RangeScanQuery((1,), (bad,), None)),
+            lambda: executor.range_scan(RangeScanQuery((1,), None, (bad,))),
+            lambda: list(executor.range_scan_iter(RangeScanQuery((1,), (bad,)))),
+        ):
+            with pytest.raises(QueryError) as refused:
+                door()
+            assert str(refused.value) == message
+        with pytest.raises(QueryError, match="column 'eq0' expects int64"):
+            executor.lookup(("x",), (1,))
+
+    @pytest.mark.parametrize("bad,refusal", BAD, ids=IDS)
+    def test_shard_doors_refuse_with_the_column_named(self, bad, refusal):
+        from repro.wildfire.engine import WildfireShard
+        from repro.wildfire.schema import IndexSpec, TableSchema
+
+        shard = WildfireShard(
+            TableSchema(
+                name="t",
+                columns=(ColumnSpec("eq0"), ColumnSpec("sort0"), ColumnSpec("v")),
+                primary_key=("eq0", "sort0"),
+            ),
+            IndexSpec(("eq0",), ("sort0",)),
+        )
+        shard.ingest([(1, 1, 10), (1, 2, 20)])
+        shard.tick()
+        assert shard.point_query((1,), (1,)).values == (1, 1, 10)
+        for door in (
+            lambda: shard.point_query((1,), (bad,)),
+            lambda: shard.index_lookup((1,), (bad,)),
+            lambda: shard.range_query((1,), (bad,), (9,)),
+            lambda: shard.time_travel((1,), (bad,), MAX_QUERY_TS),
+        ):
+            with pytest.raises(QueryError) as refused:
+                door()
+            assert str(refused.value) == f"key value of the wrong type: {refusal}"
+
+
 class TestSynopsisPruning:
     def test_non_overlapping_run_pruned(self):
         runs = build_runs([[entry(d, 0, 1) for d in range(10)]])

@@ -51,6 +51,7 @@ from repro.core.query import (
 from repro.core.search import (
     batch_lookup_in_run,
     lookup_key_in_run,
+    narrow_with_offset_array,
     search_run,
 )
 from repro.storage.hierarchy import StorageHierarchy
@@ -60,6 +61,7 @@ from tests.reference_scan import (
     reference_batch_lookup_in_run,
     reference_lookup_key_in_run,
     reference_merge_runs_iter,
+    reference_point_lookup,
     reference_reconcile_set,
     reference_search_run_raw,
 )
@@ -141,7 +143,8 @@ def scans(draw, definition, runs):
 
 
 class Observed:
-    """Entries, probe count and the block-fetch sequence of one action."""
+    """Entries, probe and decode counts and the block-fetch sequence of
+    one action."""
 
     def __init__(self, hierarchy, runs, action):
         for run in runs:
@@ -154,18 +157,33 @@ class Observed:
             return real_read(block_id, *args, **kwargs)
 
         decode = hierarchy.stats.decode
-        probes = decode.raw_key_probes
+        probes, decodes = decode.raw_key_probes, decode.entry_decodes
         hierarchy.read = recording_read
         try:
             self.result = action()
         finally:
             del hierarchy.read
         self.probes = decode.raw_key_probes - probes
+        self.decodes = decode.entry_decodes - decodes
         self.fetched = fetched
 
 
-def executor_for(definition, runs):
-    return QueryExecutor(definition, collect_runs=lambda: list(runs))
+def executor_for(definition, runs, **options):
+    return QueryExecutor(definition, collect_runs=lambda: list(runs), **options)
+
+
+def assert_lookup_matches(hierarchy, run, key, ts, hash_value, use_offset_array):
+    """``lookup_key_in_run`` against the per-ordinal oracle, from cold."""
+    arguments = (run, key, ts, hash_value, use_offset_array)
+    one = Observed(hierarchy, [run], lambda: lookup_key_in_run(*arguments))
+    reference = Observed(
+        hierarchy, [run], lambda: reference_lookup_key_in_run(*arguments)
+    )
+    assert one.result == reference.result
+    assert (one.probes, one.decodes, one.fetched) == (
+        reference.probes, reference.decodes, reference.fetched
+    )
+    return one
 
 
 class TestRangeScan:
@@ -285,16 +303,109 @@ class TestLookups:
             assert got.probes <= expected.probes + len(keys)
             assert set(got.fetched) <= set(expected.fetched)
 
-        key, hash_value = keys[0]
-        ts = query_ts if isinstance(query_ts, int) else query_ts[0]
-        one = Observed(hierarchy, runs, lambda: lookup_key_in_run(
-            run, key, ts, hash_value, use_offset_array
-        ))
-        reference = Observed(hierarchy, runs, lambda: reference_lookup_key_in_run(
-            run, key, ts, hash_value, use_offset_array
-        ))
-        assert one.result == reference.result
-        assert (one.probes, one.fetched) == (reference.probes, reference.fetched)
+        for n, (key, hash_value) in enumerate(keys):
+            ts = query_ts if isinstance(query_ts, int) else query_ts[n]
+            assert_lookup_matches(hierarchy, run, key, ts, hash_value, use_offset_array)
+
+    @pytest.mark.parametrize(
+        "definition", [HASHED, UNBUCKETED], ids=["hashed", "unbucketed"]
+    )
+    @pytest.mark.parametrize("v1", [False, True], ids=["v2", "v1"])
+    @pytest.mark.parametrize("bloom_fpr", [None, 0.01], ids=["no-bloom", "bloom"])
+    def test_exact_key_kernel_hard_cases(self, definition, v1, bloom_fpr):
+        """The fused kernel where it leaves its one block or finds nothing.
+
+        Sixteen versions of one key span several 96-byte blocks, so at an
+        old snapshot the newest versions fill the probed block and the
+        visible one sits in a later block (the hand-over to the forward
+        scan); every block's first key is looked up (a key on a fence),
+        so are a key past the run's last entry, keys between entries and
+        -- hashed -- a key whose offset-array bucket is empty.  Each under
+        the offset array on and off, against the per-ordinal oracle:
+        entry, probes, decodes and block fetches in order.
+        """
+        hashed = bool(definition.equality_columns)
+        hierarchy = StorageHierarchy()
+        builder = RunBuilder(
+            definition, hierarchy, data_block_bytes=96, bloom_fpr=bloom_fpr
+        )
+        versions = (
+            [(1, 3, ts) for ts in range(1, 17)]
+            + [(d, m, ts) for d in range(4) for m in (0, 5, 9) for ts in (2, 30)]
+        )
+        entries = [
+            make_entry(definition, d, m, ts, 0) for d, m, ts in sorted(set(versions))
+        ]
+        run = builder.build("hard", entries, Zone.GROOMED, 0, 0, 0)
+        assert run.header.num_data_blocks >= 6
+        if v1:
+            downgrade_blocks_to_v1(run)
+
+        def key_of(device, msg):
+            eq, sort = ((device,), (msg,)) if hashed else ((), (device, msg))
+            return encode_point_key(definition, eq, sort)
+
+        keys = {key_of(d, m) for d in range(-1, 6) for m in (-1, 0, 3, 4, 5, 9, 10)}
+        keys |= {  # a key equal to a block's first key
+            (
+                meta.first_sort_key[:-8],
+                int.from_bytes(meta.first_sort_key[:8], "big") if hashed else None,
+            )
+            for meta in run.header.block_meta
+        }
+        absent = [key_of(d, 0) for d in range(6, 200)]
+        last_key = run.entry_at(run.entry_count - 1).key_bytes(definition)
+        keys.add(next(pair for pair in absent if pair[0] > last_key))
+        if hashed:  # a key whose offset-array bucket holds nothing
+            keys.add(next(
+                pair for pair in absent
+                if len(set(narrow_with_offset_array(run, pair[1]))) == 1
+            ))
+        crossed = False
+        for key, hash_value in sorted(keys, key=lambda pair: pair[0]):
+            for ts in (0, 1, 2, 8, 16, 29, 30, 1 << 60):
+                for use_offset_array in (True, False):
+                    observed = assert_lookup_matches(
+                        hierarchy, run, key, ts, hash_value, use_offset_array
+                    )
+                    crossed |= (
+                        observed.result is not None
+                        and len({b.ordinal for b in observed.fetched}) >= 3
+                    )
+        assert crossed  # the visible version really sat blocks away
+
+    @settings(max_examples=150, deadline=None)
+    @given(data=st.data())
+    def test_executor_point_lookup_matches_the_oracle(self, data):
+        """``point_lookup`` prunes inline and searches with the fused
+        kernel; the oracle builds the scan probe and the candidate list
+        and searches per ordinal.  Same entry, probes, decodes and block
+        fetches in order, and the same runs handed to ``on_query_done``."""
+        definition, hierarchy, runs = data.draw(fixtures())
+        options = {
+            "use_synopsis": data.draw(st.booleans()),
+            "use_offset_array": data.draw(st.booleans()),
+        }
+        released = []
+        executor = executor_for(
+            definition, runs, on_query_done=released.append, **options
+        )
+        for eq, sort in data.draw(point_keys(definition, 6)):
+            lookup = PointLookup(eq, sort, data.draw(
+                st.sampled_from([0, 1, MAX_TS // 2, MAX_TS, 1 << 60])
+            ))
+            expected = Observed(hierarchy, runs, lambda: reference_point_lookup(
+                definition, runs, lookup, **options
+            ))
+            got = Observed(hierarchy, runs, lambda: executor.point_lookup(lookup))
+            entry, searched = expected.result
+            assert got.result == entry
+            assert (got.probes, got.decodes, got.fetched) == (
+                expected.probes, expected.decodes, expected.fetched
+            )
+            assert released.pop() == searched and not released
+            assert executor.lookup(*lookup) == entry
+            released.clear()
 
     @settings(max_examples=150, deadline=None)
     @given(data=st.data())

@@ -180,3 +180,136 @@ class TestPlannerEquivalence:
         covered = Query(equalities=(("customer", "c2"),),
                         projection=("order_id", "amount"))
         assert smart.explain(covered)["index_only"]
+
+
+def _entry(entry):
+    return entry and (
+        entry.equality_values, entry.sort_values, entry.include_values,
+        entry.begin_ts, (entry.rid.zone.name, entry.rid.block_id, entry.rid.offset),
+    )
+
+
+def _primary(order_id):
+    return ((), (order_id,), (), 33554432 + order_id, ("GROOMED", 0, order_id))
+
+
+def _by_customer(order_id):
+    return (
+        (f"c{order_id % 5}",), (order_id,), (order_id * 10,),
+        33554432 + order_id, ("GROOMED", 0, order_id),
+    )
+
+
+def _record(order_id):
+    return (
+        (order_id, f"c{order_id % 5}", f"r{order_id % 3}", order_id * 10),
+        33554432 + order_id,
+    )
+
+
+class TestWrappersCallTheIndex:
+    """The wrapper methods used to build a hinted ``Query`` and a
+    pass-through ``AccessPlan`` per call; they now call the index
+    themselves.  Answers, and the type and message of every refusal, were
+    recorded on 2d5f04b (the last commit with the plan layer) over this
+    file's 60-row shard.  The one intended difference: a mistyped value is
+    still a ``QueryError``, but is now worded by ``ColumnSpec.validate``
+    (2d5f04b leaked the encoder's text, passed a bool as an int, and let
+    an integer beyond int64 out as a bare ``EncodingError``)."""
+
+    def test_answers(self):
+        shard = make_shard()
+        seed(shard)
+        assert _entry(shard.index_lookup((), (7,))) == _primary(7)
+        assert shard.index_lookup((), (700,)) is None
+        assert shard.index_lookup((), (7,), 1) is None  # before the first groom
+        assert [_entry(e) for e in shard.index_batch_lookup(
+            [((), (3,)), ((), (99,)), ((), (59,))]
+        )] == [_primary(3), None, _primary(59)]
+        assert [_entry(e) for e in shard.index_batch_lookup([[[], [3]]])] == [
+            _primary(3)
+        ]
+        assert shard.index_batch_lookup([]) == []
+        assert [_entry(e) for e in shard.range_query((), (10,), (13,))] == [
+            _primary(k) for k in (10, 11, 12, 13)
+        ]
+        assert [
+            (r.values, r.begin_ts)
+            for r in shard.range_query((), (10,), (13,), fetch_records=True)
+        ] == [_record(k) for k in (10, 11, 12, 13)]
+        assert len(shard.range_query()) == 60
+        assert [_entry(e) for e in shard.secondary_scan(
+            "by_customer", ("c2",), (10,), (30,)
+        )] == [_by_customer(k) for k in (12, 17, 22, 27)]
+        assert [
+            (r.values, r.begin_ts) for r in shard.secondary_scan(
+                "by_region", (), ("r1",), ("r1",), fetch_records=True
+            )
+        ] == [_record(k) for k in range(1, 60, 3)]
+        assert [_entry(e) for e in shard.secondary_lookup(
+            "by_customer", ("c2",)
+        )] == [_by_customer(k) for k in range(2, 60, 5)]
+        assert [_entry(e) for e in shard.secondary_lookup(
+            "by_customer", ("c2",), (12,)
+        )] == [_by_customer(12)]
+
+    def test_refusals(self):
+        from repro.core.query import QueryError
+
+        shard = make_shard()
+        seed(shard)
+        mistyped = "key value of the wrong type: column "
+        for call, error, message in [
+            # arity: raised by the index, as recorded
+            (lambda: shard.index_lookup((1, 2), (3,)), QueryError,
+             "point lookup must bind all 0 equality columns; got 2"),
+            (lambda: shard.index_lookup((), ()), QueryError,
+             "point lookup must bind all 1 sort columns; got 0"),
+            (lambda: shard.index_batch_lookup([((), (1, 2))]), QueryError,
+             "every point lookup must bind all 0 equality and 1 sort columns"),
+            (lambda: shard.index_batch_lookup([((), (1,)), ((), ())]), QueryError,
+             "every point lookup must bind all 0 equality and 1 sort columns"),
+            (lambda: shard.range_query((1,), None, None), QueryError,
+             "range scan must bind all 0 equality columns; got 1"),
+            (lambda: shard.range_query((), (1, 2), None), QueryError,
+             "sort bound (1, 2) longer than the 1 sort columns"),
+            (lambda: shard.secondary_scan("by_customer", (), None, None), QueryError,
+             "range scan must bind all 1 equality columns; got 0"),
+            (lambda: shard.secondary_lookup("by_customer", ("c2", "x")), QueryError,
+             "range scan must bind all 1 equality columns; got 2"),
+            # an unknown index: ShardIndexes.get's KeyError, as recorded
+            (lambda: shard.secondary_scan("nope", (1,)), KeyError,
+             "\"no index named 'nope'\""),
+            (lambda: shard.secondary_lookup("nope", (1,)), KeyError,
+             "\"no index named 'nope'\""),
+            # mistyped: the recorded type, the new wording
+            (lambda: shard.index_lookup((), ("7",)), QueryError,
+             mistyped + "'order_id' expects int64, got str ('7')"),
+            (lambda: shard.point_query((), (7.5,)), QueryError,
+             mistyped + "'order_id' expects int64, got float (7.5)"),
+            (lambda: shard.range_query((), ("a",), None, fetch_records=True),
+             QueryError, mistyped + "'order_id' expects int64, got str ('a')"),
+            (lambda: shard.secondary_scan("by_customer", (5,), None, None),
+             QueryError, mistyped + "'customer' expects string, got int (5)"),
+            (lambda: shard.secondary_lookup("by_customer", ("c2",), ("x",)),
+             QueryError, mistyped + "'order_id' expects int64, got str ('x')"),
+            (lambda: shard.index_batch_lookup([((), ("x",))]), QueryError,
+             "key value of the wrong type: can only concatenate str "
+             "(not \"int\") to str"),  # the batch door, unchanged
+        ]:
+            try:
+                call()
+            except Exception as exc:
+                assert (type(exc), str(exc)) == (error, message)
+            else:
+                raise AssertionError(f"no {error.__name__}: {message}")
+
+    def test_a_typed_query_naming_an_unknown_index_is_a_plan_error(self):
+        import pytest
+
+        from repro.planner import PlanError
+
+        shard = make_shard()
+        seed(shard)
+        with pytest.raises(PlanError, match="index_hint names unknown index 'nope'"):
+            shard.query(Query(equalities=(("order_id", 7),), index_hint="nope"))

@@ -1,5 +1,5 @@
 """Unit tests for the plan layer (repro.planner.plan): typed queries,
-candidate shaping, residual classification, and the hinted wrapper path.
+candidate shaping and residual classification.
 """
 
 import pytest
@@ -12,7 +12,6 @@ from repro.planner.plan import (
     bind_values,
     candidate_shape,
     entry_offset,
-    plan_hinted,
     shape_to_plan,
 )
 from repro.wildfire.engine import ShardConfig, WildfireShard
@@ -50,23 +49,19 @@ class TestQueryValidation:
         with pytest.raises(PlanError):
             Query(equalities=(("a", 1),), ranges=(("a", 0, 2),))
 
-    def test_mode_requires_index_hint(self):
-        with pytest.raises(PlanError):
-            Query(mode="point")
-
-    def test_unknown_mode_rejected(self):
-        with pytest.raises(PlanError):
-            Query(mode="mystery", index_hint="primary")
-
-    def test_hinted_fields_require_mode(self):
-        with pytest.raises(PlanError):
-            Query(index_hint="primary", sort_lower=(1,))
-        with pytest.raises(PlanError):
-            Query(index_hint="primary", batch_keys=(((), (1,)),))
-
-    def test_batch_keys_require_batch_mode(self):
-        with pytest.raises(PlanError):
-            Query(index_hint="primary", mode="point", batch_keys=(((), (1,)),))
+    @pytest.mark.parametrize("field,value", [
+        ("mode", "point"),
+        ("sort_lower", (1,)),
+        ("sort_upper", (9,)),
+        ("batch_keys", (((), (1,)),)),
+        ("fetch_records", False),
+    ], ids=["mode", "sort_lower", "sort_upper", "batch_keys", "fetch_records"])
+    def test_wrapper_fields_are_gone(self, field, value):
+        """Only typed queries are planned: the wrapper methods call the
+        index themselves, so a Query cannot pin a mode, raw sort bounds
+        or a key batch any more."""
+        with pytest.raises(TypeError):
+            Query(index_hint="primary", **{field: value})
 
     def test_predicate_matching(self):
         eq = Predicate(column="c", kind="eq", value=5)
@@ -216,35 +211,3 @@ class TestShapeToPlan:
             )
             width = len(shard.indexes.get(name).index.definition.all_columns)
             assert len(plan.entry_pk(tuple(range(width)))) == 1
-
-
-class TestHintedPath:
-    def test_verbatim_pass_through(self):
-        shard = make_shard()
-        query = Query(
-            equalities=(("arg0", "c1"),),
-            index_hint="by_customer",
-            mode="scan",
-            sort_lower=(1,),
-            sort_upper=(9,),
-        )
-        plan = plan_hinted(query, shard.schema, shard.indexes)
-        assert plan.hinted and plan.planner == "hinted"
-        assert plan.equality_values == ("c1",)
-        assert plan.sort_lower == (1,) and plan.sort_upper == (9,)
-
-    def test_point_mode_maps_bounds_to_sort_values(self):
-        shard = make_shard()
-        plan = plan_hinted(
-            Query(index_hint="primary", mode="point", sort_lower=(7,)),
-            shard.schema, shard.indexes,
-        )
-        assert plan.sort_values == (7,) and plan.sort_lower is None
-
-    def test_unknown_hint_is_a_plan_error(self):
-        shard = make_shard()
-        with pytest.raises(PlanError):
-            plan_hinted(
-                Query(index_hint="nope", mode="point"),
-                shard.schema, shard.indexes,
-            )

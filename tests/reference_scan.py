@@ -6,9 +6,11 @@ was three generator layers and a heap per entry -- ``iter_sort_keys`` ->
 an ``IndexEntry`` for every stream element; a batched lookup ran
 ``_probe_fences`` + ``first_geq`` + a ``_first_visible`` generator per key
 per run, and re-entered the run once per key when the batch mixed
-timestamps.  Those loops live on here, out of ``src/``, as the reference
-the kernels are compared against: same entries, same ``raw_key_probes``,
-same blocks fetched in the same order.
+timestamps; a point lookup built a ``RangeScanQuery`` probe and a
+candidate list, then ran fences + ``first_geq`` + a first-only scan per
+run.  Those loops live on here, out of ``src/``, as the reference the
+kernels are compared against: same entries, same ``raw_key_probes``, same
+blocks fetched in the same order.
 
 Everything goes through per-ordinal resolution
 (``tests/reference_search.py``), so one raw-key probe is charged per key
@@ -22,6 +24,12 @@ from repro.core.entry import (
     IndexEntry,
     SORT_KEY_TS_BYTES,
     begin_ts_of_sort_key,
+)
+from repro.core.query import (
+    PointLookup,
+    RangeScanQuery,
+    encode_point_key,
+    run_may_contain,
 )
 from repro.core.run import DataBlockView, IndexRun
 from repro.core.search import UNBOUNDED, narrow_with_offset_array
@@ -107,6 +115,43 @@ def reference_lookup_key_in_run(
         return None
     start = _search_start(run, key, hash_value, use_offset_array)
     return _first_visible(run, start, key, query_ts)
+
+
+def reference_point_lookup(
+    definition,
+    runs: Sequence[IndexRun],
+    lookup: PointLookup,
+    use_synopsis: bool = True,
+    use_offset_array: bool = True,
+) -> Tuple[Optional[IndexEntry], List[IndexRun]]:
+    """``QueryExecutor.point_lookup`` as it was before the exact-key kernel.
+
+    The lookup as a degenerate range scan: a ``RangeScanQuery`` probe whose
+    bounds coincide prunes the runs (newest first) into the candidates,
+    each is searched by :func:`reference_lookup_key_in_run`, and the first
+    visible match ends it.  Returns the entry and the runs searched -- the
+    list the executor hands its ``on_query_done`` hook.
+    """
+    key, hash_value = encode_point_key(
+        definition, lookup.equality_values, lookup.sort_values
+    )
+    probe = RangeScanQuery(
+        lookup.equality_values,
+        lookup.sort_values or None,
+        lookup.sort_values or None,
+        lookup.query_ts,
+    )
+    searched: List[IndexRun] = []
+    for run in runs:
+        if not run_may_contain(run, probe, use_synopsis):
+            continue
+        searched.append(run)
+        entry = reference_lookup_key_in_run(
+            run, key, lookup.query_ts, hash_value, use_offset_array
+        )
+        if entry is not None:
+            return entry, searched
+    return None, searched
 
 
 def _batch_lookup_shared_ts(

@@ -13,7 +13,7 @@ import pytest
 from repro.core.definition import ColumnSpec, ColumnType
 from repro.faults.crash import CrashSchedule, install_crash_schedule
 from repro.faults.errors import SimulatedCrash
-from repro.planner import PlanError, Query
+from repro.planner import Query
 from repro.wildfire.engine import ShardConfig, WildfireShard
 from repro.wildfire.schema import IndexSpec, TableSchema
 
@@ -144,13 +144,6 @@ class TestWrapperEquivalence:
             shard.index_lookup(equality_values=(1, 2), sort_values=(3,))
         with pytest.raises(KeyError):
             shard.secondary_lookup("nope", (1,))
-
-    def test_typed_query_rejects_hinted_mode(self):
-        shard = make_shard()
-        seed(shard)
-        with pytest.raises(PlanError):
-            shard.query(Query(index_hint="primary", mode="point",
-                              sort_lower=(7,)))
 
 
 class TestSecondaryUnderLiveDaemons:

@@ -6,6 +6,7 @@ import pytest
 
 from repro.core.definition import ColumnSpec, ColumnType
 from repro.core.encoding import EncodingError
+from repro.core.query import QueryError
 from repro.planner import PlanError
 from repro.wildfire.cluster import ShardedTable
 from repro.wildfire.engine import ShardConfig
@@ -96,14 +97,62 @@ class TestRoutingOnTypedShardingValues:
         assert all(len(shard.committed_log) == 0 for shard in table.shards)
         with pytest.raises(EncodingError):
             table.shard_of_key((bad,))
-        # The read door routes on the declared-type encoding (no second
-        # validation per lookup): whatever no encoder takes is the typed
-        # error ``query`` raises, and True is simply 1.0.
-        if bad is True:
-            assert table.point_query((), (bad,)) is None
-        else:
-            with pytest.raises(PlanError, match="sharding key"):
-                table.point_query((), (bad,))
+        # The read doors refuse it too, worded by ``ColumnSpec.validate``
+        # like ``query``'s predicates: column, declared type and value.
+        # (A bool used to pass as 1.0, and the others leaked the encoder's
+        # own text: "'<=' not supported between ...".)
+        refusal = {
+            "'3'": "column 'k' expects float64, got str ('3')",
+            "None": "column 'k' expects float64, got NoneType (None)",
+            "True": "column 'k' expects float64, got bool (True)",
+            "nan": "column 'k': NaN is not orderable",
+            "b'3'": "column 'k' expects float64, got bytes (b'3')",
+        }[repr(bad)]
+        table.ingest([(float(k), k) for k in range(8)])
+        table.tick()
+        with pytest.raises(PlanError) as refused:
+            table.point_query((), (bad,))
+        assert str(refused.value) == f"sharding key: {refusal}"
+        # A sort bound routes nothing (the range scatters), so the shard it
+        # reaches refuses it: a QueryError, never a bare EncodingError.
+        for bounds in [((bad,), (10.0,)), ((0.0,), (bad,))]:
+            with pytest.raises(QueryError) as refused:
+                table.range_query((), *bounds)
+            assert str(refused.value) == f"key value of the wrong type: {refusal}"
+
+    @pytest.mark.parametrize("bad,refusal", [
+        (True, "column 'device' expects int64, got bool (True)"),
+        (1.0, "column 'device' expects int64, got float (1.0)"),
+        ("2", "column 'device' expects int64, got str ('2')"),
+        (float("nan"), "column 'device' expects int64, got float (nan)"),
+        (2**70, "column 'device': integer 1180591620717411303424 outside "
+                "signed 64-bit range"),
+    ], ids=["bool", "float", "str", "nan", "beyond-int64"])
+    def test_routed_doors_refuse_what_ingest_refuses(self, bad, refusal):
+        """INT64 sharding key bound by the equality column: the point and
+        the range door both route, and both refuse before any shard is
+        asked.  ``True`` used to be answered as device 1."""
+        table = make_table()
+        table.ingest([(d, m, d) for d in range(4) for m in range(3)])
+        table.tick()
+        assert table.point_query((1,), (1,)).values == (1, 1, 1)
+        for door in (
+            lambda: table.point_query((bad,), (1,)),
+            lambda: table.range_query((bad,), (0,), (2,)),
+        ):
+            with pytest.raises(PlanError) as refused:
+                door()
+            assert str(refused.value) == f"sharding key: {refusal}"
+        # A key value that routes nothing is refused by the shard's index.
+        with pytest.raises(QueryError, match="column 'msg' expects int64, got bool"):
+            table.point_query((1,), (True,))
+
+    def test_an_int_still_finds_the_float_it_was_stored_as(self):
+        table = self.float_keyed_table()
+        table.ingest([(2.0, 7)])
+        table.tick()
+        assert table.point_query((), (2,)).values == (2.0, 7)
+        assert [e.sort_values for e in table.range_query((), (1,), (3,))] == [(2.0,)]
 
 
 class TestIngestAndQuery:
