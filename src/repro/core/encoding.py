@@ -113,6 +113,9 @@ def encode_bytes(value: bytes) -> bytes:
 
 
 def decode_bytes(data: bytes, offset: int = 0) -> Tuple[bytes, int]:
+    end = data.find(b"\x00", offset)
+    if end >= 0 and data[end + 1 : end + 2] == b"\x00":
+        return data[offset:end], end + 2  # no escape before the terminator
     out = bytearray()
     i = offset
     n = len(data)

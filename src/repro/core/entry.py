@@ -59,10 +59,7 @@ class RID(NamedTuple):
     @classmethod
     def from_bytes(cls, data: bytes, offset: int = 0) -> Tuple["RID", int]:
         zone, block_id, rec_offset = cls._STRUCT.unpack_from(data, offset)
-        return (
-            cls(zone=Zone(zone), block_id=block_id, offset=rec_offset),
-            offset + cls._STRUCT.size,
-        )
+        return cls._make((_ZONES[zone], block_id, rec_offset)), offset + RID_BYTES
 
     def __str__(self) -> str:  # pragma: no cover - debugging aid
         return f"{self.zone.name.lower()}:{self.block_id}:{self.offset}"
@@ -84,6 +81,7 @@ def begin_ts_of_sort_key(sort_key: bytes) -> int:
 # blob (layout ``sort_key | includes | rid``), so the maintenance path can
 # splice a new RID without decoding any column.
 RID_BYTES = RID._STRUCT.size
+_ZONES = {int(zone): zone for zone in Zone}  # a serialized zone byte -> Zone
 
 
 def encode_rid_column(zone: Zone, block_id: int, count: int) -> List[bytes]:

@@ -171,6 +171,8 @@ class QueryPin:
         self.release()
 
     def __del__(self) -> None:  # pragma: no cover - GC-order dependent
+        if self._released:
+            return  # the usual case: the query's own ``finally`` released it
         try:
             self.release()
         except Exception:
@@ -249,7 +251,8 @@ class RunLifecycle:
         self.mode = mode
         self.stats = stats
         self._locked = _OwnedLock()
-        self._version_seq = 0
+        # The publication sequence: every run-list mutation bumps it.
+        self.version_seq = 0
         # run_id -> number of live pins whose snapshot contains the run
         # (epoch mode; versionset fallback for ad-hoc collectors).
         self._pin_counts: Dict[str, int] = {}
@@ -271,7 +274,7 @@ class RunLifecycle:
         # post-release hooks; GIL-atomic appends, drained under the lock
         # by the next lifecycle operation.
         self._pending_releases: List[
-            Tuple[QueryPin, Optional[Callable[[], None]]]
+            Tuple[QueryPin, Optional[Callable[..., None]], tuple]
         ] = []
         # Legacy mode: deliberately unprotected in-flight query counter --
         # just enough bookkeeping to *measure* the hazard, none to stop it.
@@ -321,9 +324,9 @@ class RunLifecycle:
         every unlink, a pin, a release, or a backlog probe).
         """
         with self._locked:
-            self._version_seq += 1
+            self.version_seq += 1
             self.stats.versions_published += 1
-            seq = self._version_seq
+            seq = self.version_seq
             if self.mode == "versionset" and self._collector is not None:
                 self._unbuilt_publishes += 1
         return seq
@@ -344,7 +347,7 @@ class RunLifecycle:
             runs = tuple(version.candidates())
         else:  # a collector may return a bare sequence (tests)
             version, runs = None, tuple(version)
-        node = _VersionNode(version, runs, self._version_seq)
+        node = _VersionNode(version, runs, self.version_seq)
         self._versions.append(node)
         old, self._current = self._current, node
         if old is not None:
@@ -363,13 +366,9 @@ class RunLifecycle:
         """The fresh current node, rebuilding if a publication was missed
         (collector attached after publications, e.g. recovery rewires)."""
         node = self._current
-        if node is None or node.seq != self._version_seq:
+        if node is None or node.seq != self.version_seq:
             node = self._rebuild_current_locked()
         return node
-
-    @property
-    def version_seq(self) -> int:
-        return self._version_seq
 
     # -- the query side ----------------------------------------------------------
 
@@ -435,12 +434,14 @@ class RunLifecycle:
     def release(
         self,
         pin: QueryPin,
-        after: Optional[Callable[[], None]] = None,
+        after: Optional[Callable[..., None]] = None,
+        *args,
     ) -> None:
         """Exit the pin's epoch; drain any reclamations it was blocking.
 
-        ``after`` runs once the pin no longer counts (the query executor's
-        purged-block release hook) -- outside the lifecycle mutex.
+        ``after(*args)`` runs once the pin no longer counts (the query
+        executor's purged-block release hook and the runs it touched) --
+        outside the lifecycle mutex.
 
         Safe to call from finalizers: a release initiated while the cyclic
         collector is running (an abandoned iterator's ``finally``, or
@@ -460,10 +461,10 @@ class RunLifecycle:
             self._inflight -= 1
             self.stats.pins_exited += 1
             if after is not None:
-                after()
+                after(*args)
             return
         if _in_gc_finalizer() or self._locked.owner == threading.get_ident():
-            self._pending_releases.append((pin, after))
+            self._pending_releases.append((pin, after, args))
             return
         ready: List[_RetiredRun] = []
         with self._locked:
@@ -473,7 +474,7 @@ class RunLifecycle:
         self._run_hooks(hooks)
         self._reclaim(ready)
         if after is not None:
-            after()
+            after(*args)
 
     def _release_pin_locked(self, pin: QueryPin) -> None:
         node = pin._node
@@ -496,24 +497,24 @@ class RunLifecycle:
             self.stats.run_ref_ops += len(pin.runs)
         self.stats.pins_exited += 1
 
-    def _drain_pending_locked(self) -> List[Callable[[], None]]:
+    def _drain_pending_locked(self) -> List[Tuple[Callable[..., None], tuple]]:
         """Apply releases parked by finalizers (see :meth:`release`).
 
-        Returns their deferred post-release hooks, to be run by the caller
-        *outside* the lifecycle mutex.
+        Returns their deferred post-release hooks, each with its
+        arguments, to be run by the caller *outside* the lifecycle mutex.
         """
-        hooks: List[Callable[[], None]] = []
+        hooks: List[Tuple[Callable[..., None], tuple]] = []
         while self._pending_releases:
-            parked, after = self._pending_releases.pop()
+            parked, after, args = self._pending_releases.pop()
             self._release_pin_locked(parked)
             if after is not None:
-                hooks.append(after)
+                hooks.append((after, args))
         return hooks
 
     @staticmethod
-    def _run_hooks(hooks: List[Callable[[], None]]) -> None:
-        for hook in hooks:
-            hook()
+    def _run_hooks(hooks: List[Tuple[Callable[..., None], tuple]]) -> None:
+        for hook, args in hooks:
+            hook(*args)
 
     # -- the maintenance side ----------------------------------------------------
 

@@ -26,6 +26,7 @@ from repro.core.merge import MergeController, MergeResult
 from repro.core.query import (
     MAX_QUERY_TS,
     PointLookup,
+    QueryError,
     QueryExecutor,
     RangeScanQuery,
     ReconcileStrategy,
@@ -363,9 +364,26 @@ class UmziIndex:
         return self.executor.lookup(*lookup)
 
     def batch_lookup(
-        self, lookups: Sequence[PointLookup]
+        self,
+        lookups: Sequence[Sequence],
+        query_ts: Optional[int] = None,
     ) -> List[Optional[IndexEntry]]:
-        return self.executor.batch_lookup(lookups)
+        """Batched point lookups, answers in input order.
+
+        ``lookups`` are :class:`PointLookup` rows, each read at its own
+        snapshot; or, with ``query_ts``, bare keys -- one tuple of the key
+        columns' values (equality, then sort) each -- all read at that one
+        (the typed fetch-back's form: no row objects, one ``zip``).
+        """
+        if query_ts is None:
+            return self.executor.batch_lookup(lookups)
+        if not lookups:
+            return []
+        try:
+            columns = list(zip(*lookups, strict=True))
+        except ValueError:
+            raise QueryError("the keys of a batch differ in width") from None
+        return self.executor.batch_lookup_columns(columns, query_ts)
 
     # -- convenience wrappers ---------------------------------------------------------
 

@@ -23,8 +23,8 @@ from __future__ import annotations
 
 import enum
 import heapq
-from itertools import chain
-from operator import itemgetter
+from itertools import chain, compress
+from operator import itemgetter, ne
 from typing import (
     Callable, Dict, Iterator, List, NamedTuple, Optional, Sequence, Tuple, Union,
 )
@@ -45,17 +45,12 @@ from repro.core.encoding import (
     prefix_successor,
 )
 from repro.core.entry import IndexEntry, SORT_KEY_TS_BYTES, hash_column
-from repro.core.run import IndexRun
-from repro.core.search import (
-    UNBOUNDED,
-    Hit,
-    batch_lookup_in_run,
-    narrow_with_offset_array,
-    search_run_hits,
-    ts_floor,
-)
+from repro.core.run import DataBlockView, IndexRun
+from repro.core.search import UNBOUNDED, narrow_with_offset_array, ts_floor
 
 MAX_QUERY_TS = UINT64_MAX
+# One scan hit: ``(sort_key, block_view, in_block_index)``.
+Hit = Tuple[bytes, DataBlockView, int]
 _SORT_KEY = itemgetter(0)  # of a scan hit
 
 
@@ -92,11 +87,13 @@ class PointLookup(NamedTuple):
 
 
 class _Bounds(NamedTuple):
-    """Encoded search interval plus the hash for offset-array narrowing."""
+    """Encoded search interval plus the hash, and the offset-array bucket
+    it falls in, for narrowing the search."""
 
     lower_key: bytes
     upper_exclusive: bytes
     hash_value: Optional[int]
+    bucket: Optional[int]
 
 
 def _key_prefix(
@@ -151,7 +148,10 @@ def compute_scan_bounds(
         upper = prefix_successor(prefix)
     else:
         upper = UNBOUNDED
-    return _Bounds(lower_key=lower, upper_exclusive=upper, hash_value=hash_value)
+    return _Bounds(
+        lower, upper, hash_value,
+        None if hash_value is None else hash_value >> (64 - definition.hash_bits),
+    )
 
 
 def encode_point_key(
@@ -184,13 +184,25 @@ def encode_point_keys(
             f"got {len(key_columns)}"
         )
     try:
+        # What ``upsert`` refuses is refused here (see encode_search_key):
+        # the encoders fail on every such value but a bool, one check a
+        # column; the wording is worked out only once something was.
+        for column in key_columns:
+            if bool in map(type, column):
+                raise TypeError("a bool is no key value")
         encoded = [
             COLUMN_ENCODERS[spec.ctype](column)
             for spec, column in zip(specs, key_columns)
         ]
-    except WRONG_TYPE_ERRORS as error:
-        raise QueryError(f"key value of the wrong type: {error}") from None
-    if not definition.has_hash_column:
+    except WRONG_TYPE_ERRORS as refused:
+        try:
+            for spec, column in zip(specs, key_columns):
+                for value in column:
+                    spec.validate(value)
+        except EncodingError as error:
+            refused = error
+        raise QueryError(f"key value of the wrong type: {refused}") from None
+    if not definition.equality_columns:  # no hash column
         return list(map(b"".join, zip(*encoded))), [0] * len(encoded[0])
     encoded.insert(0, hash_column(encoded[: len(definition.equality_columns)]))
     keys = list(map(b"".join, zip(*encoded)))
@@ -227,19 +239,6 @@ def _scan_boxes(definition: IndexDefinition, query: RangeScanQuery) -> list:
             query.sort_upper[0] if query.sort_upper else None,
         ))
     return boxes
-
-
-def run_may_contain(
-    run: IndexRun,
-    query: RangeScanQuery,
-    use_synopsis: bool = True,
-) -> bool:
-    """Synopsis check of section 7: a run is a candidate only if every bound
-    column value overlaps the run's recorded range."""
-    return run.entry_count > 0 and _synopsis_overlaps(
-        run, query.query_ts,
-        _scan_boxes(run.definition, query) if use_synopsis else (),
-    )
 
 
 # ---------------------------------------------------------------------------
@@ -321,21 +320,17 @@ class QueryExecutor:
     ) -> None:
         """Epoch exit, then block release -- in that order (see class doc).
 
-        The block-release hook rides through the lifecycle as the pin's
-        ``after`` action: it runs once the pin no longer counts, and when
-        the exit happens inside a GC finalizer (abandoned iterator in a
-        reference cycle) both the unpin and the hook are parked and run by
-        the next lifecycle operation -- a finalizer must not take
-        storage-tier locks.
+        The block-release hook and the runs touched ride through the
+        lifecycle as the pin's ``after`` action: it runs once the pin no
+        longer counts, and when the exit happens inside a GC finalizer
+        (abandoned iterator in a reference cycle) both the unpin and the
+        hook are parked and run by the next lifecycle operation -- a
+        finalizer must not take storage-tier locks.
         """
-        after: Optional[Callable[[], None]] = None
-        if self._on_query_done is not None:
-            hook = self._on_query_done
-            after = lambda: hook(touched)  # noqa: E731 - tiny closure
         if pin is not None:
-            self._lifecycle.release(pin, after=after)
-        elif after is not None:
-            after()
+            self._lifecycle.release(pin, self._on_query_done, touched)
+        elif self._on_query_done is not None:
+            self._on_query_done(touched)
 
     # -- range scan ----------------------------------------------------------------
 
@@ -346,8 +341,8 @@ class QueryExecutor:
     ) -> List[IndexEntry]:
         """Newest visible version of every key in the range, key-ordered.
 
-        Runs are scanned undecoded (:func:`search_run_hits`), reconciled on
-        raw sort keys, and only the winners are decoded.
+        Runs are scanned undecoded (:meth:`IndexRun.scan_visible`),
+        reconciled on raw sort keys, and only the winners are decoded.
         """
         bounds = compute_scan_bounds(self.definition, query)
         pin, runs = self._enter_query()
@@ -360,9 +355,13 @@ class QueryExecutor:
                 self._reconcile_set if strategy is ReconcileStrategy.SET
                 else self._reconcile_sorted
             )
+            # Decoded before by an earlier query, mostly: the view's memo
+            # is asked first, without a frame.
             return [
-                view.entry(i)
-                for _, view, i in reconcile(candidates, bounds, query.query_ts)
+                view.decoded.get(i) or view.entry(i)
+                for _, view, i in reconcile(
+                    candidates, bounds, ts_floor(query.query_ts)
+                )
             ]
         finally:
             self._exit_query(pin, candidates)
@@ -370,7 +369,9 @@ class QueryExecutor:
     def _candidates(
         self, runs: Sequence[IndexRun], query: RangeScanQuery
     ) -> List[IndexRun]:
-        """The runs a scan must search (:func:`run_may_contain`)."""
+        """The runs a scan must search (the synopsis check of section 7):
+        non-empty, not entirely newer than the snapshot, and every bound
+        column value overlapping the run's recorded range."""
         boxes = _scan_boxes(self.definition, query) if self.use_synopsis else ()
         return [
             run for run in runs
@@ -378,15 +379,21 @@ class QueryExecutor:
         ]
 
     def _run_hits(
-        self, run: IndexRun, bounds: _Bounds, query_ts: int
+        self, run: IndexRun, bounds: _Bounds, floor: bytes
     ) -> Iterator[List[Hit]]:
-        return search_run_hits(
-            run, bounds.lower_key, bounds.upper_exclusive, query_ts,
-            bounds.hash_value, self.use_offset_array,
+        """``run``'s hits inside ``bounds``, block by block: the scan kernel
+        over the hash bucket (an equality scan) or the whole run."""
+        fences = run.bucket_fences
+        if fences and bounds.bucket is not None and self.use_offset_array:
+            lo, hi = fences[bounds.bucket], fences[bounds.bucket + 1]
+        else:
+            lo, hi = 0, run.entry_count
+        return run.scan_visible(
+            bounds.lower_key, lo, hi, bounds.upper_exclusive, floor
         )
 
     def _reconcile_set(
-        self, runs: Sequence[IndexRun], bounds: _Bounds, query_ts: int
+        self, runs: Sequence[IndexRun], bounds: _Bounds, floor: bytes
     ) -> List[Hit]:
         """Set approach: scan run by run, remember the best version per key.
 
@@ -401,7 +408,7 @@ class QueryExecutor:
         """
         best: Dict[bytes, Hit] = {}
         for run in runs:  # newest -> oldest
-            for hits in self._run_hits(run, bounds, query_ts):
+            for hits in self._run_hits(run, bounds, floor):
                 for hit in hits:
                     key = hit[0][:-SORT_KEY_TS_BYTES]
                     held = best.get(key)
@@ -411,7 +418,7 @@ class QueryExecutor:
         return [best[key] for key in sorted(best)]
 
     def _reconcile_sorted(
-        self, runs: Sequence[IndexRun], bounds: _Bounds, query_ts: int
+        self, runs: Sequence[IndexRun], bounds: _Bounds, floor: bytes
     ) -> List[Hit]:
         """Priority-queue approach, materialized: one global key order.
 
@@ -427,22 +434,15 @@ class QueryExecutor:
         contributing = 0
         for run in runs:  # newest -> oldest
             before = len(merged)
-            for hits in self._run_hits(run, bounds, query_ts):
+            for hits in self._run_hits(run, bounds, floor):
                 merged += hits
             contributing += len(merged) > before
         if contributing < 2:
             return merged
         merged.sort(key=_SORT_KEY)
-        return list(self._first_per_key(merged))
-
-    @staticmethod
-    def _first_per_key(hits) -> Iterator[Hit]:
-        previous_key: Optional[bytes] = None
-        for hit in hits:
-            key = hit[0][:-SORT_KEY_TS_BYTES]
-            if key != previous_key:  # else an older (or duplicate) version
-                previous_key = key
-                yield hit
+        keys = [hit[0][:-SORT_KEY_TS_BYTES] for hit in merged]
+        # The first hit per user key; the rest are older or duplicates.
+        return list(compress(merged, map(ne, keys, [None, *keys[:-1]])))
 
     def range_scan_iter(
         self, query: RangeScanQuery
@@ -464,12 +464,11 @@ class QueryExecutor:
         pin, runs = self._enter_query()
         try:
             candidates = self._candidates(runs, query)
+            floor = ts_floor(query.query_ts)
             # Equal sort keys come out in argument order: newer run first.
             merged = heapq.merge(
                 *[
-                    chain.from_iterable(
-                        self._run_hits(run, bounds, query.query_ts)
-                    )
+                    chain.from_iterable(self._run_hits(run, bounds, floor))
                     for run in candidates
                 ],
                 key=_SORT_KEY,
@@ -479,9 +478,13 @@ class QueryExecutor:
             raise
 
         def guarded() -> Iterator[IndexEntry]:
+            previous_key: Optional[bytes] = None
             try:
-                for _, view, i in self._first_per_key(merged):
-                    yield view.entry(i)
+                for sort_key, view, i in merged:
+                    key = sort_key[:-SORT_KEY_TS_BYTES]
+                    if key != previous_key:  # else an older (or duplicate) version
+                        previous_key = key
+                        yield view.entry(i)
             finally:
                 self._exit_query(pin, candidates)
 
@@ -573,25 +576,34 @@ class QueryExecutor:
         sort), ``query_ts`` the batch's snapshot or one per key.  Keys are
         encoded a column at a time (:func:`encode_point_keys`), sorted by
         their encoded bytes, then searched against each run newest to
-        oldest -- one sequential pass per run -- until every key is
-        resolved or the runs are exhausted.  Runs are pruned at the latest
-        snapshot in the batch; every key is filtered at its own.
+        oldest -- one sequential pass per run, the batch kernel
+        :meth:`IndexRun.batch_visible` -- until every key is resolved or
+        the runs are exhausted.  Runs are pruned at the latest snapshot in
+        the batch; every key is filtered at its own.
         """
         keys, hashes = encode_point_keys(self.definition, key_columns)
         if not keys:
             return []
-        # Input positions in encoded-key order, and the keys in that order.
+        # Input positions in encoded-key order; from here on everything is
+        # indexed by *slot*, a key's place in that order.
         positions = sorted(range(len(keys)), key=keys.__getitem__)
-        pairs = [(keys[i], hashes[i]) for i in positions]
-        # Runs are pruned at the batch's latest snapshot; the run search
-        # takes the one shared snapshot, or each key's own.
+        keys = [keys[i] for i in positions]
+        buckets = None
+        if self.definition.equality_columns:  # hence a hash column
+            shift = 64 - self.definition.hash_bits
+            buckets = [hashes[i] >> shift for i in positions]
+        # Runs are pruned at the batch's latest snapshot; a key is visible
+        # from its own snapshot's floor.
         if isinstance(query_ts, int):
-            shared_ts = max_ts = query_ts
+            max_ts = query_ts
+            timestamps = None  # per slot, when they differ
+            floors = [ts_floor(query_ts)] * len(keys)
         else:
             max_ts = max(query_ts)
-            shared_ts = max_ts if min(query_ts) == max_ts else None
-        results: List[Optional[IndexEntry]] = [None] * len(keys)
-        unresolved = list(range(len(pairs)))  # indexes into pairs / positions
+            timestamps = [query_ts[i] for i in positions]
+            floors = list(map(ts_floor, timestamps))
+        found: List[Optional[IndexEntry]] = [None] * len(keys)
+        unresolved: Sequence[int] = range(len(keys))
         pin, candidates = self._enter_query()
         touched: List[IndexRun] = []
         try:
@@ -614,68 +626,45 @@ class QueryExecutor:
                         # A point lookup pins every column, so each
                         # column's range is a sound filter on its own.
                         probe_slots = [
-                            i for i in unresolved
+                            slot for slot in unresolved
                             if _synopsis_overlaps(
                                 run,
-                                max_ts if shared_ts is not None
-                                else query_ts[positions[i]],
-                                [(c[positions[i]],) * 2 for c in key_columns],
+                                max_ts if timestamps is None else timestamps[slot],
+                                [(c[positions[slot]],) * 2 for c in key_columns],
                             )
                         ]
                 if probe_slots and run.header.bloom_blob is not None:
                     # Bloom membership is orthogonal to pruning granularity:
                     # it filters individual keys whenever a filter exists.
                     probe_slots = [
-                        i for i in probe_slots if run.may_contain_key(pairs[i][0])
+                        slot for slot in probe_slots
+                        if run.may_contain_key(keys[slot])
                     ]
                 if not probe_slots:
                     continue
-                batch = [pairs[i] for i in probe_slots]
-                if self.use_synopsis and not self._run_overlaps_batch(run, batch):
-                    continue
+                # The cheap batch-level prune: full synopsis pruning needs
+                # decoded column values, but the offset array already says
+                # whether any key's hash bucket holds an entry at all --
+                # the dominant effect for equality-style batches.
+                fences = run.bucket_fences
+                if self.use_synopsis and fences:
+                    for slot in probe_slots:
+                        if fences[buckets[slot]] < fences[buckets[slot] + 1]:
+                            break
+                    else:
+                        continue
                 touched.append(run)
-                # The Bloom filter was consulted above, per key: the
-                # run-level search must not re-hash every key against it.
-                found = batch_lookup_in_run(
-                    run,
-                    batch,
-                    shared_ts if shared_ts is not None
-                    else [query_ts[positions[i]] for i in probe_slots],
-                    self.use_offset_array,
-                    use_bloom=False,
+                run.batch_visible(
+                    keys, buckets if self.use_offset_array else None,
+                    floors, probe_slots, found,
                 )
-                for slot, entry in zip(probe_slots, found):
-                    if entry is not None:
-                        results[positions[slot]] = entry
-                unresolved = [
-                    i for i in unresolved if results[positions[i]] is None
-                ]
+                unresolved = [slot for slot in unresolved if found[slot] is None]
         finally:
             self._exit_query(pin, touched)
+        results: List[Optional[IndexEntry]] = [None] * len(keys)
+        for position, entry in zip(positions, found):
+            results[position] = entry
         return results
-
-    def _run_overlaps_batch(
-        self, run: IndexRun, batch: Sequence[Tuple[bytes, int]]
-    ) -> bool:
-        """Cheap batch-level prune: does any key's hash bucket have entries?
-
-        Full synopsis pruning needs decoded column values; for sorted-key
-        batches the offset array already answers "is this bucket empty"
-        without any data-block I/O, which is the dominant pruning effect
-        for equality-style batches.
-        """
-        offsets = run.header.offset_array
-        if not offsets:
-            return True
-        nbits = run.definition.hash_bits
-        count = run.entry_count
-        for _key, hash_value in batch:
-            bucket = hash_value >> (64 - nbits)
-            lo = offsets[bucket]
-            hi = offsets[bucket + 1] if bucket + 1 < len(offsets) else count
-            if lo < hi:
-                return True
-        return False
 
 
 __all__ = [
@@ -688,5 +677,4 @@ __all__ = [
     "compute_scan_bounds",
     "encode_point_key",
     "encode_point_keys",
-    "run_may_contain",
 ]

@@ -465,7 +465,7 @@ class DataBlockView:
         "version",
         "table",
         "base",
-        "_cache",
+        "decoded",
         "_sort_key_cache",
         "_stats",
         "count",
@@ -492,10 +492,12 @@ class DataBlockView:
             self.table = _u32_table(payload, 4, self.count)
             self.base = 4 + 4 * self.count
             self._sort_key_cache = {}
-        self._cache: Dict[int, IndexEntry] = {}
+        # in-block index -> decoded entry, filled by :meth:`entry`; hot
+        # loops ask it first (``view.decoded.get(i) or view.entry(i)``).
+        self.decoded: Dict[int, IndexEntry] = {}
 
     def entry(self, index: int) -> IndexEntry:
-        cached = self._cache.get(index)
+        cached = self.decoded.get(index)
         if cached is not None:
             return cached
         if self._stats is not None:
@@ -503,7 +505,7 @@ class DataBlockView:
         entry, _ = IndexEntry.from_bytes(
             self.definition, self.payload, self.base + self.table[index]
         )
-        self._cache[index] = entry
+        self.decoded[index] = entry
         return entry
 
     # -- zero-decode accessors --------------------------------------------------
@@ -591,6 +593,11 @@ class IndexRun:
         self._first_keys: List[bytes] = [
             meta.first_sort_key for meta in header.block_meta
         ]
+        # Offset-array bucket ``b`` holds the ordinals ``[bucket_fences[b],
+        # bucket_fences[b + 1])``; empty without a hash column.
+        self.bucket_fences: Tuple[int, ...] = header.offset_array and (
+            *header.offset_array, header.entry_count
+        )
         self._bloom = None  # decoded lazily from header.bloom_blob
         self._bloom_decoded = False
 
@@ -693,79 +700,20 @@ class IndexRun:
         block_index, in_block = self.locate(ordinal)
         return self.block_view(block_index).entry(in_block)
 
-    def first_geq(
-        self, target: bytes, lo: int, hi: int, window: Optional[list] = None
-    ) -> int:
-        """First ordinal in ``[lo, hi)`` whose sort key is ``>= target``.
-
-        The binary-search kernel (paper section 7.1.1).  Entries with
-        ``key_bytes == target`` have sort keys that *extend* ``target``
-        (the descending-beginTS suffix), and extensions of a prefix
-        compare greater, so this also finds the first entry of an exactly
-        matching key.
-
-        It probes ``(lo + hi) // 2`` until the range is empty, holding the
-        probed block's ordinal window ``[start, end)``, payload and tables
-        in locals; the block is re-resolved (C ``bisect`` over the
-        cumulative counts, memoized :meth:`block_view`) only when a probe
-        leaves the window, so blocks are fetched in probe order and a
-        probe on a v2 block is two table reads and a slice.  v1 blocks
-        take :meth:`DataBlockView.sort_key_at`'s memoized decode fallback.
-        ``raw_key_probes`` is charged once per search.  ``window`` lets
-        a caller searching many sorted keys keep the window across calls:
-        a list, empty at first, left as ``[start, end, view]``.
-        """
-        cum = self._cum
-        start = end = probes = 0  # empty window: the first probe resolves
-        view = None
-        if window:
-            start, end, view = window
-            raw = view.version == 2
-            payload, base, table = view.payload, view.base, view.table
-            count = view.count
-        try:
-            while lo < hi:
-                mid = (lo + hi) // 2
-                if not start <= mid < end:
-                    block_index = bisect_right(cum, mid) - 1
-                    start, end = cum[block_index], cum[block_index + 1]
-                    view = self.block_view(block_index)
-                    raw = view.version == 2
-                    payload, base, table = view.payload, view.base, view.table
-                    count = view.count
-                i = mid - start
-                if raw:
-                    probes += 1
-                    at = base + table[i]
-                    key = payload[at : at + table[count + i]]
-                else:
-                    key = view.sort_key_at(i)
-                if key < target:
-                    lo = mid + 1
-                else:
-                    hi = mid
-        finally:  # a failed block fetch still pays for the probes made
-            self.hierarchy.stats.decode.raw_key_probes += probes
-            if window is not None and view is not None:
-                window[:] = (start, end, view)
-        return lo
-
     def lookup_visible(
         self, key: bytes, ts_floor: bytes, lo: int, hi: int
     ) -> Optional[IndexEntry]:
         """Newest version of exactly ``key`` visible at ``ts_floor``, or None.
 
         The exact-key kernel (paper section 7.2), one frame for what a
-        point lookup does inside a run: the block-index fences of
-        :meth:`key_position_bounds` clamped onto ``[lo, hi)``, the binary
-        search of :meth:`first_geq`, then the step through the key's
-        versions (newest first) to the first whose raw ``~beginTS`` suffix
-        is ``>= ts_floor`` -- all over the probed block's payload and
-        tables.  It probes, charges ``raw_key_probes`` and fetches blocks
-        exactly as those three followed by ``scan_visible(first_only=True)``
-        would, and hands over to that scan where the key's versions run
-        into the next block or the block is v1.  Only the entry returned
-        is decoded.
+        point lookup does inside a run: fences and binary search as in
+        :meth:`scan_visible`, then the step through the key's versions
+        (newest first) to the first whose raw ``~beginTS`` suffix is ``>=
+        ts_floor``.  It probes, charges ``raw_key_probes`` and fetches
+        blocks exactly as ``scan_visible(key, lo, hi, key + b"\x00",
+        ts_floor, True)`` would, and hands over to it where the versions
+        run into the next block or the block is v1.  Only the entry
+        returned is decoded.
         """
         cum, first_keys = self._cum, self._first_keys
         block_lo = cum[max(0, bisect_left(first_keys, key) - 1)]
@@ -811,9 +759,7 @@ class IndexRun:
                 lo = end  # all newer than the snapshot: on into the next block
         finally:  # a failed block fetch still pays for the probes made
             self.hierarchy.stats.decode.raw_key_probes += probes
-        for hits in self.scan_visible(
-            lo, key + b"\x00", ts_floor, first_only=True
-        ):
+        for hits in self.scan_visible(key, lo, lo, key + b"\x00", ts_floor, True):
             return hits[0][1].entry(hits[0][2])
         return None
 
@@ -828,35 +774,77 @@ class IndexRun:
 
     def scan_visible(
         self,
-        start_ordinal: int,
+        lower_key: bytes,
+        lo: int,
+        hi: int,
         upper_exclusive: bytes,
         ts_floor: bytes,
         first_only: bool = False,
     ) -> Iterator[List[Tuple[bytes, DataBlockView, int]]]:
-        """Newest visible version of each key from ``start_ordinal`` on.
+        """Newest visible version of each key in ``[lower_key, upper_exclusive)``.
 
-        The forward-scan kernel: one block at a time, payload and tables
-        in locals, until the first user key ``>= upper_exclusive``
-        (``b""``: the run's end).  Yields, per block that has any, the
+        The range kernel (paper section 7.1.1), one frame per run
+        searched.  The block index brackets the first sort key ``>=
+        lower_key`` from header metadata alone; clamped onto ``[lo, hi)``
+        (the key's offset-array bucket, or the whole run) it keeps every
+        probe inside the key range -- a bracket disjoint from the range
+        yields the nearer original fence, never a position before the
+        true one.  The binary search probes ``(lo + hi) // 2`` with the
+        probed block's window, payload and tables in locals, resolving a
+        block only when a probe leaves the window (so blocks are fetched
+        in probe order); ``lo == hi`` starts at that ordinal without a
+        probe, the hand-over of the exact-key kernels.  The forward scan
+        walks block by block to the first user key ``>= upper_exclusive``
+        (``b""``: the run's end) and yields, per block that has any, its
         ``(sort_key, view, in_block_index)`` hits: per user key the first
-        entry whose raw ``~beginTS`` suffix is ``>= ts_floor`` (newest
-        first within a key, so the newest version visible).  Nothing is
-        decoded -- callers decode ``view.entry(i)`` for what they return.
-        ``first_only`` stops at the first hit (exact-key lookups).  One
-        raw-key probe per entry looked at; v1 blocks decode.
+        entry whose raw ``~beginTS`` suffix is ``>= ts_floor``, the newest
+        version visible; ``first_only`` stops at the first.
+
+        Lazy (nothing is probed or fetched before the first list is asked
+        for) and zero-decode (callers decode what they return).  One
+        raw-key probe per entry looked at; v1 blocks take
+        :meth:`DataBlockView.sort_key_at`'s memoized decode fallback.
         """
-        if start_ordinal >= self.entry_count:
-            return
+        cum, first_keys = self._cum, self._first_keys
+        block_lo = cum[max(0, bisect_left(first_keys, lower_key) - 1)]
+        block_hi = cum[bisect_right(first_keys, lower_key)]
+        lo, hi = max(lo, min(block_lo, hi)), min(hi, max(block_hi, lo))
         stats = self.hierarchy.stats.decode
+        total, tail = self.entry_count, -SORT_KEY_TS_BYTES
+        start = end = probes = 0  # empty window: the first probe resolves
+        try:
+            while True:
+                # The next probe; once the range is empty, where it ended.
+                ordinal = (lo + hi) // 2 if lo < hi else lo
+                if ordinal >= total:
+                    return  # every entry is below the lower key
+                if not start <= ordinal < end:
+                    block_index = bisect_right(cum, ordinal) - 1
+                    start, end = cum[block_index], cum[block_index + 1]
+                    view = self.block_view(block_index)
+                    raw = view.version == 2
+                    payload, base, table = view.payload, view.base, view.table
+                    count = view.count
+                if lo >= hi:
+                    break
+                i = ordinal - start
+                if raw:
+                    probes += 1
+                    at = base + table[i]
+                    sort_key = payload[at : at + table[count + i]]
+                else:
+                    sort_key = view.sort_key_at(i)
+                if sort_key < lower_key:
+                    lo = ordinal + 1
+                else:
+                    hi = ordinal
+        finally:  # a failed block fetch still pays for the probes made
+            stats.raw_key_probes += probes
         bounded = upper_exclusive != b""
         previous = None  # the last user key seen ...
         answered = False  # ... and whether one of its versions was a hit
-        block_index, first = self.locate(start_ordinal)
-        for bi in range(block_index, self.header.num_data_blocks):
-            view = self.block_view(bi)
-            raw = view.version == 2
-            payload, base, table = view.payload, view.base, view.table
-            count = view.count
+        first = lo - start
+        while True:
             hits = []
             done = False
             for i in range(first, count):
@@ -865,7 +853,7 @@ class IndexRun:
                     sort_key = payload[at : at + table[count + i]]
                 else:
                     sort_key = view.sort_key_at(i)
-                key = sort_key[:-SORT_KEY_TS_BYTES]
+                key = sort_key[:tail]
                 if bounded and key >= upper_exclusive:
                     done = True
                     break
@@ -874,7 +862,7 @@ class IndexRun:
                     answered = False
                 elif answered:
                     continue  # an older version of a key already answered
-                if sort_key[-SORT_KEY_TS_BYTES:] < ts_floor:
+                if sort_key[tail:] < ts_floor:
                     continue  # newer than the snapshot; keep looking
                 answered = True
                 hits.append((sort_key, view, i))
@@ -885,9 +873,105 @@ class IndexRun:
                 stats.raw_key_probes += (i + 1 if done else count) - first
             if hits:
                 yield hits
-            if done:
+            if done or end >= total:
                 return
+            block_index += 1  # on into the next block
+            end = cum[block_index + 1]
+            view = self.block_view(block_index)
+            raw = view.version == 2
+            payload, base, table = view.payload, view.base, view.table
+            count = view.count
             first = 0
+
+    def batch_visible(
+        self,
+        keys: Sequence[bytes],
+        buckets: Optional[Sequence[int]],
+        floors: Sequence[bytes],
+        slots: Sequence[int],
+        out: List[Optional[IndexEntry]],
+    ) -> None:
+        """``out[s]`` = the newest version of ``keys[s]`` visible at
+        ``floors[s]``, for every ``s`` in ``slots`` this run holds one for.
+
+        The batch kernel (paper section 7.2: "each run is accessed
+        sequentially and only once"), one frame per run searched.
+        ``slots`` index ``keys`` in ascending key order; ``buckets`` holds
+        each key's offset-array bucket (``None``: search the whole run).
+        Per key: the bucket, narrowed -- never widened -- by the monotone
+        cursor (a key whose bucket is empty or already passed is absent
+        and costs nothing); fences and binary search as in
+        :meth:`scan_visible`, the window held across keys; then
+        :meth:`lookup_visible`'s step through the key's versions and its
+        hand-over.  A batch mixing snapshots is the same single pass:
+        every search runs over a sub-range of a lone lookup's, so no other
+        block is touched and a key costs at most one probe more.
+        """
+        count, tail = self.entry_count, -SORT_KEY_TS_BYTES
+        cum, first_keys = self._cum, self._first_keys
+        fences = self.bucket_fences if buckets is not None else ()
+        start = end = probes = 0  # empty window: the first probe resolves
+        cursor = 0  # monotone: keys are sorted, so never search backwards
+        try:
+            for slot in slots:
+                lo, hi = cursor, count
+                if fences:
+                    bucket = buckets[slot]
+                    hi = fences[bucket + 1]
+                    if fences[bucket] > lo:
+                        lo = fences[bucket]
+                if lo >= hi:
+                    continue
+                key = keys[slot]
+                block_lo = cum[max(0, bisect_left(first_keys, key) - 1)]
+                block_hi = cum[bisect_right(first_keys, key)]
+                lo, hi = max(lo, min(block_lo, hi)), min(hi, max(block_hi, lo))
+                while True:
+                    # The next probe; once the range is empty, where it ended.
+                    ordinal = (lo + hi) // 2 if lo < hi else lo
+                    if ordinal >= count:
+                        return  # every later key is past the last entry too
+                    if not start <= ordinal < end:
+                        block_index = bisect_right(cum, ordinal) - 1
+                        start, end = cum[block_index], cum[block_index + 1]
+                        view = self.block_view(block_index)
+                        raw = view.version == 2
+                        payload, base, table = view.payload, view.base, view.table
+                        size = view.count
+                    if lo >= hi:
+                        break
+                    i = ordinal - start
+                    if raw:
+                        probes += 1
+                        at = base + table[i]
+                        sort_key = payload[at : at + table[size + i]]
+                    else:
+                        sort_key = view.sort_key_at(i)
+                    if sort_key < key:
+                        lo = ordinal + 1
+                    else:
+                        hi = ordinal
+                cursor = lo
+                floor = floors[slot]
+                if raw:
+                    # The key's versions, newest first, start at ``lo``.
+                    for i in range(lo - start, size):
+                        probes += 1
+                        at = base + table[i]
+                        sort_key = payload[at : at + table[size + i]]
+                        if sort_key[:tail] != key:
+                            break
+                        if sort_key[tail:] >= floor:
+                            out[slot] = view.decoded.get(i) or view.entry(i)
+                            break
+                    else:  # all newer than the snapshot: on into the next block
+                        lo = end
+                    if lo < end:
+                        continue  # answered, or the run holds no such key
+                for hits in self.scan_visible(key, lo, lo, key + b"\x00", floor, True):
+                    out[slot] = hits[0][1].entry(hits[0][2])
+        finally:  # a failed block fetch still pays for the probes made
+            self.hierarchy.stats.decode.raw_key_probes += probes
 
     def block_columns(self, block_index: int) -> Tuple[List[bytes], List[bytes]]:
         """One data block as two parallel lists ``(sort_keys, entry_blobs)``.
@@ -922,25 +1006,6 @@ class IndexRun:
     def all_entries(self) -> List[IndexEntry]:
         """Materialize every entry (tests / merges; charges block reads)."""
         return list(self.iter_entries(0))
-
-    # -- block-index narrowing ------------------------------------------------------
-
-    def key_position_bounds(self, target: bytes) -> Tuple[int, int]:
-        """Ordinal bounds on ``first_geq(target)`` from the block index.
-
-        Binary-searches the header's ``block_meta.first_sort_key`` table
-        (no data-block I/O) and returns ``(lo, hi)`` such that the first
-        ordinal whose sort key is ``>= target`` lies in ``[lo, hi]``.
-        Probing within these fences means binary search never fetches data
-        blocks outside the key range.
-        """
-        first_keys = self._first_keys
-        # Blocks before b_lo end strictly below target (bisect_left keeps
-        # duplicates of target on the safe side); blocks from b_hi on start
-        # strictly above it.
-        b_lo = max(0, bisect_left(first_keys, target) - 1)
-        b_hi = bisect_right(first_keys, target)
-        return self._cum[b_lo], self._cum[b_hi]
 
     # -- bloom membership (extension) -----------------------------------------------
 

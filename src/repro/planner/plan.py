@@ -137,13 +137,15 @@ def bind_values(schema, query: Query) -> Tuple[Tuple[KeyValue, ...], Bounds]:
         raise PlanError(f"query predicate: {exc}") from exc
 
 
-def tuple_getter(positions: Sequence[int]) -> Callable[[Sequence], Tuple]:
-    """``values -> tuple(values[p] for p in positions)``, compiled."""
+def tuple_getter(positions: Sequence[int]) -> Callable[[Tuple], Tuple]:
+    """``values -> tuple(values[p] for p in positions)`` for a *tuple* of
+    values, compiled: no Python frame per call (one position is the
+    1-tuple slice)."""
     if len(positions) == 1:
         (only,) = positions
-        return lambda values: (values[only],)
+        return itemgetter(slice(only, only + 1))
     if not positions:
-        return lambda values: ()
+        return itemgetter(slice(0, 0))
     return itemgetter(*positions)
 
 
@@ -199,11 +201,17 @@ class AccessPlan:
         plan = object.__new__(AccessPlan)
         plan.__dict__.update(
             self.__dict__,
-            entry_residuals=bind_predicates(self.entry_residuals, equalities, bounds),
-            record_checks=bind_predicates(self.record_checks, equalities, bounds),
             **self.shape.key_values(equalities, bounds),
             **costed,
         )
+        if self.entry_residuals:
+            plan.__dict__["entry_residuals"] = bind_predicates(
+                self.entry_residuals, equalities, bounds
+            )
+        if self.record_checks:
+            plan.__dict__["record_checks"] = bind_predicates(
+                self.record_checks, equalities, bounds
+            )
         return plan
 
     @property

@@ -24,20 +24,28 @@ reconcile newest-wins).  Shards track ghosted entries at groom time
 synopsis; any nonzero ``pending_ghosts`` disqualifies that secondary
 from index-only plans.  Fetch-back plans re-check every predicate on
 the fetched record and are always exact.
+
+**Compile once, derive per publication, bind per call.**  What follows
+from a query's *shape* is compiled once per shard (:class:`Template` in
+``ShardIndexes.plan_templates``); what follows from the synopses -- each
+candidate's cost terms, the winner when no estimate reads a bound, the
+key ranges the cluster prunes its scatter by -- is derived once per
+:meth:`SynopsisCatalog.stamp` and kept until a publication or the ghost
+count moves it; a call binds its values and at most ranks candidates.
 """
 
 from __future__ import annotations
 
-from typing import Tuple
+from typing import List, Optional, Sequence, Tuple
 
 from repro.core.definition import ColumnType
+from repro.core.encoding import KeyValue
 from repro.planner.plan import (
     AccessPlan,
     Bounds,
     CandidateShape,
     PlanError,
     Query,
-    bind_values,
     candidate_shape,
     plan_prototype,
 )
@@ -48,71 +56,73 @@ BLOOM_PROBE_COST = 0.5  # point probe when every run is Bloom-gated
 ENTRY_SCAN_COST = 0.05  # one entry streamed through a range scan
 RECORD_FETCH_COST = 4.0  # resolve a RID through the block catalog
 FETCH_BACK_PROBE_COST = 2.0  # one primary point lookup per secondary hit
-# Compiled shapes kept per shard.  They depend on nothing that changes
-# with data, so they are never invalidated; the bound only stops a client
-# that invents shapes from growing the dict.
+# Templates kept per shard.  What they compile depends on nothing that
+# changes with data, so they are never invalidated; the bound only stops a
+# client that invents shapes from growing the dict.
 TEMPLATE_LIMIT = 256
 
-# What a query shape compiles to: per usable index, in index order, its
-# CandidateShape and the plan prototypes of its variants (fetching
-# records, then index-only when the entry columns cover the query).
-Template = Tuple[Tuple[CandidateShape, Tuple[AccessPlan, ...]], ...]
+# One costed candidate: shape, row estimate before the range fraction, the
+# INT64 domain ``(low, high)`` the fraction is taken over (None: a constant,
+# already folded in), variants as ``(prototype, probe cost, cost per row)``.
+Costed = Tuple[
+    CandidateShape, float, Optional[Tuple[int, int]],
+    Tuple[Tuple[AccessPlan, float, float], ...],
+]
+# The winning prototype, its cost and row estimate, ``AccessPlan.scored``.
+Ranked = Tuple[AccessPlan, float, float, Tuple]
 
 
-def _range_fraction(
-    shape: CandidateShape, bounds: Bounds, synopsis: AccessPathSynopsis
-) -> float:
-    """Estimated selectivity of the consumed range predicate (1.0 if none)."""
-    if shape.range_source is None:
-        return 1.0
-    low, high = bounds[shape.range_source]
-    position = shape.bound_prefix
-    if (
-        position < len(synopsis.key_types)
-        and synopsis.key_types[position] is ColumnType.INT64
-        and synopsis.key_ranges[position] is not None
-    ):
-        column_range = synopsis.key_ranges[position]
-        domain_low = int(column_range.min_value)
-        domain_high = int(column_range.max_value)
-        low = domain_low if low is None else max(int(low), domain_low)
-        high = domain_high if high is None else min(int(high), domain_high)
-        if high < low:
-            return 0.0
-        return min(1.0, (high - low + 1) / (domain_high - domain_low + 1))
-    return 0.5  # non-integer or unknown domain: the classic fallback
+class Template:
+    """One query shape on one shard: compiled once, derived per stamp.
+
+    ``candidates`` holds, per usable index in index order, its
+    :class:`CandidateShape` and the plan prototypes of its variants
+    (fetching records, then index-only when the entry columns cover the
+    query); ``None`` until the shape is first planned.  ``derived`` is
+    everything read off the synopses, replaced as a whole when their
+    stamp moves: a concurrent query sees the old or the new.
+    """
+
+    __slots__ = ("candidates", "derived")
+
+    def __init__(self) -> None:
+        self.candidates: Optional[Tuple] = None
+        self.derived: Optional[_Derived] = None
 
 
-def _estimate_rows(
-    shape: CandidateShape, bounds: Bounds, synopsis: AccessPathSynopsis
-) -> float:
-    cap = max(1, synopsis.entry_count)
-    prefix = min(shape.bound_prefix, len(synopsis.distinct_prefix) - 1)
-    rows = cap / synopsis.distinct_prefix[prefix]
-    return rows * _range_fraction(shape, bounds, synopsis)
+class _Derived:
+    """What one :meth:`SynopsisCatalog.stamp` says about a shape: ``prune``,
+    the shard's key ranges on the columns the shape binds (see
+    :func:`cannot_match`); ``costed``, the candidates' cost terms, filled
+    in when the shape is first planned under this stamp; ``ranked``, the
+    winner when no term reads a bound."""
+
+    __slots__ = ("stamp", "prune", "costed", "ranked")
+
+    def __init__(self, stamp: List, prune: Optional[List]) -> None:
+        self.stamp = stamp
+        self.prune = prune  # None: the shard holds no rows
+        self.costed: Optional[Tuple[Costed, ...]] = None
+        self.ranked: Optional[Ranked] = None
 
 
-def _cost(
-    shape: CandidateShape,
-    synopsis: AccessPathSynopsis,
-    rows_est: float,
-    index_only: bool,
-) -> float:
-    if shape.mode == "point" and synopsis.all_runs_bloomed():
-        probe = synopsis.run_count * BLOOM_PROBE_COST
-    else:
-        probe = synopsis.run_count * RUN_PROBE_COST
-    scan = rows_est * ENTRY_SCAN_COST
-    if index_only:
-        fetch = 0.0
-    elif shape.is_primary:
-        fetch = rows_est * RECORD_FETCH_COST
-    else:
-        fetch = rows_est * (FETCH_BACK_PROBE_COST + RECORD_FETCH_COST)
-    return probe + scan + fetch
+def _template(query: Query, indexes, catalog: SynopsisCatalog) -> Template:
+    """The shape's template on this shard, its derived half current."""
+    templates = indexes.plan_templates
+    template = templates.get(query.shape)
+    if template is None:
+        if len(templates) >= TEMPLATE_LIMIT:
+            templates.clear()
+        template = templates[query.shape] = Template()
+    stamp = catalog.stamp()
+    if template.derived is None or template.derived.stamp != stamp:
+        template.derived = _Derived(
+            stamp, _prune_terms(query.shape, indexes, catalog)
+        )
+    return template
 
 
-def _compile(query: Query, schema, indexes) -> Template:
+def _compile(query: Query, schema, indexes) -> Tuple:
     """Every index that can serve ``query.shape``, with its plan prototypes."""
     names = list(indexes.names())
     if query.index_hint is not None:
@@ -120,7 +130,7 @@ def _compile(query: Query, schema, indexes) -> Template:
             raise PlanError(f"index_hint names unknown index "
                             f"{query.index_hint!r} (have {names})")
         names = [query.index_hint]
-    template = []
+    candidates = []
     for name in names:
         shard_index = indexes.get(name)
         shape = candidate_shape(
@@ -129,53 +139,83 @@ def _compile(query: Query, schema, indexes) -> Template:
         if shape is None:
             continue
         coverable = shape.covers_projection and not shape.record_residuals
-        template.append((shape, tuple(
+        candidates.append((shape, tuple(
             plan_prototype(
                 shape, query, schema, shard_index,
                 planner="smart", index_only=index_only,
             )
             for index_only in ((False, True) if coverable else (False,))
         )))
-    if not template:
+    if not candidates:
         raise PlanError(
             "no index can serve the query: every index leaves some "
             "equality column unbound "
             f"(predicates: {list(query.predicate_columns())})"
         )
-    return tuple(template)
+    return tuple(candidates)
 
 
-def plan_smart(
-    query: Query, schema, indexes, catalog: SynopsisCatalog
-) -> AccessPlan:
-    """Compile ``query`` to the cheapest candidate access path.
-
-    The query's shape is compiled once per shard
-    (``indexes.plan_templates``); a call binds its values, costs the
-    candidates against the current synopses and binds the winner.
-    """
-    templates = indexes.plan_templates
-    template = templates.get(query.shape)
-    if template is None:
-        template = _compile(query, schema, indexes)
-        if len(templates) >= TEMPLATE_LIMIT:
-            templates.clear()
-        templates[query.shape] = template
-    equalities, bounds = bind_values(schema, query)
-    scored = []
-    best = None
-    for shape, prototypes in template:
-        synopsis = catalog.synopsis(shape.index_name)
-        rows_est = _estimate_rows(shape, bounds, synopsis)
-        for prototype in prototypes:
-            index_only = prototype.index_only
+def _cost_terms(
+    shape: CandidateShape,
+    prototypes: Sequence[AccessPlan],
+    synopsis: AccessPathSynopsis,
+) -> Costed:
+    """One candidate's share of the cost model, from its index's synopsis."""
+    prefix = min(shape.bound_prefix, len(synopsis.distinct_prefix) - 1)
+    rows = max(1, synopsis.entry_count) / synopsis.distinct_prefix[prefix]
+    domain = None
+    if shape.range_source is not None:
+        # Selectivity of the consumed range predicate: a share of the
+        # column's observed INT64 span, else the classic fallback.
+        position = shape.bound_prefix
+        if (
+            position < len(synopsis.key_types)
+            and synopsis.key_types[position] is ColumnType.INT64
+            and synopsis.key_ranges[position] is not None
+        ):
+            column_range = synopsis.key_ranges[position]
+            domain = (int(column_range.min_value), int(column_range.max_value))
+        else:
+            rows = rows * 0.5
+    if shape.mode == "point" and synopsis.all_runs_bloomed():
+        probe = synopsis.run_count * BLOOM_PROBE_COST
+    else:
+        probe = synopsis.run_count * RUN_PROBE_COST
+    variants = []
+    for prototype in prototypes:
+        if prototype.index_only:
             # ISSUE 10 bugfix: a secondary holding ghost entries (a key
             # column changed across versions, leaving the old entry
             # visible under its old key) cannot serve index-only answers
             # -- only the fetch-back's record re-check filters ghosts.
-            if index_only and not shape.is_primary and synopsis.pending_ghosts:
+            if synopsis.pending_ghosts and not shape.is_primary:
                 continue
-            cost = _cost(shape, synopsis, rows_est, index_only)
+            per_row = 0.0
+        elif shape.is_primary:
+            per_row = RECORD_FETCH_COST
+        else:
+            per_row = FETCH_BACK_PROBE_COST + RECORD_FETCH_COST
+        variants.append((prototype, probe, per_row))
+    return shape, rows, domain, tuple(variants)
+
+
+def _rank(costed: Sequence[Costed], bounds: Bounds) -> Ranked:
+    """Cost every candidate and keep the cheapest."""
+    scored = []
+    best = None
+    for shape, rows_est, domain, variants in costed:
+        if domain is not None:
+            domain_low, domain_high = domain
+            low, high = bounds[shape.range_source]
+            low = domain_low if low is None else max(int(low), domain_low)
+            high = domain_high if high is None else min(int(high), domain_high)
+            rows_est = rows_est * (
+                0.0 if high < low
+                else min(1.0, (high - low + 1) / (domain_high - domain_low + 1))
+            )
+        for prototype, probe, per_row in variants:
+            index_only = prototype.index_only
+            cost = probe + rows_est * ENTRY_SCAN_COST + rows_est * per_row
             scored.append(
                 (shape.index_name, shape.mode, index_only, cost, rows_est)
             )
@@ -185,10 +225,93 @@ def plan_smart(
             if best is None or rank < best[0]:
                 best = (rank, prototype, rows_est)
     rank, prototype, rows_est = best
-    return prototype.bind(
-        equalities, bounds,
-        cost=rank[0], rows_est=rows_est, scored=tuple(scored),
+    return prototype, rank[0], rows_est, tuple(scored)
+
+
+def plan_smart(
+    query: Query,
+    schema,
+    indexes,
+    catalog: SynopsisCatalog,
+    values: Tuple[Tuple[KeyValue, ...], Bounds],
+) -> AccessPlan:
+    """Compile ``query`` to the cheapest candidate access path.
+
+    ``values`` are the query's :func:`bind_values`: the caller type-checks
+    a query once (a cluster for all its shards), not the planner once a
+    shard.
+    """
+    template = _template(query, indexes, catalog)
+    if template.candidates is None:
+        template.candidates = _compile(query, schema, indexes)
+    equalities, bounds = values
+    derived = template.derived
+    if derived.costed is None:
+        costed = tuple(
+            _cost_terms(shape, prototypes, catalog.synopsis(shape.index_name))
+            for shape, prototypes in template.candidates
+        )
+        if not any(domain for _, _, domain, _ in costed):
+            derived.ranked = _rank(costed, ())  # no estimate reads a bound
+        derived.costed = costed
+    prototype, cost, rows_est, scored = (
+        derived.ranked or _rank(derived.costed, bounds)
     )
+    return prototype.bind(
+        equalities, bounds, cost=cost, rows_est=rows_est, scored=scored
+    )
+
+
+def _prune_terms(shape: Tuple, indexes, catalog: SynopsisCatalog) -> Optional[List]:
+    """The shard's observed range of every key column the shape binds, per
+    index, as ``(is_range, source, column_range)`` -- ``source`` indexing
+    the query's equalities or ranges; None when the shard holds no rows."""
+    eq_names, range_names = shape[0], shape[1]
+    terms = []
+    for shard_index in indexes.all():
+        synopsis = catalog.synopsis(shard_index.name)
+        if synopsis.entry_count == 0:
+            if shard_index.name == "primary":
+                # No groomed records at all: typed plans (which execute
+                # over index runs) cannot produce a row from this shard.
+                return None
+            continue
+        for spec, column_range in zip(
+            shard_index.index.definition.key_columns, synopsis.key_ranges
+        ):
+            if column_range is None:
+                continue
+            if spec.name in eq_names:
+                terms.append((False, eq_names.index(spec.name), column_range))
+            elif spec.name in range_names:
+                terms.append((True, range_names.index(spec.name), column_range))
+    return terms
+
+
+def cannot_match(
+    query: Query,
+    indexes,
+    catalog: SynopsisCatalog,
+    values: Tuple[Tuple[KeyValue, ...], Bounds],
+) -> bool:
+    """Do the shard's synopses prove ``query`` returns no row from it?
+
+    Every row version a typed query can return has an entry in every index
+    of its shard (built from the same records in the same publication), so
+    a bound disjoint from the observed key range of its column in *any*
+    index rules the shard out -- as does a primary index without an entry.
+    """
+    terms = _template(query, indexes, catalog).derived.prune
+    if terms is None:
+        return True
+    equalities, bounds = values
+    for is_range, source, column_range in terms:
+        if is_range:
+            if not column_range.overlaps_range(*bounds[source]):
+                return True
+        elif not column_range.overlaps_point(equalities[source]):
+            return True
+    return False
 
 
 __all__ = [
@@ -197,5 +320,7 @@ __all__ = [
     "FETCH_BACK_PROBE_COST",
     "RECORD_FETCH_COST",
     "RUN_PROBE_COST",
+    "Template",
+    "cannot_match",
     "plan_smart",
 ]

@@ -161,8 +161,8 @@ class SynopsisCatalog:
     """
 
     def __init__(self, indexes) -> None:
-        # Duck-typed ShardIndexes: needs .get(name) -> ShardIndex and
-        # .names(); keeps the planner package free of wildfire imports.
+        # Duck-typed ShardIndexes: needs .get(name) -> ShardIndex, .all()
+        # and .names(); keeps the planner package free of wildfire imports.
         self._indexes = indexes
         self._cache: Dict[str, AccessPathSynopsis] = {}
 
@@ -175,6 +175,15 @@ class SynopsisCatalog:
         built = build_synopsis(shard_index, seq)
         self._cache[name] = built
         return built
+
+    def stamp(self) -> List[Tuple[int, int]]:
+        """Every index's publication sequence and ghost count: equal
+        stamps mean :meth:`synopsis` would hand back the same objects, so
+        whatever was derived from them still holds."""
+        return [
+            (shard_index.index.lifecycle.version_seq, shard_index.ghost_entries)
+            for shard_index in self._indexes.all()
+        ]
 
     def snapshot(self) -> Dict[str, AccessPathSynopsis]:
         """Fresh synopses for every index of the shard (tests, tools)."""

@@ -109,24 +109,22 @@ class StorageHierarchy:
 
     # -- read attribution (ISSUE 9) --------------------------------------------
 
-    @contextmanager
-    def attributing(self, component: str) -> Iterator["StorageHierarchy"]:
-        """Scope a read-attribution component over a call tree.
+    def attribute_reads(self, component: Optional[str]) -> Optional[str]:
+        """Charge this thread's reads to ``component`` from here on (``None``:
+        to nothing) and return what they were charged to before.
 
-        The access-path executor wraps each plan step in a scope
-        (``attributing("index:by_customer")``, ``attributing("records")``)
-        so the planner ablation can assert exactly which component's
-        blocks an index-only query did *not* read.  Thread-local, like
-        :meth:`reading_as`; reads outside any scope charge nothing, so
-        the attribution ledger stays empty (and byte-identical) for
-        every pre-existing workload.
+        The access-path executor names each plan step's component as it
+        goes (``"index:by_customer"``, ``"records"``) and restores the
+        previous one in a ``finally``, so the planner ablation can assert
+        exactly which component's blocks an index-only query did *not*
+        read.  A plain save/restore (it runs several times per typed
+        query), thread-local like :meth:`reading_as`; reads outside any
+        scope charge nothing, so the attribution ledger stays empty (and
+        byte-identical) for every pre-existing workload.
         """
         previous = getattr(self._attribution_local, "component", None)
         self._attribution_local.component = component
-        try:
-            yield self
-        finally:
-            self._attribution_local.component = previous
+        return previous
 
     # -- transient-fault retry (ISSUE 6) + circuit breaker (ISSUE 7) -----------
 

@@ -522,7 +522,7 @@ class IOStats:
         self.qos = QosStats()
         # Per-component read attribution (ISSUE 9): block reads charged to
         # a named component ("index:primary", "index:by_customer",
-        # "records", ...) while a StorageHierarchy.attributing scope is
+        # "records", ...) while a StorageHierarchy.attribute_reads scope is
         # active.  Empty -- and cost-free -- outside such scopes, so
         # existing benchmarks see byte-identical ledgers.
         self._attribution: Dict[str, int] = {}

@@ -74,7 +74,6 @@ from repro.storage.retry import StorageBrownout, TransientIOError
 from repro.planner import Query
 from repro.planner.plan import PlanError, bind_values
 from repro.wildfire.engine import ShardConfig, WildfireShard
-from repro.wildfire.indexes import PRIMARY_INDEX_NAME
 from repro.wildfire.migration import Migration, MigrationError
 from repro.wildfire.record import Record
 from repro.wildfire.schema import IndexSpec, SchemaError, TableSchema
@@ -545,12 +544,18 @@ class ShardedTable:
         Predicate values are type-checked (``PlanError``) and normalised
         first: a mistyped sharding value would hash to the wrong shard.
         """
-        bound = dict(zip(query.shape[0], bind_values(self.schema, query)[0]))
+        values = bind_values(self.schema, query)
+        bound = dict(zip(query.shape[0], values[0]))
         try:
-            values = tuple(bound[name] for name in self.schema.sharding_key)
+            sharding_values = tuple(
+                [bound[name] for name in self.schema.sharding_key]
+            )
         except KeyError:
-            values = None
-        return self._admitted(self._serve, TYPED, values, (query,))
+            sharding_values = None
+        # Bound once, for every shard's pruning and planning alike.
+        return self._admitted(
+            self._serve, TYPED, sharding_values, (query, values)
+        )
 
     def _serve(
         self,
@@ -588,7 +593,7 @@ class ShardedTable:
             else:
                 shard_ids = pin.map.scatter_shards()
                 if kind is TYPED:
-                    shard_ids = self._prune_scatter(list(shard_ids), args[0])
+                    shard_ids = self._prune_scatter(list(shard_ids), *args)
                 fresh = pin.map.fresh_write_shards()
             parts: list = []
             failed: List[int] = []
@@ -686,25 +691,16 @@ class ShardedTable:
         return dict(self._scatter_stats)
 
     def _prune_scatter(
-        self, shard_ids: List[int], query: Query
+        self, shard_ids: List[int], query: Query, values
     ) -> List[int]:
-        """Drop shards whose synopses prove the query cannot match there.
-
-        Every row version a typed query can return has an entry in every
-        index of its shard (they are built from the same records in the
-        same publication), so if the query's bound on a column is
-        disjoint from the shard's observed key range for that column in
-        *any* index, the shard provably returns no rows and contacting
-        it is pure fan-out cost.  Decisions read the same
-        version-seq-cached synopses the shard's own planner uses, so a
-        pruned shard is exactly one whose current version would have
-        answered with zero rows.
-        """
-        bounds = {column: (value, value) for column, value in query.equalities}
-        bounds.update((column, (low, high)) for column, low, high in query.ranges)
+        """Drop shards whose synopses prove the query cannot match there
+        (:meth:`WildfireShard.cannot_match`): they read what the shard's
+        own planner reads, so a pruned shard is one whose current version
+        would have answered with zero rows -- pure fan-out cost."""
+        shards = self.shards
         kept = [
             shard_id for shard_id in shard_ids
-            if not self._shard_prunable(shard_id, bounds)
+            if not shards[shard_id].cannot_match(query, values)
         ]
         stats = self._scatter_stats
         stats["scatter_queries"] += 1
@@ -712,28 +708,6 @@ class ShardedTable:
         stats["shards_pruned"] += len(shard_ids) - len(kept)
         stats["shards_contacted"] += len(kept)
         return kept
-
-    def _shard_prunable(self, shard_id: int, bounds: Dict[str, tuple]) -> bool:
-        shard = self.shards[shard_id]
-        for shard_index in shard.indexes.all():
-            synopsis = shard.synopses.synopsis(shard_index.name)
-            if synopsis.entry_count == 0:
-                if shard_index.name == PRIMARY_INDEX_NAME:
-                    # No groomed records at all: typed plans (which execute
-                    # over index runs) cannot produce a row from this shard.
-                    return True
-                continue
-            for spec, column_range in zip(
-                shard_index.index.definition.key_columns, synopsis.key_ranges
-            ):
-                bound = bounds.get(spec.name)
-                if (
-                    bound is not None
-                    and column_range is not None
-                    and not column_range.overlaps_range(*bound)
-                ):
-                    return True
-        return False
 
     @staticmethod
     def _merge_tagged(parts: Sequence[Sequence[TaggedRow]]) -> List[TaggedRow]:

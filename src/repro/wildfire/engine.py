@@ -33,7 +33,8 @@ from repro.planner import (
     plan_baseline,
     plan_smart,
 )
-from repro.planner.plan import tuple_getter
+from repro.planner.plan import Bounds, bind_values, tuple_getter
+from repro.planner.smart import cannot_match
 from repro.storage.hierarchy import StorageHierarchy
 from repro.storage.retry import TransientIOError
 from repro.wildfire.blockstore import BlockCatalog
@@ -48,30 +49,20 @@ from repro.wildfire.transaction import Transaction
 from repro.wildfire.txlog import CommittedLog
 
 
-def _entry_values(entry: IndexEntry) -> Tuple[KeyValue, ...]:
-    """An entry's columns in one tuple, as ``Predicate.offset`` and the
-    plan's ``entry_pk``/``entry_row`` getters index them."""
-    return entry.equality_values + entry.sort_values + entry.include_values
+# What a bound typed query carries to every shard: ``bind_values``' result.
+Values = Tuple[Tuple[KeyValue, ...], Bounds]
 
 
-def _compile_checks(checks: Sequence[Tuple[int, KeyValue, KeyValue]]):
-    """``values -> bool``: every ``values[position]`` within ``[low, high]``
-    (``None``: open).  Built per executed plan, called per entry or record;
-    one closed range -- an equality, a BETWEEN -- is one chained compare."""
-    if len(checks) == 1 and None not in checks[0]:
-        ((position, low, high),) = checks
-        return lambda values: low <= values[position] <= high
-
-    def passes(values) -> bool:
-        for position, low, high in checks:
-            value = values[position]
-            if (low is not None and value < low) or (
-                high is not None and value > high
-            ):
-                return False
-        return True
-
-    return passes
+def _within(rows: List, column: Sequence[KeyValue], low, high) -> List:
+    """The ``rows`` whose value in the parallel ``column`` lies within
+    ``[low, high]`` (``None``: open) -- one pass, no call per row."""
+    if low is None:
+        if high is None:
+            return rows
+        return [row for row, value in zip(rows, column) if value <= high]
+    if high is None:
+        return [row for row, value in zip(rows, column) if value >= low]
+    return [row for row, value in zip(rows, column) if low <= value <= high]
 
 
 @dataclass(frozen=True)
@@ -190,9 +181,10 @@ class WildfireShard:
         ]
         self._extract = index_spec.extractor(schema)
         # Access-path planning (ISSUE 9): the per-index statistics cache
-        # (version-seq refreshed, zero-decode) and the getters the
+        # (version-seq refreshed, zero-decode) and the getter the
         # fetch-back path uses to turn a pk tuple recovered from a
-        # secondary entry into the primary index's (equality, sort) key.
+        # secondary entry into the primary index's key (equality values,
+        # then sort values).
         if self.config.planner not in ("baseline", "smart"):
             raise ValueError(
                 f"ShardConfig.planner must be 'baseline' or 'smart'; "
@@ -201,12 +193,11 @@ class WildfireShard:
         self.synopses = SynopsisCatalog(self.indexes)
         try:
             primary_spec = self.indexes.primary.spec
-            self._primary_key_of_pk = tuple(
-                tuple_getter([schema.primary_key.index(c) for c in columns])
-                for columns in (
-                    primary_spec.equality_columns, primary_spec.sort_columns
-                )
-            )
+            self._primary_key_of_pk = tuple_getter([
+                schema.primary_key.index(column)
+                for column in
+                primary_spec.equality_columns + primary_spec.sort_columns
+            ])
         except ValueError:
             # Non-primary-key "primary" index (require_primary_index=False
             # shards): typed fetch-back plans are unavailable.
@@ -582,20 +573,29 @@ class WildfireShard:
 
     # -- typed queries through the access-path planner (ISSUE 9) -----------------
 
-    def plan_query(self, query: Query) -> AccessPlan:
-        """Compile a typed query without executing it (``explain`` tests).
+    def plan_query(self, query: Query, values: Values) -> AccessPlan:
+        """Compile a typed query without executing it.
 
         ``ShardConfig.planner`` selects the cost-based planner (default)
         or the always-primary baseline.  An ``index_hint`` restricts the
-        smart planner's candidates to that index.
+        smart planner's candidates to that index.  ``values`` are the
+        query's type-checked :func:`bind_values` (the cluster binds once
+        for all its shards).
         """
         if self.config.planner == "baseline":
             return plan_baseline(query, self.schema, self.indexes)
-        return plan_smart(query, self.schema, self.indexes, self.synopses)
+        return plan_smart(
+            query, self.schema, self.indexes, self.synopses, values
+        )
 
     def explain(self, query: Query) -> Dict[str, object]:
         """The chosen plan's ``explain()`` dict (no execution)."""
-        return self.plan_query(query).explain()
+        return self.plan_query(query, bind_values(self.schema, query)).explain()
+
+    def cannot_match(self, query: Query, values: Values) -> bool:
+        """Do this shard's synopses prove the (bound) query returns nothing
+        from it?  What the cluster prunes a scatter by."""
+        return cannot_match(query, self.indexes, self.synopses, values)
 
     def query(self, query: Query) -> List[Tuple[KeyValue, ...]]:
         """Execute a typed query; returns projected rows, deterministically
@@ -609,31 +609,36 @@ class WildfireShard:
         identical queries under either planner -- the ablation the A15
         bench byte-compares.
         """
-        tagged = self._query_tagged(query)
+        tagged = self._query_tagged(query, bind_values(self.schema, query))
         tagged.sort(key=lambda item: (item[2], item[0]))
         return [row for _, _, row in tagged]
 
     def _query_tagged(
-        self, query: Query
+        self, query: Query, values: Values
     ) -> List[Tuple[Tuple[KeyValue, ...], int, Tuple[KeyValue, ...]]]:
         """Execute, returning one ``(pk, begin_ts, row)`` per key, unordered.
 
-        The pk/begin_ts tags let the cluster layer merge scatter-gather
-        and split-migration double-reads newest-wins per primary key
-        before dropping the tags; whoever hands out rows sorts them.
+        ``values`` are the query's type-checked :func:`bind_values`.  The
+        pk/begin_ts tags let the cluster layer merge scatter-gather and
+        split-migration double-reads newest-wins per primary key before
+        dropping the tags; whoever hands out rows sorts them.
         """
-        plan = self.plan_query(query)
-        ts = (
-            query.query_ts if query.query_ts is not None
-            else self.current_snapshot_ts()
-        )
+        plan = self.plan_query(query, values)
+        ts = query.query_ts if query.query_ts is not None else self.clock.now()
         return self._execute_plan(plan, ts)
 
     def _execute_plan(
         self, plan: AccessPlan, ts: int
     ) -> List[Tuple[Tuple[KeyValue, ...], int, Tuple[KeyValue, ...]]]:
+        """Run a bound plan: index step, entry-level residuals, then the
+        fetch-back / record fetch / index-only tail.  Each step's block
+        reads are attributed to its component (``index:<name>``,
+        ``records``); whatever was attributed before is restored at the
+        end."""
         index = self.indexes.get(plan.index_name).index
-        with self.hierarchy.attributing(f"index:{plan.index_name}"):
+        attribute = self.hierarchy.attribute_reads
+        attributed = attribute(f"index:{plan.index_name}")
+        try:
             if plan.mode == "point":
                 hit = index.lookup(plan.equality_values, plan.sort_values, ts)
                 entries = [] if hit is None else [hit]
@@ -641,26 +646,53 @@ class WildfireShard:
                 entries = index.scan(
                     plan.equality_values, plan.sort_lower, plan.sort_upper, ts
                 )
-        if plan.entry_residuals:
-            passes = _compile_checks(
-                [(p.offset, p.low, p.high) for p in plan.entry_residuals]
+            if plan.index_only or plan.fetch_back or plan.entry_residuals:
+                # One row per entry: its columns as ``Predicate.offset`` and
+                # the plan's ``entry_pk`` / ``entry_row`` getters index
+                # them, then its beginTS and RID -- everything below is a
+                # pass over these.
+                rows = [
+                    entry.equality_values + entry.sort_values
+                    + entry.include_values + (entry.begin_ts, entry.rid)
+                    for entry in entries
+                ]
+                for p in plan.entry_residuals:
+                    rows = _within(
+                        rows, [row[p.offset] for row in rows], p.low, p.high
+                    )
+                if plan.index_only:
+                    return self._project_entries(plan, rows)
+                if plan.fetch_back:
+                    rids = self._fetch_back_rids(plan.entry_pk, rows, ts)
+                else:
+                    rids = [row[-1] for row in rows]
+            else:
+                rids = [entry.rid for entry in entries]
+            attribute("records")
+            records = self.catalog.fetch_records(rids)
+        finally:
+            attribute(attributed)
+        for p in plan.record_checks:
+            records = _within(
+                records, [record.values[p.position] for record in records],
+                p.low, p.high,
             )
-            entries = [
-                entry for entry in entries if passes(_entry_values(entry))
+        record_pk, record_row = plan.record_pk, plan.record_row
+        if record_row is None:  # the full row: the record's own tuple
+            return [
+                (record_pk(record.values), record.begin_ts, record.values)
+                for record in records
             ]
-        if plan.fetch_back:
-            return self._fetch_back(plan, entries, ts)
-        if not plan.index_only:
-            with self.hierarchy.attributing("records"):
-                records = self.catalog.fetch_records(
-                    [entry.rid for entry in entries]
-                )
-            return self._check_and_project(plan, records)
-        entry_pk, entry_row = plan.entry_pk, plan.entry_row
-        produced = [
-            (entry_pk(values), entry.begin_ts, entry_row(values))
-            for entry, values in zip(entries, map(_entry_values, entries))
+        return [
+            (record_pk(record.values), record.begin_ts, record_row(record.values))
+            for record in records
         ]
+
+    @staticmethod
+    def _project_entries(plan: AccessPlan, rows: List[Tuple]) -> List:
+        """The index-only answer, read off the entry rows."""
+        entry_pk, entry_row = plan.entry_pk, plan.entry_row
+        produced = [(entry_pk(row), row[-2], entry_row(row)) for row in rows]
         if plan.index_name == PRIMARY_INDEX_NAME:
             return produced
         # Newest-wins dedup per primary key: only an index-only secondary
@@ -673,51 +705,28 @@ class WildfireShard:
                 best[tagged[0]] = tagged
         return list(best.values())
 
-    @staticmethod
-    def _check_and_project(plan: AccessPlan, records) -> List:
-        record_pk, record_row = plan.record_pk, plan.record_row
-        if plan.record_checks:
-            passes = _compile_checks(
-                [(p.position, p.low, p.high) for p in plan.record_checks]
-            )
-            records = [record for record in records if passes(record.values)]
-        if record_row is None:  # the full row: the record's own tuple
-            return [
-                (record_pk(record.values), record.begin_ts, record.values)
-                for record in records
-            ]
-        return [
-            (record_pk(record.values), record.begin_ts, record_row(record.values))
-            for record in records
-        ]
+    def _fetch_back_rids(self, entry_pk, rows: List[Tuple], ts: int) -> List:
+        """Resolve secondary hits against the primary (ISSUE 9).
 
-    def _fetch_back(self, plan: AccessPlan, entries, ts: int) -> List:
-        """Resolve secondary hits against the primary by RID (ISSUE 9).
-
-        Secondary entries recover the primary key (suffixed specs
-        guarantee every pk column has an entry slot); deduplicated keys
-        become one batched primary point lookup, hits become one batched
-        record fetch, and every query predicate is re-checked on the
-        record -- which makes the answer byte-identical to the baseline
-        primary path even when a stale secondary entry surfaces a row
-        whose key columns have since changed.
+        Secondary entries recover the primary key (suffixed specs give
+        every pk column an entry slot); the deduplicated keys become one
+        batched primary point lookup, whose hits' RIDs become one batched
+        record fetch with every predicate re-checked on the record -- the
+        answer is byte-identical to the baseline primary path even when a
+        stale secondary entry surfaces a row whose key has since changed.
         """
         if self._primary_key_of_pk is None:
             raise PlanError(
                 "fetch-back requires a primary-key primary index"
             )
-        equality_of, sort_of = self._primary_key_of_pk
-        lookups = [
-            PointLookup(equality_of(pk), sort_of(pk), ts)
-            for pk in sorted(set(map(plan.entry_pk, map(_entry_values, entries))))
+        keys = list(map(
+            self._primary_key_of_pk, sorted(set(map(entry_pk, rows)))
+        ))
+        self.hierarchy.attribute_reads(f"index:{PRIMARY_INDEX_NAME}")
+        return [
+            hit.rid for hit in self.index.batch_lookup(keys, ts)
+            if hit is not None
         ]
-        with self.hierarchy.attributing(f"index:{PRIMARY_INDEX_NAME}"):
-            hits = self.index.batch_lookup(lookups)
-        with self.hierarchy.attributing("records"):
-            records = self.catalog.fetch_records(
-                [hit.rid for hit in hits if hit is not None]
-            )
-        return self._check_and_project(plan, records)
 
     def time_travel(
         self,

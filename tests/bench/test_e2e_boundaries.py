@@ -99,3 +99,58 @@ def test_front_door_reaches_boundaries_replaced_on_the_instance():
     reads = calls["storage.hierarchy", "read"]
     assert table.point_query((), (7,)).values == (7, "c1", "r1", 7)
     assert calls["storage.hierarchy", "read"] >= reads + 1
+
+
+def test_a_customer_query_counts_its_fetch_back_keys_at_the_boundary():
+    """What the tracer's observers read off the typed path's boundaries.
+
+    ``fetchback_keys_per_query`` is ``len(args[0])`` at
+    ``core.index.batch_lookup`` (PR 19 had to revert a faster fetch-back
+    that went around the boundary: the metric read 0), and
+    ``planner.plan_share.*`` counts one ``plan_query`` per contacted
+    shard -- however few times the cluster binds the query's values.
+    """
+    table = make_table(2)
+    rows = [(i, f"c{i % 3}", f"r{i % 2}", i) for i in range(40)]
+    table.ingest(rows)
+    for _ in range(4):
+        table.tick()
+    # Order 4 moves from c1 to c2: its old by_customer entry stays visible
+    # under c1 (a ghost), so it is a fetch-back key but not a row; order 7
+    # gets a new amount, one key and one row like before.
+    table.ingest([(4, "c2", "r0", 4), (7, "c1", "r1", 107)])
+    for _ in range(2):
+        table.tick()
+
+    batches, plans, tagged = [], [], []
+    for shard_id, shard in enumerate(table.shards):
+        primary = shard.index
+
+        def batch_lookup(*args, _inner=primary.batch_lookup, _shard=shard_id):
+            batches.append((_shard, len(args[0])))
+            return _inner(*args)
+
+        def plan_query(*args, _inner=shard.plan_query, _shard=shard_id):
+            plans.append(_shard)
+            return _inner(*args)
+
+        def query_tagged(*args, _inner=shard._query_tagged, _shard=shard_id):
+            tagged.append(_shard)
+            return _inner(*args)
+
+        primary.batch_lookup = batch_lookup
+        shard.plan_query = plan_query
+        shard._query_tagged = query_tagged
+
+    answer = table.query(Query(equalities=(("customer", "c1"),)))
+    keys = [i for i in range(40) if i % 3 == 1]
+    assert answer == [
+        (i, "c1", f"r{i % 2}", 107 if i == 7 else i) for i in keys if i != 4
+    ]
+    assert sorted(tagged) == sorted(plans) == [0, 1]  # once per contacted shard
+    by_shard = {
+        shard_id: sum(table.shard_of_key((i,)) == shard_id for i in keys)
+        for shard_id in (0, 1)
+    }
+    assert sorted(batches) == sorted(by_shard.items())
+    assert sum(count for _, count in batches) == len(keys) == len(answer) + 1

@@ -19,6 +19,7 @@ af7751c (before)           357.9   508.4
 block-local kernel         161.6   294.3
 2d5f04b                    154.3   284.9
 no plan, exact-key kernel   88.3   202.1
+pin finalizer, no closure   84.3   196.1
 =========================  =====  ======
 
 The ceilings below are the last row plus a little headroom for
@@ -31,8 +32,10 @@ calls and a third of the time), a ``RangeScanQuery`` probe and candidate
 list per lookup, the per-run ``_search_start -> _seek -> first_geq ->
 scan_visible`` chain (9 calls per run searched), a generator or a
 property hop in ``sim_now`` (8 calls per call at two shards, twice per
-op) or a Python-level ``__hash__`` on ``BlockId`` / ``RID`` (one per tier
-dict probe: 17 per purged lookup).  Lower them when the path gets
+op), a Python-level ``__hash__`` on ``BlockId`` / ``RID`` (one per tier
+dict probe: 17 per purged lookup), or -- the last row (PR 22) --
+``QueryPin.__del__`` re-entering ``release`` for a pin its query already
+released (2) and a closure per query exit.  Lower them when the path gets
 shorter; raise them only deliberately.
 
 The write path has the same guard: ``call`` events per ingested row inside
@@ -68,13 +71,22 @@ commit                     customer  region  pk range  pk equality
 template + scan kernels      4669.9   904.0     821.8        194.3
 column-encoded batch keys    3196.1   902.0     819.8        191.3
 point path (see above)       3049.8   885.0     702.4        140.3
+fused kernels, row passes     385.7   257.2     258.1        105.3
 =========================  ========  ======  ========  ===========
 
 A per-call ``candidate_shape``, a per-entry generator hop in the scan, a
 per-key fence / search / first-visible call chain or a per-key
 ``encode_point_key`` in the fetch-back, or a per-row
 ``Predicate.matches`` coming back shows up in the three scatter shapes; the routed equality is mostly the point path, which has its own
-budget above.
+budget above.  The last row (PR 22) is what is left when a run searched
+is one kernel frame (``IndexRun.scan_visible`` / ``batch_visible``, no
+``search_run_hits -> _seek -> key_position_bounds -> first_geq`` chain per
+run or per batched key), a shard's entries become rows, pass their checks
+and are projected in list passes with C getters (no ``_entry_values`` /
+``passes`` / ``entry_pk`` call per entry or record: the customer shape's
+133 rows cost ~1,500 calls on their own), ``bind_values`` runs once per
+query and the planner's and the scatter prune's synopsis terms are read
+off the plan template until a publication moves them.
 """
 
 import gc
@@ -85,7 +97,7 @@ from pathlib import Path
 E2E = Path(__file__).resolve().parents[2] / "benchmarks" / "e2e"
 
 BEFORE = {"warm": 357.9, "purged": 508.4}
-CEILING = {"warm": 92.0, "purged": 212.0}
+CEILING = {"warm": 87.0, "purged": 202.0}
 
 WRITE_BEFORE = 114.2
 WRITE_CEILING = 62.0
@@ -94,7 +106,7 @@ TYPED_BEFORE = {
     "customer": 11308.5, "region": 2112.6, "range": 3235.7, "equality": 282.6,
 }
 TYPED_CEILING = {
-    "customer": 3150.0, "region": 910.0, "range": 725.0, "equality": 146.0,
+    "customer": 397.0, "region": 265.0, "range": 266.0, "equality": 108.0,
 }
 
 ROWS = 6_000

@@ -109,12 +109,13 @@ def key_of(definition: IndexDefinition, k: int) -> Tuple[Tuple[int, ...], Tuple[
     )
 
 
-def downgrade_blocks_to_v1(run) -> None:
-    """Rewrite every data block of ``run`` in the legacy v1 encoding."""
+def downgrade_blocks_to_v1(run, blocks=None) -> None:
+    """Rewrite the data blocks of ``run`` (all, or those at the indexes
+    ``blocks``) in the legacy v1 encoding."""
     from repro.core.run import encode_data_block_v1
     from repro.storage.block import Block
 
-    for bi in range(run.header.num_data_blocks):
+    for bi in range(run.header.num_data_blocks) if blocks is None else blocks:
         payload = encode_data_block_v1(run.definition, run.read_block(bi))
         block_id = run.data_block_id(bi)
         run.hierarchy.delete_everywhere(block_id)  # shared storage is immutable

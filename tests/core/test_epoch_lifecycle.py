@@ -193,6 +193,68 @@ class TestRunLifecycleUnit:
         other.release()
         assert stats.pins_entered == stats.pins_exited == 2
 
+    def test_a_released_pins_finalizer_stays_out_of_the_lifecycle(
+        self, protected_mode
+    ):
+        """Every query's pin dies released; its ``__del__`` must return at
+        once instead of re-entering ``RunLifecycle.release`` (which then
+        finds ``_released`` set -- one wasted call per query).  An
+        abandoned, never-released pin is still released by its finalizer:
+        parked when the collector runs it, drained by the next operation."""
+        import repro.core.epoch as epoch_mod
+
+        stats = EpochStats()
+        lifecycle = RunLifecycle(stats, mode=protected_mode)
+        released = []
+        real_release = lifecycle.release
+
+        def counting_release(pin, *args):
+            released.append(pin.released)
+            return real_release(pin, *args)
+
+        lifecycle.release = counting_release
+        pin = lifecycle.pin(lambda: [FakeRun("r1")])
+        pin.release()
+        assert released == [False]
+        pin.__del__()  # what dropping the last reference runs
+        del pin
+        assert released == [False]  # no second call
+
+        abandoned = lifecycle.pin(lambda: [FakeRun("r2")])
+        assert lifecycle.is_pinned("r2")
+        epoch_mod._gc_active.flag = True  # simulate: collector running
+        try:
+            del abandoned  # never released: the finalizer is the backstop
+        finally:
+            epoch_mod._gc_active.flag = False
+        assert released == [False, False]
+        assert lifecycle._pending_releases and lifecycle.is_pinned("r2")
+        lifecycle.retired_backlog()  # any lifecycle operation drains
+        assert not lifecycle.is_pinned("r2")
+        assert stats.pins_entered == stats.pins_exited == 2
+
+    def test_a_release_inside_this_threads_locked_section_parks(
+        self, protected_mode
+    ):
+        """A finalizer can run at any allocation, also one made while this
+        thread holds the (non-reentrant) lifecycle mutex: a ``release``
+        issued there must park, hook and arguments with it, and be applied
+        by the next lifecycle operation -- outside the mutex."""
+        stats = EpochStats()
+        lifecycle = RunLifecycle(stats, mode=protected_mode)
+        pin = lifecycle.pin(lambda: [FakeRun("r1")])
+        done = []
+        with lifecycle._locked:
+            lifecycle.release(pin, done.append, "touched")
+            assert lifecycle._pending_releases
+            assert stats.pins_exited == 0 and not done
+        assert lifecycle.is_pinned("r1")  # is_pinned does not drain
+        lifecycle.pin(lambda: [FakeRun("r2")]).release()
+        assert not lifecycle._pending_releases
+        assert not lifecycle.is_pinned("r1")
+        assert done == ["touched"]
+        assert stats.pins_entered == stats.pins_exited == 2
+
     def test_counters_are_monotonic(self, protected_mode):
         stats = EpochStats()
         lifecycle = RunLifecycle(stats, mode=protected_mode)

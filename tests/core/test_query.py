@@ -16,9 +16,10 @@ from repro.core.query import (
     ReconcileStrategy,
     compute_scan_bounds,
     encode_point_key,
-    run_may_contain,
 )
 from repro.storage.hierarchy import StorageHierarchy
+
+from tests import reference_scan
 
 DEF = i1_definition()
 
@@ -42,6 +43,15 @@ def build_runs(groups):
 
 def executor_for(runs, **kwargs):
     return QueryExecutor(DEF, lambda: list(runs), **kwargs)
+
+
+def run_may_contain(run, query, use_synopsis=True):
+    """Does a scan search ``run``?  The executor's inlined candidate check,
+    which must agree with the section 7 predicate kept as reference."""
+    executor = executor_for([run], use_synopsis=use_synopsis)
+    searched = executor._candidates([run], query) == [run]
+    assert searched == reference_scan.run_may_contain(run, query, use_synopsis)
+    return searched
 
 
 class TestBounds:

@@ -12,11 +12,12 @@ import pytest
 from repro.core.builder import RunBuilder
 from repro.core.definition import i1_definition
 from repro.core.entry import Zone
-from repro.core.search import batch_lookup_in_run, lookup_key_in_run, search_run
+from repro.core.search import UNBOUNDED, lookup_key_in_run, search_run
 from repro.storage.hierarchy import StorageHierarchy
 
 from tests.conftest import downgrade_blocks_to_v1, make_entries
-from tests.reference_search import sort_key_at
+from tests.reference_scan import batch_lookup_in_run
+from tests.reference_search import key_position_bounds, sort_key_at
 
 DEF = i1_definition()
 
@@ -124,7 +125,7 @@ class TestBlockIndexNarrowing:
         run, _, _ = build_run(keys, block_bytes=512)
         for k in (0, 1, 150, 298, 299):
             target = key_bytes_of(k)
-            lo, hi = run.key_position_bounds(target)
+            lo, hi = key_position_bounds(run, target)
             true_first_geq = next(
                 (
                     i
@@ -134,3 +135,8 @@ class TestBlockIndexNarrowing:
                 run.entry_count,
             )
             assert lo <= true_first_geq <= hi
+            # ... and the kernel, which clamps its search onto them, starts
+            # exactly there.
+            assert list(search_run(run, target, UNBOUNDED, 1 << 40)) == [
+                run.entry_at(i) for i in range(true_first_geq, run.entry_count)
+            ]

@@ -1,7 +1,9 @@
-"""The block-local run-search kernel (``IndexRun.first_geq`` and friends).
+"""The block-local binary search inside the run kernels.
 
-Four guards: the kernel probes exactly what the old per-probe
-``locate -> block_view -> sort_key_at`` loop probed (the oracle lives in
+Four guards: the search stage of ``IndexRun.scan_visible`` -- block-index
+fences clamped onto ``[lo, hi)``, then the windowed binary search --
+probes exactly what the old per-probe ``locate -> block_view ->
+sort_key_at`` loop probed between the same fences (the oracle lives in
 ``tests/reference_search.py``); the decode / probe / I/O counters of a
 fixed fixture stay at the values the pre-kernel commit produced (but for
 ``entry_decodes`` of the range rows, which fell when scans began decoding
@@ -12,6 +14,7 @@ fetched.
 """
 
 import tracemalloc
+from bisect import bisect_left
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -27,7 +30,11 @@ from repro.storage.hierarchy import StorageHierarchy
 from repro.storage.metrics import ReadIntent
 
 from tests.conftest import downgrade_blocks_to_v1
-from tests.reference_search import reference_first_geq, sort_key_at
+from tests.reference_search import (
+    key_position_bounds,
+    reference_first_geq,
+    sort_key_at,
+)
 
 HASHED = i1_definition()
 UNBUCKETED = IndexDefinition(
@@ -117,6 +124,29 @@ def run_and_search(draw):
     return run, target, lo, hi
 
 
+def fenced(run, target, lo, hi):
+    """``[lo, hi)`` clamped onto the block-index bracket of ``target``."""
+    block_lo, block_hi = key_position_bounds(run, target)
+    return max(lo, min(block_lo, hi)), min(hi, max(block_hi, lo))
+
+
+def search_stage(run, target, lo, hi):
+    """Where ``scan_visible``'s search ends, and the keys it compared with
+    ``target`` on the way: a first-only scan to the run's end with every
+    version visible stops on the entry the search ended at."""
+    recording = RecordingTarget(target)
+    hits = [
+        hit for hits in run.scan_visible(recording, lo, hi, b"", b"", True)
+        for hit in hits
+    ]
+    # The fences' ``bisect_left`` over the block index compares through the
+    # same reflected ``__gt__``; those come first and are no probes.
+    fence_compares = RecordingTarget(target)
+    bisect_left(run._first_keys, fence_compares)
+    assert recording.seen[: len(fence_compares.seen)] == fence_compares.seen
+    return hits, recording.seen[len(fence_compares.seen):]
+
+
 class TestKernelMatchesReferenceLoop:
     @settings(max_examples=300, deadline=None)
     @given(case=run_and_search())
@@ -128,30 +158,40 @@ class TestKernelMatchesReferenceLoop:
         assert len(ordinal_of) == run.entry_count  # sort keys are unique
 
         expected_probes = []
-        expected = reference_first_geq(run, target, lo, hi, expected_probes)
+        expected = reference_first_geq(
+            run, target, *fenced(run, target, lo, hi), expected_probes
+        )
 
         run.drop_decode_cache()
         reads = run.hierarchy.stats.intents[ReadIntent.QUERY]
         reads_before = reads.reads
-        recording = RecordingTarget(target)
-        assert run.first_geq(recording, lo, hi) == expected
-        assert [ordinal_of[key] for key in recording.seen] == expected_probes
-        # One hierarchy read per distinct block probed, like the old loop.
+        hits, probed = search_stage(run, target, lo, hi)
+        assert [ordinal_of[sort_key] for sort_key, _, _ in hits] == (
+            [expected] if expected < run.entry_count else []
+        )
+        assert [ordinal_of[key] for key in probed] == expected_probes
+        # One hierarchy read per distinct block probed, like the old loop,
+        # and one for the block the scan starts in if no probe fell there.
+        touched = expected_probes + [expected] * (expected < run.entry_count)
         assert reads.reads - reads_before == len(
-            {run.locate(ordinal)[0] for ordinal in expected_probes}
+            {run.locate(ordinal)[0] for ordinal in touched}
         )
 
-    def test_probe_counter_is_charged_once_per_search(self):
+    def test_probe_counter_is_charged_once_per_entry_looked_at(self):
         entries = [make_entry(HASHED, d, m, 1) for d in range(4) for m in range(50)]
         run = RunBuilder(HASHED, StorageHierarchy(), data_block_bytes=256).build(
             "c", entries, Zone.GROOMED, 0, 0, 0
         )
         decode = run.hierarchy.stats.decode
         probes = []
-        reference_first_geq(run, b"\x80", 0, run.entry_count, probes)
+        reference_first_geq(
+            run, b"\x80", *fenced(run, b"\x80", 0, run.entry_count), probes
+        )
         before = decode.raw_key_probes
-        run.first_geq(b"\x80", 0, run.entry_count)
-        assert decode.raw_key_probes - before == len(probes)
+        hits, probed = search_stage(run, b"\x80", 0, run.entry_count)
+        assert len(probed) == len(probes) and len(hits) == 1
+        # The search's probes, and the one entry the first-only scan read.
+        assert decode.raw_key_probes - before == len(probes) + 1
 
 
 # ---------------------------------------------------------------------------

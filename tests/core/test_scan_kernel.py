@@ -1,33 +1,47 @@
-"""The block-granular scan and batch kernels against the per-entry oracle.
+"""The fused scan and batch kernels against the paths they replaced.
 
-``tests/reference_scan.py`` keeps the loops the kernels replaced.  Over
+``tests/reference_scan.py`` keeps two generations of replaced code: the
+per-entry loops (one probe and one block resolution per ordinal) and the
+PR 16-20 chain of separate steps (``search_run_hits -> _seek ->
+key_position_bounds -> first_geq -> scan_visible`` per run scanned, the
+per-key ``_seek -> ... -> locate -> sort_key_at`` of a batch).  Every scan
+and every batch here goes through an ``assert_*_matches``: over
 multi-block, multi-run fixtures -- several versions per key, identical
 versions surfacing from two runs, hashed and unhashed definitions, v1 and
 v2 blocks, bounds on block edges, empty ranges, unbounded uppers and
-snapshots below / inside / above a key's versions -- the kernels must
-return the same entries, charge the same ``raw_key_probes`` and fetch the
-same blocks in the same order.
+snapshots below / inside / above a key's versions -- the kernels
+(``IndexRun.scan_visible``, ``lookup_visible``, ``batch_visible``) must
+return the same entries, charge the same ``raw_key_probes`` and
+``entry_decodes`` and fetch the same blocks in the same order.
+``TestHardCases`` builds the awkward inputs by hand, and
+``TestMutantsAreCaught`` breaks each kernel three ways and shows the same
+assertions fail.
 
-Two differences are by design and asserted as such.  ``range_scan`` walks
-its runs one after the other (like the set approach always did) instead of
-interleaving them through a heap, so against the heap oracle its block
-fetches are the same *set*, grouped by run; ``range_scan_iter`` still
-interleaves and must match the heap oracle fetch for fetch.  And a batch
-that mixes snapshots is searched in the same single pass as any other,
-where the oracle re-enters the run once per key with the cursor reset.
-Each key's binary search then runs over a sub-range of the oracle's: it
-touches no other block, and usually probes less -- but a lower-bound
-search over ``n`` elements takes ``floor(log2(n + 1))`` to
-``floor(log2(n)) + 1`` probes depending on where its midpoints fall, so a
-narrower range can cost one probe more, never two.  The kernel's probes
-are therefore bounded by the oracle's plus one per key searched
+Two differences from the *per-entry* oracle are by design and asserted as
+such.  ``range_scan`` walks its runs one after the other (like the set
+approach always did) instead of interleaving them through a heap, so
+against the heap oracle its block fetches are the same *set*, grouped by
+run; ``range_scan_iter`` still interleaves and must match the heap oracle
+fetch for fetch.  And a batch that mixes snapshots is searched in the same
+single pass as any other, where the per-entry oracle re-enters the run
+once per key with the cursor reset.  Each key's binary search then runs
+over a sub-range of the oracle's: it touches no other block, and usually
+probes less -- but a lower-bound search over ``n`` elements takes
+``floor(log2(n + 1))`` to ``floor(log2(n)) + 1`` probes depending on where
+its midpoints fall, so a narrower range can cost one probe more, never
+two.  Against that oracle the kernel's probes are therefore bounded by its
+plus one per key searched
 (``test_a_narrower_search_range_can_cost_one_more_probe`` pins the
 smallest case; an earlier wording, "may only probe less", was falsified
-by it).
+by it); against the replaced chain, which made the same single pass, they
+are equal.
 """
 
+import inspect
+import textwrap
+
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import HealthCheck, given, settings, strategies as st
 
 from repro.core.builder import RunBuilder
 from repro.core.definition import (
@@ -46,24 +60,32 @@ from repro.core.query import (
     compute_scan_bounds,
     encode_point_key,
     encode_point_keys,
-    run_may_contain,
 )
+from repro.core import run as run_module
+from repro.core.encoding import UINT64_MAX
+from repro.core.run import IndexRun
 from repro.core.search import (
-    batch_lookup_in_run,
+    UNBOUNDED,
     lookup_key_in_run,
     narrow_with_offset_array,
     search_run,
+    ts_floor,
 )
 from repro.storage.hierarchy import StorageHierarchy
 
 from tests.conftest import downgrade_blocks_to_v1
 from tests.reference_scan import (
+    batch_lookup_in_run,
+    chain_batch_lookup_in_run,
+    chain_scan_visible,
+    chain_search_run_hits,
     reference_batch_lookup_in_run,
     reference_lookup_key_in_run,
     reference_merge_runs_iter,
     reference_point_lookup,
     reference_reconcile_set,
     reference_search_run_raw,
+    run_may_contain,
 )
 
 HASHED = i1_definition(hash_bits=3)
@@ -166,10 +188,101 @@ class Observed:
         self.probes = decode.raw_key_probes - probes
         self.decodes = decode.entry_decodes - decodes
         self.fetched = fetched
+        self.counters = (self.probes, self.decodes, self.fetched)
 
 
 def executor_for(definition, runs, **options):
     return QueryExecutor(definition, collect_runs=lambda: list(runs), **options)
+
+
+def decoded(hit_lists):
+    return [view.entry(i) for hits in hit_lists for _, view, i in hits]
+
+
+def assert_scan_matches(
+    hierarchy, run, lower, upper, ts, hash_value=None, use_offset_array=True
+):
+    """One run scanned by the kernel (through ``search_run``), by the
+    replaced chain and by the per-entry loop, each from cold."""
+    arguments = (run, lower, upper, ts, hash_value, use_offset_array)
+    kernel = Observed(hierarchy, [run], lambda: list(search_run(*arguments)))
+    chain = Observed(
+        hierarchy, [run], lambda: decoded(chain_search_run_hits(*arguments))
+    )
+    oracle = Observed(hierarchy, [run], lambda: [
+        entry for _, entry in reference_search_run_raw(*arguments)
+    ])
+    assert kernel.result == chain.result == oracle.result
+    assert kernel.counters == chain.counters == oracle.counters
+    return kernel
+
+
+def assert_resumed_scan_matches(hierarchy, run, ordinal, upper, ts, first_only):
+    """The ``lo == hi`` entry: a scan told where to start makes no probe
+    of its own and equals the replaced forward scan from that ordinal."""
+    floor = ts_floor(ts)
+    chain = Observed(hierarchy, [run], lambda: decoded(chain_scan_visible(
+        run, ordinal, upper, floor, first_only
+    )))
+    # Whatever the lower key -- below, inside or above the run -- nothing
+    # is searched for.
+    for lower in (b"", upper[:-1], b"\xff" * 9):
+        kernel = Observed(hierarchy, [run], lambda: decoded(run.scan_visible(
+            lower, ordinal, ordinal, upper, floor, first_only
+        )))
+        assert kernel.result == chain.result
+        assert kernel.counters == chain.counters
+    return kernel
+
+
+def assert_batch_matches(hierarchy, run, pairs, query_ts, use_offset_array=True):
+    """One run searched for a sorted batch by the kernel, by the replaced
+    chain (the same single pass: equal to the probe) and by the per-entry
+    loop (which re-enters per key when snapshots differ: a bound)."""
+    arguments = (run, pairs, query_ts, use_offset_array)
+    kernel = Observed(hierarchy, [run], lambda: batch_lookup_in_run(*arguments))
+    chain = Observed(
+        hierarchy, [run], lambda: chain_batch_lookup_in_run(*arguments)
+    )
+    oracle = Observed(
+        hierarchy, [run], lambda: reference_batch_lookup_in_run(*arguments)
+    )
+    assert kernel.result == chain.result == oracle.result
+    assert kernel.counters == chain.counters
+    if isinstance(query_ts, int) or len(set(query_ts)) <= 1:
+        assert kernel.counters == oracle.counters
+    else:  # one pass with the cursor kept, where the oracle re-enters
+        assert kernel.probes <= oracle.probes + len(pairs)
+        assert set(kernel.fetched) <= set(oracle.fetched)
+    return kernel
+
+
+def ts_of_floor(floor):
+    """The snapshot whose ``ts_floor`` is ``floor``."""
+    if len(floor) != 8:  # the two saturated ends
+        return -1 if floor else UINT64_MAX
+    return UINT64_MAX - int.from_bytes(floor, "big")
+
+
+def batch_visible_through(reference):
+    """``IndexRun.batch_visible`` answered by a replaced run-level batch
+    search, for swapping under an executor."""
+
+    def batch_visible(run, keys, buckets, floors, slots, out):
+        shift = 64 - run.definition.hash_bits
+        pairs = [
+            (keys[slot], 0 if buckets is None else buckets[slot] << shift)
+            for slot in slots
+        ]
+        found = reference(
+            run, pairs, [ts_of_floor(floors[slot]) for slot in slots],
+            use_offset_array=buckets is not None, use_bloom=False,
+        )
+        for slot, entry in zip(slots, found):
+            if entry is not None:
+                out[slot] = entry
+
+    return batch_visible
 
 
 def assert_lookup_matches(hierarchy, run, key, ts, hash_value, use_offset_array):
@@ -223,22 +336,14 @@ class TestRangeScan:
 
     @settings(max_examples=100, deadline=None)
     @given(data=st.data())
-    def test_search_run_flattens_the_same_kernel(self, data):
+    def test_one_run_scanned_matches_the_chain_and_the_oracle(self, data):
         definition, hierarchy, runs = data.draw(fixtures())
         query = data.draw(scans(definition, runs))
         bounds = compute_scan_bounds(definition, query)
-        run = data.draw(st.sampled_from(runs))
-        use_offset_array = data.draw(st.booleans())
-        arguments = (
-            run, *bounds[:2], query.query_ts, bounds.hash_value, use_offset_array
+        assert_scan_matches(
+            hierarchy, data.draw(st.sampled_from(runs)), *bounds[:2],
+            query.query_ts, bounds.hash_value, data.draw(st.booleans()),
         )
-        expected = Observed(hierarchy, runs, lambda: [
-            entry for _, entry in reference_search_run_raw(*arguments)
-        ])
-        got = Observed(hierarchy, runs, lambda: list(search_run(*arguments)))
-        assert got.result == expected.result
-        assert got.probes == expected.probes
-        assert got.fetched == expected.fetched
 
     def test_a_scan_decodes_only_the_entries_it_returns(self):
         hierarchy = StorageHierarchy()
@@ -289,19 +394,7 @@ class TestLookups:
             [data.draw(st.integers(0, MAX_TS)) for _ in keys],  # one per key
         ]))
 
-        expected = Observed(hierarchy, runs, lambda: reference_batch_lookup_in_run(
-            run, keys, query_ts, use_offset_array
-        ))
-        got = Observed(hierarchy, runs, lambda: batch_lookup_in_run(
-            run, keys, query_ts, use_offset_array
-        ))
-        assert got.result == expected.result
-        if isinstance(query_ts, int):
-            assert got.probes == expected.probes
-            assert got.fetched == expected.fetched
-        else:  # one pass with the cursor kept, where the oracle re-enters
-            assert got.probes <= expected.probes + len(keys)
-            assert set(got.fetched) <= set(expected.fetched)
+        assert_batch_matches(hierarchy, run, keys, query_ts, use_offset_array)
 
         for n, (key, hash_value) in enumerate(keys):
             ts = query_ts if isinstance(query_ts, int) else query_ts[n]
@@ -407,9 +500,12 @@ class TestLookups:
             assert executor.lookup(*lookup) == entry
             released.clear()
 
-    @settings(max_examples=150, deadline=None)
+    @settings(
+        max_examples=150, deadline=None,
+        suppress_health_check=[HealthCheck.function_scoped_fixture],
+    )
     @given(data=st.data())
-    def test_executor_batch_lookup_matches_the_oracle(self, data):
+    def test_executor_batch_lookup_matches_the_oracle(self, monkeypatch, data):
         definition, hierarchy, runs = data.draw(fixtures())
         mixed = data.draw(st.booleans())
         lookups = [
@@ -418,25 +514,29 @@ class TestLookups:
         ]
         executor = executor_for(definition, runs)
         got = Observed(hierarchy, runs, lambda: executor.batch_lookup(lookups))
-
-        import repro.core.query as query_module
-
-        kernel = query_module.batch_lookup_in_run
-        query_module.batch_lookup_in_run = reference_batch_lookup_in_run
-        try:
-            expected = Observed(
-                hierarchy, runs, lambda: executor.batch_lookup(lookups)
-            )
-        finally:
-            query_module.batch_lookup_in_run = kernel
-        assert got.result == expected.result
         assert got.result == [executor.point_lookup(lk) for lk in lookups]
+
+        def through(reference):
+            monkeypatch.setattr(
+                IndexRun, "batch_visible", batch_visible_through(reference)
+            )
+            try:
+                return Observed(
+                    hierarchy, runs, lambda: executor.batch_lookup(lookups)
+                )
+            finally:
+                monkeypatch.undo()
+
+        chain = through(chain_batch_lookup_in_run)
+        assert got.result == chain.result
+        assert got.counters == chain.counters
+        expected = through(reference_batch_lookup_in_run)
+        assert got.result == expected.result
         if mixed:  # one pass with the cursor kept, where the oracle re-enters
             assert got.probes <= expected.probes + len(lookups) * len(runs)
             assert set(got.fetched) <= set(expected.fetched)
         else:
-            assert got.probes == expected.probes
-            assert got.fetched == expected.fetched
+            assert got.counters == expected.counters
 
     def test_a_narrower_search_range_can_cost_one_more_probe(self):
         """The falsifying example of "a mixed batch may only probe less".
@@ -484,11 +584,265 @@ class TestLookups:
         assert got.result[0] is None and got.result[1].begin_ts == 1
         assert (got.probes, expected.probes) == (9, 8)
         assert got.fetched == expected.fetched
+        assert assert_batch_matches(hierarchy, newer, keys, [0, 1]).probes == 9
 
         executor = executor_for(HASHED, runs)
         assert executor.batch_lookup(lookups) == [
             executor.point_lookup(lookup) for lookup in lookups
         ]
+
+
+def hard_run(definition, v1_blocks=()):
+    """One run of 96-byte blocks (three or four entries each): sixteen
+    versions of key (1, 3), so at an old snapshot its newer versions fill
+    whole blocks and the visible one sits blocks later, and two versions
+    of every other key, so most keys straddle a block boundary somewhere;
+    ``v1_blocks`` are rewritten in the legacy encoding."""
+    hierarchy = StorageHierarchy()
+    builder = RunBuilder(definition, hierarchy, data_block_bytes=96)
+    versions = (
+        [(1, 3, ts) for ts in range(1, 17)]
+        + [(d, m, ts) for d in range(4) for m in (0, 5, 9) for ts in (2, 30)]
+    )
+    run = builder.build(
+        "hard",
+        [make_entry(definition, d, m, ts, 0) for d, m, ts in sorted(set(versions))],
+        Zone.GROOMED, 0, 0, 0,
+    )
+    assert run.header.num_data_blocks >= 6
+    downgrade_blocks_to_v1(run, v1_blocks)
+    return hierarchy, run
+
+
+def hard_keys(definition, run):
+    """Sorted ``(key, hash)`` pairs: stored keys, keys between and around
+    them, every block's first key, keys above the last entry and --
+    hashed -- two absent keys that sort after everything in one bucket
+    (the second finds the cursor already past its bucket) and one whose
+    bucket is empty."""
+    hashed = bool(definition.equality_columns)
+
+    def key_of(device, msg):
+        eq, sort = ((device,), (msg,)) if hashed else ((), (device, msg))
+        key, hash_value = encode_point_key(definition, eq, sort)
+        return key, hash_value or 0
+
+    keys = {key_of(d, m) for d in range(-1, 6) for m in (-1, 0, 3, 4, 5, 9, 10)}
+    keys |= {
+        (
+            meta.first_sort_key[:-8],
+            int.from_bytes(meta.first_sort_key[:8], "big") if hashed else 0,
+        )
+        for meta in run.header.block_meta
+    }
+    absent = [key_of(d, 0) for d in range(6, 400)]
+    last_key = run.entry_at(run.entry_count - 1).key_bytes(definition)
+    keys.add(next(pair for pair in absent if pair[0] > last_key))
+    if hashed:
+        fences = run.bucket_fences
+        shift = 64 - definition.hash_bits
+        keys.add(next(  # an empty bucket
+            pair for pair in absent
+            if fences[pair[1] >> shift] == fences[(pair[1] >> shift) + 1]
+        ))
+        for bucket in range(len(fences) - 1):  # two keys past a bucket's end
+            if fences[bucket] == fences[bucket + 1]:
+                continue
+            top = run.entry_at(fences[bucket + 1] - 1).key_bytes(definition)
+            beyond = [
+                pair for pair in absent
+                if pair[1] >> shift == bucket and pair[0] > top
+            ]
+            if len(beyond) >= 2:
+                keys.update(beyond[:2])
+                break
+        else:
+            raise AssertionError("no bucket with two absent keys past its end")
+    return sorted(keys)
+
+
+HARD_SNAPSHOTS = (0, 1, 2, 8, 16, 29, 30, 1 << 60)
+HARD_SHAPES = [
+    pytest.param(definition, v1_blocks, id=f"{name}-{layout}")
+    for name, definition in (("hashed", HASHED), ("unbucketed", UNBUCKETED))
+    # all v2, all v1, and one v1 block in the middle of the run
+    for layout, v1_blocks in (("v2", ()), ("v1", None), ("v1-inside", (2,)))
+]
+
+
+@pytest.mark.parametrize("definition,v1_blocks", HARD_SHAPES)
+class TestHardCases:
+    """The inputs a property test finds rarely, built by hand."""
+
+    def test_scans(self, definition, v1_blocks):
+        """Every device's whole range and sub-ranges (bounds on, between
+        and beyond stored keys), ``upper_exclusive == b""`` from a target
+        below the first key, inside the run and above the last, and a
+        hashed scan of an empty bucket -- at snapshots before, inside and
+        after the sixteen versions that straddle the blocks."""
+        hierarchy, run = hard_run(definition, v1_blocks)
+        hashed = bool(definition.equality_columns)
+        queries = []
+        for device in range(-1, 6):
+            for low, high in [(None, None), (3, 3), (0, 5), (4, 9), (10, None)]:
+                lower = None if low is None else (low,)
+                upper = None if high is None else (high,)
+                if hashed:
+                    queries.append(RangeScanQuery((device,), lower, upper))
+                else:
+                    queries.append(RangeScanQuery(
+                        (), (device, *(lower or ())), (device, *(upper or ()))
+                    ))
+        cases = [
+            (*compute_scan_bounds(definition, query)[:2], bounds_hash)
+            for query in queries
+            for bounds_hash in [compute_scan_bounds(definition, query).hash_value]
+        ]
+        middle = run.entry_at(run.entry_count // 2).key_bytes(definition)
+        cases += [
+            (lower, UNBOUNDED, None) for lower in (b"", middle, b"\xff" * 40)
+        ]
+        if hashed:
+            empty = next(
+                pair for pair in hard_keys(definition, run)
+                if len(set(narrow_with_offset_array(run, pair[1]))) == 1
+            )
+            cases.append((empty[0], empty[0] + b"\xff", empty[1]))
+        straddled = False
+        for lower, upper, hash_value in cases:
+            for ts in HARD_SNAPSHOTS:
+                for use_offset_array in (True, False):
+                    observed = assert_scan_matches(
+                        hierarchy, run, lower, upper, ts, hash_value,
+                        use_offset_array,
+                    )
+                    straddled |= (
+                        len(observed.result) == 1
+                        and len({b.ordinal for b in observed.fetched}) >= 3
+                    )
+        assert straddled  # one key's visible version really sat blocks away
+
+    def test_scans_told_where_to_start(self, definition, v1_blocks):
+        """``lo == hi`` at every ordinal, the run's end included."""
+        hierarchy, run = hard_run(definition, v1_blocks)
+        for ordinal in range(run.entry_count + 1):
+            exact = (
+                run.entry_at(ordinal).key_bytes(definition) + b"\x00"
+                if ordinal < run.entry_count else b"\x00"
+            )
+            for upper, first_only in [(UNBOUNDED, False), (exact, True)]:
+                for ts in (1, 16, 1 << 60):
+                    made = assert_resumed_scan_matches(
+                        hierarchy, run, ordinal, upper, ts, first_only
+                    )
+                    assert made.probes <= run.entry_count - ordinal
+
+    def test_batches(self, definition, v1_blocks):
+        """Stored, absent, fence, past-the-end, empty-bucket and
+        already-passed-bucket keys in one batch: at one snapshot, and
+        mixing old and new snapshots key by key."""
+        hierarchy, run = hard_run(definition, v1_blocks)
+        keys = hard_keys(definition, run)
+        mixes = list(HARD_SNAPSHOTS) + [
+            [HARD_SNAPSHOTS[(n * step) % len(HARD_SNAPSHOTS)] for n in range(len(keys))]
+            for step in (1, 3, 5)
+        ]
+        spilled = False
+        for query_ts in mixes:
+            for use_offset_array in (True, False):
+                observed = assert_batch_matches(
+                    hierarchy, run, keys, query_ts, use_offset_array
+                )
+                spilled |= any(
+                    entry is not None and entry.begin_ts < 8
+                    for entry in observed.result
+                )
+        assert spilled  # a batched key was answered blocks past its newest
+
+    def test_a_single_entry_run(self, definition, v1_blocks):
+        hashed = bool(definition.equality_columns)
+        hierarchy = StorageHierarchy()
+        run = RunBuilder(definition, hierarchy, data_block_bytes=96).build(
+            "one", [make_entry(definition, 2, 5, 7, 0)], Zone.GROOMED, 0, 0, 0
+        )
+        downgrade_blocks_to_v1(run, v1_blocks and (0,))
+        pairs = sorted(
+            (key, hash_value or 0)
+            for key, hash_value in (
+                encode_point_key(definition, *(
+                    ((d,), (m,)) if hashed else ((), (d, m))
+                ))
+                for d in (1, 2, 3) for m in (4, 5, 6)
+            )
+        )
+        for ts in (0, 6, 7, 1 << 60):
+            assert_batch_matches(hierarchy, run, pairs, ts)
+            assert_batch_matches(hierarchy, run, pairs, [ts, 7] * 4 + [ts])
+            for key, hash_value in pairs:
+                assert_scan_matches(
+                    hierarchy, run, key, key + b"\x00", ts, hash_value if hashed else None
+                )
+                assert_lookup_matches(hierarchy, run, key, ts, hash_value, True)
+            assert_scan_matches(hierarchy, run, b"", UNBOUNDED, ts)
+            for ordinal in (0, 1):
+                assert_resumed_scan_matches(
+                    hierarchy, run, ordinal, UNBOUNDED, ts, False
+                )
+
+
+def mutant(method, old, new):
+    """``method`` recompiled with one piece of its source changed."""
+    source = textwrap.dedent(inspect.getsource(method))
+    assert source.count(old) == 1, old
+    namespace = {}
+    exec(source.replace(old, new), dict(vars(run_module)), namespace)
+    return namespace[method.__name__]
+
+
+CLAMP = "lo, hi = max(lo, min(block_lo, hi)), min(hi, max(block_hi, lo))"
+MUTANTS = [
+    # The fences intersected with the range but not clamped onto it: a
+    # bracket that lies past the range moves the start of the scan.
+    ("scan_visible", CLAMP, "lo, hi = max(lo, block_lo), min(hi, block_hi)"),
+    # No fences at all: same answers, probes in blocks outside the range.
+    ("scan_visible", CLAMP, "pass"),
+    # ``answered`` not reset at a new key: a key whose newest version is
+    # newer than the snapshot loses its visible one.
+    ("scan_visible", "                answered = False\n", ""),
+    # The bucket's first ordinal overriding the cursor: a search widened
+    # backwards over entries already passed.
+    ("batch_visible", "if fences[bucket] > lo:", "if True:"),
+    # The cursor not carried from key to key: every search starts over.
+    ("batch_visible", "cursor = lo", "cursor = 0"),
+    # The window held across keys but never resolved again: a probe outside
+    # it reads the wrong block's entries.
+    ("batch_visible", "if not start <= ordinal < end:", "if end == 0:"),
+]
+
+
+class TestMutantsAreCaught:
+    """Each kernel broken one way at a time; the hard cases must notice."""
+
+    def run_hard_cases(self):
+        for parameters in HARD_SHAPES:
+            cases = TestHardCases()
+            cases.test_scans(*parameters.values)
+            cases.test_scans_told_where_to_start(*parameters.values)
+            cases.test_batches(*parameters.values)
+
+    def test_the_kernels_as_written_pass(self):
+        self.run_hard_cases()
+
+    @pytest.mark.parametrize(
+        "name,old,new", MUTANTS,
+        ids=[f"{name}-{n}" for n, (name, _, _) in enumerate(MUTANTS)],
+    )
+    def test_mutant(self, monkeypatch, name, old, new):
+        monkeypatch.setattr(
+            IndexRun, name, mutant(getattr(IndexRun, name), old, new)
+        )
+        with pytest.raises((AssertionError, IndexError, UnboundLocalError)):
+            self.run_hard_cases()
 
 
 class TestColumnEncodedBatches:

@@ -13,12 +13,13 @@ from repro.core.encoding import (
 )
 from repro.core.entry import IndexEntry, RID, Zone
 from repro.core.search import (
-    batch_lookup_in_run,
     lookup_key_in_run,
     narrow_with_offset_array,
     search_run,
 )
 from repro.storage.hierarchy import StorageHierarchy
+
+from tests.reference_scan import batch_lookup_in_run
 
 DEF = i1_definition()
 

@@ -293,9 +293,33 @@ class TestWrappersCallTheIndex:
              QueryError, mistyped + "'customer' expects string, got int (5)"),
             (lambda: shard.secondary_lookup("by_customer", ("c2",), ("x",)),
              QueryError, mistyped + "'order_id' expects int64, got str ('x')"),
+            # the batch doors refuse what ``upsert`` refuses, in its words
             (lambda: shard.index_batch_lookup([((), ("x",))]), QueryError,
-             "key value of the wrong type: can only concatenate str "
-             "(not \"int\") to str"),  # the batch door, unchanged
+             mistyped + "'order_id' expects int64, got str ('x')"),
+            (lambda: shard.index_batch_lookup([((), (3,)), ((), (True,))]),
+             QueryError, mistyped + "'order_id' expects int64, got bool (True)"),
+            (lambda: shard.index_batch_lookup([((), (2**70,))]), QueryError,
+             f"key value of the wrong type: column 'order_id': integer {2**70} "
+             "outside signed 64-bit range"),
+            (lambda: shard.index.batch_lookup([(3,), (False,)], 10**9), QueryError,
+             mistyped + "'order_id' expects int64, got bool (False)"),
+            (lambda: shard.index.batch_lookup([(2**70,)], 10**9), QueryError,
+             f"key value of the wrong type: column 'order_id': integer {2**70} "
+             "outside signed 64-bit range"),
+            (lambda: shard.index.batch_lookup([(3,), (4, 5)], 10**9), QueryError,
+             "the keys of a batch differ in width"),
+            (lambda: shard.index.batch_lookup([(3, 4)], 10**9), QueryError,
+             "point lookups must bind all 1 key columns; got 2"),
+            # ... and so does the typed fetch-back, should an entry ever
+            # hand it such a primary key (rows: an entry's columns)
+            (lambda: shard._fetch_back_rids(
+                lambda row: row[1:2], [("c2", 3), ("c2", True)], 10**9
+            ), QueryError, mistyped + "'order_id' expects int64, got bool (True)"),
+            (lambda: shard._fetch_back_rids(
+                lambda row: row[1:2], [("c2", 2**70)], 10**9
+            ), QueryError,
+             f"key value of the wrong type: column 'order_id': integer {2**70} "
+             "outside signed 64-bit range"),
         ]:
             try:
                 call()

@@ -75,6 +75,11 @@ def rows(keys, generation=0):
     ]
 
 
+def plan_for(shard, query):
+    """The shard's plan for ``query``, bound to its type-checked values."""
+    return shard.plan_query(query, bind_values(shard.schema, query))
+
+
 def assert_templates_match_fresh_compiles(shard):
     templates = shard.indexes.plan_templates
     for query in QUERIES:
@@ -142,8 +147,8 @@ class TestTemplateEqualsFreshCompile:
         shard = make_shard()
         shard.ingest(rows(range(30)))
         shard.run_cycles(2)
-        one = shard.plan_query(Query(equalities=(("customer", "c1"),)))
-        two = shard.plan_query(Query(equalities=(("customer", "c4"),)))
+        one = plan_for(shard, Query(equalities=(("customer", "c1"),)))
+        two = plan_for(shard, Query(equalities=(("customer", "c4"),)))
         assert one.equality_values == ("c1",) and two.equality_values == ("c4",)
         assert [p.value for p in two.record_checks] == ["c4"]
         assert one.record_pk is two.record_pk and one.entry_pk is two.entry_pk

@@ -9,6 +9,7 @@ import pytest
 
 from repro.core.definition import ColumnSpec, ColumnType
 from repro.planner import Query, SynopsisCatalog, plan_smart
+from repro.planner.plan import bind_values
 from repro.planner.smart import (
     FETCH_BACK_PROBE_COST,
     RECORD_FETCH_COST,
@@ -51,6 +52,11 @@ def seed(shard, n=50):
         (i, f"c{i % 5}", f"r{i % 3}", i * 10) for i in range(n)
     ])
     shard.run_cycles(4)
+
+
+def plan_for(shard, query):
+    """The shard's plan for ``query``, bound to its type-checked values."""
+    return shard.plan_query(query, bind_values(shard.schema, query))
 
 
 class TestSynopsis:
@@ -132,7 +138,7 @@ class TestCostModel:
     def test_covering_secondary_beats_primary_scan(self):
         shard = make_shard()
         seed(shard)
-        plan = shard.plan_query(Query(
+        plan = plan_for(shard, Query(
             equalities=(("customer", "c1"),),
             projection=("order_id", "amount"),
         ))
@@ -147,13 +153,13 @@ class TestCostModel:
     def test_primary_point_beats_secondaries(self):
         shard = make_shard()
         seed(shard)
-        plan = shard.plan_query(Query(equalities=(("order_id", 7),)))
+        plan = plan_for(shard, Query(equalities=(("order_id", 7),)))
         assert plan.index_name == "primary" and plan.mode == "point"
 
     def test_index_only_discount_is_the_fetch_cost(self):
         shard = make_shard()
         seed(shard)
-        plan = shard.plan_query(Query(
+        plan = plan_for(shard, Query(
             equalities=(("customer", "c1"),),
             projection=("order_id", "amount"),
         ))
@@ -170,15 +176,15 @@ class TestCostModel:
     def test_int_range_selectivity_scales_estimate(self):
         shard = make_shard()
         seed(shard)
-        narrow = shard.plan_query(Query(ranges=(("order_id", 0, 4),)))
-        wide = shard.plan_query(Query(ranges=(("order_id", 0, 39),)))
+        narrow = plan_for(shard, Query(ranges=(("order_id", 0, 4),)))
+        wide = plan_for(shard, Query(ranges=(("order_id", 0, 39),)))
         assert narrow.rows_est == pytest.approx(5.0)
         assert wide.rows_est == pytest.approx(40.0)
 
     def test_index_hint_restricts_candidates(self):
         shard = make_shard()
         seed(shard)
-        plan = shard.plan_query(Query(
+        plan = plan_for(shard, Query(
             equalities=(("order_id", 7),), index_hint="primary",
         ))
         assert {c["index"] for c in plan.considered} == {"primary"}
@@ -187,7 +193,7 @@ class TestCostModel:
         shard = make_shard()
         seed(shard)
         syn = shard.synopses.synopsis("by_region")
-        plan = shard.plan_query(Query(
+        plan = plan_for(shard, Query(
             equalities=(("region", "r1"),),
             projection=("region", "amount"),
         ))

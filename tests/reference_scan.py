@@ -15,10 +15,19 @@ blocks fetched in the same order.
 Everything goes through per-ordinal resolution
 (``tests/reference_search.py``), so one raw-key probe is charged per key
 looked at and a block is fetched when the scan first steps into it.
+
+The ``chain_*`` functions at the end are the next generation: the PR 16-20
+block-granular chain (``search_run_hits -> _search_range -> _seek ->
+key_position_bounds -> first_geq -> scan_visible`` per run scanned,
+``_seek -> key_position_bounds -> first_geq -> locate -> sort_key_at`` per
+batched key) exactly as it left ``src/`` when the fused kernels replaced
+it.  Against those the kernels must agree to the probe -- mixed-snapshot
+batches included, where the per-ordinal oracle only bounds them.
 """
 
 import heapq
-from typing import Dict, Iterator, List, Optional, Sequence, Tuple
+from itertools import repeat
+from typing import Dict, Iterator, List, Optional, Sequence, Tuple, Union
 
 from repro.core.entry import (
     IndexEntry,
@@ -28,13 +37,31 @@ from repro.core.entry import (
 from repro.core.query import (
     PointLookup,
     RangeScanQuery,
+    _scan_boxes,
+    _synopsis_overlaps,
     encode_point_key,
-    run_may_contain,
 )
 from repro.core.run import DataBlockView, IndexRun
-from repro.core.search import UNBOUNDED, narrow_with_offset_array
+from repro.core.search import UNBOUNDED, narrow_with_offset_array, ts_floor
 
-from tests.reference_search import reference_first_geq, view_at
+from tests.reference_search import (
+    chain_seek,
+    key_position_bounds,
+    reference_first_geq,
+    view_at,
+)
+
+
+def run_may_contain(
+    run: IndexRun, query: RangeScanQuery, use_synopsis: bool = True
+) -> bool:
+    """Synopsis check of section 7: a run is a candidate only if every bound
+    column value overlaps the run's recorded range (``core.query`` exported
+    it until the executor's scan and lookup inlined the check)."""
+    return run.entry_count > 0 and _synopsis_overlaps(
+        run, query.query_ts,
+        _scan_boxes(run.definition, query) if use_synopsis else (),
+    )
 
 
 def reference_iter_sort_keys(
@@ -47,7 +74,7 @@ def reference_iter_sort_keys(
 
 
 def _probe_fences(run: IndexRun, target: bytes, lo: int, hi: int) -> Tuple[int, int]:
-    block_lo, block_hi = run.key_position_bounds(target)
+    block_lo, block_hi = key_position_bounds(run, target)
     return max(lo, min(block_lo, hi)), min(hi, max(block_hi, lo))
 
 
@@ -255,3 +282,165 @@ def reference_reconcile_set(
             if current is None or begin_ts > current[0]:
                 best[key] = (begin_ts, entry)
     return [best[key][1] for key in sorted(best)]
+
+
+# ---------------------------------------------------------------------------
+# the block-granular chain of PRs 16-20
+# ---------------------------------------------------------------------------
+
+
+def chain_scan_visible(
+    run: IndexRun,
+    start_ordinal: int,
+    upper_exclusive: bytes,
+    floor: bytes,
+    first_only: bool = False,
+) -> Iterator[List[Tuple[bytes, DataBlockView, int]]]:
+    """``IndexRun.scan_visible`` when it took a start ordinal: the forward
+    scan alone, per-block hit lists."""
+    if start_ordinal >= run.entry_count:
+        return
+    stats = run.hierarchy.stats.decode
+    bounded = upper_exclusive != b""
+    previous = None
+    answered = False
+    block_index, first = run.locate(start_ordinal)
+    for bi in range(block_index, run.header.num_data_blocks):
+        view = run.block_view(bi)
+        raw = view.version == 2
+        payload, base, table = view.payload, view.base, view.table
+        count = view.count
+        hits = []
+        done = False
+        for i in range(first, count):
+            if raw:
+                at = base + table[i]
+                sort_key = payload[at : at + table[count + i]]
+            else:
+                sort_key = view.sort_key_at(i)
+            key = sort_key[:-SORT_KEY_TS_BYTES]
+            if bounded and key >= upper_exclusive:
+                done = True
+                break
+            if key != previous:
+                previous = key
+                answered = False
+            elif answered:
+                continue
+            if sort_key[-SORT_KEY_TS_BYTES:] < floor:
+                continue
+            answered = True
+            hits.append((sort_key, view, i))
+            if first_only:
+                done = True
+                break
+        if raw:
+            stats.raw_key_probes += (i + 1 if done else count) - first
+        if hits:
+            yield hits
+        if done:
+            return
+        first = 0
+
+
+def _chain_search_range(
+    run: IndexRun, hash_value: Optional[int], use_offset_array: bool
+) -> Tuple[int, int]:
+    if hash_value is not None and use_offset_array:
+        return narrow_with_offset_array(run, hash_value)
+    return 0, run.entry_count
+
+
+def chain_search_run_hits(
+    run: IndexRun,
+    lower_key: bytes,
+    upper_exclusive: bytes,
+    query_ts: int,
+    hash_value: Optional[int] = None,
+    use_offset_array: bool = True,
+) -> Iterator[List[Tuple[bytes, DataBlockView, int]]]:
+    """``search.search_run_hits``: seek, then scan, per-block hit lists."""
+    if run.entry_count == 0:
+        return
+    start = chain_seek(
+        run, lower_key, *_chain_search_range(run, hash_value, use_offset_array)
+    )
+    yield from chain_scan_visible(
+        run, start, upper_exclusive, ts_floor(query_ts)
+    )
+
+
+def chain_batch_lookup_in_run(
+    run: IndexRun,
+    sorted_keys: Sequence[Tuple[bytes, int]],
+    query_ts: Union[int, Sequence[int]],
+    use_offset_array: bool = True,
+    use_bloom: bool = True,
+) -> List[Optional[IndexEntry]]:
+    """``search.batch_lookup_in_run``: one pass, the cursor and the last
+    probe's block window kept across keys, one snapshot or one per key."""
+    results: List[Optional[IndexEntry]] = [None] * len(sorted_keys)
+    count = run.entry_count
+    if count == 0:
+        return results
+    floors = (
+        repeat(ts_floor(query_ts)) if isinstance(query_ts, int)
+        else map(ts_floor, query_ts)
+    )
+    bucketed = use_offset_array and bool(run.header.offset_array)
+    window: list = []
+    cursor = 0
+    for n, ((key, hash_value), floor) in enumerate(zip(sorted_keys, floors)):
+        if use_bloom and not run.may_contain_key(key):
+            continue
+        lo, hi = cursor, count
+        if bucketed:
+            bucket_lo, hi = narrow_with_offset_array(run, hash_value)
+            lo = max(lo, bucket_lo)
+        if lo >= hi:
+            continue
+        cursor = chain_seek(run, key, lo, hi, window)
+        if cursor >= count:
+            continue
+        if window and window[0] <= cursor < window[1]:
+            view, i = window[2], cursor - window[0]
+        else:
+            block_index, i = run.locate(cursor)
+            view = run.block_view(block_index)
+        sort_key = view.sort_key_at(i)
+        if sort_key[:-SORT_KEY_TS_BYTES] != key:
+            continue
+        if sort_key[-SORT_KEY_TS_BYTES:] >= floor:
+            results[n] = view.entry(i)
+            continue
+        for hits in chain_scan_visible(
+            run, cursor + 1, key + b"\x00", floor, first_only=True
+        ):
+            results[n] = hits[0][1].entry(hits[0][2])
+    return results
+
+
+def batch_lookup_in_run(
+    run: IndexRun,
+    sorted_keys: Sequence[Tuple[bytes, int]],
+    query_ts: Union[int, Sequence[int]],
+    use_offset_array: bool = True,
+    use_bloom: bool = True,
+) -> List[Optional[IndexEntry]]:
+    """The batch kernel ``IndexRun.batch_visible`` behind the arguments
+    the replaced ``search.batch_lookup_in_run`` took (the executor filters
+    by Bloom before the kernel; so does this)."""
+    keys = [key for key, _ in sorted_keys]
+    buckets = None
+    if use_offset_array and run.definition.has_hash_column:
+        shift = 64 - run.definition.hash_bits
+        buckets = [hash_value >> shift for _, hash_value in sorted_keys]
+    if isinstance(query_ts, int):
+        query_ts = [query_ts] * len(keys)
+    found: List[Optional[IndexEntry]] = [None] * len(keys)
+    slots = [
+        slot for slot, key in enumerate(keys)
+        if not use_bloom or run.may_contain_key(key)
+    ]
+    run.batch_visible(keys, buckets, list(map(ts_floor, query_ts)), slots, found)
+    return found

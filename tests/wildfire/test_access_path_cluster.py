@@ -113,7 +113,7 @@ class TestClusterTypedQueries:
         seed_orders(table)
         victim = table.shard_of_key((7,))
 
-        def boom(query):
+        def boom(query, values):  # values: the cluster's one bind_values
             raise TransientIOError(f"shard {victim} storage down")
 
         monkeypatch.setattr(table.shards[victim], "_query_tagged", boom)

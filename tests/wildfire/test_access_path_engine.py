@@ -107,8 +107,9 @@ class TestBatchRecordFetch:
         assert shard.catalog.fetch_records(rids) == singles
         distinct_blocks = {(rid.zone, rid.block_id) for rid in rids}
         cold_reset(shard)
-        with shard.hierarchy.attributing("records"):
-            shard.catalog.fetch_records(rids)
+        assert shard.hierarchy.attribute_reads("records") is None
+        shard.catalog.fetch_records(rids)
+        assert shard.hierarchy.attribute_reads(None) == "records"
         assert (
             shard.hierarchy.stats.attributed_reads("records")
             == len(distinct_blocks)
