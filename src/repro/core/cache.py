@@ -35,12 +35,13 @@ churned in and out of the cache.
 from __future__ import annotations
 
 import threading
-from typing import Callable, Dict, Iterable, List, Optional
+from typing import Callable, Collection, Dict, Iterable, List, Optional, Set
 
 from repro.core.entry import Zone
 from repro.core.levels import LevelConfig
 from repro.core.run import IndexRun
 from repro.core.runlist import RunList
+from repro.storage.block import BlockId
 from repro.storage.hierarchy import StorageHierarchy
 from repro.storage.metrics import ReadIntent
 
@@ -65,7 +66,7 @@ class CacheManager:
         run_lists: Dict[Zone, RunList],
         high_watermark: float = 0.85,
         low_watermark: float = 0.60,
-        pin_checker: Optional[Callable[[str], bool]] = None,
+        pinned_among: Optional[Callable[[Collection[str]], Set[str]]] = None,
     ) -> None:
         if not 0.0 < low_watermark <= high_watermark <= 1.0:
             raise ValueError("need 0 < low_watermark <= high_watermark <= 1")
@@ -74,15 +75,15 @@ class CacheManager:
         self.run_lists = run_lists
         self.high_watermark = high_watermark
         self.low_watermark = low_watermark
-        # pin_checker(run_id) -> is some live query snapshot still holding
-        # the run?  Supplied by the run lifecycle (in versionset mode a
+        # pinned_among(run_ids) -> those some live query snapshot is still
+        # holding.  Supplied by the run lifecycle (in versionset mode a
         # run counts as pinned when any query-reffed RunListVersion
         # contains it; the current version's implicit reference does not
         # count, or nothing could ever be evicted).  Eviction paths
         # (purge_run, release_after_query) skip pinned runs so a block is
         # never dropped out from under an in-flight iterator.
-        self._pin_checker = (
-            pin_checker if pin_checker is not None else lambda _run_id: False
+        self._pinned_among = (
+            pinned_among if pinned_among is not None else lambda _run_ids: ()
         )
         # Everything cached initially; levels above this are purged.
         self._current_cached_level = config.total_levels - 1
@@ -127,13 +128,12 @@ class CacheManager:
         """
         if not run.header.persisted:
             return 0
-        if self._pin_checker(run.run_id):
+        if self._pinned_among((run.run_id,)):
             self.hierarchy.stats.epochs.eviction_pin_skips += 1
             return 0
-        dropped = 0
-        for i in range(run.header.num_data_blocks):
-            if self.hierarchy.drop_from_cache(run.data_block_id(i)):
-                dropped += 1
+        dropped = self.hierarchy.drop_from_cache(
+            [run.data_block_id(i) for i in range(run.header.num_data_blocks)]
+        )
         run.fetched_blocks.clear()
         run.drop_decode_cache()
         # Keep (or restore) the header block locally so queries can plan.
@@ -183,11 +183,12 @@ class CacheManager:
     ) -> None:
         """Drop transient blocks a query pulled in from purged runs.
 
-        Per run: is its level purged and did the handle fetch anything
-        (``IndexRun.fetched_blocks``)?  Only then is there a release
-        decision, which a pin held by another query defers
-        (``eviction_pin_skips``) and which otherwise drops exactly the
-        fetched blocks.
+        Only a run whose level is purged and whose handle fetched
+        something (``IndexRun.fetched_blocks``) has a release decision to
+        make.  The lifecycle is asked once which of those runs another
+        query still pins (each one deferred, ``eviction_pin_skips``); the
+        fetched blocks of the rest -- exactly those -- leave the local
+        tiers in one :meth:`StorageHierarchy.drop_from_cache`.
 
         Maintenance touches are skipped symmetrically to :meth:`load_run`:
         under the intent-aware read mode a maintenance scan never admitted
@@ -203,29 +204,34 @@ class CacheManager:
         if intent is ReadIntent.MAINTENANCE:
             self.maintenance_bypasses += 1
             return
+        releasing: Dict[str, IndexRun] = {}
         for run in touched_purged_runs:
-            fetched = run.fetched_blocks
-            if not fetched or not self.is_purged_level(run.level):
-                continue  # nothing transient to release: no decision made
-            if self._pin_checker(run.run_id):
-                # Another query's pinned snapshot still holds this run:
-                # dropping its blocks (and decoded views) now would yank
-                # them out from under that query's live iterator.  The
-                # next query to touch the run releases them; until then a
-                # bounded SSD reclaims them through the ordinary purge
-                # pass under pressure.
+            if run.fetched_blocks and self.is_purged_level(run.level):
+                releasing[run.run_id] = run
+        if not releasing:
+            return  # nothing transient to release: no decision made
+        # Another query's pinned snapshot may still hold a run: dropping
+        # its blocks (and decoded views) now would yank them out from
+        # under that query's live iterator.  The next query to touch the
+        # run releases them; until then a bounded SSD reclaims them
+        # through the ordinary purge pass under pressure.
+        pinned = self._pinned_among(releasing)
+        doomed: List[BlockId] = []
+        for run_id, run in releasing.items():
+            if run_id in pinned:
                 self.hierarchy.stats.epochs.eviction_pin_skips += 1
                 continue
             # At a purged level only what the handle pulled in is
             # resident; deleting an absent block charges nothing, so
             # skipping the never-fetched ones moves no I/O counter.
-            while True:
-                try:  # pop-then-drop stays safe against a concurrent exit
-                    block_index = fetched.pop()
-                except KeyError:
-                    break
-                self.hierarchy.drop_from_cache(run.data_block_id(block_index))
+            fetched, block_id = run.fetched_blocks, run.data_block_id
+            try:  # pop-then-drop stays safe against a concurrent exit
+                while True:
+                    doomed.append(block_id(fetched.pop()))
+            except KeyError:
+                pass
             run.drop_decode_cache()
+        self.hierarchy.drop_from_cache(doomed)
 
     # -- the dynamic policy --------------------------------------------------------------
 

@@ -48,7 +48,9 @@ from __future__ import annotations
 import gc
 import threading
 from dataclasses import dataclass
-from typing import Callable, Dict, List, Optional, Sequence, Tuple, Union
+from typing import (
+    Callable, Collection, Dict, List, Optional, Sequence, Set, Tuple, Union,
+)
 
 from repro.core.run import IndexRun
 from repro.storage.metrics import EpochStats
@@ -234,7 +236,7 @@ class RunLifecycle:
       from its list; the reclaim action executes immediately when no live
       version (and no per-run pin) covers the run, and is parked
       otherwise, draining when the covering version dies.
-    * The cache manager consults :meth:`is_pinned` before evicting.
+    * The cache manager consults :meth:`pinned_among` before evicting.
 
     All counters land on the shared :class:`EpochStats` ledger
     (``IOStats.epochs``), so benchmarks can counter-assert "zero
@@ -601,30 +603,34 @@ class RunLifecycle:
 
     # -- inspection --------------------------------------------------------------
 
-    def is_pinned(self, run_id: str) -> bool:
-        """Is the run referenced by any live *query* pin right now?
+    def pinned_among(self, run_ids: Collection[str]) -> Set[str]:
+        """Which of ``run_ids`` does some live *query* pin reference now?
 
-        Used by cache eviction: a run is protected while some in-flight
-        query may still read its blocks.  In versionset mode the current
-        node's implicit reference does **not** count -- every live run is
-        in the current version, and eviction of unread runs must stay
-        possible -- only versions a query actually refs protect their
-        runs.  In legacy mode always ``False``: nothing tracks pins,
-        which is precisely the ablation's hazard.
+        Used by cache eviction, one pass under the mutex per query exit:
+        a run is protected while some in-flight query may still read its
+        blocks.  In versionset mode the current node's implicit reference
+        does **not** count -- every live run is in the current version,
+        and eviction of unread runs must stay possible -- only versions a
+        query actually refs protect their runs.  In legacy mode always
+        empty: nothing tracks pins, which is precisely the ablation's hazard.
         """
         if self.mode == "legacy":
-            return False
+            return set()
         with self._locked:
             # No pending-drain here: this runs inside cache eviction
             # passes, which must not execute drained release hooks.  A
             # parked (not yet drained) release just keeps the run looking
             # pinned a little longer -- the safe direction.
-            if self._pin_counts.get(run_id, 0) > 0:
-                return True
+            counts = self._pin_counts
+            pinned = {r for r in run_ids if counts.get(r, 0) > 0}
             for node in self._versions:
-                if self._query_refs_locked(node) > 0 and run_id in node.run_ids:
-                    return True
-            return False
+                if self._query_refs_locked(node) > 0:
+                    pinned.update(node.run_ids.intersection(run_ids))
+            return pinned
+
+    def is_pinned(self, run_id: str) -> bool:
+        """:meth:`pinned_among` for one run."""
+        return bool(self.pinned_among((run_id,)))
 
     def _query_refs_locked(self, node: _VersionNode) -> int:
         """Refs held by queries (the implicit current ref excluded)."""
@@ -693,8 +699,7 @@ def drop_cache_action(hierarchy, run: IndexRun) -> Callable[[], None]:
     """Local-tier-only reclamation (ancestor-protected shared copies)."""
 
     def free() -> None:
-        for block_id in run.all_block_ids():
-            hierarchy.drop_from_cache(block_id)
+        hierarchy.drop_from_cache(run.all_block_ids())
         run.drop_decode_cache()
 
     return free

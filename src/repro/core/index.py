@@ -152,7 +152,7 @@ class UmziIndex:
             self.run_lists,
             high_watermark=self.config.cache_high_watermark,
             low_watermark=self.config.cache_low_watermark,
-            pin_checker=self.lifecycle.is_pinned,
+            pinned_among=self.lifecycle.pinned_among,
         )
         self._retention_ts: Optional[int] = None
         # One structure mutex serializes evolve vs merge on this index's

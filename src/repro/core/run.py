@@ -65,6 +65,7 @@ from repro.storage.hierarchy import StorageHierarchy
 from repro.storage.metrics import DecodeStats, ReadIntent
 
 HEADER_ORDINAL = 0
+_tuple_new = tuple.__new__
 _MAGIC = b"UMZI"
 # Header v3 adds a per-data-block CRC32 to the block index so recovery can
 # re-validate runs by checksumming raw payloads instead of decoding entries.
@@ -632,7 +633,9 @@ class IndexRun:
         return BlockId(self.run_id, HEADER_ORDINAL)
 
     def data_block_id(self, block_index: int) -> BlockId:
-        return BlockId(self.run_id, block_index + 1)
+        # What ``BlockId._make`` does, minus its two Python frames: one id
+        # is built per block fetched and one per block released.
+        return _tuple_new(BlockId, (self.run_id, block_index + 1))
 
     def all_block_ids(self) -> List[BlockId]:
         return [self.header_block_id()] + [
@@ -663,13 +666,8 @@ class IndexRun:
         cached = self._views.get(block_index)
         if cached is not None:
             return cached
-        effective = (
-            intent
-            if intent is not None
-            else self.hierarchy.current_read_intent()
-        )
         block = self.hierarchy.read(
-            self.data_block_id(block_index), intent=effective
+            self.data_block_id(block_index), intent=intent
         )
         view = DataBlockView(
             self.definition, block.payload, stats=self.hierarchy.stats.decode

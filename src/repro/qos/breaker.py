@@ -105,7 +105,11 @@ class CircuitBreaker:
 
         CLOSED lets everything through; HALF_OPEN lets operations through
         as probes (counted); OPEN fails fast without touching the tier.
+        CLOSED takes no lock: a trip landing just after the read lets this
+        one operation through, as if it had taken the lock first.
         """
+        if self._state is BreakerState.CLOSED:
+            return
         with self._lock:
             state = self._state_locked()
             if state is BreakerState.OPEN:
@@ -117,6 +121,9 @@ class CircuitBreaker:
                 self._stats.breaker_probes += 1
 
     def record_success(self) -> None:
+        # CLOSED with no failure counted: nothing to clear, nothing to lock.
+        if self._state is BreakerState.CLOSED and not self._consecutive_failures:
+            return
         with self._lock:
             state = self._state_locked()
             if state is BreakerState.HALF_OPEN:

@@ -19,7 +19,7 @@ from __future__ import annotations
 
 import threading
 from contextlib import contextmanager
-from typing import Iterator, List, Optional
+from typing import Iterator, List, Optional, Sequence
 
 from repro.storage.block import Block, BlockId
 from repro.storage.memory import MemoryTier
@@ -76,6 +76,10 @@ class StorageHierarchy:
         self.memory.stats = self.stats
         self.ssd.stats = self.stats
         self.shared.stats = self.stats
+        # Held for ``read``: they live as long as the ledger (``reset``
+        # zeroes them in place) and an enum member hashes in Python.
+        self._query_reads = self.stats.intents[ReadIntent.QUERY]
+        self._maintenance_reads = self.stats.intents[ReadIntent.MAINTENANCE]
         self._intent_local = threading.local()
         self._attribution_local = threading.local()
         # Optional per-tier circuit breaker on the shared tier (ISSUE 7):
@@ -139,39 +143,47 @@ class StorageHierarchy:
         """
         self._shared_breaker = breaker
 
-    def _shared_read(
-        self, block_id: BlockId, istats: Optional[IntentStats] = None
-    ) -> Optional[Block]:
-        """``shared.read`` with capped-exponential-backoff retry.
+    def _shared_call(
+        self, op, arg, istats: Optional[IntentStats] = None, write: bool = False
+    ):
+        """``op(arg)`` -- ``shared.read`` or ``shared.write`` -- behind the
+        breaker, retried with capped exponential backoff.
 
         Transient errors (:class:`TransientIOError`) are retried up to the
         policy's attempt budget, charging each wait to the shared tier's
         simulated clock; exhausting the budget counts a give-up and
         re-raises, so the caller sees an *error*, never a wrong answer.
         Retries and give-ups are attributed to ``istats`` (the read's
-        intent) when given, and always to the aggregate fault ledger.
-        With a breaker attached, consecutive failures can trip it
-        mid-loop, in which case the next attempt fails fast with
-        ``StorageBrownout`` instead of counting a give-up.
+        intent) when given, and always to the aggregate fault ledger.  With
+        a breaker attached, consecutive failures can trip it mid-loop, and
+        the next attempt fails fast with ``StorageBrownout`` instead of
+        counting a give-up.  A retried write cannot double-apply: shared
+        storage is append-only, so it lands the block or fails again.
         """
-        policy = self.retry_policy
         breaker = self._shared_breaker
-        fstats = self.stats.faults
         attempt = 1
         while True:
             if breaker is not None:
                 breaker.check()
             try:
-                result = self.shared.read(block_id)
+                result = op(arg)
             except TransientIOError:
                 if breaker is not None:
                     breaker.record_failure()
+                policy = self.retry_policy
+                fstats = self.stats.faults
                 if policy is None or attempt >= policy.max_attempts:
-                    fstats.read_giveups += 1
+                    if write:
+                        fstats.write_giveups += 1
+                    else:
+                        fstats.read_giveups += 1
                     if istats is not None:
                         istats.giveups += 1
                     raise
-                fstats.read_retries += 1
+                if write:
+                    fstats.write_retries += 1
+                else:
+                    fstats.read_retries += 1
                 if istats is not None:
                     istats.retries += 1
                 self.stats.record_backoff(
@@ -183,38 +195,6 @@ class StorageHierarchy:
                     breaker.record_success()
                 return result
 
-    def _shared_write(self, block: Block) -> None:
-        """``shared.write`` with the same retry/backoff contract as reads.
-
-        Write retries are safe against double-apply: shared storage is
-        append-only, so a retried write either lands the block or fails
-        again -- an in-place overwrite is impossible by construction.
-        """
-        policy = self.retry_policy
-        breaker = self._shared_breaker
-        fstats = self.stats.faults
-        attempt = 1
-        while True:
-            if breaker is not None:
-                breaker.check()
-            try:
-                self.shared.write(block)
-            except TransientIOError:
-                if breaker is not None:
-                    breaker.record_failure()
-                if policy is None or attempt >= policy.max_attempts:
-                    fstats.write_giveups += 1
-                    raise
-                fstats.write_retries += 1
-                self.stats.record_backoff(
-                    TierName.SHARED.value, policy.backoff_ns(attempt)
-                )
-                attempt += 1
-            else:
-                if breaker is not None:
-                    breaker.record_success()
-                return
-
     # -- write paths ---------------------------------------------------------
 
     def write_persisted(self, block: Block, write_through_ssd: bool = True) -> None:
@@ -224,9 +204,9 @@ class StorageHierarchy:
         the durable write still succeeds and the block simply stays
         uncached until the cache manager frees space.
         """
-        self._shared_write(block)
-        if write_through_ssd and self.ssd.would_fit(block.size):
-            self.ssd.write(block)
+        self._shared_call(self.shared.write, block, write=True)
+        if write_through_ssd:
+            self.ssd.admit(block)
 
     def write_cached_only(self, block: Block, spill_to_ssd: bool = False) -> None:
         """Non-persisted write: memory only, optionally spilled to SSD."""
@@ -247,13 +227,19 @@ class StorageHierarchy:
         On a shared-storage hit the block is promoted into the SSD cache,
         reproducing the paper's block-basis transfer of purged runs --
         but only when ``promote`` is set *and* the read intent is QUERY
-        (a MAINTENANCE read never admits).  ``intent=None`` resolves through the
-        :meth:`reading_as` scope, defaulting to QUERY.  Raises
-        :class:`BlockNotFoundError` if the block is absent everywhere.
+        (a MAINTENANCE read never admits), and only while the SSD has room
+        (:meth:`SSDTier.admit` decides; a full cache never fails a read).
+        ``intent=None`` resolves through the :meth:`reading_as` scope,
+        defaulting to QUERY.  Raises :class:`BlockNotFoundError` if the
+        block is absent everywhere.
         """
         if intent is None:
             intent = self.current_read_intent()
-        istats = self.stats.intents[intent]
+        istats = (
+            self._query_reads
+            if intent is ReadIntent.QUERY
+            else self._maintenance_reads
+        )
         istats.reads += 1
         component = getattr(self._attribution_local, "component", None)
         if component is not None:
@@ -266,14 +252,12 @@ class StorageHierarchy:
         if block is not None:
             istats.ssd_hits += 1
             return block
-        block = self._shared_read(block_id, istats)
+        block = self._shared_call(self.shared.read, block_id, istats)
         if block is None:
             raise BlockNotFoundError(block_id)
         istats.shared_reads += 1
-        if promote and intent is ReadIntent.QUERY:
-            if self.ssd.would_fit(block.size):
-                self.ssd.write(block)
-                istats.promotions += 1
+        if promote and intent is ReadIntent.QUERY and self.ssd.admit(block):
+            istats.promotions += 1
         return block
 
     def read_many(
@@ -302,30 +286,29 @@ class StorageHierarchy:
         """
         istats = self.stats.intents[intent]
         istats.reads += 1
-        block = self._shared_read(block_id, istats)
+        block = self._shared_call(self.shared.read, block_id, istats)
         if block is not None:
             istats.shared_reads += 1
         return block
 
     # -- cache-management primitives ------------------------------------------
 
-    def drop_from_cache(self, block_id: BlockId) -> bool:
-        """Remove a block from the local tiers (purge); keeps shared copy."""
-        in_mem = self.memory.delete(block_id)
-        in_ssd = self.ssd.delete(block_id)
-        return in_mem or in_ssd
+    def drop_from_cache(self, block_ids: Sequence[BlockId]) -> int:
+        """Remove blocks from the local tiers (purge, query-exit release),
+        keeping the shared copies: one lock round and one ledger update
+        per tier.  Returns how many of the blocks a local tier held."""
+        if isinstance(block_ids, BlockId):  # itself a tuple: would "work"
+            raise TypeError("drop_from_cache takes a sequence of block ids")
+        in_memory = self.memory.delete_many(block_ids)
+        in_ssd = self.ssd.delete_many(block_ids)
+        return len({*in_memory, *in_ssd})
 
     def load_into_cache(self, block_id: BlockId) -> bool:
         """Fetch a block from shared storage into the SSD cache (load)."""
         if self.ssd.contains(block_id):
             return True
-        block = self._shared_read(block_id)
-        if block is None:
-            return False
-        if not self.ssd.would_fit(block.size):
-            return False
-        self.ssd.write(block)
-        return True
+        block = self._shared_call(self.shared.read, block_id)
+        return block is not None and self.ssd.admit(block)
 
     def is_cached(self, block_id: BlockId) -> bool:
         return self.memory.contains(block_id) or self.ssd.contains(block_id)
@@ -352,7 +335,5 @@ class StorageHierarchy:
         process loses all local state and must rebuild run lists from runs
         persisted in shared storage.
         """
-        for bid in list(self.memory.block_ids()):
-            self.memory.delete(bid)
-        for bid in list(self.ssd.block_ids()):
-            self.ssd.delete(bid)
+        self.memory.delete_many(self.memory.block_ids())
+        self.ssd.delete_many(self.ssd.block_ids())

@@ -6,10 +6,9 @@ spilling to SSD), and memory also serves as the hottest cache layer.
 
 from __future__ import annotations
 
-import threading
-from typing import Dict, Iterable, List, Optional
+from typing import Optional
 
-from repro.storage.block import Block, BlockId
+from repro.storage.block import Block
 from repro.storage.metrics import IOStats
 from repro.storage.tier import LatencyModel, StorageTier, TierName
 
@@ -18,7 +17,7 @@ DEFAULT_MEMORY_WRITE = LatencyModel(fixed_ns=100, per_byte_ns=0.01)
 
 
 class MemoryTier(StorageTier):
-    """Dictionary-backed block store with DRAM-like simulated latency."""
+    """Block store with DRAM-like simulated latency; a write overwrites."""
 
     def __init__(
         self,
@@ -27,41 +26,13 @@ class MemoryTier(StorageTier):
         write_latency: LatencyModel = DEFAULT_MEMORY_WRITE,
     ) -> None:
         super().__init__(TierName.MEMORY, read_latency, write_latency, stats)
-        self._blocks: Dict[BlockId, Block] = {}
-        self._lock = threading.Lock()
 
     def write(self, block: Block) -> None:
+        nbytes = len(block.payload)
         with self._lock:
+            previous = self._blocks.get(block.block_id)
+            if previous is not None:
+                self._used -= len(previous.payload)
             self._blocks[block.block_id] = block
-        self._charge_write(block.size)
-
-    def read(self, block_id: BlockId) -> Optional[Block]:
-        with self._lock:
-            block = self._blocks.get(block_id)
-        if block is not None:
-            self._charge_read(block.size)
-        return block
-
-    def delete(self, block_id: BlockId) -> bool:
-        with self._lock:
-            present = self._blocks.pop(block_id, None) is not None
-        if present:
-            self._charge_delete()
-        return present
-
-    def contains(self, block_id: BlockId) -> bool:
-        with self._lock:
-            return block_id in self._blocks
-
-    def block_ids(self) -> Iterable[BlockId]:
-        with self._lock:
-            return list(self._blocks.keys())
-
-    @property
-    def used_bytes(self) -> int:
-        with self._lock:
-            return sum(b.size for b in self._blocks.values())
-
-    def namespaces(self) -> List[str]:
-        with self._lock:
-            return sorted({bid.namespace for bid in self._blocks})
+            self._used += nbytes
+        self._charge_write(nbytes)

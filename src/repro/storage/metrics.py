@@ -478,6 +478,9 @@ class DecodeStats(_Counters):
     maintenance_entry_decodes: int = 0
 
 
+_UNTOUCHED = TierStats()
+
+
 def _add_fields(target, source) -> None:
     """Add every dataclass counter field of ``source`` into ``target``."""
     for spec in fields(source):
@@ -497,7 +500,9 @@ class IOStats:
     """
 
     def __init__(self) -> None:
-        self._lock = threading.Lock()
+        # Held wherever a tier row and ``total_sim_ns`` move together:
+        # in ``record_*`` and by each tier charging the row it bound.
+        self.lock = threading.Lock()
         self._tiers: Dict[str, TierStats] = {}
         # Total simulated nanoseconds charged across all tiers: the running
         # sum of every tier's ``sim_ns``, kept under the lock at each charge
@@ -529,17 +534,17 @@ class IOStats:
 
     def record_attributed(self, component: str) -> None:
         """Charge one block read to ``component`` (attribution scopes)."""
-        with self._lock:
+        with self.lock:
             self._attribution[component] = self._attribution.get(component, 0) + 1
 
     def attributed_reads(self, component: str) -> int:
         """Block reads charged to ``component`` (0 if never scoped)."""
-        with self._lock:
+        with self.lock:
             return self._attribution.get(component, 0)
 
     def attribution_snapshot(self) -> Dict[str, int]:
         """Copy of the per-component read-attribution counters."""
-        with self._lock:
+        with self.lock:
             return dict(self._attribution)
 
     def for_intent(self, intent: ReadIntent) -> IntentStats:
@@ -553,28 +558,43 @@ class IOStats:
             for intent, stats in self.intents.items()
         }
 
+    def row(self, tier: str) -> TierStats:
+        """The live counter row of one tier, created on first ask and kept
+        for the life of the ledger (:meth:`reset` zeroes it in place).  A
+        tier binds it once and charges it under :attr:`lock`; a row never
+        charged is left out of :meth:`snapshot`."""
+        with self.lock:
+            return self._row_locked(tier)
+
+    def _row_locked(self, tier: str) -> TierStats:
+        row = self._tiers.get(tier)
+        if row is None:
+            row = self._tiers[tier] = TierStats()
+        return row
+
     def record_read(self, tier: str, nbytes: int, sim_ns: int) -> None:
-        with self._lock:
-            stats = self._tiers.setdefault(tier, TierStats())
-            stats.reads += 1
-            stats.bytes_read += nbytes
-            stats.sim_ns += sim_ns
+        with self.lock:
+            row = self._row_locked(tier)
+            row.reads += 1
+            row.bytes_read += nbytes
+            row.sim_ns += sim_ns
             self.total_sim_ns += sim_ns
 
     def record_write(self, tier: str, nbytes: int, sim_ns: int) -> None:
-        with self._lock:
-            stats = self._tiers.setdefault(tier, TierStats())
-            stats.writes += 1
-            stats.bytes_written += nbytes
-            stats.sim_ns += sim_ns
+        with self.lock:
+            row = self._row_locked(tier)
+            row.writes += 1
+            row.bytes_written += nbytes
+            row.sim_ns += sim_ns
             self.total_sim_ns += sim_ns
 
-    def record_delete(self, tier: str, sim_ns: int) -> None:
-        with self._lock:
-            stats = self._tiers.setdefault(tier, TierStats())
-            stats.deletes += 1
-            stats.sim_ns += sim_ns
-            self.total_sim_ns += sim_ns
+    def record_delete(self, tier: str, sim_ns: int, count: int = 1) -> None:
+        """Charge ``count`` deletes of ``sim_ns`` each in one update."""
+        with self.lock:
+            row = self._row_locked(tier)
+            row.deletes += count
+            row.sim_ns += count * sim_ns
+            self.total_sim_ns += count * sim_ns
 
     def record_backoff(self, tier: str, sim_ns: int) -> None:
         """Charge retry-backoff waiting time to a tier's simulated clock.
@@ -583,21 +603,26 @@ class IOStats:
         will charge) its own I/O; this is purely the time spent waiting
         between attempts.
         """
-        with self._lock:
-            stats = self._tiers.setdefault(tier, TierStats())
-            stats.sim_ns += sim_ns
+        with self.lock:
+            row = self._row_locked(tier)
+            row.sim_ns += sim_ns
             self.total_sim_ns += sim_ns
         self.faults.backoff_sim_ns += sim_ns
 
     def tier(self, tier: str) -> TierStats:
         """Return a snapshot of one tier's counters (zeros if untouched)."""
-        with self._lock:
-            return self._tiers.get(tier, TierStats()).snapshot()
+        with self.lock:
+            row = self._tiers.get(tier)
+            return row.snapshot() if row is not None else TierStats()
 
     def snapshot(self) -> Dict[str, TierStats]:
-        """Return a snapshot of all tiers' counters."""
-        with self._lock:
-            return {name: stats.snapshot() for name, stats in self._tiers.items()}
+        """Return a snapshot of every tier that has been charged."""
+        with self.lock:
+            return {
+                name: row.snapshot()
+                for name, row in self._tiers.items()
+                if row != _UNTOUCHED
+            }
 
     def merge(self, other: "IOStats") -> "IOStats":
         """Fold another ledger's counters into this one; returns ``self``.
@@ -612,9 +637,9 @@ class IOStats:
         """
         other_tiers = other.snapshot()
         other_attribution = other.attribution_snapshot()
-        with self._lock:
+        with self.lock:
             for name, tier_stats in other_tiers.items():
-                _add_fields(self._tiers.setdefault(name, TierStats()), tier_stats)
+                _add_fields(self._row_locked(name), tier_stats)
                 self.total_sim_ns += tier_stats.sim_ns
             for component, count in other_attribution.items():
                 self._attribution[component] = (
@@ -629,8 +654,9 @@ class IOStats:
         return self
 
     def reset(self) -> None:
-        with self._lock:
-            self._tiers.clear()
+        with self.lock:
+            for row in self._tiers.values():
+                row.reset()  # in place: the tiers keep their bound rows
             self.total_sim_ns = 0
             self._attribution.clear()
         self.decode.reset()

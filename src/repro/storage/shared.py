@@ -12,8 +12,7 @@ leans on are enforced here, not merely documented:
 
 from __future__ import annotations
 
-import threading
-from typing import Dict, Iterable, List, Optional
+from typing import List, Optional
 
 from repro.storage.block import Block, BlockId
 from repro.storage.metrics import IOStats
@@ -42,11 +41,10 @@ class SharedStorage(StorageTier):
         write_latency: LatencyModel = DEFAULT_SHARED_WRITE,
     ) -> None:
         super().__init__(TierName.SHARED, read_latency, write_latency, stats)
-        self._blocks: Dict[BlockId, Block] = {}
-        self._lock = threading.Lock()
         self._total_bytes_ever_written = 0
 
     def write(self, block: Block) -> None:
+        nbytes = len(block.payload)
         with self._lock:
             if block.block_id in self._blocks:
                 raise SharedStorageError(
@@ -54,54 +52,21 @@ class SharedStorage(StorageTier):
                     "shared storage; write a new block instead"
                 )
             self._blocks[block.block_id] = block
-            self._total_bytes_ever_written += block.size
-        self._charge_write(block.size)
-
-    def read(self, block_id: BlockId) -> Optional[Block]:
-        with self._lock:
-            block = self._blocks.get(block_id)
-        if block is not None:
-            self._charge_read(block.size)
-        return block
-
-    def delete(self, block_id: BlockId) -> bool:
-        with self._lock:
-            present = self._blocks.pop(block_id, None) is not None
-        if present:
-            self._charge_delete()
-        return present
-
-    def contains(self, block_id: BlockId) -> bool:
-        with self._lock:
-            return block_id in self._blocks
-
-    def block_ids(self) -> Iterable[BlockId]:
-        with self._lock:
-            return list(self._blocks.keys())
-
-    def namespaces(self) -> List[str]:
-        """Live logical objects -- the 'number of files' metadata pressure."""
-        with self._lock:
-            return sorted({bid.namespace for bid in self._blocks})
+            self._used += nbytes
+            self._total_bytes_ever_written += nbytes
+        self._charge_write(nbytes)
 
     def namespace_block_ids(self, namespace: str) -> List[BlockId]:
         """All block ids of one object, sorted by ordinal."""
-        with self._lock:
-            ids = [bid for bid in self._blocks if bid.namespace == namespace]
+        ids = [bid for bid in self.block_ids() if bid.namespace == namespace]
         return sorted(ids, key=lambda b: b.ordinal)
 
     @property
     def object_count(self) -> int:
-        with self._lock:
-            return len({bid.namespace for bid in self._blocks})
-
-    @property
-    def used_bytes(self) -> int:
-        with self._lock:
-            return sum(b.size for b in self._blocks.values())
+        """Live logical objects -- the 'number of files' metadata pressure."""
+        return len(self.namespaces())
 
     @property
     def write_amplification_bytes(self) -> int:
         """Total bytes ever written -- numerator of write amplification."""
-        with self._lock:
-            return self._total_bytes_ever_written
+        return self._total_bytes_ever_written

@@ -9,10 +9,9 @@ level-based policy, not device-level LRU.
 
 from __future__ import annotations
 
-import threading
-from typing import Dict, Iterable, Optional
+from typing import Optional
 
-from repro.storage.block import Block, BlockId
+from repro.storage.block import Block
 from repro.storage.metrics import IOStats
 from repro.storage.tier import LatencyModel, StorageTier, TierName
 
@@ -40,70 +39,51 @@ class SSDTier(StorageTier):
     ) -> None:
         super().__init__(TierName.SSD, read_latency, write_latency, stats)
         self.capacity_bytes = capacity_bytes
-        self._blocks: Dict[BlockId, Block] = {}
-        self._used = 0
-        self._lock = threading.Lock()
+
+    def admit(self, block: Block) -> bool:
+        """Store ``block`` unless that would exceed the capacity -- the only
+        way into this tier.  The check (of the bytes the block *adds*, a
+        held copy counted off) and the insert are one critical section, so
+        no writer can take the room between them; a block that does not
+        fit is left out, uncharged, and ``False`` comes back."""
+        nbytes = len(block.payload)
+        capacity = self.capacity_bytes
+        with self._lock:
+            added = nbytes
+            previous = self._blocks.get(block.block_id)
+            if previous is not None:
+                added -= len(previous.payload)
+            if capacity is not None and self._used + added > capacity:
+                return False
+            self._blocks[block.block_id] = block
+            self._used += added
+        self._charge_write(nbytes)
+        return True
 
     def write(self, block: Block) -> None:
-        with self._lock:
-            previous = self._blocks.get(block.block_id)
-            delta = block.size - (previous.size if previous is not None else 0)
-            if self.capacity_bytes is not None and self._used + delta > self.capacity_bytes:
-                raise SSDCapacityError(
-                    f"SSD capacity {self.capacity_bytes}B exceeded writing "
-                    f"{block.block_id} ({block.size}B; used {self._used}B)"
-                )
-            self._blocks[block.block_id] = block
-            self._used += delta
-        self._charge_write(block.size)
-
-    def read(self, block_id: BlockId) -> Optional[Block]:
-        with self._lock:
-            block = self._blocks.get(block_id)
-        if block is not None:
-            self._charge_read(block.size)
-        return block
-
-    def delete(self, block_id: BlockId) -> bool:
-        with self._lock:
-            block = self._blocks.pop(block_id, None)
-            if block is not None:
-                self._used -= block.size
-        if block is not None:
-            self._charge_delete()
-        return block is not None
-
-    def contains(self, block_id: BlockId) -> bool:
-        with self._lock:
-            return block_id in self._blocks
-
-    def block_ids(self) -> Iterable[BlockId]:
-        with self._lock:
-            return list(self._blocks.keys())
-
-    @property
-    def used_bytes(self) -> int:
-        with self._lock:
-            return self._used
+        """:meth:`admit`, for callers to whom a full cache is an error."""
+        if not self.admit(block):
+            raise SSDCapacityError(
+                f"SSD capacity {self.capacity_bytes}B exceeded writing "
+                f"{block.block_id} ({block.size}B; used {self._used}B)"
+            )
 
     @property
     def free_bytes(self) -> Optional[int]:
         """Remaining capacity, or ``None`` when unbounded."""
         if self.capacity_bytes is None:
             return None
-        with self._lock:
-            return self.capacity_bytes - self._used
+        return self.capacity_bytes - self._used
 
     def utilization(self) -> float:
         """Fraction of capacity in use (0.0 when unbounded)."""
         if self.capacity_bytes is None or self.capacity_bytes == 0:
             return 0.0
-        with self._lock:
-            return self._used / self.capacity_bytes
+        return self._used / self.capacity_bytes
 
     def would_fit(self, nbytes: int) -> bool:
-        """Check whether ``nbytes`` more would fit without writing."""
-        if self.capacity_bytes is None:
-            return True
-        with self._lock:
-            return self._used + nbytes <= self.capacity_bytes
+        """Would ``nbytes`` more fit right now?  An estimate for sizing a
+        whole-run load up front; :meth:`admit` is what decides per block."""
+        return self.capacity_bytes is None or (
+            self._used + nbytes <= self.capacity_bytes
+        )

@@ -20,6 +20,7 @@ block-local kernel         161.6   294.3
 2d5f04b                    154.3   284.9
 no plan, exact-key kernel   88.3   202.1
 pin finalizer, no closure   84.3   196.1
+bound ledger rows, one drop 84.3   130.7
 =========================  =====  ======
 
 The ceilings below are the last row plus a little headroom for
@@ -35,8 +36,15 @@ property hop in ``sim_now`` (8 calls per call at two shards, twice per
 op), a Python-level ``__hash__`` on ``BlockId`` / ``RID`` (one per tier
 dict probe: 17 per purged lookup), or -- the last row (PR 22) --
 ``QueryPin.__del__`` re-entering ``release`` for a pin its query already
-released (2) and a closure per query exit.  Lower them when the path gets
-shorter; raise them only deliberately.
+released (2) and a closure per query exit.  The purged column's last row
+(PR 24) is the storage cycle itself: a ``TierStats()`` built per charge,
+``_charge_*`` -> ``TierName.value`` -> ``LatencyModel.cost`` ->
+``record_*`` per tier operation, ``Block.size`` five times a block, a
+locked ``would_fit`` before every ``ssd.write``, the breaker's
+``_state_locked`` twice per shared read, an ``is_pinned`` per released run
+and a ``drop_from_cache`` -> ``memory.delete`` -> ``ssd.delete`` per
+released block were ~31 calls per block fetched.  Lower them when the path
+gets shorter; raise them only deliberately.
 
 The write path has the same guard: ``call`` events per ingested row inside
 ``ingest`` + ``tick`` over the whole load of this fixture (48 rounds, 7 175
@@ -49,6 +57,8 @@ commit                          calls per row
 columnar write path (8bb587f)            123.7
 0393a71 (before)                         114.2
 block-and-column maintenance              58.5
+f9174e8 (before the bound rows)           55.6
+bound ledger rows                         51.5
 ==============================  ==============
 
 A per-row ``IndexEntry``, a per-value runtime-type dispatch or a per-key
@@ -97,10 +107,10 @@ from pathlib import Path
 E2E = Path(__file__).resolve().parents[2] / "benchmarks" / "e2e"
 
 BEFORE = {"warm": 357.9, "purged": 508.4}
-CEILING = {"warm": 87.0, "purged": 202.0}
+CEILING = {"warm": 87.0, "purged": 133.0}
 
 WRITE_BEFORE = 114.2
-WRITE_CEILING = 62.0
+WRITE_CEILING = 55.0
 
 TYPED_BEFORE = {
     "customer": 11308.5, "region": 2112.6, "range": 3235.7, "equality": 282.6,

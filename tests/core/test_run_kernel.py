@@ -356,9 +356,9 @@ class TestPurgedLookupReleasesWhatItFetched:
         dropped = []
         real_drop = hierarchy.drop_from_cache
 
-        def recording_drop(block_id):
-            dropped.append((block_id, hierarchy.is_cached(block_id)))
-            return real_drop(block_id)
+        def recording_drop(block_ids):
+            dropped.extend((bid, hierarchy.is_cached(bid)) for bid in block_ids)
+            return real_drop(block_ids)
 
         hierarchy.drop_from_cache = recording_drop
         query = hierarchy.stats.intents[ReadIntent.QUERY]

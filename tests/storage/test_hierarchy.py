@@ -78,9 +78,24 @@ class TestCachePrimitives:
     def test_drop_from_cache_keeps_shared(self):
         h = StorageHierarchy()
         h.write_persisted(blk("r", 0))
-        assert h.drop_from_cache(BlockId("r", 0)) is True
+        assert h.drop_from_cache([BlockId("r", 0)]) == 1
         assert h.shared.contains(BlockId("r", 0))
         assert not h.is_cached(BlockId("r", 0))
+
+    def test_drop_from_cache_takes_a_batch_and_counts_blocks_not_copies(self):
+        h = StorageHierarchy()
+        for i in range(3):
+            h.write_persisted(blk("r", i))
+        h.write_cached_only(blk("m", 0), spill_to_ssd=True)  # in both tiers
+        before = h.stats.tier("ssd")
+        ids = [BlockId("r", 0), BlockId("r", 2), BlockId("m", 0), BlockId("x", 9)]
+        assert h.drop_from_cache(ids) == 3
+        after = h.stats.tier("ssd")
+        assert after.deletes - before.deletes == 3
+        assert h.stats.tier("memory").deletes == 1
+        assert h.ssd.block_ids() == [BlockId("r", 1)]
+        with pytest.raises(TypeError):  # one id is a tuple too: refuse it
+            h.drop_from_cache(BlockId("r", 1))
 
     def test_load_into_cache(self):
         h = StorageHierarchy()

@@ -50,6 +50,18 @@ class TestIOStats:
     def test_unknown_tier_is_zeroes(self):
         assert IOStats().tier("nothing").reads == 0
 
+    def test_a_bound_row_survives_reset_and_hides_until_charged(self):
+        ledger = IOStats()
+        row = ledger.row("ssd")
+        assert ledger.row("ssd") is row
+        assert ledger.snapshot() == {}  # bound, never charged
+        ledger.record_delete("ssd", sim_ns=5, count=3)
+        assert (row.deletes, row.sim_ns, ledger.total_sim_ns) == (3, 15, 15)
+        ledger.reset()
+        assert ledger.row("ssd") is row and ledger.snapshot() == {}
+        ledger.record_read("ssd", nbytes=1, sim_ns=2)
+        assert ledger.snapshot() == {"ssd": TierStats(reads=1, bytes_read=1, sim_ns=2)}
+
     def test_total_sim_ns_sums_tiers(self):
         ledger = IOStats()
         ledger.record_read("a", 0, 10)

@@ -147,6 +147,30 @@ class TestLatencyAccounting:
         assert model.cost(0) == 100
         assert model.cost(50) == 200
 
+    def test_a_tier_repointed_at_another_ledger_charges_that_one(self):
+        first, second = IOStats(), IOStats()
+        tier = SSDTier(stats=first)
+        tier.write(blk("x", 0, 10))
+        tier.stats = second  # what StorageHierarchy does to tiers it is given
+        tier.write(blk("x", 1, 10))
+        second.reset()
+        tier.read(BlockId("x", 1))
+        assert first.tier("ssd").writes == 1
+        assert second.tier("ssd") == second.snapshot()["ssd"]
+        assert (second.tier("ssd").writes, second.tier("ssd").reads) == (0, 1)
+
+    def test_delete_many_charges_the_blocks_it_held_at_once(self):
+        stats = IOStats()
+        tier = MemoryTier(stats=stats)
+        for i in range(3):
+            tier.write(blk("a", i, 10))
+        before = stats.tier("memory").sim_ns
+        gone = tier.delete_many([BlockId("a", 0), BlockId("b", 7), BlockId("a", 2)])
+        assert gone == [BlockId("a", 0), BlockId("a", 2)]
+        assert stats.tier("memory").deletes == 2
+        assert stats.tier("memory").sim_ns - before == 2 * 100  # fixed write ns
+        assert tier.used_bytes == 10 and tier.block_ids() == [BlockId("a", 1)]
+
     def test_misses_charge_nothing(self):
         stats = IOStats()
         tier = MemoryTier(stats=stats)
