@@ -6,23 +6,15 @@ post-groomer, indexer and per-zone merge daemons run for real
 (``WildfireShard.start_daemons``) -- the deployment shape of paper
 section 3, not a deterministic tick loop.
 
-Compared modes (``ShardConfig.run_lifecycle``), three-way since ISSUE 5:
-
-* ``"versionset"`` (default) -- queries pin the current immutable
-  run-list version with a single Ref and release it with a single Unref.
-  Acceptance (ISSUE 5), counter-asserted: **zero** reclaim-while-pinned
-  events, **zero** query errors, and **exactly 2 version-refcount
-  operations per query independent of run count** (the deterministic
-  scaling probe below pins 4-vs-16-run indexes to prove it).
-* ``"epoch"`` -- the PR 4 per-run-refcount ledger, kept as an ablation:
-  identical safety, but every pin entry/exit walks the snapshot --
-  ``2 * runs`` refcount updates per query (``EpochStats.run_ref_ops``),
-  O(runs) growth the scaling probe counter-asserts on the same workload.
-* ``"legacy"`` -- the unprotected pre-lifecycle ablation: reclamation is
-  inline, and the ``reclaimed_while_pinned`` counter records every free
-  that raced an in-flight query (each one a potential missing-block
-  read; any errors queries do hit are tolerated and *counted* instead of
-  crashing the harness).
+Queries pin the current immutable run-list version with a single Ref and
+release it with a single Unref (the version-set run lifecycle).
+Counter-asserted: **zero** query errors while maintenance keeps retiring
+runs underneath, one Ref and one Unref per worker query (and per
+post-groom sweep), and **exactly 2 version-refcount operations per query
+independent of run count** (the deterministic scaling probe below pins
+4-vs-16-run indexes to prove it).  The per-run epoch ledger and the
+unprotected legacy lifecycle this was once compared against are retired;
+their last numbers are frozen in ``docs/benchmarks.md``.
 
 All acceptance assertions are on deterministic counters -- never on
 wall-clock ratios (see ``tools/check_flaky.py``).
@@ -44,7 +36,6 @@ from repro.wildfire.engine import ShardConfig, WildfireShard
 from repro.wildfire.schema import IndexSpec, TableSchema
 
 _SMOKE = os.environ.get("UMZI_BENCH_SMOKE") == "1"
-MODES = ("versionset", "epoch", "legacy")
 THREAD_COUNTS = (2,) if _SMOKE else (1, 2, 4)
 DURATION_S = 0.25 if _SMOKE else 0.8
 BASELINE_DEVICES = 4
@@ -54,7 +45,7 @@ SCALING_RUN_COUNTS = (4, 16)
 SCALING_QUERIES = 50
 
 
-def _make_shard(mode: str) -> WildfireShard:
+def _make_shard() -> WildfireShard:
     schema = TableSchema(
         name="ct",
         columns=(ColumnSpec("device"), ColumnSpec("msg"), ColumnSpec("reading")),
@@ -68,7 +59,6 @@ def _make_shard(mode: str) -> WildfireShard:
         spec,
         config=ShardConfig(
             post_groom_every=2,
-            run_lifecycle=mode,
             umzi=UmziConfig(data_block_bytes=2048),
         ),
     )
@@ -107,16 +97,24 @@ def _query_worker(shard, seed, stop, counters, lock):
                 errors += 1
             ops += 3
         except Exception:
-            # The legacy hazard: a reclaimed run read mid-query.  Count it;
-            # the benchmark quantifies rather than crashes.
+            # A reclaimed run read mid-query.  Count it; the benchmark
+            # quantifies rather than crashes.
             errors += 1
     with lock:
         counters["ops"] += ops
         counters["errors"] += errors
 
 
-def _run_mode(mode: str, num_threads: int):
-    shard = _make_shard(mode)
+def _run_window(num_threads: int):
+    shard = _make_shard()
+    sweeps = []
+    sweep = shard.index.post_groomed_batch_lookup
+
+    def counted_sweep(*args, **kwargs):
+        sweeps.append(1)
+        return sweep(*args, **kwargs)
+
+    shard.index.post_groomed_batch_lookup = counted_sweep
     epochs = shard.hierarchy.stats.epochs
     before = epochs.snapshot()
     stop = threading.Event()
@@ -160,32 +158,30 @@ def _run_mode(mode: str, num_threads: int):
     return {
         "ops_per_s": counters["ops"] / elapsed,
         "ops": counters["ops"],
+        "sweeps": len(sweeps),
         "errors": counters["errors"],
         "runs_retired": delta.runs_retired,
         "runs_reclaimed": delta.runs_reclaimed,
         "reclaims_deferred": delta.reclaims_deferred,
-        "reclaimed_while_pinned": delta.reclaimed_while_pinned,
         "version_refs": delta.version_refs,
         "version_unrefs": delta.version_unrefs,
         "versions_reclaimed": delta.versions_reclaimed,
-        "run_ref_ops": delta.run_ref_ops,
     }
 
 
-def _refcount_scaling(mode: str, num_runs: int) -> float:
+def _refcount_scaling(num_runs: int) -> float:
     """Deterministic probe: refcount operations per query at ``num_runs``.
 
-    Single-threaded, fixed fixture, no daemons -- the counter is exact:
-    versionset pays 2 version ops per query at any run count; epoch pays
-    ``2 * num_runs`` per-run ledger updates.
+    Single-threaded, fixed fixture, no daemons -- the counter is exact: 2
+    version ops per query at any run count.
     """
     definition = i1_definition()
     levels = LevelConfig(groomed_levels=3, post_groomed_levels=2,
                          max_runs_per_level=num_runs * 2, size_ratio=4)
     index = UmziIndex(
         definition,
-        config=UmziConfig(name=f"a11-{mode}-{num_runs}", levels=levels,
-                          data_block_bytes=2048, run_lifecycle=mode),
+        config=UmziConfig(name=f"a11-versionset-{num_runs}", levels=levels,
+                          data_block_bytes=2048),
     )
     for gid in range(num_runs):
         index.add_groomed_run(
@@ -198,94 +194,67 @@ def _refcount_scaling(mode: str, num_runs: int) -> float:
     for k in range(SCALING_QUERIES):
         index.lookup((k,), (k,))
     delta = epochs.diff(before)
-    total_ops = (
-        delta.version_refs + delta.version_unrefs + delta.run_ref_ops
-    )
-    return total_ops / SCALING_QUERIES
+    return (delta.version_refs + delta.version_unrefs) / SCALING_QUERIES
 
 
 def test_concurrent_throughput(benchmark, reporter):
-    series = []
-    metrics = {}
+    line = Series("versionset (queries/s)")
     outcomes = {}
-    for mode in MODES:
-        line = Series(f"{mode} mode (queries/s)")
-        for n in THREAD_COUNTS:
-            outcome = _run_mode(mode, n)
-            outcomes[(mode, n)] = outcome
-            line.add(n, outcome["ops_per_s"])
-        series.append(line)
-        top = outcomes[(mode, THREAD_COUNTS[-1])]
-        metrics[f"ops_per_s_{mode}"] = top["ops_per_s"]
-        metrics[f"query_errors_{mode}"] = float(top["errors"])
-        metrics[f"runs_retired_{mode}"] = float(top["runs_retired"])
-        metrics[f"reclaims_deferred_{mode}"] = float(top["reclaims_deferred"])
-        metrics[f"reclaimed_while_pinned_{mode}"] = float(
-            top["reclaimed_while_pinned"]
-        )
-    metrics["versions_reclaimed_versionset"] = float(
-        outcomes[("versionset", THREAD_COUNTS[-1])]["versions_reclaimed"]
-    )
+    for n in THREAD_COUNTS:
+        outcomes[n] = _run_window(n)
+        line.add(n, outcomes[n]["ops_per_s"])
+    top = outcomes[THREAD_COUNTS[-1]]
+    metrics = {
+        "ops_per_s_versionset": top["ops_per_s"],
+        "query_errors_versionset": float(top["errors"]),
+        "runs_retired_versionset": float(top["runs_retired"]),
+        "reclaims_deferred_versionset": float(top["reclaims_deferred"]),
+        "versions_reclaimed_versionset": float(top["versions_reclaimed"]),
+    }
 
     # Deterministic pin-cost scaling: refcount operations per query as the
-    # run count grows (versionset flat at 2; epoch linear at 2 * runs).
-    scaling_series = []
-    for mode in ("versionset", "epoch"):
-        line = Series(f"{mode} refcount ops/query")
-        for num_runs in SCALING_RUN_COUNTS:
-            per_query = _refcount_scaling(mode, num_runs)
-            line.add(num_runs, per_query)
-            metrics[f"refcount_ops_per_query_{mode}_runs{num_runs}"] = (
-                per_query
-            )
-        scaling_series.append(line)
-    series.extend(scaling_series)
+    # run count grows (flat at 2).
+    scaling = Series("versionset refcount ops/query")
+    for num_runs in SCALING_RUN_COUNTS:
+        per_query = _refcount_scaling(num_runs)
+        scaling.add(num_runs, per_query)
+        metrics[f"refcount_ops_per_query_versionset_runs{num_runs}"] = per_query
 
     result = ExperimentResult(
         figure="Ablation A11",
         title="Concurrent query throughput under live daemons",
         x_label="query threads (throughput) / runs (refcount scaling)",
         y_label="queries/s (sustained) / refcount ops per query",
-        series=series,
+        series=[line, scaling],
         notes=f"{DURATION_S}s windows, groom every {GROOM_INTERVAL_S}s, "
-              "post-groom every 2 grooms; versionset vs epoch vs legacy "
-              "run lifecycle; refcount scaling probed deterministically "
-              f"at {SCALING_RUN_COUNTS} runs",
+              "post-groom every 2 grooms; version-set run lifecycle; "
+              "refcount scaling probed deterministically at "
+              f"{SCALING_RUN_COUNTS} runs",
         metrics=metrics,
     )
     reporter(result, slug="concurrent_throughput")
 
-    # Acceptance (ISSUE 5), counter-asserted on every protected-mode
-    # window: both protected lifecycles sustain concurrent queries with
-    # ZERO reclaim-while-pinned events and zero query errors while
-    # maintenance keeps retiring runs underneath.
-    for mode in ("versionset", "epoch"):
-        for n in THREAD_COUNTS:
-            outcome = outcomes[(mode, n)]
-            assert outcome["reclaimed_while_pinned"] == 0, outcome
-            assert outcome["errors"] == 0, outcome
-            assert outcome["ops_per_s"] > 0, outcome
-            assert outcome["runs_retired"] > 0, (
-                "fixture must actually retire runs under the queries"
-            )
-            assert outcome["runs_reclaimed"] <= outcome["runs_retired"]
+    # Counter-asserted on every window: concurrent queries with zero
+    # query errors while maintenance keeps retiring runs underneath, and
+    # exactly one Ref and one Unref per worker query and per post-groom
+    # sweep -- 2 refcount ops each -- no matter how many runs the daemons
+    # piled up.
+    for outcome in outcomes.values():
+        assert outcome["errors"] == 0, outcome
+        assert outcome["ops_per_s"] > 0, outcome
+        assert outcome["runs_retired"] > 0, (
+            "fixture must actually retire runs under the queries"
+        )
+        assert outcome["runs_reclaimed"] <= outcome["runs_retired"]
+        pins = outcome["ops"] + outcome["sweeps"]
+        assert outcome["version_refs"] == pins, outcome
+        assert outcome["version_unrefs"] == pins, outcome
 
-    # Versionset pin cost under the real concurrent workload: exactly one
-    # Ref and one Unref per worker query -- 2 refcount ops each -- no
-    # matter how many runs the daemons piled up.  (The post-groomer's
-    # zone-restricted lookups use the per-run ledger, not these counters.)
-    for n in THREAD_COUNTS:
-        outcome = outcomes[("versionset", n)]
-        assert outcome["version_refs"] == outcome["ops"], outcome
-        assert outcome["version_unrefs"] == outcome["ops"], outcome
-
-    # The deterministic scaling probe: versionset is exactly 2 ops/query
-    # at every run count; epoch pays 2 * runs, i.e. O(runs) growth.
+    # The deterministic scaling probe: exactly 2 ops/query at every run
+    # count.
     for num_runs in SCALING_RUN_COUNTS:
         assert metrics[f"refcount_ops_per_query_versionset_runs{num_runs}"] \
             == 2.0
-        assert metrics[f"refcount_ops_per_query_epoch_runs{num_runs}"] \
-            == 2.0 * num_runs
 
-    # Benchmark hook: one versionset-mode window at the top thread count.
-    benchmark(lambda: _run_mode("versionset", THREAD_COUNTS[-1]))
+    # Benchmark hook: one window at the top thread count.
+    benchmark(lambda: _run_window(THREAD_COUNTS[-1]))

@@ -6,9 +6,10 @@ scales with the number of runs, on deterministic axes:
 
 * **simulated I/O nanoseconds** of the full crash-recover cycle (all
   local tiers lost, every block re-read from shared storage);
-* **checksum validations** (v3 headers: one CRC pass per block, zero
-  entry decodes) vs **entry decodes** on the pre-checksum fallback arm
-  (runs downgraded to v1 headers, every entry decoded structurally).
+* **checksum validations** (one CRC pass per block, zero entry
+  decodes).  The pre-checksum arm this was once compared against (v1
+  blocks, every entry decoded structurally) is retired; its last numbers
+  are frozen in ``docs/benchmarks.md``.
 
 Both axes come from counters and latency models, so the scaling and
 zero-decode assertions never flake on busy hosts -- and the checked-in
@@ -19,7 +20,6 @@ Set ``UMZI_BENCH_SMOKE=1`` for the CI-sized fixture.
 """
 
 import os
-from dataclasses import replace
 
 from repro.bench.fixtures import entries_for_keys
 from repro.bench.harness import (
@@ -31,8 +31,6 @@ from repro.bench.harness import (
 from repro.core.definition import i1_definition
 from repro.core.index import UmziConfig, UmziIndex
 from repro.core.levels import LevelConfig
-from repro.core.run import encode_data_block_v1
-from repro.storage.block import Block
 from repro.workloads.generator import KeyMapper
 
 _SMOKE = os.environ.get("UMZI_BENCH_SMOKE") == "1"
@@ -62,28 +60,6 @@ def _build_index(name, num_runs, entries_per_run=ENTRIES_PER_RUN):
     return index
 
 
-def _downgrade_all_to_v1(index):
-    """Rewrite every run as a pre-checksum (v1) run: recovery must fall
-    back to decoding all entries instead of CRC passes."""
-    for run in index.all_runs():
-        new_metas = []
-        for bi in range(run.header.num_data_blocks):
-            entries = run.read_block(bi)
-            payload = encode_data_block_v1(DEF, entries)
-            meta = run.header.block_meta[bi]
-            new_metas.append(
-                replace(meta, size_bytes=len(payload), checksum=None)
-            )
-            block_id = run.data_block_id(bi)
-            index.hierarchy.shared.delete(block_id)
-            index.hierarchy.shared.write(Block(block_id, payload))
-        header = replace(run.header, block_meta=tuple(new_metas))
-        header_id = run.header_block_id()
-        index.hierarchy.shared.delete(header_id)
-        index.hierarchy.shared.write(Block(header_id, header.to_bytes(DEF)))
-        run.drop_decode_cache()
-
-
 def _crash_recover(index):
     """One full crash-recovery: lose local tiers, rebuild from shared.
 
@@ -105,12 +81,10 @@ def _crash_recover(index):
 
 def test_recovery_scaling(reporter):
     v3_ns = Series("v3 checksum (sim ns)")
-    v1_ns = Series("v1 decode-fallback (sim ns)")
     v3_validations = Series("v3 checksum validations")
-    v1_decodes = Series("v1 entry decodes")
     metrics = {}
     for num_runs in RUN_COUNTS:
-        # v3 arm: per-block CRCs, zero entry decodes.
+        # Per-block CRCs, zero entry decodes.
         index = _build_index(f"a12v3-{num_runs}", num_runs)
         total_blocks = sum(r.header.num_data_blocks for r in index.all_runs())
         sim_ns, validations, decodes, wall_s = _crash_recover(index)
@@ -124,24 +98,9 @@ def test_recovery_scaling(reporter):
         v3_validations.add(num_runs, float(validations))
         metrics[f"v3_sim_ns_{num_runs}_runs"] = float(sim_ns)
 
-        # v1 arm: same data, pre-checksum headers -- wholesale decode.
-        index = _build_index(f"a12v1-{num_runs}", num_runs)
-        _downgrade_all_to_v1(index)
-        sim_ns, validations, decodes, wall_s = _crash_recover(index)
-        total_entries = num_runs * ENTRIES_PER_RUN
-        assert validations == 0  # no checksums to check
-        assert decodes >= total_entries, (
-            f"v1 fallback decoded {decodes} < {total_entries} entries"
-        )
-        print(f"v1 recovery of {num_runs} runs: {wall_s:.4f}s wall")
-        v1_ns.add(num_runs, float(sim_ns))
-        v1_decodes.add(num_runs, float(decodes))
-        metrics[f"v1_sim_ns_{num_runs}_runs"] = float(sim_ns)
-        metrics[f"v1_entry_decodes_{num_runs}_runs"] = float(decodes)
-
-    # Scaling: recovery cost grows ~linearly with run count on both arms
-    # (every surviving run is re-validated exactly once).
-    for line in (v3_ns, v1_ns, v3_validations, v1_decodes):
+    # Scaling: recovery cost grows ~linearly with run count (every
+    # surviving run is re-validated exactly once).
+    for line in (v3_ns, v3_validations):
         assert_roughly_linear(
             [float(x) for x, _ in line.points], line.ys(),
             tolerance=1.5, label=f"A12 {line.label}",
@@ -152,11 +111,10 @@ def test_recovery_scaling(reporter):
         title="Recovery scaling: simulated cost and validation work vs run count",
         x_label="surviving runs",
         y_label="sim ns / counter value",
-        series=[v3_ns, v1_ns, v3_validations, v1_decodes],
+        series=[v3_ns, v3_validations],
         notes=(
             f"{ENTRIES_PER_RUN} entries per run; full crash (local tiers "
-            "lost) before each recovery; v1 arm downgrades every header "
-            "to the pre-checksum format"
+            "lost) before each recovery"
         ),
         metrics=metrics,
     )

@@ -45,6 +45,11 @@ from repro.storage.block import BlockId
 from repro.storage.hierarchy import StorageHierarchy
 from repro.storage.metrics import ReadIntent
 
+# SSD utilization at or above which a maintenance pass purges runs (until
+# it drops below again), and under which it loads purged runs back.
+HIGH_WATERMARK = 0.85
+LOW_WATERMARK = 0.60
+
 
 class CacheManager:
     """Level-based purge/load policy over the storage hierarchy.
@@ -64,8 +69,8 @@ class CacheManager:
         config: LevelConfig,
         hierarchy: StorageHierarchy,
         run_lists: Dict[Zone, RunList],
-        high_watermark: float = 0.85,
-        low_watermark: float = 0.60,
+        high_watermark: float = HIGH_WATERMARK,
+        low_watermark: float = LOW_WATERMARK,
         pinned_among: Optional[Callable[[Collection[str]], Set[str]]] = None,
     ) -> None:
         if not 0.0 < low_watermark <= high_watermark <= 1.0:

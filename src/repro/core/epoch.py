@@ -9,38 +9,21 @@ data blocks are freed from shared storage and every local tier.  A query
 that snapshotted the lists a microsecond earlier still holds handles to
 those runs and will fault (``BlockNotFoundError``) when it reaches them.
 
-This module closes that race with deferred reclamation in one of three
-modes (``RunLifecycle(mode=...)``):
+This module closes that race with the LevelDB/RocksDB version-set design.
+Every run-list publication makes the current :class:`RunListVersion` stale;
+the next pin or retire rebuilds one immutable node carrying a refcount.  A
+query pins the *current* node with a single Ref and releases it with a
+single Unref -- **O(1) per query, independent of run count** (the countable
+invariant: exactly two refcount operations per query,
+``EpochStats.version_refs`` + ``version_unrefs``).  Retirement walks the
+live-version chain and physically frees a run only once no live version
+contains it; an obsolete version dies (``versions_reclaimed``) when its
+last reader unrefs it, unblocking the runs only it still covered.
 
-* ``"versionset"`` (default) -- the LevelDB/RocksDB version-set design.
-  Every run-list publication builds one immutable :class:`RunListVersion`
-  node carrying a refcount and a link to its predecessor; a query pins the
-  *current* node with a single Ref and releases it with a single Unref --
-  **O(1) per query, independent of run count** (the countable invariant:
-  exactly two refcount operations per query, ``EpochStats.version_refs``
-  + ``version_unrefs``).  Retirement walks the live-version chain and
-  physically frees a run only once no live version contains it; an
-  obsolete version dies (``versions_reclaimed``) when its last reader
-  unrefs it, unblocking the runs only it still covered.
-* ``"epoch"`` -- the PR 4 design, kept as an ablation: the pin ledger is a
-  per-run refcount (exact, strictly stronger than version granularity),
-  but every pin entry/exit takes the lifecycle mutex and walks the whole
-  snapshot -- O(runs) refcount updates per query, counted by
-  ``EpochStats.run_ref_ops``.
-* ``"legacy"`` -- the unprotected pre-lifecycle behaviour: retirement
-  reclaims immediately, and an (unprotected) in-flight query counter
-  records how often that freed storage under a live query
-  (``EpochStats.reclaimed_while_pinned`` -- the hazard rate
-  ``benchmarks/bench_concurrent_throughput.py`` quantifies).
-
-Publication order makes every protected mode sound: a run is always
-unlinked from its lists (one atomic tuple publication) *before* it is
-retired, so a pin either captured the run before the retire check
-(deferral) or can no longer see it at all.  Ad-hoc collectors that return
-a plain run sequence rather than the index's composed version (the
-post-groomer's zone-restricted lookup, unit-test stubs) fall back to the
-per-run ledger even in versionset mode -- their snapshot is not a
-published version, so it cannot be covered by the version chain.
+Publication order makes this sound: a run is always unlinked from its
+lists (one atomic tuple publication) *before* it is retired, so a pin
+either captured the run before the retire check (deferral) or can no
+longer see it at all.
 """
 
 from __future__ import annotations
@@ -48,14 +31,17 @@ from __future__ import annotations
 import gc
 import threading
 from dataclasses import dataclass
-from typing import (
-    Callable, Collection, Dict, List, Optional, Sequence, Set, Tuple, Union,
-)
+from typing import Callable, Collection, List, Optional, Set, Tuple
 
 from repro.core.run import IndexRun
 from repro.storage.metrics import EpochStats
 
-RUN_LIFECYCLE_MODES = ("versionset", "epoch", "legacy")
+
+class _GCFlag(threading.local):
+    """Per-thread "the cyclic collector is running" flag."""
+
+    flag = False
+
 
 # Cyclic-GC detection for finalizer-safe releases.  The collector can run
 # at any allocation -- including one made while the current thread holds a
@@ -66,7 +52,7 @@ RUN_LIFECYCLE_MODES = ("versionset", "epoch", "legacy")
 # pending list instead (GIL-atomic append; a list resize during GC cannot
 # re-enter the collector).  Refcount-driven finalization (non-cyclic) runs
 # at the decref site in executor/user code, where no storage lock is held.
-_gc_active = threading.local()
+_gc_active = _GCFlag()
 
 
 def _note_gc(phase: str, _info: dict) -> None:
@@ -74,11 +60,6 @@ def _note_gc(phase: str, _info: dict) -> None:
 
 
 gc.callbacks.append(_note_gc)
-
-
-def _in_gc_finalizer() -> bool:
-    """Is the cyclic garbage collector running on this thread right now?"""
-    return getattr(_gc_active, "flag", False)
 
 
 @dataclass(frozen=True)
@@ -104,7 +85,7 @@ class RunListVersion:
 
 
 class _VersionNode:
-    """One live entry of the version chain (versionset mode only).
+    """One live entry of the version chain.
 
     Wraps the immutable :class:`RunListVersion` with the mutable lifecycle
     state the reclamation walk needs: the refcount (one implicit ref while
@@ -119,42 +100,30 @@ class _VersionNode:
 
     __slots__ = ("version", "runs", "run_ids", "refs", "seq")
 
-    def __init__(
-        self,
-        version: Optional[RunListVersion],
-        runs: Tuple[IndexRun, ...],
-        seq: int,
-    ) -> None:
+    def __init__(self, version: RunListVersion, seq: int) -> None:
         self.version = version
-        self.runs = runs
-        self.run_ids = frozenset(run.run_id for run in runs)
+        self.runs = tuple(version.candidates())
+        self.run_ids = frozenset([run.run_id for run in self.runs])
         self.refs = 1  # the implicit "current version" reference
         self.seq = seq
 
 
 class QueryPin:
-    """A query's membership in an epoch: holds one pinned run snapshot.
+    """A query's Ref on one :class:`_VersionNode`.
 
-    In versionset mode the pin holds a :class:`_VersionNode` reference
-    (one Ref); in epoch mode it holds per-run refcounts.  Released exactly
+    ``version`` / ``runs`` are the pinned snapshot.  Released exactly
     once, by :meth:`RunLifecycle.release` (normally from the query
     executor's ``finally``); ``__del__`` is a backstop so a pin captured
-    by a generator that is created but never iterated still exits its
-    epoch when the generator is garbage-collected.
+    by a generator that is created but never iterated still releases its
+    version when the generator is garbage-collected.
     """
 
     __slots__ = ("version", "runs", "_lifecycle", "_node", "_released",
                  "__weakref__")
 
-    def __init__(
-        self,
-        lifecycle: "RunLifecycle",
-        version: Optional[RunListVersion],
-        runs: Tuple[IndexRun, ...],
-        node: Optional[_VersionNode] = None,
-    ) -> None:
-        self.version = version
-        self.runs = runs
+    def __init__(self, lifecycle: "RunLifecycle", node: _VersionNode) -> None:
+        self.version = node.version
+        self.runs = node.runs
         self._lifecycle = lifecycle
         self._node = node
         self._released = False
@@ -225,51 +194,36 @@ class _OwnedLock:
 class RunLifecycle:
     """Pin/retire/reclaim coordinator for one index instance.
 
-    * Queries call :meth:`pin` with a collector callback.  In versionset
-      mode, when the collector is the one registered via
-      :meth:`attach_collector` (the index's composed-version collector),
-      the pin is a single Ref on the current version node -- O(1); other
-      collectors run under the lifecycle mutex on the per-run ledger so
-      the snapshot they take and the pin registration stay one atomic
-      step with respect to :meth:`retire`.
+    * ``collect`` composes the published run-list tuples plus the
+      watermark into one :class:`RunListVersion` (see
+      :meth:`repro.core.index.UmziIndex._collect_version`).  It is invoked
+      under the lifecycle mutex whenever the current node is stale, so it
+      must not take locks -- the run lists' ``snapshot()`` reads are
+      lock-free by design.
+    * Queries call :meth:`pin`: one Ref on the current version node.
     * Maintenance calls :meth:`retire` *after* atomically unlinking the run
       from its list; the reclaim action executes immediately when no live
-      version (and no per-run pin) covers the run, and is parked
-      otherwise, draining when the covering version dies.
+      version covers the run, and is parked otherwise, draining when the
+      covering version dies.
     * The cache manager consults :meth:`pinned_among` before evicting.
 
     All counters land on the shared :class:`EpochStats` ledger
-    (``IOStats.epochs``), so benchmarks can counter-assert "zero
-    reclaim-while-pinned events" and "exactly two refcount operations per
-    query" the same way they assert I/O costs.
+    (``IOStats.epochs``), so benchmarks can counter-assert "exactly two
+    refcount operations per query" the same way they assert I/O costs.
     """
 
-    def __init__(self, stats: EpochStats, mode: str = "versionset") -> None:
-        if mode not in RUN_LIFECYCLE_MODES:
-            raise ValueError(
-                f"run_lifecycle must be one of {RUN_LIFECYCLE_MODES}; "
-                f"got {mode!r}"
-            )
-        self.mode = mode
+    def __init__(
+        self, stats: EpochStats, collect: Callable[[], RunListVersion]
+    ) -> None:
         self.stats = stats
+        self._collect = collect
         self._locked = _OwnedLock()
         # The publication sequence: every run-list mutation bumps it.
         self.version_seq = 0
-        # run_id -> number of live pins whose snapshot contains the run
-        # (epoch mode; versionset fallback for ad-hoc collectors).
-        self._pin_counts: Dict[str, int] = {}
-        # Versionset mode: the registered composed-version collector, the
-        # current version node, and the live chain (oldest -> newest; a
+        # The current version node and the live chain (oldest -> newest; a
         # node is live while it is current or some query still refs it).
-        self._collector: Optional[Callable[[], RunListVersion]] = None
         self._current: Optional[_VersionNode] = None
         self._versions: List[_VersionNode] = []
-        # Publications not yet folded into a current-node rebuild
-        # (ISSUE 9): note_publish only bumps this dirty count; the next
-        # pin/retire that needs the current node rebuilds once, so a
-        # merge storm's N eager rebuilds collapse to one
-        # (EpochStats.versions_coalesced counts the N-1 saved).
-        self._unbuilt_publishes = 0
         self._retired: List[_RetiredRun] = []
         # Releases parked by a finalizer (cyclic GC, or re-entering this
         # thread's own locked section), together with their deferred
@@ -278,42 +232,22 @@ class RunLifecycle:
         self._pending_releases: List[
             Tuple[QueryPin, Optional[Callable[..., None]], tuple]
         ] = []
-        # Legacy mode: deliberately unprotected in-flight query counter --
-        # just enough bookkeeping to *measure* the hazard, none to stop it.
-        self._inflight = 0
 
     # -- version publication -----------------------------------------------------
-
-    def attach_collector(
-        self, collect: Callable[[], RunListVersion]
-    ) -> None:
-        """Register the index's composed-version collector (versionset).
-
-        The collector composes the published run-list tuples plus the
-        watermark into one :class:`RunListVersion` (see
-        :meth:`repro.core.index.UmziIndex._collect_version`).  It is
-        invoked under the lifecycle mutex at every publication to rebuild
-        the current version node, so it must not take locks -- the run
-        lists' ``snapshot()``/``published()`` reads are lock-free by
-        design.  Pins whose ``collect`` argument equals the registered
-        collector take the O(1) version-Ref path.
-        """
-        self._collector = collect
 
     def note_publish(self) -> int:
         """Record one atomic run-list publication; returns the sequence.
 
-        In versionset mode a publication only marks the current version
-        node **dirty** (ISSUE 9): the O(runs) rebuild of the candidate
-        tuple + run-id set is deferred to the first pin/retire that
-        actually needs the current node (``_current_node_locked``'s
+        A publication only makes the current version node **stale**: the
+        O(runs) rebuild of the candidate tuple + run-id set is deferred to
+        the first pin/retire that actually needs the current node (the
         seq-mismatch check).  A merge storm's N back-to-back publications
         therefore cost one rebuild instead of N; the N-1 folded
         publications are counted in ``EpochStats.versions_coalesced``.
-        Queries never observe staleness -- every pin refreshes through
-        ``_current_node_locked`` -- and a stale current node between
-        publications only makes ``is_pinned``/``_covered_locked`` err on
-        the safe side (runs look covered slightly longer).
+        Queries never observe staleness -- every pin refreshes first --
+        and a stale current node between publications only makes
+        ``pinned_among``/``_covered_locked`` err on the safe side (runs
+        look covered slightly longer).
 
         Deliberately **no** reclaim actions, parked releases, or release
         hooks execute here: ``note_publish`` is invoked from
@@ -328,30 +262,20 @@ class RunLifecycle:
         with self._locked:
             self.version_seq += 1
             self.stats.versions_published += 1
-            seq = self.version_seq
-            if self.mode == "versionset" and self._collector is not None:
-                self._unbuilt_publishes += 1
-        return seq
+            return self.version_seq
 
-    def _rebuild_current_locked(self) -> _VersionNode:
-        """Install a fresh current version node from the collector.
-
-        One rebuild folds every publication since the previous one; the
-        surplus (N dirty publications -> 1 rebuild) is counted in
-        ``EpochStats.versions_coalesced``.
-        """
-        if self._unbuilt_publishes > 1:
-            self.stats.versions_coalesced += self._unbuilt_publishes - 1
-        self._unbuilt_publishes = 0
-        version = self._collector()
-        runs: Tuple[IndexRun, ...]
-        if isinstance(version, RunListVersion):
-            runs = tuple(version.candidates())
-        else:  # a collector may return a bare sequence (tests)
-            version, runs = None, tuple(version)
-        node = _VersionNode(version, runs, self.version_seq)
+    def _current_node_locked(self) -> _VersionNode:
+        """The fresh current node, rebuilding it from the collector when a
+        publication made it stale."""
+        old = self._current
+        if old is not None and old.seq == self.version_seq:
+            return old
+        folded = self.version_seq - (old.seq if old is not None else 0)
+        if folded > 1:
+            self.stats.versions_coalesced += folded - 1
+        node = _VersionNode(self._collect(), self.version_seq)
         self._versions.append(node)
-        old, self._current = self._current, node
+        self._current = node
         if old is not None:
             old.refs -= 1  # drop the implicit "current" reference
             if old.refs == 0:
@@ -364,74 +288,32 @@ class RunLifecycle:
         self._versions.remove(node)
         self.stats.versions_reclaimed += 1
 
-    def _current_node_locked(self) -> _VersionNode:
-        """The fresh current node, rebuilding if a publication was missed
-        (collector attached after publications, e.g. recovery rewires)."""
-        node = self._current
-        if node is None or node.seq != self.version_seq:
-            node = self._rebuild_current_locked()
-        return node
-
     # -- the query side ----------------------------------------------------------
 
-    def pin(
-        self,
-        collect: Callable[[], Union[RunListVersion, Sequence[IndexRun]]],
-    ) -> QueryPin:
-        """Enter an epoch: snapshot via ``collect`` and pin every run in it.
+    def pin(self) -> QueryPin:
+        """Ref the current version node: the query's snapshot.
 
-        ``collect`` may return a :class:`RunListVersion` (the index facade
-        does) or a plain newest-first run sequence (ad-hoc executors).
-
-        In versionset mode, when ``collect`` is the registered collector,
-        the pin never calls it: the current version node -- rebuilt at the
-        last publication from the very same collector -- *is* the
-        snapshot, and pinning is one refcount increment under the mutex
-        (``EpochStats.version_refs``), with no per-run loop.  Ad-hoc
-        collectors (whose snapshot is not a published version and so
-        cannot ride the version chain) fall back to the per-run ledger.
-        In epoch mode every pin walks the snapshot on the per-run ledger
-        -- O(runs) updates, counted by ``EpochStats.run_ref_ops``.
-        Either way, snapshot + registration are atomic against
+        The current node -- rebuilt from the collector at most once per
+        publication -- *is* the snapshot, and pinning is one refcount
+        increment under the mutex (``EpochStats.version_refs``), with no
+        per-run loop.  Snapshot and registration are atomic against
         :meth:`retire`.
         """
-        if self.mode == "legacy":
-            self._inflight += 1  # unprotected on purpose (the ablation)
-            self.stats.pins_entered += 1
-            return QueryPin(self, *self._unpack(collect()))
-        use_version = (
-            self.mode == "versionset"
-            and self._collector is not None
-            and collect == self._collector
-        )
         with self._locked:
-            hooks = self._drain_pending_locked()
-            if use_version:
+            hooks = self._pending_releases and self._drain_pending_locked()
+            node = self._current
+            if node is None or node.seq != self.version_seq:
                 node = self._current_node_locked()
-                node.refs += 1
-                self.stats.version_refs += 1
-                pin = QueryPin(self, node.version, node.runs, node=node)
-            else:
-                version, runs = self._unpack(collect())
-                for run in runs:
-                    self._pin_counts[run.run_id] = (
-                        self._pin_counts.get(run.run_id, 0) + 1
-                    )
-                self.stats.run_ref_ops += len(runs)
-                pin = QueryPin(self, version, runs)
+            node.refs += 1
+            self.stats.version_refs += 1
             self.stats.pins_entered += 1
-            ready = self._drain_locked()
-        self._run_hooks(hooks)
-        self._reclaim(ready)
+            pin = QueryPin(self, node)
+            ready = self._retired and self._drain_locked()
+        if hooks:
+            self._run_hooks(hooks)
+        if ready:
+            self._reclaim(ready)
         return pin
-
-    @staticmethod
-    def _unpack(
-        collected: Union[RunListVersion, Sequence[IndexRun]],
-    ) -> Tuple[Optional[RunListVersion], Tuple[IndexRun, ...]]:
-        if isinstance(collected, RunListVersion):
-            return collected, tuple(collected.candidates())
-        return None, tuple(collected)
 
     def release(
         self,
@@ -439,7 +321,7 @@ class RunLifecycle:
         after: Optional[Callable[..., None]] = None,
         *args,
     ) -> None:
-        """Exit the pin's epoch; drain any reclamations it was blocking.
+        """Unref the pin's version; drain any reclamations it was blocking.
 
         ``after(*args)`` runs once the pin no longer counts (the query
         executor's purged-block release hook and the runs it touched) --
@@ -457,47 +339,30 @@ class RunLifecycle:
         if pin._released:
             return
         pin._released = True
-        if self.mode == "legacy":
-            # The unprotected ablation: no lock, no parking (matches the
-            # pre-epoch behaviour it exists to measure).
-            self._inflight -= 1
-            self.stats.pins_exited += 1
-            if after is not None:
-                after(*args)
-            return
-        if _in_gc_finalizer() or self._locked.owner == threading.get_ident():
+        if _gc_active.flag or self._locked.owner == threading.get_ident():
             self._pending_releases.append((pin, after, args))
             return
-        ready: List[_RetiredRun] = []
         with self._locked:
-            hooks = self._drain_pending_locked()
+            hooks = self._pending_releases and self._drain_pending_locked()
             self._release_pin_locked(pin)
-            ready = self._drain_locked()
-        self._run_hooks(hooks)
-        self._reclaim(ready)
+            ready = self._retired and self._drain_locked()
+        if hooks:
+            self._run_hooks(hooks)
+        if ready:
+            self._reclaim(ready)
         if after is not None:
             after(*args)
 
     def _release_pin_locked(self, pin: QueryPin) -> None:
+        # A single Unref.  A superseded version whose last reader just
+        # left dies here, even when the Unrefs arrive out of publication
+        # order (a long-lived scan may outlive many newer versions).
         node = pin._node
-        if node is not None:
-            # Versionset: a single Unref.  A superseded version whose last
-            # reader just left dies here, even when the Unrefs arrive out
-            # of publication order (a long-lived scan may outlive many
-            # newer versions).
-            node.refs -= 1
-            self.stats.version_unrefs += 1
-            if node.refs == 0 and node is not self._current:
-                self._kill_node_locked(node)
-        else:
-            for run in pin.runs:
-                count = self._pin_counts.get(run.run_id, 0) - 1
-                if count > 0:
-                    self._pin_counts[run.run_id] = count
-                else:
-                    self._pin_counts.pop(run.run_id, None)
-            self.stats.run_ref_ops += len(pin.runs)
+        node.refs -= 1
+        self.stats.version_unrefs += 1
         self.stats.pins_exited += 1
+        if node.refs == 0 and node is not self._current:
+            self._kill_node_locked(node)
 
     def _drain_pending_locked(self) -> List[Tuple[Callable[..., None], tuple]]:
         """Apply releases parked by finalizers (see :meth:`release`).
@@ -524,35 +389,22 @@ class RunLifecycle:
         """Hand an unlinked run's free action to the lifecycle.
 
         Must be called only *after* the run has been atomically removed
-        from every published run list (so no new pin can acquire it; in
-        versionset mode the removal's publication already rebuilt the
-        current node without it).  Reclaims inline when no live version
-        or per-run pin covers the run; parks behind them otherwise.
+        from every published run list (so no new pin can acquire it).
+        Reclaims inline when no live version covers the run; parks behind
+        them otherwise.
         """
-        if self.mode == "legacy":
-            # The pre-epoch behaviour: free immediately, queries be damned.
-            self.stats.runs_retired += 1
-            if self._inflight > 0:
-                self.stats.reclaimed_while_pinned += 1
-            reclaim()
-            self.stats.runs_reclaimed += 1
-            return
-        inline = False
-        ready: List[_RetiredRun] = []
         with self._locked:
             hooks = self._drain_pending_locked()
-            if self.mode == "versionset" and self._collector is not None:
-                # Maintenance-side refresh: make sure the current node
-                # reflects the unlink that preceded this retire (O(runs),
-                # but on the maintenance thread, never under a query pin).
-                self._current_node_locked()
+            # Maintenance-side refresh: make sure the current node reflects
+            # the unlink that preceded this retire (O(runs), but on the
+            # maintenance thread, never under a query pin).
+            self._current_node_locked()
             ready = self._drain_locked()
             self.stats.runs_retired += 1
-            if self._covered_locked(run_id):
+            inline = not self._covered_locked(run_id)
+            if not inline:
                 self.stats.reclaims_deferred += 1
                 self._retired.append(_RetiredRun(run_id, reclaim))
-            else:
-                inline = True
         self._run_hooks(hooks)
         self._reclaim(ready)
         if inline:
@@ -564,36 +416,20 @@ class RunLifecycle:
             self.stats.runs_reclaimed += 1
 
     def _covered_locked(self, run_id: str) -> bool:
-        """Is the run reachable from any live version or per-run pin?
-
-        The versionset reclamation rule: walk the live-version chain (the
-        current node plus every superseded node some query still refs)
-        and the per-run ledger; a retired run stays parked while either
-        covers it.  In epoch mode only the per-run ledger exists.
-        """
-        if self._pin_counts.get(run_id, 0) > 0:
-            return True
-        if self.mode == "versionset":
-            for node in self._versions:
-                if run_id in node.run_ids:
-                    return True
+        """Is the run reachable from any live version (the current node or
+        a superseded one some query still refs)?"""
+        for node in self._versions:
+            if run_id in node.run_ids:
+                return True
         return False
 
     def _drain_locked(self) -> List[_RetiredRun]:
-        """Pop every retired run no live version or pin covers anymore."""
-        if not self._retired:
-            return []
-        ready = [
-            item
-            for item in self._retired
-            if not self._covered_locked(item.run_id)
-        ]
-        if ready:
-            self._retired = [
-                item
-                for item in self._retired
-                if self._covered_locked(item.run_id)
-            ]
+        """Pop every retired run no live version covers anymore."""
+        ready: List[_RetiredRun] = []
+        parked: List[_RetiredRun] = []
+        for item in self._retired:
+            (parked if self._covered_locked(item.run_id) else ready).append(item)
+        self._retired = parked
         return ready
 
     def _reclaim(self, ready: List[_RetiredRun]) -> None:
@@ -608,21 +444,17 @@ class RunLifecycle:
 
         Used by cache eviction, one pass under the mutex per query exit:
         a run is protected while some in-flight query may still read its
-        blocks.  In versionset mode the current node's implicit reference
-        does **not** count -- every live run is in the current version,
-        and eviction of unread runs must stay possible -- only versions a
-        query actually refs protect their runs.  In legacy mode always
-        empty: nothing tracks pins, which is precisely the ablation's hazard.
+        blocks.  The current node's implicit reference does **not** count
+        -- every live run is in the current version, and eviction of
+        unread runs must stay possible -- only versions a query actually
+        refs protect their runs.
         """
-        if self.mode == "legacy":
-            return set()
         with self._locked:
             # No pending-drain here: this runs inside cache eviction
             # passes, which must not execute drained release hooks.  A
             # parked (not yet drained) release just keeps the run looking
             # pinned a little longer -- the safe direction.
-            counts = self._pin_counts
-            pinned = {r for r in run_ids if counts.get(r, 0) > 0}
+            pinned: Set[str] = set()
             for node in self._versions:
                 if self._query_refs_locked(node) > 0:
                     pinned.update(node.run_ids.intersection(run_ids))
@@ -639,16 +471,15 @@ class RunLifecycle:
     def pinned_run_ids(self) -> List[str]:
         with self._locked:
             hooks = self._drain_pending_locked()
-            ids = set(self._pin_counts)
+            ids: Set[str] = set()
             for node in self._versions:
                 if self._query_refs_locked(node) > 0:
                     ids.update(node.run_ids)
-            ids = sorted(ids)
         self._run_hooks(hooks)  # cache-release hooks; do not alter pins
-        return ids
+        return sorted(ids)
 
     def live_version_count(self) -> int:
-        """Live version-chain length (versionset; 0 before first publish).
+        """Live version-chain length (0 before the first pin or retire).
 
         Bounded by 1 (the current node) + the number of distinct older
         versions still pinned by in-flight queries -- the whole point of
@@ -659,7 +490,6 @@ class RunLifecycle:
 
     def retired_backlog(self) -> int:
         """Retired-but-not-yet-reclaimed run count (0 when idle)."""
-        ready: List[_RetiredRun] = []
         with self._locked:
             # Parked finalizer releases may have just unblocked reclaims;
             # apply them so the reported backlog reflects live pins only.
@@ -707,7 +537,6 @@ def drop_cache_action(hierarchy, run: IndexRun) -> Callable[[], None]:
 
 __all__ = [
     "QueryPin",
-    "RUN_LIFECYCLE_MODES",
     "RunLifecycle",
     "RunListVersion",
     "delete_namespace_action",

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import threading
 from contextlib import contextmanager
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from typing import Dict, Iterable, Iterator, List, Optional, Sequence, Tuple
 
 from repro.core.builder import DEFAULT_DATA_BLOCK_BYTES, RunBuilder
@@ -78,7 +78,6 @@ class UmziConfig:
     name: str = "umzi"
     levels: LevelConfig = field(default_factory=LevelConfig)
     data_block_bytes: int = DEFAULT_DATA_BLOCK_BYTES
-    reconcile: ReconcileStrategy = ReconcileStrategy.PRIORITY_QUEUE
     use_synopsis: bool = True
     use_offset_array: bool = True
     # Extension beyond the paper: per-key (instead of batch-granularity)
@@ -87,17 +86,7 @@ class UmziConfig:
     # Extension beyond the paper: per-run Bloom filters for point-lookup
     # run pruning (None = off; otherwise the false-positive rate).
     bloom_fpr: Optional[float] = None
-    cache_high_watermark: float = 0.85
-    cache_low_watermark: float = 0.60
     release_purged_blocks_after_query: bool = True
-    # Run lifecycle under concurrent maintenance: "versionset" (default)
-    # refcounts immutable RunListVersions LevelDB/RocksDB-style -- one
-    # Ref/Unref per query, O(1) regardless of run count -- and defers
-    # physical reclamation of retired runs until no live version contains
-    # them; "epoch" is the per-run-refcount ablation (same safety, O(runs)
-    # pin cost); "legacy" is the unprotected ablation (retired runs are
-    # freed inline, racing in-flight queries).  See repro.core.epoch.
-    run_lifecycle: str = "versionset"
 
 
 class UmziIndex:
@@ -120,8 +109,10 @@ class UmziIndex:
         # Version-set run lifecycle: queries pin immutable run-list
         # versions; maintenance retires unlinked runs through it so frees
         # defer until no live version holds them (see repro.core.epoch).
+        # The collector first runs at the first pin or retire, after the
+        # run lists and the watermark below exist.
         self.lifecycle = RunLifecycle(
-            self.hierarchy.stats.epochs, mode=self.config.run_lifecycle
+            self.hierarchy.stats.epochs, self._collect_version
         )
         self.run_lists: Dict[Zone, RunList] = {
             Zone.GROOMED: RunList(
@@ -134,11 +125,6 @@ class UmziIndex:
             ),
         }
         self.watermark = Watermark()
-        # Registered AFTER the run lists exist: every publication rebuilds
-        # the lifecycle's current version node through this collector, and
-        # pins arriving through it (executor queries, snapshot_view) take
-        # the O(1) version-Ref path in versionset mode.
-        self.lifecycle.attach_collector(self._collect_version)
         self.journal = MetadataJournal(
             self.hierarchy, namespace=f"{self.config.name}-meta"
         )
@@ -150,8 +136,6 @@ class UmziIndex:
             self.config.levels,
             self.hierarchy,
             self.run_lists,
-            high_watermark=self.config.cache_high_watermark,
-            low_watermark=self.config.cache_low_watermark,
             pinned_among=self.lifecycle.pinned_among,
         )
         self._retention_ts: Optional[int] = None
@@ -185,7 +169,7 @@ class UmziIndex:
         )
         self.executor = QueryExecutor(
             definition,
-            collect_runs=self._collect_version,
+            collect_runs=self._collect_candidate_runs,
             use_synopsis=self.config.use_synopsis,
             use_offset_array=self.config.use_offset_array,
             per_key_batch_pruning=self.config.per_key_batch_pruning,
@@ -350,11 +334,9 @@ class UmziIndex:
     def range_scan(
         self,
         query: RangeScanQuery,
-        strategy: Optional[ReconcileStrategy] = None,
+        strategy: ReconcileStrategy = ReconcileStrategy.PRIORITY_QUEUE,
     ) -> List[IndexEntry]:
-        return self.executor.range_scan(
-            query, strategy if strategy is not None else self.config.reconcile
-        )
+        return self.executor.range_scan(query, strategy)
 
     def range_scan_iter(self, query: RangeScanQuery):
         """Streaming range scan (priority-queue path); see QueryExecutor."""
@@ -479,10 +461,10 @@ class UmziIndex:
         whose lifetime is not lexical (e.g. the cluster's degraded-read
         mode keeps a pin open for as long as a storage brownout lasts).
         """
-        pin = self.lifecycle.pin(self._collect_version)
+        pin = self.lifecycle.pin()
         executor = QueryExecutor(
             self.definition,
-            collect_runs=lambda: list(pin.runs),
+            collect_runs=lambda: pin.runs,
             use_synopsis=self.config.use_synopsis,
             use_offset_array=self.config.use_offset_array,
             per_key_batch_pruning=self.config.per_key_batch_pruning,
@@ -517,18 +499,19 @@ class UmziIndex:
         reuses the query machinery, but the caller is maintenance, so the
         sweep runs under ``ReadIntent.MAINTENANCE``: blocks it pulls from
         purged post-groomed levels are not admitted into the SSD cache.
+        The sweep races concurrent merges of the post-groomed zone like
+        any query does, so it pins the current version for its duration
+        and reads that version's post-groomed runs.
         """
-        executor = QueryExecutor(
-            self.definition,
-            collect_runs=self.run_lists[Zone.POST_GROOMED].snapshot,
-            use_synopsis=self.config.use_synopsis,
-            use_offset_array=self.config.use_offset_array,
-            # The sweep races concurrent merges of the post-groomed zone
-            # like any query does; pin its snapshot too.
-            lifecycle=self.lifecycle,
-        )
-        with self.hierarchy.reading_as(ReadIntent.MAINTENANCE):
-            return executor.batch_lookup_columns(key_columns, query_ts)
+        with self.lifecycle.pin() as pin:
+            executor = QueryExecutor(
+                self.definition,
+                collect_runs=lambda: pin.version.post_groomed,
+                use_synopsis=self.config.use_synopsis,
+                use_offset_array=self.config.use_offset_array,
+            )
+            with self.hierarchy.reading_as(ReadIntent.MAINTENANCE):
+                return executor.batch_lookup_columns(key_columns, query_ts)
 
     def all_runs(self) -> List[IndexRun]:
         """Every run in both lists (no watermark filtering); newest first."""

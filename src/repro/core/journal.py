@@ -10,8 +10,9 @@ object small.
 
 Every checkpoint block carries a CRC32 of its own payload: a torn write
 (crash mid-append, bit rot) fails verification and ``latest`` falls back to
-the newest *valid* checkpoint instead of recovering from garbage.
-Pre-checksum blocks (4 bytes shorter) remain readable.
+the newest *valid* checkpoint instead of recovering from garbage.  A
+block of any other length (truncated, padded, or an unverifiable
+checksum-less body) is skipped the same way.
 """
 
 from __future__ import annotations
@@ -106,15 +107,12 @@ class MetadataJournal:
         return checkpoints
 
     def _try_decode(self, payload: bytes) -> Optional[Checkpoint]:
-        if payload[:4] != _MAGIC:
+        if payload[:4] != _MAGIC or len(payload) != _BODY_LEN + _CRC_LEN:
             return None
-        if len(payload) == _BODY_LEN + _CRC_LEN:
-            (stored,) = struct.unpack_from(">I", payload, _BODY_LEN)
-            self.hierarchy.stats.decode.checksum_validations += 1
-            if block_checksum(payload[:_BODY_LEN]) != stored:
-                return None
-        elif len(payload) != _BODY_LEN:
-            return None  # truncated or padded: a torn pre-checksum write
+        (stored,) = struct.unpack_from(">I", payload, _BODY_LEN)
+        self.hierarchy.stats.decode.checksum_validations += 1
+        if block_checksum(payload[:_BODY_LEN]) != stored:
+            return None
         indexed_psn, watermark, _ordinal = struct.unpack_from(_FORMAT, payload, 4)
         return Checkpoint(indexed_psn=indexed_psn, max_covered_groomed_id=watermark)
 

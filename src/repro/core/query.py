@@ -251,7 +251,7 @@ class QueryExecutor:
 
     ``collect_runs`` must return the candidate runs *newest first*, already
     filtered by the evolve watermark (see
-    :meth:`repro.core.index.UmziIndex._collect_candidate_runs` for the
+    :meth:`repro.core.index.UmziIndex._collect_version` for the
     publication-order argument).
 
     **Read intent.**  Block fetches issued by the executor carry
@@ -265,20 +265,18 @@ class QueryExecutor:
     then neither promotes nor perturbs the query-path hit/miss counters.
 
     **Run pinning.**  When a ``lifecycle`` (:class:`RunLifecycle`) is
-    supplied, every query pins its run snapshot before collecting and
-    releases it in a ``finally`` once the last result is out: the
-    snapshot is *pinned*, so concurrent evolve/merge retirement defers
-    the physical frees of any run the query still holds.  In versionset
-    mode (the default) a pin whose collector is the index's registered
-    version collector is a single Ref on the current
-    :class:`RunListVersion` node and the release a single Unref --
-    exactly two refcount operations per query, independent of run count
-    (``EpochStats.version_refs``/``version_unrefs``); epoch mode walks
-    the snapshot on a per-run ledger instead (O(runs),
-    ``EpochStats.run_ref_ops``).  The pin is released *before*
-    ``on_query_done`` fires, so the cache manager's release pass sees only
-    pins held by *other* in-flight queries.  Without a lifecycle the
-    executor behaves exactly as before (the legacy unprotected mode).
+    supplied, every query pins the lifecycle's current
+    :class:`RunListVersion` -- that version, not ``collect_runs``, is its
+    snapshot -- and releases it in a ``finally`` once the last result is
+    out, so concurrent evolve/merge retirement defers the physical frees
+    of any run the query still holds.  The pin is a single Ref and the
+    release a single Unref: exactly two refcount operations per query,
+    independent of run count (``EpochStats.version_refs`` /
+    ``version_unrefs``).  The pin is released *before* ``on_query_done``
+    fires, so the cache manager's release pass sees only pins held by
+    *other* in-flight queries.  Without a lifecycle the caller owns the
+    snapshot's lifetime (``UmziIndex.pin_snapshot`` and the post-groom
+    sweep hold a pin around the executor).
     """
 
     def __init__(
@@ -308,12 +306,13 @@ class QueryExecutor:
 
     # -- query scope (epoch pin + release hooks) -----------------------------------
 
-    def _enter_query(self) -> Tuple[Optional[QueryPin], List[IndexRun]]:
-        """Collect the run snapshot, pinning it when a lifecycle is wired."""
+    def _enter_query(self) -> Tuple[Optional[QueryPin], Sequence[IndexRun]]:
+        """The run snapshot: the pinned current version when a lifecycle
+        is wired, ``collect_runs()`` otherwise."""
         if self._lifecycle is None:
             return None, self.collect_runs()
-        pin = self._lifecycle.pin(self.collect_runs)
-        return pin, list(pin.runs)
+        pin = self._lifecycle.pin()
+        return pin, pin.runs
 
     def _exit_query(
         self, pin: Optional[QueryPin], touched: List[IndexRun]

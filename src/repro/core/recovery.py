@@ -17,11 +17,10 @@ what shared storage holds:
 4. groomed runs wholly below the watermark are already covered by the
    post-groomed zone and are dropped too.
 
-Payload validation is zero-decode on the clean path: header v3 records a
-per-block checksum, so re-validating a run is one CRC pass over raw bytes
-per block.  Runs written by older builders (no checksum) fall back to
-decoding every entry -- the wholesale-decode cost this format revision
-removes.
+Payload validation is zero-decode: the run header records a per-block
+checksum, so re-validating a run is one CRC pass over raw bytes per block.
+A header of another version, or one without a block's checksum, does not
+decode and its run is dropped as incomplete.
 """
 
 from __future__ import annotations
@@ -35,8 +34,8 @@ from repro.core.definition import IndexDefinition
 from repro.core.entry import Zone
 from repro.core.journal import Checkpoint, MetadataJournal
 from repro.core.run import (
+    DATA_BLOCK_MAGIC,
     HEADER_ORDINAL,
-    DataBlockView,
     IndexRun,
     RunHeader,
     block_checksum,
@@ -55,8 +54,8 @@ class RecoveredState:
     deleted_run_ids: List[str] = field(default_factory=list)
     incomplete_run_ids: List[str] = field(default_factory=list)
     # Subset of incomplete_run_ids dropped because a data-block payload
-    # failed validation (checksum mismatch / undecodable), as opposed to
-    # being absent outright.
+    # failed validation (not a data block, or a checksum mismatch), as
+    # opposed to being absent outright.
     corrupt_run_ids: List[str] = field(default_factory=list)
     # When the newest valid checkpoint promised post-groomed coverage the
     # surviving runs cannot support (the covering run was torn mid-write
@@ -73,17 +72,13 @@ def _is_complete(hierarchy: StorageHierarchy, header: RunHeader) -> bool:
     return True
 
 
-def _payloads_valid(
-    definition: IndexDefinition, hierarchy: StorageHierarchy, header: RunHeader
-) -> bool:
+def _payloads_valid(hierarchy: StorageHierarchy, header: RunHeader) -> bool:
     """Re-validate every data block of one run against its header.
 
-    Checksummed blocks (header v3) are verified by one CRC pass over the
-    raw payload -- zero entry decodes.  Blocks without a checksum (runs
-    written by older builders) fall back to fully decoding each entry,
-    charged to ``maintenance_entry_decodes``.  Either way a mismatch means
-    the run is dropped; its data is covered by other runs or rebuilt from
-    groomed blocks upstream.
+    One CRC pass over each raw payload -- zero entry decodes -- plus the
+    data-block magic, so a payload of another layout is refused even when
+    its checksum matches.  A mismatch means the run is dropped; its data is
+    covered by other runs or rebuilt from groomed blocks upstream.
     """
     stats = hierarchy.stats.decode
     for ordinal in range(1, header.num_data_blocks + 1):
@@ -96,21 +91,10 @@ def _payloads_valid(
         )
         if block is None or len(block.payload) != meta.size_bytes:
             return False
-        if meta.checksum is not None:
-            stats.checksum_validations += 1
-            if block_checksum(block.payload) != meta.checksum:
-                return False
-            continue
-        # Decode fallback: structural validation only (pre-checksum runs
-        # cannot detect a flipped byte inside a value payload).
-        try:
-            view = DataBlockView(definition, block.payload, stats=stats)
-            if view.count != meta.entry_count:
-                return False
-            view.all_entries()
-            stats.maintenance_entry_decodes += view.count
-        except (ValueError, KeyError, IndexError, OverflowError,
-                UnicodeDecodeError, struct.error):
+        if not block.payload.startswith(DATA_BLOCK_MAGIC):
+            return False
+        stats.checksum_validations += 1
+        if block_checksum(block.payload) != meta.checksum:
             return False
     return True
 
@@ -221,7 +205,7 @@ def recover_index_state(
             hierarchy.delete_namespace(namespace)
             incomplete.append(namespace)
             continue
-        if not _payloads_valid(definition, hierarchy, header):
+        if not _payloads_valid(hierarchy, header):
             hierarchy.delete_namespace(namespace)
             incomplete.append(namespace)
             corrupt.append(namespace)

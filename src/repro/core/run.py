@@ -10,32 +10,19 @@ A run is one header block plus one or more fixed-size data blocks:
   total entry count, and -- for the non-persisted-level protocol of section
   6.1 -- the list of ancestor run ids that must not be deleted until this
   run reaches a persisted level;
-* each **data block** is a count-prefixed sequence of serialized entries
-  in sort-key order.
-
-Data blocks come in two formats:
-
-* **v1** (legacy): ``count:u32 | entry offsets:u32[count] | entry bytes``.
-  Probing a key requires decoding the entry at the offset and re-encoding
-  its sort key -- the object-materialization cost the paper's
-  memcmp-comparable key format (section 4.2) was designed to avoid.
-* **v2** (current): ``"UMB2" | count:u32 | entry offsets:u32[count] |
-  sort-key lengths:u32[count] | entry bytes``.  Because every entry blob
-  *starts with* its sort key and the offset table also records each
-  entry's sort-key length, :class:`DataBlockView` serves
-  ``sort_key_at(i)`` / ``key_bytes_at(i)`` / ``begin_ts_at(i)`` as raw
-  slices of the payload -- binary-search probes, batched lookups, and
+* each **data block** is ``"UMB2" | count:u32 | entry offsets:u32[count] |
+  sort-key lengths:u32[count] | entry bytes``, the serialized entries in
+  sort-key order.  Because every entry blob *starts with* its sort key
+  (the paper's memcmp-comparable key format, section 4.2) and the offset
+  table also records each entry's sort-key length, :class:`DataBlockView`
+  serves ``sort_key_at(i)`` / ``key_bytes_at(i)`` / ``begin_ts_at(i)`` as
+  raw slices of the payload -- binary-search probes, batched lookups, and
   K-way merges compare memory directly and decode an :class:`IndexEntry`
   only for entries actually emitted.  The beginTS is the fixed 8-byte
   descending-encoded suffix of the sort key, so visibility checks are a
-  slice plus one integer subtraction.  A view reads both tables through
-  one ``array`` of u32s (no per-entry Python objects).
-
-The two formats are distinguished by the leading 4 bytes: the v2 magic
-``UMB2`` decodes as an entry count of ~1.4 billion, far beyond what any
-block can hold, so v1 blocks (which start with their real count) can never
-be misread as v2.  v1 blocks remain fully readable; their raw-key accessors
-fall back to decode + re-encode.
+  slice compare.  A view reads both tables through one ``array`` of u32s
+  (no per-entry Python objects).  A payload without the ``UMB2`` magic is
+  refused.
 
 Everything is serialized to plain ``bytes`` so runs round-trip through the
 storage hierarchy like any other block.
@@ -67,11 +54,11 @@ from repro.storage.metrics import DecodeStats, ReadIntent
 HEADER_ORDINAL = 0
 _tuple_new = tuple.__new__
 _MAGIC = b"UMZI"
-# Header v3 adds a per-data-block CRC32 to the block index so recovery can
-# re-validate runs by checksumming raw payloads instead of decoding entries.
+# Header v3 carries a per-data-block CRC32 in the block index so recovery
+# re-validates runs by checksumming raw payloads; it is the only version
+# read.
 _VERSION = 3
-_SUPPORTED_VERSIONS = (1, 2, 3)
-_BLOCK_MAGIC_V2 = b"UMB2"
+DATA_BLOCK_MAGIC = b"UMB2"
 _UNPACK_U32 = struct.Struct(">I").unpack_from
 
 
@@ -189,15 +176,14 @@ class Synopsis:
 class DataBlockMeta:
     """Block-index entry: where one data block starts and how big it is.
 
-    ``checksum`` is the CRC32 of the block's raw payload (header v3);
-    ``None`` for runs written by older builders, which recovery must
-    re-validate by decoding instead.
+    ``checksum`` is the CRC32 of the block's raw payload, which recovery
+    re-validates the block against.
     """
 
     entry_count: int
     first_sort_key: bytes
     size_bytes: int
-    checksum: Optional[int] = None
+    checksum: int
 
 
 @dataclass(frozen=True)
@@ -261,15 +247,13 @@ class RunHeader:
         parts.append(struct.pack(">I", len(self.offset_array)))
         if self.offset_array:
             parts.append(struct.pack(f">{len(self.offset_array)}Q", *self.offset_array))
-        # block index (v3: per-block payload checksum for raw revalidation)
+        # block index: per-block payload checksum behind a presence byte
+        # (always 1; a 0 is refused on read)
         parts.append(struct.pack(">I", len(self.block_meta)))
         for meta in self.block_meta:
             parts.append(struct.pack(">QI", meta.entry_count, meta.size_bytes))
             parts.append(_pack_bytes(meta.first_sort_key))
-            if meta.checksum is None:
-                parts.append(b"\x00")
-            else:
-                parts.append(struct.pack(">BI", 1, meta.checksum))
+            parts.append(struct.pack(">BI", 1, meta.checksum))
         # ancestors
         parts.append(struct.pack(">I", len(self.ancestor_run_ids)))
         for rid in self.ancestor_run_ids:
@@ -287,7 +271,7 @@ class RunHeader:
         if data[:4] != _MAGIC:
             raise ValueError("not an Umzi run header block")
         (version,) = struct.unpack_from(">H", data, 4)
-        if version not in _SUPPORTED_VERSIONS:
+        if version != _VERSION:
             raise ValueError(f"unsupported run header version {version}")
         pos = 6
         run_id, pos = _unpack_str(data, pos)
@@ -329,13 +313,10 @@ class RunHeader:
             count, size_bytes = struct.unpack_from(">QI", data, pos)
             pos += struct.calcsize(">QI")
             first_key, pos = _unpack_bytes(data, pos)
-            checksum: Optional[int] = None
-            if version >= 3:
-                present = data[pos]
-                pos += 1
-                if present:
-                    (checksum,) = struct.unpack_from(">I", data, pos)
-                    pos += 4
+            if not data[pos]:
+                raise ValueError("data block without a checksum")
+            (checksum,) = struct.unpack_from(">I", data, pos + 1)
+            pos += 5
             metas.append(
                 DataBlockMeta(
                     entry_count=count,
@@ -374,7 +355,7 @@ class RunHeader:
 def pack_data_block(
     offsets: Sequence[int], sort_key_lengths: Sequence[int], blobs: Sequence[bytes]
 ) -> bytes:
-    """Serialize one v2 data block from its two tables and entry blobs.
+    """Serialize one data block from its two tables and entry blobs.
 
     Layout: ``"UMB2" | count | per-entry offsets | per-entry sort-key
     lengths | entry bytes``.  The offset table lets binary-search probes
@@ -384,7 +365,7 @@ def pack_data_block(
     pure payload slice.
     """
     count = len(blobs)
-    parts = [_BLOCK_MAGIC_V2, struct.pack(">I", count)]
+    parts = [DATA_BLOCK_MAGIC, struct.pack(">I", count)]
     if count:
         parts.append(struct.pack(f">{count}I", *offsets))
         parts.append(struct.pack(f">{count}I", *sort_key_lengths))
@@ -395,7 +376,7 @@ def pack_data_block(
 def encode_data_block(
     definition: IndexDefinition, entries: Sequence[IndexEntry]
 ) -> bytes:
-    """Serialize one data block (current v2 format) from decoded entries."""
+    """Serialize one data block from decoded entries."""
     pairs = [entry.to_blob(definition) for entry in entries]
     blobs = [blob for _sort_key, blob in pairs]
     return pack_data_block(
@@ -403,27 +384,6 @@ def encode_data_block(
         [len(sort_key) for sort_key, _blob in pairs],
         blobs,
     )
-
-
-def encode_data_block_v1(
-    definition: IndexDefinition, entries: Sequence[IndexEntry]
-) -> bytes:
-    """Serialize one *legacy* v1 data block (compatibility tests only).
-
-    Layout: ``count | per-entry offsets | entry bytes`` -- no sort-key
-    length table, so raw-key accessors on v1 blocks must decode.
-    """
-    blobs = [entry.to_bytes(definition) for entry in entries]
-    offsets: List[int] = []
-    position = 0
-    for blob in blobs:
-        offsets.append(position)
-        position += len(blob)
-    parts = [struct.pack(">I", len(entries))]
-    if offsets:
-        parts.append(struct.pack(f">{len(offsets)}I", *offsets))
-    parts.extend(blobs)
-    return b"".join(parts)
 
 
 # array typecode of a 4-byte unsigned integer on this platform.
@@ -446,31 +406,19 @@ def _u32_table(payload: bytes, start: int, length: int) -> array:
 
 
 class DataBlockView:
-    """Lazy, memoizing view over one encoded data block (v1 or v2).
+    """Lazy, memoizing view over one encoded data block.
 
-    On v2 payloads the raw-key accessors (:meth:`sort_key_at`,
-    :meth:`key_bytes_at`, :meth:`begin_ts_at`, :meth:`entry_blob_at`) are
-    pure payload slices -- no column decoding, no object construction.  On
-    legacy v1 payloads they fall back to decoding the entry and re-encoding
-    its sort key (memoized), preserving readability of old blocks.
+    The raw-key accessors (:meth:`sort_key_at`, :meth:`key_bytes_at`,
+    :meth:`begin_ts_at`, :meth:`entry_blob_at`) are pure payload slices --
+    no column decoding, no object construction.
 
-    ``table`` holds the entry offsets in ``[0, count)`` and, on v2, the
-    sort-key lengths in ``[count, 2 * count)``; entry ``i`` starts at
+    ``table`` holds the entry offsets in ``[0, count)`` and the sort-key
+    lengths in ``[count, 2 * count)``; entry ``i`` starts at
     ``payload[base + table[i]]``.  ``payload`` / ``base`` / ``table`` /
     ``count`` are what the run-level search kernels lift into locals.
     """
 
-    __slots__ = (
-        "definition",
-        "payload",
-        "version",
-        "table",
-        "base",
-        "decoded",
-        "_sort_key_cache",
-        "_stats",
-        "count",
-    )
+    __slots__ = ("definition", "payload", "table", "base", "decoded", "_stats", "count")
 
     def __init__(
         self,
@@ -481,18 +429,11 @@ class DataBlockView:
         self.definition = definition
         self.payload = payload
         self._stats = stats
-        if payload[:4] == _BLOCK_MAGIC_V2:
-            self.version = 2
-            (self.count,) = _UNPACK_U32(payload, 4)
-            self.table = _u32_table(payload, 8, 2 * self.count)
-            self.base = 8 + 8 * self.count
-            self._sort_key_cache: Optional[Dict[int, bytes]] = None
-        else:
-            self.version = 1
-            (self.count,) = _UNPACK_U32(payload, 0)
-            self.table = _u32_table(payload, 4, self.count)
-            self.base = 4 + 4 * self.count
-            self._sort_key_cache = {}
+        if payload[:4] != DATA_BLOCK_MAGIC:
+            raise ValueError("not an Umzi data block")
+        (self.count,) = _UNPACK_U32(payload, 4)
+        self.table = _u32_table(payload, 8, 2 * self.count)
+        self.base = 8 + 8 * self.count
         # in-block index -> decoded entry, filled by :meth:`entry`; hot
         # loops ask it first (``view.decoded.get(i) or view.entry(i)``).
         self.decoded: Dict[int, IndexEntry] = {}
@@ -512,18 +453,11 @@ class DataBlockView:
     # -- zero-decode accessors --------------------------------------------------
 
     def sort_key_at(self, index: int) -> bytes:
-        """Raw sort key of entry ``index`` -- a payload slice on v2."""
-        if self.version == 2:
-            if self._stats is not None:
-                self._stats.raw_key_probes += 1
-            start = self.base + self.table[index]
-            return self.payload[start : start + self.table[self.count + index]]
-        # v1 fallback: decode once, memoize the re-encoded key.
-        cached = self._sort_key_cache.get(index)
-        if cached is None:
-            cached = self.entry(index).sort_key(self.definition)
-            self._sort_key_cache[index] = cached
-        return cached
+        """Raw sort key of entry ``index`` -- a payload slice."""
+        if self._stats is not None:
+            self._stats.raw_key_probes += 1
+        start = self.base + self.table[index]
+        return self.payload[start : start + self.table[self.count + index]]
 
     def key_bytes_at(self, index: int) -> bytes:
         """Raw user key (sort key minus the 8-byte beginTS suffix)."""
@@ -710,8 +644,7 @@ class IndexRun:
         ts_floor``.  It probes, charges ``raw_key_probes`` and fetches
         blocks exactly as ``scan_visible(key, lo, hi, key + b"\x00",
         ts_floor, True)`` would, and hands over to it where the versions
-        run into the next block or the block is v1.  Only the entry
-        returned is decoded.
+        run into the next block.  Only the entry returned is decoded.
         """
         cum, first_keys = self._cum, self._first_keys
         block_lo = cum[max(0, bisect_left(first_keys, key) - 1)]
@@ -728,33 +661,27 @@ class IndexRun:
                     block_index = bisect_right(cum, ordinal) - 1
                     start, end = cum[block_index], cum[block_index + 1]
                     view = self.block_view(block_index)
-                    raw = view.version == 2
                     payload, base, table = view.payload, view.base, view.table
                     count = view.count
                 if lo >= hi:
                     break
                 i = ordinal - start
-                if raw:
-                    probes += 1
-                    at = base + table[i]
-                    sort_key = payload[at : at + table[count + i]]
-                else:
-                    sort_key = view.sort_key_at(i)
-                if sort_key < key:
+                probes += 1
+                at = base + table[i]
+                if payload[at : at + table[count + i]] < key:
                     lo = ordinal + 1
                 else:
                     hi = ordinal
-            if raw:
-                # The key's versions, newest first, start at ``lo``.
-                for i in range(lo - start, count):
-                    probes += 1
-                    at = base + table[i]
-                    sort_key = payload[at : at + table[count + i]]
-                    if sort_key[:-SORT_KEY_TS_BYTES] != key:
-                        return None
-                    if sort_key[-SORT_KEY_TS_BYTES:] >= ts_floor:
-                        return view.entry(i)
-                lo = end  # all newer than the snapshot: on into the next block
+            # The key's versions, newest first, start at ``lo``.
+            for i in range(lo - start, count):
+                probes += 1
+                at = base + table[i]
+                sort_key = payload[at : at + table[count + i]]
+                if sort_key[:-SORT_KEY_TS_BYTES] != key:
+                    return None
+                if sort_key[-SORT_KEY_TS_BYTES:] >= ts_floor:
+                    return view.entry(i)
+            lo = end  # all newer than the snapshot: on into the next block
         finally:  # a failed block fetch still pays for the probes made
             self.hierarchy.stats.decode.raw_key_probes += probes
         for hits in self.scan_visible(key, lo, lo, key + b"\x00", ts_floor, True):
@@ -800,8 +727,7 @@ class IndexRun:
 
         Lazy (nothing is probed or fetched before the first list is asked
         for) and zero-decode (callers decode what they return).  One
-        raw-key probe per entry looked at; v1 blocks take
-        :meth:`DataBlockView.sort_key_at`'s memoized decode fallback.
+        raw-key probe per entry looked at.
         """
         cum, first_keys = self._cum, self._first_keys
         block_lo = cum[max(0, bisect_left(first_keys, lower_key) - 1)]
@@ -820,19 +746,14 @@ class IndexRun:
                     block_index = bisect_right(cum, ordinal) - 1
                     start, end = cum[block_index], cum[block_index + 1]
                     view = self.block_view(block_index)
-                    raw = view.version == 2
                     payload, base, table = view.payload, view.base, view.table
                     count = view.count
                 if lo >= hi:
                     break
                 i = ordinal - start
-                if raw:
-                    probes += 1
-                    at = base + table[i]
-                    sort_key = payload[at : at + table[count + i]]
-                else:
-                    sort_key = view.sort_key_at(i)
-                if sort_key < lower_key:
+                probes += 1
+                at = base + table[i]
+                if payload[at : at + table[count + i]] < lower_key:
                     lo = ordinal + 1
                 else:
                     hi = ordinal
@@ -846,11 +767,8 @@ class IndexRun:
             hits = []
             done = False
             for i in range(first, count):
-                if raw:
-                    at = base + table[i]
-                    sort_key = payload[at : at + table[count + i]]
-                else:
-                    sort_key = view.sort_key_at(i)
+                at = base + table[i]
+                sort_key = payload[at : at + table[count + i]]
                 key = sort_key[:tail]
                 if bounded and key >= upper_exclusive:
                     done = True
@@ -867,8 +785,7 @@ class IndexRun:
                 if first_only:
                     done = True
                     break
-            if raw:
-                stats.raw_key_probes += (i + 1 if done else count) - first
+            stats.raw_key_probes += (i + 1 if done else count) - first
             if hits:
                 yield hits
             if done or end >= total:
@@ -876,7 +793,6 @@ class IndexRun:
             block_index += 1  # on into the next block
             end = cum[block_index + 1]
             view = self.block_view(block_index)
-            raw = view.version == 2
             payload, base, table = view.payload, view.base, view.table
             count = view.count
             first = 0
@@ -933,39 +849,33 @@ class IndexRun:
                         block_index = bisect_right(cum, ordinal) - 1
                         start, end = cum[block_index], cum[block_index + 1]
                         view = self.block_view(block_index)
-                        raw = view.version == 2
                         payload, base, table = view.payload, view.base, view.table
                         size = view.count
                     if lo >= hi:
                         break
                     i = ordinal - start
-                    if raw:
-                        probes += 1
-                        at = base + table[i]
-                        sort_key = payload[at : at + table[size + i]]
-                    else:
-                        sort_key = view.sort_key_at(i)
-                    if sort_key < key:
+                    probes += 1
+                    at = base + table[i]
+                    if payload[at : at + table[size + i]] < key:
                         lo = ordinal + 1
                     else:
                         hi = ordinal
                 cursor = lo
                 floor = floors[slot]
-                if raw:
-                    # The key's versions, newest first, start at ``lo``.
-                    for i in range(lo - start, size):
-                        probes += 1
-                        at = base + table[i]
-                        sort_key = payload[at : at + table[size + i]]
-                        if sort_key[:tail] != key:
-                            break
-                        if sort_key[tail:] >= floor:
-                            out[slot] = view.decoded.get(i) or view.entry(i)
-                            break
-                    else:  # all newer than the snapshot: on into the next block
-                        lo = end
-                    if lo < end:
-                        continue  # answered, or the run holds no such key
+                # The key's versions, newest first, start at ``lo``.
+                for i in range(lo - start, size):
+                    probes += 1
+                    at = base + table[i]
+                    sort_key = payload[at : at + table[size + i]]
+                    if sort_key[:tail] != key:
+                        break
+                    if sort_key[tail:] >= floor:
+                        out[slot] = view.decoded.get(i) or view.entry(i)
+                        break
+                else:  # all newer than the snapshot: on into the next block
+                    lo = end
+                if lo < end:
+                    continue  # answered, or the run holds no such key
                 for hits in self.scan_visible(key, lo, lo, key + b"\x00", floor, True):
                     out[slot] = hits[0][1].entry(hits[0][2])
         finally:  # a failed block fetch still pays for the probes made
@@ -976,19 +886,12 @@ class IndexRun:
 
         The zero-decode maintenance input, always a
         ``ReadIntent.MAINTENANCE`` read (the block bypasses cache admission
-        and the per-handle view cache).  On a v2 block both columns are
-        sliced straight off the payload by its two tables, and the block
-        is charged as ``count`` raw-key probes and ``count`` blob copies;
-        v1 blocks go through the memoized decoding accessors, which charge
-        themselves.
+        and the per-handle view cache).  Both columns are sliced straight
+        off the payload by its two tables, and the block is charged as
+        ``count`` raw-key probes and ``count`` blob copies.
         """
         view = self.block_view(block_index, intent=ReadIntent.MAINTENANCE)
         count = view.count
-        if view.version != 2:
-            return (
-                [view.sort_key_at(i) for i in range(count)],
-                [view.entry_blob_at(i) for i in range(count)],
-            )
         stats = self.hierarchy.stats.decode
         stats.raw_key_probes += count
         stats.blob_copies += count
@@ -1036,6 +939,7 @@ class IndexRun:
 
 __all__ = [
     "ColumnRange",
+    "DATA_BLOCK_MAGIC",
     "DataBlockView",
     "DataBlockMeta",
     "IndexRun",
@@ -1044,7 +948,6 @@ __all__ = [
     "block_checksum",
     "decode_data_block",
     "encode_data_block",
-    "encode_data_block_v1",
     "pack_data_block",
     "HEADER_ORDINAL",
 ]

@@ -307,113 +307,6 @@ class QosStats:
         self.throttle_releases = 0
 
 
-@dataclass
-class EpochStats:
-    """Counters for the run lifecycle (``core.epoch``).
-
-    Queries *pin* an immutable run-list version for their whole lifetime;
-    maintenance *retires* runs it unlinked from the lists and the
-    lifecycle *reclaims* them (cache blocks released, view caches
-    invalidated, shared-storage namespace freed) only once no pin still
-    references them.  ``reclaims_deferred`` counts retirements that had to
-    park behind a live pin; ``reclaimed_while_pinned`` counts reclaim
-    actions that executed while some query still held the run -- the
-    hazard the protected modes exist to eliminate (it must stay 0 under
-    ``run_lifecycle="versionset"`` and ``"epoch"``; the ``"legacy"``
-    ablation mode reclaims immediately and reports how often it fired
-    under live queries).  ``eviction_pin_skips`` counts cache
-    purge/release decisions that were skipped because the target run was
-    pinned.
-
-    The refcount-cost counters make pin cost a countable invariant:
-
-    * ``version_refs`` / ``version_unrefs`` -- versionset-mode Ref/Unref
-      operations on version nodes.  Exactly one of each per query, so a
-      query costs **exactly 2** version-refcount operations regardless of
-      run count.
-    * ``run_ref_ops`` -- per-run refcount updates on the pin ledger
-      (every epoch-mode pin/release walks its whole snapshot: O(runs)
-      per query; in versionset mode only ad-hoc, non-version collectors
-      pay this).
-    * ``versions_reclaimed`` -- version nodes whose last reference went
-      away (superseded and unpinned), unblocking runs only they covered.
-    * ``versions_coalesced`` -- publications folded into a later rebuild
-      instead of rebuilding the current node eagerly (ISSUE 9):
-      ``note_publish`` only marks the node dirty, so a merge storm's N
-      back-to-back publications cost one O(runs) rebuild at the next
-      pin/retire and count N-1 here.
-
-    Counters are plain ints incremented without a lock where noted (same
-    rationale as :class:`DecodeStats`); the lifecycle increments the
-    pin/retire/reclaim counters under its own mutex.
-    """
-
-    pins_entered: int = 0
-    pins_exited: int = 0
-    versions_published: int = 0
-    runs_retired: int = 0
-    runs_reclaimed: int = 0
-    reclaims_deferred: int = 0
-    reclaimed_while_pinned: int = 0
-    eviction_pin_skips: int = 0
-    version_refs: int = 0
-    version_unrefs: int = 0
-    versions_reclaimed: int = 0
-    run_ref_ops: int = 0
-    versions_coalesced: int = 0
-
-    def snapshot(self) -> "EpochStats":
-        return EpochStats(
-            pins_entered=self.pins_entered,
-            pins_exited=self.pins_exited,
-            versions_published=self.versions_published,
-            runs_retired=self.runs_retired,
-            runs_reclaimed=self.runs_reclaimed,
-            reclaims_deferred=self.reclaims_deferred,
-            reclaimed_while_pinned=self.reclaimed_while_pinned,
-            eviction_pin_skips=self.eviction_pin_skips,
-            version_refs=self.version_refs,
-            version_unrefs=self.version_unrefs,
-            versions_reclaimed=self.versions_reclaimed,
-            run_ref_ops=self.run_ref_ops,
-            versions_coalesced=self.versions_coalesced,
-        )
-
-    def diff(self, earlier: "EpochStats") -> "EpochStats":
-        return EpochStats(
-            pins_entered=self.pins_entered - earlier.pins_entered,
-            pins_exited=self.pins_exited - earlier.pins_exited,
-            versions_published=self.versions_published - earlier.versions_published,
-            runs_retired=self.runs_retired - earlier.runs_retired,
-            runs_reclaimed=self.runs_reclaimed - earlier.runs_reclaimed,
-            reclaims_deferred=self.reclaims_deferred - earlier.reclaims_deferred,
-            reclaimed_while_pinned=(
-                self.reclaimed_while_pinned - earlier.reclaimed_while_pinned
-            ),
-            eviction_pin_skips=self.eviction_pin_skips - earlier.eviction_pin_skips,
-            version_refs=self.version_refs - earlier.version_refs,
-            version_unrefs=self.version_unrefs - earlier.version_unrefs,
-            versions_reclaimed=self.versions_reclaimed - earlier.versions_reclaimed,
-            run_ref_ops=self.run_ref_ops - earlier.run_ref_ops,
-            versions_coalesced=self.versions_coalesced - earlier.versions_coalesced,
-        )
-
-    def reset(self) -> None:
-        self.pins_entered = 0
-        self.pins_exited = 0
-        self.versions_published = 0
-        self.runs_retired = 0
-        self.runs_reclaimed = 0
-        self.reclaims_deferred = 0
-        self.reclaimed_while_pinned = 0
-        self.eviction_pin_skips = 0
-        self.version_refs = 0
-        self.version_unrefs = 0
-        self.versions_reclaimed = 0
-        self.run_ref_ops = 0
-        self.versions_coalesced = 0
-
-
 class _Counters:
     """``snapshot`` / ``diff`` / ``reset`` for a dataclass of int counters."""
 
@@ -455,8 +348,7 @@ class DecodeStats(_Counters):
     ``raw_key_probes`` counts zero-decode sort-key slice fetches, and
     ``blob_copies`` counts pre-serialized entry blobs forwarded verbatim
     (the merge fast path).  A healthy hot path probes raw keys many times
-    per entry decode; the v1 decode path pays one decode (plus a sort-key
-    re-encode) per probe.
+    per entry decode.
 
     Counters are plain ints incremented without the ledger lock: they sit
     on every binary-search probe, and the GIL already makes the increments
@@ -466,16 +358,60 @@ class DecodeStats(_Counters):
     entry_decodes: int = 0
     raw_key_probes: int = 0
     blob_copies: int = 0
-    # Maintenance/write-path counters (PR 2).  ``evolve_blob_splices``
-    # counts entries migrated across zones as raw RID/key splices (the
-    # streaming evolve path), ``checksum_validations`` counts data blocks
-    # re-validated by CRC instead of by decoding (recovery, journal), and
-    # ``maintenance_entry_decodes`` counts full entry decodes incurred by
-    # maintenance operations (evolve/recovery fallbacks) -- the number the
-    # zero-decode write path drives to ~0.
+    # Maintenance/write-path counters.  ``evolve_blob_splices`` counts
+    # entries migrated across zones as raw RID/key splices (evolve),
+    # ``checksum_validations`` counts data blocks and checkpoints
+    # re-validated by CRC (recovery, journal).  ``maintenance_entry_decodes``
+    # stays 0: no maintenance path decodes an entry since the entry-rebuild
+    # evolve and the decoding recovery check were retired; the field is kept
+    # because benchmarks/e2e/tracer.py reports it.
     evolve_blob_splices: int = 0
     checksum_validations: int = 0
     maintenance_entry_decodes: int = 0
+
+
+@dataclass
+class EpochStats(_Counters):
+    """Counters for the run lifecycle (``core.epoch``).
+
+    Queries *pin* an immutable run-list version for their whole lifetime;
+    maintenance *retires* runs it unlinked from the lists and the
+    lifecycle *reclaims* them (cache blocks released, view caches
+    invalidated, shared-storage namespace freed) only once no live
+    version still contains them.  ``reclaims_deferred`` counts
+    retirements that had to park behind a live pin; at quiescence
+    ``runs_retired == runs_reclaimed``.  ``eviction_pin_skips`` counts
+    cache purge/release decisions that were skipped because the target
+    run was pinned.
+
+    The refcount-cost counters make pin cost a countable invariant:
+
+    * ``version_refs`` / ``version_unrefs`` -- Ref/Unref operations on
+      version nodes.  Exactly one of each per query, so a query costs
+      **exactly 2** version-refcount operations regardless of run count.
+    * ``versions_reclaimed`` -- version nodes whose last reference went
+      away (superseded and unpinned), unblocking runs only they covered.
+    * ``versions_coalesced`` -- publications folded into a later rebuild
+      instead of rebuilding the current node eagerly:
+      ``note_publish`` only marks the node stale, so a merge storm's N
+      back-to-back publications cost one O(runs) rebuild at the next
+      pin/retire and count N-1 here.
+
+    Counters are plain ints; the lifecycle increments the
+    pin/retire/reclaim counters under its own mutex.
+    """
+
+    pins_entered: int = 0
+    pins_exited: int = 0
+    versions_published: int = 0
+    runs_retired: int = 0
+    runs_reclaimed: int = 0
+    reclaims_deferred: int = 0
+    eviction_pin_skips: int = 0
+    version_refs: int = 0
+    version_unrefs: int = 0
+    versions_reclaimed: int = 0
+    versions_coalesced: int = 0
 
 
 _UNTOUCHED = TierStats()

@@ -17,7 +17,7 @@ from __future__ import annotations
 
 import threading
 import time
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from repro.core.encoding import KeyValue
@@ -70,31 +70,14 @@ class ShardConfig:
     """Lifecycle cadence and component tunables for one shard.
 
     Most fields mirror a knob of the paper's deployment (groom/post-groom
-    cadence, partition buckets); the ablation-style flags are
-    ``streaming_evolve`` (zero-decode evolve vs legacy rebuild) and
-    ``run_lifecycle`` (version-set query pins vs the per-run epoch ledger
-    vs the unprotected legacy reclamation).
+    cadence, partition buckets); ``planner`` keeps the pre-planner
+    ablation arm.
     """
 
     post_groom_every: int = 20  # groom cycles per post-groom (paper: 1s vs 20s)
     partition_buckets: int = 4
     umzi: UmziConfig = field(default_factory=UmziConfig)
     require_primary_index: bool = True
-    groomed_block_grace_psns: int = 1
-    # Zero-decode evolve (raw RID splices over groomed entry blobs) vs the
-    # legacy per-index entry rebuild; see wildfire.indexer.
-    streaming_evolve: bool = True
-    # Run lifecycle for every index of the shard: "versionset" (default)
-    # refcounts immutable run-list versions LevelDB/RocksDB-style (one
-    # Ref/Unref per query, O(1) in run count) and defers physical
-    # reclamation of evolved/merged-away runs until no live version
-    # contains them -- what makes `start_daemons` safe for concurrent
-    # readers; "epoch" is the per-run-refcount ablation (same safety,
-    # O(runs) pin cost) and "legacy" the unprotected pre-lifecycle
-    # ablation (see repro.core.epoch and
-    # benchmarks/bench_concurrent_throughput.py).  Overrides the nested
-    # `umzi.run_lifecycle` so one flag governs primary and secondaries.
-    run_lifecycle: str = "versionset"
     # Secondary indexes (name -> spec), maintained in lockstep with the
     # primary through every groom and evolve (paper section 10 future work).
     secondary_indexes: Optional[Dict[str, "IndexSpec"]] = None
@@ -130,28 +113,11 @@ class WildfireShard:
             self.hierarchy, namespace=f"{schema.name}-live-log"
         )
         self.catalog = BlockCatalog(schema, self.hierarchy)
-        # One lifecycle flag governs every index of the shard (primary and
-        # secondaries evolve in lockstep, so their reclamation discipline
-        # must match too).  Refuse a conflicting nested setting rather than
-        # silently stamping over it.
-        if self.config.umzi.run_lifecycle not in (
-            "versionset", self.config.run_lifecycle
-        ):
-            raise ValueError(
-                "ShardConfig.run_lifecycle="
-                f"{self.config.run_lifecycle!r} conflicts with "
-                f"umzi.run_lifecycle={self.config.umzi.run_lifecycle!r}; "
-                "set the shard-level flag (it governs every index of the "
-                "shard)"
-            )
-        umzi_config = replace(
-            self.config.umzi, run_lifecycle=self.config.run_lifecycle
-        )
         self.indexes = ShardIndexes(
             schema,
             index_spec,
             self.hierarchy,
-            umzi_config,
+            self.config.umzi,
             secondary_specs=self.config.secondary_indexes,
             require_primary=self.config.require_primary_index,
         )
@@ -171,8 +137,6 @@ class WildfireShard:
             self.catalog,
             self.indexes,
             self.post_groomer,
-            groomed_block_grace_psns=self.config.groomed_block_grace_psns,
-            streaming_evolve=self.config.streaming_evolve,
         )
         self.maintenance = MaintenanceService(self.index.merger, self.index.cache)
         self._secondary_maintenance = [
@@ -318,15 +282,11 @@ class WildfireShard:
         the paper's 1s/20s cadence.  ``post_groom_enabled=False`` is the
         Figure 15 ablation (no post-groom, hence no index evolution).
 
-        **Query safety.**  With the default ``run_lifecycle="versionset"``
-        (or the ``"epoch"`` ablation) it is safe to issue point/range/
-        batch queries from any number of threads while the daemons run:
-        each query pins an immutable run-list version -- a single
-        Ref/Unref in versionset mode -- and runs retired by concurrent
-        evolves/merges are only physically reclaimed once no live version
-        contains them.  Under ``run_lifecycle="legacy"`` (the unprotected
-        ablation) a query can race a reclamation and observe missing
-        blocks.
+        **Query safety.**  It is safe to issue point/range/batch queries
+        from any number of threads while the daemons run: each query pins
+        an immutable run-list version -- a single Ref/Unref -- and runs
+        retired by concurrent evolves/merges are only physically reclaimed
+        once no live version contains them.
         """
         if self._daemon_threads:
             raise RuntimeError("daemons already running")

@@ -19,7 +19,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, replace
 from operator import itemgetter
-from typing import Callable, Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple
 
 from repro.core.encoding import encode_ts_desc_column
 from repro.core.entry import encode_rid_column, entry_blob_columns
@@ -39,7 +39,6 @@ class ShardIndex:
     name: str
     spec: IndexSpec
     index: UmziIndex
-    extract: Callable
     positions: Tuple[Tuple[int, ...], ...]  # IndexSpec.positions(schema)
     # Entries whose secondary *key* columns were superseded by a newer
     # version of the same row (ISSUE 10).  Such an entry stays visible
@@ -96,7 +95,6 @@ class ShardIndexes:
         index = UmziIndex(spec.build_definition(self.schema), hierarchy, config)
         return ShardIndex(
             name=name, spec=spec, index=index,
-            extract=spec.extractor(self.schema),
             positions=spec.positions(self.schema),
         )
 

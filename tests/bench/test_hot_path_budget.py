@@ -21,6 +21,7 @@ block-local kernel         161.6   294.3
 no plan, exact-key kernel   88.3   202.1
 pin finalizer, no closure   84.3   196.1
 bound ledger rows, one drop 84.3   130.7
+one lifecycle, one format   74.3   119.7
 =========================  =====  ======
 
 The ceilings below are the last row plus a little headroom for
@@ -43,8 +44,12 @@ released (2) and a closure per query exit.  The purged column's last row
 locked ``would_fit`` before every ``ssd.write``, the breaker's
 ``_state_locked`` twice per shared read, an ``is_pinned`` per released run
 and a ``drop_from_cache`` -> ``memory.delete`` -> ``ssd.delete`` per
-released block were ~31 calls per block fetched.  Lower them when the path
-gets shorter; raise them only deliberately.
+released block were ~31 calls per block fetched.  The last row is the
+pin and its release as one locked section each: a lifecycle mode
+branch, ``_unpack``, the drain helpers called on empty lists, the current
+node's refresh as a call of its own and ``_in_gc_finalizer`` were ~10
+calls per lookup.  Lower them when the path gets shorter; raise them only
+deliberately.
 
 The write path has the same guard: ``call`` events per ingested row inside
 ``ingest`` + ``tick`` over the whole load of this fixture (48 rounds, 7 175
@@ -82,13 +87,14 @@ template + scan kernels      4669.9   904.0     821.8        194.3
 column-encoded batch keys    3196.1   902.0     819.8        191.3
 point path (see above)       3049.8   885.0     702.4        140.3
 fused kernels, row passes     385.7   257.2     258.1        105.3
+one lifecycle, one format     345.7   237.2     238.4         95.3
 =========================  ========  ======  ========  ===========
 
 A per-call ``candidate_shape``, a per-entry generator hop in the scan, a
 per-key fence / search / first-visible call chain or a per-key
 ``encode_point_key`` in the fetch-back, or a per-row
 ``Predicate.matches`` coming back shows up in the three scatter shapes; the routed equality is mostly the point path, which has its own
-budget above.  The last row (PR 22) is what is left when a run searched
+budget above.  The ``fused kernels`` row is what is left when a run searched
 is one kernel frame (``IndexRun.scan_visible`` / ``batch_visible``, no
 ``search_run_hits -> _seek -> key_position_bounds -> first_geq`` chain per
 run or per batched key), a shard's entries become rows, pass their checks
@@ -96,7 +102,8 @@ and are projected in list passes with C getters (no ``_entry_values`` /
 ``passes`` / ``entry_pk`` call per entry or record: the customer shape's
 133 rows cost ~1,500 calls on their own), ``bind_values`` runs once per
 query and the planner's and the scatter prune's synopsis terms are read
-off the plan template until a publication moves them.
+off the plan template until a publication moves them.  The last row is
+the point path's pin and release again, once per shard searched.
 """
 
 import gc
@@ -107,7 +114,7 @@ from pathlib import Path
 E2E = Path(__file__).resolve().parents[2] / "benchmarks" / "e2e"
 
 BEFORE = {"warm": 357.9, "purged": 508.4}
-CEILING = {"warm": 87.0, "purged": 133.0}
+CEILING = {"warm": 77.0, "purged": 122.0}
 
 WRITE_BEFORE = 114.2
 WRITE_CEILING = 55.0
@@ -116,7 +123,7 @@ TYPED_BEFORE = {
     "customer": 11308.5, "region": 2112.6, "range": 3235.7, "equality": 282.6,
 }
 TYPED_CEILING = {
-    "customer": 397.0, "region": 265.0, "range": 266.0, "equality": 108.0,
+    "customer": 348.0, "region": 240.0, "range": 241.0, "equality": 98.0,
 }
 
 ROWS = 6_000

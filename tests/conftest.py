@@ -109,18 +109,26 @@ def key_of(definition: IndexDefinition, k: int) -> Tuple[Tuple[int, ...], Tuple[
     )
 
 
-def downgrade_blocks_to_v1(run, blocks=None) -> None:
-    """Rewrite the data blocks of ``run`` (all, or those at the indexes
-    ``blocks``) in the legacy v1 encoding."""
-    from repro.core.run import encode_data_block_v1
-    from repro.storage.block import Block
+def v1_layout_payload(definition: IndexDefinition, entries) -> bytes:
+    """A data block in the retired v1 layout -- ``count | entry offsets |
+    entry bytes``, no magic and no sort-key length table -- which readers
+    refuse."""
+    import struct
+    from itertools import accumulate
 
-    for bi in range(run.header.num_data_blocks) if blocks is None else blocks:
-        payload = encode_data_block_v1(run.definition, run.read_block(bi))
-        block_id = run.data_block_id(bi)
-        run.hierarchy.delete_everywhere(block_id)  # shared storage is immutable
-        run.hierarchy.write_persisted(Block(block_id, payload))
-    run.drop_decode_cache()
+    blobs = [entry.to_bytes(definition) for entry in entries]
+    offsets = [0, *accumulate(map(len, blobs[:-1]))]
+    return struct.pack(f">{len(blobs) + 1}I", len(blobs), *offsets) + b"".join(blobs)
+
+
+def assert_lifecycles_quiescent(table) -> None:
+    """At quiescence no run is parked: every shard's indexes drained their
+    retired backlog and every retired run was reclaimed."""
+    for shard in table.shards:
+        for shard_index in shard.indexes.all():
+            assert shard_index.index.lifecycle.retired_backlog() == 0
+        epochs = shard.hierarchy.stats.epochs
+        assert epochs.runs_retired == epochs.runs_reclaimed
 
 
 def shared_bytes_digest(hierarchy) -> str:

@@ -1,21 +1,15 @@
-"""Seeded stress: query threads vs live maintenance daemons (ISSUE 4/5).
+"""Seeded stress: query threads vs live maintenance daemons.
 
-The tentpole claim of the protected run lifecycles: with
-``run_lifecycle="versionset"`` (one Ref/Unref per query on the pinned
-version node) or ``"epoch"`` (per-run refcounts) it is safe to fire point
-lookups, range scans, batch lookups and (abandoned) streaming scans from
-several threads while the groomer, post-groomer, indexer and merge
-daemons run -- no torn snapshots, no ``KeyError``/missing-block reads,
-and monotonically progressing retire/reclaim counters with a
-non-negative backlog.  In versionset mode the pin cost is additionally
-counter-asserted: exactly two version-refcount operations per worker
-query, however many runs each pinned version contained.
-
-Each protected mode runs 20 consecutive seeded iterations with fully
-concurrent query threads; legacy mode (no pin tracking, inline
-reclamation) runs its 20 with queries serialized against the daemons --
-the only discipline under which the unprotected lifecycle is sound,
-which is precisely the restriction the protected modes remove.
+The claim of the version-set run lifecycle (one Ref/Unref per query on
+the pinned version node): it is safe to fire point lookups, range scans,
+batch lookups and (abandoned) streaming scans from several threads while
+the groomer, post-groomer, indexer and merge daemons run -- no torn
+snapshots, no ``KeyError``/missing-block reads, and monotonically
+progressing retire/reclaim counters with a non-negative backlog.  The pin
+cost is additionally counter-asserted: exactly two version-refcount
+operations per worker query (and per post-groom sweep), however many runs
+each pinned version contained.  20 consecutive seeded iterations run with
+fully concurrent query threads.
 
 The whole module carries a hard ``pytest-timeout`` in CI so a livelock
 can never hang tier-1 (locally the marker is a no-op when the plugin is
@@ -42,7 +36,7 @@ INGEST_BATCHES = 6
 pytestmark = pytest.mark.timeout(180)
 
 
-def make_shard(mode: str) -> WildfireShard:
+def make_shard() -> WildfireShard:
     schema = TableSchema(
         name="stress",
         columns=(ColumnSpec("device"), ColumnSpec("msg"), ColumnSpec("reading")),
@@ -56,7 +50,6 @@ def make_shard(mode: str) -> WildfireShard:
         spec,
         config=ShardConfig(
             post_groom_every=2,
-            run_lifecycle=mode,
             umzi=UmziConfig(data_block_bytes=2048),
         ),
     )
@@ -137,12 +130,20 @@ def assert_counters_monotonic(samples) -> None:
         )
 
 
-def run_iteration(mode: str, seed: int, concurrent_queries: bool) -> None:
-    shard = make_shard(mode)
+def run_iteration(seed: int) -> None:
+    shard = make_shard()
     seed_baseline(shard)
     errors: list = []
     rounds: list = []
+    sweeps: list = []
     samples = []
+    sweep = shard.index.post_groomed_batch_lookup
+
+    def counted_sweep(*args, **kwargs):
+        sweeps.append(1)
+        return sweep(*args, **kwargs)
+
+    shard.index.post_groomed_batch_lookup = counted_sweep
     epochs = shard.hierarchy.stats.epochs
     baseline_epochs = epochs.snapshot()
     stop = threading.Event()
@@ -155,14 +156,12 @@ def run_iteration(mode: str, seed: int, concurrent_queries: bool) -> None:
                 return
 
     shard.start_daemons(groom_interval_s=0.002)
-    threads = []
-    if concurrent_queries:
-        threads = [
-            threading.Thread(target=query_loop, args=(seed * 100 + t,))
-            for t in range(QUERY_THREADS)
-        ]
-        for t in threads:
-            t.start()
+    threads = [
+        threading.Thread(target=query_loop, args=(seed * 100 + t,))
+        for t in range(QUERY_THREADS)
+    ]
+    for t in threads:
+        t.start()
     try:
         rng = random.Random(seed)
         for batch in range(INGEST_BATCHES):
@@ -181,49 +180,37 @@ def run_iteration(mode: str, seed: int, concurrent_queries: bool) -> None:
             t.join(timeout=10.0)
         shard.stop_daemons()
 
-    assert errors == [], f"{mode} iteration seed={seed}: {errors}"
-    # Quiescent verification (both modes): drain pending evolves, then the
-    # baseline must be fully intact with one version per key.
+    assert errors == [], f"iteration seed={seed}: {errors}"
+    # Quiescent verification: drain pending evolves, then the baseline
+    # must be fully intact with one version per key.
     shard.indexer.drain()
     quiet_rng = random.Random(seed + 1)
     for _ in range(5):
         check_baseline(shard, quiet_rng, errors, rounds)
-    assert errors == [], f"{mode} post-quiesce seed={seed}: {errors}"
+    assert errors == [], f"post-quiesce seed={seed}: {errors}"
     samples.append((epochs.runs_retired, epochs.runs_reclaimed))
     assert_counters_monotonic(samples)
-    if mode in ("epoch", "versionset"):
-        assert epochs.reclaimed_while_pinned == 0
-        # Nothing pinned once quiet: the backlog must fully drain after
-        # one more (pin-free) query round.  (pinned_run_ids also drains
-        # any release a GC finalizer parked.)
-        assert shard.index.lifecycle.pinned_run_ids() == []
-    if mode == "versionset":
-        # The pin-cost invariant under real daemons: every worker query
-        # cost exactly one version Ref and one Unref -- 2 refcount ops
-        # per query, however many runs each pinned version held.  (The
-        # post-groomer's zone-restricted lookups ride the per-run ledger
-        # and never touch the version counters.)
-        delta = epochs.diff(baseline_epochs)
-        expected = QUERIES_PER_ROUND * len(rounds)
-        assert delta.version_refs == expected, (
-            f"seed={seed}: {delta.version_refs} version refs for "
-            f"{expected} queries"
-        )
-        assert delta.version_unrefs == expected, (
-            f"seed={seed}: {delta.version_unrefs} version unrefs for "
-            f"{expected} queries"
-        )
+    # Nothing pinned once quiet: the backlog must fully drain after one
+    # more (pin-free) query round.  (pinned_run_ids also drains any
+    # release a GC finalizer parked.)
+    assert shard.index.lifecycle.pinned_run_ids() == []
+    assert shard.index.lifecycle.retired_backlog() == 0
+    # The pin-cost invariant under real daemons: every worker query and
+    # every post-groom sweep cost exactly one version Ref and one Unref --
+    # 2 refcount ops each, however many runs each pinned version held.
+    delta = epochs.diff(baseline_epochs)
+    expected = QUERIES_PER_ROUND * len(rounds) + len(sweeps)
+    assert delta.version_refs == expected, (
+        f"seed={seed}: {delta.version_refs} version refs for "
+        f"{expected} pins"
+    )
+    assert delta.version_unrefs == expected, (
+        f"seed={seed}: {delta.version_unrefs} version unrefs for "
+        f"{expected} pins"
+    )
 
 
-class TestProtectedModesUnderDaemons:
-    @pytest.mark.parametrize("mode", ["epoch", "versionset"])
-    def test_twenty_seeded_iterations_with_concurrent_queries(self, mode):
+class TestVersionSetUnderDaemons:
+    def test_twenty_seeded_iterations_with_concurrent_queries(self):
         for i in range(ITERATIONS):
-            run_iteration(mode, seed=1000 + i, concurrent_queries=True)
-
-
-class TestLegacyModeSafeConfiguration:
-    def test_twenty_seeded_iterations_quiescent_queries(self):
-        # Legacy's safe configuration: no queries while daemons mutate.
-        for i in range(ITERATIONS):
-            run_iteration("legacy", seed=2000 + i, concurrent_queries=False)
+            run_iteration(seed=1000 + i)

@@ -1,14 +1,7 @@
-"""Unit tests for the run lifecycle (repro.core.epoch).
-
-The integration/cache/iterator classes are parametrized over both
-*protected* modes -- ``"epoch"`` (per-run refcounts) and ``"versionset"``
-(version-node refcounts, the default) -- via the ``protected_mode``
-fixture: the two designs must be observably equivalent on every safety
-property; only their refcount cost differs (asserted separately in
-:class:`TestVersionSetLifecycle`).
-"""
+"""Unit tests for the version-set run lifecycle (repro.core.epoch)."""
 
 import gc
+from contextlib import contextmanager
 
 import pytest
 
@@ -26,21 +19,13 @@ from tests.conftest import make_entries, key_of
 
 DEF = i1_definition()
 
-PROTECTED_MODES = ("epoch", "versionset")
 
-
-@pytest.fixture(params=PROTECTED_MODES)
-def protected_mode(request):
-    return request.param
-
-
-def build_index(mode="versionset", runs=4, per_run=10):
+def build_index(runs=4, per_run=10):
     levels = LevelConfig(groomed_levels=3, post_groomed_levels=2,
                          max_runs_per_level=8, size_ratio=4)
     index = UmziIndex(
         DEF,
-        config=UmziConfig(name=f"ep-{mode}", levels=levels,
-                          data_block_bytes=2048, run_lifecycle=mode),
+        config=UmziConfig(name="ep", levels=levels, data_block_bytes=2048),
     )
     for gid in range(runs):
         index.add_groomed_run(
@@ -51,6 +36,27 @@ def build_index(mode="versionset", runs=4, per_run=10):
     return index
 
 
+# The two ways a reader holds a version: a snapshot view for the length of
+# its scope, and a query's own pin for as long as its scan stays open.
+READERS = ["snapshot-view", "open-scan"]
+
+
+@contextmanager
+def reading(index, reader):
+    """Hold ``reader``'s pin on the index's current version for the scope;
+    the open scan has yielded its first entry and is closed on exit."""
+    if reader == "snapshot-view":
+        with index.snapshot_view():
+            yield
+        return
+    scan = index.range_scan_iter(RangeScanQuery(equality_values=(1,)))
+    next(scan)
+    try:
+        yield
+    finally:
+        scan.close()
+
+
 class FakeRun:
     """Minimal stand-in: the lifecycle only reads ``run_id``."""
 
@@ -59,18 +65,16 @@ class FakeRun:
 
 
 class FakeVersionedList:
-    """A mutable published run set with a registered version collector.
+    """A mutable published run set and the lifecycle collecting it.
 
     Mirrors what :class:`UmziIndex` wires up: every mutation calls
-    ``note_publish`` (which, in versionset mode, rebuilds the lifecycle's
-    current version node through :meth:`collect`), and pins taken through
-    the registered collector ride the O(1) version-Ref path.
+    ``note_publish`` (which makes the lifecycle's current version node
+    stale; the next pin or retire rebuilds it through :meth:`collect`).
     """
 
-    def __init__(self, lifecycle):
-        self.runs = []
-        self.lifecycle = lifecycle
-        lifecycle.attach_collector(self.collect)
+    def __init__(self, stats, *run_ids):
+        self.runs = [FakeRun(run_id) for run_id in run_ids]
+        self.lifecycle = RunLifecycle(stats, self.collect)
 
     def collect(self):
         return RunListVersion(
@@ -90,9 +94,9 @@ class FakeVersionedList:
 
 
 class TestRunLifecycleUnit:
-    def test_retire_unpinned_reclaims_immediately(self, protected_mode):
+    def test_retire_unpinned_reclaims_immediately(self):
         stats = EpochStats()
-        lifecycle = RunLifecycle(stats, mode=protected_mode)
+        lifecycle = FakeVersionedList(stats).lifecycle
         freed = []
         lifecycle.retire("r1", lambda: freed.append("r1"))
         assert freed == ["r1"]
@@ -100,85 +104,68 @@ class TestRunLifecycleUnit:
         assert stats.reclaims_deferred == 0
         assert lifecycle.retired_backlog() == 0
 
-    def test_retire_pinned_defers_until_release(self, protected_mode):
+    def test_retire_pinned_defers_until_release(self):
         stats = EpochStats()
-        lifecycle = RunLifecycle(stats, mode=protected_mode)
-        run = FakeRun("r1")
+        lists = FakeVersionedList(stats, "r1")
+        lifecycle = lists.lifecycle
         freed = []
-        pin = lifecycle.pin(lambda: [run])
+        pin = lifecycle.pin()
         assert lifecycle.is_pinned("r1")
+        lists.remove("r1")
         lifecycle.retire("r1", lambda: freed.append("r1"))
         assert freed == []  # parked behind the pin
         assert stats.reclaims_deferred == 1
         assert lifecycle.retired_backlog() == 1
         pin.release()
         assert freed == ["r1"]
-        assert stats.runs_reclaimed == 1
-        assert stats.reclaimed_while_pinned == 0
+        assert stats.runs_retired == stats.runs_reclaimed == 1
         assert lifecycle.retired_backlog() == 0
 
-    def test_overlapping_pins_block_until_last_exit(self, protected_mode):
-        stats = EpochStats()
-        lifecycle = RunLifecycle(stats, mode=protected_mode)
-        run = FakeRun("r1")
+    def test_overlapping_pins_block_until_last_exit(self):
+        lists = FakeVersionedList(EpochStats(), "r1")
+        lifecycle = lists.lifecycle
         freed = []
-        pin_a = lifecycle.pin(lambda: [run])
-        pin_b = lifecycle.pin(lambda: [run])
+        pin_a = lifecycle.pin()
+        pin_b = lifecycle.pin()
+        lists.remove("r1")
         lifecycle.retire("r1", lambda: freed.append("r1"))
         pin_a.release()
         assert freed == []  # pin_b still holds it
         pin_b.release()
         assert freed == ["r1"]
 
-    def test_release_is_idempotent(self, protected_mode):
+    def test_release_is_idempotent(self):
         stats = EpochStats()
-        lifecycle = RunLifecycle(stats, mode=protected_mode)
-        pin = lifecycle.pin(lambda: [FakeRun("r1")])
+        lifecycle = FakeVersionedList(stats, "r1").lifecycle
+        pin = lifecycle.pin()
         pin.release()
         pin.release()
         assert stats.pins_entered == stats.pins_exited == 1
+        assert stats.version_refs == stats.version_unrefs == 1
 
-    def test_pin_after_retire_cannot_resurrect(self, protected_mode):
+    def test_pin_after_retire_cannot_resurrect(self):
         """A pin taken after retirement does not defer the (already
         executed) reclaim -- retired runs are gone from the published
         lists, so the new pin simply does not contain them."""
-        stats = EpochStats()
-        lifecycle = RunLifecycle(stats, mode=protected_mode)
+        lifecycle = FakeVersionedList(EpochStats()).lifecycle
         freed = []
         lifecycle.retire("r1", lambda: freed.append("r1"))
-        pin = lifecycle.pin(lambda: [])  # snapshot no longer holds r1
-        assert freed == ["r1"]
+        pin = lifecycle.pin()  # the snapshot no longer holds r1
+        assert freed == ["r1"] and pin.runs == ()
         pin.release()
 
-    def test_legacy_mode_reclaims_inline_and_counts_hazards(self):
-        stats = EpochStats()
-        lifecycle = RunLifecycle(stats, mode="legacy")
-        run = FakeRun("r1")
-        freed = []
-        pin = lifecycle.pin(lambda: [run])
-        assert not lifecycle.is_pinned("r1")  # nothing tracks pins
-        lifecycle.retire("r1", lambda: freed.append("r1"))
-        assert freed == ["r1"]  # freed under a live query: the hazard
-        assert stats.reclaimed_while_pinned == 1
-        pin.release()
-        lifecycle.retire("r2", lambda: freed.append("r2"))
-        assert stats.reclaimed_while_pinned == 1  # no query in flight
-
-    def test_mode_validation(self):
-        with pytest.raises(ValueError):
-            RunLifecycle(EpochStats(), mode="yolo")
-
-    def test_release_during_gc_parks_and_defers_hook(self, protected_mode):
+    def test_release_during_gc_parks_and_defers_hook(self):
         """A release fired while the cyclic collector runs must neither
         take locks nor run reclaims/hooks inline (the interrupted thread
         may hold any storage lock); it parks and drains on the next op."""
         import repro.core.epoch as epoch_mod
 
         stats = EpochStats()
-        lifecycle = RunLifecycle(stats, mode=protected_mode)
-        run = FakeRun("r1")
+        lists = FakeVersionedList(stats, "r1")
+        lifecycle = lists.lifecycle
         freed, hooked = [], []
-        pin = lifecycle.pin(lambda: [run])
+        pin = lifecycle.pin()
+        lists.remove("r1")
         lifecycle.retire("r1", lambda: freed.append("r1"))
         epoch_mod._gc_active.flag = True  # simulate: collector running
         try:
@@ -188,14 +175,12 @@ class TestRunLifecycleUnit:
         finally:
             epoch_mod._gc_active.flag = False
         # Next lifecycle operation drains: hook runs, reclaim unblocks.
-        other = lifecycle.pin(lambda: [])
+        other = lifecycle.pin()
         assert hooked == [1] and freed == ["r1"]
         other.release()
         assert stats.pins_entered == stats.pins_exited == 2
 
-    def test_a_released_pins_finalizer_stays_out_of_the_lifecycle(
-        self, protected_mode
-    ):
+    def test_a_released_pins_finalizer_stays_out_of_the_lifecycle(self):
         """Every query's pin dies released; its ``__del__`` must return at
         once instead of re-entering ``RunLifecycle.release`` (which then
         finds ``_released`` set -- one wasted call per query).  An
@@ -204,7 +189,8 @@ class TestRunLifecycleUnit:
         import repro.core.epoch as epoch_mod
 
         stats = EpochStats()
-        lifecycle = RunLifecycle(stats, mode=protected_mode)
+        lists = FakeVersionedList(stats, "r1")
+        lifecycle = lists.lifecycle
         released = []
         real_release = lifecycle.release
 
@@ -213,14 +199,15 @@ class TestRunLifecycleUnit:
             return real_release(pin, *args)
 
         lifecycle.release = counting_release
-        pin = lifecycle.pin(lambda: [FakeRun("r1")])
+        pin = lifecycle.pin()
         pin.release()
         assert released == [False]
         pin.__del__()  # what dropping the last reference runs
         del pin
         assert released == [False]  # no second call
 
-        abandoned = lifecycle.pin(lambda: [FakeRun("r2")])
+        lists.add(FakeRun("r2"))
+        abandoned = lifecycle.pin()
         assert lifecycle.is_pinned("r2")
         epoch_mod._gc_active.flag = True  # simulate: collector running
         try:
@@ -233,34 +220,36 @@ class TestRunLifecycleUnit:
         assert not lifecycle.is_pinned("r2")
         assert stats.pins_entered == stats.pins_exited == 2
 
-    def test_a_release_inside_this_threads_locked_section_parks(
-        self, protected_mode
-    ):
+    def test_a_release_inside_this_threads_locked_section_parks(self):
         """A finalizer can run at any allocation, also one made while this
         thread holds the (non-reentrant) lifecycle mutex: a ``release``
         issued there must park, hook and arguments with it, and be applied
         by the next lifecycle operation -- outside the mutex."""
         stats = EpochStats()
-        lifecycle = RunLifecycle(stats, mode=protected_mode)
-        pin = lifecycle.pin(lambda: [FakeRun("r1")])
+        lists = FakeVersionedList(stats, "r1")
+        lifecycle = lists.lifecycle
+        pin = lifecycle.pin()
         done = []
         with lifecycle._locked:
             lifecycle.release(pin, done.append, "touched")
             assert lifecycle._pending_releases
             assert stats.pins_exited == 0 and not done
         assert lifecycle.is_pinned("r1")  # is_pinned does not drain
-        lifecycle.pin(lambda: [FakeRun("r2")]).release()
+        lifecycle.pin().release()
         assert not lifecycle._pending_releases
         assert not lifecycle.is_pinned("r1")
         assert done == ["touched"]
         assert stats.pins_entered == stats.pins_exited == 2
 
-    def test_counters_are_monotonic(self, protected_mode):
+    def test_counters_are_monotonic(self):
         stats = EpochStats()
-        lifecycle = RunLifecycle(stats, mode=protected_mode)
+        lists = FakeVersionedList(stats)
+        lifecycle = lists.lifecycle
         observed = []
         for i in range(5):
-            pin = lifecycle.pin(lambda: [FakeRun(f"r{i}")])
+            lists.add(FakeRun(f"r{i}"))
+            pin = lifecycle.pin()
+            lists.remove(f"r{i}")
             lifecycle.retire(f"r{i}", lambda: None)
             pin.release()
             observed.append((stats.runs_retired, stats.runs_reclaimed))
@@ -292,8 +281,8 @@ class TestRunListPublication:
 
 
 class TestIndexEpochIntegration:
-    def test_evolve_defers_deletion_while_snapshot_pinned(self, protected_mode):
-        index = build_index(mode=protected_mode, runs=4)
+    def test_evolve_defers_deletion_while_snapshot_pinned(self):
+        index = build_index(runs=4)
         groomed_before = index.run_lists[Zone.GROOMED].snapshot()
         assert len(groomed_before) == 4
         with index.snapshot_view() as view:
@@ -317,8 +306,8 @@ class TestIndexEpochIntegration:
         with pytest.raises(BlockNotFoundError):
             index.hierarchy.read(groomed_before[0].data_block_id(0))
 
-    def test_unpinned_evolve_deletes_immediately(self, protected_mode):
-        index = build_index(mode=protected_mode, runs=2)
+    def test_unpinned_evolve_deletes_immediately(self):
+        index = build_index(runs=2)
         groomed = index.run_lists[Zone.GROOMED].snapshot()
         entries = make_entries(DEF, range(20), 1, Zone.POST_GROOMED, 100)
         index.evolve(1, entries, 0, 1)
@@ -326,13 +315,12 @@ class TestIndexEpochIntegration:
         with pytest.raises(BlockNotFoundError):
             index.hierarchy.read(groomed[0].data_block_id(0))
 
-    def test_merge_defers_input_deletion_while_pinned(self, protected_mode):
+    def test_merge_defers_input_deletion_while_pinned(self):
         levels = LevelConfig(groomed_levels=3, post_groomed_levels=2,
                              max_runs_per_level=2, size_ratio=2)
         index = UmziIndex(
             DEF, config=UmziConfig(name="ep-mg", levels=levels,
-                                   data_block_bytes=2048,
-                                   run_lifecycle=protected_mode),
+                                   data_block_bytes=2048),
         )
         for gid in range(2):
             index.add_groomed_run(
@@ -351,8 +339,8 @@ class TestIndexEpochIntegration:
         with pytest.raises(BlockNotFoundError):
             index.hierarchy.read(inputs[0].data_block_id(0))
 
-    def test_snapshot_view_ignores_later_writes(self, protected_mode):
-        index = build_index(mode=protected_mode, runs=2)
+    def test_snapshot_view_ignores_later_writes(self):
+        index = build_index(runs=2)
         with index.snapshot_view() as view:
             missing = RangeScanQuery(equality_values=(25,))
             assert view.range_scan(missing) == []
@@ -369,37 +357,27 @@ class TestIndexEpochIntegration:
         assert v2.version_id > v1.version_id
         assert len(v2.candidates()) == len(v1.candidates()) + 1
 
-    def test_legacy_index_mode_frees_under_live_pin(self):
-        index = build_index(mode="legacy", runs=2)
-        groomed = index.run_lists[Zone.GROOMED].snapshot()
-        with index.snapshot_view():
-            entries = make_entries(DEF, range(20), 1, Zone.POST_GROOMED, 100)
-            index.evolve(1, entries, 0, 1)
-            # Legacy: freed immediately, even though a view is pinned.
-            with pytest.raises(BlockNotFoundError):
-                index.hierarchy.read(groomed[0].data_block_id(0))
-        assert index.hierarchy.stats.epochs.reclaimed_while_pinned > 0
 
-
+@pytest.mark.parametrize("reader", READERS)
 class TestCachePinAwareness:
-    def test_purge_skips_pinned_runs(self, protected_mode):
-        index = build_index(mode=protected_mode, runs=2)
+    def test_purge_skips_pinned_runs(self, reader):
+        index = build_index(runs=2)
         run = index.run_lists[Zone.GROOMED].snapshot()[0]
-        with index.snapshot_view():
+        with reading(index, reader):
             assert index.cache.purge_run(run) == 0
             assert index.hierarchy.stats.epochs.eviction_pin_skips >= 1
             assert index.cache.is_run_cached(run)
         # No pins: the purge proceeds.
         assert index.cache.purge_run(run) > 0
 
-    def test_release_after_query_skips_runs_pinned_by_others(self, protected_mode):
-        index = build_index(mode=protected_mode, runs=2)
+    def test_release_after_query_skips_runs_pinned_by_others(self, reader):
+        index = build_index(runs=2)
         # Force every groomed level purged so release_after_query would
         # normally drop the touched blocks.
         index.cache.set_cache_level(-1)
         run = index.run_lists[Zone.GROOMED].snapshot()[0]
         index.cache.load_run(run)
-        with index.snapshot_view():
+        with reading(index, reader):
             skips_before = index.hierarchy.stats.epochs.eviction_pin_skips
             index.cache.release_after_query([run])
             assert (
@@ -410,15 +388,15 @@ class TestCachePinAwareness:
         index.cache.release_after_query([run])
         assert not index.cache.is_run_cached(run)
 
-    def test_release_at_a_cached_level_is_no_decision_and_no_skip(self, protected_mode):
+    def test_release_at_a_cached_level_is_no_decision_and_no_skip(self, reader):
         """``eviction_pin_skips`` counts release decisions skipped for a
         pin; a fully cached run at a cached level has nothing to release,
         so another reader's pin must not bump it (it used to)."""
-        index = build_index(mode=protected_mode, runs=2)
+        index = build_index(runs=2)
         run = index.run_lists[Zone.GROOMED].snapshot()[0]
         run.read_block(0)  # the handle has fetched something
         assert not index.cache.is_purged_level(run.level)
-        with index.snapshot_view():
+        with reading(index, reader):
             skips_before = index.hierarchy.stats.epochs.eviction_pin_skips
             index.cache.release_after_query([run])
             assert (
@@ -428,16 +406,17 @@ class TestCachePinAwareness:
 
 
 class TestPurgePassUnderPins:
-    def test_purge_pass_returns_instead_of_spinning_on_pinned_level(self, protected_mode):
+    @pytest.mark.parametrize("reader", READERS)
+    def test_purge_pass_returns_instead_of_spinning_on_pinned_level(self, reader):
         """Regression: a purge pass whose candidate runs are all pinned
         must give up and retry later, not busy-loop (purge_run's pin skip
         used to count as progress) nor falsely decrement the level."""
-        index = build_index(mode=protected_mode, runs=3, per_run=20)
+        index = build_index(runs=3, per_run=20)
         runs = index.run_lists[Zone.GROOMED].snapshot()
         # Bound the SSD so utilization sits above the high watermark.
         used = index.hierarchy.ssd.used_bytes
         index.hierarchy.ssd.capacity_bytes = int(used / 0.95)
-        with index.snapshot_view():
+        with reading(index, reader):
             index.cache.maintain()  # must return promptly, not busy-loop
             # The pinned runs' blocks all survived the pass.
             assert all(index.cache.is_run_cached(run) for run in runs)
@@ -465,39 +444,11 @@ class TestPurgePassUnderPins:
         assert index.hierarchy.ssd.utilization() >= index.cache.high_watermark
 
 
-class TestShardLifecycleConfig:
-    def test_conflicting_nested_run_lifecycle_rejected(self):
-        from repro.core.definition import ColumnSpec
-        from repro.wildfire.engine import ShardConfig, WildfireShard
-        from repro.wildfire.schema import IndexSpec, TableSchema
-
-        schema = TableSchema(
-            name="cfg",
-            columns=(ColumnSpec("a"), ColumnSpec("b"), ColumnSpec("c")),
-            primary_key=("a", "b"),
-            sharding_key=("a",),
-            partition_key=("b",),
-        )
-        spec = IndexSpec(("a",), ("b",), ("c",))
-        with pytest.raises(ValueError, match="run_lifecycle"):
-            WildfireShard(
-                schema, spec,
-                config=ShardConfig(
-                    umzi=UmziConfig(run_lifecycle="legacy")  # shard says versionset
-                ),
-            )
-        # Agreement (or the shard-level flag alone) is fine.
-        shard = WildfireShard(
-            schema, spec, config=ShardConfig(run_lifecycle="legacy")
-        )
-        assert shard.index.lifecycle.mode == "legacy"
-
-
 class TestAbandonedIterators:
-    def test_abandoned_iterator_releases_its_pin(self, protected_mode):
+    def test_abandoned_iterator_releases_its_pin(self):
         """Regression (ISSUE 4 satellite): epoch exit and purged-block
         release must fire for iterators dropped mid-stream."""
-        index = build_index(mode=protected_mode, runs=3, per_run=10)
+        index = build_index(runs=3, per_run=10)
         iterator = index.range_scan_iter(RangeScanQuery(equality_values=(12,)))
         next(iterator)
         assert index.lifecycle.pinned_run_ids()  # mid-scan: pinned
@@ -507,16 +458,16 @@ class TestAbandonedIterators:
         stats = index.hierarchy.stats.epochs
         assert stats.pins_entered == stats.pins_exited
 
-    def test_never_started_iterator_releases_on_gc(self, protected_mode):
-        index = build_index(mode=protected_mode, runs=2)
+    def test_never_started_iterator_releases_on_gc(self):
+        index = build_index(runs=2)
         iterator = index.range_scan_iter(RangeScanQuery(equality_values=(3,)))
         assert index.lifecycle.pinned_run_ids()
         del iterator
         gc.collect()
         assert index.lifecycle.pinned_run_ids() == []
 
-    def test_abandoned_iterator_unblocks_reclamation(self, protected_mode):
-        index = build_index(mode=protected_mode, runs=2)
+    def test_abandoned_iterator_unblocks_reclamation(self):
+        index = build_index(runs=2)
         iterator = index.range_scan_iter(RangeScanQuery(equality_values=(3,)))
         next(iterator)
         entries = make_entries(DEF, range(20), 1, Zone.POST_GROOMED, 100)
@@ -525,15 +476,15 @@ class TestAbandonedIterators:
         iterator.close()
         assert index.lifecycle.retired_backlog() == 0
 
-    def test_exhausted_iterator_releases_inline(self, protected_mode):
-        index = build_index(mode=protected_mode, runs=2)
+    def test_exhausted_iterator_releases_inline(self):
+        index = build_index(runs=2)
         list(index.range_scan_iter(RangeScanQuery(equality_values=(3,))))
         assert index.lifecycle.pinned_run_ids() == []
 
-    def test_abandoned_iterator_releases_purged_blocks(self, protected_mode):
+    def test_abandoned_iterator_releases_purged_blocks(self):
         """The documented leak: purged blocks pulled in by a scan must be
         released even when the iterator never runs to completion."""
-        index = build_index(mode=protected_mode, runs=2, per_run=30)
+        index = build_index(runs=2, per_run=30)
         index.cache.set_cache_level(-1)  # everything purged
         runs = index.run_lists[Zone.GROOMED].snapshot()
         run = next(r for r in runs if r.min_groomed_id == 0)
@@ -548,14 +499,13 @@ class TestAbandonedIterators:
 
 
 class TestVersionSetLifecycle:
-    """Versionset-mode specifics: O(1) pins, version-chain reclamation."""
+    """O(1) pins, version-chain reclamation."""
 
     def test_exactly_two_refcount_ops_per_query_any_run_count(self):
         """The countable invariant: one Ref at pin, one Unref at release,
-        independent of how many runs the pinned version contains (epoch
-        mode pays 2 * runs per-run updates on the same workload)."""
+        independent of how many runs the pinned version contains."""
         for num_runs in (1, 4, 8):
-            index = build_index(mode="versionset", runs=num_runs)
+            index = build_index(runs=num_runs)
             stats = index.hierarchy.stats.epochs
             before = stats.snapshot()
             for k in range(10):
@@ -563,16 +513,6 @@ class TestVersionSetLifecycle:
             delta = stats.diff(before)
             assert delta.version_refs == 10
             assert delta.version_unrefs == 10
-            assert delta.run_ref_ops == 0
-
-            epoch_index = build_index(mode="epoch", runs=num_runs)
-            epoch_stats = epoch_index.hierarchy.stats.epochs
-            before = epoch_stats.snapshot()
-            for k in range(10):
-                epoch_index.lookup((k,), (k,))
-            delta = epoch_stats.diff(before)
-            assert delta.run_ref_ops == 10 * 2 * num_runs
-            assert delta.version_refs == delta.version_unrefs == 0
 
     def test_out_of_order_unref_chain_reclamation(self):
         """A long-lived scan pins an old version; newer versions come and
@@ -580,14 +520,14 @@ class TestVersionSetLifecycle:
         version dies on its last Unref, but runs reachable from the
         still-pinned old version stay parked until IT releases."""
         stats = EpochStats()
-        lifecycle = RunLifecycle(stats, mode="versionset")
-        lists = FakeVersionedList(lifecycle)
+        lists = FakeVersionedList(stats)
+        lifecycle = lists.lifecycle
         lists.add(FakeRun("r1"))
-        old_pin = lifecycle.pin(lists.collect)          # pins version {r1}
+        old_pin = lifecycle.pin()          # pins version {r1}
         lists.add(FakeRun("r2"))
-        mid_pin = lifecycle.pin(lists.collect)          # pins {r1, r2}
+        mid_pin = lifecycle.pin()          # pins {r1, r2}
         lists.add(FakeRun("r3"))
-        new_pin = lifecycle.pin(lists.collect)          # pins {r1, r2, r3}
+        new_pin = lifecycle.pin()          # pins {r1, r2, r3}
         assert lifecycle.live_version_count() == 3
 
         # Remove r1 from the published set and retire it: every live
@@ -615,13 +555,13 @@ class TestVersionSetLifecycle:
         run's free fires exactly when the last live version containing it
         dies -- not sooner, not later."""
         stats = EpochStats()
-        lifecycle = RunLifecycle(stats, mode="versionset")
-        lists = FakeVersionedList(lifecycle)
+        lists = FakeVersionedList(stats)
+        lifecycle = lists.lifecycle
         lists.add(FakeRun("a"))
         lists.add(FakeRun("b"))
-        pin_ab = lifecycle.pin(lists.collect)           # version {a, b}
+        pin_ab = lifecycle.pin()           # version {a, b}
         lists.remove("a")
-        pin_b = lifecycle.pin(lists.collect)            # version {b}
+        pin_b = lifecycle.pin()            # version {b}
         freed = []
         lifecycle.retire("a", lambda: freed.append("a"))
         # {a, b} is still live (pin_ab): a must not be freed ...
@@ -637,18 +577,19 @@ class TestVersionSetLifecycle:
         """Every live run is in the current version; only versions a
         query actually refs may report runs as pinned, or the cache could
         never evict anything."""
-        index = build_index(mode="versionset", runs=2)
+        index = build_index(runs=2)
         run = index.run_lists[Zone.GROOMED].snapshot()[0]
         assert not index.lifecycle.is_pinned(run.run_id)
         assert index.lifecycle.pinned_run_ids() == []
         assert index.cache.purge_run(run) > 0  # eviction proceeds
 
-    def test_purge_skips_runs_reachable_from_old_live_version(self):
+    @pytest.mark.parametrize("reader", READERS)
+    def test_purge_skips_runs_reachable_from_old_live_version(self, reader):
         """A run evolved out of the *current* version must still refuse to
         purge while an older pinned version reaches it."""
-        index = build_index(mode="versionset", runs=2)
+        index = build_index(runs=2)
         groomed = index.run_lists[Zone.GROOMED].snapshot()
-        with index.snapshot_view():
+        with reading(index, reader):
             entries = make_entries(DEF, range(20), 1, Zone.POST_GROOMED, 100)
             index.evolve(1, entries, 0, 1)
             # Gone from the current version, reachable from the pinned one.
@@ -657,26 +598,26 @@ class TestVersionSetLifecycle:
                 assert index.cache.purge_run(run) == 0
             assert index.hierarchy.stats.epochs.eviction_pin_skips >= 2
 
-    def test_ad_hoc_collector_falls_back_to_per_run_ledger(self):
-        """A pin whose collector is not the registered one (the
-        post-groomer's zone-restricted lookup, test stubs) cannot ride
-        the version chain; it must still be exactly as safe, via the
-        per-run ledger."""
-        index = build_index(mode="versionset", runs=2)
+    def test_post_groom_sweep_pins_the_current_version(self):
+        """The post-groomer's batched lookup over the post-groomed zone
+        pins the index's current version like any query -- one Ref, one
+        Unref -- and reads that version's post-groomed runs."""
+        index = build_index(runs=2)
+        index.evolve(1, make_entries(DEF, range(20), 1, Zone.POST_GROOMED, 100), 0, 1)
         stats = index.hierarchy.stats.epochs
-        post_groomed = index.run_lists[Zone.POST_GROOMED]
         before = stats.snapshot()
-        pin = index.lifecycle.pin(post_groomed.snapshot)
+        found = index.post_groomed_batch_lookup([[3, 30], [3, 30]], 1 << 40)
         delta = stats.diff(before)
-        assert delta.version_refs == 0          # not a version pin
-        assert delta.pins_entered == 1
-        pin.release()
-        assert stats.diff(before).pins_exited == 1
+        assert delta.version_refs == delta.version_unrefs == 1
+        assert delta.pins_entered == delta.pins_exited == 1
+        assert found[0] is not None and found[0].rid.zone is Zone.POST_GROOMED
+        assert found[1] is None
+        assert index.lifecycle.pinned_run_ids() == []
 
     def test_live_version_chain_stays_bounded(self):
         """Chain length tracks reader concurrency, not publication count:
         unpinned superseded versions die at the next publication."""
-        index = build_index(mode="versionset", runs=1)
+        index = build_index(runs=1)
         for gid in range(1, 6):
             index.add_groomed_run(
                 make_entries(DEF, range(gid * 10, gid * 10 + 10),
@@ -685,31 +626,6 @@ class TestVersionSetLifecycle:
             )
             index.lookup((gid * 10,), (gid * 10,))
             assert index.lifecycle.live_version_count() == 1
-
-    def test_nested_epoch_config_conflicts_with_versionset_shard(self):
-        from repro.core.definition import ColumnSpec
-        from repro.wildfire.engine import ShardConfig, WildfireShard
-        from repro.wildfire.schema import IndexSpec, TableSchema
-
-        schema = TableSchema(
-            name="cfg2",
-            columns=(ColumnSpec("a"), ColumnSpec("b"), ColumnSpec("c")),
-            primary_key=("a", "b"),
-            sharding_key=("a",),
-            partition_key=("b",),
-        )
-        spec = IndexSpec(("a",), ("b",), ("c",))
-        with pytest.raises(ValueError, match="run_lifecycle"):
-            WildfireShard(
-                schema, spec,
-                config=ShardConfig(umzi=UmziConfig(run_lifecycle="epoch")),
-            )
-        shard = WildfireShard(
-            schema, spec, config=ShardConfig(run_lifecycle="epoch")
-        )
-        assert shard.index.lifecycle.mode == "epoch"
-        default_shard = WildfireShard(schema, spec)
-        assert default_shard.index.lifecycle.mode == "versionset"
 
     def test_publication_never_runs_reclaims_or_hooks_inline(self):
         """Regression (review finding): ``note_publish`` fires inside
@@ -721,10 +637,10 @@ class TestVersionSetLifecycle:
         import repro.core.epoch as epoch_mod
 
         stats = EpochStats()
-        lifecycle = RunLifecycle(stats, mode="versionset")
-        lists = FakeVersionedList(lifecycle)
+        lists = FakeVersionedList(stats)
+        lifecycle = lists.lifecycle
         lists.add(FakeRun("r1"))
-        pin = lifecycle.pin(lists.collect)      # refs version {r1}
+        pin = lifecycle.pin()      # refs version {r1}
         freed, hooked = [], []
         lists.remove("r1")
         lifecycle.retire("r1", lambda: freed.append("r1"))
@@ -755,34 +671,34 @@ class TestVersionCoalescing:
 
     def test_publication_burst_rebuilds_once(self):
         stats = EpochStats()
-        lifecycle = RunLifecycle(stats, mode="versionset")
-        lists = FakeVersionedList(lifecycle)
+        lists = FakeVersionedList(stats)
+        lifecycle = lists.lifecycle
         for i in range(5):
             lists.add(FakeRun(f"r{i}"))
         assert stats.versions_published == 5
         assert stats.versions_coalesced == 0  # nothing rebuilt yet
-        pin = lifecycle.pin(lists.collect)  # first consumer: one rebuild
+        pin = lifecycle.pin()  # first consumer: one rebuild
         assert stats.versions_coalesced == 4
         assert {run.run_id for run in pin.runs} == {f"r{i}" for i in range(5)}
         pin.release()
 
     def test_single_publication_coalesces_nothing(self):
         stats = EpochStats()
-        lifecycle = RunLifecycle(stats, mode="versionset")
-        lists = FakeVersionedList(lifecycle)
+        lists = FakeVersionedList(stats)
+        lifecycle = lists.lifecycle
         lists.add(FakeRun("r0"))
-        pin = lifecycle.pin(lists.collect)
+        pin = lifecycle.pin()
         assert stats.versions_coalesced == 0
         pin.release()
         lists.add(FakeRun("r1"))
-        pin = lifecycle.pin(lists.collect)
+        pin = lifecycle.pin()
         assert stats.versions_coalesced == 0  # 1 publish -> 1 rebuild
         pin.release()
 
     def test_retire_also_folds_dirty_publications(self):
         stats = EpochStats()
-        lifecycle = RunLifecycle(stats, mode="versionset")
-        lists = FakeVersionedList(lifecycle)
+        lists = FakeVersionedList(stats)
+        lifecycle = lists.lifecycle
         for i in range(3):
             lists.add(FakeRun(f"r{i}"))
         lists.remove("r0")  # 4 publications total, none built
@@ -795,12 +711,12 @@ class TestVersionCoalescing:
 
     def test_queries_never_observe_stale_versions(self):
         stats = EpochStats()
-        lifecycle = RunLifecycle(stats, mode="versionset")
-        lists = FakeVersionedList(lifecycle)
+        lists = FakeVersionedList(stats)
+        lifecycle = lists.lifecycle
         lists.add(FakeRun("a"))
-        pin = lifecycle.pin(lists.collect)
+        pin = lifecycle.pin()
         pin.release()
         lists.add(FakeRun("b"))  # dirty: current node still lacks b
-        pin = lifecycle.pin(lists.collect)
+        pin = lifecycle.pin()
         assert {run.run_id for run in pin.runs} == {"a", "b"}
         pin.release()

@@ -85,11 +85,12 @@ def groomed_batches(draw):
     return schema, spec, rows, begin_ts
 
 
-def oracle_entries(shard_index, rows, begin_ts):
+def oracle_entries(schema, shard_index, rows, begin_ts):
     """The parent's per-row list comprehension."""
     make_entry = shard_index.index.make_entry
+    extract = shard_index.spec.extractor(schema)
     return [
-        make_entry(*shard_index.extract(row), ts, RID(Zone.GROOMED, BLOCK_ID, offset))
+        make_entry(*extract(row), ts, RID(Zone.GROOMED, BLOCK_ID, offset))
         for offset, (row, ts) in enumerate(zip(rows, begin_ts))
     ]
 
@@ -113,7 +114,7 @@ def test_kernel_run_is_byte_identical_to_the_per_entry_build(
     run_id = indexes.build_groomed_runs(block)["primary"]
     (run,) = shard_index.index.run_lists[Zone.GROOMED].snapshot()
 
-    entries = oracle_entries(shard_index, rows, begin_ts)
+    entries = oracle_entries(schema, shard_index, rows, begin_ts)
     oracle_storage = StorageHierarchy()
     oracle = RunBuilder(
         definition, oracle_storage, data_block_bytes, bloom_fpr=bloom_fpr

@@ -3,7 +3,7 @@
 ``tests/reference_merge.py`` keeps the pipeline the kernel replaced: the
 per-entry ``iter_raw``, the heap K-way merge, the per-entry evolve splice
 and the builder's per-entry loop.  Over 1-6 overlapping runs -- hashed and
-unbucketed definitions, v1 and v2 blocks, 64 B - 4 KiB blocks, identical
+unbucketed definitions, 64 B - 4 KiB blocks, identical
 versions in two runs, duplicate sort keys inside one run (which straddle
 batch boundaries), one run wholly below another (no batch needs a sort),
 entries larger than ``data_block_bytes``, empty runs and no runs at all,
@@ -37,7 +37,7 @@ from repro.storage.metrics import ReadIntent
 from repro.wildfire.engine import ShardConfig, WildfireShard
 from repro.wildfire.schema import IndexSpec, TableSchema
 
-from tests.conftest import downgrade_blocks_to_v1, shared_bytes_digest
+from tests.conftest import shared_bytes_digest
 from tests.reference_merge import (
     reference_build_from_blobs,
     reference_iter_raw,
@@ -103,10 +103,7 @@ def fixtures(draw, min_runs=0):
             make_entry(definition, d + lift, m, ts, draw(bodies), gid)
             for d, m, ts in picked
         ]
-        run = builder.build(f"r{gid}", entries, Zone.GROOMED, 0, gid, gid)
-        if draw(st.booleans()):
-            downgrade_blocks_to_v1(run)
-        runs.insert(0, run)
+        runs.insert(0, builder.build(f"r{gid}", entries, Zone.GROOMED, 0, gid, gid))
         previous = drawn
     return definition, hierarchy, runs
 

@@ -11,11 +11,9 @@ from hypothesis import given, settings, strategies as st
 
 import repro.core.epoch as epoch_mod
 from repro.core.entry import Zone
-from repro.core.epoch import RUN_LIFECYCLE_MODES, RunLifecycle
 from repro.storage.metrics import EpochStats, ReadIntent
 
 from tests.core.test_epoch_lifecycle import (
-    PROTECTED_MODES,
     FakeRun,
     FakeVersionedList,
     build_index,
@@ -31,7 +29,6 @@ steps = st.one_of(
     st.tuples(st.just("publish"), st.sampled_from(RUN_IDS)),
     st.tuples(st.just("retire"), st.sampled_from(RUN_IDS)),
     st.tuples(st.just("pin_version")),
-    st.tuples(st.just("pin_ad_hoc"), st.sets(st.sampled_from(RUN_IDS), max_size=3)),
     st.tuples(st.just("release"), st.integers(0, 7)),
     st.tuples(st.just("release_in_gc"), st.integers(0, 7)),
     st.tuples(st.just("drain")),
@@ -39,10 +36,10 @@ steps = st.one_of(
 
 
 @settings(max_examples=120, deadline=None)
-@given(mode=st.sampled_from(RUN_LIFECYCLE_MODES), sequence=st.lists(steps, max_size=30))
-def test_pinned_among_is_the_per_run_walk_for_every_run_at_once(mode, sequence):
-    lifecycle = RunLifecycle(EpochStats(), mode=mode)
-    published = FakeVersionedList(lifecycle)
+@given(sequence=st.lists(steps, max_size=30))
+def test_pinned_among_is_the_per_run_walk_for_every_run_at_once(sequence):
+    published = FakeVersionedList(EpochStats())
+    lifecycle = published.lifecycle
     live = []  # (pin, the run ids its snapshot held): released ones leave
     parked = []  # released while "the collector ran": still counted as held
     for step in sequence:
@@ -54,12 +51,8 @@ def test_pinned_among_is_the_per_run_walk_for_every_run_at_once(mode, sequence):
             lifecycle.retire(step[1], lambda: None)
             parked.clear()  # retire drains parked releases
         elif kind == "pin_version":
-            live.append((lifecycle.pin(published.collect), {r.run_id for r in published.runs}))
+            live.append((lifecycle.pin(), {r.run_id for r in published.runs}))
             parked.clear()  # so does pin
-        elif kind == "pin_ad_hoc":
-            runs = [FakeRun(run_id) for run_id in sorted(step[1])]
-            live.append((lifecycle.pin(lambda: runs), set(step[1])))
-            parked.clear()
         elif kind in ("release", "release_in_gc") and live:
             pin, held = live.pop(step[1] % len(live))
             if kind == "release":
@@ -71,8 +64,7 @@ def test_pinned_among_is_the_per_run_walk_for_every_run_at_once(mode, sequence):
                     pin.release()
                 finally:
                     epoch_mod._gc_active.flag = False
-                if mode != "legacy":
-                    parked.append(held)
+                parked.append(held)
         elif kind == "drain":
             lifecycle.retired_backlog()
             parked.clear()
@@ -80,30 +72,22 @@ def test_pinned_among_is_the_per_run_walk_for_every_run_at_once(mode, sequence):
         answer = lifecycle.pinned_among(RUN_IDS)
         assert answer == {r for r in RUN_IDS if reference_is_pinned(lifecycle, r)}
         assert answer == {r for r in RUN_IDS if lifecycle.is_pinned(r)}
-        if mode == "legacy":
-            assert answer == set()
-        else:
-            held_by_queries = set().union(*(held for _, held in live), *parked)
-            assert answer == held_by_queries
+        held_by_queries = set().union(*(held for _, held in live), *parked)
+        assert answer == held_by_queries
         assert lifecycle.pinned_among(()) == set()
     for pin, _ in live:
         pin.release()
 
 
-@pytest.mark.parametrize("mode", RUN_LIFECYCLE_MODES)
-def test_the_current_versions_own_reference_pins_nothing(mode):
-    lifecycle = RunLifecycle(EpochStats(), mode=mode)
-    published = FakeVersionedList(lifecycle)
-    for run_id in RUN_IDS:
-        published.add(FakeRun(run_id))
-    lifecycle.pin(published.collect).release()  # builds the current node
+def test_the_current_versions_own_reference_pins_nothing():
+    lifecycle = FakeVersionedList(EpochStats(), *RUN_IDS).lifecycle
+    lifecycle.pin().release()  # builds the current node
     assert lifecycle.pinned_among(RUN_IDS) == set()
 
 
-@pytest.mark.parametrize("mode", PROTECTED_MODES)
-def test_a_parked_release_still_reads_as_pinned(mode):
-    lifecycle = RunLifecycle(EpochStats(), mode=mode)
-    pin = lifecycle.pin(lambda: [FakeRun("r1"), FakeRun("r2")])
+def test_a_parked_release_still_reads_as_pinned():
+    lifecycle = FakeVersionedList(EpochStats(), "r1", "r2").lifecycle
+    pin = lifecycle.pin()
     with lifecycle._locked:  # a finalizer firing inside a locked section
         lifecycle.release(pin)
     assert lifecycle._pending_releases
@@ -113,8 +97,8 @@ def test_a_parked_release_still_reads_as_pinned(mode):
     assert lifecycle.pinned_among(["r0", "r1", "r2"]) == set()
 
 
-def purged_index_with_fetched_blocks(mode, runs=3):
-    index = build_index(mode=mode, runs=runs)
+def purged_index_with_fetched_blocks(runs=3):
+    index = build_index(runs=runs)
     index.cache.set_cache_level(-1)
     handles = list(index.run_lists[Zone.GROOMED].snapshot())
     for run in handles:
@@ -136,11 +120,10 @@ def release_observables(index, handles):
     }
 
 
-@pytest.mark.parametrize("mode", RUN_LIFECYCLE_MODES)
 @pytest.mark.parametrize("pinned", [False, True])
-def test_a_query_exit_releases_and_skips_as_the_per_run_loop_did(mode, pinned):
-    new, new_handles = purged_index_with_fetched_blocks(mode)
-    old, old_handles = purged_index_with_fetched_blocks(mode)
+def test_a_query_exit_releases_and_skips_as_the_per_run_loop_did(pinned):
+    new, new_handles = purged_index_with_fetched_blocks()
+    old, old_handles = purged_index_with_fetched_blocks()
     assert release_observables(new, new_handles) == release_observables(old, old_handles)
 
     def exit_query(index, handles, release):
@@ -154,8 +137,7 @@ def test_a_query_exit_releases_and_skips_as_the_per_run_loop_did(mode, pinned):
 
     after = release_observables(new, new_handles)
     assert after == release_observables(old, old_handles)
-    held = pinned and mode != "legacy"
     # One skip per run with something to release, none when nothing pins.
-    assert after["skips"] == (len(new_handles) if held else 0)
-    assert all(after["fetched"]) == held and all(after["views"]) == held
+    assert after["skips"] == (len(new_handles) if pinned else 0)
+    assert all(after["fetched"]) == pinned and all(after["views"]) == pinned
     assert new.hierarchy.stats.intents[ReadIntent.QUERY].promotions == len(new_handles)

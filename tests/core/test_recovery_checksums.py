@@ -1,7 +1,5 @@
-"""Checksum-based recovery (PR 2): per-block CRC validation, the decode
-fallback for pre-checksum runs, and journal torn-write detection."""
-
-from dataclasses import replace
+"""Checksum-based recovery: per-block CRC validation and journal
+torn-write detection."""
 
 from hypothesis import given, settings, strategies as st
 
@@ -10,11 +8,11 @@ from repro.core.entry import Zone
 from repro.core.index import UmziConfig, UmziIndex
 from repro.core.journal import Checkpoint, MetadataJournal
 from repro.core.levels import LevelConfig
-from repro.core.run import RunHeader, block_checksum, encode_data_block_v1
-from repro.storage.block import Block, BlockId
+from repro.core.run import RunHeader, block_checksum
+from repro.storage.block import Block
 from repro.storage.hierarchy import StorageHierarchy
 
-from tests.conftest import make_entries, key_of
+from tests.conftest import make_entries
 
 DEF = i1_definition()
 
@@ -35,23 +33,6 @@ def build_index(name="ck", runs=2, keys_per_run=30):
 def rewrite_shared(index, block_id, payload):
     index.hierarchy.shared.delete(block_id)
     index.hierarchy.shared.write(Block(block_id, payload))
-
-
-def downgrade_run_to_v1(index, run):
-    """Rewrite ``run`` as a pre-checksum run: v1 data blocks and a header
-    whose block index carries no checksums (what an old builder wrote)."""
-    new_metas = []
-    for bi in range(run.header.num_data_blocks):
-        entries = run.read_block(bi)
-        payload = encode_data_block_v1(DEF, entries)
-        meta = run.header.block_meta[bi]
-        new_metas.append(
-            replace(meta, size_bytes=len(payload), checksum=None)
-        )
-        rewrite_shared(index, run.data_block_id(bi), payload)
-    header = replace(run.header, block_meta=tuple(new_metas))
-    rewrite_shared(index, run.header_block_id(), header.to_bytes(DEF))
-    run.drop_decode_cache()
 
 
 class TestChecksumRecovery:
@@ -92,45 +73,6 @@ class TestChecksumRecovery:
         survivors = {r.run_id for r in index.all_runs()}
         assert victim.run_id not in survivors
         assert survivors == {r.run_id for r in runs} - {victim.run_id}
-
-    def test_v1_runs_recover_via_decode_fallback(self):
-        index = build_index(runs=2, keys_per_run=20)
-        before_answers = {}
-        for k in range(40):
-            eq, sort = key_of(DEF, k)
-            hit = index.lookup(eq, sort)
-            before_answers[k] = None if hit is None else (hit.begin_ts, hit.rid)
-        for run in index.all_runs():
-            downgrade_run_to_v1(index, run)
-        index.hierarchy.crash_local_tiers()
-        decode = index.hierarchy.stats.decode
-        before = decode.snapshot()
-        state = index.recover()
-        delta = decode.diff(before)
-        # No checksums: every entry is decode-validated, and the runs
-        # survive with all answers intact.
-        assert not state.incomplete_run_ids and not state.corrupt_run_ids
-        assert delta.maintenance_entry_decodes == 40
-        assert delta.entry_decodes >= 40
-        after_answers = {}
-        for k in range(40):
-            eq, sort = key_of(DEF, k)
-            hit = index.lookup(eq, sort)
-            after_answers[k] = None if hit is None else (hit.begin_ts, hit.rid)
-        assert after_answers == before_answers
-
-    def test_corrupt_v1_payload_is_dropped_by_decode_fallback(self):
-        index = build_index(runs=2, keys_per_run=20)
-        victim, survivor = index.all_runs()
-        downgrade_run_to_v1(index, victim)
-        block_id = victim.data_block_id(0)
-        payload = index.hierarchy.shared.read(block_id).payload
-        # Truncate mid-entry: structural validation must fail.
-        rewrite_shared(index, block_id, payload[: len(payload) - 3])
-        index.hierarchy.crash_local_tiers()
-        state = index.recover()
-        assert victim.run_id in state.corrupt_run_ids
-        assert {r.run_id for r in index.all_runs()} == {survivor.run_id}
 
     def test_header_roundtrip_preserves_checksums(self):
         index = build_index(runs=1)
@@ -177,13 +119,3 @@ class TestJournalTornWrites:
         hierarchy.shared.delete(ids[-1])
         hierarchy.shared.write(Block(ids[-1], b"JUNKJUNK"))
         assert journal.latest() is None
-
-    def test_pre_checksum_checkpoints_still_readable(self):
-        import struct as _struct
-
-        hierarchy = StorageHierarchy()
-        # A checkpoint written by the old journal: magic + body, no CRC.
-        legacy = b"UMZM" + _struct.pack(">QqQ", 5, 9, 0)
-        hierarchy.shared.write(Block(BlockId("meta", 0), legacy))
-        journal = MetadataJournal(hierarchy, "meta")
-        assert journal.latest() == Checkpoint(5, 9)

@@ -1,10 +1,10 @@
-"""v2 data-block format: raw accessors, block-index narrowing, v1 compat.
+"""The data-block format: raw accessors and block-index narrowing.
 
 The property suite (tests/properties/test_zero_decode_keys.py) covers
-random shapes; these tests pin the concrete behaviours: search over a run
-whose blocks were rewritten to the legacy v1 format answers identically to
-the v2 run (through the decode fallback), probes stay zero-decode on v2,
-and the block-index fences bracket the true binary-search target.
+random shapes; these tests pin the concrete behaviours: probes stay
+zero-decode, the block-index fences bracket the true binary-search
+target, and a payload in any layout but ``UMB2`` is refused by the view
+and by every kernel reading through it.
 """
 
 import pytest
@@ -12,10 +12,12 @@ import pytest
 from repro.core.builder import RunBuilder
 from repro.core.definition import i1_definition
 from repro.core.entry import Zone
-from repro.core.search import UNBOUNDED, lookup_key_in_run, search_run
+from repro.core.run import DataBlockView, encode_data_block
+from repro.core.search import UNBOUNDED, lookup_key_in_run, search_run, ts_floor
+from repro.storage.block import Block
 from repro.storage.hierarchy import StorageHierarchy
 
-from tests.conftest import downgrade_blocks_to_v1, make_entries
+from tests.conftest import make_entries, v1_layout_payload
 from tests.reference_scan import batch_lookup_in_run
 from tests.reference_search import key_position_bounds, sort_key_at
 
@@ -35,34 +37,6 @@ def key_bytes_of(k):
 
     eq, sort = (k,), (k,)
     return encode_uint64(DEF.hash_of(eq)) + encode_composite(eq) + encode_composite(sort)
-
-
-class TestV1RunCompat:
-    def test_lookups_identical_after_downgrade(self):
-        keys = list(range(0, 120, 2))
-        run, hierarchy, _ = build_run(keys)
-        v2_answers = [
-            lookup_key_in_run(run, key_bytes_of(k), 1 << 40, DEF.hash_of((k,)))
-            for k in range(-2, 124)
-        ]
-        downgrade_blocks_to_v1(run)
-        assert all(v.version == 1 for v in run._views.values()) or not run._views
-        v1_answers = [
-            lookup_key_in_run(run, key_bytes_of(k), 1 << 40, DEF.hash_of((k,)))
-            for k in range(-2, 124)
-        ]
-        assert v1_answers == v2_answers
-        assert sum(1 for a in v2_answers if a is not None) == len(keys)
-
-    def test_scan_identical_after_downgrade(self):
-        keys = list(range(50))
-        run, hierarchy, _ = build_run(keys)
-        lower, upper = b"", b""
-        v2_scan = list(search_run(run, lower, upper, 1 << 40))
-        downgrade_blocks_to_v1(run)
-        v1_scan = list(search_run(run, lower, upper, 1 << 40))
-        assert v1_scan == v2_scan
-        assert len(v2_scan) == len(keys)
 
 
 class TestZeroDecodeAccounting:
@@ -140,3 +114,72 @@ class TestBlockIndexNarrowing:
             assert list(search_run(run, target, UNBOUNDED, 1 << 40)) == [
                 run.entry_at(i) for i in range(true_first_geq, run.entry_count)
             ]
+
+
+def refused_payload(kind):
+    """A data-block payload the view must refuse, and the refusal's text."""
+    entries = make_entries(DEF, range(6))
+    block = encode_data_block(DEF, entries)
+    not_a_block = "not an Umzi data block"
+    return {
+        "empty": (b"", not_a_block),
+        "v1-layout": (v1_layout_payload(DEF, entries), not_a_block),
+        "other-magic": (b"UMB1" + block[4:], not_a_block),
+        "a-run-header": (build_run(range(6))[0].header.to_bytes(DEF), not_a_block),
+        # the count and the offsets, but no sort-key length table
+        "truncated-tables": (block[: 8 + 4 * len(entries)], "shorter than its offset table"),
+    }[kind]
+
+
+REFUSED = ["empty", "v1-layout", "other-magic", "a-run-header", "truncated-tables"]
+
+
+class TestOneBlockLayout:
+    @pytest.mark.parametrize("kind", REFUSED)
+    def test_the_view_refuses_any_other_payload(self, kind):
+        payload, message = refused_payload(kind)
+        with pytest.raises(ValueError, match=message):
+            DataBlockView(DEF, payload)
+
+    @pytest.mark.parametrize("kernel", [
+        "lookup_visible", "scan_visible", "batch_visible", "block_columns",
+    ])
+    def test_every_kernel_refuses_a_v1_layout_block(self, kernel):
+        """No kernel keeps a second decoder: a run whose stored block is in
+        the retired layout raises where it reads that block, and answers
+        again once the block is back."""
+        run, hierarchy, _ = build_run(range(40), block_bytes=512)
+        assert run.header.num_data_blocks >= 2
+        # the first key stored: every kernel reads block 0 for it
+        key, floor = run.header.block_meta[0].first_sort_key[:-8], ts_floor(1 << 40)
+
+        def batch():
+            out = [None]
+            run.batch_visible([key], None, [floor], [0], out)
+            return out
+
+        calls = {
+            "lookup_visible": lambda: run.lookup_visible(key, floor, 0, run.entry_count),
+            "scan_visible": lambda: [
+                (sort_key, view.entry(i))
+                for hits in run.scan_visible(key, 0, run.entry_count, UNBOUNDED, floor)
+                for sort_key, view, i in hits
+            ],
+            "batch_visible": batch,
+            "block_columns": lambda: run.block_columns(0),
+        }
+        original = hierarchy.read(run.data_block_id(0)).payload
+
+        def store(payload):
+            block_id = run.data_block_id(0)
+            hierarchy.delete_everywhere(block_id)  # shared storage is immutable
+            hierarchy.write_persisted(Block(block_id, payload))
+            run.drop_decode_cache()
+
+        answer = calls[kernel]()
+        assert answer not in (None, [], [None], ([], []))
+        store(v1_layout_payload(DEF, run.read_block(0)))
+        with pytest.raises(ValueError, match="not an Umzi data block"):
+            calls[kernel]()
+        store(original)
+        assert calls[kernel]() == answer

@@ -25,11 +25,10 @@ from repro.core.entry import IndexEntry, RID, Zone
 from repro.core.index import UmziConfig, UmziIndex
 from repro.core.levels import LevelConfig
 from repro.core.query import PointLookup
-from repro.core.run import DataBlockView, encode_data_block, encode_data_block_v1
+from repro.core.run import DataBlockView, encode_data_block
 from repro.storage.hierarchy import StorageHierarchy
 from repro.storage.metrics import ReadIntent
 
-from tests.conftest import downgrade_blocks_to_v1
 from tests.reference_search import (
     key_position_bounds,
     reference_first_geq,
@@ -94,8 +93,6 @@ def run_and_search(draw):
         data_block_bytes=draw(st.sampled_from([96, 160, 256])),
     )
     run = builder.build("k", entries, Zone.GROOMED, 0, 0, 0)
-    if draw(st.booleans()):
-        downgrade_blocks_to_v1(run)
 
     cum = run._cum
     count = run.entry_count
@@ -318,10 +315,9 @@ def _view_allocations(payload):
     )
 
 
-@pytest.mark.parametrize("encode", [encode_data_block, encode_data_block_v1])
-def test_view_construction_allocates_o1_objects(encode):
+def test_view_construction_allocates_o1_objects():
     def payload(entries):
-        return encode(
+        return encode_data_block(
             HASHED, [make_entry(HASHED, 1, msg, 1) for msg in range(entries)]
         )
 

@@ -7,8 +7,8 @@ key_position_bounds -> first_geq -> scan_visible`` per run scanned, the
 per-key ``_seek -> ... -> locate -> sort_key_at`` of a batch).  Every scan
 and every batch here goes through an ``assert_*_matches``: over
 multi-block, multi-run fixtures -- several versions per key, identical
-versions surfacing from two runs, hashed and unhashed definitions, v1 and
-v2 blocks, bounds on block edges, empty ranges, unbounded uppers and
+versions surfacing from two runs, hashed and unhashed definitions,
+bounds on block edges, empty ranges, unbounded uppers and
 snapshots below / inside / above a key's versions -- the kernels
 (``IndexRun.scan_visible``, ``lookup_visible``, ``batch_visible``) must
 return the same entries, charge the same ``raw_key_probes`` and
@@ -73,7 +73,6 @@ from repro.core.search import (
 )
 from repro.storage.hierarchy import StorageHierarchy
 
-from tests.conftest import downgrade_blocks_to_v1
 from tests.reference_scan import (
     batch_lookup_in_run,
     chain_batch_lookup_in_run,
@@ -94,6 +93,9 @@ UNBUCKETED = IndexDefinition(
     included_columns=(ColumnSpec("incl0"),),
 )
 DEVICES, MSGS, MAX_TS = 5, 12, 40
+# Block sizes holding one or two, three, and four or five entries of the
+# hand-built hard runs: every layout moves the block boundaries to other keys.
+HARD_BLOCK_BYTES = (96, 160, 224)
 
 
 def make_entry(definition, device, msg, begin_ts, gid):
@@ -130,10 +132,7 @@ def fixtures(draw):
             make_entry(definition, d, m, ts, gid)
             for d, m, ts in sorted(set(drawn) | set(shared))
         ]
-        run = builder.build(f"r{gid}", entries, Zone.GROOMED, 0, gid, gid)
-        if draw(st.booleans()):
-            downgrade_blocks_to_v1(run)
-        runs.insert(0, run)
+        runs.insert(0, builder.build(f"r{gid}", entries, Zone.GROOMED, 0, gid, gid))
         previous = drawn
     return definition, hierarchy, runs
 
@@ -403,12 +402,12 @@ class TestLookups:
     @pytest.mark.parametrize(
         "definition", [HASHED, UNBUCKETED], ids=["hashed", "unbucketed"]
     )
-    @pytest.mark.parametrize("v1", [False, True], ids=["v2", "v1"])
     @pytest.mark.parametrize("bloom_fpr", [None, 0.01], ids=["no-bloom", "bloom"])
-    def test_exact_key_kernel_hard_cases(self, definition, v1, bloom_fpr):
+    @pytest.mark.parametrize("block_bytes", HARD_BLOCK_BYTES, ids="{}B".format)
+    def test_exact_key_kernel_hard_cases(self, definition, bloom_fpr, block_bytes):
         """The fused kernel where it leaves its one block or finds nothing.
 
-        Sixteen versions of one key span several 96-byte blocks, so at an
+        Sixteen versions of one key span several small blocks, so at an
         old snapshot the newest versions fill the probed block and the
         visible one sits in a later block (the hand-over to the forward
         scan); every block's first key is looked up (a key on a fence),
@@ -420,7 +419,7 @@ class TestLookups:
         hashed = bool(definition.equality_columns)
         hierarchy = StorageHierarchy()
         builder = RunBuilder(
-            definition, hierarchy, data_block_bytes=96, bloom_fpr=bloom_fpr
+            definition, hierarchy, data_block_bytes=block_bytes, bloom_fpr=bloom_fpr
         )
         versions = (
             [(1, 3, ts) for ts in range(1, 17)]
@@ -431,8 +430,6 @@ class TestLookups:
         ]
         run = builder.build("hard", entries, Zone.GROOMED, 0, 0, 0)
         assert run.header.num_data_blocks >= 6
-        if v1:
-            downgrade_blocks_to_v1(run)
 
         def key_of(device, msg):
             eq, sort = ((device,), (msg,)) if hashed else ((), (device, msg))
@@ -592,14 +589,13 @@ class TestLookups:
         ]
 
 
-def hard_run(definition, v1_blocks=()):
-    """One run of 96-byte blocks (three or four entries each): sixteen
-    versions of key (1, 3), so at an old snapshot its newer versions fill
-    whole blocks and the visible one sits blocks later, and two versions
-    of every other key, so most keys straddle a block boundary somewhere;
-    ``v1_blocks`` are rewritten in the legacy encoding."""
+def hard_run(definition, block_bytes):
+    """One run of small blocks: sixteen versions of key (1, 3), so at an
+    old snapshot its newer versions fill whole blocks and the visible one
+    sits blocks later, and two versions of every other key, so most keys
+    straddle a block boundary somewhere."""
     hierarchy = StorageHierarchy()
-    builder = RunBuilder(definition, hierarchy, data_block_bytes=96)
+    builder = RunBuilder(definition, hierarchy, data_block_bytes=block_bytes)
     versions = (
         [(1, 3, ts) for ts in range(1, 17)]
         + [(d, m, ts) for d in range(4) for m in (0, 5, 9) for ts in (2, 30)]
@@ -610,7 +606,6 @@ def hard_run(definition, v1_blocks=()):
         Zone.GROOMED, 0, 0, 0,
     )
     assert run.header.num_data_blocks >= 6
-    downgrade_blocks_to_v1(run, v1_blocks)
     return hierarchy, run
 
 
@@ -663,24 +658,23 @@ def hard_keys(definition, run):
 
 HARD_SNAPSHOTS = (0, 1, 2, 8, 16, 29, 30, 1 << 60)
 HARD_SHAPES = [
-    pytest.param(definition, v1_blocks, id=f"{name}-{layout}")
+    pytest.param(definition, block_bytes, id=f"{name}-{block_bytes}B")
     for name, definition in (("hashed", HASHED), ("unbucketed", UNBUCKETED))
-    # all v2, all v1, and one v1 block in the middle of the run
-    for layout, v1_blocks in (("v2", ()), ("v1", None), ("v1-inside", (2,)))
+    for block_bytes in HARD_BLOCK_BYTES
 ]
 
 
-@pytest.mark.parametrize("definition,v1_blocks", HARD_SHAPES)
+@pytest.mark.parametrize("definition,block_bytes", HARD_SHAPES)
 class TestHardCases:
     """The inputs a property test finds rarely, built by hand."""
 
-    def test_scans(self, definition, v1_blocks):
+    def test_scans(self, definition, block_bytes):
         """Every device's whole range and sub-ranges (bounds on, between
         and beyond stored keys), ``upper_exclusive == b""`` from a target
         below the first key, inside the run and above the last, and a
         hashed scan of an empty bucket -- at snapshots before, inside and
         after the sixteen versions that straddle the blocks."""
-        hierarchy, run = hard_run(definition, v1_blocks)
+        hierarchy, run = hard_run(definition, block_bytes)
         hashed = bool(definition.equality_columns)
         queries = []
         for device in range(-1, 6):
@@ -722,9 +716,9 @@ class TestHardCases:
                     )
         assert straddled  # one key's visible version really sat blocks away
 
-    def test_scans_told_where_to_start(self, definition, v1_blocks):
+    def test_scans_told_where_to_start(self, definition, block_bytes):
         """``lo == hi`` at every ordinal, the run's end included."""
-        hierarchy, run = hard_run(definition, v1_blocks)
+        hierarchy, run = hard_run(definition, block_bytes)
         for ordinal in range(run.entry_count + 1):
             exact = (
                 run.entry_at(ordinal).key_bytes(definition) + b"\x00"
@@ -737,11 +731,11 @@ class TestHardCases:
                     )
                     assert made.probes <= run.entry_count - ordinal
 
-    def test_batches(self, definition, v1_blocks):
+    def test_batches(self, definition, block_bytes):
         """Stored, absent, fence, past-the-end, empty-bucket and
         already-passed-bucket keys in one batch: at one snapshot, and
         mixing old and new snapshots key by key."""
-        hierarchy, run = hard_run(definition, v1_blocks)
+        hierarchy, run = hard_run(definition, block_bytes)
         keys = hard_keys(definition, run)
         mixes = list(HARD_SNAPSHOTS) + [
             [HARD_SNAPSHOTS[(n * step) % len(HARD_SNAPSHOTS)] for n in range(len(keys))]
@@ -759,13 +753,12 @@ class TestHardCases:
                 )
         assert spilled  # a batched key was answered blocks past its newest
 
-    def test_a_single_entry_run(self, definition, v1_blocks):
+    def test_a_single_entry_run(self, definition, block_bytes):
         hashed = bool(definition.equality_columns)
         hierarchy = StorageHierarchy()
-        run = RunBuilder(definition, hierarchy, data_block_bytes=96).build(
+        run = RunBuilder(definition, hierarchy, data_block_bytes=block_bytes).build(
             "one", [make_entry(definition, 2, 5, 7, 0)], Zone.GROOMED, 0, 0, 0
         )
-        downgrade_blocks_to_v1(run, v1_blocks and (0,))
         pairs = sorted(
             (key, hash_value or 0)
             for key, hash_value in (

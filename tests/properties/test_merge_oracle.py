@@ -35,6 +35,8 @@ from repro.wildfire.cluster import ShardedTable
 from repro.wildfire.engine import ShardConfig
 from repro.wildfire.schema import IndexSpec, TableSchema
 
+from tests.conftest import assert_lifecycles_quiescent
+
 pytestmark = pytest.mark.timeout(300)
 
 SEEDS = range(14)
@@ -220,7 +222,7 @@ class TestCleanRoundTrip:
             arm, pool, all_keys, query_ts=snapshot_ts
         ) == blob_answers(oracle, pool, all_keys, query_ts=snapshot_ts)
         # Zero epoch hazards across four publishes and two migrations.
-        assert arm.epoch_stats().reclaimed_while_pinned == 0
+        assert_lifecycles_quiescent(arm)
 
     @pytest.mark.parametrize("seed", range(6))
     def test_writes_during_the_split_window(self, seed):
@@ -252,7 +254,7 @@ class TestCleanRoundTrip:
             },
             snapshot_ts,
         )
-        assert arm.epoch_stats().reclaimed_while_pinned == 0
+        assert_lifecycles_quiescent(arm)
 
 
 class TestPumpedRoundTrip:
@@ -357,4 +359,4 @@ class TestCrashMatrix:
             },
             snapshot_ts,
         )
-        assert arm.epoch_stats().reclaimed_while_pinned == 0
+        assert_lifecycles_quiescent(arm)

@@ -1,8 +1,6 @@
 """Property: a pinned snapshot answers identically across evolve commits.
 
-The run lifecycle's observable contract (ISSUE 4/5), for **both**
-protected modes -- ``"epoch"`` (per-run refcounts) and ``"versionset"``
-(version-node refcounts, the default): once a query (here: a
+The run lifecycle's observable contract: once a query (here: a
 :meth:`UmziIndex.snapshot_view` scope) has pinned a
 :class:`RunListVersion`, every query it runs must return byte-identical
 answers no matter how many evolves and merges commit in the meantime --
@@ -16,7 +14,6 @@ maintenance, and replays the same probes against the same view.
 
 from typing import List, Tuple
 
-import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.core.definition import i1_definition
@@ -31,12 +28,12 @@ DEF = i1_definition()
 KEYS_PER_RUN = 8
 
 
-def build_index(num_runs: int, mode: str = "versionset") -> UmziIndex:
+def build_index(num_runs: int) -> UmziIndex:
     levels = LevelConfig(groomed_levels=3, post_groomed_levels=2,
                          max_runs_per_level=2, size_ratio=2)
     index = UmziIndex(
         DEF, config=UmziConfig(name="pin-prop", levels=levels,
-                               data_block_bytes=2048, run_lifecycle=mode),
+                               data_block_bytes=2048),
     )
     for gid in range(num_runs):
         keys = range(gid * KEYS_PER_RUN, (gid + 1) * KEYS_PER_RUN)
@@ -86,12 +83,11 @@ def run_probes(view, probes, query_ts):
     return answers
 
 
-@pytest.mark.parametrize("mode", ["epoch", "versionset"])
 @given(scenarios())
 @settings(max_examples=25, deadline=None)
-def test_pinned_view_is_immune_to_evolves_and_merges(mode, scenario):
+def test_pinned_view_is_immune_to_evolves_and_merges(scenario):
     num_runs, probes, covered, split, merge_points, query_ts = scenario
-    index = build_index(num_runs, mode)
+    index = build_index(num_runs)
 
     with index.snapshot_view() as view:
         before = run_probes(view, probes, query_ts)

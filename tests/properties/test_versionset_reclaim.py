@@ -35,8 +35,7 @@ class _Harness:
 
     def __init__(self) -> None:
         self.stats = EpochStats()
-        self.lifecycle = RunLifecycle(self.stats, mode="versionset")
-        self.lifecycle.attach_collector(self._collect)
+        self.lifecycle = RunLifecycle(self.stats, self._collect)
         self.published = []          # the "run lists"
         self.freed = []              # reclaim actions that actually ran
         self.pins = []               # (pin, frozenset(run_ids), released?)
@@ -57,7 +56,7 @@ class _Harness:
         self.lifecycle.note_publish()
 
     def pin(self) -> None:
-        pin = self.lifecycle.pin(self._collect)
+        pin = self.lifecycle.pin()
         self.pins.append(
             [pin, frozenset(r.run_id for r in pin.runs), False]
         )

@@ -1,11 +1,10 @@
 """Property tests for the zero-decode hot path.
 
-The whole point of the v2 block format is that raw sort-key slices are
+The whole point of the block format is that raw sort-key slices are
 *bit-identical* to what decode + re-encode would produce, across every
 column-type combination an index definition allows.  These properties pin
 that equivalence down over random definitions and random entries, and check
-that legacy v1 blocks keep decoding (and raw-probing, via the fallback)
-to the same answers.
+that a block in the retired v1 layout is refused.
 """
 
 from __future__ import annotations
@@ -22,14 +21,10 @@ from repro.core.entry import (
     begin_ts_of_sort_key,
     SORT_KEY_TS_BYTES,
 )
-from repro.core.run import (
-    DataBlockView,
-    decode_data_block,
-    encode_data_block,
-    encode_data_block_v1,
-)
+from repro.core.run import DataBlockView, decode_data_block, encode_data_block
 from repro.storage.hierarchy import StorageHierarchy
 
+from tests.conftest import v1_layout_payload
 from tests.reference_search import sort_key_at, view_at
 
 _CTYPES = (
@@ -137,29 +132,19 @@ class TestRawSliceEquivalence:
             assert decoded == run.entry_at(ordinal)
 
 
-class TestV1Compatibility:
+class TestOneBlockFormat:
     @settings(max_examples=40, deadline=None)
     @given(case=definition_and_entries())
-    def test_v1_and_v2_blocks_decode_identically(self, case):
+    def test_blocks_decode_to_their_entries(self, case):
         definition, entries = case
         ordered = sorted(entries, key=lambda e: e.sort_key(definition))
-        v1 = encode_data_block_v1(definition, ordered)
-        v2 = encode_data_block(definition, ordered)
-        assert decode_data_block(definition, v1) == ordered
-        assert decode_data_block(definition, v2) == ordered
+        block = encode_data_block(definition, ordered)
+        assert decode_data_block(definition, block) == ordered
 
     @settings(max_examples=40, deadline=None)
     @given(case=definition_and_entries())
-    def test_v1_raw_fallback_matches_v2_slices(self, case):
+    def test_a_v1_layout_block_is_refused(self, case):
         definition, entries = case
         ordered = sorted(entries, key=lambda e: e.sort_key(definition))
-        view_v1 = DataBlockView(definition, encode_data_block_v1(definition, ordered))
-        view_v2 = DataBlockView(definition, encode_data_block(definition, ordered))
-        assert view_v1.version == 1
-        assert view_v2.version == 2
-        assert view_v1.count == view_v2.count == len(ordered)
-        for i in range(len(ordered)):
-            assert view_v1.sort_key_at(i) == view_v2.sort_key_at(i)
-            assert view_v1.key_bytes_at(i) == view_v2.key_bytes_at(i)
-            assert view_v1.begin_ts_at(i) == view_v2.begin_ts_at(i)
-            assert view_v1.entry_blob_at(i) == view_v2.entry_blob_at(i)
+        with pytest.raises(ValueError, match="not an Umzi data block"):
+            DataBlockView(definition, v1_layout_payload(definition, ordered))

@@ -307,17 +307,13 @@ def chain_scan_visible(
     block_index, first = run.locate(start_ordinal)
     for bi in range(block_index, run.header.num_data_blocks):
         view = run.block_view(bi)
-        raw = view.version == 2
         payload, base, table = view.payload, view.base, view.table
         count = view.count
         hits = []
         done = False
         for i in range(first, count):
-            if raw:
-                at = base + table[i]
-                sort_key = payload[at : at + table[count + i]]
-            else:
-                sort_key = view.sort_key_at(i)
+            at = base + table[i]
+            sort_key = payload[at : at + table[count + i]]
             key = sort_key[:-SORT_KEY_TS_BYTES]
             if bounded and key >= upper_exclusive:
                 done = True
@@ -334,8 +330,7 @@ def chain_scan_visible(
             if first_only:
                 done = True
                 break
-        if raw:
-            stats.raw_key_probes += (i + 1 if done else count) - first
+        stats.raw_key_probes += (i + 1 if done else count) - first
         if hits:
             yield hits
         if done:

@@ -75,7 +75,6 @@ def chain_first_geq(
     view = None
     if window:
         start, end, view = window
-        raw = view.version == 2
         payload, base, table = view.payload, view.base, view.table
         count = view.count
     try:
@@ -85,17 +84,12 @@ def chain_first_geq(
                 block_index = bisect_right(cum, mid) - 1
                 start, end = cum[block_index], cum[block_index + 1]
                 view = run.block_view(block_index)
-                raw = view.version == 2
                 payload, base, table = view.payload, view.base, view.table
                 count = view.count
             i = mid - start
-            if raw:
-                probes += 1
-                at = base + table[i]
-                key = payload[at : at + table[count + i]]
-            else:
-                key = view.sort_key_at(i)
-            if key < target:
+            probes += 1
+            at = base + table[i]
+            if payload[at : at + table[count + i]] < target:
                 lo = mid + 1
             else:
                 hi = mid

@@ -388,12 +388,8 @@ class ReferenceHierarchy(StorageHierarchy):
 
 def reference_is_pinned(lifecycle, run_id: str) -> bool:
     """``RunLifecycle.is_pinned`` as it was: one run, one trip through the
-    mutex, a walk of the per-run ledger and the live-version chain."""
-    if lifecycle.mode == "legacy":
-        return False
+    mutex, a walk of the live-version chain."""
     with lifecycle._locked:
-        if lifecycle._pin_counts.get(run_id, 0) > 0:
-            return True
         for node in lifecycle._versions:
             if lifecycle._query_refs_locked(node) > 0 and run_id in node.run_ids:
                 return True

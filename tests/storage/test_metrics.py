@@ -109,7 +109,7 @@ class TestIOStats:
         b.record_write("shared", nbytes=100, sim_ns=50)
         b.decode.entry_decodes = 3
         b.epochs.version_refs = 4
-        b.epochs.reclaimed_while_pinned = 1
+        b.epochs.reclaims_deferred = 1
         b.for_intent(ReadIntent.QUERY).shared_reads = 6
         b.faults.transient_read_errors = 2
         b.qos.degraded_reads = 5
@@ -122,7 +122,7 @@ class TestIOStats:
         assert a.tier("shared").bytes_written == 100
         assert a.decode.entry_decodes == 3
         assert a.epochs.version_refs == 4
-        assert a.epochs.reclaimed_while_pinned == 1
+        assert a.epochs.reclaims_deferred == 1
         assert a.for_intent(ReadIntent.QUERY).shared_reads == 6
         assert a.faults.transient_read_errors == 2
         assert a.qos.degraded_reads == 5

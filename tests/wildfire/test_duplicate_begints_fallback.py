@@ -1,20 +1,20 @@
-"""Duplicate ``beginTS`` values must force the legacy-evolve fallback.
+"""Duplicate ``beginTS`` values are refused before any index evolves.
 
-Streaming evolve keys its RID map by ``beginTS``; the groomer's
-``cycle | order`` composition keeps those unique, but an alternative ingest
-front-end might not (the ROADMAP edge case).  Duplicates collapse in the
-published ``rid_by_begin_ts`` map, and splicing from a collapsed map would
-silently point several index entries at one record.  The indexer must
-detect the collapse (map smaller than the migrated record count) and fall
-back to the legacy per-index entry rebuild for that PSN.
+Evolve keys its RID map by ``beginTS``.  Only the groomer writes groomed
+blocks, and its ``compose_begin_ts(cycle, order)`` keeps those unique, so a
+published ``rid_by_begin_ts`` map smaller than the migrated record count
+means an invariant broke: splicing from the collapsed map would silently
+point several index entries at one record.  The indexer raises a typed
+:class:`EvolveError` instead, before touching any index, and leaves the
+PSN's RID map in place.
 """
+
+import pytest
 
 from repro.core.definition import ColumnSpec
 from repro.core.entry import Zone
-from repro.wildfire.blockstore import BlockCatalog
+from repro.core.evolve import EvolveError
 from repro.wildfire.engine import ShardConfig, WildfireShard
-from repro.wildfire.indexer import IndexerDaemon
-from repro.wildfire.postgroomer import PostGroomer
 from repro.wildfire.record import Record
 from repro.wildfire.schema import IndexSpec, TableSchema
 
@@ -27,15 +27,13 @@ def make_shard(**overrides):
         sharding_key=("k",),
     )
     spec = IndexSpec(("k",), (), ("v",))
-    return WildfireShard(
-        schema, spec, config=ShardConfig(streaming_evolve=True, **overrides)
-    )
+    return WildfireShard(schema, spec, config=ShardConfig(**overrides))
 
 
 def groom_block_with_duplicate_ts(shard, rows, begin_ts_of):
     """Store one groomed block with caller-chosen (possibly duplicate)
-    beginTS values -- standing in for a non-groomer ingest front-end --
-    and build the index runs over it, as the groomer would."""
+    beginTS values -- standing in for a broken groomer -- and build the
+    index runs over it, as the groomer would."""
     records = [
         Record(values=row, begin_ts=begin_ts_of(i))
         for i, row in enumerate(rows)
@@ -45,38 +43,62 @@ def groom_block_with_duplicate_ts(shard, rows, begin_ts_of):
     return block
 
 
-class TestDuplicateBeginTsFallback:
-    def test_collapsed_map_forces_legacy_rebuild(self):
-        shard = make_shard()
-        # Two distinct keys share beginTS=7: the rid_by_begin_ts map the
-        # post-groomer publishes can only keep one of them.
-        rows = [(1, 100), (2, 200), (3, 300)]
-        groom_block_with_duplicate_ts(
-            shard, rows, begin_ts_of=lambda i: 7 if i < 2 else 9
+def index_state(shard):
+    """Per index: indexed PSN, both run lists and the publication seq."""
+    return {
+        shard_index.name: (
+            shard_index.index.indexed_psn,
+            [
+                [run.run_id for run in shard_index.index.run_lists[zone].snapshot()]
+                for zone in (Zone.GROOMED, Zone.POST_GROOMED)
+            ],
+            shard_index.index.lifecycle.version_seq,
         )
+        for shard_index in shard.indexes.all()
+    }
+
+
+# beginTS per record of a three-record block, and how many are distinct.
+COLLAPSES = {
+    "first-two-share": ((7, 7, 9), 2),
+    "last-two-share": ((5, 8, 8), 2),
+    "all-share": ((7, 7, 7), 1),
+}
+
+
+class TestDuplicateBeginTsFallback:
+    @pytest.mark.parametrize("collapse", list(COLLAPSES))
+    def test_collapsed_map_is_refused_before_any_index_evolves(self, collapse):
+        shard = make_shard(
+            secondary_indexes={"by_v": IndexSpec((), ("v",), ())}
+        )
+        # Distinct keys share a beginTS: the rid_by_begin_ts map the
+        # post-groomer publishes can only keep one of them.
+        stamps, distinct = COLLAPSES[collapse]
+        rows = [(1, 100), (2, 200), (3, 300)]
+        groom_block_with_duplicate_ts(shard, rows, begin_ts_of=stamps.__getitem__)
         op = shard.post_groomer.post_groom()
         assert op is not None
         assert op.record_count == 3
-        assert len(op.rid_by_begin_ts) == 2, "duplicates must collapse"
+        assert len(op.rid_by_begin_ts) == distinct, "duplicates must collapse"
+        before = index_state(shard)
 
-        result = shard.indexer.step()
-        assert result is not None
-        assert shard.indexer.streaming_fallbacks == 1
-        # The legacy rebuild indexed every record, duplicates included.
-        assert result.evolve.new_run_entries == 3
-        assert result.evolve.spliced_blobs == 0, (
-            "fallback must not run the splice path"
-        )
-        # Every key resolves to its own post-groomed record -- no two index
-        # entries were collapsed onto one RID.
-        rids = set()
+        with pytest.raises(
+            EvolveError, match=rf"PSN 1: 3 records .* only {distinct} distinct"
+        ):
+            shard.indexer.step()
+
+        assert index_state(shard) == before
+        assert all(psn == 0 for psn, _lists, _seq in before.values())
+        assert shard.indexer.evolves_applied == 0
+        assert shard.post_groomer.get_op(1).rid_by_begin_ts == op.rid_by_begin_ts
+        # Queries still answer every key from the groomed zone.
         for k, v in rows:
             entry = shard.index.lookup((k,))
-            assert entry is not None
-            assert entry.rid.zone is Zone.POST_GROOMED
+            assert entry is not None and entry.rid.zone is Zone.GROOMED
             assert shard.catalog.fetch_record(entry.rid).values == (k, v)
-            rids.add(entry.rid)
-        assert len(rids) == 3
+            (hit,) = shard.secondary_scan("by_v", (), (v,), (v,))
+            assert hit.rid == entry.rid
 
     def test_unique_ts_stays_on_streaming_path(self):
         shard = make_shard()
@@ -86,14 +108,19 @@ class TestDuplicateBeginTsFallback:
         assert len(op.rid_by_begin_ts) == op.record_count == 3
         result = shard.indexer.step()
         assert result is not None
-        assert shard.indexer.streaming_fallbacks == 0
-        assert result.evolve.spliced_blobs == 3
+        assert result.evolve.spliced_blobs == op.record_count
 
     def test_real_groomer_never_needs_the_fallback(self):
         shard = make_shard(post_groom_every=2)
+        applied = []
         for batch in range(4):
             shard.ingest([(k, batch * 10 + k) for k in range(5)])
-            shard.tick()
-        shard.run_cycles(2)
-        assert shard.indexer.evolves_applied > 0
-        assert shard.indexer.streaming_fallbacks == 0
+            applied += shard.tick().get("evolved", [])
+        applied += [
+            step for report in shard.run_cycles(2)
+            for step in report.get("evolved", [])
+        ]
+        assert shard.indexer.evolves_applied == len(applied) > 0
+        for step in applied:
+            op = shard.post_groomer.get_op(step.evolve.psn)
+            assert step.evolve.spliced_blobs == op.record_count

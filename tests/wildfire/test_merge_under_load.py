@@ -26,6 +26,8 @@ from repro.wildfire.cluster import ShardedTable
 from repro.wildfire.engine import ShardConfig
 from repro.wildfire.schema import IndexSpec, TableSchema
 
+from tests.conftest import assert_lifecycles_quiescent
+
 pytestmark = pytest.mark.timeout(180)
 
 DEVICES = 24
@@ -46,7 +48,7 @@ def make_table(num_shards=2):
         schema,
         IndexSpec(("device",), ("msg",), ("reading",)),
         num_shards=num_shards,
-        config=ShardConfig(post_groom_every=2, run_lifecycle="versionset"),
+        config=ShardConfig(post_groom_every=2),
     )
 
 
@@ -123,11 +125,11 @@ class TestMergeUnderLoad:
         )
         assert len(table.live_shard_ids()) == 2
 
-        # No shard's run lifecycle -- nor the map registry -- ever
-        # reclaimed a pinned version during the storm.
-        for shard in table.shards:
-            assert shard.hierarchy.stats.epochs.reclaimed_while_pinned == 0
-        assert table.epoch_stats().reclaimed_while_pinned == 0
+        # Every map pin of the storm was released, and no shard's run
+        # lifecycle still parks a retired run.
+        maps = table.epoch_stats()
+        assert maps.version_refs == maps.version_unrefs
+        assert_lifecycles_quiescent(table)
 
         # Everything written during the window drains and answers.
         table.run_cycles(6)
@@ -162,7 +164,6 @@ class TestMergeUnderLoad:
             assert delta.pins_entered == queries
             assert delta.pins_exited == queries
             assert delta.versions_published == 0
-            assert delta.reclaimed_while_pinned == 0
 
         probe(40)
         summary = table.split_shard(table.shard_of_key((0,)))

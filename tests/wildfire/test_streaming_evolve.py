@@ -1,6 +1,6 @@
-"""End-to-end streaming evolve: the zero-decode indexer path must answer
-identically to the legacy rebuild path, for primary and secondary indexes,
-with zero entry decodes during the evolve itself."""
+"""End-to-end streaming evolve: the zero-decode indexer path points every
+index entry, primary and secondary, at its post-groomed record, with zero
+entry decodes during the evolve itself."""
 
 from repro.core.definition import ColumnSpec
 from repro.core.entry import Zone
@@ -8,7 +8,7 @@ from repro.wildfire.engine import ShardConfig, WildfireShard
 from repro.wildfire.schema import IndexSpec, TableSchema
 
 
-def make_shard(streaming, **overrides):
+def make_shard(**overrides):
     schema = TableSchema(
         name="iot",
         columns=(ColumnSpec("device"), ColumnSpec("msg"), ColumnSpec("reading")),
@@ -18,7 +18,6 @@ def make_shard(streaming, **overrides):
     )
     spec = IndexSpec(("device",), ("msg",), ("reading",))
     config = ShardConfig(
-        streaming_evolve=streaming,
         secondary_indexes={"by_reading": IndexSpec((), ("reading",), ())},
         **overrides,
     )
@@ -46,25 +45,9 @@ def all_answers(shard):
     return answers
 
 
-class TestStreamingVsLegacyEndToEnd:
-    def test_identical_answers_both_paths(self):
-        streaming = make_shard(streaming=True, post_groom_every=2)
-        legacy = make_shard(streaming=False, post_groom_every=2)
-        run_workload(streaming)
-        run_workload(legacy)
-        assert streaming.indexer.evolves_applied > 0
-        assert streaming.index.indexed_psn == legacy.index.indexed_psn
-        assert all_answers(streaming) == all_answers(legacy)
-        # Secondary index answers agree too (newest versions by reading).
-        s_hits = streaming.secondary_lookup("by_reading", (), (512,))
-        l_hits = legacy.secondary_lookup("by_reading", (), (512,))
-        assert len(s_hits) == len(l_hits)
-        assert [(e.begin_ts, e.rid) for e in s_hits] == [
-            (e.begin_ts, e.rid) for e in l_hits
-        ]
-
+class TestStreamingEvolveEndToEnd:
     def test_streaming_evolve_is_zero_decode(self):
-        shard = make_shard(streaming=True, post_groom_every=100)
+        shard = make_shard(post_groom_every=100)
         for batch in range(3):
             shard.ingest([(d, m, batch + d + m) for d in range(2) for m in range(3)])
             shard.groomer.groom()
@@ -84,8 +67,14 @@ class TestStreamingVsLegacyEndToEnd:
         hit = shard.index.lookup((1,), (1,))
         assert hit is not None and hit.rid.zone is Zone.POST_GROOMED
 
-    def test_legacy_flag_still_works(self):
-        shard = make_shard(streaming=False, post_groom_every=2)
+    def test_every_entry_points_at_its_post_groomed_record(self):
+        shard = make_shard(post_groom_every=2)
         run_workload(shard)
-        hit = shard.index.lookup((2,), (3,))
-        assert hit is not None and hit.rid.zone is Zone.POST_GROOMED
+        assert shard.indexer.evolves_applied > 0
+        for (d, m), (begin_ts, included, zone, values) in all_answers(shard).items():
+            assert zone is Zone.POST_GROOMED
+            assert values == (d, m, 500 + d * 10 + m) and included == (values[2],)
+        hits = shard.secondary_lookup("by_reading", (), (512,))
+        assert [(e.rid.zone, shard.catalog.fetch_record(e.rid).values) for e in hits] == [
+            (Zone.POST_GROOMED, (1, 2, 512))
+        ]
