@@ -19,14 +19,14 @@ runs) and are decoded on demand.  The catalog also owns:
 from __future__ import annotations
 
 import threading
-from typing import Dict, Iterable, List, Optional, Sequence, Set, Tuple
+from typing import Dict, Iterable, List, Mapping, Optional, Sequence, Set, Tuple
 
 from repro.core.entry import RID, Zone
 from repro.storage.block import Block, BlockId
 from repro.storage.hierarchy import StorageHierarchy
 from repro.storage.metrics import ReadIntent
 from repro.storage.retry import TransientIOError
-from repro.wildfire.columnar import DataBlock
+from repro.wildfire.columnar import Columns, DataBlock, encode_columns
 from repro.wildfire.record import Record
 from repro.wildfire.schema import TableSchema
 
@@ -68,14 +68,14 @@ class BlockCatalog:
 
     # -- writes ----------------------------------------------------------------------
 
-    def store_groomed(self, records: Sequence[Record]) -> DataBlock:
-        """Persist one new groomed block; returns it with its assigned id."""
+    def store_groomed(self, records: Sequence[Record], encoded: Columns) -> DataBlock:
+        """Persist one new groomed block, its user columns already encoded."""
         with self._lock:
             block_id = self._next_groomed_id
             self._next_groomed_id += 1
             self._live_groomed.add(block_id)
         try:
-            return self._store(Zone.GROOMED, block_id, records)
+            return self._store(Zone.GROOMED, block_id, records, encoded)
         except TransientIOError:
             # Abort safety (ISSUE 7): a block that never landed must not
             # occupy an id -- the post-groomer consumes the groomed id
@@ -99,21 +99,17 @@ class BlockCatalog:
             self._next_post_groomed_id += count
             return first
 
-    def store_post_groomed(
-        self, records: Sequence[Record], block_id: Optional[int] = None
-    ) -> DataBlock:
-        """Persist one post-groomed block (id auto-assigned or reserved)."""
+    def store_post_groomed(self, records: Sequence[Record], block_id: int) -> DataBlock:
+        """Persist one post-groomed block under a reserved id."""
         with self._lock:
-            if block_id is None:
-                block_id = self._next_post_groomed_id
-                self._next_post_groomed_id += 1
-            elif block_id >= self._next_post_groomed_id:
+            if block_id >= self._next_post_groomed_id:
                 raise ValueError(
                     f"post-groomed block id {block_id} was never reserved"
                 )
             self._live_post_groomed.add(block_id)
         try:
-            return self._store(Zone.POST_GROOMED, block_id, records)
+            encoded = encode_columns(self.schema, [r.values for r in records])
+            return self._store(Zone.POST_GROOMED, block_id, records, encoded)
         except TransientIOError:
             # The id may be a pre-reserved one (RID stitching), so only
             # the liveness registration is rolled back; an aborted
@@ -125,10 +121,10 @@ class BlockCatalog:
             raise
 
     def _store(
-        self, zone: Zone, block_id: int, records: Sequence[Record]
+        self, zone: Zone, block_id: int, records: Sequence[Record], encoded: Columns
     ) -> DataBlock:
         block = DataBlock(zone=zone, block_id=block_id, records=tuple(records))
-        payload = block.to_bytes(self.schema)
+        payload = block.to_bytes(encoded)
         storage_block = Block(BlockId(self._namespace(zone, block_id), 0), payload)
         self.hierarchy.write_persisted(storage_block, write_through_ssd=True)
         with self._lock:
@@ -201,8 +197,12 @@ class BlockCatalog:
     # -- hidden-column maintenance (post-groomer) -----------------------------------------
 
     def set_end_ts(self, rid: RID, end_ts: int) -> None:
+        self.update_end_ts({rid: end_ts})
+
+    def update_end_ts(self, end_ts_of: Mapping[RID, int]) -> None:
+        """Set many records' ``endTS`` in one locked update."""
         with self._lock:
-            self._end_ts_overlay[rid] = end_ts
+            self._end_ts_overlay.update(end_ts_of)
 
     # -- groomed-block lifecycle ------------------------------------------------------------
 
@@ -272,8 +272,7 @@ class BlockCatalog:
                     self._next_post_groomed_id, block_id + 1
                 )
             copied.append(block_id)
-        with self._lock:
-            self._end_ts_overlay.update(overlay)
+        self.update_end_ts(overlay)
         return copied
 
     def ensure_post_groomed_floor(self, floor: int) -> None:

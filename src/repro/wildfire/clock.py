@@ -27,6 +27,13 @@ def compose_begin_ts(groom_cycle: int, commit_seq: int) -> int:
     return ((groom_cycle + 1) << COMMIT_BITS) | (commit_seq & _COMMIT_MASK)
 
 
+def compose_begin_ts_column(groom_cycle: int, count: int) -> "list[int]":
+    """``compose_begin_ts(groom_cycle, order)`` for every ``order`` below
+    ``count``: one groomed batch's ``beginTS`` column, bit for bit."""
+    high = compose_begin_ts(groom_cycle, 0)
+    return [high | (order & _COMMIT_MASK) for order in range(count)]
+
+
 def decompose_begin_ts(begin_ts: int) -> "tuple[int, int]":
     """Inverse of :func:`compose_begin_ts` (debugging / tests)."""
     return (begin_ts >> COMMIT_BITS) - 1, begin_ts & _COMMIT_MASK
@@ -87,4 +94,5 @@ class HybridClock:
             return compose_begin_ts(self._groom_cycle, _COMMIT_MASK)
 
 
-__all__ = ["COMMIT_BITS", "HybridClock", "compose_begin_ts", "decompose_begin_ts"]
+__all__ = ["COMMIT_BITS", "HybridClock", "compose_begin_ts",
+           "compose_begin_ts_column", "decompose_begin_ts"]

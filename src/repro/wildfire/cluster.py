@@ -61,7 +61,7 @@ from __future__ import annotations
 import threading
 from typing import Callable, Dict, List, NamedTuple, Optional, Sequence, Set, Tuple
 
-from repro.core.definition import encode_search_key, encode_typed
+from repro.core.definition import COLUMN_ENCODERS, encode_search_key, encode_typed
 from repro.core.encoding import EncodingError, KeyValue, fnv1a64
 from repro.core.entry import IndexEntry
 from repro.qos.admission import AdmissionController, QosConfig
@@ -325,15 +325,20 @@ class ShardedTable:
         return self._admitted(self._ingest_rows, rows)
 
     def _ingest_rows(self, rows: Sequence[Sequence[KeyValue]]) -> Dict[int, int]:
+        # Checked before any row is routed (a refused batch commits nothing
+        # on any shard); sharding values encoded as ``key_hash`` encodes them.
+        rows = self.schema.validate_rows(rows)
+        keys = map(b"".join, zip(*[
+            COLUMN_ENCODERS[spec.ctype]([row[p] for row in rows])
+            for spec, p in zip(self._shard_specs, self._shard_positions)
+        ]))
         per_shard: Dict[int, List[Sequence[KeyValue]]] = {}
         # One map pin covers the whole batch: every row of the batch is
         # routed by the same epoch, and a concurrent split's cutover
         # publish happens entirely before or entirely after it.
         with self._maps.pin() as pin:
-            for row in rows:
-                values = [row[i] for i in self._shard_positions]
-                shard_id = pin.map.write_shard(self.key_hash(values))
-                per_shard.setdefault(shard_id, []).append(row)
+            for row, key in zip(rows, keys):
+                per_shard.setdefault(pin.map.write_shard(fnv1a64(key)), []).append(row)
             for shard_id, shard_rows in per_shard.items():
                 self.shards[shard_id].ingest(shard_rows)
         return {shard_id: len(rs) for shard_id, rs in per_shard.items()}

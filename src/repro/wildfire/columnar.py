@@ -3,16 +3,15 @@
 Wildfire persists groomed and post-groomed data as Parquet on shared
 storage.  The evaluation never measures Parquet itself, so this module
 provides a small self-contained columnar format with the properties the
-system needs: column-major layout, per-column min/max statistics, and a
-compact binary serialization that round-trips through the storage
-hierarchy.
+system needs: column-major layout, hidden version columns, and a compact
+binary serialization that round-trips through the storage hierarchy.
 """
 
 from __future__ import annotations
 
 import struct
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Sequence, Tuple
 
 from repro.core.definition import COLUMN_ENCODERS, DECODERS
 from repro.core.encoding import KeyValue, decode_uint64
@@ -23,11 +22,14 @@ from repro.wildfire.schema import TableSchema
 _MAGIC = b"UMZC"
 _VERSION = 1
 _PACK_U64 = struct.Struct(">Q").pack
+_PACK_RID = RID._STRUCT.pack  # RID.to_bytes without its frame
 
 
-def encode_columns(
-    schema: TableSchema, rows: Sequence[Sequence[KeyValue]]
-) -> List[List[bytes]]:
+# A batch's user values, column-major, each encoded by its column's type.
+Columns = List[List[bytes]]
+
+
+def encode_columns(schema: TableSchema, rows: Sequence[Sequence[KeyValue]]) -> Columns:
     """The rows' user values, column-major, each encoded by its type."""
     if not rows:
         return [[] for _ in schema.columns]
@@ -35,14 +37,6 @@ def encode_columns(
         COLUMN_ENCODERS[spec.ctype](column)
         for spec, column in zip(schema.columns, zip(*rows))
     ]
-
-
-@dataclass(frozen=True)
-class ColumnStats:
-    """Per-column min/max, for scan pruning and debugging."""
-
-    min_value: Optional[KeyValue]
-    max_value: Optional[KeyValue]
 
 
 @dataclass(frozen=True)
@@ -77,16 +71,11 @@ class DataBlock:
             for offset, record in enumerate(self.records)
         }
 
-    def column_stats(self, schema: TableSchema, column: str) -> ColumnStats:
-        position = schema.position(column)
-        if not self.records:
-            return ColumnStats(None, None)
-        values = [record.values[position] for record in self.records]
-        return ColumnStats(min(values), max(values))
-
     # -- serialization ---------------------------------------------------------
 
-    def to_bytes(self, schema: TableSchema) -> bytes:
+    def to_bytes(self, encoded: Columns) -> bytes:
+        """The block's bytes; ``encoded``: :func:`encode_columns` of its
+        records' values (the groomer's one encode of a batch)."""
         records = self.records
         parts: List[bytes] = [
             _MAGIC,
@@ -95,7 +84,7 @@ class DataBlock:
             ),
         ]
         # Column-major user values, then the hidden columns.
-        for column in encode_columns(schema, [r.values for r in records]):
+        for column in encoded:
             parts.extend(column)
         parts.extend([_PACK_U64(r.begin_ts) for r in records])
         parts.extend([
@@ -103,7 +92,7 @@ class DataBlock:
             for r in records
         ])
         parts.extend([
-            b"\x00" if r.prev_rid is None else b"\x01" + r.prev_rid.to_bytes()
+            b"\x00" if r.prev_rid is None else b"\x01" + _PACK_RID(*r.prev_rid)
             for r in records
         ])
         return b"".join(parts)
@@ -124,38 +113,24 @@ class DataBlock:
                 value, pos = decoder(data, pos)
                 values.append(value)
             columns.append(values)
-        begin_ts: List[int] = []
-        for _ in range(count):
-            value, pos = decode_uint64(data, pos)
-            begin_ts.append(value)
-        end_ts: List[Optional[int]] = []
-        for _ in range(count):
-            flag = data[pos]
-            pos += 1
-            if flag:
-                value, pos = decode_uint64(data, pos)
-                end_ts.append(value)
-            else:
-                end_ts.append(None)
-        prev_rids: List[Optional[RID]] = []
-        for _ in range(count):
-            flag = data[pos]
-            pos += 1
-            if flag:
-                rid, pos = RID.from_bytes(data, pos)
-                prev_rids.append(rid)
-            else:
-                prev_rids.append(None)
-        records = tuple(
-            Record(
-                values=tuple(columns[c][i] for c in range(len(schema.columns))),
-                begin_ts=begin_ts[i],
-                end_ts=end_ts[i],
-                prev_rid=prev_rids[i],
-            )
-            for i in range(count)
-        )
+        begin_ts = struct.unpack_from(f">{count}Q", data, pos)
+        end_ts, pos = _decode_optional(data, pos + 8 * count, count, decode_uint64)
+        prev_rids, pos = _decode_optional(data, pos, count, RID.from_bytes)
+        records = tuple(map(Record, zip(*columns), begin_ts, end_ts, prev_rids))
         return cls(zone=Zone(zone_raw), block_id=block_id, records=records)
 
 
-__all__ = ["ColumnStats", "DataBlock"]
+def _decode_optional(data: bytes, pos: int, count: int, decode) -> Tuple[List, int]:
+    """A hidden column of flag-prefixed optional values (``None`` if unset)."""
+    values: List = []
+    for _ in range(count):
+        pos += 1
+        if data[pos - 1]:
+            value, pos = decode(data, pos)
+            values.append(value)
+        else:
+            values.append(None)
+    return values, pos
+
+
+__all__ = ["Columns", "DataBlock", "encode_columns"]

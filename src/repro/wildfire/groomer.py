@@ -17,7 +17,8 @@ from typing import List, Optional, Tuple
 from repro.faults.crash import crash_point
 from repro.storage.metrics import ReadIntent
 from repro.wildfire.blockstore import BlockCatalog
-from repro.wildfire.clock import HybridClock, compose_begin_ts
+from repro.wildfire.clock import HybridClock, compose_begin_ts_column
+from repro.wildfire.columnar import encode_columns
 from repro.wildfire.indexes import ShardIndexes
 from repro.wildfire.record import Record
 from repro.wildfire.schema import TableSchema
@@ -100,17 +101,16 @@ class Groomer:
             for transaction in transactions  # drain() returns commit order
             for row in transaction.rows
         ]
-        records = [
-            Record(values=row, begin_ts=compose_begin_ts(cycle, order))
-            for order, row in enumerate(rows)
-        ]
+        records = list(map(Record, rows, compose_begin_ts_column(cycle, len(rows))))
+        # The user columns are encoded once, for the block and every index.
+        encoded = encode_columns(self.schema, rows)
 
-        block = self.catalog.store_groomed(records)
+        block = self.catalog.store_groomed(records, encoded)
         crash_point("groom.pre_index")
 
         # One index run per attached index (primary + secondaries), built
         # column at a time over the block's rows.
-        run_ids = self.indexes.build_groomed_runs(block)
+        run_ids = self.indexes.build_groomed_runs(block, encoded)
         self.grooms_done += 1
         return GroomResult(
             groom_cycle=cycle,

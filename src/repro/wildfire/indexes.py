@@ -26,7 +26,7 @@ from repro.core.entry import encode_rid_column, entry_blob_columns
 from repro.core.index import UmziConfig, UmziIndex
 from repro.core.run import ColumnRange, Synopsis
 from repro.storage.hierarchy import StorageHierarchy
-from repro.wildfire.columnar import DataBlock, encode_columns
+from repro.wildfire.columnar import Columns, DataBlock, encode_columns
 from repro.wildfire.schema import IndexSpec, SchemaError, TableSchema
 
 PRIMARY_INDEX_NAME = "primary"
@@ -140,11 +140,14 @@ class ShardIndexes:
 
     # -- lifecycle fan-out ---------------------------------------------------------
 
-    def build_groomed_runs(self, block: DataBlock) -> Dict[str, str]:
+    def build_groomed_runs(
+        self, block: DataBlock, encoded: Optional[Columns] = None
+    ) -> Dict[str, str]:
         """One index run per index over one newly groomed block.
 
         Column at a time: every user column is encoded once for all
-        indexes, ``~beginTS`` and the RID are packed once per record, and
+        indexes (``encoded``: the groomer's encode, which also wrote the
+        block), ``~beginTS`` and the RID are packed once per record, and
         each index joins its own columns into ``(sort_key, blob)`` pairs,
         sorts them and hands them to the blob builder.  No
         :class:`IndexEntry` is built and nothing is re-validated -- rows
@@ -154,7 +157,8 @@ class ShardIndexes:
         """
         records = block.records
         rows = [record.values for record in records]
-        encoded = encode_columns(self.schema, rows)
+        if encoded is None:
+            encoded = encode_columns(self.schema, rows)
         raw = list(zip(*rows))
         ts_desc = encode_ts_desc_column([record.begin_ts for record in records])
         rids = encode_rid_column(block.zone, block.block_id, len(records))

@@ -34,6 +34,8 @@ from repro.wildfire.blockstore import BlockCatalog
 from repro.wildfire.record import Record
 from repro.wildfire.schema import IndexSpec, TableSchema
 
+_tuple_new = tuple.__new__
+
 
 @dataclass(frozen=True)
 class PostGroomOp:
@@ -170,18 +172,14 @@ class PostGroomer:
         for the indexer's streaming evolve.
         """
         # Partition into buckets; records stay in beginTS order per bucket.
-        buckets: Dict[int, List[Record]] = {}
-        placement: List[Tuple[int, int]] = []  # batch order -> (bucket, offset)
-        for record in records:
-            bucket = self._bucket_of(record)
-            slot = buckets.setdefault(bucket, [])
-            placement.append((bucket, len(slot)))
-            slot.append(record)
-
-        sorted_buckets = sorted(buckets)
+        bucket_of = [0] * len(records)
+        if self._partition_positions:
+            bucket_of = [self._bucket_of(record) for record in records]
+        sorted_buckets = sorted(set(bucket_of))
         first_id = self.catalog.reserve_post_groomed_ids(len(sorted_buckets))
-        block_id_of = {
-            bucket: first_id + i for i, bucket in enumerate(sorted_buckets)
+        # bucket -> its reserved block id and its records, in bucket order
+        buckets: Dict[int, Tuple[int, List[Record]]] = {
+            bucket: (first_id + i, []) for i, bucket in enumerate(sorted_buckets)
         }
 
         # Predecessors outside the batch: every distinct key goes through
@@ -204,22 +202,25 @@ class PostGroomer:
                 key: hit.rid for key, hit in zip(distinct, hits) if hit is not None
             }
 
-        # Resolve version chains in global beginTS order (= batch order).
+        # Resolve version chains in global beginTS order (= batch order),
+        # with no call per record but a ``Record`` for each that gains a
+        # ``prevRID`` (a RID is what ``RID._make`` builds, minus its frames).
         rid_by_begin_ts: Dict[int, RID] = {}
-        for key, record, (bucket, offset) in zip(keys, records, placement):
+        end_ts_of: Dict[RID, int] = {}
+        for key, record, bucket in zip(keys, records, bucket_of):
+            block_id, slot = buckets[bucket]
+            new_rid = _tuple_new(RID, (Zone.POST_GROOMED, block_id, len(slot)))
             prev_rid = last_rid.get(key)
             if prev_rid is not None:
-                self.catalog.set_end_ts(prev_rid, record.begin_ts)
-            new_rid = RID(Zone.POST_GROOMED, block_id_of[bucket], offset)
-            buckets[bucket][offset] = record.with_prev_rid(prev_rid)
-            last_rid[key] = new_rid
-            rid_by_begin_ts[record.begin_ts] = new_rid
+                end_ts_of[prev_rid] = record.begin_ts
+                record = Record(record.values, record.begin_ts, record.end_ts, prev_rid)
+            slot.append(record)
+            last_rid[key] = rid_by_begin_ts[record.begin_ts] = new_rid
+        self.catalog.update_end_ts(end_ts_of)
 
         block_ids: List[int] = []
-        for bucket in sorted_buckets:
-            block = self.catalog.store_post_groomed(
-                buckets[bucket], block_id=block_id_of[bucket]
-            )
+        for block_id, slot in buckets.values():
+            block = self.catalog.store_post_groomed(slot, block_id=block_id)
             block_ids.append(block.block_id)
         return block_ids, rid_by_begin_ts
 

@@ -14,7 +14,7 @@ key lands), and ``prevRID`` (the previous version's RID); they live on
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
 from repro.core.definition import ColumnSpec, IndexDefinition
 from repro.core.encoding import KeyValue
@@ -75,11 +75,6 @@ class TableSchema:
     def primary_key_of(self, values: Sequence[KeyValue]) -> Tuple[KeyValue, ...]:
         return tuple(values[i] for i in self.positions(self.primary_key))
 
-    def partition_value_of(
-        self, values: Sequence[KeyValue]
-    ) -> Tuple[KeyValue, ...]:
-        return tuple(values[i] for i in self.positions(self.partition_key))
-
     def validate_row(self, values: Sequence[KeyValue]) -> Tuple[KeyValue, ...]:
         if len(values) != len(self.columns):
             raise SchemaError(
@@ -89,6 +84,19 @@ class TableSchema:
         return tuple(
             spec.validate(value) for spec, value in zip(self.columns, values)
         )
+
+    def validate_rows(
+        self, rows: Iterable[Sequence[KeyValue]]
+    ) -> List[Tuple[KeyValue, ...]]:
+        """``[validate_row(row) for row in rows]``, a column at a time; any
+        doubt (an arity, a column :meth:`ColumnSpec.validate_column` does
+        not vouch for) falls back to exactly that, refusal included."""
+        rows = list(rows)  # read twice below
+        if set(map(len, rows)) == {len(self.columns)}:
+            columns = list(map(ColumnSpec.validate_column, self.columns, zip(*rows)))
+            if None not in columns:
+                return list(zip(*columns))
+        return [self.validate_row(row) for row in rows]
 
 
 @dataclass(frozen=True)

@@ -9,12 +9,12 @@ committed log.
 
 from __future__ import annotations
 
-from typing import Optional, Sequence, Tuple
+from typing import List, Optional, Sequence, Tuple
 
 from repro.core.encoding import KeyValue
 from repro.wildfire.clock import HybridClock
 from repro.wildfire.schema import TableSchema
-from repro.wildfire.txlog import CommittedLog, CommittedTransaction, SideLog
+from repro.wildfire.txlog import CommittedLog, CommittedTransaction
 
 
 class TransactionError(RuntimeError):
@@ -35,17 +35,17 @@ class Transaction:
         self._clock = clock
         self._committed_log = committed_log
         self._replica_id = replica_id
-        self._side_log = SideLog()
+        self._side_log: List[Tuple[KeyValue, ...]] = []
         self._closed = False
 
     def upsert(self, values: Sequence[KeyValue]) -> None:
         """Stage one row (insert or update -- distinguished only by key)."""
-        self._ensure_open()
-        self._side_log.append(self.schema.validate_row(values))
+        self.upsert_many((values,))
 
     def upsert_many(self, rows: Sequence[Sequence[KeyValue]]) -> None:
-        for row in rows:
-            self.upsert(row)
+        """Stage a batch: all of it, or -- refused -- none of it."""
+        self._ensure_open()
+        self._side_log.extend(self.schema.validate_rows(rows))
 
     def commit(self) -> Optional[int]:
         """Append the side-log to the committed log.
@@ -55,7 +55,7 @@ class Transaction:
         """
         self._ensure_open()
         self._closed = True
-        rows = self._side_log.rows()
+        rows = self._side_log
         if not rows:
             return None
         commit_seq = self._clock.next_commit_seq()
@@ -70,7 +70,7 @@ class Transaction:
         """Discard the side-log; uncommitted changes were never visible."""
         self._ensure_open()
         self._closed = True
-        self._side_log = SideLog()
+        self._side_log = []
 
     @property
     def pending(self) -> int:

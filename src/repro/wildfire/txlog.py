@@ -15,7 +15,7 @@ from __future__ import annotations
 import struct
 import threading
 from dataclasses import dataclass, field
-from typing import Iterable, List, Optional, Sequence, Tuple
+from typing import Iterable, List, Optional, Tuple
 
 from repro.core.encoding import KeyValue
 from repro.storage.block import Block, BlockId
@@ -29,22 +29,6 @@ class CommittedTransaction:
     commit_seq: int
     replica_id: int
     rows: List[Tuple[KeyValue, ...]]
-
-
-class SideLog:
-    """A transaction-local log of uncommitted upserts."""
-
-    def __init__(self) -> None:
-        self._rows: List[Tuple[KeyValue, ...]] = []
-
-    def append(self, row: Tuple[KeyValue, ...]) -> None:
-        self._rows.append(row)
-
-    def rows(self) -> List[Tuple[KeyValue, ...]]:
-        return list(self._rows)
-
-    def __len__(self) -> int:
-        return len(self._rows)
 
 
 class CommittedLog:
@@ -77,7 +61,7 @@ class CommittedLog:
             return
         # Only the byte volume matters for accounting; a compact length
         # estimate (rows x rough row size) avoids full serialization cost.
-        approx = 16 + sum(16 + 8 * len(row) for row in transaction.rows)
+        approx = 16 + 16 * len(transaction.rows) + 8 * sum(map(len, transaction.rows))
         with self._lock:
             ordinal = self._persist_ordinal
             self._persist_ordinal += 1
@@ -130,4 +114,4 @@ class CommittedLog:
             return len(self._transactions)
 
 
-__all__ = ["CommittedLog", "CommittedTransaction", "SideLog"]
+__all__ = ["CommittedLog", "CommittedTransaction"]

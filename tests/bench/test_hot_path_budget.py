@@ -64,6 +64,7 @@ columnar write path (8bb587f)            123.7
 block-and-column maintenance              58.5
 f9174e8 (before the bound rows)           55.6
 bound ledger rows                         51.5
+one pass per batch                        26.0
 ==============================  ==============
 
 A per-row ``IndexEntry``, a per-value runtime-type dispatch or a per-key
@@ -71,7 +72,17 @@ post-groom lookup coming back shows up here -- and so does a per-entry
 hop in merge, evolve or the run builder (``iter_raw`` -> ``stream`` ->
 ``heapq.merge`` -> dedupe -> splice -> the builder's loop were ~50 calls
 per row on their own), or a ``PointLookup`` + ``encode_point_key`` per key
-in the post-groom sweep.
+in the post-groom sweep.  The last row validates, encodes and hashes an
+ingest batch once, column at a time: per row, five ``validate`` frames
+(the router's and ``validate_row``'s) and the generator feeding four of
+them, the ``key_hash`` ->
+``encode_typed`` -> ``ENCODERS`` chain in front of ``fnv1a64``, the
+``upsert`` -> ``_ensure_open`` -> ``SideLog.append`` staging,
+``compose_begin_ts`` in the groomer, ``with_prev_rid`` -> ``RID.__new__``
+-> ``set_end_ts`` and ``_bucket_of`` in the post-groom chain loop, and the
+generator of the log's size estimate came out; so did the second
+``encode_columns`` of every groomed batch (one for the block, one for the
+index runs).
 
 And the typed path: ``call`` events per ``table.query`` on the same warmed
 fixture, one row per query shape of the e2e ``typed_scatter`` workload
@@ -117,7 +128,7 @@ BEFORE = {"warm": 357.9, "purged": 508.4}
 CEILING = {"warm": 77.0, "purged": 122.0}
 
 WRITE_BEFORE = 114.2
-WRITE_CEILING = 55.0
+WRITE_CEILING = 29.0
 
 TYPED_BEFORE = {
     "customer": 11308.5, "region": 2112.6, "range": 3235.7, "equality": 282.6,

@@ -1,5 +1,7 @@
 """Tests for index definitions (paper section 4.1)."""
 
+import enum
+
 import pytest
 
 from repro.core.definition import (
@@ -92,6 +94,43 @@ class TestValidation:
         assert d.validate_includes((5,)) == (5,)
         with pytest.raises(EncodingError):
             d.validate_includes(())
+
+
+class TestValidateColumn:
+    """``validate_column`` vouches for a column or hands it to ``validate``."""
+
+    class Small(enum.IntEnum):
+        ONE = 1
+
+    @pytest.mark.parametrize("ctype,column,normalized", [
+        (ColumnType.INT64, (1, -(2**63), 2**63 - 1), (1, -(2**63), 2**63 - 1)),
+        (ColumnType.FLOAT64, (1, -0.0, float("inf"), 2**70), [1.0, -0.0, float("inf"), 2.0**70]),
+        (ColumnType.STRING, ("", "a\x00"), ("", "a\x00")),
+        (ColumnType.BYTES, (b"", b"\x00"), (b"", b"\x00")),
+        (ColumnType.INT64, (), ()),
+    ])
+    def test_a_clean_column_is_normalized_at_once(self, ctype, column, normalized):
+        spec = ColumnSpec("c", ctype)
+        checked = spec.validate_column(column)
+        assert checked == normalized
+        assert [type(v) for v in checked] == [type(v) for v in normalized]
+        assert list(checked) == [spec.validate(v) for v in column]
+
+    @pytest.mark.parametrize("ctype,column", [
+        (ColumnType.INT64, (1, True)),  # bool: an int subclass
+        (ColumnType.INT64, (1, Small.ONE)),  # passes validate, kept as is
+        (ColumnType.INT64, (1, 2**63)),
+        (ColumnType.INT64, (-(2**63) - 1, 1)),
+        (ColumnType.INT64, (1, 1.0)),
+        (ColumnType.FLOAT64, (1.0, float("nan"))),
+        (ColumnType.FLOAT64, (float("inf"), float("-inf"))),  # passes validate
+        (ColumnType.FLOAT64, (1.0, 2**1100)),  # float() overflows
+        (ColumnType.FLOAT64, (1.0, False)),
+        (ColumnType.STRING, ("a", b"a")),
+        (ColumnType.BYTES, (b"a", bytearray(b"a"))),
+    ])
+    def test_any_doubt_is_left_to_validate(self, ctype, column):
+        assert ColumnSpec("c", ctype).validate_column(column) is None
 
 
 class TestHashing:

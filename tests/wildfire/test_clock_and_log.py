@@ -5,16 +5,18 @@ import threading
 import pytest
 
 from repro.core.definition import ColumnSpec
+from repro.core.encoding import EncodingError
 from repro.storage.hierarchy import StorageHierarchy
 from repro.wildfire.clock import (
     COMMIT_BITS,
     HybridClock,
     compose_begin_ts,
+    compose_begin_ts_column,
     decompose_begin_ts,
 )
 from repro.wildfire.schema import TableSchema
 from repro.wildfire.transaction import Transaction, TransactionError
-from repro.wildfire.txlog import CommittedLog, CommittedTransaction, SideLog
+from repro.wildfire.txlog import CommittedLog, CommittedTransaction
 
 
 def schema():
@@ -63,13 +65,35 @@ class TestHybridClock:
         assert clock.now() >= compose_begin_ts(cycle, 0)
 
 
+    def test_begin_ts_column_is_compose_begin_ts_per_order(self):
+        for cycle in (0, 1, 5, 2**20):
+            for count in (0, 1, 7, 300):
+                assert compose_begin_ts_column(cycle, count) == [
+                    compose_begin_ts(cycle, order) for order in range(count)
+                ]
+        with pytest.raises(ValueError):
+            compose_begin_ts_column(-1, 3)
+
+
 class TestSideLog:
-    def test_append_and_rows(self):
-        log = SideLog()
-        log.append((1, 2))
-        log.append((3, 4))
-        assert log.rows() == [(1, 2), (3, 4)]
-        assert len(log) == 2
+    """A transaction's side-log stages whole batches, in write order."""
+
+    def test_staged_rows_are_committed_in_order(self):
+        log = CommittedLog()
+        tx = Transaction(schema(), HybridClock(), log)
+        tx.upsert((1, 2))
+        tx.upsert_many([(3, 4), [5, 6]])
+        assert tx.pending == 3
+        tx.commit()
+        (committed,) = log.peek()
+        assert committed.rows == [(1, 2), (3, 4), (5, 6)]
+
+    def test_a_refused_batch_stages_none_of_its_rows(self):
+        tx = Transaction(schema(), HybridClock(), CommittedLog())
+        tx.upsert((1, 2))
+        with pytest.raises(EncodingError, match="column 'v' expects int64"):
+            tx.upsert_many([(3, 4), (5, "6"), (7, 8)])
+        assert tx.pending == 1
 
 
 class TestCommittedLog:

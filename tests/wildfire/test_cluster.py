@@ -155,6 +155,66 @@ class TestRoutingOnTypedShardingValues:
         assert [e.sort_values for e in table.range_query((), (1,), (3,))] == [(2.0,)]
 
 
+class TestRefusedBatchCommitsNothing:
+    """A batch refused for one bad value commits nothing on any shard.
+
+    The per-row door routed every row first and then ingested shard by
+    shard, so the shards ingested before the bad row's shard had already
+    committed their rows (21 of 40 on two shards).  The refusal itself --
+    exception type and message -- is still the per-row door's.
+    """
+
+    @staticmethod
+    def table():
+        schema = TableSchema(
+            name="iot",
+            columns=(
+                ColumnSpec("device"),
+                ColumnSpec("msg"),
+                ColumnSpec("reading", ColumnType.FLOAT64),
+            ),
+            primary_key=("device", "msg"),
+            sharding_key=("device",),
+        )
+        return ShardedTable(
+            schema, IndexSpec(("device",), ("msg",), ("reading",)), num_shards=2
+        )
+
+    @pytest.mark.parametrize("bad_row,error,message", [
+        (lambda d: (d, True, 1.0), EncodingError,
+         "column 'msg' expects int64, got bool (True)"),
+        (lambda d: (d, "not-an-int", 1.0), EncodingError,
+         "column 'msg' expects int64, got str ('not-an-int')"),
+        (lambda d: (d, 2**63, 1.0), EncodingError,
+         "column 'msg': integer 9223372036854775808 outside signed 64-bit range"),
+        (lambda d: (d, 1, float("nan")), EncodingError,
+         "column 'reading': NaN is not orderable"),
+        (lambda d: (d, 1), SchemaError,
+         "row has 2 values; schema 'iot' has 3 columns"),
+    ], ids=["bool", "str-in-int64", "2**63", "nan", "short-row"])
+    def test_a_refused_batch_commits_nothing(self, bad_row, error, message):
+        table = self.table()
+        rows = [(d, 1, d / 2) for d in range(40)]
+        # The bad row sits on the shard the batch reaches second.
+        first = table.shard_of_key((0,))
+        victim = next(d for d in range(40) if table.shard_of_key((d,)) != first)
+        rows[victim] = bad_row(victim)
+        with pytest.raises(error) as refused:
+            table.ingest(rows)
+        assert type(refused.value) is error and str(refused.value) == message
+        assert all(len(shard.committed_log) == 0 for shard in table.shards)
+        table.tick()
+        assert [d for d in range(40) if table.point_query((d,), (1,))] == []
+        # The rest of the batch, resent without its bad row, all lands.
+        del rows[victim]
+        assert sum(table.ingest(rows).values()) == 39
+        table.tick()
+        for device, msg, reading in rows:
+            assert table.point_query((device,), (msg,)).values == (
+                device, msg, reading,
+            )
+
+
 class TestIngestAndQuery:
     def test_ingest_routes_rows(self):
         table = make_table()

@@ -6,7 +6,7 @@ from repro.core.definition import ColumnSpec, ColumnType
 from repro.core.entry import RID, Zone
 from repro.storage.hierarchy import StorageHierarchy
 from repro.wildfire.blockstore import BlockCatalog, BlockNotFound
-from repro.wildfire.columnar import DataBlock
+from repro.wildfire.columnar import DataBlock, encode_columns
 from repro.wildfire.record import Record
 from repro.wildfire.schema import TableSchema
 
@@ -28,6 +28,15 @@ def records(n, ts_start=1):
         Record(values=(i, f"name-{i}", i * 1.5), begin_ts=ts_start + i)
         for i in range(n)
     )
+
+
+def encoded(records):
+    """What the groomer hands the catalog beside a batch's records."""
+    return encode_columns(schema(), [record.values for record in records])
+
+
+def store_groomed(catalog, records):
+    return catalog.store_groomed(records, encoded(records))
 
 
 class TestRecord:
@@ -59,13 +68,13 @@ class TestColumnarRoundtrip:
                 Record((2, "b\x00c", -2.5), begin_ts=11, end_ts=20, prev_rid=rid),
             ),
         )
-        decoded = DataBlock.from_bytes(s, block.to_bytes(s))
-        assert decoded == block
+        payload = block.to_bytes(encoded(block.records))
+        assert DataBlock.from_bytes(s, payload) == block
 
     def test_empty_block(self):
         s = schema()
         block = DataBlock(zone=Zone.GROOMED, block_id=0, records=())
-        assert DataBlock.from_bytes(s, block.to_bytes(s)) == block
+        assert DataBlock.from_bytes(s, block.to_bytes(encoded(()))) == block
 
     def test_bad_magic(self):
         with pytest.raises(ValueError):
@@ -79,24 +88,31 @@ class TestColumnarRoundtrip:
         }
         assert len(block.rid_by_begin_ts()) == 3
 
-    def test_column_stats(self):
+    def test_decode_rebuilds_every_hidden_column(self):
         s = schema()
-        block = DataBlock(Zone.GROOMED, 0, records(5))
-        stats = block.column_stats(s, "k")
-        assert (stats.min_value, stats.max_value) == (0, 4)
+        rid = RID(Zone.POST_GROOMED, 2**40, 7)
+        block = DataBlock(Zone.POST_GROOMED, 9, tuple(
+            Record((i, f"n{i}", i / 3), begin_ts=2**63 + i,
+                   end_ts=None if i % 2 else 2**64 - 1 - i,
+                   prev_rid=None if i % 3 else rid._replace(offset=i))
+            for i in range(7)
+        ))
+        decoded = DataBlock.from_bytes(s, block.to_bytes(encoded(block.records)))
+        assert decoded == block
+        assert all(type(r.values) is tuple for r in decoded.records)
 
 
 class TestBlockCatalog:
     def test_groomed_ids_monotonic(self):
         catalog = BlockCatalog(schema(), StorageHierarchy())
-        first = catalog.store_groomed(records(2))
-        second = catalog.store_groomed(records(2))
+        first = store_groomed(catalog, records(2))
+        second = store_groomed(catalog, records(2))
         assert (first.block_id, second.block_id) == (0, 1)
         assert catalog.max_groomed_id == 1
 
     def test_fetch_record_applies_end_ts_overlay(self):
         catalog = BlockCatalog(schema(), StorageHierarchy())
-        block = catalog.store_groomed(records(1))
+        block = store_groomed(catalog, records(1))
         rid = RID(block.zone, block.block_id, 0)
         assert catalog.fetch_record(rid).end_ts is None
         catalog.set_end_ts(rid, 99)
@@ -105,7 +121,7 @@ class TestBlockCatalog:
     def test_blocks_survive_local_crash(self):
         hierarchy = StorageHierarchy()
         catalog = BlockCatalog(schema(), hierarchy)
-        block = catalog.store_groomed(records(3))
+        block = store_groomed(catalog, records(3))
         hierarchy.crash_local_tiers()
         catalog.forget_decoded()
         fetched = catalog.get_block(Zone.GROOMED, block.block_id)
@@ -115,9 +131,10 @@ class TestBlockCatalog:
         catalog = BlockCatalog(schema(), StorageHierarchy())
         first = catalog.reserve_post_groomed_ids(3)
         assert first == 0
-        catalog.store_post_groomed(records(1), block_id=1)
-        auto = catalog.store_post_groomed(records(1))
-        assert auto.block_id == 3
+        block = catalog.store_post_groomed(records(1), block_id=1)
+        assert block.block_id == 1
+        assert catalog.live_post_groomed_ids() == [1]
+        assert catalog.reserve_post_groomed_ids(1) == 3
 
     def test_unreserved_explicit_id_rejected(self):
         catalog = BlockCatalog(schema(), StorageHierarchy())
@@ -127,7 +144,7 @@ class TestBlockCatalog:
     def test_deprecation_lifecycle(self):
         catalog = BlockCatalog(schema(), StorageHierarchy())
         for _ in range(3):
-            catalog.store_groomed(records(1))
+            store_groomed(catalog, records(1))
         catalog.deprecate_groomed([0, 1])
         deleted = catalog.delete_deprecated_up_to(0)
         assert deleted == [0]

@@ -1,7 +1,7 @@
 """Duplicate ``beginTS`` values are refused before any index evolves.
 
 Evolve keys its RID map by ``beginTS``.  Only the groomer writes groomed
-blocks, and its ``compose_begin_ts(cycle, order)`` keeps those unique, so a
+blocks, and its ``compose_begin_ts_column(cycle, count)`` keeps those unique, so a
 published ``rid_by_begin_ts`` map smaller than the migrated record count
 means an invariant broke: splicing from the collapsed map would silently
 point several index entries at one record.  The indexer raises a typed
@@ -14,6 +14,7 @@ import pytest
 from repro.core.definition import ColumnSpec
 from repro.core.entry import Zone
 from repro.core.evolve import EvolveError
+from repro.wildfire.columnar import encode_columns
 from repro.wildfire.engine import ShardConfig, WildfireShard
 from repro.wildfire.record import Record
 from repro.wildfire.schema import IndexSpec, TableSchema
@@ -38,8 +39,9 @@ def groom_block_with_duplicate_ts(shard, rows, begin_ts_of):
         Record(values=row, begin_ts=begin_ts_of(i))
         for i, row in enumerate(rows)
     ]
-    block = shard.catalog.store_groomed(records)
-    shard.indexes.build_groomed_runs(block)
+    encoded = encode_columns(shard.schema, rows)
+    block = shard.catalog.store_groomed(records, encoded)
+    shard.indexes.build_groomed_runs(block, encoded)
     return block
 
 

@@ -100,7 +100,7 @@ class TestPoisonRows:
         shard.ingest([(1, 1, 10), (2, 1, 20)])
         shard.ingest([(3, 1, 30)])
 
-        def boom(block):
+        def boom(block, encoded):
             raise RuntimeError("injected fault inside build_groomed_runs")
 
         monkeypatch.setattr(shard.indexes, "build_groomed_runs", boom)

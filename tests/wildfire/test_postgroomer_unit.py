@@ -251,19 +251,12 @@ class TestOneSweepPredecessors:
         if purged:
             shard.index.cache.set_cache_level(-1)
 
-        end_ts_calls = []
-        set_end_ts = shard.catalog.set_end_ts
-
-        def recording_set_end_ts(rid, end_ts):
-            end_ts_calls.append((rid, end_ts))
-            set_end_ts(rid, end_ts)
-
-        shard.catalog.set_end_ts = recording_set_end_ts
         for rows in self.BATCH:
             shard.ingest(rows)
             shard.groomer.groom()
         maintenance = shard.hierarchy.stats.intents[ReadIntent.MAINTENANCE]
         before = maintenance.snapshot()
+        overlay_before = shard.catalog.export_end_ts_overlay()
         op = shard.post_groomer.post_groom()
         reads = {
             "shared": maintenance.shared_reads - before.shared_reads,
@@ -273,22 +266,32 @@ class TestOneSweepPredecessors:
             shard.catalog.get_block(Zone.POST_GROOMED, block_id).records
             for block_id in op.post_groomed_block_ids
         ]
-        return shard, op, blocks, end_ts_calls, reads, post_groomed
+        # The endTS overlay after the batch, and what the batch set in it:
+        # ``(rid, end_ts)`` pairs in the order they were set.
+        overlay = shard.catalog.export_end_ts_overlay()
+        end_ts_set = [
+            (rid, end_ts) for rid, end_ts in overlay.items()
+            if rid not in overlay_before
+        ]
+        return shard, op, blocks, (overlay, end_ts_set), reads, post_groomed
 
     @pytest.mark.parametrize("purged", [False, True])
     def test_identical_to_the_per_key_path(self, purged):
-        _, op, blocks, end_ts_calls, _, _ = self.run_scenario(purged=purged)
-        _, ref_op, ref_blocks, ref_calls, _, _ = self.run_scenario(
+        _, op, blocks, (overlay, end_ts_set), _, _ = self.run_scenario(
+            purged=purged
+        )
+        _, ref_op, ref_blocks, (ref_overlay, ref_set), _, _ = self.run_scenario(
             reference=True, purged=purged
         )
         assert op.rid_by_begin_ts == ref_op.rid_by_begin_ts
         assert op.post_groomed_block_ids == ref_op.post_groomed_block_ids
         assert blocks == ref_blocks  # prevRID chains included
-        assert end_ts_calls == ref_calls
-        assert len(end_ts_calls) == 7  # every version but 100's and 101's first
+        assert overlay == ref_overlay
+        assert end_ts_set == ref_set
+        assert len(end_ts_set) == 7  # every version but 100's and 101's first
 
     def test_chains_are_what_the_scenario_says(self):
-        shard, op, blocks, end_ts_calls, _, _ = self.run_scenario()
+        shard, op, blocks, _, _, _ = self.run_scenario()
         by_begin_ts = {r.begin_ts: r for records in blocks for r in records}
         rid_of = op.rid_by_begin_ts
         begin_ts_of = {rid: ts for ts, rid in rid_of.items()}

@@ -1,6 +1,8 @@
 """Tests for table schemas and index specs."""
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.core.definition import ColumnSpec, ColumnType
 from repro.wildfire.schema import IndexSpec, SchemaError, TableSchema
@@ -50,7 +52,6 @@ class TestTableSchema:
         schema = iot_schema()
         row = (7, 42, 99)
         assert schema.primary_key_of(row) == (7, 42)
-        assert schema.partition_value_of(row) == (42,)
 
     def test_validate_row(self):
         schema = iot_schema()
@@ -59,6 +60,60 @@ class TestTableSchema:
             schema.validate_row((1, 2))
         with pytest.raises(Exception):
             schema.validate_row((1, "text", 3))
+
+
+class TestValidateRows:
+    """``validate_rows`` is ``validate_row`` per row, refusals included."""
+
+    @staticmethod
+    def per_row(schema, rows):
+        try:
+            return [schema.validate_row(row) for row in rows]
+        except Exception as exc:
+            return type(exc), str(exc)
+
+    @staticmethod
+    def batched(schema, rows):
+        try:
+            return schema.validate_rows(rows)
+        except Exception as exc:
+            return type(exc), str(exc)
+
+    @settings(max_examples=150, deadline=None)
+    @given(st.lists(st.lists(
+        st.integers(-(2**64), 2**64) | st.floats() | st.booleans()
+        | st.text(max_size=2) | st.binary(max_size=2) | st.none(),
+        min_size=2, max_size=4,
+    ), max_size=6))
+    def test_same_rows_or_same_refusal_as_row_by_row(self, rows):
+        schema = TableSchema(
+            name="m",
+            columns=(
+                ColumnSpec("i"),
+                ColumnSpec("f", ColumnType.FLOAT64),
+                ColumnSpec("s", ColumnType.STRING),
+            ),
+            primary_key=("i",),
+        )
+        expected = self.per_row(schema, rows)
+        got = self.batched(schema, rows)
+        assert got == expected
+        if isinstance(expected, list):
+            assert [list(map(type, row)) for row in got] == [
+                list(map(type, row)) for row in expected
+            ]
+
+    def test_refusals_name_the_first_bad_value_in_row_order(self):
+        schema = iot_schema()
+        with pytest.raises(Exception) as refused:
+            schema.validate_rows([(1, 2, 3), (4, 5, "x"), (True, 2, 3)])
+        assert str(refused.value) == "column 'reading' expects int64, got str ('x')"
+        with pytest.raises(SchemaError, match="row has 2 values"):
+            schema.validate_rows([(1, 2, 3), (1, 2)])
+        assert schema.validate_rows([]) == []
+        # Any iterable of rows, a generator included.
+        rows = ((d, 1, 2) for d in range(3))
+        assert schema.validate_rows(rows) == [(0, 1, 2), (1, 1, 2), (2, 1, 2)]
 
 
 class TestIndexSpec:
