@@ -9,13 +9,21 @@ extension (``UmziConfig.per_key_batch_pruning``); this ablation quantifies
 what the extension buys.
 """
 
-from repro.bench.fixtures import build_index_with_runs, entries_for_keys
-from repro.bench.harness import ExperimentResult, Series, measure_wall_s
 from repro.core.definition import i1_definition
 from repro.core.index import UmziConfig, UmziIndex
 from repro.core.levels import LevelConfig
-from repro.workloads.generator import KeyMapper, KeyMode
+from repro.core.query import MAX_QUERY_TS
+from repro.workloads.generator import KeyMapper
 from repro.workloads.queries import QueryBatchGenerator
+
+from harness import (
+    ExperimentResult,
+    Series,
+    batch_keys,
+    entries_for_keys,
+    measure_wall_s,
+    report,
+)
 
 NUM_RUNS = 20
 ENTRIES_PER_RUN = 2_000
@@ -47,7 +55,7 @@ def build_index(per_key: bool) -> UmziIndex:
     return index
 
 
-def test_ablation_batch_pruning(benchmark, reporter):
+def test_ablation_batch_pruning():
     definition = i1_definition()
     mapper = KeyMapper(definition)
     population = NUM_RUNS * ENTRIES_PER_RUN
@@ -60,12 +68,12 @@ def test_ablation_batch_pruning(benchmark, reporter):
         label = "per-key pruning" if per_key else "batch pruning (paper)"
         line = Series(label)
         qgen = QueryBatchGenerator(mapper, population, seed=79)
-        batch = qgen.random_batch(BATCH)
+        keys = batch_keys(qgen.random_batch(BATCH))
 
-        def op(index=index, batch=batch):
+        def op(index=index, keys=keys):
             for run in index.all_runs():
                 run.drop_decode_cache()
-            index.batch_lookup(batch)
+            index.batch_lookup(keys, MAX_QUERY_TS)
 
         elapsed = measure_wall_s(op, repeat=2)
         if base is None:
@@ -81,7 +89,7 @@ def test_ablation_batch_pruning(benchmark, reporter):
         notes=f"{NUM_RUNS} runs x {ENTRIES_PER_RUN} sequentially ingested "
               f"entries; random batch of {BATCH}",
     )
-    reporter(result)
+    report(result)
 
     per_key_cost = result.series_by_label("per-key pruning").points[0][1]
     # Under sequential ingest each key overlaps one run, so per-key pruning
@@ -92,9 +100,9 @@ def test_ablation_batch_pruning(benchmark, reporter):
 
     # Correctness cross-check: identical answers.
     qgen = QueryBatchGenerator(mapper, population, seed=83)
-    batch = qgen.random_batch(100)
-    answers_batch = indexes[False].batch_lookup(batch)
-    answers_perkey = indexes[True].batch_lookup(batch)
+    keys = batch_keys(qgen.random_batch(100))
+    answers_batch = indexes[False].batch_lookup(keys, MAX_QUERY_TS)
+    answers_perkey = indexes[True].batch_lookup(keys, MAX_QUERY_TS)
     assert [
         None if e is None else (e.equality_values, e.sort_values, e.begin_ts)
         for e in answers_batch
@@ -102,5 +110,3 @@ def test_ablation_batch_pruning(benchmark, reporter):
         None if e is None else (e.equality_values, e.sort_values, e.begin_ts)
         for e in answers_perkey
     ]
-
-    benchmark(lambda: indexes[True].batch_lookup(batch))

@@ -6,13 +6,21 @@ measures random batches over randomly-ingested runs -- the synopsis's
 worst case -- with filters on and off.
 """
 
-from repro.bench.fixtures import entries_for_keys
-from repro.bench.harness import ExperimentResult, Series, measure_wall_s
 from repro.core.definition import i1_definition
 from repro.core.index import UmziConfig, UmziIndex
 from repro.core.levels import LevelConfig
+from repro.core.query import MAX_QUERY_TS
 from repro.workloads.generator import KeyGenerator, KeyMapper, KeyMode
 from repro.workloads.queries import QueryBatchGenerator
+
+from harness import (
+    ExperimentResult,
+    Series,
+    batch_keys,
+    entries_for_keys,
+    measure_wall_s,
+    report,
+)
 
 NUM_RUNS = 16
 ENTRIES_PER_RUN = 2_000
@@ -43,7 +51,7 @@ def build_index(bloom_fpr):
     return index, mapper
 
 
-def test_ablation_bloom(benchmark, reporter):
+def test_ablation_bloom():
     population = NUM_RUNS * ENTRIES_PER_RUN
     series = []
     base_wall = None
@@ -53,12 +61,12 @@ def test_ablation_bloom(benchmark, reporter):
         index, mapper = build_index(fpr)
         indexes[label] = (index, mapper)
         qgen = QueryBatchGenerator(mapper, population, seed=89)
-        batch = qgen.random_batch(BATCH)
+        keys = batch_keys(qgen.random_batch(BATCH))
 
-        def op(index=index, batch=batch):
+        def op(index=index, keys=keys):
             for run in index.all_runs():
                 run.drop_decode_cache()
-            index.batch_lookup(batch)
+            index.batch_lookup(keys, MAX_QUERY_TS)
 
         sim_before = index.hierarchy.stats.total_sim_ns
         elapsed = measure_wall_s(op, repeat=2)
@@ -78,7 +86,7 @@ def test_ablation_bloom(benchmark, reporter):
         notes=f"{NUM_RUNS} runs x {ENTRIES_PER_RUN} randomly ingested "
               f"entries; ~37% of the batch misses every run",
     )
-    reporter(result)
+    report(result)
 
     # Assert on the deterministic simulated I/O cost: since the zero-decode
     # hot path made probes nearly free, wall time on this small fixture is
@@ -93,10 +101,11 @@ def test_ablation_bloom(benchmark, reporter):
     # Correctness cross-check.
     (idx_a, mapper) = indexes["no bloom filters"]
     (idx_b, _) = indexes["bloom fpr=1%"]
-    batch = QueryBatchGenerator(mapper, population, seed=97).random_batch(100)
-    summary = lambda entries: [
-        None if e is None else (e.equality_values, e.begin_ts) for e in entries
+    keys = batch_keys(
+        QueryBatchGenerator(mapper, population, seed=97).random_batch(100)
+    )
+    summary = lambda index: [
+        None if e is None else (e.equality_values, e.begin_ts)
+        for e in index.batch_lookup(keys, MAX_QUERY_TS)
     ]
-    assert summary(idx_a.batch_lookup(batch)) == summary(idx_b.batch_lookup(batch))
-
-    benchmark(lambda: idx_b.batch_lookup(batch))
+    assert summary(idx_a) == summary(idx_b)

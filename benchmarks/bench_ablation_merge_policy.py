@@ -7,22 +7,89 @@ fewer runs, faster queries); large K defers merging (fewer bytes, more
 runs, slower queries).
 """
 
-from repro.bench.ablations import ablation_merge_policy
-from repro.bench.fixtures import build_index_with_runs
+from typing import Optional
+
 from repro.core.definition import i1_definition
-from repro.workloads.generator import KeyMapper, KeyMode
+from repro.core.index import UmziConfig, UmziIndex
+from repro.core.levels import LevelConfig
+from repro.core.query import MAX_QUERY_TS
+from repro.workloads.generator import KeyMapper
 from repro.workloads.queries import QueryBatchGenerator
 
+from harness import (
+    ExperimentResult,
+    Series,
+    batch_keys,
+    entries_for_keys,
+    measure_wall_s,
+    report,
+)
 
-def test_ablation_merge_policy(benchmark, reporter):
-    result = ablation_merge_policy(
-        k_values=(1, 2, 4, 8),
-        size_ratio=4,
-        runs_to_ingest=16,
-        entries_per_run=2_000,
-        batch_size=200,
+K_VALUES = (1, 2, 4, 8)
+SIZE_RATIO = 4
+RUNS_TO_INGEST = 16
+ENTRIES_PER_RUN = 2_000
+BATCH = 200
+
+
+def ablation_merge_policy() -> ExperimentResult:
+    """K sweep: shared-storage write amplification vs lookup cost.
+
+    Larger K defers merging (less write amplification, more runs to
+    search); K=1 is leveling-like (max merging, fewest runs).
+    """
+    definition = i1_definition()
+    mapper = KeyMapper(definition)
+    wa_series = Series("write amplification (bytes ratio)")
+    query_series = Series("lookup time (normalized)")
+    runs_series = Series("final run count")
+    base_query: Optional[float] = None
+    for k in K_VALUES:
+        levels = LevelConfig(
+            groomed_levels=4, post_groomed_levels=2,
+            max_runs_per_level=k, size_ratio=SIZE_RATIO,
+        )
+        index = UmziIndex(
+            definition, config=UmziConfig(name=f"abl-k{k}", levels=levels)
+        )
+        ts = 1
+        for gid in range(RUNS_TO_INGEST):
+            keys = list(range(gid * ENTRIES_PER_RUN, (gid + 1) * ENTRIES_PER_RUN))
+            index.add_groomed_run(
+                entries_for_keys(definition, keys, mapper, ts_start=ts,
+                                 block_id=gid),
+                gid, gid,
+            )
+            index.run_maintenance()
+            ts += ENTRIES_PER_RUN
+        ingested_bytes = sum(run.size_bytes for run in index.all_runs())
+        wa = index.hierarchy.shared.write_amplification_bytes / max(
+            ingested_bytes, 1
+        )
+        qgen = QueryBatchGenerator(mapper, RUNS_TO_INGEST * ENTRIES_PER_RUN, seed=71)
+        keys = batch_keys(qgen.random_batch(BATCH))
+        elapsed = measure_wall_s(
+            lambda: index.batch_lookup(keys, MAX_QUERY_TS), 3
+        )
+        if base_query is None:
+            base_query = elapsed
+        wa_series.add(k, wa)
+        query_series.add(k, elapsed / base_query)
+        runs_series.add(k, index.stats().total_runs)
+    return ExperimentResult(
+        figure="Ablation A3",
+        title="Merge policy K sweep: write amplification vs query cost",
+        x_label="K (max runs per level)",
+        y_label="see series labels",
+        series=[wa_series, query_series, runs_series],
+        notes=f"T={SIZE_RATIO}; write amplification = shared bytes written / "
+              "live index bytes",
     )
-    reporter(result)
+
+
+def test_ablation_merge_policy():
+    result = ablation_merge_policy()
+    report(result)
 
     wa = result.series_by_label("write amplification (bytes ratio)").ys()
     runs = result.series_by_label("final run count").ys()
@@ -35,15 +102,3 @@ def test_ablation_merge_policy(benchmark, reporter):
     assert runs[-1] >= runs[0], (
         f"K=8 must retain at least as many runs as K=1: {runs[-1]} vs {runs[0]}"
     )
-
-    # Benchmark the primitive: maintenance on a merge-heavy index (K=2).
-    definition = i1_definition()
-    mapper = KeyMapper(definition)
-
-    def ingest_and_merge():
-        index = build_index_with_runs(
-            definition, 8, 500, KeyMode.SEQUENTIAL, mapper
-        )
-        index.run_maintenance()
-
-    benchmark.pedantic(ingest_and_merge, rounds=5, iterations=1)

@@ -11,19 +11,74 @@ so the test cannot flake on a noisy host, while the wall-time series is
 still produced for the figure.
 """
 
-from repro.bench.ablations import ablation_offset_array
-from repro.bench.fixtures import build_single_run
+from typing import Optional
+
 from repro.core.definition import i1_definition
 from repro.core.query import QueryExecutor
 from repro.workloads.generator import KeyMapper
 from repro.workloads.queries import QueryBatchGenerator
 
+from harness import (
+    ExperimentResult,
+    Series,
+    build_single_run,
+    measure_wall_s,
+    report,
+)
 
-def test_ablation_offset_array(benchmark, reporter):
-    result = ablation_offset_array(
-        run_sizes=(1_000, 10_000, 50_000), batch_size=300, repeat=2
-    )
-    reporter(result)
+RUN_SIZES = (1_000, 10_000, 50_000)
+BATCH = 300
+
+
+def ablation_offset_array() -> ExperimentResult:
+    """Lookup cost with and without the hash offset array; the headline
+    probe counts for the largest run land in ``metrics``."""
+    definition = i1_definition()
+    mapper = KeyMapper(definition)
+    series = []
+    probe_series = []
+    metrics = {}
+    base: Optional[float] = None
+    for enabled in (True, False):
+        label = "offset array" if enabled else "binary search only"
+        line = Series(label)
+        probes_line = Series(f"{label} (probes)")
+        for n in RUN_SIZES:
+            run, hierarchy = build_single_run(definition, n, mapper)
+            executor = QueryExecutor(
+                definition, lambda run=run: [run], use_offset_array=enabled
+            )
+            batch = QueryBatchGenerator(mapper, n, seed=67).random_batch(BATCH)
+            decode = hierarchy.stats.decode
+            before = decode.snapshot()
+            executor.batch_lookup(batch)
+            probes = decode.diff(before).raw_key_probes
+            probes_line.add(n, float(probes))
+            elapsed = measure_wall_s(lambda: executor.batch_lookup(batch), 2)
+            if base is None:
+                base = elapsed
+            line.add(n, elapsed)
+        series.append(line)
+        probe_series.append(probes_line)
+        key = "with_offset_array" if enabled else "without_offset_array"
+        metrics[f"raw_key_probes_{key}"] = probes_line.ys()[-1]
+    result = ExperimentResult(
+        figure="Ablation A2",
+        title="Offset array benefit",
+        x_label="entries in run",
+        y_label="batch lookup time",
+        series=series,
+        notes="normalized to offset array at the smallest run; "
+              "probe counts (simulated, deterministic) in metrics",
+    ).normalize_all(base if base else 1.0)
+    result.series.extend(probe_series)
+    result.metrics.update(metrics)
+    return result
+
+
+def test_ablation_offset_array():
+    result = ablation_offset_array()
+    report(result)
 
     # Deterministic claim: narrowing binary search with the offset array
     # must strictly cut raw key probes at every run size.  The counts are
@@ -37,17 +92,9 @@ def test_ablation_offset_array(benchmark, reporter):
             f"{a} vs {b}"
         )
     # The headline metrics must carry the same ordering (guards against a
-    # series/metric wiring mix-up in the ablation harness).
+    # series/metric wiring mix-up).
     assert (
         0
         < result.metrics["raw_key_probes_with_offset_array"]
         < result.metrics["raw_key_probes_without_offset_array"]
     )
-
-    # Benchmark the primitive: offset-array lookups on the largest run.
-    definition = i1_definition()
-    mapper = KeyMapper(definition)
-    run, _ = build_single_run(definition, 50_000, mapper)
-    executor = QueryExecutor(definition, lambda: [run])
-    batch = QueryBatchGenerator(mapper, 50_000, seed=67).random_batch(300)
-    benchmark(lambda: executor.batch_lookup(batch))

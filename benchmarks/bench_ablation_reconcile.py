@@ -12,24 +12,92 @@ flaked on busy hosts exactly the way A2 once did (ROADMAP flagged it;
 pattern).  Wall time is still *plotted* for the figure.
 """
 
-from repro.bench.ablations import ablation_reconcile_strategies
-from repro.bench.fixtures import build_index_with_runs
+from typing import Optional
+
 from repro.core.definition import i1_definition
 from repro.core.query import ReconcileStrategy
 from repro.workloads.generator import KeyMapper, KeyMode
 from repro.workloads.queries import QueryBatchGenerator
 
+from harness import (
+    ExperimentResult,
+    Series,
+    build_index_with_runs,
+    measure_wall_s,
+    report,
+)
+
 SCAN_RANGES = (10, 100, 1_000, 10_000)
+NUM_RUNS = 10
+ENTRIES_PER_RUN = 3_000
 
 
-def test_ablation_reconcile(benchmark, reporter):
-    result = ablation_reconcile_strategies(
-        scan_ranges=SCAN_RANGES,
-        num_runs=10,
-        entries_per_run=3_000,
-        repeat=1,  # counter-asserted: wall time is plotted, never asserted
+def ablation_reconcile_strategies() -> ExperimentResult:
+    """Set vs priority-queue reconciliation across scan ranges.
+
+    The figure plots wall time (the paper's presentation); per-range raw
+    sort-key probe counts and a result-equality flag land in ``metrics``
+    and the probe series rides alongside the wall-time series.
+    """
+    definition = i1_definition()
+    total = NUM_RUNS * ENTRIES_PER_RUN
+    mapper = KeyMapper(definition, spread=total)
+    index = build_index_with_runs(
+        definition, NUM_RUNS, ENTRIES_PER_RUN, KeyMode.RANDOM, mapper
     )
-    reporter(result)
+    decode = index.hierarchy.stats.decode
+    series = []
+    probe_series = []
+    metrics = {}
+    fingerprints: dict = {}
+    base: Optional[float] = None
+    for strategy in (ReconcileStrategy.SET, ReconcileStrategy.PRIORITY_QUEUE):
+        line = Series(strategy.value)
+        probes_line = Series(f"{strategy.value} (probes)")
+        for scan_range in SCAN_RANGES:
+            qgen = QueryBatchGenerator(mapper, total, seed=61)
+            scan = qgen.sequential_scan(scan_range)
+            before = decode.snapshot()
+            results = index.range_scan(scan, strategy)
+            probes = decode.diff(before).raw_key_probes
+            probes_line.add(scan_range, float(probes))
+            metrics[f"raw_key_probes_{strategy.value}_range{scan_range}"] = (
+                float(probes)
+            )
+            fingerprint = tuple(
+                (e.rid, e.begin_ts, e.sort_values) for e in results
+            )
+            other = fingerprints.setdefault(scan_range, fingerprint)
+            metrics[f"results_identical_range{scan_range}"] = min(
+                metrics.get(f"results_identical_range{scan_range}", 1.0),
+                float(fingerprint == other),
+            )
+            elapsed = measure_wall_s(
+                lambda: index.range_scan(scan, strategy),
+                repeat=1,  # counter-asserted: wall time is plotted only
+            )
+            if base is None:
+                base = elapsed
+            line.add(scan_range, elapsed)
+        series.append(line)
+        probe_series.append(probes_line)
+    result = ExperimentResult(
+        figure="Ablation A1",
+        title="Set vs priority-queue reconciliation",
+        x_label="scan range size",
+        y_label="scan time",
+        series=series,
+        notes="normalized to set approach at the smallest range; "
+              "probe counts (simulated, deterministic) in metrics",
+    ).normalize_all(base if base else 1.0)
+    result.series.extend(probe_series)
+    result.metrics.update(metrics)
+    return result
+
+
+def test_ablation_reconcile():
+    result = ablation_reconcile_strategies()
+    report(result)
 
     # Deterministic claim 1: both strategies reconcile to the exact same
     # answer at every range.
@@ -56,15 +124,3 @@ def test_ablation_reconcile(benchmark, reporter):
     ]
     assert probes_by_range == sorted(probes_by_range)
     assert probes_by_range[-1] > probes_by_range[0]
-
-    # Benchmark the primitive: a large PQ scan.
-    definition = i1_definition()
-    total = 10 * 3_000
-    mapper = KeyMapper(definition, spread=total)
-    index = build_index_with_runs(
-        definition, 10, 3_000, KeyMode.RANDOM, mapper
-    )
-    scan = QueryBatchGenerator(mapper, total, seed=61).sequential_scan(5_000)
-    benchmark(
-        lambda: index.range_scan(scan, ReconcileStrategy.PRIORITY_QUEUE)
-    )

@@ -17,8 +17,6 @@ decode count of the blob-level merge must be zero.
 
 import heapq
 
-from repro.bench.fixtures import entries_for_keys
-from repro.bench.harness import ExperimentResult, Series
 from repro.core.builder import RunBuilder
 from repro.core.definition import i1_definition
 from repro.core.entry import Zone
@@ -27,10 +25,12 @@ from repro.core.run import Synopsis
 from repro.storage.hierarchy import StorageHierarchy
 from repro.workloads.generator import KeyGenerator, KeyMapper, KeyMode
 
+from harness import ExperimentResult, Series, entries_for_keys, report
+
 MERGE_RUN_SIZE = 5_000
 
 
-def test_merge_path_is_zero_decode(reporter):
+def test_merge_path_is_zero_decode():
     definition = i1_definition()
     hierarchy = StorageHierarchy()
     builder = RunBuilder(definition, hierarchy, data_block_bytes=4096)
@@ -111,4 +111,4 @@ def test_merge_path_is_zero_decode(reporter):
             f"{blob_delta.blob_copies} pre-serialized blobs untouched"
         ),
     )
-    reporter(result)
+    report(result)

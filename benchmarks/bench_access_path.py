@@ -31,12 +31,13 @@ is generated arithmetically, no wall-clock and no RNG anywhere -- so
 committed artifact (same full-size run everywhere, like A13/A14).
 """
 
-from repro.bench.harness import ExperimentResult, Series
 from repro.core.definition import ColumnSpec, ColumnType
 from repro.core.index import UmziConfig
 from repro.planner import Query
 from repro.wildfire.engine import ShardConfig, WildfireShard
 from repro.wildfire.schema import IndexSpec, TableSchema
+
+from harness import ExperimentResult, Series, report
 
 N_ROWS = 1_200
 BATCHES = 6
@@ -203,7 +204,7 @@ def run_arm(planner: str):
     return explains, measurements
 
 
-def test_access_path_planner(reporter):
+def test_access_path_planner():
     base_explains, base_runs = run_arm("baseline")
     smart_explains, smart_runs = run_arm("smart")
 
@@ -280,4 +281,4 @@ def test_access_path_planner(reporter):
         ),
         metrics=metrics,
     )
-    reporter(result, "access_path")
+    report(result, "access_path")

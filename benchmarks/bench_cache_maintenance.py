@@ -26,14 +26,14 @@ Set ``UMZI_BENCH_SMOKE=1`` for the CI-sized fixture.
 import os
 import time
 
-from repro.bench.fixtures import entries_for_keys
-from repro.bench.harness import ExperimentResult, Series
 from repro.core.definition import i1_definition
 from repro.core.entry import RID, Zone
 from repro.core.index import UmziConfig, UmziIndex
 from repro.core.levels import LevelConfig
 from repro.storage.metrics import ReadIntent
 from repro.workloads.generator import KeyMapper
+
+from harness import ExperimentResult, Series, entries_for_keys, report
 
 _SMOKE = os.environ.get("UMZI_BENCH_SMOKE") == "1"
 NUM_RUNS = 10
@@ -158,7 +158,7 @@ def _run():
     }
 
 
-def test_cache_hit_rate_under_concurrent_evolve(reporter):
+def test_cache_hit_rate_under_concurrent_evolve():
     measured = _run()
 
     # Acceptance: the maintenance workload streamed, and registered zero
@@ -204,4 +204,4 @@ def test_cache_hit_rate_under_concurrent_evolve(reporter):
             "wall_s": measured["wall_s"],
         },
     )
-    reporter(result, "cache_maintenance")
+    report(result, "cache_maintenance")

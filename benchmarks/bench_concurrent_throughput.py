@@ -27,13 +27,13 @@ import random
 import threading
 import time
 
-from repro.bench.fixtures import entries_for_keys
-from repro.bench.harness import ExperimentResult, Series
 from repro.core.definition import ColumnSpec, i1_definition
 from repro.core.index import UmziConfig, UmziIndex
 from repro.core.levels import LevelConfig
 from repro.wildfire.engine import ShardConfig, WildfireShard
 from repro.wildfire.schema import IndexSpec, TableSchema
+
+from harness import ExperimentResult, Series, entries_for_keys, report
 
 _SMOKE = os.environ.get("UMZI_BENCH_SMOKE") == "1"
 THREAD_COUNTS = (2,) if _SMOKE else (1, 2, 4)
@@ -197,7 +197,7 @@ def _refcount_scaling(num_runs: int) -> float:
     return (delta.version_refs + delta.version_unrefs) / SCALING_QUERIES
 
 
-def test_concurrent_throughput(benchmark, reporter):
+def test_concurrent_throughput():
     line = Series("versionset (queries/s)")
     outcomes = {}
     for n in THREAD_COUNTS:
@@ -232,7 +232,7 @@ def test_concurrent_throughput(benchmark, reporter):
               f"{SCALING_RUN_COUNTS} runs",
         metrics=metrics,
     )
-    reporter(result, slug="concurrent_throughput")
+    report(result, slug="concurrent_throughput")
 
     # Counter-asserted on every window: concurrent queries with zero
     # query errors while maintenance keeps retiring runs underneath, and
@@ -255,6 +255,3 @@ def test_concurrent_throughput(benchmark, reporter):
     for num_runs in SCALING_RUN_COUNTS:
         assert metrics[f"refcount_ops_per_query_versionset_runs{num_runs}"] \
             == 2.0
-
-    # Benchmark hook: one window at the top thread count.
-    benchmark(lambda: _run_window(THREAD_COUNTS[-1]))

@@ -6,38 +6,19 @@ synopsis prunes irrelevant runs, and batching amortizes block fetches;
 ones roughly linearly; (c) range-scan time grows linearly with the range,
 with sequential ~ random ranges.
 
-The shape assertions run on deterministic counters -- simulated I/O ns
-for the batch/run-count sweeps (those claims are about block fetches)
-and decode-probe counts for the scan sweep (linearity in entries
-examined) -- so this bench no longer needs a wall-clock waiver; wall
-time stays plot-only in the result metrics.
+The shape assertions run on deterministic counters (see
+``harness.multi_run_figures``); wall time stays plot-only.
 """
 
-from repro.bench.experiments import fig10_sequential_ingest
-from repro.bench.fixtures import build_index_with_runs
-from repro.bench.harness import (
-    assert_dominates,
-    assert_roughly_linear,
-)
-from repro.core.definition import i1_definition
-from repro.workloads.generator import KeyMapper, KeyMode
-from repro.workloads.queries import QueryBatchGenerator
+from repro.workloads.generator import KeyMode
 
-NUM_RUNS = 20
-ENTRIES_PER_RUN = 3_000
-BATCH_SIZES = (1, 10, 100, 1_000)
-RUN_COUNTS = (1, 5, 10, 20)
-SCAN_RANGES = (1, 10, 100, 1_000, 10_000)
+from harness import assert_roughly_linear, multi_run_figures, report
 
 
-def test_fig10_sequential_ingest(benchmark, reporter):
-    fig_a, fig_b, fig_c = fig10_sequential_ingest(
-        batch_sizes=BATCH_SIZES, run_counts=RUN_COUNTS,
-        scan_ranges=SCAN_RANGES, num_runs=NUM_RUNS,
-        entries_per_run=ENTRIES_PER_RUN, repeat=1,  # counter-asserted
-    )
+def test_fig10_sequential_ingest():
+    fig_a, fig_b, fig_c = multi_run_figures(KeyMode.SEQUENTIAL, 10)
     for result in (fig_a, fig_b, fig_c):
-        reporter(result)
+        report(result)
 
     # (a) batching amortizes per-key cost.  The comparison anchors at
     # batch 10: a single random key is unrepresentatively cheap (it
@@ -68,13 +49,3 @@ def test_fig10_sequential_ingest(benchmark, reporter):
         assert_roughly_linear(
             xs[2:], series.ys()[2:], tolerance=6.0, label=f"fig10c {label}"
         )
-
-    # Benchmark the primitive: a 1000-key random batch over 20 runs.
-    definition = i1_definition()
-    mapper = KeyMapper(definition)
-    index = build_index_with_runs(
-        definition, NUM_RUNS, ENTRIES_PER_RUN, KeyMode.SEQUENTIAL, mapper
-    )
-    qgen = QueryBatchGenerator(mapper, NUM_RUNS * ENTRIES_PER_RUN, seed=29)
-    batch = qgen.random_batch(1_000)
-    benchmark(lambda: index.batch_lookup(batch))

@@ -5,28 +5,15 @@ their pruning advantage and converge to random-query behaviour; random
 queries themselves are barely affected relative to Figure 10.
 """
 
-from repro.bench.experiments import fig11_random_ingest
-from repro.bench.fixtures import build_index_with_runs
-from repro.bench.harness import assert_roughly_linear
-from repro.core.definition import i1_definition
-from repro.workloads.generator import KeyMapper, KeyMode
-from repro.workloads.queries import QueryBatchGenerator
+from repro.workloads.generator import KeyMode
 
-NUM_RUNS = 20
-ENTRIES_PER_RUN = 3_000
-BATCH_SIZES = (1, 10, 100, 1_000)
-RUN_COUNTS = (1, 5, 10, 20)
-SCAN_RANGES = (1, 10, 100, 1_000, 10_000)
+from harness import assert_roughly_linear, multi_run_figures, report
 
 
-def test_fig11_random_ingest(benchmark, reporter):
-    fig_a, fig_b, fig_c = fig11_random_ingest(
-        batch_sizes=BATCH_SIZES, run_counts=RUN_COUNTS,
-        scan_ranges=SCAN_RANGES, num_runs=NUM_RUNS,
-        entries_per_run=ENTRIES_PER_RUN, repeat=1,  # counter-asserted
-    )
+def test_fig11_random_ingest():
+    fig_a, fig_b, fig_c = multi_run_figures(KeyMode.RANDOM, 11)
     for result in (fig_a, fig_b, fig_c):
-        reporter(result)
+        report(result)
 
     # (a/b) sequential ~ random once synopses stop pruning: the two series
     # stay within a small factor of each other.  Tiny batches mostly
@@ -58,13 +45,3 @@ def test_fig11_random_ingest(benchmark, reporter):
         assert_roughly_linear(
             xs[2:], series.ys()[2:], tolerance=10.0, label=f"fig11c {label}"
         )
-
-    # Benchmark the primitive: a 1000-key random batch, random ingest.
-    definition = i1_definition()
-    mapper = KeyMapper(definition)
-    index = build_index_with_runs(
-        definition, NUM_RUNS, ENTRIES_PER_RUN, KeyMode.RANDOM, mapper
-    )
-    qgen = QueryBatchGenerator(mapper, NUM_RUNS * ENTRIES_PER_RUN, seed=29)
-    batch = qgen.random_batch(1_000)
-    benchmark(lambda: index.batch_lookup(batch))

@@ -5,17 +5,80 @@ runs are cached (none) compared to the cases where the half or all of the
 runs are purged"; purged runs cause latency spikes on first access because
 data blocks stream back from shared storage.
 
-y is deterministic simulated tier latency (the SSD/shared-storage gap is
-the entire subject of this figure; see repro/bench/endtoend.py).
+y is deterministic simulated tier latency: the SSD-vs-shared-storage gap
+is the figure's entire subject, and the in-process simulation makes that
+gap visible only through the tier cost model.
 """
 
+import random
 import statistics
+from typing import Optional, Sequence
 
-from repro.bench.endtoend import fig14_purge_levels, make_iot_shard
-from repro.bench.harness import assert_dominates
+from repro.workloads.generator import IoTUpdateWorkload
+
+from harness import (
+    ExperimentResult,
+    Series,
+    iot_keys,
+    make_iot_shard,
+    report,
+    seed_shard,
+)
 
 
-def test_fig14_purge_levels(benchmark, reporter):
+def fig14_purge_levels(
+    purge_modes: Sequence[str],
+    cycles: int,
+    records_per_cycle: int,
+    batch_size: int,
+    sample_every: int,
+) -> ExperimentResult:
+    """Simulated lookup cost with none / half / all of the runs purged."""
+    series = []
+    base: Optional[float] = None
+    for mode in purge_modes:
+        shard = make_iot_shard(post_groom_every=10)
+        workload = IoTUpdateWorkload(records_per_cycle, update_percent=10, seed=5)
+        seed_shard(shard, workload, cycles)
+        levels = shard.index.config.levels
+        # 'half' keeps the groomed zone (recent data) cached and purges the
+        # post-groomed zone (old data): the paper purges old runs first.
+        level = {
+            "none": levels.total_levels - 1,
+            "half": levels.groomed_levels - 1,
+            "all": -1,
+        }[mode]
+        shard.index.cache.set_cache_level(level)
+
+        rng = random.Random(47)
+        population = workload.keys_ingested
+        line = Series(mode)
+        for sample in range(cycles // sample_every):
+            keys = [rng.randrange(population) for _ in range(batch_size)]
+            batch = iot_keys(keys)
+            # Every sample pays its own (deterministic) block reads: cached
+            # runs cost SSD reads, purged runs cost shared-storage fetches.
+            for run in shard.index.all_runs():
+                run.drop_decode_cache()
+            before = shard.hierarchy.stats.total_sim_ns
+            shard.index_batch_lookup(batch)
+            cost = (shard.hierarchy.stats.total_sim_ns - before) / batch_size
+            if mode == "none" and base is None:
+                base = cost
+            line.add(sample, cost)
+        series.append(line)
+    return ExperimentResult(
+        figure="Figure 14",
+        title="Lookup cost vs purge level",
+        x_label="sample number (time)",
+        y_label="simulated time per lookup",
+        series=series,
+        notes="normalized to the first no-purge sample; simulated tier "
+              "latency (deterministic)",
+    ).normalize_all(base if base else 1.0)
+
+
+def test_fig14_purge_levels():
     # 35 cycles with post-groom every 10: the last 5 cycles are still in
     # the groomed zone, so "half" (groomed cached, post-groomed purged) is
     # genuinely cheaper than "all".
@@ -26,7 +89,7 @@ def test_fig14_purge_levels(benchmark, reporter):
         batch_size=50,
         sample_every=5,
     )
-    reporter(result)
+    report(result)
 
     none_mean = statistics.mean(result.series_by_label("none").ys())
     half_mean = statistics.mean(result.series_by_label("half").ys())
@@ -39,24 +102,3 @@ def test_fig14_purge_levels(benchmark, reporter):
     )
     assert all_mean > half_mean  # recent (groomed) data still cached
     assert half_mean > none_mean * 2
-
-    # Benchmark the primitive: a batch against the fully-purged shard
-    # (dominated by simulated shared-storage transfers; wall time measures
-    # the Python transfer path).
-    from repro.bench.endtoend import _iot_rows, _lookup_batch_for
-    from repro.workloads.generator import IoTUpdateWorkload
-
-    shard = make_iot_shard(post_groom_every=10)
-    workload = IoTUpdateWorkload(200, update_percent=10, seed=5)
-    for _ in range(20):
-        shard.ingest(_iot_rows(workload.next_cycle()))
-        shard.tick()
-    shard.index.cache.set_cache_level(-1)
-    import random
-
-    rng = random.Random(11)
-    population = workload.keys_ingested
-    batch = _lookup_batch_for(
-        shard, [rng.randrange(population) for _ in range(50)]
-    )
-    benchmark(lambda: shard.index_batch_lookup(batch))

@@ -34,7 +34,6 @@ run at full size everywhere (no ``UMZI_BENCH_SMOKE`` scaling, which is
 what keeps the artifact identical between CI and local runs).
 """
 
-from repro.bench.harness import ExperimentResult, Series
 from repro.core.definition import ColumnSpec
 from repro.faults.plan import BrownoutWindow, FaultPlan
 from repro.faults.storage import FaultyTier
@@ -47,6 +46,8 @@ from repro.storage.retry import TransientIOError
 from repro.wildfire.cluster import ShardedTable
 from repro.wildfire.engine import ShardConfig
 from repro.wildfire.schema import IndexSpec, TableSchema
+
+from harness import ExperimentResult, Series, report
 
 SEED = 11
 NUM_SHARDS = 2
@@ -203,7 +204,7 @@ def _p99(values):
     return float(ordered[(99 * (len(ordered) - 1)) // 100]) if ordered else 0.0
 
 
-def test_overload_protection(reporter):
+def test_overload_protection():
     protected_phases, protected = run_arm(protected=True)
     unprotected_phases, unprotected = run_arm(protected=False)
 
@@ -285,4 +286,4 @@ def test_overload_protection(reporter):
             ),
         },
     )
-    reporter(result, "overload")
+    report(result, "overload")

@@ -26,13 +26,14 @@ diffs it against the committed artifact (same full-size run everywhere,
 like A13/A14/A15).
 """
 
-from repro.bench.driver import ClosedLoopDriver, DriverReport
-from repro.bench.harness import ExperimentResult, Series
 from repro.core.definition import ColumnSpec
 from repro.wildfire.cluster import ShardedTable
 from repro.wildfire.engine import ShardConfig
 from repro.wildfire.rebalance import RebalanceConfig, RebalancePolicy
 from repro.wildfire.schema import IndexSpec, TableSchema
+
+from closed_loop import ClosedLoopDriver, DriverReport
+from harness import ExperimentResult, Series, report
 
 SEED = 16
 KEYSPACE = 1_000_000
@@ -214,7 +215,7 @@ def _assert_clean(label: str, report: DriverReport) -> None:
     assert report.hits > 0, f"A16 {label}: no traffic reached warm keys"
 
 
-def test_rebalance_closed_loop(reporter):
+def test_rebalance_closed_loop():
     qps = Series("qps after the round trip")
     p99 = Series("post-merge p99 sim-us")
     metrics = {}
@@ -222,8 +223,8 @@ def test_rebalance_closed_loop(reporter):
     for num_shards in SHARD_COUNTS:
         table, split, merge, phases, pumps = run_arm(num_shards)
 
-        for label, report in phases.items():
-            _assert_clean(f"s{num_shards} {label}", report)
+        for label, phase in phases.items():
+            _assert_clean(f"s{num_shards} {label}", phase)
         # The round trip really happened, online: four epoch publishes,
         # three shards retired, live count back where it started.
         assert split["phase"] == "done" and merge["phase"] == "done"
@@ -248,9 +249,9 @@ def test_rebalance_closed_loop(reporter):
         arm = f"s{num_shards}"
         qps.add(num_shards, round(phases["after"].qps, 3))
         p99.add(num_shards, phases["after"].latency_ns(99) / 1e3)
-        for label, report in phases.items():
-            metrics[f"{arm}_qps_{label}"] = round(report.qps, 3)
-            metrics[f"{arm}_p99_ns_{label}"] = report.latency_ns(99)
+        for label, phase in phases.items():
+            metrics[f"{arm}_qps_{label}"] = round(phase.qps, 3)
+            metrics[f"{arm}_p99_ns_{label}"] = phase.latency_ns(99)
         metrics[f"{arm}_split_steps"] = float(pumps["split_steps"])
         metrics[f"{arm}_merge_steps"] = float(pumps["merge_steps"])
         metrics[f"{arm}_split_entries"] = float(split["copied_entries"])
@@ -288,4 +289,4 @@ def test_rebalance_closed_loop(reporter):
         ),
         metrics=metrics,
     )
-    reporter(result, "rebalance")
+    report(result, "rebalance")

@@ -21,17 +21,19 @@ Set ``UMZI_BENCH_SMOKE=1`` for the CI-sized fixture.
 
 import os
 
-from repro.bench.fixtures import entries_for_keys
-from repro.bench.harness import (
-    ExperimentResult,
-    Series,
-    assert_roughly_linear,
-    measure_wall_s,
-)
 from repro.core.definition import i1_definition
 from repro.core.index import UmziConfig, UmziIndex
 from repro.core.levels import LevelConfig
 from repro.workloads.generator import KeyMapper
+
+from harness import (
+    ExperimentResult,
+    Series,
+    assert_roughly_linear,
+    entries_for_keys,
+    measure_wall_s,
+    report,
+)
 
 _SMOKE = os.environ.get("UMZI_BENCH_SMOKE") == "1"
 RUN_COUNTS = (2, 4) if _SMOKE else (4, 8, 16)
@@ -79,7 +81,7 @@ def _crash_recover(index):
     )
 
 
-def test_recovery_scaling(reporter):
+def test_recovery_scaling():
     v3_ns = Series("v3 checksum (sim ns)")
     v3_validations = Series("v3 checksum validations")
     metrics = {}
@@ -118,4 +120,4 @@ def test_recovery_scaling(reporter):
         ),
         metrics=metrics,
     )
-    reporter(result, "recovery_scaling")
+    report(result, "recovery_scaling")

@@ -1,6 +1,6 @@
 """Ablation A14: online shard split under closed-loop Zipfian load (ISSUE 8).
 
-A :class:`~repro.bench.driver.ClosedLoopDriver` pushes thousands of
+A :class:`~closed_loop.ClosedLoopDriver` pushes thousands of
 simulated clients -- Zipfian-skewed over a million-device keyspace, 85/5/10
 point/range/ingest mix -- through a grid of ``{1, 2, 4, 8}`` shards x
 ``{1, 2, 4}`` maintenance daemons.  Each arm runs two equal phases of
@@ -17,7 +17,7 @@ The demonstration the ISSUE asks for, asserted per arm:
 * the routing epoch advanced exactly twice (cutover publish + final
   publish) and the source shard retired;
 * the whole run replays decision-for-decision from its seed (one arm is
-  run twice and the two :class:`~repro.bench.driver.DriverReport`\\ s,
+  run twice and the two :class:`~closed_loop.DriverReport`\\ s,
   latency tuples included, must be equal).
 
 Every persisted number is simulated-ns or a ledger counter -- no
@@ -26,12 +26,13 @@ CI diffs it against the committed artifact (same full-size run
 everywhere, like A13).
 """
 
-from repro.bench.driver import ClosedLoopDriver, DriverReport
-from repro.bench.harness import ExperimentResult, Series
 from repro.core.definition import ColumnSpec
 from repro.wildfire.cluster import ShardedTable
 from repro.wildfire.engine import ShardConfig
 from repro.wildfire.schema import IndexSpec, TableSchema
+
+from closed_loop import ClosedLoopDriver, DriverReport
+from harness import ExperimentResult, Series, report
 
 SEED = 14
 KEYSPACE = 1_000_000
@@ -136,7 +137,7 @@ def _assert_clean(label: str, report: DriverReport) -> None:
     assert report.hits > 0, f"A14 {label}: no traffic reached warm keys"
 
 
-def test_shard_split_closed_loop(reporter):
+def test_shard_split_closed_loop():
     qps_series = {d: Series(f"qps (daemons={d})") for d in DAEMON_COUNTS}
     p99_series = {d: Series(f"post-split p99 sim-us (daemons={d})") for d in DAEMON_COUNTS}
     metrics = {}
@@ -194,4 +195,4 @@ def test_shard_split_closed_loop(reporter):
         ),
         metrics=metrics,
     )
-    reporter(result, "shard_split")
+    report(result, "shard_split")

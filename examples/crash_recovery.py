@@ -61,14 +61,15 @@ def scenario_crash_mid_evolve() -> None:
     feed(index, 4)
     index.run_maintenance()
 
-    # The indexer starts an evolve: sub-operation 1 publishes the
-    # post-groomed run ...
-    pg_entries = [
-        index.make_entry((k % 16,), (k,), (k * 10,), k + 1,
-                         RID(Zone.POST_GROOMED, 100, k))
-        for k in range(400)
-    ]
-    index.evolver.step1_build_run(pg_entries, 0, 1)
+    # The indexer starts an evolve: sub-operation 1 splices the new RIDs
+    # of gids 0..1's versions (beginTS 1..400, moved to post-groomed
+    # block 100) into their groomed entries and publishes the run ...
+    def new_rid_of(begin_ts):
+        if begin_ts > 400:
+            return None
+        return RID(Zone.POST_GROOMED, 100, begin_ts - 1)
+
+    index.evolver.step1_build_run(new_rid_of, 0, 1)
     print("  evolve step 1 done (post-groomed run published)")
     # ... and the node dies before the watermark advances.
     index.hierarchy.crash_local_tiers()

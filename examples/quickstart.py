@@ -73,20 +73,17 @@ def main() -> None:
 
     # 5. Data evolves: the post-groomer rewrote groomed blocks 0..3 into
     #    partitioned post-groomed blocks, so records have *new RIDs*.  The
-    #    evolve operation migrates the index (section 5.4).
-    evolved_entries = []
+    #    evolve operation migrates the index (section 5.4): it splices each
+    #    version's new RID, looked up by its beginTS, into the version's
+    #    index entry; keys and includes are copied as bytes.
+    new_rids = {}
     ts = 1
     for groomed_block in range(4):
         for offset in range(100):
-            device, msg = offset % 10, groomed_block * 100 + offset
-            evolved_entries.append(
-                index.make_entry(
-                    (device,), (msg,), (device * 1000 + msg,), ts,
-                    RID(Zone.POST_GROOMED, 50 + device % 2, offset),
-                )
-            )
+            device = offset % 10
+            new_rids[ts] = RID(Zone.POST_GROOMED, 50 + device % 2, offset)
             ts += 1
-    result = index.evolve(1, evolved_entries, 0, 3)
+    result = index.evolve_streaming(1, new_rids.get, 0, 3)
     print(f"evolve(PSN=1): built {result.new_run_id} "
           f"({result.new_run_entries} entries), watermark -> "
           f"{result.watermark_after}, collected {len(result.collected_run_ids)} "

@@ -17,8 +17,6 @@ Packages
 ``repro.workloads``
     Synthetic generators from the paper's evaluation (sequential/random
     keys, the IoT update-rate model).
-``repro.bench``
-    The experiment harness regenerating every figure of section 8.
 """
 
 from repro.core import (

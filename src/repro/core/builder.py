@@ -11,7 +11,8 @@ every input shape: the K-way merge and the streaming evolve hand it the
 column batches of :func:`repro.core.merge.merge_blocks` as they are,
 :meth:`RunBuilder.build_from_blobs` takes sorted ``(sort_key, entry_blob)``
 pairs (groom, shard copy) and :meth:`RunBuilder.build` decoded
-:class:`IndexEntry` objects (the legacy evolve, tests), serialized once.
+:class:`IndexEntry` objects (``add_groomed_run``, the LSM baseline,
+tests), serialized once.
 Blobs are copied verbatim -- no entry is decoded.  Everything derivable
 from raw sort keys (offset array, begin-TS range, Bloom filter, block
 index) is computed from the bytes, a column at a time; only the synopsis,

@@ -25,12 +25,11 @@ from __future__ import annotations
 import threading
 from dataclasses import dataclass
 from itertools import compress
-from typing import Callable, Dict, Iterable, List, Optional, Tuple
+from typing import Callable, Dict, List, Optional, Tuple
 
 from repro.core.builder import RunBuilder
 from repro.core.epoch import delete_run_action, drop_cache_action
 from repro.core.entry import (
-    IndexEntry,
     RID,
     RID_BYTES,
     SORT_KEY_TS_BYTES,
@@ -156,24 +155,6 @@ class EvolveController:
 
     # -- the full operation ------------------------------------------------------------
 
-    def evolve(
-        self,
-        psn: int,
-        entries: Iterable[IndexEntry],
-        min_groomed_id: int,
-        max_groomed_id: int,
-    ) -> EvolveResult:
-        """Run all three sub-operations for one post-groom operation.
-
-        ``entries`` are index entries over the *post-groomed* blocks (new
-        RIDs); ``[min_groomed_id, max_groomed_id]`` is the groomed block-id
-        range the post-groom consumed.
-        """
-        with self._lock:
-            self._check_psn(psn)
-            new_run = self.step1_build_run(entries, min_groomed_id, max_groomed_id)
-            return self._steps_2_and_3(psn, new_run, max_groomed_id)
-
     def evolve_streaming(
         self,
         psn: int,
@@ -181,64 +162,17 @@ class EvolveController:
         min_groomed_id: int,
         max_groomed_id: int,
     ) -> EvolveResult:
-        """Zero-decode evolve: splice new RIDs into raw groomed entry blobs.
+        """Run all three sub-operations for one post-groom operation.
 
-        Instead of materializing an :class:`IndexEntry` per migrated record
-        (the legacy ``evolve`` path), this streams column batches
-        (:func:`merge_blocks`) straight off the covered groomed runs' data
-        blocks.  A record's key columns and ``beginTS`` do not change when
-        it moves to the post-groomed zone -- only its RID does -- so the
-        migration is a 13-byte splice over the blob's fixed-width RID
-        suffix, a batch at a time; include columns are forwarded verbatim
-        and the stream stays in sort order.
-
-        ``new_rid_of(begin_ts)`` maps a version's ``beginTS`` to its
-        post-groomed RID, or ``None`` for entries outside this operation's
-        coverage (already evolved, or groomed after it was published) --
-        those are skipped, and partial coverage reconciles at query time
-        exactly like section 5.4's duplicates.  It is asked through a
-        :class:`RidSplices`; pass one to share it between the indexes of
-        one PSN.  ``beginTS`` values must uniquely identify record versions
-        (the groomer's ``cycle | order`` composition guarantees this).  The
-        output synopsis is the union of the inputs' synopses -- sound
-        because the evolved entries are a key-identical subset.
+        ``[min_groomed_id, max_groomed_id]`` is the groomed block-id range
+        the post-groom consumed; ``new_rid_of`` is step 1's RID source
+        (see :meth:`step1_build_run`).
         """
         with self._lock:
             self._check_psn(psn)
-            sources = [
-                run
-                for run in self.run_lists[Zone.GROOMED].snapshot()
-                if run.min_groomed_id <= max_groomed_id
-                and run.max_groomed_id >= min_groomed_id
-            ]
-            decode_stats = self.hierarchy.stats.decode
-            splices = (
-                new_rid_of if isinstance(new_rid_of, RidSplices)
-                else RidSplices(new_rid_of)
-            )
             counts = {"spliced_blobs": 0, "skipped_blobs": 0}
-
-            def spliced_batches():
-                for keys, blobs in merge_blocks(sources):
-                    rids = [splices[key[-SORT_KEY_TS_BYTES:]] for key in keys]
-                    if None in rids:  # a serialized RID is never falsy
-                        counts["skipped_blobs"] += rids.count(None)
-                        keys = list(compress(keys, rids))
-                        blobs = list(compress(blobs, rids))
-                        rids = list(filter(None, rids))
-                    counts["spliced_blobs"] += len(rids)
-                    decode_stats.evolve_blob_splices += len(rids)
-                    yield keys, [
-                        blob[:-RID_BYTES] + rid for blob, rid in zip(blobs, rids)
-                    ]
-
-            synopsis = (
-                Synopsis.union([r.header.synopsis for r in sources]) if sources
-                else Synopsis.from_entries(self.builder.definition, [])
-            )
-            new_run = self._step1(
-                self.builder.build_from_columns, min_groomed_id, max_groomed_id,
-                batches=spliced_batches(), synopsis=synopsis,
+            new_run = self.step1_build_run(
+                new_rid_of, min_groomed_id, max_groomed_id, counts
             )
             return self._steps_2_and_3(psn, new_run, max_groomed_id, **counts)
 
@@ -275,26 +209,75 @@ class EvolveController:
 
     def step1_build_run(
         self,
-        entries: Iterable[IndexEntry],
+        new_rid_of: Callable[[int], Optional[RID]],
         min_groomed_id: int,
         max_groomed_id: int,
+        counts: Optional[Dict[str, int]] = None,
     ) -> IndexRun:
-        """Sub-operation 1: build the post-groomed run and publish it."""
-        return self._step1(
-            self.builder.build, min_groomed_id, max_groomed_id, entries=entries
+        """Sub-operation 1: build the post-groomed run and publish it.
+
+        Zero decode: column batches (:func:`merge_blocks`) stream straight
+        off the covered groomed runs' data blocks.  A record's key columns
+        and ``beginTS`` do not change when it moves to the post-groomed
+        zone -- only its RID does -- so the migration is a 13-byte splice
+        over the blob's fixed-width RID suffix, a batch at a time; include
+        columns are forwarded verbatim and the stream stays in sort order.
+
+        ``new_rid_of(begin_ts)`` maps a version's ``beginTS`` to its
+        post-groomed RID, or ``None`` for entries outside this operation's
+        coverage (already evolved, or groomed after it was published) --
+        those are skipped, and partial coverage reconciles at query time
+        exactly like section 5.4's duplicates.  It is asked through a
+        :class:`RidSplices`; pass one to share it between the indexes of
+        one PSN.  ``beginTS`` values must uniquely identify record versions
+        (the groomer's ``cycle | order`` composition guarantees this).  The
+        output synopsis is the union of the inputs' synopses -- sound
+        because the evolved entries are a key-identical subset.  ``counts``
+        receives the ``spliced_blobs`` / ``skipped_blobs`` tallies.
+        """
+        if counts is None:
+            counts = {"spliced_blobs": 0, "skipped_blobs": 0}
+        sources = [
+            run
+            for run in self.run_lists[Zone.GROOMED].snapshot()
+            if run.min_groomed_id <= max_groomed_id
+            and run.max_groomed_id >= min_groomed_id
+        ]
+        decode_stats = self.hierarchy.stats.decode
+        splices = (
+            new_rid_of if isinstance(new_rid_of, RidSplices)
+            else RidSplices(new_rid_of)
         )
 
-    def _step1(self, build, min_groomed_id: int, max_groomed_id: int, **source):
+        def spliced_batches():
+            for keys, blobs in merge_blocks(sources):
+                rids = [splices[key[-SORT_KEY_TS_BYTES:]] for key in keys]
+                if None in rids:  # a serialized RID is never falsy
+                    counts["skipped_blobs"] += rids.count(None)
+                    keys = list(compress(keys, rids))
+                    blobs = list(compress(blobs, rids))
+                    rids = list(filter(None, rids))
+                counts["spliced_blobs"] += len(rids)
+                decode_stats.evolve_blob_splices += len(rids)
+                yield keys, [
+                    blob[:-RID_BYTES] + rid for blob, rid in zip(blobs, rids)
+                ]
+
+        synopsis = (
+            Synopsis.union([r.header.synopsis for r in sources]) if sources
+            else Synopsis.from_entries(self.builder.definition, [])
+        )
         level = self.config.first_post_groomed_level
-        run = build(
+        run = self.builder.build_from_columns(
             run_id=self.allocator.allocate(Zone.POST_GROOMED),
+            batches=spliced_batches(),
+            synopsis=synopsis,
             zone=Zone.POST_GROOMED,
             level=level,
             min_groomed_id=min_groomed_id,
             max_groomed_id=max_groomed_id,
             persisted=True,  # post-groomed runs are always durable
             write_through_ssd=self._write_through(level),
-            **source,
         )
         crash_point("evolve.pre_publish")
         self.run_lists[Zone.POST_GROOMED].push_front(run)  # atomic

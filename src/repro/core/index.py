@@ -257,16 +257,6 @@ class UmziIndex:
             self.run_lists[Zone.GROOMED].push_front(run)
             return run
 
-    def evolve(
-        self,
-        psn: int,
-        entries: Iterable[IndexEntry],
-        min_groomed_id: int,
-        max_groomed_id: int,
-    ) -> EvolveResult:
-        """Index evolve after a post-groom operation (section 5.4)."""
-        return self.evolver.evolve(psn, entries, min_groomed_id, max_groomed_id)
-
     def evolve_streaming(
         self,
         psn: int,
@@ -274,9 +264,10 @@ class UmziIndex:
         min_groomed_id: int,
         max_groomed_id: int,
     ) -> EvolveResult:
-        """Zero-decode evolve: stream covered groomed-run blobs, splicing
-        each entry's new post-groomed RID via ``new_rid_of(begin_ts)``
-        (see :meth:`EvolveController.evolve_streaming`)."""
+        """Index evolve after a post-groom operation (section 5.4): stream
+        the covered groomed runs' blobs, splicing each entry's post-groomed
+        RID ``new_rid_of(begin_ts)`` (see
+        :meth:`EvolveController.step1_build_run`)."""
         return self.evolver.evolve_streaming(
             psn, new_rid_of, min_groomed_id, max_groomed_id
         )
@@ -346,23 +337,16 @@ class UmziIndex:
         return self.executor.lookup(*lookup)
 
     def batch_lookup(
-        self,
-        lookups: Sequence[Sequence],
-        query_ts: Optional[int] = None,
+        self, keys: Sequence[Sequence[KeyValue]], query_ts: int
     ) -> List[Optional[IndexEntry]]:
-        """Batched point lookups, answers in input order.
-
-        ``lookups`` are :class:`PointLookup` rows, each read at its own
-        snapshot; or, with ``query_ts``, bare keys -- one tuple of the key
-        columns' values (equality, then sort) each -- all read at that one
-        (the typed fetch-back's form: no row objects, one ``zip``).
-        """
-        if query_ts is None:
-            return self.executor.batch_lookup(lookups)
-        if not lookups:
+        """Batched point lookups at one snapshot (section 7.2), answers in
+        input order.  Each key is one tuple of the key columns' values
+        (equality, then sort); per-key snapshots are
+        :meth:`QueryExecutor.batch_lookup`'s."""
+        if not keys:
             return []
         try:
-            columns = list(zip(*lookups, strict=True))
+            columns = list(zip(*keys, strict=True))
         except ValueError:
             raise QueryError("the keys of a batch differ in width") from None
         return self.executor.batch_lookup_columns(columns, query_ts)

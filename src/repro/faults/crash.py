@@ -37,7 +37,7 @@ CRASH_SITES = (
     "builder.pre_persist",
     "builder.data_block",
     "builder.post_persist",
-    # EvolveController.evolve / evolve_streaming: after the post-groomed
+    # EvolveController.evolve_streaming: after the post-groomed
     # run is built but before it is published into the run list; after
     # publish but before the watermark advances; before groomed-run GC;
     # and before the checkpoint is journaled.

@@ -31,13 +31,13 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Tuple
 
 from repro.core.definition import IndexDefinition
 from repro.core.entry import IndexEntry, RID, Zone
 from repro.core.index import UmziConfig, UmziIndex
 from repro.core.levels import LevelConfig
-from repro.core.query import MAX_QUERY_TS, PointLookup
+from repro.core.query import MAX_QUERY_TS
 from repro.faults.crash import install_crash_schedule
 from repro.faults.errors import SimulatedCrash
 from repro.faults.plan import FaultPlan
@@ -53,6 +53,9 @@ from repro.storage.ssd import SSDTier
 # local copy) until a crash wipes the local tiers -- that is the fault
 # being modelled, and recovery validates against shared storage only.
 _LOCAL_TIER_BYTES = 1 << 30
+
+# A version groomed in gid ``g`` moves to post-groomed block BASE + g.
+_POST_GROOMED_BLOCK_BASE = 1_000
 
 
 # -- workload ------------------------------------------------------------------
@@ -89,10 +92,6 @@ class Workload:
     rid_by_ts: Dict[int, RID]
     key_space: int
 
-    @property
-    def ingest_ops(self) -> List[IngestOp]:
-        return [op for op in self.ops if isinstance(op, IngestOp)]
-
 
 def generate_workload(
     seed: int,
@@ -121,7 +120,9 @@ def generate_workload(
         for i in range(len(keys)):
             # Post-groomed RID for this version, used when an evolve
             # covers it: deterministic from (gid, i) alone.
-            rid_by_ts[next_ts + i] = RID(Zone.POST_GROOMED, 1_000 + gid, i)
+            rid_by_ts[next_ts + i] = RID(
+                Zone.POST_GROOMED, _POST_GROOMED_BLOCK_BASE + gid, i
+            )
         next_ts += len(keys)
         if pending_min is None:
             pending_min = gid
@@ -159,20 +160,6 @@ def _ingest_entries(
     ]
 
 
-def _evolve_entries(
-    definition: IndexDefinition, workload: Workload, op: EvolveOp
-) -> List[IndexEntry]:
-    """Post-groomed entries for every version the evolve covers."""
-    entries: List[IndexEntry] = []
-    for ingest in workload.ingest_ops:
-        if not (op.min_gid <= ingest.gid <= op.max_gid):
-            continue
-        for i, key in enumerate(ingest.keys):
-            ts = ingest.first_ts + i
-            entries.append(_entry(definition, key, ts, workload.rid_by_ts[ts]))
-    return entries
-
-
 # -- answer collection ---------------------------------------------------------
 
 Blob = Optional[Tuple[bytes, bytes]]
@@ -202,12 +189,14 @@ def collect_answers(
         )
 
     answers: Dict[object, object] = {}
-    lookups = []
+    keys = []
     for key in range(workload.key_space):
         eq, sort = key_tuples(key)
         answers[("point", key)] = blob(index.lookup(eq, sort))
-        lookups.append(PointLookup(eq, sort, MAX_QUERY_TS))
-    answers["batch"] = tuple(blob(e) for e in index.batch_lookup(lookups))
+        keys.append((*eq, *sort))
+    answers["batch"] = tuple(
+        blob(e) for e in index.batch_lookup(keys, MAX_QUERY_TS)
+    )
     for key in sorted(rng.sample(range(workload.key_space), 5)):
         eq, _sort = key_tuples(key)
         answers[("range", key)] = tuple(
@@ -346,6 +335,19 @@ class CrashRecoveryDriver:
 
     # -- op application -------------------------------------------------------
 
+    def _new_rid_of(self, op: EvolveOp):
+        """``op``'s RID source: the post-groomed RID of every version
+        groomed in ``[op.min_gid, op.max_gid]``, ``None`` for the rest."""
+        rid_by_ts = self.workload.rid_by_ts
+        lo = _POST_GROOMED_BLOCK_BASE + op.min_gid
+        hi = _POST_GROOMED_BLOCK_BASE + op.max_gid
+
+        def new_rid_of(begin_ts: int) -> Optional[RID]:
+            rid = rid_by_ts[begin_ts]
+            return rid if lo <= rid.block_id <= hi else None
+
+        return new_rid_of
+
     def _apply(self, op: object) -> None:
         if isinstance(op, IngestOp):
             self.index.add_groomed_run(
@@ -355,9 +357,9 @@ class CrashRecoveryDriver:
             # PSN = next expected, not a precomputed number: replays after
             # a crash may have consumed PSNs the original sequence did not
             # (e.g. an evolve that published but lost its checkpoint).
-            self.index.evolve(
+            self.index.evolve_streaming(
                 self.index.indexed_psn + 1,
-                _evolve_entries(self.definition, self.workload, op),
+                self._new_rid_of(op),
                 op.min_gid,
                 op.max_gid,
             )

@@ -36,8 +36,27 @@ class ReadIntent(enum.Enum):
     MAINTENANCE = "maintenance"
 
 
+class _Counters:
+    """``snapshot`` / ``diff`` / ``reset`` for a dataclass of int counters."""
+
+    def snapshot(self):
+        """Return a copy of the current counters."""
+        return replace(self)
+
+    def diff(self, earlier):
+        """Return the delta between this snapshot and an ``earlier`` one."""
+        return type(self)(**{
+            spec.name: getattr(self, spec.name) - getattr(earlier, spec.name)
+            for spec in fields(self)
+        })
+
+    def reset(self) -> None:
+        for spec in fields(self):
+            setattr(self, spec.name, 0)
+
+
 @dataclass
-class IntentStats:
+class IntentStats(_Counters):
     """Per-:class:`ReadIntent` cache-path counters.
 
     One instance exists per intent on each :class:`IOStats` ledger.
@@ -66,46 +85,15 @@ class IntentStats:
     retries: int = 0
     giveups: int = 0
 
-    def snapshot(self) -> "IntentStats":
-        return IntentStats(
-            reads=self.reads,
-            memory_hits=self.memory_hits,
-            ssd_hits=self.ssd_hits,
-            shared_reads=self.shared_reads,
-            promotions=self.promotions,
-            retries=self.retries,
-            giveups=self.giveups,
-        )
-
-    def diff(self, earlier: "IntentStats") -> "IntentStats":
-        return IntentStats(
-            reads=self.reads - earlier.reads,
-            memory_hits=self.memory_hits - earlier.memory_hits,
-            ssd_hits=self.ssd_hits - earlier.ssd_hits,
-            shared_reads=self.shared_reads - earlier.shared_reads,
-            promotions=self.promotions - earlier.promotions,
-            retries=self.retries - earlier.retries,
-            giveups=self.giveups - earlier.giveups,
-        )
-
     def local_hit_rate(self) -> float:
         """Fraction of reads served by a local tier (1.0 when no reads)."""
         if self.reads == 0:
             return 1.0
         return (self.memory_hits + self.ssd_hits) / self.reads
 
-    def reset(self) -> None:
-        self.reads = 0
-        self.memory_hits = 0
-        self.ssd_hits = 0
-        self.shared_reads = 0
-        self.promotions = 0
-        self.retries = 0
-        self.giveups = 0
-
 
 @dataclass
-class FaultStats:
+class FaultStats(_Counters):
     """Aggregate fault-injection and fault-handling counters (ISSUE 6).
 
     The injection side (``transient_*_errors``, ``torn_writes``,
@@ -132,40 +120,6 @@ class FaultStats:
     bit_flips: int = 0
     crashes_injected: int = 0
 
-    def snapshot(self) -> "FaultStats":
-        return FaultStats(
-            transient_read_errors=self.transient_read_errors,
-            transient_write_errors=self.transient_write_errors,
-            read_retries=self.read_retries,
-            write_retries=self.write_retries,
-            read_giveups=self.read_giveups,
-            write_giveups=self.write_giveups,
-            backoff_sim_ns=self.backoff_sim_ns,
-            torn_writes=self.torn_writes,
-            dropped_headers=self.dropped_headers,
-            bit_flips=self.bit_flips,
-            crashes_injected=self.crashes_injected,
-        )
-
-    def diff(self, earlier: "FaultStats") -> "FaultStats":
-        return FaultStats(
-            transient_read_errors=(
-                self.transient_read_errors - earlier.transient_read_errors
-            ),
-            transient_write_errors=(
-                self.transient_write_errors - earlier.transient_write_errors
-            ),
-            read_retries=self.read_retries - earlier.read_retries,
-            write_retries=self.write_retries - earlier.write_retries,
-            read_giveups=self.read_giveups - earlier.read_giveups,
-            write_giveups=self.write_giveups - earlier.write_giveups,
-            backoff_sim_ns=self.backoff_sim_ns - earlier.backoff_sim_ns,
-            torn_writes=self.torn_writes - earlier.torn_writes,
-            dropped_headers=self.dropped_headers - earlier.dropped_headers,
-            bit_flips=self.bit_flips - earlier.bit_flips,
-            crashes_injected=self.crashes_injected - earlier.crashes_injected,
-        )
-
     @property
     def transient_errors(self) -> int:
         return self.transient_read_errors + self.transient_write_errors
@@ -178,22 +132,9 @@ class FaultStats:
     def giveups(self) -> int:
         return self.read_giveups + self.write_giveups
 
-    def reset(self) -> None:
-        self.transient_read_errors = 0
-        self.transient_write_errors = 0
-        self.read_retries = 0
-        self.write_retries = 0
-        self.read_giveups = 0
-        self.write_giveups = 0
-        self.backoff_sim_ns = 0
-        self.torn_writes = 0
-        self.dropped_headers = 0
-        self.bit_flips = 0
-        self.crashes_injected = 0
-
 
 @dataclass
-class QosStats:
+class QosStats(_Counters):
     """Overload-protection counters (ISSUE 7).
 
     The admission side (``admitted``/``shed``/``deadline_misses``/
@@ -239,46 +180,6 @@ class QosStats:
     throttle_events: int = 0
     throttle_releases: int = 0
 
-    def snapshot(self) -> "QosStats":
-        return QosStats(
-            admitted=self.admitted,
-            shed=self.shed,
-            deadline_misses=self.deadline_misses,
-            queue_sim_ns=self.queue_sim_ns,
-            degraded_reads=self.degraded_reads,
-            breaker_opens=self.breaker_opens,
-            breaker_closes=self.breaker_closes,
-            breaker_probes=self.breaker_probes,
-            breaker_fast_fails=self.breaker_fast_fails,
-            maintenance_cycles=self.maintenance_cycles,
-            maintenance_throttled=self.maintenance_throttled,
-            throttle_events=self.throttle_events,
-            throttle_releases=self.throttle_releases,
-        )
-
-    def diff(self, earlier: "QosStats") -> "QosStats":
-        return QosStats(
-            admitted=self.admitted - earlier.admitted,
-            shed=self.shed - earlier.shed,
-            deadline_misses=self.deadline_misses - earlier.deadline_misses,
-            queue_sim_ns=self.queue_sim_ns - earlier.queue_sim_ns,
-            degraded_reads=self.degraded_reads - earlier.degraded_reads,
-            breaker_opens=self.breaker_opens - earlier.breaker_opens,
-            breaker_closes=self.breaker_closes - earlier.breaker_closes,
-            breaker_probes=self.breaker_probes - earlier.breaker_probes,
-            breaker_fast_fails=(
-                self.breaker_fast_fails - earlier.breaker_fast_fails
-            ),
-            maintenance_cycles=(
-                self.maintenance_cycles - earlier.maintenance_cycles
-            ),
-            maintenance_throttled=(
-                self.maintenance_throttled - earlier.maintenance_throttled
-            ),
-            throttle_events=self.throttle_events - earlier.throttle_events,
-            throttle_releases=self.throttle_releases - earlier.throttle_releases,
-        )
-
     @property
     def offered(self) -> int:
         """Total queries that reached the front door (admitted + shed)."""
@@ -290,40 +191,6 @@ class QosStats:
         if offered == 0:
             return 0.0
         return self.shed / offered
-
-    def reset(self) -> None:
-        self.admitted = 0
-        self.shed = 0
-        self.deadline_misses = 0
-        self.queue_sim_ns = 0
-        self.degraded_reads = 0
-        self.breaker_opens = 0
-        self.breaker_closes = 0
-        self.breaker_probes = 0
-        self.breaker_fast_fails = 0
-        self.maintenance_cycles = 0
-        self.maintenance_throttled = 0
-        self.throttle_events = 0
-        self.throttle_releases = 0
-
-
-class _Counters:
-    """``snapshot`` / ``diff`` / ``reset`` for a dataclass of int counters."""
-
-    def snapshot(self):
-        """Return a copy of the current counters."""
-        return replace(self)
-
-    def diff(self, earlier):
-        """Return the delta between this snapshot and an ``earlier`` one."""
-        return type(self)(**{
-            spec.name: getattr(self, spec.name) - getattr(earlier, spec.name)
-            for spec in fields(self)
-        })
-
-    def reset(self) -> None:
-        for spec in fields(self):
-            setattr(self, spec.name, 0)
 
 
 @dataclass
@@ -437,7 +304,7 @@ class IOStats:
 
     def __init__(self) -> None:
         # Held wherever a tier row and ``total_sim_ns`` move together:
-        # in ``record_*`` and by each tier charging the row it bound.
+        # in ``record_backoff`` and by each tier charging the row it bound.
         self.lock = threading.Lock()
         self._tiers: Dict[str, TierStats] = {}
         # Total simulated nanoseconds charged across all tiers: the running
@@ -507,30 +374,6 @@ class IOStats:
         if row is None:
             row = self._tiers[tier] = TierStats()
         return row
-
-    def record_read(self, tier: str, nbytes: int, sim_ns: int) -> None:
-        with self.lock:
-            row = self._row_locked(tier)
-            row.reads += 1
-            row.bytes_read += nbytes
-            row.sim_ns += sim_ns
-            self.total_sim_ns += sim_ns
-
-    def record_write(self, tier: str, nbytes: int, sim_ns: int) -> None:
-        with self.lock:
-            row = self._row_locked(tier)
-            row.writes += 1
-            row.bytes_written += nbytes
-            row.sim_ns += sim_ns
-            self.total_sim_ns += sim_ns
-
-    def record_delete(self, tier: str, sim_ns: int, count: int = 1) -> None:
-        """Charge ``count`` deletes of ``sim_ns`` each in one update."""
-        with self.lock:
-            row = self._row_locked(tier)
-            row.deletes += count
-            row.sim_ns += count * sim_ns
-            self.total_sim_ns += count * sim_ns
 
     def record_backoff(self, tier: str, sim_ns: int) -> None:
         """Charge retry-backoff waiting time to a tier's simulated clock.

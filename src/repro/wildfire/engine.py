@@ -24,7 +24,7 @@ from repro.core.encoding import KeyValue
 from repro.core.entry import IndexEntry, Zone
 from repro.core.index import UmziConfig, UmziIndex
 from repro.core.maintenance import MaintenanceService
-from repro.core.query import MAX_QUERY_TS, PointLookup, RangeScanQuery
+from repro.core.query import MAX_QUERY_TS, QueryError, RangeScanQuery
 from repro.planner import (
     AccessPlan,
     PlanError,
@@ -407,9 +407,18 @@ class WildfireShard:
         keys: Sequence[Tuple[Tuple[KeyValue, ...], Tuple[KeyValue, ...]]],
         query_ts: Optional[int] = None,
     ) -> List[Optional[IndexEntry]]:
-        ts = query_ts if query_ts is not None else self.current_snapshot_ts()
+        definition = self.index.definition
+        widths = len(definition.equality_columns), len(definition.sort_columns)
+        # A bare key is the pair concatenated, so a mis-split pair is
+        # refused here, before the pairs are joined.
+        if any((len(eq), len(sort)) != widths for eq, sort in keys):
+            raise QueryError(
+                "every point lookup must bind all %d equality and %d sort "
+                "columns" % widths
+            )
         return self.index.batch_lookup(
-            [PointLookup(tuple(eq), tuple(sort), ts) for eq, sort in keys]
+            [(*eq, *sort) for eq, sort in keys],
+            query_ts if query_ts is not None else self.current_snapshot_ts(),
         )
 
     def point_query(

@@ -1,10 +1,14 @@
 """Tests for the benchmark harness: series, normalization, shape checks."""
 
 import os
+import sys
+from pathlib import Path
 
 import pytest
 
-from repro.bench.harness import (
+sys.path.insert(0, str(Path(__file__).resolve().parents[2] / "benchmarks"))
+
+from harness import (  # noqa: E402
     ExperimentResult,
     Series,
     assert_dominates,

@@ -101,6 +101,12 @@ def make_entries(
     ]
 
 
+def rid_map(entries: Sequence[IndexEntry]):
+    """A streaming evolve's ``new_rid_of``: each of ``entries``' beginTS to
+    that entry's (post-groomed) RID, ``None`` for every other version."""
+    return {entry.begin_ts: entry.rid for entry in entries}.get
+
+
 def key_of(definition: IndexDefinition, k: int) -> Tuple[Tuple[int, ...], Tuple[int, ...]]:
     """(equality_values, sort_values) for abstract key ``k``."""
     return (

@@ -14,6 +14,7 @@ from repro.storage.hierarchy import StorageHierarchy
 from repro.storage.metrics import ReadIntent
 from repro.storage.ssd import SSDTier
 
+from tests.conftest import make_entries
 from tests.reference_search import sort_key_at
 
 
@@ -24,9 +25,6 @@ def make_definition():
 
 
 def build_index(name, num_runs=3, entries_per_run=200):
-    from repro.bench.fixtures import entries_for_keys
-    from repro.workloads.generator import KeyMapper
-
     definition = make_definition()
     levels = LevelConfig(
         groomed_levels=3, post_groomed_levels=2,
@@ -38,12 +36,11 @@ def build_index(name, num_runs=3, entries_per_run=200):
             name=name, levels=levels, data_block_bytes=2048,
         ),
     )
-    mapper = KeyMapper(definition)
     ts = 1
     for gid in range(num_runs):
         keys = list(range(gid * entries_per_run, (gid + 1) * entries_per_run))
         index.add_groomed_run(
-            entries_for_keys(definition, keys, mapper, ts_start=ts, block_id=gid),
+            make_entries(definition, keys, begin_ts_start=ts, block_id=gid),
             gid, gid,
         )
         ts += entries_per_run

@@ -16,7 +16,7 @@ from repro.core.index import UmziConfig, UmziIndex
 from repro.core.levels import LevelConfig
 from repro.core.maintenance import MaintenanceService
 
-from tests.conftest import make_entries, key_of
+from tests.conftest import key_of, make_entries, rid_map
 
 DEF = i1_definition()
 
@@ -105,7 +105,7 @@ class TestReadersVsMaintenance:
                 DEF, range(lo * 10, (hi + 1) * 10), lo * 10 + 1,
                 Zone.POST_GROOMED, 100 + psn,
             )
-            index.evolve(psn, entries, lo, hi)
+            index.evolve_streaming(psn, rid_map(entries), lo, hi)
             time.sleep(0.01)
         stop.set()
         for t in readers:
@@ -125,8 +125,8 @@ class TestReadersVsMaintenance:
         eq, sort = key_of(DEF, 12)
         before = index.lookup(eq, sort, query_ts=snapshot_ts)
         index.run_maintenance()
-        index.evolve(
-            1, make_entries(DEF, range(40), 1, Zone.POST_GROOMED, 100), 0, 3
+        index.evolve_streaming(
+            1, rid_map(make_entries(DEF, range(40), 1, Zone.POST_GROOMED, 100)), 0, 3
         )
         after = index.lookup(eq, sort, query_ts=snapshot_ts)
         assert before is not None and after is not None

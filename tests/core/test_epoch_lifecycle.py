@@ -15,7 +15,7 @@ from repro.core.runlist import RunList
 from repro.storage.hierarchy import BlockNotFoundError
 from repro.storage.metrics import EpochStats
 
-from tests.conftest import make_entries, key_of
+from tests.conftest import key_of, make_entries, rid_map
 
 DEF = i1_definition()
 
@@ -291,7 +291,7 @@ class TestIndexEpochIntegration:
             assert len(before) == 1
             # Evolve covers every groomed run: step 3 unlinks them all.
             entries = make_entries(DEF, range(40), 1, Zone.POST_GROOMED, 100)
-            result = index.evolve(1, entries, 0, 3)
+            result = index.evolve_streaming(1, rid_map(entries), 0, 3)
             assert len(result.collected_run_ids) == 4
             assert index.run_lists[Zone.GROOMED].snapshot() == []
             # ... but their blocks must survive while the view pins them.
@@ -310,7 +310,7 @@ class TestIndexEpochIntegration:
         index = build_index(runs=2)
         groomed = index.run_lists[Zone.GROOMED].snapshot()
         entries = make_entries(DEF, range(20), 1, Zone.POST_GROOMED, 100)
-        index.evolve(1, entries, 0, 1)
+        index.evolve_streaming(1, rid_map(entries), 0, 1)
         assert index.lifecycle.retired_backlog() == 0
         with pytest.raises(BlockNotFoundError):
             index.hierarchy.read(groomed[0].data_block_id(0))
@@ -471,7 +471,7 @@ class TestAbandonedIterators:
         iterator = index.range_scan_iter(RangeScanQuery(equality_values=(3,)))
         next(iterator)
         entries = make_entries(DEF, range(20), 1, Zone.POST_GROOMED, 100)
-        index.evolve(1, entries, 0, 1)
+        index.evolve_streaming(1, rid_map(entries), 0, 1)
         assert index.lifecycle.retired_backlog() > 0
         iterator.close()
         assert index.lifecycle.retired_backlog() == 0
@@ -591,7 +591,7 @@ class TestVersionSetLifecycle:
         groomed = index.run_lists[Zone.GROOMED].snapshot()
         with reading(index, reader):
             entries = make_entries(DEF, range(20), 1, Zone.POST_GROOMED, 100)
-            index.evolve(1, entries, 0, 1)
+            index.evolve_streaming(1, rid_map(entries), 0, 1)
             # Gone from the current version, reachable from the pinned one.
             assert index.run_lists[Zone.GROOMED].snapshot() == []
             for run in groomed:
@@ -603,7 +603,9 @@ class TestVersionSetLifecycle:
         pins the index's current version like any query -- one Ref, one
         Unref -- and reads that version's post-groomed runs."""
         index = build_index(runs=2)
-        index.evolve(1, make_entries(DEF, range(20), 1, Zone.POST_GROOMED, 100), 0, 1)
+        index.evolve_streaming(
+            1, rid_map(make_entries(DEF, range(20), 1, Zone.POST_GROOMED, 100)), 0, 1
+        )
         stats = index.hierarchy.stats.epochs
         before = stats.snapshot()
         found = index.post_groomed_batch_lookup([[3, 30], [3, 30]], 1 << 40)

@@ -12,7 +12,7 @@ from repro.core.levels import LevelConfig
 from repro.core.runlist import RunList
 from repro.storage.hierarchy import StorageHierarchy
 
-from tests.conftest import make_entries
+from tests.conftest import make_entries, rid_map
 
 DEF = i1_definition()
 
@@ -61,7 +61,7 @@ class TestEvolveOperation:
         ctrl, hierarchy, lists, builder, allocator, watermark = setup()
         old = groomed_run(builder, allocator, lists, 0, 4, range(20), 1)
         pg_entries = make_entries(DEF, range(20), 1, Zone.POST_GROOMED, 100)
-        result = ctrl.evolve(1, pg_entries, 0, 4)
+        result = ctrl.evolve_streaming(1, rid_map(pg_entries), 0, 4)
         # step 1: post-groomed run published
         pg = lists[Zone.POST_GROOMED].snapshot()
         assert len(pg) == 1 and pg[0].run_id == result.new_run_id
@@ -76,24 +76,27 @@ class TestEvolveOperation:
     def test_partially_covered_run_survives(self):
         ctrl, _, lists, builder, allocator, watermark = setup()
         straddler = groomed_run(builder, allocator, lists, 3, 6, range(10), 1)
-        ctrl.evolve(1, make_entries(DEF, range(5), 1, Zone.POST_GROOMED, 100), 0, 4)
+        ctrl.evolve_streaming(
+            1, rid_map(make_entries(DEF, range(5), 1, Zone.POST_GROOMED, 100)), 0, 4
+        )
         # max_groomed_id 6 > watermark 4: must NOT be collected.
         assert [r.run_id for r in lists[Zone.GROOMED].iter_runs()] == [straddler.run_id]
 
     def test_psn_order_enforced(self):
         ctrl, _, _, _, _, _ = setup()
         with pytest.raises(EvolveError):
-            ctrl.evolve(2, [], 0, 0)  # expected PSN 1
-        ctrl.evolve(1, [], 0, 0)
+            ctrl.evolve_streaming(2, rid_map([]), 0, 0)  # expected PSN 1
+        ctrl.evolve_streaming(1, rid_map([]), 0, 0)
         with pytest.raises(EvolveError):
-            ctrl.evolve(1, [], 1, 1)  # replay rejected
-        ctrl.evolve(2, [], 1, 1)
+            ctrl.evolve_streaming(1, rid_map([]), 1, 1)  # replay rejected
+        ctrl.evolve_streaming(2, rid_map([]), 1, 1)
         assert ctrl.indexed_psn == 2
 
     def test_watermark_never_regresses_on_small_evolve(self):
         ctrl, _, _, _, _, watermark = setup()
-        ctrl.evolve(1, [], 0, 10)
-        ctrl.evolve(2, [], 11, 8)  # malformed range; watermark holds at 10
+        ctrl.evolve_streaming(1, rid_map([]), 0, 10)
+        # A malformed range: the watermark holds at 10.
+        ctrl.evolve_streaming(2, rid_map([]), 11, 8)
         assert watermark.value == 10
 
 
@@ -122,7 +125,7 @@ class TestDuplicatesBetweenSteps:
 
         assert_one_result()
         ctrl.step1_build_run(
-            make_entries(DEF, range(10), 1, Zone.POST_GROOMED, 100), 0, 4
+            rid_map(make_entries(DEF, range(10), 1, Zone.POST_GROOMED, 100)), 0, 4
         )
         assert_one_result()  # duplicate exists physically; reconciled away
         ctrl.step2_advance_watermark(4)
@@ -134,15 +137,15 @@ class TestDuplicatesBetweenSteps:
 class TestJournal:
     def test_checkpoint_appended_per_evolve(self):
         ctrl, hierarchy, _, _, _, _ = setup()
-        ctrl.evolve(1, [], 0, 3)
-        ctrl.evolve(2, [], 4, 7)
+        ctrl.evolve_streaming(1, rid_map([]), 0, 3)
+        ctrl.evolve_streaming(2, rid_map([]), 4, 7)
         latest = ctrl.journal.latest()
         assert latest == Checkpoint(indexed_psn=2, max_covered_groomed_id=7)
 
     def test_journal_trims_old_checkpoints(self):
         ctrl, hierarchy, _, _, _, _ = setup()
         for psn in range(1, 10):
-            ctrl.evolve(psn, [], psn, psn)
+            ctrl.evolve_streaming(psn, rid_map([]), psn, psn)
         ids = hierarchy.shared.namespace_block_ids("meta")
         assert len(ids) <= 4
 
@@ -154,7 +157,7 @@ class TestJournal:
 
     def test_journal_survives_local_crash(self):
         ctrl, hierarchy, _, _, _, _ = setup()
-        ctrl.evolve(1, [], 0, 5)
+        ctrl.evolve_streaming(1, rid_map([]), 0, 5)
         hierarchy.crash_local_tiers()
         journal = MetadataJournal(hierarchy, "meta")
         assert journal.latest().max_covered_groomed_id == 5

@@ -1,5 +1,6 @@
-"""Streaming (zero-decode) evolve: equivalence with the legacy path,
-partial-coverage skips, and decode accounting (PR 2 tentpole)."""
+"""Streaming (zero-decode) evolve: equivalence with the entry-based
+evolve kept in ``tests/reference_evolve.py``, partial-coverage skips, and
+decode accounting."""
 
 from dataclasses import replace
 
@@ -10,12 +11,14 @@ from repro.core.definition import i1_definition
 from repro.core.entry import RID, RID_BYTES, SORT_KEY_TS_BYTES, Zone
 from repro.core.evolve import EvolveController, RidSplices, Watermark
 from repro.core.ids import RunIdAllocator
+from repro.core.index import UmziConfig, UmziIndex
 from repro.core.journal import MetadataJournal
 from repro.core.levels import LevelConfig
 from repro.core.runlist import RunList
 from repro.storage.hierarchy import StorageHierarchy
 
-from tests.conftest import make_entries, key_of
+from tests.conftest import make_entries
+from tests.reference_evolve import reference_evolve
 
 DEF = i1_definition()
 
@@ -78,8 +81,8 @@ class TestBlobSpliceHelpers:
 
 class TestStreamingEquivalence:
     def test_byte_identical_runs_and_synopsis(self):
-        """The streaming path must build exactly the run the legacy path
-        builds: same entries, same data-block bytes, same synopsis."""
+        """The streaming path must build exactly the run the entry-based
+        oracle builds: same entries, same data-block bytes, same synopsis."""
         legacy_ctrl, legacy_h, legacy_lists, lb, la = setup()
         stream_ctrl, stream_h, stream_lists, sb, sa = setup()
         for ctrl_args in ((lb, la, legacy_lists), (sb, sa, stream_lists)):
@@ -92,7 +95,7 @@ class TestStreamingEquivalence:
             for run in legacy_lists[Zone.GROOMED].snapshot()
             for e in run.all_entries()
         ]
-        legacy_result = legacy_ctrl.evolve(1, legacy_entries, 0, 5)
+        legacy_result = reference_evolve(legacy_ctrl, 1, legacy_entries, 0, 5)
 
         decode = stream_h.stats.decode
         before = decode.snapshot()
@@ -113,6 +116,59 @@ class TestStreamingEquivalence:
         assert stream_run.header.synopsis == legacy_run.header.synopsis
         assert stream_run.header.entry_count == legacy_run.header.entry_count
         assert stream_run.header.block_meta == legacy_run.header.block_meta
+
+    def test_frozen_a9_fixture(self):
+        """Ablation A9's verdict, at a tier-1 size: an index of groomed
+        runs evolved in one PSN -- the streaming door splices every entry
+        with zero decodes, the entry-based oracle decodes every entry, and
+        both build the same data blocks and synopsis."""
+        num_runs, per_run = 4, 300
+        total = num_runs * per_run
+
+        def groomed_index(name):
+            index = UmziIndex(DEF, config=UmziConfig(
+                name=name, data_block_bytes=4096,
+                levels=LevelConfig(groomed_levels=3, post_groomed_levels=2,
+                                   max_runs_per_level=num_runs + 1,
+                                   size_ratio=4),
+            ))
+            for gid in range(num_runs):
+                index.add_groomed_run(make_entries(
+                    DEF, range(gid * per_run, (gid + 1) * per_run),
+                    begin_ts_start=1 + gid * per_run, block_id=gid,
+                ), gid, gid)
+            return index
+
+        def relocated(begin_ts):
+            return RID(Zone.POST_GROOMED, begin_ts // 1000, begin_ts % 1000)
+
+        legacy = groomed_index("a9-legacy")
+        before = legacy.hierarchy.stats.decode.snapshot()
+        entries = [
+            replace(entry, rid=relocated(entry.begin_ts))
+            for run in legacy.run_lists[Zone.GROOMED].snapshot()
+            for entry in run.all_entries()
+        ]
+        assert reference_evolve(
+            legacy.evolver, 1, entries, 0, num_runs - 1
+        ).new_run_entries == total
+        assert legacy.hierarchy.stats.decode.diff(before).entry_decodes >= total
+
+        streaming = groomed_index("a9-stream")
+        decode = streaming.hierarchy.stats.decode
+        before = decode.snapshot()
+        result = streaming.evolve_streaming(1, relocated, 0, num_runs - 1)
+        delta = decode.diff(before)
+        assert result.new_run_entries == total
+        assert result.spliced_blobs == delta.evolve_blob_splices == total
+        assert delta.entry_decodes == 0
+
+        legacy_run = legacy.run_lists[Zone.POST_GROOMED].snapshot()[0]
+        stream_run = streaming.run_lists[Zone.POST_GROOMED].snapshot()[0]
+        assert run_payloads(streaming.hierarchy, stream_run) == run_payloads(
+            legacy.hierarchy, legacy_run
+        )
+        assert stream_run.header.synopsis == legacy_run.header.synopsis
 
     def test_same_watermark_and_gc_as_legacy(self):
         ctrl, hierarchy, lists, builder, allocator = setup()

@@ -9,7 +9,7 @@ from repro.core.index import UmziConfig, UmziIndex
 from repro.core.levels import LevelConfig
 from repro.core.stats import IndexStats, LevelStats
 
-from tests.conftest import make_entries
+from tests.conftest import make_entries, rid_map
 
 
 class TestRunIdAllocator:
@@ -75,9 +75,9 @@ class TestIndexStats:
 
     def test_watermark_and_psn_reflected(self):
         index = self.build()
-        index.evolve(
+        index.evolve_streaming(
             1,
-            make_entries(index.definition, range(20), 1, Zone.POST_GROOMED, 5),
+            rid_map(make_entries(index.definition, range(20), 1, Zone.POST_GROOMED, 5)),
             0, 1,
         )
         stats = index.stats()

@@ -8,7 +8,7 @@ from repro.core.index import UmziConfig, UmziIndex
 from repro.core.levels import LevelConfig
 from repro.core.query import PointLookup, RangeScanQuery
 
-from tests.conftest import make_entries, key_of
+from tests.conftest import key_of, make_entries, rid_map
 
 DEF = i1_definition()
 
@@ -70,7 +70,7 @@ class TestEvolveIntegration:
         index = small_index()
         feed_runs(index, 2)
         pg_entries = make_entries(DEF, range(20), 1, Zone.POST_GROOMED, 100)
-        index.evolve(1, pg_entries, 0, 1)
+        index.evolve_streaming(1, rid_map(pg_entries), 0, 1)
         eq, sort = key_of(DEF, 5)
         hit = index.lookup(eq, sort)
         assert hit.rid.zone is Zone.POST_GROOMED
@@ -79,7 +79,9 @@ class TestEvolveIntegration:
     def test_watermark_filters_candidates(self):
         index = small_index()
         feed_runs(index, 2)
-        index.evolve(1, make_entries(DEF, range(20), 1, Zone.POST_GROOMED, 100), 0, 1)
+        index.evolve_streaming(
+            1, rid_map(make_entries(DEF, range(20), 1, Zone.POST_GROOMED, 100)), 0, 1
+        )
         candidates = index._collect_candidate_runs()
         assert all(
             r.zone is Zone.POST_GROOMED or r.max_groomed_id > 1 for r in candidates
@@ -89,7 +91,7 @@ class TestEvolveIntegration:
         index = small_index()
         feed_runs(index, 1)
         assert index.indexed_psn == 0
-        index.evolve(1, [], 0, 0)
+        index.evolve_streaming(1, rid_map([]), 0, 0)
         assert index.indexed_psn == 1
 
 

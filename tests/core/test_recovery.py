@@ -8,7 +8,7 @@ from repro.core.index import UmziConfig, UmziIndex
 from repro.core.levels import LevelConfig
 from repro.storage.block import Block, BlockId
 
-from tests.conftest import make_entries, key_of
+from tests.conftest import key_of, make_entries, rid_map
 
 DEF = i1_definition()
 
@@ -54,7 +54,9 @@ class TestBasicRecovery:
     def test_recovery_after_evolve_restores_watermark_and_psn(self):
         index = build_index()
         feed(index, 2)
-        index.evolve(1, make_entries(DEF, range(20), 1, Zone.POST_GROOMED, 100), 0, 1)
+        index.evolve_streaming(
+            1, rid_map(make_entries(DEF, range(20), 1, Zone.POST_GROOMED, 100)), 0, 1
+        )
         index.hierarchy.crash_local_tiers()
         index.recover()
         assert index.indexed_psn == 1
@@ -90,7 +92,9 @@ class TestOverlapResolution:
     def test_groomed_runs_under_watermark_dropped(self):
         index = build_index()
         feed(index, 3)
-        index.evolve(1, make_entries(DEF, range(20), 1, Zone.POST_GROOMED, 100), 0, 1)
+        index.evolve_streaming(
+            1, rid_map(make_entries(DEF, range(20), 1, Zone.POST_GROOMED, 100)), 0, 1
+        )
         index.hierarchy.crash_local_tiers()
         state = index.recover()
         for run in state.runs_by_zone[Zone.GROOMED]:
@@ -129,7 +133,7 @@ class TestFailureInjection:
         index = build_index()
         feed(index, 2)
         index.evolver.step1_build_run(
-            make_entries(DEF, range(20), 1, Zone.POST_GROOMED, 100), 0, 1
+            rid_map(make_entries(DEF, range(20), 1, Zone.POST_GROOMED, 100)), 0, 1
         )
         # crash before step 2/3 and before the checkpoint write
         index.hierarchy.crash_local_tiers()

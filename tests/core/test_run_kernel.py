@@ -24,7 +24,7 @@ from repro.core.definition import ColumnSpec, IndexDefinition, i1_definition
 from repro.core.entry import IndexEntry, RID, Zone
 from repro.core.index import UmziConfig, UmziIndex
 from repro.core.levels import LevelConfig
-from repro.core.query import PointLookup
+from repro.core.query import MAX_QUERY_TS, PointLookup
 from repro.core.run import DataBlockView, encode_data_block
 from repro.storage.hierarchy import StorageHierarchy
 from repro.storage.metrics import ReadIntent
@@ -269,7 +269,10 @@ def test_golden_counters_for_point_range_and_batch(name, definition):
         return index.scan((), (device, 10), (device, 70))
 
     points = [key(d, m) for d in range(8) for m in (0, 25, 45, 79, 200)]
-    batch = [PointLookup(*key(d, m)) for d in range(8) for m in range(0, 100, 7)]
+    batch = [
+        (*eq, *sort)
+        for eq, sort in (key(d, m) for d in range(8) for m in range(0, 100, 7))
+    ]
     steps = [
         ("point", lambda: [index.lookup(*k) for k in points]),
         ("point_old_ts", lambda: [
@@ -277,11 +280,11 @@ def test_golden_counters_for_point_range_and_batch(name, definition):
             for d in range(8) for m in (25, 45)
         ]),
         ("range", lambda: [scan(d) for d in (1, 5)]),
-        ("batch", lambda: index.batch_lookup(batch)),
+        ("batch", lambda: index.batch_lookup(batch, MAX_QUERY_TS)),
         ("purge", lambda: index.cache.set_cache_level(-1)),
         ("point_purged", lambda: [index.lookup(*k) for k in points]),
         ("range_purged", lambda: scan(1)),
-        ("batch_purged", lambda: index.batch_lookup(batch)),
+        ("batch_purged", lambda: index.batch_lookup(batch, MAX_QUERY_TS)),
     ]
     measured = {}
     for step, action in steps:

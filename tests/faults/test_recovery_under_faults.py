@@ -8,7 +8,7 @@ and run-id allocator resume after a fresh-process restart.
 
 import pytest
 
-from tests.conftest import make_entries
+from tests.conftest import make_entries, rid_map
 
 from repro.core.definition import i1_definition
 from repro.core.entry import Zone
@@ -86,15 +86,17 @@ class TestEntryCountTieBreak:
         definition = i1_definition()
         index = UmziIndex(definition, config=small_config("tie"))
         index.add_groomed_run(make_entries(definition, keys=[1, 2, 3, 4, 5]), 1, 1)
-        full = index.evolve(
+        full = index.evolve_streaming(
             1,
-            make_entries(definition, keys=[1, 2, 3, 4, 5], zone=Zone.POST_GROOMED),
+            rid_map(make_entries(
+                definition, keys=[1, 2, 3, 4, 5], zone=Zone.POST_GROOMED
+            )),
             1,
             1,
         )
         # The replayed duplicate: same coverage, one entry.
-        thin = index.evolve(
-            2, make_entries(definition, keys=[3], zone=Zone.POST_GROOMED), 1, 1
+        thin = index.evolve_streaming(
+            2, rid_map(make_entries(definition, keys=[3], zone=Zone.POST_GROOMED)), 1, 1
         )
         revived, state = fresh_process(index)
         assert thin.new_run_id in state.deleted_run_ids
@@ -116,14 +118,14 @@ class TestEntryCountTieBreak:
             TornWrite(persist_ordinal=2, keep_data_blocks=0, drop_header=False),
         )
         index.add_groomed_run(make_entries(definition, keys=[1, 2, 3]), 1, 1)
-        torn_full = index.evolve(
+        torn_full = index.evolve_streaming(
             1,
-            make_entries(definition, keys=[1, 2, 3], zone=Zone.POST_GROOMED),
+            rid_map(make_entries(definition, keys=[1, 2, 3], zone=Zone.POST_GROOMED)),
             1,
             1,
         )
-        thin = index.evolve(
-            2, make_entries(definition, keys=[2], zone=Zone.POST_GROOMED), 1, 1
+        thin = index.evolve_streaming(
+            2, rid_map(make_entries(definition, keys=[2], zone=Zone.POST_GROOMED)), 1, 1
         )
         revived, state = fresh_process(index)
         assert torn_full.new_run_id in state.incomplete_run_ids
@@ -146,20 +148,20 @@ class TestCheckpointClamping:
             TornWrite(persist_ordinal=4, keep_data_blocks=0, drop_header=True),
         )
         index.add_groomed_run(make_entries(definition, keys=[1, 2]), 1, 1)
-        index.evolve(
+        index.evolve_streaming(
             1,
-            make_entries(definition, keys=[1, 2], zone=Zone.POST_GROOMED),
+            rid_map(make_entries(definition, keys=[1, 2], zone=Zone.POST_GROOMED)),
             1,
             1,
         )
         index.add_groomed_run(
             make_entries(definition, keys=[8, 9], begin_ts_start=10), 2, 2
         )
-        index.evolve(
+        index.evolve_streaming(
             2,
-            make_entries(
+            rid_map(make_entries(
                 definition, keys=[8, 9], begin_ts_start=10, zone=Zone.POST_GROOMED
-            ),
+            )),
             2,
             2,
         )
@@ -177,12 +179,17 @@ class TestCheckpointClamping:
             assert revived.lookup((key,), (key,)) is not None
 
         # Upstream replay: the indexer, seeing IndexedPSN = 1, re-runs
-        # the PSN 2 evolve -- this universe has no further faults.
-        revived.evolve(
+        # the PSN 2 evolve over gid 2's groomed data, re-derived upstream
+        # (the lost evolve had already collected its groomed run) -- this
+        # universe has no further faults.
+        revived.add_groomed_run(
+            make_entries(definition, keys=[8, 9], begin_ts_start=10), 2, 2
+        )
+        revived.evolve_streaming(
             2,
-            make_entries(
+            rid_map(make_entries(
                 definition, keys=[8, 9], begin_ts_start=10, zone=Zone.POST_GROOMED
-            ),
+            )),
             2,
             2,
         )

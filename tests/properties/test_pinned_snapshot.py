@@ -22,7 +22,7 @@ from repro.core.index import UmziConfig, UmziIndex
 from repro.core.levels import LevelConfig
 from repro.core.query import PointLookup, RangeScanQuery
 
-from tests.conftest import make_entries
+from tests.conftest import make_entries, rid_map
 
 DEF = i1_definition()
 KEYS_PER_RUN = 8
@@ -107,7 +107,7 @@ def test_pinned_view_is_immune_to_evolves_and_merges(scenario):
                 Zone.POST_GROOMED,
                 100 + psn,
             )
-            index.evolve(psn, entries, lo, hi)
+            index.evolve_streaming(psn, rid_map(entries), lo, hi)
             psn += 1
             lo = hi + 1
             if merge_points[1]:

@@ -6,17 +6,33 @@ from hypothesis import given, settings, strategies as st
 
 from repro.storage.metrics import IOStats, ReadIntent, TierStats
 
-# One ledger operation: (method name, tier, nbytes, sim_ns).  "merge" folds
-# in a second ledger charged with (tier, sim_ns); "reset" zeroes everything.
+# One ledger operation: (name, tier, nbytes, sim_ns).  "merge" folds in a
+# second ledger charged with (tier, sim_ns); "reset" zeroes everything.
 _LEDGER_OPS = st.tuples(
-    st.sampled_from(
-        ["record_read", "record_write", "record_delete", "record_backoff",
-         "merge", "reset"]
-    ),
+    st.sampled_from(["read", "write", "delete", "backoff", "merge", "reset"]),
     st.sampled_from(["memory", "ssd", "shared"]),
     st.integers(0, 1 << 20),
     st.integers(0, 1 << 40),
 )
+
+
+def charge(ledger: IOStats, tier: str, sim_ns: int, **counts: int) -> None:
+    """What a tier does per operation: add ``counts`` and ``sim_ns`` to the
+    row it bound, and ``sim_ns`` to the running total, under the lock."""
+    row = ledger.row(tier)
+    with ledger.lock:
+        for name, count in counts.items():
+            setattr(row, name, getattr(row, name) + count)
+        row.sim_ns += sim_ns
+        ledger.total_sim_ns += sim_ns
+
+
+def read(ledger, tier, nbytes, sim_ns):
+    charge(ledger, tier, sim_ns, reads=1, bytes_read=nbytes)
+
+
+def write(ledger, tier, nbytes, sim_ns):
+    charge(ledger, tier, sim_ns, writes=1, bytes_written=nbytes)
 
 
 class TestTierStats:
@@ -36,9 +52,9 @@ class TestTierStats:
 class TestIOStats:
     def test_record_and_read_back(self):
         ledger = IOStats()
-        ledger.record_read("ssd", nbytes=100, sim_ns=50)
-        ledger.record_write("ssd", nbytes=200, sim_ns=70)
-        ledger.record_delete("ssd", sim_ns=5)
+        read(ledger, "ssd", nbytes=100, sim_ns=50)
+        write(ledger, "ssd", nbytes=200, sim_ns=70)
+        charge(ledger, "ssd", sim_ns=5, deletes=1)
         tier = ledger.tier("ssd")
         assert tier.reads == 1
         assert tier.writes == 1
@@ -55,17 +71,17 @@ class TestIOStats:
         row = ledger.row("ssd")
         assert ledger.row("ssd") is row
         assert ledger.snapshot() == {}  # bound, never charged
-        ledger.record_delete("ssd", sim_ns=5, count=3)
+        charge(ledger, "ssd", sim_ns=15, deletes=3)
         assert (row.deletes, row.sim_ns, ledger.total_sim_ns) == (3, 15, 15)
         ledger.reset()
         assert ledger.row("ssd") is row and ledger.snapshot() == {}
-        ledger.record_read("ssd", nbytes=1, sim_ns=2)
+        read(ledger, "ssd", nbytes=1, sim_ns=2)
         assert ledger.snapshot() == {"ssd": TierStats(reads=1, bytes_read=1, sim_ns=2)}
 
     def test_total_sim_ns_sums_tiers(self):
         ledger = IOStats()
-        ledger.record_read("a", 0, 10)
-        ledger.record_read("b", 0, 32)
+        read(ledger, "a", 0, 10)
+        read(ledger, "b", 0, 32)
         assert ledger.total_sim_ns == 42
 
     @settings(max_examples=100, deadline=None)
@@ -74,25 +90,29 @@ class TestIOStats:
         """``total_sim_ns`` is a running int (the cluster clock reads it
         unlocked twice per op); it must never drift from the per-tier sum."""
         ledger = IOStats()
-        for method, tier, nbytes, sim_ns in ops:
-            if method == "merge":
+        for op, tier, nbytes, sim_ns in ops:
+            if op == "merge":
                 other = IOStats()
-                other.record_write(tier, nbytes, sim_ns)
+                write(other, tier, nbytes, sim_ns)
                 other.record_backoff("shared", sim_ns // 3)
                 ledger.merge(other)
-            elif method == "reset":
+            elif op == "reset":
                 ledger.reset()
-            elif method in ("record_read", "record_write"):
-                getattr(ledger, method)(tier, nbytes, sim_ns)
+            elif op == "read":
+                read(ledger, tier, nbytes, sim_ns)
+            elif op == "write":
+                write(ledger, tier, nbytes, sim_ns)
+            elif op == "delete":
+                charge(ledger, tier, sim_ns, deletes=1)
             else:
-                getattr(ledger, method)(tier, sim_ns)
+                ledger.record_backoff(tier, sim_ns)
             assert ledger.total_sim_ns == sum(
                 t.sim_ns for t in ledger.snapshot().values()
             )
 
     def test_reset(self):
         ledger = IOStats()
-        ledger.record_read("a", 1, 1)
+        read(ledger, "a", 1, 1)
         ledger.reset()
         assert ledger.snapshot() == {}
         assert ledger.total_sim_ns == 0
@@ -104,9 +124,9 @@ class TestIOStats:
         ``merge`` must carry tier counters *and* decode/epoch/intent/
         fault/qos counters across, and must not alias the source."""
         a, b = IOStats(), IOStats()
-        a.record_read("ssd", nbytes=10, sim_ns=5)
-        b.record_read("ssd", nbytes=30, sim_ns=7)
-        b.record_write("shared", nbytes=100, sim_ns=50)
+        read(a, "ssd", nbytes=10, sim_ns=5)
+        read(b, "ssd", nbytes=30, sim_ns=7)
+        write(b, "shared", nbytes=100, sim_ns=50)
         b.decode.entry_decodes = 3
         b.epochs.version_refs = 4
         b.epochs.reclaims_deferred = 1
@@ -137,7 +157,7 @@ class TestIOStats:
         total = IOStats()
         for _ in range(3):
             shard = IOStats()
-            shard.record_read("local", 1, 1)
+            read(shard, "local", 1, 1)
             shard.epochs.pins_entered = 2
             total.merge(shard)
         assert total.tier("local").reads == 3
@@ -148,7 +168,7 @@ class TestIOStats:
 
         def hammer():
             for _ in range(1000):
-                ledger.record_read("x", 1, 1)
+                read(ledger, "x", 1, 1)
 
         threads = [threading.Thread(target=hammer) for _ in range(8)]
         for t in threads:

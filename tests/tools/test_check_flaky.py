@@ -32,6 +32,15 @@ def test_benchmark_tree_is_flake_guarded():
     assert not errors, "\n".join(errors)
 
 
+def test_harness_and_every_bench_file_are_covered():
+    """The figure and ablation functions live in their bench files and
+    the shared sweeps in ``benchmarks/harness.py``: both rules sweep them."""
+    tool = load_tool()
+    for dirs in (tool.BENCH_DIRS, tool.ASSERT_RULE_DIRS):
+        covered = {p.name for p in tool.bench_files(dirs)}
+        assert {"harness.py", "closed_loop.py", "bench_fig10_seq_ingest.py"} <= covered
+
+
 def test_rebalance_policy_is_covered():
     """ISSUE 10: the policy module's signals feed A16's byte-stable
     artifact, so the wall-clock assert rule must sweep it."""

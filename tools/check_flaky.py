@@ -7,15 +7,15 @@ ported to deterministic simulated counters.  This guard keeps the
 pattern from landing again, with two rules:
 
 1. **repeat=1 annotation rule** (textual).  Every ``repeat=1`` call
-   argument under ``benchmarks/`` and ``src/repro/bench/`` must carry an
-   inline annotation stating why a single un-averaged measurement is
-   acceptable:
+   argument under ``benchmarks/`` (the bench files and their harness)
+   must carry an inline annotation stating why a single un-averaged
+   measurement is acceptable:
 
    * ``# counter-asserted`` -- the consuming test asserts only
      deterministic (simulated/probe) counters; wall time is plotted,
      never asserted;
    * ``# plot-only`` -- the measurement feeds a figure or report with no
-     assertion at all (the CLI figure runner).
+     assertion at all.
 
    The former third option, ``# wallclock-shape-ok: <reason>``, is gone:
    the last two waivers (Figures 9 and 10) were ported to deterministic
@@ -39,10 +39,9 @@ from pathlib import Path
 
 REPO_ROOT = Path(__file__).resolve().parent.parent
 
-BENCH_DIRS = [REPO_ROOT / "benchmarks", REPO_ROOT / "src" / "repro" / "bench"]
+BENCH_DIRS = [REPO_ROOT / "benchmarks"]
 ASSERT_RULE_DIRS = [
     REPO_ROOT / "benchmarks",
-    REPO_ROOT / "src" / "repro" / "bench",
     # The planner's cost model feeds counter-asserted benchmarks (A15);
     # keep wall-clock measurements out of it too.
     REPO_ROOT / "src" / "repro" / "planner",
