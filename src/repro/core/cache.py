@@ -24,12 +24,11 @@ purge experiment (Figure 14).
 **Scan resistance (maintenance-aware extension).**  Background maintenance
 -- streaming evolve, merges, recovery validation -- reads entire purged
 levels exactly once.  Those touches carry ``ReadIntent.MAINTENANCE``
-through the hierarchy, which (in the default ``"intent"`` mode) refuses to
-promote them into the SSD; symmetrically, the cache manager's
-query-accounting entry points (:meth:`CacheManager.load_run`,
-:meth:`CacheManager.release_after_query`) treat maintenance touches as
-no-ops, so a purged level stays purged across an evolve instead of being
-churned in and out of the cache.
+through the hierarchy, which refuses to promote them into the SSD;
+symmetrically, the cache manager's query-accounting entry points
+(:meth:`CacheManager.load_run`, :meth:`CacheManager.release_after_query`)
+treat maintenance touches as no-ops, so a purged level stays purged
+across an evolve instead of being churned in and out of the cache.
 """
 
 from __future__ import annotations
@@ -81,12 +80,12 @@ class CacheManager:
         self.high_watermark = high_watermark
         self.low_watermark = low_watermark
         # pinned_among(run_ids) -> those some live query snapshot is still
-        # holding.  Supplied by the run lifecycle (in versionset mode a
-        # run counts as pinned when any query-reffed RunListVersion
-        # contains it; the current version's implicit reference does not
-        # count, or nothing could ever be evicted).  Eviction paths
-        # (purge_run, release_after_query) skip pinned runs so a block is
-        # never dropped out from under an in-flight iterator.
+        # holding.  Supplied by the run lifecycle (a run counts as pinned
+        # when any query-reffed RunListVersion contains it; the current
+        # version's implicit reference does not count, or nothing could
+        # ever be evicted).  Eviction paths (purge_run,
+        # release_after_query) skip pinned runs so a block is never
+        # dropped out from under an in-flight query.
         self._pinned_among = (
             pinned_among if pinned_among is not None else lambda _run_ids: ()
         )
@@ -125,11 +124,10 @@ class CacheManager:
 
         Non-persisted runs cannot be purged (the local copy is the only
         copy); they return 0.  So do runs pinned by a live query snapshot
-        -- in versionset mode, runs reachable from any query-reffed
-        version: evicting mid-read would stall the query on
-        shared-storage refetches (and invalidate the decoded views it is
-        iterating), so the purge pass simply revisits the run on a later
-        cycle.
+        -- runs reachable from any query-reffed version: evicting mid-read
+        would stall the query on shared-storage refetches (and invalidate
+        the decoded views it is iterating), so the purge pass simply
+        revisits the run on a later cycle.
         """
         if not run.header.persisted:
             return 0
@@ -196,10 +194,9 @@ class CacheManager:
         tiers in one :meth:`StorageHierarchy.drop_from_cache`.
 
         Maintenance touches are skipped symmetrically to :meth:`load_run`:
-        under the intent-aware read mode a maintenance scan never admitted
-        anything, so there is nothing to release -- and blindly dropping a
-        touched run's blocks here could evict blocks a concurrent *query*
-        had legitimately warmed.  ``intent=None`` resolves through the
+        a maintenance read never admits a block, so there is nothing to
+        release -- and blindly dropping a touched run's blocks here could
+        evict blocks a concurrent *query* had legitimately warmed.  ``intent=None`` resolves through the
         hierarchy's ``reading_as`` scope, so a query-machinery path driven
         by maintenance (a ``reading_as(MAINTENANCE)`` caller with
         ``on_query_done`` wired) cannot evict query-warmed blocks.
@@ -217,7 +214,7 @@ class CacheManager:
             return  # nothing transient to release: no decision made
         # Another query's pinned snapshot may still hold a run: dropping
         # its blocks (and decoded views) now would yank them out from
-        # under that query's live iterator.  The next query to touch the
+        # under that query's reads.  The next query to touch the
         # run releases them; until then a bounded SSD reclaims them
         # through the ordinary purge pass under pressure.
         pinned = self._pinned_among(releasing)

@@ -23,43 +23,19 @@ last reader unrefs it, unblocking the runs only it still covered.
 Publication order makes this sound: a run is always unlinked from its
 lists (one atomic tuple publication) *before* it is retired, so a pin
 either captured the run before the retire check (deferral) or can no
-longer see it at all.
+longer see it at all.  Every holder of a pin releases it in a ``finally``
+or explicitly.  The lifecycle mutex is a plain, non-reentrant lock, so no
+release may run from inside a locked section -- which a finalizer could.
 """
 
 from __future__ import annotations
 
-import gc
 import threading
 from dataclasses import dataclass
 from typing import Callable, Collection, List, Optional, Set, Tuple
 
 from repro.core.run import IndexRun
 from repro.storage.metrics import EpochStats
-
-
-class _GCFlag(threading.local):
-    """Per-thread "the cyclic collector is running" flag."""
-
-    flag = False
-
-
-# Cyclic-GC detection for finalizer-safe releases.  The collector can run
-# at any allocation -- including one made while the current thread holds a
-# non-reentrant lock anywhere in the storage stack (tier mutexes, the
-# IOStats ledger, the lifecycle mutex itself).  A pin release executed
-# from a GC finalizer must therefore never acquire locks or run reclaim
-# actions inline; while the flag is set, releases park on the lifecycle's
-# pending list instead (GIL-atomic append; a list resize during GC cannot
-# re-enter the collector).  Refcount-driven finalization (non-cyclic) runs
-# at the decref site in executor/user code, where no storage lock is held.
-_gc_active = _GCFlag()
-
-
-def _note_gc(phase: str, _info: dict) -> None:
-    _gc_active.flag = phase == "start"
-
-
-gc.callbacks.append(_note_gc)
 
 
 @dataclass(frozen=True)
@@ -111,15 +87,13 @@ class _VersionNode:
 class QueryPin:
     """A query's Ref on one :class:`_VersionNode`.
 
-    ``version`` / ``runs`` are the pinned snapshot.  Released exactly
-    once, by :meth:`RunLifecycle.release` (normally from the query
-    executor's ``finally``); ``__del__`` is a backstop so a pin captured
-    by a generator that is created but never iterated still releases its
-    version when the generator is garbage-collected.
+    ``version`` / ``runs`` are the pinned snapshot.  Whoever pins
+    releases, in a ``finally`` or explicitly (the query executor's exits,
+    :class:`~repro.core.index.SnapshotPin`, the shard copy stream);
+    nothing else does.  Releasing twice is a no-op.
     """
 
-    __slots__ = ("version", "runs", "_lifecycle", "_node", "_released",
-                 "__weakref__")
+    __slots__ = ("version", "runs", "_lifecycle", "_node", "_released")
 
     def __init__(self, lifecycle: "RunLifecycle", node: _VersionNode) -> None:
         self.version = node.version
@@ -127,10 +101,6 @@ class QueryPin:
         self._lifecycle = lifecycle
         self._node = node
         self._released = False
-
-    @property
-    def released(self) -> bool:
-        return self._released
 
     def release(self) -> None:
         self._lifecycle.release(self)
@@ -141,14 +111,6 @@ class QueryPin:
     def __exit__(self, *exc_info) -> None:
         self.release()
 
-    def __del__(self) -> None:  # pragma: no cover - GC-order dependent
-        if self._released:
-            return  # the usual case: the query's own ``finally`` released it
-        try:
-            self.release()
-        except Exception:
-            pass
-
 
 class _RetiredRun:
     """One parked reclamation: the run id plus the deferred free action."""
@@ -158,37 +120,6 @@ class _RetiredRun:
     def __init__(self, run_id: str, reclaim: Callable[[], None]) -> None:
         self.run_id = run_id
         self.reclaim = reclaim
-
-
-class _OwnedLock:
-    """The lifecycle mutex plus its owner thread, as a context manager.
-
-    ``owner`` is for finalizer re-entrancy detection: a cyclic-GC pass can
-    run at any allocation, including one made *inside* a locked section,
-    and may finalize an abandoned iterator whose cleanup calls
-    ``release()``.  The lock is non-reentrant, so such a release must
-    park instead of acquiring (see ``RunLifecycle._pending_releases``).
-    """
-
-    __slots__ = ("_lock", "owner")
-
-    def __init__(self) -> None:
-        self._lock = threading.Lock()
-        self.owner: Optional[int] = None
-
-    def __enter__(self) -> None:
-        # get_ident() before acquire: the int allocation could trigger
-        # cyclic GC, and a finalizer release() must never observe this
-        # thread as lock-holder-with-unset-owner.  The store itself is a
-        # slot write, so it cannot allocate -- there is no window between
-        # acquiring and publishing ownership in which GC can run.
-        ident = threading.get_ident()
-        self._lock.acquire()
-        self.owner = ident
-
-    def __exit__(self, *exc_info) -> None:
-        self.owner = None
-        self._lock.release()
 
 
 class RunLifecycle:
@@ -217,7 +148,7 @@ class RunLifecycle:
     ) -> None:
         self.stats = stats
         self._collect = collect
-        self._locked = _OwnedLock()
+        self._locked = threading.Lock()
         # The publication sequence: every run-list mutation bumps it.
         self.version_seq = 0
         # The current version node and the live chain (oldest -> newest; a
@@ -225,13 +156,6 @@ class RunLifecycle:
         self._current: Optional[_VersionNode] = None
         self._versions: List[_VersionNode] = []
         self._retired: List[_RetiredRun] = []
-        # Releases parked by a finalizer (cyclic GC, or re-entering this
-        # thread's own locked section), together with their deferred
-        # post-release hooks; GIL-atomic appends, drained under the lock
-        # by the next lifecycle operation.
-        self._pending_releases: List[
-            Tuple[QueryPin, Optional[Callable[..., None]], tuple]
-        ] = []
 
     # -- version publication -----------------------------------------------------
 
@@ -249,15 +173,14 @@ class RunLifecycle:
         ``pinned_among``/``_covered_locked`` err on the safe side (runs
         look covered slightly longer).
 
-        Deliberately **no** reclaim actions, parked releases, or release
-        hooks execute here: ``note_publish`` is invoked from
-        ``RunList._publish_locked``, i.e. while the caller still holds
-        the run list's mutation lock, and storage-tier frees must never
-        serialize run-list mutations (nor risk re-entering a list a hook
-        might touch).  Anything a dying predecessor unblocks stays parked
-        in ``_retired``/``_pending_releases`` and drains on the next
-        lifecycle operation that runs unlocked (the retire that follows
-        every unlink, a pin, a release, or a backlog probe).
+        Deliberately **no** reclaim actions execute here:
+        ``note_publish`` is invoked from ``RunList._publish_locked``, i.e.
+        while the caller still holds the run list's mutation lock, and
+        storage-tier frees must never serialize run-list mutations.
+        Anything a dying predecessor unblocks stays parked in ``_retired``
+        and drains on the next lifecycle operation that runs unlocked (the
+        retire that follows every unlink, a pin, a release, or a backlog
+        probe).
         """
         with self._locked:
             self.version_seq += 1
@@ -300,7 +223,6 @@ class RunLifecycle:
         :meth:`retire`.
         """
         with self._locked:
-            hooks = self._pending_releases and self._drain_pending_locked()
             node = self._current
             if node is None or node.seq != self.version_seq:
                 node = self._current_node_locked()
@@ -309,8 +231,6 @@ class RunLifecycle:
             self.stats.pins_entered += 1
             pin = QueryPin(self, node)
             ready = self._retired and self._drain_locked()
-        if hooks:
-            self._run_hooks(hooks)
         if ready:
             self._reclaim(ready)
         return pin
@@ -323,65 +243,29 @@ class RunLifecycle:
     ) -> None:
         """Unref the pin's version; drain any reclamations it was blocking.
 
+        A single Unref under the mutex; a second release of the same pin
+        is a no-op.  A superseded version whose last reader just left dies
+        here, even when the Unrefs arrive out of publication order (a
+        long-lived snapshot may outlive many newer versions).
         ``after(*args)`` runs once the pin no longer counts (the query
         executor's purged-block release hook and the runs it touched) --
-        outside the lifecycle mutex.
-
-        Safe to call from finalizers: a release initiated while the cyclic
-        collector is running (an abandoned iterator's ``finally``, or
-        :meth:`QueryPin.__del__`) may be interrupting a thread that holds
-        *any* non-reentrant lock -- the lifecycle mutex, a storage-tier
-        mutex, the stats ledger -- so it must neither acquire locks nor
-        run reclaim actions or hooks inline.  Such releases (and any
-        release that re-enters this thread's own locked section) park on a
-        GIL-atomic pending list, drained by the next lifecycle operation.
+        outside the lifecycle mutex, like the reclaim actions.
         """
-        if pin._released:
-            return
-        pin._released = True
-        if _gc_active.flag or self._locked.owner == threading.get_ident():
-            self._pending_releases.append((pin, after, args))
-            return
         with self._locked:
-            hooks = self._pending_releases and self._drain_pending_locked()
-            self._release_pin_locked(pin)
+            if pin._released:
+                return
+            pin._released = True
+            node = pin._node
+            node.refs -= 1
+            self.stats.version_unrefs += 1
+            self.stats.pins_exited += 1
+            if node.refs == 0 and node is not self._current:
+                self._kill_node_locked(node)
             ready = self._retired and self._drain_locked()
-        if hooks:
-            self._run_hooks(hooks)
         if ready:
             self._reclaim(ready)
         if after is not None:
             after(*args)
-
-    def _release_pin_locked(self, pin: QueryPin) -> None:
-        # A single Unref.  A superseded version whose last reader just
-        # left dies here, even when the Unrefs arrive out of publication
-        # order (a long-lived scan may outlive many newer versions).
-        node = pin._node
-        node.refs -= 1
-        self.stats.version_unrefs += 1
-        self.stats.pins_exited += 1
-        if node.refs == 0 and node is not self._current:
-            self._kill_node_locked(node)
-
-    def _drain_pending_locked(self) -> List[Tuple[Callable[..., None], tuple]]:
-        """Apply releases parked by finalizers (see :meth:`release`).
-
-        Returns their deferred post-release hooks, each with its
-        arguments, to be run by the caller *outside* the lifecycle mutex.
-        """
-        hooks: List[Tuple[Callable[..., None], tuple]] = []
-        while self._pending_releases:
-            parked, after, args = self._pending_releases.pop()
-            self._release_pin_locked(parked)
-            if after is not None:
-                hooks.append((after, args))
-        return hooks
-
-    @staticmethod
-    def _run_hooks(hooks: List[Tuple[Callable[..., None], tuple]]) -> None:
-        for hook, args in hooks:
-            hook(*args)
 
     # -- the maintenance side ----------------------------------------------------
 
@@ -394,7 +278,6 @@ class RunLifecycle:
         them otherwise.
         """
         with self._locked:
-            hooks = self._drain_pending_locked()
             # Maintenance-side refresh: make sure the current node reflects
             # the unlink that preceded this retire (O(runs), but on the
             # maintenance thread, never under a query pin).
@@ -405,7 +288,6 @@ class RunLifecycle:
             if not inline:
                 self.stats.reclaims_deferred += 1
                 self._retired.append(_RetiredRun(run_id, reclaim))
-        self._run_hooks(hooks)
         self._reclaim(ready)
         if inline:
             # Nothing covered the run at the (locked) check, and nothing
@@ -450,10 +332,6 @@ class RunLifecycle:
         refs protect their runs.
         """
         with self._locked:
-            # No pending-drain here: this runs inside cache eviction
-            # passes, which must not execute drained release hooks.  A
-            # parked (not yet drained) release just keeps the run looking
-            # pinned a little longer -- the safe direction.
             pinned: Set[str] = set()
             for node in self._versions:
                 if self._query_refs_locked(node) > 0:
@@ -470,12 +348,10 @@ class RunLifecycle:
 
     def pinned_run_ids(self) -> List[str]:
         with self._locked:
-            hooks = self._drain_pending_locked()
             ids: Set[str] = set()
             for node in self._versions:
                 if self._query_refs_locked(node) > 0:
                     ids.update(node.run_ids)
-        self._run_hooks(hooks)  # cache-release hooks; do not alter pins
         return sorted(ids)
 
     def live_version_count(self) -> int:
@@ -491,12 +367,8 @@ class RunLifecycle:
     def retired_backlog(self) -> int:
         """Retired-but-not-yet-reclaimed run count (0 when idle)."""
         with self._locked:
-            # Parked finalizer releases may have just unblocked reclaims;
-            # apply them so the reported backlog reflects live pins only.
-            hooks = self._drain_pending_locked()
             ready = self._drain_locked()
             backlog = len(self._retired)
-        self._run_hooks(hooks)
         self._reclaim(ready)
         return backlog
 

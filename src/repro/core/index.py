@@ -52,16 +52,12 @@ class SnapshotPin:
     def __init__(self, pin, executor: QueryExecutor) -> None:
         self._pin = pin
         self.executor = executor
-        self._released = False
 
     @property
     def runs(self):
         return self._pin.runs
 
     def release(self) -> None:
-        if self._released:
-            return
-        self._released = True
         self._pin.release()
 
     def __enter__(self) -> "SnapshotPin":
@@ -328,10 +324,6 @@ class UmziIndex:
         strategy: ReconcileStrategy = ReconcileStrategy.PRIORITY_QUEUE,
     ) -> List[IndexEntry]:
         return self.executor.range_scan(query, strategy)
-
-    def range_scan_iter(self, query: RangeScanQuery):
-        """Streaming range scan (priority-queue path); see QueryExecutor."""
-        return self.executor.range_scan_iter(query)
 
     def point_lookup(self, lookup: PointLookup) -> Optional[IndexEntry]:
         return self.executor.lookup(*lookup)

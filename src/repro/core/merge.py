@@ -210,8 +210,8 @@ class MergeController:
         # keep every version forever (the default).
         self._retention_provider = retention_provider or (lambda: None)
         # reclaimer(run_id, free) routes physical frees of unlinked runs
-        # through the run lifecycle (protected modes defer them while queries
-        # pin the run); the default executes immediately (legacy).
+        # through the run lifecycle (which defers them while a query's
+        # pinned version holds the run); the default frees immediately.
         self._reclaim = reclaimer or (lambda _run_id, free: free())
         self._active: Dict[int, Optional[str]] = {}
         self._lock = threading.Lock()

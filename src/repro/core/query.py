@@ -22,8 +22,7 @@ sequentially (section 7.2).
 from __future__ import annotations
 
 import enum
-import heapq
-from itertools import chain, compress
+from itertools import compress
 from operator import itemgetter, ne
 from typing import (
     Callable, Dict, Iterator, List, NamedTuple, Optional, Sequence, Tuple, Union,
@@ -319,12 +318,10 @@ class QueryExecutor:
     ) -> None:
         """Epoch exit, then block release -- in that order (see class doc).
 
-        The block-release hook and the runs touched ride through the
-        lifecycle as the pin's ``after`` action: it runs once the pin no
-        longer counts, and when the exit happens inside a GC finalizer
-        (abandoned iterator in a reference cycle) both the unpin and the
-        hook are parked and run by the next lifecycle operation -- a
-        finalizer must not take storage-tier locks.
+        Called from every query's ``finally``.  The block-release hook and
+        the runs touched ride through the lifecycle as the pin's ``after``
+        action, which runs once the pin no longer counts and outside the
+        lifecycle mutex.
         """
         if pin is not None:
             self._lifecycle.release(pin, self._on_query_done, touched)
@@ -442,52 +439,6 @@ class QueryExecutor:
         keys = [hit[0][:-SORT_KEY_TS_BYTES] for hit in merged]
         # The first hit per user key; the rest are older or duplicates.
         return list(compress(merged, map(ne, keys, [None, *keys[:-1]])))
-
-    def range_scan_iter(
-        self, query: RangeScanQuery
-    ) -> Iterator[IndexEntry]:
-        """Streaming range scan (priority-queue reconciliation only).
-
-        Yields the newest visible version per key in key order without
-        materializing the result set -- the point of the priority-queue
-        approach (section 7.1.2): the runs' hit streams are merged a block
-        at a time.  The run snapshot is taken (and pinned) once, at call
-        time.  Cleanup -- epoch exit and purged-block release -- runs in
-        the generator's ``finally``, which fires on exhaustion, on an
-        explicit ``close()``, *and* when an abandoned iterator is
-        garbage-collected (CPython calls ``close()`` from the generator's
-        finalizer); a pin captured by a never-started iterator is released
-        by the pin's own finalizer backstop.
-        """
-        bounds = compute_scan_bounds(self.definition, query)
-        pin, runs = self._enter_query()
-        try:
-            candidates = self._candidates(runs, query)
-            floor = ts_floor(query.query_ts)
-            # Equal sort keys come out in argument order: newer run first.
-            merged = heapq.merge(
-                *[
-                    chain.from_iterable(self._run_hits(run, bounds, floor))
-                    for run in candidates
-                ],
-                key=_SORT_KEY,
-            )
-        except BaseException:
-            self._exit_query(pin, [])
-            raise
-
-        def guarded() -> Iterator[IndexEntry]:
-            previous_key: Optional[bytes] = None
-            try:
-                for sort_key, view, i in merged:
-                    key = sort_key[:-SORT_KEY_TS_BYTES]
-                    if key != previous_key:  # else an older (or duplicate) version
-                        previous_key = key
-                        yield view.entry(i)
-            finally:
-                self._exit_query(pin, candidates)
-
-        return guarded()
 
     # -- point lookups ------------------------------------------------------------------
 

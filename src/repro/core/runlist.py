@@ -22,10 +22,9 @@ a true point-in-time version of the list: a half-applied ``replace`` can
 never surface as "old span *and* new run" the way a mid-mutation traversal
 of the chain could.  The tuple is what the run lifecycle
 (:mod:`repro.core.epoch`) pins; ``on_publish`` lets the lifecycle stamp
-each publication with a version sequence number -- and, in the default
-version-set mode, hand the freshly composed immutable ``RunListVersion``
-a refcount and a link to its predecessor, so queries pin it with a single
-Ref instead of walking the runs.
+each publication with a version sequence number; the next pin or retire
+composes the immutable ``RunListVersion`` and gives it a refcount, so
+queries pin it with a single Ref instead of walking the runs.
 """
 
 from __future__ import annotations

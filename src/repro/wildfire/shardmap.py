@@ -232,8 +232,8 @@ class MapPin:
 class ShardMapRegistry:
     """Versionset-style publication of immutable shard maps.
 
-    Mirrors :class:`~repro.core.epoch.RunLifecycle`'s versionset mode at
-    the routing layer: the current map is a single reference, queries
+    Mirrors :class:`~repro.core.epoch.RunLifecycle`'s version set at the
+    routing layer: the current map is a single reference, queries
     refcount whole epochs (one Ref + one Unref each, charged to the
     supplied :class:`~repro.storage.metrics.EpochStats`), and a
     superseded epoch is reclaimed when its last pin exits.  ``drain``

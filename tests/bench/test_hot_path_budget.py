@@ -22,6 +22,7 @@ no plan, exact-key kernel   88.3   202.1
 pin finalizer, no closure   84.3   196.1
 bound ledger rows, one drop 84.3   130.7
 one lifecycle, one format   74.3   119.7
+one lock, no finalizer      68.3   111.7
 =========================  =====  ======
 
 The ceilings below are the last row plus a little headroom for
@@ -35,20 +36,25 @@ list per lookup, the per-run ``_search_start -> _seek -> first_geq ->
 scan_visible`` chain (9 calls per run searched), a generator or a
 property hop in ``sim_now`` (8 calls per call at two shards, twice per
 op), a Python-level ``__hash__`` on ``BlockId`` / ``RID`` (one per tier
-dict probe: 17 per purged lookup), or -- the last row (PR 22) --
-``QueryPin.__del__`` re-entering ``release`` for a pin its query already
-released (2) and a closure per query exit.  The purged column's last row
-(PR 24) is the storage cycle itself: a ``TierStats()`` built per charge,
+dict probe: 17 per purged lookup), or -- the ``pin finalizer`` row --
+a finalizer on the query pin re-entering ``release`` for a pin its query
+already released (2) and a closure per query exit.  The purged column's
+``bound ledger rows`` row is the storage cycle itself: a ``TierStats()``
+built per charge,
 ``_charge_*`` -> ``TierName.value`` -> ``LatencyModel.cost`` ->
 ``record_*`` per tier operation, ``Block.size`` five times a block, a
 locked ``would_fit`` before every ``ssd.write``, the breaker's
 ``_state_locked`` twice per shared read, an ``is_pinned`` per released run
 and a ``drop_from_cache`` -> ``memory.delete`` -> ``ssd.delete`` per
-released block were ~31 calls per block fetched.  The last row is the
-pin and its release as one locked section each: a lifecycle mode
-branch, ``_unpack``, the drain helpers called on empty lists, the current
-node's refresh as a call of its own and ``_in_gc_finalizer`` were ~10
-calls per lookup.  Lower them when the path gets shorter; raise them only
+released block were ~31 calls per block fetched.  The ``one lifecycle``
+row is the pin and its release as one locked section each: a lifecycle
+mode branch, ``_unpack``, the drain helpers called on empty lists, the
+current node's refresh as a call of its own and the in-collector check
+were ~10 calls per lookup.  The last row makes the lifecycle mutex a
+plain ``threading.Lock`` (no Python ``__enter__`` / ``__exit__`` that
+recorded an owner thread for finalizer re-entry), the Unref part of
+``release`` itself and drops the pin's ``__del__``: 6 calls per lookup, 8
+per purged one.  Lower them when the path gets shorter; raise them only
 deliberately.
 
 The write path has the same guard: ``call`` events per ingested row inside
@@ -99,6 +105,7 @@ column-encoded batch keys    3196.1   902.0     819.8        191.3
 point path (see above)       3049.8   885.0     702.4        140.3
 fused kernels, row passes     385.7   257.2     258.1        105.3
 one lifecycle, one format     345.7   237.2     238.4         95.3
+one lock, no finalizer        321.7   225.2     226.5         89.3
 =========================  ========  ======  ========  ===========
 
 A per-call ``candidate_shape``, a per-entry generator hop in the scan, a
@@ -114,7 +121,9 @@ and are projected in list passes with C getters (no ``_entry_values`` /
 133 rows cost ~1,500 calls on their own), ``bind_values`` runs once per
 query and the planner's and the scatter prune's synopsis terms are read
 off the plan template until a publication moves them.  The last row is
-the point path's pin and release again, once per shard searched.
+the point path's pin and release again, once per shard searched: the
+``one lifecycle`` row's one locked section each, the last row's plain
+lock and no finalizer.
 """
 
 import gc
@@ -125,7 +134,7 @@ from pathlib import Path
 E2E = Path(__file__).resolve().parents[2] / "benchmarks" / "e2e"
 
 BEFORE = {"warm": 357.9, "purged": 508.4}
-CEILING = {"warm": 77.0, "purged": 122.0}
+CEILING = {"warm": 71.0, "purged": 115.0}
 
 WRITE_BEFORE = 114.2
 WRITE_CEILING = 29.0
@@ -134,7 +143,7 @@ TYPED_BEFORE = {
     "customer": 11308.5, "region": 2112.6, "range": 3235.7, "equality": 282.6,
 }
 TYPED_CEILING = {
-    "customer": 348.0, "region": 240.0, "range": 241.0, "equality": 98.0,
+    "customer": 325.0, "region": 228.0, "range": 229.0, "equality": 92.0,
 }
 
 ROWS = 6_000

@@ -2,7 +2,7 @@
 
 The claim of the version-set run lifecycle (one Ref/Unref per query on
 the pinned version node): it is safe to fire point lookups, range scans,
-batch lookups and (abandoned) streaming scans from several threads while
+batch lookups and scans over a held snapshot from several threads while
 the groomer, post-groomer, indexer and merge daemons run -- no torn
 snapshots, no ``KeyError``/missing-block reads, and monotonically
 progressing retire/reclaim counters with a non-negative backlog.  The pin
@@ -73,7 +73,8 @@ def seed_baseline(shard: WildfireShard) -> None:
 
 
 # Node-path (version-Ref) queries per completed check_baseline round:
-# index_lookup + range_query + index_batch_lookup + range_scan_iter.
+# index_lookup + range_query + index_batch_lookup + snapshot_view (the
+# range scan inside the view reads the view's pin and takes none).
 QUERIES_PER_ROUND = 4
 
 
@@ -110,12 +111,12 @@ def check_baseline(
             if hit is None:
                 errors.append(f"batch lookup lost a key for device {d}")
                 return
-        # Abandoned streaming scan: take one row, drop the iterator.
-        iterator = shard.index.range_scan_iter(
-            RangeScanQuery(equality_values=(d,))
-        )
-        next(iterator, None)
-        del iterator
+        # A held snapshot: one pin for the view, a materialized scan in it.
+        with shard.index.snapshot_view() as view:
+            held = view.range_scan(RangeScanQuery(equality_values=(d,)))
+        if len(held) < BASELINE_MSGS:
+            errors.append(f"snapshot scan lost rows for device {d}")
+            return
         rounds.append(1)
     except Exception as exc:  # the failure mode under test: no exceptions
         errors.append(repr(exc))
@@ -191,8 +192,7 @@ def run_iteration(seed: int) -> None:
     samples.append((epochs.runs_retired, epochs.runs_reclaimed))
     assert_counters_monotonic(samples)
     # Nothing pinned once quiet: the backlog must fully drain after one
-    # more (pin-free) query round.  (pinned_run_ids also drains any
-    # release a GC finalizer parked.)
+    # more (pin-free) query round.
     assert shard.index.lifecycle.pinned_run_ids() == []
     assert shard.index.lifecycle.retired_backlog() == 0
     # The pin-cost invariant under real daemons: every worker query and

@@ -1,6 +1,5 @@
 """Unit tests for the version-set run lifecycle (repro.core.epoch)."""
 
-import gc
 from contextlib import contextmanager
 
 import pytest
@@ -37,24 +36,15 @@ def build_index(runs=4, per_run=10):
 
 
 # The two ways a reader holds a version: a snapshot view for the length of
-# its scope, and a query's own pin for as long as its scan stays open.
-READERS = ["snapshot-view", "open-scan"]
+# its scope, and a query's own pin on the lifecycle.
+READERS = ["snapshot-view", "query-pin"]
 
 
 @contextmanager
 def reading(index, reader):
-    """Hold ``reader``'s pin on the index's current version for the scope;
-    the open scan has yielded its first entry and is closed on exit."""
-    if reader == "snapshot-view":
-        with index.snapshot_view():
-            yield
-        return
-    scan = index.range_scan_iter(RangeScanQuery(equality_values=(1,)))
-    next(scan)
-    try:
+    """Hold ``reader``'s pin on the index's current version for the scope."""
+    with index.snapshot_view() if reader == "snapshot-view" else index.lifecycle.pin():
         yield
-    finally:
-        scan.close()
 
 
 class FakeRun:
@@ -153,93 +143,6 @@ class TestRunLifecycleUnit:
         pin = lifecycle.pin()  # the snapshot no longer holds r1
         assert freed == ["r1"] and pin.runs == ()
         pin.release()
-
-    def test_release_during_gc_parks_and_defers_hook(self):
-        """A release fired while the cyclic collector runs must neither
-        take locks nor run reclaims/hooks inline (the interrupted thread
-        may hold any storage lock); it parks and drains on the next op."""
-        import repro.core.epoch as epoch_mod
-
-        stats = EpochStats()
-        lists = FakeVersionedList(stats, "r1")
-        lifecycle = lists.lifecycle
-        freed, hooked = [], []
-        pin = lifecycle.pin()
-        lists.remove("r1")
-        lifecycle.retire("r1", lambda: freed.append("r1"))
-        epoch_mod._gc_active.flag = True  # simulate: collector running
-        try:
-            lifecycle.release(pin, after=lambda: hooked.append(1))
-            assert freed == [] and hooked == []  # parked, nothing inline
-            assert lifecycle._pending_releases
-        finally:
-            epoch_mod._gc_active.flag = False
-        # Next lifecycle operation drains: hook runs, reclaim unblocks.
-        other = lifecycle.pin()
-        assert hooked == [1] and freed == ["r1"]
-        other.release()
-        assert stats.pins_entered == stats.pins_exited == 2
-
-    def test_a_released_pins_finalizer_stays_out_of_the_lifecycle(self):
-        """Every query's pin dies released; its ``__del__`` must return at
-        once instead of re-entering ``RunLifecycle.release`` (which then
-        finds ``_released`` set -- one wasted call per query).  An
-        abandoned, never-released pin is still released by its finalizer:
-        parked when the collector runs it, drained by the next operation."""
-        import repro.core.epoch as epoch_mod
-
-        stats = EpochStats()
-        lists = FakeVersionedList(stats, "r1")
-        lifecycle = lists.lifecycle
-        released = []
-        real_release = lifecycle.release
-
-        def counting_release(pin, *args):
-            released.append(pin.released)
-            return real_release(pin, *args)
-
-        lifecycle.release = counting_release
-        pin = lifecycle.pin()
-        pin.release()
-        assert released == [False]
-        pin.__del__()  # what dropping the last reference runs
-        del pin
-        assert released == [False]  # no second call
-
-        lists.add(FakeRun("r2"))
-        abandoned = lifecycle.pin()
-        assert lifecycle.is_pinned("r2")
-        epoch_mod._gc_active.flag = True  # simulate: collector running
-        try:
-            del abandoned  # never released: the finalizer is the backstop
-        finally:
-            epoch_mod._gc_active.flag = False
-        assert released == [False, False]
-        assert lifecycle._pending_releases and lifecycle.is_pinned("r2")
-        lifecycle.retired_backlog()  # any lifecycle operation drains
-        assert not lifecycle.is_pinned("r2")
-        assert stats.pins_entered == stats.pins_exited == 2
-
-    def test_a_release_inside_this_threads_locked_section_parks(self):
-        """A finalizer can run at any allocation, also one made while this
-        thread holds the (non-reentrant) lifecycle mutex: a ``release``
-        issued there must park, hook and arguments with it, and be applied
-        by the next lifecycle operation -- outside the mutex."""
-        stats = EpochStats()
-        lists = FakeVersionedList(stats, "r1")
-        lifecycle = lists.lifecycle
-        pin = lifecycle.pin()
-        done = []
-        with lifecycle._locked:
-            lifecycle.release(pin, done.append, "touched")
-            assert lifecycle._pending_releases
-            assert stats.pins_exited == 0 and not done
-        assert lifecycle.is_pinned("r1")  # is_pinned does not drain
-        lifecycle.pin().release()
-        assert not lifecycle._pending_releases
-        assert not lifecycle.is_pinned("r1")
-        assert done == ["touched"]
-        assert stats.pins_entered == stats.pins_exited == 2
 
     def test_counters_are_monotonic(self):
         stats = EpochStats()
@@ -444,60 +347,6 @@ class TestPurgePassUnderPins:
         assert index.hierarchy.ssd.utilization() >= index.cache.high_watermark
 
 
-class TestAbandonedIterators:
-    def test_abandoned_iterator_releases_its_pin(self):
-        """Regression (ISSUE 4 satellite): epoch exit and purged-block
-        release must fire for iterators dropped mid-stream."""
-        index = build_index(runs=3, per_run=10)
-        iterator = index.range_scan_iter(RangeScanQuery(equality_values=(12,)))
-        next(iterator)
-        assert index.lifecycle.pinned_run_ids()  # mid-scan: pinned
-        del iterator
-        gc.collect()
-        assert index.lifecycle.pinned_run_ids() == []
-        stats = index.hierarchy.stats.epochs
-        assert stats.pins_entered == stats.pins_exited
-
-    def test_never_started_iterator_releases_on_gc(self):
-        index = build_index(runs=2)
-        iterator = index.range_scan_iter(RangeScanQuery(equality_values=(3,)))
-        assert index.lifecycle.pinned_run_ids()
-        del iterator
-        gc.collect()
-        assert index.lifecycle.pinned_run_ids() == []
-
-    def test_abandoned_iterator_unblocks_reclamation(self):
-        index = build_index(runs=2)
-        iterator = index.range_scan_iter(RangeScanQuery(equality_values=(3,)))
-        next(iterator)
-        entries = make_entries(DEF, range(20), 1, Zone.POST_GROOMED, 100)
-        index.evolve_streaming(1, rid_map(entries), 0, 1)
-        assert index.lifecycle.retired_backlog() > 0
-        iterator.close()
-        assert index.lifecycle.retired_backlog() == 0
-
-    def test_exhausted_iterator_releases_inline(self):
-        index = build_index(runs=2)
-        list(index.range_scan_iter(RangeScanQuery(equality_values=(3,))))
-        assert index.lifecycle.pinned_run_ids() == []
-
-    def test_abandoned_iterator_releases_purged_blocks(self):
-        """The documented leak: purged blocks pulled in by a scan must be
-        released even when the iterator never runs to completion."""
-        index = build_index(runs=2, per_run=30)
-        index.cache.set_cache_level(-1)  # everything purged
-        runs = index.run_lists[Zone.GROOMED].snapshot()
-        run = next(r for r in runs if r.min_groomed_id == 0)
-        iterator = index.range_scan_iter(RangeScanQuery(equality_values=(5,)))
-        next(iterator)
-        # The scan warmed purged blocks through the QUERY read path.
-        del iterator
-        gc.collect()
-        # finally ran: on_query_done released the transient blocks.
-        assert not index.cache.is_run_cached(run)
-        assert index.lifecycle.pinned_run_ids() == []
-
-
 class TestVersionSetLifecycle:
     """O(1) pins, version-chain reclamation."""
 
@@ -629,37 +478,30 @@ class TestVersionSetLifecycle:
             index.lookup((gid * 10,), (gid * 10,))
             assert index.lifecycle.live_version_count() == 1
 
-    def test_publication_never_runs_reclaims_or_hooks_inline(self):
+    def test_publication_never_runs_reclaims_inline(self):
         """Regression (review finding): ``note_publish`` fires inside
         ``RunList._publish_locked`` -- while the mutator still holds the
-        run list's mutation lock -- so a publication that kills a
-        superseded version must NOT execute the reclaims or parked
-        release hooks it unblocks; they drain on the next lifecycle
-        operation that runs unlocked."""
-        import repro.core.epoch as epoch_mod
+        run list's mutation lock -- so it must never execute a retired
+        run's reclaim; reclaims run from the pin, release, retire or
+        backlog probe that follows, outside that lock."""
+        index = build_index(runs=3)
+        groomed = index.run_lists[Zone.GROOMED]
+        newest, middle, _ = groomed.snapshot()
+        freed = []
 
-        stats = EpochStats()
-        lists = FakeVersionedList(stats)
-        lifecycle = lists.lifecycle
-        lists.add(FakeRun("r1"))
-        pin = lifecycle.pin()      # refs version {r1}
-        freed, hooked = [], []
-        lists.remove("r1")
-        lifecycle.retire("r1", lambda: freed.append("r1"))
-        assert freed == []                      # covered by the pinned V1
-        # The pin's release arrives from a GC finalizer: it parks.
-        epoch_mod._gc_active.flag = True
-        try:
-            lifecycle.release(pin, after=lambda: hooked.append(1))
-        finally:
-            epoch_mod._gc_active.flag = False
-        # A publication (mutator holds its run-list mutation lock here)
-        # must leave both the parked release and the reclaim untouched.
-        lists.add(FakeRun("r2"))
-        assert freed == [] and hooked == []
-        # The next unlocked lifecycle operation drains everything.
-        assert lifecycle.retired_backlog() == 0
-        assert freed == ["r1"] and hooked == [1]
+        def reclaim(run_id):
+            return lambda: freed.append((run_id, groomed._mutation_lock.locked()))
+
+        pin = index.lifecycle.pin()        # refs the version holding every run
+        for run in (newest, middle):
+            groomed.remove(run.run_id)
+            index.lifecycle.retire(run.run_id, reclaim(run.run_id))
+        index.add_groomed_run(make_entries(DEF, range(40, 50), 41), 4, 4)
+        assert freed == []                 # parked behind the pin
+        pin.release()                      # the covering version dies here
+        assert sorted(freed) == sorted([(newest.run_id, False), (middle.run_id, False)])
+        index.add_groomed_run(make_entries(DEF, range(50, 60), 51), 5, 5)
+        assert index.lifecycle.retired_backlog() == 0 and len(freed) == 2
 
 
 class TestVersionCoalescing:

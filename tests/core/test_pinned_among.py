@@ -9,7 +9,6 @@ un-released and what their snapshots held checks both from the outside.
 import pytest
 from hypothesis import given, settings, strategies as st
 
-import repro.core.epoch as epoch_mod
 from repro.core.entry import Zone
 from repro.storage.metrics import EpochStats, ReadIntent
 
@@ -30,7 +29,6 @@ steps = st.one_of(
     st.tuples(st.just("retire"), st.sampled_from(RUN_IDS)),
     st.tuples(st.just("pin_version")),
     st.tuples(st.just("release"), st.integers(0, 7)),
-    st.tuples(st.just("release_in_gc"), st.integers(0, 7)),
     st.tuples(st.just("drain")),
 )
 
@@ -41,7 +39,6 @@ def test_pinned_among_is_the_per_run_walk_for_every_run_at_once(sequence):
     published = FakeVersionedList(EpochStats())
     lifecycle = published.lifecycle
     live = []  # (pin, the run ids its snapshot held): released ones leave
-    parked = []  # released while "the collector ran": still counted as held
     for step in sequence:
         kind = step[0]
         if kind == "publish" and all(r.run_id != step[1] for r in published.runs):
@@ -49,30 +46,18 @@ def test_pinned_among_is_the_per_run_walk_for_every_run_at_once(sequence):
         elif kind == "retire" and any(r.run_id == step[1] for r in published.runs):
             published.remove(step[1])
             lifecycle.retire(step[1], lambda: None)
-            parked.clear()  # retire drains parked releases
         elif kind == "pin_version":
             live.append((lifecycle.pin(), {r.run_id for r in published.runs}))
-            parked.clear()  # so does pin
-        elif kind in ("release", "release_in_gc") and live:
-            pin, held = live.pop(step[1] % len(live))
-            if kind == "release":
-                pin.release()
-                parked.clear()
-            else:
-                epoch_mod._gc_active.flag = True
-                try:
-                    pin.release()
-                finally:
-                    epoch_mod._gc_active.flag = False
-                parked.append(held)
+        elif kind == "release" and live:
+            pin, _ = live.pop(step[1] % len(live))
+            pin.release()
         elif kind == "drain":
             lifecycle.retired_backlog()
-            parked.clear()
 
         answer = lifecycle.pinned_among(RUN_IDS)
         assert answer == {r for r in RUN_IDS if reference_is_pinned(lifecycle, r)}
         assert answer == {r for r in RUN_IDS if lifecycle.is_pinned(r)}
-        held_by_queries = set().union(*(held for _, held in live), *parked)
+        held_by_queries = set().union(*(held for _, held in live))
         assert answer == held_by_queries
         assert lifecycle.pinned_among(()) == set()
     for pin, _ in live:
@@ -83,18 +68,6 @@ def test_the_current_versions_own_reference_pins_nothing():
     lifecycle = FakeVersionedList(EpochStats(), *RUN_IDS).lifecycle
     lifecycle.pin().release()  # builds the current node
     assert lifecycle.pinned_among(RUN_IDS) == set()
-
-
-def test_a_parked_release_still_reads_as_pinned():
-    lifecycle = FakeVersionedList(EpochStats(), "r1", "r2").lifecycle
-    pin = lifecycle.pin()
-    with lifecycle._locked:  # a finalizer firing inside a locked section
-        lifecycle.release(pin)
-    assert lifecycle._pending_releases
-    assert lifecycle.pinned_among(["r0", "r1", "r2"]) == {"r1", "r2"}
-    assert lifecycle._pending_releases  # asking does not drain
-    lifecycle.retired_backlog()
-    assert lifecycle.pinned_among(["r0", "r1", "r2"]) == set()
 
 
 def purged_index_with_fetched_blocks(runs=3):

@@ -107,7 +107,6 @@ class TestMistypedKeyValues:
             lambda: executor.point_lookup(PointLookup((1,), (bad,))),
             lambda: executor.range_scan(RangeScanQuery((1,), (bad,), None)),
             lambda: executor.range_scan(RangeScanQuery((1,), None, (bad,))),
-            lambda: list(executor.range_scan_iter(RangeScanQuery((1,), (bad,)))),
         ):
             with pytest.raises(QueryError) as refused:
                 door()
@@ -190,10 +189,14 @@ class TestReconciliation:
     def test_set_and_priority_queue_agree(self):
         runs = self.make_version_runs()
         ex = executor_for(runs)
-        query = RangeScanQuery((1,), (0,), (9,))
-        set_result = ex.range_scan(query, ReconcileStrategy.SET)
-        pq_result = ex.range_scan(query, ReconcileStrategy.PRIORITY_QUEUE)
-        assert set_result == pq_result
+        for query in (
+            RangeScanQuery((1,), (0,), (9,)),
+            RangeScanQuery((10_000,)),  # an empty range
+        ):
+            set_result = ex.range_scan(query, ReconcileStrategy.SET)
+            pq_result = ex.range_scan(query, ReconcileStrategy.PRIORITY_QUEUE)
+            assert set_result == pq_result
+        assert pq_result == []
 
     def test_results_are_key_ordered(self):
         runs = self.make_version_runs()
@@ -203,9 +206,15 @@ class TestReconciliation:
 
     def test_snapshot_reverts_to_older_version(self):
         runs = self.make_version_runs()
-        hits = executor_for(runs).range_scan(RangeScanQuery((1,), (0,), (9,), query_ts=10))
-        got = {(e.sort_values[0], e.begin_ts) for e in hits}
-        assert got == {(m, m + 1) for m in range(5)}
+        for query_ts, expected in (
+            (10, {(m, m + 1) for m in range(5)}),
+            (0, set()),  # below every version: nothing is visible
+        ):
+            hits = executor_for(runs).range_scan(
+                RangeScanQuery((1,), (0,), (9,), query_ts=query_ts)
+            )
+            got = {(e.sort_values[0], e.begin_ts) for e in hits}
+            assert got == expected
 
     def test_cross_zone_duplicate_reconciled_once(self):
         hierarchy = StorageHierarchy()

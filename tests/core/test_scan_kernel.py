@@ -21,8 +21,7 @@ Two differences from the *per-entry* oracle are by design and asserted as
 such.  ``range_scan`` walks its runs one after the other (like the set
 approach always did) instead of interleaving them through a heap, so
 against the heap oracle its block fetches are the same *set*, grouped by
-run; ``range_scan_iter`` still interleaves and must match the heap oracle
-fetch for fetch.  And a batch that mixes snapshots is searched in the same
+run.  And a batch that mixes snapshots is searched in the same
 single pass as any other, where the per-entry oracle re-enters the run
 once per key with the cursor reset.  Each key's binary search then runs
 over a sub-range of the oracle's: it touches no other block, and usually
@@ -301,7 +300,7 @@ def assert_lookup_matches(hierarchy, run, key, ts, hash_value, use_offset_array)
 class TestRangeScan:
     @settings(max_examples=150, deadline=None)
     @given(data=st.data())
-    def test_both_strategies_and_the_iterator_match_the_oracle(self, data):
+    def test_both_strategies_match_the_oracle(self, data):
         definition, hierarchy, runs = data.draw(fixtures())
         query = data.draw(scans(definition, runs))
         bounds = compute_scan_bounds(definition, query)
@@ -325,13 +324,6 @@ class TestRangeScan:
             # Run by run: the set oracle's order, the heap oracle's set.
             assert scan.fetched == by_set.fetched
             assert sorted(scan.fetched) == sorted(heap.fetched)
-
-        streamed = Observed(
-            hierarchy, runs, lambda: list(executor.range_scan_iter(query))
-        )
-        assert streamed.result == heap.result
-        assert streamed.probes == heap.probes
-        assert streamed.fetched == heap.fetched
 
     @settings(max_examples=100, deadline=None)
     @given(data=st.data())
