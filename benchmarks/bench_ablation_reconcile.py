@@ -58,7 +58,7 @@ def ablation_reconcile_strategies() -> ExperimentResult:
             qgen = QueryBatchGenerator(mapper, total, seed=61)
             scan = qgen.sequential_scan(scan_range)
             before = decode.snapshot()
-            results = index.range_scan(scan, strategy)
+            results = index.executor.scan(*scan, strategy=strategy)
             probes = decode.diff(before).raw_key_probes
             probes_line.add(scan_range, float(probes))
             metrics[f"raw_key_probes_{strategy.value}_range{scan_range}"] = (
@@ -73,7 +73,7 @@ def ablation_reconcile_strategies() -> ExperimentResult:
                 float(fingerprint == other),
             )
             elapsed = measure_wall_s(
-                lambda: index.range_scan(scan, strategy),
+                lambda: index.executor.scan(*scan, strategy=strategy),
                 repeat=1,  # counter-asserted: wall time is plotted only
             )
             if base is None:

@@ -51,8 +51,11 @@ def test_merge_path_is_zero_decode():
     # re-encode its sort key for heap ordering, re-serialize to build.
     def legacy_merge():
         def stream(run, recency):
-            for entry in run.iter_entries():
-                yield entry.sort_key(definition), recency, entry
+            for block_index in range(run.header.num_data_blocks):
+                view = run.block_view(block_index)
+                for i in range(view.count):
+                    entry = view.entry(i)
+                    yield entry.sort_key(definition), recency, entry
 
         previous = None
         for sort_key, _recency, entry in heapq.merge(

@@ -479,7 +479,9 @@ def multi_run_figures(key_mode: KeyMode, number: int) -> List[ExperimentResult]:
         scan = getattr(qgen, f"{kind}_scan")(scan_range)
         return timed(
             scan_index,
-            lambda: scan_index.range_scan(scan, ReconcileStrategy.PRIORITY_QUEUE),
+            lambda: scan_index.executor.scan(
+                *scan, strategy=ReconcileStrategy.PRIORITY_QUEUE
+            ),
             lambda: decode.entry_decodes + decode.raw_key_probes,
         )
 

@@ -12,10 +12,10 @@ Conceptually a B+-tree flattened into a sorted array (bisect-based); used
 from __future__ import annotations
 
 import bisect
-from typing import Iterable, List, Optional, Tuple
+from typing import Iterable, List, Optional
 
 from repro.core.definition import IndexDefinition
-from repro.core.encoding import encode_ts_desc, prefix_successor
+from repro.core.encoding import prefix_successor
 from repro.core.entry import IndexEntry
 
 

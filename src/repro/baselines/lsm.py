@@ -20,7 +20,7 @@ from __future__ import annotations
 
 import enum
 import threading
-from typing import Callable, Dict, Iterable, List, Optional, Tuple
+from typing import Callable, Dict, Iterable, List, Optional
 
 from repro.core.builder import RunBuilder
 from repro.core.definition import IndexDefinition
@@ -244,113 +244,64 @@ class ClassicLSMIndex:
     # -- the fixed-RID weakness ---------------------------------------------------------------
 
     def rebuild_with_rids(
-        self,
-        remap: Optional[Callable[[IndexEntry], Optional[RID]]] = None,
-        remap_raw: Optional[Callable[[bytes, bytes], Optional[RID]]] = None,
+        self, remap_raw: Callable[[bytes, bytes], Optional[RID]]
     ) -> int:
         """Full rebuild after RIDs change (the only correct response a
         zone-oblivious LSM index has to data evolution).
 
-        Exactly one remap callback must be given:
-
-        * ``remap_raw(sort_key, blob)`` -- the zero-decode path: entries
-          stream off the runs as raw ``(sort_key, entry_blob)`` pairs, the
-          callback decides the new RID from the raw slices (``beginTS`` is
-          the sort key's fixed 8-byte suffix, the old RID the blob's
-          fixed 13-byte suffix), and the rewrite is a splice over that
-          suffix -- no :class:`IndexEntry` is ever materialized for
-          unchanged or spliced entries.  Because it
-          reuses the K-way blob merge, *physical duplicates* -- the same
-          ``(key, beginTS)`` version present in several runs -- collapse
-          to the newest run's copy (and are not counted as rewritten),
-          whereas the decoded path below preserves them verbatim;
-        * ``remap(entry)`` -- the legacy decoded-entry API, kept for
-          callers that need column values to decide (pays a wholesale
-          decode of every entry, the cost the raw API exists to avoid).
-
-        Both return the entry's new RID, or ``None`` to keep the old one,
-        and the method returns the number of entries rewritten.  Compare
-        the cost of this rebuild with Umzi's incremental evolve in
+        Zero-decode: entries stream off the runs as raw ``(sort_key,
+        entry_blob)`` pairs, ``remap_raw(sort_key, blob)`` decides the new
+        RID from the raw slices (``beginTS`` is the sort key's fixed
+        8-byte suffix, the old RID the blob's fixed 13-byte suffix) or
+        returns ``None`` to keep the old one, and the rewrite is a splice
+        over that suffix -- no :class:`IndexEntry` is ever materialized.
+        Because it reuses the K-way blob merge, *physical duplicates* --
+        the same ``(key, beginTS)`` version present in several runs --
+        collapse to the newest run's copy (and are not counted as
+        rewritten).  Returns the number of entries rewritten.  Compare the
+        cost of this rebuild with Umzi's incremental evolve in
         ``benchmarks/bench_ablation_baselines.py``.
         """
-        if (remap is None) == (remap_raw is None):
-            raise ValueError("pass exactly one of remap / remap_raw")
         with self._lock:
-            if remap_raw is not None:
-                return self._rebuild_raw_locked(remap_raw)
-            return self._rebuild_decoded_locked(remap)
+            if self._memtable:
+                # Runs are the raw substrate; flush pending entries into
+                # one (each is serialized exactly once by the builder) so
+                # the whole rebuild streams blobs.  Suppress the merge
+                # policy -- the rebuild collapses everything into one run
+                # anyway.
+                self._flush_locked(maybe_merge=False)
+            runs = self._runs_newest_first()
+            if not runs:
+                return 0
+            counts = {"rewritten": 0}
 
-    def _rebuild_raw_locked(
-        self, remap_raw: Callable[[bytes, bytes], Optional[RID]]
-    ) -> int:
-        """Zero-decode rebuild: K-way blob merge + RID splices."""
-        if self._memtable:
-            # Runs are the raw substrate; flush pending entries into one
-            # (each is serialized exactly once by the builder) so the
-            # whole rebuild streams blobs.  Suppress the merge policy --
-            # the rebuild collapses everything into one run anyway.
-            self._flush_locked(maybe_merge=False)
-        runs = self._runs_newest_first()
-        if not runs:
-            return 0
-        counts = {"rewritten": 0}
+            def spliced_pairs():
+                for sort_key, blob in merge_entry_blob_streams(
+                    self.definition, runs
+                ):
+                    new_rid = remap_raw(sort_key, blob)
+                    if new_rid is not None:
+                        new_rid_bytes = new_rid.to_bytes()
+                        if new_rid_bytes != blob[-RID_BYTES:]:
+                            counts["rewritten"] += 1
+                            blob = blob[:-RID_BYTES] + new_rid_bytes
+                    yield sort_key, blob
 
-        def spliced_pairs():
-            for sort_key, blob in merge_entry_blob_streams(
-                self.definition, runs
-            ):
-                new_rid = remap_raw(sort_key, blob)
-                if new_rid is not None:
-                    new_rid_bytes = new_rid.to_bytes()
-                    if new_rid_bytes != blob[-RID_BYTES:]:
-                        counts["rewritten"] += 1
-                        blob = blob[:-RID_BYTES] + new_rid_bytes
-                yield sort_key, blob
-
-        new_run = self.builder.build_from_blobs(
-            run_id=self._next_run_id(),
-            blob_pairs=spliced_pairs(),
-            synopsis=Synopsis.union([r.header.synopsis for r in runs]),
-            zone=Zone.GROOMED,
-            level=0,
-            min_groomed_id=0,
-            max_groomed_id=0,
-        )
-        for run in runs:
-            self.hierarchy.delete_namespace(run.run_id)
-        self._levels = []
-        self._install(new_run, 0)
-        self._maybe_merge_locked()
-        return counts["rewritten"]
-
-    def _rebuild_decoded_locked(
-        self, remap: Callable[[IndexEntry], Optional[RID]]
-    ) -> int:
-        """Legacy rebuild: decode every entry, remap, re-serialize."""
-        entries: List[IndexEntry] = list(self._memtable)
-        runs = self._runs_newest_first()
-        for run in runs:
-            entries.extend(run.all_entries())
-        rewritten = 0
-        remapped: List[IndexEntry] = []
-        for entry in entries:
-            new_rid = remap(entry)
-            if new_rid is not None and new_rid != entry.rid:
-                from dataclasses import replace
-
-                entry = replace(entry, rid=new_rid)
-                rewritten += 1
-            remapped.append(entry)
-        for run in runs:
-            self.hierarchy.delete_namespace(run.run_id)
-        self._levels = []
-        self._memtable = []
-        if remapped:
-            # _build_run sorts internally; install as the single run.
-            run = self._build_run(remapped, level=0)
-            self._install(run, 0)
+            new_run = self.builder.build_from_blobs(
+                run_id=self._next_run_id(),
+                blob_pairs=spliced_pairs(),
+                synopsis=Synopsis.union([r.header.synopsis for r in runs]),
+                zone=Zone.GROOMED,
+                level=0,
+                min_groomed_id=0,
+                max_groomed_id=0,
+            )
+            for run in runs:
+                self.hierarchy.delete_namespace(run.run_id)
+            self._levels = []
+            self._install(new_run, 0)
             self._maybe_merge_locked()
-        return rewritten
+            return counts["rewritten"]
 
     # -- introspection ---------------------------------------------------------------------------
 

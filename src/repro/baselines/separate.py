@@ -19,11 +19,11 @@ from __future__ import annotations
 
 import enum
 import threading
-from typing import Dict, Iterable, List, Optional, Tuple
+from typing import Dict, Iterable, List, Optional
 
 from repro.baselines.btree import SortedArrayIndex
 from repro.core.definition import IndexDefinition
-from repro.core.entry import IndexEntry, Zone
+from repro.core.entry import IndexEntry
 from repro.core.query import MAX_QUERY_TS
 
 

@@ -8,10 +8,13 @@ Public API
     (paper section 4.1).
 :class:`~repro.core.index.UmziIndex`
     The index facade: run ingestion, merge, evolve, caching, recovery and
-    queries over the multi-zone run lists.
+    the three reads of section 7 -- :meth:`UmziIndex.scan`,
+    :meth:`UmziIndex.lookup` and :meth:`UmziIndex.batch_lookup` -- over
+    the multi-zone run lists.
 :class:`~repro.core.query.RangeScanQuery` / :class:`~repro.core.query.PointLookup`
-    Query descriptors accepted by :meth:`UmziIndex.range_scan` and
-    :meth:`UmziIndex.point_lookup`.
+    Plain query records (one scan's bounds, one lookup's key and
+    snapshot); ``index.executor.scan(*query)`` / ``index.lookup(*lookup)``
+    run them.
 
 Everything else (run formats, run lists, merge policy, cache manager) is
 importable for tests, benchmarks and power users but is not needed for

@@ -16,7 +16,7 @@ from __future__ import annotations
 
 import math
 import struct
-from typing import Iterable, List, Optional
+from typing import Iterable
 
 from repro.core.encoding import UINT64_MAX, fnv1a64
 

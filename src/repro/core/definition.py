@@ -18,8 +18,8 @@ from __future__ import annotations
 
 import enum
 import struct
-from dataclasses import dataclass, field
-from typing import Dict, Iterable, List, Mapping, Optional, Sequence, Tuple
+from dataclasses import dataclass
+from typing import Iterable, List, Mapping, Optional, Sequence, Tuple
 
 from repro.core.encoding import (
     INT64_MAX,

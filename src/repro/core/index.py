@@ -9,9 +9,8 @@ concurrent evolve operations.
 from __future__ import annotations
 
 import threading
-from contextlib import contextmanager
 from dataclasses import dataclass, field
-from typing import Dict, Iterable, Iterator, List, Optional, Sequence, Tuple
+from typing import Callable, Dict, Iterable, List, Optional, Sequence, Tuple
 
 from repro.core.builder import DEFAULT_DATA_BLOCK_BYTES, RunBuilder
 from repro.core.cache import CacheManager
@@ -23,14 +22,7 @@ from repro.core.ids import RunIdAllocator, parse_run_seq
 from repro.core.journal import MetadataJournal
 from repro.core.levels import LevelConfig
 from repro.core.merge import MergeController, MergeResult
-from repro.core.query import (
-    MAX_QUERY_TS,
-    PointLookup,
-    QueryError,
-    QueryExecutor,
-    RangeScanQuery,
-    ReconcileStrategy,
-)
+from repro.core.query import MAX_QUERY_TS, QueryError, QueryExecutor
 from repro.core.recovery import RecoveredState, recover_index_state
 from repro.core.run import IndexRun, Synopsis
 from repro.core.runlist import RunList
@@ -43,10 +35,10 @@ from repro.storage.metrics import ReadIntent
 class SnapshotPin:
     """A pinned run-list version plus an executor that queries it.
 
-    Handle form of :meth:`UmziIndex.snapshot_view` for holders whose
-    lifetime is not lexical: the pin keeps every run of the version alive
-    (cache eviction skips pinned runs, physical frees defer) until
-    :meth:`release` -- call it exactly once; extra releases are no-ops.
+    The pin keeps every run of the version alive (cache eviction skips
+    pinned runs, physical frees defer) until :meth:`release` -- called
+    explicitly by holders whose lifetime is not lexical, or on leaving a
+    ``with`` block; extra releases are no-ops.
     """
 
     def __init__(self, pin, executor: QueryExecutor) -> None:
@@ -165,7 +157,7 @@ class UmziIndex:
         )
         self.executor = QueryExecutor(
             definition,
-            collect_runs=self._collect_candidate_runs,
+            collect_runs=self.visible_runs,
             use_synopsis=self.config.use_synopsis,
             use_offset_array=self.config.use_offset_array,
             per_key_batch_pruning=self.config.per_key_batch_pruning,
@@ -318,33 +310,6 @@ class UmziIndex:
     # queries (paper section 7)
     # ------------------------------------------------------------------------------
 
-    def range_scan(
-        self,
-        query: RangeScanQuery,
-        strategy: ReconcileStrategy = ReconcileStrategy.PRIORITY_QUEUE,
-    ) -> List[IndexEntry]:
-        return self.executor.range_scan(query, strategy)
-
-    def point_lookup(self, lookup: PointLookup) -> Optional[IndexEntry]:
-        return self.executor.lookup(*lookup)
-
-    def batch_lookup(
-        self, keys: Sequence[Sequence[KeyValue]], query_ts: int
-    ) -> List[Optional[IndexEntry]]:
-        """Batched point lookups at one snapshot (section 7.2), answers in
-        input order.  Each key is one tuple of the key columns' values
-        (equality, then sort); per-key snapshots are
-        :meth:`QueryExecutor.batch_lookup`'s."""
-        if not keys:
-            return []
-        try:
-            columns = list(zip(*keys, strict=True))
-        except ValueError:
-            raise QueryError("the keys of a batch differ in width") from None
-        return self.executor.batch_lookup_columns(columns, query_ts)
-
-    # -- convenience wrappers ---------------------------------------------------------
-
     def lookup(
         self,
         equality_values: Sequence[KeyValue] = (),
@@ -360,14 +325,24 @@ class UmziIndex:
         sort_upper: Optional[Sequence[KeyValue]] = None,
         query_ts: int = MAX_QUERY_TS,
     ) -> List[IndexEntry]:
-        return self.range_scan(
-            RangeScanQuery(
-                tuple(equality_values),
-                tuple(sort_lower) if sort_lower is not None else None,
-                tuple(sort_upper) if sort_upper is not None else None,
-                query_ts,
-            )
+        return self.executor.scan(
+            equality_values, sort_lower, sort_upper, query_ts
         )
+
+    def batch_lookup(
+        self, keys: Sequence[Sequence[KeyValue]], query_ts: int
+    ) -> List[Optional[IndexEntry]]:
+        """Batched point lookups at one snapshot (section 7.2), answers in
+        input order.  Each key is one tuple of the key columns' values
+        (equality, then sort); per-key snapshots are
+        :meth:`QueryExecutor.batch_lookup`'s."""
+        if not keys:
+            return []
+        try:
+            columns = list(zip(*keys, strict=True))
+        except ValueError:
+            raise QueryError("the keys of a batch differ in width") from None
+        return self.executor.batch_lookup_columns(columns, query_ts)
 
     # ------------------------------------------------------------------------------
     # candidate-run collection
@@ -411,56 +386,43 @@ class UmziIndex:
             watermark=watermark_value,
         )
 
-    def _collect_candidate_runs(self) -> List[IndexRun]:
-        """Candidate runs, newest first (list view of the current version)."""
-        return self._collect_version().candidates()
-
     def visible_runs(self) -> List[IndexRun]:
-        """Public view of the current version's candidate runs (ISSUE 9).
+        """The current version's candidate runs, newest first.
 
         The access-path planner's statistics layer folds these runs'
         headers into an :class:`~repro.planner.stats.AccessPathSynopsis`
         without decoding an entry; freshness is keyed on
         ``lifecycle.version_seq``, which every publication increments.
         """
-        return self._collect_candidate_runs()
+        return self._collect_version().candidates()
 
-    def pin_snapshot(self) -> "SnapshotPin":
-        """Pin the current :class:`RunListVersion` for repeatable reads.
-
-        Returns a :class:`SnapshotPin` -- a long-lived handle whose
-        executor answers every query from the pinned version, no matter
-        how many evolves or merges commit in the meantime; the pin keeps
-        the version's runs alive until :meth:`SnapshotPin.release`.
-        Callers that want scope semantics should prefer
-        :meth:`snapshot_view`; the explicit handle exists for holders
-        whose lifetime is not lexical (e.g. the cluster's degraded-read
-        mode keeps a pin open for as long as a storage brownout lasts).
-        """
-        pin = self.lifecycle.pin()
-        executor = QueryExecutor(
+    def _fixed_executor(
+        self, collect_runs: Callable[[], Sequence[IndexRun]]
+    ) -> QueryExecutor:
+        """An executor over runs its caller has pinned: no lifecycle, no
+        release hook, the query flags of :attr:`config`."""
+        return QueryExecutor(
             self.definition,
-            collect_runs=lambda: pin.runs,
+            collect_runs=collect_runs,
             use_synopsis=self.config.use_synopsis,
             use_offset_array=self.config.use_offset_array,
             per_key_batch_pruning=self.config.per_key_batch_pruning,
         )
-        return SnapshotPin(pin, executor)
 
-    @contextmanager
-    def snapshot_view(self) -> Iterator[QueryExecutor]:
-        """Scope-bound :meth:`pin_snapshot` (the common case).
+    def pin_snapshot(self) -> "SnapshotPin":
+        """Pin the current :class:`RunListVersion` for repeatable reads.
 
-        Yields a :class:`QueryExecutor` whose every query answers from the
-        pinned version.  (Individual queries outside this scope already pin
-        per-query; this is for callers that need *several* queries over one
-        consistent snapshot.)
+        Returns a :class:`SnapshotPin` whose executor answers every query
+        from the pinned version, no matter how many evolves or merges
+        commit in the meantime; the pin keeps the version's runs alive
+        until :meth:`SnapshotPin.release`.  Use it as a context manager
+        for several queries over one consistent snapshot, or hold it
+        explicitly when the lifetime is not lexical (the cluster's
+        degraded-read mode keeps a pin open for as long as a storage
+        brownout lasts).  Individual queries already pin per query.
         """
-        snapshot = self.pin_snapshot()
-        try:
-            yield snapshot.executor
-        finally:
-            snapshot.release()
+        pin = self.lifecycle.pin()
+        return SnapshotPin(pin, self._fixed_executor(lambda: pin.runs))
 
     def post_groomed_batch_lookup(
         self, key_columns: Sequence[Sequence[KeyValue]], query_ts: int
@@ -480,12 +442,7 @@ class UmziIndex:
         and reads that version's post-groomed runs.
         """
         with self.lifecycle.pin() as pin:
-            executor = QueryExecutor(
-                self.definition,
-                collect_runs=lambda: pin.version.post_groomed,
-                use_synopsis=self.config.use_synopsis,
-                use_offset_array=self.config.use_offset_array,
-            )
+            executor = self._fixed_executor(lambda: pin.version.post_groomed)
             with self.hierarchy.reading_as(ReadIntent.MAINTENANCE):
                 return executor.batch_lookup_columns(key_columns, query_ts)
 

@@ -15,8 +15,8 @@ requires it so recovery never has to rebuild runs from groomed data blocks
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import FrozenSet, Iterable, Tuple
+from dataclasses import dataclass
+from typing import FrozenSet, Tuple
 
 from repro.core.entry import Zone
 

@@ -330,9 +330,12 @@ class QueryExecutor:
 
     # -- range scan ----------------------------------------------------------------
 
-    def range_scan(
+    def scan(
         self,
-        query: RangeScanQuery,
+        equality_values: Sequence[KeyValue] = (),
+        sort_lower: Optional[Sequence[KeyValue]] = None,
+        sort_upper: Optional[Sequence[KeyValue]] = None,
+        query_ts: int = MAX_QUERY_TS,
         strategy: ReconcileStrategy = ReconcileStrategy.PRIORITY_QUEUE,
     ) -> List[IndexEntry]:
         """Newest visible version of every key in the range, key-ordered.
@@ -340,6 +343,12 @@ class QueryExecutor:
         Runs are scanned undecoded (:meth:`IndexRun.scan_visible`),
         reconciled on raw sort keys, and only the winners are decoded.
         """
+        query = RangeScanQuery(
+            tuple(equality_values),
+            tuple(sort_lower) if sort_lower is not None else None,
+            tuple(sort_upper) if sort_upper is not None else None,
+            query_ts,
+        )
         bounds = compute_scan_bounds(self.definition, query)
         pin, runs = self._enter_query()
         # Everything after the pin runs under the finally, so an exception
@@ -356,7 +365,7 @@ class QueryExecutor:
             return [
                 view.decoded.get(i) or view.entry(i)
                 for _, view, i in reconcile(
-                    candidates, bounds, ts_floor(query.query_ts)
+                    candidates, bounds, ts_floor(query_ts)
                 )
             ]
         finally:
@@ -441,10 +450,6 @@ class QueryExecutor:
         return list(compress(merged, map(ne, keys, [None, *keys[:-1]])))
 
     # -- point lookups ------------------------------------------------------------------
-
-    def point_lookup(self, lookup: PointLookup) -> Optional[IndexEntry]:
-        """:meth:`lookup` of a :class:`PointLookup` row."""
-        return self.lookup(*lookup)
 
     def lookup(
         self,

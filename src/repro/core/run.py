@@ -47,7 +47,7 @@ from repro.core.entry import (
     Zone,
     begin_ts_of_sort_key,
 )
-from repro.storage.block import Block, BlockId
+from repro.storage.block import BlockId
 from repro.storage.hierarchy import StorageHierarchy
 from repro.storage.metrics import DecodeStats, ReadIntent
 
@@ -476,22 +476,6 @@ class DataBlockView:
             return self.payload[start : self.base + self.table[index + 1]]
         return self.payload[start:]
 
-    # -- decoded iteration ------------------------------------------------------
-
-    def iter_from(self, start: int):
-        for index in range(start, self.count):
-            yield self.entry(index)
-
-    def all_entries(self) -> List[IndexEntry]:
-        return list(self.iter_from(0))
-
-
-def decode_data_block(
-    definition: IndexDefinition, payload: bytes
-) -> List[IndexEntry]:
-    """Fully materialize a data block (merges, tests)."""
-    return DataBlockView(definition, payload).all_entries()
-
 
 class IndexRun:
     """In-memory handle to one run: header metadata + block access.
@@ -611,10 +595,6 @@ class IndexRun:
             self.fetched_blocks.add(block_index)
         return view
 
-    def read_block(self, block_index: int) -> List[IndexEntry]:
-        """Fetch and fully decode one data block (merges, tests)."""
-        return self.block_view(block_index).all_entries()
-
     def drop_decode_cache(self) -> None:
         """Release decoded entries (used after purge, and by tests)."""
         self._views.clear()
@@ -627,10 +607,6 @@ class IndexRun:
             raise IndexError(f"ordinal {ordinal} out of range 0..{self.entry_count}")
         block_index = bisect_right(self._cum, ordinal) - 1
         return block_index, ordinal - self._cum[block_index]
-
-    def entry_at(self, ordinal: int) -> IndexEntry:
-        block_index, in_block = self.locate(ordinal)
-        return self.block_view(block_index).entry(in_block)
 
     def lookup_visible(
         self, key: bytes, ts_floor: bytes, lo: int, hi: int
@@ -687,15 +663,6 @@ class IndexRun:
         for hits in self.scan_visible(key, lo, lo, key + b"\x00", ts_floor, True):
             return hits[0][1].entry(hits[0][2])
         return None
-
-    def iter_entries(self, start_ordinal: int = 0):
-        """Yield entries in sort-key order from ``start_ordinal`` onward."""
-        if start_ordinal >= self.entry_count:
-            return
-        block_index, first = self.locate(start_ordinal)
-        for bi in range(block_index, self.header.num_data_blocks):
-            yield from self.block_view(bi).iter_from(first)
-            first = 0
 
     def scan_visible(
         self,
@@ -904,10 +871,6 @@ class IndexRun:
         # Every entry blob starts with its sort key.
         return [blob[:n] for blob, n in zip(blobs, table[count:])], blobs
 
-    def all_entries(self) -> List[IndexEntry]:
-        """Materialize every entry (tests / merges; charges block reads)."""
-        return list(self.iter_entries(0))
-
     # -- bloom membership (extension) -----------------------------------------------
 
     def may_contain_key(self, key_bytes: bytes) -> bool:
@@ -922,20 +885,6 @@ class IndexRun:
             return True
         return self._bloom.might_contain(key_bytes)
 
-    # -- covering test -----------------------------------------------------------------
-
-    def is_covered_by_watermark(self, max_covered_groomed_id: int) -> bool:
-        """Whether queries must ignore this groomed run (paper section 5.4).
-
-        After an evolve advances the post-groomed watermark, any groomed run
-        whose *end* groomed block id is <= the watermark is fully covered by
-        post-groomed runs and "automatically ignored by queries".
-        """
-        return (
-            self.zone is Zone.GROOMED
-            and self.max_groomed_id <= max_covered_groomed_id
-        )
-
 
 __all__ = [
     "ColumnRange",
@@ -946,7 +895,6 @@ __all__ = [
     "RunHeader",
     "Synopsis",
     "block_checksum",
-    "decode_data_block",
     "encode_data_block",
     "pack_data_block",
     "HEADER_ORDINAL",

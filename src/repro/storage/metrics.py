@@ -14,7 +14,7 @@ from __future__ import annotations
 
 import enum
 import threading
-from dataclasses import dataclass, field, fields, replace
+from dataclasses import dataclass, fields, replace
 from typing import Dict
 
 

@@ -21,13 +21,12 @@ from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from repro.core.encoding import KeyValue
-from repro.core.entry import IndexEntry, Zone
+from repro.core.entry import IndexEntry
 from repro.core.index import UmziConfig, UmziIndex
 from repro.core.maintenance import MaintenanceService
-from repro.core.query import MAX_QUERY_TS, QueryError, RangeScanQuery
+from repro.core.query import QueryError
 from repro.planner import (
     AccessPlan,
-    PlanError,
     Query,
     SynopsisCatalog,
     plan_baseline,
@@ -39,12 +38,12 @@ from repro.storage.hierarchy import StorageHierarchy
 from repro.storage.retry import TransientIOError
 from repro.wildfire.blockstore import BlockCatalog
 from repro.wildfire.clock import HybridClock
-from repro.wildfire.groomer import GroomResult, Groomer
-from repro.wildfire.indexer import IndexerDaemon, IndexerStepResult
+from repro.wildfire.groomer import Groomer
+from repro.wildfire.indexer import IndexerDaemon
 from repro.wildfire.indexes import PRIMARY_INDEX_NAME, ShardIndexes
-from repro.wildfire.postgroomer import PostGroomer, PostGroomOp
+from repro.wildfire.postgroomer import PostGroomer
 from repro.wildfire.record import Record
-from repro.wildfire.schema import IndexSpec, SchemaError, TableSchema
+from repro.wildfire.schema import IndexSpec, TableSchema
 from repro.wildfire.transaction import Transaction
 from repro.wildfire.txlog import CommittedLog
 
@@ -77,7 +76,6 @@ class ShardConfig:
     post_groom_every: int = 20  # groom cycles per post-groom (paper: 1s vs 20s)
     partition_buckets: int = 4
     umzi: UmziConfig = field(default_factory=UmziConfig)
-    require_primary_index: bool = True
     # Secondary indexes (name -> spec), maintained in lockstep with the
     # primary through every groom and evolve (paper section 10 future work).
     secondary_indexes: Optional[Dict[str, "IndexSpec"]] = None
@@ -104,8 +102,6 @@ class WildfireShard:
         self.schema = schema
         self.index_spec = index_spec
         self.config = config if config is not None else ShardConfig()
-        if self.config.require_primary_index:
-            index_spec.validate_primary(schema)
         self.hierarchy = hierarchy if hierarchy is not None else StorageHierarchy()
 
         self.clock = HybridClock()
@@ -119,7 +115,6 @@ class WildfireShard:
             self.hierarchy,
             self.config.umzi,
             secondary_specs=self.config.secondary_indexes,
-            require_primary=self.config.require_primary_index,
         )
         self.index = self.indexes.primary.index  # the primary Umzi index
         self.groomer = Groomer(
@@ -155,17 +150,10 @@ class WildfireShard:
                 f"got {self.config.planner!r}"
             )
         self.synopses = SynopsisCatalog(self.indexes)
-        try:
-            primary_spec = self.indexes.primary.spec
-            self._primary_key_of_pk = tuple_getter([
-                schema.primary_key.index(column)
-                for column in
-                primary_spec.equality_columns + primary_spec.sort_columns
-            ])
-        except ValueError:
-            # Non-primary-key "primary" index (require_primary_index=False
-            # shards): typed fetch-back plans are unavailable.
-            self._primary_key_of_pk = None
+        self._primary_key_of_pk = tuple_getter([
+            schema.primary_key.index(column)
+            for column in index_spec.equality_columns + index_spec.sort_columns
+        ])
         self._daemon_threads: List[threading.Thread] = []
         self._daemons_stop = threading.Event()
         self._cycle = 0
@@ -270,17 +258,12 @@ class WildfireShard:
     # lifecycle -- threaded daemons (end-to-end experiments)
     # ------------------------------------------------------------------------------
 
-    def start_daemons(
-        self,
-        groom_interval_s: float = 0.05,
-        post_groom_enabled: bool = True,
-    ) -> None:
+    def start_daemons(self, groom_interval_s: float = 0.05) -> None:
         """Run groomer/post-groomer/indexer/maintenance as real threads.
 
         ``groom_interval_s`` is the scaled-down "every second"; the
         post-groomer fires every ``config.post_groom_every`` grooms, as in
-        the paper's 1s/20s cadence.  ``post_groom_enabled=False`` is the
-        Figure 15 ablation (no post-groom, hence no index evolution).
+        the paper's 1s/20s cadence.
 
         **Query safety.**  It is safe to issue point/range/batch queries
         from any number of threads while the daemons run: each query pins
@@ -312,15 +295,14 @@ class WildfireShard:
                     continue
                 if result is not None:
                     grooms += 1
-                    if post_groom_enabled and grooms % self.config.post_groom_every == 0:
+                    if grooms % self.config.post_groom_every == 0:
                         self.post_groomer.post_groom()
                 time.sleep(groom_interval_s)
 
         thread = threading.Thread(target=groom_loop, name="wildfire-groomer", daemon=True)
         thread.start()
         self._daemon_threads.append(thread)
-        if post_groom_enabled:
-            self.indexer.start()
+        self.indexer.start()
         self.maintenance.start()
         for service in self._secondary_maintenance:
             service.start()
@@ -684,10 +666,6 @@ class WildfireShard:
         answer is byte-identical to the baseline primary path even when a
         stale secondary entry surfaces a row whose key has since changed.
         """
-        if self._primary_key_of_pk is None:
-            raise PlanError(
-                "fetch-back requires a primary-key primary index"
-            )
         keys = list(map(
             self._primary_key_of_pk, sorted(set(map(entry_pk, rows)))
         ))
@@ -776,14 +754,7 @@ class WildfireShard:
         if pin is None:
             raise RuntimeError("shard is not in degraded mode")
         ts = query_ts if query_ts is not None else self.current_snapshot_ts()
-        return pin.executor.range_scan(
-            RangeScanQuery(
-                tuple(equality_values),
-                tuple(sort_lower) if sort_lower is not None else None,
-                tuple(sort_upper) if sort_upper is not None else None,
-                ts,
-            )
-        )
+        return pin.executor.scan(equality_values, sort_lower, sort_upper, ts)
 
     # ------------------------------------------------------------------------------
     # introspection / recovery

@@ -60,11 +60,9 @@ class ShardIndexes:
         hierarchy: StorageHierarchy,
         umzi_config: UmziConfig,
         secondary_specs: Optional[Dict[str, IndexSpec]] = None,
-        require_primary: bool = True,
     ) -> None:
         self.schema = schema
-        if require_primary:
-            primary_spec.validate_primary(schema)
+        primary_spec.validate_primary(schema)
         self.primary = self._attach(
             PRIMARY_INDEX_NAME, primary_spec, hierarchy, umzi_config
         )

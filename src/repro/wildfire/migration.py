@@ -62,7 +62,6 @@ from repro.qos.breaker import BreakerState
 from repro.wildfire.engine import WildfireShard
 from repro.wildfire.shardmap import (
     ShardingKeySlicer,
-    ShardMapError,
     SlotRoute,
     successor_side,
 )
@@ -83,31 +82,6 @@ class SplitAborted(SplitError):
     the cluster cannot afford the copy right now.  Nothing has been
     published: routing, data, and clocks are exactly as they were.
     """
-
-
-class SplitUnsupported(SplitAborted):
-    """The shard's shape rules out an online split.
-
-    Shards carrying secondary indexes split fine (every secondary
-    carries the primary key -- and with it the sharding key -- as a
-    sort-key suffix, so per-index partition passes can route its entries
-    zero-decode).  What remains unsupported is an index whose key
-    columns do not contain the sharding key at all, which can only
-    happen for primary indexes built with ``require_primary_index=False``
-    -- there is no byte range in such an index's sort keys from which to
-    recover the routing hash.  Carries ``source_id`` and the offending
-    ``index_names`` so callers (and tests) can react without parsing
-    the message.  Nothing has been published when this raises.
-    """
-
-    def __init__(self, source_id: int, index_names: Sequence[str]) -> None:
-        self.source_id = source_id
-        self.index_names = tuple(index_names)
-        super().__init__(
-            f"online split of shard {source_id} needs the sharding key "
-            "inside every index's key columns; offending: "
-            f"{', '.join(self.index_names)}"
-        )
 
 
 class MergeError(MigrationError):
@@ -201,31 +175,18 @@ def _dest_has_copy(destination: WildfireShard, index_name: str) -> bool:
     return bool(shard_index.index.run_lists[Zone.POST_GROOMED].snapshot())
 
 
-def index_slicers(
-    shard: WildfireShard, source_id: int
-) -> Dict[str, ShardingKeySlicer]:
+def index_slicers(shard: WildfireShard) -> Dict[str, ShardingKeySlicer]:
     """One zero-decode sharding-key slicer per index, primary included.
 
-    Secondaries can never fail here: ``with_primary_key_suffix`` puts
-    every primary-key column into their sort columns and the schema
-    enforces ``sharding_key ⊆ primary_key``.  An index built without
-    the sharding key among its key columns (only possible for a primary
-    defined with ``require_primary_index=False``-style shapes) raises
-    :class:`SplitUnsupported` naming every offending index.
+    None can fail: the primary's key columns are the primary key, every
+    secondary's sort columns end with it (``with_primary_key_suffix``),
+    and the schema enforces ``sharding_key ⊆ primary_key``.
     """
     sharding = shard.schema.sharding_key
-    slicers: Dict[str, ShardingKeySlicer] = {}
-    offending: List[str] = []
-    for shard_index in shard.indexes.all():
-        try:
-            slicers[shard_index.name] = ShardingKeySlicer(
-                shard_index.index.definition, sharding
-            )
-        except ShardMapError:
-            offending.append(shard_index.name)
-    if offending:
-        raise SplitUnsupported(source_id, offending)
-    return slicers
+    return {
+        shard_index.name: ShardingKeySlicer(shard_index.index.definition, sharding)
+        for shard_index in shard.indexes.all()
+    }
 
 
 class ShardCopyStream:
@@ -289,9 +250,9 @@ class ShardCopyStream:
         name = self._index_names[self._pass_no]
         runs: List = []
         for source in self._sources:
-            index = source.indexes.get(name).index
-            self._pins.append(index.pin_snapshot())
-            runs.extend(index.run_lists[Zone.POST_GROOMED].snapshot())
+            pin = source.indexes.get(name).index.lifecycle.pin()
+            self._pins.append(pin)
+            runs.extend(pin.version.post_groomed)
         definition = self._sources[0].indexes.get(name).index.definition
         self._pass_runs = runs
         self._buckets = [[] for _ in self._destinations]
@@ -392,10 +353,6 @@ class Migration:
         for shard_id in shard_ids:
             if shard_id not in live:
                 raise direction.error(f"shard {shard_id} is not live")
-        if kind == "split":
-            # Raises SplitUnsupported (naming the offending indexes) when
-            # any index's key columns do not contain the sharding key.
-            index_slicers(table.shards[shard_ids[0]], shard_ids[0])
         for slot, route in enumerate(table.maps.current.slots):
             holders = route.scatter_shards()
             if route.state == direction.start_route and set(holders) == set(shard_ids):
@@ -525,7 +482,7 @@ class Migration:
             def bucket_of(_name: str, _sort_key: bytes) -> int:
                 return 0
         else:
-            slicers = index_slicers(sources[0], self.sources[0])
+            slicers = index_slicers(sources[0])
 
             def bucket_of(name: str, sort_key: bytes) -> int:
                 return successor_side(slicers[name].hash_of_sort_key(sort_key))
@@ -613,7 +570,6 @@ __all__ = [
     "ShardCopyStream",
     "SplitAborted",
     "SplitError",
-    "SplitUnsupported",
     "adopt_blocks",
     "index_slicers",
 ]

@@ -12,9 +12,8 @@ indexed (section 3: it stays small because grooming is frequent).
 
 from __future__ import annotations
 
-import struct
 import threading
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Iterable, List, Optional, Tuple
 
 from repro.core.encoding import KeyValue

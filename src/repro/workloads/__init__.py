@@ -19,7 +19,6 @@ from repro.workloads.generator import (
     KeyMapper,
     KeyMode,
 )
-from repro.workloads.mixed import MixWeights, MixedWorkload, OpKind, Operation
 from repro.workloads.queries import QueryBatchGenerator
 
 __all__ = [
@@ -27,9 +26,5 @@ __all__ = [
     "KeyGenerator",
     "KeyMapper",
     "KeyMode",
-    "MixWeights",
-    "MixedWorkload",
-    "OpKind",
-    "Operation",
     "QueryBatchGenerator",
 ]

@@ -13,7 +13,7 @@ from __future__ import annotations
 import enum
 import random
 from dataclasses import dataclass
-from typing import Iterator, List, Optional, Sequence, Tuple
+from typing import List, Sequence, Tuple
 
 from repro.core.definition import IndexDefinition
 from repro.core.encoding import KeyValue

@@ -8,9 +8,8 @@ queries use sequentially and randomly generated keys in a batch."
 from __future__ import annotations
 
 import random
-from typing import List, Optional, Sequence, Tuple
+from typing import List, Sequence
 
-from repro.core.definition import IndexDefinition
 from repro.core.query import PointLookup, RangeScanQuery, MAX_QUERY_TS
 from repro.workloads.generator import KeyMapper
 

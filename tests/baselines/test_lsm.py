@@ -4,7 +4,7 @@ import pytest
 
 from repro.baselines.lsm import ClassicLSMIndex, LSMMergePolicy
 from repro.core.definition import i1_definition
-from repro.core.entry import RID, Zone
+from repro.core.entry import RID, RID_BYTES, Zone, begin_ts_of_sort_key
 from repro.storage.hierarchy import StorageHierarchy
 
 from tests.conftest import make_entry
@@ -121,65 +121,52 @@ class TestFixedRIDWeakness:
     def test_rebuild_rewrites_everything(self):
         index = ClassicLSMIndex(DEF, memtable_limit=4)
         for k in range(16):
+            index.insert(make_entry(DEF, k, k + 1, offset=k))
+        index.flush()
+
+        def remap_raw(sort_key, blob):
+            old_rid, _ = RID.from_bytes(blob, len(blob) - RID_BYTES)
+            return RID(Zone.POST_GROOMED, 100, old_rid.offset)
+
+        rewritten = index.rebuild_with_rids(remap_raw=remap_raw)
+        assert rewritten == 16  # full write amplification
+        assert index.entry_count() == 16
+        for k in range(16):
+            assert index.lookup(key_bytes(k)).rid == RID(Zone.POST_GROOMED, 100, k)
+
+    def test_rebuild_with_partial_remap(self):
+        index = ClassicLSMIndex(DEF, memtable_limit=4)
+        for k in range(16):
             index.insert(make_entry(DEF, k, k + 1))
         index.flush()
 
-        def remap(entry):
-            return RID(Zone.POST_GROOMED, 100, entry.rid.offset)
-
-        rewritten = index.rebuild_with_rids(remap)
-        assert rewritten == 16  # full write amplification
-        hit = index.lookup(key_bytes(3))
-        assert hit.rid.zone is Zone.POST_GROOMED
-        assert index.entry_count() == 16
-
-    def test_rebuild_with_partial_remap(self):
-        index = ClassicLSMIndex(DEF, memtable_limit=100)
-        for k in range(4):
-            index.insert(make_entry(DEF, k, k + 1))
-
-        def remap(entry):
-            if entry.equality_values[0] < 2:
-                return RID(Zone.POST_GROOMED, 1, 0)
-            return None
-
-        assert index.rebuild_with_rids(remap) == 2
-
-    def test_raw_rebuild_matches_decoded_rebuild(self):
-        """The raw (sort_key, blob) remap API must produce the same index
-        state as the legacy decoded-entry API."""
-        from repro.core.entry import RID_BYTES, begin_ts_of_sort_key
-
-        def build():
-            index = ClassicLSMIndex(DEF, memtable_limit=4)
-            for k in range(16):
-                index.insert(make_entry(DEF, k, k + 1))
-            index.flush()
-            return index
-
-        def remap_entry(entry):
-            if entry.begin_ts <= 8:
-                return RID(Zone.POST_GROOMED, 100, entry.rid.offset)
-            return None
-
         def remap_raw(sort_key, blob):
             if begin_ts_of_sort_key(sort_key) <= 8:
-                old_rid, _ = RID.from_bytes(blob, len(blob) - RID_BYTES)
-                return RID(Zone.POST_GROOMED, 100, old_rid.offset)
+                return RID(Zone.POST_GROOMED, 100, 0)
             return None
 
-        decoded = build()
-        raw = build()
-        assert (
-            decoded.rebuild_with_rids(remap_entry)
-            == raw.rebuild_with_rids(remap_raw=remap_raw)
-            == 8
-        )
-        assert raw.entry_count() == decoded.entry_count() == 16
+        assert index.rebuild_with_rids(remap_raw=remap_raw) == 8
+        assert index.entry_count() == 16
         for k in range(16):
-            a = decoded.lookup(key_bytes(k))
-            b = raw.lookup(key_bytes(k))
-            assert a.rid == b.rid and a.begin_ts == b.begin_ts
+            hit = index.lookup(key_bytes(k))
+            assert hit.begin_ts == k + 1
+            assert hit.rid.zone is (Zone.POST_GROOMED if k < 8 else Zone.GROOMED)
+
+    def test_rebuild_collapses_physical_duplicates(self):
+        """The same ``(key, beginTS)`` version in two runs survives the
+        K-way blob merge once, and counts as rewritten once."""
+        index = ClassicLSMIndex(
+            DEF, policy=LSMMergePolicy.TIERING, memtable_limit=100
+        )
+        for _ in range(2):
+            for k in range(4):
+                index.insert(make_entry(DEF, k, k + 1))
+            index.flush()
+        assert (index.run_count(), index.entry_count()) == (2, 8)
+        assert index.rebuild_with_rids(
+            remap_raw=lambda sk, blob: RID(Zone.POST_GROOMED, 1, 0)
+        ) == 4
+        assert index.entry_count() == 4
 
     def test_raw_rebuild_is_zero_decode(self):
         """Raw rebuild must not materialize any IndexEntry (the last
@@ -208,15 +195,6 @@ class TestFixedRIDWeakness:
         ) == 4
         assert index.entry_count() == 4
         assert index.lookup(key_bytes(0)).rid.zone is Zone.POST_GROOMED
-
-    def test_rebuild_requires_exactly_one_callback(self):
-        index = ClassicLSMIndex(DEF, memtable_limit=4)
-        with pytest.raises(ValueError):
-            index.rebuild_with_rids()
-        with pytest.raises(ValueError):
-            index.rebuild_with_rids(
-                remap=lambda e: None, remap_raw=lambda sk, b: None
-            )
 
 
 class TestValidation:

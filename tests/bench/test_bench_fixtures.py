@@ -8,6 +8,8 @@ import pytest
 from repro.core.definition import i1_definition
 from repro.workloads.generator import KeyMode
 
+from tests.conftest import run_entries
+
 # The benchmarks import their harness by its bare module name.
 sys.path.insert(0, str(Path(__file__).resolve().parents[2] / "benchmarks"))
 
@@ -33,7 +35,7 @@ class TestFixtures:
         definition = i1_definition()
         run, hierarchy = build_single_run(definition, 50)
         assert run.entry_count == 50
-        keys = [e.sort_key(definition) for e in run.iter_entries()]
+        keys = [e.sort_key(definition) for e in run_entries(run)]
         assert keys == sorted(keys)
 
     def test_build_index_sequential_disjoint_ranges(self):

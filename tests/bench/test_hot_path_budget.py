@@ -106,6 +106,7 @@ point path (see above)       3049.8   885.0     702.4        140.3
 fused kernels, row passes     385.7   257.2     258.1        105.3
 one lifecycle, one format     345.7   237.2     238.4         95.3
 one lock, no finalizer        321.7   225.2     226.5         89.3
+one door per read             319.7   223.2     224.5         89.3
 =========================  ========  ======  ========  ===========
 
 A per-call ``candidate_shape``, a per-entry generator hop in the scan, a
@@ -122,8 +123,10 @@ and are projected in list passes with C getters (no ``_entry_values`` /
 query and the planner's and the scatter prune's synopsis terms are read
 off the plan template until a publication moves them.  The last row is
 the point path's pin and release again, once per shard searched: the
-``one lifecycle`` row's one locked section each, the last row's plain
-lock and no finalizer.
+``one lifecycle`` row's one locked section each, the ``one lock`` row's
+plain lock and no finalizer.  The last row is ``UmziIndex.scan`` calling
+``QueryExecutor.scan`` directly: no ``range_scan`` hop on the facade and
+the executor, one call per shard scanned.
 """
 
 import gc
@@ -143,7 +146,7 @@ TYPED_BEFORE = {
     "customer": 11308.5, "region": 2112.6, "range": 3235.7, "equality": 282.6,
 }
 TYPED_CEILING = {
-    "customer": 325.0, "region": 228.0, "range": 229.0, "equality": 92.0,
+    "customer": 323.0, "region": 226.0, "range": 227.0, "equality": 92.0,
 }
 
 ROWS = 6_000

@@ -107,6 +107,17 @@ def rid_map(entries: Sequence[IndexEntry]):
     return {entry.begin_ts: entry.rid for entry in entries}.get
 
 
+def entry_at(run, ordinal: int) -> IndexEntry:
+    """The decoded entry at global ``ordinal`` of ``run``."""
+    block_index, in_block = run.locate(ordinal)
+    return run.block_view(block_index).entry(in_block)
+
+
+def run_entries(run) -> List[IndexEntry]:
+    """Every entry of ``run`` in sort-key order, decoded."""
+    return [entry_at(run, ordinal) for ordinal in range(run.entry_count)]
+
+
 def key_of(definition: IndexDefinition, k: int) -> Tuple[Tuple[int, ...], Tuple[int, ...]]:
     """(equality_values, sort_values) for abstract key ``k``."""
     return (

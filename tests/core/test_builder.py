@@ -8,7 +8,7 @@ from repro.core.encoding import high_bits
 from repro.core.entry import IndexEntry, RID, Zone
 from repro.storage.hierarchy import StorageHierarchy
 
-from tests.conftest import make_entries
+from tests.conftest import make_entries, run_entries
 
 
 @pytest.fixture
@@ -21,7 +21,7 @@ class TestSorting:
         definition = builder.definition
         entries = make_entries(definition, [5, 3, 9, 1, 7])
         run = builder.build("r", entries, Zone.GROOMED, 0, 0, 0)
-        keys = [e.sort_key(definition) for e in run.iter_entries()]
+        keys = [e.sort_key(definition) for e in run_entries(run)]
         assert keys == sorted(keys)
 
     def test_versions_of_same_key_newest_first(self, builder):
@@ -31,7 +31,7 @@ class TestSorting:
             for ts in (5, 20, 10)
         ]
         run = builder.build("r", versions, Zone.GROOMED, 0, 0, 0)
-        begin_ts = [e.begin_ts for e in run.iter_entries()]
+        begin_ts = [e.begin_ts for e in run_entries(run)]
         assert begin_ts == [20, 10, 5]
 
     def test_presorted_skips_resort(self, builder):
@@ -41,7 +41,7 @@ class TestSorting:
             key=lambda e: e.sort_key(definition),
         )
         run = builder.build("r", entries, Zone.GROOMED, 0, 0, 0, presorted=True)
-        keys = [e.sort_key(definition) for e in run.iter_entries()]
+        keys = [e.sort_key(definition) for e in run_entries(run)]
         assert keys == sorted(keys)
 
 
@@ -55,7 +55,7 @@ class TestOffsetArray:
         offsets = run.header.offset_array
         assert len(offsets) == definition.offset_array_size
         nbits = definition.hash_bits
-        ordered = run.all_entries()
+        ordered = run_entries(run)
         for bucket, offset in enumerate(offsets):
             expected = sum(
                 1 for e in ordered if high_bits(e.hash_value, nbits) < bucket
@@ -105,7 +105,7 @@ class TestBlockSlicing:
         run = builder.build("r", [], Zone.GROOMED, 0, 0, 0)
         assert run.entry_count == 0
         assert run.header.num_data_blocks == 0
-        assert list(run.iter_entries()) == []
+        assert run_entries(run) == []
 
     def test_invalid_block_size_rejected(self):
         with pytest.raises(ValueError):

@@ -11,7 +11,7 @@ from repro.core.runlist import RunList
 from repro.storage.hierarchy import StorageHierarchy
 from repro.storage.ssd import SSDTier
 
-from tests.conftest import make_entries
+from tests.conftest import make_entries, run_entries
 
 DEF = i1_definition()
 
@@ -74,14 +74,14 @@ class TestPurgeAndLoad:
         cache, hierarchy, lists, builder = setup()
         run = add_run(builder, lists, 0, 0, range(50))
         cache.purge_run(run)
-        entries = list(run.iter_entries())  # transparently refetched
+        entries = run_entries(run)  # transparently refetched
         assert len(entries) == 50
 
     def test_release_after_query_drops_transients(self):
         cache, hierarchy, lists, builder = setup()
         run = add_run(builder, lists, 2, 0, range(50))
         cache.set_cache_level(1)  # run at level 2 is purged
-        run.read_block(0)  # pulls the block back through shared storage
+        run.block_view(0)  # pulls the block back through shared storage
         assert hierarchy.ssd.contains(run.data_block_id(0))
         cache.release_after_query([run])
         assert not hierarchy.ssd.contains(run.data_block_id(0))

@@ -23,7 +23,6 @@ import pytest
 
 from repro.core.definition import ColumnSpec
 from repro.core.index import UmziConfig
-from repro.core.query import RangeScanQuery
 from repro.wildfire.engine import ShardConfig, WildfireShard
 from repro.wildfire.schema import IndexSpec, TableSchema
 
@@ -73,8 +72,8 @@ def seed_baseline(shard: WildfireShard) -> None:
 
 
 # Node-path (version-Ref) queries per completed check_baseline round:
-# index_lookup + range_query + index_batch_lookup + snapshot_view (the
-# range scan inside the view reads the view's pin and takes none).
+# index_lookup + range_query + index_batch_lookup + pin_snapshot (the
+# range scan inside the snapshot reads the snapshot's pin and takes none).
 QUERIES_PER_ROUND = 4
 
 
@@ -111,9 +110,9 @@ def check_baseline(
             if hit is None:
                 errors.append(f"batch lookup lost a key for device {d}")
                 return
-        # A held snapshot: one pin for the view, a materialized scan in it.
-        with shard.index.snapshot_view() as view:
-            held = view.range_scan(RangeScanQuery(equality_values=(d,)))
+        # A held snapshot: one pin for it, a materialized scan in it.
+        with shard.index.pin_snapshot() as snap:
+            held = snap.executor.scan(equality_values=(d,))
         if len(held) < BASELINE_MSGS:
             errors.append(f"snapshot scan lost rows for device {d}")
             return

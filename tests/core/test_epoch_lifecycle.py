@@ -9,7 +9,6 @@ from repro.core.entry import Zone
 from repro.core.epoch import RunLifecycle, RunListVersion
 from repro.core.index import UmziConfig, UmziIndex
 from repro.core.levels import LevelConfig
-from repro.core.query import RangeScanQuery
 from repro.core.runlist import RunList
 from repro.storage.hierarchy import BlockNotFoundError
 from repro.storage.metrics import EpochStats
@@ -35,15 +34,15 @@ def build_index(runs=4, per_run=10):
     return index
 
 
-# The two ways a reader holds a version: a snapshot view for the length of
-# its scope, and a query's own pin on the lifecycle.
-READERS = ["snapshot-view", "query-pin"]
+# The two ways a reader holds a version: a pinned snapshot for the length
+# of its scope, and a query's own pin on the lifecycle.
+READERS = ["snapshot-pin", "query-pin"]
 
 
 @contextmanager
 def reading(index, reader):
     """Hold ``reader``'s pin on the index's current version for the scope."""
-    with index.snapshot_view() if reader == "snapshot-view" else index.lifecycle.pin():
+    with index.pin_snapshot() if reader == "snapshot-pin" else index.lifecycle.pin():
         yield
 
 
@@ -188,21 +187,20 @@ class TestIndexEpochIntegration:
         index = build_index(runs=4)
         groomed_before = index.run_lists[Zone.GROOMED].snapshot()
         assert len(groomed_before) == 4
-        with index.snapshot_view() as view:
-            query = RangeScanQuery(equality_values=(12,))
-            before = view.range_scan(query)
+        with index.pin_snapshot() as snap:
+            before = snap.executor.scan((12,))
             assert len(before) == 1
             # Evolve covers every groomed run: step 3 unlinks them all.
             entries = make_entries(DEF, range(40), 1, Zone.POST_GROOMED, 100)
             result = index.evolve_streaming(1, rid_map(entries), 0, 3)
             assert len(result.collected_run_ids) == 4
             assert index.run_lists[Zone.GROOMED].snapshot() == []
-            # ... but their blocks must survive while the view pins them.
+            # ... but their blocks must survive while the snapshot pins them.
             assert index.lifecycle.retired_backlog() == 4
             for run in groomed_before:
                 for block_id in run.all_block_ids():
                     index.hierarchy.read(block_id)  # must not raise
-            after = view.range_scan(query)
+            after = snap.executor.scan((12,))
             assert [e.rid for e in after] == [e.rid for e in before]
         # Pin released: the deferred deletions drain.
         assert index.lifecycle.retired_backlog() == 0
@@ -232,23 +230,22 @@ class TestIndexEpochIntegration:
                 gid, gid,
             )
         inputs = index.run_lists[Zone.GROOMED].snapshot()
-        with index.snapshot_view() as view:
+        with index.pin_snapshot() as snap:
             results = index.run_maintenance()
             assert results, "fixture must trigger a merge"
             assert index.lifecycle.retired_backlog() > 0
-            hits = view.range_scan(RangeScanQuery(equality_values=(3,)))
+            hits = snap.executor.scan(equality_values=(3,))
             assert len(hits) == 1
         assert index.lifecycle.retired_backlog() == 0
         with pytest.raises(BlockNotFoundError):
             index.hierarchy.read(inputs[0].data_block_id(0))
 
-    def test_snapshot_view_ignores_later_writes(self):
+    def test_a_pinned_snapshot_ignores_later_writes(self):
         index = build_index(runs=2)
-        with index.snapshot_view() as view:
-            missing = RangeScanQuery(equality_values=(25,))
-            assert view.range_scan(missing) == []
+        with index.pin_snapshot() as snap:
+            assert snap.executor.scan((25,)) == []
             index.add_groomed_run(make_entries(DEF, range(20, 30), 100), 2, 2)
-            assert view.range_scan(missing) == []          # pinned version
+            assert snap.executor.scan((25,)) == []          # pinned version
         assert len(index.scan((25,), (25,), (25,))) == 1    # live index sees it
 
     def test_query_version_ids_advance_with_publications(self):
@@ -297,7 +294,7 @@ class TestCachePinAwareness:
         so another reader's pin must not bump it (it used to)."""
         index = build_index(runs=2)
         run = index.run_lists[Zone.GROOMED].snapshot()[0]
-        run.read_block(0)  # the handle has fetched something
+        run.block_view(0)  # the handle has fetched something
         assert not index.cache.is_purged_level(run.level)
         with reading(index, reader):
             skips_before = index.hierarchy.stats.epochs.eviction_pin_skips

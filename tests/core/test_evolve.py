@@ -120,7 +120,7 @@ class TestDuplicatesBetweenSteps:
         query = RangeScanQuery(equality_values=(3,), query_ts=1 << 40)
 
         def assert_one_result():
-            hits = executor.range_scan(query)
+            hits = executor.scan(*query)
             assert [e.equality_values for e in hits] == [(3,)]
 
         assert_one_result()

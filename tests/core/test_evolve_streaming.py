@@ -17,7 +17,7 @@ from repro.core.levels import LevelConfig
 from repro.core.runlist import RunList
 from repro.storage.hierarchy import StorageHierarchy
 
-from tests.conftest import make_entries
+from tests.conftest import make_entries, run_entries
 from tests.reference_evolve import reference_evolve
 
 DEF = i1_definition()
@@ -93,7 +93,7 @@ class TestStreamingEquivalence:
         legacy_entries = [
             replace(e, rid=new_rid_of(e.begin_ts))
             for run in legacy_lists[Zone.GROOMED].snapshot()
-            for e in run.all_entries()
+            for e in run_entries(run)
         ]
         legacy_result = reference_evolve(legacy_ctrl, 1, legacy_entries, 0, 5)
 
@@ -147,7 +147,7 @@ class TestStreamingEquivalence:
         entries = [
             replace(entry, rid=relocated(entry.begin_ts))
             for run in legacy.run_lists[Zone.GROOMED].snapshot()
-            for entry in run.all_entries()
+            for entry in run_entries(run)
         ]
         assert reference_evolve(
             legacy.evolver, 1, entries, 0, num_runs - 1
@@ -181,7 +181,7 @@ class TestStreamingEquivalence:
         pg = lists[Zone.POST_GROOMED].snapshot()
         assert len(pg) == 1 and pg[0].entry_count == 20
         # Every migrated entry points at its post-groomed RID.
-        for entry in pg[0].all_entries():
+        for entry in run_entries(pg[0]):
             assert entry.rid == new_rid_of(entry.begin_ts)
 
     def test_psn_order_enforced(self):

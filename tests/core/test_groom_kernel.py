@@ -103,7 +103,7 @@ def test_kernel_run_is_byte_identical_to_the_per_entry_build(
     schema, spec, rows, begin_ts = batch
     config = UmziConfig(bloom_fpr=bloom_fpr, data_block_bytes=data_block_bytes)
     hierarchy = StorageHierarchy()
-    indexes = ShardIndexes(schema, spec, hierarchy, config, require_primary=False)
+    indexes = ShardIndexes(schema, spec, hierarchy, config)
     shard_index = indexes.primary
     definition = shard_index.index.definition
     block = DataBlock(

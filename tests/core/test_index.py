@@ -82,7 +82,7 @@ class TestEvolveIntegration:
         index.evolve_streaming(
             1, rid_map(make_entries(DEF, range(20), 1, Zone.POST_GROOMED, 100)), 0, 1
         )
-        candidates = index._collect_candidate_runs()
+        candidates = index.visible_runs()
         assert all(
             r.zone is Zone.POST_GROOMED or r.max_groomed_id > 1 for r in candidates
         )

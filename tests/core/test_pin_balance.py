@@ -19,7 +19,7 @@ import pytest
 
 from repro.core.definition import ColumnSpec
 from repro.core.entry import Zone
-from repro.core.query import MAX_QUERY_TS, RangeScanQuery, ReconcileStrategy
+from repro.core.query import MAX_QUERY_TS, ReconcileStrategy
 from repro.faults.errors import SimulatedCrash, TransientIOError
 from repro.faults.plan import FaultPlan
 from repro.faults.storage import FaultyTier
@@ -37,11 +37,11 @@ FAILURES = {"transient-giveup": TransientIOError, "simulated-crash": SimulatedCr
 INDEX_DOORS = {
     "lookup": lambda shard: shard.index.lookup((1,), (3,)),
     "scan": lambda shard: shard.index.scan((1,)),
-    "range_scan-set": lambda shard: shard.index.range_scan(
-        RangeScanQuery((1,)), ReconcileStrategy.SET
+    "scan-set": lambda shard: shard.index.executor.scan(
+        (1,), strategy=ReconcileStrategy.SET
     ),
-    "range_scan-priority_queue": lambda shard: shard.index.range_scan(
-        RangeScanQuery((1,)), ReconcileStrategy.PRIORITY_QUEUE
+    "scan-priority_queue": lambda shard: shard.index.executor.scan(
+        (1,), strategy=ReconcileStrategy.PRIORITY_QUEUE
     ),
     "batch_lookup": lambda shard: shard.index.batch_lookup(
         [(d, 3) for d in range(DEVICES)], MAX_QUERY_TS

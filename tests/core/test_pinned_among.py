@@ -75,7 +75,7 @@ def purged_index_with_fetched_blocks(runs=3):
     index.cache.set_cache_level(-1)
     handles = list(index.run_lists[Zone.GROOMED].snapshot())
     for run in handles:
-        run.read_block(0)
+        run.block_view(0)
         assert run.fetched_blocks
     return index, handles
 
@@ -102,7 +102,7 @@ def test_a_query_exit_releases_and_skips_as_the_per_run_loop_did(pinned):
     def exit_query(index, handles, release):
         if not pinned:
             return release(index, handles)
-        with index.snapshot_view():  # another reader holds every run
+        with index.pin_snapshot():  # another reader holds every run
             release(index, handles)
 
     exit_query(new, new_handles, lambda index, runs: index.cache.release_after_query(runs))

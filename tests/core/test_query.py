@@ -104,9 +104,8 @@ class TestMistypedKeyValues:
         message = f"key value of the wrong type: {refusal}"
         for door in (
             lambda: executor.lookup((1,), (bad,)),
-            lambda: executor.point_lookup(PointLookup((1,), (bad,))),
-            lambda: executor.range_scan(RangeScanQuery((1,), (bad,), None)),
-            lambda: executor.range_scan(RangeScanQuery((1,), None, (bad,))),
+            lambda: executor.scan((1,), (bad,), None),
+            lambda: executor.scan((1,), None, (bad,)),
         ):
             with pytest.raises(QueryError) as refused:
                 door()
@@ -182,7 +181,7 @@ class TestReconciliation:
     def test_newest_version_wins(self):
         runs = self.make_version_runs()
         ex = executor_for(runs)
-        hits = ex.range_scan(RangeScanQuery((1,), (0,), (9,)))
+        hits = ex.scan((1,), (0,), (9,))
         got = {(e.sort_values[0], e.begin_ts) for e in hits}
         assert got == {(0, 50), (1, 51), (2, 52), (3, 4), (4, 5)}
 
@@ -193,14 +192,14 @@ class TestReconciliation:
             RangeScanQuery((1,), (0,), (9,)),
             RangeScanQuery((10_000,)),  # an empty range
         ):
-            set_result = ex.range_scan(query, ReconcileStrategy.SET)
-            pq_result = ex.range_scan(query, ReconcileStrategy.PRIORITY_QUEUE)
+            set_result = ex.scan(*query, strategy=ReconcileStrategy.SET)
+            pq_result = ex.scan(*query, strategy=ReconcileStrategy.PRIORITY_QUEUE)
             assert set_result == pq_result
         assert pq_result == []
 
     def test_results_are_key_ordered(self):
         runs = self.make_version_runs()
-        hits = executor_for(runs).range_scan(RangeScanQuery((1,), (0,), (9,)))
+        hits = executor_for(runs).scan((1,), (0,), (9,))
         keys = [e.key_bytes(DEF) for e in hits]
         assert keys == sorted(keys)
 
@@ -210,9 +209,7 @@ class TestReconciliation:
             (10, {(m, m + 1) for m in range(5)}),
             (0, set()),  # below every version: nothing is visible
         ):
-            hits = executor_for(runs).range_scan(
-                RangeScanQuery((1,), (0,), (9,), query_ts=query_ts)
-            )
+            hits = executor_for(runs).scan((1,), (0,), (9,), query_ts=query_ts)
             got = {(e.sort_values[0], e.begin_ts) for e in hits}
             assert got == expected
 
@@ -225,7 +222,7 @@ class TestReconciliation:
         )
         ex = QueryExecutor(DEF, lambda: [g, p])
         for strategy in ReconcileStrategy:
-            hits = ex.range_scan(RangeScanQuery((1,)), strategy)
+            hits = ex.scan((1,), strategy=strategy)
             assert len(hits) == 1
 
 
@@ -237,17 +234,17 @@ class TestPointLookup:
             [entry(1, 1, 2, block=1)],
         ])
         ex = executor_for(runs)
-        hit = ex.point_lookup(PointLookup((1,), (1,)))
+        hit = ex.lookup((1,), (1,))
         assert hit.begin_ts == 2  # newest run searched first
 
     def test_miss_returns_none(self):
         runs = build_runs([[entry(1, 1, 1)]])
-        assert executor_for(runs).point_lookup(PointLookup((9,), (9,))) is None
+        assert executor_for(runs).lookup((9,), (9,)) is None
 
     def test_snapshot_respected(self):
         runs = build_runs([[entry(1, 1, 5)], [entry(1, 1, 20, block=1)]])
         ex = executor_for(runs)
-        assert ex.point_lookup(PointLookup((1,), (1,), query_ts=10)).begin_ts == 5
+        assert ex.lookup((1,), (1,), query_ts=10).begin_ts == 5
 
 
 class TestBatchLookup:
@@ -260,7 +257,7 @@ class TestBatchLookup:
         ex = executor_for(runs)
         lookups = [PointLookup((d,), (m,)) for d in range(12) for m in range(3)]
         batch = ex.batch_lookup(lookups)
-        single = [ex.point_lookup(lk) for lk in lookups]
+        single = [ex.lookup(*lk) for lk in lookups]
         assert batch == single
 
     def test_empty_batch(self):
@@ -279,7 +276,7 @@ class TestBatchLookup:
 class TestIncludedColumns:
     def test_index_only_access(self):
         runs = build_runs([[entry(3, 4, 1)]])
-        hit = executor_for(runs).point_lookup(PointLookup((3,), (4,)))
+        hit = executor_for(runs).lookup((3,), (4,))
         assert hit.include_values == (304,)  # no record fetch needed
 
 
@@ -306,8 +303,8 @@ class TestPropertyReconciliation:
         runs = build_runs(groups)
         ex = executor_for(runs)
         query = RangeScanQuery((query_device,), query_ts=query_ts)
-        set_r = ex.range_scan(query, ReconcileStrategy.SET)
-        pq_r = ex.range_scan(query, ReconcileStrategy.PRIORITY_QUEUE)
+        set_r = ex.scan(*query, strategy=ReconcileStrategy.SET)
+        pq_r = ex.scan(*query, strategy=ReconcileStrategy.PRIORITY_QUEUE)
         assert set_r == pq_r
         oracle = {}
         for position, (d, m, ts) in enumerate(writes):

@@ -95,7 +95,8 @@ class TestPreChecksumFormatsRefused:
     @pytest.mark.parametrize("header", ["untouched", "describing-the-v1-block"])
     def test_a_v1_layout_data_block_is_dropped_as_corrupt(self, header):
         index, victim, survivor = two_runs()
-        payload = v1_layout_payload(DEF, victim.read_block(0))
+        view = victim.block_view(0)
+        payload = v1_layout_payload(DEF, [view.entry(i) for i in range(view.count)])
         corrupt_shared_block(index, victim.data_block_id(0), payload)
         if header != "untouched":  # a valid v3 header whose CRC matches
             metas = list(victim.header.block_meta)

@@ -76,7 +76,7 @@ class TestMergeStreamRetention:
     ):
         """Retention must never change the answer of a query at any
         query_ts >= retention horizon."""
-        from repro.core.query import QueryExecutor, PointLookup
+        from repro.core.query import QueryExecutor
 
         if probe_ts < horizon:
             probe_ts = horizon + (probe_ts % 10)
@@ -89,8 +89,8 @@ class TestMergeStreamRetention:
         ex_full = QueryExecutor(DEF, lambda: [full])
         ex_compacted = QueryExecutor(DEF, lambda: [compacted])
         for k in range(5):
-            a = ex_full.point_lookup(PointLookup((k,), (k,), probe_ts))
-            b = ex_compacted.point_lookup(PointLookup((k,), (k,), probe_ts))
+            a = ex_full.lookup((k,), (k,), probe_ts)
+            b = ex_compacted.lookup((k,), (k,), probe_ts)
             if a is None:
                 assert b is None
             else:

@@ -8,6 +8,7 @@ passing one gets a ``TypeError`` naming it, not a setting silently ignored.
 
 import pytest
 
+from repro.baselines.lsm import ClassicLSMIndex
 from repro.core.cache import HIGH_WATERMARK, LOW_WATERMARK
 from repro.core.definition import ColumnSpec, i1_definition
 from repro.core.epoch import RunLifecycle
@@ -16,6 +17,7 @@ from repro.core.query import ReconcileStrategy
 from repro.storage.metrics import EpochStats
 from repro.wildfire.engine import ShardConfig, WildfireShard
 from repro.wildfire.indexer import IndexerDaemon
+from repro.wildfire.indexes import ShardIndexes
 from repro.wildfire.schema import IndexSpec, TableSchema
 
 
@@ -37,6 +39,7 @@ def make_shard():
     (ShardConfig, "run_lifecycle", "legacy"),
     (ShardConfig, "streaming_evolve", False),
     (ShardConfig, "groomed_block_grace_psns", 2),
+    (ShardConfig, "require_primary_index", False),
 ], ids=lambda value: getattr(value, "__name__", None))
 def test_a_retired_config_field_is_refused(config, field, value):
     with pytest.raises(TypeError, match=field):
@@ -54,6 +57,20 @@ def test_a_retired_indexer_parameter_is_refused(parameter, value):
             shard.schema, shard.catalog, shard.indexes, shard.post_groomer,
             **{parameter: value},
         )
+
+
+def test_retired_parameters_of_the_shard_and_the_lsm_baseline_are_refused():
+    shard = make_shard()
+    with pytest.raises(TypeError, match="require_primary"):
+        ShardIndexes(
+            shard.schema, shard.index_spec, shard.hierarchy, UmziConfig(),
+            require_primary=False,
+        )
+    with pytest.raises(TypeError, match="post_groom_enabled"):
+        shard.start_daemons(post_groom_enabled=False)
+    assert not shard.daemons_running
+    with pytest.raises(TypeError, match="remap"):
+        ClassicLSMIndex(i1_definition()).rebuild_with_rids(remap=lambda e: None)
 
 
 def test_the_lifecycle_has_no_mode():

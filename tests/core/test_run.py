@@ -7,15 +7,15 @@ from repro.core.definition import i1_definition
 from repro.core.entry import Zone
 from repro.core.run import (
     ColumnRange,
+    DataBlockView,
     IndexRun,
     RunHeader,
     Synopsis,
-    decode_data_block,
     encode_data_block,
 )
 from repro.storage.hierarchy import StorageHierarchy
 
-from tests.conftest import make_entries
+from tests.conftest import entry_at, make_entries, run_entries
 
 
 @pytest.fixture
@@ -89,22 +89,23 @@ class TestDataBlocks:
     def test_block_roundtrip(self, built_run):
         definition, _, _, entries = built_run
         payload = encode_data_block(definition, entries[:10])
-        assert decode_data_block(definition, payload) == entries[:10]
+        view = DataBlockView(definition, payload)
+        assert [view.entry(i) for i in range(view.count)] == entries[:10]
 
-    def test_read_block_charges_io(self, built_run):
+    def test_block_view_charges_io(self, built_run):
         _, hierarchy, run, _ = built_run
         before = hierarchy.stats.tier("ssd").reads
-        run.read_block(0)
+        run.block_view(0)
         assert hierarchy.stats.tier("ssd").reads > before
 
     def test_decode_cache_avoids_reread(self, built_run):
         _, hierarchy, run, _ = built_run
-        run.read_block(0)
+        run.block_view(0)
         reads = hierarchy.stats.tier("ssd").reads
-        run.read_block(0)
+        run.block_view(0)
         assert hierarchy.stats.tier("ssd").reads == reads
         run.drop_decode_cache()
-        run.read_block(0)
+        run.block_view(0)
         assert hierarchy.stats.tier("ssd").reads == reads + 1
 
 
@@ -113,22 +114,17 @@ class TestNavigation:
         definition, _, run, entries = built_run
         ordered = sorted(entries, key=lambda e: e.sort_key(definition))
         for ordinal in (0, 1, run.entry_count // 2, run.entry_count - 1):
-            assert run.entry_at(ordinal) == ordered[ordinal]
+            assert entry_at(run, ordinal) == ordered[ordinal]
 
     def test_locate_out_of_range(self, built_run):
         _, _, run, _ = built_run
         with pytest.raises(IndexError):
             run.locate(run.entry_count)
 
-    def test_iter_entries_full_scan_in_order(self, built_run):
+    def test_blocks_hold_every_entry_in_order(self, built_run):
         definition, _, run, entries = built_run
-        scanned = list(run.iter_entries())
+        scanned = run_entries(run)
         assert scanned == sorted(entries, key=lambda e: e.sort_key(definition))
-
-    def test_iter_entries_from_offset(self, built_run):
-        _, _, run, _ = built_run
-        tail = list(run.iter_entries(run.entry_count - 3))
-        assert len(tail) == 3
 
     def test_all_block_ids_include_header(self, built_run):
         _, _, run, _ = built_run
@@ -136,18 +132,3 @@ class TestNavigation:
         assert ids[0].ordinal == 0
         assert len(ids) == run.header.num_data_blocks + 1
 
-
-class TestWatermarkCovering:
-    def test_groomed_run_covered(self, built_run):
-        _, _, run, _ = built_run
-        assert run.is_covered_by_watermark(7)
-        assert not run.is_covered_by_watermark(6)
-
-    def test_post_groomed_never_covered(self):
-        definition = i1_definition()
-        hierarchy = StorageHierarchy()
-        builder = RunBuilder(definition, hierarchy)
-        run = builder.build(
-            "p0", make_entries(definition, [1]), Zone.POST_GROOMED, 4, 0, 10
-        )
-        assert not run.is_covered_by_watermark(10)

@@ -17,7 +17,7 @@ from repro.core.search import UNBOUNDED, lookup_key_in_run, search_run, ts_floor
 from repro.storage.block import Block
 from repro.storage.hierarchy import StorageHierarchy
 
-from tests.conftest import make_entries, v1_layout_payload
+from tests.conftest import entry_at, make_entries, v1_layout_payload
 from tests.reference_scan import batch_lookup_in_run
 from tests.reference_search import key_position_bounds, sort_key_at
 
@@ -112,7 +112,7 @@ class TestBlockIndexNarrowing:
             # ... and the kernel, which clamps its search onto them, starts
             # exactly there.
             assert list(search_run(run, target, UNBOUNDED, 1 << 40)) == [
-                run.entry_at(i) for i in range(true_first_geq, run.entry_count)
+                entry_at(run, i) for i in range(true_first_geq, run.entry_count)
             ]
 
 
@@ -178,7 +178,8 @@ class TestOneBlockLayout:
 
         answer = calls[kernel]()
         assert answer not in (None, [], [None], ([], []))
-        store(v1_layout_payload(DEF, run.read_block(0)))
+        view = run.block_view(0)
+        store(v1_layout_payload(DEF, [view.entry(i) for i in range(view.count)]))
         with pytest.raises(ValueError, match="not an Umzi data block"):
             calls[kernel]()
         store(original)

@@ -24,7 +24,7 @@ from repro.core.definition import ColumnSpec, IndexDefinition, i1_definition
 from repro.core.entry import IndexEntry, RID, Zone
 from repro.core.index import UmziConfig, UmziIndex
 from repro.core.levels import LevelConfig
-from repro.core.query import MAX_QUERY_TS, PointLookup
+from repro.core.query import MAX_QUERY_TS
 from repro.core.run import DataBlockView, encode_data_block
 from repro.storage.hierarchy import StorageHierarchy
 from repro.storage.metrics import ReadIntent
@@ -381,10 +381,10 @@ class TestPurgedLookupReleasesWhatItFetched:
         index = self.build()
         hierarchy = index.hierarchy
         skips = hierarchy.stats.epochs
-        with index.snapshot_view() as reader:
+        with index.pin_snapshot() as reader:
             # The pinned reader warms blocks (its executor has no release
             # hook; the pin is what protects them).
-            assert reader.point_lookup(PointLookup((), (3, 45))) is not None
+            assert reader.executor.lookup((), (3, 45)) is not None
             held = {
                 run.run_id: set(run.fetched_blocks) for run in index.all_runs()
             }

@@ -14,6 +14,8 @@ from repro.core.entry import IndexEntry, RID, Zone
 from repro.core.run import RunHeader
 from repro.storage.hierarchy import StorageHierarchy
 
+from tests.conftest import run_entries
+
 DEF = i1_definition()
 
 entry_specs = st.lists(
@@ -97,7 +99,7 @@ class TestStructuralInvariants:
         # Every entry's bucket range contains its ordinal.
         from repro.core.encoding import high_bits
 
-        for ordinal, entry in enumerate(run.iter_entries()):
+        for ordinal, entry in enumerate(run_entries(run)):
             bucket = high_bits(entry.hash_value, DEF.hash_bits)
             lo = offsets[bucket]
             hi = offsets[bucket + 1] if bucket + 1 < len(offsets) else run.entry_count
@@ -111,7 +113,7 @@ class TestStructuralInvariants:
             return
         eq_range = run.header.synopsis.column_range(0)
         sort_range = run.header.synopsis.column_range(1)
-        for entry in run.iter_entries():
+        for entry in run_entries(run):
             assert eq_range.min_value <= entry.equality_values[0] <= eq_range.max_value
             assert sort_range.min_value <= entry.sort_values[0] <= sort_range.max_value
 
@@ -121,6 +123,6 @@ class TestStructuralInvariants:
         run = build_run(specs)
         if run.entry_count == 0:
             return
-        ts_values = [e.begin_ts for e in run.iter_entries()]
+        ts_values = [e.begin_ts for e in run_entries(run)]
         assert run.header.min_begin_ts == min(ts_values)
         assert run.header.max_begin_ts == max(ts_values)

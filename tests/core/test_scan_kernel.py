@@ -18,7 +18,7 @@ return the same entries, charge the same ``raw_key_probes`` and
 assertions fail.
 
 Two differences from the *per-entry* oracle are by design and asserted as
-such.  ``range_scan`` walks its runs one after the other (like the set
+such.  ``QueryExecutor.scan`` walks its runs one after the other (like the set
 approach always did) instead of interleaving them through a heap, so
 against the heap oracle its block fetches are the same *set*, grouped by
 run.  And a batch that mixes snapshots is searched in the same
@@ -72,6 +72,7 @@ from repro.core.search import (
 )
 from repro.storage.hierarchy import StorageHierarchy
 
+from tests.conftest import entry_at
 from tests.reference_scan import (
     batch_lookup_in_run,
     chain_batch_lookup_in_run,
@@ -317,7 +318,7 @@ class TestRangeScan:
 
         for strategy in ReconcileStrategy:
             scan = Observed(
-                hierarchy, runs, lambda: executor.range_scan(query, strategy)
+                hierarchy, runs, lambda: executor.scan(*query, strategy=strategy)
             )
             assert scan.result == heap.result
             assert scan.probes == heap.probes == by_set.probes
@@ -351,7 +352,7 @@ class TestRangeScan:
             for run in (new, old):
                 run.drop_decode_cache()
             before = decode.entry_decodes
-            entries = executor.range_scan(RangeScanQuery((1,)), strategy)
+            entries = executor.scan((1,), strategy=strategy)
             assert len(entries) == 30
             assert decode.entry_decodes - before == 30  # not 30 + 15
 
@@ -436,7 +437,7 @@ class TestLookups:
             for meta in run.header.block_meta
         }
         absent = [key_of(d, 0) for d in range(6, 200)]
-        last_key = run.entry_at(run.entry_count - 1).key_bytes(definition)
+        last_key = entry_at(run, run.entry_count - 1).key_bytes(definition)
         keys.add(next(pair for pair in absent if pair[0] > last_key))
         if hashed:  # a key whose offset-array bucket holds nothing
             keys.add(next(
@@ -459,7 +460,7 @@ class TestLookups:
     @settings(max_examples=150, deadline=None)
     @given(data=st.data())
     def test_executor_point_lookup_matches_the_oracle(self, data):
-        """``point_lookup`` prunes inline and searches with the fused
+        """``lookup`` prunes inline and searches with the fused
         kernel; the oracle builds the scan probe and the candidate list
         and searches per ordinal.  Same entry, probes, decodes and block
         fetches in order, and the same runs handed to ``on_query_done``."""
@@ -479,7 +480,7 @@ class TestLookups:
             expected = Observed(hierarchy, runs, lambda: reference_point_lookup(
                 definition, runs, lookup, **options
             ))
-            got = Observed(hierarchy, runs, lambda: executor.point_lookup(lookup))
+            got = Observed(hierarchy, runs, lambda: executor.lookup(*lookup))
             entry, searched = expected.result
             assert got.result == entry
             assert (got.probes, got.decodes, got.fetched) == (
@@ -503,7 +504,7 @@ class TestLookups:
         ]
         executor = executor_for(definition, runs)
         got = Observed(hierarchy, runs, lambda: executor.batch_lookup(lookups))
-        assert got.result == [executor.point_lookup(lk) for lk in lookups]
+        assert got.result == [executor.lookup(*lk) for lk in lookups]
 
         def through(reference):
             monkeypatch.setattr(
@@ -577,7 +578,7 @@ class TestLookups:
 
         executor = executor_for(HASHED, runs)
         assert executor.batch_lookup(lookups) == [
-            executor.point_lookup(lookup) for lookup in lookups
+            executor.lookup(*lookup) for lookup in lookups
         ]
 
 
@@ -623,7 +624,7 @@ def hard_keys(definition, run):
         for meta in run.header.block_meta
     }
     absent = [key_of(d, 0) for d in range(6, 400)]
-    last_key = run.entry_at(run.entry_count - 1).key_bytes(definition)
+    last_key = entry_at(run, run.entry_count - 1).key_bytes(definition)
     keys.add(next(pair for pair in absent if pair[0] > last_key))
     if hashed:
         fences = run.bucket_fences
@@ -635,7 +636,7 @@ def hard_keys(definition, run):
         for bucket in range(len(fences) - 1):  # two keys past a bucket's end
             if fences[bucket] == fences[bucket + 1]:
                 continue
-            top = run.entry_at(fences[bucket + 1] - 1).key_bytes(definition)
+            top = entry_at(run, fences[bucket + 1] - 1).key_bytes(definition)
             beyond = [
                 pair for pair in absent
                 if pair[1] >> shift == bucket and pair[0] > top
@@ -684,7 +685,7 @@ class TestHardCases:
             for query in queries
             for bounds_hash in [compute_scan_bounds(definition, query).hash_value]
         ]
-        middle = run.entry_at(run.entry_count // 2).key_bytes(definition)
+        middle = entry_at(run, run.entry_count // 2).key_bytes(definition)
         cases += [
             (lower, UNBOUNDED, None) for lower in (b"", middle, b"\xff" * 40)
         ]
@@ -713,7 +714,7 @@ class TestHardCases:
         hierarchy, run = hard_run(definition, block_bytes)
         for ordinal in range(run.entry_count + 1):
             exact = (
-                run.entry_at(ordinal).key_bytes(definition) + b"\x00"
+                entry_at(run, ordinal).key_bytes(definition) + b"\x00"
                 if ordinal < run.entry_count else b"\x00"
             )
             for upper, first_only in [(UNBOUNDED, False), (exact, True)]:
@@ -854,7 +855,7 @@ class TestColumnEncodedBatches:
             PointLookup(eq, sort, data.draw(st.integers(0, MAX_TS)) if mixed else 7)
             for eq, sort in data.draw(point_keys(definition, 16))
         ]
-        expected = [executor_for(definition, runs).point_lookup(lk) for lk in lookups]
+        expected = [executor_for(definition, runs).lookup(*lk) for lk in lookups]
         columns = list(zip(*[lk.equality_values + lk.sort_values for lk in lookups]))
         timestamps = [lk.query_ts for lk in lookups]
         for per_key in (False, True):
@@ -881,10 +882,10 @@ class TestColumnEncodedBatches:
             hit and hit.sort_values
             for hit in executor.batch_lookup_columns([(1.0, 2, 3)], 5)
         ] == [(1.0,), None, (3.0,)]
-        assert executor.point_lookup(PointLookup((), (3,))).sort_values == (3.0,)
-        assert [e.sort_values for e in executor.range_scan(
-            RangeScanQuery((), (2,), (3,))
-        )] == [(2.5,), (3.0,)]
+        assert executor.lookup((), (3,)).sort_values == (3.0,)
+        assert [e.sort_values for e in executor.scan((), (2,), (3,))] == [
+            (2.5,), (3.0,)
+        ]
 
     def test_malformed_batches_are_query_errors(self):
         executor = executor_for(HASHED, [])
@@ -901,7 +902,7 @@ class TestColumnEncodedBatches:
         with pytest.raises(QueryError):
             executor.batch_lookup_columns([(1, 2)], 7)  # a key column short
         with pytest.raises(QueryError):
-            executor.point_lookup(PointLookup((1,), ("x",)))
+            executor.lookup((1,), ("x",))
 
 
 @pytest.mark.parametrize("definition", [HASHED, UNBUCKETED])

@@ -19,6 +19,7 @@ from repro.core.search import (
 )
 from repro.storage.hierarchy import StorageHierarchy
 
+from tests.conftest import entry_at
 from tests.reference_scan import batch_lookup_in_run
 
 DEF = i1_definition()
@@ -90,7 +91,7 @@ class TestOffsetArrayNarrowing:
             target = key_bytes(device, 0)
             ordinals = [
                 i for i in range(run.entry_count)
-                if run.entry_at(i).key_bytes(DEF) == target
+                if entry_at(run, i).key_bytes(DEF) == target
             ]
             assert ordinals, "entry must exist"
             assert all(lo <= o < hi for o in ordinals)

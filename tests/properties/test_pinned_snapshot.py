@@ -1,15 +1,15 @@
 """Property: a pinned snapshot answers identically across evolve commits.
 
 The run lifecycle's observable contract: once a query (here: a
-:meth:`UmziIndex.snapshot_view` scope) has pinned a
+:meth:`UmziIndex.pin_snapshot` scope) has pinned a
 :class:`RunListVersion`, every query it runs must return byte-identical
 answers no matter how many evolves and merges commit in the meantime --
 the pinned runs stay readable (deferred reclamation) and the pinned
 version never changes (immutability).
 
-Hypothesis drives a random ingest history, pins a view, replays a random
+Hypothesis drives a random ingest history, pins a snapshot, replays a random
 set of probe queries, commits a random sequence of evolve/merge
-maintenance, and replays the same probes against the same view.
+maintenance, and replays the same probes against the same snapshot.
 """
 
 from typing import List, Tuple
@@ -20,7 +20,6 @@ from repro.core.definition import i1_definition
 from repro.core.entry import IndexEntry, Zone
 from repro.core.index import UmziConfig, UmziIndex
 from repro.core.levels import LevelConfig
-from repro.core.query import PointLookup, RangeScanQuery
 
 from tests.conftest import make_entries, rid_map
 
@@ -66,19 +65,15 @@ def scenarios(draw):
     return num_runs, probes, covered, split, merge_points, query_ts
 
 
-def run_probes(view, probes, query_ts):
+def run_probes(executor, probes, query_ts):
     answers = []
     for k in probes:
         answers.append(
             fingerprint(
-                view.range_scan(
-                    RangeScanQuery(equality_values=(k,), query_ts=query_ts)
-                )
+                executor.scan(equality_values=(k,), query_ts=query_ts)
             )
         )
-        hit = view.point_lookup(
-            PointLookup((k,), (k,), query_ts=query_ts)
-        )
+        hit = executor.lookup((k,), (k,), query_ts=query_ts)
         answers.append(None if hit is None else fingerprint([hit]))
     return answers
 
@@ -89,8 +84,8 @@ def test_pinned_view_is_immune_to_evolves_and_merges(scenario):
     num_runs, probes, covered, split, merge_points, query_ts = scenario
     index = build_index(num_runs)
 
-    with index.snapshot_view() as view:
-        before = run_probes(view, probes, query_ts)
+    with index.pin_snapshot() as snap:
+        before = run_probes(snap.executor, probes, query_ts)
 
         # Commit maintenance *after* pinning: evolves in PSN order over the
         # covered prefix, with optional merge storms interleaved.
@@ -115,7 +110,7 @@ def test_pinned_view_is_immune_to_evolves_and_merges(scenario):
         if merge_points[2]:
             index.run_maintenance()
 
-        after = run_probes(view, probes, query_ts)
+        after = run_probes(snap.executor, probes, query_ts)
         assert after == before
 
     # Outside the pin everything drains; the live index still answers every

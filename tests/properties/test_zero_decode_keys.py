@@ -21,10 +21,10 @@ from repro.core.entry import (
     begin_ts_of_sort_key,
     SORT_KEY_TS_BYTES,
 )
-from repro.core.run import DataBlockView, decode_data_block, encode_data_block
+from repro.core.run import DataBlockView, encode_data_block
 from repro.storage.hierarchy import StorageHierarchy
 
-from tests.conftest import v1_layout_payload
+from tests.conftest import entry_at, v1_layout_payload
 from tests.reference_search import sort_key_at, view_at
 
 _CTYPES = (
@@ -97,7 +97,7 @@ class TestRawSliceEquivalence:
         builder = RunBuilder(definition, StorageHierarchy(), data_block_bytes=256)
         run = builder.build("p", entries, Zone.GROOMED, 0, 0, 0)
         for ordinal in range(run.entry_count):
-            entry = run.entry_at(ordinal)
+            entry = entry_at(run, ordinal)
             expected_sort_key = entry.sort_key(definition)
             view, in_block = view_at(run, ordinal)
             assert view.sort_key_at(in_block) == expected_sort_key
@@ -129,7 +129,7 @@ class TestRawSliceEquivalence:
             blob = view.entry_blob_at(in_block)
             decoded, consumed = IndexEntry.from_bytes(definition, blob)
             assert consumed == len(blob)
-            assert decoded == run.entry_at(ordinal)
+            assert decoded == entry_at(run, ordinal)
 
 
 class TestOneBlockFormat:
@@ -138,8 +138,8 @@ class TestOneBlockFormat:
     def test_blocks_decode_to_their_entries(self, case):
         definition, entries = case
         ordered = sorted(entries, key=lambda e: e.sort_key(definition))
-        block = encode_data_block(definition, ordered)
-        assert decode_data_block(definition, block) == ordered
+        view = DataBlockView(definition, encode_data_block(definition, ordered))
+        assert [view.entry(i) for i in range(view.count)] == ordered
 
     @settings(max_examples=40, deadline=None)
     @given(case=definition_and_entries())

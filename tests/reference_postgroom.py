@@ -11,7 +11,7 @@ out of ``src/``, as the reference the sweep is compared against: same
 from typing import Dict, List, Tuple
 
 from repro.core.entry import RID, Zone
-from repro.core.query import PointLookup, QueryExecutor
+from repro.core.query import QueryExecutor
 from repro.storage.metrics import ReadIntent
 
 
@@ -25,9 +25,7 @@ def reference_post_groomed_lookup(index, equality_values, sort_values, query_ts)
         lifecycle=index.lifecycle,
     )
     with index.hierarchy.reading_as(ReadIntent.MAINTENANCE):
-        return executor.point_lookup(
-            PointLookup(tuple(equality_values), tuple(sort_values), query_ts)
-        )
+        return executor.lookup(equality_values, sort_values, query_ts)
 
 
 def reference_repartition_and_write(

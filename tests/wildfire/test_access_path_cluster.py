@@ -5,9 +5,9 @@ it, scatters otherwise (pruning shards whose synopses cannot match --
 ISSUE 10), merges newest-beginTS-wins per primary key (the migration
 double-read window), and reports failing shards through
 ``PartialResultError`` -- typed queries never serve degraded answers.
-Shards carrying secondary indexes split via per-index partition passes
-(ISSUE 10 flipped the old ``SplitUnsupported`` refusal); what remains
-refused is an index with no sharding-key bytes in its sort keys.
+Shards carrying secondary indexes split via per-index partition passes.
+Every index holds the sharding key: the primary's key columns must be
+the primary key, refused at construction otherwise.
 """
 
 import pytest
@@ -19,9 +19,8 @@ from repro.planner import Query
 from repro.qos.errors import PartialResultError
 from repro.storage.retry import TransientIOError
 from repro.wildfire.cluster import ShardedTable
-from repro.wildfire.engine import ShardConfig
-from repro.wildfire.schema import IndexSpec, TableSchema
-from repro.wildfire.migration import SplitAborted, SplitUnsupported
+from repro.wildfire.engine import ShardConfig, WildfireShard
+from repro.wildfire.schema import IndexSpec, SchemaError, TableSchema
 
 
 def make_orders_table(num_shards=3, planner="smart"):
@@ -200,11 +199,10 @@ class TestSecondaryIndexSplit:
                   projection=("order_id", "amount"))
         )
 
-    def test_refusal_when_no_index_carries_the_sharding_key(self):
-        """What remains unsupported: an index whose key columns exclude
-        the sharding key (possible only with require_primary_index=False
-        shapes) -- there is no byte range to recover the routing hash
-        from."""
+    def test_a_primary_spec_off_the_primary_key_is_refused(self):
+        """An index without the sharding key in its key columns cannot be
+        built: the primary's key columns must be the primary key (which
+        holds the sharding key), and every secondary ends with it."""
         schema = TableSchema(
             name="iot",
             columns=(
@@ -215,20 +213,10 @@ class TestSecondaryIndexSplit:
             sharding_key=("device",),
         )
         spec = IndexSpec(sort_columns=("msg", "reading"))
-        table = ShardedTable(
-            schema, spec, num_shards=2,
-            config=ShardConfig(require_primary_index=False),
-        )
-        table.ingest([(d, m, d + m) for d in range(4) for m in range(2)])
-        table.run_cycles(2)
-        epoch_before = table.routing_epoch()
-        with pytest.raises(SplitUnsupported) as excinfo:
-            table.split_shard(0)
-        err = excinfo.value
-        assert err.source_id == 0
-        assert err.index_names == ("primary",)
-        assert isinstance(err, SplitAborted)  # nothing was published
-        assert table.routing_epoch() == epoch_before
+        with pytest.raises(SchemaError, match="must equal the table primary key"):
+            WildfireShard(schema, spec)
+        with pytest.raises(SchemaError, match="must equal the table primary key"):
+            ShardedTable(schema, spec, num_shards=2)
 
 
 class TestScatterPruning:

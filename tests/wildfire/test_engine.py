@@ -6,7 +6,6 @@ import time
 import pytest
 
 from repro.core.definition import ColumnSpec
-from repro.core.entry import Zone
 from repro.wildfire.engine import ShardConfig, WildfireShard
 from repro.wildfire.schema import IndexSpec, TableSchema
 
@@ -124,17 +123,6 @@ class TestThreadedDaemons:
             shard.stop_daemons()
         assert shard.groomer.grooms_done > 0
         assert shard.point_query((0,), (0,)) is not None
-
-    def test_post_groom_disabled_mode(self):
-        shard = make_shard(post_groom_every=1)
-        shard.start_daemons(groom_interval_s=0.005, post_groom_enabled=False)
-        try:
-            shard.ingest([(1, 1, 1)])
-            time.sleep(0.1)
-        finally:
-            shard.stop_daemons()
-        assert shard.post_groomer.max_psn == 0
-        assert len(shard.index.run_lists[Zone.POST_GROOMED]) == 0
 
 
 class TestCrashRecovery:
