@@ -10,19 +10,9 @@ A run is one header block plus one or more fixed-size data blocks:
   total entry count, and -- for the non-persisted-level protocol of section
   6.1 -- the list of ancestor run ids that must not be deleted until this
   run reaches a persisted level;
-* each **data block** is ``"UMB2" | count:u32 | entry offsets:u32[count] |
-  sort-key lengths:u32[count] | entry bytes``, the serialized entries in
-  sort-key order.  Because every entry blob *starts with* its sort key
-  (the paper's memcmp-comparable key format, section 4.2) and the offset
-  table also records each entry's sort-key length, :class:`DataBlockView`
-  serves ``sort_key_at(i)`` / ``key_bytes_at(i)`` / ``begin_ts_at(i)`` as
-  raw slices of the payload -- binary-search probes, batched lookups, and
-  K-way merges compare memory directly and decode an :class:`IndexEntry`
-  only for entries actually emitted.  The beginTS is the fixed 8-byte
-  descending-encoded suffix of the sort key, so visibility checks are a
-  slice compare.  A view reads both tables through one ``array`` of u32s
-  (no per-entry Python objects).  A payload without the ``UMB2`` magic is
-  refused.
+* each **data block** is the :mod:`repro.core.block` format, read through a
+  :class:`DataBlockView`: cold (probes slice the payload, no per-entry
+  objects) or keyed (a sort-key column the kernels here bisect in C).
 
 Everything is serialized to plain ``bytes`` so runs round-trip through the
 storage hierarchy like any other block.
@@ -31,25 +21,19 @@ storage hierarchy like any other block.
 from __future__ import annotations
 
 import struct
-import sys
-import zlib
-from array import array
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from itertools import accumulate
 from typing import Dict, Iterator, List, Optional, Sequence, Set, Tuple
 
+from repro.core.block import DATA_BLOCK_MAGIC, DataBlockView, _PROBES, _probes
+from repro.core.block import block_checksum, encode_data_block, pack_data_block
 from repro.core.definition import DECODERS, ENCODERS, IndexDefinition
 from repro.core.encoding import KeyValue
-from repro.core.entry import (
-    IndexEntry,
-    SORT_KEY_TS_BYTES,
-    Zone,
-    begin_ts_of_sort_key,
-)
+from repro.core.entry import IndexEntry, SORT_KEY_TS_BYTES, Zone
 from repro.storage.block import BlockId
 from repro.storage.hierarchy import StorageHierarchy
-from repro.storage.metrics import DecodeStats, ReadIntent
+from repro.storage.metrics import ReadIntent
 
 HEADER_ORDINAL = 0
 _tuple_new = tuple.__new__
@@ -58,19 +42,6 @@ _MAGIC = b"UMZI"
 # re-validates runs by checksumming raw payloads; it is the only version
 # read.
 _VERSION = 3
-DATA_BLOCK_MAGIC = b"UMB2"
-_UNPACK_U32 = struct.Struct(">I").unpack_from
-
-
-def block_checksum(payload: bytes) -> int:
-    """CRC32 of one raw data-block payload (the recovery checksum).
-
-    zlib's C-speed CRC32 stands in for CRC32C (the container has no
-    Castagnoli implementation and a pure-Python table would sit on the
-    write hot path); the property that matters -- any single flipped byte
-    changes the digest -- is identical.
-    """
-    return zlib.crc32(payload) & 0xFFFFFFFF
 
 
 def _pack_bytes(data: bytes) -> bytes:
@@ -352,131 +323,6 @@ class RunHeader:
         )
 
 
-def pack_data_block(
-    offsets: Sequence[int], sort_key_lengths: Sequence[int], blobs: Sequence[bytes]
-) -> bytes:
-    """Serialize one data block from its two tables and entry blobs.
-
-    Layout: ``"UMB2" | count | per-entry offsets | per-entry sort-key
-    lengths | entry bytes``.  The offset table lets binary-search probes
-    touch *single* entries instead of whole blocks (the restart-point
-    trick); the sort-key length table is what makes those probes zero
-    decode -- each entry blob starts with its sort key, so a probe is a
-    pure payload slice.
-    """
-    count = len(blobs)
-    parts = [DATA_BLOCK_MAGIC, struct.pack(">I", count)]
-    if count:
-        parts.append(struct.pack(f">{count}I", *offsets))
-        parts.append(struct.pack(f">{count}I", *sort_key_lengths))
-    parts.extend(blobs)
-    return b"".join(parts)
-
-
-def encode_data_block(
-    definition: IndexDefinition, entries: Sequence[IndexEntry]
-) -> bytes:
-    """Serialize one data block from decoded entries."""
-    pairs = [entry.to_blob(definition) for entry in entries]
-    blobs = [blob for _sort_key, blob in pairs]
-    return pack_data_block(
-        [0, *accumulate(map(len, blobs[:-1]))],
-        [len(sort_key) for sort_key, _blob in pairs],
-        blobs,
-    )
-
-
-# array typecode of a 4-byte unsigned integer on this platform.
-_U32 = "I" if array("I").itemsize == 4 else "L"
-_SWAP_U32 = sys.byteorder == "little"  # tables are stored big-endian
-
-
-def _u32_table(payload: bytes, start: int, length: int) -> array:
-    """``length`` big-endian u32s at ``payload[start:]`` as one array.
-
-    One Python object however long the table is, so a view costs the same
-    few allocations over ten entries or five thousand.
-    """
-    table = array(_U32, payload[start : start + 4 * length])
-    if len(table) != length:
-        raise ValueError("data block is shorter than its offset table")
-    if _SWAP_U32:
-        table.byteswap()
-    return table
-
-
-class DataBlockView:
-    """Lazy, memoizing view over one encoded data block.
-
-    The raw-key accessors (:meth:`sort_key_at`, :meth:`key_bytes_at`,
-    :meth:`begin_ts_at`, :meth:`entry_blob_at`) are pure payload slices --
-    no column decoding, no object construction.
-
-    ``table`` holds the entry offsets in ``[0, count)`` and the sort-key
-    lengths in ``[count, 2 * count)``; entry ``i`` starts at
-    ``payload[base + table[i]]``.  ``payload`` / ``base`` / ``table`` /
-    ``count`` are what the run-level search kernels lift into locals.
-    """
-
-    __slots__ = ("definition", "payload", "table", "base", "decoded", "_stats", "count")
-
-    def __init__(
-        self,
-        definition: IndexDefinition,
-        payload: bytes,
-        stats: Optional[DecodeStats] = None,
-    ) -> None:
-        self.definition = definition
-        self.payload = payload
-        self._stats = stats
-        if payload[:4] != DATA_BLOCK_MAGIC:
-            raise ValueError("not an Umzi data block")
-        (self.count,) = _UNPACK_U32(payload, 4)
-        self.table = _u32_table(payload, 8, 2 * self.count)
-        self.base = 8 + 8 * self.count
-        # in-block index -> decoded entry, filled by :meth:`entry`; hot
-        # loops ask it first (``view.decoded.get(i) or view.entry(i)``).
-        self.decoded: Dict[int, IndexEntry] = {}
-
-    def entry(self, index: int) -> IndexEntry:
-        cached = self.decoded.get(index)
-        if cached is not None:
-            return cached
-        if self._stats is not None:
-            self._stats.entry_decodes += 1
-        entry, _ = IndexEntry.from_bytes(
-            self.definition, self.payload, self.base + self.table[index]
-        )
-        self.decoded[index] = entry
-        return entry
-
-    # -- zero-decode accessors --------------------------------------------------
-
-    def sort_key_at(self, index: int) -> bytes:
-        """Raw sort key of entry ``index`` -- a payload slice."""
-        if self._stats is not None:
-            self._stats.raw_key_probes += 1
-        start = self.base + self.table[index]
-        return self.payload[start : start + self.table[self.count + index]]
-
-    def key_bytes_at(self, index: int) -> bytes:
-        """Raw user key (sort key minus the 8-byte beginTS suffix)."""
-        return self.sort_key_at(index)[:-SORT_KEY_TS_BYTES]
-
-    def begin_ts_at(self, index: int) -> int:
-        """``beginTS`` of entry ``index`` from the fixed sort-key suffix."""
-        return begin_ts_of_sort_key(self.sort_key_at(index))
-
-    def entry_blob_at(self, index: int) -> bytes:
-        """The raw serialized entry, verbatim (merge copy path)."""
-        if self._stats is not None:
-            self._stats.blob_copies += 1
-        start = self.base + self.table[index]
-        if index + 1 < self.count:
-            return self.payload[start : self.base + self.table[index + 1]]
-        return self.payload[start:]
-
-
 class IndexRun:
     """In-memory handle to one run: header metadata + block access.
 
@@ -579,10 +425,15 @@ class IndexRun:
         Scope-*inherited* maintenance reads (e.g. the post-groomer's
         predecessor sweep under ``reading_as``) keep memoizing:
         binary-search probes revisit the same block many times, and
-        re-fetching it per probe would multiply their I/O.
+        re-fetching it per probe would multiply their I/O.  A query back at
+        a memoized view (no ``intent``, no maintenance scope) makes it keyed.
         """
         cached = self._views.get(block_index)
         if cached is not None:
+            if cached.keys is None and intent is None and (
+                self.hierarchy.current_read_intent() is not ReadIntent.MAINTENANCE
+            ):
+                cached.key_column()
             return cached
         block = self.hierarchy.read(
             self.data_block_id(block_index), intent=intent
@@ -638,7 +489,12 @@ class IndexRun:
                     start, end = cum[block_index], cum[block_index + 1]
                     view = self.block_view(block_index)
                     payload, base, table = view.payload, view.base, view.table
-                    count = view.count
+                    count, column = view.count, view.keys
+                    if column and start <= lo < hi <= end:
+                        i = bisect_left(column, key, lo - start, hi - start) + start
+                        probes += (_PROBES.get(hi - lo) or _probes(hi - lo))[i - lo]
+                        lo = hi = i
+                        continue  # where the loop would have ended
                 if lo >= hi:
                     break
                 i = ordinal - start
@@ -651,8 +507,9 @@ class IndexRun:
             # The key's versions, newest first, start at ``lo``.
             for i in range(lo - start, count):
                 probes += 1
-                at = base + table[i]
-                sort_key = payload[at : at + table[count + i]]
+                sort_key = column[i] if column else payload[
+                    (at := base + table[i]) : at + table[count + i]
+                ]
                 if sort_key[:-SORT_KEY_TS_BYTES] != key:
                     return None
                 if sort_key[-SORT_KEY_TS_BYTES:] >= ts_floor:
@@ -694,7 +551,7 @@ class IndexRun:
 
         Lazy (nothing is probed or fetched before the first list is asked
         for) and zero-decode (callers decode what they return).  One
-        raw-key probe per entry looked at.
+        raw-key probe per entry looked at, whichever kind of view.
         """
         cum, first_keys = self._cum, self._first_keys
         block_lo = cum[max(0, bisect_left(first_keys, lower_key) - 1)]
@@ -714,7 +571,12 @@ class IndexRun:
                     start, end = cum[block_index], cum[block_index + 1]
                     view = self.block_view(block_index)
                     payload, base, table = view.payload, view.base, view.table
-                    count = view.count
+                    count, column = view.count, view.keys
+                    if column and start <= lo < hi <= end:
+                        i = bisect_left(column, lower_key, lo - start, hi - start) + start
+                        probes += (_PROBES.get(hi - lo) or _probes(hi - lo))[i - lo]
+                        lo = hi = i
+                        continue  # where the loop would have ended
                 if lo >= hi:
                     break
                 i = ordinal - start
@@ -734,8 +596,9 @@ class IndexRun:
             hits = []
             done = False
             for i in range(first, count):
-                at = base + table[i]
-                sort_key = payload[at : at + table[count + i]]
+                sort_key = column[i] if column else payload[
+                    (at := base + table[i]) : at + table[count + i]
+                ]
                 key = sort_key[:tail]
                 if bounded and key >= upper_exclusive:
                     done = True
@@ -761,7 +624,7 @@ class IndexRun:
             end = cum[block_index + 1]
             view = self.block_view(block_index)
             payload, base, table = view.payload, view.base, view.table
-            count = view.count
+            count, column = view.count, view.keys
             first = 0
 
     def batch_visible(
@@ -817,9 +680,14 @@ class IndexRun:
                         start, end = cum[block_index], cum[block_index + 1]
                         view = self.block_view(block_index)
                         payload, base, table = view.payload, view.base, view.table
-                        size = view.count
+                        size, column = view.count, view.keys
                     if lo >= hi:
                         break
+                    if column and start <= lo < hi <= end:  # held or resolved
+                        i = bisect_left(column, key, lo - start, hi - start) + start
+                        probes += (_PROBES.get(hi - lo) or _probes(hi - lo))[i - lo]
+                        lo = hi = i
+                        continue  # where the loop would have ended
                     i = ordinal - start
                     probes += 1
                     at = base + table[i]
@@ -832,8 +700,9 @@ class IndexRun:
                 # The key's versions, newest first, start at ``lo``.
                 for i in range(lo - start, size):
                     probes += 1
-                    at = base + table[i]
-                    sort_key = payload[at : at + table[size + i]]
+                    sort_key = column[i] if column else payload[
+                        (at := base + table[i]) : at + table[size + i]
+                    ]
                     if sort_key[:tail] != key:
                         break
                     if sort_key[tail:] >= floor:

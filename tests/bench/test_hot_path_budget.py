@@ -1,4 +1,5 @@
-"""Deterministic hot-path guards: Python calls per ``point_query`` and per row.
+"""Deterministic hot-path guards: Python calls (and lines) per ``point_query``
+and calls per row.
 
 Wall-clock numbers do not repeat on a shared CI box; the number of Python
 ``call`` events a front-door point lookup makes does.  This test loads the
@@ -56,6 +57,25 @@ recorded an owner thread for finalizer re-entry), the Unref part of
 ``release`` itself and drops the pin's ``__del__``: 6 calls per lookup, 8
 per purged one.  Lower them when the path gets shorter; raise them only
 deliberately.
+
+Calls cannot see a Python loop that makes none: the binary search inside
+a run was ~11 probes per run searched without a call among them.  So the
+point test also counts ``line`` events per ``point_query`` with
+``sys.settrace`` over the same keys, warm and purged:
+
+=========================  =====  ======
+commit                      warm  purged
+=========================  =====  ======
+385f969 (before)           550.4   877.6
+warm blocks bisected       369.0   883.9
+=========================  =====  ======
+
+The last row searches a warm block -- a view the run handle memoized, come
+back to by a query -- with ``bisect_left`` over its sort-key column
+(``DataBlockView.keys``) instead of the probe loop; calls stayed at 68.3
+and 111.7.  A purged lookup still runs the loop over cold views, and pays
+a few lines for the check.  A probe loop coming back on warm blocks
+shows up here, and nowhere else.
 
 The write path has the same guard: ``call`` events per ingested row inside
 ``ingest`` + ``tick`` over the whole load of this fixture (48 rounds, 7 175
@@ -138,6 +158,8 @@ E2E = Path(__file__).resolve().parents[2] / "benchmarks" / "e2e"
 
 BEFORE = {"warm": 357.9, "purged": 508.4}
 CEILING = {"warm": 71.0, "purged": 115.0}
+LINE_BEFORE = {"warm": 550.4, "purged": 877.6}
+LINE_CEILING = {"warm": 400.0, "purged": 900.0}
 
 WRITE_BEFORE = 114.2
 WRITE_CEILING = 29.0
@@ -214,6 +236,33 @@ def calls_per_query(table, keys):
     finally:
         gc.enable()
     return calls / len(keys)
+
+
+def lines_per_query(table, keys):
+    """Mean Python ``line`` events inside ``point_query`` over ``keys``."""
+    lines = 0
+
+    def tracer(frame, event, arg):
+        nonlocal lines
+        if event == "line":
+            lines += 1
+        return tracer
+
+    point_query, advance = table.point_query, table.advance_clock
+    gc.collect()
+    gc.disable()
+    try:
+        for key in keys:
+            advance(ARRIVAL_GAP_NS)
+            sys.settrace(tracer)
+            try:
+                row = point_query((), (key,))
+            finally:
+                sys.settrace(None)
+            assert row is not None and row.values[0] == key
+    finally:
+        gc.enable()
+    return lines / len(keys)
 
 
 def calls_per_typed_query(table, queries):
@@ -293,16 +342,24 @@ def test_python_calls_per_point_query_stay_under_budget():
         table.point_query((), (key,))
 
     measured = {"warm": calls_per_query(table, keys)}
+    lines = {"warm": lines_per_query(table, keys)}
     for shard in table.shards:
         for shard_index in shard.indexes.all():
             shard_index.index.cache.set_cache_level(-1)
     measured["purged"] = calls_per_query(table, keys)
+    lines["purged"] = lines_per_query(table, keys)
 
     for regime, ceiling in CEILING.items():
         assert ceiling <= 0.65 * BEFORE[regime]
         assert measured[regime] <= ceiling, (
             f"{regime}: {measured[regime]:.1f} Python calls per point_query, "
             f"budget {ceiling} (was {BEFORE[regime]} before the kernel)"
+        )
+    for regime, ceiling in LINE_CEILING.items():
+        assert lines[regime] <= ceiling, (
+            f"{regime}: {lines[regime]:.1f} Python lines per point_query, "
+            f"budget {ceiling} (was {LINE_BEFORE[regime]} before warm blocks "
+            "were bisected)"
         )
 
 
