@@ -207,8 +207,9 @@ class CacheManager:
             self.maintenance_bypasses += 1
             return
         releasing: Dict[str, IndexRun] = {}
+        cached_level = self._current_cached_level
         for run in touched_purged_runs:
-            if run.fetched_blocks and self.is_purged_level(run.level):
+            if run.fetched_blocks and run.level > cached_level:
                 releasing[run.run_id] = run
         if not releasing:
             return  # nothing transient to release: no decision made

@@ -112,8 +112,9 @@ class AdmissionController:
         self.config = config
         self.stats = stats if stats is not None else QosStats()
         self._charge = charge
+        self._rate_per_ns = config.rate_per_ns  # a property: read it once
         self._lock = threading.Lock()
-        self._now_ns = 0
+        self.now_ns = 0  # the arrival clock: read without the lock
         self._last_refill_ns = 0
         self._tokens = float(config.burst)
 
@@ -122,12 +123,7 @@ class AdmissionController:
         if delta_ns < 0:
             raise ValueError("cannot advance the arrival clock backwards")
         with self._lock:
-            self._now_ns += delta_ns
-
-    @property
-    def now_ns(self) -> int:
-        with self._lock:
-            return self._now_ns
+            self.now_ns += delta_ns
 
     def backlog_ns(self) -> int:
         """Projected queueing delay for the next arrival (the queue depth
@@ -135,16 +131,16 @@ class AdmissionController:
         with self._lock:
             self._refill_locked()
             deficit = max(0.0, 1.0 - self._tokens)
-            return int(deficit / self.config.rate_per_ns)
+            return int(deficit / self._rate_per_ns)
 
     def _refill_locked(self) -> None:
-        elapsed = self._now_ns - self._last_refill_ns
+        elapsed = self.now_ns - self._last_refill_ns
         if elapsed > 0:
             self._tokens = min(
                 float(self.config.burst),
-                self._tokens + elapsed * self.config.rate_per_ns,
+                self._tokens + elapsed * self._rate_per_ns,
             )
-            self._last_refill_ns = self._now_ns
+            self._last_refill_ns = self.now_ns
 
     def admit(
         self, cost: float = 1.0, deadline_ns: Optional[int] = None
@@ -158,7 +154,7 @@ class AdmissionController:
                 self._tokens -= cost
                 self.stats.admitted += 1
                 return AdmissionTicket(self, 0, deadline_ns)
-            wait_ns = int((cost - self._tokens) / self.config.rate_per_ns)
+            wait_ns = int((cost - self._tokens) / self._rate_per_ns)
             if wait_ns > self.config.max_queue_ns:
                 self.stats.shed += 1
                 raise Overloaded(wait_ns)

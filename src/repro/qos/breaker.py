@@ -87,7 +87,10 @@ class CircuitBreaker:
         return self._stats
 
     def state(self) -> BreakerState:
-        """Current state, applying the lazy OPEN -> HALF_OPEN transition."""
+        """Current state, applying the lazy OPEN -> HALF_OPEN transition
+        (CLOSED is one enum read and takes no lock, like :meth:`check`)."""
+        if self._state is BreakerState.CLOSED:
+            return BreakerState.CLOSED
         with self._lock:
             return self._state_locked()
 

@@ -40,12 +40,17 @@ def decompose_begin_ts(begin_ts: int) -> "tuple[int, int]":
 
 
 class HybridClock:
-    """Thread-safe source of commit sequences and groom cycles."""
+    """Thread-safe source of commit sequences and groom cycles.
+
+    ``groom_cycle`` and ``snapshot_ts`` (queries' default: everything
+    groomed so far is visible) change under the lock, are read without it.
+    """
 
     def __init__(self) -> None:
         self._lock = threading.Lock()
         self._commit_seq = 0
-        self._groom_cycle = 0
+        self.groom_cycle = 0
+        self.snapshot_ts = compose_begin_ts(0, _COMMIT_MASK)
 
     def next_commit_seq(self) -> int:
         """Tentative commit time assigned when a transaction commits."""
@@ -56,18 +61,14 @@ class HybridClock:
     def next_groom_cycle(self) -> int:
         """Advance to (and return) the next groom cycle number."""
         with self._lock:
-            self._groom_cycle += 1
-            return self._groom_cycle
-
-    @property
-    def groom_cycle(self) -> int:
-        with self._lock:
-            return self._groom_cycle
+            self.groom_cycle += 1
+            self.snapshot_ts = compose_begin_ts(self.groom_cycle, _COMMIT_MASK)
+            return self.groom_cycle
 
     def state(self) -> "tuple[int, int]":
         """Atomic ``(groom_cycle, commit_seq)`` snapshot."""
         with self._lock:
-            return (self._groom_cycle, self._commit_seq)
+            return (self.groom_cycle, self._commit_seq)
 
     def ensure_at_least(self, groom_cycle: int, commit_seq: int) -> None:
         """Fast-forward so future timestamps sort after another clock's.
@@ -81,17 +82,9 @@ class HybridClock:
         local advancement.
         """
         with self._lock:
-            self._groom_cycle = max(self._groom_cycle, groom_cycle)
+            self.groom_cycle = max(self.groom_cycle, groom_cycle)
+            self.snapshot_ts = compose_begin_ts(self.groom_cycle, _COMMIT_MASK)
             self._commit_seq = max(self._commit_seq, commit_seq)
-
-    def now(self) -> int:
-        """A timestamp at least as new as anything already groomed.
-
-        Queries default to this: the freshest quorum-readable snapshot
-        (everything up to the current groom cycle is visible).
-        """
-        with self._lock:
-            return compose_begin_ts(self._groom_cycle, _COMMIT_MASK)
 
 
 __all__ = ["COMMIT_BITS", "HybridClock", "compose_begin_ts",

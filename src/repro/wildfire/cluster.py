@@ -266,7 +266,7 @@ class ShardedTable:
         return self._maps
 
     def routing_epoch(self) -> int:
-        return self._maps.epoch
+        return self._maps.current.epoch
 
     def live_shard_ids(self) -> List[int]:
         """Shards that still serve (everything not retired by a split)."""
@@ -494,7 +494,7 @@ class ShardedTable:
         """
         with self._migration_lock:
             if self._migration is None:
-                return {"resumed": False, "epoch": self._maps.epoch}
+                return {"resumed": False, "epoch": self._maps.current.epoch}
             return self._drive(Migration.recover)
 
     # -- queries ----------------------------------------------------------------------
@@ -755,7 +755,7 @@ class ShardedTable:
         live = self.live_shard_ids()
         return {
             "num_shards": len(live),
-            "routing_epoch": self._maps.epoch,
+            "routing_epoch": self._maps.current.epoch,
             "retired_shards": sorted(self._retired),
             "total_entries": sum(
                 per_shard[i]["index"].total_entries for i in live  # type: ignore[index]

@@ -365,7 +365,7 @@ class WildfireShard:
 
     def current_snapshot_ts(self) -> int:
         """Freshest groomed-visible snapshot timestamp."""
-        return self.clock.now()
+        return self.clock.snapshot_ts
 
     # -- index wrappers: each calls the right UmziIndex itself -- same
     # arguments, same arity and type errors surfacing from the index, same
@@ -381,7 +381,7 @@ class WildfireShard:
         """Pure index point lookup (what the paper's experiments time)."""
         return self.index.lookup(
             equality_values, sort_values,
-            query_ts if query_ts is not None else self.current_snapshot_ts(),
+            query_ts if query_ts is not None else self.clock.snapshot_ts,
         )
 
     def index_batch_lookup(
@@ -400,7 +400,7 @@ class WildfireShard:
             )
         return self.index.batch_lookup(
             [(*eq, *sort) for eq, sort in keys],
-            query_ts if query_ts is not None else self.current_snapshot_ts(),
+            query_ts if query_ts is not None else self.clock.snapshot_ts,
         )
 
     def point_query(
@@ -430,7 +430,8 @@ class WildfireShard:
             live_hit = self._live_zone_lookup(equality_values, sort_values)
             if live_hit is not None:
                 return live_hit
-        entry = self.index_lookup(equality_values, sort_values, query_ts)
+        ts = query_ts if query_ts is not None else self.clock.snapshot_ts
+        entry = self.index.lookup(equality_values, sort_values, ts)
         if entry is None:
             return None
         return self.catalog.fetch_record(entry.rid)
@@ -481,7 +482,7 @@ class WildfireShard:
         """``index.scan`` at the default snapshot: entries, or their records."""
         entries = index.scan(
             equality_values, sort_lower, sort_upper,
-            query_ts if query_ts is not None else self.current_snapshot_ts(),
+            query_ts if query_ts is not None else self.clock.snapshot_ts,
         )
         if not fetch_records:
             return entries
@@ -575,7 +576,7 @@ class WildfireShard:
         dropping the tags; whoever hands out rows sorts them.
         """
         plan = self.plan_query(query, values)
-        ts = query.query_ts if query.query_ts is not None else self.clock.now()
+        ts = query.query_ts if query.query_ts is not None else self.clock.snapshot_ts
         return self._execute_plan(plan, ts)
 
     def _execute_plan(
@@ -735,7 +736,7 @@ class WildfireShard:
             pin = self._degraded_pin
         if pin is None:
             raise RuntimeError("shard is not in degraded mode")
-        ts = query_ts if query_ts is not None else self.current_snapshot_ts()
+        ts = query_ts if query_ts is not None else self.clock.snapshot_ts
         entry = pin.executor.lookup(equality_values, sort_values, ts)
         if entry is None:
             return None
@@ -753,7 +754,7 @@ class WildfireShard:
             pin = self._degraded_pin
         if pin is None:
             raise RuntimeError("shard is not in degraded mode")
-        ts = query_ts if query_ts is not None else self.current_snapshot_ts()
+        ts = query_ts if query_ts is not None else self.clock.snapshot_ts
         return pin.executor.scan(equality_values, sort_lower, sort_upper, ts)
 
     # ------------------------------------------------------------------------------

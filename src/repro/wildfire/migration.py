@@ -383,7 +383,7 @@ class Migration:
         }
 
     def _progress(self) -> Dict[str, object]:
-        return {"epoch": self.table.maps.epoch, **self.summary()}
+        return {"epoch": self.table.maps.current.epoch, **self.summary()}
 
     def _route(self, state: str) -> SlotRoute:
         """The slot's route in ``state``: one shard on the un-split side
@@ -553,7 +553,7 @@ class Migration:
             return {
                 "resumed": True,
                 "outcome": "rolled_back",
-                "epoch": self.table.maps.epoch,
+                "epoch": self.table.maps.current.epoch,
             }
         result = self.run()
         result["outcome"] = "rolled_forward"

@@ -238,71 +238,68 @@ class ShardMapRegistry:
     supplied :class:`~repro.storage.metrics.EpochStats`), and a
     superseded epoch is reclaimed when its last pin exits.  ``drain``
     lets a migration wait until no in-flight query can still be
-    answering from a pre-publish view.
+    answering from a pre-publish view.  ``current`` is swapped under the
+    plain lock and read without it; pin and unpin take that lock and
+    notify the drain condition built on it only while a drainer waits.
     """
 
     def __init__(
         self, initial: ShardMap, stats: Optional[EpochStats] = None
     ) -> None:
         self._stats = stats if stats is not None else EpochStats()
-        self._cond = threading.Condition()
-        self._current = initial
+        self._lock = threading.Lock()
+        self._drained = threading.Condition(self._lock)
+        self._drainers = 0
+        self.current = initial
         self._refs: Dict[int, int] = {initial.epoch: 0}
         self._stats.versions_published += 1
 
-    @property
-    def current(self) -> ShardMap:
-        with self._cond:
-            return self._current
-
-    @property
-    def epoch(self) -> int:
-        with self._cond:
-            return self._current.epoch
-
     def refs(self, epoch: int) -> int:
-        with self._cond:
-            return self._refs.get(epoch, 0)
+        return self._refs.get(epoch, 0)
 
     def pin(self) -> MapPin:
-        with self._cond:
-            shard_map = self._current
+        with self._lock:
+            shard_map = self.current
             self._refs[shard_map.epoch] += 1
             self._stats.pins_entered += 1
             self._stats.version_refs += 1
         return MapPin(shard_map, self)
 
     def _unpin(self, epoch: int) -> None:
-        with self._cond:
+        with self._lock:
             self._refs[epoch] -= 1
             self._stats.pins_exited += 1
             self._stats.version_unrefs += 1
-            if self._refs[epoch] == 0 and epoch != self._current.epoch:
+            if self._refs[epoch] == 0 and epoch != self.current.epoch:
                 del self._refs[epoch]
                 self._stats.versions_reclaimed += 1
-            self._cond.notify_all()
+            if self._drainers:
+                self._drained.notify_all()
 
     def publish(self, new_map: ShardMap) -> ShardMap:
         """Atomically swap in a newer epoch; returns the superseded map."""
-        with self._cond:
-            old = self._current
+        with self._lock:
+            old = self.current
             if new_map.epoch <= old.epoch:
                 raise ShardMapError(
                     f"epoch must advance: {new_map.epoch} <= {old.epoch}"
                 )
-            self._current = new_map
+            self.current = new_map
             self._refs.setdefault(new_map.epoch, 0)
             self._stats.versions_published += 1
             if self._refs.get(old.epoch, 0) == 0:
                 self._refs.pop(old.epoch, None)
                 self._stats.versions_reclaimed += 1
-            self._cond.notify_all()
             return old
 
     def drain(self, epoch: int, timeout_s: float = 30.0) -> None:
-        """Block until no pin on ``epoch`` remains (publish barrier)."""
+        """Block until no pin on ``epoch`` remains (publish barrier).
+
+        Registered under the lock from the check through the wait, so the
+        unpin that empties ``epoch`` cannot miss this drainer.
+        """
         deadline = time.monotonic() + timeout_s
-        with self._cond:
+        with self._drained:
             while self._refs.get(epoch, 0) > 0:
                 remaining = deadline - time.monotonic()
                 if remaining <= 0:
@@ -310,7 +307,9 @@ class ShardMapRegistry:
                         f"epoch {epoch} failed to drain within {timeout_s}s "
                         f"({self._refs.get(epoch, 0)} pins)"
                     )
-                self._cond.wait(timeout=remaining)
+                self._drainers += 1
+                self._drained.wait(timeout=remaining)
+                self._drainers -= 1
 
 
 class ShardingKeySlicer:

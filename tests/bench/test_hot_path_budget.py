@@ -24,6 +24,7 @@ pin finalizer, no closure   84.3   196.1
 bound ledger rows, one drop 84.3   130.7
 one lifecycle, one format   74.3   119.7
 one lock, no finalizer      68.3   111.7
+one pass through the door   52.2    95.6
 =========================  =====  ======
 
 The ceilings below are the last row plus a little headroom for
@@ -55,7 +56,18 @@ were ~10 calls per lookup.  The last row makes the lifecycle mutex a
 plain ``threading.Lock`` (no Python ``__enter__`` / ``__exit__`` that
 recorded an owner thread for finalizer re-entry), the Unref part of
 ``release`` itself and drops the pin's ``__del__``: 6 calls per lookup, 8
-per purged one.  Lower them when the path gets shorter; raise them only
+per purged one.  The ``one pass through the door`` row takes out what the
+front door paid around the index: the map registry's ``Condition`` on pin
+and unpin (its ``__enter__`` / ``__exit__`` twice and ``notify_all`` ->
+``notify``; pin and unpin now take its plain lock and notify only a
+registered drainer), locked or property reads of one value
+(``CircuitBreaker.state`` -> ``_state_locked``, the arrival clock's
+``now_ns`` twice per op, ``QosConfig.rate_per_ns``, ``HybridClock.now`` ->
+``compose_begin_ts``) and forwarding hops (``point_query`` ->
+``index_lookup`` -> ``current_snapshot_ts``, ``is_purged_level`` per run
+released): 16 calls per lookup, warm or purged.  A ``Condition`` back on
+the pin path, a locked single-value read or a forwarding hop coming back
+fails here.  Lower them when the path gets shorter; raise them only
 deliberately.
 
 Calls cannot see a Python loop that makes none: the binary search inside
@@ -68,6 +80,7 @@ commit                      warm  purged
 =========================  =====  ======
 385f969 (before)           550.4   877.6
 warm blocks bisected       369.0   883.9
+one pass through the door  340.9   855.8
 =========================  =====  ======
 
 The last row searches a warm block -- a view the run handle memoized, come
@@ -127,6 +140,7 @@ fused kernels, row passes     385.7   257.2     258.1        105.3
 one lifecycle, one format     345.7   237.2     238.4         95.3
 one lock, no finalizer        321.7   225.2     226.5         89.3
 one door per read             319.7   223.2     224.5         89.3
+one pass through the door     294.7   204.2     205.6         76.2
 =========================  ========  ======  ========  ===========
 
 A per-call ``candidate_shape``, a per-entry generator hop in the scan, a
@@ -144,9 +158,13 @@ query and the planner's and the scatter prune's synopsis terms are read
 off the plan template until a publication moves them.  The last row is
 the point path's pin and release again, once per shard searched: the
 ``one lifecycle`` row's one locked section each, the ``one lock`` row's
-plain lock and no finalizer.  The last row is ``UmziIndex.scan`` calling
-``QueryExecutor.scan`` directly: no ``range_scan`` hop on the facade and
-the executor, one call per shard scanned.
+plain lock and no finalizer.  The ``one door per read`` row is
+``UmziIndex.scan`` calling ``QueryExecutor.scan`` directly: no
+``range_scan`` hop on the facade and the executor, one call per shard
+scanned.  The last row is the point path's front-door cut in a typed query: 9 calls per query (the map pin's
+``Condition``, the arrival clock and the refill rate), 2 per shard
+searched (``HybridClock.now`` -> ``compose_begin_ts``) and 1 per run
+released (``is_purged_level``: 12 in a customer query).
 """
 
 import gc
@@ -157,9 +175,9 @@ from pathlib import Path
 E2E = Path(__file__).resolve().parents[2] / "benchmarks" / "e2e"
 
 BEFORE = {"warm": 357.9, "purged": 508.4}
-CEILING = {"warm": 71.0, "purged": 115.0}
+CEILING = {"warm": 55.0, "purged": 99.0}
 LINE_BEFORE = {"warm": 550.4, "purged": 877.6}
-LINE_CEILING = {"warm": 400.0, "purged": 900.0}
+LINE_CEILING = {"warm": 370.0, "purged": 875.0}
 
 WRITE_BEFORE = 114.2
 WRITE_CEILING = 29.0
@@ -168,7 +186,7 @@ TYPED_BEFORE = {
     "customer": 11308.5, "region": 2112.6, "range": 3235.7, "equality": 282.6,
 }
 TYPED_CEILING = {
-    "customer": 323.0, "region": 226.0, "range": 227.0, "equality": 92.0,
+    "customer": 298.0, "region": 207.0, "range": 209.0, "equality": 79.0,
 }
 
 ROWS = 6_000

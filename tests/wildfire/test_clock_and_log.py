@@ -62,8 +62,23 @@ class TestHybridClock:
     def test_now_covers_current_groom_cycle(self):
         clock = HybridClock()
         cycle = clock.next_groom_cycle()
-        assert clock.now() >= compose_begin_ts(cycle, 0)
+        assert clock.snapshot_ts >= compose_begin_ts(cycle, 0)
 
+    def test_snapshot_ts_moves_with_every_groom_cycle_change(self):
+        # snapshot_ts is kept beside groom_cycle, not derived on read:
+        # every writer of the cycle must move it too.
+        def newest(cycle):
+            return compose_begin_ts(cycle, (1 << COMMIT_BITS) - 1)
+
+        clock = HybridClock()
+        assert clock.snapshot_ts == newest(0)
+        for _ in range(2):
+            cycle = clock.next_groom_cycle()
+            assert clock.snapshot_ts == newest(cycle)
+        clock.ensure_at_least(9, 0)
+        assert (clock.groom_cycle, clock.snapshot_ts) == (9, newest(9))
+        clock.ensure_at_least(3, 0)  # forward-only
+        assert (clock.groom_cycle, clock.snapshot_ts) == (9, newest(9))
 
     def test_begin_ts_column_is_compose_begin_ts_per_order(self):
         for cycle in (0, 1, 5, 2**20):
