@@ -71,20 +71,6 @@ _U32 = "I" if array("I").itemsize == 4 else "L"
 _SWAP_U32 = sys.byteorder == "little"  # tables are stored big-endian
 
 
-def _u32_table(payload: bytes, start: int, length: int) -> array:
-    """``length`` big-endian u32s at ``payload[start:]`` as one array.
-
-    One Python object however long the table is, so a view costs the same
-    few allocations over ten entries or five thousand.
-    """
-    table = array(_U32, payload[start : start + 4 * length])
-    if len(table) != length:
-        raise ValueError("data block is shorter than its offset table")
-    if _SWAP_U32:
-        table.byteswap()
-    return table
-
-
 # width -> probe counts, memoized up to 2,048 entries (~2 MB of tables)
 _PROBES: Dict[int, bytes] = {0: b"\x00"}
 _PLUS_ONE = bytes(range(1, 256)) + b"\xff"
@@ -127,9 +113,15 @@ class DataBlockView:
         self._stats = stats
         if payload[:4] != DATA_BLOCK_MAGIC:
             raise ValueError("not an Umzi data block")
-        (self.count,) = _UNPACK_U32(payload, 4)
-        self.table = _u32_table(payload, 8, 2 * self.count)
-        self.base = 8 + 8 * self.count
+        (count,) = _UNPACK_U32(payload, 4)
+        self.count, self.base = count, 8 + 8 * count
+        # Both u32 tables as one array: the same few allocations over ten
+        # entries or five thousand.
+        self.table = table = array(_U32, payload[8 : self.base])
+        if len(table) != 2 * count:
+            raise ValueError("data block is shorter than its offset table")
+        if _SWAP_U32:
+            table.byteswap()
         # in-block index -> decoded entry, filled by :meth:`entry`; hot
         # loops ask it first (``view.decoded.get(i) or view.entry(i)``).
         self.decoded: Dict[int, IndexEntry] = {}

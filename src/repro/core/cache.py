@@ -44,6 +44,8 @@ from repro.storage.block import BlockId
 from repro.storage.hierarchy import StorageHierarchy
 from repro.storage.metrics import ReadIntent
 
+_tuple_new = tuple.__new__
+
 # SSD utilization at or above which a maintenance pass purges runs (until
 # it drops below again), and under which it loads purged runs back.
 HIGH_WATERMARK = 0.85
@@ -224,16 +226,16 @@ class CacheManager:
             if run_id in pinned:
                 self.hierarchy.stats.epochs.eviction_pin_skips += 1
                 continue
-            # At a purged level only what the handle pulled in is
-            # resident; deleting an absent block charges nothing, so
-            # skipping the never-fetched ones moves no I/O counter.
-            fetched, block_id = run.fetched_blocks, run.data_block_id
+            # Only what the handle pulled in is resident at a purged level,
+            # and an unfetched block's delete would charge nothing: no I/O
+            # counter moves.  ``data_block_id`` and ``drop_decode_cache``, inline.
+            fetched = run.fetched_blocks
             try:  # pop-then-drop stays safe against a concurrent exit
                 while True:
-                    doomed.append(block_id(fetched.pop()))
+                    doomed.append(_tuple_new(BlockId, (run_id, fetched.pop() + 1)))
             except KeyError:
                 pass
-            run.drop_decode_cache()
+            run._views.clear()
         self.hierarchy.drop_from_cache(doomed)
 
     # -- the dynamic policy --------------------------------------------------------------

@@ -203,11 +203,6 @@ def encode_ts_desc(timestamp: int) -> bytes:
     return struct.pack(">Q", UINT64_MAX - timestamp)
 
 
-def decode_ts_desc(data: bytes, offset: int = 0) -> Tuple[int, int]:
-    (raw,) = struct.unpack_from(">Q", data, offset)
-    return UINT64_MAX - raw, offset + 8
-
-
 # ---------------------------------------------------------------------------
 # hashing
 # ---------------------------------------------------------------------------
@@ -303,7 +298,6 @@ __all__ = [
     "decode_float64",
     "decode_int64",
     "decode_str",
-    "decode_ts_desc",
     "decode_uint64",
     "encode_bytes",
     "encode_bytes_column",

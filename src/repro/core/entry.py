@@ -15,14 +15,14 @@ from __future__ import annotations
 
 import enum
 import struct
-from dataclasses import dataclass
-from typing import List, NamedTuple, Sequence, Tuple
+from itertools import groupby
+from typing import Callable, List, NamedTuple, Sequence, Tuple
 
-from repro.core.definition import DECODERS, IndexDefinition, encode_typed
+from repro.core.definition import ColumnType, IndexDefinition, encode_typed
 from repro.core.encoding import (
     KeyValue,
-    decode_ts_desc,
-    decode_uint64,
+    decode_bytes,
+    decode_str,
     encode_ts_desc,
     encode_uint64,
     hash_values,
@@ -125,14 +125,13 @@ def entry_blob_columns(
     return list(zip(sort_keys, blobs))
 
 
-@dataclass(frozen=True)
-class IndexEntry:
+class IndexEntry(NamedTuple):
     """One logical index row.
 
     ``sort_key`` is the memcmp-comparable concatenation
     ``hash | equality columns | sort columns | ~beginTS`` -- the full run
     order of paper section 4.2 (beginTS descending so newer versions sort
-    first within a key).
+    first within a key).  A tuple, so a decode builds it in one C call.
     """
 
     hash_value: int
@@ -155,14 +154,7 @@ class IndexEntry:
         """Validate against a definition and compute the hash column."""
         eq, st = definition.validate_key(equality_values, sort_values)
         incl = definition.validate_includes(include_values)
-        return cls(
-            hash_value=definition.hash_of(eq),
-            equality_values=eq,
-            sort_values=st,
-            include_values=incl,
-            begin_ts=begin_ts,
-            rid=rid,
-        )
+        return cls(definition.hash_of(eq), eq, st, incl, begin_ts, rid)
 
     # -- ordering -------------------------------------------------------------
 
@@ -209,35 +201,59 @@ class IndexEntry:
         cls, definition: IndexDefinition, data: bytes, offset: int = 0
     ) -> Tuple["IndexEntry", int]:
         """Deserialize one entry; returns ``(entry, next_offset)``."""
-        pos = offset
-        hash_value = 0
-        if definition.has_hash_column:
-            hash_value, pos = decode_uint64(data, pos)
-        eq_values = []
-        for spec in definition.equality_columns:
-            value, pos = DECODERS[spec.ctype](data, pos)
-            eq_values.append(value)
-        sort_values = []
-        for spec in definition.sort_columns:
-            value, pos = DECODERS[spec.ctype](data, pos)
-            sort_values.append(value)
-        begin_ts, pos = decode_ts_desc(data, pos)
-        include_values = []
-        for spec in definition.included_columns:
-            value, pos = DECODERS[spec.ctype](data, pos)
-            include_values.append(value)
-        rid, pos = RID.from_bytes(data, pos)
-        return (
-            cls(
-                hash_value=hash_value,
-                equality_values=tuple(eq_values),
-                sort_values=tuple(sort_values),
-                include_values=tuple(include_values),
-                begin_ts=begin_ts,
-                rid=rid,
-            ),
-            pos,
-        )
+        decode = vars(definition).get("_decode_entry") or _compile_decoder(definition)
+        return decode(data, offset)
+
+
+# The per-definition decoder reads a column type's field as (struct code,
+# expression of the raw field) or ("", the variable-length column's decoder).
+_PARTS = {
+    ColumnType.INT64: ("Q", "{} - _SIGN"),
+    ColumnType.FLOAT64: ("Q", "_as_float(_pack_q({0} ^ _SIGN if {0} & _SIGN else {0} ^ _MAX))[0]"),
+    ColumnType.STRING: ("", "decode_str"),
+    ColumnType.BYTES: ("", "decode_bytes"),
+}
+
+
+def _compile_decoder(definition: IndexDefinition) -> Callable:
+    """``IndexEntry.from_bytes`` for one definition, as straight-line code:
+    one ``unpack_from`` per run of fixed-width fields (hash, INT64 /
+    FLOAT64 columns, ``~beginTS``, RID), a decoder call per STRING / BYTES
+    column and one ``tuple.__new__`` for the entry.  Kept in the
+    definition's own ``vars`` -- not by ``id``, which a freed definition
+    hands on to the next."""
+    sections = [  # the entry's fields in blob order
+        [("Q", "{}")] * definition.has_hash_column,
+        [_PARTS[spec.ctype] for spec in definition.equality_columns],
+        [_PARTS[spec.ctype] for spec in definition.sort_columns],
+        [("Q", "_MAX - {}")],
+        [_PARTS[spec.ctype] for spec in definition.included_columns],
+        [("B", "_ZONES[{}]"), ("Q", "{}"), ("I", "{}")],
+    ]
+    namespace = dict(_new=tuple.__new__, IndexEntry=IndexEntry, RID=RID, _ZONES=_ZONES,
+                     _SIGN=1 << 63, _MAX=_UINT64_MAX, _as_float=struct.Struct(">d").unpack,
+                     _pack_q=struct.Struct(">Q").pack, decode_str=decode_str,
+                     decode_bytes=decode_bytes)
+    lines, values = ["def decode(data, pos):"], []
+    parts = enumerate(part for section in sections for part in section)
+    for fixed, run in groupby(parts, lambda part: bool(part[1][0])):
+        run = list(run)
+        if fixed:
+            layout = struct.Struct(">" + "".join(code for _, (code, _) in run))
+            namespace[f"_run{run[0][0]}"] = layout.unpack_from
+            lines.append(f"    {''.join(f'f{i}, ' for i, _ in run)}= _run{run[0][0]}(data, pos)")
+            lines.append(f"    pos += {layout.size}")
+        else:
+            lines += [f"    f{i}, pos = {decoder}(data, pos)" for i, (_, decoder) in run]
+        values += [value.format(f"f{i}") if code else f"f{i}" for i, (code, value) in run]
+    values = iter(values)  # each section's as source, one ``, `` after each
+    hashed, eq, st, ts, incl, rid = ("".join(f"{next(values)}, " for _ in section)
+                                     for section in sections)
+    lines.append(f"    return _new(IndexEntry, ({hashed or '0, '}({eq}), ({st}), ({incl}), "
+                 f"{ts}_new(RID, ({rid})))), pos")
+    exec("\n".join(lines), namespace)
+    decode = vars(definition)["_decode_entry"] = namespace["decode"]
+    return decode
 
 
 __all__ = [

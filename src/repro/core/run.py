@@ -397,8 +397,6 @@ class IndexRun:
         return BlockId(self.run_id, HEADER_ORDINAL)
 
     def data_block_id(self, block_index: int) -> BlockId:
-        # What ``BlockId._make`` does, minus its two Python frames: one id
-        # is built per block fetched and one per block released.
         return _tuple_new(BlockId, (self.run_id, block_index + 1))
 
     def all_block_ids(self) -> List[BlockId]:
@@ -435,19 +433,20 @@ class IndexRun:
             ):
                 cached.key_column()
             return cached
-        block = self.hierarchy.read(
-            self.data_block_id(block_index), intent=intent
+        # :meth:`data_block_id`, inline: ``BlockId._make`` minus its two frames
+        hierarchy = self.hierarchy
+        block = hierarchy.read(
+            _tuple_new(BlockId, (self.run_id, block_index + 1)), intent=intent
         )
-        view = DataBlockView(
-            self.definition, block.payload, stats=self.hierarchy.stats.decode
-        )
+        view = DataBlockView(self.definition, block.payload, hierarchy.stats.decode)
         if intent is not ReadIntent.MAINTENANCE:
             self._views[block_index] = view
             self.fetched_blocks.add(block_index)
         return view
 
     def drop_decode_cache(self) -> None:
-        """Release decoded entries (used after purge, and by tests)."""
+        """Forget the memoized views and their decoded entries: at every
+        purged query exit (inline there), purge and run reclaim."""
         self._views.clear()
 
     # -- global-ordinal navigation --------------------------------------------------
@@ -465,59 +464,59 @@ class IndexRun:
         """Newest version of exactly ``key`` visible at ``ts_floor``, or None.
 
         The exact-key kernel (paper section 7.2), one frame for what a
-        point lookup does inside a run: fences and binary search as in
-        :meth:`scan_visible`, then the step through the key's versions
-        (newest first) to the first whose raw ``~beginTS`` suffix is ``>=
-        ts_floor``.  It probes, charges ``raw_key_probes`` and fetches
-        blocks exactly as ``scan_visible(key, lo, hi, key + b"\x00",
-        ts_floor, True)`` would, and hands over to it where the versions
-        run into the next block.  Only the entry returned is decoded.
+        point lookup does inside a run.  A user key is a strict prefix of
+        its versions' sort keys and equals none, so the block-index fences
+        clamped onto ``[lo, hi)`` leave a window inside one block (or an
+        empty one, which starts at the block holding ``lo``): that block
+        is fetched and bisected locally -- in C over a keyed view, by the
+        probe loop's own midpoints over a cold one -- then the key's
+        versions (newest first) are stepped to the first whose raw
+        ``~beginTS`` suffix is ``>= ts_floor``.  It probes, charges
+        ``raw_key_probes`` and fetches blocks exactly as
+        ``scan_visible(key, lo, hi, key + b"\x00", ts_floor, True)`` would,
+        and hands over to it where the versions run into the next block.
+        Only the entry returned is decoded.
         """
-        cum, first_keys = self._cum, self._first_keys
-        block_lo = cum[max(0, bisect_left(first_keys, key) - 1)]
-        block_hi = cum[bisect_right(first_keys, key)]
-        lo, hi = max(lo, min(block_lo, hi)), min(hi, max(block_hi, lo))
-        start = end = probes = 0  # empty window: the first probe resolves
-        try:
-            while True:
-                # The next probe; once the range is empty, where it ended.
-                ordinal = (lo + hi) // 2 if lo < hi else lo
-                if ordinal >= self.entry_count:
-                    return None  # every entry is below the key
-                if not start <= ordinal < end:
-                    block_index = bisect_right(cum, ordinal) - 1
-                    start, end = cum[block_index], cum[block_index + 1]
-                    view = self.block_view(block_index)
-                    payload, base, table = view.payload, view.base, view.table
-                    count, column = view.count, view.keys
-                    if column and start <= lo < hi <= end:
-                        i = bisect_left(column, key, lo - start, hi - start) + start
-                        probes += (_PROBES.get(hi - lo) or _probes(hi - lo))[i - lo]
-                        lo = hi = i
-                        continue  # where the loop would have ended
-                if lo >= hi:
-                    break
-                i = ordinal - start
-                probes += 1
-                at = base + table[i]
-                if payload[at : at + table[count + i]] < key:
-                    lo = ordinal + 1
-                else:
-                    hi = ordinal
-            # The key's versions, newest first, start at ``lo``.
-            for i in range(lo - start, count):
-                probes += 1
-                sort_key = column[i] if column else payload[
-                    (at := base + table[i]) : at + table[count + i]
-                ]
-                if sort_key[:-SORT_KEY_TS_BYTES] != key:
-                    return None
-                if sort_key[-SORT_KEY_TS_BYTES:] >= ts_floor:
-                    return view.entry(i)
-            lo = end  # all newer than the snapshot: on into the next block
-        finally:  # a failed block fetch still pays for the probes made
-            self.hierarchy.stats.decode.raw_key_probes += probes
-        for hits in self.scan_visible(key, lo, lo, key + b"\x00", ts_floor, True):
+        cum = self._cum
+        # No sort key equals a user key (it is a strict prefix of its own
+        # versions' keys), so the fences bracket exactly block ``b - 1``.
+        b = bisect_left(self._first_keys, key)
+        lo, hi = max(lo, min(cum[b - 1 if b else 0], hi)), min(hi, max(cum[b], lo))
+        if lo < hi:
+            b -= 1
+        elif lo < self.entry_count:  # empty window: on from the block at ``lo``
+            b = bisect_right(cum, lo) - 1
+        else:
+            return None  # every entry is below the key
+        start, end = cum[b], cum[b + 1]
+        view = self.block_view(b)
+        payload, base, table, count, column = (
+            view.payload, view.base, view.table, view.count, view.keys)
+        lo, hi, probes = lo - start, hi - start, 0
+        if column:  # keyed: C bisection, charged as the loop below
+            i = bisect_left(column, key, lo, hi)
+            probes = (_PROBES.get(hi - lo) or _probes(hi - lo))[i - lo]
+            lo = hi = i
+        while lo < hi:  # cold: the same midpoints, block-local
+            mid = (lo + hi) // 2
+            probes += 1
+            at = base + table[mid]
+            lo, hi = (mid + 1, hi) if payload[at : at + table[count + mid]] < key else (lo, mid)
+        # The key's versions, newest first, start at ``lo``.
+        stats = self.hierarchy.stats.decode
+        for i in range(lo, count):
+            probes += 1
+            sort_key = column[i] if column else payload[
+                (at := base + table[i]) : at + table[count + i]
+            ]
+            if sort_key[:-SORT_KEY_TS_BYTES] != key:
+                stats.raw_key_probes += probes
+                return None
+            if sort_key[-SORT_KEY_TS_BYTES:] >= ts_floor:
+                stats.raw_key_probes += probes
+                return view.entry(i)
+        stats.raw_key_probes += probes  # all newer than the snapshot: on
+        for hits in self.scan_visible(key, end, end, key + b"\x00", ts_floor, True):
             return hits[0][1].entry(hits[0][2])
         return None
 

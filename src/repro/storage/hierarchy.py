@@ -144,7 +144,8 @@ class StorageHierarchy:
         self._shared_breaker = breaker
 
     def _shared_call(
-        self, op, arg, istats: Optional[IntentStats] = None, write: bool = False
+        self, op, arg, istats: Optional[IntentStats] = None, write: bool = False,
+        error: Optional[TransientIOError] = None,
     ):
         """``op(arg)`` -- ``shared.read`` or ``shared.write`` -- behind the
         breaker, retried with capped exponential backoff.
@@ -159,15 +160,12 @@ class StorageHierarchy:
         the next attempt fails fast with ``StorageBrownout`` instead of
         counting a give-up.  A retried write cannot double-apply: shared
         storage is append-only, so it lands the block or fails again.
+        ``error``: the caller made the first attempt itself, and it raised.
         """
         breaker = self._shared_breaker
-        attempt = 1
+        attempt = 0 if error is None else 1
         while True:
-            if breaker is not None:
-                breaker.check()
-            try:
-                result = op(arg)
-            except TransientIOError:
+            if attempt:  # attempt ``attempt`` raised ``error``
                 if breaker is not None:
                     breaker.record_failure()
                 policy = self.retry_policy
@@ -179,7 +177,7 @@ class StorageHierarchy:
                         fstats.read_giveups += 1
                     if istats is not None:
                         istats.giveups += 1
-                    raise
+                    raise error
                 if write:
                     fstats.write_retries += 1
                 else:
@@ -189,7 +187,13 @@ class StorageHierarchy:
                 self.stats.record_backoff(
                     TierName.SHARED.value, policy.backoff_ns(attempt)
                 )
-                attempt += 1
+            attempt += 1
+            if breaker is not None:
+                breaker.check()
+            try:
+                result = op(arg)
+            except TransientIOError as failed:
+                error = failed
             else:
                 if breaker is not None:
                     breaker.record_success()
@@ -233,8 +237,8 @@ class StorageHierarchy:
         defaulting to QUERY.  Raises :class:`BlockNotFoundError` if the
         block is absent everywhere.
         """
-        if intent is None:
-            intent = self.current_read_intent()
+        if intent is None:  # :meth:`current_read_intent`, inline
+            intent = getattr(self._intent_local, "intent", None) or ReadIntent.QUERY
         istats = (
             self._query_reads
             if intent is ReadIntent.QUERY
@@ -244,15 +248,29 @@ class StorageHierarchy:
         component = getattr(self._attribution_local, "component", None)
         if component is not None:
             self.stats.record_attributed(component)
-        block = self.memory.read(block_id)
-        if block is not None:
-            istats.memory_hits += 1
-            return block
-        block = self.ssd.read(block_id)
-        if block is not None:
-            istats.ssd_hits += 1
-            return block
-        block = self._shared_call(self.shared.read, block_id, istats)
+        # A local tier is asked only when its dict holds the block.
+        if block_id in self.memory._blocks:
+            block = self.memory.read(block_id)
+            if block is not None:
+                istats.memory_hits += 1
+                return block
+        if block_id in self.ssd._blocks:
+            block = self.ssd.read(block_id)
+            if block is not None:
+                istats.ssd_hits += 1
+                return block
+        # :meth:`_shared_call`'s first attempt, inline; a failure goes on
+        # in its loop, every retry, backoff and give-up counted.
+        breaker, shared = self._shared_breaker, self.shared
+        if breaker is not None:
+            breaker.check()
+        try:
+            block = shared.read(block_id)
+        except TransientIOError as error:
+            block = self._shared_call(shared.read, block_id, istats, error=error)
+        else:
+            if breaker is not None:
+                breaker.record_success()
         if block is None:
             raise BlockNotFoundError(block_id)
         istats.shared_reads += 1

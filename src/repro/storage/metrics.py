@@ -340,19 +340,10 @@ class IOStats:
         with self.lock:
             self._attribution[component] = self._attribution.get(component, 0) + 1
 
-    def attributed_reads(self, component: str) -> int:
-        """Block reads charged to ``component`` (0 if never scoped)."""
-        with self.lock:
-            return self._attribution.get(component, 0)
-
     def attribution_snapshot(self) -> Dict[str, int]:
         """Copy of the per-component read-attribution counters."""
         with self.lock:
             return dict(self._attribution)
-
-    def for_intent(self, intent: ReadIntent) -> IntentStats:
-        """The live (mutable) counter object for one read intent."""
-        return self.intents[intent]
 
     def intent_snapshot(self) -> Dict[str, IntentStats]:
         """Snapshot of both intents' counters, keyed by intent value."""

@@ -87,12 +87,6 @@ class RetryPolicy:
         delay = self.base_delay_ns * (self.multiplier ** (attempt - 1))
         return int(min(delay, self.max_delay_ns))
 
-    def total_backoff_ns(self, failures: int) -> int:
-        """Total simulated backoff charged for ``failures`` consecutive
-        failed attempts (what a successful op that failed ``failures``
-        times cost in waiting)."""
-        return sum(self.backoff_ns(n) for n in range(1, failures + 1))
-
 
 DEFAULT_RETRY_POLICY = RetryPolicy()
 

@@ -62,11 +62,6 @@ class SharedStorage(StorageTier):
         return sorted(ids, key=lambda b: b.ordinal)
 
     @property
-    def object_count(self) -> int:
-        """Live logical objects -- the 'number of files' metadata pressure."""
-        return len(self.namespaces())
-
-    @property
     def write_amplification_bytes(self) -> int:
         """Total bytes ever written -- numerator of write amplification."""
         return self._total_bytes_ever_written

@@ -57,7 +57,13 @@ class SSDTier(StorageTier):
                 return False
             self._blocks[block.block_id] = block
             self._used += added
-        self._charge_write(nbytes)
+        sim_ns = int(self._write_fixed_ns + self._write_per_byte_ns * nbytes)
+        stats, row = self._stats, self._row
+        with stats.lock:  # :meth:`_charge_write`, inline
+            row.writes += 1
+            row.bytes_written += nbytes
+            row.sim_ns += sim_ns
+            stats.total_sim_ns += sim_ns
         return True
 
     def write(self, block: Block) -> None:
@@ -67,13 +73,6 @@ class SSDTier(StorageTier):
                 f"SSD capacity {self.capacity_bytes}B exceeded writing "
                 f"{block.block_id} ({block.size}B; used {self._used}B)"
             )
-
-    @property
-    def free_bytes(self) -> Optional[int]:
-        """Remaining capacity, or ``None`` when unbounded."""
-        if self.capacity_bytes is None:
-            return None
-        return self.capacity_bytes - self._used
 
     def utilization(self) -> float:
         """Fraction of capacity in use (0.0 when unbounded)."""

@@ -25,6 +25,7 @@ bound ledger rows, one drop 84.3   130.7
 one lifecycle, one format   74.3   119.7
 one lock, no finalizer      68.3   111.7
 one pass through the door   52.2    95.6
+one pass per purged block   52.2    71.8
 =========================  =====  ======
 
 The ceilings below are the last row plus a little headroom for
@@ -67,7 +68,14 @@ registered drainer), locked or property reads of one value
 ``index_lookup`` -> ``current_snapshot_ts``, ``is_purged_level`` per run
 released): 16 calls per lookup, warm or purged.  A ``Condition`` back on
 the pin path, a locked single-value read or a forwarding hop coming back
-fails here.  Lower them when the path gets shorter; raise them only
+fails here.  The ``one pass per purged block`` row is the purged lookup's
+per-run steps done in one pass each: the frozen dataclass constructor
+and the per-column decode calls of an ``IndexEntry`` (now a tuple built by
+a decoder compiled per definition), the memory and SSD tier calls on a
+miss, ``_shared_call``'s frame around the first shared attempt,
+``_charge_write`` in ``SSDTier.admit``, ``_u32_table`` in the view and the
+exit path's ``data_block_id`` / ``drop_decode_cache`` hops came out:
+~24 calls per purged lookup.  Lower them when the path gets shorter; raise them only
 deliberately.
 
 Calls cannot see a Python loop that makes none: the binary search inside
@@ -81,6 +89,7 @@ commit                      warm  purged
 385f969 (before)           550.4   877.6
 warm blocks bisected       369.0   883.9
 one pass through the door  340.9   855.8
+one pass per purged block  320.0   666.2
 =========================  =====  ======
 
 The last row searches a warm block -- a view the run handle memoized, come
@@ -88,7 +97,10 @@ back to by a query -- with ``bisect_left`` over its sort-key column
 (``DataBlockView.keys``) instead of the probe loop; calls stayed at 68.3
 and 111.7.  A purged lookup still runs the loop over cold views, and pays
 a few lines for the check.  A probe loop coming back on warm blocks
-shows up here, and nowhere else.
+shows up here, and nowhere else.  The ``one pass per purged block`` row
+resolves the one block the fences bracket and bisects a cold one with a
+block-local loop on the same midpoints (no cross-block window test per
+probe), and decodes the entry in straight-line code.
 
 The write path has the same guard: ``call`` events per ingested row inside
 ``ingest`` + ``tick`` over the whole load of this fixture (48 rounds, 7 175
@@ -175,9 +187,9 @@ from pathlib import Path
 E2E = Path(__file__).resolve().parents[2] / "benchmarks" / "e2e"
 
 BEFORE = {"warm": 357.9, "purged": 508.4}
-CEILING = {"warm": 55.0, "purged": 99.0}
+CEILING = {"warm": 55.0, "purged": 75.0}
 LINE_BEFORE = {"warm": 550.4, "purged": 877.6}
-LINE_CEILING = {"warm": 370.0, "purged": 875.0}
+LINE_CEILING = {"warm": 345.0, "purged": 690.0}
 
 WRITE_BEFORE = 114.2
 WRITE_CEILING = 29.0

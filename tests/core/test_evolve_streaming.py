@@ -2,8 +2,6 @@
 evolve kept in ``tests/reference_evolve.py``, partial-coverage skips, and
 decode accounting."""
 
-from dataclasses import replace
-
 import pytest
 
 from repro.core.builder import RunBuilder
@@ -75,7 +73,7 @@ class TestBlobSpliceHelpers:
         assert asked == [11]  # once per distinct suffix
         from repro.core.entry import IndexEntry
         decoded, _ = IndexEntry.from_bytes(DEF, spliced)
-        assert decoded == replace(entry, rid=target)
+        assert decoded == entry._replace(rid=target)
         assert spliced[: len(sort_key)] == sort_key
 
 
@@ -91,7 +89,7 @@ class TestStreamingEquivalence:
             groomed_run(builder, allocator, lists, 0, 2, range(20), 1)
 
         legacy_entries = [
-            replace(e, rid=new_rid_of(e.begin_ts))
+            e._replace(rid=new_rid_of(e.begin_ts))
             for run in legacy_lists[Zone.GROOMED].snapshot()
             for e in run_entries(run)
         ]
@@ -145,7 +143,7 @@ class TestStreamingEquivalence:
         legacy = groomed_index("a9-legacy")
         before = legacy.hierarchy.stats.decode.snapshot()
         entries = [
-            replace(entry, rid=relocated(entry.begin_ts))
+            entry._replace(rid=relocated(entry.begin_ts))
             for run in legacy.run_lists[Zone.GROOMED].snapshot()
             for entry in run_entries(run)
         ]

@@ -14,8 +14,8 @@ snapshots below / inside / above a key's versions -- the kernels
 return the same entries, charge the same ``raw_key_probes`` and
 ``entry_decodes`` and fetch the same blocks in the same order.
 ``TestHardCases`` builds the awkward inputs by hand, and
-``TestMutantsAreCaught`` breaks each kernel three ways and shows the same
-assertions fail.
+``TestMutantsAreCaught`` breaks each kernel a few ways, one at a time, and
+shows the same assertions fail.
 
 Two differences from the *per-entry* oracle are by design and asserted as
 such.  ``QueryExecutor.scan`` walks its runs one after the other (like the set
@@ -71,8 +71,10 @@ from repro.core.search import (
     ts_floor,
 )
 from repro.storage.hierarchy import StorageHierarchy
+from repro.storage.metrics import ReadIntent
 
 from tests.conftest import entry_at
+from tests.reference_search import key_position_bounds
 from tests.reference_scan import (
     batch_lookup_in_run,
     chain_batch_lookup_in_run,
@@ -746,6 +748,45 @@ class TestHardCases:
                 )
         assert spilled  # a batched key was answered blocks past its newest
 
+    def test_purged_lookups(self, definition, block_bytes):
+        """Every hard key at every snapshot against a purged run: each
+        lookup fetches cold views from shared storage (the blocks are
+        dropped from the local tiers before each), and must return the
+        oracle's entry, probes, decodes and block fetches in order -- among
+        them windows the fences leave empty (a key below the run's first,
+        a bucket holding nothing or lying outside the key's block) and
+        versions that run into a later block (the hand-over)."""
+        hierarchy, run = hard_run(definition, block_bytes)
+        hashed = bool(definition.equality_columns)
+        purged = [run.data_block_id(i) for i in range(run.header.num_data_blocks)]
+        query_reads = hierarchy.stats.intents[ReadIntent.QUERY]
+        empty_window = crossed = False
+        for key, hash_value in hard_keys(definition, run):
+            hash_value = hash_value if hashed else None
+            for use_offset_array in (True, False):
+                lo, hi = narrow_with_offset_array(
+                    run, hash_value if use_offset_array else None
+                )
+                block_lo, block_hi = key_position_bounds(run, key)
+                lo, hi = max(lo, min(block_lo, hi)), min(hi, max(block_hi, lo))
+                for ts in HARD_SNAPSHOTS:
+                    seen = []
+                    for search in (lookup_key_in_run, reference_lookup_key_in_run):
+                        hierarchy.drop_from_cache(purged)
+                        shared_reads = query_reads.shared_reads
+                        seen.append(Observed(hierarchy, [run], lambda: search(
+                            run, key, ts, hash_value, use_offset_array
+                        )))
+                        assert query_reads.shared_reads - shared_reads == len(
+                            seen[-1].fetched
+                        )
+                    kernel, reference = seen
+                    assert kernel.result == reference.result
+                    assert kernel.counters == reference.counters
+                    empty_window |= lo >= hi and lo < run.entry_count
+                    crossed |= kernel.result is not None and len(set(kernel.fetched)) >= 2
+        assert empty_window and crossed
+
     def test_a_single_entry_run(self, definition, block_bytes):
         hashed = bool(definition.equality_columns)
         hierarchy = StorageHierarchy()
@@ -803,6 +844,11 @@ MUTANTS = [
     # The window held across keys but never resolved again: a probe outside
     # it reads the wrong block's entries.
     ("batch_visible", "if not start <= ordinal < end:", "if end == 0:"),
+    # The cold bisection's midpoint off by one (the lower of two middles):
+    # the same answers, other probes.
+    ("lookup_visible", "mid = (lo + hi) // 2", "mid = (lo + hi - 1) // 2"),
+    # An empty window resolved one block too far on.
+    ("lookup_visible", "b = bisect_right(cum, lo) - 1", "b = bisect_right(cum, lo)"),
 ]
 
 
@@ -815,6 +861,7 @@ class TestMutantsAreCaught:
             cases.test_scans(*parameters.values)
             cases.test_scans_told_where_to_start(*parameters.values)
             cases.test_batches(*parameters.values)
+            cases.test_purged_lookups(*parameters.values)
 
     def test_the_kernels_as_written_pass(self):
         self.run_hard_cases()

@@ -45,7 +45,7 @@ class TestPolicy:
         assert [policy.backoff_ns(a) for a in range(1, 6)] == [
             1_000, 2_000, 4_000, 4_000, 4_000
         ]
-        assert policy.total_backoff_ns(3) == 7_000
+        assert sum(map(policy.backoff_ns, (1, 2, 3))) == 7_000
 
     def test_validation(self):
         with pytest.raises(ValueError):
@@ -77,7 +77,7 @@ class TestAbsorbedBlips:
         # Two failed attempts wait backoff(1) + backoff(2) simulated ns.
         assert (
             hierarchy.stats.faults.backoff_sim_ns
-            == policy.total_backoff_ns(2)
+            == policy.backoff_ns(1) + policy.backoff_ns(2)
         )
 
     def test_read_retries_attributed_to_intent(self):
@@ -88,7 +88,7 @@ class TestAbsorbedBlips:
         hierarchy.write_persisted(Block(bid, b"x"))
         block = hierarchy.read_shared(bid, intent=ReadIntent.QUERY)
         assert block is not None and block.payload == b"x"
-        istats = hierarchy.stats.for_intent(ReadIntent.QUERY)
+        istats = hierarchy.stats.intents[ReadIntent.QUERY]
         assert istats.retries == 1
         assert istats.giveups == 0
         assert hierarchy.stats.faults.read_retries == 1
@@ -104,7 +104,7 @@ class TestGiveUps:
             hierarchy.read_shared(bid, intent=ReadIntent.QUERY)
         faults = hierarchy.stats.faults
         policy = hierarchy.retry_policy
-        istats = hierarchy.stats.for_intent(ReadIntent.QUERY)
+        istats = hierarchy.stats.intents[ReadIntent.QUERY]
         # counter-asserted: max_attempts errors == (max_attempts-1)
         # retries + 1 give-up, mirrored on the read's intent.
         assert faults.transient_read_errors == policy.max_attempts

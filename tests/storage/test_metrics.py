@@ -130,7 +130,7 @@ class TestIOStats:
         b.decode.entry_decodes = 3
         b.epochs.version_refs = 4
         b.epochs.reclaims_deferred = 1
-        b.for_intent(ReadIntent.QUERY).shared_reads = 6
+        b.intents[ReadIntent.QUERY].shared_reads = 6
         b.faults.transient_read_errors = 2
         b.qos.degraded_reads = 5
 
@@ -143,7 +143,7 @@ class TestIOStats:
         assert a.decode.entry_decodes == 3
         assert a.epochs.version_refs == 4
         assert a.epochs.reclaims_deferred == 1
-        assert a.for_intent(ReadIntent.QUERY).shared_reads == 6
+        assert a.intents[ReadIntent.QUERY].shared_reads == 6
         assert a.faults.transient_read_errors == 2
         assert a.qos.degraded_reads == 5
         # The source is snapshotted, never aliased: mutating the merged

@@ -78,12 +78,12 @@ class TestSSDTier:
         tier.write(blk("a", 0, 60))
         assert tier.would_fit(40)
         assert not tier.would_fit(41)
-        assert tier.free_bytes == 40
+        assert tier.capacity_bytes - tier.used_bytes == 40
 
     def test_unbounded_by_default(self):
         tier = SSDTier()
         tier.write(blk("a", 0, 1 << 20))
-        assert tier.free_bytes is None
+        assert tier.capacity_bytes is None
         assert tier.utilization() == 0.0
         assert tier.would_fit(1 << 40)
 
@@ -117,7 +117,7 @@ class TestSharedStorage:
         tier.write(blk("a", 0))
         tier.write(blk("a", 1))
         tier.write(blk("b", 0))
-        assert tier.object_count == 2
+        assert len(tier.namespaces()) == 2
 
     def test_write_amplification_counter_is_cumulative(self):
         tier = SharedStorage()

@@ -111,7 +111,7 @@ class TestBatchRecordFetch:
         shard.catalog.fetch_records(rids)
         assert shard.hierarchy.attribute_reads(None) == "records"
         assert (
-            shard.hierarchy.stats.attributed_reads("records")
+            shard.hierarchy.stats.attribution_snapshot()["records"]
             == len(distinct_blocks)
         )
 
