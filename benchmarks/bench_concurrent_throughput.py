@@ -1,10 +1,10 @@
 """Ablation A11: multi-threaded query throughput under live daemons.
 
 The honest concurrency benchmark of the reproduction: N query threads
-hammer point lookups, range scans and batch lookups while the groomer,
-post-groomer, indexer and per-zone merge daemons run for real
-(``WildfireShard.start_daemons``) -- the deployment shape of paper
-section 3, not a deterministic tick loop.
+hammer point lookups, range scans and batch lookups while the shard's
+maintenance thread (``WildfireShard.start_daemons``: groom, post-groom,
+evolve and merge, looping ``tick``) runs for real -- the deployment shape
+of paper section 3, not a tick loop in the query thread.
 
 Queries pin the current immutable run-list version with a single Ref and
 release it with a single Unref (the version-set run lifecycle).

@@ -4,9 +4,9 @@ The paper's introduction motivates HTAP with "risk analysis, online
 recommendations, and fraud detection": high-speed transactional ingest
 with analytical queries running concurrently *over freshly ingested data*.
 
-This example runs a payments shard with real background daemons (groomer,
-post-groomer, indexer, merge maintenance as threads) while the foreground
-performs the fraud checks:
+This example runs a payments shard with its lifecycle in the background
+(one maintenance thread looping the shard's ``tick``: groom, post-groom,
+evolve, merge) while the foreground performs the fraud checks:
 
 * per-account point lookups on the hottest (just-committed) data;
 * account-history range scans that span the groomed and post-groomed
@@ -57,8 +57,8 @@ def main() -> None:
         amount = rng.randrange(1, 2_000)
         return (account, seq_per_account[account], amount)
 
-    print("starting background daemons (groomer / post-groomer / indexer / "
-          "merger) ...")
+    print("starting the background maintenance thread (groom / post-groom / "
+          "evolve / merge) ...")
     shard.start_daemons(groom_interval_s=0.02)
     flagged = []
     try:
@@ -89,7 +89,7 @@ def main() -> None:
     print(f"grooms={shard.groomer.grooms_done} "
           f"post-grooms={shard.post_groomer.max_psn} "
           f"evolves={shard.indexer.evolves_applied} "
-          f"background merges={shard.maintenance.merges_done}")
+          f"runs retired={shard.hierarchy.stats.epochs.runs_retired}")
     print(f"index: {stats['index'].total_runs} runs, "
           f"{stats['index'].total_entries} entries "
           f"(groomed zone {stats['index'].groomed_run_count}, "

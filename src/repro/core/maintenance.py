@@ -1,148 +1,38 @@
-"""Background index maintenance (paper section 5.1).
+"""Index maintenance: merges and cache upkeep (paper section 5.1).
 
 "To minimize contentions caused by concurrent index maintenance operations,
 each level is assigned a dedicated index maintenance thread."  The
-reproduction provides both:
+reproduction deviates: :meth:`MaintenanceService.step` runs one index's
+pending merges and cache pass synchronously
+(:meth:`repro.core.index.UmziIndex.run_maintenance`), and the shard's one
+lifecycle driver (:meth:`repro.wildfire.engine.WildfireShard.tick`,
+looped by one daemon thread per shard) calls it after groom, post-groom
+and evolve.  Merges and evolves of one index serialize on its
+maintenance mutex whichever thread runs them, so a thread per level
+could not run two of them at once.
 
-* **threaded mode** -- one worker per zone driving merges (a worker per
-  level would be idle most of the time in a scaled-down run; contention
-  behaviour is identical because merges serialize per level through the
-  controller either way), plus a cache-maintenance worker;
-* **step mode** -- a synchronous :meth:`MaintenanceService.step` that tests
-  and deterministic benchmarks call explicitly.
-
-Workers never block queries: all list mutations inside the controllers are
-single atomic pointer publications.
+Maintenance never blocks queries: all list mutations inside the
+controllers are single atomic pointer publications.
 """
 
 from __future__ import annotations
 
-import threading
-import time
-from typing import List, Optional
+from typing import List
 
-from repro.core.cache import CacheManager
-from repro.core.entry import Zone
-from repro.core.merge import MergeController, MergeResult
+from repro.core.merge import MergeResult
 from repro.faults.crash import crash_point
 
 
 class MaintenanceService:
-    """Drives merges and cache maintenance, threaded or stepwise."""
+    """Runs one index's pending merges and cache maintenance on demand."""
 
-    def __init__(
-        self,
-        merge_controller: MergeController,
-        cache_manager: Optional[CacheManager] = None,
-        poll_interval_s: float = 0.01,
-    ) -> None:
-        self.merge_controller = merge_controller
-        self.cache_manager = cache_manager
-        self.poll_interval_s = poll_interval_s
-        self._threads: List[threading.Thread] = []
-        self._stop = threading.Event()
-        self._merges_done = 0
-        self._merge_count_lock = threading.Lock()
-        # Backpressure gate (ISSUE 7): a ``() -> bool`` callable consulted
-        # before every unit of maintenance work; False skips the unit.
-        # See repro.qos.scheduler.DaemonScheduler.
-        self._gate = None
+    def __init__(self, index) -> None:
+        self.index = index
 
-    def set_gate(self, gate) -> None:
-        """Install (or clear, with ``None``) the backpressure gate."""
-        self._gate = gate
-
-    def _gate_allows(self) -> bool:
-        gate = self._gate
-        return gate is None or gate()
-
-    # -- synchronous mode -----------------------------------------------------------
-
-    def step(self, max_merges_per_zone: int = 64) -> List[MergeResult]:
-        """Run all pending maintenance now (deterministic tests/benches).
-
-        With a gate installed, a throttled step does nothing and returns
-        an empty list (the pending merges stay pending).
-        """
-        if not self._gate_allows():
-            return []
+    def step(self) -> List[MergeResult]:
+        """Run all pending maintenance now."""
         crash_point("maintenance.step")
-        results: List[MergeResult] = []
-        for zone in (Zone.GROOMED, Zone.POST_GROOMED):
-            results.extend(
-                self.merge_controller.merge_until_stable(zone, max_merges_per_zone)
-            )
-        if self.cache_manager is not None:
-            self.cache_manager.maintain()
-        with self._merge_count_lock:
-            self._merges_done += len(results)
-        return results
-
-    # -- threaded mode -----------------------------------------------------------------
-
-    def start(self) -> None:
-        """Launch one merge worker per zone plus a cache worker."""
-        if self._threads:
-            raise RuntimeError("maintenance service already started")
-        self._stop.clear()
-        for zone in (Zone.GROOMED, Zone.POST_GROOMED):
-            thread = threading.Thread(
-                target=self._merge_loop,
-                args=(zone,),
-                name=f"umzi-merge-{zone.name.lower()}",
-                daemon=True,
-            )
-            thread.start()
-            self._threads.append(thread)
-        if self.cache_manager is not None:
-            thread = threading.Thread(
-                target=self._cache_loop, name="umzi-cache", daemon=True
-            )
-            thread.start()
-            self._threads.append(thread)
-
-    def stop(self, timeout_s: float = 5.0) -> None:
-        self._stop.set()
-        for thread in self._threads:
-            thread.join(timeout=timeout_s)
-        self._threads = []
-
-    @property
-    def running(self) -> bool:
-        return bool(self._threads) and not self._stop.is_set()
-
-    @property
-    def merges_done(self) -> int:
-        with self._merge_count_lock:
-            return self._merges_done
-
-    def _merge_loop(self, zone: Zone) -> None:
-        while not self._stop.is_set():
-            if not self._gate_allows():
-                time.sleep(self.poll_interval_s)
-                continue
-            result = self.merge_controller.merge_step(zone)
-            if result is None:
-                time.sleep(self.poll_interval_s)
-            else:
-                with self._merge_count_lock:
-                    self._merges_done += 1
-
-    def _cache_loop(self) -> None:
-        assert self.cache_manager is not None
-        while not self._stop.is_set():
-            if self._gate_allows():
-                self.cache_manager.maintain()
-            time.sleep(self.poll_interval_s)
-
-    # -- context management ----------------------------------------------------------------
-
-    def __enter__(self) -> "MaintenanceService":
-        self.start()
-        return self
-
-    def __exit__(self, *exc_info) -> None:
-        self.stop()
+        return self.index.run_maintenance()
 
 
 __all__ = ["MaintenanceService"]

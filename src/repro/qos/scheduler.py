@@ -4,8 +4,8 @@ Groom, post-groom, evolve, and within-zone merges all compete with
 queries for the same storage hierarchy.  Under a query spike the right
 move is to *stop doing maintenance*: every groom cycle deferred is
 shared-tier bandwidth handed back to the serving path.  The scheduler is
-a single hysteresis gate that every maintenance loop consults before
-doing a unit of work:
+a single hysteresis gate that each shard's lifecycle driver
+(``WildfireShard.tick``) consults once per cycle, before any work:
 
 * **throttle** when the admission backlog crosses ``high_water_ns``, when
   any watched circuit breaker is open (the tier is browning out -- writes
@@ -65,7 +65,7 @@ class DaemonScheduler:
             return self._throttled
 
     def allow_maintenance(self) -> bool:
-        """Gate one unit of maintenance work.  Counts every decision."""
+        """Gate one shard cycle or migration start.  Counts every decision."""
         backlog = self._admission.backlog_ns() if self._admission else 0
         with self._lock:
             breaker_open = any(

@@ -157,8 +157,8 @@ class QosStats(_Counters):
 
     The scheduler side is maintained by
     :class:`~repro.qos.scheduler.DaemonScheduler`:
-    ``maintenance_cycles`` counts maintenance work units that ran,
-    ``maintenance_throttled`` counts work units suppressed by
+    ``maintenance_cycles`` counts shard cycles the gate admitted,
+    ``maintenance_throttled`` counts cycles it refused under
     backpressure, and ``throttle_events``/``throttle_releases`` count the
     scheduler's gate closing and re-opening.
 

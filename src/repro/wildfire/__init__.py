@@ -10,13 +10,15 @@ rebuilds the parts Umzi's behaviour depends on, faithfully:
 * the **post-groomer**: resolves ``prevRID`` / ``endTS`` through the index,
   repartitions data by the partition key into larger post-groomed blocks
   and publishes post-groom sequence numbers (PSNs);
-* the **indexer daemon**: polls MaxPSN and applies index evolve operations
-  in PSN order;
+* the **indexer daemon**: applies index evolve operations up to MaxPSN
+  in PSN order, once per lifecycle cycle;
 * **snapshot-isolation reads** by query timestamp, including time travel.
 
-Everything runs against the simulated storage hierarchy, and the whole
-lifecycle can be driven deterministically (``WildfireShard.run_cycles``)
-or with real background threads (``WildfireShard.start_daemons``).
+Everything runs against the simulated storage hierarchy.  The whole
+lifecycle has one driver, ``WildfireShard.tick`` (groom, post-groom every
+``post_groom_every`` cycles, evolve, merge): call it directly
+(``WildfireShard.run_cycles``) or let one background thread per shard
+loop it (``WildfireShard.start_daemons``).
 """
 
 from repro.wildfire.schema import IndexSpec, TableSchema

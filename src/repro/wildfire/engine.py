@@ -4,10 +4,11 @@ Ties together the committed log, groomer, post-groomer, indexer daemon and
 the Umzi index over one storage hierarchy, and exposes:
 
 * ingestion (auto-commit upserts or explicit transactions);
-* the lifecycle drivers -- deterministic (:meth:`WildfireShard.tick`,
-  :meth:`run_cycles`) and threaded (:meth:`start_daemons`), matching the
-  paper's cadence of "groomer runs every second, post-groomer every 20
-  seconds" as a cycle ratio;
+* one lifecycle driver, :meth:`WildfireShard.tick` -- groom, post-groom
+  every ``post_groom_every`` cycles (the paper's "groomer runs every
+  second, post-groomer every 20 seconds" as a cycle ratio), evolve in PSN
+  order, merge -- called by the caller (:meth:`run_cycles`) or looped by
+  one background thread per shard (:meth:`start_daemons`);
 * snapshot-isolation reads: point lookups, range scans, batched lookups,
   and time travel via explicit query timestamps, each resolving RIDs to
   records through the block catalog.
@@ -16,7 +17,6 @@ the Umzi index over one storage hierarchy, and exposes:
 from __future__ import annotations
 
 import threading
-import time
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence, Tuple
 
@@ -133,9 +133,9 @@ class WildfireShard:
             self.indexes,
             self.post_groomer,
         )
-        self.maintenance = MaintenanceService(self.index.merger, self.index.cache)
+        self.maintenance = MaintenanceService(self.index)
         self._secondary_maintenance = [
-            MaintenanceService(si.index.merger, si.index.cache)
+            MaintenanceService(si.index)
             for si in self.indexes.secondaries.values()
         ]
         self._extract = index_spec.extractor(schema)
@@ -154,13 +154,12 @@ class WildfireShard:
             schema.primary_key.index(column)
             for column in index_spec.equality_columns + index_spec.sort_columns
         ])
-        self._daemon_threads: List[threading.Thread] = []
+        self._daemon_thread: Optional[threading.Thread] = None
         self._daemons_stop = threading.Event()
         self._cycle = 0
         # Maintenance backpressure (ISSUE 7): when a DaemonScheduler is
-        # attached, every maintenance cycle -- deterministic tick or
-        # threaded daemon -- first asks its gate; throttled cycles do no
-        # maintenance work at all.
+        # attached, every cycle -- a caller's tick or the daemon's -- first
+        # asks its gate; throttled cycles do no maintenance work at all.
         self._scheduler = None
         # Degraded-read mode (ISSUE 7): a long-lived SnapshotPin over the
         # primary index, opened while the shared tier's breaker is open so
@@ -183,7 +182,7 @@ class WildfireShard:
         return commit_seq if commit_seq is not None else 0
 
     # ------------------------------------------------------------------------------
-    # lifecycle -- deterministic driver
+    # lifecycle -- the one driver
     # ------------------------------------------------------------------------------
 
     def attach_scheduler(self, scheduler) -> None:
@@ -191,15 +190,10 @@ class WildfireShard:
 
         ``scheduler`` is any object with an ``allow_maintenance() -> bool``
         method (see :class:`repro.qos.scheduler.DaemonScheduler`); it is
-        consulted once per maintenance cycle in both the deterministic
-        :meth:`tick` driver and the threaded :meth:`start_daemons` loops.
+        consulted once per shard cycle, at the head of :meth:`tick` --
+        whether a caller or the :meth:`start_daemons` thread runs it.
         """
         self._scheduler = scheduler
-        gate = scheduler.allow_maintenance if scheduler is not None else None
-        self.maintenance.set_gate(gate)
-        for service in self._secondary_maintenance:
-            service.set_gate(gate)
-        self.indexer.set_gate(gate)
 
     def tick(self) -> Dict[str, object]:
         """One simulation cycle: groom, maybe post-groom, evolve, merge.
@@ -255,74 +249,56 @@ class WildfireShard:
         return self._cycle
 
     # ------------------------------------------------------------------------------
-    # lifecycle -- threaded daemons (end-to-end experiments)
+    # lifecycle -- the daemon thread (end-to-end experiments)
     # ------------------------------------------------------------------------------
 
     def start_daemons(self, groom_interval_s: float = 0.05) -> None:
-        """Run groomer/post-groomer/indexer/maintenance as real threads.
+        """Run the lifecycle in one background thread per shard.
 
-        ``groom_interval_s`` is the scaled-down "every second"; the
-        post-groomer fires every ``config.post_groom_every`` grooms, as in
-        the paper's 1s/20s cadence.
+        The thread loops :meth:`tick` -- groom, post-groom every
+        ``config.post_groom_every`` cycles, evolve, merge -- then sleeps
+        ``groom_interval_s``, the scaled-down "every second" of the
+        paper's 1s/20s cadence.  The gate and the ``TransientIOError``
+        policy are :meth:`tick`'s own.
 
         **Query safety.**  It is safe to issue point/range/batch queries
-        from any number of threads while the daemons run: each query pins
+        from any number of threads while the daemon runs: each query pins
         an immutable run-list version -- a single Ref/Unref -- and runs
         retired by concurrent evolves/merges are only physically reclaimed
         once no live version contains them.
         """
-        if self._daemon_threads:
+        if self.daemons_running:
             raise RuntimeError("daemons already running")
         self._daemons_stop.clear()
+        self._daemon_thread = threading.Thread(
+            target=self._run_daemon,
+            args=(groom_interval_s,),
+            name="wildfire-maintenance",
+            daemon=True,
+        )
+        self._daemon_thread.start()
 
-        def groom_loop() -> None:
-            grooms = 0
-            while not self._daemons_stop.is_set():
-                if (
-                    self._scheduler is not None
-                    and not self._scheduler.allow_maintenance()
-                ):
-                    time.sleep(groom_interval_s)
-                    continue
-                try:
-                    result = self.groomer.groom()
-                except TransientIOError:
-                    # Rows were requeued; keep the daemon alive and let
-                    # the scheduler throttle until the storm passes.
-                    if self._scheduler is None:
-                        raise
-                    time.sleep(groom_interval_s)
-                    continue
-                if result is not None:
-                    grooms += 1
-                    if grooms % self.config.post_groom_every == 0:
-                        self.post_groomer.post_groom()
-                time.sleep(groom_interval_s)
-
-        thread = threading.Thread(target=groom_loop, name="wildfire-groomer", daemon=True)
-        thread.start()
-        self._daemon_threads.append(thread)
-        self.indexer.start()
-        self.maintenance.start()
-        for service in self._secondary_maintenance:
-            service.start()
+    def _run_daemon(self, interval_s: float) -> None:
+        while not self._daemons_stop.is_set():
+            self.tick()
+            self._daemons_stop.wait(interval_s)
 
     @property
     def daemons_running(self) -> bool:
-        """True between :meth:`start_daemons` and :meth:`stop_daemons`."""
-        return bool(self._daemon_threads)
+        """True while the :meth:`start_daemons` thread is alive.
+
+        Without a scheduler a ``TransientIOError`` from :meth:`tick`
+        propagates and ends the thread; this then reads False.
+        """
+        thread = self._daemon_thread
+        return thread is not None and thread.is_alive()
 
     def stop_daemons(self) -> None:
+        """Stop the daemon thread, waiting out the tick it is running."""
         self._daemons_stop.set()
-        for thread in self._daemon_threads:
-            thread.join(timeout=5.0)
-        self._daemon_threads = []
-        self.indexer.stop()
-        if self.maintenance.running:
-            self.maintenance.stop()
-        for service in self._secondary_maintenance:
-            if service.running:
-                service.stop()
+        if self._daemon_thread is not None:
+            self._daemon_thread.join()
+            self._daemon_thread = None
 
     # ------------------------------------------------------------------------------
     # lifecycle -- quiesce (shard split support, ISSUE 8)

@@ -6,10 +6,13 @@ than the maximum PSN, the indexer process performs an index evolve
 operation for IndexedPSN+1, which guarantees the index evolves in a
 correct order."
 
-The daemon is deliberately decoupled from the post-groomer: it reads only
-published PSN metadata and the post-groomed blocks themselves -- the
-minimum-coordination property the paper emphasizes for loosely-coupled
-distributed processes.
+The polling is the shard's one lifecycle driver: every
+:meth:`~repro.wildfire.engine.WildfireShard.tick` (looped by the shard's
+daemon thread, if it runs) calls :meth:`IndexerDaemon.drain` after groom
+and post-groom.  The daemon is deliberately decoupled from the
+post-groomer: it reads only published PSN metadata and the post-groomed
+blocks themselves -- the minimum-coordination property the paper
+emphasizes for loosely-coupled distributed processes.
 
 Evolves run on the zero-decode streaming path: the daemon derives one
 ``beginTS -> new RID`` map from the post-groomed blocks and each index
@@ -20,7 +23,6 @@ re-points its own groomed entry blobs by raw RID splices -- no
 from __future__ import annotations
 
 import threading
-import time
 from dataclasses import dataclass
 from typing import List, Optional, Tuple
 
@@ -64,16 +66,7 @@ class IndexerDaemon:
         self.index = indexes.primary.index  # the primary index
         self.post_groomer = post_groomer
         self._lock = threading.Lock()
-        self._stop = threading.Event()
-        self._thread: Optional[threading.Thread] = None
         self.evolves_applied = 0
-        # Backpressure gate (ISSUE 7): consulted by the threaded loop
-        # before each step; False idles the daemon for one poll interval.
-        self._gate = None
-
-    def set_gate(self, gate) -> None:
-        """Install (or clear, with ``None``) the backpressure gate."""
-        self._gate = gate
 
     # -- polling ------------------------------------------------------------------
 
@@ -160,7 +153,7 @@ class IndexerDaemon:
             )
 
     def drain(self, max_steps: int = 64) -> List[IndexerStepResult]:
-        """Apply every pending evolve (deterministic mode)."""
+        """Apply every pending evolve, in PSN order."""
         results: List[IndexerStepResult] = []
         for _ in range(max_steps):
             result = self.step()
@@ -168,31 +161,6 @@ class IndexerDaemon:
                 break
             results.append(result)
         return results
-
-    # -- threaded mode --------------------------------------------------------------
-
-    def start(self, poll_interval_s: float = 0.01) -> None:
-        if self._thread is not None:
-            raise RuntimeError("indexer daemon already running")
-        self._stop.clear()
-
-        def loop() -> None:
-            while not self._stop.is_set():
-                gate = self._gate
-                if gate is not None and not gate():
-                    time.sleep(poll_interval_s)
-                    continue
-                if self.step() is None:
-                    time.sleep(poll_interval_s)
-
-        self._thread = threading.Thread(target=loop, name="umzi-indexer", daemon=True)
-        self._thread.start()
-
-    def stop(self, timeout_s: float = 5.0) -> None:
-        self._stop.set()
-        if self._thread is not None:
-            self._thread.join(timeout=timeout_s)
-            self._thread = None
 
 
 __all__ = ["IndexerDaemon", "IndexerStepResult"]

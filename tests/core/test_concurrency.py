@@ -50,23 +50,35 @@ class TestReadersVsMaintenance:
                     errors.append(repr(exc))
                     return
 
+        service = MaintenanceService(index)
+        builds_done = threading.Event()
+
+        def maintainer():
+            # Merge beside the builds, then run until nothing is pending.
+            deadline = time.time() + 10
+            while not builds_done.is_set() or index.needs_merge():
+                if time.time() > deadline:
+                    return
+                service.step()
+                time.sleep(0.001)
+
         readers = [threading.Thread(target=reader) for _ in range(4)]
-        for t in readers:
+        merger = threading.Thread(target=maintainer)
+        for t in (*readers, merger):
             t.start()
-        with MaintenanceService(index.merger, index.cache, poll_interval_s=0.001):
-            for gid in range(1, 12):
-                index.add_groomed_run(
-                    make_entries(DEF, range(gid * 10, gid * 10 + 10), gid * 10 + 1),
-                    gid, gid,
-                )
-                time.sleep(0.002)
-            deadline = time.time() + 5
-            while index.needs_merge() and time.time() < deadline:
-                time.sleep(0.005)
+        for gid in range(1, 12):
+            index.add_groomed_run(
+                make_entries(DEF, range(gid * 10, gid * 10 + 10), gid * 10 + 1),
+                gid, gid,
+            )
+            time.sleep(0.002)
+        builds_done.set()
+        merger.join()
         stop.set()
         for t in readers:
             t.join()
         assert errors == []
+        assert not index.needs_merge()
 
     def test_lookups_correct_during_evolves(self):
         index = build_index()

@@ -1,15 +1,16 @@
-"""Tests for the maintenance service (step and threaded modes)."""
+"""Tests for the maintenance service's step.
 
-import time
-
-import pytest
+The daemon that drives it -- one thread per shard looping
+``WildfireShard.tick`` -- is tested in tests/wildfire/test_engine.py
+(``TestThreadedDaemons``).
+"""
 
 from repro.core.definition import i1_definition
 from repro.core.index import UmziConfig, UmziIndex
 from repro.core.levels import LevelConfig
 from repro.core.maintenance import MaintenanceService
 
-from tests.conftest import make_entries, key_of
+from tests.conftest import make_entries
 
 DEF = i1_definition()
 
@@ -29,54 +30,12 @@ class TestStepMode:
                 make_entries(DEF, range(gid * 5, gid * 5 + 5), gid * 5 + 1),
                 gid, gid,
             )
-        service = MaintenanceService(index.merger, index.cache)
+        service = MaintenanceService(index)
         results = service.step()
         assert results
-        assert service.merges_done == len(results)
         assert not index.needs_merge()
 
     def test_step_with_nothing_pending(self):
         index = build_index()
-        service = MaintenanceService(index.merger, index.cache)
+        service = MaintenanceService(index)
         assert service.step() == []
-
-
-class TestThreadedMode:
-    def test_background_merging(self):
-        index = build_index()
-        service = MaintenanceService(index.merger, index.cache,
-                                     poll_interval_s=0.001)
-        with service:
-            assert service.running
-            for gid in range(6):
-                index.add_groomed_run(
-                    make_entries(DEF, range(gid * 5, gid * 5 + 5), gid * 5 + 1),
-                    gid, gid,
-                )
-            deadline = time.time() + 5.0
-            while index.needs_merge() and time.time() < deadline:
-                time.sleep(0.01)
-        assert not index.needs_merge()
-        assert service.merges_done > 0
-        # All keys still answerable.
-        for k in (0, 14, 29):
-            eq, sort = key_of(DEF, k)
-            assert index.lookup(eq, sort) is not None
-
-    def test_double_start_rejected(self):
-        index = build_index()
-        service = MaintenanceService(index.merger)
-        service.start()
-        try:
-            with pytest.raises(RuntimeError):
-                service.start()
-        finally:
-            service.stop()
-
-    def test_stop_is_idempotent(self):
-        index = build_index()
-        service = MaintenanceService(index.merger)
-        service.start()
-        service.stop()
-        service.stop()
-        assert not service.running

@@ -1,16 +1,51 @@
 """End-to-end shard tests: MVCC semantics, time travel, daemons, recovery."""
 
 import random
+import threading
 import time
 
 import pytest
 
 from repro.core.definition import ColumnSpec
+from repro.core.index import UmziConfig
+from repro.core.levels import LevelConfig
+from repro.faults.plan import FaultPlan
+from repro.faults.storage import FaultyTier
+from repro.storage.hierarchy import StorageHierarchy
+from repro.storage.metrics import IOStats
+from repro.storage.retry import TransientIOError
 from repro.wildfire.engine import ShardConfig, WildfireShard
 from repro.wildfire.schema import IndexSpec, TableSchema
 
+TWO_SECONDARIES = {
+    "by_reading": IndexSpec(sort_columns=("reading",)),
+    "by_msg": IndexSpec(equality_columns=("msg",)),
+}
+SMALL_LEVELS = UmziConfig(levels=LevelConfig(
+    groomed_levels=3, post_groomed_levels=2, max_runs_per_level=2, size_ratio=2,
+))
 
-def make_shard(**config_overrides):
+
+class CountingGate:
+    """A scheduler stub: counts its gate decisions, answers ``allow``."""
+
+    def __init__(self, allow=True):
+        self.allow = allow
+        self.calls = 0
+
+    def allow_maintenance(self):
+        self.calls += 1
+        return self.allow
+
+
+def wait_until(condition, timeout_s=5.0):
+    deadline = time.time() + timeout_s
+    while not condition() and time.time() < deadline:
+        time.sleep(0.01)
+    return condition()
+
+
+def make_shard(hierarchy=None, **config_overrides):
     schema = TableSchema(
         name="iot",
         columns=(ColumnSpec("device"), ColumnSpec("msg"), ColumnSpec("reading")),
@@ -19,7 +54,9 @@ def make_shard(**config_overrides):
         partition_key=("msg",),
     )
     spec = IndexSpec(("device",), ("msg",), ("reading",))
-    return WildfireShard(schema, spec, config=ShardConfig(**config_overrides))
+    return WildfireShard(
+        schema, spec, hierarchy=hierarchy, config=ShardConfig(**config_overrides)
+    )
 
 
 class TestUpsertSemantics:
@@ -106,6 +143,15 @@ class TestDeterministicDriver:
         assert stats["live_rows"] == 0  # drained by groom
         assert stats["index"].total_entries == 1
 
+    def test_one_gate_decision_per_admitted_tick(self):
+        shard = make_shard(post_groom_every=1, secondary_indexes=TWO_SECONDARIES)
+        gate = CountingGate()
+        shard.attach_scheduler(gate)
+        shard.ingest([(d, 1, d) for d in range(4)])
+        report = shard.tick()
+        assert "throttled" not in report and report["evolved"]
+        assert gate.calls == 1
+
 
 class TestThreadedDaemons:
     def test_daemons_process_ingest(self):
@@ -123,6 +169,134 @@ class TestThreadedDaemons:
             shard.stop_daemons()
         assert shard.groomer.grooms_done > 0
         assert shard.point_query((0,), (0,)) is not None
+
+    def test_daemon_evolves_and_merges_every_index(self):
+        shard = make_shard(
+            post_groom_every=2, umzi=SMALL_LEVELS,
+            secondary_indexes=TWO_SECONDARIES,
+        )
+        indexes = [si.index for si in shard.indexes.all()]
+        shard.start_daemons(groom_interval_s=0.002)
+        try:
+            for batch in range(12):
+                shard.ingest([(d, batch, d + batch) for d in range(4)])
+                time.sleep(0.005)
+
+            def settled():
+                return (
+                    shard.committed_log.pending_rows() == 0
+                    and shard.post_groomer.max_psn >= 2
+                    and shard.indexer.pending_psns() == 0
+                    and not any(index.needs_merge() for index in indexes)
+                )
+
+            assert wait_until(settled)
+        finally:
+            shard.stop_daemons()
+        assert shard.index.indexed_psn == shard.post_groomer.max_psn
+        assert not any(index.needs_merge() for index in indexes)
+        assert shard.point_query((3,), (11,)).values == (3, 11, 14)
+
+    def test_one_maintenance_thread_per_running_shard(self):
+        shards = [
+            make_shard(secondary_indexes=TWO_SECONDARIES) for _ in range(2)
+        ]
+        before = set(threading.enumerate())
+        for shard in shards:
+            shard.start_daemons(groom_interval_s=0.002)
+        try:
+            started = set(threading.enumerate()) - before
+            assert len(started) == len(shards)
+            assert {thread.name for thread in started} == {"wildfire-maintenance"}
+        finally:
+            for shard in shards:
+                shard.stop_daemons()
+        assert not any(thread.is_alive() for thread in started)
+
+    def test_second_start_is_refused(self):
+        shard = make_shard()
+        shard.start_daemons(groom_interval_s=0.002)
+        try:
+            with pytest.raises(RuntimeError):
+                shard.start_daemons(groom_interval_s=0.002)
+        finally:
+            shard.stop_daemons()
+
+    def test_stop_is_idempotent(self):
+        shard = make_shard()
+        shard.stop_daemons()  # never started
+        shard.start_daemons(groom_interval_s=0.002)
+        shard.stop_daemons()
+        shard.stop_daemons()
+        assert not shard.daemons_running
+
+    def test_daemon_survives_a_transient_shared_tier_error(self):
+        stats = IOStats()
+        tier = FaultyTier(FaultPlan(seed=0), run_prefix="umzi-run", stats=stats)
+        shard = make_shard(
+            hierarchy=StorageHierarchy(shared=tier, stats=stats),
+            post_groom_every=2,
+        )
+        shard.attach_scheduler(CountingGate())
+        shard.ingest([(d, 1, d) for d in range(4)])
+        shard.groomer.groom()
+        shard.post_groomer.post_groom()
+        assert shard.indexer.pending_psns() == 1
+        tier.set_outage(True)
+        shard.ingest([(d, 2, d) for d in range(4)])
+        shard.start_daemons(groom_interval_s=0.002)
+        try:
+            time.sleep(0.2)
+            tier.set_outage(False)
+            assert wait_until(
+                lambda: shard.committed_log.pending_rows() == 0
+                and shard.post_groomer.max_psn >= 2
+                and shard.indexer.pending_psns() == 0
+            )
+            assert shard.daemons_running
+        finally:
+            shard.stop_daemons()
+        assert stats.faults.write_giveups > 0  # the outage did hit maintenance
+        assert shard.index.indexed_psn == shard.post_groomer.max_psn
+        for d in range(4):
+            assert shard.point_query((d,), (2,)).values == (d, 2, d)
+
+    def test_unsupervised_daemon_error_is_visible(self, monkeypatch):
+        uncaught = []
+        monkeypatch.setattr(
+            threading, "excepthook", lambda args: uncaught.append(args.exc_type)
+        )
+        stats = IOStats()
+        tier = FaultyTier(FaultPlan(seed=0), run_prefix="umzi-run", stats=stats)
+        shard = make_shard(hierarchy=StorageHierarchy(shared=tier, stats=stats))
+        tier.set_outage(True)
+        shard.ingest([(d, 1, d) for d in range(4)])
+        shard.start_daemons(groom_interval_s=0.002)
+        try:
+            # No scheduler: tick's error propagates and ends the thread.
+            assert wait_until(lambda: not shard.daemons_running)
+            assert uncaught == [TransientIOError]
+            tier.set_outage(False)
+            shard.start_daemons(groom_interval_s=0.002)
+            assert wait_until(lambda: shard.committed_log.pending_rows() == 0)
+            assert shard.daemons_running
+        finally:
+            shard.stop_daemons()
+        assert not shard.daemons_running
+
+    def test_closed_gate_leaves_every_row_pending(self):
+        shard = make_shard(post_groom_every=1)
+        gate = CountingGate(allow=False)
+        shard.attach_scheduler(gate)
+        shard.ingest([(d, 1, d) for d in range(4)])
+        shard.start_daemons(groom_interval_s=0.002)
+        try:
+            assert wait_until(lambda: gate.calls >= 10)
+        finally:
+            shard.stop_daemons()
+        assert shard.groomer.grooms_done == 0
+        assert shard.committed_log.pending_rows() == 4
+        assert shard.post_groomer.max_psn == 0
 
 
 class TestCrashRecovery:
