@@ -59,7 +59,7 @@ class RID(NamedTuple):
     @classmethod
     def from_bytes(cls, data: bytes, offset: int = 0) -> Tuple["RID", int]:
         zone, block_id, rec_offset = cls._STRUCT.unpack_from(data, offset)
-        return cls._make((_ZONES[zone], block_id, rec_offset)), offset + RID_BYTES
+        return cls._make((ZONES[zone], block_id, rec_offset)), offset + RID_BYTES
 
     def __str__(self) -> str:  # pragma: no cover - debugging aid
         return f"{self.zone.name.lower()}:{self.block_id}:{self.offset}"
@@ -81,7 +81,7 @@ def begin_ts_of_sort_key(sort_key: bytes) -> int:
 # blob (layout ``sort_key | includes | rid``), so the maintenance path can
 # splice a new RID without decoding any column.
 RID_BYTES = RID._STRUCT.size
-_ZONES = {int(zone): zone for zone in Zone}  # a serialized zone byte -> Zone
+ZONES = {int(zone): zone for zone in Zone}  # a serialized zone byte -> Zone
 
 
 def encode_rid_column(zone: Zone, block_id: int, count: int) -> List[bytes]:
@@ -228,9 +228,9 @@ def _compile_decoder(definition: IndexDefinition) -> Callable:
         [_PARTS[spec.ctype] for spec in definition.sort_columns],
         [("Q", "_MAX - {}")],
         [_PARTS[spec.ctype] for spec in definition.included_columns],
-        [("B", "_ZONES[{}]"), ("Q", "{}"), ("I", "{}")],
+        [("B", "ZONES[{}]"), ("Q", "{}"), ("I", "{}")],
     ]
-    namespace = dict(_new=tuple.__new__, IndexEntry=IndexEntry, RID=RID, _ZONES=_ZONES,
+    namespace = dict(_new=tuple.__new__, IndexEntry=IndexEntry, RID=RID, ZONES=ZONES,
                      _SIGN=1 << 63, _MAX=_UINT64_MAX, _as_float=struct.Struct(">d").unpack,
                      _pack_q=struct.Struct(">Q").pack, decode_str=decode_str,
                      decode_bytes=decode_bytes)
@@ -261,6 +261,7 @@ __all__ = [
     "RID",
     "RID_BYTES",
     "SORT_KEY_TS_BYTES",
+    "ZONES",
     "Zone",
     "begin_ts_of_sort_key",
     "encode_rid_column",

@@ -75,17 +75,20 @@ class Watermark:
 class RidSplices(dict):
     """Raw ``~beginTS`` suffix -> the serialized new RID of that version.
 
-    What a streaming evolve splices over its entries' RID suffixes, filled
-    from ``new_rid_of(begin_ts)`` once per distinct suffix (``None``: the
-    version is outside the operation's coverage).  One instance can serve
-    the evolves of every index of one PSN: they migrate the same versions.
+    What a streaming evolve splices over its entries' RID suffixes (``None``:
+    the version is outside the operation's coverage).  A post-groom
+    publishes one filled from its blocks; one over ``new_rid_of(begin_ts)``
+    fills itself once per distinct suffix.  One instance can serve the
+    evolves of every index of one PSN: they migrate the same versions.
     """
 
-    def __init__(self, new_rid_of: Callable[[int], Optional[RID]]) -> None:
+    def __init__(self, new_rid_of: Optional[Callable] = None) -> None:
         super().__init__()
         self._new_rid_of = new_rid_of
 
     def __missing__(self, suffix: bytes) -> Optional[bytes]:
+        if self._new_rid_of is None:
+            return None
         rid = self._new_rid_of(begin_ts_of_sort_key(suffix))
         spliced = self[suffix] = None if rid is None else rid.to_bytes()
         return spliced

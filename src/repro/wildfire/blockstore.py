@@ -11,9 +11,9 @@ runs) and are decoded on demand.  The catalog also owns:
   groomed RIDs can still resolve them;
 * the ``endTS`` overlay.  **Substitution note:** Wildfire updates endTS
   fields inside post-groomed Parquet data; our shared storage (like S3)
-  forbids in-place updates, so endTS mutations live in an in-memory overlay
-  applied at record fetch.  Index behaviour is unaffected -- Umzi never
-  stores endTS -- and snapshot visibility semantics are identical.
+  forbids in-place updates, so endTS lives in an in-memory overlay, one
+  ``{offset: endTS}`` dict per block, applied at record fetch.  Umzi never
+  stores endTS, and snapshot visibility semantics are identical.
 """
 
 from __future__ import annotations
@@ -21,14 +21,17 @@ from __future__ import annotations
 import threading
 from typing import Dict, Iterable, List, Mapping, Optional, Sequence, Set, Tuple
 
-from repro.core.entry import RID, Zone
+from repro.core.entry import RID, ZONES, Zone
 from repro.storage.block import Block, BlockId
 from repro.storage.hierarchy import StorageHierarchy
 from repro.storage.metrics import ReadIntent
 from repro.storage.retry import TransientIOError
-from repro.wildfire.columnar import Columns, DataBlock, encode_columns
+from repro.wildfire.columnar import Columns, DataBlock, RidTriple, Row, encode_columns
 from repro.wildfire.record import Record
 from repro.wildfire.schema import TableSchema
+
+_NONE_ENDED: Dict[int, int] = {}  # the overlay of a block no version ended in
+_tuple_new = tuple.__new__
 
 
 class BlockNotFound(KeyError):
@@ -54,7 +57,8 @@ class BlockCatalog:
         self._live_post_groomed: Set[int] = set()
         self._deprecated_groomed: Set[int] = set()
         self._decoded: Dict[Tuple[Zone, int], DataBlock] = {}
-        self._end_ts_overlay: Dict[RID, int] = {}
+        # endTS overlay: (zone, block id) -> {offset: endTS}
+        self._end_ts: Dict[Tuple[Zone, int], Dict[int, int]] = {}
 
     # -- namespaces -----------------------------------------------------------------
 
@@ -68,14 +72,16 @@ class BlockCatalog:
 
     # -- writes ----------------------------------------------------------------------
 
-    def store_groomed(self, records: Sequence[Record], encoded: Columns) -> DataBlock:
+    def store_groomed(
+        self, rows: Sequence[Row], begin_ts: Sequence[int], encoded: Columns
+    ) -> DataBlock:
         """Persist one new groomed block, its user columns already encoded."""
         with self._lock:
             block_id = self._next_groomed_id
             self._next_groomed_id += 1
             self._live_groomed.add(block_id)
         try:
-            return self._store(Zone.GROOMED, block_id, records, encoded)
+            return self._store(Zone.GROOMED, block_id, rows, begin_ts, (), encoded)
         except TransientIOError:
             # Abort safety (ISSUE 7): a block that never landed must not
             # occupy an id -- the post-groomer consumes the groomed id
@@ -91,7 +97,7 @@ class BlockCatalog:
         """Reserve ``count`` consecutive post-groomed block ids.
 
         The post-groomer needs RIDs *before* blocks are written so it can
-        stitch intra-batch ``prevRID`` chains into the (immutable) records;
+        stitch intra-batch ``prevRID`` chains into the (immutable) blocks;
         returns the first reserved id.
         """
         with self._lock:
@@ -99,8 +105,12 @@ class BlockCatalog:
             self._next_post_groomed_id += count
             return first
 
-    def store_post_groomed(self, records: Sequence[Record], block_id: int) -> DataBlock:
-        """Persist one post-groomed block under a reserved id."""
+    def store_post_groomed(
+        self, rows: Sequence[Row], begin_ts: Sequence[int],
+        prev_rids: Sequence[Optional[RidTriple]], block_id: int,
+    ) -> DataBlock:
+        """Persist one post-groomed block under a reserved id; ``prev_rids``
+        holds each version's ``prevRID`` as a plain-int triple or ``None``."""
         with self._lock:
             if block_id >= self._next_post_groomed_id:
                 raise ValueError(
@@ -108,8 +118,10 @@ class BlockCatalog:
                 )
             self._live_post_groomed.add(block_id)
         try:
-            encoded = encode_columns(self.schema, [r.values for r in records])
-            return self._store(Zone.POST_GROOMED, block_id, records, encoded)
+            encoded = encode_columns(self.schema, rows)
+            return self._store(
+                Zone.POST_GROOMED, block_id, rows, begin_ts, prev_rids, encoded
+            )
         except TransientIOError:
             # The id may be a pre-reserved one (RID stitching), so only
             # the liveness registration is rolled back; an aborted
@@ -121,9 +133,13 @@ class BlockCatalog:
             raise
 
     def _store(
-        self, zone: Zone, block_id: int, records: Sequence[Record], encoded: Columns
+        self, zone: Zone, block_id: int, rows: Sequence[Row],
+        begin_ts: Sequence[int], prev_rids: Sequence, encoded: Columns,
     ) -> DataBlock:
-        block = DataBlock(zone=zone, block_id=block_id, records=tuple(records))
+        none = (None,) * len(rows)  # no endTS is ever written: see the overlay
+        block = DataBlock(
+            zone, block_id, tuple(rows), tuple(begin_ts), none, tuple(prev_rids or none)
+        )
         payload = block.to_bytes(encoded)
         storage_block = Block(BlockId(self._namespace(zone, block_id), 0), payload)
         self.hierarchy.write_persisted(storage_block, write_through_ssd=True)
@@ -144,7 +160,7 @@ class BlockCatalog:
         ``intent`` is the cache-admission signal forwarded to the storage
         hierarchy: record fetches on behalf of queries promote on a miss,
         while maintenance scans (the post-groomer collecting groomed
-        records, the indexer's block-map fallback) pass
+        rows, the indexer's splice-map fallback) pass
         ``ReadIntent.MAINTENANCE`` and leave the SSD cache untouched.
         """
         with self._lock:
@@ -163,46 +179,40 @@ class BlockCatalog:
         return block
 
     def fetch_record(self, rid: RID) -> Record:
-        """Resolve a RID to its record, applying the endTS overlay."""
-        block = self.get_block(rid.zone, rid.block_id)
-        record = block.records[rid.offset]
-        end_ts = self._end_ts_overlay.get(rid)
-        if end_ts is not None:
-            record = record.with_end_ts(end_ts)
-        return record
+        """Resolve a RID to its record, applying the endTS overlay: one
+        frame on a memoized block, the record built from its columns."""
+        key, offset = rid[:2], rid[2]
+        block = self._decoded.get(key) or self.get_block(*key)
+        prev = block.prev_rids[offset]
+        return _tuple_new(Record, (
+            block.rows[offset], block.begin_ts[offset],
+            self._end_ts.get(key, _NONE_ENDED).get(offset, block.end_ts[offset]),
+            prev and _tuple_new(RID, (ZONES[prev[0]], prev[1], prev[2])),
+        ))
 
     def fetch_records(self, rids: Sequence[RID]) -> List[Record]:
-        """Batched :meth:`fetch_record`, RID order preserved (ISSUE 9).
-
-        Each distinct block is resolved once per batch, so a plan
-        fetching many records from few blocks (the access-path
-        executor's fetch-back and primary-scan paths) pays one block
-        read per block instead of one per record.
-        """
-        blocks: Dict[Tuple[Zone, int], DataBlock] = {}
+        """Batched :meth:`fetch_record`, RID order preserved:
+        no call per record, and one block read per block on a miss."""
+        decoded, overlay = self._decoded, self._end_ts
         records: List[Record] = []
         for rid in rids:
-            key = (rid.zone, rid.block_id)
-            block = blocks.get(key)
-            if block is None:
-                block = self.get_block(rid.zone, rid.block_id)
-                blocks[key] = block
-            record = block.records[rid.offset]
-            end_ts = self._end_ts_overlay.get(rid)
-            if end_ts is not None:
-                record = record.with_end_ts(end_ts)
-            records.append(record)
+            key, offset = rid[:2], rid[2]
+            block = decoded.get(key) or self.get_block(*key)
+            prev = block.prev_rids[offset]
+            records.append(_tuple_new(Record, (
+                block.rows[offset], block.begin_ts[offset],
+                overlay.get(key, _NONE_ENDED).get(offset, block.end_ts[offset]),
+                prev and _tuple_new(RID, (ZONES[prev[0]], prev[1], prev[2])),
+            )))
         return records
 
     # -- hidden-column maintenance (post-groomer) -----------------------------------------
 
-    def set_end_ts(self, rid: RID, end_ts: int) -> None:
-        self.update_end_ts({rid: end_ts})
-
-    def update_end_ts(self, end_ts_of: Mapping[RID, int]) -> None:
-        """Set many records' ``endTS`` in one locked update."""
+    def update_end_ts(self, end_ts_of: Mapping[RidTriple, int]) -> None:
+        """Set many records' ``endTS`` (keyed by RID or plain-int triple)."""
         with self._lock:
-            self._end_ts_overlay.update(end_ts_of)
+            for (zone, block_id, offset), end_ts in end_ts_of.items():
+                self._end_ts.setdefault((ZONES[zone], block_id), {})[offset] = end_ts
 
     # -- groomed-block lifecycle ------------------------------------------------------------
 
@@ -228,7 +238,11 @@ class BlockCatalog:
     def export_end_ts_overlay(self) -> Dict[RID, int]:
         """Copy of the endTS overlay (shard split state transfer)."""
         with self._lock:
-            return dict(self._end_ts_overlay)
+            return {
+                RID(zone, block_id, offset): end_ts
+                for (zone, block_id), ended in self._end_ts.items()
+                for offset, end_ts in ended.items()
+            }
 
     # -- shard split (ISSUE 8) -------------------------------------------------------
 

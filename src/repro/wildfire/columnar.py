@@ -11,22 +11,24 @@ from __future__ import annotations
 
 import struct
 from dataclasses import dataclass
-from typing import Dict, List, Sequence, Tuple
+from typing import Iterator, List, Optional, Sequence, Tuple
 
 from repro.core.definition import COLUMN_ENCODERS, DECODERS
-from repro.core.encoding import KeyValue, decode_uint64
-from repro.core.entry import RID, Zone
-from repro.wildfire.record import Record
+from repro.core.encoding import KeyValue, decode_uint64, encode_ts_desc_column
+from repro.core.entry import RID, RID_BYTES, Zone, encode_rid_column
 from repro.wildfire.schema import TableSchema
 
 _MAGIC = b"UMZC"
 _VERSION = 1
 _PACK_U64 = struct.Struct(">Q").pack
 _PACK_RID = RID._STRUCT.pack  # RID.to_bytes without its frame
+_UNPACK_RID = RID._STRUCT.unpack_from  # ... and a plain-int triple back
 
 
 # A batch's user values, column-major, each encoded by its column's type.
 Columns = List[List[bytes]]
+Row = Tuple[KeyValue, ...]
+RidTriple = Tuple[int, int, int]  # a RID as plain ints: (zone, block id, offset)
 
 
 def encode_columns(schema: TableSchema, rows: Sequence[Sequence[KeyValue]]) -> Columns:
@@ -41,59 +43,53 @@ def encode_columns(schema: TableSchema, rows: Sequence[Sequence[KeyValue]]) -> C
 
 @dataclass(frozen=True)
 class DataBlock:
-    """One immutable columnar block of record versions.
+    """One immutable columnar block of record versions, kept column-major.
 
     ``block_id`` is the zone-local monotonic id (groomed block ids order
     grooms in time; post-groomed ids order post-grooms).  A record's RID is
-    ``(zone, block_id, offset)``.
+    ``(zone, block_id, offset)``: ``rows[offset]`` holds its user values,
+    the other columns its hidden ones, ``prevRID`` as a plain-int triple
+    (which the cyclic GC stops tracking).  The catalog builds records.
     """
 
     zone: Zone
     block_id: int
-    records: Tuple[Record, ...]
+    rows: Tuple[Row, ...]
+    begin_ts: Tuple[int, ...]
+    end_ts: Tuple[Optional[int], ...]
+    prev_rids: Tuple[Optional[RidTriple], ...]
 
-    @property
-    def record_count(self) -> int:
-        return len(self.records)
-
-    def rid_by_begin_ts(self) -> Dict[int, RID]:
-        """Map each record version's ``beginTS`` to its RID in this block.
-
-        The streaming evolve hand-off: ``beginTS`` values are unique per
-        version (the groomer composes ``groom cycle | commit order``), so
-        this is the only decoded state the indexer needs to re-point
-        groomed index entries at their post-groomed copies -- everything
-        else moves as raw blob splices.
-        """
-        zone, block_id = self.zone, self.block_id
-        return {
-            record.begin_ts: RID(zone, block_id, offset)
-            for offset, record in enumerate(self.records)
-        }
+    def rid_splices(self) -> Iterator[Tuple[bytes, bytes]]:
+        """Each version's raw ``~beginTS`` sort-key suffix and serialized
+        RID: the streaming evolve's splice pairs for this block's versions
+        (``beginTS`` is unique per version, see ``compose_begin_ts``)."""
+        return zip(
+            encode_ts_desc_column(self.begin_ts),
+            encode_rid_column(self.zone, self.block_id, len(self.rows)),
+        )
 
     # -- serialization ---------------------------------------------------------
 
     def to_bytes(self, encoded: Columns) -> bytes:
         """The block's bytes; ``encoded``: :func:`encode_columns` of its
-        records' values (the groomer's one encode of a batch)."""
-        records = self.records
+        rows (the groomer's one encode of a batch)."""
         parts: List[bytes] = [
             _MAGIC,
             struct.pack(
-                ">HBQI", _VERSION, int(self.zone), self.block_id, len(records)
+                ">HBQI", _VERSION, int(self.zone), self.block_id, len(self.rows)
             ),
         ]
         # Column-major user values, then the hidden columns.
         for column in encoded:
             parts.extend(column)
-        parts.extend([_PACK_U64(r.begin_ts) for r in records])
+        parts.extend(map(_PACK_U64, self.begin_ts))
         parts.extend([
-            b"\x00" if r.end_ts is None else b"\x01" + _PACK_U64(r.end_ts)
-            for r in records
+            b"\x00" if end_ts is None else b"\x01" + _PACK_U64(end_ts)
+            for end_ts in self.end_ts
         ])
         parts.extend([
-            b"\x00" if r.prev_rid is None else b"\x01" + _PACK_RID(*r.prev_rid)
-            for r in records
+            b"\x00" if prev is None else b"\x01" + _PACK_RID(*prev)
+            for prev in self.prev_rids
         ])
         return b"".join(parts)
 
@@ -115,9 +111,15 @@ class DataBlock:
             columns.append(values)
         begin_ts = struct.unpack_from(f">{count}Q", data, pos)
         end_ts, pos = _decode_optional(data, pos + 8 * count, count, decode_uint64)
-        prev_rids, pos = _decode_optional(data, pos, count, RID.from_bytes)
-        records = tuple(map(Record, zip(*columns), begin_ts, end_ts, prev_rids))
-        return cls(zone=Zone(zone_raw), block_id=block_id, records=records)
+        prev_rids, pos = _decode_optional(data, pos, count, _decode_rid_triple)
+        return cls(
+            Zone(zone_raw), block_id, tuple(zip(*columns)), begin_ts,
+            tuple(end_ts), tuple(prev_rids),
+        )
+
+
+def _decode_rid_triple(data: bytes, pos: int) -> Tuple[RidTriple, int]:
+    return _UNPACK_RID(data, pos), pos + RID_BYTES
 
 
 def _decode_optional(data: bytes, pos: int, count: int, decode) -> Tuple[List, int]:
@@ -133,4 +135,4 @@ def _decode_optional(data: bytes, pos: int, count: int, decode) -> Tuple[List, i
     return values, pos
 
 
-__all__ = ["Columns", "DataBlock", "encode_columns"]
+__all__ = ["Columns", "DataBlock", "RidTriple", "Row", "encode_columns"]

@@ -20,7 +20,6 @@ from repro.wildfire.blockstore import BlockCatalog
 from repro.wildfire.clock import HybridClock, compose_begin_ts_column
 from repro.wildfire.columnar import encode_columns
 from repro.wildfire.indexes import ShardIndexes
-from repro.wildfire.record import Record
 from repro.wildfire.schema import TableSchema
 from repro.wildfire.txlog import CommittedLog, CommittedTransaction
 
@@ -101,11 +100,11 @@ class Groomer:
             for transaction in transactions  # drain() returns commit order
             for row in transaction.rows
         ]
-        records = list(map(Record, rows, compose_begin_ts_column(cycle, len(rows))))
+        begin_ts = compose_begin_ts_column(cycle, len(rows))
         # The user columns are encoded once, for the block and every index.
         encoded = encode_columns(self.schema, rows)
 
-        block = self.catalog.store_groomed(records, encoded)
+        block = self.catalog.store_groomed(rows, begin_ts, encoded)
         crash_point("groom.pre_index")
 
         # One index run per attached index (primary + secondaries), built
@@ -115,9 +114,9 @@ class Groomer:
         return GroomResult(
             groom_cycle=cycle,
             groomed_block_id=block.block_id,
-            record_count=len(records),
+            record_count=len(rows),
             index_run_id=run_ids["primary"],
-            max_begin_ts=records[-1].begin_ts if records else 0,
+            max_begin_ts=begin_ts[-1] if rows else 0,
             index_run_ids=tuple(sorted(run_ids.items())),
         )
 

@@ -14,10 +14,10 @@ post-groomer: it reads only published PSN metadata and the post-groomed
 blocks themselves -- the minimum-coordination property the paper
 emphasizes for loosely-coupled distributed processes.
 
-Evolves run on the zero-decode streaming path: the daemon derives one
-``beginTS -> new RID`` map from the post-groomed blocks and each index
-re-points its own groomed entry blobs by raw RID splices -- no
-:class:`IndexEntry` is rebuilt per index per record.
+Evolves run on the zero-decode streaming path: the daemon takes one
+splice map (raw ``~beginTS`` suffix -> serialized new RID) from the PSN
+record and each index re-points its own groomed entry blobs by raw RID
+splices -- no :class:`IndexEntry` or RID is built per index per record.
 """
 
 from __future__ import annotations
@@ -32,7 +32,7 @@ from repro.faults.crash import crash_point
 from repro.storage.metrics import ReadIntent
 from repro.wildfire.blockstore import BlockCatalog
 from repro.wildfire.indexes import ShardIndexes
-from repro.wildfire.postgroomer import PostGroomer
+from repro.wildfire.postgroomer import PostGroomer, PostGroomOp
 from repro.wildfire.schema import TableSchema
 
 # Groomed blocks of PSN p are deleted only once PSN p + this grace has
@@ -73,6 +73,21 @@ class IndexerDaemon:
     def pending_psns(self) -> int:
         return max(0, self.post_groomer.max_psn - self.indexes.min_indexed_psn())
 
+    def splices_of(self, op: PostGroomOp) -> RidSplices:
+        """``op``'s splice map (raw ``~beginTS`` suffix -> serialized
+        post-groomed RID): the one its PSN record published, which spares
+        every block fetch, or -- once released because every index then
+        attached had evolved it -- the same map rebuilt from its blocks'
+        columns (a maintenance read: consumed once, not query traffic)."""
+        if op.splices:
+            return op.splices
+        splices = RidSplices()
+        for block_id in op.post_groomed_block_ids:
+            splices.update(self.catalog.get_block(
+                Zone.POST_GROOMED, block_id, intent=ReadIntent.MAINTENANCE
+            ).rid_splices())
+        return splices
+
     def step(self) -> Optional[IndexerStepResult]:
         """Apply the next pending PSN: one evolve per attached index."""
         with self._lock:
@@ -82,36 +97,20 @@ class IndexerDaemon:
             crash_point("indexer.pre_evolve")
             op = self.post_groomer.get_op(next_psn)
 
-            # One beginTS -> post-groomed RID map serves every index:
-            # evolve never rebuilds an entry, it splices RIDs into each
-            # index's own groomed blobs.  The map published in the PSN
-            # record spares even the block fetches; op records without one
-            # (an older record, or one whose map was released because
-            # every index then attached had evolved it) fall back to the
-            # blocks' own maps (a maintenance read: the blocks are
-            # consumed once, not query traffic).
-            new_rid_by_ts = op.rid_by_begin_ts
-            if not new_rid_by_ts:
-                new_rid_by_ts = {}
-                for block_id in op.post_groomed_block_ids:
-                    block = self.catalog.get_block(
-                        Zone.POST_GROOMED, block_id,
-                        intent=ReadIntent.MAINTENANCE,
-                    )
-                    new_rid_by_ts.update(block.rid_by_begin_ts())
+            # One splice map serves every index: evolve never rebuilds an
+            # entry, it splices RIDs into each index's own groomed blobs.
+            splices = self.splices_of(op)
             # beginTS values identify record versions because only the
             # groomer writes groomed blocks (``compose_begin_ts(cycle,
             # order)``).  Duplicates would collapse in the map, and
             # splicing from it would point several index entries at one
             # record: refuse before any index evolves.
-            if len(new_rid_by_ts) < op.record_count:
+            if len(splices) < op.record_count:
                 raise EvolveError(
                     f"PSN {op.psn}: {op.record_count} records but only "
-                    f"{len(new_rid_by_ts)} distinct beginTS values; no "
+                    f"{len(splices)} distinct beginTS values; no "
                     "index evolved"
                 )
-            # Serialized once per version, spliced by every index.
-            splices = RidSplices(new_rid_by_ts.get)
             primary_result: Optional[EvolveResult] = None
             secondary_results: List[EvolveResult] = []
             for shard_index in self.indexes.all():

@@ -153,13 +153,12 @@ class ShardIndexes:
         to ``IndexEntry.create(...)`` + ``RunBuilder.build``
         (tests/core/test_groom_kernel.py).
         """
-        records = block.records
-        rows = [record.values for record in records]
+        rows = block.rows
         if encoded is None:
             encoded = encode_columns(self.schema, rows)
         raw = list(zip(*rows))
-        ts_desc = encode_ts_desc_column([record.begin_ts for record in records])
-        rids = encode_rid_column(block.zone, block.block_id, len(records))
+        ts_desc = encode_ts_desc_column(block.begin_ts)
+        rids = encode_rid_column(block.zone, block.block_id, len(rows))
         run_ids: Dict[str, str] = {}
         # Count ghosts *before* publishing the runs that contain them: a
         # planner racing this groom may cache a synopsis at the new

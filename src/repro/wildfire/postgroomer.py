@@ -23,32 +23,29 @@ from __future__ import annotations
 
 import threading
 from dataclasses import dataclass, field, replace
-from typing import Dict, List, Mapping, Optional, Tuple
+from typing import Dict, List, Optional, Tuple
 
 from repro.core.encoding import KeyValue, encode_composite, fnv1a64
-from repro.core.entry import RID, Zone
+from repro.core.entry import Zone
+from repro.core.evolve import RidSplices
 from repro.core.index import UmziIndex
 from repro.faults.crash import crash_point
 from repro.storage.metrics import ReadIntent
 from repro.wildfire.blockstore import BlockCatalog
-from repro.wildfire.record import Record
+from repro.wildfire.columnar import RidTriple, Row
 from repro.wildfire.schema import IndexSpec, TableSchema
-
-_tuple_new = tuple.__new__
 
 
 @dataclass(frozen=True)
 class PostGroomOp:
     """Published metadata of one post-groom operation (the PSN record).
 
-    ``rid_by_begin_ts`` maps each migrated version's ``beginTS`` to its
-    new post-groomed RID.  The post-groomer computes every new RID anyway
-    while stitching version chains, so publishing the map costs nothing
-    extra -- and it lets the indexer's streaming evolve splice RIDs into
-    raw groomed entry blobs without fetching a single post-groomed block.
-    Nobody reads it again once every attached index has evolved the PSN,
-    so the indexer then has it dropped (:meth:`PostGroomer.release_rid_map`;
-    an index attached later rebuilds it from the blocks).
+    ``splices`` maps each migrated version's raw ``~beginTS`` sort-key
+    suffix to its new post-groomed RID, serialized: the indexer splices it
+    into raw groomed entry blobs with no block fetch and no RID built.
+    Once every attached index has evolved the PSN the indexer has it
+    dropped (:meth:`PostGroomer.release_rid_map`; an index attached later
+    rebuilds it from the blocks).
     """
 
     psn: int
@@ -56,7 +53,7 @@ class PostGroomOp:
     max_groomed_id: int
     post_groomed_block_ids: Tuple[int, ...]
     record_count: int
-    rid_by_begin_ts: Mapping[int, RID] = field(default_factory=dict)
+    splices: RidSplices = field(default_factory=RidSplices)
 
 
 class PostGroomer:
@@ -100,10 +97,10 @@ class PostGroomer:
             return self._ops[psn]
 
     def release_rid_map(self, psn: int) -> None:
-        """Drop a fully evolved PSN's ``beginTS -> RID`` map; the groomed-id
-        range and block ids stay for the grace-PSN cleanup."""
+        """Drop a fully evolved PSN's splice map; the groomed-id range and
+        block ids stay for the grace-PSN cleanup."""
         with self._lock:
-            self._ops[psn] = replace(self._ops[psn], rid_by_begin_ts={})
+            self._ops[psn] = replace(self._ops[psn], splices=RidSplices())
 
     @property
     def last_post_groomed_gid(self) -> int:
@@ -120,8 +117,7 @@ class PostGroomer:
             if last_gid < first_gid:
                 return None
 
-            records = self._collect_groomed_records(first_gid, last_gid)
-            block_ids, rid_by_begin_ts = self._repartition_and_write(records)
+            block_ids, splices, count = self._migrate(first_gid, last_gid)
 
             psn = self._max_psn + 1
             op = PostGroomOp(
@@ -129,8 +125,8 @@ class PostGroomer:
                 min_groomed_id=first_gid,
                 max_groomed_id=last_gid,
                 post_groomed_block_ids=tuple(block_ids),
-                record_count=len(records),
-                rid_by_begin_ts=rid_by_begin_ts,
+                record_count=count,
+                splices=splices,
             )
             crash_point("postgroom.pre_publish")
             self._ops[psn] = op
@@ -141,45 +137,35 @@ class PostGroomer:
 
     # -- internals --------------------------------------------------------------------------
 
-    def _collect_groomed_records(
+    def _migrate(
         self, first_gid: int, last_gid: int
-    ) -> List[Record]:
-        """Scan the newly groomed blocks in beginTS (= block, offset) order.
+    ) -> Tuple[List[int], RidSplices, int]:
+        """Move groomed blocks ``first_gid..last_gid`` into post-groomed
+        ones a column at a time; returns the new block ids, their splice
+        map and the number of versions moved.
 
-        A maintenance scan: each groomed block is consumed once and then
-        deprecated, so the reads must not displace query-hot blocks from
-        the SSD cache.
+        The groomed blocks are read as a maintenance scan (consumed once,
+        then deprecated), in beginTS (= block, offset) order.  Block ids
+        are *reserved* first, so each version's new RID is known before
+        any block is written and intra-batch ``prevRID`` chains (a key
+        updated twice since the last post-groom) can be stitched in.
         """
-        records: List[Record] = []
-        for gid in range(first_gid, last_gid + 1):
-            block = self.catalog.get_block(
-                Zone.GROOMED, gid, intent=ReadIntent.MAINTENANCE
-            )
-            records.extend(block.records)
-        return records
-
-    def _repartition_and_write(
-        self, records: List[Record]
-    ) -> Tuple[List[int], Dict[int, RID]]:
-        """Partition, resolve version chains, and write post-groomed blocks.
-
-        Block ids are *reserved* before writing so every record's eventual
-        RID is known up front; that lets intra-batch ``prevRID`` chains (a
-        key updated more than once since the last post-groom) be stitched
-        into the immutable records.  Previous versions outside the batch
-        are found through the post-groomed portion of the index.  Returns
-        the written block ids plus the ``beginTS -> new RID`` map published
-        for the indexer's streaming evolve.
-        """
-        # Partition into buckets; records stay in beginTS order per bucket.
-        bucket_of = [0] * len(records)
+        blocks = [
+            self.catalog.get_block(Zone.GROOMED, gid, intent=ReadIntent.MAINTENANCE)
+            for gid in range(first_gid, last_gid + 1)
+        ]
+        rows = [row for block in blocks for row in block.rows]
+        begin_ts = [ts for block in blocks for ts in block.begin_ts]
+        # Partition into buckets; rows stay in beginTS order per bucket.
+        bucket_of = [0] * len(rows)
         if self._partition_positions:
-            bucket_of = [self._bucket_of(record) for record in records]
+            bucket_of = list(map(self._bucket_of, rows))
         sorted_buckets = sorted(set(bucket_of))
         first_id = self.catalog.reserve_post_groomed_ids(len(sorted_buckets))
-        # bucket -> its reserved block id and its records, in bucket order
-        buckets: Dict[int, Tuple[int, List[Record]]] = {
-            bucket: (first_id + i, []) for i, bucket in enumerate(sorted_buckets)
+        # bucket -> (reserved block id, rows, beginTS, prevRID), bucket order
+        slots: Dict[int, Tuple[int, List, List, List]] = {
+            bucket: (first_id + i, [], [], [])
+            for i, bucket in enumerate(sorted_buckets)
         }
 
         # Predecessors outside the batch: every distinct key goes through
@@ -188,46 +174,47 @@ class PostGroomer:
         # post-groomed entry predates the batch, so one snapshot timestamp
         # serves all keys.
         keys: List[Tuple[KeyValue, ...]] = []
-        last_rid: Dict[Tuple[KeyValue, ...], RID] = {}
-        if records:
-            columns = list(zip(*[record.values for record in records]))
+        last_rid: Dict[Tuple[KeyValue, ...], RidTriple] = {}
+        if rows:
+            columns = list(zip(*rows))
             keys = list(zip(*[columns[i] for i in self._pk_positions]))
-            distinct = dict(zip(keys, records))
-            columns = list(zip(*[record.values for record in distinct.values()]))
+            distinct = dict(zip(keys, rows))
+            columns = list(zip(*distinct.values()))
             hits = self.index.post_groomed_batch_lookup(
-                [columns[i] for i in self._key_positions],
-                query_ts=records[0].begin_ts - 1,
+                [columns[i] for i in self._key_positions], query_ts=begin_ts[0] - 1
             )
             last_rid = {
-                key: hit.rid for key, hit in zip(distinct, hits) if hit is not None
+                key: (int(hit.rid.zone), hit.rid.block_id, hit.rid.offset)
+                for key, hit in zip(distinct, hits) if hit is not None
             }
 
-        # Resolve version chains in global beginTS order (= batch order),
-        # with no call per record but a ``Record`` for each that gains a
-        # ``prevRID`` (a RID is what ``RID._make`` builds, minus its frames).
-        rid_by_begin_ts: Dict[int, RID] = {}
-        end_ts_of: Dict[RID, int] = {}
-        for key, record, bucket in zip(keys, records, bucket_of):
-            block_id, slot = buckets[bucket]
-            new_rid = _tuple_new(RID, (Zone.POST_GROOMED, block_id, len(slot)))
+        # Resolve version chains in global beginTS order (= batch order) on
+        # plain-int RID triples, with no call per version.
+        post_groomed = int(Zone.POST_GROOMED)
+        end_ts_of: Dict[RidTriple, int] = {}
+        for key, row, ts, bucket in zip(keys, rows, begin_ts, bucket_of):
+            block_id, slot_rows, slot_ts, slot_prev = slots[bucket]
             prev_rid = last_rid.get(key)
             if prev_rid is not None:
-                end_ts_of[prev_rid] = record.begin_ts
-                record = Record(record.values, record.begin_ts, record.end_ts, prev_rid)
-            slot.append(record)
-            last_rid[key] = rid_by_begin_ts[record.begin_ts] = new_rid
+                end_ts_of[prev_rid] = ts
+            last_rid[key] = (post_groomed, block_id, len(slot_rows))
+            slot_rows.append(row)
+            slot_ts.append(ts)
+            slot_prev.append(prev_rid)
         self.catalog.update_end_ts(end_ts_of)
 
-        block_ids: List[int] = []
-        for block_id, slot in buckets.values():
-            block = self.catalog.store_post_groomed(slot, block_id=block_id)
-            block_ids.append(block.block_id)
-        return block_ids, rid_by_begin_ts
+        splices = RidSplices()
+        for block_id, slot_rows, slot_ts, slot_prev in slots.values():
+            block = self.catalog.store_post_groomed(
+                slot_rows, slot_ts, slot_prev, block_id=block_id
+            )
+            splices.update(block.rid_splices())
+        return [slot[0] for slot in slots.values()], splices, len(rows)
 
-    def _bucket_of(self, record: Record) -> int:
+    def _bucket_of(self, row: Row) -> int:
         if not self._partition_positions:
             return 0
-        value = tuple(record.values[i] for i in self._partition_positions)
+        value = tuple(map(row.__getitem__, self._partition_positions))
         # Deterministic partition bucketing (Python's hash is salted).
         return fnv1a64(encode_composite(value)) % self.partition_buckets
 

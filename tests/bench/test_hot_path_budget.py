@@ -1,5 +1,5 @@
-"""Deterministic hot-path guards: Python calls (and lines) per ``point_query``
-and calls per row.
+"""Deterministic hot-path guards: Python calls (and lines) per ``point_query``,
+calls per row and GC-tracked objects retained per row.
 
 Wall-clock numbers do not repeat on a shared CI box; the number of Python
 ``call`` events a front-door point lookup makes does.  This test loads the
@@ -116,6 +116,8 @@ block-and-column maintenance              58.5
 f9174e8 (before the bound rows)           55.6
 bound ledger rows                         51.5
 one pass per batch                        26.0
+793ae68 (before the columns)              24.4
+rows off the heap                         20.7
 ==============================  ==============
 
 A per-row ``IndexEntry``, a per-value runtime-type dispatch or a per-key
@@ -133,7 +135,29 @@ them, the ``key_hash`` ->
 -> ``set_end_ts`` and ``_bucket_of`` in the post-groom chain loop, and the
 generator of the log's size estimate came out; so did the second
 ``encode_columns`` of every groomed batch (one for the block, one for the
-index runs).
+index runs).  The ``rows off the heap`` row runs groom and post-groom on
+columns: no ``Record`` per groomed row, no ``RID`` or ``Record`` per
+migrated version, no ``get_block`` frame behind a memoized
+``fetch_record``, no ``RidSplices.__missing__`` per evolved version (the
+PSN record publishes the serialized splice map) and no generator per row
+in ``_bucket_of``.
+
+The heap has a budget too: GC-tracked objects retained per loaded row,
+counted with ``gc.get_objects()`` after a collection before and after the
+same load (imports done first):
+
+==============================  ===============
+commit                          tracked per row
+==============================  ===============
+793ae68 (before)                          1.452
+rows off the heap                         0.309
+==============================  ===============
+
+The before row is a ``Record`` dataclass per version the block catalog
+ever wrote (7,675 on this fixture) and a ``RID`` per ended version in the
+endTS overlay; the catalog now keeps columns of tuples and ints, which the
+cyclic collector stops tracking, and one ``{offset: endTS}`` dict per
+block.  A per-row object kept for the table's lifetime shows up here.
 
 And the typed path: ``call`` events per ``table.query`` on the same warmed
 fixture, one row per query shape of the e2e ``typed_scatter`` workload
@@ -192,7 +216,9 @@ LINE_BEFORE = {"warm": 550.4, "purged": 877.6}
 LINE_CEILING = {"warm": 345.0, "purged": 690.0}
 
 WRITE_BEFORE = 114.2
-WRITE_CEILING = 29.0
+WRITE_CEILING = 23.0
+HEAP_BEFORE = 1.452
+HEAP_CEILING = 0.40
 
 TYPED_BEFORE = {
     "customer": 11308.5, "region": 2112.6, "range": 3235.7, "equality": 282.6,
@@ -393,6 +419,25 @@ def test_python_calls_per_point_query_stay_under_budget():
         )
 
 
+def test_tracked_objects_retained_per_loaded_row_stay_under_budget():
+    load_make_table()  # imports are not the table's
+    gc.collect()
+    before = len(gc.get_objects())
+    table, _order = loaded_table()
+    gc.collect()
+    retained = (len(gc.get_objects()) - before) / loaded_rows()
+    assert table.shards and HEAP_CEILING <= 0.5 * HEAP_BEFORE
+    assert retained <= HEAP_CEILING, (
+        f"{retained:.3f} GC-tracked objects retained per loaded row, budget "
+        f"{HEAP_CEILING} (was {HEAP_BEFORE} with a Record per row)"
+    )
+
+
+def loaded_rows():
+    """Rows the fixture ingests: every key once plus the re-upserts."""
+    return ROWS + (ROWS // BATCH - 1) * (BATCH // 5)
+
+
 def test_python_calls_per_ingested_row_stay_under_budget():
     calls = 0
 
@@ -407,8 +452,7 @@ def test_python_calls_per_ingested_row_stay_under_budget():
         loaded_table(profiler)
     finally:
         gc.enable()
-    rows = ROWS + (ROWS // BATCH - 1) * (BATCH // 5)
-    measured = calls / rows
+    measured = calls / loaded_rows()
     assert WRITE_CEILING <= 0.65 * WRITE_BEFORE
     assert measured <= WRITE_CEILING, (
         f"{measured:.1f} Python calls per ingested row through ingest + tick, "

@@ -158,3 +158,24 @@ def shared_bytes_digest(hierarchy) -> str:
             digest.update(f"{namespace}#{block_id.ordinal}:".encode())
             digest.update(hierarchy.shared.read(block_id).payload)
     return digest.hexdigest()
+
+
+def groomed_block(block_id: int, rows, begin_ts):
+    """A groomed :class:`DataBlock` over ``rows`` (no endTS, no prevRID)."""
+    from repro.wildfire.columnar import DataBlock
+
+    none = (None,) * len(rows)
+    return DataBlock(Zone.GROOMED, block_id, tuple(rows), tuple(begin_ts), none, none)
+
+
+def block_records(block):
+    """``block``'s versions as records, as the catalog fetches them (minus
+    the endTS overlay): ``prevRID`` a :class:`RID` again."""
+    from repro.wildfire.record import Record
+
+    return tuple(
+        Record(row, ts, end_ts, None if prev is None else RID(Zone(prev[0]), *prev[1:]))
+        for row, ts, end_ts, prev in zip(
+            block.rows, block.begin_ts, block.end_ts, block.prev_rids
+        )
+    )

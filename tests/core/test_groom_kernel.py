@@ -30,13 +30,12 @@ from repro.core.entry import (
 from repro.core.index import UmziConfig
 from repro.core.merge import merge_entry_blob_streams
 from repro.storage.hierarchy import StorageHierarchy
-from repro.wildfire.columnar import DataBlock, encode_columns
+from repro.wildfire.columnar import encode_columns
 from repro.wildfire.engine import ShardConfig, WildfireShard
 from repro.wildfire.indexes import ShardIndexes
-from repro.wildfire.record import Record
 from repro.wildfire.schema import IndexSpec, TableSchema
 
-from tests.conftest import shared_bytes_digest
+from tests.conftest import groomed_block, shared_bytes_digest
 
 INT64 = st.integers(min_value=-(2**63), max_value=2**63 - 1)
 VALUES = {
@@ -106,10 +105,7 @@ def test_kernel_run_is_byte_identical_to_the_per_entry_build(
     indexes = ShardIndexes(schema, spec, hierarchy, config)
     shard_index = indexes.primary
     definition = shard_index.index.definition
-    block = DataBlock(
-        Zone.GROOMED, BLOCK_ID,
-        tuple(Record(row, ts) for row, ts in zip(rows, begin_ts)),
-    )
+    block = groomed_block(BLOCK_ID, rows, begin_ts)
 
     run_id = indexes.build_groomed_runs(block)["primary"]
     (run,) = shard_index.index.run_lists[Zone.GROOMED].snapshot()
@@ -192,7 +188,7 @@ def test_empty_block_builds_empty_runs():
         schema, IndexSpec(("k",), (), ("v",)), StorageHierarchy(), UmziConfig(),
         secondary_specs={"by_v": IndexSpec((), ("v",))},
     )
-    indexes.build_groomed_runs(DataBlock(Zone.GROOMED, 0, ()))
+    indexes.build_groomed_runs(groomed_block(0, (), ()))
     for shard_index in indexes.all():
         (run,) = shard_index.index.run_lists[Zone.GROOMED].snapshot()
         assert run.entry_count == 0

@@ -79,12 +79,11 @@ def test_full_lifecycle_matches_oracle(batches, post_groom_every):
             # (beginTS values are assigned by the groomer, so read them
             # back from the newly groomed block).
             block = shard.catalog.get_block(Zone.GROOMED, groom.groomed_block_id)
-            for offset, record in enumerate(block.records):
-                device, msg, reading = record.values
+            for (device, msg, reading), begin_ts in zip(block.rows, block.begin_ts):
                 oracle.insert(
                     IndexEntry.create(
                         definition, (device,), (msg,), (reading,),
-                        record.begin_ts, RID(Zone.GROOMED, 0, 0),
+                        begin_ts, RID(Zone.GROOMED, 0, 0),
                     )
                 )
         snapshots.append(shard.current_snapshot_ts())
@@ -133,9 +132,8 @@ def test_crash_recovery_preserves_oracle_equivalence(batches):
         groom = report.get("groom")
         if groom is not None:
             block = shard.catalog.get_block(Zone.GROOMED, groom.groomed_block_id)
-            for record in block.records:
-                device, msg, reading = record.values
-                expected[(device, msg)] = (record.begin_ts, reading)
+            for (device, msg, reading), begin_ts in zip(block.rows, block.begin_ts):
+                expected[(device, msg)] = (begin_ts, reading)
 
     shard.crash_and_recover()
     for (device, msg), (begin_ts, reading) in expected.items():

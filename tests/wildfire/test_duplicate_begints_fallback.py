@@ -1,12 +1,13 @@
 """Duplicate ``beginTS`` values are refused before any index evolves.
 
-Evolve keys its RID map by ``beginTS``.  Only the groomer writes groomed
-blocks, and its ``compose_begin_ts_column(cycle, count)`` keeps those unique, so a
-published ``rid_by_begin_ts`` map smaller than the migrated record count
-means an invariant broke: splicing from the collapsed map would silently
+Evolve keys its splice map by ``beginTS`` (its raw ``~beginTS`` sort-key
+suffix).  Only the groomer writes groomed blocks, and its
+``compose_begin_ts_column(cycle, count)`` keeps those unique, so a
+published splice map smaller than the migrated record count means an
+invariant broke: splicing from the collapsed map would silently
 point several index entries at one record.  The indexer raises a typed
 :class:`EvolveError` instead, before touching any index, and leaves the
-PSN's RID map in place.
+PSN's splice map in place.
 """
 
 import pytest
@@ -16,7 +17,6 @@ from repro.core.entry import Zone
 from repro.core.evolve import EvolveError
 from repro.wildfire.columnar import encode_columns
 from repro.wildfire.engine import ShardConfig, WildfireShard
-from repro.wildfire.record import Record
 from repro.wildfire.schema import IndexSpec, TableSchema
 
 
@@ -35,12 +35,9 @@ def groom_block_with_duplicate_ts(shard, rows, begin_ts_of):
     """Store one groomed block with caller-chosen (possibly duplicate)
     beginTS values -- standing in for a broken groomer -- and build the
     index runs over it, as the groomer would."""
-    records = [
-        Record(values=row, begin_ts=begin_ts_of(i))
-        for i, row in enumerate(rows)
-    ]
+    begin_ts = [begin_ts_of(i) for i in range(len(rows))]
     encoded = encode_columns(shard.schema, rows)
-    block = shard.catalog.store_groomed(records, encoded)
+    block = shard.catalog.store_groomed(rows, begin_ts, encoded)
     shard.indexes.build_groomed_runs(block, encoded)
     return block
 
@@ -74,7 +71,7 @@ class TestDuplicateBeginTsFallback:
         shard = make_shard(
             secondary_indexes={"by_v": IndexSpec((), ("v",), ())}
         )
-        # Distinct keys share a beginTS: the rid_by_begin_ts map the
+        # Distinct keys share a beginTS: the splice map the
         # post-groomer publishes can only keep one of them.
         stamps, distinct = COLLAPSES[collapse]
         rows = [(1, 100), (2, 200), (3, 300)]
@@ -82,7 +79,7 @@ class TestDuplicateBeginTsFallback:
         op = shard.post_groomer.post_groom()
         assert op is not None
         assert op.record_count == 3
-        assert len(op.rid_by_begin_ts) == distinct, "duplicates must collapse"
+        assert len(op.splices) == distinct, "duplicates must collapse"
         before = index_state(shard)
 
         with pytest.raises(
@@ -93,7 +90,7 @@ class TestDuplicateBeginTsFallback:
         assert index_state(shard) == before
         assert all(psn == 0 for psn, _lists, _seq in before.values())
         assert shard.indexer.evolves_applied == 0
-        assert shard.post_groomer.get_op(1).rid_by_begin_ts == op.rid_by_begin_ts
+        assert shard.post_groomer.get_op(1).splices == op.splices
         # Queries still answer every key from the groomed zone.
         for k, v in rows:
             entry = shard.index.lookup((k,))
@@ -107,7 +104,7 @@ class TestDuplicateBeginTsFallback:
         rows = [(1, 100), (2, 200), (3, 300)]
         groom_block_with_duplicate_ts(shard, rows, begin_ts_of=lambda i: 5 + i)
         op = shard.post_groomer.post_groom()
-        assert len(op.rid_by_begin_ts) == op.record_count == 3
+        assert len(op.splices) == op.record_count == 3
         result = shard.indexer.step()
         assert result is not None
         assert result.evolve.spliced_blobs == op.record_count

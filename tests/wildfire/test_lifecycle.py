@@ -138,7 +138,7 @@ class TestPostGroomer:
         op = shard.post_groomer.post_groom()
         assert 1 <= len(op.post_groomed_block_ids) <= 4
         total = sum(
-            shard.catalog.get_block(Zone.POST_GROOMED, b).record_count
+            len(shard.catalog.get_block(Zone.POST_GROOMED, b).rows)
             for b in op.post_groomed_block_ids
         )
         assert total == 32

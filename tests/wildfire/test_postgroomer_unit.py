@@ -1,16 +1,25 @@
 """Focused unit tests for the post-groomer (paper section 2.1)."""
 
 import functools
+import itertools
+import random
 
 import pytest
 
 from repro.core.definition import ColumnSpec
-from repro.core.entry import Zone
+from repro.core.encoding import encode_ts_desc
+from repro.core.entry import RID, Zone
+from repro.storage.block import BlockId
 from repro.storage.metrics import ReadIntent
 from repro.wildfire.engine import ShardConfig, WildfireShard
 from repro.wildfire.schema import IndexSpec, TableSchema
 
-from tests.reference_postgroom import reference_repartition_and_write
+from tests.conftest import block_records
+from tests.reference_postgroom import (
+    per_key_repartition_and_write,
+    reference_migrate,
+    sweep_repartition_and_write,
+)
 
 
 def make_shard(partition_buckets=3, secondary_indexes=None):
@@ -61,7 +70,8 @@ class TestPsnMetadata:
 
 
 class TestOpMapsAreReleased:
-    """A PSN's ``beginTS -> RID`` map lives until every index evolved it."""
+    """A PSN's splice map (raw ``~beginTS`` suffix -> serialized RID) lives
+    until every index evolved it."""
 
     BY_READING = {"by_reading": IndexSpec(sort_columns=("reading",))}
 
@@ -74,7 +84,7 @@ class TestOpMapsAreReleased:
     @staticmethod
     def psns_holding_a_map(shard):
         ops = shard.post_groomer._ops
-        return sorted(psn for psn, op in ops.items() if op.rid_by_begin_ts)
+        return sorted(psn for psn, op in ops.items() if op.splices)
 
     def test_only_unevolved_ops_hold_a_map(self):
         shard = make_shard(secondary_indexes=self.BY_READING)
@@ -111,7 +121,8 @@ class TestOpMapsAreReleased:
                 shard.indexer.step()
         assert shard.index.indexed_psn == 1
         assert shard.indexes.min_indexed_psn() == 0
-        assert shard.post_groomer.get_op(1).rid_by_begin_ts == op.rid_by_begin_ts
+        assert shard.post_groomer.get_op(1).splices == op.splices
+        assert len(op.splices) == 6
         shard.crash_and_recover()
 
         result = shard.indexer.step()
@@ -121,18 +132,24 @@ class TestOpMapsAreReleased:
         assert self.psns_holding_a_map(shard) == []
         for device in range(6):
             (hit,) = shard.secondary_scan("by_reading", (), (10 + device,), (10 + device,))
-            assert hit.rid == op.rid_by_begin_ts[hit.begin_ts]
+            assert hit.rid.zone is Zone.POST_GROOMED
+            assert hit.rid.to_bytes() == op.splices[encode_ts_desc(hit.begin_ts)]
 
     def test_a_released_map_is_rebuilt_from_the_blocks(self):
         shard = make_shard(secondary_indexes=self.BY_READING)
         op = self.post_groom_a_batch(shard, 1)
         shard.post_groomer.release_rid_map(1)  # as for an index attached later
-        assert shard.post_groomer.get_op(1).rid_by_begin_ts == {}
+        released = shard.post_groomer.get_op(1)
+        assert released.splices == {} and len(op.splices) == 6
+        # The blocks give back the map the PSN record published, pair for
+        # pair: bytes to bytes, every version of the PSN.
+        assert shard.indexer.splices_of(released) == op.splices
         (result,) = shard.indexer.drain()
         assert result.evolve.spliced_blobs == 6
         for device in range(6):
             entry = shard.index_lookup((device,), (1,))
-            assert entry.rid == op.rid_by_begin_ts[entry.begin_ts]
+            assert entry.rid.zone is Zone.POST_GROOMED
+            assert entry.rid.to_bytes() == op.splices[encode_ts_desc(entry.begin_ts)]
 
 
 class TestPartitioning:
@@ -235,8 +252,8 @@ class TestOneSweepPredecessors:
     def run_scenario(self, reference=False, purged=False):
         shard = make_shard()
         if reference:
-            shard.post_groomer._repartition_and_write = functools.partial(
-                reference_repartition_and_write, shard.post_groomer
+            shard.post_groomer._migrate = functools.partial(
+                reference_migrate, shard.post_groomer, per_key_repartition_and_write
             )
         for rows in (
             [(d, 1, d) for d in range(30)],
@@ -263,7 +280,7 @@ class TestOneSweepPredecessors:
             "promotions": maintenance.promotions - before.promotions,
         }
         blocks = [
-            shard.catalog.get_block(Zone.POST_GROOMED, block_id).records
+            block_records(shard.catalog.get_block(Zone.POST_GROOMED, block_id))
             for block_id in op.post_groomed_block_ids
         ]
         # The endTS overlay after the batch, and what the batch set in it:
@@ -283,7 +300,7 @@ class TestOneSweepPredecessors:
         _, ref_op, ref_blocks, (ref_overlay, ref_set), _, _ = self.run_scenario(
             reference=True, purged=purged
         )
-        assert op.rid_by_begin_ts == ref_op.rid_by_begin_ts
+        assert op.splices == ref_op.splices
         assert op.post_groomed_block_ids == ref_op.post_groomed_block_ids
         assert blocks == ref_blocks  # prevRID chains included
         assert overlay == ref_overlay
@@ -293,8 +310,11 @@ class TestOneSweepPredecessors:
     def test_chains_are_what_the_scenario_says(self):
         shard, op, blocks, _, _, _ = self.run_scenario()
         by_begin_ts = {r.begin_ts: r for records in blocks for r in records}
-        rid_of = op.rid_by_begin_ts
-        begin_ts_of = {rid: ts for ts, rid in rid_of.items()}
+        begin_ts_of = {
+            RID(Zone.POST_GROOMED, block_id, offset): record.begin_ts
+            for block_id, records in zip(op.post_groomed_block_ids, blocks)
+            for offset, record in enumerate(records)
+        }
 
         def chain(device, msg):
             """Readings along the prevRID chain, newest first."""
@@ -328,3 +348,83 @@ class TestOneSweepPredecessors:
                 block_id = run.data_block_id(index)
                 assert not shard.hierarchy.memory.contains(block_id)
                 assert not shard.hierarchy.ssd.contains(block_id)
+
+
+class TestColumnPathMatchesRecordPath:
+    """The column-major post-groom against the Record-based one it replaced
+    (``sweep_repartition_and_write`` in ``tests/reference_postgroom.py``).
+
+    Seeded batches over a small key space, four PSNs of one to three grooms
+    each: keys come back across PSNs (predecessors in older post-groomed
+    blocks) and every groom updates one key twice.  Both paths must write
+    the same payloads, set the same endTS overlay, publish the same splice
+    map (the reference's ``beginTS -> RID`` map, serialized) and leave the
+    same ``prevRID`` chains behind ``time_travel``.
+    """
+
+    @staticmethod
+    def run(seed, partition_buckets, reference=False):
+        shard = make_shard(partition_buckets=partition_buckets)
+        if reference:
+            shard.post_groomer._migrate = functools.partial(
+                reference_migrate, shard.post_groomer, sweep_repartition_and_write
+            )
+        rng, reading = random.Random(seed), itertools.count()
+        ops, keys = [], set()
+        for _psn in range(4):
+            for _groom in range(rng.randint(1, 3)):
+                rows = [
+                    (rng.randrange(6), rng.randrange(4), next(reading))
+                    for _ in range(rng.randint(1, 12))
+                ]
+                rows.append(rows[0][:2] + (next(reading),))  # updated twice
+                keys.update(row[:2] for row in rows)
+                shard.ingest(rows)
+                shard.groomer.groom()
+            ops.append(shard.post_groomer.post_groom())
+            shard.indexer.drain()
+        payloads = [
+            shard.hierarchy.shared.read(BlockId(
+                shard.catalog.namespace_of(Zone.POST_GROOMED, block_id), 0
+            )).payload
+            for op in ops for block_id in op.post_groomed_block_ids
+        ]
+        now = shard.current_snapshot_ts()
+        chains = {
+            key: shard.time_travel((key[0],), (key[1],), now, max_versions=64)
+            for key in sorted(keys)
+        }
+        return ops, payloads, shard.catalog.export_end_ts_overlay(), chains
+
+    @pytest.mark.parametrize("partition_buckets", [1, 4])
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_identical_to_the_record_path(self, seed, partition_buckets):
+        ops, payloads, overlay, chains = self.run(seed, partition_buckets)
+        ref_ops, ref_payloads, ref_overlay, ref_chains = self.run(
+            seed, partition_buckets, reference=True
+        )
+        assert payloads == ref_payloads
+        assert overlay == ref_overlay
+        assert chains == ref_chains
+        for op, ref_op in zip(ops, ref_ops):
+            assert op.post_groomed_block_ids == ref_op.post_groomed_block_ids
+            assert op.record_count == ref_op.record_count
+            assert op.splices == ref_op.splices
+            assert len(op.splices) == op.record_count
+        if partition_buckets > 1:
+            assert any(len(op.post_groomed_block_ids) > 1 for op in ops)
+        # Some chain crosses PSNs (a predecessor the sweep found in an
+        # older PSN's blocks), and every replaced version carries the
+        # endTS its successor began at.
+        psn_of = {
+            block_id: op.psn for op in ops for block_id in op.post_groomed_block_ids
+        }
+        assert any(
+            len({psn_of[r.prev_rid.block_id] for r in chain if r.prev_rid}) > 1
+            for chain in chains.values()
+        )
+        for chain in chains.values():
+            assert chain[0].end_ts is None
+            for newer, older in zip(chain, chain[1:]):
+                assert older.end_ts == newer.begin_ts
+                assert older.values[:2] == newer.values[:2]

@@ -54,7 +54,7 @@ class TestStreamingEvolveEndToEnd:
         decode = shard.hierarchy.stats.decode
         before = decode.snapshot()
         op = shard.post_groomer.post_groom()
-        assert op is not None and op.rid_by_begin_ts
+        assert op is not None and op.splices
         result = shard.indexer.step()
         delta = decode.diff(before)
         assert result is not None
