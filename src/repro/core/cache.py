@@ -257,7 +257,7 @@ class CacheManager:
     def _runs_at_level(self, level: int) -> List[IndexRun]:
         zone = self.config.zone_of(level)
         return [
-            run for run in self.run_lists[zone].iter_runs() if run.level == level
+            run for run in self.run_lists[zone].snapshot() if run.level == level
         ]
 
     def _purge_pass(self) -> None:
@@ -347,7 +347,7 @@ class CacheManager:
         runs = [
             run
             for zone in (Zone.GROOMED, Zone.POST_GROOMED)
-            for run in self.run_lists[zone].iter_runs()
+            for run in self.run_lists[zone].snapshot()
             if run.header.persisted
         ]
         if not runs:

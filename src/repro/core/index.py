@@ -498,7 +498,7 @@ class UmziIndex:
     def _is_live_ancestor(self, run_id: str) -> bool:
         """Is ``run_id`` still named as an ancestor by any live run?"""
         for zone in (Zone.GROOMED, Zone.POST_GROOMED):
-            for run in self.run_lists[zone].iter_runs():
+            for run in self.run_lists[zone].snapshot():
                 if run_id in run.header.ancestor_run_ids:
                     return True
         return False
@@ -510,7 +510,7 @@ class UmziIndex:
             zone = self.config.levels.zone_of(level)
             runs = [
                 run
-                for run in self.run_lists[zone].iter_runs()
+                for run in self.run_lists[zone].snapshot()
                 if run.level == level
             ]
             entry_count = sum(run.entry_count for run in runs)

@@ -230,7 +230,7 @@ class MergeController:
             return self._active.get(level)
 
     def runs_at_level(self, zone: Zone, level: int) -> List[IndexRun]:
-        return [r for r in self.run_lists[zone].iter_runs() if r.level == level]
+        return [r for r in self.run_lists[zone].snapshot() if r.level == level]
 
     def inactive_runs_at_level(self, zone: Zone, level: int) -> List[IndexRun]:
         active = self.active_run_id(level)

@@ -241,11 +241,5 @@ class ShardIndexes:
         """The slowest index's progress gates groomed-block deletion."""
         return min(si.index.indexed_psn for si in self.all())
 
-    def run_maintenance(self) -> int:
-        merges = 0
-        for shard_index in self.all():
-            merges += len(shard_index.index.run_maintenance())
-        return merges
-
 
 __all__ = ["PRIMARY_INDEX_NAME", "ShardIndex", "ShardIndexes"]

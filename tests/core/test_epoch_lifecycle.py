@@ -162,13 +162,19 @@ class TestRunLifecycleUnit:
 class TestRunListPublication:
     def test_every_mutation_publishes_a_version(self):
         index = build_index(runs=0)
-        run_list = index.run_lists[Zone.GROOMED]
-        assert run_list.version == 0
-        index.add_groomed_run(make_entries(DEF, range(5), 1), 0, 0)
-        assert run_list.version == 1
-        version, runs = run_list.published()
-        assert version == 1 and len(runs) == 1
-        assert index.hierarchy.stats.epochs.versions_published >= 1
+        lifecycle = index.lifecycle
+        epochs = index.hierarchy.stats.epochs
+        assert lifecycle.version_seq == 0
+        for gid in range(2):
+            index.add_groomed_run(
+                make_entries(DEF, range(gid * 5, gid * 5 + 5), gid * 5 + 1),
+                gid, gid,
+            )
+            assert lifecycle.version_seq == epochs.versions_published == gid + 1
+        index.run_lists[Zone.GROOMED].clear()
+        assert lifecycle.version_seq == 3
+        with lifecycle.pin() as pin:
+            assert pin.version.version_id == 3 and pin.runs == ()
 
     def test_snapshot_is_the_published_tuple(self):
         run_list = RunList("t")

@@ -80,7 +80,7 @@ class TestEvolveOperation:
             1, rid_map(make_entries(DEF, range(5), 1, Zone.POST_GROOMED, 100)), 0, 4
         )
         # max_groomed_id 6 > watermark 4: must NOT be collected.
-        assert [r.run_id for r in lists[Zone.GROOMED].iter_runs()] == [straddler.run_id]
+        assert [r.run_id for r in lists[Zone.GROOMED].snapshot()] == [straddler.run_id]
 
     def test_psn_order_enforced(self):
         ctrl, _, _, _, _, _ = setup()

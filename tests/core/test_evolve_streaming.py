@@ -205,7 +205,7 @@ class TestPartialCoverage:
         assert result.skipped_blobs == 10
         assert result.new_run_entries == 10
         # max_groomed_id 6 > watermark 2: the straddler must survive.
-        assert [r.run_id for r in lists[Zone.GROOMED].iter_runs()] == [
+        assert [r.run_id for r in lists[Zone.GROOMED].snapshot()] == [
             straddler.run_id
         ]
 

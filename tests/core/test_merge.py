@@ -129,7 +129,7 @@ class TestActiveRunLifecycle:
             gid += 1
         results = ctrl.merge_until_stable(Zone.GROOMED)
         assert any(r.target_level == 2 for r in results)
-        total = sum(r.entry_count for r in lists[Zone.GROOMED].iter_runs())
+        total = sum(r.entry_count for r in lists[Zone.GROOMED].snapshot())
         assert total == 20  # nothing lost
 
 
