@@ -8,7 +8,10 @@ included) -- and answer the same multi-predicate workload.  The
 pre-planner behaviour); the ``smart`` arm runs the cost-based planner
 over all three indexes, choosing secondary prefix scans with RID
 fetch-back and index-only scans when the included columns cover the
-projection.
+projection.  A fetch-back resolves through the primary only the hits
+whose key is ghosted (a secondary key that changed across versions);
+this workload moves no key, so its three fetch-back rows read their
+records by the secondary entries' own RIDs and charge no primary block.
 
 Every measured query starts from a cold shard (decode caches dropped,
 local tiers crashed), so the counters are exact per-query costs:

@@ -19,11 +19,12 @@ deterministically: primary first, then index name.
 no endTS, so an index-only answer is exact only when the row's
 *secondary key columns* are stable across versions (included columns
 may change freely -- versions of one row share the full entry key and
-reconcile newest-wins).  Shards track ghosted entries at groom time
-(:meth:`ShardIndexes._track_ghosts`) and surface the count through the
+reconcile newest-wins).  Shards track ghosted keys at groom time
+(:meth:`ShardIndexes._track_ghosts`) and surface their count through the
 synopsis; any nonzero ``pending_ghosts`` disqualifies that secondary
-from index-only plans.  Fetch-back plans re-check every predicate on
-the fetched record and are always exact.
+from index-only plans.  Fetch-back plans resolve ghosted keys against
+the primary, re-check every predicate on the fetched record and are
+always exact.
 
 **Compile once, derive per publication, bind per call.**  What follows
 from a query's *shape* is compiled once per shard (:class:`Template` in

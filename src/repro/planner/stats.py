@@ -43,9 +43,8 @@ class AccessPathSynopsis:
     key_ranges: Tuple[Optional[ColumnRange], ...]
     key_types: Tuple[ColumnType, ...]
     distinct_prefix: Tuple[int, ...]
-    # Secondary entries ghosted by key-column updates (ISSUE 10): any
-    # nonzero count disqualifies this index from index-only plans unless
-    # the query opts into stale included columns.
+    # Primary keys ghosted by key-column updates: any nonzero count
+    # disqualifies this index from index-only plans.
     pending_ghosts: int = 0
 
     def all_runs_bloomed(self) -> bool:
@@ -143,7 +142,7 @@ def build_synopsis(shard_index, version_seq: int) -> AccessPathSynopsis:
         key_ranges=tuple(merged),
         key_types=tuple(spec.ctype for spec in key_specs),
         distinct_prefix=tuple(distinct),
-        pending_ghosts=getattr(shard_index, "ghost_entries", 0),
+        pending_ghosts=len(shard_index.ghosted),
     )
 
 
@@ -181,7 +180,7 @@ class SynopsisCatalog:
         stamps mean :meth:`synopsis` would hand back the same objects, so
         whatever was derived from them still holds."""
         return [
-            (shard_index.index.lifecycle.version_seq, shard_index.ghost_entries)
+            (shard_index.index.lifecycle.version_seq, len(shard_index.ghosted))
             for shard_index in self._indexes.all()
         ]
 

@@ -563,7 +563,8 @@ class WildfireShard:
         reads are attributed to its component (``index:<name>``,
         ``records``); whatever was attributed before is restored at the
         end."""
-        index = self.indexes.get(plan.index_name).index
+        shard_index = self.indexes.get(plan.index_name)
+        index = shard_index.index
         attribute = self.hierarchy.attribute_reads
         attributed = attribute(f"index:{plan.index_name}")
         try:
@@ -590,8 +591,15 @@ class WildfireShard:
                     )
                 if plan.index_only:
                     return self._project_entries(plan, rows)
-                if plan.fetch_back:
-                    rids = self._fetch_back_rids(plan.entry_pk, rows, ts)
+                # Fetch back only ghosted keys (the primary has none): any
+                # other hit is already its row's newest visible version.
+                entry_pk = plan.entry_pk
+                stale = shard_index.ghosted.intersection(map(entry_pk, rows))
+                if stale:
+                    rids = [row[-1] for row in rows if entry_pk(row) not in stale]
+                    rids += self._fetch_back_rids(entry_pk, [
+                        row for row in rows if entry_pk(row) in stale
+                    ], ts)
                 else:
                     rids = [row[-1] for row in rows]
             else:
@@ -634,14 +642,13 @@ class WildfireShard:
         return list(best.values())
 
     def _fetch_back_rids(self, entry_pk, rows: List[Tuple], ts: int) -> List:
-        """Resolve secondary hits against the primary (ISSUE 9).
+        """Resolve ghosted secondary hits against the primary.
 
         Secondary entries recover the primary key (suffixed specs give
         every pk column an entry slot); the deduplicated keys become one
-        batched primary point lookup, whose hits' RIDs become one batched
-        record fetch with every predicate re-checked on the record -- the
-        answer is byte-identical to the baseline primary path even when a
-        stale secondary entry surfaces a row whose key has since changed.
+        batched primary point lookup, whose hits' RIDs join the plan's
+        record fetch with every predicate re-checked on the record -- so
+        a stale entry of a row whose key has since changed is dropped.
         """
         keys = list(map(
             self._primary_key_of_pk, sorted(set(map(entry_pk, rows)))

@@ -17,9 +17,9 @@ returning every matching (primary) row's newest visible version.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field, replace
 from operator import itemgetter
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Sequence, Set, Tuple
 
 from repro.core.encoding import encode_ts_desc_column
 from repro.core.entry import encode_rid_column, entry_blob_columns
@@ -40,14 +40,14 @@ class ShardIndex:
     spec: IndexSpec
     index: UmziIndex
     positions: Tuple[Tuple[int, ...], ...]  # IndexSpec.positions(schema)
-    # Entries whose secondary *key* columns were superseded by a newer
-    # version of the same row (ISSUE 10).  Such an entry stays visible
-    # forever under its old key -- secondary entries carry no endTS and
-    # reconciliation only collapses versions sharing the full entry key --
-    # so only a record re-check can filter it.  Any nonzero count
-    # disqualifies this index from index-only plans.  Always 0 for the
-    # primary (a primary-key change is a different row, not a version).
-    ghost_entries: int = 0
+    # Primary keys whose secondary *key* columns changed between versions:
+    # each such row's older entry stays visible forever under its old
+    # key (secondary entries carry no endTS), so only a record re-check
+    # can filter it.  A non-empty set disqualifies index-only
+    # plans, and a fetch-back resolves exactly these keys through the
+    # primary.  Always empty for the primary (a primary-key change is a
+    # different row, not a version).
+    ghosted: Set[Tuple] = field(default_factory=set)
 
 
 class ShardIndexes:
@@ -72,11 +72,8 @@ class ShardIndexes:
         self.plan_templates: Dict[Tuple, Tuple] = {}
         self._pk_positions = schema.positions(schema.primary_key)
         # Ghost tracking (ISSUE 10): per secondary, the last groomed
-        # secondary-key tuple of every primary key.  ``None`` marks a key
-        # whose last value is unknown (merge of diverged successors) and
-        # compares unequal to everything, so the next update of that row
-        # is conservatively counted as a ghost.
-        self._key_memo: Dict[str, Dict[Tuple, Optional[Tuple]]] = {}
+        # secondary-key tuple of every primary key.
+        self._key_memo: Dict[str, Dict[Tuple, Tuple]] = {}
         for name, spec in (secondary_specs or {}).items():
             self.add_secondary(name, spec, hierarchy, umzi_config)
 
@@ -193,49 +190,44 @@ class ShardIndexes:
         return run_ids
 
     def _track_ghosts(self, raw: Sequence[Tuple]) -> None:
-        """Count secondary entries ghosted by these newly groomed rows.
+        """Record the primary keys these newly groomed rows ghost.
 
         ``raw`` holds the rows' values column-major.  A new version whose
         secondary-key columns differ from the row's previous version
-        leaves the previous entry visible forever under its old key; the
-        comparison is a pure tuple equality over the row values.
+        leaves the previous entry visible forever under its old key: its
+        primary key joins the index's ``ghosted`` set (a tuple equality).
         """
         pks = list(zip(*[raw[p] for p in self._pk_positions]))
         for name, shard_index in self.secondaries.items():
-            memo = self._key_memo[name]
+            memo, ghosted = self._key_memo[name], shard_index.ghosted
             equality, sort, _included = shard_index.positions
             for pk, key in zip(pks, zip(*[raw[p] for p in equality + sort])):
                 if memo.get(pk, key) != key:
-                    shard_index.ghost_entries += 1
+                    ghosted.add(pk)
                 memo[pk] = key
 
     def pending_ghosts(self) -> Dict[str, int]:
-        """Per-index ghost counts (tools, tests)."""
-        return {si.name: si.ghost_entries for si in self.all()}
+        """Per-index count of ghosted keys (tools, tests)."""
+        return {si.name: len(si.ghosted) for si in self.all()}
 
     def adopt_ghost_state(self, sources: Sequence["ShardIndexes"]) -> None:
         """Inherit ghost tracking from shards whose entries were copied in.
 
         Called at split (one source per successor) and merge (both
-        successors into the fused target).  Counts add up -- an
-        over-count on a split successor that physically received only
-        half the ghosts merely keeps index-only disabled, never serves a
-        stale answer.  Memo entries that disagree across sources (the
-        row was rewritten on one side during the split window) collapse
-        to ``None``, which compares unequal to any future key and so
-        counts the next update as a ghost -- conservative, never wrong.
+        successors into the fused target).  The sources' ghosted sets are
+        unioned, plus every key whose memos disagree across sources: a key
+        ghosted anywhere keeps its stale entry in the copy, none counts
+        twice and a replayed adoption adds nothing.  A split successor
+        also inherits the other half's keys, which only keeps index-only
+        off there.
         """
         for name, shard_index in self.secondaries.items():
-            memo = self._key_memo[name]
+            memo, ghosted = self._key_memo[name], shard_index.ghosted
             for source in sources:
-                shard_index.ghost_entries += source.secondaries[
-                    name
-                ].ghost_entries
+                ghosted |= source.secondaries[name].ghosted
                 for pk, key in source._key_memo.get(name, {}).items():
-                    if pk in memo and memo[pk] != key:
-                        memo[pk] = None
-                    else:
-                        memo[pk] = key
+                    if memo.setdefault(pk, key) != key:
+                        ghosted.add(pk)
 
     def min_indexed_psn(self) -> int:
         """The slowest index's progress gates groomed-block deletion."""

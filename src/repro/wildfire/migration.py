@@ -471,9 +471,9 @@ class Migration:
             for target in targets:
                 target.clock.ensure_at_least(*source.clock.state())
         for target in targets:
-            # Ghosted secondary entries travel with the copy, so
-            # index-only stays disqualified where a source had ghosts;
-            # disagreeing memos collapse to "unknown" (conservative).
+            # Ghosted secondary entries travel with the copy, so their
+            # keys do too: fetch-backs keep resolving them, and index-only
+            # stays disqualified where a source had ghosts.
             target.indexes.adopt_ghost_state([source.indexes for source in sources])
         self.copied_blocks += adopt_blocks(sources, targets)
         if len(targets) == 1:

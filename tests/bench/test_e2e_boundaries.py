@@ -72,17 +72,22 @@ def test_front_door_reaches_boundaries_replaced_on_the_instance():
     table.ingest([(i, f"c{i % 3}", f"r{i % 2}", i) for i in range(40)])
     for _ in range(4):
         table.tick()
+    # Order 4 moves from c1 to c2: its old by_customer entry stays visible
+    # under c1 (a ghost), so the customer query fetches that key back
+    # through the primary's batch_lookup; the clean keys never reach it.
+    table.ingest([(4, "c2", "r0", 4)])
+    table.tick()
     assert table.point_query((), (7,)).values == (7, "c1", "r1", 7)
     point = calls.copy()
     assert table.query(Query(equalities=(("order_id", 7),))) == [(7, "c1", "r1", 7)]
-    assert len(table.query(Query(equalities=(("customer", "c1"),)))) == 13
+    assert len(table.query(Query(equalities=(("customer", "c1"),)))) == 12
 
     assert calls["wildfire.cluster", "point_query"] == 1
     assert calls["wildfire.cluster", "query"] == 2
-    assert calls["wildfire.cluster", "ingest"] == 1
-    assert calls["wildfire.cluster", "tick"] == 4
-    assert calls["qos.admission", "admit"] == 4  # one token per front-door op
-    assert calls["wildfire.engine", "ingest"] == 2  # both shards got rows
+    assert calls["wildfire.cluster", "ingest"] == 2
+    assert calls["wildfire.cluster", "tick"] == 5
+    assert calls["qos.admission", "admit"] == 5  # one token per front-door op
+    assert calls["wildfire.engine", "ingest"] == 3  # both shards, then one
     assert calls["wildfire.engine", "point_query"] == 1
     assert calls["wildfire.engine", "_query_tagged"] == 3  # 1 routed + 2 scattered
     assert calls["planner", "plan_query"] == 3
@@ -105,8 +110,9 @@ def test_a_customer_query_counts_its_fetch_back_keys_at_the_boundary():
     """What the tracer's observers read off the typed path's boundaries.
 
     ``fetchback_keys_per_query`` is ``len(args[0])`` at
-    ``core.index.batch_lookup`` (PR 19 had to revert a faster fetch-back
-    that went around the boundary: the metric read 0), and
+    ``core.index.batch_lookup``: the ghosted keys among a fetch-back's
+    winners, which must still go through that boundary (a fetch-back
+    that went around it would read 0), and
     ``planner.plan_share.*`` counts one ``plan_query`` per contacted
     shard -- however few times the cluster binds the query's values.
     """
@@ -117,7 +123,8 @@ def test_a_customer_query_counts_its_fetch_back_keys_at_the_boundary():
         table.tick()
     # Order 4 moves from c1 to c2: its old by_customer entry stays visible
     # under c1 (a ghost), so it is a fetch-back key but not a row; order 7
-    # gets a new amount, one key and one row like before.
+    # gets a new amount under the same customer, so its hit is already the
+    # newest version: a row, but no fetch-back key.
     table.ingest([(4, "c2", "r0", 4), (7, "c1", "r1", 107)])
     for _ in range(2):
         table.tick()
@@ -148,9 +155,7 @@ def test_a_customer_query_counts_its_fetch_back_keys_at_the_boundary():
         (i, "c1", f"r{i % 2}", 107 if i == 7 else i) for i in keys if i != 4
     ]
     assert sorted(tagged) == sorted(plans) == [0, 1]  # once per contacted shard
-    by_shard = {
-        shard_id: sum(table.shard_of_key((i,)) == shard_id for i in keys)
-        for shard_id in (0, 1)
-    }
-    assert sorted(batches) == sorted(by_shard.items())
-    assert sum(count for _, count in batches) == len(keys) == len(answer) + 1
+    # Only order 4 is ghosted: its shard's batch carries exactly that key,
+    # and a shard with no ghosted winner makes no primary call at all.
+    assert batches == [(table.shard_of_key((4,)), 1)]
+    assert len(keys) == len(answer) + 1

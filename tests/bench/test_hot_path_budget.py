@@ -161,7 +161,7 @@ block.  A per-row object kept for the table's lifetime shows up here.
 
 And the typed path: ``call`` events per ``table.query`` on the same warmed
 fixture, one row per query shape of the e2e ``typed_scatter`` workload
-(``customer = c`` full row: secondary scan + batched fetch-back, 133 rows;
+(``customer = c`` full row: secondary scan + fetch-back, 133 rows;
 ``region = r AND amount <= 200`` projected: index-only; ``order_id BETWEEN
 k AND k + 200``: primary scan on both shards; ``order_id = k``: routed):
 
@@ -177,6 +177,8 @@ one lifecycle, one format     345.7   237.2     238.4         95.3
 one lock, no finalizer        321.7   225.2     226.5         89.3
 one door per read             319.7   223.2     224.5         89.3
 one pass through the door     294.7   204.2     205.6         76.2
+33ee4fc (before)              278.4   204.2     192.6         75.2
+ghosted keys only             206.4   204.2     192.6         75.2
 =========================  ========  ======  ========  ===========
 
 A per-call ``candidate_shape``, a per-entry generator hop in the scan, a
@@ -200,7 +202,11 @@ plain lock and no finalizer.  The ``one door per read`` row is
 scanned.  The last row is the point path's front-door cut in a typed query: 9 calls per query (the map pin's
 ``Condition``, the arrival clock and the refill rate), 2 per shard
 searched (``HybridClock.now`` -> ``compose_begin_ts``) and 1 per run
-released (``is_purged_level``: 12 in a customer query).
+released (``is_purged_level``: 12 in a customer query).  The
+``ghosted keys only`` row fetches back through the primary only the
+winners whose key is in the secondary's ghosted set; this fixture moves
+no customer, so a customer query makes no primary ``batch_lookup`` (its
+pin, fence search, batch kernel and release) on either shard.
 """
 
 import gc
@@ -224,7 +230,7 @@ TYPED_BEFORE = {
     "customer": 11308.5, "region": 2112.6, "range": 3235.7, "equality": 282.6,
 }
 TYPED_CEILING = {
-    "customer": 298.0, "region": 207.0, "range": 209.0, "equality": 79.0,
+    "customer": 210.0, "region": 207.0, "range": 209.0, "equality": 79.0,
 }
 
 ROWS = 6_000

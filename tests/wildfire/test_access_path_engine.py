@@ -78,6 +78,23 @@ class TestReadAttribution:
         assert snap.get("records", 0) == 0
 
     def test_fetch_back_charges_all_three_components(self):
+        # Order 7 moves from c2 to c3: its stale c2 entry is a ghosted
+        # winner, which the primary resolves.
+        shard = make_shard()
+        seed(shard)
+        shard.ingest([(7, "c3", "r1", 70)])
+        shard.run_cycles(2)
+        cold_reset(shard)
+        rows = shard.query(Query(equalities=(("customer", "c2"),)))
+        assert len(rows) == 11
+        snap = shard.hierarchy.stats.attribution_snapshot()
+        assert snap.get("index:by_customer", 0) > 0
+        assert snap.get("index:primary", 0) > 0
+        assert snap.get("records", 0) > 0
+
+    def test_clean_fetch_back_reads_no_primary(self):
+        # No key ever moved: every hit is already its row's newest
+        # version, so the fetch-back never touches the primary.
         shard = make_shard()
         seed(shard)
         cold_reset(shard)
@@ -85,7 +102,7 @@ class TestReadAttribution:
         assert len(rows) == 12
         snap = shard.hierarchy.stats.attribution_snapshot()
         assert snap.get("index:by_customer", 0) > 0
-        assert snap.get("index:primary", 0) > 0
+        assert snap.get("index:primary", 0) == 0
         assert snap.get("records", 0) > 0
 
     def test_attribution_only_charged_inside_scopes(self):
