@@ -26,13 +26,9 @@ diffs it against the committed artifact (same full-size run everywhere,
 like A13/A14/A15).
 """
 
-from repro.core.definition import ColumnSpec
-from repro.wildfire.cluster import ShardedTable
-from repro.wildfire.engine import ShardConfig
 from repro.wildfire.rebalance import RebalanceConfig, RebalancePolicy
-from repro.wildfire.schema import IndexSpec, TableSchema
 
-from closed_loop import ClosedLoopDriver, DriverReport
+from closed_loop import ClosedLoopDriver, DriverReport, make_iot_table, run_phase
 from harness import ExperimentResult, Series, report
 
 SEED = 16
@@ -47,61 +43,6 @@ PUMP_BUDGET = 512  # entries per migration_step slice
 SHARD_COUNTS = (1, 2, 4)
 DAEMONS = 2
 REPLAY_ARM = 2  # shard count of the arm that is run twice
-
-
-def make_table(num_shards: int) -> ShardedTable:
-    schema = TableSchema(
-        name="iot",
-        columns=(ColumnSpec("device"), ColumnSpec("msg"), ColumnSpec("reading")),
-        primary_key=("device", "msg"),
-        sharding_key=("device",),
-        partition_key=("msg",),
-    )
-    return ShardedTable(
-        schema,
-        IndexSpec(("device",), ("msg",), ("reading",)),
-        num_shards=num_shards,
-        config=ShardConfig(post_groom_every=2),
-    )
-
-
-def _combine(reports) -> DriverReport:
-    """Sum chunked reports into one phase-level report."""
-    latencies = []
-    for report in reports:
-        latencies.extend(report.latencies_ns)
-    return DriverReport(
-        ops=sum(r.ops for r in reports),
-        points=sum(r.points for r in reports),
-        hits=sum(r.hits for r in reports),
-        misses=sum(r.misses for r in reports),
-        cold=sum(r.cold for r in reports),
-        wrong=sum(r.wrong for r in reports),
-        ranges=sum(r.ranges for r in reports),
-        range_rows=sum(r.range_rows for r in reports),
-        ingests=sum(r.ingests for r in reports),
-        ingested_rows=sum(r.ingested_rows for r in reports),
-        shed=sum(r.shed for r in reports),
-        errors=sum(r.errors for r in reports),
-        partials=sum(r.partials for r in reports),
-        sim_elapsed_ns=sum(r.sim_elapsed_ns for r in reports),
-        latencies_ns=tuple(latencies),
-    )
-
-
-def run_phase(driver, table, ops: int, rr: list) -> DriverReport:
-    """One traffic phase with round-robin maintenance ticks."""
-    reports = []
-    done = 0
-    while done < ops:
-        chunk = min(MAINT_EVERY, ops - done)
-        reports.append(driver.run(chunk))
-        done += chunk
-        live = table.live_shard_ids()
-        for _ in range(DAEMONS):
-            table.shards[live[rr[0] % len(live)]].tick()
-            rr[0] += 1
-    return _combine(reports)
 
 
 def run_pumped(driver, step):
@@ -119,13 +60,13 @@ def run_pumped(driver, step):
         summary = step()
         steps += 1
         if summary["phase"] == "done":
-            return _combine(reports), summary, steps
+            return DriverReport.combine(reports), summary, steps
         assert steps < 10_000, "A16: pump failed to converge"
 
 
 def run_arm(num_shards: int):
     """Warm, serve, pump a split, serve, pump the merge back, serve."""
-    table = make_table(num_shards)
+    table = make_iot_table(num_shards)
     driver = ClosedLoopDriver(
         table, clients=CLIENTS, keyspace=KEYSPACE, seed=SEED
     )
@@ -133,19 +74,19 @@ def run_arm(num_shards: int):
     table.run_cycles(4)
     rr = [0]
 
-    before = run_phase(driver, table, OPS_PER_PHASE, rr)
+    before = run_phase(driver, table, OPS_PER_PHASE, DAEMONS, rr, MAINT_EVERY)
     victim = table.shard_of_key((0,))  # the Zipfian head's shard
     table.begin_split(victim)
     during_split, split, split_steps = run_pumped(
         driver, lambda: table.migration_step(PUMP_BUDGET)
     )
-    between = run_phase(driver, table, OPS_PER_PHASE, rr)
+    between = run_phase(driver, table, OPS_PER_PHASE, DAEMONS, rr, MAINT_EVERY)
     left, right = split["successors"]
     table.begin_merge(left, right)
     during_merge, merge, merge_steps = run_pumped(
         driver, lambda: table.migration_step(PUMP_BUDGET)
     )
-    after = run_phase(driver, table, OPS_PER_PHASE, rr)
+    after = run_phase(driver, table, OPS_PER_PHASE, DAEMONS, rr, MAINT_EVERY)
 
     phases = {
         "before": before,
@@ -160,7 +101,7 @@ def run_arm(num_shards: int):
 
 def run_policy_arm():
     """The same round trip, decided by RebalancePolicy's hysteresis."""
-    table = make_table(1)
+    table = make_iot_table(1)
     driver = ClosedLoopDriver(
         table, clients=CLIENTS, keyspace=KEYSPACE, seed=SEED
     )
@@ -178,18 +119,13 @@ def run_policy_arm():
     )
 
     def serve(ops):
+        """:func:`run_phase`, with a policy evaluation after every round."""
         reports = []
-        done = 0
-        while done < ops:
+        for done in range(0, ops, MAINT_EVERY):
             chunk = min(MAINT_EVERY, ops - done)
-            reports.append(driver.run(chunk))
-            done += chunk
-            live = table.live_shard_ids()
-            for _ in range(DAEMONS):
-                table.shards[live[rr[0] % len(live)]].tick()
-                rr[0] += 1
+            reports.append(run_phase(driver, table, chunk, DAEMONS, rr, chunk))
             policy.step()
-        return _combine(reports)
+        return DriverReport.combine(reports)
 
     hot_phase = serve(OPS_PER_PHASE)
     assert policy.stats.splits == 1, "A16 policy: the hot shard must split"

@@ -26,12 +26,7 @@ CI diffs it against the committed artifact (same full-size run
 everywhere, like A13).
 """
 
-from repro.core.definition import ColumnSpec
-from repro.wildfire.cluster import ShardedTable
-from repro.wildfire.engine import ShardConfig
-from repro.wildfire.schema import IndexSpec, TableSchema
-
-from closed_loop import ClosedLoopDriver, DriverReport
+from closed_loop import ClosedLoopDriver, DriverReport, make_iot_table, run_phase
 from harness import ExperimentResult, Series, report
 
 SEED = 14
@@ -46,70 +41,9 @@ DAEMON_COUNTS = (1, 2, 4)
 REPLAY_ARM = (2, 2)  # (shards, daemons) arm that is run twice
 
 
-def make_table(num_shards: int) -> ShardedTable:
-    schema = TableSchema(
-        name="iot",
-        columns=(ColumnSpec("device"), ColumnSpec("msg"), ColumnSpec("reading")),
-        primary_key=("device", "msg"),
-        sharding_key=("device",),
-        partition_key=("msg",),
-    )
-    return ShardedTable(
-        schema,
-        IndexSpec(("device",), ("msg",), ("reading",)),
-        num_shards=num_shards,
-        config=ShardConfig(post_groom_every=2),
-    )
-
-
-def _combine(reports) -> DriverReport:
-    """Sum chunked reports into one phase-level report."""
-    latencies = []
-    for report in reports:
-        latencies.extend(report.latencies_ns)
-    return DriverReport(
-        ops=sum(r.ops for r in reports),
-        points=sum(r.points for r in reports),
-        hits=sum(r.hits for r in reports),
-        misses=sum(r.misses for r in reports),
-        cold=sum(r.cold for r in reports),
-        wrong=sum(r.wrong for r in reports),
-        ranges=sum(r.ranges for r in reports),
-        range_rows=sum(r.range_rows for r in reports),
-        ingests=sum(r.ingests for r in reports),
-        ingested_rows=sum(r.ingested_rows for r in reports),
-        shed=sum(r.shed for r in reports),
-        errors=sum(r.errors for r in reports),
-        partials=sum(r.partials for r in reports),
-        sim_elapsed_ns=sum(r.sim_elapsed_ns for r in reports),
-        latencies_ns=tuple(latencies),
-    )
-
-
-def run_phase(driver, table, ops: int, daemons: int, rr: list) -> DriverReport:
-    """One traffic phase with ``daemons`` round-robin maintenance workers.
-
-    Every ``MAINT_EVERY`` client operations, each daemon ticks the next
-    live shard in round-robin order -- the "number of indexer daemons"
-    dimension of the grid, scaled down to the simulation's cooperative
-    scheduler.
-    """
-    reports = []
-    done = 0
-    while done < ops:
-        chunk = min(MAINT_EVERY, ops - done)
-        reports.append(driver.run(chunk))
-        done += chunk
-        live = table.live_shard_ids()
-        for _ in range(daemons):
-            table.shards[live[rr[0] % len(live)]].tick()
-            rr[0] += 1
-    return _combine(reports)
-
-
 def run_arm(num_shards: int, daemons: int):
     """Warm, serve, split the hottest shard mid-run, serve again."""
-    table = make_table(num_shards)
+    table = make_iot_table(num_shards)
     driver = ClosedLoopDriver(
         table,
         clients=CLIENTS,
@@ -120,10 +54,10 @@ def run_arm(num_shards: int, daemons: int):
     table.run_cycles(4)  # groom the warm set down before timing anything
     rr = [0]
 
-    before = run_phase(driver, table, OPS_PER_PHASE, daemons, rr)
+    before = run_phase(driver, table, OPS_PER_PHASE, daemons, rr, MAINT_EVERY)
     victim = table.shard_of_key((0,))  # the Zipfian head's shard
     split = table.split_shard(victim)
-    after = run_phase(driver, table, OPS_PER_PHASE, daemons, rr)
+    after = run_phase(driver, table, OPS_PER_PHASE, daemons, rr, MAINT_EVERY)
 
     return table, split, before, after
 

@@ -18,18 +18,25 @@ shard split: the hot slot's latency is every client's latency.
 
 The driver is schema-opinionated on purpose: it drives the ``iot``
 benchmark schema used across the suite (``device`` sharding key,
-``msg`` sort key, one ``reading`` payload), with warm keys ingested by
+``msg`` sort key, one ``reading`` payload, built by
+:func:`make_iot_table`), with warm keys ingested by
 :meth:`ClosedLoopDriver.warm` and verified on every hit.
+:func:`run_phase` is one traffic phase with round-robin maintenance
+ticks, the shape A14 and A16 serve every phase in.
 """
 
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass
-from typing import Dict, List, Tuple
+from dataclasses import dataclass, fields
+from typing import Dict, List, Sequence, Tuple
 
+from repro.core.definition import ColumnSpec
 from repro.qos.errors import PartialResultError, QosError
 from repro.storage.retry import TransientIOError
+from repro.wildfire.cluster import ShardedTable
+from repro.wildfire.engine import ShardConfig
+from repro.wildfire.schema import IndexSpec, TableSchema
 
 # Fresh rows written by ingest ops start their ``msg`` sequence here so
 # they can never collide with (or be queried as) warm keys.
@@ -117,6 +124,63 @@ class DriverReport:
 
     def latency_ns(self, pct: int) -> float:
         return percentile_ns(self.latencies_ns, pct)
+
+    @classmethod
+    def combine(cls, reports: Sequence["DriverReport"]) -> "DriverReport":
+        """Sum chunked reports into one phase-level report: every count
+        and the elapsed time add up, the latency tuples concatenate."""
+        return cls(**{
+            f.name: sum(
+                (getattr(report, f.name) for report in reports),
+                () if f.name == "latencies_ns" else 0,
+            )
+            for f in fields(cls)
+        })
+
+
+def make_iot_table(num_shards: int) -> ShardedTable:
+    """The ``iot`` table the driver speaks, post-grooming every 2 cycles."""
+    schema = TableSchema(
+        name="iot",
+        columns=(ColumnSpec("device"), ColumnSpec("msg"), ColumnSpec("reading")),
+        primary_key=("device", "msg"),
+        sharding_key=("device",),
+        partition_key=("msg",),
+    )
+    return ShardedTable(
+        schema,
+        IndexSpec(("device",), ("msg",), ("reading",)),
+        num_shards=num_shards,
+        config=ShardConfig(post_groom_every=2),
+    )
+
+
+def run_phase(
+    driver: "ClosedLoopDriver",
+    table: ShardedTable,
+    ops: int,
+    daemons: int,
+    rr: list,
+    every: int,
+) -> DriverReport:
+    """One traffic phase with ``daemons`` round-robin maintenance workers.
+
+    Every ``every`` client operations, each daemon ticks the next live
+    shard in round-robin order (``rr[0]`` is the cursor, carried across
+    phases) -- the "number of indexer daemons" dimension, scaled down to
+    the simulation's cooperative scheduler.
+    """
+    reports = []
+    done = 0
+    while done < ops:
+        chunk = min(every, ops - done)
+        reports.append(driver.run(chunk))
+        done += chunk
+        live = table.live_shard_ids()
+        for _ in range(daemons):
+            table.shards[live[rr[0] % len(live)]].tick()
+            rr[0] += 1
+    return DriverReport.combine(reports)
 
 
 class ClosedLoopDriver:
@@ -256,5 +320,7 @@ __all__ = [
     "DriverReport",
     "INGEST_MSG_BASE",
     "ZipfianGenerator",
+    "make_iot_table",
     "percentile_ns",
+    "run_phase",
 ]

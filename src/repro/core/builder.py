@@ -127,7 +127,6 @@ class RunBuilder:
         max_groomed_id: int,
         persisted: bool = True,
         write_through_ssd: bool = True,
-        spill_to_ssd: bool = False,
         ancestor_run_ids: Sequence[str] = (),
     ) -> IndexRun:
         """Build a run from pre-serialized, pre-sorted entry columns.
@@ -141,8 +140,7 @@ class RunBuilder:
         with the 8-byte big-endian hash) and the begin-TS bounds are
         ``min`` / ``max`` of the raw 8-byte suffixes.  ``persisted``
         selects the durable path (shared storage + write-through SSD);
-        non-persisted runs go to memory only (section 6.1), optionally
-        spilling to SSD.
+        non-persisted runs go to memory only (section 6.1).
         """
         definition = self.definition
         sort_keys: List[bytes] = []
@@ -215,7 +213,7 @@ class RunBuilder:
             bloom_blob=bloom_blob,
         )
 
-        self._write_blocks(header, block_payloads, write_through_ssd, spill_to_ssd)
+        self._write_blocks(header, block_payloads, write_through_ssd)
         return IndexRun(definition, header, self.hierarchy)
 
     def _write_blocks(
@@ -223,7 +221,6 @@ class RunBuilder:
         header: RunHeader,
         payloads: List[bytes],
         write_through_ssd: bool,
-        spill_to_ssd: bool,
     ) -> None:
         header_block = Block(
             BlockId(header.run_id, 0), header.to_bytes(self.definition)
@@ -242,9 +239,9 @@ class RunBuilder:
                 self.hierarchy.write_persisted(block, write_through_ssd)
             crash_point("builder.post_persist")
         else:
-            self.hierarchy.write_cached_only(header_block, spill_to_ssd)
+            self.hierarchy.write_cached_only(header_block)
             for block in data_blocks:
-                self.hierarchy.write_cached_only(block, spill_to_ssd)
+                self.hierarchy.write_cached_only(block)
 
 
 __all__ = ["RunBuilder", "DEFAULT_DATA_BLOCK_BYTES"]

@@ -61,13 +61,12 @@ class SnapshotPin:
 
 @dataclass(frozen=True)
 class UmziConfig:
-    """Tunables of one index instance."""
+    """Tunables of one index instance.  Synopsis pruning and the offset
+    array are always on (A2 builds its own executor without the latter)."""
 
     name: str = "umzi"
     levels: LevelConfig = field(default_factory=LevelConfig)
     data_block_bytes: int = DEFAULT_DATA_BLOCK_BYTES
-    use_synopsis: bool = True
-    use_offset_array: bool = True
     # Extension beyond the paper: per-key (instead of batch-granularity)
     # synopsis pruning for batched lookups.  See QueryExecutor.
     per_key_batch_pruning: bool = False
@@ -158,8 +157,6 @@ class UmziIndex:
         self.executor = QueryExecutor(
             definition,
             collect_runs=self.visible_runs,
-            use_synopsis=self.config.use_synopsis,
-            use_offset_array=self.config.use_offset_array,
             per_key_batch_pruning=self.config.per_key_batch_pruning,
             on_query_done=(
                 self.cache.release_after_query
@@ -400,12 +397,12 @@ class UmziIndex:
         self, collect_runs: Callable[[], Sequence[IndexRun]]
     ) -> QueryExecutor:
         """An executor over runs its caller has pinned: no lifecycle, no
-        release hook, the query flags of :attr:`config`."""
+        release hook, the batch pruning of :attr:`config`.  A degraded
+        shard's ``point_query`` / ``range_query`` read through one, held
+        by its :meth:`pin_snapshot`."""
         return QueryExecutor(
             self.definition,
             collect_runs=collect_runs,
-            use_synopsis=self.config.use_synopsis,
-            use_offset_array=self.config.use_offset_array,
             per_key_batch_pruning=self.config.per_key_batch_pruning,
         )
 

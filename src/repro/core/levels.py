@@ -7,10 +7,10 @@ policy is the hybrid of section 5.3, parameterized by ``K`` (max runs per
 level) and ``T`` (size ratio between adjacent levels).
 
 Certain *lower groomed levels* may be configured non-persisted (section
-6.1): their runs live only in local memory (optionally spilled to SSD) and
-never hit shared storage.  Level 0 **must** be persisted -- the paper
-requires it so recovery never has to rebuild runs from groomed data blocks
--- and this module enforces that invariant at construction time.
+6.1): their runs live only in local memory and never hit shared storage.
+Level 0 **must** be persisted -- the paper requires it so recovery never
+has to rebuild runs from groomed data blocks -- and this module enforces
+that invariant at construction time.
 """
 
 from __future__ import annotations
@@ -44,9 +44,8 @@ class LevelConfig:
     non_persisted_levels:
         Groomed levels whose runs skip shared storage.  May not include
         level 0 and may not include post-groomed levels (evolve output must
-        be durable -- groomed blocks get deleted afterwards).
-    spill_non_persisted_to_ssd:
-        Whether non-persisted runs also spill to the SSD tier.
+        be durable -- groomed blocks get deleted afterwards).  Their runs
+        live in memory only.
     """
 
     groomed_levels: int = 4
@@ -54,7 +53,6 @@ class LevelConfig:
     max_runs_per_level: int = 4
     size_ratio: int = 4
     non_persisted_levels: FrozenSet[int] = frozenset()
-    spill_non_persisted_to_ssd: bool = False
 
     def __post_init__(self) -> None:
         if self.groomed_levels < 1:

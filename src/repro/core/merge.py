@@ -321,7 +321,6 @@ class MergeController:
             max_groomed_id=max(r.max_groomed_id for r in inputs),
             persisted=persisted,
             write_through_ssd=self._write_through(target_level),
-            spill_to_ssd=config.spill_non_persisted_to_ssd,
             ancestor_run_ids=ancestors,
         )
 

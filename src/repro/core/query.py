@@ -282,7 +282,6 @@ class QueryExecutor:
         self,
         definition: IndexDefinition,
         collect_runs: Callable[[], List[IndexRun]],
-        use_synopsis: bool = True,
         use_offset_array: bool = True,
         per_key_batch_pruning: bool = False,
         on_query_done: Optional[Callable[[List[IndexRun]], None]] = None,
@@ -291,7 +290,6 @@ class QueryExecutor:
         self.definition = definition
         self.collect_runs = collect_runs
         self._lifecycle = lifecycle
-        self.use_synopsis = use_synopsis
         self.use_offset_array = use_offset_array
         # Paper-faithful batched lookups prune runs against the *batch's*
         # value bounding box (that granularity is what makes random batches
@@ -377,7 +375,7 @@ class QueryExecutor:
         """The runs a scan must search (the synopsis check of section 7):
         non-empty, not entirely newer than the snapshot, and every bound
         column value overlapping the run's recorded range."""
-        boxes = _scan_boxes(self.definition, query) if self.use_synopsis else ()
+        boxes = _scan_boxes(self.definition, query)
         return [
             run for run in runs
             if run.entry_count and _synopsis_overlaps(run, query.query_ts, boxes)
@@ -470,7 +468,7 @@ class QueryExecutor:
             self.definition, equality_values, sort_values
         )
         floor = ts_floor(query_ts)
-        boxes = (*equality_values, *sort_values[:1]) if self.use_synopsis else ()
+        boxes = (*equality_values, *sort_values[:1])
         bucketed = hash_value is not None and self.use_offset_array
         pin, runs = self._enter_query()
         # Only the runs searched are handed to the release hook, not every
@@ -569,25 +567,24 @@ class QueryExecutor:
                     break
                 if run.entry_count == 0:
                     continue
+                # Batch-granularity synopsis pruning (section 8.3: "the run
+                # synopsis enables pruning most of the irrelevant runs" for
+                # sequential batches, while random batches span the key
+                # space and must search every run).
+                if not _synopsis_overlaps(run, max_ts, batch_box):
+                    continue
                 probe_slots = unresolved
-                if self.use_synopsis:
-                    # Batch-granularity synopsis pruning (section 8.3: "the
-                    # run synopsis enables pruning most of the irrelevant
-                    # runs" for sequential batches, while random batches
-                    # span the key space and must search every run).
-                    if not _synopsis_overlaps(run, max_ts, batch_box):
-                        continue
-                    if self.per_key_batch_pruning:
-                        # A point lookup pins every column, so each
-                        # column's range is a sound filter on its own.
-                        probe_slots = [
-                            slot for slot in unresolved
-                            if _synopsis_overlaps(
-                                run,
-                                max_ts if timestamps is None else timestamps[slot],
-                                [(c[positions[slot]],) * 2 for c in key_columns],
-                            )
-                        ]
+                if self.per_key_batch_pruning:
+                    # A point lookup pins every column, so each column's
+                    # range is a sound filter on its own.
+                    probe_slots = [
+                        slot for slot in unresolved
+                        if _synopsis_overlaps(
+                            run,
+                            max_ts if timestamps is None else timestamps[slot],
+                            [(c[positions[slot]],) * 2 for c in key_columns],
+                        )
+                    ]
                 if probe_slots and run.header.bloom_blob is not None:
                     # Bloom membership is orthogonal to pruning granularity:
                     # it filters individual keys whenever a filter exists.
@@ -602,7 +599,7 @@ class QueryExecutor:
                 # whether any key's hash bucket holds an entry at all --
                 # the dominant effect for equality-style batches.
                 fences = run.bucket_fences
-                if self.use_synopsis and fences:
+                if fences:
                     for slot in probe_slots:
                         if fences[buckets[slot]] < fences[buckets[slot] + 1]:
                             break

@@ -32,12 +32,7 @@ from repro.faults.plan import BrownoutWindow, FaultPlan, TornWrite
 from repro.storage.block import Block, BlockId
 from repro.storage.metrics import IOStats
 from repro.storage.retry import TransientIOError
-from repro.storage.shared import (
-    DEFAULT_SHARED_READ,
-    DEFAULT_SHARED_WRITE,
-    SharedStorage,
-)
-from repro.storage.tier import LatencyModel
+from repro.storage.shared import SharedStorage
 
 
 class FaultyTier(SharedStorage):
@@ -54,10 +49,8 @@ class FaultyTier(SharedStorage):
         plan: FaultPlan,
         run_prefix: str,
         stats: Optional[IOStats] = None,
-        read_latency: LatencyModel = DEFAULT_SHARED_READ,
-        write_latency: LatencyModel = DEFAULT_SHARED_WRITE,
     ) -> None:
-        super().__init__(stats, read_latency, write_latency)
+        super().__init__(stats)
         self.plan = plan
         self.run_prefix = run_prefix
         self._outage = False

@@ -11,8 +11,8 @@ Write paths (sections 6.1-6.2):
 * ``write_persisted`` -- the durable path: shared storage always, plus
   write-through into the SSD cache when the cache manager says the run is
   below the current cached level.
-* ``write_cached_only`` -- the non-persisted-level path: memory (and
-  optionally SSD spill), never shared storage.
+* ``write_cached_only`` -- the non-persisted-level path: memory only,
+  never shared storage.
 """
 
 from __future__ import annotations
@@ -212,27 +212,25 @@ class StorageHierarchy:
         if write_through_ssd:
             self.ssd.admit(block)
 
-    def write_cached_only(self, block: Block, spill_to_ssd: bool = False) -> None:
-        """Non-persisted write: memory only, optionally spilled to SSD."""
+    def write_cached_only(self, block: Block) -> None:
+        """Non-persisted write (section 6.1): memory only, never shared."""
         self.memory.write(block)
-        if spill_to_ssd:
-            self.ssd.write(block)
 
     # -- read path -----------------------------------------------------------
 
     def read(
         self,
         block_id: BlockId,
-        promote: bool = True,
         intent: Optional[ReadIntent] = None,
     ) -> Block:
         """Read through memory -> SSD -> shared storage.
 
         On a shared-storage hit the block is promoted into the SSD cache,
-        reproducing the paper's block-basis transfer of purged runs --
-        but only when ``promote`` is set *and* the read intent is QUERY
-        (a MAINTENANCE read never admits), and only while the SSD has room
-        (:meth:`SSDTier.admit` decides; a full cache never fails a read).
+        reproducing the paper's block-basis transfer of purged runs
+        (section 6.2).  The read intent alone decides: a QUERY read offers
+        the block to the SSD, a MAINTENANCE read never admits, and only
+        while the SSD has room does it go in (:meth:`SSDTier.admit`
+        decides; a full cache never fails a read).
         ``intent=None`` resolves through the :meth:`reading_as` scope,
         defaulting to QUERY.  Raises :class:`BlockNotFoundError` if the
         block is absent everywhere.
@@ -274,19 +272,16 @@ class StorageHierarchy:
         if block is None:
             raise BlockNotFoundError(block_id)
         istats.shared_reads += 1
-        if promote and intent is ReadIntent.QUERY and self.ssd.admit(block):
+        if intent is ReadIntent.QUERY and self.ssd.admit(block):
             istats.promotions += 1
         return block
 
     def read_many(
         self,
         block_ids: List[BlockId],
-        promote: bool = True,
         intent: Optional[ReadIntent] = None,
     ) -> List[Block]:
-        return [
-            self.read(bid, promote=promote, intent=intent) for bid in block_ids
-        ]
+        return [self.read(bid, intent=intent) for bid in block_ids]
 
     def read_shared(
         self,

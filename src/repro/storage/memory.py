@@ -1,7 +1,7 @@
 """The memory tier: unbounded, cheapest, supports everything.
 
-In the paper, runs in non-persisted levels live only in memory (optionally
-spilling to SSD), and memory also serves as the hottest cache layer.
+In the paper, runs in non-persisted levels live only in memory, and memory
+also serves as the hottest cache layer.
 """
 
 from __future__ import annotations
@@ -19,13 +19,10 @@ DEFAULT_MEMORY_WRITE = LatencyModel(fixed_ns=100, per_byte_ns=0.01)
 class MemoryTier(StorageTier):
     """Block store with DRAM-like simulated latency; a write overwrites."""
 
-    def __init__(
-        self,
-        stats: Optional[IOStats] = None,
-        read_latency: LatencyModel = DEFAULT_MEMORY_READ,
-        write_latency: LatencyModel = DEFAULT_MEMORY_WRITE,
-    ) -> None:
-        super().__init__(TierName.MEMORY, read_latency, write_latency, stats)
+    def __init__(self, stats: Optional[IOStats] = None) -> None:
+        super().__init__(
+            TierName.MEMORY, DEFAULT_MEMORY_READ, DEFAULT_MEMORY_WRITE, stats
+        )
 
     def write(self, block: Block) -> None:
         nbytes = len(block.payload)

@@ -34,13 +34,10 @@ class SharedStorage(StorageTier):
     paper section 5.5.
     """
 
-    def __init__(
-        self,
-        stats: Optional[IOStats] = None,
-        read_latency: LatencyModel = DEFAULT_SHARED_READ,
-        write_latency: LatencyModel = DEFAULT_SHARED_WRITE,
-    ) -> None:
-        super().__init__(TierName.SHARED, read_latency, write_latency, stats)
+    def __init__(self, stats: Optional[IOStats] = None) -> None:
+        super().__init__(
+            TierName.SHARED, DEFAULT_SHARED_READ, DEFAULT_SHARED_WRITE, stats
+        )
         self._total_bytes_ever_written = 0
 
     def write(self, block: Block) -> None:

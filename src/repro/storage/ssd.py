@@ -34,10 +34,8 @@ class SSDTier(StorageTier):
         self,
         capacity_bytes: Optional[int] = None,
         stats: Optional[IOStats] = None,
-        read_latency: LatencyModel = DEFAULT_SSD_READ,
-        write_latency: LatencyModel = DEFAULT_SSD_WRITE,
     ) -> None:
-        super().__init__(TierName.SSD, read_latency, write_latency, stats)
+        super().__init__(TierName.SSD, DEFAULT_SSD_READ, DEFAULT_SSD_WRITE, stats)
         self.capacity_bytes = capacity_bytes
 
     def admit(self, block: Block) -> bool:

@@ -45,11 +45,9 @@ class BlockCatalog:
         self,
         schema: TableSchema,
         hierarchy: StorageHierarchy,
-        table_name: Optional[str] = None,
     ) -> None:
         self.schema = schema
         self.hierarchy = hierarchy
-        self.table_name = table_name if table_name is not None else schema.name
         self._lock = threading.Lock()
         self._next_groomed_id = 0
         self._next_post_groomed_id = 0
@@ -64,7 +62,7 @@ class BlockCatalog:
 
     def _namespace(self, zone: Zone, block_id: int) -> str:
         letter = "g" if zone is Zone.GROOMED else "p"
-        return f"{self.table_name}-blk-{letter}-{block_id:08d}"
+        return f"{self.schema.name}-blk-{letter}-{block_id:08d}"
 
     def namespace_of(self, zone: Zone, block_id: int) -> str:
         """Public namespace accessor (shard split block transfer)."""

@@ -92,17 +92,17 @@ class QueryKind(NamedTuple):
     instance, so a test or the e2e tracer can replace them per shard.
     """
 
-    live: str  # shard method answering from the current version
-    degraded: Optional[str]  # snapshot-pinned fallback; None: never degraded
+    live: str  # shard method answering the part, live or degraded
+    degradable: bool  # may a browned-out shard answer from its pinned snapshot
     combine: str  # table method folding per-shard parts into the answer
 
 
-POINT = QueryKind("point_query", "degraded_point_query", "_newest_record")
-RANGE = QueryKind("range_query", "degraded_range_query", "_merge_versions")
+POINT = QueryKind("point_query", True, "_newest_record")
+RANGE = QueryKind("range_query", True, "_merge_versions")
 # A typed part is still ``(pk, beginTS, row)``-tagged, so even a single
 # shard's answer goes through the combine -- and its failure is reported
 # as a partial result like any other shard's (see ShardedTable.query).
-TYPED = QueryKind("_query_tagged", None, "_merge_rows")
+TYPED = QueryKind("_query_tagged", False, "_merge_rows")
 
 
 class ShardedTable:
@@ -626,10 +626,12 @@ class ShardedTable:
     def _shard_call(
         self, kind: QueryKind, shard_id: int, args: tuple, allow_degraded: bool
     ):
-        """One shard's part, with breaker-aware degraded serving."""
+        """One shard's part through ``kind.live``; this only decides when
+        a shard enters or leaves degraded mode (its doors then read
+        through the mode's snapshot pin)."""
         shard = self.shards[shard_id]
         breaker = self._breakers[shard_id]
-        if breaker is None or kind.degraded is None:
+        if breaker is None or not kind.degradable:
             return getattr(shard, kind.live)(*args)
         if breaker.state() is not BreakerState.OPEN:
             if shard.degraded:
@@ -645,7 +647,7 @@ class ShardedTable:
             raise StorageBrownout(f"shared/shard{shard_id}", 0)
         shard.enter_degraded_mode()
         self._qos_io.qos.degraded_reads += 1
-        return getattr(shard, kind.degraded)(*args)
+        return getattr(shard, kind.live)(*args)
 
     @staticmethod
     def _newest_record(

@@ -22,7 +22,7 @@ from typing import Dict, List, Optional, Sequence, Tuple
 
 from repro.core.encoding import KeyValue
 from repro.core.entry import IndexEntry
-from repro.core.index import UmziConfig, UmziIndex
+from repro.core.index import UmziConfig
 from repro.core.maintenance import MaintenanceService
 from repro.core.query import QueryError
 from repro.planner import (
@@ -233,16 +233,9 @@ class WildfireShard:
             report["maintenance_error"] = type(exc).__name__
         return report
 
-    def run_cycles(self, cycles: int, ingest_fn=None) -> List[Dict[str, object]]:
-        """Drive ``cycles`` ticks; ``ingest_fn(cycle)`` feeds rows first."""
-        reports = []
-        for _ in range(cycles):
-            if ingest_fn is not None:
-                rows = ingest_fn(self._cycle + 1)
-                if rows:
-                    self.ingest(rows)
-            reports.append(self.tick())
-        return reports
+    def run_cycles(self, cycles: int) -> List[Dict[str, object]]:
+        """Drive ``cycles`` ticks."""
+        return [self.tick() for _ in range(cycles)]
 
     @property
     def cycle(self) -> int:
@@ -407,7 +400,9 @@ class WildfireShard:
             if live_hit is not None:
                 return live_hit
         ts = query_ts if query_ts is not None else self.clock.snapshot_ts
-        entry = self.index.lookup(equality_values, sort_values, ts)
+        pin = self._degraded_pin
+        index = self.index if pin is None else pin.executor
+        entry = index.lookup(equality_values, sort_values, ts)
         if entry is None:
             return None
         return self.catalog.fetch_record(entry.rid)
@@ -446,16 +441,18 @@ class WildfireShard:
         query_ts: Optional[int] = None,
         fetch_records: bool = False,
     ) -> List:
+        pin = self._degraded_pin
         return self._scan(
-            self.index, equality_values, sort_lower, sort_upper, query_ts,
-            fetch_records,
+            self.index if pin is None else pin.executor, equality_values,
+            sort_lower, sort_upper, query_ts, fetch_records,
         )
 
     def _scan(
-        self, index: UmziIndex, equality_values, sort_lower, sort_upper,
+        self, index, equality_values, sort_lower, sort_upper,
         query_ts: Optional[int], fetch_records: bool,
     ) -> List:
-        """``index.scan`` at the default snapshot: entries, or their records."""
+        """``index.scan`` at the default snapshot: entries, or their records
+        (``index``: an ``UmziIndex`` or a degraded pin's executor)."""
         entries = index.scan(
             equality_values, sort_lower, sort_upper,
             query_ts if query_ts is not None else self.clock.snapshot_ts,
@@ -689,8 +686,8 @@ class WildfireShard:
     def enter_degraded_mode(self) -> None:
         """Pin the current run-list version for brownout serving.
 
-        Idempotent.  While degraded, :meth:`degraded_point_query` /
-        :meth:`degraded_range_query` answer from the pinned snapshot:
+        Idempotent.  While degraded, :meth:`point_query` and
+        :meth:`range_query` answer through the pinned snapshot's executor:
         the pin keeps every run of the version alive in the local tiers
         (cache eviction skips pinned runs), so queries stay off the
         browning-out shared tier.  The answers are *stale-bounded*: as
@@ -707,38 +704,6 @@ class WildfireShard:
             self._degraded_pin = None
         if pin is not None:
             pin.release()
-
-    def degraded_point_query(
-        self,
-        equality_values: Sequence[KeyValue] = (),
-        sort_values: Sequence[KeyValue] = (),
-        query_ts: Optional[int] = None,
-    ) -> Optional[Record]:
-        """Point query against the degraded-mode snapshot pin."""
-        with self._degraded_lock:
-            pin = self._degraded_pin
-        if pin is None:
-            raise RuntimeError("shard is not in degraded mode")
-        ts = query_ts if query_ts is not None else self.clock.snapshot_ts
-        entry = pin.executor.lookup(equality_values, sort_values, ts)
-        if entry is None:
-            return None
-        return self.catalog.fetch_record(entry.rid)
-
-    def degraded_range_query(
-        self,
-        equality_values: Sequence[KeyValue] = (),
-        sort_lower: Optional[Sequence[KeyValue]] = None,
-        sort_upper: Optional[Sequence[KeyValue]] = None,
-        query_ts: Optional[int] = None,
-    ) -> List[IndexEntry]:
-        """Range scan against the degraded-mode snapshot pin."""
-        with self._degraded_lock:
-            pin = self._degraded_pin
-        if pin is None:
-            raise RuntimeError("shard is not in degraded mode")
-        ts = query_ts if query_ts is not None else self.clock.snapshot_ts
-        return pin.executor.scan(equality_values, sort_lower, sort_upper, ts)
 
     # ------------------------------------------------------------------------------
     # introspection / recovery

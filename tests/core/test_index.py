@@ -6,7 +6,7 @@ from repro.core.definition import i1_definition, i2_definition
 from repro.core.entry import RID, Zone
 from repro.core.index import UmziConfig, UmziIndex
 from repro.core.levels import LevelConfig
-from repro.core.query import PointLookup, RangeScanQuery
+from repro.core.query import PointLookup, QueryExecutor, RangeScanQuery
 
 from tests.conftest import key_of, make_entries, rid_map
 
@@ -131,14 +131,15 @@ class TestDifferentDefinitions:
 
 class TestAblationFlags:
     def test_synopsis_and_offset_array_flags_preserve_results(self):
-        for use_synopsis in (True, False):
-            for use_offset_array in (True, False):
-                config = UmziConfig(
-                    name=f"fl-{use_synopsis}-{use_offset_array}",
-                    use_synopsis=use_synopsis,
-                    use_offset_array=use_offset_array,
-                )
-                index = UmziIndex(DEF, config=config)
-                index.add_groomed_run(make_entries(DEF, range(30)), 0, 0)
-                eq, sort = key_of(DEF, 17)
-                assert index.lookup(eq, sort) is not None
+        """Synopsis pruning is always on; the offset array is an executor
+        flag only (the A2 ablation builds its own executor)."""
+        index = UmziIndex(DEF, config=UmziConfig(name="fl"))
+        index.add_groomed_run(make_entries(DEF, range(30)), 0, 0)
+        eq, sort = key_of(DEF, 17)
+        expected = index.lookup(eq, sort)
+        assert expected is not None
+        for use_offset_array in (True, False):
+            executor = QueryExecutor(
+                DEF, index.visible_runs, use_offset_array=use_offset_array
+            )
+            assert executor.lookup(eq, sort) == expected

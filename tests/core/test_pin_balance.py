@@ -51,9 +51,11 @@ INDEX_DOORS = {
     ),
 }
 
+# The shard's own doors, called after ``enter_degraded_mode``: they read
+# through the degraded pin's executor.
 DEGRADED_DOORS = {
-    "degraded_point_query": lambda shard: shard.degraded_point_query((1,), (3,)),
-    "degraded_range_query": lambda shard: shard.degraded_range_query((1,)),
+    "degraded_point_query": lambda shard: shard.point_query((1,), (3,)),
+    "degraded_range_query": lambda shard: shard.range_query((1,)),
 }
 
 

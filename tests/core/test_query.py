@@ -45,12 +45,12 @@ def executor_for(runs, **kwargs):
     return QueryExecutor(DEF, lambda: list(runs), **kwargs)
 
 
-def run_may_contain(run, query, use_synopsis=True):
+def run_may_contain(run, query):
     """Does a scan search ``run``?  The executor's inlined candidate check,
     which must agree with the section 7 predicate kept as reference."""
-    executor = executor_for([run], use_synopsis=use_synopsis)
+    executor = executor_for([run])
     searched = executor._candidates([run], query) == [run]
-    assert searched == reference_scan.run_may_contain(run, query, use_synopsis)
+    assert searched == reference_scan.run_may_contain(run, query)
     return searched
 
 
@@ -164,11 +164,6 @@ class TestSynopsisPruning:
     def test_empty_run_pruned(self):
         runs = build_runs([[]])
         assert not run_may_contain(runs[0], RangeScanQuery((1,)))
-
-    def test_use_synopsis_false_disables_pruning(self):
-        runs = build_runs([[entry(d, 0, 1) for d in range(10)]])
-        query = RangeScanQuery(equality_values=(50,))
-        assert run_may_contain(runs[0], query, use_synopsis=False)
 
 
 class TestReconciliation:

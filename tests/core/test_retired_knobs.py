@@ -13,8 +13,17 @@ from repro.core.cache import HIGH_WATERMARK, LOW_WATERMARK
 from repro.core.definition import ColumnSpec, i1_definition
 from repro.core.epoch import RunLifecycle
 from repro.core.index import UmziConfig, UmziIndex
-from repro.core.query import ReconcileStrategy
+from repro.core.levels import LevelConfig
+from repro.core.query import QueryExecutor, ReconcileStrategy
+from repro.faults.plan import FaultPlan
+from repro.faults.storage import FaultyTier
+from repro.storage.block import Block, BlockId
+from repro.storage.hierarchy import StorageHierarchy
+from repro.storage.memory import DEFAULT_MEMORY_READ, MemoryTier
 from repro.storage.metrics import EpochStats
+from repro.storage.shared import SharedStorage
+from repro.storage.ssd import SSDTier
+from repro.wildfire.blockstore import BlockCatalog
 from repro.wildfire.engine import ShardConfig, WildfireShard
 from repro.wildfire.indexer import IndexerDaemon
 from repro.wildfire.indexes import ShardIndexes
@@ -36,6 +45,9 @@ def make_shard():
     (UmziConfig, "reconcile", ReconcileStrategy.SET),
     (UmziConfig, "cache_high_watermark", 0.95),
     (UmziConfig, "cache_low_watermark", 0.5),
+    (UmziConfig, "use_synopsis", False),
+    (UmziConfig, "use_offset_array", False),
+    (LevelConfig, "spill_non_persisted_to_ssd", True),
     (ShardConfig, "run_lifecycle", "legacy"),
     (ShardConfig, "streaming_evolve", False),
     (ShardConfig, "groomed_block_grace_psns", 2),
@@ -83,3 +95,45 @@ def test_the_cache_keeps_the_watermarks_every_caller_used():
     assert (HIGH_WATERMARK, LOW_WATERMARK) == (0.85, 0.60)
     assert index.cache.high_watermark == HIGH_WATERMARK
     assert index.cache.low_watermark == LOW_WATERMARK
+
+
+def test_synopsis_pruning_has_no_switch():
+    with pytest.raises(TypeError, match="use_synopsis"):
+        QueryExecutor(i1_definition(), list, use_synopsis=False)
+
+
+def test_the_storage_paths_take_no_spill_or_promote_flag():
+    hierarchy = StorageHierarchy()
+    block = Block(BlockId("r", 0), bytes(8))
+    with pytest.raises(TypeError, match="spill_to_ssd"):
+        hierarchy.write_cached_only(block, spill_to_ssd=True)
+    hierarchy.write_persisted(block, write_through_ssd=False)
+    with pytest.raises(TypeError, match="promote"):
+        hierarchy.read(block.block_id, promote=False)
+    with pytest.raises(TypeError, match="promote"):
+        hierarchy.read_many([block.block_id], promote=False)
+    builder = UmziIndex(i1_definition(), hierarchy).builder
+    with pytest.raises(TypeError, match="spill_to_ssd"):
+        builder.build_from_columns(persisted=False, spill_to_ssd=True)
+    assert not hierarchy.ssd.contains(block.block_id)
+
+
+@pytest.mark.parametrize("make_tier", [
+    MemoryTier, SSDTier, SharedStorage,
+    lambda **latency: FaultyTier(FaultPlan(seed=0), "t-run", **latency),
+], ids=["memory", "ssd", "shared", "faulty"])
+@pytest.mark.parametrize("parameter", ["read_latency", "write_latency"])
+def test_a_tier_keeps_its_own_latency_model(make_tier, parameter):
+    with pytest.raises(TypeError, match=parameter):
+        make_tier(**{parameter: DEFAULT_MEMORY_READ})
+
+
+def test_the_shard_has_one_door_per_read_and_a_plain_driver():
+    shard = make_shard()
+    with pytest.raises(TypeError, match="table_name"):
+        BlockCatalog(shard.schema, shard.hierarchy, table_name="other")
+    with pytest.raises(TypeError, match="ingest_fn"):
+        shard.run_cycles(1, ingest_fn=lambda cycle: [])
+    assert shard.cycle == 0
+    for door in ("degraded_point_query", "degraded_range_query"):
+        assert not hasattr(shard, door)

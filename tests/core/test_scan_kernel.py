@@ -467,10 +467,7 @@ class TestLookups:
         and searches per ordinal.  Same entry, probes, decodes and block
         fetches in order, and the same runs handed to ``on_query_done``."""
         definition, hierarchy, runs = data.draw(fixtures())
-        options = {
-            "use_synopsis": data.draw(st.booleans()),
-            "use_offset_array": data.draw(st.booleans()),
-        }
+        options = {"use_offset_array": data.draw(st.booleans())}
         released = []
         executor = executor_for(
             definition, runs, on_query_done=released.append, **options

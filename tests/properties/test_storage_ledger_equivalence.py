@@ -42,8 +42,8 @@ intents = st.sampled_from([None, ReadIntent.QUERY, ReadIntent.MAINTENANCE])
 
 operations = st.one_of(
     st.tuples(st.just("write_persisted"), persisted_ids, sizes, st.booleans()),
-    st.tuples(st.just("write_cached_only"), local_ids, sizes, st.booleans()),
-    st.tuples(st.just("read"), any_ids, st.booleans(), intents),
+    st.tuples(st.just("write_cached_only"), local_ids, sizes),
+    st.tuples(st.just("read"), any_ids, intents),
     st.tuples(st.just("read_as_maintenance"), any_ids),
     st.tuples(st.just("read_shared"), persisted_ids),
     st.tuples(st.just("load_into_cache"), persisted_ids),
@@ -91,11 +91,11 @@ def apply(hierarchy, op, batched_drop):
             block_id, size, through = args
             return hierarchy.write_persisted(Block(block_id, bytes(size)), through)
         if kind == "write_cached_only":
-            block_id, size, spill = args
-            return hierarchy.write_cached_only(Block(block_id, bytes(size)), spill)
+            block_id, size = args
+            return hierarchy.write_cached_only(Block(block_id, bytes(size)))
         if kind == "read":
-            block_id, promote, intent = args
-            return hierarchy.read(block_id, promote=promote, intent=intent)
+            block_id, intent = args
+            return hierarchy.read(block_id, intent=intent)
         if kind == "read_as_maintenance":
             with hierarchy.reading_as(ReadIntent.MAINTENANCE):
                 return hierarchy.read(args[0])
@@ -146,22 +146,23 @@ def plan_of(faults):
 
 
 @settings(max_examples=150, deadline=None)
-# A shared hit with promote=False admits nothing.
+# A maintenance shared hit admits nothing.
 @example(
     ssd_capacity=None,
     plan=plan_of({}),
-    ops=[("write_persisted", A0, 8, False), ("read", A0, False, None)],
+    ops=[("write_persisted", A0, 8, False), ("read", A0, ReadIntent.MAINTENANCE)],
 )
 # Two failures, a success, two failures: the success must clear the
 # breaker's count (CLOSED, but not the lock-free case) or it trips at three.
+# Maintenance reads admit nothing, so every one goes back to the shared tier.
 @example(
     ssd_capacity=None,
     plan=plan_of({2: 2, 5: 2}),
     ops=[
         ("write_persisted", A0, 8, False),
-        ("read", A0, False, None),
-        ("read", A0, False, None),
-        ("read", A0, False, None),
+        ("read", A0, ReadIntent.MAINTENANCE),
+        ("read", A0, ReadIntent.MAINTENANCE),
+        ("read", A0, ReadIntent.MAINTENANCE),
     ],
 )
 # A burst past the threshold opens the breaker: the next call fails fast.
@@ -175,14 +176,14 @@ def plan_of(faults):
         ("load_into_cache", A0),
     ],
 )
-# Respilling a held block charges the SSD only the bytes it adds.
+# Rewriting a held memory block counts only the bytes it adds.
 @example(
     ssd_capacity=40,
     plan=plan_of({}),
     ops=[
-        ("write_cached_only", BlockId(LOCAL, 0), 30, True),
-        ("write_cached_only", BlockId(LOCAL, 0), 32, True),
-        ("write_cached_only", BlockId(LOCAL, 1), 9, True),
+        ("write_cached_only", BlockId(LOCAL, 0), 30),
+        ("write_cached_only", BlockId(LOCAL, 0), 32),
+        ("write_cached_only", BlockId(LOCAL, 1), 9),
     ],
 )
 # A load the SSD has no room for reports False and admits nothing.

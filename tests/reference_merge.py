@@ -201,5 +201,5 @@ def reference_build_from_blobs(
         ancestor_run_ids=tuple(ancestor_run_ids),
         bloom_blob=bloom_blob,
     )
-    builder._write_blocks(header, block_payloads, True, False)
+    builder._write_blocks(header, block_payloads, True)
     return IndexRun(definition, header, builder.hierarchy)

@@ -37,8 +37,6 @@ def reference_post_groomed_lookup(index, equality_values, sort_values, query_ts)
     executor = QueryExecutor(
         index.definition,
         collect_runs=index.run_lists[Zone.POST_GROOMED].snapshot,
-        use_synopsis=index.config.use_synopsis,
-        use_offset_array=index.config.use_offset_array,
         lifecycle=index.lifecycle,
     )
     with index.hierarchy.reading_as(ReadIntent.MAINTENANCE):

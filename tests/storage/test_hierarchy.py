@@ -31,11 +31,6 @@ class TestWritePaths:
         assert not h.shared.contains(BlockId("r", 0))
         assert not h.ssd.contains(BlockId("r", 0))
 
-    def test_cached_only_with_spill(self):
-        h = StorageHierarchy()
-        h.write_cached_only(blk("r", 0), spill_to_ssd=True)
-        assert h.ssd.contains(BlockId("r", 0))
-
 
 class TestReadPath:
     def test_read_prefers_memory(self):
@@ -54,12 +49,6 @@ class TestReadPath:
         # Second read is a cache hit: shared reads stay at 1.
         h.read(BlockId("r", 0))
         assert h.stats.tier("shared").reads == 1
-
-    def test_no_promote_flag(self):
-        h = StorageHierarchy()
-        h.write_persisted(blk("r", 0), write_through_ssd=False)
-        h.read(BlockId("r", 0), promote=False)
-        assert not h.ssd.contains(BlockId("r", 0))
 
     def test_promotion_respects_ssd_capacity(self):
         h = StorageHierarchy(ssd=SSDTier(capacity_bytes=8))
@@ -86,7 +75,8 @@ class TestCachePrimitives:
         h = StorageHierarchy()
         for i in range(3):
             h.write_persisted(blk("r", i))
-        h.write_cached_only(blk("m", 0), spill_to_ssd=True)  # in both tiers
+        h.memory.write(blk("m", 0))  # in both tiers
+        h.ssd.admit(blk("m", 0))
         before = h.stats.tier("ssd")
         ids = [BlockId("r", 0), BlockId("r", 2), BlockId("m", 0), BlockId("x", 9)]
         assert h.drop_from_cache(ids) == 3

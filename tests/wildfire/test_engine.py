@@ -121,15 +121,35 @@ class TestSnapshotIsolation:
         assert [r.include_values[0] for r in results] == list(range(10))
 
 
+class TestDegradedMode:
+    def test_the_live_doors_read_the_pinned_snapshot_while_degraded(self):
+        """Degraded mode is a state of ``point_query`` / ``range_query``:
+        while the pin is held they answer from the pinned version, never
+        fresher, and from the current one again once it is released."""
+        shard = make_shard()
+        shard.ingest([(1, 1, 10)])
+        shard.tick()
+        shard.enter_degraded_mode()
+        shard.ingest([(1, 1, 11), (1, 2, 20)])
+        shard.tick()
+        assert shard.point_query((1,), (1,)).values == (1, 1, 10)
+        assert shard.point_query((1,), (2,)) is None
+        assert [e.include_values for e in shard.range_query((1,))] == [(10,)]
+        shard.exit_degraded_mode()
+        assert shard.point_query((1,), (1,)).values == (1, 1, 11)
+        assert [e.include_values for e in shard.range_query((1,))] == [
+            (11,), (20,)
+        ]
+
+
 class TestDeterministicDriver:
     def test_run_cycles_with_ingest_fn(self):
         shard = make_shard(post_groom_every=2)
         rng = random.Random(1)
-
-        def ingest(cycle):
-            return [(rng.randrange(5), cycle * 10 + i, 0) for i in range(3)]
-
-        reports = shard.run_cycles(6, ingest)
+        reports = []
+        for cycle in range(1, 7):
+            shard.ingest([(rng.randrange(5), cycle * 10 + i, 0) for i in range(3)])
+            reports.append(shard.tick())
         assert len(reports) == 6
         assert shard.post_groomer.max_psn >= 2
         assert shard.index.indexed_psn == shard.post_groomer.max_psn
