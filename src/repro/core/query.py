@@ -25,7 +25,7 @@ import enum
 from itertools import compress
 from operator import itemgetter, ne
 from typing import (
-    Callable, Dict, Iterator, List, NamedTuple, Optional, Sequence, Tuple, Union,
+    Callable, Dict, List, NamedTuple, Optional, Sequence, Tuple, Union,
 )
 
 from repro.core.definition import (
@@ -383,8 +383,8 @@ class QueryExecutor:
 
     def _run_hits(
         self, run: IndexRun, bounds: _Bounds, floor: bytes
-    ) -> Iterator[List[Hit]]:
-        """``run``'s hits inside ``bounds``, block by block: the scan kernel
+    ) -> List[Hit]:
+        """``run``'s hits inside ``bounds``, in key order: the scan kernel
         over the hash bucket (an equality scan) or the whole run."""
         fences = run.bucket_fences
         if fences and bounds.bucket is not None and self.use_offset_array:
@@ -411,13 +411,12 @@ class QueryExecutor:
         """
         best: Dict[bytes, Hit] = {}
         for run in runs:  # newest -> oldest
-            for hits in self._run_hits(run, bounds, floor):
-                for hit in hits:
-                    key = hit[0][:-SORT_KEY_TS_BYTES]
-                    held = best.get(key)
-                    # Same key, so the smaller sort key is the newer version.
-                    if held is None or hit[0] < held[0]:
-                        best[key] = hit
+            for hit in self._run_hits(run, bounds, floor):
+                key = hit[0][:-SORT_KEY_TS_BYTES]
+                held = best.get(key)
+                # Same key, so the smaller sort key is the newer version.
+                if held is None or hit[0] < held[0]:
+                    best[key] = hit
         return [best[key] for key in sorted(best)]
 
     def _reconcile_sorted(
@@ -436,10 +435,10 @@ class QueryExecutor:
         merged: List[Hit] = []
         contributing = 0
         for run in runs:  # newest -> oldest
-            before = len(merged)
-            for hits in self._run_hits(run, bounds, floor):
+            hits = self._run_hits(run, bounds, floor)
+            if hits:
                 merged += hits
-            contributing += len(merged) > before
+                contributing += 1
         if contributing < 2:
             return merged
         merged.sort(key=_SORT_KEY)

@@ -24,7 +24,7 @@ import struct
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from itertools import accumulate
-from typing import Dict, Iterator, List, Optional, Sequence, Set, Tuple
+from typing import Dict, List, Optional, Sequence, Set, Tuple
 
 from repro.core.block import DATA_BLOCK_MAGIC, DataBlockView, _PROBES, _probes
 from repro.core.block import block_checksum, encode_data_block, pack_data_block
@@ -516,9 +516,8 @@ class IndexRun:
                 stats.raw_key_probes += probes
                 return view.entry(i)
         stats.raw_key_probes += probes  # all newer than the snapshot: on
-        for hits in self.scan_visible(key, end, end, key + b"\x00", ts_floor, True):
-            return hits[0][1].entry(hits[0][2])
-        return None
+        hits = self.scan_visible(key, end, end, key + b"\x00", ts_floor, True)
+        return hits[0][1].entry(hits[0][2]) if hits else None
 
     def scan_visible(
         self,
@@ -528,7 +527,7 @@ class IndexRun:
         upper_exclusive: bytes,
         ts_floor: bytes,
         first_only: bool = False,
-    ) -> Iterator[List[Tuple[bytes, DataBlockView, int]]]:
+    ) -> List[Tuple[bytes, DataBlockView, int]]:
         """Newest visible version of each key in ``[lower_key, upper_exclusive)``.
 
         The range kernel (paper section 7.1.1), one frame per run
@@ -543,14 +542,14 @@ class IndexRun:
         in probe order); ``lo == hi`` starts at that ordinal without a
         probe, the hand-over of the exact-key kernels.  The forward scan
         walks block by block to the first user key ``>= upper_exclusive``
-        (``b""``: the run's end) and yields, per block that has any, its
-        ``(sort_key, view, in_block_index)`` hits: per user key the first
-        entry whose raw ``~beginTS`` suffix is ``>= ts_floor``, the newest
-        version visible; ``first_only`` stops at the first.
+        (``b""``: the run's end) and returns the run's hits as one list of
+        ``(sort_key, view, in_block_index)``, in key order: per user key
+        the first entry whose raw ``~beginTS`` suffix is ``>= ts_floor``,
+        the newest version visible; ``first_only`` stops at the first.
 
-        Lazy (nothing is probed or fetched before the first list is asked
-        for) and zero-decode (callers decode what they return).  One
-        raw-key probe per entry looked at, whichever kind of view.
+        Zero-decode (callers decode what they keep).  One raw-key probe
+        per entry looked at, whichever kind of view, charged block by
+        block as the walk leaves it.
         """
         cum, first_keys = self._cum, self._first_keys
         block_lo = cum[max(0, bisect_left(first_keys, lower_key) - 1)]
@@ -564,7 +563,7 @@ class IndexRun:
                 # The next probe; once the range is empty, where it ended.
                 ordinal = (lo + hi) // 2 if lo < hi else lo
                 if ordinal >= total:
-                    return  # every entry is below the lower key
+                    return []  # every entry is below the lower key
                 if not start <= ordinal < end:
                     block_index = bisect_right(cum, ordinal) - 1
                     start, end = cum[block_index], cum[block_index + 1]
@@ -591,8 +590,8 @@ class IndexRun:
         previous = None  # the last user key seen ...
         answered = False  # ... and whether one of its versions was a hit
         first = lo - start
+        hits = []
         while True:
-            hits = []
             done = False
             for i in range(first, count):
                 sort_key = column[i] if column else payload[
@@ -615,10 +614,8 @@ class IndexRun:
                     done = True
                     break
             stats.raw_key_probes += (i + 1 if done else count) - first
-            if hits:
-                yield hits
             if done or end >= total:
-                return
+                return hits
             block_index += 1  # on into the next block
             end = cum[block_index + 1]
             view = self.block_view(block_index)
@@ -711,7 +708,8 @@ class IndexRun:
                     lo = end
                 if lo < end:
                     continue  # answered, or the run holds no such key
-                for hits in self.scan_visible(key, lo, lo, key + b"\x00", floor, True):
+                hits = self.scan_visible(key, lo, lo, key + b"\x00", floor, True)
+                if hits:
                     out[slot] = hits[0][1].entry(hits[0][2])
         finally:  # a failed block fetch still pays for the probes made
             self.hierarchy.stats.decode.raw_key_probes += probes

@@ -25,7 +25,7 @@ LSM baseline searches through.
 
 from __future__ import annotations
 
-from typing import Iterator, Optional, Tuple
+from typing import List, Optional, Tuple
 
 from repro.core.encoding import UINT64_MAX, high_bits
 from repro.core.entry import IndexEntry, SORT_KEY_TS_BYTES
@@ -70,8 +70,8 @@ def search_run(
     query_ts: int,
     hash_value: Optional[int] = None,
     use_offset_array: bool = True,
-) -> Iterator[IndexEntry]:
-    """:meth:`IndexRun.scan_visible` over a key range, decoded entry by entry.
+) -> List[IndexEntry]:
+    """:meth:`IndexRun.scan_visible` over a key range, every hit decoded.
 
     ``lower_key`` is the inclusive lower bound over ``key_bytes`` (hash |
     eq | sort prefix), ``upper_exclusive`` the exclusive upper bound or
@@ -80,11 +80,9 @@ def search_run(
     binary search, unless ``use_offset_array`` is off (the ablation).
     """
     lo, hi = narrow_with_offset_array(run, hash_value if use_offset_array else None)
-    for hits in run.scan_visible(
+    return [view.entry(i) for _, view, i in run.scan_visible(
         lower_key, lo, hi, upper_exclusive, ts_floor(query_ts)
-    ):
-        for _sort_key, view, i in hits:
-            yield view.entry(i)
+    )]
 
 
 def lookup_key_in_run(

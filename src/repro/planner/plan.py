@@ -45,7 +45,7 @@ class Predicate(NamedTuple):
 
     ``offset`` locates the column inside an index entry's concatenated
     ``equality + sort + include`` values (:func:`entry_offset`), for
-    entry-level checks; ``position`` is the column's table-schema position
+    entry-level checks (:func:`entry_slot` resolves it once per plan); ``position`` is the column's table-schema position
     for record-level re-checks.  A compiled predicate has no values: they
     are bound from the query's equalities or ranges at ``source`` (an
     equality into ``low`` and ``high`` too: the executor checks ranges).
@@ -156,10 +156,11 @@ class AccessPlan:
     ``equality_values``/``sort_values``/``sort_lower``/``sort_upper`` are
     positional arguments for ``UmziIndex.lookup``/``scan`` on
     ``index_name``.  ``entry_residuals`` filter entries before any record
-    work; ``record_checks`` are re-applied to every fetched record (for
-    fetch-back plans they are *all* the query's predicates, which is what
-    makes secondary answers byte-identical to the primary path even when
-    a stale secondary entry surfaces a since-changed row).  ``entry_pk``
+    work, each on the ``IndexEntry`` field and position its ``entry_slots``
+    twin names; ``record_checks`` are re-applied to every fetched record
+    (for fetch-back plans they are *all* the query's predicates, which is
+    what makes secondary answers byte-identical to the primary path even
+    when a stale secondary entry surfaces a since-changed row).  ``entry_pk``
     / ``entry_row`` extract the primary key and (index-only) the output
     row from an entry's concatenated ``equality + sort + include`` values,
     ``record_pk`` / ``record_row`` from a record's values (``record_row``
@@ -190,6 +191,7 @@ class AccessPlan:
     shape: Optional["CandidateShape"] = field(
         default=None, repr=False, compare=False
     )
+    entry_slots: Tuple = field(default=(), repr=False, compare=False)
     entry_pk: Optional[Callable] = field(default=None, repr=False, compare=False)
     entry_row: Optional[Callable] = field(default=None, repr=False, compare=False)
     record_pk: Optional[Callable] = field(default=None, repr=False, compare=False)
@@ -257,6 +259,17 @@ def entry_offset(spec, column: str) -> Optional[int]:
     """
     columns = spec.equality_columns + spec.sort_columns + spec.included_columns
     return columns.index(column) if column in columns else None
+
+
+def entry_slot(spec, offset: int) -> Tuple[int, int]:
+    """Flat entry ``offset`` as ``(field, position)`` in an ``IndexEntry``,
+    whose fields 1-3 are its equality, sort and include values."""
+    equality, sort = len(spec.equality_columns), len(spec.sort_columns)
+    if offset < equality:
+        return 1, offset
+    if offset < equality + sort:
+        return 2, offset - equality
+    return 3, offset - equality - sort
 
 
 # ---------------------------------------------------------------------------
@@ -438,6 +451,9 @@ def plan_prototype(
         index_only=index_only,
         fetch_back=fetch_back,
         entry_residuals=shape.entry_residuals,
+        entry_slots=tuple([
+            entry_slot(spec, p.offset) for p in shape.entry_residuals
+        ]),
         record_checks=record_checks,
         projection=projection,
         bound_prefix=shape.bound_prefix,

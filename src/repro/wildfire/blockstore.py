@@ -188,21 +188,16 @@ class BlockCatalog:
             prev and _tuple_new(RID, (ZONES[prev[0]], prev[1], prev[2])),
         ))
 
-    def fetch_records(self, rids: Sequence[RID]) -> List[Record]:
-        """Batched :meth:`fetch_record`, RID order preserved:
-        no call per record, and one block read per block on a miss."""
-        decoded, overlay = self._decoded, self._end_ts
-        records: List[Record] = []
-        for rid in rids:
-            key, offset = rid[:2], rid[2]
-            block = decoded.get(key) or self.get_block(*key)
-            prev = block.prev_rids[offset]
-            records.append(_tuple_new(Record, (
-                block.rows[offset], block.begin_ts[offset],
-                overlay.get(key, _NONE_ENDED).get(offset, block.end_ts[offset]),
-                prev and _tuple_new(RID, (ZONES[prev[0]], prev[1], prev[2])),
-            )))
-        return records
+    def fetch_records(self, rids: Sequence[RID]) -> List[Tuple[Row, int]]:
+        """Each RID's ``(values, beginTS)``, RID order preserved: all a
+        typed query reads of a record (no endTS overlay, no prevRID), no
+        call per record, and one block read per block on a miss."""
+        decoded = self._decoded
+        pairs = []
+        for zone, block_id, offset in rids:
+            block = decoded.get((zone, block_id)) or self.get_block(zone, block_id)
+            pairs.append((block.rows[offset], block.begin_ts[offset]))
+        return pairs
 
     # -- hidden-column maintenance (post-groomer) -----------------------------------------
 

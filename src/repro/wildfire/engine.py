@@ -439,27 +439,12 @@ class WildfireShard:
         sort_lower: Optional[Sequence[KeyValue]] = None,
         sort_upper: Optional[Sequence[KeyValue]] = None,
         query_ts: Optional[int] = None,
-        fetch_records: bool = False,
-    ) -> List:
+    ) -> List[IndexEntry]:
         pin = self._degraded_pin
-        return self._scan(
-            self.index if pin is None else pin.executor, equality_values,
-            sort_lower, sort_upper, query_ts, fetch_records,
-        )
-
-    def _scan(
-        self, index, equality_values, sort_lower, sort_upper,
-        query_ts: Optional[int], fetch_records: bool,
-    ) -> List:
-        """``index.scan`` at the default snapshot: entries, or their records
-        (``index``: an ``UmziIndex`` or a degraded pin's executor)."""
-        entries = index.scan(
+        return (self.index if pin is None else pin.executor).scan(
             equality_values, sort_lower, sort_upper,
             query_ts if query_ts is not None else self.clock.snapshot_ts,
         )
-        if not fetch_records:
-            return entries
-        return self.catalog.fetch_records([entry.rid for entry in entries])
 
     # -- secondary index queries -------------------------------------------------
 
@@ -470,13 +455,12 @@ class WildfireShard:
         sort_lower: Optional[Sequence[KeyValue]] = None,
         sort_upper: Optional[Sequence[KeyValue]] = None,
         query_ts: Optional[int] = None,
-        fetch_records: bool = False,
-    ) -> List:
+    ) -> List[IndexEntry]:
         """Scan a secondary index; secondary keys are not unique, so this
         returns every matching row's newest visible version."""
-        return self._scan(
-            self.indexes.get(index_name).index, equality_values, sort_lower,
-            sort_upper, query_ts, fetch_records,
+        return self.indexes.get(index_name).index.scan(
+            equality_values, sort_lower, sort_upper,
+            query_ts if query_ts is not None else self.clock.snapshot_ts,
         )
 
     def secondary_lookup(
@@ -572,20 +556,22 @@ class WildfireShard:
                 entries = index.scan(
                     plan.equality_values, plan.sort_lower, plan.sort_upper, ts
                 )
-            if plan.index_only or plan.fetch_back or plan.entry_residuals:
-                # One row per entry: its columns as ``Predicate.offset`` and
-                # the plan's ``entry_pk`` / ``entry_row`` getters index
-                # them, then its beginTS and RID -- everything below is a
-                # pass over these.
+            # The residuals read each entry's own field, so only the
+            # entries that pass them all become rows below.
+            for p, (part, position) in zip(plan.entry_residuals, plan.entry_slots):
+                entries = _within(
+                    entries, [entry[part][position] for entry in entries],
+                    p.low, p.high,
+                )
+            if plan.index_only or plan.fetch_back:
+                # One row per entry: its columns as the plan's ``entry_pk``
+                # / ``entry_row`` getters index them, then its beginTS and
+                # RID.
                 rows = [
                     entry.equality_values + entry.sort_values
                     + entry.include_values + (entry.begin_ts, entry.rid)
                     for entry in entries
                 ]
-                for p in plan.entry_residuals:
-                    rows = _within(
-                        rows, [row[p.offset] for row in rows], p.low, p.high
-                    )
                 if plan.index_only:
                     return self._project_entries(plan, rows)
                 # Fetch back only ghosted keys (the primary has none): any
@@ -607,18 +593,18 @@ class WildfireShard:
             attribute(attributed)
         for p in plan.record_checks:
             records = _within(
-                records, [record.values[p.position] for record in records],
+                records, [values[p.position] for values, _ in records],
                 p.low, p.high,
             )
         record_pk, record_row = plan.record_pk, plan.record_row
         if record_row is None:  # the full row: the record's own tuple
             return [
-                (record_pk(record.values), record.begin_ts, record.values)
-                for record in records
+                (record_pk(values), begin_ts, values)
+                for values, begin_ts in records
             ]
         return [
-            (record_pk(record.values), record.begin_ts, record_row(record.values))
-            for record in records
+            (record_pk(values), begin_ts, record_row(values))
+            for values, begin_ts in records
         ]
 
     @staticmethod

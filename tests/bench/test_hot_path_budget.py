@@ -179,6 +179,7 @@ one door per read             319.7   223.2     224.5         89.3
 one pass through the door     294.7   204.2     205.6         76.2
 33ee4fc (before)              278.4   204.2     192.6         75.2
 ghosted keys only             206.4   204.2     192.6         75.2
+per-row tail                  200.2   198.1     187.3         75.2
 =========================  ========  ======  ========  ===========
 
 A per-call ``candidate_shape``, a per-entry generator hop in the scan, a
@@ -206,7 +207,11 @@ released (``is_purged_level``: 12 in a customer query).  The
 ``ghosted keys only`` row fetches back through the primary only the
 winners whose key is in the secondary's ghosted set; this fixture moves
 no customer, so a customer query makes no primary ``batch_lookup`` (its
-pin, fence search, batch kernel and release) on either shard.
+pin, fence search, batch kernel and release) on either shard.  The
+``per-row tail`` row is ``IndexRun.scan_visible`` returning one hit list
+per run instead of a generator resumed once per block (a frame per block
+and per run), with residuals run on the entries and records read as
+``(values, beginTS)`` pairs, which cost no calls either way.
 """
 
 import gc
@@ -230,7 +235,7 @@ TYPED_BEFORE = {
     "customer": 11308.5, "region": 2112.6, "range": 3235.7, "equality": 282.6,
 }
 TYPED_CEILING = {
-    "customer": 210.0, "region": 207.0, "range": 209.0, "equality": 79.0,
+    "customer": 204.0, "region": 202.0, "range": 191.0, "equality": 79.0,
 }
 
 ROWS = 6_000

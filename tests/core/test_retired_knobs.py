@@ -137,3 +137,11 @@ def test_the_shard_has_one_door_per_read_and_a_plain_driver():
     assert shard.cycle == 0
     for door in ("degraded_point_query", "degraded_range_query"):
         assert not hasattr(shard, door)
+
+
+def test_the_shard_scans_answer_with_entries_only():
+    shard = make_shard()
+    with pytest.raises(TypeError, match="fetch_records"):
+        shard.range_query(fetch_records=True)
+    with pytest.raises(TypeError, match="fetch_records"):
+        shard.secondary_scan("primary", fetch_records=True)

@@ -161,9 +161,8 @@ class TestOneBlockLayout:
         calls = {
             "lookup_visible": lambda: run.lookup_visible(key, floor, 0, run.entry_count),
             "scan_visible": lambda: [
-                (sort_key, view.entry(i))
-                for hits in run.scan_visible(key, 0, run.entry_count, UNBOUNDED, floor)
-                for sort_key, view, i in hits
+                (sort_key, view.entry(i)) for sort_key, view, i
+                in run.scan_visible(key, 0, run.entry_count, UNBOUNDED, floor)
             ],
             "batch_visible": batch,
             "block_columns": lambda: run.block_columns(0),

@@ -132,10 +132,7 @@ def search_stage(run, target, lo, hi):
     ``target`` on the way: a first-only scan to the run's end with every
     version visible stops on the entry the search ended at."""
     recording = RecordingTarget(target)
-    hits = [
-        hit for hits in run.scan_visible(recording, lo, hi, b"", b"", True)
-        for hit in hits
-    ]
+    hits = run.scan_visible(recording, lo, hi, b"", b"", True)
     # The fences' ``bisect_left`` over the block index compares through the
     # same reflected ``__gt__``; those come first and are no probes.
     fence_compares = RecordingTarget(target)

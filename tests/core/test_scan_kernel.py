@@ -196,8 +196,13 @@ def executor_for(definition, runs, **options):
     return QueryExecutor(definition, collect_runs=lambda: list(runs), **options)
 
 
-def decoded(hit_lists):
-    return [view.entry(i) for hits in hit_lists for _, view, i in hits]
+def decoded(hits):
+    return [view.entry(i) for _, view, i in hits]
+
+
+def flat(hit_lists):
+    """The replaced chain's per-block hit lists as the kernel's one list."""
+    return [hit for hits in hit_lists for hit in hits]
 
 
 def assert_scan_matches(
@@ -208,7 +213,7 @@ def assert_scan_matches(
     arguments = (run, lower, upper, ts, hash_value, use_offset_array)
     kernel = Observed(hierarchy, [run], lambda: list(search_run(*arguments)))
     chain = Observed(
-        hierarchy, [run], lambda: decoded(chain_search_run_hits(*arguments))
+        hierarchy, [run], lambda: decoded(flat(chain_search_run_hits(*arguments)))
     )
     oracle = Observed(hierarchy, [run], lambda: [
         entry for _, entry in reference_search_run_raw(*arguments)
@@ -222,9 +227,9 @@ def assert_resumed_scan_matches(hierarchy, run, ordinal, upper, ts, first_only):
     """The ``lo == hi`` entry: a scan told where to start makes no probe
     of its own and equals the replaced forward scan from that ordinal."""
     floor = ts_floor(ts)
-    chain = Observed(hierarchy, [run], lambda: decoded(chain_scan_visible(
+    chain = Observed(hierarchy, [run], lambda: decoded(flat(chain_scan_visible(
         run, ordinal, upper, floor, first_only
-    )))
+    ))))
     # Whatever the lower key -- below, inside or above the run -- nothing
     # is searched for.
     for lower in (b"", upper[:-1], b"\xff" * 9):
@@ -833,6 +838,9 @@ MUTANTS = [
     # ``answered`` not reset at a new key: a key whose newest version is
     # newer than the snapshot loses its visible one.
     ("scan_visible", "                answered = False\n", ""),
+    # The hit list restarted at each block: a scan that crosses a block
+    # boundary answers with its last block's hits only.
+    ("scan_visible", "hits = []\n    while True:\n", "while True:\n        hits = []\n"),
     # The bucket's first ordinal overriding the cursor: a search widened
     # backwards over entries already passed.
     ("batch_visible", "if fences[bucket] > lo:", "if True:"),

@@ -220,6 +220,10 @@ class TestWrappersCallTheIndex:
     def test_answers(self):
         shard = make_shard()
         seed(shard)
+
+        def fetch(entry):
+            return shard.catalog.fetch_record(entry.rid)
+
         assert _entry(shard.index_lookup((), (7,))) == _primary(7)
         assert shard.index_lookup((), (700,)) is None
         assert shard.index_lookup((), (7,), 1) is None  # before the first groom
@@ -234,17 +238,18 @@ class TestWrappersCallTheIndex:
             _primary(k) for k in (10, 11, 12, 13)
         ]
         assert [
-            (r.values, r.begin_ts)
-            for r in shard.range_query((), (10,), (13,), fetch_records=True)
+            (r.values, r.begin_ts) for r in map(fetch, shard.range_query(
+                (), (10,), (13,)
+            ))
         ] == [_record(k) for k in (10, 11, 12, 13)]
         assert len(shard.range_query()) == 60
         assert [_entry(e) for e in shard.secondary_scan(
             "by_customer", ("c2",), (10,), (30,)
         )] == [_by_customer(k) for k in (12, 17, 22, 27)]
         assert [
-            (r.values, r.begin_ts) for r in shard.secondary_scan(
-                "by_region", (), ("r1",), ("r1",), fetch_records=True
-            )
+            (r.values, r.begin_ts) for r in map(fetch, shard.secondary_scan(
+                "by_region", (), ("r1",), ("r1",)
+            ))
         ] == [_record(k) for k in range(1, 60, 3)]
         assert [_entry(e) for e in shard.secondary_lookup(
             "by_customer", ("c2",)
@@ -287,7 +292,7 @@ class TestWrappersCallTheIndex:
              mistyped + "'order_id' expects int64, got str ('7')"),
             (lambda: shard.point_query((), (7.5,)), QueryError,
              mistyped + "'order_id' expects int64, got float (7.5)"),
-            (lambda: shard.range_query((), ("a",), None, fetch_records=True),
+            (lambda: shard.range_query((), ("a",), None),
              QueryError, mistyped + "'order_id' expects int64, got str ('a')"),
             (lambda: shard.secondary_scan("by_customer", (5,), None, None),
              QueryError, mistyped + "'customer' expects string, got int (5)"),

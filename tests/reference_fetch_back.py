@@ -8,6 +8,8 @@ batched primary point lookup, whose hits' RIDs became the one record
 fetch.  It lives on here, out of ``src/``, as the reference the shortcut
 is compared against (``tests/properties/test_fetch_back_oracle.py``):
 same rows, full-row and projected, at the latest snapshot and AS-OF.
+Its records are read as full :class:`Record` objects, as they were then
+(``tests/reference_typed_tail.py``).
 
 ``install`` swaps it in for one shard's ``_execute_plan`` (an instance
 attribute, as the tracer replaces boundaries); ``uninstall`` drops it.
@@ -18,6 +20,8 @@ from typing import List, Tuple
 
 from repro.wildfire.engine import _within
 from repro.wildfire.indexes import PRIMARY_INDEX_NAME
+
+from tests.reference_typed_tail import reference_fetch_records
 
 
 def reference_fetch_back_rids(shard, entry_pk, rows: List[Tuple], ts: int) -> List:
@@ -64,7 +68,7 @@ def reference_execute_plan(shard, plan, ts: int) -> List[Tuple]:
         else:
             rids = [entry.rid for entry in entries]
         attribute("records")
-        records = shard.catalog.fetch_records(rids)
+        records = reference_fetch_records(shard.catalog, rids)
     finally:
         attribute(attributed)
     for p in plan.record_checks:

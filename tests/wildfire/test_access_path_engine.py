@@ -121,7 +121,9 @@ class TestBatchRecordFetch:
         entries = shard.range_query(sort_lower=(0,), sort_upper=(59,))
         rids = [e.rid for e in entries]
         singles = [shard.catalog.fetch_record(rid) for rid in rids]
-        assert shard.catalog.fetch_records(rids) == singles
+        assert shard.catalog.fetch_records(rids) == [
+            (record.values, record.begin_ts) for record in singles
+        ]
         distinct_blocks = {(rid.zone, rid.block_id) for rid in rids}
         cold_reset(shard)
         assert shard.hierarchy.attribute_reads("records") is None

@@ -134,7 +134,8 @@ class TestBlockCatalog:
         catalog.update_end_ts({rid: 99})
         assert catalog.fetch_record(rid).end_ts == 99
         assert catalog.fetch_record(rid) == Record(rows(1)[0], 1, 99)
-        assert catalog.fetch_records([rid, rid]) == [catalog.fetch_record(rid)] * 2
+        # The batched fetch is the typed path's: values and beginTS only.
+        assert catalog.fetch_records([rid, rid]) == [(rows(1)[0], 1)] * 2
         assert catalog.export_end_ts_overlay() == {rid: 99}
 
     def test_blocks_survive_local_crash(self):

@@ -79,7 +79,10 @@ class TestUpsertSemantics:
         shard = make_shard()
         shard.ingest([(1, m, m * 10) for m in range(5)])
         shard.tick()
-        records = shard.range_query((1,), (1,), (3,), fetch_records=True)
+        records = [
+            shard.catalog.fetch_record(entry.rid)
+            for entry in shard.range_query((1,), (1,), (3,))
+        ]
         assert [r.values[2] for r in records] == [10, 20, 30]
 
     def test_missing_key(self):

@@ -102,9 +102,10 @@ class TestQueries:
         shard = make_shard(post_groom_every=1)
         shard.ingest([(7, 300, 42)])
         shard.run_cycles(2)
-        records = shard.secondary_scan(
-            "by_customer", (300,), fetch_records=True
-        )
+        records = [
+            shard.catalog.fetch_record(entry.rid)
+            for entry in shard.secondary_scan("by_customer", (300,))
+        ]
         assert records[0].values == (7, 300, 42)
 
     def test_miss_returns_empty(self):
