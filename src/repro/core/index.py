@@ -22,7 +22,7 @@ from repro.core.ids import RunIdAllocator, parse_run_seq
 from repro.core.journal import MetadataJournal
 from repro.core.levels import LevelConfig
 from repro.core.merge import MergeController, MergeResult
-from repro.core.query import MAX_QUERY_TS, QueryError, QueryExecutor
+from repro.core.query import MAX_QUERY_TS, QueryError, QueryExecutor, _Bounds
 from repro.core.recovery import RecoveredState, recover_index_state
 from repro.core.run import IndexRun, Synopsis
 from repro.core.runlist import RunList
@@ -321,9 +321,10 @@ class UmziIndex:
         sort_lower: Optional[Sequence[KeyValue]] = None,
         sort_upper: Optional[Sequence[KeyValue]] = None,
         query_ts: int = MAX_QUERY_TS,
+        bounds: Optional[_Bounds] = None,
     ) -> List[IndexEntry]:
         return self.executor.scan(
-            equality_values, sort_lower, sort_upper, query_ts
+            equality_values, sort_lower, sort_upper, query_ts, bounds=bounds
         )
 
     def batch_lookup(

@@ -335,11 +335,14 @@ class QueryExecutor:
         sort_upper: Optional[Sequence[KeyValue]] = None,
         query_ts: int = MAX_QUERY_TS,
         strategy: ReconcileStrategy = ReconcileStrategy.PRIORITY_QUEUE,
+        bounds: Optional[_Bounds] = None,
     ) -> List[IndexEntry]:
         """Newest visible version of every key in the range, key-ordered.
 
         Runs are scanned undecoded (:meth:`IndexRun.scan_visible`),
         reconciled on raw sort keys, and only the winners are decoded.
+        ``bounds`` are the range's :func:`compute_scan_bounds`, when the
+        caller encoded them already (a typed query, once for its shards).
         """
         query = RangeScanQuery(
             tuple(equality_values),
@@ -347,7 +350,8 @@ class QueryExecutor:
             tuple(sort_upper) if sort_upper is not None else None,
             query_ts,
         )
-        bounds = compute_scan_bounds(self.definition, query)
+        if bounds is None:
+            bounds = compute_scan_bounds(self.definition, query)
         pin, runs = self._enter_query()
         # Everything after the pin runs under the finally, so an exception
         # anywhere (even in candidate filtering) cannot leak the epoch.

@@ -15,15 +15,17 @@ from dataclasses import replace
 
 from repro.planner.plan import (
     AccessPlan,
+    Binding,
     PlanError,
     Query,
     candidate_shape,
-    shape_to_plan,
+    plan_prototype,
 )
 
 
-def plan_baseline(query: Query, schema, indexes) -> AccessPlan:
-    """Compile ``query`` against the primary index only."""
+def plan_baseline(query: Query, schema, indexes, binding: Binding) -> AccessPlan:
+    """Compile ``query`` against the primary index only, with the values
+    of its ``binding``."""
     primary = indexes.get("primary")
     shape = candidate_shape(query, schema, primary, is_primary=True)
     if shape is None:
@@ -40,9 +42,9 @@ def plan_baseline(query: Query, schema, indexes) -> AccessPlan:
         entry_residuals=(),
         record_residuals=shape.entry_residuals + shape.record_residuals,
     )
-    return shape_to_plan(
+    return plan_prototype(
         shape, query, schema, primary, planner="baseline", index_only=False
-    )
+    ).bind(binding)
 
 
 __all__ = ["plan_baseline"]

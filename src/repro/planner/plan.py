@@ -13,8 +13,9 @@ hits must be resolved against the primary by RID (the fetch-back path).
 Compilation has two halves.  What follows from the query's *shape*
 (:attr:`Query.shape`) is worked out once per index -- :func:`candidate_shape`
 and :func:`plan_prototype`: consumed columns, residuals, the getters the
-executor runs -- and kept per shape by the smart planner; a call only
-binds its validated values (:func:`bind_values`, :meth:`AccessPlan.bind`).
+executor runs -- and kept per shape and table by the smart planner; a
+query binds its validated values once for every shard it reaches
+(:class:`Binding`, :meth:`AccessPlan.bind`).
 
 Only typed queries are planned.  The shard's wrapper methods
 (``index_lookup``/``range_query``/``secondary_*``) already name their
@@ -32,6 +33,7 @@ from typing import (
 )
 
 from repro.core.encoding import EncodingError, KeyValue
+from repro.core.query import RangeScanQuery, compute_scan_bounds
 
 Bounds = Tuple[Tuple[Optional[KeyValue], Optional[KeyValue]], ...]
 
@@ -45,10 +47,11 @@ class Predicate(NamedTuple):
 
     ``offset`` locates the column inside an index entry's concatenated
     ``equality + sort + include`` values (:func:`entry_offset`), for
-    entry-level checks (:func:`entry_slot` resolves it once per plan); ``position`` is the column's table-schema position
-    for record-level re-checks.  A compiled predicate has no values: they
-    are bound from the query's equalities or ranges at ``source`` (an
-    equality into ``low`` and ``high`` too: the executor checks ranges).
+    entry-level checks (:func:`entry_slot` resolves it once per plan);
+    ``position`` is the column's table-schema position for record-level
+    re-checks.  A compiled predicate has no values: they are bound from
+    the query's equalities or ranges at ``source``, an equality into both
+    ``low`` and ``high`` (the executor checks ranges: ``_within``).
     """
 
     column: str
@@ -59,15 +62,6 @@ class Predicate(NamedTuple):
     offset: Optional[int] = None
     position: Optional[int] = None
     source: int = 0
-
-    def matches(self, value: KeyValue) -> bool:
-        if self.kind == "eq":
-            return value == self.value
-        if self.low is not None and value < self.low:
-            return False
-        if self.high is not None and value > self.high:
-            return False
-        return True
 
 
 @dataclass(frozen=True)
@@ -115,26 +109,37 @@ class Query:
         )
 
 
-def bind_values(schema, query: Query) -> Tuple[Tuple[KeyValue, ...], Bounds]:
-    """The query's equality values and ``(low, high)`` range bounds, typed.
+class Binding:
+    """One typed query's values, bound once for every shard it reaches.
 
-    Each value passes :meth:`ColumnSpec.validate` -- ``upsert``'s check, so
-    an int bound on a FLOAT64 column comes back as the float the index
-    stores; ``None`` (an open bound) passes through.  A mistyped value is
-    a :class:`PlanError` naming column, expected type and value.
+    ``values``: the equality values and ``(low, high)`` range bounds, each
+    through :meth:`ColumnSpec.validate` (``upsert``'s check: an int bound
+    on a FLOAT64 column becomes the float the index stores; ``None``, an
+    open bound, passes); a mistyped value is a :class:`PlanError`.
+    ``plans``: what the values bind into each prototype a shard picked
+    (:meth:`AccessPlan.bind`) -- a table's shards share prototypes, so each
+    (index, variant) is bound once per query.  ``derived``: each shard's
+    synopsis-derived state by catalog, from its scatter prune to its
+    planner.  A binding lives in the query call, and nowhere else.
     """
-    spec_of = {name: schema.columns[schema.position(name)]
-               for name in query.predicate_columns()}
-    try:
-        return tuple([
-            spec_of[name].validate(value) for name, value in query.equalities
-        ]), tuple([
-            (low if low is None else spec_of[name].validate(low),
-             high if high is None else spec_of[name].validate(high))
-            for name, low, high in query.ranges
-        ])
-    except EncodingError as exc:
-        raise PlanError(f"query predicate: {exc}") from exc
+
+    __slots__ = ("values", "plans", "derived")
+
+    def __init__(self, schema, query: Query) -> None:
+        spec_of = {name: schema.columns[schema.position(name)]
+                   for name in query.predicate_columns()}
+        try:
+            self.values: Tuple[Tuple[KeyValue, ...], Bounds] = (tuple([
+                spec_of[name].validate(value) for name, value in query.equalities
+            ]), tuple([
+                (low if low is None else spec_of[name].validate(low),
+                 high if high is None else spec_of[name].validate(high))
+                for name, low, high in query.ranges
+            ]))
+        except EncodingError as exc:
+            raise PlanError(f"query predicate: {exc}") from exc
+        self.plans: Dict[int, Tuple] = {}
+        self.derived: Dict[object, object] = {}
 
 
 def tuple_getter(positions: Sequence[int]) -> Callable[[Tuple], Tuple]:
@@ -196,24 +201,31 @@ class AccessPlan:
     entry_row: Optional[Callable] = field(default=None, repr=False, compare=False)
     record_pk: Optional[Callable] = field(default=None, repr=False, compare=False)
     record_row: Optional[Callable] = field(default=None, repr=False, compare=False)
+    # The index definition a scan's bounds are encoded by (every shard of
+    # a table has an equal one), and the bounds, bound once per query.
+    definition: object = field(default=None, repr=False, compare=False)
+    scan_bounds: Optional[Tuple] = field(default=None, repr=False, compare=False)
 
-    def bind(self, equalities, bounds, **costed) -> "AccessPlan":
-        """This (prototype) plan with one call's values bound into it: a
-        copy sharing every compiled field, without the ``__init__``."""
+    def bind(self, binding: Binding, **costed) -> "AccessPlan":
+        """This (prototype) plan with one query's values bound into it: a
+        copy sharing every compiled field, without the ``__init__``.  What
+        the values bind to -- key arguments, residuals and a scan's
+        encoded bounds -- is worked out once per query and prototype and
+        kept in ``binding`` (with the prototype, so its id stays its own)."""
+        held = binding.plans.get(id(self))
+        if held is None:
+            equalities, bounds = binding.values
+            bound = self.shape.key_values(equalities, bounds)
+            if self.mode == "scan":
+                bound["scan_bounds"] = compute_scan_bounds(self.definition, RangeScanQuery(
+                    bound["equality_values"], bound["sort_lower"], bound["sort_upper"]
+                ))
+            for name in ("entry_residuals", "record_checks"):
+                if getattr(self, name):
+                    bound[name] = bind_predicates(getattr(self, name), equalities, bounds)
+            held = binding.plans[id(self)] = (self, bound)
         plan = object.__new__(AccessPlan)
-        plan.__dict__.update(
-            self.__dict__,
-            **self.shape.key_values(equalities, bounds),
-            **costed,
-        )
-        if self.entry_residuals:
-            plan.__dict__["entry_residuals"] = bind_predicates(
-                self.entry_residuals, equalities, bounds
-            )
-        if self.record_checks:
-            plan.__dict__["record_checks"] = bind_predicates(
-                self.record_checks, equalities, bounds
-            )
+        plan.__dict__.update(self.__dict__, **held[1], **costed)
         return plan
 
     @property
@@ -459,6 +471,7 @@ def plan_prototype(
         bound_prefix=shape.bound_prefix,
         range_column=shape.range_column,
         shape=shape,
+        definition=shard_index.index.definition,
         entry_pk=tuple_getter(pk_offsets),
         entry_row=tuple_getter([
             entry_offset(spec, column)
@@ -469,32 +482,16 @@ def plan_prototype(
     )
 
 
-def shape_to_plan(
-    shape: CandidateShape,
-    query: Query,
-    schema,
-    shard_index,
-    *,
-    planner: str,
-    index_only: bool,
-) -> AccessPlan:
-    """Materialize a shape into an executable AccessPlan for ``query``."""
-    return plan_prototype(
-        shape, query, schema, shard_index, planner=planner, index_only=index_only
-    ).bind(*bind_values(schema, query))
-
-
 __all__ = [
     "AccessPlan",
+    "Binding",
     "CandidateShape",
     "PlanError",
     "Predicate",
     "Query",
     "bind_predicates",
-    "bind_values",
     "candidate_shape",
     "entry_offset",
     "plan_prototype",
-    "shape_to_plan",
     "tuple_getter",
 ]

@@ -26,13 +26,15 @@ from index-only plans.  Fetch-back plans resolve ghosted keys against
 the primary, re-check every predicate on the fetched record and are
 always exact.
 
-**Compile once, derive per publication, bind per call.**  What follows
-from a query's *shape* is compiled once per shard (:class:`Template` in
-``ShardIndexes.plan_templates``); what follows from the synopses -- each
-candidate's cost terms, the winner when no estimate reads a bound, the
-key ranges the cluster prunes its scatter by -- is derived once per
-:meth:`SynopsisCatalog.stamp` and kept until a publication or the ghost
-count moves it; a call binds its values and at most ranks candidates.
+**Compile once per table, derive per shard and publication, bind once
+per query.**  What follows from a query's *shape* is compiled once per
+table (``ShardIndexes.plan_templates``, shared by its shards); what
+follows from a shard's synopses -- each candidate's cost terms, the
+winner when no estimate reads a bound, the key ranges the cluster prunes
+its scatter by -- is derived once per :meth:`SynopsisCatalog.stamp` and
+kept until a publication or the ghost count moves it; what follows from
+the values is bound once per query and picked candidate, in the
+:class:`Binding` every shard the query reaches is handed.
 """
 
 from __future__ import annotations
@@ -40,9 +42,9 @@ from __future__ import annotations
 from typing import List, Optional, Sequence, Tuple
 
 from repro.core.definition import ColumnType
-from repro.core.encoding import KeyValue
 from repro.planner.plan import (
     AccessPlan,
+    Binding,
     Bounds,
     CandidateShape,
     PlanError,
@@ -57,7 +59,7 @@ BLOOM_PROBE_COST = 0.5  # point probe when every run is Bloom-gated
 ENTRY_SCAN_COST = 0.05  # one entry streamed through a range scan
 RECORD_FETCH_COST = 4.0  # resolve a RID through the block catalog
 FETCH_BACK_PROBE_COST = 2.0  # one primary point lookup per secondary hit
-# Templates kept per shard.  What they compile depends on nothing that
+# Templates kept per table.  What they compile depends on nothing that
 # changes with data, so they are never invalidated; the bound only stops a
 # client that invents shapes from growing the dict.
 TEMPLATE_LIMIT = 256
@@ -73,54 +75,33 @@ Costed = Tuple[
 Ranked = Tuple[AccessPlan, float, float, Tuple]
 
 
-class Template:
-    """One query shape on one shard: compiled once, derived per stamp.
-
-    ``candidates`` holds, per usable index in index order, its
-    :class:`CandidateShape` and the plan prototypes of its variants
-    (fetching records, then index-only when the entry columns cover the
-    query); ``None`` until the shape is first planned.  ``derived`` is
-    everything read off the synopses, replaced as a whole when their
-    stamp moves: a concurrent query sees the old or the new.
-    """
-
-    __slots__ = ("candidates", "derived")
-
-    def __init__(self) -> None:
-        self.candidates: Optional[Tuple] = None
-        self.derived: Optional[_Derived] = None
-
-
 class _Derived:
-    """What one :meth:`SynopsisCatalog.stamp` says about a shape: ``prune``,
-    the shard's key ranges on the columns the shape binds (see
-    :func:`cannot_match`); ``costed``, the candidates' cost terms, filled
-    in when the shape is first planned under this stamp; ``ranked``, the
-    winner when no term reads a bound."""
+    """What one :meth:`SynopsisCatalog.stamp` says about a shape on one
+    shard: ``prune``, the shard's key ranges on the columns the shape
+    binds (see :func:`cannot_match`); ``costed``, once planned, the
+    compiled candidates, their cost terms and the winner when no term
+    reads a bound -- one tuple, so a concurrent query sees old or new."""
 
-    __slots__ = ("stamp", "prune", "costed", "ranked")
+    __slots__ = ("stamp", "prune", "costed")
 
     def __init__(self, stamp: List, prune: Optional[List]) -> None:
         self.stamp = stamp
         self.prune = prune  # None: the shard holds no rows
-        self.costed: Optional[Tuple[Costed, ...]] = None
-        self.ranked: Optional[Ranked] = None
+        self.costed: Optional[Tuple] = None
 
 
-def _template(query: Query, indexes, catalog: SynopsisCatalog) -> Template:
-    """The shape's template on this shard, its derived half current."""
-    templates = indexes.plan_templates
-    template = templates.get(query.shape)
-    if template is None:
-        if len(templates) >= TEMPLATE_LIMIT:
-            templates.clear()
-        template = templates[query.shape] = Template()
+def _derived(query: Query, indexes, catalog: SynopsisCatalog) -> _Derived:
+    """The shape's derived half on this shard, current with its synopses."""
+    kept = catalog.derived
     stamp = catalog.stamp()
-    if template.derived is None or template.derived.stamp != stamp:
-        template.derived = _Derived(
+    derived = kept.get(query.shape)
+    if derived is None or derived.stamp != stamp:
+        if derived is None and len(kept) >= TEMPLATE_LIMIT:
+            kept.clear()
+        derived = kept[query.shape] = _Derived(
             stamp, _prune_terms(query.shape, indexes, catalog)
         )
-    return template
+    return derived
 
 
 def _compile(query: Query, schema, indexes) -> Tuple:
@@ -234,33 +215,39 @@ def plan_smart(
     schema,
     indexes,
     catalog: SynopsisCatalog,
-    values: Tuple[Tuple[KeyValue, ...], Bounds],
+    binding: Binding,
 ) -> AccessPlan:
     """Compile ``query`` to the cheapest candidate access path.
 
-    ``values`` are the query's :func:`bind_values`: the caller type-checks
-    a query once (a cluster for all its shards), not the planner once a
-    shard.
+    ``binding`` is the query's one :class:`Binding`: the caller
+    type-checks a query once (a cluster for all its shards), and what its
+    values bind to is worked out once per query and candidate, not once
+    a shard.
     """
-    template = _template(query, indexes, catalog)
-    if template.candidates is None:
-        template.candidates = _compile(query, schema, indexes)
-    equalities, bounds = values
-    derived = template.derived
-    if derived.costed is None:
+    derived = binding.derived.get(catalog) or _derived(query, indexes, catalog)
+    templates = indexes.plan_templates  # one table's shards share it
+    candidates = templates.get(query.shape)
+    if candidates is None:
+        if len(templates) >= TEMPLATE_LIMIT:
+            templates.clear()
+        candidates = templates[query.shape] = _compile(query, schema, indexes)
+    held = derived.costed
+    if held is None or held[0] is not candidates:
         costed = tuple(
             _cost_terms(shape, prototypes, catalog.synopsis(shape.index_name))
-            for shape, prototypes in template.candidates
+            for shape, prototypes in candidates
         )
-        if not any(domain for _, _, domain, _ in costed):
-            derived.ranked = _rank(costed, ())  # no estimate reads a bound
-        derived.costed = costed
+        held = derived.costed = (
+            candidates, costed,
+            # Ranked once when no estimate reads a bound.
+            None if any(domain for _, _, domain, _ in costed)
+            else _rank(costed, ()),
+        )
+    _, costed, ranked = held
     prototype, cost, rows_est, scored = (
-        derived.ranked or _rank(derived.costed, bounds)
+        ranked or _rank(costed, binding.values[1])
     )
-    return prototype.bind(
-        equalities, bounds, cost=cost, rows_est=rows_est, scored=scored
-    )
+    return prototype.bind(binding, cost=cost, rows_est=rows_est, scored=scored)
 
 
 def _prune_terms(shape: Tuple, indexes, catalog: SynopsisCatalog) -> Optional[List]:
@@ -290,10 +277,7 @@ def _prune_terms(shape: Tuple, indexes, catalog: SynopsisCatalog) -> Optional[Li
 
 
 def cannot_match(
-    query: Query,
-    indexes,
-    catalog: SynopsisCatalog,
-    values: Tuple[Tuple[KeyValue, ...], Bounds],
+    query: Query, indexes, catalog: SynopsisCatalog, binding: Binding
 ) -> bool:
     """Do the shard's synopses prove ``query`` returns no row from it?
 
@@ -301,11 +285,14 @@ def cannot_match(
     of its shard (built from the same records in the same publication), so
     a bound disjoint from the observed key range of its column in *any*
     index rules the shard out -- as does a primary index without an entry.
+    What the synopses were read into is kept in ``binding`` for the
+    shard's planner: one stamp read per shard and query.
     """
-    terms = _template(query, indexes, catalog).derived.prune
+    derived = binding.derived[catalog] = _derived(query, indexes, catalog)
+    terms = derived.prune
     if terms is None:
         return True
-    equalities, bounds = values
+    equalities, bounds = binding.values
     for is_range, source, column_range in terms:
         if is_range:
             if not column_range.overlaps_range(*bounds[source]):
@@ -321,7 +308,6 @@ __all__ = [
     "FETCH_BACK_PROBE_COST",
     "RECORD_FETCH_COST",
     "RUN_PROBE_COST",
-    "Template",
     "cannot_match",
     "plan_smart",
 ]

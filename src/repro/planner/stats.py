@@ -164,6 +164,9 @@ class SynopsisCatalog:
         # and .names(); keeps the planner package free of wildfire imports.
         self._indexes = indexes
         self._cache: Dict[str, AccessPathSynopsis] = {}
+        # What the smart planner derived from these synopses, per query
+        # shape (``repro.planner.smart._Derived``), each stamped.
+        self.derived: Dict[Tuple, object] = {}
 
     def synopsis(self, name: str) -> AccessPathSynopsis:
         shard_index = self._indexes.get(name)

@@ -72,7 +72,7 @@ from repro.storage.hierarchy import StorageHierarchy
 from repro.storage.metrics import IOStats, QosStats
 from repro.storage.retry import StorageBrownout, TransientIOError
 from repro.planner import Query
-from repro.planner.plan import PlanError, bind_values
+from repro.planner.plan import Binding, PlanError
 from repro.wildfire.engine import ShardConfig, WildfireShard
 from repro.wildfire.migration import Migration, MigrationError
 from repro.wildfire.record import Record
@@ -129,6 +129,7 @@ class ShardedTable:
         # storage (e.g. FaultyTier-backed hierarchies for brownout tests);
         # shards still share nothing -- one hierarchy each.
         self._hierarchy_factory = hierarchy_factory
+        self._plan_templates: Dict = {}
         self.shards: List[WildfireShard] = [
             self._build_shard(shard_id) for shard_id in range(num_shards)
         ]
@@ -181,7 +182,8 @@ class ShardedTable:
         }
 
     def _build_shard(self, shard_id: int) -> WildfireShard:
-        return WildfireShard(
+        """A fresh shard sharing the table's compiled plan templates."""
+        shard = WildfireShard(
             self.schema,
             self.index_spec,
             hierarchy=(
@@ -191,6 +193,8 @@ class ShardedTable:
             ),
             config=self._config,
         )
+        shard.indexes.plan_templates = self._plan_templates
+        return shard
 
     def _attach_qos(self, shard_id: int, shard: WildfireShard) -> None:
         """Wire one shard into the qos stack (no-op without a config)."""
@@ -549,8 +553,8 @@ class ShardedTable:
         Predicate values are type-checked (``PlanError``) and normalised
         first: a mistyped sharding value would hash to the wrong shard.
         """
-        values = bind_values(self.schema, query)
-        bound = dict(zip(query.shape[0], values[0]))
+        binding = Binding(self.schema, query)
+        bound = dict(zip(query.shape[0], binding.values[0]))
         try:
             sharding_values = tuple(
                 [bound[name] for name in self.schema.sharding_key]
@@ -559,7 +563,7 @@ class ShardedTable:
             sharding_values = None
         # Bound once, for every shard's pruning and planning alike.
         return self._admitted(
-            self._serve, TYPED, sharding_values, (query, values)
+            self._serve, TYPED, sharding_values, (query, binding)
         )
 
     def _serve(
@@ -698,7 +702,7 @@ class ShardedTable:
         return dict(self._scatter_stats)
 
     def _prune_scatter(
-        self, shard_ids: List[int], query: Query, values
+        self, shard_ids: List[int], query: Query, binding: Binding
     ) -> List[int]:
         """Drop shards whose synopses prove the query cannot match there
         (:meth:`WildfireShard.cannot_match`): they read what the shard's
@@ -707,7 +711,7 @@ class ShardedTable:
         shards = self.shards
         kept = [
             shard_id for shard_id in shard_ids
-            if not shards[shard_id].cannot_match(query, values)
+            if not shards[shard_id].cannot_match(query, binding)
         ]
         stats = self._scatter_stats
         stats["scatter_queries"] += 1

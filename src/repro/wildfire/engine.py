@@ -32,7 +32,7 @@ from repro.planner import (
     plan_baseline,
     plan_smart,
 )
-from repro.planner.plan import Bounds, bind_values, tuple_getter
+from repro.planner.plan import Binding, tuple_getter
 from repro.planner.smart import cannot_match
 from repro.storage.hierarchy import StorageHierarchy
 from repro.storage.retry import TransientIOError
@@ -46,10 +46,6 @@ from repro.wildfire.record import Record
 from repro.wildfire.schema import IndexSpec, TableSchema
 from repro.wildfire.transaction import Transaction
 from repro.wildfire.txlog import CommittedLog
-
-
-# What a bound typed query carries to every shard: ``bind_values``' result.
-Values = Tuple[Tuple[KeyValue, ...], Bounds]
 
 
 def _within(rows: List, column: Sequence[KeyValue], low, high) -> List:
@@ -482,29 +478,29 @@ class WildfireShard:
 
     # -- typed queries through the access-path planner (ISSUE 9) -----------------
 
-    def plan_query(self, query: Query, values: Values) -> AccessPlan:
+    def plan_query(self, query: Query, binding: Binding) -> AccessPlan:
         """Compile a typed query without executing it.
 
         ``ShardConfig.planner`` selects the cost-based planner (default)
         or the always-primary baseline.  An ``index_hint`` restricts the
-        smart planner's candidates to that index.  ``values`` are the
-        query's type-checked :func:`bind_values` (the cluster binds once
-        for all its shards).
+        smart planner's candidates to that index.  ``binding`` is the
+        query's one :class:`Binding` (the cluster binds once for all its
+        shards).
         """
         if self.config.planner == "baseline":
-            return plan_baseline(query, self.schema, self.indexes)
+            return plan_baseline(query, self.schema, self.indexes, binding)
         return plan_smart(
-            query, self.schema, self.indexes, self.synopses, values
+            query, self.schema, self.indexes, self.synopses, binding
         )
 
     def explain(self, query: Query) -> Dict[str, object]:
         """The chosen plan's ``explain()`` dict (no execution)."""
-        return self.plan_query(query, bind_values(self.schema, query)).explain()
+        return self.plan_query(query, Binding(self.schema, query)).explain()
 
-    def cannot_match(self, query: Query, values: Values) -> bool:
+    def cannot_match(self, query: Query, binding: Binding) -> bool:
         """Do this shard's synopses prove the (bound) query returns nothing
         from it?  What the cluster prunes a scatter by."""
-        return cannot_match(query, self.indexes, self.synopses, values)
+        return cannot_match(query, self.indexes, self.synopses, binding)
 
     def query(self, query: Query) -> List[Tuple[KeyValue, ...]]:
         """Execute a typed query; returns projected rows, deterministically
@@ -518,21 +514,21 @@ class WildfireShard:
         identical queries under either planner -- the ablation the A15
         bench byte-compares.
         """
-        tagged = self._query_tagged(query, bind_values(self.schema, query))
+        tagged = self._query_tagged(query, Binding(self.schema, query))
         tagged.sort(key=lambda item: (item[2], item[0]))
         return [row for _, _, row in tagged]
 
     def _query_tagged(
-        self, query: Query, values: Values
+        self, query: Query, binding: Binding
     ) -> List[Tuple[Tuple[KeyValue, ...], int, Tuple[KeyValue, ...]]]:
         """Execute, returning one ``(pk, begin_ts, row)`` per key, unordered.
 
-        ``values`` are the query's type-checked :func:`bind_values`.  The
+        ``binding`` is the query's one :class:`Binding`.  The
         pk/begin_ts tags let the cluster layer merge scatter-gather and
         split-migration double-reads newest-wins per primary key before
         dropping the tags; whoever hands out rows sorts them.
         """
-        plan = self.plan_query(query, values)
+        plan = self.plan_query(query, binding)
         ts = query.query_ts if query.query_ts is not None else self.clock.snapshot_ts
         return self._execute_plan(plan, ts)
 
@@ -554,7 +550,8 @@ class WildfireShard:
                 entries = [] if hit is None else [hit]
             else:
                 entries = index.scan(
-                    plan.equality_values, plan.sort_lower, plan.sort_upper, ts
+                    plan.equality_values, plan.sort_lower, plan.sort_upper, ts,
+                    plan.scan_bounds,
                 )
             # The residuals read each entry's own field, so only the
             # entries that pass them all become rows below.

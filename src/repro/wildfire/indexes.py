@@ -67,8 +67,8 @@ class ShardIndexes:
             PRIMARY_INDEX_NAME, primary_spec, hierarchy, umzi_config
         )
         self.secondaries: Dict[str, ShardIndex] = {}
-        # The smart planner's compiled plans by Query.shape: a function of
-        # the schema and this set of indexes (``add_secondary`` clears them).
+        # The smart planner's compiled plans by Query.shape, shared by a
+        # table's shards (``add_secondary`` gives this shard its own).
         self.plan_templates: Dict[Tuple, Tuple] = {}
         self._pk_positions = schema.positions(schema.primary_key)
         # Ghost tracking (ISSUE 10): per secondary, the last groomed
@@ -115,7 +115,7 @@ class ShardIndexes:
         attached = self._attach(name, spec, hierarchy, umzi_config)
         self.secondaries[name] = attached
         self._key_memo[name] = {}
-        self.plan_templates.clear()
+        self.plan_templates = {}
         return attached
 
     # -- iteration ---------------------------------------------------------------

@@ -180,6 +180,7 @@ one pass through the door     294.7   204.2     205.6         76.2
 33ee4fc (before)              278.4   204.2     192.6         75.2
 ghosted keys only             206.4   204.2     192.6         75.2
 per-row tail                  200.2   198.1     187.3         75.2
+bound once per query          174.2   170.1     163.8         75.2
 =========================  ========  ======  ========  ===========
 
 A per-call ``candidate_shape``, a per-entry generator hop in the scan, a
@@ -211,7 +212,14 @@ pin, fence search, batch kernel and release) on either shard.  The
 ``per-row tail`` row is ``IndexRun.scan_visible`` returning one hit list
 per run instead of a generator resumed once per block (a frame per block
 and per run), with residuals run on the entries and records read as
-``(values, beginTS)`` pairs, which cost no calls either way.
+``(values, beginTS)`` pairs, which cost no calls either way.  The
+``bound once per query`` row hands every shard a query reaches one
+``Binding``: a second shard that picks the same plan binds no key
+arguments or residuals (``key_values``, ``bind_predicates``), encodes no
+scan bounds (``compute_scan_bounds`` -> ``_key_prefix`` -> ``_encode``)
+and reads its synopsis stamp once, in the scatter prune, not again in its
+planner; the shape is compiled once per table.  The routed equality plans
+on one shard and stays where it was.
 """
 
 import gc
@@ -235,7 +243,7 @@ TYPED_BEFORE = {
     "customer": 11308.5, "region": 2112.6, "range": 3235.7, "equality": 282.6,
 }
 TYPED_CEILING = {
-    "customer": 204.0, "region": 202.0, "range": 191.0, "equality": 79.0,
+    "customer": 178.0, "region": 174.0, "range": 168.0, "equality": 79.0,
 }
 
 ROWS = 6_000

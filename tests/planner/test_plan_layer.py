@@ -6,15 +6,14 @@ import pytest
 
 from repro.core.definition import ColumnSpec, ColumnType
 from repro.planner.plan import (
+    Binding,
     PlanError,
-    Predicate,
     Query,
-    bind_values,
     candidate_shape,
     entry_offset,
-    shape_to_plan,
+    plan_prototype,
 )
-from repro.wildfire.engine import ShardConfig, WildfireShard
+from repro.wildfire.engine import ShardConfig, WildfireShard, _within
 from repro.wildfire.schema import IndexSpec, TableSchema
 
 
@@ -64,13 +63,17 @@ class TestQueryValidation:
             Query(index_hint="primary", **{field: value})
 
     def test_predicate_matching(self):
-        eq = Predicate(column="c", kind="eq", value=5)
-        assert eq.matches(5) and not eq.matches(6)
-        rng = Predicate(column="c", kind="range", low=2, high=4)
-        assert rng.matches(2) and rng.matches(4)
-        assert not rng.matches(1) and not rng.matches(5)
-        open_low = Predicate(column="c", kind="range", low=None, high=4)
-        assert open_low.matches(-100) and not open_low.matches(5)
+        """A bound predicate is checked by ``_within``: an equality binds
+        its value into both ends of the range."""
+        def matches(value, low, high):
+            return _within(["row"], [value], low, high) == ["row"]
+
+        assert matches(5, 5, 5) and not matches(6, 5, 5)
+        assert matches(2, 2, 4) and matches(4, 2, 4)
+        assert not matches(1, 2, 4) and not matches(5, 2, 4)
+        assert matches(-100, None, 4) and not matches(5, None, 4)
+        assert matches(100, 2, None) and not matches(1, 2, None)
+        assert matches(-100, None, None)
 
 
 class TestEntryOffsets:
@@ -94,7 +97,7 @@ class TestCandidateShapes:
         )
         assert shape.mode == "point"
         # A shape holds no values; a call binds them.
-        bound = shape.key_values(*bind_values(shard.schema, query))
+        bound = shape.key_values(*Binding(shard.schema, query).values)
         assert bound["sort_values"] == (7,)
         assert shape.bound_prefix == 1
         assert shape.entry_residuals == shape.record_residuals == ()
@@ -115,7 +118,7 @@ class TestCandidateShapes:
         )
         assert shape.mode == "scan"
         assert shape.range_column == "region"
-        bound = shape.key_values(*bind_values(shard.schema, query))
+        bound = shape.key_values(*Binding(shard.schema, query).values)
         assert bound["sort_lower"] == ("a",) and bound["sort_upper"] == ("m",)
 
     def test_residual_split_entry_vs_record(self):
@@ -156,6 +159,9 @@ class TestCandidateShapes:
 
 
 class TestShapeToPlan:
+    """The plan a candidate shape compiles to (``plan_prototype``); a query
+    binds its values into it (``AccessPlan.bind``)."""
+
     def test_fetch_back_rechecks_every_predicate(self):
         shard = make_shard()
         query = Query(equalities=(("customer", "c1"),),
@@ -164,7 +170,7 @@ class TestShapeToPlan:
             query, shard.schema, shard.indexes.get("by_customer"),
             is_primary=False,
         )
-        plan = shape_to_plan(
+        plan = plan_prototype(
             shape, query, shard.schema, shard.indexes.get("by_customer"),
             planner="smart", index_only=False,
         )
@@ -181,7 +187,7 @@ class TestShapeToPlan:
             query, shard.schema, shard.indexes.get("by_customer"),
             is_primary=False,
         )
-        plan = shape_to_plan(
+        plan = plan_prototype(
             shape, query, shard.schema, shard.indexes.get("by_customer"),
             planner="smart", index_only=True,
         )
@@ -205,7 +211,7 @@ class TestShapeToPlan:
                 query, shard.schema, shard.indexes.get(name),
                 is_primary=name == "primary",
             )
-            plan = shape_to_plan(
+            plan = plan_prototype(
                 shape, query, shard.schema, shard.indexes.get(name),
                 planner="smart", index_only=False,
             )

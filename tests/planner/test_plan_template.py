@@ -1,7 +1,9 @@
 """A plan bound from a cached template == a plan compiled from scratch.
 
-The smart planner compiles a query *shape* once per shard
-(``ShardIndexes.plan_templates``) and binds values per call.  A template
+The smart planner compiles a query *shape* once per table
+(``ShardIndexes.plan_templates``, one dict shared by the table's shards)
+and binds its values once per query (``Binding``, handed to every shard
+the query reaches).  A template
 holds nothing that depends on data, so for every shape the golden
 workload and the e2e benchmark use, the ``explain()`` of a template-bound
 plan must equal that of a plan compiled with an empty template dict --
@@ -15,7 +17,7 @@ import pytest
 from repro.core.definition import ColumnSpec, ColumnType
 from repro.core.encoding import EncodingError
 from repro.planner import PlanError, Query
-from repro.planner.plan import bind_values
+from repro.planner.plan import Binding
 from repro.planner.smart import TEMPLATE_LIMIT
 from repro.wildfire.cluster import ShardedTable
 from repro.wildfire.engine import ShardConfig, WildfireShard
@@ -77,7 +79,7 @@ def rows(keys, generation=0):
 
 def plan_for(shard, query):
     """The shard's plan for ``query``, bound to its type-checked values."""
-    return shard.plan_query(query, bind_values(shard.schema, query))
+    return shard.plan_query(query, Binding(shard.schema, query))
 
 
 def assert_templates_match_fresh_compiles(shard):
@@ -223,9 +225,9 @@ class TestPredicateValuesAreTypeChecked:
         table.ingest([(s, s / 2) for s in range(12)])
         for _ in range(2):
             table.tick()
-        assert bind_values(
+        assert Binding(
             FLOAT_SCHEMA, Query(equalities=(("level", 2),), ranges=(("sensor", None, 3),))
-        ) == ((2.0,), ((None, 3),))
+        ).values == ((2.0,), ((None, 3),))
         assert table.query(Query(equalities=(("level", 2),))) == [(4, 2.0)]
         assert table.query(Query(ranges=(("level", 1, 2),))) == [
             (2, 1.0), (3, 1.5), (4, 2.0),

@@ -9,7 +9,7 @@ import pytest
 
 from repro.core.definition import ColumnSpec, ColumnType
 from repro.planner import Query, SynopsisCatalog, plan_smart
-from repro.planner.plan import bind_values
+from repro.planner.plan import Binding
 from repro.planner.smart import (
     FETCH_BACK_PROBE_COST,
     RECORD_FETCH_COST,
@@ -56,7 +56,7 @@ def seed(shard, n=50):
 
 def plan_for(shard, query):
     """The shard's plan for ``query``, bound to its type-checked values."""
-    return shard.plan_query(query, bind_values(shard.schema, query))
+    return shard.plan_query(query, Binding(shard.schema, query))
 
 
 class TestSynopsis:

@@ -23,7 +23,7 @@ import pytest
 
 from repro.core.definition import ColumnSpec, ColumnType
 from repro.planner import Query
-from repro.planner.plan import bind_values
+from repro.planner.plan import Binding
 from repro.wildfire.cluster import ShardedTable
 from repro.wildfire.engine import ShardConfig, _within
 from repro.wildfire.schema import IndexSpec, TableSchema
@@ -103,7 +103,7 @@ def queries(query_ts):
 def expected_batch(shard, query):
     """The primary keys a fetch-back must resolve: the winners' ghosted
     ones, recomputed off the secondary's entries."""
-    plan = shard.plan_query(query, bind_values(shard.schema, query))
+    plan = shard.plan_query(query, Binding(shard.schema, query))
     if not plan.fetch_back:
         return []
     shard_index = shard.indexes.get(plan.index_name)

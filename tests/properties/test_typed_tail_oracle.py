@@ -32,7 +32,7 @@ import pytest
 
 from repro.core.definition import ColumnSpec, ColumnType
 from repro.planner import Query
-from repro.planner.plan import bind_values
+from repro.planner.plan import Binding
 from repro.wildfire.cluster import ShardedTable
 from repro.wildfire.engine import ShardConfig
 from repro.wildfire.schema import IndexSpec, TableSchema
@@ -116,13 +116,13 @@ def queries(rng, query_ts):
 
 
 def tagged(shard, query):
-    return sorted(shard._query_tagged(query, bind_values(shard.schema, query)))
+    return sorted(shard._query_tagged(query, Binding(shard.schema, query)))
 
 
 def check(table, twin, query, reached):
     for shard_id in table.live_shard_ids():
         shard = table.shards[shard_id]
-        plan = shard.plan_query(query, bind_values(shard.schema, query))
+        plan = shard.plan_query(query, Binding(shard.schema, query))
         reached[plan.index_name, plan.index_only, bool(plan.entry_residuals)] += 1
         answer = tagged(shard, query)
         reference_typed_tail.install(shard)

@@ -112,7 +112,7 @@ class TestClusterTypedQueries:
         seed_orders(table)
         victim = table.shard_of_key((7,))
 
-        def boom(query, values):  # values: the cluster's one bind_values
+        def boom(query, binding):  # the cluster's one Binding
             raise TransientIOError(f"shard {victim} storage down")
 
         monkeypatch.setattr(table.shards[victim], "_query_tagged", boom)
