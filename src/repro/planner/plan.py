@@ -56,7 +56,6 @@ class Predicate(NamedTuple):
 
     column: str
     kind: str  # "eq" | "range"
-    value: Optional[KeyValue] = None
     low: Optional[KeyValue] = None
     high: Optional[KeyValue] = None
     offset: Optional[int] = None
@@ -340,11 +339,11 @@ def bind_predicates(
     bound = []
     for p in compiled:
         if p.kind == "eq":
-            value = low = high = equalities[p.source]
+            low = high = equalities[p.source]
         else:
-            value, (low, high) = None, bounds[p.source]
+            low, high = bounds[p.source]
         bound.append(Predicate(
-            p.column, p.kind, value, low, high, p.offset, p.position
+            p.column, p.kind, low, high, p.offset, p.position
         ))
     return tuple(bound)
 

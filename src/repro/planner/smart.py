@@ -22,9 +22,10 @@ may change freely -- versions of one row share the full entry key and
 reconcile newest-wins).  Shards track ghosted keys at groom time
 (:meth:`ShardIndexes._track_ghosts`) and surface their count through the
 synopsis; any nonzero ``pending_ghosts`` disqualifies that secondary
-from index-only plans.  Fetch-back plans resolve ghosted keys against
-the primary, re-check every predicate on the fetched record and are
-always exact.
+from index-only plans.  Fetch-back plans resolve the ghosted hits a
+shard cannot vouch for from its recorded newest versions against the
+primary, re-check every predicate on the fetched record and are always
+exact.
 
 **Compile once per table, derive per shard and publication, bind once
 per query.**  What follows from a query's *shape* is compiled once per

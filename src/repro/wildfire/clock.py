@@ -42,8 +42,8 @@ def decompose_begin_ts(begin_ts: int) -> "tuple[int, int]":
 class HybridClock:
     """Thread-safe source of commit sequences and groom cycles.
 
-    ``groom_cycle`` and ``snapshot_ts`` (queries' default: everything
-    groomed so far is visible) change under the lock, are read without it.
+    ``groom_cycle`` and ``snapshot_ts`` (queries' default: every groom
+    cycle published so far) change under the lock, are read without it.
     """
 
     def __init__(self) -> None:
@@ -59,10 +59,10 @@ class HybridClock:
             return self._commit_seq
 
     def next_groom_cycle(self) -> int:
-        """Advance to (and return) the next groom cycle number."""
+        """Advance to (and return) the next groom cycle number; its
+        versions become readable at :meth:`publish_groom_cycle`."""
         with self._lock:
             self.groom_cycle += 1
-            self.snapshot_ts = compose_begin_ts(self.groom_cycle, _COMMIT_MASK)
             return self.groom_cycle
 
     def state(self) -> "tuple[int, int]":
@@ -70,21 +70,21 @@ class HybridClock:
         with self._lock:
             return (self.groom_cycle, self._commit_seq)
 
-    def ensure_at_least(self, groom_cycle: int, commit_seq: int) -> None:
-        """Fast-forward so future timestamps sort after another clock's.
+    def publish_groom_cycle(self, groom_cycle: int, commit_seq: int = 0):
+        """Make ``groom_cycle`` readable (``snapshot_ts`` covers it) and
+        fast-forward so future timestamps sort after it; forward-only.
 
-        Online shard split uses this to hand a source shard's clock state
-        to its successors: once a successor's clock is at least as far
-        along as the (quiesced) source's, every ``beginTS`` it will ever
-        assign compares strictly newer than anything the source groomed,
-        which is what makes the migration window's newest-wins double
-        reads correct.  Forward-only, so it composes with concurrent
-        local advancement.
+        A groom calls this once every index holds its versions (an aborted
+        one never does).  Split and merge hand a quiesced source's state to
+        each target: every ``beginTS`` the target assigns then compares
+        strictly newer than anything the source groomed, which is what
+        makes the migration window's newest-wins double reads correct.
         """
+        newest = compose_begin_ts(groom_cycle, _COMMIT_MASK)
         with self._lock:
             self.groom_cycle = max(self.groom_cycle, groom_cycle)
-            self.snapshot_ts = compose_begin_ts(self.groom_cycle, _COMMIT_MASK)
             self._commit_seq = max(self._commit_seq, commit_seq)
+            self.snapshot_ts = max(self.snapshot_ts, newest)
 
 
 __all__ = ["COMMIT_BITS", "HybridClock", "compose_begin_ts",

@@ -219,11 +219,10 @@ class WildfireShard:
                 report["merges"] = merges
         except TransientIOError as exc:
             # Under qos supervision an aborted maintenance cycle must not
-            # take the serving loop down: the groomer has requeued its
-            # rows, runs are immutable (a half-written one is simply
-            # never published), and the scheduler will throttle the next
-            # cycles until the storm passes.  Without a scheduler the
-            # legacy contract holds: the error propagates.
+            # take the serving loop down: the groomer has requeued its rows
+            # (no snapshot covers a run it published before the abort), and
+            # the scheduler throttles the next cycles until the storm
+            # passes.  Without a scheduler the error propagates.
             if self._scheduler is None:
                 raise
             report["maintenance_error"] = type(exc).__name__
@@ -542,6 +541,7 @@ class WildfireShard:
         end."""
         shard_index = self.indexes.get(plan.index_name)
         index = shard_index.index
+        horizon = min(ts, self.clock.snapshot_ts)  # read before the scan
         attribute = self.hierarchy.attribute_reads
         attributed = attribute(f"index:{plan.index_name}")
         try:
@@ -561,9 +561,8 @@ class WildfireShard:
                     p.low, p.high,
                 )
             if plan.index_only or plan.fetch_back:
-                # One row per entry: its columns as the plan's ``entry_pk``
-                # / ``entry_row`` getters index them, then its beginTS and
-                # RID.
+                # One row per entry: its columns (as ``plan.entry_pk`` /
+                # ``entry_row`` index them), then its beginTS and RID.
                 rows = [
                     entry.equality_values + entry.sort_values
                     + entry.include_values + (entry.begin_ts, entry.rid)
@@ -571,17 +570,19 @@ class WildfireShard:
                 ]
                 if plan.index_only:
                     return self._project_entries(plan, rows)
-                # Fetch back only ghosted keys (the primary has none): any
-                # other hit is already its row's newest visible version.
-                entry_pk = plan.entry_pk
-                stale = shard_index.ghosted.intersection(map(entry_pk, rows))
-                if stale:
-                    rids = [row[-1] for row in rows if entry_pk(row) not in stale]
-                    rids += self._fetch_back_rids(entry_pk, [
-                        row for row in rows if entry_pk(row) in stale
-                    ], ts)
-                else:
-                    rids = [row[-1] for row in rows]
+                # A hit at a clean key or at its key's recorded newest is
+                # the row's newest version; one older than a recorded newest
+                # within the horizon is dropped (the newest is its own hit).
+                entry_pk, ghosted = plan.entry_pk, shard_index.ghosted
+                rids, doubtful = [], []
+                for row in rows:
+                    newest = ghosted.get(entry_pk(row), row[-2])
+                    if newest == row[-2]:
+                        rids.append(row[-1])
+                    elif newest is None or newest > horizon:
+                        doubtful.append(row)
+                if doubtful:
+                    rids += self._fetch_back_rids(entry_pk, doubtful, ts)
             else:
                 rids = [entry.rid for entry in entries]
             attribute("records")
@@ -622,13 +623,12 @@ class WildfireShard:
         return list(best.values())
 
     def _fetch_back_rids(self, entry_pk, rows: List[Tuple], ts: int) -> List:
-        """Resolve ghosted secondary hits against the primary.
+        """Resolve the ghosted hits the shard cannot vouch for.
 
         Secondary entries recover the primary key (suffixed specs give
         every pk column an entry slot); the deduplicated keys become one
-        batched primary point lookup, whose hits' RIDs join the plan's
-        record fetch with every predicate re-checked on the record -- so
-        a stale entry of a row whose key has since changed is dropped.
+        batched primary lookup, whose RIDs join the record fetch, where
+        every predicate is re-checked: a moved row's stale entry drops out.
         """
         keys = list(map(
             self._primary_key_of_pk, sorted(set(map(entry_pk, rows)))

@@ -28,10 +28,8 @@ from repro.wildfire.txlog import CommittedLog, CommittedTransaction
 class GroomResult:
     """What one groom cycle produced."""
 
-    groom_cycle: int
     groomed_block_id: int
     record_count: int
-    index_run_id: str  # the primary index's new run
     max_begin_ts: int
     index_run_ids: Tuple[Tuple[str, str], ...] = ()  # (index name, run id)
 
@@ -76,13 +74,12 @@ class Groomer:
                 return self._groom_drained(transactions)
             except Exception:
                 # Abort safety (ISSUE 7): the drain already consumed the
-                # rows; hand them back before surfacing the error --
-                # whatever it is -- so nothing is lost without a
-                # crash/recover cycle.  The groomed block that half-landed
-                # is superseded by the retried groom's block (append-only
-                # namespaces; recovery validation ignores headerless
-                # partial runs).  A SimulatedCrash is a BaseException and
-                # passes through: a crash loses the process, not an abort.
+                # rows; hand them back before surfacing the error, whatever
+                # it is, so nothing is lost without a crash/recover cycle.
+                # What half-landed (the block, runs some index published)
+                # no snapshot covers; the retried groom supersedes it.  A
+                # SimulatedCrash is a BaseException and passes through: a
+                # crash loses the process, not an abort.
                 self.committed_log.requeue(transactions)
                 raise
 
@@ -107,15 +104,15 @@ class Groomer:
         block = self.catalog.store_groomed(rows, begin_ts, encoded)
         crash_point("groom.pre_index")
 
-        # One index run per attached index (primary + secondaries), built
-        # column at a time over the block's rows.
+        # One run per index, built column at a time.  The cycle is readable
+        # only then: a read at a snapshot covering rows some index lacks
+        # could miss one that a later read at that snapshot finds.
         run_ids = self.indexes.build_groomed_runs(block, encoded)
+        self.clock.publish_groom_cycle(cycle)
         self.grooms_done += 1
         return GroomResult(
-            groom_cycle=cycle,
             groomed_block_id=block.block_id,
             record_count=len(rows),
-            index_run_id=run_ids["primary"],
             max_begin_ts=begin_ts[-1] if rows else 0,
             index_run_ids=tuple(sorted(run_ids.items())),
         )

@@ -19,7 +19,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
 from operator import itemgetter
-from typing import Dict, List, Optional, Sequence, Set, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple
 
 from repro.core.encoding import encode_ts_desc_column
 from repro.core.entry import encode_rid_column, entry_blob_columns
@@ -40,14 +40,13 @@ class ShardIndex:
     spec: IndexSpec
     index: UmziIndex
     positions: Tuple[Tuple[int, ...], ...]  # IndexSpec.positions(schema)
-    # Primary keys whose secondary *key* columns changed between versions:
-    # each such row's older entry stays visible forever under its old
-    # key (secondary entries carry no endTS), so only a record re-check
-    # can filter it.  A non-empty set disqualifies index-only
-    # plans, and a fetch-back resolves exactly these keys through the
-    # primary.  Always empty for the primary (a primary-key change is a
-    # different row, not a version).
-    ghosted: Set[Tuple] = field(default_factory=set)
+    # Primary keys whose secondary *key* columns changed between versions
+    # (the older entry stays visible under its old key, having no endTS:
+    # a non-empty map disqualifies index-only plans), each mapped to its
+    # newest version's beginTS in every index, or ``None`` while unknown
+    # (a groom publishing or cut short, a key adopted at split or merge).
+    # Always empty for the primary.
+    ghosted: Dict[Tuple, Optional[int]] = field(default_factory=dict)
 
 
 class ShardIndexes:
@@ -84,9 +83,7 @@ class ShardIndexes:
         hierarchy: StorageHierarchy,
         umzi_config: UmziConfig,
     ) -> ShardIndex:
-        config = replace(
-            umzi_config, name=f"{self.schema.name}-{name}"
-        )
+        config = replace(umzi_config, name=f"{self.schema.name}-{name}")
         index = UmziIndex(spec.build_definition(self.schema), hierarchy, config)
         return ShardIndex(
             name=name, spec=spec, index=index,
@@ -160,9 +157,9 @@ class ShardIndexes:
         # Count ghosts *before* publishing the runs that contain them: a
         # planner racing this groom may cache a synopsis at the new
         # version sequence, and it must already see the ghost count that
-        # disqualifies index-only for the new entries.
-        if self.secondaries and rows:
-            self._track_ghosts(raw)
+        # disqualifies index-only for the new entries.  Their beginTS is
+        # recorded only once every index holds them.
+        newest = self._track_ghosts(raw, block.begin_ts) if rows else ()
         for shard_index in self.all():
             equality, sort, included = shard_index.positions
             # The per-index column lists die with each iteration, so peak
@@ -187,24 +184,27 @@ class ShardIndexes:
                 max_groomed_id=block.block_id,
             )
             run_ids[shard_index.name] = run.run_id
+        for ghosted, begin_ts in newest:
+            ghosted.update(begin_ts)
         return run_ids
 
-    def _track_ghosts(self, raw: Sequence[Tuple]) -> None:
-        """Record the primary keys these newly groomed rows ghost.
-
-        ``raw`` holds the rows' values column-major.  A new version whose
-        secondary-key columns differ from the row's previous version
-        leaves the previous entry visible forever under its old key: its
-        primary key joins the index's ``ghosted`` set (a tuple equality).
-        """
+    def _track_ghosts(self, raw: Sequence[Tuple], begin_ts: Sequence[int]):
+        """Map the primary keys among the rows (``raw``: values column-major,
+        versions ``begin_ts``) whose secondary key ever moved to ``None``;
+        return ``(ghosted, {pk: newest beginTS})`` pairs to apply later."""
         pks = list(zip(*[raw[p] for p in self._pk_positions]))
+        pending = []
         for name, shard_index in self.secondaries.items():
-            memo, ghosted = self._key_memo[name], shard_index.ghosted
+            memo, ghosted, newest = self._key_memo[name], shard_index.ghosted, {}
             equality, sort, _included = shard_index.positions
-            for pk, key in zip(pks, zip(*[raw[p] for p in equality + sort])):
-                if memo.get(pk, key) != key:
-                    ghosted.add(pk)
+            keys = zip(*[raw[p] for p in equality + sort])
+            for pk, key, ts in zip(pks, keys, begin_ts):
+                if pk in ghosted or memo.get(pk, key) != key:
+                    ghosted[pk] = None
+                    newest[pk] = ts
                 memo[pk] = key
+            pending.append((ghosted, newest))
+        return pending
 
     def pending_ghosts(self) -> Dict[str, int]:
         """Per-index count of ghosted keys (tools, tests)."""
@@ -214,20 +214,20 @@ class ShardIndexes:
         """Inherit ghost tracking from shards whose entries were copied in.
 
         Called at split (one source per successor) and merge (both
-        successors into the fused target).  The sources' ghosted sets are
+        successors into the fused target).  The sources' ghosted keys are
         unioned, plus every key whose memos disagree across sources: a key
         ghosted anywhere keeps its stale entry in the copy, none counts
         twice and a replayed adoption adds nothing.  A split successor
         also inherits the other half's keys, which only keeps index-only
-        off there.
+        off there.  A key a source ghosted has no record until groomed here.
         """
         for name, shard_index in self.secondaries.items():
             memo, ghosted = self._key_memo[name], shard_index.ghosted
             for source in sources:
-                ghosted |= source.secondaries[name].ghosted
+                ghosted.update(dict.fromkeys(source.secondaries[name].ghosted))
                 for pk, key in source._key_memo.get(name, {}).items():
-                    if memo.setdefault(pk, key) != key:
-                        ghosted.add(pk)
+                    if memo.setdefault(pk, key) != key or pk in ghosted:
+                        ghosted[pk] = None
 
     def min_indexed_psn(self) -> int:
         """The slowest index's progress gates groomed-block deletion."""

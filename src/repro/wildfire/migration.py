@@ -469,7 +469,7 @@ class Migration:
             source.stop_daemons()
             self.quiesce_grooms += source.quiesce()["grooms"]
             for target in targets:
-                target.clock.ensure_at_least(*source.clock.state())
+                target.clock.publish_groom_cycle(*source.clock.state())
         for target in targets:
             # Ghosted secondary entries travel with the copy, so their
             # keys do too: fetch-backs keep resolving them, and index-only

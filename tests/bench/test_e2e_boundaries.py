@@ -73,14 +73,18 @@ def test_front_door_reaches_boundaries_replaced_on_the_instance():
     for _ in range(4):
         table.tick()
     # Order 4 moves from c1 to c2: its old by_customer entry stays visible
-    # under c1 (a ghost), so the customer query fetches that key back
-    # through the primary's batch_lookup; the clean keys never reach it.
+    # under c1 (a ghost), so a customer query AS-OF before the move
+    # fetches that key back through the primary's batch_lookup; the clean
+    # keys never reach it.
+    before_move = min(shard.clock.snapshot_ts for shard in table.shards)
     table.ingest([(4, "c2", "r0", 4)])
     table.tick()
     assert table.point_query((), (7,)).values == (7, "c1", "r1", 7)
     point = calls.copy()
     assert table.query(Query(equalities=(("order_id", 7),))) == [(7, "c1", "r1", 7)]
-    assert len(table.query(Query(equalities=(("customer", "c1"),)))) == 12
+    assert len(table.query(Query(
+        equalities=(("customer", "c1"),), query_ts=before_move,
+    ))) == 13
 
     assert calls["wildfire.cluster", "point_query"] == 1
     assert calls["wildfire.cluster", "query"] == 2
@@ -110,9 +114,9 @@ def test_a_customer_query_counts_its_fetch_back_keys_at_the_boundary():
     """What the tracer's observers read off the typed path's boundaries.
 
     ``fetchback_keys_per_query`` is ``len(args[0])`` at
-    ``core.index.batch_lookup``: the ghosted keys among a fetch-back's
-    winners, which must still go through that boundary (a fetch-back
-    that went around it would read 0), and
+    ``core.index.batch_lookup``: the ghosted winners a fetch-back's shard
+    cannot vouch for, which must still go through that boundary (a
+    fetch-back that went around it would read 0), and
     ``planner.plan_share.*`` counts one ``plan_query`` per contacted
     shard -- however few times the cluster binds the query's values.
     """
@@ -122,9 +126,11 @@ def test_a_customer_query_counts_its_fetch_back_keys_at_the_boundary():
     for _ in range(4):
         table.tick()
     # Order 4 moves from c1 to c2: its old by_customer entry stays visible
-    # under c1 (a ghost), so it is a fetch-back key but not a row; order 7
-    # gets a new amount under the same customer, so its hit is already the
-    # newest version: a row, but no fetch-back key.
+    # under c1 (a ghost), so read AS-OF before the move it is a fetch-back
+    # key (its newest version is past the read); order 7 gets a new amount
+    # under the same customer, so its hit is already the newest version
+    # at that snapshot: no fetch-back key.
+    before_move = min(shard.clock.snapshot_ts for shard in table.shards)
     table.ingest([(4, "c2", "r0", 4), (7, "c1", "r1", 107)])
     for _ in range(2):
         table.tick()
@@ -149,13 +155,20 @@ def test_a_customer_query_counts_its_fetch_back_keys_at_the_boundary():
         shard.plan_query = plan_query
         shard._query_tagged = query_tagged
 
-    answer = table.query(Query(equalities=(("customer", "c1"),)))
+    answer = table.query(Query(
+        equalities=(("customer", "c1"),), query_ts=before_move,
+    ))
     keys = [i for i in range(40) if i % 3 == 1]
-    assert answer == [
-        (i, "c1", f"r{i % 2}", 107 if i == 7 else i) for i in keys if i != 4
-    ]
+    assert answer == [(i, "c1", f"r{i % 2}", i) for i in keys]
     assert sorted(tagged) == sorted(plans) == [0, 1]  # once per contacted shard
     # Only order 4 is ghosted: its shard's batch carries exactly that key,
     # and a shard with no ghosted winner makes no primary call at all.
     assert batches == [(table.shard_of_key((4,)), 1)]
-    assert len(keys) == len(answer) + 1
+    # At the latest snapshot the moved key's newest version is in every
+    # index, so its stale hit is dropped without the primary.
+    del batches[:]
+    answer = table.query(Query(equalities=(("customer", "c1"),)))
+    assert answer == [
+        (i, "c1", f"r{i % 2}", 107 if i == 7 else i) for i in keys if i != 4
+    ]
+    assert batches == []

@@ -152,7 +152,7 @@ class TestTemplateEqualsFreshCompile:
         one = plan_for(shard, Query(equalities=(("customer", "c1"),)))
         two = plan_for(shard, Query(equalities=(("customer", "c4"),)))
         assert one.equality_values == ("c1",) and two.equality_values == ("c4",)
-        assert [p.value for p in two.record_checks] == ["c4"]
+        assert [(p.low, p.high) for p in two.record_checks] == [("c4", "c4")]
         assert one.record_pk is two.record_pk and one.entry_pk is two.entry_pk
         assert one.record_row is None  # the full row is not copied
 

@@ -1,20 +1,30 @@
-"""Fetch back only ghosted keys, against the fetch-back of every hit.
+"""Fetch back only what a shard cannot vouch for, against the fetch-back
+of every hit.
 
-A fetch-back plan resolves through the primary only the winners whose
-primary key is in the secondary's ``ghosted`` set; every other winner's
-own RID is read.  ``tests/reference_fetch_back.py`` keeps the executor
-that sent every winner through the primary.  Seeded rounds of upserts --
-some moving ``customer`` and/or ``region``, some changing only
-``amount``, with ticks (grooms, post-grooms, evolves) between rounds and
-one split and one merge on the way -- feed a 2-shard table carrying both
-e2e secondaries and a ``planner="baseline"`` twin.  After every round,
-customer and region queries, full-row and projected, at the latest
-snapshot and AS-OF a snapshot taken mid-stream, must give the same rows
-three ways: the shortcut, the reference executor on the same table and
-the twin's primary path.  The keys the shortcut hands to the primary's
-``batch_lookup`` must be exactly the ghosted keys among the winners (no
-call when there are none), and the live shards' ghosted sets must add up
-to exactly the keys whose secondary key ever moved.
+A fetch-back plan reads a winner's own RID when its primary key is not in
+the secondary's ``ghosted`` map or its beginTS is the key's recorded
+newest version, drops a ghosted winner whose recorded newer version every
+index of the read holds, and resolves only the rest through the primary.
+``tests/reference_fetch_back.py`` keeps the executor that sent every
+winner through the primary.  Seeded rounds of upserts -- some moving
+``customer`` and/or ``region``, some changing only ``amount``, with ticks
+(grooms, post-grooms, evolves) between rounds and one split and one merge
+on the way -- feed a 2-shard table carrying both e2e secondaries and a
+``planner="baseline"`` twin.  After every round, customer and region
+queries, full-row and projected, at the latest snapshot and AS-OF a
+snapshot taken mid-stream, must give the same rows three ways: the
+shortcut, the reference executor on the same table and the twin's primary
+path.  The keys the shortcut hands to the primary's ``batch_lookup`` must
+be exactly the winners ``reference_fetch_back.unvouched_keys`` names (no
+call when there are none), every recorded beginTS must be its key's
+newest version in the primary and the secondary, and the live shards'
+ghosted keys must add up to exactly the keys whose secondary key ever
+moved.
+
+The other tests pin the cases the rule must send through the primary: an
+AS-OF read from before a move, a read racing a groom, a groom publishing
+between a read's scan and its fetch-back, a crash between two indexes'
+publications, and keys adopted at a split and a merge.
 """
 
 import random
@@ -22,10 +32,11 @@ import random
 import pytest
 
 from repro.core.definition import ColumnSpec, ColumnType
+from repro.faults.errors import SimulatedCrash
 from repro.planner import Query
 from repro.planner.plan import Binding
 from repro.wildfire.cluster import ShardedTable
-from repro.wildfire.engine import ShardConfig, _within
+from repro.wildfire.engine import ShardConfig
 from repro.wildfire.schema import IndexSpec, TableSchema
 
 from tests import reference_fetch_back
@@ -101,29 +112,35 @@ def queries(query_ts):
 
 
 def expected_batch(shard, query):
-    """The primary keys a fetch-back must resolve: the winners' ghosted
-    ones, recomputed off the secondary's entries."""
+    """The batches a fetch-back must hand the primary: one holding the
+    winners the shard cannot vouch for, or none."""
     plan = shard.plan_query(query, Binding(shard.schema, query))
-    if not plan.fetch_back:
-        return []
-    shard_index = shard.indexes.get(plan.index_name)
     ts = query.query_ts if query.query_ts is not None else shard.clock.snapshot_ts
-    rows = [
-        entry.equality_values + entry.sort_values + entry.include_values
-        for entry in shard_index.index.scan(
-            plan.equality_values, plan.sort_lower, plan.sort_upper, ts
-        )
-    ]
-    for p in plan.entry_residuals:
-        rows = _within(rows, [row[p.offset] for row in rows], p.low, p.high)
-    ghosted = sorted({
-        pk for pk in map(plan.entry_pk, rows) if pk in shard_index.ghosted
-    })
-    return [list(map(shard._primary_key_of_pk, ghosted))] if ghosted else []
+    keys = reference_fetch_back.unvouched_keys(shard, plan, ts)
+    return [list(map(shard._primary_key_of_pk, keys))] if keys else []
+
+
+def live_shards(table):
+    return [table.shards[shard_id] for shard_id in table.live_shard_ids()]
+
+
+def check_records(table):
+    """Every recorded beginTS names its key's newest version, and the
+    secondary holds that version."""
+    for shard in live_shards(table):
+        for shard_index in shard.indexes.secondaries.values():
+            for pk, newest in shard_index.ghosted.items():
+                if newest is not None:
+                    assert reference_fetch_back.newest_begin_ts_in(
+                        shard, shard_index, pk
+                    ) == (newest, newest), (shard_index.name, pk)
 
 
 def check(table, twin, query):
-    live = [table.shards[shard_id] for shard_id in table.live_shard_ids()]
+    """Shortcut == reference on ``table`` (== ``twin``'s answer, unless
+    ``twin`` is None), with exactly the unvouched keys fetched back;
+    returns how many keys were."""
+    live = live_shards(table)
     expected = {id(shard): expected_batch(shard, query) for shard in live}
     batches = {id(shard): [] for shard in live}
     for shard in live:
@@ -146,7 +163,9 @@ def check(table, twin, query):
         for shard in live:
             reference_fetch_back.uninstall(shard)
     assert answer == reference, query
-    assert answer == twin.query(query), query
+    if twin is not None:
+        assert answer == twin.query(query), query
+    return sum(len(keys) for seen in batches.values() for keys in seen)
 
 
 def moved_keys(history, column):
@@ -189,8 +208,178 @@ def test_ghosted_fetch_back_matches_reference_and_baseline(seed):
                 for shard_id in table.live_shard_ids()
             ])
             assert ghosted == moved_keys(history, column), name
+        check_records(table)
         for query in queries(None):
             check(table, twin, query)
         if snapshot is not None:
             for query in queries(snapshot):
                 check(table, twin, query)
+
+
+def grow(rng, latest, *tables, rounds=3):
+    """``rounds`` of upserts, each ingested and groomed on every table."""
+    for _ in range(rounds):
+        rows = upserts(rng, latest)
+        for t in tables:
+            t.ingest(rows)
+            t.tick()
+
+
+def test_an_as_of_read_before_a_move_fetches_the_moved_key_back():
+    table, twin = make_table("smart"), make_table("baseline")
+    rows = [(k, f"c{k % CUSTOMERS}", f"r{k % REGIONS}", k) for k in range(KEYS)]
+    moves = [
+        (k, f"c{(k + 1) % CUSTOMERS}", f"r{(k + 1) % REGIONS}", k + 1)
+        for k in range(0, KEYS, 7)
+    ]
+    for t in (table, twin):
+        t.ingest(rows)
+        t.tick()
+    before_move = min(shard.clock.snapshot_ts for shard in live_shards(table))
+    for t in (table, twin):
+        t.ingest(moves)
+        t.run_cycles(2)
+    # Before the move, each moved key's old entry is its visible version
+    # but not its newest: only the primary can say so.
+    assert sum(check(table, twin, query) for query in queries(before_move)) > 0
+    # At the latest snapshot every moved key's newest version is in every
+    # index: a stale hit is dropped, the newest answers for itself.
+    assert sum(check(table, twin, query) for query in queries(None)) == 0
+    check_records(table)
+
+
+def test_a_read_racing_a_groom_answers_as_the_reference():
+    table = make_table("smart")
+    rng, latest = random.Random(7), {}
+    grow(rng, latest, table)
+    raced = []
+    for shard in live_shards(table):
+        # by_region publishes last: the primary and by_customer already
+        # hold the groom's run, the snapshot does not cover it yet.
+        index = shard.indexes.get("by_region").index
+
+        def racing(*args, _inner=index.add_groomed_blobs, **kwargs):
+            check_records(table)
+            for query in queries(None):
+                check(table, None, query)
+            raced.append(_inner)
+            return _inner(*args, **kwargs)
+
+        index.add_groomed_blobs = racing
+    table.ingest(upserts(rng, latest))
+    table.tick()
+    for shard in live_shards(table):
+        del shard.indexes.get("by_region").index.add_groomed_blobs
+    assert len(raced) == 2
+    check_records(table)
+    for query in queries(None):
+        check(table, None, query)
+
+
+def test_a_groom_overtaking_a_reads_scan_leaves_its_version_to_the_primary():
+    # Order 5 moved from c1 to c2, so its key is ghosted with its c2
+    # version recorded; a newer c2 version waits in the live log.  A read
+    # far in the future scans by_customer, and only then does that
+    # version's groom publish and record it: the read's scan never saw
+    # it, so the c2 hit it holds must go through the primary, not be
+    # dropped for a newer version that will not answer for itself.
+    table = make_table("smart")
+    for amount, customer in ((10, "c1"), (20, "c2")):
+        table.ingest([(5, customer, "r1", amount)])
+        table.tick()
+    table.ingest([(5, "c2", "r1", 30)])
+    shard = table.shards[table.shard_of_key((5,))]
+    index = shard.indexes.get("by_customer").index
+
+    def scan(*args, _inner=index.scan):
+        hits = _inner(*args)
+        del index.scan
+        shard.tick()
+        return hits
+
+    index.scan = scan
+    rows = table.query(Query(equalities=(("customer", "c2"),), query_ts=2**62))
+    assert "scan" not in vars(index), "the query never scanned by_customer"
+    assert rows == [(5, "c2", "r1", 30)]
+
+
+def test_a_crash_between_two_indexes_publications_leaves_its_keys_unvouched():
+    table, twin = make_table("smart"), make_table("baseline")
+    rng, latest = random.Random(11), {}
+    grow(rng, latest, table, twin)
+    rows = upserts(rng, latest)
+    for t in (table, twin):
+        t.ingest(rows)
+    twin.tick()
+    shard = table.shards[0]
+    index = shard.indexes.get("by_region").index
+
+    def crash(*args, **kwargs):
+        raise SimulatedCrash("groom.between_publications", 1)
+
+    index.add_groomed_blobs = crash
+    with pytest.raises(SimulatedCrash):
+        table.tick()
+    del index.add_groomed_blobs
+    shard.crash_and_recover()
+    # The primary and by_customer hold the lost groom's versions, by_region
+    # does not, and no record names them.
+    assert None in shard.indexes.get("by_customer").ghosted.values()
+    check_records(table)
+    for query in queries(None):
+        check(table, None, query)
+    # Later grooms move the snapshot past the lost versions, which only
+    # some indexes hold: the ghosted keys among them stay unrecorded.  (A
+    # clean key's lost version is then read through the primary but not
+    # through by_region, here and before ghosts had records alike, so
+    # answers are compared again once the replay has landed.)
+    fresh = [(KEYS + k, "c0", "r0", k) for k in range(8)]
+    for t in (table, twin):
+        t.ingest(fresh)
+        t.run_cycles(2)
+    check_records(table)
+    # The lost rows come back as a replay of the live log would bring
+    # them: upserted again.
+    table.ingest(rows)
+    table.run_cycles(2)
+    check_records(table)
+    for query in queries(None):
+        check(table, twin, query)
+
+
+def test_keys_adopted_at_split_and_merge_are_unvouched_until_groomed_again():
+    table, twin = make_table("smart"), make_table("baseline")
+    rng, latest = random.Random(3), {}
+    grow(rng, latest, table, twin)
+
+    def adopted_records(shard_ids):
+        return [
+            newest for shard_id in shard_ids
+            for newest in table.shards[shard_id].indexes.get("by_customer")
+            .ghosted.values()
+        ]
+
+    successors = table.split_shard(0)["successors"]
+    assert twin.split_shard(0)["successors"] == successors
+    # The copy brought every version the source held: no key the
+    # successors took over has a record, so a stale hit of one goes
+    # through the primary.
+    records = adopted_records(successors)
+    assert records and set(records) == {None}
+    assert sum(check(table, twin, query) for query in queries(None)) > 0
+    grow(rng, latest, table, twin, rounds=2)
+    assert set(adopted_records(successors)) - {None}
+    check_records(table)
+    for query in queries(None):
+        check(table, twin, query)
+
+    target = table.merge_shards(*successors)["target"]
+    assert twin.merge_shards(*successors)["target"] == target
+    records = adopted_records([target])
+    assert records and set(records) == {None}
+    assert sum(check(table, twin, query) for query in queries(None)) > 0
+    grow(rng, latest, table, twin, rounds=2)
+    assert set(adopted_records([target])) - {None}
+    check_records(table)
+    for query in queries(None):
+        check(table, twin, query)

@@ -1,5 +1,5 @@
 """The fetch-back that resolves every secondary hit, kept as the oracle of
-the one that resolves only ghosted keys.
+the one that resolves only the ghosted hits a shard cannot vouch for.
 
 Until ghost tracking recorded *which* primary keys a secondary ghosted,
 ``WildfireShard._execute_plan`` sent every winner of a fetch-back plan
@@ -13,15 +13,69 @@ Its records are read as full :class:`Record` objects, as they were then
 
 ``install`` swaps it in for one shard's ``_execute_plan`` (an instance
 attribute, as the tracer replaces boundaries); ``uninstall`` drops it.
+``unvouched_keys`` recomputes, off a secondary's entries, which primary
+keys the shortcut must still hand the primary, and ``newest_begin_ts_in``
+reads the version a ghosted key's record must name off the primary and
+the secondary themselves.
 """
 
 from types import MethodType
 from typing import List, Tuple
 
+from repro.core.query import MAX_QUERY_TS
 from repro.wildfire.engine import _within
 from repro.wildfire.indexes import PRIMARY_INDEX_NAME
 
 from tests.reference_typed_tail import reference_fetch_records
+
+
+def unvouched_keys(shard, plan, ts: int) -> List[Tuple]:
+    """The primary keys (sorted, as ``entry_pk`` gives them) a fetch-back
+    at ``ts`` must resolve through the primary.
+
+    A winner needs no primary when its key is not ghosted (a clean hit is
+    its row's newest version), when its beginTS is the key's recorded
+    newest, or when that recorded version is at or below both ``ts`` and
+    the published snapshot: every index the read searched then holds it,
+    so it answers as its own hit.  Every other ghosted winner does: no
+    record (a key adopted at split or merge, a groom still publishing or
+    cut short), or a newest version past the read (AS-OF).
+    """
+    if not plan.fetch_back:
+        return []
+    ghosted = shard.indexes.get(plan.index_name).ghosted
+    horizon = min(ts, shard.clock.snapshot_ts)
+    entries = shard.indexes.get(plan.index_name).index.scan(
+        plan.equality_values, plan.sort_lower, plan.sort_upper, ts
+    )
+    rows = [
+        entry.equality_values + entry.sort_values + entry.include_values
+        + (entry.begin_ts,)
+        for entry in entries
+    ]
+    for p in plan.entry_residuals:
+        rows = _within(rows, [row[p.offset] for row in rows], p.low, p.high)
+    keys = set()
+    for row in rows:
+        pk = plan.entry_pk(row)
+        if pk not in ghosted or ghosted[pk] == row[-1]:
+            continue
+        if ghosted[pk] is None or ghosted[pk] > horizon:
+            keys.add(pk)
+    return sorted(keys)
+
+
+def newest_begin_ts_in(shard, shard_index, pk: Tuple) -> Tuple[int, int]:
+    """The beginTS of the newest version of ``pk`` in the primary, and of
+    the secondary ``shard_index``'s entry under that version's key."""
+    key = shard._primary_key_of_pk(pk)
+    newest = shard.index.batch_lookup([key], MAX_QUERY_TS)[0]
+    values = shard.catalog.fetch_record(newest.rid).values
+    equality, sort, _included = shard_index.positions
+    entry = shard_index.index.lookup(
+        [values[p] for p in equality], [values[p] for p in sort]
+    )
+    return newest.begin_ts, None if entry is None else entry.begin_ts
 
 
 def reference_fetch_back_rids(shard, entry_pk, rows: List[Tuple], ts: int) -> List:

@@ -68,7 +68,7 @@ def reference_execute_plan(shard, plan, ts: int) -> List[Tuple]:
             if plan.index_only:
                 return shard._project_entries(plan, rows)
             entry_pk = plan.entry_pk
-            stale = shard_index.ghosted.intersection(map(entry_pk, rows))
+            stale = shard_index.ghosted.keys() & set(map(entry_pk, rows))
             if stale:
                 rids = [row[-1] for row in rows if entry_pk(row) not in stale]
                 rids += shard._fetch_back_rids(entry_pk, [

@@ -78,15 +78,19 @@ class TestReadAttribution:
         assert snap.get("records", 0) == 0
 
     def test_fetch_back_charges_all_three_components(self):
-        # Order 7 moves from c2 to c3: its stale c2 entry is a ghosted
-        # winner, which the primary resolves.
+        # Order 7 moves from c2 to c3: read AS-OF before the move, its c2
+        # entry is a ghosted winner older than its key's newest version,
+        # which the primary resolves.
         shard = make_shard()
         seed(shard)
+        before_move = shard.current_snapshot_ts()
         shard.ingest([(7, "c3", "r1", 70)])
         shard.run_cycles(2)
         cold_reset(shard)
-        rows = shard.query(Query(equalities=(("customer", "c2"),)))
-        assert len(rows) == 11
+        rows = shard.query(Query(
+            equalities=(("customer", "c2"),), query_ts=before_move,
+        ))
+        assert len(rows) == 12 and (7, "c2", "r1", 70) in rows
         snap = shard.hierarchy.stats.attribution_snapshot()
         assert snap.get("index:by_customer", 0) > 0
         assert snap.get("index:primary", 0) > 0

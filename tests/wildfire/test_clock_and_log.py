@@ -59,14 +59,18 @@ class TestHybridClock:
             t.join()
         assert len(set(seen)) == 800
 
-    def test_now_covers_current_groom_cycle(self):
+    def test_snapshot_covers_a_groom_cycle_only_once_published(self):
         clock = HybridClock()
+        before = clock.snapshot_ts
         cycle = clock.next_groom_cycle()
+        assert clock.snapshot_ts == before < compose_begin_ts(cycle, 0)
+        clock.publish_groom_cycle(cycle)
         assert clock.snapshot_ts >= compose_begin_ts(cycle, 0)
 
-    def test_snapshot_ts_moves_with_every_groom_cycle_change(self):
-        # snapshot_ts is kept beside groom_cycle, not derived on read:
-        # every writer of the cycle must move it too.
+    def test_snapshot_ts_moves_only_with_published_cycles(self):
+        # snapshot_ts is kept beside groom_cycle, not derived on read: a
+        # groom moves it after its run is in every index, a clock handoff
+        # to the other clock's (published) state, and never backwards.
         def newest(cycle):
             return compose_begin_ts(cycle, (1 << COMMIT_BITS) - 1)
 
@@ -74,11 +78,21 @@ class TestHybridClock:
         assert clock.snapshot_ts == newest(0)
         for _ in range(2):
             cycle = clock.next_groom_cycle()
+            assert clock.snapshot_ts == newest(cycle - 1)
+            clock.publish_groom_cycle(cycle)
             assert clock.snapshot_ts == newest(cycle)
-        clock.ensure_at_least(9, 0)
+        clock.publish_groom_cycle(1)  # forward-only
+        assert clock.snapshot_ts == newest(2)
+        clock.publish_groom_cycle(9, 40)
         assert (clock.groom_cycle, clock.snapshot_ts) == (9, newest(9))
-        clock.ensure_at_least(3, 0)  # forward-only
+        assert clock.next_commit_seq() == 41
+        clock.publish_groom_cycle(3, 0)  # forward-only
         assert (clock.groom_cycle, clock.snapshot_ts) == (9, newest(9))
+        # A groom still running when the clock is handed forward stays
+        # unpublished.
+        clock.next_groom_cycle()
+        clock.publish_groom_cycle(9, 0)
+        assert (clock.groom_cycle, clock.snapshot_ts) == (10, newest(9))
 
     def test_begin_ts_column_is_compose_begin_ts_per_order(self):
         for cycle in (0, 1, 5, 2**20):

@@ -103,6 +103,28 @@ class TestSnapshotIsolation:
         assert shard.point_query((1,), (1,), query_ts=ts).values == (1, 1, 100)
         assert shard.point_query((1,), (1,)).values == (1, 1, 200)
 
+    def test_a_groom_is_readable_only_once_every_index_holds_it(self):
+        # A read at the snapshot timestamp a running groom shows must
+        # answer as the same read does after the groom: the snapshot may
+        # not cover the groom's rows before its runs are published.
+        shard = make_shard(secondary_indexes=TWO_SECONDARIES)
+        shard.ingest([(2, 1, 10)])
+        shard.tick()
+        shard.ingest([(4, 1, 20)])
+        seen = []
+        build = shard.indexes.build_groomed_runs
+
+        def mid_groom(*args):
+            ts = shard.current_snapshot_ts()
+            seen.append((ts, shard.point_query((4,), (1,), query_ts=ts)))
+            return build(*args)
+
+        shard.indexes.build_groomed_runs = mid_groom
+        shard.tick()
+        [(ts, during)] = seen
+        assert during == shard.point_query((4,), (1,), query_ts=ts)
+        assert shard.point_query((4,), (1,)).values == (4, 1, 20)
+
     def test_version_chain_and_end_ts(self):
         shard = make_shard(post_groom_every=1)
         for value in (100, 200, 300):
