@@ -194,7 +194,7 @@ def run_arm(protected: bool):
         "sim_now_ns": table.sim_now(),
         "qos": table.qos_stats().snapshot() if protected else None,
         "queue_waits": tuple(queue_waits),
-        "victim_degraded_after": table.shards[victim].degraded,
+        "victim_degraded_after": table.shards[victim].degraded_pin is not None,
     }
     return phase_stats, summary
 

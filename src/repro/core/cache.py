@@ -198,16 +198,14 @@ class CacheManager:
         Maintenance touches are skipped symmetrically to :meth:`load_run`:
         a maintenance read never admits a block, so there is nothing to
         release -- and blindly dropping a touched run's blocks here could
-        evict blocks a concurrent *query* had legitimately warmed.  ``intent=None`` resolves through the
-        hierarchy's ``reading_as`` scope, so a query-machinery path driven
-        by maintenance (a ``reading_as(MAINTENANCE)`` caller with
-        ``on_query_done`` wired) cannot evict query-warmed blocks.
+        evict blocks a concurrent *query* had legitimately warmed.
+        ``intent=None`` resolves through the hierarchy's ``reading_as``
+        scope, so a query-machinery path driven by maintenance (a
+        ``reading_as(MAINTENANCE)`` caller with ``on_query_done`` wired)
+        cannot evict query-warmed blocks.  The intent is asked only once
+        some run has something to release (a bypass is counted then): a
+        warm query's exit reads no thread-local.
         """
-        if intent is None:
-            intent = self.hierarchy.current_read_intent()
-        if intent is ReadIntent.MAINTENANCE:
-            self.maintenance_bypasses += 1
-            return
         releasing: Dict[str, IndexRun] = {}
         cached_level = self._current_cached_level
         for run in touched_purged_runs:
@@ -215,6 +213,11 @@ class CacheManager:
                 releasing[run.run_id] = run
         if not releasing:
             return  # nothing transient to release: no decision made
+        if intent is None:
+            intent = self.hierarchy.current_read_intent()
+        if intent is ReadIntent.MAINTENANCE:
+            self.maintenance_bypasses += 1
+            return
         # Another query's pinned snapshot may still hold a run: dropping
         # its blocks (and decoded views) now would yank them out from
         # under that query's reads.  The next query to touch the

@@ -37,6 +37,8 @@ from typing import Callable, Collection, List, Optional, Set, Tuple
 from repro.core.run import IndexRun
 from repro.storage.metrics import EpochStats
 
+_new_object = object.__new__
+
 
 @dataclass(frozen=True)
 class RunListVersion:
@@ -90,17 +92,11 @@ class QueryPin:
     ``version`` / ``runs`` are the pinned snapshot.  Whoever pins
     releases, in a ``finally`` or explicitly (the query executor's exits,
     :class:`~repro.core.index.SnapshotPin`, the shard copy stream);
-    nothing else does.  Releasing twice is a no-op.
+    nothing else does.  Releasing twice is a no-op.  Only
+    :meth:`RunLifecycle.pin` makes one, with no ``__init__`` frame.
     """
 
     __slots__ = ("version", "runs", "_lifecycle", "_node", "_released")
-
-    def __init__(self, lifecycle: "RunLifecycle", node: _VersionNode) -> None:
-        self.version = node.version
-        self.runs = node.runs
-        self._lifecycle = lifecycle
-        self._node = node
-        self._released = False
 
     def release(self) -> None:
         self._lifecycle.release(self)
@@ -229,7 +225,9 @@ class RunLifecycle:
             node.refs += 1
             self.stats.version_refs += 1
             self.stats.pins_entered += 1
-            pin = QueryPin(self, node)
+            pin = _new_object(QueryPin)
+            pin.version, pin.runs, pin._node = node.version, node.runs, node
+            pin._lifecycle, pin._released = self, False
             ready = self._retired and self._drain_locked()
         if ready:
             self._reclaim(ready)

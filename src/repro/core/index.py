@@ -312,8 +312,9 @@ class UmziIndex:
         equality_values: Sequence[KeyValue] = (),
         sort_values: Sequence[KeyValue] = (),
         query_ts: int = MAX_QUERY_TS,
+        key: Optional[bytes] = None,
     ) -> Optional[IndexEntry]:
-        return self.executor.lookup(equality_values, sort_values, query_ts)
+        return self.executor.lookup(equality_values, sort_values, query_ts, key)
 
     def scan(
         self,

@@ -34,7 +34,7 @@ from repro.core.definition import (
     IndexDefinition,
     encode_search_key,
 )
-from repro.core.epoch import QueryPin, RunLifecycle
+from repro.core.epoch import RunLifecycle
 from repro.core.encoding import (
     EncodingError,
     KeyValue,
@@ -271,11 +271,13 @@ class QueryExecutor:
     of any run the query still holds.  The pin is a single Ref and the
     release a single Unref: exactly two refcount operations per query,
     independent of run count (``EpochStats.version_refs`` /
-    ``version_unrefs``).  The pin is released *before* ``on_query_done``
-    fires, so the cache manager's release pass sees only pins held by
-    *other* in-flight queries.  Without a lifecycle the caller owns the
-    snapshot's lifetime (``UmziIndex.pin_snapshot`` and the post-groom
-    sweep hold a pin around the executor).
+    ``version_unrefs``), one ``pin`` and one ``release`` call made by the
+    door itself.  The pin is released *before* ``on_query_done`` fires
+    (it rides through the lifecycle as the pin's ``after`` action, outside
+    the lifecycle mutex), so the cache manager's release pass sees only
+    pins held by *other* in-flight queries.  Without a lifecycle the
+    caller owns the snapshot's lifetime (``UmziIndex.pin_snapshot`` and
+    the post-groom sweep hold a pin around the executor).
     """
 
     def __init__(
@@ -300,31 +302,6 @@ class QueryExecutor:
         self.per_key_batch_pruning = per_key_batch_pruning
         # Hook for the cache manager: release transient blocks of purged runs.
         self._on_query_done = on_query_done
-
-    # -- query scope (epoch pin + release hooks) -----------------------------------
-
-    def _enter_query(self) -> Tuple[Optional[QueryPin], Sequence[IndexRun]]:
-        """The run snapshot: the pinned current version when a lifecycle
-        is wired, ``collect_runs()`` otherwise."""
-        if self._lifecycle is None:
-            return None, self.collect_runs()
-        pin = self._lifecycle.pin()
-        return pin, pin.runs
-
-    def _exit_query(
-        self, pin: Optional[QueryPin], touched: List[IndexRun]
-    ) -> None:
-        """Epoch exit, then block release -- in that order (see class doc).
-
-        Called from every query's ``finally``.  The block-release hook and
-        the runs touched ride through the lifecycle as the pin's ``after``
-        action, which runs once the pin no longer counts and outside the
-        lifecycle mutex.
-        """
-        if pin is not None:
-            self._lifecycle.release(pin, self._on_query_done, touched)
-        elif self._on_query_done is not None:
-            self._on_query_done(touched)
 
     # -- range scan ----------------------------------------------------------------
 
@@ -352,7 +329,9 @@ class QueryExecutor:
         )
         if bounds is None:
             bounds = compute_scan_bounds(self.definition, query)
-        pin, runs = self._enter_query()
+        lifecycle, done = self._lifecycle, self._on_query_done
+        pin = lifecycle.pin() if lifecycle is not None else None
+        runs = pin.runs if pin is not None else self.collect_runs()
         # Everything after the pin runs under the finally, so an exception
         # anywhere (even in candidate filtering) cannot leak the epoch.
         candidates: List[IndexRun] = []
@@ -371,7 +350,10 @@ class QueryExecutor:
                 )
             ]
         finally:
-            self._exit_query(pin, candidates)
+            if pin is not None:
+                lifecycle.release(pin, done, candidates)
+            elif done is not None:
+                done(candidates)
 
     def _candidates(
         self, runs: Sequence[IndexRun], query: RangeScanQuery
@@ -457,6 +439,7 @@ class QueryExecutor:
         equality_values: Sequence[KeyValue] = (),
         sort_values: Sequence[KeyValue] = (),
         query_ts: int = MAX_QUERY_TS,
+        key: Optional[bytes] = None,
     ) -> Optional[IndexEntry]:
         """Search newest to oldest, stopping at the first visible match
         (the section 7.2 optimization).
@@ -465,15 +448,23 @@ class QueryExecutor:
         run is skipped on ``min_begin_ts`` and on the synopsis ranges of
         the equality columns and the leading sort column (the boxes a scan
         over the same bounds is pruned by), and searched by the exact-key
-        kernel :meth:`IndexRun.lookup_visible`.
+        kernel :meth:`IndexRun.lookup_visible`.  ``key`` is the values'
+        ``key_bytes`` when the caller encoded them already -- only for a
+        definition without a hash column (a routed table point whose
+        sharding key is the whole sort key).
         """
-        key, hash_value = encode_point_key(
-            self.definition, equality_values, sort_values
-        )
+        if key is None:
+            key, hash_value = encode_point_key(
+                self.definition, equality_values, sort_values
+            )
+        else:
+            hash_value = None
         floor = ts_floor(query_ts)
         boxes = (*equality_values, *sort_values[:1])
         bucketed = hash_value is not None and self.use_offset_array
-        pin, runs = self._enter_query()
+        lifecycle, done = self._lifecycle, self._on_query_done
+        pin = lifecycle.pin() if lifecycle is not None else None
+        runs = pin.runs if pin is not None else self.collect_runs()
         # Only the runs searched are handed to the release hook, not every
         # synopsis candidate: the lookup stops at the first visible match.
         searched: List[IndexRun] = []
@@ -502,7 +493,10 @@ class QueryExecutor:
                         return entry
             return None
         finally:
-            self._exit_query(pin, searched)
+            if pin is not None:
+                lifecycle.release(pin, done, searched)
+            elif done is not None:
+                done(searched)
 
     def batch_lookup(
         self, lookups: Sequence[PointLookup]
@@ -560,7 +554,9 @@ class QueryExecutor:
             floors = list(map(ts_floor, timestamps))
         found: List[Optional[IndexEntry]] = [None] * len(keys)
         unresolved: Sequence[int] = range(len(keys))
-        pin, candidates = self._enter_query()
+        lifecycle, done = self._lifecycle, self._on_query_done
+        pin = lifecycle.pin() if lifecycle is not None else None
+        candidates = pin.runs if pin is not None else self.collect_runs()
         touched: List[IndexRun] = []
         try:
             # Per-key-column (min, max) over the whole batch.
@@ -615,7 +611,10 @@ class QueryExecutor:
                 )
                 unresolved = [slot for slot in unresolved if found[slot] is None]
         finally:
-            self._exit_query(pin, touched)
+            if pin is not None:
+                lifecycle.release(pin, done, touched)
+            elif done is not None:
+                done(touched)
         results: List[Optional[IndexEntry]] = [None] * len(keys)
         for position, entry in zip(positions, found):
             results[position] = entry

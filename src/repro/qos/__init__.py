@@ -14,7 +14,7 @@ Everything lands on the :class:`~repro.storage.metrics.QosStats` ledger
 (``IOStats.qos``), so protection is counter-asserted, not hoped for.
 """
 
-from repro.qos.admission import AdmissionController, AdmissionTicket, QosConfig
+from repro.qos.admission import AdmissionController, QosConfig
 from repro.qos.breaker import BreakerConfig, BreakerState, CircuitBreaker
 from repro.qos.errors import (
     DeadlineExceeded,
@@ -26,7 +26,6 @@ from repro.qos.scheduler import DaemonScheduler
 
 __all__ = [
     "AdmissionController",
-    "AdmissionTicket",
     "BreakerConfig",
     "BreakerState",
     "CircuitBreaker",

@@ -19,11 +19,12 @@ Time is split across two deterministic clocks.  The **arrival clock**
 models offered load: the closed-loop driver calls :meth:`advance` to say
 "this much simulated time passed between client requests", and tokens
 refill against it.  The **work clock** (the shards' charged simulated
-nanoseconds) measures how long an admitted query actually took;
-:meth:`AdmissionTicket.finish` compares queueing + work time against the
-deadline and counts late completions as ``deadline_misses``.  Neither
-clock ever reads wall time, so every admit/shed decision replays
-identically from the same seed and schedule.
+nanoseconds) measures how long an admitted query actually took; the
+serving path (``ShardedTable._admitted``) compares the wait :meth:`admit`
+booked plus that work against ``deadline_ns`` and counts a late
+completion as one ``deadline_misses``.  Neither clock ever reads wall
+time, so every admit/shed decision replays identically from the same
+seed and schedule.
 """
 
 from __future__ import annotations
@@ -74,32 +75,6 @@ class QosConfig:
         return self.rate_per_sim_s / 1_000_000_000.0
 
 
-class AdmissionTicket:
-    """One admitted operation's deadline bookkeeping."""
-
-    def __init__(
-        self, controller: "AdmissionController", queued_ns: int, deadline_ns: int
-    ) -> None:
-        self._controller = controller
-        self.queued_ns = queued_ns
-        self.deadline_ns = deadline_ns
-        self._finished = False
-
-    def finish(self, work_ns: int) -> bool:
-        """Complete the op after ``work_ns`` simulated ns of shard work.
-
-        Returns True when the op met its deadline (queueing included);
-        a late completion bumps ``deadline_misses`` exactly once.
-        """
-        if self._finished:
-            return True
-        self._finished = True
-        met = self.queued_ns + work_ns <= self.deadline_ns
-        if not met:
-            self._controller.stats.deadline_misses += 1
-        return met
-
-
 class AdmissionController:
     """Deterministic token bucket over the simulated arrival clock."""
 
@@ -113,10 +88,11 @@ class AdmissionController:
         self.stats = stats if stats is not None else QosStats()
         self._charge = charge
         self._rate_per_ns = config.rate_per_ns  # a property: read it once
+        self._burst = float(config.burst)
         self._lock = threading.Lock()
         self.now_ns = 0  # the arrival clock: read without the lock
         self._last_refill_ns = 0
-        self._tokens = float(config.burst)
+        self._tokens = self._burst
 
     def advance(self, delta_ns: int) -> None:
         """Advance the arrival clock: ``delta_ns`` of offered-load time."""
@@ -137,23 +113,26 @@ class AdmissionController:
         elapsed = self.now_ns - self._last_refill_ns
         if elapsed > 0:
             self._tokens = min(
-                float(self.config.burst),
-                self._tokens + elapsed * self._rate_per_ns,
+                self._burst, self._tokens + elapsed * self._rate_per_ns
             )
             self._last_refill_ns = self.now_ns
 
-    def admit(
-        self, cost: float = 1.0, deadline_ns: Optional[int] = None
-    ) -> AdmissionTicket:
-        """Admit one operation or shed it with a typed error."""
+    def admit(self, cost: float = 1.0, deadline_ns: Optional[int] = None) -> int:
+        """Admit one operation and return the simulated ns it was booked to
+        wait, or shed it with a typed error."""
         if deadline_ns is None:
             deadline_ns = self.config.deadline_ns
         with self._lock:
-            self._refill_locked()
+            elapsed = self.now_ns - self._last_refill_ns
+            if elapsed > 0:  # _refill_locked, inline
+                self._tokens = min(
+                    self._burst, self._tokens + elapsed * self._rate_per_ns
+                )
+                self._last_refill_ns = self.now_ns
             if self._tokens >= cost:
                 self._tokens -= cost
                 self.stats.admitted += 1
-                return AdmissionTicket(self, 0, deadline_ns)
+                return 0
             wait_ns = int((cost - self._tokens) / self._rate_per_ns)
             if wait_ns > self.config.max_queue_ns:
                 self.stats.shed += 1
@@ -169,7 +148,7 @@ class AdmissionController:
             self.stats.queue_sim_ns += wait_ns
         if self._charge is not None and wait_ns > 0:
             self._charge(wait_ns)
-        return AdmissionTicket(self, wait_ns, deadline_ns)
+        return wait_ns
 
 
-__all__ = ["AdmissionController", "AdmissionTicket", "QosConfig"]
+__all__ = ["AdmissionController", "QosConfig"]

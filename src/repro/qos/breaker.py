@@ -63,7 +63,12 @@ class BreakerConfig:
 
 
 class CircuitBreaker:
-    """Thread-safe closed/open/half-open breaker for one storage tier."""
+    """Thread-safe closed/open/half-open breaker for one storage tier.
+
+    ``recorded_state`` is the state as last written.  Read without the
+    lock it is exact while CLOSED (nothing lapses out of CLOSED);
+    :meth:`state` applies the lazy OPEN -> HALF_OPEN lapse.
+    """
 
     def __init__(
         self,
@@ -77,7 +82,7 @@ class CircuitBreaker:
         self._clock = clock
         self._stats = stats if stats is not None else QosStats()
         self._lock = threading.Lock()
-        self._state = BreakerState.CLOSED
+        self.recorded_state = BreakerState.CLOSED
         self._consecutive_failures = 0
         self._opened_at_ns = 0
         self._probe_successes = 0
@@ -89,19 +94,19 @@ class CircuitBreaker:
     def state(self) -> BreakerState:
         """Current state, applying the lazy OPEN -> HALF_OPEN transition
         (CLOSED is one enum read and takes no lock, like :meth:`check`)."""
-        if self._state is BreakerState.CLOSED:
+        if self.recorded_state is BreakerState.CLOSED:
             return BreakerState.CLOSED
         with self._lock:
             return self._state_locked()
 
     def _state_locked(self) -> BreakerState:
         if (
-            self._state is BreakerState.OPEN
+            self.recorded_state is BreakerState.OPEN
             and self._clock() >= self._opened_at_ns + self.config.open_ns
         ):
-            self._state = BreakerState.HALF_OPEN
+            self.recorded_state = BreakerState.HALF_OPEN
             self._probe_successes = 0
-        return self._state
+        return self.recorded_state
 
     def check(self) -> None:
         """Raise :class:`StorageBrownout` if operations must fail fast.
@@ -111,7 +116,7 @@ class CircuitBreaker:
         CLOSED takes no lock: a trip landing just after the read lets this
         one operation through, as if it had taken the lock first.
         """
-        if self._state is BreakerState.CLOSED:
+        if self.recorded_state is BreakerState.CLOSED:
             return
         with self._lock:
             state = self._state_locked()
@@ -125,14 +130,17 @@ class CircuitBreaker:
 
     def record_success(self) -> None:
         # CLOSED with no failure counted: nothing to clear, nothing to lock.
-        if self._state is BreakerState.CLOSED and not self._consecutive_failures:
+        if (
+            self.recorded_state is BreakerState.CLOSED
+            and not self._consecutive_failures
+        ):
             return
         with self._lock:
             state = self._state_locked()
             if state is BreakerState.HALF_OPEN:
                 self._probe_successes += 1
                 if self._probe_successes >= self.config.probe_successes:
-                    self._state = BreakerState.CLOSED
+                    self.recorded_state = BreakerState.CLOSED
                     self._consecutive_failures = 0
                     self._stats.breaker_closes += 1
             elif state is BreakerState.CLOSED:
@@ -149,7 +157,7 @@ class CircuitBreaker:
                     self._trip_locked()
 
     def _trip_locked(self) -> None:
-        self._state = BreakerState.OPEN
+        self.recorded_state = BreakerState.OPEN
         self._opened_at_ns = self._clock()
         self._consecutive_failures = 0
         self._probe_successes = 0

@@ -59,6 +59,7 @@ simulated clock includes time spent waiting in queue.
 from __future__ import annotations
 
 import threading
+from operator import attrgetter
 from typing import Callable, Dict, List, NamedTuple, Optional, Sequence, Set, Tuple
 
 from repro.core.definition import COLUMN_ENCODERS, encode_search_key, encode_typed
@@ -80,6 +81,7 @@ from repro.wildfire.schema import IndexSpec, SchemaError, TableSchema
 from repro.wildfire.shardmap import ShardMap, ShardMapRegistry
 
 ADMISSION_TIER = "admission"
+_SHARD_SIM_NS = attrgetter("hierarchy.stats.total_sim_ns")  # read in C
 
 Row = Tuple[KeyValue, ...]
 TaggedRow = Tuple[Row, int, Row]  # (primary key, beginTS, projected row)
@@ -98,6 +100,8 @@ class QueryKind(NamedTuple):
 
 
 POINT = QueryKind("point_query", True, "_newest_record")
+# A point whose routing bytes are its lookup key, handed to its shards.
+KEYED_POINT = QueryKind("point_query", True, "_newest_record")
 RANGE = QueryKind("range_query", True, "_merge_versions")
 # A typed part is still ``(pk, beginTS, row)``-tagged, so even a single
 # shard's answer goes through the combine -- and its failure is reported
@@ -138,6 +142,11 @@ class ShardedTable:
         # Where a read's key holds the sharding values (for routing reads);
         # None when it does not hold them all, so reads can only scatter.
         self._shard_slots = index_spec.key_slots(schema.sharding_key)
+        # No hash column and the sharding key as the whole sort key: a point
+        # binding exactly these sort values routes by its lookup key's bytes.
+        keyed = not index_spec.equality_columns and (
+            tuple(index_spec.sort_columns) == tuple(schema.sharding_key))
+        self._key_width = len(schema.sharding_key) if keyed else -1
 
         # -- overload protection (ISSUE 7) --------------------------------
         self.qos_config = qos
@@ -249,10 +258,7 @@ class ShardedTable:
         next client batch, not only while it burns work ns.
         """
         now = self._admission.now_ns if self._admission is not None else 0
-        now += self._qos_io.total_sim_ns
-        for shard in self.shards:
-            now += shard.hierarchy.stats.total_sim_ns
-        return now
+        return sum(map(_SHARD_SIM_NS, self.shards), now + self._qos_io.total_sim_ns)
 
     def advance_clock(self, delta_ns: int) -> None:
         """Advance the admission arrival clock (offered-load time).
@@ -294,9 +300,7 @@ class ShardedTable:
         return self._maps.current.write_shard(self.key_hash(sharding_values))
 
     def _bound_sharding_values(
-        self,
-        equality_values: Sequence[KeyValue],
-        sort_values: Sequence[KeyValue],
+        self, equality_values: Sequence[KeyValue], sort_values: Sequence[KeyValue]
     ) -> Optional[Tuple[KeyValue, ...]]:
         """Sharding values when the query binds them all, else ``None``."""
         if self._shard_slots is None:
@@ -310,15 +314,18 @@ class ShardedTable:
     # -- admission + ingestion -------------------------------------------------------
 
     def _admitted(self, serve: Callable, *args):
-        """Run ``serve(*args)`` behind admission control: one token per call."""
-        if self._admission is None:
+        """``serve(*args)`` behind admission: one token per call; the booked
+        wait plus the work (``sim_now``, inline) past the deadline is a miss."""
+        admission, io, shards = self._admission, self._qos_io, self.shards
+        if admission is None:
             return serve(*args)
-        ticket = self._admission.admit()
-        start = self.sim_now()
+        due = admission.config.deadline_ns - admission.admit() + sum(
+            map(_SHARD_SIM_NS, shards), admission.now_ns + io.total_sim_ns)
         try:
             return serve(*args)
         finally:
-            ticket.finish(self.sim_now() - start)
+            if sum(map(_SHARD_SIM_NS, shards), admission.now_ns + io.total_sim_ns) > due:
+                admission.stats.deadline_misses += 1
 
     def ingest(self, rows: Sequence[Sequence[KeyValue]]) -> Dict[int, int]:
         """Route rows to shards; returns rows-per-shard for observability.
@@ -340,11 +347,14 @@ class ShardedTable:
         # One map pin covers the whole batch: every row of the batch is
         # routed by the same epoch, and a concurrent split's cutover
         # publish happens entirely before or entirely after it.
-        with self._maps.pin() as pin:
+        shard_map = self._maps.pin()
+        try:
             for row, key in zip(rows, keys):
-                per_shard.setdefault(pin.map.write_shard(fnv1a64(key)), []).append(row)
+                per_shard.setdefault(shard_map.write_shard(fnv1a64(key)), []).append(row)
             for shard_id, shard_rows in per_shard.items():
                 self.shards[shard_id].ingest(shard_rows)
+        finally:
+            self._maps.unpin(shard_map.epoch)
         return {shard_id: len(rs) for shard_id, rs in per_shard.items()}
 
     # -- lifecycle --------------------------------------------------------------------
@@ -511,12 +521,11 @@ class ShardedTable:
     ) -> Optional[Record]:
         """Routed when the sharding key is bound (it is, for a primary-key
         lookup: the sharding key is a subset of the primary key)."""
-        return self._admitted(
-            self._serve,
-            POINT,
-            self._bound_sharding_values(equality_values, sort_values),
-            (equality_values, sort_values, query_ts),
-        )
+        args = (equality_values, sort_values, query_ts)
+        if not equality_values and len(sort_values) == self._key_width:
+            return self._admitted(self._serve, KEYED_POINT, sort_values, args)
+        sharding_values = self._bound_sharding_values(equality_values, sort_values)
+        return self._admitted(self._serve, POINT, sharding_values, args)
 
     def range_query(
         self,
@@ -585,25 +594,29 @@ class ShardedTable:
         The fresh-write holders of an open migration window must answer
         authoritatively or not at all: a degraded (snapshot-pinned)
         answer could silently miss freshly cut-over writes, so their
-        brownouts surface in the partial result instead.
+        brownouts surface in the partial result instead.  A ``KEYED_POINT``
+        hands its shards the routing bytes: its key is encoded once.
         """
-        with self._maps.pin() as pin:
+        shard_map = self._maps.pin()
+        try:
             if sharding_values is not None:
                 try:  # by declared type, like key_hash: 3 routes as 3.0
                     encoded = encode_search_key(self._shard_specs, sharding_values)
                 except EncodingError as exc:
                     raise PlanError(f"sharding key: {exc}") from None
                 key_hash = fnv1a64(encoded)
-                route = pin.map.route_of(key_hash)
+                route = shard_map.route_of(key_hash)
                 shard_ids = route.read_shards(key_hash)
+                if kind is KEYED_POINT:
+                    args = (*args, encoded)
                 if len(shard_ids) == 1 and kind is not TYPED:
                     return self._shard_call(kind, shard_ids[0], args, True)
                 fresh = route.fresh_write_shards()
             else:
-                shard_ids = pin.map.scatter_shards()
+                shard_ids = shard_map.scatter_shards()
                 if kind is TYPED:
                     shard_ids = self._prune_scatter(list(shard_ids), *args)
-                fresh = pin.map.fresh_write_shards()
+                fresh = shard_map.fresh_write_shards()
             parts: list = []
             failed: List[int] = []
             cause: Optional[BaseException] = None
@@ -623,22 +636,25 @@ class ShardedTable:
                 if not isinstance(answer, list):  # a point's record or None
                     answer = [] if answer is None else [answer]
                 raise PartialResultError(
-                    tuple(failed), tuple(answer), cause, epoch=pin.epoch
+                    tuple(failed), tuple(answer), cause, epoch=shard_map.epoch
                 )
             return answer
+        finally:
+            self._maps.unpin(shard_map.epoch)
 
     def _shard_call(
         self, kind: QueryKind, shard_id: int, args: tuple, allow_degraded: bool
     ):
         """One shard's part through ``kind.live``; this only decides when
         a shard enters or leaves degraded mode (its doors then read
-        through the mode's snapshot pin)."""
+        through the mode's snapshot pin) -- two attribute reads if not."""
         shard = self.shards[shard_id]
         breaker = self._breakers[shard_id]
         if breaker is None or not kind.degradable:
             return getattr(shard, kind.live)(*args)
-        if breaker.state() is not BreakerState.OPEN:
-            if shard.degraded:
+        if (breaker.recorded_state is BreakerState.CLOSED
+                or breaker.state() is not BreakerState.OPEN):
+            if shard.degraded_pin is not None:
                 shard.exit_degraded_mode()
             try:
                 return getattr(shard, kind.live)(*args)
@@ -748,9 +764,8 @@ class ShardedTable:
         ``io`` folds the cluster's own ledger plus every shard's hierarchy
         ledger through :meth:`~repro.storage.metrics.IOStats.merge`, so
         sub-ledger counters (per-intent cache paths, fault/retry counts,
-        epoch lifecycle, decode work) aggregate instead of being dropped
-        like the old top-level-only summation did.  ``total_entries``
-        counts live shards only: a retired source's copied entries would
+        epoch lifecycle, decode work) aggregate.  ``total_entries`` counts
+        live shards only: a retired source's copied entries would
         otherwise be double-counted.
         """
         per_shard = [shard.stats() for shard in self.shards]

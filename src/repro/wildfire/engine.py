@@ -160,7 +160,7 @@ class WildfireShard:
         # Degraded-read mode (ISSUE 7): a long-lived SnapshotPin over the
         # primary index, opened while the shared tier's breaker is open so
         # queries answer from local tiers + a pinned versionset snapshot.
-        self._degraded_pin = None
+        self.degraded_pin = None
         self._degraded_lock = threading.Lock()
 
     # ------------------------------------------------------------------------------
@@ -372,9 +372,11 @@ class WildfireShard:
         equality_values: Sequence[KeyValue] = (),
         sort_values: Sequence[KeyValue] = (),
         query_ts: Optional[int] = None,
+        key: Optional[bytes] = None,
         freshness: str = "groomed",
     ) -> Optional[Record]:
-        """Index lookup + record fetch through the block catalog.
+        """Index lookup + record fetch through the block catalog (``key``:
+        the values' lookup key, when a routed table point encoded it).
 
         ``freshness`` selects the snapshot class (paper section 3: "a query
         may need to access data in the live zone, groomed zone, and/or the
@@ -395,9 +397,9 @@ class WildfireShard:
             if live_hit is not None:
                 return live_hit
         ts = query_ts if query_ts is not None else self.clock.snapshot_ts
-        pin = self._degraded_pin
+        pin = self.degraded_pin
         index = self.index if pin is None else pin.executor
-        entry = index.lookup(equality_values, sort_values, ts)
+        entry = index.lookup(equality_values, sort_values, ts, key)
         if entry is None:
             return None
         return self.catalog.fetch_record(entry.rid)
@@ -435,7 +437,7 @@ class WildfireShard:
         sort_upper: Optional[Sequence[KeyValue]] = None,
         query_ts: Optional[int] = None,
     ) -> List[IndexEntry]:
-        pin = self._degraded_pin
+        pin = self.degraded_pin
         return (self.index if pin is None else pin.executor).scan(
             equality_values, sort_lower, sort_upper,
             query_ts if query_ts is not None else self.clock.snapshot_ts,
@@ -662,10 +664,6 @@ class WildfireShard:
     # degraded-read mode (ISSUE 7)
     # ------------------------------------------------------------------------------
 
-    @property
-    def degraded(self) -> bool:
-        return self._degraded_pin is not None
-
     def enter_degraded_mode(self) -> None:
         """Pin the current run-list version for brownout serving.
 
@@ -677,14 +675,14 @@ class WildfireShard:
         fresh as the moment the breaker opened, never fresher.
         """
         with self._degraded_lock:
-            if self._degraded_pin is None:
-                self._degraded_pin = self.index.pin_snapshot()
+            if self.degraded_pin is None:
+                self.degraded_pin = self.index.pin_snapshot()
 
     def exit_degraded_mode(self) -> None:
         """Release the degraded-mode pin (idempotent)."""
         with self._degraded_lock:
-            pin = self._degraded_pin
-            self._degraded_pin = None
+            pin = self.degraded_pin
+            self.degraded_pin = None
         if pin is not None:
             pin.release()
 

@@ -29,8 +29,6 @@ class GroomResult:
     """What one groom cycle produced."""
 
     groomed_block_id: int
-    record_count: int
-    max_begin_ts: int
     index_run_ids: Tuple[Tuple[str, str], ...] = ()  # (index name, run id)
 
 
@@ -112,8 +110,6 @@ class Groomer:
         self.grooms_done += 1
         return GroomResult(
             groomed_block_id=block.block_id,
-            record_count=len(rows),
-            max_begin_ts=begin_ts[-1] if rows else 0,
             index_run_ids=tuple(sorted(run_ids.items())),
         )
 

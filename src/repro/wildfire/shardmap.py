@@ -204,31 +204,6 @@ class ShardMap:
         )
 
 
-class MapPin:
-    """One query's hold on a routing epoch (idempotent release)."""
-
-    __slots__ = ("map", "_registry")
-
-    def __init__(self, shard_map: ShardMap, registry: "ShardMapRegistry") -> None:
-        self.map = shard_map
-        self._registry = registry
-
-    @property
-    def epoch(self) -> int:
-        return self.map.epoch
-
-    def release(self) -> None:
-        registry, self._registry = self._registry, None
-        if registry is not None:
-            registry._unpin(self.map.epoch)
-
-    def __enter__(self) -> "MapPin":
-        return self
-
-    def __exit__(self, *exc_info) -> None:
-        self.release()
-
-
 class ShardMapRegistry:
     """Versionset-style publication of immutable shard maps.
 
@@ -257,15 +232,17 @@ class ShardMapRegistry:
     def refs(self, epoch: int) -> int:
         return self._refs.get(epoch, 0)
 
-    def pin(self) -> MapPin:
+    def pin(self) -> ShardMap:
+        """Ref the current map; its holder hands ``epoch`` to :meth:`unpin`
+        exactly once, in a ``finally``."""
         with self._lock:
             shard_map = self.current
             self._refs[shard_map.epoch] += 1
             self._stats.pins_entered += 1
             self._stats.version_refs += 1
-        return MapPin(shard_map, self)
+        return shard_map
 
-    def _unpin(self, epoch: int) -> None:
+    def unpin(self, epoch: int) -> None:
         with self._lock:
             self._refs[epoch] -= 1
             self._stats.pins_exited += 1
@@ -372,7 +349,6 @@ class ShardingKeySlicer:
 
 
 __all__ = [
-    "MapPin",
     "ShardMap",
     "ShardMapError",
     "ShardMapRegistry",

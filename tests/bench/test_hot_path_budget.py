@@ -26,6 +26,7 @@ one lifecycle, one format   74.3   119.7
 one lock, no finalizer      68.3   111.7
 one pass through the door   52.2    95.6
 one pass per purged block   52.2    71.8
+one call per layer          27.2    47.8
 =========================  =====  ======
 
 The ceilings below are the last row plus a little headroom for
@@ -75,8 +76,23 @@ a decoder compiled per definition), the memory and SSD tier calls on a
 miss, ``_shared_call``'s frame around the first shared attempt,
 ``_charge_write`` in ``SSDTier.admit``, ``_u32_table`` in the view and the
 exit path's ``data_block_id`` / ``drop_decode_cache`` hops came out:
-~24 calls per purged lookup.  Lower them when the path gets shorter; raise them only
-deliberately.
+~24 calls per purged lookup.  The ``one call per layer`` row crosses each
+layer of the front door in one call and encodes the key once: the
+routing bytes are the lookup key of a table whose primary-index key is
+its sharding key (``encode_point_key`` -> ``_key_prefix`` -> ``_encode``
+-> ``encode_search_key`` -> ``encode_typed`` -> its list comprehension
+-> ``encode_int64`` a second time, 7 calls), the map pin is ``pin`` and
+``unpin`` (no ``MapPin`` ``__init__`` / ``__enter__`` / ``__exit__`` /
+``release``: 4), admission is ``admit`` with the refill inline and the
+work clock summed in C (no ``_refill_locked``, ticket ``__init__`` and
+``finish`` or ``sim_now`` twice: 5), a CLOSED breaker and a shard that
+is not degraded are attribute reads (``CircuitBreaker.state``, the
+``degraded`` property: 2), the executor pins and releases in the door
+(``_enter_query``, ``_exit_query``, ``QueryPin.__init__``: 3), the cache
+hook reads the thread's intent only when a run holds a transient block
+(``current_read_intent``: 1 warm) and ``point_query`` routes a whole key
+itself (``_bound_sharding_values`` and its comprehension: 2).  Lower
+them when the path gets shorter; raise them only deliberately.
 
 Calls cannot see a Python loop that makes none: the binary search inside
 a run was ~11 probes per run searched without a call among them.  So the
@@ -90,6 +106,7 @@ commit                      warm  purged
 warm blocks bisected       369.0   883.9
 one pass through the door  340.9   855.8
 one pass per purged block  320.0   666.2
+one call per layer         251.0   606.4
 =========================  =====  ======
 
 The last row searches a warm block -- a view the run handle memoized, come
@@ -182,6 +199,7 @@ ghosted keys only             206.4   204.2     192.6         75.2
 per-row tail                  200.2   198.1     187.3         75.2
 bound once per query          174.2   170.1     163.8         75.2
 newest versions recorded      172.2   170.1     163.8         75.2
+one call per layer            155.2   153.1     146.8         62.2
 =========================  ========  ======  ========  ===========
 
 A per-call ``candidate_shape``, a per-entry generator hop in the scan, a
@@ -224,7 +242,11 @@ on one shard and stays where it was.  The ``newest versions recorded``
 row sorts a fetch-back's winners in one loop (own RID, dropped, or through
 the primary, by the ghosted key's recorded newest beginTS) where the
 clean case built the RID list in a comprehension: one frame per shard
-searched fewer.
+searched fewer.  The ``one call per layer`` row is the point path's
+front-door cut in a typed query: the map pin's four wrapper frames,
+admission's five, and per shard searched the executor's
+``_enter_query`` / ``_exit_query`` / ``QueryPin.__init__`` and the cache
+hook's ``current_read_intent``.
 """
 
 import gc
@@ -235,9 +257,9 @@ from pathlib import Path
 E2E = Path(__file__).resolve().parents[2] / "benchmarks" / "e2e"
 
 BEFORE = {"warm": 357.9, "purged": 508.4}
-CEILING = {"warm": 55.0, "purged": 75.0}
+CEILING = {"warm": 30.0, "purged": 51.0}
 LINE_BEFORE = {"warm": 550.4, "purged": 877.6}
-LINE_CEILING = {"warm": 345.0, "purged": 690.0}
+LINE_CEILING = {"warm": 254.0, "purged": 609.0}
 
 WRITE_BEFORE = 114.2
 WRITE_CEILING = 23.0
@@ -248,7 +270,7 @@ TYPED_BEFORE = {
     "customer": 11308.5, "region": 2112.6, "range": 3235.7, "equality": 282.6,
 }
 TYPED_CEILING = {
-    "customer": 176.0, "region": 174.0, "range": 168.0, "equality": 79.0,
+    "customer": 158.0, "region": 156.0, "range": 150.0, "equality": 65.0,
 }
 
 ROWS = 6_000

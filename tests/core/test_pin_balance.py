@@ -13,6 +13,12 @@ would) and then fails: with a ``TransientIOError`` give-up from the tier,
 or with a ``SimulatedCrash`` (a ``BaseException``, which no ``except
 Exception`` may swallow).  Afterwards the pins balance, one version is
 live, and the retired run -- deferred while the query held it -- is freed.
+
+The table door, ``ShardedTable.point_query``, holds a routing-epoch pin
+around the shard's: it is failed the same two ways, by a shed and by a
+refused key, and each time its map pin and every shard's lifecycle must
+balance, with the qos counters of the routed path it replaced
+(``tests/reference_point_path.py``) on a twin table.
 """
 
 import pytest
@@ -23,10 +29,18 @@ from repro.core.query import MAX_QUERY_TS, ReconcileStrategy
 from repro.faults.errors import SimulatedCrash, TransientIOError
 from repro.faults.plan import FaultPlan
 from repro.faults.storage import FaultyTier
+from repro.planner.plan import PlanError
+from repro.qos.admission import QosConfig
+from repro.qos.breaker import BreakerConfig
+from repro.qos.errors import Overloaded
 from repro.storage.hierarchy import StorageHierarchy
 from repro.storage.metrics import IOStats
+from repro.wildfire.cluster import ShardedTable
 from repro.wildfire.engine import ShardConfig, WildfireShard
 from repro.wildfire.schema import IndexSpec, TableSchema
+
+from tests.conftest import assert_lifecycles_quiescent
+from tests.reference_point_path import reference_point_query
 
 DEVICES = 4
 MSGS_PER_ROUND = 12
@@ -147,3 +161,92 @@ def test_a_failed_degraded_query_leaves_only_the_degraded_pin(door, failure):
     assert epochs.pins_entered == epochs.pins_exited
     assert lifecycle.live_version_count() == 1
     assert lifecycle.retired_backlog() == 0 and freed == retired
+
+
+def purged_table(qos):
+    """A 2-shard table keyed by its sharding key (its routed bytes are its
+    lookup key), every run purged to a ``FaultyTier``; returns the table
+    and each shard's tier."""
+    tiers = []
+
+    def hierarchy(shard_id):
+        stats = IOStats()
+        tiers.append(
+            FaultyTier(FaultPlan(seed=shard_id), run_prefix="pins", stats=stats)
+        )
+        return StorageHierarchy(shared=tiers[-1], stats=stats)
+
+    table = ShardedTable(
+        TableSchema(
+            name="pins",
+            columns=(ColumnSpec("order"), ColumnSpec("amount")),
+            primary_key=("order",),
+            sharding_key=("order",),
+        ),
+        IndexSpec(sort_columns=("order",), included_columns=("amount",)),
+        num_shards=2,
+        config=ShardConfig(post_groom_every=2),
+        qos=qos,
+        hierarchy_factory=hierarchy,
+    )
+    for r in range(ROUNDS):
+        table.advance_clock(1_000_000_000)
+        table.ingest([(k, r) for k in range(DEVICES * MSGS_PER_ROUND)])
+        table.tick()
+    for shard in table.shards:
+        counts = shard.index.stats()
+        assert counts.groomed_run_count >= 1 and counts.post_groomed_run_count >= 1
+        shard.index.cache.set_cache_level(-1)
+    table.advance_clock(1_000_000_000)
+    return table, tiers
+
+
+# The breaker never trips here, so a give-up reaches the client as is.
+TABLE_QOS = QosConfig(breaker=BreakerConfig(failure_threshold=100))
+# A bucket of one token that queues nothing: the second op is shed (and
+# a backlog that never throttles the load's maintenance).
+SHEDDING_QOS = QosConfig(
+    rate_per_sim_s=1.0, burst=1.0, max_queue_ns=0, high_water_ns=10**18
+)
+TABLE_FAILURES = {
+    **{name: (TABLE_QOS, (7,), failure) for name, failure in FAILURES.items()},
+    "shed": (SHEDDING_QOS, (7,), Overloaded),
+    "refused-key": (TABLE_QOS, (True,), PlanError),
+}
+
+
+def qos_counters(table):
+    qos = table.qos_stats()
+    return qos.admitted, qos.shed, qos.queue_sim_ns, qos.deadline_misses
+
+
+@pytest.mark.parametrize(
+    "qos,key,failure", TABLE_FAILURES.values(), ids=TABLE_FAILURES.keys()
+)
+def test_a_failed_table_point_releases_its_map_pin(qos, key, failure):
+    counters = []
+    for door in (ShardedTable.point_query, reference_point_query):
+        table, tiers = purged_table(qos)
+        if failure in FAILURES.values():
+            shard_id = table.shard_of_key(key)
+            retired, freed, backlog = fail_next_shared_read(
+                table.shards[shard_id], tiers[shard_id], failure
+            )
+        else:
+            retired = freed = backlog = []
+            if failure is Overloaded:
+                table.point_query((), (8,))  # spends the only token
+        epoch = table.routing_epoch()
+        with pytest.raises(failure):
+            door(table, (), key)
+        assert table.maps.refs(epoch) == 0
+        maps = table.epoch_stats()
+        assert maps.version_refs == maps.version_unrefs
+        assert retired == freed and backlog in ([], [1])
+        for shard in table.shards:
+            epochs = shard.hierarchy.stats.epochs
+            assert epochs.pins_entered == epochs.pins_exited
+            assert shard.index.lifecycle.live_version_count() == 1
+        assert_lifecycles_quiescent(table)
+        counters.append(qos_counters(table))
+    assert counters[0] == counters[1]

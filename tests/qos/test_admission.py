@@ -7,9 +7,12 @@ determinism tests replay the exact same decisions from the same schedule.
 
 import pytest
 
+from repro.core.definition import ColumnSpec
 from repro.qos.admission import AdmissionController, QosConfig
 from repro.qos.errors import DeadlineExceeded, Overloaded
 from repro.storage.metrics import QosStats
+from repro.wildfire.cluster import ShardedTable
+from repro.wildfire.schema import IndexSpec, TableSchema
 
 
 def make_controller(charged=None, **overrides):
@@ -46,8 +49,7 @@ class TestTokenBucket:
     def test_burst_admits_immediately(self):
         controller, stats = make_controller()
         for _ in range(4):
-            ticket = controller.admit()
-            assert ticket.queued_ns == 0
+            assert controller.admit() == 0
         assert stats.admitted == 4
         assert stats.queue_sim_ns == 0
 
@@ -57,28 +59,27 @@ class TestTokenBucket:
         for _ in range(4):
             controller.admit()
         # Bucket empty: the 5th op books one full token of wait (1us).
-        ticket = controller.admit()
-        assert ticket.queued_ns == 1_000
+        assert controller.admit() == 1_000
         assert stats.queue_sim_ns == 1_000
         assert charged == [1_000]
         # The 6th sees the deepened deficit: two tokens of wait.
-        assert controller.admit().queued_ns == 2_000
+        assert controller.admit() == 2_000
 
     def test_advance_refills(self):
         controller, stats = make_controller()
         for _ in range(4):
             controller.admit()
         controller.advance(2_000)  # 2 tokens refilled
-        assert controller.admit().queued_ns == 0
-        assert controller.admit().queued_ns == 0
-        assert controller.admit().queued_ns == 1_000
+        assert controller.admit() == 0
+        assert controller.admit() == 0
+        assert controller.admit() == 1_000
 
     def test_refill_caps_at_burst(self):
         controller, _ = make_controller()
         controller.advance(1_000_000_000)
         for _ in range(4):
-            assert controller.admit().queued_ns == 0
-        assert controller.admit().queued_ns == 1_000
+            assert controller.admit() == 0
+        assert controller.admit() == 1_000
 
     def test_backlog_signal_tracks_deficit(self):
         controller, _ = make_controller()
@@ -138,29 +139,65 @@ class TestShedding:
             controller.admit(deadline_ns=500)
 
 
-class TestTickets:
+class TestDeadlineOnCompletion:
+    """An admitted op that completes late counts one ``deadline_misses``:
+    its booked wait plus its simulated work (the table's work clock,
+    ``ShardedTable.sim_now``) against ``deadline_ns``."""
+
+    @staticmethod
+    def purged_table(**overrides):
+        """One shard, every run purged: a point lookup reads shared storage."""
+        schema = TableSchema(
+            name="deadlines",
+            columns=(ColumnSpec("k"), ColumnSpec("v")),
+            primary_key=("k",),
+            sharding_key=("k",),
+        )
+        table = ShardedTable(
+            schema, IndexSpec(sort_columns=("k",), included_columns=("v",)),
+            num_shards=1, qos=QosConfig(**overrides),
+        )
+        table.ingest([(k, 10 * k) for k in range(20)])  # one admitted op
+        table.run_cycles(2)
+        table.shards[0].index.cache.set_cache_level(-1)
+        table.advance_clock(1_000_000_000)  # a full bucket again
+        assert table.qos_stats().deadline_misses == 0
+        return table
+
+    def work_ns(self):
+        """Simulated work of one purged point lookup (every table below
+        replays the same operations, so it does the same work)."""
+        table = self.purged_table()
+        before = table.sim_now()
+        assert table.point_query((), (7,)).values == (7, 70)
+        work = table.sim_now() - before
+        assert work > 0
+        return work
+
     def test_on_time_completion(self):
-        controller, stats = make_controller()
-        ticket = controller.admit()
-        assert ticket.finish(10_000) is True
-        assert stats.deadline_misses == 0
+        table = self.purged_table(deadline_ns=self.work_ns())
+        assert table.point_query((), (7,)).values == (7, 70)
+        assert table.qos_stats().deadline_misses == 0
 
     def test_late_completion_counts_once(self):
-        controller, stats = make_controller()
-        ticket = controller.admit()
-        assert ticket.finish(60_000) is False
-        assert stats.deadline_misses == 1
-        # finish is idempotent: double completion cannot double count.
-        assert ticket.finish(60_000) is True
-        assert stats.deadline_misses == 1
+        table = self.purged_table(deadline_ns=self.work_ns() - 1)
+        assert table.point_query((), (7,)).values == (7, 70)
+        stats = table.qos_stats()
+        assert (stats.admitted, stats.deadline_misses, stats.shed) == (2, 1, 0)
 
     def test_queueing_counts_against_deadline(self):
-        controller, stats = make_controller()
-        for _ in range(4):
-            controller.admit()
-        ticket = controller.admit()  # queued 1us
-        assert ticket.finish(49_500) is False  # 1_000 + 49_500 > 50_000
-        assert stats.deadline_misses == 1
+        work = self.work_ns()
+        # One token per simulated ms and a burst of one: the second
+        # lookup is booked 1 ms of wait, which with its work overruns.
+        table = self.purged_table(
+            rate_per_sim_s=1_000.0, burst=1.0, deadline_ns=work + 500_000
+        )
+        assert table.point_query((), (7,)).values == (7, 70)
+        assert table.qos_stats().deadline_misses == 0
+        assert table.point_query((), (7,)).values == (7, 70)
+        stats = table.qos_stats()
+        assert stats.queue_sim_ns == 1_000_000
+        assert (stats.admitted, stats.deadline_misses, stats.shed) == (3, 1, 0)
 
 
 class TestDeterminism:
@@ -171,8 +208,7 @@ class TestDeterminism:
                 if step % 7 == 0:
                     controller.advance(1_500)
                 try:
-                    ticket = controller.admit()
-                    outcomes.append(("admit", ticket.queued_ns))
+                    outcomes.append(("admit", controller.admit()))
                 except Overloaded as exc:
                     outcomes.append(("overloaded", exc.retry_after_ns))
                 except DeadlineExceeded as exc:

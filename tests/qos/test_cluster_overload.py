@@ -149,7 +149,7 @@ class TestBreakerAndDegradedReads:
         stats = table.qos_stats()
         assert stats.breaker_opens == 1
         assert stats.degraded_reads > 0
-        assert table.shards[victim].degraded is True
+        assert table.shards[victim].degraded_pin is not None
 
     def test_degraded_range_query(self):
         table, tiers = make_faulty_table(qos=generous_qos())
@@ -193,7 +193,7 @@ class TestBreakerAndDegradedReads:
         assert table.breaker(victim).state() is BreakerState.HALF_OPEN
         # The first healthy query exits degraded mode ...
         assert table.point_query((victim_device,), (1,)) is not None
-        assert table.shards[victim].degraded is False
+        assert table.shards[victim].degraded_pin is None
         # ... and released maintenance re-grooms the requeued rows:
         # half-open probe writes succeed and close the breaker.
         for _ in range(4):

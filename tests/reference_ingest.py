@@ -46,11 +46,14 @@ def reference_shard_ingest(shard, rows: Sequence[Sequence]) -> int:
 def reference_ingest(table, rows: Sequence[Sequence]) -> Dict[int, int]:
     """``ShardedTable._ingest_rows``: route every row, then ingest per shard."""
     per_shard: Dict[int, List[Sequence]] = {}
-    with table.maps.pin() as pin:
+    shard_map = table.maps.pin()
+    try:
         for row in rows:
             values = [row[i] for i in table._shard_positions]
-            shard_id = pin.map.write_shard(reference_key_hash(table, values))
+            shard_id = shard_map.write_shard(reference_key_hash(table, values))
             per_shard.setdefault(shard_id, []).append(row)
         for shard_id, shard_rows in per_shard.items():
             reference_shard_ingest(table.shards[shard_id], shard_rows)
+    finally:
+        table.maps.unpin(shard_map.epoch)
     return {shard_id: len(rs) for shard_id, rs in per_shard.items()}

@@ -83,7 +83,7 @@ def observed(hierarchy):
         "intents": stats.intent_snapshot(),
         "faults": stats.faults.snapshot(),
         "breaker": (
-            breaker._state, breaker._consecutive_failures, qos.breaker_opens,
+            breaker.recorded_state, breaker._consecutive_failures, qos.breaker_opens,
             qos.breaker_closes, qos.breaker_probes, qos.breaker_fast_fails,
         ),
         "ssd": sorted(hierarchy.ssd.block_ids()),
@@ -96,7 +96,7 @@ def observed(hierarchy):
 def test_a_failed_first_shared_attempt_is_counted_as_before(failures, config, policy):
     new, old = hierarchies(failures, config, policy)
     breaker = new._shared_breaker
-    assert breaker._state is BreakerState.CLOSED and not breaker._consecutive_failures
+    assert breaker.recorded_state is BreakerState.CLOSED and not breaker._consecutive_failures
     for _ in range(2):  # the failing read, then the one after it
         assert outcome(new) == outcome(old)
         assert observed(new) == observed(old)
@@ -126,4 +126,4 @@ def test_the_counts_of_three_cases():
     row = new.stats.intent_snapshot()["query"]
     assert (row.retries, row.giveups) == (3, 0)  # the fourth attempt failed fast
     assert new.stats.qos.breaker_fast_fails == 1
-    assert new._shared_breaker._state is BreakerState.OPEN
+    assert new._shared_breaker.recorded_state is BreakerState.OPEN

@@ -34,17 +34,21 @@ class TestGroomer:
         shard = make_shard()
         shard.ingest([(1, 1, 10), (2, 1, 20)])
         result = shard.groomer.groom()
-        assert result.record_count == 2
         assert result.groomed_block_id == 0
+        block = shard.catalog.get_block(Zone.GROOMED, result.groomed_block_id)
+        assert len(block.rows) == 2
         assert len(shard.index.run_lists[Zone.GROOMED]) == 1
 
     def test_begin_ts_monotonic_across_grooms(self):
         shard = make_shard()
-        shard.ingest([(1, 1, 10)])
-        first = shard.groomer.groom()
-        shard.ingest([(1, 2, 20)])
-        second = shard.groomer.groom()
-        assert second.max_begin_ts > first.max_begin_ts
+        newest = []
+        for msg in (1, 2):
+            shard.ingest([(1, msg, 10 * msg)])
+            result = shard.groomer.groom()
+            block = shard.catalog.get_block(Zone.GROOMED, result.groomed_block_id)
+            newest.append(block.begin_ts[-1])
+            assert newest[-1] <= shard.clock.snapshot_ts  # published
+        assert newest[1] > newest[0]
 
     def test_commit_order_preserved_within_groom(self):
         shard = make_shard()

@@ -45,7 +45,7 @@ def drain_against_a_held_pin(registry):
         while not registry._drainers and time.monotonic() < deadline:
             time.sleep(0.001)
         released_at.append(time.monotonic())
-        pin.release()
+        registry.unpin(pin.epoch)
 
     thread = threading.Thread(target=holder, daemon=True)
     thread.start()
@@ -88,18 +88,18 @@ def test_a_pin_that_outlives_the_timeout_is_named_with_its_count():
     assert time.monotonic() - started < TIMEOUT_S
     assert registry._drainers == 0  # a failed drain deregisters
     for pin in pins:
-        pin.release()
+        registry.unpin(pin.epoch)
     registry.drain(old, timeout_s=0.0)  # nothing left: returns at once
     assert registry.refs(old) == 0
 
 
 def test_an_unpin_that_never_notifies_is_caught(monkeypatch):
-    source = textwrap.dedent(inspect.getsource(ShardMapRegistry._unpin))
+    source = textwrap.dedent(inspect.getsource(ShardMapRegistry.unpin))
     notify = "self._drained.notify_all()"
     assert source.count(notify) == 1
     namespace = {}
     exec(source.replace(notify, "pass"), dict(vars(shardmap_module)), namespace)
-    monkeypatch.setattr(ShardMapRegistry, "_unpin", namespace["_unpin"])
+    monkeypatch.setattr(ShardMapRegistry, "unpin", namespace["unpin"])
     registry = ShardMapRegistry(ShardMap.initial(2))
     with pytest.raises(AssertionError):
         assert_woken_promptly(registry)
@@ -117,7 +117,7 @@ def test_pins_balance_and_every_drain_returns_under_contention():
 
     def pinner(slot):
         while not stop.is_set():
-            registry.pin().release()
+            registry.unpin(registry.pin().epoch)
             pins[slot] += 1
 
     interval = sys.getswitchinterval()

@@ -125,7 +125,7 @@ class TestGate:
         assert table.recover_migration()["resumed"] is False
         # ... and once the breaker is happy again the same call goes
         # through (the gate is advisory backpressure, not a veto forever).
-        table.breaker(sources[-1])._state = BreakerState.CLOSED
+        table.breaker(sources[-1]).recorded_state = BreakerState.CLOSED
         assert migrate(table, direction, sources)["phase"] == "done"
 
     def test_maintenance_backpressure_aborts_before_cutover(self, direction):
