@@ -15,6 +15,7 @@ Run:  python examples/multi_shard_orders.py
 import random
 
 from repro.core.definition import ColumnSpec
+from repro.planner import Query
 from repro.wildfire.cluster import ShardedTable
 from repro.wildfire.engine import ShardConfig
 from repro.wildfire.schema import IndexSpec, TableSchema
@@ -77,29 +78,31 @@ def main() -> None:
     order = table.point_query((123,))
     print(f"\norder 123 -> customer={order.values[1]} amount={order.values[2]}")
 
-    # Secondary-index fan-out: per-customer order history on every shard.
-    customer = order.values[1]
-    total = 0.0
-    order_count = 0
-    for shard in table.shards:
-        hits = shard.secondary_lookup("by_customer", (customer,))
-        order_count += len(hits)
-        total += sum(h.include_values[0] for h in hits)
-    print(f"customer {customer}: {order_count} orders, lifetime value {total:.0f} "
-          "(index-only, via the secondary index on every shard)")
+    # Per-customer order history: one typed query, which the table fans out
+    # to every shard and each shard's planner answers off the secondary.
+    def history(customer):
+        return table.query(Query(equalities=(("customer", customer),),
+                                 projection=("order_id", "amount")))
 
-    # Update an order; the secondary view follows the newest version.
-    table.ingest([(123, customer, 9_999)])
+    customer = order.values[1]
+    rows = history(customer)
+    print(f"customer {customer}: {len(rows)} orders, lifetime value "
+          f"{sum(amount for _, amount in rows)} (via the secondary index "
+          "on every shard)")
+
+    # Move order 123 to another customer; the secondary view follows the
+    # newest version: the order leaves the old list and joins the new one.
+    other = (customer + 1) % CUSTOMERS
+    table.ingest([(123, other, 9_999)])
     table.run_cycles(4)
-    shard = table.shards[table.shard_of_row((123, customer, 0))]
-    hits = shard.secondary_lookup("by_customer", (customer,))
-    amounts = sorted(h.include_values[0] for h in hits)
-    assert 9_999 in amounts
-    print(f"after updating order 123: customer {customer} amounts now "
-          f"max={max(amounts)}")
+    assert all(order_id != 123 for order_id, _ in history(customer))
+    assert (123, 9_999) in history(other)
+    print(f"after moving order 123 to customer {other}: customer {customer} "
+          f"has {len(history(customer))} orders, customer {other} "
+          f"{len(history(other))}")
 
     # One shard's node crashes; the others keep serving, it recovers.
-    victim = table.shard_of_row((123, customer, 0))
+    victim = table.shard_of_row((123, other, 0))
     table.crash_and_recover_shard(victim)
     order = table.point_query((123,))
     print(f"shard {victim} crashed and recovered; order 123 amount = "

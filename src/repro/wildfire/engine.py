@@ -331,7 +331,7 @@ class WildfireShard:
         """Freshest groomed-visible snapshot timestamp."""
         return self.clock.snapshot_ts
 
-    # -- index wrappers: each calls the right UmziIndex itself -- same
+    # -- primary wrappers: each calls the primary UmziIndex itself -- same
     # arguments, same arity and type errors surfacing from the index, same
     # counters -- so a lookup or scan builds no Query and no plan; only
     # typed queries (``query``) are planned.
@@ -441,40 +441,6 @@ class WildfireShard:
         return (self.index if pin is None else pin.executor).scan(
             equality_values, sort_lower, sort_upper,
             query_ts if query_ts is not None else self.clock.snapshot_ts,
-        )
-
-    # -- secondary index queries -------------------------------------------------
-
-    def secondary_scan(
-        self,
-        index_name: str,
-        equality_values: Sequence[KeyValue] = (),
-        sort_lower: Optional[Sequence[KeyValue]] = None,
-        sort_upper: Optional[Sequence[KeyValue]] = None,
-        query_ts: Optional[int] = None,
-    ) -> List[IndexEntry]:
-        """Scan a secondary index; secondary keys are not unique, so this
-        returns every matching row's newest visible version."""
-        return self.indexes.get(index_name).index.scan(
-            equality_values, sort_lower, sort_upper,
-            query_ts if query_ts is not None else self.clock.snapshot_ts,
-        )
-
-    def secondary_lookup(
-        self,
-        index_name: str,
-        equality_values: Sequence[KeyValue] = (),
-        sort_prefix: Sequence[KeyValue] = (),
-        query_ts: Optional[int] = None,
-    ) -> List[IndexEntry]:
-        """All rows matching one secondary value (a prefix scan: the
-        secondary key is internally suffixed with the primary key)."""
-        return self.secondary_scan(
-            index_name,
-            equality_values,
-            sort_lower=tuple(sort_prefix) or None,
-            sort_upper=tuple(sort_prefix) or None,
-            query_ts=query_ts,
         )
 
     # -- typed queries through the access-path planner (ISSUE 9) -----------------

@@ -10,9 +10,9 @@ All indexes share the shard's lifecycle: every groom builds one run per
 index over the new groomed block, and every post-groom is followed by one
 evolve per index.  Secondary indexes are multi-version exactly like the
 primary -- a secondary entry carries the version's ``beginTS`` and RID, so
-snapshot reads and time travel work through them too.  Secondary keys are
-not unique: a secondary lookup is a range scan over the secondary key
-returning every matching (primary) row's newest visible version.
+snapshot reads and time travel work through them too.  An entry for a row's
+old secondary key has no endTS, so it stays visible after the row moves: a
+secondary is read only by a typed query, whose plan checks ``ghosted``.
 """
 
 from __future__ import annotations

@@ -135,7 +135,8 @@ def test_the_shard_has_one_door_per_read_and_a_plain_driver():
     with pytest.raises(TypeError, match="ingest_fn"):
         shard.run_cycles(1, ingest_fn=lambda cycle: [])
     assert shard.cycle == 0
-    for door in ("degraded_point_query", "degraded_range_query"):
+    for door in ("degraded_point_query", "degraded_range_query",
+                 "secondary_scan", "secondary_lookup"):
         assert not hasattr(shard, door)
 
 
@@ -143,5 +144,3 @@ def test_the_shard_scans_answer_with_entries_only():
     shard = make_shard()
     with pytest.raises(TypeError, match="fetch_records"):
         shard.range_query(fetch_records=True)
-    with pytest.raises(TypeError, match="fetch_records"):
-        shard.secondary_scan("primary", fetch_records=True)

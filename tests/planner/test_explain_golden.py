@@ -193,13 +193,6 @@ def _primary(order_id):
     return ((), (order_id,), (), 33554432 + order_id, ("GROOMED", 0, order_id))
 
 
-def _by_customer(order_id):
-    return (
-        (f"c{order_id % 5}",), (order_id,), (order_id * 10,),
-        33554432 + order_id, ("GROOMED", 0, order_id),
-    )
-
-
 def _record(order_id):
     return (
         (order_id, f"c{order_id % 5}", f"r{order_id % 3}", order_id * 10),
@@ -243,23 +236,27 @@ class TestWrappersCallTheIndex:
             ))
         ] == [_record(k) for k in (10, 11, 12, 13)]
         assert len(shard.range_query()) == 60
-        assert [_entry(e) for e in shard.secondary_scan(
-            "by_customer", ("c2",), (10,), (30,)
-        )] == [_by_customer(k) for k in (12, 17, 22, 27)]
-        assert [
-            (r.values, r.begin_ts) for r in map(fetch, shard.secondary_scan(
-                "by_region", (), ("r1",), ("r1",)
-            ))
-        ] == [_record(k) for k in range(1, 60, 3)]
-        assert [_entry(e) for e in shard.secondary_lookup(
-            "by_customer", ("c2",)
-        )] == [_by_customer(k) for k in range(2, 60, 5)]
-        assert [_entry(e) for e in shard.secondary_lookup(
-            "by_customer", ("c2",), (12,)
-        )] == [_by_customer(12)]
+        # A secondary read is a typed query; the planner picks the index.
+        covered = ("order_id", "amount")
+        assert shard.query(Query(
+            equalities=(("customer", "c2"),), ranges=(("order_id", 10, 30),),
+            projection=covered, index_hint="by_customer",
+        )) == [(k, k * 10) for k in (12, 17, 22, 27)]
+        assert shard.query(Query(equalities=(("region", "r1"),))) == [
+            _record(k)[0] for k in range(1, 60, 3)
+        ]
+        assert shard.query(Query(
+            equalities=(("customer", "c2"),), projection=covered,
+        )) == [(k, k * 10) for k in range(2, 60, 5)]
+        assert shard.query(Query(
+            equalities=(("customer", "c2"), ("order_id", 12)),
+            index_hint="by_customer",
+        )) == [_record(12)[0]]
 
     def test_refusals(self):
         from repro.core.query import QueryError
+        from repro.planner import PlanError
+        from repro.wildfire.schema import SchemaError
 
         shard = make_shard()
         seed(shard)
@@ -278,15 +275,6 @@ class TestWrappersCallTheIndex:
              "range scan must bind all 0 equality columns; got 1"),
             (lambda: shard.range_query((), (1, 2), None), QueryError,
              "sort bound (1, 2) longer than the 1 sort columns"),
-            (lambda: shard.secondary_scan("by_customer", (), None, None), QueryError,
-             "range scan must bind all 1 equality columns; got 0"),
-            (lambda: shard.secondary_lookup("by_customer", ("c2", "x")), QueryError,
-             "range scan must bind all 1 equality columns; got 2"),
-            # an unknown index: ShardIndexes.get's KeyError, as recorded
-            (lambda: shard.secondary_scan("nope", (1,)), KeyError,
-             "\"no index named 'nope'\""),
-            (lambda: shard.secondary_lookup("nope", (1,)), KeyError,
-             "\"no index named 'nope'\""),
             # mistyped: the recorded type, the new wording
             (lambda: shard.index_lookup((), ("7",)), QueryError,
              mistyped + "'order_id' expects int64, got str ('7')"),
@@ -294,10 +282,17 @@ class TestWrappersCallTheIndex:
              mistyped + "'order_id' expects int64, got float (7.5)"),
             (lambda: shard.range_query((), ("a",), None),
              QueryError, mistyped + "'order_id' expects int64, got str ('a')"),
-            (lambda: shard.secondary_scan("by_customer", (5,), None, None),
-             QueryError, mistyped + "'customer' expects string, got int (5)"),
-            (lambda: shard.secondary_lookup("by_customer", ("c2",), ("x",)),
-             QueryError, mistyped + "'order_id' expects int64, got str ('x')"),
+            # a secondary read is a typed query: the planner refuses it
+            (lambda: shard.query(Query(equalities=(("customer", 5),))),
+             PlanError, "query predicate: column 'customer' expects string, "
+             "got int (5)"),
+            (lambda: shard.query(Query(
+                equalities=(("customer", "c2"), ("order_id", "x")),
+                index_hint="by_customer",
+            )), PlanError,
+             "query predicate: column 'order_id' expects int64, got str ('x')"),
+            (lambda: shard.query(Query(equalities=(("nope", 1),))),
+             SchemaError, "unknown column 'nope'"),
             # the batch doors refuse what ``upsert`` refuses, in its words
             (lambda: shard.index_batch_lookup([((), ("x",))]), QueryError,
              mistyped + "'order_id' expects int64, got str ('x')"),

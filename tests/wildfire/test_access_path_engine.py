@@ -153,21 +153,12 @@ class TestWrapperEquivalence:
                 Query(ranges=(("order_id", 10, 20),)),
             )
         ]
-        hits = shard.secondary_lookup("by_customer", ("c2",))
-        assert sorted(h.sort_values[0] for h in hits) == [
-            row[0] for row in shard.query(
-                Query(equalities=(("customer", "c2"),),
-                      projection=("order_id",)),
-            )
-        ]
 
     def test_wrapper_arity_errors_unchanged(self):
         shard = make_shard()
         seed(shard)
         with pytest.raises(Exception):
             shard.index_lookup(equality_values=(1, 2), sort_values=(3,))
-        with pytest.raises(KeyError):
-            shard.secondary_lookup("nope", (1,))
 
 
 class TestSecondaryUnderLiveDaemons:
@@ -183,18 +174,19 @@ class TestSecondaryUnderLiveDaemons:
                 ])
                 # Queries race the groomer/indexer/post-groomer freely;
                 # they must never error and never see torn state.
-                shard.secondary_scan("by_customer", ("c1",))
-                shard.secondary_lookup("by_customer", ("c0",))
+                shard.query(Query(equalities=(("customer", "c1"),)))
+                shard.query(Query(equalities=(("customer", "c0"),),
+                                  projection=("order_id", "amount")))
                 time.sleep(0.01)
         finally:
             shard.stop_daemons()
         shard.quiesce()
-        hits = shard.secondary_lookup("by_customer", ("c1",))
-        expected = {
-            batch * 10 + i for batch in range(6) for i in range(10)
+        rows = shard.query(Query(equalities=(("customer", "c1"),),
+                                 projection=("order_id",)))
+        assert rows == [
+            (batch * 10 + i,) for batch in range(6) for i in range(10)
             if i % 3 == 1
-        }
-        assert {h.sort_values[0] for h in hits} == expected
+        ]
 
     def test_typed_queries_survive_a_daemon_crash(self):
         shard = make_shard(post_groom_every=2)

@@ -96,7 +96,7 @@ class TestDuplicateBeginTsFallback:
             entry = shard.index.lookup((k,))
             assert entry is not None and entry.rid.zone is Zone.GROOMED
             assert shard.catalog.fetch_record(entry.rid).values == (k, v)
-            (hit,) = shard.secondary_scan("by_v", (), (v,), (v,))
+            (hit,) = shard.indexes.get("by_v").index.scan((), (v,), (v,))
             assert hit.rid == entry.rid
 
     def test_unique_ts_stays_on_streaming_path(self):

@@ -103,9 +103,10 @@ class TestOpMapsAreReleased:
             )
             assert kept.post_groomed_block_ids == op.post_groomed_block_ids
             assert kept.record_count == op.record_count == 6
+        by_reading = shard.indexes.get("by_reading").index
         for device in range(6):
             assert shard.point_query((device,), (1,)).values == (device, 1, 30 + device)
-            (hit,) = shard.secondary_scan("by_reading", (), (30 + device,), (30 + device,))
+            (hit,) = by_reading.scan((), (30 + device,), (30 + device,))
             assert hit.rid.zone is Zone.POST_GROOMED
 
     def test_crash_replay_of_an_unevolved_psn_still_finds_its_map(self):
@@ -130,8 +131,9 @@ class TestOpMapsAreReleased:
         (replayed,) = result.secondary_evolves
         assert replayed.spliced_blobs == 6
         assert self.psns_holding_a_map(shard) == []
+        by_reading = shard.indexes.get("by_reading").index
         for device in range(6):
-            (hit,) = shard.secondary_scan("by_reading", (), (10 + device,), (10 + device,))
+            (hit,) = by_reading.scan((), (10 + device,), (10 + device,))
             assert hit.rid.zone is Zone.POST_GROOMED
             assert hit.rid.to_bytes() == op.splices[encode_ts_desc(hit.begin_ts)]
 

@@ -74,7 +74,7 @@ class TestStreamingEvolveEndToEnd:
         for (d, m), (begin_ts, included, zone, values) in all_answers(shard).items():
             assert zone is Zone.POST_GROOMED
             assert values == (d, m, 500 + d * 10 + m) and included == (values[2],)
-        hits = shard.secondary_lookup("by_reading", (), (512,))
+        hits = shard.indexes.get("by_reading").index.scan((), (512,), (512,))
         assert [(e.rid.zone, shard.catalog.fetch_record(e.rid).values) for e in hits] == [
             (Zone.POST_GROOMED, (1, 2, 512))
         ]
