@@ -18,9 +18,9 @@ query binds its validated values once for every shard it reaches
 (:class:`Binding`, :meth:`AccessPlan.bind`).
 
 Only typed queries are planned.  The shard's wrapper methods
-(``index_lookup``/``range_query``/``secondary_*``) already name their
-index and bounds, so they call ``UmziIndex.lookup``/``scan`` themselves
-and build neither a :class:`Query` nor an :class:`AccessPlan`.
+(``index_lookup``/``range_query``) already name their index and bounds,
+so they call ``UmziIndex.lookup``/``scan`` themselves and build neither a
+:class:`Query` nor an :class:`AccessPlan`.
 """
 
 from __future__ import annotations
@@ -441,16 +441,16 @@ def plan_prototype(
             f"index {shape.index_name!r} cannot recover the primary key"
         )
     fetch_back = (not shape.is_primary) and not index_only
-    if index_only:
-        record_checks: Tuple[Predicate, ...] = ()
-    elif fetch_back:
-        # Re-check EVERY predicate on the fetched record: a secondary
-        # entry has no endTS, so a since-changed row can surface under
-        # its old key; the record re-check drops it, keeping fetch-back
-        # answers byte-identical to the primary path.
+    if not shape.is_primary:
+        # Re-check EVERY predicate on a record the primary answers for: a
+        # secondary entry has no endTS, so a since-changed row can surface
+        # under its old key; the record re-check drops it, keeping
+        # secondary answers byte-identical to the primary path.
         record_checks = _compile_predicates(
             query.shape, schema, spec, query.predicate_columns()
         )
+    elif index_only:
+        record_checks = ()
     else:
         record_checks = shape.record_residuals
     projection_positions = schema.positions(projection)

@@ -15,17 +15,17 @@ expensive step the paper's included columns exist to avoid (section
 4.1: included columns "enable index-only plans").  Ties break
 deterministically: primary first, then index name.
 
-**Index-only staleness** (fixed in ISSUE 10): secondary entries carry
-no endTS, so an index-only answer is exact only when the row's
-*secondary key columns* are stable across versions (included columns
-may change freely -- versions of one row share the full entry key and
-reconcile newest-wins).  Shards track ghosted keys at groom time
-(:meth:`ShardIndexes._track_ghosts`) and surface their count through the
-synopsis; any nonzero ``pending_ghosts`` disqualifies that secondary
-from index-only plans.  Fetch-back plans resolve the ghosted hits a
-shard cannot vouch for from its recorded newest versions against the
-primary, re-check every predicate on the fetched record and are always
-exact.
+**Stale secondary entries** are the executor's business, not the
+planner's: secondary entries carry no endTS, so a row whose *secondary
+key columns* changed leaves its old entry visible under the old key
+(included columns may change freely -- versions of one row share the
+full entry key and reconcile newest-wins).  Shards record those keys at
+groom time with their newest version (``ShardIndex.ghosted``), and every
+secondary plan, index-only or fetch-back, vouches for its hits from that
+record: a hit at a clean key or at its key's newest version answers for
+itself, an older one is dropped, and a doubtful one is answered by the
+primary with every predicate re-checked on the record.  So a covering
+secondary stays index-only after a key moves.
 
 **Compile once per table, derive per shard and publication, bind once
 per query.**  What follows from a query's *shape* is compiled once per
@@ -33,7 +33,7 @@ table (``ShardIndexes.plan_templates``, shared by its shards); what
 follows from a shard's synopses -- each candidate's cost terms, the
 winner when no estimate reads a bound, the key ranges the cluster prunes
 its scatter by -- is derived once per :meth:`SynopsisCatalog.stamp` and
-kept until a publication or the ghost count moves it; what follows from
+kept until a publication moves it; what follows from
 the values is bound once per query and picked candidate, in the
 :class:`Binding` every shard the query reaches is handed.
 """
@@ -167,12 +167,6 @@ def _cost_terms(
     variants = []
     for prototype in prototypes:
         if prototype.index_only:
-            # ISSUE 10 bugfix: a secondary holding ghost entries (a key
-            # column changed across versions, leaving the old entry
-            # visible under its old key) cannot serve index-only answers
-            # -- only the fetch-back's record re-check filters ghosts.
-            if synopsis.pending_ghosts and not shape.is_primary:
-                continue
             per_row = 0.0
         elif shape.is_primary:
             per_row = RECORD_FETCH_COST

@@ -43,9 +43,6 @@ class AccessPathSynopsis:
     key_ranges: Tuple[Optional[ColumnRange], ...]
     key_types: Tuple[ColumnType, ...]
     distinct_prefix: Tuple[int, ...]
-    # Primary keys ghosted by key-column updates: any nonzero count
-    # disqualifies this index from index-only plans.
-    pending_ghosts: int = 0
 
     def all_runs_bloomed(self) -> bool:
         """Every visible run carries a Bloom filter (point-probe discount)."""
@@ -142,7 +139,6 @@ def build_synopsis(shard_index, version_seq: int) -> AccessPathSynopsis:
         key_ranges=tuple(merged),
         key_types=tuple(spec.ctype for spec in key_specs),
         distinct_prefix=tuple(distinct),
-        pending_ghosts=len(shard_index.ghosted),
     )
 
 
@@ -178,12 +174,12 @@ class SynopsisCatalog:
         self._cache[name] = built
         return built
 
-    def stamp(self) -> List[Tuple[int, int]]:
-        """Every index's publication sequence and ghost count: equal
-        stamps mean :meth:`synopsis` would hand back the same objects, so
-        whatever was derived from them still holds."""
+    def stamp(self) -> List[int]:
+        """Every index's publication sequence: equal stamps mean
+        :meth:`synopsis` would hand back the same objects, so whatever was
+        derived from them still holds."""
         return [
-            (shard_index.index.lifecycle.version_seq, len(shard_index.ghosted))
+            shard_index.index.lifecycle.version_seq
             for shard_index in self._indexes.all()
         ]
 

@@ -18,6 +18,7 @@ from __future__ import annotations
 
 import threading
 from dataclasses import dataclass, field
+from operator import itemgetter
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from repro.core.encoding import KeyValue
@@ -58,6 +59,10 @@ def _within(rows: List, column: Sequence[KeyValue], low, high) -> List:
     if high is None:
         return [row for row, value in zip(rows, column) if value >= low]
     return [row for row, value in zip(rows, column) if low <= value <= high]
+
+
+# A vouched row's beginTS and RID (``_execute_plan``'s entry rows end so).
+_BEGIN_TS, _RID = itemgetter(-2), itemgetter(-1)
 
 
 @dataclass(frozen=True)
@@ -503,15 +508,15 @@ class WildfireShard:
         self, plan: AccessPlan, ts: int
     ) -> List[Tuple[Tuple[KeyValue, ...], int, Tuple[KeyValue, ...]]]:
         """Run a bound plan: index step, entry-level residuals, then the
-        fetch-back / record fetch / index-only tail.  Each step's block
-        reads are attributed to its component (``index:<name>``,
-        ``records``); whatever was attributed before is restored at the
-        end."""
+        vouch / record fetch / index-only tail.  Each step's block reads
+        are attributed to its component (``index:<name>``, ``records``);
+        whatever was attributed before is restored at the end."""
         shard_index = self.indexes.get(plan.index_name)
         index = shard_index.index
         horizon = min(ts, self.clock.snapshot_ts)  # read before the scan
         attribute = self.hierarchy.attribute_reads
         attributed = attribute(f"index:{plan.index_name}")
+        answered: List = []
         try:
             if plan.mode == "point":
                 hit = index.lookup(plan.equality_values, plan.sort_values, ts)
@@ -536,21 +541,29 @@ class WildfireShard:
                     + entry.include_values + (entry.begin_ts, entry.rid)
                     for entry in entries
                 ]
-                if plan.index_only:
-                    return self._project_entries(plan, rows)
                 # A hit at a clean key or at its key's recorded newest is
-                # the row's newest version; one older than a recorded newest
-                # within the horizon is dropped (the newest is its own hit).
+                # the row's newest version and answers for itself; one
+                # older than a recorded newest within the horizon is
+                # dropped (the newest is its own hit).  The primary holds
+                # the answer for the rest.
                 entry_pk, ghosted = plan.entry_pk, shard_index.ghosted
-                rids, doubtful = [], []
+                vouched, doubtful = [], []
                 for row in rows:
                     newest = ghosted.get(entry_pk(row), row[-2])
                     if newest == row[-2]:
-                        rids.append(row[-1])
+                        vouched.append(row)
                     elif newest is None or newest > horizon:
                         doubtful.append(row)
+                if plan.index_only:
+                    answered = list(zip(
+                        map(entry_pk, vouched), map(_BEGIN_TS, vouched),
+                        map(plan.entry_row, vouched),
+                    ))
+                    if not doubtful:
+                        return answered
+                rids = [] if plan.index_only else list(map(_RID, vouched))
                 if doubtful:
-                    rids += self._fetch_back_rids(entry_pk, doubtful, ts)
+                    rids += self._fetch_back_rids(entry_pk, doubtful, vouched, ts)
             else:
                 rids = [entry.rid for entry in entries]
             attribute("records")
@@ -564,43 +577,26 @@ class WildfireShard:
             )
         record_pk, record_row = plan.record_pk, plan.record_row
         if record_row is None:  # the full row: the record's own tuple
-            return [
-                (record_pk(values), begin_ts, values)
-                for values, begin_ts in records
-            ]
-        return [
-            (record_pk(values), begin_ts, record_row(values))
-            for values, begin_ts in records
-        ]
+            produced = [(record_pk(values), begin_ts, values)
+                        for values, begin_ts in records]
+        else:
+            produced = [(record_pk(values), begin_ts, record_row(values))
+                        for values, begin_ts in records]
+        # Only an index-only plan with doubtful hits has answered rows.
+        return answered + produced if answered else produced
 
-    @staticmethod
-    def _project_entries(plan: AccessPlan, rows: List[Tuple]) -> List:
-        """The index-only answer, read off the entry rows."""
-        entry_pk, entry_row = plan.entry_pk, plan.entry_row
-        produced = [(entry_pk(row), row[-2], entry_row(row)) for row in rows]
-        if plan.index_name == PRIMARY_INDEX_NAME:
-            return produced
-        # Newest-wins dedup per primary key: only an index-only secondary
-        # scan can surface several versions of one row (distinct full entry
-        # keys); the newest beginTS is the visible one.
-        best: Dict[Tuple[KeyValue, ...], Tuple] = {}
-        for tagged in produced:
-            held = best.get(tagged[0])
-            if held is None or tagged[1] > held[1]:
-                best[tagged[0]] = tagged
-        return list(best.values())
-
-    def _fetch_back_rids(self, entry_pk, rows: List[Tuple], ts: int) -> List:
+    def _fetch_back_rids(self, entry_pk, rows: List, vouched: List, ts: int) -> List:
         """Resolve the ghosted hits the shard cannot vouch for.
 
         Secondary entries recover the primary key (suffixed specs give
         every pk column an entry slot); the deduplicated keys become one
         batched primary lookup, whose RIDs join the record fetch, where
         every predicate is re-checked: a moved row's stale entry drops out.
+        A key with a ``vouched`` hit (its new entry, when a groom published
+        between the horizon read and the scan) is answered by that hit.
         """
-        keys = list(map(
-            self._primary_key_of_pk, sorted(set(map(entry_pk, rows)))
-        ))
+        pks = set(map(entry_pk, rows)).difference(map(entry_pk, vouched))
+        keys = list(map(self._primary_key_of_pk, sorted(pks)))
         self.hierarchy.attribute_reads(f"index:{PRIMARY_INDEX_NAME}")
         return [
             hit.rid for hit in self.index.batch_lookup(keys, ts)

@@ -12,7 +12,8 @@ evolve per index.  Secondary indexes are multi-version exactly like the
 primary -- a secondary entry carries the version's ``beginTS`` and RID, so
 snapshot reads and time travel work through them too.  An entry for a row's
 old secondary key has no endTS, so it stays visible after the row moves: a
-secondary is read only by a typed query, whose plan checks ``ghosted``.
+secondary is read only by a typed query, whose every plan -- index-only or
+fetch-back -- vouches for each hit from ``ghosted``.
 """
 
 from __future__ import annotations
@@ -41,11 +42,11 @@ class ShardIndex:
     index: UmziIndex
     positions: Tuple[Tuple[int, ...], ...]  # IndexSpec.positions(schema)
     # Primary keys whose secondary *key* columns changed between versions
-    # (the older entry stays visible under its old key, having no endTS:
-    # a non-empty map disqualifies index-only plans), each mapped to its
-    # newest version's beginTS in every index, or ``None`` while unknown
-    # (a groom publishing or cut short, a key adopted at split or merge).
-    # Always empty for the primary.
+    # (the older entry stays visible under its old key, having no endTS),
+    # each mapped to its newest version's beginTS in every index, or
+    # ``None`` while unknown (a groom publishing or cut short, a key
+    # adopted at split or merge): every secondary plan vouches for its
+    # hits by it.  Always empty for the primary.
     ghosted: Dict[Tuple, Optional[int]] = field(default_factory=dict)
 
 
@@ -154,11 +155,10 @@ class ShardIndexes:
         ts_desc = encode_ts_desc_column(block.begin_ts)
         rids = encode_rid_column(block.zone, block.block_id, len(rows))
         run_ids: Dict[str, str] = {}
-        # Count ghosts *before* publishing the runs that contain them: a
-        # planner racing this groom may cache a synopsis at the new
-        # version sequence, and it must already see the ghost count that
-        # disqualifies index-only for the new entries.  Their beginTS is
-        # recorded only once every index holds them.
+        # Mark ghosts *before* publishing the runs that contain them: a
+        # read racing this groom may already see a new entry, and the old
+        # entry it supersedes must not answer for itself meanwhile.  Their
+        # beginTS is recorded only once every index holds them.
         newest = self._track_ghosts(raw, block.begin_ts) if rows else ()
         for shard_index in self.all():
             equality, sort, included = shard_index.positions
@@ -207,7 +207,7 @@ class ShardIndexes:
         return pending
 
     def pending_ghosts(self) -> Dict[str, int]:
-        """Per-index count of ghosted keys (tools, tests)."""
+        """Per-index count of ghosted keys (tools, tests): gates no plan."""
         return {si.name: len(si.ghosted) for si in self.all()}
 
     def adopt_ghost_state(self, sources: Sequence["ShardIndexes"]) -> None:
@@ -218,8 +218,8 @@ class ShardIndexes:
         unioned, plus every key whose memos disagree across sources: a key
         ghosted anywhere keeps its stale entry in the copy, none counts
         twice and a replayed adoption adds nothing.  A split successor
-        also inherits the other half's keys, which only keeps index-only
-        off there.  A key a source ghosted has no record until groomed here.
+        also inherits the other half's keys, which it holds no hit of.  A
+        key a source ghosted has no record until groomed here.
         """
         for name, shard_index in self.secondaries.items():
             memo, ghosted = self._key_memo[name], shard_index.ghosted

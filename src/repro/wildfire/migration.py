@@ -472,8 +472,8 @@ class Migration:
                 target.clock.publish_groom_cycle(*source.clock.state())
         for target in targets:
             # Ghosted secondary entries travel with the copy, so their
-            # keys do too: fetch-backs keep resolving them, and index-only
-            # stays disqualified where a source had ghosts.
+            # keys do too, unrecorded: every secondary plan sends their
+            # hits to the primary until a groom here records them.
             target.indexes.adopt_ghost_state([source.indexes for source in sources])
         self.copied_blocks += adopt_blocks(sources, targets)
         if len(targets) == 1:

@@ -200,6 +200,7 @@ per-row tail                  200.2   198.1     187.3         75.2
 bound once per query          174.2   170.1     163.8         75.2
 newest versions recorded      172.2   170.1     163.8         75.2
 one call per layer            155.2   153.1     146.8         62.2
+one vouch per hit             155.2   152.1     146.8         62.2
 =========================  ========  ======  ========  ===========
 
 A per-call ``candidate_shape``, a per-entry generator hop in the scan, a
@@ -246,7 +247,13 @@ searched fewer.  The ``one call per layer`` row is the point path's
 front-door cut in a typed query: the map pin's four wrapper frames,
 admission's five, and per shard searched the executor's
 ``_enter_query`` / ``_exit_query`` / ``QueryPin.__init__`` and the cache
-hook's ``current_read_intent``.
+hook's ``current_read_intent``.  The ``one vouch per hit`` row runs the
+fetch-back's per-key vouch on index-only plans too (no ghost gate in the
+planner): the vouched rows are projected by C getters over ``zip`` /
+``map``, so ``_project_entries`` and its comprehension are two frames
+fewer per shard searched, less the ``bind_predicates`` frame and two
+``Predicate`` frames the region plan's record checks now bind once per
+query; the fetch-back reads its vouched RIDs the same way.
 """
 
 import gc
@@ -270,7 +277,7 @@ TYPED_BEFORE = {
     "customer": 11308.5, "region": 2112.6, "range": 3235.7, "equality": 282.6,
 }
 TYPED_CEILING = {
-    "customer": 158.0, "region": 156.0, "range": 150.0, "equality": 65.0,
+    "customer": 158.0, "region": 155.0, "range": 150.0, "equality": 65.0,
 }
 
 ROWS = 6_000

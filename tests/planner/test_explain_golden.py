@@ -138,13 +138,13 @@ class TestPlannerEquivalence:
         ):
             assert smart.query(query) == baseline.query(query)
 
-    def test_key_column_updates_disqualify_index_only(self):
-        # The ISSUE 10 bugfix: when a *secondary key* column changes
-        # across versions, the old entry is a ghost only a record
-        # re-check can filter -- an index-only scan cannot see the newer
-        # entry living under a different key.  The shard counts the
-        # ghost at groom time, and the planner refuses index-only on the
-        # ghosted secondaries, so every answer is exact.
+    def test_key_column_updates_keep_index_only(self):
+        # When a *secondary key* column changes across versions, the old
+        # entry stays visible under its old key (it has no endTS) and the
+        # newer one lives under a different key.  The shard records the
+        # ghost and its newest version at groom time, and every secondary
+        # plan vouches for its hits from that record, so a covering
+        # secondary stays index-only and every answer stays exact.
         smart = make_shard()
         baseline = make_shard(planner="baseline")
         for shard in (smart, baseline):
@@ -157,12 +157,13 @@ class TestPlannerEquivalence:
         full = Query(ranges=(("region", "r0", "r0"),))
         assert smart.explain(full)["fetch_back"]
         assert smart.query(full) == baseline.query(full)
-        ghost = Query(ranges=(("region", "r0", "r0"),),
-                      projection=("region", "amount"))
-        plan = smart.explain(ghost)
-        assert not plan["index_only"]
-        assert plan["fetch_back"]
-        assert smart.query(ghost) == baseline.query(ghost)
+        for region in ("r0", "r9"):  # the key's old region and its new one
+            covered = Query(ranges=(("region", region, region),),
+                            projection=("region", "amount"))
+            plan = smart.explain(covered)
+            assert plan["index_only"] and not plan["fetch_back"]
+            assert smart.query(covered) == baseline.query(covered)
+        assert smart.query(covered) == [("r9", 7)]
 
     def test_included_column_updates_keep_index_only(self):
         # Precision of the tracker: updates touching only *included*
@@ -313,10 +314,10 @@ class TestWrappersCallTheIndex:
             # ... and so does the typed fetch-back, should an entry ever
             # hand it such a primary key (rows: an entry's columns)
             (lambda: shard._fetch_back_rids(
-                lambda row: row[1:2], [("c2", 3), ("c2", True)], 10**9
+                lambda row: row[1:2], [("c2", 3), ("c2", True)], [], 10**9
             ), QueryError, mistyped + "'order_id' expects int64, got bool (True)"),
             (lambda: shard._fetch_back_rids(
-                lambda row: row[1:2], [("c2", 2**70)], 10**9
+                lambda row: row[1:2], [("c2", 2**70)], [], 10**9
             ), QueryError,
              f"key value of the wrong type: column 'order_id': integer {2**70} "
              "outside signed 64-bit range"),

@@ -180,8 +180,26 @@ class TestShapeToPlan:
         ]
 
     def test_index_only_has_no_record_checks(self):
+        # A primary entry is its row's version: nothing to re-check.
+        shard = make_shard()
+        query = Query(ranges=(("order_id", 3, 9),), projection=("order_id",))
+        primary = shard.indexes.get("primary")
+        shape = candidate_shape(query, shard.schema, primary, is_primary=True)
+        plan = plan_prototype(
+            shape, query, shard.schema, primary,
+            planner="smart", index_only=True,
+        )
+        assert plan.index_only and not plan.fetch_back
+        assert plan.record_checks == ()
+        assert plan.entry_row((7,)) == (7,)
+        assert plan.entry_pk((7,)) == (7,)
+
+    def test_secondary_index_only_rechecks_every_predicate(self):
+        # A doubtful hit of a moved row is answered by the primary, and
+        # its record must pass every predicate, as in a fetch-back.
         shard = make_shard()
         query = Query(equalities=(("customer", "c1"),),
+                      ranges=(("amount", 10, 90),),
                       projection=("order_id", "amount"))
         shape = candidate_shape(
             query, shard.schema, shard.indexes.get("by_customer"),
@@ -192,11 +210,14 @@ class TestShapeToPlan:
             planner="smart", index_only=True,
         )
         assert plan.index_only and not plan.fetch_back
-        assert plan.record_checks == ()
+        assert [p.column for p in plan.record_checks] == ["customer", "amount"]
+        assert [p.column for p in plan.entry_residuals] == ["amount"]
         # Entry columns are (customer | order_id | amount): the row and the
         # primary key come straight out of them.
         assert plan.entry_row(("c1", 7, 50)) == (7, 50)
         assert plan.entry_pk(("c1", 7, 50)) == (7,)
+        # A record the primary answers with is projected by its own getter.
+        assert plan.record_row((7, "c1", "r0", 50)) == (7, 50)
 
     def test_pk_slots_always_resolvable(self):
         shard = make_shard()

@@ -23,8 +23,9 @@ moved.
 
 The other tests pin the cases the rule must send through the primary: an
 AS-OF read from before a move, a read racing a groom, a groom publishing
-between a read's scan and its fetch-back, a crash between two indexes'
-publications, and keys adopted at a split and a merge.
+between a read's scan and its fetch-back, one publishing between a read's
+horizon and its scan (index-only and fetch-back), a crash between two
+indexes' publications, and keys adopted at a split and a merge.
 """
 
 import random
@@ -301,6 +302,41 @@ def test_a_groom_overtaking_a_reads_scan_leaves_its_version_to_the_primary():
     rows = table.query(Query(equalities=(("customer", "c2"),), query_ts=2**62))
     assert "scan" not in vars(index), "the query never scanned by_customer"
     assert rows == [(5, "c2", "r1", 30)]
+
+
+@pytest.mark.parametrize("projection", [("order_id", "amount"), None])
+def test_a_groom_publishing_before_a_reads_scan_answers_a_key_once(projection):
+    # Order 5 sits in r1 and its move to r2 waits in the live log.  A read
+    # far in the future reads its horizon, then that groom publishes and
+    # records the r2 version before the read scans by_region over r1..r2:
+    # the scan holds both entries, the new one vouched (its key's recorded
+    # newest) and the old one doubtful (recorded newest above the
+    # horizon).  The vouched hit is the answer; the primary must not add
+    # the same version a second time.
+    table = make_table("smart")
+    table.ingest([(5, "c1", "r1", 10)])
+    table.tick()
+    table.ingest([(5, "c1", "r2", 20)])
+    shard = table.shards[table.shard_of_key((5,))]
+    query = Query(ranges=(("region", "r1", "r2"),), projection=projection,
+                  query_ts=2**62)
+    plan = shard.explain(query)
+    assert plan["index"] == "by_region", plan
+    assert plan["index_only"] == (projection is not None), plan
+    index = shard.indexes.get("by_region").index
+
+    def scan(*args, _inner=index.scan):
+        del index.scan
+        shard.tick()
+        return _inner(*args)
+
+    index.scan = scan
+    rows = table.query(query)
+    assert "scan" not in vars(index), "the query never scanned by_region"
+    assert shard.indexes.get("by_region").ghosted == {
+        (5,): shard.index.lookup((), (5,), 2**62).begin_ts
+    }
+    assert rows == ([(5, 20)] if projection else [(5, "c1", "r2", 20)])
 
 
 def test_a_crash_between_two_indexes_publications_leaves_its_keys_unvouched():

@@ -11,10 +11,14 @@ shard.
 
 The fixture is a 4-shard table carrying both e2e secondaries and a
 ``planner="baseline"`` twin.  Keys on one shard (the last) move only their
-region, so ``by_region`` has ghosts there alone: within one query a
-projected region query is index-only on three shards and a fetch-back on
-the fourth, and a region query narrowed by an ``order_id`` range runs
-``by_region`` index-only on three shards and the primary on the fourth.
+region, so ``by_region`` has ghosts there alone, and a projected region
+query still runs ``by_region`` index-only on every shard, the moved one
+included (each hit vouched for by its key's recorded newest version).
+A few far-out order ids stretch one other shard's ``order_id`` span, so
+the shards of one query rank candidates differently: a region query
+narrowed by an ``order_id`` range runs the primary on the stretched shard
+and ``by_region`` index-only on the rest, and its full-row twin over a
+wider range runs the primary there and a fetch-back on the rest.
 Customer, region (projected and full-row, with an ``amount`` residual),
 primary range and point queries run at the latest snapshot and AS-OF one
 taken before the moves, then again inside a ``begin_split`` window and a
@@ -45,6 +49,8 @@ KEYS = 160
 CUSTOMERS = 5
 REGIONS = 4
 MOVED_SHARD = SHARDS - 1
+STRETCHED_SHARD = 0
+FAR_KEY = 20_000  # six keys from here stretch STRETCHED_SHARD's order_id span
 
 
 def make_table(planner):
@@ -95,6 +101,7 @@ def queries(query_ts):
         yield Query(ranges=(region, amount), query_ts=query_ts)
         yield Query(ranges=(region, ("order_id", 40, 79)),
                     projection=("order_id", "amount"), query_ts=query_ts)
+        yield Query(ranges=(region, ("order_id", 20, 159)), query_ts=query_ts)
     for low in (0, 55, 120):
         yield Query(ranges=(("order_id", low, low + 30),), query_ts=query_ts)
         yield Query(equalities=(("order_id", low + 3),), query_ts=query_ts)
@@ -207,6 +214,9 @@ def test_one_binding_per_scatter_matches_per_shard_planning(encodes):
     both = (table, twin)
     for start in range(0, KEYS, 40):
         apply(both, [row(k) for k in range(start, start + 40)])
+    far = [k for k in range(FAR_KEY, FAR_KEY + 100)
+           if table.shard_of_key((k,)) == STRETCHED_SHARD][:6]
+    apply(both, [row(k) for k in far])
     snapshot = min(shard.clock.snapshot_ts for shard in table.shards)
     moved = [k for k in range(KEYS) if table.shard_of_key((k,)) == MOVED_SHARD]
     apply(both, [row(k, region_shift=1, generation=1) for k in moved], ticks=2)
@@ -220,20 +230,29 @@ def test_one_binding_per_scatter_matches_per_shard_planning(encodes):
     reached = defaultdict(list)
     check_all(table, twin, snapshot, reached, encodes)
 
-    # Within one query, by_region index-only on some shards and a
-    # fetch-back on the moved one; the order_id-narrowed region query
-    # runs by_region on some shards and the primary on the moved one.
-    projected = next(q for q in queries(None) if q.projection and len(q.ranges) == 2
-                     and q.ranges[1][0] == "amount").shape
-    narrowed = next(q for q in queries(None) if q.projection and len(q.ranges) == 2
-                    and q.ranges[1][0] == "order_id").shape
-    assert any(
-        {("by_region", True), ("by_region", False)} <= picked
-        for picked in reached[projected]
-    )
+    # Ghosts gate no plan: the projected region query is index-only on
+    # every shard, the moved one included, and its full-row twin a
+    # fetch-back on every shard.  Within one query, the narrowed region
+    # query runs the primary on the stretched shard and by_region
+    # index-only elsewhere; its full-row twin the primary there and a
+    # by_region fetch-back elsewhere.
+    def shape_of(projection, second):
+        return next(q for q in queries(None) if q.projection == projection
+                    and len(q.ranges) == 2 and q.ranges[1][0] == second).shape
+
+    for projection, plan in ((("order_id", "amount"), ("by_region", True)),
+                             (None, ("by_region", False))):
+        shape = shape_of(projection, "amount")
+        assert reached[shape] and all(
+            picked == {plan} for picked in reached[shape]
+        ), shape
     assert any(
         {("by_region", True), ("primary", False)} <= picked
-        for picked in reached[narrowed]
+        for picked in reached[shape_of(("order_id", "amount"), "order_id")]
+    )
+    assert any(
+        {("by_region", False), ("primary", False)} <= picked
+        for picked in reached[shape_of(None, "order_id")]
     )
 
     split = table.begin_split(0)

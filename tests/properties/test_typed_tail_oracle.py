@@ -19,8 +19,10 @@ twin:
 
 * ``by_region`` index-only with an ``amount`` residual, and its full-row
   twin (a fetch-back that runs the same residual first);
-* ``customer`` fetch-back while customers move, full-row, projected and
-  with an ``amount`` residual;
+* ``customer`` while customers move: a full-row fetch-back, index-only
+  projections with and without an ``amount`` residual (the ghosted hits
+  vouched for or answered by the primary) and a non-covering projection
+  with the residual (a fetch-back that runs it first);
 * primary ranges, full-row, projected and with a record residual, and
   primary points.
 """
@@ -105,6 +107,8 @@ def queries(rng, query_ts):
                     query_ts=query_ts)
         yield Query(equalities=customer, ranges=(("amount", 0, 1500),),
                     projection=("amount", "customer"), query_ts=query_ts)
+        yield Query(equalities=customer, ranges=(("amount", 0, 1500),),
+                    projection=("amount", "region"), query_ts=query_ts)
     for _ in range(3):
         low = rng.randrange(KEYS)
         keys = ("order_id", low, low + 30)
@@ -163,10 +167,13 @@ def test_typed_tail_matches_reference_and_baseline(seed):
         for shard_id in table.live_shard_ids()
     ])
     assert ghosted, "no customer moved"
-    # Every path the tail serves was taken: index-only with a residual,
-    # fetch-back with and without one, and the primary.
+    # Every path the tail serves was taken: index-only with and without a
+    # residual (on the moving secondary too), fetch-back with and without
+    # one, and the primary.
     assert reached["by_region", True, True]
     assert reached["by_region", False, True]
+    assert reached["by_customer", True, False]
+    assert reached["by_customer", True, True]
     assert reached["by_customer", False, False]
     assert reached["by_customer", False, True]
     assert reached["primary", False, False]

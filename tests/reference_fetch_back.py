@@ -1,5 +1,6 @@
-"""The fetch-back that resolves every secondary hit, kept as the oracle of
-the one that resolves only the ghosted hits a shard cannot vouch for.
+"""The secondary plans that resolve every hit through the primary, kept as
+the oracle of the ones that resolve only the ghosted hits a shard cannot
+vouch for.
 
 Until ghost tracking recorded *which* primary keys a secondary ghosted,
 ``WildfireShard._execute_plan`` sent every winner of a fetch-back plan
@@ -8,7 +9,11 @@ batched primary point lookup, whose hits' RIDs became the one record
 fetch.  It lives on here, out of ``src/``, as the reference the shortcut
 is compared against (``tests/properties/test_fetch_back_oracle.py``):
 same rows, full-row and projected, at the latest snapshot and AS-OF.
-Its records are read as full :class:`Record` objects, as they were then
+A secondary index-only plan is resolved the same way here -- every
+winner through the primary, every predicate re-checked on the record,
+the row projected from it -- so the index-only shortcut (vouched hits
+answered from their entries) is held to it too.  Its records are read
+as full :class:`Record` objects, as they were then
 (``tests/reference_typed_tail.py``).
 
 ``install`` swaps it in for one shard's ``_execute_plan`` (an instance
@@ -30,8 +35,9 @@ from tests.reference_typed_tail import reference_fetch_records
 
 
 def unvouched_keys(shard, plan, ts: int) -> List[Tuple]:
-    """The primary keys (sorted, as ``entry_pk`` gives them) a fetch-back
-    at ``ts`` must resolve through the primary.
+    """The primary keys (sorted, as ``entry_pk`` gives them) a secondary
+    plan -- fetch-back or index-only -- at ``ts`` must resolve through the
+    primary.
 
     A winner needs no primary when its key is not ghosted (a clean hit is
     its row's newest version), when its beginTS is the key's recorded
@@ -41,7 +47,7 @@ def unvouched_keys(shard, plan, ts: int) -> List[Tuple]:
     record (a key adopted at split or merge, a groom still publishing or
     cut short), or a newest version past the read (AS-OF).
     """
-    if not plan.fetch_back:
+    if plan.index_name == PRIMARY_INDEX_NAME:
         return []
     ghosted = shard.indexes.get(plan.index_name).ghosted
     horizon = min(ts, shard.clock.snapshot_ts)
@@ -91,7 +97,8 @@ def reference_fetch_back_rids(shard, entry_pk, rows: List[Tuple], ts: int) -> Li
 
 
 def reference_execute_plan(shard, plan, ts: int) -> List[Tuple]:
-    """``WildfireShard._execute_plan`` with every winner fetched back."""
+    """``WildfireShard._execute_plan`` with every secondary winner fetched
+    back, an index-only plan's included."""
     index = shard.indexes.get(plan.index_name).index
     attribute = shard.hierarchy.attribute_reads
     attributed = attribute(f"index:{plan.index_name}")
@@ -113,10 +120,13 @@ def reference_execute_plan(shard, plan, ts: int) -> List[Tuple]:
                 rows = _within(
                     rows, [row[p.offset] for row in rows], p.low, p.high
                 )
-            if plan.index_only:
-                return shard._project_entries(plan, rows)
-            if plan.fetch_back:
+            if plan.index_name != PRIMARY_INDEX_NAME:
                 rids = reference_fetch_back_rids(shard, plan.entry_pk, rows, ts)
+            elif plan.index_only:
+                return [
+                    (plan.entry_pk(row), row[-2], plan.entry_row(row))
+                    for row in rows
+                ]
             else:
                 rids = [row[-1] for row in rows]
         else:

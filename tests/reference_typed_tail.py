@@ -9,7 +9,9 @@ batched catalog fetch, which now returns ``(values, beginTS)`` pairs.
 Both live on here, out of ``src/``, as the oracle the leaner tail is
 compared against (``tests/properties/test_typed_tail_oracle.py``): same
 ``(pk, beginTS, row)`` tags per shard, full-row and projected, at the
-latest snapshot and AS-OF.
+latest snapshot and AS-OF.  Its secondary plans, index-only ones
+included, send every ghosted winner through the primary and answer the
+rest from their entries (index-only) or by their own RIDs.
 
 ``install`` swaps the old tail in for one shard's ``_execute_plan`` (an
 instance attribute, as the tracer replaces boundaries); ``uninstall``
@@ -47,6 +49,7 @@ def reference_execute_plan(shard, plan, ts: int) -> List[Tuple]:
     index = shard_index.index
     attribute = shard.hierarchy.attribute_reads
     attributed = attribute(f"index:{plan.index_name}")
+    answered = []
     try:
         if plan.mode == "point":
             hit = index.lookup(plan.equality_values, plan.sort_values, ts)
@@ -65,17 +68,23 @@ def reference_execute_plan(shard, plan, ts: int) -> List[Tuple]:
                 rows = _within(
                     rows, [row[p.offset] for row in rows], p.low, p.high
                 )
-            if plan.index_only:
-                return shard._project_entries(plan, rows)
             entry_pk = plan.entry_pk
             stale = shard_index.ghosted.keys() & set(map(entry_pk, rows))
+            clean = [row for row in rows if entry_pk(row) not in stale]
+            if plan.index_only:
+                answered = [
+                    (entry_pk(row), row[-2], plan.entry_row(row))
+                    for row in clean
+                ]
+                if not stale:
+                    return answered
+                rids = []
+            else:
+                rids = [row[-1] for row in clean]
             if stale:
-                rids = [row[-1] for row in rows if entry_pk(row) not in stale]
                 rids += shard._fetch_back_rids(entry_pk, [
                     row for row in rows if entry_pk(row) in stale
-                ], ts)
-            else:
-                rids = [row[-1] for row in rows]
+                ], clean, ts)
         else:
             rids = [entry.rid for entry in entries]
         attribute("records")
@@ -89,11 +98,11 @@ def reference_execute_plan(shard, plan, ts: int) -> List[Tuple]:
         )
     record_pk, record_row = plan.record_pk, plan.record_row
     if record_row is None:
-        return [
+        return answered + [
             (record_pk(record.values), record.begin_ts, record.values)
             for record in records
         ]
-    return [
+    return answered + [
         (record_pk(record.values), record.begin_ts, record_row(record.values))
         for record in records
     ]

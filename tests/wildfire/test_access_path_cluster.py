@@ -165,35 +165,37 @@ class TestSecondaryIndexSplit:
         assert total == 60
 
     def test_ghost_state_survives_split_and_merge(self):
-        """The index-only staleness fix (ISSUE 10) must survive
-        reorganization: ghost counts travel with the copied entries, so
-        a successor -- and later the fused target -- keeps refusing
-        index-only plans over the ghosted secondary."""
+        """Ghost tracking survives reorganization: ghost counts travel
+        with the copied entries, and a successor -- and later the fused
+        target -- still answers the covered query index-only, every
+        ghosted hit vouched for or answered by the primary."""
         table = make_orders_table()
         seed_orders(table)
         victim = table.shard_of_key((0,))
         key = next(
             i for i in range(60) if table.shard_of_key((i,)) == victim
         )
+        covered = Query(equalities=(("customer", "c9"),),
+                        projection=("order_id", "amount"))
         table.ingest([(key, "c9", "r9", 7)])  # customer changes: a ghost
         table.run_cycles(4)
         assert (
             table.shards[victim].indexes.pending_ghosts()["by_customer"] == 1
         )
+        assert table.shards[victim].explain(covered)["index_only"]
         split = table.split_shard(victim)
         for successor in split["successors"]:
             ghosts = table.shards[successor].indexes.pending_ghosts()
             assert ghosts["by_customer"] >= 1
+            assert table.shards[successor].explain(covered)["index_only"]
         merged = table.merge_shards(*split["successors"])
         target = merged["target"]
         assert (
             table.shards[target].indexes.pending_ghosts()["by_customer"] >= 1
         )
+        assert table.shards[target].explain(covered)["index_only"]
         # And the typed answer over the ghosted secondary stays exact.
-        assert table.query(
-            Query(equalities=(("customer", "c9"),),
-                  projection=("order_id", "amount"))
-        ) == [(key, 7)]
+        assert table.query(covered) == [(key, 7)]
         assert (key, key * 10) not in table.query(
             Query(equalities=(("customer", f"c{key % 5}"),),
                   projection=("order_id", "amount"))
