@@ -16,12 +16,11 @@ property-based tests.
 """
 
 from repro.baselines.btree import SortedArrayIndex
-from repro.baselines.lsm import ClassicLSMIndex, LSMMergePolicy
+from repro.baselines.lsm import ClassicLSMIndex
 from repro.baselines.separate import SeparateZoneIndexes
 
 __all__ = [
     "ClassicLSMIndex",
-    "LSMMergePolicy",
     "SeparateZoneIndexes",
     "SortedArrayIndex",
 ]

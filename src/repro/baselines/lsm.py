@@ -8,17 +8,13 @@ because its only remedies are (a) serving dangling RIDs or (b) a full
 rebuild (:meth:`ClassicLSMIndex.rebuild_with_rids`), whose cost the
 ablation benchmark compares against Umzi's incremental evolve.
 
-Both textbook merge policies (section 2.2) are implemented:
-
-* **leveling** -- one run per level; a run moves up by merging into the
-  next level's run whenever it exceeds its level's capacity;
-* **tiering** -- up to T runs per level; a full level merges into one run
-  at the next level.
+Its merge policy is the textbook *leveling* of section 2.2: one run per
+level; a run moves up by merging into the next level's run whenever it
+exceeds its level's capacity.
 """
 
 from __future__ import annotations
 
-import enum
 import threading
 from typing import Callable, Dict, Iterable, List, Optional
 
@@ -33,35 +29,22 @@ from repro.core.encoding import prefix_successor
 from repro.storage.hierarchy import StorageHierarchy
 
 
-class LSMMergePolicy(str, enum.Enum):
-    LEVELING = "leveling"
-    TIERING = "tiering"
+# Level ``i`` holds up to ``memtable_limit * SIZE_RATIO ** (i + 1)`` entries.
+SIZE_RATIO = 4
 
 
 class ClassicLSMIndex:
     """Single-zone LSM index over (key -> beginTS, RID) entries."""
 
     def __init__(
-        self,
-        definition: IndexDefinition,
-        hierarchy: Optional[StorageHierarchy] = None,
-        policy: LSMMergePolicy = LSMMergePolicy.LEVELING,
-        memtable_limit: int = 1024,
-        size_ratio: int = 4,
-        data_block_bytes: int = 32 * 1024,
-        name: str = "classic-lsm",
+        self, definition: IndexDefinition, memtable_limit: int = 1024
     ) -> None:
         if memtable_limit < 1:
             raise ValueError("memtable_limit must be >= 1")
-        if size_ratio < 2:
-            raise ValueError("size_ratio must be >= 2")
         self.definition = definition
-        self.hierarchy = hierarchy if hierarchy is not None else StorageHierarchy()
-        self.policy = policy
+        self.hierarchy = StorageHierarchy()
         self.memtable_limit = memtable_limit
-        self.size_ratio = size_ratio
-        self.builder = RunBuilder(definition, self.hierarchy, data_block_bytes)
-        self._name = name
+        self.builder = RunBuilder(definition, self.hierarchy)
         self._memtable: List[IndexEntry] = []
         # levels[i] -> runs at level i, newest first.
         self._levels: List[List[IndexRun]] = []
@@ -93,10 +76,10 @@ class ClassicLSMIndex:
         self.flushes += 1
         self._install(run, level=0)
         if maybe_merge:
-            self._maybe_merge_locked()
+            self._merge_leveling()
 
     def _next_run_id(self) -> str:
-        run_id = f"{self._name}-{self._run_seq:06d}"
+        run_id = f"classic-lsm-{self._run_seq:06d}"
         self._run_seq += 1
         return run_id
 
@@ -134,13 +117,7 @@ class ClassicLSMIndex:
         self._levels[level].insert(0, run)
 
     def _capacity(self, level: int) -> int:
-        return self.memtable_limit * (self.size_ratio ** (level + 1))
-
-    def _maybe_merge_locked(self) -> None:
-        if self.policy is LSMMergePolicy.LEVELING:
-            self._merge_leveling()
-        else:
-            self._merge_tiering()
+        return self.memtable_limit * (SIZE_RATIO ** (level + 1))
 
     def _merge_leveling(self) -> None:
         level = 0
@@ -164,21 +141,6 @@ class ClassicLSMIndex:
             while len(self._levels) <= level + 1:
                 self._levels.append([])
             self._levels[level + 1] = [new_run]
-            self.merges += 1
-            level += 1
-
-    def _merge_tiering(self) -> None:
-        level = 0
-        while level < len(self._levels):
-            runs = self._levels[level]
-            if len(runs) < self.size_ratio:
-                level += 1
-                continue
-            new_run = self._merge_runs(list(runs), level=level + 1)
-            for run in runs:
-                self.hierarchy.delete_namespace(run.run_id)
-            self._levels[level] = []
-            self._install(new_run, level + 1)
             self.merges += 1
             level += 1
 
@@ -300,7 +262,7 @@ class ClassicLSMIndex:
                 self.hierarchy.delete_namespace(run.run_id)
             self._levels = []
             self._install(new_run, 0)
-            self._maybe_merge_locked()
+            self._merge_leveling()
             return counts["rewritten"]
 
     # -- introspection ---------------------------------------------------------------------------
@@ -316,4 +278,4 @@ class ClassicLSMIndex:
             )
 
 
-__all__ = ["ClassicLSMIndex", "LSMMergePolicy"]
+__all__ = ["ClassicLSMIndex"]

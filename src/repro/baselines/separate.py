@@ -144,19 +144,19 @@ class SeparateZoneIndexes:
         return [combined[key] for key in sorted(combined)]
 
     def scan_naive_union(
-        self,
-        lower_key: bytes,
-        upper_exclusive: bytes,
-        query_ts: int = MAX_QUERY_TS,
+        self, lower_key: bytes, upper_exclusive: bytes
     ) -> List[IndexEntry]:
-        """Union *without* dedup -- what a naive client gets.
+        """Union *without* dedup, at the newest snapshot -- what a naive
+        client gets.
 
         Mid-evolution (ADD_THEN_REMOVE order) this returns duplicate rows;
         mid-evolution with REMOVE_THEN_ADD it silently misses rows.  Tests
         assert both anomalies to motivate Umzi's unified view.
         """
-        results = list(self.groomed.scan(lower_key, upper_exclusive, query_ts))
-        results.extend(self.post_groomed.scan(lower_key, upper_exclusive, query_ts))
+        results = list(self.groomed.scan(lower_key, upper_exclusive, MAX_QUERY_TS))
+        results.extend(
+            self.post_groomed.scan(lower_key, upper_exclusive, MAX_QUERY_TS)
+        )
         return results
 
 

@@ -70,17 +70,11 @@ class CacheManager:
         config: LevelConfig,
         hierarchy: StorageHierarchy,
         run_lists: Dict[Zone, RunList],
-        high_watermark: float = HIGH_WATERMARK,
-        low_watermark: float = LOW_WATERMARK,
         pinned_among: Optional[Callable[[Collection[str]], Set[str]]] = None,
     ) -> None:
-        if not 0.0 < low_watermark <= high_watermark <= 1.0:
-            raise ValueError("need 0 < low_watermark <= high_watermark <= 1")
         self.config = config
         self.hierarchy = hierarchy
         self.run_lists = run_lists
-        self.high_watermark = high_watermark
-        self.low_watermark = low_watermark
         # pinned_among(run_ids) -> those some live query snapshot is still
         # holding.  Supplied by the run lifecycle (a run counts as pinned
         # when any query-reffed RunListVersion contains it; the current
@@ -184,7 +178,6 @@ class CacheManager:
     def release_after_query(
         self,
         touched_purged_runs: Iterable[IndexRun],
-        intent: Optional[ReadIntent] = None,
     ) -> None:
         """Drop transient blocks a query pulled in from purged runs.
 
@@ -199,8 +192,8 @@ class CacheManager:
         a maintenance read never admits a block, so there is nothing to
         release -- and blindly dropping a touched run's blocks here could
         evict blocks a concurrent *query* had legitimately warmed.
-        ``intent=None`` resolves through the hierarchy's ``reading_as``
-        scope, so a query-machinery path driven by maintenance (a
+        The intent is the hierarchy's ``reading_as`` scope, so a
+        query-machinery path driven by maintenance (a
         ``reading_as(MAINTENANCE)`` caller with ``on_query_done`` wired)
         cannot evict query-warmed blocks.  The intent is asked only once
         some run has something to release (a bypass is counted then): a
@@ -213,9 +206,7 @@ class CacheManager:
                 releasing[run.run_id] = run
         if not releasing:
             return  # nothing transient to release: no decision made
-        if intent is None:
-            intent = self.hierarchy.current_read_intent()
-        if intent is ReadIntent.MAINTENANCE:
+        if self.hierarchy.current_read_intent() is ReadIntent.MAINTENANCE:
             self.maintenance_bypasses += 1
             return
         # Another query's pinned snapshot may still hold a run: dropping
@@ -252,9 +243,9 @@ class CacheManager:
         if self._manual or self.hierarchy.ssd.capacity_bytes is None:
             return
         with self._lock:
-            if self.hierarchy.ssd.utilization() >= self.high_watermark:
+            if self.hierarchy.ssd.utilization() >= HIGH_WATERMARK:
                 self._purge_pass()
-            elif self.hierarchy.ssd.utilization() < self.low_watermark:
+            elif self.hierarchy.ssd.utilization() < LOW_WATERMARK:
                 self._load_pass()
 
     def _runs_at_level(self, level: int) -> List[IndexRun]:
@@ -275,7 +266,7 @@ class CacheManager:
         """
         level = self._current_cached_level
         while (
-            self.hierarchy.ssd.utilization() >= self.high_watermark
+            self.hierarchy.ssd.utilization() >= HIGH_WATERMARK
             and level >= 0
         ):
             runs = self._runs_at_level(level)
@@ -284,7 +275,7 @@ class CacheManager:
             for run in reversed(runs):
                 if run.header.persisted and self.is_run_cached(run):
                     if self.purge_run(run) > 0:
-                        if self.hierarchy.ssd.utilization() < self.high_watermark:
+                        if self.hierarchy.ssd.utilization() < HIGH_WATERMARK:
                             return
                     elif run.header.num_data_blocks > 0:
                         # A non-empty cached run that would not purge is a
@@ -299,7 +290,7 @@ class CacheManager:
     def _load_pass(self) -> None:
         """Load recent-first in the reverse direction of purging."""
         while (
-            self.hierarchy.ssd.utilization() < self.low_watermark
+            self.hierarchy.ssd.utilization() < LOW_WATERMARK
             and self._current_cached_level < self.config.total_levels - 1
         ):
             next_level = self._current_cached_level + 1
@@ -313,7 +304,7 @@ class CacheManager:
                     # because a maintenance scope happens to be ambient.
                     if not self.load_run(run, intent=ReadIntent.QUERY):
                         return  # out of space; stop loading
-                    if self.hierarchy.ssd.utilization() >= self.low_watermark:
+                    if self.hierarchy.ssd.utilization() >= LOW_WATERMARK:
                         all_cached = self.is_run_cached(run) and run is runs[-1]
                         break
             if all_cached or all(self.is_run_cached(r) for r in runs):

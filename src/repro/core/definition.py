@@ -296,31 +296,28 @@ class IndexDefinition:
 # ---------------------------------------------------------------------------
 
 
-def i1_definition(hash_bits: int = 8) -> IndexDefinition:
+def i1_definition() -> IndexDefinition:
     """I1: one equality column, one sort column, one included column."""
     return IndexDefinition(
         equality_columns=(ColumnSpec("eq0"),),
         sort_columns=(ColumnSpec("sort0"),),
         included_columns=(ColumnSpec("incl0"),),
-        hash_bits=hash_bits,
     )
 
 
-def i2_definition(hash_bits: int = 8) -> IndexDefinition:
+def i2_definition() -> IndexDefinition:
     """I2: two equality columns, one included column."""
     return IndexDefinition(
         equality_columns=(ColumnSpec("eq0"), ColumnSpec("eq1")),
         included_columns=(ColumnSpec("incl0"),),
-        hash_bits=hash_bits,
     )
 
 
-def i3_definition(hash_bits: int = 8) -> IndexDefinition:
+def i3_definition() -> IndexDefinition:
     """I3: one equality column, one included column."""
     return IndexDefinition(
         equality_columns=(ColumnSpec("eq0"),),
         included_columns=(ColumnSpec("incl0"),),
-        hash_bits=hash_bits,
     )
 
 

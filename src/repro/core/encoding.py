@@ -61,7 +61,7 @@ def encode_int64(value: int) -> bytes:
     return struct.pack(">Q", (value + (1 << 63)) & UINT64_MAX)
 
 
-def decode_int64(data: bytes, offset: int = 0) -> Tuple[int, int]:
+def decode_int64(data: bytes, offset: int) -> Tuple[int, int]:
     """Decode an int64; returns ``(value, next_offset)``."""
     (raw,) = struct.unpack_from(">Q", data, offset)
     return raw - (1 << 63), offset + 8
@@ -74,7 +74,7 @@ def encode_uint64(value: int) -> bytes:
     return struct.pack(">Q", value)
 
 
-def decode_uint64(data: bytes, offset: int = 0) -> Tuple[int, int]:
+def decode_uint64(data: bytes, offset: int) -> Tuple[int, int]:
     (value,) = struct.unpack_from(">Q", data, offset)
     return value, offset + 8
 
@@ -97,7 +97,7 @@ def encode_float64(value: float) -> bytes:
     return struct.pack(">Q", raw)
 
 
-def decode_float64(data: bytes, offset: int = 0) -> Tuple[float, int]:
+def decode_float64(data: bytes, offset: int) -> Tuple[float, int]:
     (raw,) = struct.unpack_from(">Q", data, offset)
     if raw & (1 << 63):
         raw ^= 1 << 63
@@ -112,7 +112,7 @@ def encode_bytes(value: bytes) -> bytes:
     return value.replace(b"\x00", _STRING_ESCAPED_ZERO) + _STRING_TERMINATOR
 
 
-def decode_bytes(data: bytes, offset: int = 0) -> Tuple[bytes, int]:
+def decode_bytes(data: bytes, offset: int) -> Tuple[bytes, int]:
     end = data.find(b"\x00", offset)
     if end >= 0 and data[end + 1 : end + 2] == b"\x00":
         return data[offset:end], end + 2  # no escape before the terminator
@@ -141,7 +141,7 @@ def encode_str(value: str) -> bytes:
     return encode_bytes(value.encode("utf-8"))
 
 
-def decode_str(data: bytes, offset: int = 0) -> Tuple[str, int]:
+def decode_str(data: bytes, offset: int) -> Tuple[str, int]:
     raw, nxt = decode_bytes(data, offset)
     return raw.decode("utf-8"), nxt
 

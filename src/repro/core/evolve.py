@@ -57,8 +57,8 @@ class Watermark:
     lock-free readers, mirroring the paper's atomic update of this value.
     """
 
-    def __init__(self, initial: int = -1) -> None:
-        self._value = initial
+    def __init__(self) -> None:
+        self._value = -1  # no groomed block covered yet
 
     @property
     def value(self) -> int:

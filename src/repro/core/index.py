@@ -295,11 +295,13 @@ class UmziIndex:
                 return result
         return None
 
-    def run_maintenance(self, max_steps: int = 64) -> List[MergeResult]:
-        """Merge until stable in both zones, then a cache pass."""
+    def run_maintenance(self) -> List[MergeResult]:
+        """Merge until stable in both zones (each capped at
+        :data:`~repro.core.merge.MAX_MERGES_PER_ZONE` steps), then a cache
+        pass."""
         results: List[MergeResult] = []
         for zone in (Zone.GROOMED, Zone.POST_GROOMED):
-            results.extend(self.merger.merge_until_stable(zone, max_steps))
+            results.extend(self.merger.merge_until_stable(zone))
         self.cache.maintain()
         return results
 

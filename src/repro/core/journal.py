@@ -28,6 +28,8 @@ from repro.storage.hierarchy import StorageHierarchy
 
 _MAGIC = b"UMZM"
 _FORMAT = ">QqQ"  # indexed_psn, watermark, checkpoint ordinal echo
+# Valid checkpoints a trim keeps.
+KEEP_CHECKPOINTS = 4
 _BODY_LEN = 4 + struct.calcsize(_FORMAT)
 _CRC_LEN = 4
 
@@ -125,9 +127,9 @@ class MetadataJournal:
         self._validity[bid.ordinal] = verdict
         return verdict
 
-    def _trim(self, keep: int = 4) -> None:
-        """Drop the oldest checkpoints, keeping the newest ``keep`` *valid*
-        ones (and anything newer than them).
+    def _trim(self) -> None:
+        """Drop the oldest checkpoints, keeping the newest
+        :data:`KEEP_CHECKPOINTS` *valid* ones (and anything newer than them).
 
         Counting raw ordinals instead of validity lost the newest valid
         checkpoint whenever the tail held ``keep`` torn blocks -- recovery
@@ -135,6 +137,7 @@ class MetadataJournal:
         Torn blocks older than the cutoff are still deleted; if fewer
         than ``keep`` checkpoints verify, nothing is deleted.
         """
+        keep = KEEP_CHECKPOINTS
         ids = self.hierarchy.shared.namespace_block_ids(self.namespace)
         if len(ids) <= keep:
             return

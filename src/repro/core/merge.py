@@ -46,6 +46,9 @@ from repro.core.search import ts_floor
 from repro.faults.crash import crash_point
 from repro.storage.hierarchy import StorageHierarchy
 
+# Merge steps one ``merge_until_stable`` pass may take in one zone.
+MAX_MERGES_PER_ZONE = 64
+
 
 @dataclass
 class MergeResult:
@@ -163,14 +166,12 @@ def merge_blocks(
 
 
 def merge_entry_blob_streams(
-    definition,
-    runs_newest_first: Sequence[IndexRun],
-    retention_ts: Optional[int] = None,
+    definition, runs_newest_first: Sequence[IndexRun]
 ) -> Iterator[Tuple[bytes, bytes]]:
     """:func:`merge_blocks` flattened to ``(sort_key, entry_blob)`` pairs,
-    for consumers that count pairs (the budgeted shard copy, the
-    classic-LSM baseline)."""
-    for keys, blobs in merge_blocks(runs_newest_first, retention_ts):
+    every version kept, for consumers that count pairs (the budgeted shard
+    copy, the classic-LSM baseline)."""
+    for keys, blobs in merge_blocks(runs_newest_first):
         yield from zip(keys, blobs)
 
 
@@ -264,10 +265,11 @@ class MergeController:
                 return None
             return self._merge_level_locked(zone, level)
 
-    def merge_until_stable(self, zone: Zone, max_steps: int = 64) -> List[MergeResult]:
-        """Run merge steps until the policy is satisfied (tests/benches)."""
+    def merge_until_stable(self, zone: Zone) -> List[MergeResult]:
+        """Run merge steps until the policy is satisfied, at most
+        :data:`MAX_MERGES_PER_ZONE` of them."""
         results: List[MergeResult] = []
-        for _ in range(max_steps):
+        for _ in range(MAX_MERGES_PER_ZONE):
             result = self.merge_step(zone)
             if result is None:
                 break

@@ -64,34 +64,22 @@ def narrow_with_offset_array(
 
 
 def search_run(
-    run: IndexRun,
-    lower_key: bytes,
-    upper_exclusive: bytes,
-    query_ts: int,
-    hash_value: Optional[int] = None,
-    use_offset_array: bool = True,
+    run: IndexRun, lower_key: bytes, upper_exclusive: bytes, query_ts: int
 ) -> List[IndexEntry]:
-    """:meth:`IndexRun.scan_visible` over a key range, every hit decoded.
+    """:meth:`IndexRun.scan_visible` over a key range of the whole run,
+    every hit decoded.
 
     ``lower_key`` is the inclusive lower bound over ``key_bytes`` (hash |
     eq | sort prefix), ``upper_exclusive`` the exclusive upper bound or
     :data:`UNBOUNDED`; versions with ``beginTS > query_ts`` are invisible.
-    With ``hash_value`` (an equality query) the offset array narrows the
-    binary search, unless ``use_offset_array`` is off (the ablation).
     """
-    lo, hi = narrow_with_offset_array(run, hash_value if use_offset_array else None)
     return [view.entry(i) for _, view, i in run.scan_visible(
-        lower_key, lo, hi, upper_exclusive, ts_floor(query_ts)
+        lower_key, 0, run.entry_count, upper_exclusive, ts_floor(query_ts)
     )]
 
 
 def lookup_key_in_run(
-    run: IndexRun,
-    key: bytes,
-    query_ts: int,
-    hash_value: Optional[int] = None,
-    use_offset_array: bool = True,
-    use_bloom: bool = True,
+    run: IndexRun, key: bytes, query_ts: int
 ) -> Optional[IndexEntry]:
     """Point lookup: the newest visible version of one exact key, if any.
 
@@ -100,10 +88,9 @@ def lookup_key_in_run(
     is consulted *before* any block fetch, so definite misses cost zero
     data-block I/O; the search itself is :meth:`IndexRun.lookup_visible`.
     """
-    if run.entry_count == 0 or (use_bloom and not run.may_contain_key(key)):
+    if run.entry_count == 0 or not run.may_contain_key(key):
         return None
-    lo, hi = narrow_with_offset_array(run, hash_value if use_offset_array else None)
-    return run.lookup_visible(key, ts_floor(query_ts), lo, hi)
+    return run.lookup_visible(key, ts_floor(query_ts), 0, run.entry_count)
 
 
 __all__ = [

@@ -14,10 +14,9 @@ Public surface:
   ``repro.storage.retry`` so the storage layer never imports this
   package).
 
-``repro.faults.harness`` (the crash/recovery driver + workload
-generator used by the property suite) is deliberately *not* imported
-here: it pulls in ``repro.core.index``, and importing it eagerly would
-create a cycle for any core module that wants ``crash_point``.
+The crash/recovery driver and workload generator that replay a plan
+against an index live with the suites that use them, in
+``tests/crash_harness.py``.
 """
 
 from repro.faults.crash import (
@@ -36,17 +35,14 @@ from repro.faults.plan import (
     TransientFault,
 )
 from repro.faults.storage import FaultyTier
-from repro.storage.retry import DEFAULT_RETRY_POLICY, RetryPolicy
 
 __all__ = [
     "BitRot",
     "BrownoutWindow",
     "CRASH_SITES",
     "CrashSchedule",
-    "DEFAULT_RETRY_POLICY",
     "FaultPlan",
     "FaultyTier",
-    "RetryPolicy",
     "SimulatedCrash",
     "TornWrite",
     "TransientFault",

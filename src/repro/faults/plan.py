@@ -21,7 +21,7 @@ Fault taxonomy (docs/architecture.md has the table):
 * :class:`TransientFault` -- the Nth shared-storage operation raises
   :class:`TransientIOError` ``failures`` consecutive times before
   succeeding.  Models network blips; the hierarchy's
-  :class:`~repro.storage.retry.RetryPolicy` must absorb it.
+  retry budget (:data:`~repro.storage.retry.MAX_ATTEMPTS`) must absorb it.
 * :class:`BrownoutWindow` -- a *window* of elevated transient-error
   rates: many failure bursts packed into a span of consecutive ops, some
   long enough to exhaust the retry budget.  Models a shared-storage
@@ -33,9 +33,24 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass, field
-from typing import Dict, FrozenSet, List, Optional, Tuple
+from typing import Dict, FrozenSet, List, Tuple
 
 from repro.faults.crash import CRASH_SITES, CrashSchedule
+
+# How hostile a generated universe can get: at most this many of each
+# fault, transient faults on shared ops up to ``MAX_OP_ORDINAL`` and crash
+# triggers within a site's first ``MAX_HIT_ORDINAL`` hits.
+MAX_CRASHES = 3
+MAX_TORN_WRITES = 2
+MAX_BIT_ROT = 2
+MAX_TRANSIENT = 3
+MAX_HIT_ORDINAL = 4
+MAX_OP_ORDINAL = 400
+# A generated brownout: each healthy op starts a failure burst with this
+# probability, of a length uniform in [min, max] ops.
+BROWNOUT_ERROR_RATE = 0.4
+BROWNOUT_MIN_BURST = 2
+BROWNOUT_MAX_BURST = 6
 
 
 @dataclass(frozen=True)
@@ -90,36 +105,29 @@ class BrownoutWindow:
     that raise :class:`TransientIOError`, pregenerated from the seed as
     bursts of consecutive failing ops so execution stays pure table
     lookup.  Unlike :class:`TransientFault`, bursts may exceed the
-    default retry budget (``RetryPolicy.max_attempts = 4``): an
+    default retry budget (``MAX_ATTEMPTS = 4``): an
     unprotected client gives up mid-window, which is precisely the
     behaviour the circuit breaker exists to prevent.  The window ends
     crisply -- op ``length_ops`` onward is healthy again.
 
-    Activation is either absolute (``start_op`` -- the 1-based tier op
-    ordinal at which the window opens) or relative: ``start_op=None``
-    windows are anchored at the current op sequence by
-    :meth:`~repro.faults.storage.FaultyTier.start_brownout`, so a bench
-    can open a brownout "now" without knowing absolute op counts.
+    A window is opened by
+    :meth:`~repro.faults.storage.FaultyTier.start_brownout`, anchored at
+    the tier's next operation, so a bench can open a brownout "now"
+    without knowing absolute op counts.  No :class:`FaultPlan` carries
+    one: bursts past the retry budget would break the byte-identity
+    property suite.
     """
 
     length_ops: int
     failing_offsets: Tuple[int, ...]
-    start_op: Optional[int] = None
 
     @staticmethod
-    def generate(
-        seed: int,
-        length_ops: int = 120,
-        error_rate: float = 0.4,
-        min_burst: int = 2,
-        max_burst: int = 6,
-        start_op: Optional[int] = None,
-    ) -> "BrownoutWindow":
-        """Derive a window from ``seed`` alone.
+    def generate(seed: int, length_ops: int = 120) -> "BrownoutWindow":
+        """Derive a relative window from ``seed`` alone.
 
         Walking the window, each healthy op starts a failure burst with
-        probability ``error_rate``; burst lengths are uniform in
-        ``[min_burst, max_burst]`` consecutive ops.  With the defaults a
+        probability :data:`BROWNOUT_ERROR_RATE`; burst lengths are uniform
+        in ``[BROWNOUT_MIN_BURST, BROWNOUT_MAX_BURST]`` consecutive ops.  A
         majority of the window's ops fail and some bursts exceed the
         retry budget -- a hostile but bounded storm.
         """
@@ -127,19 +135,15 @@ class BrownoutWindow:
         failing: List[int] = []
         offset = 0
         while offset < length_ops:
-            if rng.random() < error_rate:
-                burst = rng.randint(min_burst, max_burst)
+            if rng.random() < BROWNOUT_ERROR_RATE:
+                burst = rng.randint(BROWNOUT_MIN_BURST, BROWNOUT_MAX_BURST)
                 failing.extend(
                     o for o in range(offset, offset + burst) if o < length_ops
                 )
                 offset += burst
             else:
                 offset += 1
-        return BrownoutWindow(
-            length_ops=length_ops,
-            failing_offsets=tuple(failing),
-            start_op=start_op,
-        )
+        return BrownoutWindow(length_ops, tuple(failing))
 
 
 @dataclass
@@ -151,32 +155,18 @@ class FaultPlan:
     bit_rot: Tuple[BitRot, ...] = ()
     transient: Tuple[TransientFault, ...] = ()
     crash_triggers: Dict[str, FrozenSet[int]] = field(default_factory=dict)
-    # Brownout windows (ISSUE 7).  Not produced by :meth:`generate` -- their
-    # bursts may exceed the retry budget, which would break the
-    # byte-identity property suite; overload tests/benches attach them
-    # explicitly (absolute ``start_op`` here, or relatively via
-    # ``FaultyTier.start_brownout``).
-    brownouts: Tuple[BrownoutWindow, ...] = ()
 
     def crash_schedule(self) -> CrashSchedule:
         """A fresh (mutable, hit-counting) schedule for this plan."""
         return CrashSchedule(self.crash_triggers)
 
     @staticmethod
-    def generate(
-        seed: int,
-        max_crashes: int = 3,
-        max_torn_writes: int = 2,
-        max_bit_rot: int = 2,
-        max_transient: int = 3,
-        max_hit_ordinal: int = 4,
-        max_op_ordinal: int = 400,
-    ) -> "FaultPlan":
+    def generate(seed: int) -> "FaultPlan":
         """Derive a plan from ``seed`` alone (no ambient randomness).
 
-        The knobs bound how hostile a universe can get; transient-fault
-        ``failures`` stays strictly below the default retry budget
-        (``RetryPolicy.max_attempts = 4``) so injected blips are always
+        The ``MAX_*`` constants bound how hostile a universe can get;
+        transient-fault ``failures`` stays strictly below the default retry budget
+        (``MAX_ATTEMPTS = 4``) so injected blips are always
         absorbable -- give-ups are exercised by dedicated outage tests,
         not by the byte-identity property (where an op that errors out
         would be a legitimate failure, not a wrong answer).
@@ -185,7 +175,7 @@ class FaultPlan:
 
         torn: List[TornWrite] = []
         used_persists: set = set()
-        for _ in range(rng.randint(0, max_torn_writes)):
+        for _ in range(rng.randint(0, MAX_TORN_WRITES)):
             ordinal = rng.randint(1, 12)
             if ordinal in used_persists:
                 continue
@@ -199,7 +189,7 @@ class FaultPlan:
             )
 
         rot: List[BitRot] = []
-        for _ in range(rng.randint(0, max_bit_rot)):
+        for _ in range(rng.randint(0, MAX_BIT_ROT)):
             rot.append(
                 BitRot(
                     after_write_ordinal=rng.randint(1, 20),
@@ -211,8 +201,8 @@ class FaultPlan:
 
         transient: List[TransientFault] = []
         used_ops: set = set()
-        for _ in range(rng.randint(0, max_transient)):
-            ordinal = rng.randint(1, max_op_ordinal)
+        for _ in range(rng.randint(0, MAX_TRANSIENT)):
+            ordinal = rng.randint(1, MAX_OP_ORDINAL)
             if ordinal in used_ops:
                 continue
             used_ops.add(ordinal)
@@ -224,9 +214,9 @@ class FaultPlan:
             )
 
         triggers: Dict[str, FrozenSet[int]] = {}
-        for _ in range(rng.randint(0, max_crashes)):
+        for _ in range(rng.randint(0, MAX_CRASHES)):
             site = rng.choice(CRASH_SITES)
-            ordinal = rng.randint(1, max_hit_ordinal)
+            ordinal = rng.randint(1, MAX_HIT_ORDINAL)
             triggers[site] = frozenset(triggers.get(site, frozenset()) | {ordinal})
 
         return FaultPlan(
@@ -243,7 +233,7 @@ class FaultPlan:
         return (
             f"FaultPlan(seed={self.seed}, torn={len(self.torn_writes)}, "
             f"rot={len(self.bit_rot)}, transient={len(self.transient)}, "
-            f"brownouts={len(self.brownouts)}, crashes={sites})"
+            f"crashes={sites})"
         )
 
 

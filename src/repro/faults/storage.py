@@ -68,13 +68,8 @@ class FaultyTier(SharedStorage):
         }
         self._op_seq = 0
         self._pending_failures = 0
-        # Brownout windows (ISSUE 7): active windows as (anchor_op,
-        # failing-offset set, length) triples.  Absolute windows
-        # (start_op set) self-anchor when their start op arrives;
-        # relative ones are anchored by start_brownout().
-        self._brownouts_pending: List[BrownoutWindow] = [
-            w for w in plan.brownouts if w.start_op is not None
-        ]
+        # Brownout windows (ISSUE 7), anchored by start_brownout(): active
+        # windows as (anchor_op, failing-offset set, length) triples.
         self._brownouts_active: List[Tuple[int, frozenset, int]] = []
         # Bit rot by data-block-write ordinal (run namespaces only).
         self._rot_by_write = {r.after_write_ordinal: r for r in plan.bit_rot}
@@ -114,17 +109,6 @@ class FaultyTier(SharedStorage):
             failures = self._transient_by_op.pop(self._op_seq, None)
             if failures is not None:
                 self._pending_failures += failures
-            # Absolute brownout windows self-anchor at their start op.
-            for window in list(self._brownouts_pending):
-                if window.start_op == self._op_seq:
-                    self._brownouts_pending.remove(window)
-                    self._brownouts_active.append(
-                        (
-                            self._op_seq,
-                            frozenset(window.failing_offsets),
-                            window.length_ops,
-                        )
-                    )
             in_brownout = any(
                 0 <= self._op_seq - anchor < length
                 and (self._op_seq - anchor) in offsets

@@ -60,7 +60,6 @@ class QosConfig:
     high_water_ns: int = 4_000_000
     low_water_ns: int = 500_000
     release_after: int = 2
-    retry_delta_threshold: int = 1
 
     def __post_init__(self) -> None:
         if self.rate_per_sim_s <= 0:
@@ -117,11 +116,9 @@ class AdmissionController:
             )
             self._last_refill_ns = self.now_ns
 
-    def admit(self, cost: float = 1.0, deadline_ns: Optional[int] = None) -> int:
-        """Admit one operation and return the simulated ns it was booked to
-        wait, or shed it with a typed error."""
-        if deadline_ns is None:
-            deadline_ns = self.config.deadline_ns
+    def admit(self) -> int:
+        """Admit one operation (one token) and return the simulated ns it
+        was booked to wait, or shed it with a typed error."""
         with self._lock:
             elapsed = self.now_ns - self._last_refill_ns
             if elapsed > 0:  # _refill_locked, inline
@@ -129,21 +126,21 @@ class AdmissionController:
                     self._burst, self._tokens + elapsed * self._rate_per_ns
                 )
                 self._last_refill_ns = self.now_ns
-            if self._tokens >= cost:
-                self._tokens -= cost
+            if self._tokens >= 1:
+                self._tokens -= 1
                 self.stats.admitted += 1
                 return 0
-            wait_ns = int((cost - self._tokens) / self._rate_per_ns)
+            wait_ns = int((1 - self._tokens) / self._rate_per_ns)
             if wait_ns > self.config.max_queue_ns:
                 self.stats.shed += 1
                 raise Overloaded(wait_ns)
-            if wait_ns > deadline_ns:
+            if wait_ns > self.config.deadline_ns:
                 self.stats.shed += 1
                 self.stats.deadline_misses += 1
-                raise DeadlineExceeded(deadline_ns, wait_ns)
+                raise DeadlineExceeded(self.config.deadline_ns, wait_ns)
             # Book the op against future tokens: the bucket goes negative,
             # deepening the queue the next arrival sees.
-            self._tokens -= cost
+            self._tokens -= 1
             self.stats.admitted += 1
             self.stats.queue_sim_ns += wait_ns
         if self._charge is not None and wait_ns > 0:

@@ -1,6 +1,6 @@
 """Per-tier circuit breaker on the simulated clock (ISSUE 7).
 
-The :class:`~repro.storage.retry.RetryPolicy` handles *isolated* transient
+The retry budget of :mod:`repro.storage.retry` handles *isolated* transient
 errors well: back off, retry, succeed.  During a storage brownout --
 a sustained window of elevated error rates -- retrying is actively
 harmful: every query burns its full retry budget (and its caller's
@@ -13,7 +13,7 @@ is a circuit breaker:
   :class:`~repro.storage.retry.StorageBrownout` without touching the
   tier, for ``open_ns`` simulated nanoseconds.
 * **HALF_OPEN** -- after the open window the next operations are let
-  through as *probes*; ``probe_successes`` consecutive successes close
+  through as *probes*; :data:`PROBE_SUCCESSES` consecutive successes close
   the breaker, any failure re-opens it.
 
 All timing runs on a caller-supplied simulated clock (a ``() -> int``
@@ -31,6 +31,9 @@ from typing import Callable, Optional
 from repro.storage.metrics import QosStats
 from repro.storage.retry import StorageBrownout
 
+# Consecutive successful half-open probes that close the breaker.
+PROBE_SUCCESSES = 2
+
 
 class BreakerState(enum.Enum):
     CLOSED = "closed"
@@ -43,7 +46,7 @@ class BreakerConfig:
     """Trip/recovery thresholds for one tier's circuit breaker.
 
     ``failure_threshold`` is deliberately set *below* the default
-    :class:`~repro.storage.retry.RetryPolicy` ``max_attempts`` (3 < 4): a
+    :data:`~repro.storage.retry.MAX_ATTEMPTS` (3 < 4): a
     brownout burst long enough to exhaust the retry budget trips the
     breaker *mid-loop*, so the operation surfaces as a typed
     ``StorageBrownout`` (degradable) rather than a bare retry giveup.
@@ -51,15 +54,12 @@ class BreakerConfig:
 
     failure_threshold: int = 3
     open_ns: int = 50_000_000  # 50 simulated ms; ~ a brownout breather
-    probe_successes: int = 2
 
     def __post_init__(self) -> None:
         if self.failure_threshold < 1:
             raise ValueError("failure_threshold must be >= 1")
         if self.open_ns < 0:
             raise ValueError("open_ns must be non-negative")
-        if self.probe_successes < 1:
-            raise ValueError("probe_successes must be >= 1")
 
 
 class CircuitBreaker:
@@ -139,7 +139,7 @@ class CircuitBreaker:
             state = self._state_locked()
             if state is BreakerState.HALF_OPEN:
                 self._probe_successes += 1
-                if self._probe_successes >= self.config.probe_successes:
+                if self._probe_successes >= PROBE_SUCCESSES:
                     self.recorded_state = BreakerState.CLOSED
                     self._consecutive_failures = 0
                     self._stats.breaker_closes += 1

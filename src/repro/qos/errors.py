@@ -54,7 +54,7 @@ class PartialResultError(QosError):
     """A scatter-gather query lost one or more shards to a storage giveup.
 
     Carries the surviving shards' rows (``partial``) and the identities of
-    the shards whose :class:`~repro.storage.retry.RetryPolicy` budget ran
+    the shards whose retry budget (:data:`~repro.storage.retry.MAX_ATTEMPTS`) ran
     out (``failed_shards``), instead of propagating a bare
     ``TransientIOError`` that names no shard at all.
 

@@ -31,6 +31,10 @@ from repro.qos.admission import AdmissionController, QosConfig
 from repro.qos.breaker import BreakerState, CircuitBreaker
 from repro.storage.metrics import FaultStats, QosStats
 
+# New shared-storage retries since the last gate check that count as
+# retry pressure.
+RETRY_DELTA_THRESHOLD = 1
+
 
 class DaemonScheduler:
     """Hysteresis gate between query pressure and maintenance work."""
@@ -77,7 +81,7 @@ class DaemonScheduler:
             pressured = (
                 backlog >= self.config.high_water_ns
                 or breaker_open
-                or retry_delta >= self.config.retry_delta_threshold
+                or retry_delta >= RETRY_DELTA_THRESHOLD
             )
             if not self._throttled:
                 if pressured:

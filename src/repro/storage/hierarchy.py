@@ -24,7 +24,8 @@ from typing import Iterator, List, Optional, Sequence
 from repro.storage.block import Block, BlockId
 from repro.storage.memory import MemoryTier
 from repro.storage.metrics import IntentStats, IOStats, ReadIntent
-from repro.storage.retry import DEFAULT_RETRY_POLICY, RetryPolicy, TransientIOError
+from repro.storage import retry
+from repro.storage.retry import TransientIOError
 from repro.storage.shared import SharedStorage
 from repro.storage.ssd import SSDTier
 from repro.storage.tier import TierName
@@ -57,23 +58,16 @@ class StorageHierarchy:
 
     def __init__(
         self,
-        memory: Optional[MemoryTier] = None,
         ssd: Optional[SSDTier] = None,
         shared: Optional[SharedStorage] = None,
         stats: Optional[IOStats] = None,
-        retry_policy: Optional[RetryPolicy] = DEFAULT_RETRY_POLICY,
     ) -> None:
         self.stats = stats if stats is not None else IOStats()
-        # Transient shared-storage errors (TransientIOError) are retried
-        # with capped exponential backoff on the simulated clock; ``None``
-        # disables retries (the first transient error propagates).
-        self.retry_policy = retry_policy
-        self.memory = memory if memory is not None else MemoryTier(stats=self.stats)
+        self.memory = MemoryTier(stats=self.stats)
         self.ssd = ssd if ssd is not None else SSDTier(stats=self.stats)
         self.shared = shared if shared is not None else SharedStorage(stats=self.stats)
         # Re-point tiers constructed by the caller at the shared ledger so
         # one hierarchy always produces one consistent set of counters.
-        self.memory.stats = self.stats
         self.ssd.stats = self.stats
         self.shared.stats = self.stats
         # Held for ``read``: they live as long as the ledger (``reset``
@@ -151,7 +145,7 @@ class StorageHierarchy:
         breaker, retried with capped exponential backoff.
 
         Transient errors (:class:`TransientIOError`) are retried up to the
-        policy's attempt budget, charging each wait to the shared tier's
+        ``retry.MAX_ATTEMPTS`` budget, charging each wait to the shared tier's
         simulated clock; exhausting the budget counts a give-up and
         re-raises, so the caller sees an *error*, never a wrong answer.
         Retries and give-ups are attributed to ``istats`` (the read's
@@ -168,9 +162,8 @@ class StorageHierarchy:
             if attempt:  # attempt ``attempt`` raised ``error``
                 if breaker is not None:
                     breaker.record_failure()
-                policy = self.retry_policy
                 fstats = self.stats.faults
-                if policy is None or attempt >= policy.max_attempts:
+                if attempt >= retry.MAX_ATTEMPTS:
                     if write:
                         fstats.write_giveups += 1
                     else:
@@ -185,7 +178,7 @@ class StorageHierarchy:
                 if istats is not None:
                     istats.retries += 1
                 self.stats.record_backoff(
-                    TierName.SHARED.value, policy.backoff_ns(attempt)
+                    TierName.SHARED.value, retry.backoff_ns(attempt)
                 )
             attempt += 1
             if breaker is not None:

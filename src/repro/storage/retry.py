@@ -10,19 +10,27 @@ that contract:
 * :class:`TransientIOError` -- the retryable error class.  The fault
   injector (``repro.faults``) raises it; real adapters would translate
   their SDK's retryable error codes into it.
-* :class:`RetryPolicy` -- capped exponential backoff, expressed on the
-  *simulated* clock (nanoseconds charged to the tier ledger, never
-  ``time.sleep``), so retry behaviour is deterministic and assertable.
+* :data:`MAX_ATTEMPTS` and :func:`backoff_ns` -- capped exponential
+  backoff, expressed on the *simulated* clock (nanoseconds charged to the
+  tier ledger, never ``time.sleep``), so retry behaviour is deterministic
+  and assertable.
 
 :class:`~repro.storage.hierarchy.StorageHierarchy` wraps every shared-tier
-read/write in a retry loop driven by this policy and counts retries and
+read/write in a retry loop driven by these and counts retries and
 give-ups per read intent (``IntentStats``) and in the aggregate fault
 ledger (``FaultStats``).
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+# Attempts per shared-storage operation, the first one included.
+MAX_ATTEMPTS = 4
+# Attempt ``n`` failing waits ``backoff_ns(n)`` simulated ns before attempt
+# ``n + 1``: the delay doubles from one simulated ms (~ one shared read) up
+# to the cap.
+BASE_DELAY_NS = 1_000_000
+MULTIPLIER = 2
+MAX_DELAY_NS = 16_000_000
 
 
 class TransientIOError(IOError):
@@ -56,44 +64,17 @@ class StorageBrownout(TransientIOError):
         self.retry_at_ns = retry_at_ns
 
 
-@dataclass(frozen=True)
-class RetryPolicy:
-    """Capped exponential backoff for transient shared-storage errors.
-
-    ``max_attempts`` bounds total tries (first attempt included); attempt
-    ``n`` failing waits ``backoff_ns(n)`` simulated nanoseconds before
-    attempt ``n+1``.  The delay doubles per attempt (``multiplier``) from
-    ``base_delay_ns`` up to the ``max_delay_ns`` cap -- the standard
-    shape, made deterministic by running on the simulated clock.
-    """
-
-    max_attempts: int = 4
-    base_delay_ns: int = 1_000_000  # 1 simulated ms, ~ one shared read
-    multiplier: float = 2.0
-    max_delay_ns: int = 16_000_000
-
-    def __post_init__(self) -> None:
-        if self.max_attempts < 1:
-            raise ValueError("max_attempts must be >= 1")
-        if self.base_delay_ns < 0 or self.max_delay_ns < 0:
-            raise ValueError("backoff delays must be non-negative")
-        if self.multiplier < 1.0:
-            raise ValueError("multiplier must be >= 1.0")
-
-    def backoff_ns(self, attempt: int) -> int:
-        """Simulated-ns delay after failed attempt ``attempt`` (1-based)."""
-        if attempt < 1:
-            raise ValueError("attempt is 1-based")
-        delay = self.base_delay_ns * (self.multiplier ** (attempt - 1))
-        return int(min(delay, self.max_delay_ns))
-
-
-DEFAULT_RETRY_POLICY = RetryPolicy()
+def backoff_ns(attempt: int) -> int:
+    """Simulated-ns delay after failed attempt ``attempt`` (1-based)."""
+    return min(BASE_DELAY_NS * MULTIPLIER ** (attempt - 1), MAX_DELAY_NS)
 
 
 __all__ = [
-    "DEFAULT_RETRY_POLICY",
-    "RetryPolicy",
+    "BASE_DELAY_NS",
+    "MAX_ATTEMPTS",
+    "MAX_DELAY_NS",
+    "MULTIPLIER",
     "StorageBrownout",
     "TransientIOError",
+    "backoff_ns",
 ]

@@ -61,6 +61,9 @@ def _within(rows: List, column: Sequence[KeyValue], low, high) -> List:
     return [row for row, value in zip(rows, column) if low <= value <= high]
 
 
+# Groom (then indexer-drain) rounds ``quiesce`` allows before giving up.
+QUIESCE_MAX_ROUNDS = 256
+
 # A vouched row's beginTS and RID (``_execute_plan``'s entry rows end so).
 _BEGIN_TS, _RID = itemgetter(-2), itemgetter(-1)
 
@@ -139,7 +142,6 @@ class WildfireShard:
             MaintenanceService(si.index)
             for si in self.indexes.secondaries.values()
         ]
-        self._extract = index_spec.extractor(schema)
         # Access-path planning (ISSUE 9): the per-index statistics cache
         # (version-seq refreshed, zero-decode) and the getter the
         # fetch-back path uses to turn a pk tuple recovered from a
@@ -172,12 +174,12 @@ class WildfireShard:
     # ingestion
     # ------------------------------------------------------------------------------
 
-    def begin(self, replica_id: int = 0) -> Transaction:
-        return Transaction(self.schema, self.clock, self.committed_log, replica_id)
+    def begin(self) -> Transaction:
+        return Transaction(self.schema, self.clock, self.committed_log)
 
-    def ingest(self, rows: Sequence[Sequence[KeyValue]], replica_id: int = 0) -> int:
+    def ingest(self, rows: Sequence[Sequence[KeyValue]]) -> int:
         """Auto-commit upsert of a batch of rows; returns the commit seq."""
-        transaction = self.begin(replica_id)
+        transaction = self.begin()
         transaction.upsert_many(rows)
         commit_seq = transaction.commit()
         return commit_seq if commit_seq is not None else 0
@@ -297,7 +299,7 @@ class WildfireShard:
     # lifecycle -- quiesce (shard split support, ISSUE 8)
     # ------------------------------------------------------------------------------
 
-    def quiesce(self, max_rounds: int = 256) -> Dict[str, int]:
+    def quiesce(self) -> Dict[str, int]:
         """Drain every zone down into the post-groomed zone.
 
         Grooms until the committed log is empty, post-grooms everything
@@ -308,7 +310,7 @@ class WildfireShard:
         one zone, zero-decode, fully assigned ``beginTS``.
         """
         grooms = 0
-        for _ in range(max_rounds):
+        for _ in range(QUIESCE_MAX_ROUNDS):
             if self.committed_log.pending_rows() == 0:
                 break
             if self.groomer.groom() is not None:
@@ -316,7 +318,7 @@ class WildfireShard:
         else:
             raise RuntimeError("quiesce: committed log did not drain")
         self.post_groomer.post_groom()
-        for _ in range(max_rounds):
+        for _ in range(QUIESCE_MAX_ROUNDS):
             if self.index.indexed_psn >= self.post_groomer.max_psn:
                 break
             self.indexer.drain()
@@ -356,7 +358,6 @@ class WildfireShard:
     def index_batch_lookup(
         self,
         keys: Sequence[Tuple[Tuple[KeyValue, ...], Tuple[KeyValue, ...]]],
-        query_ts: Optional[int] = None,
     ) -> List[Optional[IndexEntry]]:
         definition = self.index.definition
         widths = len(definition.equality_columns), len(definition.sort_columns)
@@ -368,8 +369,7 @@ class WildfireShard:
                 "columns" % widths
             )
         return self.index.batch_lookup(
-            [(*eq, *sort) for eq, sort in keys],
-            query_ts if query_ts is not None else self.clock.snapshot_ts,
+            [(*eq, *sort) for eq, sort in keys], self.clock.snapshot_ts
         )
 
     def point_query(
@@ -378,29 +378,13 @@ class WildfireShard:
         sort_values: Sequence[KeyValue] = (),
         query_ts: Optional[int] = None,
         key: Optional[bytes] = None,
-        freshness: str = "groomed",
     ) -> Optional[Record]:
         """Index lookup + record fetch through the block catalog (``key``:
         the values' lookup key, when a routed table point encoded it).
 
-        ``freshness`` selects the snapshot class (paper section 3: "a query
-        may need to access data in the live zone, groomed zone, and/or the
-        post-groomed zone"):
-
-        * ``"groomed"`` (default) -- everything groomed so far, i.e. the
-          quorum-readable snapshot the index covers;
-        * ``"live"`` -- additionally scan the (small, unindexed) live zone
-          for committed-but-not-yet-groomed writes; the newest committed
-          write for the key wins.  Live-zone versions have no ``beginTS``
-          yet (the groomer assigns it), so explicit ``query_ts`` time
-          travel only applies to the indexed zones.
+        Reads the groomed snapshot (or ``query_ts``): the live zone is
+        never read (see docs/architecture.md).
         """
-        if freshness not in ("groomed", "live"):
-            raise ValueError(f"unknown freshness level {freshness!r}")
-        if freshness == "live" and query_ts is None:
-            live_hit = self._live_zone_lookup(equality_values, sort_values)
-            if live_hit is not None:
-                return live_hit
         ts = query_ts if query_ts is not None else self.clock.snapshot_ts
         pin = self.degraded_pin
         index = self.index if pin is None else pin.executor
@@ -408,32 +392,6 @@ class WildfireShard:
         if entry is None:
             return None
         return self.catalog.fetch_record(entry.rid)
-
-    def _live_zone_lookup(
-        self,
-        equality_values: Sequence[KeyValue],
-        sort_values: Sequence[KeyValue],
-    ) -> Optional[Record]:
-        """Scan the committed log for the newest write of one key.
-
-        The live zone is deliberately unindexed (section 3: grooming is
-        frequent, the zone stays small), so this is a linear scan in commit
-        order; the last match is the newest committed version.
-        """
-        target = tuple(equality_values) + tuple(sort_values)
-        newest: Optional[Tuple[int, Tuple[KeyValue, ...]]] = None
-        for transaction in self.committed_log.peek():
-            for row in transaction.rows:
-                eq, sort, _ = self._extract(row)
-                if eq + sort == target:
-                    candidate = (transaction.commit_seq, row)
-                    if newest is None or candidate[0] >= newest[0]:
-                        newest = candidate
-        if newest is None:
-            return None
-        # beginTS is assigned at groom time; expose the tentative commit
-        # sequence so callers can still order live versions.
-        return Record(values=newest[1], begin_ts=newest[0])
 
     def range_query(
         self,
@@ -608,16 +566,16 @@ class WildfireShard:
         equality_values: Sequence[KeyValue],
         sort_values: Sequence[KeyValue],
         query_ts: int,
-        max_versions: int = 16,
     ) -> List[Record]:
-        """The visible version at ``query_ts`` plus its prevRID chain."""
+        """The visible version at ``query_ts`` plus its whole prevRID
+        chain, newest first."""
         entry = self.index_lookup(equality_values, sort_values, query_ts)
         if entry is None:
             return []
         versions: List[Record] = []
         record = self.catalog.fetch_record(entry.rid)
         versions.append(record)
-        while record.prev_rid is not None and len(versions) < max_versions:
+        while record.prev_rid is not None:
             record = self.catalog.fetch_record(record.prev_rid)
             versions.append(record)
         return versions

@@ -151,10 +151,10 @@ class IndexerDaemon:
                 secondary_evolves=tuple(secondary_results),
             )
 
-    def drain(self, max_steps: int = 64) -> List[IndexerStepResult]:
-        """Apply every pending evolve, in PSN order."""
+    def drain(self) -> List[IndexerStepResult]:
+        """Apply every pending evolve (at most 64), in PSN order."""
         results: List[IndexerStepResult] = []
-        for _ in range(max_steps):
+        for _ in range(64):
             result = self.step()
             if result is None:
                 break

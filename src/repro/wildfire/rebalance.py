@@ -38,12 +38,19 @@ from typing import Dict, List, Optional, Tuple
 from repro.wildfire.migration import MergeAborted, SplitAborted
 
 
+# The admission backlog (simulated ns) at which the cluster counts as
+# overloaded and its largest single-slot shard becomes the split candidate.
+BACKLOG_HIGH_WATER_NS = 2_000_000
+# Wall seconds between the daemon's evaluations (:meth:`RebalancePolicy.start`).
+STEP_INTERVAL_S = 0.05
+
+
 @dataclass(frozen=True)
 class RebalanceConfig:
     """Thresholds and hysteresis for the automatic policy.
 
     ``split_entry_high_water`` is the per-shard primary entry count that
-    marks a shard hot; ``backlog_high_water_ns`` marks the *cluster*
+    marks a shard hot; :data:`BACKLOG_HIGH_WATER_NS` marks the *cluster*
     overloaded, in which case the largest single-slot shard is the split
     candidate even below its entry high water.  ``merge_entry_low_water``
     is the *combined* entry count under which a split slot's two
@@ -53,7 +60,6 @@ class RebalanceConfig:
     """
 
     split_entry_high_water: int = 10_000
-    backlog_high_water_ns: int = 2_000_000
     merge_entry_low_water: int = 2_000
     split_after: int = 3
     merge_after: int = 5
@@ -132,7 +138,7 @@ class RebalancePolicy:
             for route in slots
             if route.state == "split"
         ]
-        overloaded = self.backlog_ns() >= self.config.backlog_high_water_ns
+        overloaded = self.backlog_ns() >= BACKLOG_HIGH_WATER_NS
         hot = {
             shard_id
             for shard_id in singles
@@ -239,14 +245,15 @@ class RebalancePolicy:
 
     # -- daemon wrapper -------------------------------------------------------
 
-    def start(self, interval_s: float = 0.05) -> None:
-        """Run :meth:`step` on a daemon thread until :meth:`stop`."""
+    def start(self) -> None:
+        """Run :meth:`step` every :data:`STEP_INTERVAL_S` on a daemon
+        thread until :meth:`stop`."""
         if self._thread is not None:
             return
         self._stop.clear()
 
         def loop() -> None:
-            while not self._stop.wait(interval_s):
+            while not self._stop.wait(STEP_INTERVAL_S):
                 self.step()
 
         self._thread = threading.Thread(

@@ -73,6 +73,9 @@ def successor_side(key_hash: int) -> int:
 _HASH_COLUMN_BYTES = 8
 _FIXED_WIDTH_TYPES = (ColumnType.INT64, ColumnType.FLOAT64)
 
+# Wall seconds a migration's publish barrier waits for an epoch's pins.
+DRAIN_TIMEOUT_S = 30.0
+
 
 class ShardMapError(RuntimeError):
     """Structural misuse of a shard map or its registry."""
@@ -269,12 +272,14 @@ class ShardMapRegistry:
                 self._stats.versions_reclaimed += 1
             return old
 
-    def drain(self, epoch: int, timeout_s: float = 30.0) -> None:
-        """Block until no pin on ``epoch`` remains (publish barrier).
+    def drain(self, epoch: int) -> None:
+        """Block until no pin on ``epoch`` remains (publish barrier), or
+        refuse after :data:`DRAIN_TIMEOUT_S`.
 
         Registered under the lock from the check through the wait, so the
         unpin that empties ``epoch`` cannot miss this drainer.
         """
+        timeout_s = DRAIN_TIMEOUT_S
         deadline = time.monotonic() + timeout_s
         with self._drained:
             while self._refs.get(epoch, 0) > 0:

@@ -29,12 +29,10 @@ class Transaction:
         schema: TableSchema,
         clock: HybridClock,
         committed_log: CommittedLog,
-        replica_id: int = 0,
     ) -> None:
         self.schema = schema
         self._clock = clock
         self._committed_log = committed_log
-        self._replica_id = replica_id
         self._side_log: List[Tuple[KeyValue, ...]] = []
         self._closed = False
 
@@ -60,9 +58,7 @@ class Transaction:
             return None
         commit_seq = self._clock.next_commit_seq()
         self._committed_log.append(
-            CommittedTransaction(
-                commit_seq=commit_seq, replica_id=self._replica_id, rows=rows
-            )
+            CommittedTransaction(commit_seq=commit_seq, rows=rows)
         )
         return commit_seq
 

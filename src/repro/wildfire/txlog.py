@@ -26,7 +26,6 @@ class CommittedTransaction:
     """One committed transaction's upserts, in write order."""
 
     commit_seq: int
-    replica_id: int
     rows: List[Tuple[KeyValue, ...]]
 
 
@@ -102,11 +101,6 @@ class CommittedLog:
     def pending_rows(self) -> int:
         with self._lock:
             return sum(len(tx.rows) for tx in self._transactions)
-
-    def peek(self) -> List[CommittedTransaction]:
-        """Read the live zone without draining (live-zone queries)."""
-        with self._lock:
-            return list(self._transactions)
 
     def __len__(self) -> int:
         with self._lock:

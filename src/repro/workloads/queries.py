@@ -15,7 +15,8 @@ from repro.workloads.generator import KeyMapper
 
 
 class QueryBatchGenerator:
-    """Builds lookup / scan batches over a known key population."""
+    """Builds lookup / scan batches over a known key population, read at
+    the newest snapshot."""
 
     def __init__(
         self,
@@ -31,50 +32,40 @@ class QueryBatchGenerator:
 
     # -- lookup batches ----------------------------------------------------------------
 
-    def sequential_batch(
-        self, batch_size: int, query_ts: int = MAX_QUERY_TS
-    ) -> List[PointLookup]:
+    def sequential_batch(self, batch_size: int) -> List[PointLookup]:
         """A contiguous window of keys starting at a random position."""
         start = self._rng.randrange(max(1, self.key_population - batch_size + 1))
         return [
-            self._lookup(start + i, query_ts)
+            self._lookup(start + i)
             for i in range(min(batch_size, self.key_population))
         ]
 
-    def random_batch(
-        self, batch_size: int, query_ts: int = MAX_QUERY_TS
-    ) -> List[PointLookup]:
+    def random_batch(self, batch_size: int) -> List[PointLookup]:
         """Uniformly random keys from the population."""
         return [
-            self._lookup(self._rng.randrange(self.key_population), query_ts)
+            self._lookup(self._rng.randrange(self.key_population))
             for _ in range(batch_size)
         ]
 
-    def batch_from_keys(
-        self, keys: Sequence[int], query_ts: int = MAX_QUERY_TS
-    ) -> List[PointLookup]:
-        return [self._lookup(k, query_ts) for k in keys]
+    def batch_from_keys(self, keys: Sequence[int]) -> List[PointLookup]:
+        return [self._lookup(k) for k in keys]
 
-    def _lookup(self, k: int, query_ts: int) -> PointLookup:
+    def _lookup(self, k: int) -> PointLookup:
         eq, sort = self.mapper.key_columns(k)
-        return PointLookup(eq, sort, query_ts)
+        return PointLookup(eq, sort, MAX_QUERY_TS)
 
     # -- scan batches ---------------------------------------------------------------------
 
-    def sequential_scan(
-        self, scan_range: int, query_ts: int = MAX_QUERY_TS
-    ) -> RangeScanQuery:
+    def sequential_scan(self, scan_range: int) -> RangeScanQuery:
         """A range starting right after the previous sequential position."""
         start = self._rng.randrange(max(1, self.key_population - scan_range + 1))
-        return self._scan(start, scan_range, query_ts)
+        return self._scan(start, scan_range)
 
-    def random_scan(
-        self, scan_range: int, query_ts: int = MAX_QUERY_TS
-    ) -> RangeScanQuery:
+    def random_scan(self, scan_range: int) -> RangeScanQuery:
         start = self._rng.randrange(max(1, self.key_population))
-        return self._scan(start, scan_range, query_ts)
+        return self._scan(start, scan_range)
 
-    def _scan(self, start: int, scan_range: int, query_ts: int) -> RangeScanQuery:
+    def _scan(self, start: int, scan_range: int) -> RangeScanQuery:
         definition = self.mapper.definition
         if not definition.sort_columns:
             raise ValueError("range scans need at least one sort column")
@@ -87,7 +78,7 @@ class QueryBatchGenerator:
             equality_values=eq,
             sort_lower=low,
             sort_upper=high,
-            query_ts=query_ts,
+            query_ts=MAX_QUERY_TS,
         )
 
 

@@ -2,10 +2,9 @@
 
 import pytest
 
-from repro.baselines.lsm import ClassicLSMIndex, LSMMergePolicy
+from repro.baselines.lsm import ClassicLSMIndex
 from repro.core.definition import i1_definition
 from repro.core.entry import RID, RID_BYTES, Zone, begin_ts_of_sort_key
-from repro.storage.hierarchy import StorageHierarchy
 
 from tests.conftest import make_entry
 
@@ -40,51 +39,24 @@ class TestMemtableAndFlush:
 
 class TestLeveling:
     def test_one_run_per_level(self):
-        index = ClassicLSMIndex(
-            DEF, policy=LSMMergePolicy.LEVELING, memtable_limit=4, size_ratio=2
-        )
-        for k in range(40):
+        """200 entries over 2-entry flushes fill level 1 (capacity 32) and
+        level 2 (capacity 128) past their bounds, so full runs cascade
+        to level 3 and every level still holds at most one run."""
+        index = ClassicLSMIndex(DEF, memtable_limit=2)
+        for k in range(200):
             index.insert(make_entry(DEF, k, k + 1))
+        assert len(index._levels) >= 4 and index._levels[3]
         for level_runs in index._levels:
             assert len(level_runs) <= 1
-        for k in (0, 20, 39):
-            assert index.lookup(key_bytes(k)) is not None
+        assert index.entry_count() == 200
+        for k in (0, 100, 199):
+            assert index.lookup(key_bytes(k)).begin_ts == k + 1
 
     def test_entry_count_preserved(self):
-        index = ClassicLSMIndex(
-            DEF, policy=LSMMergePolicy.LEVELING, memtable_limit=4
-        )
+        index = ClassicLSMIndex(DEF, memtable_limit=4)
         for k in range(30):
             index.insert(make_entry(DEF, k, k + 1))
         assert index.entry_count() == 30
-
-
-class TestTiering:
-    def test_runs_accumulate_to_t_then_merge(self):
-        index = ClassicLSMIndex(
-            DEF, policy=LSMMergePolicy.TIERING, memtable_limit=4, size_ratio=3
-        )
-        for k in range(48):
-            index.insert(make_entry(DEF, k, k + 1))
-        assert index.merges >= 1
-        for level_runs in index._levels:
-            assert len(level_runs) < 3 + 1
-        for k in (0, 25, 47):
-            assert index.lookup(key_bytes(k)) is not None
-
-    def test_tiering_lower_write_amplification_than_leveling(self):
-        """Tiering's advantage (section 2.2) is write amplification: fewer
-        bytes rewritten into shared storage for the same ingest."""
-
-        def run(policy):
-            hierarchy = StorageHierarchy()
-            index = ClassicLSMIndex(DEF, hierarchy, policy=policy,
-                                    memtable_limit=8, size_ratio=4)
-            for k in range(512):
-                index.insert(make_entry(DEF, k, k + 1))
-            return hierarchy.shared.write_amplification_bytes
-
-        assert run(LSMMergePolicy.TIERING) < run(LSMMergePolicy.LEVELING)
 
 
 class TestVersioning:
@@ -155,13 +127,10 @@ class TestFixedRIDWeakness:
     def test_rebuild_collapses_physical_duplicates(self):
         """The same ``(key, beginTS)`` version in two runs survives the
         K-way blob merge once, and counts as rewritten once."""
-        index = ClassicLSMIndex(
-            DEF, policy=LSMMergePolicy.TIERING, memtable_limit=100
-        )
-        for _ in range(2):
-            for k in range(4):
-                index.insert(make_entry(DEF, k, k + 1))
-            index.flush()
+        index = ClassicLSMIndex(DEF, memtable_limit=100)
+        for _ in range(2):  # two runs at level 0, as no leveling merge leaves
+            run = index._build_run([make_entry(DEF, k, k + 1) for k in range(4)], 0)
+            index._install(run, 0)
         assert (index.run_count(), index.entry_count()) == (2, 8)
         assert index.rebuild_with_rids(
             remap_raw=lambda sk, blob: RID(Zone.POST_GROOMED, 1, 0)
@@ -201,5 +170,3 @@ class TestValidation:
     def test_bad_parameters(self):
         with pytest.raises(ValueError):
             ClassicLSMIndex(DEF, memtable_limit=0)
-        with pytest.raises(ValueError):
-            ClassicLSMIndex(DEF, size_ratio=1)

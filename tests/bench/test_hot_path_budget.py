@@ -107,6 +107,7 @@ warm blocks bisected       369.0   883.9
 one pass through the door  340.9   855.8
 one pass per purged block  320.0   666.2
 one call per layer         251.0   606.4
+no knob only tests set     247.0   600.4
 =========================  =====  ======
 
 The last row searches a warm block -- a view the run handle memoized, come
@@ -117,7 +118,12 @@ a few lines for the check.  A probe loop coming back on warm blocks
 shows up here, and nowhere else.  The ``one pass per purged block`` row
 resolves the one block the fences bracket and bisects a cold one with a
 block-local loop on the same midpoints (no cross-block window test per
-probe), and decodes the entry in straight-line code.
+probe), and decodes the entry in straight-line code.  The ``no knob
+only tests set`` row drops what only test-set parameters cost each
+lookup: ``WildfireShard.point_query``'s two ``freshness`` checks,
+``admit``'s per-call deadline default and, on a purged exit,
+``release_after_query``'s ``intent`` default (calls stayed at 27.2 and
+47.8).
 
 The write path has the same guard: ``call`` events per ingested row inside
 ``ingest`` + ``tick`` over the whole load of this fixture (48 rounds, 7 175
@@ -266,7 +272,7 @@ E2E = Path(__file__).resolve().parents[2] / "benchmarks" / "e2e"
 BEFORE = {"warm": 357.9, "purged": 508.4}
 CEILING = {"warm": 30.0, "purged": 51.0}
 LINE_BEFORE = {"warm": 550.4, "purged": 877.6}
-LINE_CEILING = {"warm": 254.0, "purged": 609.0}
+LINE_CEILING = {"warm": 250.0, "purged": 603.0}
 
 WRITE_BEFORE = 114.2
 WRITE_CEILING = 23.0

@@ -29,6 +29,8 @@ from repro.core.definition import (
 from repro.core.entry import IndexEntry, RID, Zone
 from repro.core.index import UmziConfig, UmziIndex
 from repro.core.levels import LevelConfig
+from repro.core.merge import merge_blocks
+from repro.core.search import narrow_with_offset_array, ts_floor
 from repro.storage.hierarchy import StorageHierarchy
 from repro.storage.ssd import SSDTier
 from repro.storage.metrics import IOStats
@@ -111,6 +113,39 @@ def entry_at(run, ordinal: int) -> IndexEntry:
     """The decoded entry at global ``ordinal`` of ``run``."""
     block_index, in_block = run.locate(ordinal)
     return run.block_view(block_index).entry(in_block)
+
+
+def scan_run(
+    run, lower_key: bytes, upper_exclusive: bytes, query_ts: int,
+    hash_value: Optional[int] = None, use_offset_array: bool = True,
+) -> List[IndexEntry]:
+    """``IndexRun.scan_visible`` over a key range from ``hash_value``'s
+    offset-array bucket (the whole run without a hash, or with
+    ``use_offset_array`` off), every hit decoded."""
+    lo, hi = narrow_with_offset_array(run, hash_value if use_offset_array else None)
+    return [view.entry(i) for _, view, i in run.scan_visible(
+        lower_key, lo, hi, upper_exclusive, ts_floor(query_ts)
+    )]
+
+
+def lookup_run(
+    run, key: bytes, query_ts: int, hash_value: Optional[int] = None,
+    use_offset_array: bool = True, use_bloom: bool = True,
+) -> Optional[IndexEntry]:
+    """``IndexRun.lookup_visible`` for one exact key, behind the run's
+    Bloom filter unless ``use_bloom`` is off, from ``hash_value``'s
+    offset-array bucket as :func:`scan_run` narrows."""
+    if run.entry_count == 0 or (use_bloom and not run.may_contain_key(key)):
+        return None
+    lo, hi = narrow_with_offset_array(run, hash_value if use_offset_array else None)
+    return run.lookup_visible(key, ts_floor(query_ts), lo, hi)
+
+
+def merged_blob_pairs(runs, retention_ts: Optional[int] = None):
+    """``merge_blocks`` flattened to ``(sort_key, entry_blob)`` pairs, at
+    a retention horizon."""
+    for keys, blobs in merge_blocks(runs, retention_ts):
+        yield from zip(keys, blobs)
 
 
 def run_entries(run) -> List[IndexEntry]:

@@ -3,6 +3,7 @@
 import pytest
 
 from repro.core.builder import RunBuilder
+from repro.core import cache as cache_module
 from repro.core.cache import CacheManager
 from repro.core.definition import i1_definition
 from repro.core.entry import Zone
@@ -16,12 +17,12 @@ from tests.conftest import make_entries, run_entries
 DEF = i1_definition()
 
 
-def setup(ssd_capacity=None, high=0.85, low=0.60):
+def setup(ssd_capacity=None):
     hierarchy = StorageHierarchy(ssd=SSDTier(capacity_bytes=ssd_capacity))
     config = LevelConfig(groomed_levels=3, post_groomed_levels=2,
                          max_runs_per_level=2, size_ratio=2)
     lists = {Zone.GROOMED: RunList("g"), Zone.POST_GROOMED: RunList("p")}
-    cache = CacheManager(config, hierarchy, lists, high_watermark=high, low_watermark=low)
+    cache = CacheManager(config, hierarchy, lists)
     builder = RunBuilder(DEF, hierarchy, data_block_bytes=512)
     return cache, hierarchy, lists, builder
 
@@ -142,8 +143,10 @@ class TestManualCacheLevel:
 
 
 class TestDynamicPolicy:
-    def test_pressure_purges_old_levels_first(self):
-        cache, hierarchy, lists, builder = setup(ssd_capacity=30_000, high=0.5, low=0.1)
+    def test_pressure_purges_old_levels_first(self, monkeypatch):
+        monkeypatch.setattr(cache_module, "HIGH_WATERMARK", 0.5)
+        monkeypatch.setattr(cache_module, "LOW_WATERMARK", 0.1)
+        cache, hierarchy, lists, builder = setup(ssd_capacity=30_000)
         old = add_run(builder, lists, 2, 0, range(120), cache=cache)
         new = add_run(builder, lists, 0, 1, range(120), cache=cache)
         assert hierarchy.ssd.utilization() >= 0.5
@@ -157,10 +160,10 @@ class TestDynamicPolicy:
         cache.maintain()
         assert cache.is_run_cached(run)
 
-    def test_spacious_ssd_loads_purged_levels(self):
-        cache, hierarchy, lists, builder = setup(
-            ssd_capacity=1_000_000, high=0.99, low=0.99
-        )
+    def test_spacious_ssd_loads_purged_levels(self, monkeypatch):
+        monkeypatch.setattr(cache_module, "HIGH_WATERMARK", 0.99)
+        monkeypatch.setattr(cache_module, "LOW_WATERMARK", 0.99)
+        cache, hierarchy, lists, builder = setup(ssd_capacity=1_000_000)
         run = add_run(builder, lists, 4, 0, range(50), zone=Zone.POST_GROOMED)
         cache.set_cache_level(3)
         assert not cache.is_run_cached(run)

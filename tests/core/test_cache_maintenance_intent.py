@@ -137,7 +137,8 @@ class TestCacheManagerBypass:
         cache.set_cache_level(-1)  # everything purged
         cache.load_run(run)  # query pulled the run in transiently
         assert cache.is_run_cached(run)
-        cache.release_after_query([run], intent=ReadIntent.MAINTENANCE)
+        with index.hierarchy.reading_as(ReadIntent.MAINTENANCE):
+            cache.release_after_query([run])
         assert cache.is_run_cached(run), (
             "a maintenance release must not evict query-warmed blocks"
         )

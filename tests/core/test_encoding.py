@@ -24,7 +24,7 @@ class TestInt64:
 
     @given(int64s)
     def test_roundtrip(self, a):
-        value, offset = enc.decode_int64(enc.encode_int64(a))
+        value, offset = enc.decode_int64(enc.encode_int64(a), 0)
         assert value == a and offset == 8
 
     def test_out_of_range(self):
@@ -41,7 +41,7 @@ class TestFloat64:
 
     @given(floats)
     def test_roundtrip(self, a):
-        value, _ = enc.decode_float64(enc.encode_float64(a))
+        value, _ = enc.decode_float64(enc.encode_float64(a), 0)
         assert value == a or (a == 0.0 and value == 0.0)
 
     def test_nan_rejected(self):
@@ -60,7 +60,7 @@ class TestStrings:
 
     @given(texts)
     def test_roundtrip(self, a):
-        value, _ = enc.decode_str(enc.encode_str(a))
+        value, _ = enc.decode_str(enc.encode_str(a), 0)
         assert value == a
 
     @given(byte_strings, byte_strings)
@@ -69,7 +69,7 @@ class TestStrings:
 
     @given(byte_strings)
     def test_bytes_roundtrip(self, a):
-        value, _ = enc.decode_bytes(enc.encode_bytes(a))
+        value, _ = enc.decode_bytes(enc.encode_bytes(a), 0)
         assert value == a
 
     def test_embedded_zero_bytes(self):
@@ -82,11 +82,11 @@ class TestStrings:
 
     def test_truncated_decode_raises(self):
         with pytest.raises(enc.EncodingError):
-            enc.decode_bytes(b"\x01\x02")  # no terminator
+            enc.decode_bytes(b"\x01\x02", 0)  # no terminator
 
     def test_invalid_escape_raises(self):
         with pytest.raises(enc.EncodingError):
-            enc.decode_bytes(b"\x00\x07")
+            enc.decode_bytes(b"\x00\x07", 0)
 
 
 class TestDescendingTimestamps:

@@ -4,6 +4,7 @@ from contextlib import contextmanager
 
 import pytest
 
+from repro.core.cache import HIGH_WATERMARK
 from repro.core.definition import i1_definition
 from repro.core.entry import Zone
 from repro.core.epoch import RunLifecycle, RunListVersion
@@ -329,7 +330,7 @@ class TestPurgePassUnderPins:
             assert index.hierarchy.stats.epochs.eviction_pin_skips > 0
         # Pins gone: the same pass now makes real progress.
         index.cache.maintain()
-        assert index.hierarchy.ssd.utilization() < index.cache.high_watermark
+        assert index.hierarchy.ssd.utilization() < HIGH_WATERMARK
         assert any(not index.cache.is_run_cached(run) for run in runs)
 
     @pytest.mark.timeout(60)
@@ -347,7 +348,7 @@ class TestPurgePassUnderPins:
         index.cache.load_run(index.run_lists[Zone.GROOMED].snapshot()[1])
         index.hierarchy.ssd.capacity_bytes = int(headers_only / 0.9) + 1
         index.cache.maintain()  # must terminate
-        assert index.hierarchy.ssd.utilization() >= index.cache.high_watermark
+        assert index.hierarchy.ssd.utilization() >= HIGH_WATERMARK
 
 
 class TestVersionSetLifecycle:

@@ -51,7 +51,9 @@ class TestWatermark:
             w.advance(4)
 
     def test_advance_equal_allowed(self):
-        w = Watermark(3)
+        w = Watermark()
+        assert w.value == -1
+        w.advance(3)
         w.advance(3)
         assert w.value == 3
 

@@ -5,6 +5,7 @@ checkpoint whenever the tail holds ``keep`` torn blocks -- recovery would
 then find no checkpoint at all.  Trim must count validity, not ordinals.
 """
 
+from repro.core import journal as journal_module
 from repro.core.journal import Checkpoint, MetadataJournal
 from repro.storage.block import Block, BlockId
 from repro.storage.hierarchy import StorageHierarchy
@@ -42,7 +43,7 @@ class TestSteadyStateTrim:
 
 class TestTornTail:
     def test_torn_tail_never_deletes_newest_valid(self):
-        """Four torn blocks at the tail + keep=4: ordinal counting would
+        """Four torn blocks at the tail + four kept: ordinal counting would
         set the cutoff past both valid checkpoints and delete them."""
         hierarchy = StorageHierarchy()
         journal = MetadataJournal(hierarchy, "j")
@@ -52,12 +53,13 @@ class TestTornTail:
             hierarchy.shared.write(torn_block("j", ordinal))
 
         recovered = MetadataJournal(hierarchy, "j")  # fresh process
-        recovered._trim(keep=4)
+        assert journal_module.KEEP_CHECKPOINTS == 4
+        recovered._trim()
         ids = hierarchy.shared.namespace_block_ids("j")
         assert [bid.ordinal for bid in ids] == [0, 1, 2, 3, 4, 5]
         assert recovered.latest() == Checkpoint(2, 2)
 
-    def test_trim_past_torn_tail_still_deletes_old_valid(self):
+    def test_trim_past_torn_tail_still_deletes_old_valid(self, monkeypatch):
         """With enough valid checkpoints, torn tail blocks do not stop
         trimming -- the cutoff lands on the keep-th valid one and older
         blocks (valid or torn) go."""
@@ -69,7 +71,8 @@ class TestTornTail:
             hierarchy.shared.write(torn_block("j", ordinal))
 
         recovered = MetadataJournal(hierarchy, "j")
-        recovered._trim(keep=2)
+        monkeypatch.setattr(journal_module, "KEEP_CHECKPOINTS", 2)
+        recovered._trim()
         ids = hierarchy.shared.namespace_block_ids("j")
         # keep=2 valid: ordinals 3 and 2 survive; 0 and 1 are trimmed;
         # the torn tail (newer than the cutoff) is untouched.

@@ -32,10 +32,10 @@ from repro.core.entry import IndexEntry, RID, Zone
 from repro.core.index import UmziConfig, UmziIndex
 from repro.core.levels import LevelConfig
 from repro.core.run import DataBlockView
-from repro.core.search import lookup_key_in_run, search_run
 from repro.storage.hierarchy import StorageHierarchy
 from repro.storage.metrics import ReadIntent
 
+from tests.conftest import lookup_run, scan_run
 from tests.reference_scan import (
     batch_lookup_in_run,
     chain_batch_lookup_in_run,
@@ -202,7 +202,7 @@ class TestKeyedKernelsMatchColdAndTheOracles:
             arguments = (run, key, ts, hash_of(key), use_offset_array)
             assert_both_kinds_match(
                 run,
-                lambda: lookup_key_in_run(*arguments),
+                lambda: lookup_run(*arguments),
                 lambda: reference_lookup_key_in_run(*arguments),
             )
 
@@ -218,7 +218,7 @@ class TestKeyedKernelsMatchColdAndTheOracles:
         )
         assert_both_kinds_match(
             run,
-            lambda: list(search_run(*arguments)),
+            lambda: list(scan_run(*arguments)),
             lambda: [entry for _, entry in reference_search_run_raw(*arguments)],
         )
 
@@ -269,7 +269,7 @@ def test_hand_over_and_keys_outside_the_run(definition):
             arguments = (run, hot, ts, hash_of(hot), use_offset_array)
             keyed = assert_both_kinds_match(
                 run,
-                lambda: lookup_key_in_run(*arguments, use_bloom=False),
+                lambda: lookup_run(*arguments, use_bloom=False),
                 lambda: reference_lookup_key_in_run(*arguments, use_bloom=False),
             )
             assert keyed.result is not None and keyed.result.begin_ts <= ts
@@ -280,7 +280,7 @@ def test_hand_over_and_keys_outside_the_run(definition):
             arguments = (run, key, 1 << 60, hash_of(key), use_offset_array)
             keyed = assert_both_kinds_match(
                 run,
-                lambda: lookup_key_in_run(*arguments, use_bloom=False),
+                lambda: lookup_run(*arguments, use_bloom=False),
                 lambda: reference_lookup_key_in_run(*arguments, use_bloom=False),
             )
             assert keyed.result is None

@@ -29,7 +29,7 @@ from repro.core.evolve import EvolveController, RidSplices, Watermark
 from repro.core.ids import RunIdAllocator
 from repro.core.index import UmziConfig
 from repro.core.levels import LevelConfig
-from repro.core.merge import merge_blocks, merge_entry_blob_streams
+from repro.core.merge import merge_blocks
 from repro.core.run import Synopsis
 from repro.core.runlist import RunList
 from repro.storage.hierarchy import StorageHierarchy
@@ -37,7 +37,7 @@ from repro.storage.metrics import ReadIntent
 from repro.wildfire.engine import ShardConfig, WildfireShard
 from repro.wildfire.schema import IndexSpec, TableSchema
 
-from tests.conftest import shared_bytes_digest
+from tests.conftest import merged_blob_pairs, shared_bytes_digest
 from tests.reference_merge import (
     reference_build_from_blobs,
     reference_iter_raw,
@@ -159,7 +159,7 @@ class TestMergeMatchesTheHeap:
         for budget in (1, 7, None):
             kernel = Pulled(
                 hierarchy,
-                lambda: merge_entry_blob_streams(definition, runs, retention_ts),
+                lambda: merged_blob_pairs(runs, retention_ts),
                 budget,
             )
             assert kernel.pairs == oracle.pairs

@@ -8,10 +8,9 @@ from repro.core.definition import i1_definition
 from repro.core.entry import IndexEntry, RID, Zone
 from repro.core.index import UmziConfig, UmziIndex
 from repro.core.levels import LevelConfig
-from repro.core.merge import merge_entry_blob_streams
 from repro.storage.hierarchy import StorageHierarchy
 
-from tests.conftest import key_of
+from tests.conftest import key_of, merged_blob_pairs
 from tests.reference_merge import decode_pairs
 
 DEF = i1_definition()
@@ -19,9 +18,7 @@ DEF = i1_definition()
 
 def merged_entries(definition, runs, retention_ts=None):
     """The merge kernel's pairs, decoded."""
-    return decode_pairs(
-        definition, merge_entry_blob_streams(definition, runs, retention_ts)
-    )
+    return decode_pairs(definition, merged_blob_pairs(runs, retention_ts))
 
 
 def version(k: int, ts: int, offset: int = 0) -> IndexEntry:

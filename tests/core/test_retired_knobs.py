@@ -8,15 +8,29 @@ passing one gets a ``TypeError`` naming it, not a setting silently ignored.
 
 import pytest
 
+from repro import baselines, faults
 from repro.baselines.lsm import ClassicLSMIndex
-from repro.core.cache import HIGH_WATERMARK, LOW_WATERMARK
-from repro.core.definition import ColumnSpec, i1_definition
+from repro.baselines.separate import SeparateZoneIndexes
+from repro.core.cache import HIGH_WATERMARK, LOW_WATERMARK, CacheManager
+from repro.core.definition import (
+    ColumnSpec,
+    i1_definition,
+    i2_definition,
+    i3_definition,
+)
 from repro.core.epoch import RunLifecycle
+from repro.core.evolve import Watermark
 from repro.core.index import UmziConfig, UmziIndex
+from repro.core.journal import MetadataJournal
 from repro.core.levels import LevelConfig
+from repro.core.merge import MergeController, merge_entry_blob_streams
 from repro.core.query import QueryExecutor, ReconcileStrategy
-from repro.faults.plan import FaultPlan
+from repro.core.search import lookup_key_in_run, search_run
+from repro.faults.plan import BrownoutWindow, FaultPlan
 from repro.faults.storage import FaultyTier
+from repro.qos.admission import AdmissionController, QosConfig
+from repro.qos.breaker import BreakerConfig
+from repro.storage import retry
 from repro.storage.block import Block, BlockId
 from repro.storage.hierarchy import StorageHierarchy
 from repro.storage.memory import DEFAULT_MEMORY_READ, MemoryTier
@@ -27,7 +41,12 @@ from repro.wildfire.blockstore import BlockCatalog
 from repro.wildfire.engine import ShardConfig, WildfireShard
 from repro.wildfire.indexer import IndexerDaemon
 from repro.wildfire.indexes import ShardIndexes
+from repro.wildfire.rebalance import RebalanceConfig, RebalancePolicy
 from repro.wildfire.schema import IndexSpec, TableSchema
+from repro.wildfire.shardmap import ShardMapRegistry
+from repro.wildfire.transaction import Transaction
+from repro.wildfire.txlog import CommittedTransaction
+from repro.workloads.queries import QueryBatchGenerator
 
 
 def make_shard():
@@ -52,6 +71,9 @@ def make_shard():
     (ShardConfig, "streaming_evolve", False),
     (ShardConfig, "groomed_block_grace_psns", 2),
     (ShardConfig, "require_primary_index", False),
+    (QosConfig, "retry_delta_threshold", 3),
+    (BreakerConfig, "probe_successes", 1),
+    (RebalanceConfig, "backlog_high_water_ns", 1),
 ], ids=lambda value: getattr(value, "__name__", None))
 def test_a_retired_config_field_is_refused(config, field, value):
     with pytest.raises(TypeError, match=field):
@@ -91,10 +113,90 @@ def test_the_lifecycle_has_no_mode():
 
 
 def test_the_cache_keeps_the_watermarks_every_caller_used():
-    index = UmziIndex(i1_definition(), config=UmziConfig(name="w"))
     assert (HIGH_WATERMARK, LOW_WATERMARK) == (0.85, 0.60)
-    assert index.cache.high_watermark == HIGH_WATERMARK
-    assert index.cache.low_watermark == LOW_WATERMARK
+    for parameter in ("high_watermark", "low_watermark"):
+        with pytest.raises(TypeError, match=parameter):
+            CacheManager(LevelConfig(), StorageHierarchy(), {}, **{parameter: 0.5})
+
+
+# Each parameter no program passed, refused by name: a call binding it
+# raises before the body runs, so an unbound method takes ``None`` for
+# ``self``.
+RETIRED_PARAMETERS = [
+    ("freshness", lambda: make_shard().point_query((1,), freshness="live")),
+    ("replica_id", lambda: make_shard().begin(replica_id=1)),
+    ("replica_id", lambda: make_shard().ingest([(1, 1)], replica_id=1)),
+    ("replica_id", lambda: Transaction(None, None, None, replica_id=1)),
+    ("replica_id", lambda: CommittedTransaction(1, [], replica_id=0)),
+    ("retry_policy", lambda: StorageHierarchy(retry_policy=None)),
+    ("memory", lambda: StorageHierarchy(memory=MemoryTier())),
+    ("policy", lambda: ClassicLSMIndex(i1_definition(), policy="tiering")),
+    ("size_ratio", lambda: ClassicLSMIndex(i1_definition(), size_ratio=2)),
+    ("data_block_bytes",
+     lambda: ClassicLSMIndex(i1_definition(), data_block_bytes=512)),
+    ("name", lambda: ClassicLSMIndex(i1_definition(), name="lsm")),
+    ("hierarchy",
+     lambda: ClassicLSMIndex(i1_definition(), hierarchy=StorageHierarchy())),
+    ("hash_value", lambda: search_run(None, b"", b"", 0, hash_value=1)),
+    ("use_offset_array",
+     lambda: search_run(None, b"", b"", 0, use_offset_array=False)),
+    ("hash_value", lambda: lookup_key_in_run(None, b"", 0, hash_value=1)),
+    ("use_offset_array",
+     lambda: lookup_key_in_run(None, b"", 0, use_offset_array=False)),
+    ("use_bloom", lambda: lookup_key_in_run(None, b"", 0, use_bloom=False)),
+    ("intent", lambda: CacheManager.release_after_query(None, [], intent=None)),
+    ("deadline_ns", lambda: AdmissionController(QosConfig()).admit(deadline_ns=1)),
+    ("cost", lambda: AdmissionController(QosConfig()).admit(cost=2.0)),
+    ("timeout_s", lambda: ShardMapRegistry.drain(None, 1, timeout_s=1.0)),
+    ("max_rounds", lambda: make_shard().quiesce(max_rounds=1)),
+    ("max_versions", lambda: make_shard().time_travel((1,), (1,), 1, max_versions=1)),
+    ("query_ts", lambda: make_shard().index_batch_lookup([], query_ts=1)),
+    ("max_steps", lambda: UmziIndex(i1_definition()).run_maintenance(max_steps=1)),
+    ("max_steps", lambda: MergeController.merge_until_stable(None, None, max_steps=1)),
+    ("interval_s", lambda: RebalancePolicy.start(None, interval_s=1.0)),
+    ("keep", lambda: MetadataJournal._trim(None, keep=1)),
+    ("retention_ts",
+     lambda: merge_entry_blob_streams(None, [], retention_ts=1).__next__()),
+    ("query_ts", lambda: QueryBatchGenerator.sequential_batch(None, 1, query_ts=1)),
+    ("query_ts", lambda: QueryBatchGenerator.random_batch(None, 1, query_ts=1)),
+    ("query_ts", lambda: QueryBatchGenerator.batch_from_keys(None, [], query_ts=1)),
+    ("query_ts", lambda: QueryBatchGenerator.sequential_scan(None, 1, query_ts=1)),
+    ("query_ts", lambda: QueryBatchGenerator.random_scan(None, 1, query_ts=1)),
+    ("query_ts", lambda: SeparateZoneIndexes.scan_naive_union(
+        None, b"", b"", query_ts=1
+    )),
+    ("hash_bits", lambda: i1_definition(hash_bits=3)),
+    ("hash_bits", lambda: i2_definition(hash_bits=3)),
+    ("hash_bits", lambda: i3_definition(hash_bits=3)),
+    ("initial", lambda: Watermark(initial=3)),
+    ("max_crashes", lambda: FaultPlan.generate(0, max_crashes=1)),
+    ("max_op_ordinal", lambda: FaultPlan.generate(0, max_op_ordinal=1)),
+    ("error_rate", lambda: BrownoutWindow.generate(0, error_rate=1.0)),
+    ("start_op", lambda: BrownoutWindow.generate(0, start_op=5)),
+    ("start_op", lambda: BrownoutWindow(4, (0,), start_op=5)),
+    ("brownouts", lambda: FaultPlan(seed=0, brownouts=())),
+    ("max_steps", lambda: IndexerDaemon.drain(None, max_steps=1)),
+]
+
+
+@pytest.mark.parametrize(
+    "parameter,call", RETIRED_PARAMETERS,
+    ids=[f"{n}-{name}" for n, (name, _) in enumerate(RETIRED_PARAMETERS)],
+)
+def test_a_retired_parameter_is_refused_by_name(parameter, call):
+    with pytest.raises(TypeError, match=parameter):
+        call()
+
+
+def test_retired_policies_and_paths_are_gone():
+    assert not hasattr(retry, "RetryPolicy")
+    assert not hasattr(retry, "DEFAULT_RETRY_POLICY")
+    assert not hasattr(faults, "RetryPolicy")
+    assert not hasattr(baselines, "LSMMergePolicy")
+    assert not hasattr(ClassicLSMIndex, "_merge_tiering")
+    assert not hasattr(WildfireShard, "_live_zone_lookup")
+    assert not hasattr(CacheManager(LevelConfig(), StorageHierarchy(), {}),
+                       "high_watermark")
 
 
 def test_synopsis_pruning_has_no_switch():

@@ -13,11 +13,13 @@ from repro.core.builder import RunBuilder
 from repro.core.definition import i1_definition
 from repro.core.entry import Zone
 from repro.core.run import DataBlockView, encode_data_block
-from repro.core.search import UNBOUNDED, lookup_key_in_run, search_run, ts_floor
+from repro.core.search import UNBOUNDED, ts_floor
 from repro.storage.block import Block
 from repro.storage.hierarchy import StorageHierarchy
 
-from tests.conftest import entry_at, make_entries, v1_layout_payload
+from tests.conftest import (
+    entry_at, lookup_run, make_entries, scan_run, v1_layout_payload,
+)
 from tests.reference_scan import batch_lookup_in_run
 from tests.reference_search import key_position_bounds, sort_key_at
 
@@ -45,9 +47,9 @@ class TestZeroDecodeAccounting:
         stats = hierarchy.stats.decode
         # Warm the block cache so only probe-side effects are measured.
         hit_key = key_bytes_of(123)
-        lookup_key_in_run(run, hit_key, 1 << 40, DEF.hash_of((123,)))
+        lookup_run(run, hit_key, 1 << 40, DEF.hash_of((123,)))
         before = stats.snapshot()
-        hit = lookup_key_in_run(run, hit_key, 1 << 40, DEF.hash_of((123,)))
+        hit = lookup_run(run, hit_key, 1 << 40, DEF.hash_of((123,)))
         delta = stats.diff(before)
         assert hit is not None
         # The emitted entry was already decode-cached by the warmup, so the
@@ -59,9 +61,9 @@ class TestZeroDecodeAccounting:
         run, hierarchy, _ = build_run(list(range(0, 200, 2)), block_bytes=512)
         stats = hierarchy.stats.decode
         miss_key = key_bytes_of(131)
-        lookup_key_in_run(run, miss_key, 1 << 40, DEF.hash_of((131,)))
+        lookup_run(run, miss_key, 1 << 40, DEF.hash_of((131,)))
         before = stats.snapshot()
-        assert lookup_key_in_run(run, miss_key, 1 << 40, DEF.hash_of((131,))) is None
+        assert lookup_run(run, miss_key, 1 << 40, DEF.hash_of((131,))) is None
         assert stats.diff(before).entry_decodes == 0
 
     def test_bloom_miss_skips_block_fetches(self):
@@ -71,7 +73,7 @@ class TestZeroDecodeAccounting:
         # Scan for a definitely-absent key: the bloom filter answers from
         # the header alone.
         misses = [
-            lookup_key_in_run(run, key_bytes_of(k), 1 << 40, DEF.hash_of((k,)))
+            lookup_run(run, key_bytes_of(k), 1 << 40, DEF.hash_of((k,)))
             for k in range(1001, 1101, 2)
         ]
         assert misses == [None] * len(misses)
@@ -90,7 +92,7 @@ class TestZeroDecodeAccounting:
         )
         results = batch_lookup_in_run(run, probe, 1 << 40)
         for (kb, h), got in zip(probe, results):
-            assert got == lookup_key_in_run(run, kb, 1 << 40, h)
+            assert got == lookup_run(run, kb, 1 << 40, h)
 
 
 class TestBlockIndexNarrowing:
@@ -111,7 +113,7 @@ class TestBlockIndexNarrowing:
             assert lo <= true_first_geq <= hi
             # ... and the kernel, which clamps its search onto them, starts
             # exactly there.
-            assert list(search_run(run, target, UNBOUNDED, 1 << 40)) == [
+            assert list(scan_run(run, target, UNBOUNDED, 1 << 40)) == [
                 entry_at(run, i) for i in range(true_first_geq, run.entry_count)
             ]
 

@@ -47,7 +47,6 @@ from repro.core.definition import (
     ColumnSpec,
     ColumnType,
     IndexDefinition,
-    i1_definition,
 )
 from repro.core.entry import IndexEntry, RID, Zone
 from repro.core.query import (
@@ -65,15 +64,13 @@ from repro.core.encoding import UINT64_MAX
 from repro.core.run import IndexRun
 from repro.core.search import (
     UNBOUNDED,
-    lookup_key_in_run,
     narrow_with_offset_array,
-    search_run,
     ts_floor,
 )
 from repro.storage.hierarchy import StorageHierarchy
 from repro.storage.metrics import ReadIntent
 
-from tests.conftest import entry_at
+from tests.conftest import entry_at, lookup_run, scan_run
 from tests.reference_search import key_position_bounds
 from tests.reference_scan import (
     batch_lookup_in_run,
@@ -89,7 +86,12 @@ from tests.reference_scan import (
     run_may_contain,
 )
 
-HASHED = i1_definition(hash_bits=3)
+HASHED = IndexDefinition(
+    equality_columns=(ColumnSpec("eq0"),),
+    sort_columns=(ColumnSpec("sort0"),),
+    included_columns=(ColumnSpec("incl0"),),
+    hash_bits=3,
+)
 UNBUCKETED = IndexDefinition(
     sort_columns=(ColumnSpec("s0"), ColumnSpec("s1")),
     included_columns=(ColumnSpec("incl0"),),
@@ -208,10 +210,10 @@ def flat(hit_lists):
 def assert_scan_matches(
     hierarchy, run, lower, upper, ts, hash_value=None, use_offset_array=True
 ):
-    """One run scanned by the kernel (through ``search_run``), by the
+    """One run scanned by the kernel (through ``scan_run``), by the
     replaced chain and by the per-entry loop, each from cold."""
     arguments = (run, lower, upper, ts, hash_value, use_offset_array)
-    kernel = Observed(hierarchy, [run], lambda: list(search_run(*arguments)))
+    kernel = Observed(hierarchy, [run], lambda: list(scan_run(*arguments)))
     chain = Observed(
         hierarchy, [run], lambda: decoded(flat(chain_search_run_hits(*arguments)))
     )
@@ -292,9 +294,9 @@ def batch_visible_through(reference):
 
 
 def assert_lookup_matches(hierarchy, run, key, ts, hash_value, use_offset_array):
-    """``lookup_key_in_run`` against the per-ordinal oracle, from cold."""
+    """``lookup_run`` against the per-ordinal oracle, from cold."""
     arguments = (run, key, ts, hash_value, use_offset_array)
-    one = Observed(hierarchy, [run], lambda: lookup_key_in_run(*arguments))
+    one = Observed(hierarchy, [run], lambda: lookup_run(*arguments))
     reference = Observed(
         hierarchy, [run], lambda: reference_lookup_key_in_run(*arguments)
     )
@@ -773,7 +775,7 @@ class TestHardCases:
                 lo, hi = max(lo, min(block_lo, hi)), min(hi, max(block_hi, lo))
                 for ts in HARD_SNAPSHOTS:
                     seen = []
-                    for search in (lookup_key_in_run, reference_lookup_key_in_run):
+                    for search in (lookup_run, reference_lookup_key_in_run):
                         hierarchy.drop_from_cache(purged)
                         shared_reads = query_reads.shared_reads
                         seen.append(Observed(hierarchy, [run], lambda: search(

@@ -12,14 +12,10 @@ from repro.core.encoding import (
     prefix_successor,
 )
 from repro.core.entry import IndexEntry, RID, Zone
-from repro.core.search import (
-    lookup_key_in_run,
-    narrow_with_offset_array,
-    search_run,
-)
+from repro.core.search import narrow_with_offset_array
 from repro.storage.hierarchy import StorageHierarchy
 
-from tests.conftest import entry_at
+from tests.conftest import entry_at, lookup_run, scan_run
 from tests.reference_scan import batch_lookup_in_run
 
 DEF = i1_definition()
@@ -68,7 +64,7 @@ class TestPaperFigure2Example:
         ]
         run = build_run([entry(d, m, ts, i) for i, (d, m, ts) in enumerate(rows)])
         lower, upper = eq_bounds(4, 1, 3)
-        hits = list(search_run(run, lower, upper, 100, DEF.hash_of((4,))))
+        hits = list(scan_run(run, lower, upper, 100, DEF.hash_of((4,))))
         assert [(e.equality_values[0], e.sort_values[0], e.begin_ts) for e in hits] == [
             (4, 1, 97)
         ]
@@ -77,7 +73,7 @@ class TestPaperFigure2Example:
         rows = [(4, 1, 97), (4, 1, 94), (4, 2, 102)]
         run = build_run([entry(d, m, ts, i) for i, (d, m, ts) in enumerate(rows)])
         lower, upper = eq_bounds(4, 1, 3)
-        hits = list(search_run(run, lower, upper, 200, DEF.hash_of((4,))))
+        hits = list(scan_run(run, lower, upper, 200, DEF.hash_of((4,))))
         assert [(e.sort_values[0], e.begin_ts) for e in hits] == [(1, 97), (2, 102)]
 
 
@@ -100,25 +96,25 @@ class TestOffsetArrayNarrowing:
         entries = [entry(d, m, 1, d * 3 + m) for d in range(30) for m in range(3)]
         run = build_run(entries)
         lower, upper = eq_bounds(7, 0, 2)
-        with_oa = list(search_run(run, lower, upper, 10, DEF.hash_of((7,)), True))
-        without = list(search_run(run, lower, upper, 10, None, False))
+        with_oa = list(scan_run(run, lower, upper, 10, DEF.hash_of((7,)), True))
+        without = list(scan_run(run, lower, upper, 10, None, False))
         assert with_oa == without
 
 
 class TestLookup:
     def test_hit_and_miss(self):
         run = build_run([entry(3, 5, 50)])
-        assert lookup_key_in_run(run, key_bytes(3, 5), 100, DEF.hash_of((3,)))
-        assert lookup_key_in_run(run, key_bytes(3, 6), 100, DEF.hash_of((3,))) is None
+        assert lookup_run(run, key_bytes(3, 5), 100, DEF.hash_of((3,)))
+        assert lookup_run(run, key_bytes(3, 6), 100, DEF.hash_of((3,))) is None
 
     def test_snapshot_filters_future_versions(self):
         run = build_run([entry(3, 5, 50), entry(3, 5, 80, 1)])
-        hit = lookup_key_in_run(run, key_bytes(3, 5), 60, DEF.hash_of((3,)))
+        hit = lookup_run(run, key_bytes(3, 5), 60, DEF.hash_of((3,)))
         assert hit.begin_ts == 50
 
     def test_empty_run(self):
         run = build_run([])
-        assert lookup_key_in_run(run, key_bytes(1, 1), 10, DEF.hash_of((1,))) is None
+        assert lookup_run(run, key_bytes(1, 1), 10, DEF.hash_of((1,))) is None
 
 
 class TestBatchLookup:
@@ -132,7 +128,7 @@ class TestBatchLookup:
         )
         results = batch_lookup_in_run(run, batch, query_ts=1 << 40)
         for (kb, h), result in zip(batch, results):
-            assert result == lookup_key_in_run(run, kb, 1 << 40, h)
+            assert result == lookup_run(run, kb, 1 << 40, h)
 
     def test_missing_keys_resolve_to_none(self):
         run = build_run([entry(1, 1, 1)])
@@ -166,7 +162,7 @@ class TestBruteForceEquivalence:
         lower, upper = eq_bounds(device, low, high)
         got = {
             (e.equality_values, e.sort_values, e.begin_ts)
-            for e in search_run(run, lower, upper, query_ts, DEF.hash_of((device,)))
+            for e in scan_run(run, lower, upper, query_ts, DEF.hash_of((device,)))
         }
         expected = {}
         for d, m, ts in keys:

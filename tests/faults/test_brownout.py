@@ -23,7 +23,7 @@ class TestGeneration:
     def test_bursts_exceed_retry_budget_somewhere(self):
         """The storm must contain at least one burst longer than the retry
         budget, or the breaker would never have anything to prevent."""
-        from repro.storage.retry import DEFAULT_RETRY_POLICY
+        from repro.storage.retry import MAX_ATTEMPTS
 
         longest = 0
         for seed in range(20):
@@ -35,21 +35,7 @@ class TestGeneration:
                 best = max(best, streak)
                 previous = offset
             longest = max(longest, best)
-        assert longest >= DEFAULT_RETRY_POLICY.max_attempts
-
-    def test_generated_plans_never_carry_brownouts(self):
-        """FaultPlan.generate never emits brownouts: their bursts can beat
-        the retry budget, which would break the byte-identity property
-        suite's no-give-up guarantee.  Brownouts are opt-in."""
-        for seed in range(100):
-            assert FaultPlan.generate(seed).brownouts == ()
-
-    def test_describe_counts_brownouts(self):
-        plan = FaultPlan(
-            seed=1,
-            brownouts=(BrownoutWindow.generate(1, start_op=5),),
-        )
-        assert "brownouts=1" in plan.describe()
+        assert longest >= MAX_ATTEMPTS
 
 
 def run_ops(tier, count, start=0):
@@ -87,17 +73,6 @@ class TestExecution:
         assert not tier.brownout_active()
         assert run_ops(tier, 4, start=9) == [False] * 4
         assert stats.faults.transient_write_errors == 3
-
-    def test_absolute_activation_self_anchors(self):
-        window = BrownoutWindow(
-            length_ops=4, failing_offsets=(0, 1), start_op=3
-        )
-        tier, _stats = self.make_tier(
-            FaultPlan(seed=0, brownouts=(window,))
-        )
-        assert run_ops(tier, 8) == [
-            False, False, True, True, False, False, False, False,
-        ]
 
     def test_overlapping_windows_union(self):
         tier, stats = self.make_tier()

@@ -2,7 +2,7 @@
 
 from repro.faults.crash import CRASH_SITES, CrashSchedule
 from repro.faults.plan import FaultPlan
-from repro.storage.retry import DEFAULT_RETRY_POLICY
+from repro.storage.retry import MAX_ATTEMPTS
 
 import pytest
 
@@ -31,7 +31,7 @@ class TestBounds:
         outcome only in dedicated outage tests)."""
         for seed in range(200):
             for fault in FaultPlan.generate(seed).transient:
-                assert 1 <= fault.failures < DEFAULT_RETRY_POLICY.max_attempts
+                assert 1 <= fault.failures < MAX_ATTEMPTS
 
     def test_knob_ceilings(self):
         for seed in range(200):

@@ -14,7 +14,7 @@ from repro.core.definition import i1_definition
 from repro.core.entry import Zone
 from repro.core.index import UmziConfig, UmziIndex
 from repro.core.levels import LevelConfig
-from repro.faults.harness import (
+from tests.crash_harness import (
     CrashRecoveryDriver,
     collect_answers,
     generate_workload,

@@ -17,41 +17,32 @@ from repro.faults.storage import FaultyTier
 from repro.storage.block import Block, BlockId
 from repro.storage.hierarchy import StorageHierarchy
 from repro.storage.metrics import IOStats, ReadIntent
-from repro.storage.retry import (
-    DEFAULT_RETRY_POLICY,
-    RetryPolicy,
-    TransientIOError,
-)
+from repro.storage import retry
+from repro.storage.retry import MAX_ATTEMPTS, TransientIOError, backoff_ns
 
 
-def faulty_hierarchy(*transient: TransientFault, policy=DEFAULT_RETRY_POLICY):
+def faulty_hierarchy(*transient: TransientFault):
     stats = IOStats()
     plan = FaultPlan(seed=0, transient=tuple(transient))
     shared = FaultyTier(plan, run_prefix="t-run", stats=stats)
-    hierarchy = StorageHierarchy(
-        shared=shared, stats=stats, retry_policy=policy
-    )
+    hierarchy = StorageHierarchy(shared=shared, stats=stats)
     return hierarchy, shared
 
 
-class TestPolicy:
-    def test_backoff_caps(self):
-        policy = RetryPolicy(
-            max_attempts=6,
-            base_delay_ns=1_000,
-            multiplier=2.0,
-            max_delay_ns=4_000,
-        )
-        assert [policy.backoff_ns(a) for a in range(1, 6)] == [
+class TestBackoff:
+    def test_the_default_schedule_doubles_up_to_its_cap(self):
+        assert [backoff_ns(a) for a in range(1, 8)] == [
+            1_000_000, 2_000_000, 4_000_000, 8_000_000,
+            16_000_000, 16_000_000, 16_000_000,
+        ]
+
+    def test_backoff_caps(self, monkeypatch):
+        monkeypatch.setattr(retry, "BASE_DELAY_NS", 1_000)
+        monkeypatch.setattr(retry, "MAX_DELAY_NS", 4_000)
+        assert [backoff_ns(a) for a in range(1, 6)] == [
             1_000, 2_000, 4_000, 4_000, 4_000
         ]
-        assert sum(map(policy.backoff_ns, (1, 2, 3))) == 7_000
-
-    def test_validation(self):
-        with pytest.raises(ValueError):
-            RetryPolicy(max_attempts=0)
-        with pytest.raises(ValueError):
-            RetryPolicy(base_delay_ns=-1)
+        assert sum(map(backoff_ns, (1, 2, 3))) == 7_000
 
 
 class TestAbsorbedBlips:
@@ -73,11 +64,10 @@ class TestAbsorbedBlips:
             TransientFault(op_ordinal=1, failures=2)
         )
         hierarchy.write_persisted(Block(BlockId("t-run-g-000000", 0), b"x"))
-        policy = hierarchy.retry_policy
         # Two failed attempts wait backoff(1) + backoff(2) simulated ns.
         assert (
             hierarchy.stats.faults.backoff_sim_ns
-            == policy.backoff_ns(1) + policy.backoff_ns(2)
+            == backoff_ns(1) + backoff_ns(2)
         )
 
     def test_read_retries_attributed_to_intent(self):
@@ -103,21 +93,21 @@ class TestGiveUps:
         with pytest.raises(TransientIOError):
             hierarchy.read_shared(bid, intent=ReadIntent.QUERY)
         faults = hierarchy.stats.faults
-        policy = hierarchy.retry_policy
         istats = hierarchy.stats.intents[ReadIntent.QUERY]
         # counter-asserted: max_attempts errors == (max_attempts-1)
         # retries + 1 give-up, mirrored on the read's intent.
-        assert faults.transient_read_errors == policy.max_attempts
-        assert faults.read_retries == policy.max_attempts - 1
+        assert faults.transient_read_errors == MAX_ATTEMPTS
+        assert faults.read_retries == MAX_ATTEMPTS - 1
         assert faults.read_giveups == 1
         assert istats.giveups == 1
         assert (
             faults.transient_errors == faults.retries + faults.giveups
         )
 
-    def test_policy_none_disables_retries(self):
+    def test_a_budget_of_one_attempt_disables_retries(self, monkeypatch):
+        monkeypatch.setattr(retry, "MAX_ATTEMPTS", 1)
         hierarchy, _shared = faulty_hierarchy(
-            TransientFault(op_ordinal=1, failures=1), policy=None
+            TransientFault(op_ordinal=1, failures=1)
         )
         with pytest.raises(TransientIOError):
             hierarchy.write_persisted(Block(BlockId("t-run-g-000000", 0), b"x"))

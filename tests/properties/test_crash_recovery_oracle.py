@@ -19,7 +19,7 @@ fired is visible in the fault ledger.
 import pytest
 
 from repro.core.definition import i1_definition
-from repro.faults.harness import (
+from tests.crash_harness import (
     CrashRecoveryDriver,
     collect_answers,
     generate_workload,

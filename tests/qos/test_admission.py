@@ -131,13 +131,6 @@ class TestShedding:
         # Only the booked ops' waits were charged; the shed cost nothing.
         assert sum(charged) == stats.queue_sim_ns
 
-    def test_per_call_deadline_overrides_config(self):
-        controller, stats = make_controller()
-        for _ in range(4):
-            controller.admit()
-        with pytest.raises(DeadlineExceeded):
-            controller.admit(deadline_ns=500)
-
 
 class TestDeadlineOnCompletion:
     """An admitted op that completes late counts one ``deadline_misses``:

@@ -2,6 +2,7 @@
 
 import pytest
 
+from repro.qos import breaker as breaker_module
 from repro.qos.breaker import BreakerConfig, BreakerState, CircuitBreaker
 from repro.storage.metrics import QosStats
 from repro.storage.retry import StorageBrownout, TransientIOError
@@ -28,15 +29,13 @@ class TestConfig:
             BreakerConfig(failure_threshold=0)
         with pytest.raises(ValueError):
             BreakerConfig(open_ns=-1)
-        with pytest.raises(ValueError):
-            BreakerConfig(probe_successes=0)
 
     def test_threshold_below_retry_budget(self):
         # The trip threshold must sit below the retry budget so a brownout
         # burst trips the breaker mid-retry-loop (see BreakerConfig doc).
-        from repro.storage.retry import DEFAULT_RETRY_POLICY
+        from repro.storage.retry import MAX_ATTEMPTS
 
-        assert BreakerConfig().failure_threshold < DEFAULT_RETRY_POLICY.max_attempts
+        assert BreakerConfig().failure_threshold < MAX_ATTEMPTS
 
 
 class TestTripping:
@@ -88,8 +87,9 @@ class TestRecovery:
 
     def test_probe_successes_close(self):
         breaker, clock, stats = make_breaker(
-            failure_threshold=1, open_ns=500, probe_successes=2
+            failure_threshold=1, open_ns=500
         )
+        assert breaker_module.PROBE_SUCCESSES == 2
         breaker.record_failure()
         clock.now = 500
         breaker.check()  # probe 1 allowed through
@@ -115,10 +115,9 @@ class TestRecovery:
         clock.now = 1_000
         assert breaker.state() is BreakerState.HALF_OPEN
 
-    def test_close_resets_failure_streak(self):
-        breaker, clock, _stats = make_breaker(
-            failure_threshold=2, open_ns=100, probe_successes=1
-        )
+    def test_close_resets_failure_streak(self, monkeypatch):
+        monkeypatch.setattr(breaker_module, "PROBE_SUCCESSES", 1)
+        breaker, clock, _stats = make_breaker(failure_threshold=2, open_ns=100)
         breaker.record_failure()
         breaker.record_failure()
         clock.now = 100

@@ -2,6 +2,7 @@
 
 from repro.qos.admission import AdmissionController, QosConfig
 from repro.qos.breaker import BreakerConfig, BreakerState, CircuitBreaker
+from repro.qos import scheduler as scheduler_module
 from repro.qos.scheduler import DaemonScheduler
 from repro.storage.metrics import FaultStats, QosStats
 
@@ -104,10 +105,9 @@ class TestRetryPressure:
         assert scheduler.allow_maintenance() is False
         assert scheduler.allow_maintenance() is True
 
-    def test_threshold_filters_noise(self):
-        scheduler, _admission, _stats = make_scheduler(
-            retry_delta_threshold=3
-        )
+    def test_threshold_filters_noise(self, monkeypatch):
+        monkeypatch.setattr(scheduler_module, "RETRY_DELTA_THRESHOLD", 3)
+        scheduler, _admission, _stats = make_scheduler()
         faults = FaultStats()
         scheduler.watch_faults(faults)
         faults.read_retries += 2  # below threshold: not pressure

@@ -38,7 +38,7 @@ def reference_shard_ingest(shard, rows: Sequence[Sequence]) -> int:
         return 0
     commit_seq = shard.clock.next_commit_seq()
     shard.committed_log.append(
-        CommittedTransaction(commit_seq=commit_seq, replica_id=0, rows=side_log)
+        CommittedTransaction(commit_seq=commit_seq, rows=side_log)
     )
     return commit_seq
 

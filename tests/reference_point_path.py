@@ -167,6 +167,6 @@ def _release_after_query_hook(release_after_query):
         if intent is ReadIntent.MAINTENANCE:
             cache.maintenance_bypasses += 1
             return
-        release_after_query(touched, intent)
+        release_after_query(touched)
 
     return release

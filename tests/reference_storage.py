@@ -23,11 +23,12 @@ import threading
 from typing import Dict, Iterable, List, Optional
 
 from repro.faults.storage import FaultyTier
-from repro.qos.breaker import BreakerState, CircuitBreaker
+from repro.qos.breaker import PROBE_SUCCESSES, BreakerState, CircuitBreaker
 from repro.storage.block import Block, BlockId
 from repro.storage.hierarchy import BlockNotFoundError, StorageHierarchy
 from repro.storage.memory import DEFAULT_MEMORY_READ, DEFAULT_MEMORY_WRITE
 from repro.storage.metrics import IOStats, ReadIntent, TierStats
+from repro.storage import retry
 from repro.storage.retry import StorageBrownout, TransientIOError
 from repro.storage.shared import (
     DEFAULT_SHARED_READ,
@@ -247,7 +248,7 @@ class ReferenceBreaker(CircuitBreaker):
             state = self._state_locked()
             if state is BreakerState.HALF_OPEN:
                 self._probe_successes += 1
-                if self._probe_successes >= self.config.probe_successes:
+                if self._probe_successes >= PROBE_SUCCESSES:
                     self._state = BreakerState.CLOSED
                     self._consecutive_failures = 0
                     self._stats.breaker_closes += 1
@@ -262,14 +263,13 @@ class ReferenceHierarchy(StorageHierarchy):
     def __init__(self, ssd_capacity: Optional[int] = None, shared=None) -> None:
         stats = ReferenceIOStats()
         super().__init__(
-            memory=ReferenceMemoryTier(stats),
             ssd=ReferenceSSDTier(ssd_capacity, stats),
             shared=shared if shared is not None else ReferenceSharedStorage(stats),
             stats=stats,
         )
+        self.memory = ReferenceMemoryTier(stats)
 
     def _shared_read(self, block_id, istats=None) -> Optional[Block]:
-        policy = self.retry_policy
         breaker = self._shared_breaker
         fstats = self.stats.faults
         attempt = 1
@@ -281,7 +281,7 @@ class ReferenceHierarchy(StorageHierarchy):
             except TransientIOError:
                 if breaker is not None:
                     breaker.record_failure()
-                if policy is None or attempt >= policy.max_attempts:
+                if attempt >= retry.MAX_ATTEMPTS:
                     fstats.read_giveups += 1
                     if istats is not None:
                         istats.giveups += 1
@@ -290,7 +290,7 @@ class ReferenceHierarchy(StorageHierarchy):
                 if istats is not None:
                     istats.retries += 1
                 self.stats.record_backoff(
-                    TierName.SHARED.value, policy.backoff_ns(attempt)
+                    TierName.SHARED.value, retry.backoff_ns(attempt)
                 )
                 attempt += 1
             else:
@@ -299,7 +299,6 @@ class ReferenceHierarchy(StorageHierarchy):
                 return result
 
     def _shared_write(self, block: Block) -> None:
-        policy = self.retry_policy
         breaker = self._shared_breaker
         fstats = self.stats.faults
         attempt = 1
@@ -311,12 +310,12 @@ class ReferenceHierarchy(StorageHierarchy):
             except TransientIOError:
                 if breaker is not None:
                     breaker.record_failure()
-                if policy is None or attempt >= policy.max_attempts:
+                if attempt >= retry.MAX_ATTEMPTS:
                     fstats.write_giveups += 1
                     raise
                 fstats.write_retries += 1
                 self.stats.record_backoff(
-                    TierName.SHARED.value, policy.backoff_ns(attempt)
+                    TierName.SHARED.value, retry.backoff_ns(attempt)
                 )
                 attempt += 1
             else:

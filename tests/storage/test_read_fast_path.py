@@ -7,7 +7,7 @@ lose something: the first shared read of a query-path ``read`` raises
 while a CLOSED breaker with no failure counted is attached.  Against the
 storage layer kept in ``tests/reference_storage.py`` -- for every burst
 length, a breaker that trips before the retry budget runs out and one
-that does not, and three retry policies -- the read must raise or return
+that does not, and two retry budgets -- the read must raise or return
 alike, and the retries, give-ups, backoff nanoseconds, the breaker's
 state, failure count and counters and the ``IntentStats`` row must be
 equal, on the failing read and on the read after it.
@@ -21,12 +21,8 @@ from repro.qos.breaker import BreakerConfig, BreakerState, CircuitBreaker
 from repro.storage.block import Block, BlockId
 from repro.storage.hierarchy import StorageHierarchy
 from repro.storage.metrics import IOStats
-from repro.storage.retry import (
-    DEFAULT_RETRY_POLICY,
-    RetryPolicy,
-    StorageBrownout,
-    TransientIOError,
-)
+from repro.storage import retry
+from repro.storage.retry import StorageBrownout, TransientIOError, backoff_ns
 
 from tests.reference_storage import (
     ReferenceBreaker,
@@ -39,25 +35,20 @@ BREAKERS = {
     "trips-first": BreakerConfig(),  # 3 failures open it; the budget is 4
     "never-trips": BreakerConfig(failure_threshold=10),
 }
-POLICIES = {
-    "default": DEFAULT_RETRY_POLICY,
-    "one-attempt": RetryPolicy(max_attempts=1),
-    "no-retries": None,
-}
+ATTEMPTS = {"default": retry.MAX_ATTEMPTS, "no-retries": 1}
 
 
-def hierarchies(failures, config, policy):
+def hierarchies(failures, config):
     """(``src/``, reference) with the block persisted only in shared
     storage, and its first read -- shared op 2 -- failing ``failures``
     times."""
     plan = FaultPlan(seed=0, transient=(TransientFault(op_ordinal=2, failures=failures),))
     stats = IOStats()
-    new = StorageHierarchy(shared=FaultyTier(plan, "run"), stats=stats, retry_policy=policy)
+    new = StorageHierarchy(shared=FaultyTier(plan, "run"), stats=stats)
     new.attach_shared_breaker(
         CircuitBreaker("shared", config, lambda: stats.total_sim_ns, stats.qos)
     )
     old = ReferenceHierarchy()
-    old.retry_policy = policy
     old.shared = ReferenceFaultyShared(plan, "run", old.stats)
     old.attach_shared_breaker(ReferenceBreaker(
         "shared", config, lambda: old.stats.total_sim_ns, old.stats.qos
@@ -90,11 +81,14 @@ def observed(hierarchy):
     }
 
 
-@pytest.mark.parametrize("policy", POLICIES.values(), ids=POLICIES.keys())
+@pytest.mark.parametrize("attempts", ATTEMPTS.values(), ids=ATTEMPTS.keys())
 @pytest.mark.parametrize("config", BREAKERS.values(), ids=BREAKERS.keys())
 @pytest.mark.parametrize("failures", [1, 2, 3, 4, 5])
-def test_a_failed_first_shared_attempt_is_counted_as_before(failures, config, policy):
-    new, old = hierarchies(failures, config, policy)
+def test_a_failed_first_shared_attempt_is_counted_as_before(
+    failures, config, attempts, monkeypatch
+):
+    monkeypatch.setattr(retry, "MAX_ATTEMPTS", attempts)
+    new, old = hierarchies(failures, config)
     breaker = new._shared_breaker
     assert breaker.recorded_state is BreakerState.CLOSED and not breaker._consecutive_failures
     for _ in range(2):  # the failing read, then the one after it
@@ -105,23 +99,22 @@ def test_a_failed_first_shared_attempt_is_counted_as_before(failures, config, po
 def test_the_counts_of_three_cases():
     """What the comparison above covers, spelled out: a retried success,
     a give-up under a CLOSED breaker and a mid-loop trip."""
-    backoff = DEFAULT_RETRY_POLICY.backoff_ns
-    new, _ = hierarchies(1, BREAKERS["trips-first"], DEFAULT_RETRY_POLICY)
+    new, _ = hierarchies(1, BREAKERS["trips-first"])
     assert outcome(new) == b"payload"
     row = new.stats.intent_snapshot()["query"]
     assert (row.retries, row.giveups, row.shared_reads, row.promotions) == (1, 0, 1, 1)
-    assert new.stats.faults.backoff_sim_ns == backoff(1)
+    assert new.stats.faults.backoff_sim_ns == backoff_ns(1)
     assert new._shared_breaker._consecutive_failures == 0  # the success cleared it
 
-    new, _ = hierarchies(4, BREAKERS["never-trips"], DEFAULT_RETRY_POLICY)
+    new, _ = hierarchies(4, BREAKERS["never-trips"])
     assert outcome(new) is TransientIOError
     row = new.stats.intent_snapshot()["query"]
     assert (row.retries, row.giveups, row.shared_reads) == (3, 1, 0)
     assert new.stats.faults.read_giveups == 1
-    assert new.stats.faults.backoff_sim_ns == backoff(1) + backoff(2) + backoff(3)
+    assert new.stats.faults.backoff_sim_ns == backoff_ns(1) + backoff_ns(2) + backoff_ns(3)
     assert new._shared_breaker._consecutive_failures == 4
 
-    new, _ = hierarchies(4, BREAKERS["trips-first"], DEFAULT_RETRY_POLICY)
+    new, _ = hierarchies(4, BREAKERS["trips-first"])
     assert outcome(new) is StorageBrownout
     row = new.stats.intent_snapshot()["query"]
     assert (row.retries, row.giveups) == (3, 0)  # the fourth attempt failed fast

@@ -1,0 +1,255 @@
+"""Every defaulted parameter of a public ``src/`` function has a caller
+outside ``tests/``.
+
+The sibling of ``test_config_fields_reached.py`` for signatures.  A
+parameter with a default is a setting only if some program passes it:
+every ``.py`` under ``src/``, ``benchmarks/``, ``examples/`` and ``tools/``
+is parsed, and a parameter counts as passed when a call names its
+function (or, for ``__init__``, its class) and hands it over by keyword
+or by position.  Calls are matched by name, so a call to any function of
+that name counts.  A call spreading ``*args`` or ``**kwargs`` passes
+everything its callee takes, and a call through ``getattr(...)`` may
+reach any function named by a string literal in the same source -- that
+is how ``ShardedTable._serve`` dispatches ``QueryKind.live``.
+
+A parameter no program passes is a branch only tests reach: it becomes
+the value every caller already gets, or it is listed in
+:data:`TEST_ONLY` with the reason it stays.  A ``TEST_ONLY`` entry that a
+program now passes, or whose parameter is gone, is stale and fails too.
+
+Only written signatures are seen: the constructor a ``@dataclass``
+generates is not, so a defaulted dataclass field is checked only for the
+config dataclasses ``test_config_fields_reached.py`` lists.  Matching by
+name also lets a parameter hide behind a same-named function's callers.
+"""
+
+import ast
+from dataclasses import dataclass
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parents[2]
+CALLER_DIRS = ("src", "benchmarks", "examples", "tools")
+
+TEST_ONLY = {
+    "StorageHierarchy.read_many(intent)":
+        "benchmarks/e2e/tracer.py still lists read_many as a boundary; "
+        "the door and its intent go with that boundary in a benchmark "
+        "change",
+    "SeparateZoneIndexes(evolution_order)":
+        "REMOVE_THEN_ADD is the paper's missing-result anomaly of separate "
+        "per-zone indexes, which only tests show",
+}
+
+
+@dataclass(frozen=True)
+class Parameter:
+    """One defaulted parameter and the call names that reach it."""
+
+    key: str  # ``Owner.function(name)``, or ``Class(name)`` for __init__
+    callees: frozenset
+    name: str
+    position: int | None  # among the positional arguments a call passes
+
+
+def _signature(function: ast.FunctionDef, method: bool):
+    args = function.args
+    positional = args.posonlyargs + args.args
+    static = any(
+        isinstance(d, ast.Name) and d.id == "staticmethod"
+        for d in function.decorator_list
+    )
+    if method and not static:
+        positional = positional[1:]
+    defaulted = positional[len(positional) - len(args.defaults):]
+    yield from (
+        (arg.arg, positional.index(arg)) for arg in defaulted
+    )
+    yield from (
+        (arg.arg, None)
+        for arg, default in zip(args.kwonlyargs, args.kw_defaults)
+        if default is not None
+    )
+
+
+def defaulted_parameters(sources):
+    """Every defaulted parameter of a public function, method or
+    constructor in ``sources`` (module-level and class-level defs)."""
+    found = []
+    classes = {}
+    for source in sources:
+        for node in ast.parse(source).body:
+            if isinstance(node, ast.ClassDef):
+                classes[node.name] = node
+    for source in sources:
+        for node in ast.parse(source).body:
+            if isinstance(node, ast.FunctionDef) and not node.name.startswith("_"):
+                found.extend(
+                    Parameter(f"{node.name}({name})", frozenset({node.name}),
+                              name, position)
+                    for name, position in _signature(node, method=False)
+                )
+            if not isinstance(node, ast.ClassDef) or node.name.startswith("_"):
+                continue
+            for item in node.body:
+                if not isinstance(item, ast.FunctionDef):
+                    continue
+                if item.name == "__init__":
+                    owners = {node.name} | {
+                        name for name, cls in classes.items()
+                        if _inherits_init(cls, node.name, classes)
+                    }
+                    found.extend(
+                        Parameter(f"{node.name}({name})", frozenset(owners),
+                                  name, position)
+                        for name, position in _signature(item, method=True)
+                    )
+                elif not item.name.startswith("_"):
+                    found.extend(
+                        Parameter(f"{node.name}.{item.name}({name})",
+                                  frozenset({item.name}), name, position)
+                        for name, position in _signature(item, method=True)
+                    )
+    return found
+
+
+def _inherits_init(cls: ast.ClassDef, owner: str, classes) -> bool:
+    """Does ``cls`` (defining no ``__init__``) take ``owner``'s?"""
+    if any(
+        isinstance(item, ast.FunctionDef) and item.name == "__init__"
+        for item in cls.body
+    ):
+        return False
+    for base in cls.bases:
+        if isinstance(base, ast.Name):
+            if base.id == owner:
+                return True
+            if base.id in classes and _inherits_init(classes[base.id], owner, classes):
+                return True
+    return False
+
+
+def _callees(call: ast.Call, literals, supers):
+    if id(call) in supers:
+        return supers[id(call)]
+    func = call.func
+    if isinstance(func, ast.Name):
+        return {func.id}
+    if isinstance(func, ast.Attribute):
+        return {func.attr}
+    if (isinstance(func, ast.Call) and isinstance(func.func, ast.Name)
+            and func.func.id == "getattr"):
+        return literals
+    return set()
+
+
+def reached_parameters(sources, parameters):
+    """Keys of the ``parameters`` some call in ``sources`` passes."""
+    by_callee = {}
+    for parameter in parameters:
+        for callee in parameter.callees:
+            by_callee.setdefault(callee, []).append(parameter)
+    reached = set()
+    for source in sources:
+        tree = ast.parse(source)
+        literals = {
+            node.value for node in ast.walk(tree)
+            if isinstance(node, ast.Constant) and isinstance(node.value, str)
+        }
+        # ``super().__init__(...)`` passes to the constructors of the
+        # enclosing class's bases.
+        supers = {
+            id(call): {base.id for base in cls.bases if isinstance(base, ast.Name)}
+            for cls in ast.walk(tree) if isinstance(cls, ast.ClassDef)
+            for call in ast.walk(cls)
+            if isinstance(call, ast.Call)
+            and isinstance(call.func, ast.Attribute)
+            and call.func.attr == "__init__"
+        }
+        for node in ast.walk(tree):
+            if not isinstance(node, ast.Call):
+                continue
+            spread = any(isinstance(arg, ast.Starred) for arg in node.args) or any(
+                kw.arg is None for kw in node.keywords
+            )
+            keywords = {kw.arg for kw in node.keywords}
+            for callee in _callees(node, literals, supers):
+                for parameter in by_callee.get(callee, ()):
+                    if (
+                        spread
+                        or parameter.name in keywords
+                        or (parameter.position is not None
+                            and parameter.position < len(node.args))
+                    ):
+                        reached.add(parameter.key)
+    return reached
+
+
+def unreached(sources, parameters, test_only):
+    """(parameters no source passes and ``test_only`` omits, stale
+    entries: passed by a program, or no longer a parameter)."""
+    every = {parameter.key for parameter in parameters}
+    reached = reached_parameters(sources, parameters)
+    return (
+        sorted(every - reached - set(test_only)),
+        sorted((set(test_only) & reached) | (set(test_only) - every)),
+    )
+
+
+def _read(folder):
+    return [path.read_text() for path in sorted((ROOT / folder).rglob("*.py"))]
+
+
+def caller_sources():
+    return [source for folder in CALLER_DIRS for source in _read(folder)]
+
+
+def test_the_walk_sees_every_way_a_parameter_is_passed():
+    library = (
+        "def fetch(key, limit=1, *, fresh=False): pass\n"
+        "def _private(flag=True): pass\n"
+        "class Store:\n"
+        "    def __init__(self, path, budget=8, *, mode='a'): pass\n"
+        "    def read(self, block, retries=3, *, intent=None): pass\n"
+        "    @staticmethod\n"
+        "    def build(size=4): pass\n"
+        "    def _hidden(self, tries=2): pass\n"
+        "class Cached(Store):\n"
+        "    pass\n"
+        "class Sized(Store):\n"
+        "    def __init__(self, size=1):\n"
+        "        super().__init__('p', mode='c')\n"
+        "class _Inner:\n"
+        "    def read(self, depth=1): pass\n"
+    )
+    parameters = defaulted_parameters([library])
+    assert {p.key for p in parameters} == {
+        "fetch(limit)", "fetch(fresh)", "Store(budget)", "Store(mode)",
+        "Sized(size)",
+        "Store.read(retries)", "Store.read(intent)", "Store.build(size)",
+    }
+    callers = [
+        "fetch(k, 2)\n",
+        "Cached('p', mode='b')\n",
+        "Sized(2)\n",
+        "store.read(b, intent=None)\n",
+        "Store.build(4)\n",
+    ]
+    assert unreached(callers, parameters, {}) == (
+        ["Store(budget)", "Store.read(retries)", "fetch(fresh)"], []
+    )
+    assert unreached(callers, parameters, {
+        "Store(budget)": "why", "Store.read(retries)": "why",
+        "fetch(fresh)": "why", "fetch(limit)": "stale", "gone(x)": "stale",
+    }) == ([], ["fetch(limit)", "gone(x)"])
+    spread = [library, "fetch(k, **options)\n", "getattr(obj, 'read')(*args)\n"]
+    assert unreached(spread, parameters, {}) == (
+        ["Sized(size)", "Store(budget)", "Store.build(size)"], []
+    )
+
+
+def test_every_defaulted_parameter_has_a_caller_or_a_reason():
+    parameters = defaulted_parameters(_read("src"))
+    missing, stale = unreached(caller_sources(), parameters, TEST_ONLY)
+    assert missing == [], f"parameters only tests pass: {missing}"
+    assert stale == [], f"stale TEST_ONLY entries: {stale}"
+    assert all(TEST_ONLY.values())

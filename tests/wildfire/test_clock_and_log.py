@@ -114,7 +114,7 @@ class TestSideLog:
         tx.upsert_many([(3, 4), [5, 6]])
         assert tx.pending == 3
         tx.commit()
-        (committed,) = log.peek()
+        (committed,) = log.drain()
         assert committed.rows == [(1, 2), (3, 4), (5, 6)]
 
     def test_a_refused_batch_stages_none_of_its_rows(self):
@@ -128,23 +128,23 @@ class TestSideLog:
 class TestCommittedLog:
     def test_drain_returns_commit_order(self):
         log = CommittedLog()
-        log.append(CommittedTransaction(commit_seq=2, replica_id=0, rows=[(2, 0)]))
-        log.append(CommittedTransaction(commit_seq=1, replica_id=1, rows=[(1, 0)]))
+        log.append(CommittedTransaction(commit_seq=2, rows=[(2, 0)]))
+        log.append(CommittedTransaction(commit_seq=1, rows=[(1, 0)]))
         drained = log.drain()
         assert [tx.commit_seq for tx in drained] == [1, 2]
         assert log.drain() == []
 
-    def test_pending_rows_and_peek(self):
+    def test_pending_rows_and_length(self):
         log = CommittedLog()
-        log.append(CommittedTransaction(1, 0, [(1, 0), (2, 0)]))
+        log.append(CommittedTransaction(1, [(1, 0), (2, 0)]))
         assert log.pending_rows() == 2
-        assert len(log.peek()) == 1
-        assert log.pending_rows() == 2  # peek does not drain
+        assert len(log) == 1
+        assert log.pending_rows() == 2  # counting does not drain
 
     def test_persistence_charges_ssd(self):
         hierarchy = StorageHierarchy()
         log = CommittedLog(hierarchy, namespace="live")
-        log.append(CommittedTransaction(1, 0, [(1, 0)]))
+        log.append(CommittedTransaction(1, [(1, 0)]))
         assert hierarchy.stats.tier("ssd").writes >= 1
         log.drain()
         assert hierarchy.ssd.block_ids() == []  # groomed data supersedes log

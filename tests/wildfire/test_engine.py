@@ -136,6 +136,19 @@ class TestSnapshotIsolation:
         assert versions[1].end_ts == versions[0].begin_ts
         assert versions[2].end_ts == versions[1].begin_ts
 
+    def test_time_travel_walks_a_long_chain_to_its_end(self):
+        shard = make_shard(post_groom_every=1)
+        for value in range(24):
+            shard.ingest([(1, 1, value)])
+            shard.run_cycles(2)
+        versions = shard.time_travel((1,), (1,), shard.current_snapshot_ts())
+        assert [v.values[2] for v in versions] == list(range(23, -1, -1))
+        assert versions[-1].prev_rid is None
+        assert all(
+            older.end_ts == newer.begin_ts
+            for newer, older in zip(versions, versions[1:])
+        )
+
     def test_batch_lookup(self):
         shard = make_shard()
         shard.ingest([(d, 1, d) for d in range(10)])

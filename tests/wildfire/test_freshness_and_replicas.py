@@ -1,6 +1,5 @@
-"""Tests for live-zone freshness reads and multi-replica commit merging."""
-
-import pytest
+"""The live zone is never read, and interleaved commits groom in commit
+order."""
 
 from repro.core.definition import ColumnSpec
 from repro.wildfire.engine import ShardConfig, WildfireShard
@@ -21,58 +20,29 @@ def make_shard():
     )
 
 
-class TestLiveZoneReads:
-    def test_live_read_sees_ungroomed_write(self):
+class TestLiveZoneIsNotRead:
+    def test_an_ungroomed_write_is_read_once_groomed(self):
+        """Reads are served at the groomed snapshot: a committed write
+        still in the live zone is invisible until a groom publishes it."""
         shard = make_shard()
         shard.ingest([(1, 1, 100)])
-        # Not groomed yet: the index misses it, the live zone has it.
         assert shard.point_query((1,), (1,)) is None
-        live = shard.point_query((1,), (1,), freshness="live")
-        assert live is not None and live.values == (1, 1, 100)
-
-    def test_live_read_prefers_newest_commit(self):
-        shard = make_shard()
-        shard.ingest([(1, 1, 100)])
-        shard.ingest([(1, 1, 200)])
-        live = shard.point_query((1,), (1,), freshness="live")
-        assert live.values == (1, 1, 200)
-
-    def test_live_read_falls_back_to_index(self):
-        shard = make_shard()
-        shard.ingest([(1, 1, 100)])
-        shard.tick()  # groomed now; live zone empty
-        live = shard.point_query((1,), (1,), freshness="live")
-        assert live.values == (1, 1, 100)
-
-    def test_live_overrides_groomed_version(self):
-        shard = make_shard()
-        shard.ingest([(1, 1, 100)])
         shard.tick()
-        shard.ingest([(1, 1, 999)])  # newer, still in the live zone
-        groomed_view = shard.point_query((1,), (1,))
-        live_view = shard.point_query((1,), (1,), freshness="live")
-        assert groomed_view.values == (1, 1, 100)
-        assert live_view.values == (1, 1, 999)
-
-    def test_unknown_freshness_rejected(self):
-        shard = make_shard()
-        with pytest.raises(ValueError):
-            shard.point_query((1,), (1,), freshness="psychic")
-
-    def test_live_miss_returns_none(self):
-        shard = make_shard()
-        assert shard.point_query((9,), (9,), freshness="live") is None
+        shard.ingest([(1, 1, 999)])
+        assert shard.point_query((1,), (1,)).values == (1, 1, 100)
+        shard.tick()
+        assert shard.point_query((1,), (1,)).values == (1, 1, 999)
 
 
 class TestMultiReplicaCommits:
     def test_groomer_merges_replicas_in_commit_order(self):
-        """Replicas share the shard clock, so commit sequences interleave;
-        the groomer must merge them in time order and last-writer-wins must
-        hold across replicas (paper section 2.1)."""
+        """Open transactions share the shard clock, so commit sequences
+        interleave; the groomer must merge them in time order and
+        last-writer-wins must hold across them (paper section 2.1)."""
         shard = make_shard()
-        tx_a = shard.begin(replica_id=0)
+        tx_a = shard.begin()
         tx_a.upsert((1, 1, 100))
-        tx_b = shard.begin(replica_id=1)
+        tx_b = shard.begin()
         tx_b.upsert((1, 1, 200))
         tx_a.commit()  # commit_seq 1
         tx_b.commit()  # commit_seq 2 -- the later writer
@@ -81,17 +51,17 @@ class TestMultiReplicaCommits:
 
     def test_interleaved_replicas_distinct_keys(self):
         shard = make_shard()
-        shard.ingest([(1, m, m) for m in range(3)], replica_id=0)
-        shard.ingest([(2, m, m) for m in range(3)], replica_id=1)
+        shard.ingest([(1, m, m) for m in range(3)])
+        shard.ingest([(2, m, m) for m in range(3)])
         shard.tick()
         assert len(shard.range_query((1,), (0,), (9,))) == 3
         assert len(shard.range_query((2,), (0,), (9,))) == 3
 
     def test_begin_ts_monotone_across_replicas(self):
         shard = make_shard()
-        shard.ingest([(1, 1, 0)], replica_id=0)
+        shard.ingest([(1, 1, 0)])
         shard.tick()
-        shard.ingest([(1, 2, 0)], replica_id=1)
+        shard.ingest([(1, 2, 0)])
         shard.tick()
         first = shard.index_lookup((1,), (1,))
         second = shard.index_lookup((1,), (2,))

@@ -393,7 +393,7 @@ class TestColumnPathMatchesRecordPath:
         ]
         now = shard.current_snapshot_ts()
         chains = {
-            key: shard.time_travel((key[0],), (key[1],), now, max_versions=64)
+            key: shard.time_travel((key[0],), (key[1],), now)
             for key in sorted(keys)
         }
         return ops, payloads, shard.catalog.export_end_ts_overlay(), chains

@@ -12,7 +12,12 @@ import pytest
 from repro.core.definition import ColumnSpec
 from repro.wildfire.cluster import ShardedTable
 from repro.wildfire.engine import ShardConfig
-from repro.wildfire.rebalance import RebalanceConfig, RebalancePolicy
+from repro.wildfire import rebalance as rebalance_module
+from repro.wildfire.rebalance import (
+    BACKLOG_HIGH_WATER_NS,
+    RebalanceConfig,
+    RebalancePolicy,
+)
 from repro.wildfire.schema import IndexSpec, TableSchema
 from repro.wildfire.migration import SplitAborted
 
@@ -101,9 +106,8 @@ class TestSplitTrigger:
             split_entry_high_water=10_000,  # nobody hot by entries
             merge_entry_low_water=0,
             split_after=2,
-            backlog_high_water_ns=1,
         )
-        monkeypatch.setattr(policy, "backlog_ns", lambda: 1_000_000)
+        monkeypatch.setattr(policy, "backlog_ns", lambda: BACKLOG_HIGH_WATER_NS)
         largest = max(
             (s for s in table.live_shard_ids()), key=policy.entry_count
         )
@@ -187,11 +191,12 @@ class TestMergeTriggerAndCooldown:
 
 
 class TestPolicyDaemon:
-    def test_daemon_thread_drives_a_split(self):
+    def test_daemon_thread_drives_a_split(self, monkeypatch):
+        monkeypatch.setattr(rebalance_module, "STEP_INTERVAL_S", 0.002)
         table = make_table()
         seed(table)
         policy = make_policy(table, split_after=1, merge_entry_low_water=0)
-        policy.start(interval_s=0.002)
+        policy.start()
         try:
             for _ in range(500):
                 if policy.stats.splits:

@@ -24,6 +24,12 @@ TIMEOUT_S = 1.0
 WAKE_BOUND_S = TIMEOUT_S / 4  # "well inside the timeout"
 
 
+@pytest.fixture(autouse=True)
+def drain_timeout(monkeypatch):
+    monkeypatch.setattr(shardmap_module, "DRAIN_TIMEOUT_S", TIMEOUT_S)
+    return monkeypatch
+
+
 def publish_next(registry):
     current = registry.current
     registry.publish(ShardMap(epoch=current.epoch + 1, slots=current.slots))
@@ -52,7 +58,7 @@ def drain_against_a_held_pin(registry):
     assert pinned.wait(TIMEOUT_S)
     old = publish_next(registry)
     assert registry.refs(old) == 1
-    registry.drain(old, timeout_s=TIMEOUT_S)
+    registry.drain(old)
     returned_at = time.monotonic()
     thread.join(TIMEOUT_S)
     assert not thread.is_alive()
@@ -78,18 +84,20 @@ def test_the_last_unpin_wakes_the_drainer():
     assert registry._drainers == 0
 
 
-def test_a_pin_that_outlives_the_timeout_is_named_with_its_count():
+def test_a_pin_that_outlives_the_timeout_is_named_with_its_count(drain_timeout):
+    drain_timeout.setattr(shardmap_module, "DRAIN_TIMEOUT_S", 0.05)
     registry = ShardMapRegistry(ShardMap.initial(2))
     pins = [registry.pin(), registry.pin()]
     old = publish_next(registry)
     started = time.monotonic()
     with pytest.raises(ShardMapError, match=rf"epoch {old} .* \(2 pins\)"):
-        registry.drain(old, timeout_s=0.05)
+        registry.drain(old)
     assert time.monotonic() - started < TIMEOUT_S
     assert registry._drainers == 0  # a failed drain deregisters
     for pin in pins:
         registry.unpin(pin.epoch)
-    registry.drain(old, timeout_s=0.0)  # nothing left: returns at once
+    drain_timeout.setattr(shardmap_module, "DRAIN_TIMEOUT_S", 0.0)
+    registry.drain(old)  # nothing left: returns at once
     assert registry.refs(old) == 0
 
 
@@ -128,7 +136,7 @@ def test_pins_balance_and_every_drain_returns_under_contention():
             thread.start()
         for _ in range(publishes):
             old = publish_next(registry)
-            registry.drain(old, timeout_s=TIMEOUT_S)
+            registry.drain(old)
             assert registry.refs(old) == 0  # new pins land on the new epoch
     finally:
         stop.set()
