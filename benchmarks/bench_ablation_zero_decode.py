@@ -77,9 +77,9 @@ def test_merge_path_is_zero_decode():
     # Blob merge: entry bytes stream through verbatim.
     before = decode.snapshot()
     merged = list(merge_entry_blob_streams(definition, runs))
-    blob_run = builder.build_from_blobs(
+    blob_run = builder.build_from_columns(
         "blob-out",
-        merged,
+        [tuple(zip(*merged))],
         Synopsis.union([r.header.synopsis for r in runs]),
         Zone.GROOMED,
         1,

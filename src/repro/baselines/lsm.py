@@ -235,23 +235,20 @@ class ClassicLSMIndex:
             runs = self._runs_newest_first()
             if not runs:
                 return 0
-            counts = {"rewritten": 0}
+            rewritten, sort_keys, blobs = 0, [], []
+            for sort_key, blob in merge_entry_blob_streams(self.definition, runs):
+                new_rid = remap_raw(sort_key, blob)
+                if new_rid is not None:
+                    new_rid_bytes = new_rid.to_bytes()
+                    if new_rid_bytes != blob[-RID_BYTES:]:
+                        rewritten += 1
+                        blob = blob[:-RID_BYTES] + new_rid_bytes
+                sort_keys.append(sort_key)
+                blobs.append(blob)
 
-            def spliced_pairs():
-                for sort_key, blob in merge_entry_blob_streams(
-                    self.definition, runs
-                ):
-                    new_rid = remap_raw(sort_key, blob)
-                    if new_rid is not None:
-                        new_rid_bytes = new_rid.to_bytes()
-                        if new_rid_bytes != blob[-RID_BYTES:]:
-                            counts["rewritten"] += 1
-                            blob = blob[:-RID_BYTES] + new_rid_bytes
-                    yield sort_key, blob
-
-            new_run = self.builder.build_from_blobs(
+            new_run = self.builder.build_from_columns(
                 run_id=self._next_run_id(),
-                blob_pairs=spliced_pairs(),
+                batches=[(sort_keys, blobs)],
                 synopsis=Synopsis.union([r.header.synopsis for r in runs]),
                 zone=Zone.GROOMED,
                 level=0,
@@ -263,7 +260,7 @@ class ClassicLSMIndex:
             self._levels = []
             self._install(new_run, 0)
             self._merge_leveling()
-            return counts["rewritten"]
+            return rewritten
 
     # -- introspection ---------------------------------------------------------------------------
 

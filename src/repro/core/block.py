@@ -16,15 +16,15 @@ import struct
 import sys
 import zlib
 from array import array
-from itertools import accumulate
-from typing import Dict, List, Optional, Sequence
+from typing import Dict, List, Optional, Sequence, Tuple
 
 from repro.core.definition import IndexDefinition
-from repro.core.entry import IndexEntry, SORT_KEY_TS_BYTES, begin_ts_of_sort_key
+from repro.core.entry import RID, RID_BYTES, IndexEntry
 from repro.storage.metrics import DecodeStats
 
 DATA_BLOCK_MAGIC = b"UMB2"
 _UNPACK_U32 = struct.Struct(">I").unpack_from
+_UNPACK_RID = RID._STRUCT.unpack_from
 
 
 def block_checksum(payload: bytes) -> int:
@@ -51,19 +51,6 @@ def pack_data_block(
         parts.append(struct.pack(f">{count}I", *sort_key_lengths))
     parts.extend(blobs)
     return b"".join(parts)
-
-
-def encode_data_block(
-    definition: IndexDefinition, entries: Sequence[IndexEntry]
-) -> bytes:
-    """Serialize one data block from decoded entries."""
-    pairs = [entry.to_blob(definition) for entry in entries]
-    blobs = [blob for _sort_key, blob in pairs]
-    return pack_data_block(
-        [0, *accumulate(map(len, blobs[:-1]))],
-        [len(sort_key) for sort_key, _blob in pairs],
-        blobs,
-    )
 
 
 # array typecode of a 4-byte unsigned integer on this platform.
@@ -156,23 +143,18 @@ class DataBlockView:
         start = self.base + self.table[index]
         return self.payload[start : start + self.table[self.count + index]]
 
-    def key_bytes_at(self, index: int) -> bytes:
-        """Raw user key (sort key minus the 8-byte beginTS suffix)."""
-        return self.sort_key_at(index)[:-SORT_KEY_TS_BYTES]
-
-    def begin_ts_at(self, index: int) -> int:
-        """``beginTS`` of entry ``index`` from the fixed sort-key suffix."""
-        return begin_ts_of_sort_key(self.sort_key_at(index))
+    def _end(self, index: int) -> int:  # where blob ``index`` ends: the next starts
+        return self.base + self.table[index + 1] if index + 1 < self.count else len(self.payload)
 
     def entry_blob_at(self, index: int) -> bytes:
         """The raw serialized entry, verbatim (merge copy path)."""
         if self._stats is not None:
             self._stats.blob_copies += 1
-        start = self.base + self.table[index]
-        if index + 1 < self.count:
-            return self.payload[start : self.base + self.table[index + 1]]
-        return self.payload[start:]
+        return self.payload[self.base + self.table[index] : self._end(index)]
+
+    def rid_at(self, index: int) -> Tuple[int, int, int]:
+        """Entry ``index``'s RID as ints, off its blob's fixed suffix (no decode or copy)."""
+        return _UNPACK_RID(self.payload, self._end(index) - RID_BYTES)
 
 
-__all__ = ["DATA_BLOCK_MAGIC", "DataBlockView", "block_checksum",
-           "encode_data_block", "pack_data_block"]
+__all__ = ["DATA_BLOCK_MAGIC", "DataBlockView", "block_checksum", "pack_data_block"]

@@ -8,11 +8,11 @@ the input entries come from and which level/zone the run lands in.
 
 One column builder, :meth:`RunBuilder.build_from_columns`, sits behind
 every input shape: the K-way merge and the streaming evolve hand it the
-column batches of :func:`repro.core.merge.merge_blocks` as they are,
-:meth:`RunBuilder.build_from_blobs` takes sorted ``(sort_key, entry_blob)``
-pairs (groom, shard copy) and :meth:`RunBuilder.build` decoded
-:class:`IndexEntry` objects (``add_groomed_run``, the LSM baseline,
-tests), serialized once.
+column batches of :func:`repro.core.merge.merge_blocks` as they are, the
+groom, the shard copy and the LSM baseline's rebuild one sorted
+``(sort_keys, entry_blobs)`` column pair, and :meth:`RunBuilder.build`
+takes decoded :class:`IndexEntry` objects (``add_groomed_run``, tests),
+serialized once.
 Blobs are copied verbatim -- no entry is decoded.  Everything derivable
 from raw sort keys (offset array, begin-TS range, Bloom filter, block
 index) is computed from the bytes, a column at a time; only the synopsis,
@@ -99,19 +99,7 @@ class RunBuilder:
         pairs = [entry.to_blob(definition) for entry in materialized]
         if not presorted:
             pairs.sort(key=itemgetter(0))
-        return self.build_from_blobs(run_id, pairs, synopsis, *placement, **options)
-
-    def build_from_blobs(
-        self,
-        run_id: str,
-        blob_pairs: Iterable[Tuple[bytes, bytes]],
-        synopsis: Synopsis,
-        *placement,
-        **options,
-    ) -> IndexRun:
-        """:meth:`build_from_columns` over ``(sort_key, entry_blob)`` pairs
-        in sort-key order (the groomer's and the shard copy's shape)."""
-        columns = tuple(zip(*blob_pairs)) or ((), ())
+        columns = tuple(zip(*pairs)) or ((), ())
         return self.build_from_columns(
             run_id, [columns], synopsis, *placement, **options
         )

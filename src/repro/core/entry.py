@@ -16,7 +16,7 @@ from __future__ import annotations
 import enum
 import struct
 from itertools import groupby
-from typing import Callable, List, NamedTuple, Sequence, Tuple
+from typing import Callable, Dict, List, NamedTuple, Sequence, Tuple
 
 from repro.core.definition import ColumnType, IndexDefinition, encode_typed
 from repro.core.encoding import (
@@ -91,14 +91,32 @@ def encode_rid_column(zone: Zone, block_id: int, count: int) -> List[bytes]:
     return [pack(zone_raw, block_id, offset) for offset in range(count)]
 
 
-def hash_column(equality: Sequence[List[bytes]]) -> List[bytes]:
-    """The encoded hash column of a batch, from its encoded equality
-    columns; each distinct equality value is hashed once."""
-    hashed = list(map(b"".join, zip(*equality)))
-    hash_of = {
-        encoded: encode_uint64(hash_values((encoded,))) for encoded in set(hashed)
-    }
-    return [hash_of[encoded] for encoded in hashed]
+# Values a shard's hash memo holds before it is cleared (see hash_column):
+# about twice the ~9,000 customers a shard of the htap_mixed benchmark has
+# met by the end of its 15 s run, for about 1.1 MB at the bound (measured in
+# docs/benchmarks.md).  It keys the values themselves, which the rows keep
+# alive anyway (values an encoder accepts are equal only if they encode alike).
+HASH_MEMO_ENTRIES = 16384
+
+
+def hash_column(equality: Sequence[List[bytes]], values: Sequence[Sequence[KeyValue]],
+                memo: Dict[object, bytes]) -> List[bytes]:
+    """The encoded hash column of a batch from its encoded ``equality``
+    columns and the same columns as given (``values``).  ``memo`` maps an
+    equality value (a tuple for several columns) to its encoded hash across
+    batches -- a shard's, touched under its groom lock, or a fresh one; a
+    value it lacks is hashed once, and it is cleared first when those would
+    take it past :data:`HASH_MEMO_ENTRIES`."""
+    values = values[0] if len(values) == 1 else list(zip(*values))
+    fresh = set(values).difference(memo)
+    if fresh:
+        if len(memo) + len(fresh) > HASH_MEMO_ENTRIES:
+            memo.clear()
+            fresh = set(values)
+        encodings = dict(zip(values, map(b"".join, zip(*equality))))
+        for value in fresh:
+            memo[value] = encode_uint64(hash_values((encodings[value],)))
+    return list(map(memo.__getitem__, values))
 
 
 def entry_blob_columns(
@@ -108,21 +126,23 @@ def entry_blob_columns(
     includes: Sequence[List[bytes]],
     ts_desc: List[bytes],
     rids: List[bytes],
-) -> List[Tuple[bytes, bytes]]:
+    equality_values: Sequence[Sequence[KeyValue]],
+    hash_memo: Dict[object, bytes],
+) -> Tuple[List[bytes], List[bytes]]:
     """:meth:`IndexEntry.to_blob` for a whole batch, column at a time.
 
-    Every argument is a column of already encoded values, one element per
-    entry (``ts_desc`` = descending ``beginTS``, ``rids`` = serialized
-    RIDs); the result is the unsorted ``(sort_key, blob)`` list in input
-    order, byte for byte what ``IndexEntry.create(...).to_blob`` yields
-    per entry.  Nothing is validated and no entry object is built.
+    Every column holds already encoded values, one per entry (``ts_desc`` =
+    descending ``beginTS``, ``rids`` = serialized RIDs; the last two as
+    :func:`hash_column` takes them); the result is the unsorted ``(sort_keys,
+    blobs)`` column pair in input order, byte for byte what
+    ``IndexEntry.create(...).to_blob`` yields per entry.  Nothing is
+    validated and no entry object is built.
     """
     key_columns = [*equality, *sort, ts_desc]
     if definition.has_hash_column:
-        key_columns.insert(0, hash_column(equality))
+        key_columns.insert(0, hash_column(equality, equality_values, hash_memo))
     sort_keys = list(map(b"".join, zip(*key_columns)))
-    blobs = map(b"".join, zip(sort_keys, *includes, rids))
-    return list(zip(sort_keys, blobs))
+    return sort_keys, list(map(b"".join, zip(sort_keys, *includes, rids)))
 
 
 class IndexEntry(NamedTuple):
@@ -257,6 +277,7 @@ def _compile_decoder(definition: IndexDefinition) -> Callable:
 
 
 __all__ = [
+    "HASH_MEMO_ENTRIES",
     "IndexEntry",
     "RID",
     "RID_BYTES",

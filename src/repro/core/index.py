@@ -208,21 +208,22 @@ class UmziIndex:
             self.builder.build, min_groomed_id, max_groomed_id, entries=entries
         )
 
-    def add_groomed_blobs(
+    def add_groomed_columns(
         self,
-        blob_pairs: Iterable[Tuple[bytes, bytes]],
+        sort_keys: Sequence[bytes],
+        blobs: Sequence[bytes],
         synopsis: Synopsis,
         min_groomed_id: int,
         max_groomed_id: int,
     ) -> IndexRun:
-        """:meth:`add_groomed_run` over sorted ``(sort_key, blob)`` pairs.
+        """:meth:`add_groomed_run` over sorted, serialized entry columns.
 
         The groomer's form: its column kernel produces the serialized
         entries directly, so no :class:`IndexEntry` is built or decoded.
         """
         return self._publish_groomed(
-            self.builder.build_from_blobs, min_groomed_id, max_groomed_id,
-            blob_pairs=blob_pairs, synopsis=synopsis,
+            self.builder.build_from_columns, min_groomed_id, max_groomed_id,
+            batches=[(sort_keys, blobs)], synopsis=synopsis,
         )
 
     def _publish_groomed(
@@ -427,9 +428,11 @@ class UmziIndex:
 
     def post_groomed_batch_lookup(
         self, key_columns: Sequence[Sequence[KeyValue]], query_ts: int
-    ) -> List[Optional[IndexEntry]]:
+    ) -> List[Optional[Tuple[int, int, int]]]:
         """Batched point lookups over the post-groomed portion of the index
-        (keys column-major, see :meth:`QueryExecutor.batch_lookup_columns`).
+        (keys column-major, see :meth:`QueryExecutor.batch_hits`): per key,
+        its visible version's RID as plain ints ``(zone, block id,
+        offset)``, or ``None``.
 
         Used by the post-groomer (paper section 2.1: the post-groom
         operation "utilizes the post-groomed portion of the indexes to
@@ -440,12 +443,14 @@ class UmziIndex:
         purged post-groomed levels are not admitted into the SSD cache.
         The sweep races concurrent merges of the post-groomed zone like
         any query does, so it pins the current version for its duration
-        and reads that version's post-groomed runs.
+        and reads that version's post-groomed runs.  A RID is read off its
+        entry blob's fixed suffix: no entry is decoded or memoized.
         """
         with self.lifecycle.pin() as pin:
             executor = self._fixed_executor(lambda: pin.version.post_groomed)
             with self.hierarchy.reading_as(ReadIntent.MAINTENANCE):
-                return executor.batch_lookup_columns(key_columns, query_ts)
+                hits = executor.batch_hits(key_columns, query_ts)
+            return [hit and hit[0].rid_at(hit[1]) for hit in hits]
 
     def all_runs(self) -> List[IndexRun]:
         """Every run in both lists (no watermark filtering); newest first."""

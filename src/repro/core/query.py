@@ -203,7 +203,8 @@ def encode_point_keys(
         raise QueryError(f"key value of the wrong type: {refused}") from None
     if not definition.equality_columns:  # no hash column
         return list(map(b"".join, zip(*encoded))), [0] * len(encoded[0])
-    encoded.insert(0, hash_column(encoded[: len(definition.equality_columns)]))
+    width = len(definition.equality_columns)
+    encoded.insert(0, hash_column(encoded[:width], key_columns[:width], {}))
     keys = list(map(b"".join, zip(*encoded)))
     return keys, [int.from_bytes(key[:8], "big") for key in keys]
 
@@ -520,7 +521,17 @@ class QueryExecutor:
         key_columns: Sequence[Sequence[KeyValue]],
         query_ts: Union[int, Sequence[int]],
     ) -> List[Optional[IndexEntry]]:
-        """Batched point lookups (section 7.2), keys given column-major.
+        """:meth:`batch_hits`, each answer decoded."""
+        hits = self.batch_hits(key_columns, query_ts)
+        return [hit and hit[0].entry(hit[1]) for hit in hits]
+
+    def batch_hits(
+        self,
+        key_columns: Sequence[Sequence[KeyValue]],
+        query_ts: Union[int, Sequence[int]],
+    ) -> List[Optional[Tuple[DataBlockView, int]]]:
+        """Batched point lookups (section 7.2), answered undecoded: per
+        key, ``(view, i)`` of its visible version, or ``None``.
 
         ``key_columns`` holds one sequence per key column (equality, then
         sort), ``query_ts`` the batch's snapshot or one per key.  Keys are
@@ -552,7 +563,7 @@ class QueryExecutor:
             max_ts = max(query_ts)
             timestamps = [query_ts[i] for i in positions]
             floors = list(map(ts_floor, timestamps))
-        found: List[Optional[IndexEntry]] = [None] * len(keys)
+        found: List[Optional[Tuple[DataBlockView, int]]] = [None] * len(keys)
         unresolved: Sequence[int] = range(len(keys))
         lifecycle, done = self._lifecycle, self._on_query_done
         pin = lifecycle.pin() if lifecycle is not None else None
@@ -615,10 +626,10 @@ class QueryExecutor:
                 lifecycle.release(pin, done, touched)
             elif done is not None:
                 done(touched)
-        results: List[Optional[IndexEntry]] = [None] * len(keys)
-        for position, entry in zip(positions, found):
-            results[position] = entry
-        return results
+        # Back to input order: sorting the slots by position inverts them.
+        return list(map(found.__getitem__, sorted(
+            range(len(keys)), key=positions.__getitem__
+        )))
 
 
 __all__ = [

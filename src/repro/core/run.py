@@ -27,7 +27,7 @@ from itertools import accumulate
 from typing import Dict, List, Optional, Sequence, Set, Tuple
 
 from repro.core.block import DATA_BLOCK_MAGIC, DataBlockView, _PROBES, _probes
-from repro.core.block import block_checksum, encode_data_block, pack_data_block
+from repro.core.block import block_checksum, pack_data_block
 from repro.core.definition import DECODERS, ENCODERS, IndexDefinition
 from repro.core.encoding import KeyValue
 from repro.core.entry import IndexEntry, SORT_KEY_TS_BYTES, Zone
@@ -629,10 +629,10 @@ class IndexRun:
         buckets: Optional[Sequence[int]],
         floors: Sequence[bytes],
         slots: Sequence[int],
-        out: List[Optional[IndexEntry]],
+        out: List[Optional[Tuple[DataBlockView, int]]],
     ) -> None:
-        """``out[s]`` = the newest version of ``keys[s]`` visible at
-        ``floors[s]``, for every ``s`` in ``slots`` this run holds one for.
+        """``out[s]`` = ``(view, i)`` of the newest version of ``keys[s]``
+        visible at ``floors[s]``, for each ``s`` in ``slots`` this run has.
 
         The batch kernel (paper section 7.2: "each run is accessed
         sequentially and only once"), one frame per run searched.
@@ -702,7 +702,7 @@ class IndexRun:
                     if sort_key[:tail] != key:
                         break
                     if sort_key[tail:] >= floor:
-                        out[slot] = view.decoded.get(i) or view.entry(i)
+                        out[slot] = view, i
                         break
                 else:  # all newer than the snapshot: on into the next block
                     lo = end
@@ -710,7 +710,7 @@ class IndexRun:
                     continue  # answered, or the run holds no such key
                 hits = self.scan_visible(key, lo, lo, key + b"\x00", floor, True)
                 if hits:
-                    out[slot] = hits[0][1].entry(hits[0][2])
+                    out[slot] = hits[0][1:]
         finally:  # a failed block fetch still pays for the probes made
             self.hierarchy.stats.decode.raw_key_probes += probes
 
@@ -761,7 +761,6 @@ __all__ = [
     "RunHeader",
     "Synopsis",
     "block_checksum",
-    "encode_data_block",
     "pack_data_block",
     "HEADER_ORDINAL",
 ]

@@ -19,7 +19,8 @@ fetch-back -- vouches for each hit from ``ghosted``.
 from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
-from operator import itemgetter
+from itertools import chain, compress
+from operator import ne
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from repro.core.encoding import encode_ts_desc_column
@@ -47,7 +48,10 @@ class ShardIndex:
     # ``None`` while unknown (a groom publishing or cut short, a key
     # adopted at split or merge): every secondary plan vouches for its
     # hits by it.  Always empty for the primary.
-    ghosted: Dict[Tuple, Optional[int]] = field(default_factory=dict)
+    ghosted: Dict[Tuple, Optional[int]] = field(default_factory=dict, init=False)
+    # Equality value -> encoded hash, across grooms (``entry.hash_column``);
+    # touched only under the groom lock.
+    hash_memo: Dict[object, bytes] = field(default_factory=dict, init=False)
 
 
 class ShardIndexes:
@@ -77,13 +81,8 @@ class ShardIndexes:
         for name, spec in (secondary_specs or {}).items():
             self.add_secondary(name, spec, hierarchy, umzi_config)
 
-    def _attach(
-        self,
-        name: str,
-        spec: IndexSpec,
-        hierarchy: StorageHierarchy,
-        umzi_config: UmziConfig,
-    ) -> ShardIndex:
+    def _attach(self, name: str, spec: IndexSpec, hierarchy: StorageHierarchy,
+                umzi_config: UmziConfig) -> ShardIndex:
         config = replace(umzi_config, name=f"{self.schema.name}-{name}")
         index = UmziIndex(spec.build_definition(self.schema), hierarchy, config)
         return ShardIndex(
@@ -91,13 +90,8 @@ class ShardIndexes:
             positions=spec.positions(self.schema),
         )
 
-    def add_secondary(
-        self,
-        name: str,
-        spec: IndexSpec,
-        hierarchy: StorageHierarchy,
-        umzi_config: UmziConfig,
-    ) -> ShardIndex:
+    def add_secondary(self, name: str, spec: IndexSpec, hierarchy: StorageHierarchy,
+                      umzi_config: UmziConfig) -> ShardIndex:
         """Register a secondary index (before any data is ingested).
 
         Building secondary indexes over pre-existing data would require a
@@ -140,18 +134,18 @@ class ShardIndexes:
 
         Column at a time: every user column is encoded once for all
         indexes (``encoded``: the groomer's encode, which also wrote the
-        block), ``~beginTS`` and the RID are packed once per record, and
-        each index joins its own columns into ``(sort_key, blob)`` pairs,
-        sorts them and hands them to the blob builder.  No
-        :class:`IndexEntry` is built and nothing is re-validated -- rows
-        were checked at ``upsert``.  The persisted run is byte-identical
-        to ``IndexEntry.create(...)`` + ``RunBuilder.build``
+        block), ``~beginTS`` and the RID once per record; each index joins
+        its columns into sort-key and blob columns (an equality value is
+        hashed once per shard, ``hash_memo``) and hands them to the run
+        builder in the order of a sorted permutation.  No entry is built
+        and nothing re-validated (rows were checked at ``upsert``); the run
+        is byte-identical to ``IndexEntry.create(...)`` + ``RunBuilder.build``
         (tests/core/test_groom_kernel.py).
         """
         rows = block.rows
         if encoded is None:
             encoded = encode_columns(self.schema, rows)
-        raw = list(zip(*rows))
+        raw = list(zip(*rows)) or [()] * len(self.schema.columns)
         ts_desc = encode_ts_desc_column(block.begin_ts)
         rids = encode_rid_column(block.zone, block.block_id, len(rows))
         run_ids: Dict[str, str] = {}
@@ -162,26 +156,26 @@ class ShardIndexes:
         newest = self._track_ghosts(raw, block.begin_ts) if rows else ()
         for shard_index in self.all():
             equality, sort, included = shard_index.positions
-            # The per-index column lists die with each iteration, so peak
-            # memory holds one index's pairs, not every index's.
-            pairs = entry_blob_columns(
+            # Peak memory holds one index's columns, not every index's.
+            sort_keys, blobs = entry_blob_columns(
                 shard_index.index.definition,
                 [encoded[p] for p in equality],
                 [encoded[p] for p in sort],
                 [encoded[p] for p in included],
                 ts_desc,
                 rids,
+                [raw[p] for p in equality],
+                shard_index.hash_memo,
             )
-            pairs.sort(key=itemgetter(0))
+            order = sorted(range(len(sort_keys)), key=sort_keys.__getitem__)
             synopsis = Synopsis(tuple(
                 ColumnRange(min(raw[p]), max(raw[p])) if rows else None
                 for p in equality + sort
             ))
-            run = shard_index.index.add_groomed_blobs(
-                pairs,
-                synopsis,
-                min_groomed_id=block.block_id,
-                max_groomed_id=block.block_id,
+            run = shard_index.index.add_groomed_columns(
+                list(map(sort_keys.__getitem__, order)),
+                list(map(blobs.__getitem__, order)),
+                synopsis, block.block_id, block.block_id,
             )
             run_ids[shard_index.name] = run.run_id
         for ghosted, begin_ts in newest:
@@ -190,20 +184,26 @@ class ShardIndexes:
 
     def _track_ghosts(self, raw: Sequence[Tuple], begin_ts: Sequence[int]):
         """Map the primary keys among the rows (``raw``: values column-major,
-        versions ``begin_ts``) whose secondary key ever moved to ``None``;
-        return ``(ghosted, {pk: newest beginTS})`` pairs to apply later."""
+        versions ``begin_ts``) whose secondary key ever moved -- ghosted, or
+        not every version, the memo's and the batch's, carries its last key
+        -- to ``None``; return ``(ghosted, {pk: newest beginTS})`` pairs."""
         pks = list(zip(*[raw[p] for p in self._pk_positions]))
+        newest = dict(zip(pks, begin_ts))  # each key's last version
         pending = []
         for name, shard_index in self.secondaries.items():
-            memo, ghosted, newest = self._key_memo[name], shard_index.ghosted, {}
+            memo, ghosted = self._key_memo[name], shard_index.ghosted
             equality, sort, _included = shard_index.positions
-            keys = zip(*[raw[p] for p in equality + sort])
-            for pk, key, ts in zip(pks, keys, begin_ts):
-                if pk in ghosted or memo.get(pk, key) != key:
-                    ghosted[pk] = None
-                    newest[pk] = ts
-                memo[pk] = key
-            pending.append((ghosted, newest))
+            keys = list(zip(*[raw[p] for p in equality + sort]))
+            last = dict(zip(pks, keys))
+            moved = dict.fromkeys(chain(
+                compress(pks, map(ne, keys, map(last.__getitem__, pks))),
+                compress(last, map(ne, map(memo.get, last, last.values()),
+                                   last.values())),
+                compress(last, map(ghosted.__contains__, last)),
+            ))
+            ghosted.update(moved)
+            memo.update(last)
+            pending.append((ghosted, dict(zip(moved, map(newest.__getitem__, moved)))))
         return pending
 
     def pending_ghosts(self) -> Dict[str, int]:

@@ -198,7 +198,7 @@ class ShardCopyStream:
     K-way blob merge the evolve path uses, buckets each pair with
     ``bucket_of(index_name, sort_key)``, and -- when the pass is
     exhausted -- builds at most one post-groomed run per destination
-    via ``RunBuilder.build_from_blobs`` with a union synopsis of the
+    via ``RunBuilder.build_from_columns`` with a union synopsis of the
     pass's source runs, rebuilt at the destination's current
     ``version_seq``.  No :class:`~repro.core.entry.IndexEntry` is ever
     materialized.
@@ -239,7 +239,8 @@ class ShardCopyStream:
         self._iterator = None
         self._pins: List = []
         self._pass_runs: List = []
-        self._buckets: List[List[Tuple[bytes, bytes]]] = []
+        # Per destination, its sort keys and entry blobs, in merge order.
+        self._buckets: List[Tuple[List[bytes], List[bytes]]] = []
         self.copied_entries = 0
 
     @property
@@ -255,7 +256,7 @@ class ShardCopyStream:
             runs.extend(pin.version.post_groomed)
         definition = self._sources[0].indexes.get(name).index.definition
         self._pass_runs = runs
-        self._buckets = [[] for _ in self._destinations]
+        self._buckets = [([], []) for _ in self._destinations]
         self._iterator = merge_entry_blob_streams(definition, runs)
 
     def _finish_pass(self) -> None:
@@ -269,13 +270,13 @@ class ShardCopyStream:
         for ordinal, destination in enumerate(self._destinations):
             if self._pass_no == 0 and ordinal == last:
                 crash_point(self._crash_site)
-            pairs = self._buckets[ordinal]
-            if not pairs or _dest_has_copy(destination, name):
+            columns = self._buckets[ordinal]
+            if not columns[0] or _dest_has_copy(destination, name):
                 continue
             index = destination.indexes.get(name).index
-            run = index.builder.build_from_blobs(
+            run = index.builder.build_from_columns(
                 run_id=index.allocator.allocate(Zone.POST_GROOMED),
-                blob_pairs=pairs,
+                batches=[columns],
                 synopsis=synopsis,
                 zone=Zone.POST_GROOMED,
                 level=index.config.levels.first_post_groomed_level,
@@ -285,7 +286,7 @@ class ShardCopyStream:
                 write_through_ssd=True,
             )
             index.run_lists[Zone.POST_GROOMED].push_front(run)
-            self.copied_entries += len(pairs)
+            self.copied_entries += len(columns[0])
         self._release_pins()
         self._pass_runs = []
         self._buckets = []
@@ -305,9 +306,9 @@ class ShardCopyStream:
                 self._begin_pass()
             name = self._index_names[self._pass_no]
             for sort_key, blob in self._iterator:
-                self._buckets[self._bucket_of(name, sort_key)].append(
-                    (sort_key, blob)
-                )
+                sort_keys, blobs = self._buckets[self._bucket_of(name, sort_key)]
+                sort_keys.append(sort_key)
+                blobs.append(blob)
                 pulled += 1
                 if budget is not None and pulled >= budget:
                     return pulled

@@ -22,10 +22,11 @@ only) is exactly the paper's Figure 5.
 from __future__ import annotations
 
 import threading
+from itertools import compress
 from dataclasses import dataclass, field, replace
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple
 
-from repro.core.encoding import KeyValue, encode_composite, fnv1a64
+from repro.core.encoding import encode_composite, fnv1a64
 from repro.core.entry import Zone
 from repro.core.evolve import RidSplices
 from repro.core.index import UmziIndex
@@ -172,32 +173,34 @@ class PostGroomer:
         # the post-groomed portion of the index in ONE sorted sweep
         # (section 7.2), its key columns handed over column-major.  Every
         # post-groomed entry predates the batch, so one snapshot timestamp
-        # serves all keys.
-        keys: List[Tuple[KeyValue, ...]] = []
-        last_rid: Dict[Tuple[KeyValue, ...], RidTriple] = {}
+        # serves all keys.  A one-column primary key is keyed by its value.
+        keys: Sequence = ()
+        last_rid: Dict = {}
         if rows:
             columns = list(zip(*rows))
-            keys = list(zip(*[columns[i] for i in self._pk_positions]))
+            keys = [columns[i] for i in self._pk_positions]
+            keys = keys[0] if len(keys) == 1 else list(zip(*keys))
             distinct = dict(zip(keys, rows))
             columns = list(zip(*distinct.values()))
             hits = self.index.post_groomed_batch_lookup(
                 [columns[i] for i in self._key_positions], query_ts=begin_ts[0] - 1
             )
-            last_rid = {
-                key: (int(hit.rid.zone), hit.rid.block_id, hit.rid.offset)
-                for key, hit in zip(distinct, hits) if hit is not None
-            }
+            last_rid = dict(compress(zip(distinct, hits), hits))
 
-        # Resolve version chains in global beginTS order (= batch order) on
-        # plain-int RID triples, with no call per version.
+        # Resolve version chains in global beginTS order (= batch order),
+        # with no call per version: a version of the batch is the int
+        # ``block id << 32 | offset`` until a successor needs its RID as
+        # a plain-int triple.
         post_groomed = int(Zone.POST_GROOMED)
         end_ts_of: Dict[RidTriple, int] = {}
         for key, row, ts, bucket in zip(keys, rows, begin_ts, bucket_of):
             block_id, slot_rows, slot_ts, slot_prev = slots[bucket]
             prev_rid = last_rid.get(key)
             if prev_rid is not None:
+                if prev_rid.__class__ is int:
+                    prev_rid = (post_groomed, prev_rid >> 32, prev_rid & 0xFFFFFFFF)
                 end_ts_of[prev_rid] = ts
-            last_rid[key] = (post_groomed, block_id, len(slot_rows))
+            last_rid[key] = block_id << 32 | len(slot_rows)
             slot_rows.append(row)
             slot_ts.append(ts)
             slot_prev.append(prev_rid)

@@ -24,9 +24,6 @@ class Record(NamedTuple):
     end_ts: Optional[int] = None
     prev_rid: Optional[RID] = None
 
-    def with_prev_rid(self, prev_rid: Optional[RID]) -> "Record":
-        return self._replace(prev_rid=prev_rid)
-
     def visible_at(self, query_ts: int) -> bool:
         """Snapshot-isolation visibility: begun, and not yet ended."""
         if self.begin_ts > query_ts:

@@ -177,18 +177,5 @@ class IndexSpec:
             return None
         return [slots[column] for column in columns]
 
-    def extractor(self, schema: TableSchema):
-        """Return a function mapping a row tuple to (eq, sort, include)."""
-        eq_pos, sort_pos, incl_pos = self.positions(schema)
-
-        def extract(values: Sequence[KeyValue]):
-            return (
-                tuple(values[i] for i in eq_pos),
-                tuple(values[i] for i in sort_pos),
-                tuple(values[i] for i in incl_pos),
-            )
-
-        return extract
-
 
 __all__ = ["IndexSpec", "SchemaError", "TableSchema"]

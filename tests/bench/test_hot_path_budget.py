@@ -141,6 +141,7 @@ bound ledger rows                         51.5
 one pass per batch                        26.0
 793ae68 (before the columns)              24.4
 rows off the heap                         20.7
+per value, not per entry                  18.2
 ==============================  ==============
 
 A per-row ``IndexEntry``, a per-value runtime-type dispatch or a per-key
@@ -163,7 +164,27 @@ columns: no ``Record`` per groomed row, no ``RID`` or ``Record`` per
 migrated version, no ``get_block`` frame behind a memoized
 ``fetch_record``, no ``RidSplices.__missing__`` per evolved version (the
 PSN record publishes the serialized splice map) and no generator per row
-in ``_bucket_of``.
+in ``_bucket_of``.  The ``per value, not per entry`` row hashes an
+equality value once per shard (a memo on the ``ShardIndex``), and the
+post-groom sweep reads each predecessor's RID off its entry blob: no
+``DataBlockView.entry`` -> decode per predecessor.
+
+Calls cannot see a per-entry Python loop either: ``line`` events per
+ingested row over the same load (``sys.settrace``):
+
+==============================  ==============
+commit                          lines per row
+==============================  ==============
+4ae6acb (before)                         313.4
+per value, not per entry                 288.1
+==============================  ==============
+
+The last row tracks ghosts a column at a time (``map`` / ``compress``
+over the batch's keys instead of a loop over its rows: 6.2 lines per
+row), sorts a permutation of the groom's sort-key column instead of
+``(sort_key, blob)`` pairs, hashes a value the shard's memo holds no
+more, and keys the post-groom's version chains by a one-column primary
+key's value.  The per-row ghost loop coming back reads 295.4.
 
 The heap has a budget too: GC-tracked objects retained per loaded row,
 counted with ``gc.get_objects()`` after a collection before and after the
@@ -174,13 +195,17 @@ commit                          tracked per row
 ==============================  ===============
 793ae68 (before)                          1.452
 rows off the heap                         0.309
+per value, not per entry                  0.154
 ==============================  ===============
 
 The before row is a ``Record`` dataclass per version the block catalog
 ever wrote (7,675 on this fixture) and a ``RID`` per ended version in the
 endTS overlay; the catalog now keeps columns of tuples and ints, which the
 cyclic collector stops tracking, and one ``{offset: endTS}`` dict per
-block.  A per-row object kept for the table's lifetime shows up here.
+block.  A per-row object kept for the table's lifetime shows up here --
+so does an ``IndexEntry`` the post-groom sweep decodes and memoizes on a
+post-groomed block view per predecessor, which the last row stopped
+making (0.296 before it).
 
 And the typed path: ``call`` events per ``table.query`` on the same warmed
 fixture, one row per query shape of the e2e ``typed_scatter`` workload
@@ -275,9 +300,11 @@ LINE_BEFORE = {"warm": 550.4, "purged": 877.6}
 LINE_CEILING = {"warm": 250.0, "purged": 603.0}
 
 WRITE_BEFORE = 114.2
-WRITE_CEILING = 23.0
+WRITE_CEILING = 19.0
+WRITE_LINE_BEFORE = 313.4
+WRITE_LINE_CEILING = 293.0
 HEAP_BEFORE = 1.452
-HEAP_CEILING = 0.40
+HEAP_CEILING = 0.20
 
 TYPED_BEFORE = {
     "customer": 11308.5, "region": 2112.6, "range": 3235.7, "equality": 282.6,
@@ -301,8 +328,9 @@ def load_make_table():
     return module.make_table
 
 
-def loaded_table(profiler=None):
-    """The fixture; ``profiler`` is installed around each ingest + tick."""
+def loaded_table(profiler=None, tracer=None):
+    """The fixture; ``profiler`` (``sys.setprofile``) and ``tracer``
+    (``sys.settrace``) are installed around each ingest + tick."""
     table = load_make_table()(2)
     # Every order_id once, in a fixed scrambled order (7919 is coprime
     # with ROWS), plus re-upserts of the oldest keys so runs overlap.
@@ -315,10 +343,12 @@ def loaded_table(profiler=None):
             for k in again + fresh
         ]
         sys.setprofile(profiler)
+        sys.settrace(tracer)
         try:
             table.ingest(rows)
             table.tick()
         finally:
+            sys.settrace(None)
             sys.setprofile(None)
     for shard in table.shards:
         stats = shard.index.stats()
@@ -517,4 +547,27 @@ def test_python_calls_per_ingested_row_stay_under_budget():
         f"{measured:.1f} Python calls per ingested row through ingest + tick, "
         f"budget {WRITE_CEILING} (was {WRITE_BEFORE} before the block-and-"
         "column maintenance kernel)"
+    )
+
+
+def test_python_lines_per_ingested_row_stay_under_budget():
+    lines = 0
+
+    def tracer(frame, event, arg):
+        nonlocal lines
+        if event == "line":
+            lines += 1
+        return tracer
+
+    gc.collect()
+    gc.disable()
+    try:
+        loaded_table(tracer=tracer)
+    finally:
+        gc.enable()
+    measured = lines / loaded_rows()
+    assert measured <= WRITE_LINE_CEILING, (
+        f"{measured:.1f} Python lines per ingested row through ingest + tick, "
+        f"budget {WRITE_LINE_CEILING} (was {WRITE_LINE_BEFORE} before groom and "
+        "post-groom worked a column at a time)"
     )

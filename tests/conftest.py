@@ -161,6 +161,21 @@ def key_of(definition: IndexDefinition, k: int) -> Tuple[Tuple[int, ...], Tuple[
     )
 
 
+def encode_data_block(definition: IndexDefinition, entries) -> bytes:
+    """Serialize one data block from decoded entries."""
+    from itertools import accumulate
+
+    from repro.core.block import pack_data_block
+
+    pairs = [entry.to_blob(definition) for entry in entries]
+    blobs = [blob for _sort_key, blob in pairs]
+    return pack_data_block(
+        [0, *accumulate(map(len, blobs[:-1]))],
+        [len(sort_key) for sort_key, _blob in pairs],
+        blobs,
+    )
+
+
 def v1_layout_payload(definition: IndexDefinition, entries) -> bytes:
     """A data block in the retired v1 layout -- ``count | entry offsets |
     entry bytes``, no magic and no sort-key length table -- which readers

@@ -465,7 +465,7 @@ class TestVersionSetLifecycle:
         delta = stats.diff(before)
         assert delta.version_refs == delta.version_unrefs == 1
         assert delta.pins_entered == delta.pins_exited == 1
-        assert found[0] is not None and found[0].rid.zone is Zone.POST_GROOMED
+        assert found[0] is not None and found[0][0] == Zone.POST_GROOMED
         assert found[1] is None
         assert index.lifecycle.pinned_run_ids() == []
 

@@ -9,9 +9,11 @@ to come out byte-identical: sorted pairs, synopsis, offset array, Bloom
 blob, block payloads and header bytes.
 """
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.core import entry as entry_module
 from repro.core.builder import RunBuilder
 from repro.core.definition import (
     COLUMN_ENCODERS,
@@ -19,7 +21,7 @@ from repro.core.definition import (
     ColumnSpec,
     ColumnType,
 )
-from repro.core.encoding import encode_ts_desc, encode_ts_desc_column
+from repro.core.encoding import encode_ts_desc, encode_ts_desc_column, encode_uint64
 from repro.core.entry import (
     RID,
     IndexEntry,
@@ -84,10 +86,24 @@ def groomed_batches(draw):
     return schema, spec, rows, begin_ts
 
 
+def extractor(spec, schema):
+    """A function mapping a row tuple to its (eq, sort, include) values."""
+    eq_pos, sort_pos, incl_pos = spec.positions(schema)
+
+    def extract(values):
+        return (
+            tuple(values[i] for i in eq_pos),
+            tuple(values[i] for i in sort_pos),
+            tuple(values[i] for i in incl_pos),
+        )
+
+    return extract
+
+
 def oracle_entries(schema, shard_index, rows, begin_ts):
     """The parent's per-row list comprehension."""
     make_entry = shard_index.index.make_entry
-    extract = shard_index.spec.extractor(schema)
+    extract = extractor(shard_index.spec, schema)
     return [
         make_entry(*extract(row), ts, RID(Zone.GROOMED, BLOCK_ID, offset))
         for offset, (row, ts) in enumerate(zip(rows, begin_ts))
@@ -162,24 +178,81 @@ def test_column_encoders_equal_their_scalar_twins(batch):
 def test_entry_blob_columns_equals_to_blob_per_entry(batch):
     schema, spec, rows, begin_ts = batch
     definition = spec.build_definition(schema)
-    extract = spec.extractor(schema)
+    extract = extractor(spec, schema)
     encoded = encode_columns(schema, rows)
-    positions = [
-        schema.positions(group)
-        for group in (spec.equality_columns, spec.sort_columns, spec.included_columns)
-    ]
-    pairs = entry_blob_columns(
+    positions = spec.positions(schema)
+    columns = entry_blob_columns(
         definition,
         *[[encoded[p] for p in group] for group in positions],
         encode_ts_desc_column(begin_ts),
         encode_rid_column(Zone.GROOMED, BLOCK_ID, len(rows)),
+        [[row[p] for row in rows] for p in positions[0]],
+        {},
     )
-    assert pairs == [
+    assert list(zip(*columns)) == [
         IndexEntry.create(
             definition, *extract(row), ts, RID(Zone.GROOMED, BLOCK_ID, offset)
         ).to_blob(definition)
         for offset, (row, ts) in enumerate(zip(rows, begin_ts))
     ]
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    st.integers(1, 4),
+    st.lists(
+        st.lists(st.tuples(st.integers(0, 9), st.integers(0, 6)), min_size=1, max_size=7),
+        min_size=2, max_size=6,
+    ),
+)
+def test_runs_built_across_a_hash_memo_clear_are_byte_identical(bound, batches):
+    """The shard's hash memo at a tiny bound: it is cleared whenever the
+    values a batch adds would pass the bound, and every run built before,
+    across and after a clear holds ``IndexEntry.create(...).to_blob``."""
+    schema = TableSchema(
+        "m", (ColumnSpec("k"), ColumnSpec("c", ColumnType.STRING), ColumnSpec("v")),
+        ("k",),
+    )
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(entry_module, "HASH_MEMO_ENTRIES", bound)
+        indexes = ShardIndexes(
+            schema, IndexSpec(("k",), (), ("v",)), StorageHierarchy(), UmziConfig(),
+            secondary_specs={"by_c": IndexSpec(("c",), (), ("v",))},
+        )
+        models = {shard_index.name: set() for shard_index in indexes.all()}
+        begin = 0
+        for block_id, batch in enumerate(batches):
+            rows = [(k, f"c{c}", k * c) for k, c in batch]
+            begin_ts = list(range(begin, begin + len(rows)))
+            begin += len(rows)
+            indexes.build_groomed_runs(groomed_block(block_id, rows, begin_ts))
+            for shard_index in indexes.all():
+                definition = shard_index.index.definition
+                extract = extractor(shard_index.spec, schema)
+                entries = [
+                    IndexEntry.create(
+                        definition, *extract(row), ts, RID(Zone.GROOMED, block_id, offset)
+                    )
+                    for offset, (row, ts) in enumerate(zip(rows, begin_ts))
+                ]
+                run = shard_index.index.run_lists[Zone.GROOMED].snapshot()[0]
+                assert list(merge_entry_blob_streams(definition, [run])) == sorted(
+                    entry.to_blob(definition) for entry in entries
+                )
+                # The memo: cleared first when the values it lacks would
+                # take it past the bound, each value mapped to its encoded
+                # hash (a batch with more values than that holds them all).
+                values = {entry.equality_values[0]: entry for entry in entries}
+                model = models[shard_index.name]
+                if values.keys() - model and len(model.union(values)) > bound:
+                    model.clear()
+                model.update(values)
+                memo = shard_index.hash_memo
+                assert set(memo) == model
+                assert all(
+                    memo[value] == encode_uint64(entry.hash_value)
+                    for value, entry in values.items()
+                )
 
 
 def test_empty_block_builds_empty_runs():

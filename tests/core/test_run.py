@@ -11,11 +11,10 @@ from repro.core.run import (
     IndexRun,
     RunHeader,
     Synopsis,
-    encode_data_block,
 )
 from repro.storage.hierarchy import StorageHierarchy
 
-from tests.conftest import entry_at, make_entries, run_entries
+from tests.conftest import encode_data_block, entry_at, make_entries, run_entries
 
 
 @pytest.fixture

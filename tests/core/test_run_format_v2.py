@@ -12,13 +12,13 @@ import pytest
 from repro.core.builder import RunBuilder
 from repro.core.definition import i1_definition
 from repro.core.entry import Zone
-from repro.core.run import DataBlockView, encode_data_block
+from repro.core.run import DataBlockView
 from repro.core.search import UNBOUNDED, ts_floor
 from repro.storage.block import Block
 from repro.storage.hierarchy import StorageHierarchy
 
 from tests.conftest import (
-    entry_at, lookup_run, make_entries, scan_run, v1_layout_payload,
+    encode_data_block, entry_at, lookup_run, make_entries, scan_run, v1_layout_payload,
 )
 from tests.reference_scan import batch_lookup_in_run
 from tests.reference_search import key_position_bounds, sort_key_at
@@ -158,7 +158,7 @@ class TestOneBlockLayout:
         def batch():
             out = [None]
             run.batch_visible([key], None, [floor], [0], out)
-            return out
+            return [out[0][0].entry(out[0][1])]
 
         calls = {
             "lookup_visible": lambda: run.lookup_visible(key, floor, 0, run.entry_count),

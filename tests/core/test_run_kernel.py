@@ -25,10 +25,11 @@ from repro.core.entry import IndexEntry, RID, Zone
 from repro.core.index import UmziConfig, UmziIndex
 from repro.core.levels import LevelConfig
 from repro.core.query import MAX_QUERY_TS
-from repro.core.run import DataBlockView, encode_data_block
+from repro.core.run import DataBlockView
 from repro.storage.hierarchy import StorageHierarchy
 from repro.storage.metrics import ReadIntent
 
+from tests.conftest import encode_data_block
 from tests.reference_search import (
     key_position_bounds,
     reference_first_geq,

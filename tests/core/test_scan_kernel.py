@@ -288,9 +288,19 @@ def batch_visible_through(reference):
         )
         for slot, entry in zip(slots, found):
             if entry is not None:
-                out[slot] = entry
+                out[slot] = (Answered(entry), 0)
 
     return batch_visible
+
+
+class Answered:
+    """A decoded reference answer in the kernel's ``(view, i)`` hit shape."""
+
+    def __init__(self, entry):
+        self._entry = entry
+
+    def entry(self, _index):
+        return self._entry
 
 
 def assert_lookup_matches(hierarchy, run, key, ts, hash_value, use_offset_array):

@@ -259,18 +259,18 @@ def test_a_read_racing_a_groom_answers_as_the_reference():
         # hold the groom's run, the snapshot does not cover it yet.
         index = shard.indexes.get("by_region").index
 
-        def racing(*args, _inner=index.add_groomed_blobs, **kwargs):
+        def racing(*args, _inner=index.add_groomed_columns, **kwargs):
             check_records(table)
             for query in queries(None):
                 check(table, None, query)
             raced.append(_inner)
             return _inner(*args, **kwargs)
 
-        index.add_groomed_blobs = racing
+        index.add_groomed_columns = racing
     table.ingest(upserts(rng, latest))
     table.tick()
     for shard in live_shards(table):
-        del shard.indexes.get("by_region").index.add_groomed_blobs
+        del shard.indexes.get("by_region").index.add_groomed_columns
     assert len(raced) == 2
     check_records(table)
     for query in queries(None):
@@ -353,10 +353,10 @@ def test_a_crash_between_two_indexes_publications_leaves_its_keys_unvouched():
     def crash(*args, **kwargs):
         raise SimulatedCrash("groom.between_publications", 1)
 
-    index.add_groomed_blobs = crash
+    index.add_groomed_columns = crash
     with pytest.raises(SimulatedCrash):
         table.tick()
-    del index.add_groomed_blobs
+    del index.add_groomed_columns
     shard.crash_and_recover()
     # The primary and by_customer hold the lost groom's versions, by_region
     # does not, and no record names them.

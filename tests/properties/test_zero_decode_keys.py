@@ -21,10 +21,10 @@ from repro.core.entry import (
     begin_ts_of_sort_key,
     SORT_KEY_TS_BYTES,
 )
-from repro.core.run import DataBlockView, encode_data_block
+from repro.core.run import DataBlockView
 from repro.storage.hierarchy import StorageHierarchy
 
-from tests.conftest import entry_at, v1_layout_payload
+from tests.conftest import encode_data_block, entry_at, v1_layout_payload
 from tests.reference_search import sort_key_at, view_at
 
 _CTYPES = (
@@ -101,8 +101,6 @@ class TestRawSliceEquivalence:
             expected_sort_key = entry.sort_key(definition)
             view, in_block = view_at(run, ordinal)
             assert view.sort_key_at(in_block) == expected_sort_key
-            assert view.key_bytes_at(in_block) == entry.key_bytes(definition)
-            assert view.begin_ts_at(in_block) == entry.begin_ts
             assert expected_sort_key[:-SORT_KEY_TS_BYTES] == entry.key_bytes(
                 definition
             )

@@ -123,8 +123,9 @@ def sweep_repartition_and_write(
             [columns[i] for i in post_groomer._key_positions],
             query_ts=records[0].begin_ts - 1,
         )
-        last_rid = {
-            key: hit.rid for key, hit in zip(distinct, hits) if hit is not None
+        last_rid = {  # the sweep answers plain-int RID triples
+            key: RID(Zone(hit[0]), *hit[1:])
+            for key, hit in zip(distinct, hits) if hit is not None
         }
 
     rid_by_begin_ts: Dict[int, RID] = {}
@@ -135,7 +136,7 @@ def sweep_repartition_and_write(
         prev_rid = last_rid.get(key)
         if prev_rid is not None:
             end_ts_of[prev_rid] = record.begin_ts
-            record = record.with_prev_rid(prev_rid)
+            record = record._replace(prev_rid=prev_rid)
         slot.append(record)
         last_rid[key] = rid_by_begin_ts[record.begin_ts] = new_rid
     post_groomer.catalog.update_end_ts(end_ts_of)
@@ -165,7 +166,7 @@ def per_key_repartition_and_write(
         if prev_rid is not None:
             post_groomer.catalog.update_end_ts({prev_rid: record.begin_ts})
         new_rid = RID(Zone.POST_GROOMED, block_id, len(slot))
-        slot.append(record.with_prev_rid(prev_rid))
+        slot.append(record._replace(prev_rid=prev_rid))
         last_rid[key] = new_rid
         rid_by_begin_ts[record.begin_ts] = new_rid
     return _write_blocks(post_groomer, buckets), rid_by_begin_ts

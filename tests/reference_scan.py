@@ -432,10 +432,10 @@ def batch_lookup_in_run(
         buckets = [hash_value >> shift for _, hash_value in sorted_keys]
     if isinstance(query_ts, int):
         query_ts = [query_ts] * len(keys)
-    found: List[Optional[IndexEntry]] = [None] * len(keys)
+    found: List = [None] * len(keys)
     slots = [
         slot for slot, key in enumerate(keys)
         if not use_bloom or run.may_contain_key(key)
     ]
     run.batch_visible(keys, buckets, list(map(ts_floor, query_ts)), slots, found)
-    return found
+    return [hit and hit[0].entry(hit[1]) for hit in found]  # (view, i) hits

@@ -17,10 +17,19 @@ the value every caller already gets, or it is listed in
 :data:`TEST_ONLY` with the reason it stays.  A ``TEST_ONLY`` entry that a
 program now passes, or whose parameter is gone, is stale and fails too.
 
-Only written signatures are seen: the constructor a ``@dataclass``
-generates is not, so a defaulted dataclass field is checked only for the
-config dataclasses ``test_config_fields_reached.py`` lists.  Matching by
-name also lets a parameter hide behind a same-named function's callers.
+The constructor a frozen ``@dataclass`` generates is read off its
+fields: a defaulted field (a value, or ``field(default=...)`` /
+``default_factory``) is a parameter at its place among the ``__init__``
+fields, base classes' first, or keyword-only under ``kw_only``; a
+``ClassVar`` or a ``field(init=False)`` is none.  A mutable dataclass's
+plain defaults are the initial values of counters its code bumps, so only
+its ``default_factory`` fields are read: a container a caller could hand
+over, which internal state (a memo) declares ``init=False``.  A class some
+source builds with ``object.__new__`` fills its fields without the
+constructor, so it is not read.  The config dataclasses
+are left to ``test_config_fields_reached.py``, which also sees
+``dataclasses.replace``.  Matching by name lets a parameter hide behind a
+same-named function's callers.
 """
 
 import ast
@@ -30,7 +39,19 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parents[2]
 CALLER_DIRS = ("src", "benchmarks", "examples", "tools")
 
+# Checked field by field, ``replace(...)`` included, by the sibling test.
+CONFIG_CLASSES = {
+    "UmziConfig", "ShardConfig", "LevelConfig", "QosConfig", "BreakerConfig",
+    "RebalanceConfig",
+}
+
 TEST_ONLY = {
+    "Query(query_ts)":
+        "a time-travel typed query; the e2e workloads and examples read at "
+        "the latest snapshot, tests pin AS-OF answers",
+    "Query(index_hint)":
+        "restricts the smart planner to one index: tests force each access "
+        "path with it to compare plans against the baseline planner",
     "StorageHierarchy.read_many(intent)":
         "benchmarks/e2e/tracer.py still lists read_many as a boundary; "
         "the door and its intent go with that boundary in a benchmark "
@@ -76,10 +97,14 @@ def defaulted_parameters(sources):
     constructor in ``sources`` (module-level and class-level defs)."""
     found = []
     classes = {}
+    built_bare = set()  # classes some source builds with ``object.__new__``
     for source in sources:
-        for node in ast.parse(source).body:
+        for node in ast.walk(ast.parse(source)):
             if isinstance(node, ast.ClassDef):
                 classes[node.name] = node
+            if (isinstance(node, ast.Call) and ast.unparse(node.func) == "object.__new__"
+                    and node.args and isinstance(node.args[0], ast.Name)):
+                built_bare.add(node.args[0].id)
     for source in sources:
         for node in ast.parse(source).body:
             if isinstance(node, ast.FunctionDef) and not node.name.startswith("_"):
@@ -90,14 +115,21 @@ def defaulted_parameters(sources):
                 )
             if not isinstance(node, ast.ClassDef) or node.name.startswith("_"):
                 continue
+            owners = {node.name} | {
+                name for name, cls in classes.items()
+                if _inherits_init(cls, node.name, classes)
+            }
+            if not (node.name in CONFIG_CLASSES | built_bare or _defines_init(node)):
+                found.extend(
+                    Parameter(f"{node.name}({name})", frozenset(owners),
+                              name, position)
+                    for name, position, read, own
+                    in _dataclass_fields(node, classes) if read and own
+                )
             for item in node.body:
                 if not isinstance(item, ast.FunctionDef):
                     continue
                 if item.name == "__init__":
-                    owners = {node.name} | {
-                        name for name, cls in classes.items()
-                        if _inherits_init(cls, node.name, classes)
-                    }
                     found.extend(
                         Parameter(f"{node.name}({name})", frozenset(owners),
                                   name, position)
@@ -112,12 +144,67 @@ def defaulted_parameters(sources):
     return found
 
 
-def _inherits_init(cls: ast.ClassDef, owner: str, classes) -> bool:
-    """Does ``cls`` (defining no ``__init__``) take ``owner``'s?"""
-    if any(
+def _defines_init(cls: ast.ClassDef) -> bool:
+    return any(
         isinstance(item, ast.FunctionDef) and item.name == "__init__"
         for item in cls.body
-    ):
+    )
+
+
+def _dataclass_options(cls: ast.ClassDef):
+    """The ``@dataclass`` decorator's keywords, or ``None`` if it has none
+    (``{}`` for a bare ``@dataclass``)."""
+    for decorator in cls.decorator_list:
+        call = decorator if isinstance(decorator, ast.Call) else None
+        target = call.func if call else decorator
+        name = getattr(target, "id", None) or getattr(target, "attr", None)
+        if name == "dataclass":
+            return {kw.arg: kw.value for kw in call.keywords} if call else {}
+    return None
+
+
+def _dataclass_fields(cls: ast.ClassDef, classes):
+    """``(name, position, read, own)`` of every parameter of the
+    constructor ``@dataclass`` generates for ``cls``, base classes' fields
+    first; ``position`` is ``None`` for a keyword-only field, ``read`` is
+    whether the guard counts it (see the module docstring)."""
+    options = _dataclass_options(cls)
+    if options is None:
+        return []
+    frozen = ast.literal_eval(options.get("frozen", ast.Constant(False)))
+    fields = [
+        (name, position, read, False)
+        for base in cls.bases if isinstance(base, ast.Name) and base.id in classes
+        for name, position, read, _own in _dataclass_fields(classes[base.id], classes)
+    ]
+    kw_only = ast.literal_eval(options.get("kw_only", ast.Constant(False)))
+    positional = sum(position is not None for _, position, _, _ in fields)
+    for item in cls.body:
+        if not (isinstance(item, ast.AnnAssign) and isinstance(item.target, ast.Name)):
+            continue
+        annotation = ast.unparse(item.annotation)
+        if annotation.startswith(("ClassVar", "typing.ClassVar")):
+            continue
+        if annotation.endswith("KW_ONLY"):
+            kw_only = True
+            continue
+        value, keywords = item.value, {}
+        if isinstance(value, ast.Call) and getattr(value.func, "id", None) == "field":
+            keywords = {kw.arg: kw.value for kw in value.keywords}
+            if "init" in keywords and not ast.literal_eval(keywords["init"]):
+                continue
+            read = "default_factory" in keywords or frozen and "default" in keywords
+        else:
+            read = frozen and value is not None
+        keyword = kw_only or ast.literal_eval(keywords.get("kw_only", ast.Constant(False)))
+        fields.append((item.target.id, None if keyword else positional, read, True))
+        positional += not keyword
+    return fields
+
+
+def _inherits_init(cls: ast.ClassDef, owner: str, classes) -> bool:
+    """Does ``cls`` (defining no ``__init__``) take ``owner``'s?"""
+    if _defines_init(cls):
         return False
     for base in cls.bases:
         if isinstance(base, ast.Name):
@@ -244,6 +331,61 @@ def test_the_walk_sees_every_way_a_parameter_is_passed():
     spread = [library, "fetch(k, **options)\n", "getattr(obj, 'read')(*args)\n"]
     assert unreached(spread, parameters, {}) == (
         ["Sized(size)", "Store(budget)", "Store.build(size)"], []
+    )
+
+
+def test_the_walk_sees_the_constructor_a_dataclass_generates():
+    library = (
+        "@dataclass(frozen=True)\n"
+        "class Plain:\n"
+        "    key: int\n"
+        "    limit: int = 1\n"
+        "    tags: tuple = field(default_factory=tuple)\n"
+        "    hidden: int = field(default=0, init=False)\n"
+        "    KIND: ClassVar[str] = 'p'\n"
+        "    def size(self, scale=2): pass\n"
+        "@dataclass(frozen=True)\n"
+        "class Child(Plain):\n"
+        "    extra: int = 2\n"
+        "    _: KW_ONLY\n"
+        "    late: int = 3\n"
+        "@dataclasses.dataclass(frozen=True, kw_only=True)\n"
+        "class Keyed:\n"
+        "    mode: str = 'a'\n"
+        "@dataclass(frozen=True)\n"
+        "class Written:\n"
+        "    x: int = 1\n"
+        "    def __init__(self, y=1): pass\n"
+        "@dataclass\n"
+        "class Counters:\n"
+        "    hits: int = 0\n"
+        "    seen: dict = field(default_factory=dict)\n"
+        "    memo: dict = field(default_factory=dict, init=False)\n"
+        "@dataclass(frozen=True)\n"
+        "class Bare:\n"
+        "    z: int = 0\n"
+        "    def copy(self): return object.__new__(Bare)\n"
+        "class Plainclass:\n"
+        "    size: int = 3\n"
+    )
+    parameters = {p.key: p for p in defaulted_parameters([library])}
+    assert set(parameters) == {
+        "Plain(limit)", "Plain(tags)", "Plain.size(scale)", "Child(extra)",
+        "Child(late)", "Keyed(mode)", "Written(y)", "Counters(seen)",
+    }
+    assert [parameters[k].position for k in ("Plain(limit)", "Plain(tags)")] == [1, 2]
+    assert parameters["Child(extra)"].position == 3  # after Plain's three
+    assert parameters["Child(late)"].position is None
+    assert parameters["Keyed(mode)"].position is None
+    callers = [
+        "Plain(1, 2)\n",  # limit, by position
+        "Child(0, tags=())\n",  # a subclass passes its base's field
+        "Keyed('b')\n",  # a keyword-only field takes no position
+        "Child(0, 1, (), 2, 3)\n",  # nor does Child's ``late``
+    ]
+    assert unreached(callers, list(parameters.values()), {}) == (
+        ["Child(late)", "Counters(seen)", "Keyed(mode)", "Plain.size(scale)",
+         "Written(y)"], []
     )
 
 

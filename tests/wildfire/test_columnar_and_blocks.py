@@ -59,13 +59,6 @@ class TestRecord:
         record = Record(values=(1, "a", 0.0), begin_ts=10)
         assert record.visible_at(1 << 50)
 
-    def test_with_helpers_are_pure(self):
-        record = Record(values=(1, "a", 0.0), begin_ts=10)
-        rid = RID(Zone.POST_GROOMED, 3, 1)
-        updated = record.with_prev_rid(rid)
-        assert record.prev_rid is None and updated.prev_rid == rid
-        assert updated == Record((1, "a", 0.0), 10, None, rid)
-
 
 class TestColumnarRoundtrip:
     def test_roundtrip_with_hidden_columns(self):

@@ -132,6 +132,10 @@ class TestIndexSpec:
             IndexSpec(("device",), ()).validate_primary(schema)
 
     def test_extractor(self):
+        """A row's (equality, sort, included) values, by ``positions``."""
         schema = iot_schema()
-        extract = IndexSpec(("device",), ("msg",), ("reading",)).extractor(schema)
-        assert extract((7, 42, 99)) == ((7,), (42,), (99,))
+        positions = IndexSpec(("device",), ("msg",), ("reading",)).positions(schema)
+        assert positions == ((0,), (1,), (2,))
+        row = (7, 42, 99)
+        extracted = tuple(tuple(row[p] for p in group) for group in positions)
+        assert extracted == ((7,), (42,), (99,))
