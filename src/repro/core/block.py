@@ -143,18 +143,11 @@ class DataBlockView:
         start = self.base + self.table[index]
         return self.payload[start : start + self.table[self.count + index]]
 
-    def _end(self, index: int) -> int:  # where blob ``index`` ends: the next starts
-        return self.base + self.table[index + 1] if index + 1 < self.count else len(self.payload)
-
-    def entry_blob_at(self, index: int) -> bytes:
-        """The raw serialized entry, verbatim (merge copy path)."""
-        if self._stats is not None:
-            self._stats.blob_copies += 1
-        return self.payload[self.base + self.table[index] : self._end(index)]
-
     def rid_at(self, index: int) -> Tuple[int, int, int]:
         """Entry ``index``'s RID as ints, off its blob's fixed suffix (no decode or copy)."""
-        return _UNPACK_RID(self.payload, self._end(index) - RID_BYTES)
+        # Blob ``index`` ends where the next starts.
+        end = self.base + self.table[index + 1] if index + 1 < self.count else len(self.payload)
+        return _UNPACK_RID(self.payload, end - RID_BYTES)
 
 
 __all__ = ["DATA_BLOCK_MAGIC", "DataBlockView", "block_checksum", "pack_data_block"]

@@ -22,13 +22,14 @@ queries to locate data blocks".
 purge experiment (Figure 14).
 
 **Scan resistance (maintenance-aware extension).**  Background maintenance
--- streaming evolve, merges, recovery validation -- reads entire purged
-levels exactly once.  Those touches carry ``ReadIntent.MAINTENANCE``
-through the hierarchy, which refuses to promote them into the SSD;
-symmetrically, the cache manager's query-accounting entry points
-(:meth:`CacheManager.load_run`, :meth:`CacheManager.release_after_query`)
-treat maintenance touches as no-ops, so a purged level stays purged
-across an evolve instead of being churned in and out of the cache.
+-- streaming evolve, merges, the post-groom sweep, recovery validation --
+reads entire purged levels exactly once.  Those reads carry
+``ReadIntent.MAINTENANCE`` through the hierarchy, which refuses to promote
+them into the SSD, so a purged level stays purged across an evolve
+instead of being churned in and out of the cache.  The cache manager's
+entry points are never reached by maintenance: :meth:`CacheManager.load_run`
+is the policy's own admission, and :meth:`CacheManager.release_after_query`
+the query exit's.
 """
 
 from __future__ import annotations
@@ -42,7 +43,6 @@ from repro.core.run import IndexRun
 from repro.core.runlist import RunList
 from repro.storage.block import BlockId
 from repro.storage.hierarchy import StorageHierarchy
-from repro.storage.metrics import ReadIntent
 
 _tuple_new = tuple.__new__
 
@@ -57,12 +57,7 @@ class CacheManager:
 
     The manager owns *which runs* live in the SSD cache (the paper's
     level-based purge/load policy); the hierarchy owns *how blocks get
-    admitted* on the read path.  Both sides are read-intent aware: query
-    touches participate in the usual load/release accounting, while
-    maintenance touches (``ReadIntent.MAINTENANCE``) bypass it entirely --
-    they neither load purged runs into the cache nor release blocks they
-    never admitted (``maintenance_bypasses`` counts such bypassed calls for
-    observability).
+    admitted* on the read path, by each read's intent.
     """
 
     def __init__(
@@ -89,9 +84,6 @@ class CacheManager:
         self._current_cached_level = config.total_levels - 1
         self._manual = False
         self._lock = threading.Lock()
-        # Scan-resistance observability: maintenance touches that skipped
-        # the load/release accounting.
-        self.maintenance_bypasses = 0
 
     # -- state inspection ---------------------------------------------------------
 
@@ -141,24 +133,10 @@ class CacheManager:
             self.hierarchy.load_into_cache(header_id)
         return dropped
 
-    def load_run(
-        self, run: IndexRun, intent: Optional[ReadIntent] = None
-    ) -> bool:
-        """Fetch a run's data blocks from shared storage into the SSD.
-
-        Maintenance touches bypass the load entirely (scan-resistant
-        admission): a one-pass evolve or merge over a purged run must not
-        pull that run into the cache as a side effect.  The call still
-        reports success -- the caller can read the blocks through the
-        hierarchy; they just will not be admitted.  ``intent=None``
-        resolves through the hierarchy's ``reading_as`` scope, so calls
-        issued from inside maintenance machinery bypass automatically.
-        """
-        if intent is None:
-            intent = self.hierarchy.current_read_intent()
-        if intent is ReadIntent.MAINTENANCE:
-            self.maintenance_bypasses += 1
-            return True
+    def load_run(self, run: IndexRun) -> bool:
+        """Fetch a run's data blocks from shared storage into the SSD: the
+        policy's deliberate admission (:meth:`_load_pass`,
+        :meth:`set_cache_level`).  ``False`` when they would not fit."""
         if not run.header.persisted:
             return True  # already local by definition
         total_needed = sum(
@@ -186,18 +164,10 @@ class CacheManager:
         make.  The lifecycle is asked once which of those runs another
         query still pins (each one deferred, ``eviction_pin_skips``); the
         fetched blocks of the rest -- exactly those -- leave the local
-        tiers in one :meth:`StorageHierarchy.drop_from_cache`.
-
-        Maintenance touches are skipped symmetrically to :meth:`load_run`:
-        a maintenance read never admits a block, so there is nothing to
-        release -- and blindly dropping a touched run's blocks here could
-        evict blocks a concurrent *query* had legitimately warmed.
-        The intent is the hierarchy's ``reading_as`` scope, so a
-        query-machinery path driven by maintenance (a
-        ``reading_as(MAINTENANCE)`` caller with ``on_query_done`` wired)
-        cannot evict query-warmed blocks.  The intent is asked only once
-        some run has something to release (a bypass is counted then): a
-        warm query's exit reads no thread-local.
+        tiers in one :meth:`StorageHierarchy.drop_from_cache`.  Only a
+        query executor's exit hook calls it: the post-groom sweep's
+        executor has no hook, so a maintenance read never evicts blocks a
+        concurrent query warmed.
         """
         releasing: Dict[str, IndexRun] = {}
         cached_level = self._current_cached_level
@@ -206,9 +176,6 @@ class CacheManager:
                 releasing[run.run_id] = run
         if not releasing:
             return  # nothing transient to release: no decision made
-        if self.hierarchy.current_read_intent() is ReadIntent.MAINTENANCE:
-            self.maintenance_bypasses += 1
-            return
         # Another query's pinned snapshot may still hold a run: dropping
         # its blocks (and decoded views) now would yank them out from
         # under that query's reads.  The next query to touch the
@@ -298,11 +265,7 @@ class CacheManager:
             all_cached = True
             for run in runs:  # newest first
                 if not self.is_run_cached(run):
-                    # Policy-driven admission, pinned to QUERY intent: the
-                    # load pass is the cache manager deliberately warming
-                    # the cache, and must not dissolve into a no-op just
-                    # because a maintenance scope happens to be ambient.
-                    if not self.load_run(run, intent=ReadIntent.QUERY):
+                    if not self.load_run(run):
                         return  # out of space; stop loading
                     if self.hierarchy.ssd.utilization() >= LOW_WATERMARK:
                         all_cached = self.is_run_cached(run) and run is runs[-1]
@@ -329,8 +292,7 @@ class CacheManager:
                     self.purge_run(run)
             for lvl in range(0, level + 1):
                 for run in self._runs_at_level(lvl):
-                    # Deliberate policy admission (see _load_pass).
-                    self.load_run(run, intent=ReadIntent.QUERY)
+                    self.load_run(run)
 
     def resume_dynamic_policy(self) -> None:
         with self._lock:

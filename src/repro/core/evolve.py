@@ -300,8 +300,8 @@ class EvolveController:
         Physical frees go through the reclaimer: the runs were atomically
         unlinked by ``remove_where`` (no *new* query can see them), but a
         query that pinned its snapshot before this evolve may still be
-        reading their blocks -- under the protected lifecycle modes the
-        free is deferred until no pinned version covers the run.  The returned ids are the runs
+        reading their blocks -- the lifecycle defers the free until no
+        pinned version covers the run.  The returned ids are the runs
         *scheduled* for deletion (immediately executed when unpinned).
         """
         watermark_value = self.watermark.value

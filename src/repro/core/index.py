@@ -439,7 +439,7 @@ class UmziIndex:
         collect the RIDs of the already post-groomed records that will be
         replaced"), one sorted batch per post-groom (section 7.2).  It
         reuses the query machinery, but the caller is maintenance, so the
-        sweep runs under ``ReadIntent.MAINTENANCE``: blocks it pulls from
+        sweep reads as ``ReadIntent.MAINTENANCE``: blocks it pulls from
         purged post-groomed levels are not admitted into the SSD cache.
         The sweep races concurrent merges of the post-groomed zone like
         any query does, so it pins the current version for its duration
@@ -448,8 +448,9 @@ class UmziIndex:
         """
         with self.lifecycle.pin() as pin:
             executor = self._fixed_executor(lambda: pin.version.post_groomed)
-            with self.hierarchy.reading_as(ReadIntent.MAINTENANCE):
-                hits = executor.batch_hits(key_columns, query_ts)
+            hits = executor.batch_hits(
+                key_columns, query_ts, intent=ReadIntent.MAINTENANCE
+            )
             return [hit and hit[0].rid_at(hit[1]) for hit in hits]
 
     def all_runs(self) -> List[IndexRun]:

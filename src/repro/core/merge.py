@@ -384,8 +384,8 @@ class MergeController:
         Every free goes through the reclaimer: the inputs were atomically
         spliced out of the run list (no new query can reach them), but a
         query pinned on an older snapshot may still be streaming their
-        blocks -- the protected lifecycle modes park these frees until no
-        pinned version covers the run.  The returned ids are the runs scheduled for deletion.
+        blocks -- the lifecycle parks these frees until no pinned version
+        covers the run.  The returned ids are the runs scheduled for deletion.
         """
         deleted: List[str] = []
         output_persisted = new_run.header.persisted

@@ -46,6 +46,7 @@ from repro.core.encoding import (
 from repro.core.entry import IndexEntry, SORT_KEY_TS_BYTES, hash_column
 from repro.core.run import DataBlockView, IndexRun
 from repro.core.search import UNBOUNDED, narrow_with_offset_array, ts_floor
+from repro.storage.metrics import ReadIntent
 
 MAX_QUERY_TS = UINT64_MAX
 # One scan hit: ``(sort_key, block_view, in_block_index)``.
@@ -255,14 +256,14 @@ class QueryExecutor:
     publication-order argument).
 
     **Read intent.**  Block fetches issued by the executor carry
-    ``ReadIntent.QUERY`` by default: a shared-storage miss promotes the
-    block into the SSD cache so subsequent queries over the same (purged)
-    run hit locally, and ``on_query_done`` releases those transient blocks
-    afterwards when the cache manager asks for it.  When an executor is
-    driven by background machinery instead (the post-groomer's
-    ``post_groomed_batch_lookup``), the caller wraps the call in
-    ``hierarchy.reading_as(ReadIntent.MAINTENANCE)`` -- the same code path
-    then neither promotes nor perturbs the query-path hit/miss counters.
+    ``ReadIntent.QUERY``: a shared-storage miss promotes the block into
+    the SSD cache so subsequent queries over the same (purged) run hit
+    locally, and ``on_query_done`` releases those transient blocks
+    afterwards when the cache manager asks for it.  The one door driven by
+    background machinery, :meth:`batch_hits` under the post-groomer's
+    ``post_groomed_batch_lookup``, takes ``intent=ReadIntent.MAINTENANCE``
+    and hands it to the run kernels: the same code path then neither
+    promotes nor perturbs the query-path hit/miss counters.
 
     **Run pinning.**  When a ``lifecycle`` (:class:`RunLifecycle`) is
     supplied, every query pins the lifecycle's current
@@ -529,6 +530,7 @@ class QueryExecutor:
         self,
         key_columns: Sequence[Sequence[KeyValue]],
         query_ts: Union[int, Sequence[int]],
+        intent: ReadIntent = ReadIntent.QUERY,
     ) -> List[Optional[Tuple[DataBlockView, int]]]:
         """Batched point lookups (section 7.2), answered undecoded: per
         key, ``(view, i)`` of its visible version, or ``None``.
@@ -540,7 +542,8 @@ class QueryExecutor:
         oldest -- one sequential pass per run, the batch kernel
         :meth:`IndexRun.batch_visible` -- until every key is resolved or
         the runs are exhausted.  Runs are pruned at the latest snapshot in
-        the batch; every key is filtered at its own.
+        the batch; every key is filtered at its own.  Blocks are fetched
+        with ``intent``.
         """
         keys, hashes = encode_point_keys(self.definition, key_columns)
         if not keys:
@@ -618,7 +621,7 @@ class QueryExecutor:
                 touched.append(run)
                 run.batch_visible(
                     keys, buckets if self.use_offset_array else None,
-                    floors, probe_slots, found,
+                    floors, probe_slots, found, intent,
                 )
                 unresolved = [slot for slot in unresolved if found[slot] is None]
         finally:

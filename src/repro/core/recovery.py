@@ -42,7 +42,6 @@ from repro.core.run import (
 )
 from repro.storage.block import BlockId
 from repro.storage.hierarchy import StorageHierarchy
-from repro.storage.metrics import ReadIntent
 
 
 @dataclass
@@ -86,9 +85,7 @@ def _payloads_valid(hierarchy: StorageHierarchy, header: RunHeader) -> bool:
         # Recovery validates the durable copy (never a possibly-stale local
         # one) and is maintenance: the scan must not flood the SSD cache
         # that queries will need the moment the index is back.
-        block = hierarchy.read_shared(
-            BlockId(header.run_id, ordinal), intent=ReadIntent.MAINTENANCE
-        )
+        block = hierarchy.read_shared(BlockId(header.run_id, ordinal))
         if block is None or len(block.payload) != meta.size_bytes:
             return False
         if not block.payload.startswith(DATA_BLOCK_MAGIC):
@@ -182,9 +179,7 @@ def recover_index_state(
     for namespace in hierarchy.shared.namespaces():
         if not namespace.startswith(run_prefix):
             continue
-        header_block = hierarchy.read_shared(
-            BlockId(namespace, HEADER_ORDINAL), intent=ReadIntent.MAINTENANCE
-        )
+        header_block = hierarchy.read_shared(BlockId(namespace, HEADER_ORDINAL))
         if header_block is None:
             # Orphaned data blocks without a header: a crash before the
             # header write can't happen (header goes first), but a partial

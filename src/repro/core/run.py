@@ -405,32 +405,21 @@ class IndexRun:
         ]
 
     def block_view(
-        self, block_index: int, intent: Optional[ReadIntent] = None
+        self, block_index: int, intent: ReadIntent = ReadIntent.QUERY
     ) -> DataBlockView:
         """Fetch one data block as a lazy view (cached per handle).
 
         The storage read (and its tier latency) happens once per block;
         entry decoding happens per *probed* entry, so binary-search probes
-        stay cheap regardless of block size.
-
-        ``intent`` is the cache-admission signal passed down to
-        :meth:`StorageHierarchy.read` (``None`` resolves through the
-        hierarchy's scoped default).  An *explicitly* MAINTENANCE-intent
-        fetch additionally skips the per-handle view cache: the explicit
-        intent is only passed by one-pass streams -- merges and streaming
-        evolves touch each block exactly once, so memoizing their views
-        would only retain dead payloads on a handle queries share.
-        Scope-*inherited* maintenance reads (e.g. the post-groomer's
-        predecessor sweep under ``reading_as``) keep memoizing:
-        binary-search probes revisit the same block many times, and
-        re-fetching it per probe would multiply their I/O.  A query back at
-        a memoized view (no ``intent``, no maintenance scope) makes it keyed.
+        stay cheap regardless of block size.  ``intent`` is the
+        cache-admission signal passed down to :meth:`StorageHierarchy.read`:
+        the post-groom sweep's probes read as MAINTENANCE and memoize like
+        a query's, since a binary search revisits the same block many times.
+        A query back at a memoized view makes it keyed.
         """
         cached = self._views.get(block_index)
         if cached is not None:
-            if cached.keys is None and intent is None and (
-                self.hierarchy.current_read_intent() is not ReadIntent.MAINTENANCE
-            ):
+            if cached.keys is None and intent is ReadIntent.QUERY:
                 cached.key_column()
             return cached
         # :meth:`data_block_id`, inline: ``BlockId._make`` minus its two frames
@@ -439,9 +428,8 @@ class IndexRun:
             _tuple_new(BlockId, (self.run_id, block_index + 1)), intent=intent
         )
         view = DataBlockView(self.definition, block.payload, hierarchy.stats.decode)
-        if intent is not ReadIntent.MAINTENANCE:
-            self._views[block_index] = view
-            self.fetched_blocks.add(block_index)
+        self._views[block_index] = view
+        self.fetched_blocks.add(block_index)
         return view
 
     def drop_decode_cache(self) -> None:
@@ -527,6 +515,7 @@ class IndexRun:
         upper_exclusive: bytes,
         ts_floor: bytes,
         first_only: bool = False,
+        intent: ReadIntent = ReadIntent.QUERY,
     ) -> List[Tuple[bytes, DataBlockView, int]]:
         """Newest visible version of each key in ``[lower_key, upper_exclusive)``.
 
@@ -546,6 +535,7 @@ class IndexRun:
         ``(sort_key, view, in_block_index)``, in key order: per user key
         the first entry whose raw ``~beginTS`` suffix is ``>= ts_floor``,
         the newest version visible; ``first_only`` stops at the first.
+        Blocks are fetched with ``intent`` (:meth:`block_view`).
 
         Zero-decode (callers decode what they keep).  One raw-key probe
         per entry looked at, whichever kind of view, charged block by
@@ -567,7 +557,7 @@ class IndexRun:
                 if not start <= ordinal < end:
                     block_index = bisect_right(cum, ordinal) - 1
                     start, end = cum[block_index], cum[block_index + 1]
-                    view = self.block_view(block_index)
+                    view = self.block_view(block_index, intent)
                     payload, base, table = view.payload, view.base, view.table
                     count, column = view.count, view.keys
                     if column and start <= lo < hi <= end:
@@ -618,7 +608,7 @@ class IndexRun:
                 return hits
             block_index += 1  # on into the next block
             end = cum[block_index + 1]
-            view = self.block_view(block_index)
+            view = self.block_view(block_index, intent)
             payload, base, table = view.payload, view.base, view.table
             count, column = view.count, view.keys
             first = 0
@@ -630,6 +620,7 @@ class IndexRun:
         floors: Sequence[bytes],
         slots: Sequence[int],
         out: List[Optional[Tuple[DataBlockView, int]]],
+        intent: ReadIntent = ReadIntent.QUERY,
     ) -> None:
         """``out[s]`` = ``(view, i)`` of the newest version of ``keys[s]``
         visible at ``floors[s]``, for each ``s`` in ``slots`` this run has.
@@ -645,7 +636,8 @@ class IndexRun:
         :meth:`lookup_visible`'s step through the key's versions and its
         hand-over.  A batch mixing snapshots is the same single pass:
         every search runs over a sub-range of a lone lookup's, so no other
-        block is touched and a key costs at most one probe more.
+        block is touched and a key costs at most one probe more.  Blocks
+        are fetched with ``intent`` (the post-groom sweep's MAINTENANCE).
         """
         count, tail = self.entry_count, -SORT_KEY_TS_BYTES
         cum, first_keys = self._cum, self._first_keys
@@ -674,7 +666,7 @@ class IndexRun:
                     if not start <= ordinal < end:
                         block_index = bisect_right(cum, ordinal) - 1
                         start, end = cum[block_index], cum[block_index + 1]
-                        view = self.block_view(block_index)
+                        view = self.block_view(block_index, intent)
                         payload, base, table = view.payload, view.base, view.table
                         size, column = view.count, view.keys
                     if lo >= hi:
@@ -708,7 +700,7 @@ class IndexRun:
                     lo = end
                 if lo < end:
                     continue  # answered, or the run holds no such key
-                hits = self.scan_visible(key, lo, lo, key + b"\x00", floor, True)
+                hits = self.scan_visible(key, lo, lo, key + b"\x00", floor, True, intent)
                 if hits:
                     out[slot] = hits[0][1:]
         finally:  # a failed block fetch still pays for the probes made
@@ -717,15 +709,20 @@ class IndexRun:
     def block_columns(self, block_index: int) -> Tuple[List[bytes], List[bytes]]:
         """One data block as two parallel lists ``(sort_keys, entry_blobs)``.
 
-        The zero-decode maintenance input, always a
-        ``ReadIntent.MAINTENANCE`` read (the block bypasses cache admission
-        and the per-handle view cache).  Both columns are sliced straight
-        off the payload by its two tables, and the block is charged as
-        ``count`` raw-key probes and ``count`` blob copies.
+        The zero-decode input of a one-pass merge, evolve or copy stream:
+        a view the handle memoized is reused, any other block is a
+        ``ReadIntent.MAINTENANCE`` read left unmemoized (a stream touches
+        each block once; its view would only keep a dead payload on a
+        handle queries share).  Both columns are sliced straight off the
+        payload by its two tables, and the block is charged as ``count``
+        raw-key probes and ``count`` blob copies.
         """
-        view = self.block_view(block_index, intent=ReadIntent.MAINTENANCE)
-        count = view.count
         stats = self.hierarchy.stats.decode
+        view = self._views.get(block_index)
+        if view is None:
+            block = self.hierarchy.read(self.data_block_id(block_index), intent=ReadIntent.MAINTENANCE)
+            view = DataBlockView(self.definition, block.payload, stats)
+        count = view.count
         stats.raw_key_probes += count
         stats.blob_copies += count
         payload, base, table = view.payload, view.base, view.table

@@ -18,8 +18,7 @@ Write paths (sections 6.1-6.2):
 from __future__ import annotations
 
 import threading
-from contextlib import contextmanager
-from typing import Iterator, List, Optional, Sequence
+from typing import List, Optional, Sequence
 
 from repro.storage.block import Block, BlockId
 from repro.storage.memory import MemoryTier
@@ -48,12 +47,11 @@ class StorageHierarchy:
       once; those reads **never** promote into the memory or SSD tiers
       and never evict query-hot blocks.
 
-    The intent is either passed explicitly to :meth:`read`/:meth:`read_many`
-    or installed for a whole call tree with the :meth:`reading_as` scope
-    (thread-local), which is how deep paths like the post-groomer's
-    index lookups inherit MAINTENANCE without plumbing a parameter through
-    every search routine.  Per-intent hit/miss/promotion counters land in
-    ``stats.intents`` (:class:`~repro.storage.metrics.IntentStats`).
+    The caller names the intent where it issues the read: the query path
+    takes the default, each maintenance door passes MAINTENANCE (the
+    post-groom sweep hands it down its search kernels).  Per-intent
+    hit/miss/promotion counters land in ``stats.intents``
+    (:class:`~repro.storage.metrics.IntentStats`).
     """
 
     def __init__(
@@ -74,36 +72,12 @@ class StorageHierarchy:
         # zeroes them in place) and an enum member hashes in Python.
         self._query_reads = self.stats.intents[ReadIntent.QUERY]
         self._maintenance_reads = self.stats.intents[ReadIntent.MAINTENANCE]
-        self._intent_local = threading.local()
         self._attribution_local = threading.local()
         # Optional per-tier circuit breaker on the shared tier (ISSUE 7):
         # any object with check()/record_success()/record_failure()
         # (see repro.qos.breaker.CircuitBreaker).  Kept duck-typed so the
         # storage layer does not depend on the qos package.
         self._shared_breaker = None
-
-    # -- read-intent policy ----------------------------------------------------
-
-    def current_read_intent(self) -> ReadIntent:
-        """The effective intent for reads that do not pass one explicitly."""
-        scoped = getattr(self._intent_local, "intent", None)
-        return scoped if scoped is not None else ReadIntent.QUERY
-
-    @contextmanager
-    def reading_as(self, intent: ReadIntent) -> Iterator["StorageHierarchy"]:
-        """Scope a default read intent over a call tree (thread-local).
-
-        Used by maintenance drivers whose reads funnel through code shared
-        with the query path (e.g. the post-groomer's predecessor sweep
-        runs an ordinary :class:`QueryExecutor`); everything under the scope
-        that does not pass an explicit intent inherits this one.
-        """
-        previous = getattr(self._intent_local, "intent", None)
-        self._intent_local.intent = intent
-        try:
-            yield self
-        finally:
-            self._intent_local.intent = previous
 
     # -- read attribution (ISSUE 9) --------------------------------------------
 
@@ -116,9 +90,9 @@ class StorageHierarchy:
         previous one in a ``finally``, so the planner ablation can assert
         exactly which component's blocks an index-only query did *not*
         read.  A plain save/restore (it runs several times per typed
-        query), thread-local like :meth:`reading_as`; reads outside any
-        scope charge nothing, so the attribution ledger stays empty (and
-        byte-identical) for every pre-existing workload.
+        query), thread-local; reads outside any scope charge nothing, so
+        the attribution ledger stays empty (and byte-identical) for every
+        pre-existing workload.
         """
         previous = getattr(self._attribution_local, "component", None)
         self._attribution_local.component = component
@@ -211,11 +185,7 @@ class StorageHierarchy:
 
     # -- read path -----------------------------------------------------------
 
-    def read(
-        self,
-        block_id: BlockId,
-        intent: Optional[ReadIntent] = None,
-    ) -> Block:
+    def read(self, block_id: BlockId, intent: ReadIntent = ReadIntent.QUERY) -> Block:
         """Read through memory -> SSD -> shared storage.
 
         On a shared-storage hit the block is promoted into the SSD cache,
@@ -223,13 +193,9 @@ class StorageHierarchy:
         (section 6.2).  The read intent alone decides: a QUERY read offers
         the block to the SSD, a MAINTENANCE read never admits, and only
         while the SSD has room does it go in (:meth:`SSDTier.admit`
-        decides; a full cache never fails a read).
-        ``intent=None`` resolves through the :meth:`reading_as` scope,
-        defaulting to QUERY.  Raises :class:`BlockNotFoundError` if the
-        block is absent everywhere.
+        decides; a full cache never fails a read).  Raises
+        :class:`BlockNotFoundError` if the block is absent everywhere.
         """
-        if intent is None:  # :meth:`current_read_intent`, inline
-            intent = getattr(self._intent_local, "intent", None) or ReadIntent.QUERY
         istats = (
             self._query_reads
             if intent is ReadIntent.QUERY
@@ -270,27 +236,21 @@ class StorageHierarchy:
         return block
 
     def read_many(
-        self,
-        block_ids: List[BlockId],
-        intent: Optional[ReadIntent] = None,
+        self, block_ids: List[BlockId], intent: ReadIntent = ReadIntent.QUERY
     ) -> List[Block]:
         return [self.read(bid, intent=intent) for bid in block_ids]
 
-    def read_shared(
-        self,
-        block_id: BlockId,
-        intent: ReadIntent = ReadIntent.MAINTENANCE,
-    ) -> Optional[Block]:
+    def read_shared(self, block_id: BlockId) -> Optional[Block]:
         """Read the durable shared-storage copy only; never promotes.
 
         Recovery validation must check the copy that survives a node crash,
         not whatever a local tier happens to hold (and must *not* resurrect
         non-persisted runs whose only blocks live locally), so it bypasses
-        the local tiers entirely.  The read is still attributed to
-        ``intent`` in the per-intent counters.  Returns ``None`` when the
-        shared copy is absent.
+        the local tiers entirely.  Its callers -- recovery and the journal
+        -- are maintenance, and the read is counted as MAINTENANCE.
+        Returns ``None`` when the shared copy is absent.
         """
-        istats = self.stats.intents[intent]
+        istats = self._maintenance_reads
         istats.reads += 1
         block = self._shared_call(self.shared.read, block_id, istats)
         if block is not None:

@@ -151,7 +151,7 @@ class BlockCatalog:
         self,
         zone: Zone,
         block_id: int,
-        intent: Optional[ReadIntent] = None,
+        intent: ReadIntent = ReadIntent.QUERY,
     ) -> DataBlock:
         """Fetch and decode one record block.
 

@@ -15,7 +15,6 @@ from dataclasses import dataclass
 from typing import List, Optional, Tuple
 
 from repro.faults.crash import crash_point
-from repro.storage.metrics import ReadIntent
 from repro.wildfire.blockstore import BlockCatalog
 from repro.wildfire.clock import HybridClock, compose_begin_ts_column
 from repro.wildfire.columnar import encode_columns
@@ -54,14 +53,10 @@ class Groomer:
     def groom(self) -> Optional[GroomResult]:
         """One groom operation; returns ``None`` if the live zone is empty.
 
-        Runs under a ``ReadIntent.MAINTENANCE`` scope: grooming is a write
-        operation, but any block reads it triggers (e.g. re-reading a block
-        it just stored while building index runs) are background work and
-        must not count as -- or be admitted like -- query traffic.
+        A groom writes the groomed block and one run per index from the
+        drained rows themselves: it reads no block.
         """
-        with self._lock, self.catalog.hierarchy.reading_as(
-            ReadIntent.MAINTENANCE
-        ):
+        with self._lock:
             # Before the drain: a crash here loses no committed work (the
             # log is re-drained after recovery).
             crash_point("groom.enter")

@@ -27,6 +27,7 @@ one lock, no finalizer      68.3   111.7
 one pass through the door   52.2    95.6
 one pass per purged block   52.2    71.8
 one call per layer          27.2    47.8
+reads name their intent     27.2    46.8
 =========================  =====  ======
 
 The ceilings below are the last row plus a little headroom for
@@ -91,7 +92,10 @@ is not degraded are attribute reads (``CircuitBreaker.state``, the
 (``_enter_query``, ``_exit_query``, ``QueryPin.__init__``: 3), the cache
 hook reads the thread's intent only when a run holds a transient block
 (``current_read_intent``: 1 warm) and ``point_query`` routes a whole key
-itself (``_bound_sharding_values`` and its comprehension: 2).  Lower
+itself (``_bound_sharding_values`` and its comprehension: 2).  The
+``reads name their intent`` row drops the read scope: a purged exit's
+``release_after_query`` no longer calls ``current_read_intent`` (1), and
+a shared read takes its intent from its caller, not the thread.  Lower
 them when the path gets shorter; raise them only deliberately.
 
 Calls cannot see a Python loop that makes none: the binary search inside
@@ -108,6 +112,7 @@ one pass through the door  340.9   855.8
 one pass per purged block  320.0   666.2
 one call per layer         251.0   606.4
 no knob only tests set     247.0   600.4
+reads name their intent    247.0   591.2
 =========================  =====  ======
 
 The last row searches a warm block -- a view the run handle memoized, come
@@ -123,7 +128,9 @@ only tests set`` row drops what only test-set parameters cost each
 lookup: ``WildfireShard.point_query``'s two ``freshness`` checks,
 ``admit``'s per-call deadline default and, on a purged exit,
 ``release_after_query``'s ``intent`` default (calls stayed at 27.2 and
-47.8).
+47.8).  The ``reads name their intent`` row is the purged path without
+the thread-local: the miss's intent lookup in ``StorageHierarchy.read``
+and the exit's ``current_read_intent`` call.
 
 The write path has the same guard: ``call`` events per ingested row inside
 ``ingest`` + ``tick`` over the whole load of this fixture (48 rounds, 7 175
@@ -295,9 +302,9 @@ from pathlib import Path
 E2E = Path(__file__).resolve().parents[2] / "benchmarks" / "e2e"
 
 BEFORE = {"warm": 357.9, "purged": 508.4}
-CEILING = {"warm": 30.0, "purged": 51.0}
+CEILING = {"warm": 30.0, "purged": 50.0}
 LINE_BEFORE = {"warm": 550.4, "purged": 877.6}
-LINE_CEILING = {"warm": 250.0, "purged": 603.0}
+LINE_CEILING = {"warm": 250.0, "purged": 594.0}
 
 WRITE_BEFORE = 114.2
 WRITE_CEILING = 19.0

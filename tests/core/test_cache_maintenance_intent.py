@@ -6,13 +6,11 @@ path.  Those reads must not promote blocks into the SSD cache or churn the
 cache manager's accounting.
 """
 
-from repro.core.cache import CacheManager
 from repro.core.entry import RID, Zone
 from repro.core.index import UmziConfig, UmziIndex
 from repro.core.levels import LevelConfig
-from repro.storage.hierarchy import StorageHierarchy
+from repro.core.query import MAX_QUERY_TS, QueryExecutor
 from repro.storage.metrics import ReadIntent
-from repro.storage.ssd import SSDTier
 
 from tests.conftest import make_entries
 from tests.reference_search import sort_key_at
@@ -92,74 +90,96 @@ class TestEvolveDoesNotThrashCache:
         sort_key_at(run, 0)
         assert run._views
 
-    def test_scoped_maintenance_probes_still_memoize_views(self):
-        # The post-groomer's point lookups run under reading_as(MAINTENANCE)
-        # but probe the same block many times (binary search); only the
-        # *explicit* streaming intent may skip memoization, otherwise every
-        # probe re-fetches the block from the hierarchy.
-        index = build_index("scoped-probes", num_runs=1, entries_per_run=400)
+    def test_sweep_probes_still_memoize_views(self):
+        # The post-groom sweep's batched lookups read as MAINTENANCE but
+        # probe the same block many times (binary search): they memoize
+        # like a query's, or every probe would re-fetch its block.
+        index = build_index("sweep-probes", num_runs=1, entries_per_run=400)
         run = index.run_lists[Zone.GROOMED].snapshot()[0]
         run.drop_decode_cache()
+        keys = list(range(0, run.entry_count, 7))
+        executor = QueryExecutor(index.definition, collect_runs=lambda: [run])
         stats = index.hierarchy.stats.intents[ReadIntent.MAINTENANCE]
-        with index.hierarchy.reading_as(ReadIntent.MAINTENANCE):
-            before = stats.snapshot()
-            for ordinal in range(0, run.entry_count, 7):
-                sort_key_at(run, ordinal)
-            delta = stats.diff(before)
-        assert run._views, "scope-inherited probes must memoize views"
+        before = stats.snapshot()
+        hits = executor.batch_hits(
+            [keys, keys], MAX_QUERY_TS, intent=ReadIntent.MAINTENANCE
+        )
+        delta = stats.diff(before)
+        assert all(hits)
+        assert run._views, "the sweep's probes must memoize views"
         assert delta.reads <= run.header.num_data_blocks, (
             f"{delta.reads} block reads for probes over "
             f"{run.header.num_data_blocks} blocks; views must be reused"
         )
+        assert all(view.keys is None for view in run._views.values())
 
-class TestCacheManagerBypass:
-    def make_manager(self):
-        index = build_index("cm", num_runs=2)
-        return index, index.cache
 
-    def test_load_run_bypasses_for_maintenance(self):
-        index, cache = self.make_manager()
+    def test_a_stream_reuses_a_memoized_view_without_a_read(self):
+        # A one-pass stream over a block a query memoized takes the view;
+        # any other block is one MAINTENANCE read, left unmemoized.
+        index = build_index("stream-reuse", num_runs=1)
         run = index.run_lists[Zone.GROOMED].snapshot()[0]
-        cache.purge_run(run)
-        assert not cache.is_run_cached(run)
-        assert cache.load_run(run, intent=ReadIntent.MAINTENANCE) is True
-        assert not cache.is_run_cached(run), (
-            "maintenance touches must not admit a purged run"
+        run.drop_decode_cache()
+        view = run.block_view(0)
+        stats = index.hierarchy.stats.intents
+        before = {intent: stats[intent].snapshot() for intent in ReadIntent}
+        keys, blobs = run.block_columns(0)
+        assert len(keys) == len(blobs) == view.count
+        assert all(stats[i].diff(before[i]).reads == 0 for i in ReadIntent)
+        run.block_columns(1)
+        assert stats[ReadIntent.MAINTENANCE].diff(
+            before[ReadIntent.MAINTENANCE]
+        ).reads == 1
+        assert stats[ReadIntent.QUERY].diff(before[ReadIntent.QUERY]).reads == 0
+        assert list(run._views) == [0]
+
+class TestSweepAndCachePolicy:
+    """The post-groom sweep next to the cache manager's own decisions."""
+
+    def purged_post_groomed_run(self, name):
+        index = build_index(name)
+        index.evolve_streaming(1, new_rid_of, 0, 2)
+        (run,) = index.run_lists[Zone.POST_GROOMED].snapshot()
+        index.cache.set_cache_level(-1)
+        assert not index.cache.is_run_cached(run)
+        return index, run
+
+    def sweep(self, index):
+        keys = list(range(0, 600, 7))
+        hits = index.post_groomed_batch_lookup([keys, keys], MAX_QUERY_TS)
+        assert all(hits)
+
+    def test_the_sweep_leaves_query_warmed_blocks_cached(self):
+        # The sweep's executor has no exit hook: its reads never release
+        # blocks a query pulled into a purged level.
+        index, run = self.purged_post_groomed_run("sweep-release")
+        assert index.cache.load_run(run)  # a query pulled the run in
+        stats = index.hierarchy.stats.intents[ReadIntent.MAINTENANCE]
+        before = stats.snapshot()
+        self.sweep(index)
+        delta = stats.diff(before)
+        assert delta.reads == delta.ssd_hits > 0
+        assert index.cache.is_run_cached(run), (
+            "a maintenance sweep must not evict query-warmed blocks"
         )
-        assert cache.maintenance_bypasses == 1
-        # A query-intent load still works.
-        assert cache.load_run(run) is True
-        assert cache.is_run_cached(run)
+        index.cache.release_after_query([run])  # a query's exit releases
+        assert not index.cache.is_run_cached(run)
 
-    def test_release_after_query_bypasses_for_maintenance(self):
-        index, cache = self.make_manager()
-        run = index.run_lists[Zone.GROOMED].snapshot()[0]
-        cache.set_cache_level(-1)  # everything purged
-        cache.load_run(run)  # query pulled the run in transiently
-        assert cache.is_run_cached(run)
-        with index.hierarchy.reading_as(ReadIntent.MAINTENANCE):
-            cache.release_after_query([run])
-        assert cache.is_run_cached(run), (
-            "a maintenance release must not evict query-warmed blocks"
-        )
-        assert cache.maintenance_bypasses == 1
-        cache.release_after_query([run])
-        assert not cache.is_run_cached(run)
-
-    def test_policy_loads_are_pinned_to_query_intent(self):
-        # The manager's own purge/load policy is a deliberate admission;
-        # an ambient maintenance scope must not dissolve it into a no-op
-        # while the bookkeeping still advances.
-        index, cache = self.make_manager()
-        run = index.run_lists[Zone.GROOMED].snapshot()[0]
-        with index.hierarchy.reading_as(ReadIntent.MAINTENANCE):
-            cache.set_cache_level(-1)
-            assert not cache.is_run_cached(run)
-            cache.set_cache_level(index.config.levels.total_levels - 1)
-            assert cache.is_run_cached(run), (
-                "set_cache_level must actually load runs even under an "
-                "ambient maintenance scope"
-            )
+    def test_policy_loads_admit_a_run_the_sweep_read(self):
+        # The sweep memoizes views of a purged run without admitting a
+        # block; the manager's own load still brings the whole run in.
+        index, run = self.purged_post_groomed_run("sweep-load")
+        stats = index.hierarchy.stats.intents[ReadIntent.MAINTENANCE]
+        before = stats.snapshot()
+        self.sweep(index)
+        delta = stats.diff(before)
+        assert delta.shared_reads == run.header.num_data_blocks
+        assert delta.promotions == 0 and run._views
+        assert not index.cache.is_run_cached(run)
+        after_sweep = stats.snapshot()
+        index.cache.set_cache_level(index.config.levels.total_levels - 1)
+        assert index.cache.is_run_cached(run)
+        assert stats.diff(after_sweep).reads == 0
 
 
 class TestRecoveryIntent:

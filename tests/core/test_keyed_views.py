@@ -130,7 +130,7 @@ class Observed:
         touched = []
         real_block_view = run.block_view
 
-        def recording_block_view(block_index, intent=None):
+        def recording_block_view(block_index, intent=ReadIntent.QUERY):
             touched.append(block_index)
             return real_block_view(block_index, intent)
 
@@ -362,9 +362,9 @@ class TestResidencyRule:
         run = index.all_runs()[0]
         view = run.block_view(0)
         assert run.block_view(0, intent=ReadIntent.MAINTENANCE) is view
-        with index.hierarchy.reading_as(ReadIntent.MAINTENANCE):
-            assert run.block_view(0) is view
-            assert run.block_view(1) is run.block_view(1)
+        second = run.block_view(1, intent=ReadIntent.MAINTENANCE)
+        assert run.block_view(1, intent=ReadIntent.MAINTENANCE) is second
+        run.block_columns(0)  # a one-pass stream reuses the memoized view
         assert not builds and view.keys is None
         assert run.block_view(0) is view and view.keys is not None
         assert builds == [view]

@@ -194,7 +194,7 @@ class TestMergeMatchesTheHeap:
         decode = hierarchy.stats.decode
         for run in runs:
             before = decode.snapshot()
-            expected = list(reference_iter_raw(run, intent=ReadIntent.MAINTENANCE))
+            expected = list(reference_iter_raw(run))
             per_entry = decode.snapshot()
             columns = [
                 run.block_columns(bi)

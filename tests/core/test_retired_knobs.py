@@ -220,6 +220,18 @@ def test_the_storage_paths_take_no_spill_or_promote_flag():
     assert not hierarchy.ssd.contains(block.block_id)
 
 
+def test_reads_name_their_intent_where_they_are_issued():
+    index = UmziIndex(i1_definition(), StorageHierarchy())
+    assert not hasattr(index.hierarchy, "reading_as")
+    assert not hasattr(index.hierarchy, "current_read_intent")
+    with pytest.raises(TypeError, match="intent"):
+        index.hierarchy.read_shared(BlockId("r", 1), intent=None)
+    assert not hasattr(index.cache, "maintenance_bypasses")
+    run = index.add_groomed_run([], 0, 0)
+    with pytest.raises(TypeError, match="intent"):
+        index.cache.load_run(run, intent=None)
+
+
 @pytest.mark.parametrize("make_tier", [
     MemoryTier, SSDTier, SharedStorage,
     lambda **latency: FaultyTier(FaultPlan(seed=0), "t-run", **latency),

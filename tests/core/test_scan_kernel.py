@@ -276,7 +276,8 @@ def batch_visible_through(reference):
     """``IndexRun.batch_visible`` answered by a replaced run-level batch
     search, for swapping under an executor."""
 
-    def batch_visible(run, keys, buckets, floors, slots, out):
+    def batch_visible(run, keys, buckets, floors, slots, out, intent):
+        assert intent is ReadIntent.QUERY  # an executor query's reads
         shift = 64 - run.definition.hash_bits
         pairs = [
             (keys[slot], 0 if buckets is None else buckets[slot] << shift)

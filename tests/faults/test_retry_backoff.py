@@ -76,9 +76,9 @@ class TestAbsorbedBlips:
         )
         bid = BlockId("t-run-g-000000", 0)
         hierarchy.write_persisted(Block(bid, b"x"))
-        block = hierarchy.read_shared(bid, intent=ReadIntent.QUERY)
+        block = hierarchy.read_shared(bid)
         assert block is not None and block.payload == b"x"
-        istats = hierarchy.stats.intents[ReadIntent.QUERY]
+        istats = hierarchy.stats.intents[ReadIntent.MAINTENANCE]
         assert istats.retries == 1
         assert istats.giveups == 0
         assert hierarchy.stats.faults.read_retries == 1
@@ -91,9 +91,9 @@ class TestGiveUps:
         hierarchy.write_persisted(Block(bid, b"x"))
         shared.set_outage(True)
         with pytest.raises(TransientIOError):
-            hierarchy.read_shared(bid, intent=ReadIntent.QUERY)
+            hierarchy.read_shared(bid)
         faults = hierarchy.stats.faults
-        istats = hierarchy.stats.intents[ReadIntent.QUERY]
+        istats = hierarchy.stats.intents[ReadIntent.MAINTENANCE]
         # counter-asserted: max_attempts errors == (max_attempts-1)
         # retries + 1 give-up, mirrored on the read's intent.
         assert faults.transient_read_errors == MAX_ATTEMPTS

@@ -98,7 +98,6 @@ def ledger(table):
         shards.append((
             stats.epochs.snapshot(), stats.decode.snapshot(), stats.snapshot(),
             stats.total_sim_ns, stats.intent_snapshot(), stats.faults.snapshot(),
-            [s.index.cache.maintenance_bypasses for s in shard.indexes.all()],
             shard.degraded_pin is not None,
         ))
     epochs = range(table.routing_epoch() + 1)

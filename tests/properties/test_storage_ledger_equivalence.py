@@ -44,7 +44,6 @@ operations = st.one_of(
     st.tuples(st.just("write_persisted"), persisted_ids, sizes, st.booleans()),
     st.tuples(st.just("write_cached_only"), local_ids, sizes),
     st.tuples(st.just("read"), any_ids, intents),
-    st.tuples(st.just("read_as_maintenance"), any_ids),
     st.tuples(st.just("read_shared"), persisted_ids),
     st.tuples(st.just("load_into_cache"), persisted_ids),
     st.tuples(st.just("drop"), st.lists(any_ids, max_size=5)),
@@ -95,10 +94,9 @@ def apply(hierarchy, op, batched_drop):
             return hierarchy.write_cached_only(Block(block_id, bytes(size)))
         if kind == "read":
             block_id, intent = args
+            if intent is None:  # the default
+                return hierarchy.read(block_id)
             return hierarchy.read(block_id, intent=intent)
-        if kind == "read_as_maintenance":
-            with hierarchy.reading_as(ReadIntent.MAINTENANCE):
-                return hierarchy.read(args[0])
         if kind == "drop":
             if batched_drop:
                 return hierarchy.drop_from_cache(args[0])

@@ -25,6 +25,7 @@ from repro.core.run import DataBlockView
 from repro.storage.hierarchy import StorageHierarchy
 
 from tests.conftest import encode_data_block, entry_at, v1_layout_payload
+from tests.reference_merge import entry_blob_at
 from tests.reference_search import sort_key_at, view_at
 
 _CTYPES = (
@@ -124,7 +125,7 @@ class TestRawSliceEquivalence:
         run = builder.build("p", entries, Zone.GROOMED, 0, 0, 0)
         for ordinal in range(run.entry_count):
             view, in_block = view_at(run, ordinal)
-            blob = view.entry_blob_at(in_block)
+            blob = entry_blob_at(view, in_block)
             decoded, consumed = IndexEntry.from_bytes(definition, blob)
             assert consumed == len(blob)
             assert decoded == entry_at(run, ordinal)

@@ -25,6 +25,7 @@ from repro.core.entry import (
 )
 from repro.core.run import (
     DataBlockMeta,
+    DataBlockView,
     IndexRun,
     RunHeader,
     Synopsis,
@@ -36,26 +37,44 @@ from repro.storage.metrics import ReadIntent
 Pair = Tuple[bytes, bytes]  # (sort_key, entry_blob)
 
 
-def reference_iter_raw(
-    run: IndexRun, start_ordinal: int = 0, intent: Optional[ReadIntent] = None
-) -> Iterator[Pair]:
+def entry_blob_at(view: DataBlockView, index: int) -> bytes:
+    """Entry ``index``'s serialized blob, verbatim, charged as one blob
+    copy (the per-entry accessor the merge copy path once had)."""
+    if view._stats is not None:
+        view._stats.blob_copies += 1
+    end = view.base + view.table[index + 1] if index + 1 < view.count else len(view.payload)
+    return view.payload[view.base + view.table[index] : end]
+
+
+def maintenance_view(run: IndexRun, block_index: int) -> DataBlockView:
+    """The view :meth:`IndexRun.block_columns` reads: one the handle
+    memoized, or a ``ReadIntent.MAINTENANCE`` fetch left unmemoized."""
+    view = run._views.get(block_index)
+    if view is None:
+        block = run.hierarchy.read(
+            run.data_block_id(block_index), intent=ReadIntent.MAINTENANCE
+        )
+        view = DataBlockView(run.definition, block.payload, run.hierarchy.stats.decode)
+    return view
+
+
+def reference_iter_raw(run: IndexRun, start_ordinal: int = 0) -> Iterator[Pair]:
     """``(sort_key, entry_blob)`` pairs in sort-key order, entry by entry:
     one raw-key probe and one blob copy charged per entry, a block fetched
-    when the stream first steps into it."""
+    (as a maintenance stream) when the stream first steps into it."""
     if start_ordinal >= run.entry_count:
         return
     block_index, first = run.locate(start_ordinal)
     for bi in range(block_index, run.header.num_data_blocks):
-        view = run.block_view(bi, intent=intent)
+        view = maintenance_view(run, bi)
         for i in range(first, view.count):
-            yield view.sort_key_at(i), view.entry_blob_at(i)
+            yield view.sort_key_at(i), entry_blob_at(view, i)
         first = 0
 
 
 def reference_merge_blobs(
     runs_newest_first: Sequence[IndexRun],
     retention_ts: Optional[int] = None,
-    intent: ReadIntent = ReadIntent.MAINTENANCE,
 ) -> Iterator[Pair]:
     """The heap K-way merge: ``(sort_key, recency, blob)`` triples through
     ``heapq.merge``, identical sort keys deduplicated in favour of the
@@ -64,7 +83,7 @@ def reference_merge_blobs(
     def stream(run: IndexRun, recency: int):
         # recency is bound per stream so duplicate sort keys across runs
         # tie-break on run recency instead of comparing raw blobs.
-        for sort_key, blob in reference_iter_raw(run, intent=intent):
+        for sort_key, blob in reference_iter_raw(run):
             yield sort_key, recency, blob
 
     streams = [

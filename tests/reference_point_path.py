@@ -6,8 +6,7 @@ crossed in one call: admission books a ticket and reads the table's
 ``sim_now`` before and after the work; the routing-epoch pin is held for
 the whole query; the shard's breaker is asked ``state()`` and the shard
 whether it is degraded; and the shard's lookup encodes its own key
-(``encode_point_key``), pins the version through the lifecycle and asks
-the cache's release for the thread's read intent on every exit.  Every
+(``encode_point_key``) and pins the version through the lifecycle.  Every
 call goes to the live objects' counters, so
 ``tests/properties/test_point_path_oracle.py`` compares answers,
 refusals and ledgers of this path and the current one on twin tables.
@@ -22,7 +21,6 @@ from repro.core.search import narrow_with_offset_array, ts_floor
 from repro.planner.plan import PlanError
 from repro.qos.breaker import BreakerState
 from repro.qos.errors import PartialResultError
-from repro.storage.metrics import ReadIntent
 from repro.storage.retry import StorageBrownout, TransientIOError
 
 
@@ -121,8 +119,6 @@ def reference_lookup(executor, equality_values, sort_values, query_ts) -> Option
     boxes = (*equality_values, *sort_values[:1])
     bucketed = hash_value is not None and executor.use_offset_array
     lifecycle, done = executor._lifecycle, executor._on_query_done
-    if done is not None:
-        done = _release_after_query_hook(done)
     if lifecycle is None:
         pin, runs = None, executor.collect_runs()
     else:
@@ -156,17 +152,3 @@ def reference_lookup(executor, equality_values, sort_values, query_ts) -> Option
             lifecycle.release(pin, done, searched)
         elif done is not None:
             done(searched)
-
-
-def _release_after_query_hook(release_after_query):
-    """``CacheManager.release_after_query`` asking the intent first."""
-    cache = release_after_query.__self__
-
-    def release(touched):
-        intent = cache.hierarchy.current_read_intent()
-        if intent is ReadIntent.MAINTENANCE:
-            cache.maintenance_bypasses += 1
-            return
-        release_after_query(touched)
-
-    return release

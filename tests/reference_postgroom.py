@@ -33,14 +33,16 @@ from repro.wildfire.record import Record
 
 
 def reference_post_groomed_lookup(index, equality_values, sort_values, query_ts):
-    """One point lookup over the post-groomed run list, maintenance intent."""
+    """One point lookup over the post-groomed run list: the single-key
+    kernel ``IndexRun.lookup_visible``, not the batch kernel the sweep
+    runs.  ``lookup`` reads as QUERY; its answer does not depend on the
+    intent."""
     executor = QueryExecutor(
         index.definition,
         collect_runs=index.run_lists[Zone.POST_GROOMED].snapshot,
         lifecycle=index.lifecycle,
     )
-    with index.hierarchy.reading_as(ReadIntent.MAINTENANCE):
-        return executor.lookup(equality_values, sort_values, query_ts)
+    return executor.lookup(equality_values, sort_values, query_ts)
 
 
 def reference_collect_groomed_records(

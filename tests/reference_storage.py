@@ -258,7 +258,7 @@ class ReferenceBreaker(CircuitBreaker):
 
 class ReferenceHierarchy(StorageHierarchy):
     """``StorageHierarchy`` with the replaced methods as they were; the
-    intent and attribution scopes are inherited unchanged."""
+    attribution scope is inherited unchanged."""
 
     def __init__(self, ssd_capacity: Optional[int] = None, shared=None) -> None:
         stats = ReferenceIOStats()
@@ -328,9 +328,7 @@ class ReferenceHierarchy(StorageHierarchy):
         if write_through_ssd and self.ssd.would_fit(block.size):
             self.ssd.write(block)
 
-    def read(self, block_id, promote=True, intent=None) -> Block:
-        if intent is None:
-            intent = self.current_read_intent()
+    def read(self, block_id, promote=True, intent=ReadIntent.QUERY) -> Block:
         istats = self.stats.intents[intent]
         istats.reads += 1
         component = getattr(self._attribution_local, "component", None)
@@ -354,8 +352,8 @@ class ReferenceHierarchy(StorageHierarchy):
                 istats.promotions += 1
         return block
 
-    def read_shared(self, block_id, intent=ReadIntent.MAINTENANCE) -> Optional[Block]:
-        istats = self.stats.intents[intent]
+    def read_shared(self, block_id) -> Optional[Block]:
+        istats = self.stats.intents[ReadIntent.MAINTENANCE]
         istats.reads += 1
         block = self._shared_read(block_id, istats)
         if block is not None:

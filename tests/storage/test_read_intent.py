@@ -2,10 +2,13 @@
 
 QUERY reads promote shared-storage misses into the SSD cache (the paper's
 block-basis transfer); MAINTENANCE reads never do, and both are tracked
-in per-intent hit/miss/promotion counters.  (The promote-everything
+in per-intent hit/miss/promotion counters.  The caller names the intent
+on each read.  (The promote-everything
 ``maintenance_read_mode="legacy"`` arm was retired in PR 15; its A10
 verdict is frozen in docs/benchmarks.md.)
 """
+
+import threading
 
 import pytest
 
@@ -80,32 +83,49 @@ class TestIntentAdmission:
         assert h.stats.intents[ReadIntent.QUERY].promotions == 0
 
 
-class TestIntentScope:
-    def test_reading_as_sets_default_intent(self):
+class TestIntentPerRead:
+    def test_read_without_an_intent_is_a_query_read(self):
         h = make_hierarchy()
         block = shared_only_block(h)
-        with h.reading_as(ReadIntent.MAINTENANCE):
-            assert h.current_read_intent() is ReadIntent.MAINTENANCE
-            h.read(block.block_id)
-        assert h.current_read_intent() is ReadIntent.QUERY
-        assert not h.ssd.contains(block.block_id)
-        assert h.stats.intents[ReadIntent.MAINTENANCE].reads == 1
-
-    def test_explicit_intent_wins_inside_scope(self):
-        h = make_hierarchy()
-        block = shared_only_block(h)
-        with h.reading_as(ReadIntent.MAINTENANCE):
-            h.read(block.block_id, intent=ReadIntent.QUERY)
+        h.read(block.block_id)
         assert h.ssd.contains(block.block_id)
         assert h.stats.intents[ReadIntent.QUERY].promotions == 1
+        assert h.stats.intents[ReadIntent.MAINTENANCE].reads == 0
 
-    def test_scopes_nest_and_restore(self):
+    def test_concurrent_readers_keep_their_own_intents(self):
+        # Nothing about an intent outlives its call: two threads reading
+        # side by side are each charged, and admitted, by their own.
         h = make_hierarchy()
-        with h.reading_as(ReadIntent.MAINTENANCE):
-            with h.reading_as(ReadIntent.QUERY):
-                assert h.current_read_intent() is ReadIntent.QUERY
-            assert h.current_read_intent() is ReadIntent.MAINTENANCE
-        assert h.current_read_intent() is ReadIntent.QUERY
+        blocks = {
+            intent: [shared_only_block(h, f"{intent.name}{i}") for i in range(40)]
+            for intent in ReadIntent
+        }
+        start = threading.Barrier(len(blocks))
+
+        def reader(intent):
+            start.wait()
+            for _ in range(3):
+                for block in blocks[intent]:
+                    h.read(block.block_id, intent=intent)
+
+        threads = [
+            threading.Thread(target=reader, args=(intent,)) for intent in blocks
+        ]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=30)
+        assert not any(thread.is_alive() for thread in threads)
+        query = h.stats.intents[ReadIntent.QUERY]
+        maintenance = h.stats.intents[ReadIntent.MAINTENANCE]
+        assert (query.reads, query.shared_reads, query.promotions) == (120, 40, 40)
+        assert query.ssd_hits == 80
+        assert (maintenance.reads, maintenance.shared_reads) == (120, 120)
+        assert maintenance.promotions == 0
+        assert all(h.ssd.contains(b.block_id) for b in blocks[ReadIntent.QUERY])
+        assert not any(
+            h.is_cached(b.block_id) for b in blocks[ReadIntent.MAINTENANCE]
+        )
 
 
 class TestReadShared:

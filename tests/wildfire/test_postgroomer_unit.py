@@ -273,13 +273,18 @@ class TestOneSweepPredecessors:
         for rows in self.BATCH:
             shard.ingest(rows)
             shard.groomer.groom()
-        maintenance = shard.hierarchy.stats.intents[ReadIntent.MAINTENANCE]
-        before = maintenance.snapshot()
+        intents = shard.hierarchy.stats.intents
+        before = {intent: stats.snapshot() for intent, stats in intents.items()}
         overlay_before = shard.catalog.export_end_ts_overlay()
         op = shard.post_groomer.post_groom()
-        reads = {
-            "shared": maintenance.shared_reads - before.shared_reads,
-            "promotions": maintenance.promotions - before.promotions,
+        query, maintenance = (
+            intents[intent].diff(before[intent])
+            for intent in (ReadIntent.QUERY, ReadIntent.MAINTENANCE)
+        )
+        reads = {  # the per-key reference reads as QUERY, the sweep not
+            "shared": query.shared_reads + maintenance.shared_reads,
+            "query": query.reads,
+            "promotions": maintenance.promotions,
         }
         blocks = [
             block_records(shard.catalog.get_block(Zone.POST_GROOMED, block_id))
@@ -343,6 +348,7 @@ class TestOneSweepPredecessors:
     def test_purged_runs_are_swept_without_promotion_or_residue(self):
         shard, _, _, _, reads, post_groomed = self.run_scenario(purged=True)
         _, _, _, _, ref_reads, _ = self.run_scenario(reference=True, purged=True)
+        assert reads["query"] == 0
         assert reads["promotions"] == 0
         assert 0 < reads["shared"] <= ref_reads["shared"]
         for run in post_groomed:
