@@ -23,11 +23,12 @@ whose per-column min/max needs decoded values, is supplied by the caller
 from __future__ import annotations
 
 from bisect import bisect_left, bisect_right
-from itertools import accumulate
+from itertools import accumulate, repeat
 from operator import itemgetter
 from typing import Iterable, List, Optional, Sequence, Tuple
 
 from repro.core.definition import IndexDefinition
+from repro.core.encoding import columns_of
 from repro.core.entry import (
     IndexEntry,
     SORT_KEY_TS_BYTES,
@@ -99,10 +100,8 @@ class RunBuilder:
         pairs = [entry.to_blob(definition) for entry in materialized]
         if not presorted:
             pairs.sort(key=itemgetter(0))
-        columns = tuple(zip(*pairs)) or ((), ())
-        return self.build_from_columns(
-            run_id, [columns], synopsis, *placement, **options
-        )
+        columns = [columns_of(pairs, range(2))]
+        return self.build_from_columns(run_id, columns, synopsis, *placement, **options)
 
     def build_from_columns(
         self,
@@ -165,15 +164,11 @@ class RunBuilder:
             block_payloads.append(payload)
             first, base = stop, ends[stop - 1]
         # offset[b] = ordinal of the first entry with hash high-bits >= b.
-        shift = 64 - definition.hash_bits
-        offset_array = tuple(
-            bisect_left(sort_keys, (bucket << shift).to_bytes(8, "big"))
-            for bucket in range(definition.offset_array_size)
-        )
+        offset_array = tuple(map(bisect_left, repeat(sort_keys), definition.bucket_bounds))
         # ``~beginTS`` is stored descending: the smallest suffix is the newest.
-        suffixes = [key[-SORT_KEY_TS_BYTES:] for key in sort_keys]
-        min_ts = begin_ts_of_sort_key(max(suffixes)) if count else 0
-        max_ts = begin_ts_of_sort_key(min(suffixes)) if count else 0
+        suffix = itemgetter(slice(-SORT_KEY_TS_BYTES, None))
+        min_ts = begin_ts_of_sort_key(max(map(suffix, sort_keys))) if count else 0
+        max_ts = begin_ts_of_sort_key(min(map(suffix, sort_keys))) if count else 0
 
         bloom_blob = None
         if self.bloom_fpr is not None and count:

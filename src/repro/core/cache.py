@@ -199,6 +199,15 @@ class CacheManager:
             run._views.clear()
         self.hierarchy.drop_from_cache(doomed)
 
+    def forget_sweep_views(self, runs: Iterable[IndexRun]) -> None:
+        """Forget the views (and ``fetched_blocks`` entries) of purged ``runs``
+        whose block no local tier holds: a post-groom sweep's reads admit none."""
+        for run in [run for run in runs if run.level > self._current_cached_level]:
+            for i in list(run._views):  # a copy: a query may memoize meanwhile
+                if not self.hierarchy.is_cached(run.data_block_id(i)):
+                    run._views.pop(i, None)
+                    run.fetched_blocks.discard(i)
+
     # -- the dynamic policy --------------------------------------------------------------
 
     def maintain(self) -> None:

@@ -19,6 +19,7 @@ from __future__ import annotations
 import enum
 import struct
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Iterable, List, Mapping, Optional, Sequence, Tuple
 
 from repro.core.encoding import (
@@ -229,6 +230,12 @@ class IndexDefinition:
     @property
     def offset_array_size(self) -> int:
         return (1 << self.hash_bits) if self.has_hash_column else 0
+
+    @cached_property
+    def bucket_bounds(self) -> Tuple[bytes, ...]:
+        """The 8-byte hash prefix each offset-array bucket starts at."""
+        shift = 64 - self.hash_bits
+        return tuple((b << shift).to_bytes(8, "big") for b in range(self.offset_array_size))
 
     def column_index(self) -> Mapping[str, int]:
         """Map column name -> position among key columns (synopsis layout)."""

@@ -30,6 +30,7 @@ bits, which is what the offset array consumes.
 from __future__ import annotations
 
 import struct
+from operator import itemgetter
 from typing import Iterable, List, Sequence, Tuple, Union
 
 KeyValue = Union[int, float, str, bytes]
@@ -291,9 +292,15 @@ def prefix_successor(prefix: bytes) -> bytes:
     return b""
 
 
+def columns_of(rows: Iterable[Sequence], positions: Iterable[int]) -> List[List]:
+    """Every rows -> columns transpose (``zip(*rows)`` makes an iterator per row)."""
+    return [list(map(itemgetter(p), rows)) for p in positions]
+
+
 __all__ = [
     "EncodingError",
     "KeyValue",
+    "columns_of",
     "decode_bytes",
     "decode_float64",
     "decode_int64",

@@ -27,7 +27,7 @@ from repro.core.recovery import RecoveredState, recover_index_state
 from repro.core.run import IndexRun, Synopsis
 from repro.core.runlist import RunList
 from repro.core.stats import IndexStats, LevelStats
-from repro.core.encoding import KeyValue
+from repro.core.encoding import KeyValue, columns_of
 from repro.storage.hierarchy import StorageHierarchy
 from repro.storage.metrics import ReadIntent
 
@@ -338,13 +338,10 @@ class UmziIndex:
         input order.  Each key is one tuple of the key columns' values
         (equality, then sort); per-key snapshots are
         :meth:`QueryExecutor.batch_lookup`'s."""
-        if not keys:
-            return []
-        try:
-            columns = list(zip(*keys, strict=True))
-        except ValueError:
-            raise QueryError("the keys of a batch differ in width") from None
-        return self.executor.batch_lookup_columns(columns, query_ts)
+        if len(widths := set(map(len, keys))) > 1:
+            raise QueryError("the keys of a batch differ in width")
+        columns = columns_of(keys, range(max(widths, default=0)))
+        return self.executor.batch_lookup_columns(columns, query_ts) if keys else []
 
     # ------------------------------------------------------------------------------
     # candidate-run collection
@@ -444,13 +441,13 @@ class UmziIndex:
         The sweep races concurrent merges of the post-groomed zone like
         any query does, so it pins the current version for its duration
         and reads that version's post-groomed runs.  A RID is read off its
-        entry blob's fixed suffix: no entry is decoded or memoized.
+        entry blob's fixed suffix: no entry is decoded or memoized, and no
+        view of a block no local tier holds outlives the sweep.
         """
         with self.lifecycle.pin() as pin:
             executor = self._fixed_executor(lambda: pin.version.post_groomed)
-            hits = executor.batch_hits(
-                key_columns, query_ts, intent=ReadIntent.MAINTENANCE
-            )
+            hits = executor.batch_hits(key_columns, query_ts, intent=ReadIntent.MAINTENANCE)
+            self.cache.forget_sweep_views(pin.version.post_groomed)
             return [hit and hit[0].rid_at(hit[1]) for hit in hits]
 
     def all_runs(self) -> List[IndexRun]:

@@ -39,6 +39,7 @@ from repro.core.encoding import (
     EncodingError,
     KeyValue,
     UINT64_MAX,
+    columns_of,
     encode_uint64,
     hash_values,
     prefix_successor,
@@ -506,16 +507,13 @@ class QueryExecutor:
         """:meth:`batch_lookup_columns` over :class:`PointLookup` rows."""
         if not lookups:
             return []
-        equality, sort, timestamps = zip(*lookups)
+        equality, sort, timestamps = columns_of(lookups, range(3))
         widths = len(self.definition.equality_columns), len(self.definition.sort_columns)
-        if {(len(eq), len(st)) for eq, st in zip(equality, sort)} != {widths}:
-            raise QueryError(
-                "every point lookup must bind all %d equality and %d sort "
-                "columns" % widths
-            )
-        return self.batch_lookup_columns(
-            [*zip(*equality), *zip(*sort)], timestamps
-        )
+        if (set(map(len, equality)), set(map(len, sort))) != ({widths[0]}, {widths[1]}):
+            raise QueryError("every point lookup must bind all %d equality and %d sort "
+                             "columns" % widths)
+        key_columns = columns_of(equality, range(widths[0])) + columns_of(sort, range(widths[1]))
+        return self.batch_lookup_columns(key_columns, timestamps)
 
     def batch_lookup_columns(
         self,

@@ -414,8 +414,8 @@ class IndexRun:
         stay cheap regardless of block size.  ``intent`` is the
         cache-admission signal passed down to :meth:`StorageHierarchy.read`:
         the post-groom sweep's probes read as MAINTENANCE and memoize like
-        a query's, since a binary search revisits the same block many times.
-        A query back at a memoized view makes it keyed.
+        a query's (a binary search revisits a block; the sweep then forgets
+        what no tier holds).  A query back at a memoized view makes it keyed.
         """
         cached = self._views.get(block_index)
         if cached is not None:

@@ -168,7 +168,8 @@ class AccessPlan:
     / ``entry_row`` extract the primary key and (index-only) the output
     row from an entry's concatenated ``equality + sort + include`` values,
     ``record_pk`` / ``record_row`` from a record's values (``record_row``
-    is ``None`` for the full row, which needs no copy).
+    is ``None`` for the full row, which needs no copy), ``ghost_key`` the
+    primary key as ``ShardIndex.ghosted`` keys it (one column: its value).
     """
 
     index_name: str
@@ -197,6 +198,7 @@ class AccessPlan:
     )
     entry_slots: Tuple = field(default=(), repr=False, compare=False)
     entry_pk: Optional[Callable] = field(default=None, repr=False, compare=False)
+    ghost_key: Optional[Callable] = field(default=None, repr=False, compare=False)
     entry_row: Optional[Callable] = field(default=None, repr=False, compare=False)
     record_pk: Optional[Callable] = field(default=None, repr=False, compare=False)
     record_row: Optional[Callable] = field(default=None, repr=False, compare=False)
@@ -472,6 +474,7 @@ def plan_prototype(
         shape=shape,
         definition=shard_index.index.definition,
         entry_pk=tuple_getter(pk_offsets),
+        ghost_key=itemgetter(*pk_offsets),  # one offset: the value itself
         entry_row=tuple_getter([
             entry_offset(spec, column)
             for column in (projection if index_only else ())

@@ -63,7 +63,7 @@ from operator import attrgetter
 from typing import Callable, Dict, List, NamedTuple, Optional, Sequence, Set, Tuple
 
 from repro.core.definition import COLUMN_ENCODERS, encode_search_key, encode_typed
-from repro.core.encoding import EncodingError, KeyValue, fnv1a64
+from repro.core.encoding import EncodingError, KeyValue, columns_of, fnv1a64
 from repro.core.entry import IndexEntry
 from repro.qos.admission import AdmissionController, QosConfig
 from repro.qos.breaker import BreakerState, CircuitBreaker
@@ -340,8 +340,8 @@ class ShardedTable:
         # on any shard); sharding values encoded as ``key_hash`` encodes them.
         rows = self.schema.validate_rows(rows)
         keys = map(b"".join, zip(*[
-            COLUMN_ENCODERS[spec.ctype]([row[p] for row in rows])
-            for spec, p in zip(self._shard_specs, self._shard_positions)
+            COLUMN_ENCODERS[spec.ctype](column) for spec, column
+            in zip(self._shard_specs, columns_of(rows, self._shard_positions))
         ]))
         per_shard: Dict[int, List[Sequence[KeyValue]]] = {}
         # One map pin covers the whole batch: every row of the batch is

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 from typing import Iterator, List, Optional, Sequence, Tuple
 
 from repro.core.definition import COLUMN_ENCODERS, DECODERS
-from repro.core.encoding import KeyValue, decode_uint64, encode_ts_desc_column
+from repro.core.encoding import KeyValue, columns_of, decode_uint64, encode_ts_desc_column
 from repro.core.entry import RID, RID_BYTES, Zone, encode_rid_column
 from repro.wildfire.schema import TableSchema
 
@@ -33,12 +33,8 @@ RidTriple = Tuple[int, int, int]  # a RID as plain ints: (zone, block id, offset
 
 def encode_columns(schema: TableSchema, rows: Sequence[Sequence[KeyValue]]) -> Columns:
     """The rows' user values, column-major, each encoded by its type."""
-    if not rows:
-        return [[] for _ in schema.columns]
-    return [
-        COLUMN_ENCODERS[spec.ctype](column)
-        for spec, column in zip(schema.columns, zip(*rows))
-    ]
+    columns = columns_of(rows, range(len(schema.columns)))
+    return [COLUMN_ENCODERS[spec.ctype](column) for spec, column in zip(schema.columns, columns)]
 
 
 @dataclass(frozen=True)

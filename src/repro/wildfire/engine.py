@@ -504,10 +504,10 @@ class WildfireShard:
                 # older than a recorded newest within the horizon is
                 # dropped (the newest is its own hit).  The primary holds
                 # the answer for the rest.
-                entry_pk, ghosted = plan.entry_pk, shard_index.ghosted
+                entry_pk, ghost_key, ghosted = plan.entry_pk, plan.ghost_key, shard_index.ghosted
                 vouched, doubtful = [], []
                 for row in rows:
-                    newest = ghosted.get(entry_pk(row), row[-2])
+                    newest = ghosted.get(ghost_key(row), row[-2])
                     if newest == row[-2]:
                         vouched.append(row)
                     elif newest is None or newest > horizon:

@@ -23,7 +23,7 @@ from itertools import chain, compress
 from operator import ne
 from typing import Dict, List, Optional, Sequence, Tuple
 
-from repro.core.encoding import encode_ts_desc_column
+from repro.core.encoding import columns_of, encode_ts_desc_column
 from repro.core.entry import encode_rid_column, entry_blob_columns
 from repro.core.index import UmziConfig, UmziIndex
 from repro.core.run import ColumnRange, Synopsis
@@ -47,8 +47,8 @@ class ShardIndex:
     # each mapped to its newest version's beginTS in every index, or
     # ``None`` while unknown (a groom publishing or cut short, a key
     # adopted at split or merge): every secondary plan vouches for its
-    # hits by it.  Always empty for the primary.
-    ghosted: Dict[Tuple, Optional[int]] = field(default_factory=dict, init=False)
+    # hits by it.  Always empty for the primary.  A one-column pk is its value.
+    ghosted: Dict[object, Optional[int]] = field(default_factory=dict, init=False)
     # Equality value -> encoded hash, across grooms (``entry.hash_column``);
     # touched only under the groom lock.
     hash_memo: Dict[object, bytes] = field(default_factory=dict, init=False)
@@ -67,17 +67,15 @@ class ShardIndexes:
     ) -> None:
         self.schema = schema
         primary_spec.validate_primary(schema)
-        self.primary = self._attach(
-            PRIMARY_INDEX_NAME, primary_spec, hierarchy, umzi_config
-        )
+        self.primary = self._attach(PRIMARY_INDEX_NAME, primary_spec, hierarchy, umzi_config)
         self.secondaries: Dict[str, ShardIndex] = {}
         # The smart planner's compiled plans by Query.shape, shared by a
         # table's shards (``add_secondary`` gives this shard its own).
         self.plan_templates: Dict[Tuple, Tuple] = {}
         self._pk_positions = schema.positions(schema.primary_key)
-        # Ghost tracking (ISSUE 10): per secondary, the last groomed
-        # secondary-key tuple of every primary key.
-        self._key_memo: Dict[str, Dict[Tuple, Tuple]] = {}
+        # Ghost tracking: per secondary, each pk's last groomed key, cut to
+        # its columns outside the pk (which alone can move; one: its value).
+        self._key_memo: Dict[str, Dict[object, object]] = {}
         for name, spec in (secondary_specs or {}).items():
             self.add_secondary(name, spec, hierarchy, umzi_config)
 
@@ -85,10 +83,7 @@ class ShardIndexes:
                 umzi_config: UmziConfig) -> ShardIndex:
         config = replace(umzi_config, name=f"{self.schema.name}-{name}")
         index = UmziIndex(spec.build_definition(self.schema), hierarchy, config)
-        return ShardIndex(
-            name=name, spec=spec, index=index,
-            positions=spec.positions(self.schema),
-        )
+        return ShardIndex(name, spec, index, spec.positions(self.schema))
 
     def add_secondary(self, name: str, spec: IndexSpec, hierarchy: StorageHierarchy,
                       umzi_config: UmziConfig) -> ShardIndex:
@@ -145,7 +140,7 @@ class ShardIndexes:
         rows = block.rows
         if encoded is None:
             encoded = encode_columns(self.schema, rows)
-        raw = list(zip(*rows)) or [()] * len(self.schema.columns)
+        raw = columns_of(rows, range(len(self.schema.columns)))
         ts_desc = encode_ts_desc_column(block.begin_ts)
         rids = encode_rid_column(block.zone, block.block_id, len(rows))
         run_ids: Dict[str, str] = {}
@@ -158,14 +153,9 @@ class ShardIndexes:
             equality, sort, included = shard_index.positions
             # Peak memory holds one index's columns, not every index's.
             sort_keys, blobs = entry_blob_columns(
-                shard_index.index.definition,
-                [encoded[p] for p in equality],
-                [encoded[p] for p in sort],
-                [encoded[p] for p in included],
-                ts_desc,
-                rids,
-                [raw[p] for p in equality],
-                shard_index.hash_memo,
+                shard_index.index.definition, [encoded[p] for p in equality],
+                [encoded[p] for p in sort], [encoded[p] for p in included],
+                ts_desc, rids, [raw[p] for p in equality], shard_index.hash_memo,
             )
             order = sorted(range(len(sort_keys)), key=sort_keys.__getitem__)
             synopsis = Synopsis(tuple(
@@ -182,18 +172,21 @@ class ShardIndexes:
             ghosted.update(begin_ts)
         return run_ids
 
-    def _track_ghosts(self, raw: Sequence[Tuple], begin_ts: Sequence[int]):
+    def _track_ghosts(self, raw: Sequence[Sequence], begin_ts: Sequence[int]):
         """Map the primary keys among the rows (``raw``: values column-major,
         versions ``begin_ts``) whose secondary key ever moved -- ghosted, or
         not every version, the memo's and the batch's, carries its last key
         -- to ``None``; return ``(ghosted, {pk: newest beginTS})`` pairs."""
-        pks = list(zip(*[raw[p] for p in self._pk_positions]))
+        pk_positions = self._pk_positions
+        pks = [raw[p] for p in pk_positions]
+        pks = pks[0] if len(pks) == 1 else list(zip(*pks))
         newest = dict(zip(pks, begin_ts))  # each key's last version
         pending = []
         for name, shard_index in self.secondaries.items():
             memo, ghosted = self._key_memo[name], shard_index.ghosted
             equality, sort, _included = shard_index.positions
-            keys = list(zip(*[raw[p] for p in equality + sort]))
+            keys = [raw[p] for p in equality + sort if p not in pk_positions]
+            keys = keys[0] if len(keys) == 1 else list(zip(*keys))
             last = dict(zip(pks, keys))
             moved = dict.fromkeys(chain(
                 compress(pks, map(ne, keys, map(last.__getitem__, pks))),

@@ -26,14 +26,15 @@ from itertools import compress
 from dataclasses import dataclass, field, replace
 from typing import Dict, List, Optional, Sequence, Tuple
 
-from repro.core.encoding import encode_composite, fnv1a64
+from repro.core.definition import COLUMN_ENCODERS
+from repro.core.encoding import columns_of, fnv1a64
 from repro.core.entry import Zone
 from repro.core.evolve import RidSplices
 from repro.core.index import UmziIndex
 from repro.faults.crash import crash_point
 from repro.storage.metrics import ReadIntent
 from repro.wildfire.blockstore import BlockCatalog
-from repro.wildfire.columnar import RidTriple, Row
+from repro.wildfire.columnar import RidTriple
 from repro.wildfire.schema import IndexSpec, TableSchema
 
 
@@ -157,10 +158,13 @@ class PostGroomer:
         ]
         rows = [row for block in blocks for row in block.rows]
         begin_ts = [ts for block in blocks for ts in block.begin_ts]
-        # Partition into buckets; rows stay in beginTS order per bucket.
-        bucket_of = [0] * len(rows)
-        if self._partition_positions:
-            bucket_of = list(map(self._bucket_of, rows))
+        # Partition by the partition key's encoding (Python's hash is
+        # salted; no key: bucket 0); rows stay in beginTS order per bucket.
+        positions, buckets = self._partition_positions, self.partition_buckets
+        parts = [COLUMN_ENCODERS[self.schema.columns[p].ctype](column)
+                 for p, column in zip(positions, columns_of(rows, positions))]
+        bucket_of = [fnv1a64(key) % buckets for key in map(b"".join, zip(*parts))]
+        bucket_of = bucket_of or [0] * len(rows)
         sorted_buckets = sorted(set(bucket_of))
         first_id = self.catalog.reserve_post_groomed_ids(len(sorted_buckets))
         # bucket -> (reserved block id, rows, beginTS, prevRID), bucket order
@@ -177,14 +181,11 @@ class PostGroomer:
         keys: Sequence = ()
         last_rid: Dict = {}
         if rows:
-            columns = list(zip(*rows))
-            keys = [columns[i] for i in self._pk_positions]
+            keys = columns_of(rows, self._pk_positions)
             keys = keys[0] if len(keys) == 1 else list(zip(*keys))
             distinct = dict(zip(keys, rows))
-            columns = list(zip(*distinct.values()))
-            hits = self.index.post_groomed_batch_lookup(
-                [columns[i] for i in self._key_positions], query_ts=begin_ts[0] - 1
-            )
+            key_columns = columns_of(distinct.values(), self._key_positions)
+            hits = self.index.post_groomed_batch_lookup(key_columns, begin_ts[0] - 1)
             last_rid = dict(compress(zip(distinct, hits), hits))
 
         # Resolve version chains in global beginTS order (= batch order),
@@ -213,13 +214,6 @@ class PostGroomer:
             )
             splices.update(block.rid_splices())
         return [slot[0] for slot in slots.values()], splices, len(rows)
-
-    def _bucket_of(self, row: Row) -> int:
-        if not self._partition_positions:
-            return 0
-        value = tuple(map(row.__getitem__, self._partition_positions))
-        # Deterministic partition bucketing (Python's hash is salted).
-        return fnv1a64(encode_composite(value)) % self.partition_buckets
 
 
 __all__ = ["PostGroomOp", "PostGroomer"]

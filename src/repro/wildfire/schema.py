@@ -17,7 +17,7 @@ from dataclasses import dataclass, field
 from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
 from repro.core.definition import ColumnSpec, IndexDefinition
-from repro.core.encoding import KeyValue
+from repro.core.encoding import KeyValue, columns_of
 
 
 class SchemaError(ValueError):
@@ -93,7 +93,8 @@ class TableSchema:
         not vouch for) falls back to exactly that, refusal included."""
         rows = list(rows)  # read twice below
         if set(map(len, rows)) == {len(self.columns)}:
-            columns = list(map(ColumnSpec.validate_column, self.columns, zip(*rows)))
+            columns = columns_of(rows, range(len(self.columns)))
+            columns = list(map(ColumnSpec.validate_column, self.columns, columns))
             if None not in columns:
                 return list(zip(*columns))
         return [self.validate_row(row) for row in rows]

@@ -1,5 +1,6 @@
-"""Deterministic hot-path guards: Python calls (and lines) per ``point_query``,
-calls per row and GC-tracked objects retained per row.
+"""Deterministic hot-path guards: Python calls (and bytecodes) per
+``point_query``, calls and bytecodes per row, GC-tracked objects and bytes
+retained per row and young collections per row.
 
 Wall-clock numbers do not repeat on a shared CI box; the number of Python
 ``call`` events a front-door point lookup makes does.  This test loads the
@@ -100,7 +101,7 @@ them when the path gets shorter; raise them only deliberately.
 
 Calls cannot see a Python loop that makes none: the binary search inside
 a run was ~11 probes per run searched without a call among them.  So the
-point test also counts ``line`` events per ``point_query`` with
+point test also counted ``line`` events per ``point_query`` with
 ``sys.settrace`` over the same keys, warm and purged:
 
 =========================  =====  ======
@@ -132,6 +133,21 @@ lookup: ``WildfireShard.point_query``'s two ``freshness`` checks,
 the thread-local: the miss's intent lookup in ``StorageHierarchy.read``
 and the exit's ``current_read_intent`` call.
 
+A line event fires per source line of a comprehension per element, so
+reflowing code moved that reading with no work added or removed.  The
+point test now counts executed bytecodes instead (``opcode`` events, with
+``frame.f_trace_opcodes`` set on every traced frame), which reflowing
+does not move:
+
+=========================  ======  ======
+commit                       warm  purged
+=========================  ======  ======
+723956d                    1448.7  3599.9
+=========================  ======  ======
+
+Each ceiling is the reading times the slack the line ceiling had over its
+last reading (250 / 247.0 and 594 / 591.2).
+
 The write path has the same guard: ``call`` events per ingested row inside
 ``ingest`` + ``tick`` over the whole load of this fixture (48 rounds, 7 175
 rows, two post-grooms, every groom, evolve and merge included):
@@ -149,6 +165,7 @@ one pass per batch                        26.0
 793ae68 (before the columns)              24.4
 rows off the heap                         20.7
 per value, not per entry                  18.2
+no per-row object on writes               13.7
 ==============================  ==============
 
 A per-row ``IndexEntry``, a per-value runtime-type dispatch or a per-key
@@ -174,10 +191,13 @@ PSN record publishes the serialized splice map) and no generator per row
 in ``_bucket_of``.  The ``per value, not per entry`` row hashes an
 equality value once per shard (a memo on the ``ShardIndex``), and the
 post-groom sweep reads each predecessor's RID off its entry blob: no
-``DataBlockView.entry`` -> decode per predecessor.
+``DataBlockView.entry`` -> decode per predecessor.  The ``no per-row
+object on writes`` row is mostly ``RunBuilder``'s fixed cost: the
+offset array's bucket bounds are encoded once per definition, not one
+``to_bytes`` per bucket per run (256 per run at the default hash bits).
 
 Calls cannot see a per-entry Python loop either: ``line`` events per
-ingested row over the same load (``sys.settrace``):
+ingested row over the same load (``sys.settrace``) were the guard:
 
 ==============================  ==============
 commit                          lines per row
@@ -191,7 +211,27 @@ over the batch's keys instead of a loop over its rows: 6.2 lines per
 row), sorts a permutation of the groom's sort-key column instead of
 ``(sort_key, blob)`` pairs, hashes a value the shard's memo holds no
 more, and keys the post-groom's version chains by a one-column primary
-key's value.  The per-row ghost loop coming back reads 295.4.
+key's value.  The per-row ghost loop coming back read 295.4.
+
+The write test now counts bytecodes per ingested row too, as the point
+test does: folding ``IndexRun.block_columns``' four-line blob
+comprehension onto one line took the line reading from 260.8 to 241.9
+per row and leaves this one at 1421.3.
+
+==============================  ==================
+commit                          bytecodes per row
+==============================  ==================
+723956d (before)                            1588.8
+no per-row object on writes                 1421.3
+==============================  ==================
+
+The last row transposes rows into columns with ``map(itemgetter(i),
+rows)`` (``zip(*rows)`` makes an iterator per row), keys the ghost memo,
+``ghosted`` and a groom's newest versions by a one-column primary key's
+value, and keeps only a secondary key's columns outside the primary key
+in the memo (calls per row went 18.0 to 13.7 with it).  Its ceiling is
+the reading times the slack of the line ceiling (293 / 287.5); the
+per-row ghost loop coming back reads 1465.1.
 
 The heap has a budget too: GC-tracked objects retained per loaded row,
 counted with ``gc.get_objects()`` after a collection before and after the
@@ -213,6 +253,28 @@ block.  A per-row object kept for the table's lifetime shows up here --
 so does an ``IndexEntry`` the post-groom sweep decodes and memoizes on a
 post-groomed block view per predecessor, which the last row stopped
 making (0.296 before it).
+
+Tuples of plain values are untracked by the collector, so that count
+does not see a memo holding one per row.  Two more readings on the same
+load do: generation-0 collections per 1,000 rows through ``ingest`` +
+``tick`` (``gc.callbacks``, the thresholds as found, counted from a
+collection), and ``tracemalloc`` bytes the table retains per loaded row
+(imports done first, a collection before each reading):
+
+==============================  ===========  =============
+commit                          gen-0 / 1 k  bytes per row
+==============================  ===========  =============
+723956d (before)                      8.084          789.1
+no per-row object on writes           1.951          658.9
+==============================  ===========  =============
+
+Both repeat exactly under ``PYTHONHASHSEED`` 1, 2 and 3.  The before row
+transposed with ``zip(*rows)``, whose per-row iterators, all alive at
+once, pushed every large post-groom through generation 0 several times,
+and kept a primary-key 1-tuple and a ``(secondary value, pk)`` tuple per
+row and secondary in the ghost memo for the table's lifetime.
+``zip(*rows)`` back in ``encode_columns`` alone reads 2.927 collections,
+a memo keyed by 1-tuples 699.0 bytes.
 
 And the typed path: ``call`` events per ``table.query`` on the same warmed
 fixture, one row per query shape of the e2e ``typed_scatter`` workload
@@ -297,21 +359,24 @@ query; the fetch-back reads its vouched RIDs the same way.
 import gc
 import importlib.util
 import sys
+import tracemalloc
 from pathlib import Path
 
 E2E = Path(__file__).resolve().parents[2] / "benchmarks" / "e2e"
 
 BEFORE = {"warm": 357.9, "purged": 508.4}
 CEILING = {"warm": 30.0, "purged": 50.0}
-LINE_BEFORE = {"warm": 550.4, "purged": 877.6}
-LINE_CEILING = {"warm": 250.0, "purged": 594.0}
+OPCODE_CEILING = {"warm": 1466.0, "purged": 3617.0}
 
 WRITE_BEFORE = 114.2
-WRITE_CEILING = 19.0
-WRITE_LINE_BEFORE = 313.4
-WRITE_LINE_CEILING = 293.0
+WRITE_CEILING = 14.5
+WRITE_OPCODE_CEILING = 1448.0
 HEAP_BEFORE = 1.452
 HEAP_CEILING = 0.20
+GC0_BEFORE = 8.084
+GC0_CEILING = 2.5
+BYTES_BEFORE = 789.1
+BYTES_CEILING = 680.0
 
 TYPED_BEFORE = {
     "customer": 11308.5, "region": 2112.6, "range": 3235.7, "equality": 282.6,
@@ -335,9 +400,10 @@ def load_make_table():
     return module.make_table
 
 
-def loaded_table(profiler=None, tracer=None):
-    """The fixture; ``profiler`` (``sys.setprofile``) and ``tracer``
-    (``sys.settrace``) are installed around each ingest + tick."""
+def loaded_table(profiler=None, tracer=None, gc_callback=None):
+    """The fixture; ``profiler`` (``sys.setprofile``), ``tracer``
+    (``sys.settrace``) and ``gc_callback`` (``gc.callbacks``) are
+    installed around each ingest + tick."""
     table = load_make_table()(2)
     # Every order_id once, in a fixed scrambled order (7919 is coprime
     # with ROWS), plus re-upserts of the oldest keys so runs overlap.
@@ -349,6 +415,8 @@ def loaded_table(profiler=None, tracer=None):
             (k, f"c{k % 90:03d}", f"r{(k // 2) % 50:02d}", (k * 31 + start) % 5000)
             for k in again + fresh
         ]
+        if gc_callback is not None:
+            gc.callbacks.append(gc_callback)
         sys.setprofile(profiler)
         sys.settrace(tracer)
         try:
@@ -357,6 +425,8 @@ def loaded_table(profiler=None, tracer=None):
         finally:
             sys.settrace(None)
             sys.setprofile(None)
+            if gc_callback is not None:
+                gc.callbacks.remove(gc_callback)
     for shard in table.shards:
         stats = shard.index.stats()
         assert stats.groomed_run_count >= 1 and stats.post_groomed_run_count >= 1
@@ -390,16 +460,25 @@ def calls_per_query(table, keys):
     return calls / len(keys)
 
 
-def lines_per_query(table, keys):
-    """Mean Python ``line`` events inside ``point_query`` over ``keys``."""
-    lines = 0
+def opcode_tracer():
+    """A ``sys.settrace`` tracer counting executed bytecodes (``opcode``
+    events, no ``line`` events) and its count: unlike a line count, it
+    does not move when code is reflowed across source lines."""
+    count = [0]
 
     def tracer(frame, event, arg):
-        nonlocal lines
-        if event == "line":
-            lines += 1
+        if event == "opcode":
+            count[0] += 1
+        elif event == "call":
+            frame.f_trace_opcodes, frame.f_trace_lines = True, False
         return tracer
 
+    return tracer, count
+
+
+def opcodes_per_query(table, keys):
+    """Mean Python ``opcode`` events inside ``point_query`` over ``keys``."""
+    tracer, count = opcode_tracer()
     point_query, advance = table.point_query, table.advance_clock
     gc.collect()
     gc.disable()
@@ -414,7 +493,7 @@ def lines_per_query(table, keys):
             assert row is not None and row.values[0] == key
     finally:
         gc.enable()
-    return lines / len(keys)
+    return count[0] / len(keys)
 
 
 def calls_per_typed_query(table, queries):
@@ -494,12 +573,12 @@ def test_python_calls_per_point_query_stay_under_budget():
         table.point_query((), (key,))
 
     measured = {"warm": calls_per_query(table, keys)}
-    lines = {"warm": lines_per_query(table, keys)}
+    opcodes = {"warm": opcodes_per_query(table, keys)}
     for shard in table.shards:
         for shard_index in shard.indexes.all():
             shard_index.index.cache.set_cache_level(-1)
     measured["purged"] = calls_per_query(table, keys)
-    lines["purged"] = lines_per_query(table, keys)
+    opcodes["purged"] = opcodes_per_query(table, keys)
 
     for regime, ceiling in CEILING.items():
         assert ceiling <= 0.65 * BEFORE[regime]
@@ -507,11 +586,10 @@ def test_python_calls_per_point_query_stay_under_budget():
             f"{regime}: {measured[regime]:.1f} Python calls per point_query, "
             f"budget {ceiling} (was {BEFORE[regime]} before the kernel)"
         )
-    for regime, ceiling in LINE_CEILING.items():
-        assert lines[regime] <= ceiling, (
-            f"{regime}: {lines[regime]:.1f} Python lines per point_query, "
-            f"budget {ceiling} (was {LINE_BEFORE[regime]} before warm blocks "
-            "were bisected)"
+    for regime, ceiling in OPCODE_CEILING.items():
+        assert opcodes[regime] <= ceiling, (
+            f"{regime}: {opcodes[regime]:.1f} bytecodes per point_query, "
+            f"budget {ceiling}"
         )
 
 
@@ -557,24 +635,53 @@ def test_python_calls_per_ingested_row_stay_under_budget():
     )
 
 
-def test_python_lines_per_ingested_row_stay_under_budget():
-    lines = 0
-
-    def tracer(frame, event, arg):
-        nonlocal lines
-        if event == "line":
-            lines += 1
-        return tracer
-
+def test_bytecodes_per_ingested_row_stay_under_budget():
+    tracer, count = opcode_tracer()
     gc.collect()
     gc.disable()
     try:
         loaded_table(tracer=tracer)
     finally:
         gc.enable()
-    measured = lines / loaded_rows()
-    assert measured <= WRITE_LINE_CEILING, (
-        f"{measured:.1f} Python lines per ingested row through ingest + tick, "
-        f"budget {WRITE_LINE_CEILING} (was {WRITE_LINE_BEFORE} before groom and "
-        "post-groom worked a column at a time)"
+    measured = count[0] / loaded_rows()
+    assert measured <= WRITE_OPCODE_CEILING, (
+        f"{measured:.1f} bytecodes per ingested row through ingest + tick, "
+        f"budget {WRITE_OPCODE_CEILING}"
+    )
+
+
+def test_young_collections_per_loaded_row_stay_under_budget():
+    counted = [0]
+
+    def on_collection(phase, info):
+        if phase == "start" and info["generation"] == 0:
+            counted[0] += 1
+
+    load_make_table()
+    gc.collect()  # thresholds as found, generation counts from zero
+    loaded_table(gc_callback=on_collection)
+    measured = 1000 * counted[0] / loaded_rows()
+    assert GC0_CEILING <= 0.65 * GC0_BEFORE
+    assert measured <= GC0_CEILING, (
+        f"{measured:.2f} generation-0 collections per 1,000 rows through "
+        f"ingest + tick, budget {GC0_CEILING} (was {GC0_BEFORE} with a "
+        "per-row iterator per transpose and tuple-keyed ghost memos)"
+    )
+
+
+def test_bytes_retained_per_loaded_row_stay_under_budget():
+    load_make_table()
+    gc.collect()
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        table, _order = loaded_table()
+        gc.collect()
+        retained = (tracemalloc.get_traced_memory()[0] - before) / loaded_rows()
+    finally:
+        tracemalloc.stop()
+    assert table.shards and BYTES_CEILING < BYTES_BEFORE
+    assert retained <= BYTES_CEILING, (
+        f"{retained:.0f} bytes retained per loaded row, budget "
+        f"{BYTES_CEILING} (was {BYTES_BEFORE} with tuple-keyed ghost memos)"
     )

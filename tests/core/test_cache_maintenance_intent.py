@@ -6,11 +6,14 @@ path.  Those reads must not promote blocks into the SSD cache or churn the
 cache manager's accounting.
 """
 
+from repro.core.definition import ColumnSpec
 from repro.core.entry import RID, Zone
 from repro.core.index import UmziConfig, UmziIndex
 from repro.core.levels import LevelConfig
 from repro.core.query import MAX_QUERY_TS, QueryExecutor
 from repro.storage.metrics import ReadIntent
+from repro.wildfire.engine import ShardConfig, WildfireShard
+from repro.wildfire.schema import IndexSpec, TableSchema
 
 from tests.conftest import make_entries
 from tests.reference_search import sort_key_at
@@ -166,20 +169,52 @@ class TestSweepAndCachePolicy:
         assert not index.cache.is_run_cached(run)
 
     def test_policy_loads_admit_a_run_the_sweep_read(self):
-        # The sweep memoizes views of a purged run without admitting a
-        # block; the manager's own load still brings the whole run in.
+        # The sweep reads a purged run without admitting a block or
+        # keeping a view; the manager's own load still brings it in.
         index, run = self.purged_post_groomed_run("sweep-load")
         stats = index.hierarchy.stats.intents[ReadIntent.MAINTENANCE]
         before = stats.snapshot()
         self.sweep(index)
         delta = stats.diff(before)
         assert delta.shared_reads == run.header.num_data_blocks
-        assert delta.promotions == 0 and run._views
+        assert delta.promotions == 0
+        assert not run._views and not run.fetched_blocks
         assert not index.cache.is_run_cached(run)
         after_sweep = stats.snapshot()
         index.cache.set_cache_level(index.config.levels.total_levels - 1)
         assert index.cache.is_run_cached(run)
         assert stats.diff(after_sweep).reads == 0
+
+
+    def test_the_sweep_keeps_nothing_of_blocks_no_tier_holds(self):
+        # A 60-device shard whose post-groomed runs are all purged: the
+        # post-groom's sweep reads their blocks as MAINTENANCE, from
+        # shared storage, and must leave no view or fetched block behind.
+        schema = TableSchema(
+            name="dev", columns=(ColumnSpec("device"), ColumnSpec("msg")),
+            primary_key=("device",), sharding_key=("device",),
+        )
+        shard = WildfireShard(
+            schema, IndexSpec((), ("device",)),
+            config=ShardConfig(post_groom_every=2),
+        )
+        for msg in range(6):
+            if msg == 4:
+                shard.index.cache.set_cache_level(-1)
+                stats = shard.hierarchy.stats.intents[ReadIntent.MAINTENANCE]
+                before = stats.snapshot()
+            shard.ingest([(device, msg) for device in range(60)])
+            shard.tick()
+        assert stats.diff(before).shared_reads > 0
+        runs = shard.index.run_lists[Zone.POST_GROOMED].snapshot()
+        assert len(runs) > 1
+        for run in runs:
+            assert shard.index.cache.is_purged_level(run.level)
+            held = {
+                i for i in range(run.header.num_data_blocks)
+                if shard.hierarchy.is_cached(run.data_block_id(i))
+            }
+            assert set(run._views) <= held and run.fetched_blocks <= held, run
 
 
 class TestRecoveryIntent:

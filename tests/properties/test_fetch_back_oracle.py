@@ -170,7 +170,7 @@ def check(table, twin, query):
 
 
 def moved_keys(history, column):
-    return {(key,) for key, values in history.items() if len(values[column]) > 1}
+    return {key for key, values in history.items() if len(values[column]) > 1}
 
 
 @pytest.mark.parametrize("seed", [0, 1])
@@ -334,7 +334,7 @@ def test_a_groom_publishing_before_a_reads_scan_answers_a_key_once(projection):
     rows = table.query(query)
     assert "scan" not in vars(index), "the query never scanned by_region"
     assert shard.indexes.get("by_region").ghosted == {
-        (5,): shard.index.lookup((), (5,), 2**62).begin_ts
+        5: shard.index.lookup((), (5,), 2**62).begin_ts
     }
     assert rows == ([(5, 20)] if projection else [(5, "c1", "r2", 20)])
 

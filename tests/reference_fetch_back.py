@@ -63,17 +63,20 @@ def unvouched_keys(shard, plan, ts: int) -> List[Tuple]:
         rows = _within(rows, [row[p.offset] for row in rows], p.low, p.high)
     keys = set()
     for row in rows:
-        pk = plan.entry_pk(row)
+        pk = plan.ghost_key(row)
         if pk not in ghosted or ghosted[pk] == row[-1]:
             continue
         if ghosted[pk] is None or ghosted[pk] > horizon:
-            keys.add(pk)
+            keys.add(plan.entry_pk(row))
     return sorted(keys)
 
 
-def newest_begin_ts_in(shard, shard_index, pk: Tuple) -> Tuple[int, int]:
-    """The beginTS of the newest version of ``pk`` in the primary, and of
-    the secondary ``shard_index``'s entry under that version's key."""
+def newest_begin_ts_in(shard, shard_index, pk) -> Tuple[int, int]:
+    """The beginTS of the newest version of ``pk`` (as ``ghosted`` keys
+    it: a one-column key by its value) in the primary, and of the
+    secondary ``shard_index``'s entry under that version's key."""
+    if len(shard.schema.primary_key) == 1:
+        pk = (pk,)
     key = shard._primary_key_of_pk(pk)
     newest = shard.index.batch_lookup([key], MAX_QUERY_TS)[0]
     values = shard.catalog.fetch_record(newest.rid).values

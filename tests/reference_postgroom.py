@@ -23,7 +23,7 @@ the splice map the PSN record publishes.
 import struct
 from typing import Dict, List, Optional, Tuple
 
-from repro.core.encoding import KeyValue, encode_ts_desc
+from repro.core.encoding import KeyValue, encode_composite, encode_ts_desc, fnv1a64
 from repro.core.entry import RID, Zone
 from repro.core.evolve import RidSplices
 from repro.core.query import QueryExecutor
@@ -100,7 +100,12 @@ def _write_blocks(post_groomer, buckets: Dict[int, Tuple[int, List[Record]]]):
 
 def _reserve_buckets(post_groomer, records):
     """Bucket of each record, and bucket -> (reserved block id, [])."""
-    bucket_of = [post_groomer._bucket_of(record.values) for record in records]
+    positions = post_groomer.schema.positions(post_groomer.schema.partition_key)
+    bucket_of = [
+        fnv1a64(encode_composite([record.values[p] for p in positions]))
+        % post_groomer.partition_buckets if positions else 0
+        for record in records
+    ]
     sorted_buckets = sorted(set(bucket_of))
     first_id = post_groomer.catalog.reserve_post_groomed_ids(len(sorted_buckets))
     buckets = {bucket: (first_id + i, []) for i, bucket in enumerate(sorted_buckets)}

@@ -68,9 +68,9 @@ def reference_execute_plan(shard, plan, ts: int) -> List[Tuple]:
                 rows = _within(
                     rows, [row[p.offset] for row in rows], p.low, p.high
                 )
-            entry_pk = plan.entry_pk
-            stale = shard_index.ghosted.keys() & set(map(entry_pk, rows))
-            clean = [row for row in rows if entry_pk(row) not in stale]
+            entry_pk, ghost_key = plan.entry_pk, plan.ghost_key
+            stale = shard_index.ghosted.keys() & set(map(ghost_key, rows))
+            clean = [row for row in rows if ghost_key(row) not in stale]
             if plan.index_only:
                 answered = [
                     (entry_pk(row), row[-2], plan.entry_row(row))
@@ -83,7 +83,7 @@ def reference_execute_plan(shard, plan, ts: int) -> List[Tuple]:
                 rids = [row[-1] for row in clean]
             if stale:
                 rids += shard._fetch_back_rids(entry_pk, [
-                    row for row in rows if entry_pk(row) in stale
+                    row for row in rows if ghost_key(row) in stale
                 ], clean, ts)
         else:
             rids = [entry.rid for entry in entries]

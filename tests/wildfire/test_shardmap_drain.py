@@ -22,6 +22,7 @@ from repro.wildfire.shardmap import ShardMap, ShardMapError, ShardMapRegistry
 
 TIMEOUT_S = 1.0
 WAKE_BOUND_S = TIMEOUT_S / 4  # "well inside the timeout"
+MODULE_TIMEOUT_S = shardmap_module.DRAIN_TIMEOUT_S  # before any fixture
 
 
 @pytest.fixture(autouse=True)
@@ -113,15 +114,24 @@ def test_an_unpin_that_never_notifies_is_caught(monkeypatch):
         assert_woken_promptly(registry)
 
 
-def test_pins_balance_and_every_drain_returns_under_contention():
+def test_pins_balance_and_every_drain_returns_under_contention(drain_timeout):
     """More pinning threads than cores, a short switch interval, and a
     publisher draining every epoch it supersedes while they pin: a lost
-    refcount update or a lost wake-up shows as an unbalanced ledger or a
-    drain timeout."""
+    refcount update shows as an unbalanced ledger, a lost wake-up as a
+    drainer's wait that ran out instead of being notified.  The drain runs
+    under the module's own timeout, so a slow host is no lost wake-up."""
+    drain_timeout.setattr(shardmap_module, "DRAIN_TIMEOUT_S", MODULE_TIMEOUT_S)
     stats = EpochStats()
     registry = ShardMapRegistry(ShardMap.initial(2), stats)
     publishes, stop = 10, threading.Event()
     pins = [0] * 6
+    wait = registry._drained.wait
+
+    def notified_wait(timeout=None):
+        assert wait(timeout), f"a drainer's wait ran out after {timeout:.1f}s"
+        return True
+
+    registry._drained.wait = notified_wait
 
     def pinner(slot):
         while not stop.is_set():
