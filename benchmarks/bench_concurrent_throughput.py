@@ -30,6 +30,7 @@ import time
 from repro.core.definition import ColumnSpec, i1_definition
 from repro.core.index import UmziConfig, UmziIndex
 from repro.core.levels import LevelConfig
+from repro.planner import Query
 from repro.wildfire.engine import ShardConfig, WildfireShard
 from repro.wildfire.schema import IndexSpec, TableSchema
 
@@ -85,8 +86,9 @@ def _query_worker(shard, seed, stop, counters, lock):
         try:
             if shard.index_lookup((d,), (m,)) is None:
                 errors += 1
-            elif len(shard.range_query((d,), (0,), (BASELINE_MSGS - 1,))) \
-                    < BASELINE_MSGS:
+            elif len(shard.query(Query(
+                equalities=(("device", d),), ranges=(("msg", 0, BASELINE_MSGS - 1),),
+            ))) < BASELINE_MSGS:
                 errors += 1
             elif any(
                 hit is None

@@ -39,7 +39,7 @@ from repro.faults.plan import BrownoutWindow, FaultPlan
 from repro.faults.storage import FaultyTier
 from repro.qos.admission import QosConfig
 from repro.qos.breaker import BreakerConfig, BreakerState
-from repro.qos.errors import QosError
+from repro.qos.errors import PartialResultError, QosError
 from repro.storage.hierarchy import StorageHierarchy
 from repro.storage.metrics import IOStats
 from repro.storage.retry import TransientIOError
@@ -127,10 +127,10 @@ def run_arm(protected: bool):
             phase_stats[phase]["ok"] += 1
             if qos:
                 queue_waits.append(qos.queue_sim_ns - queued_before)
+        except PartialResultError:  # the shard could not answer: an error
+            phase_stats[phase]["errors"] += 1
         except QosError:
             phase_stats[phase]["shed"] += 1
-        except TransientIOError:
-            phase_stats[phase]["errors"] += 1
 
     def tick(phase):
         try:

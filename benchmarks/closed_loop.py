@@ -32,6 +32,7 @@ from dataclasses import dataclass, fields
 from typing import Dict, List, Sequence, Tuple
 
 from repro.core.definition import ColumnSpec
+from repro.planner import Query
 from repro.qos.errors import PartialResultError, QosError
 from repro.storage.retry import TransientIOError
 from repro.wildfire.cluster import ShardedTable
@@ -272,9 +273,9 @@ class ClosedLoopDriver:
                         hits += 1
                 elif draw < self._range_cut:
                     ranges += 1
-                    entries = table.range_query((device,))
-                    range_rows += len(entries)
-                    if len(entries) < self._warm.get(device, 0):
+                    rows = table.query(Query(equalities=(("device", device),)))
+                    range_rows += len(rows)
+                    if len(rows) < self._warm.get(device, 0):
                         wrong += 1
                 else:
                     ingests += 1

@@ -9,8 +9,8 @@ This example runs a payments shard with its lifecycle in the background
 evolve, merge) while the foreground performs the fraud checks:
 
 * per-account point lookups on the hottest (just-committed) data;
-* account-history range scans that span the groomed and post-groomed
-  zones through the single unified index;
+* account-history range reads (typed queries) that span the groomed and
+  post-groomed zones through the single unified index;
 * a repeatable-snapshot audit: the same query at the same timestamp gives
   the same answer while ingest keeps running underneath.
 
@@ -21,6 +21,7 @@ import random
 import time
 
 from repro.core.definition import ColumnSpec
+from repro.planner import Query
 from repro.wildfire import IndexSpec, ShardConfig, TableSchema, WildfireShard
 
 ACCOUNTS = 50
@@ -61,6 +62,14 @@ def main() -> None:
           "evolve / merge) ...")
     shard.start_daemons(groom_interval_s=0.02)
     flagged = []
+
+    def history_of(account, query_ts=None):
+        """One account's payments as (seq, amount), oldest first."""
+        return shard.query(Query(
+            equalities=(("account", account),), projection=("seq", "amount"),
+            query_ts=query_ts,
+        ))
+
     try:
         deadline = time.time() + SECONDS
         payments = 0
@@ -72,8 +81,7 @@ def main() -> None:
             # Fraud rule: flag accounts whose recent payments exceed a
             # velocity threshold -- an analytical scan over *fresh* data.
             suspect = rng.randrange(ACCOUNTS)
-            history = shard.range_query((suspect,), None, None)
-            recent = [e.include_values[0] for e in history[-10:]]
+            recent = [amount for _, amount in history_of(suspect)[-10:]]
             if len(recent) >= 5 and sum(recent) / len(recent) > 1_400:
                 flagged.append(suspect)
             time.sleep(0.005)
@@ -98,25 +106,24 @@ def main() -> None:
 
     # Unified-view check: one index answers across both zones.
     account = max(seq_per_account, key=seq_per_account.get)
-    history = shard.range_query((account,), None, None)
-    zones = {e.rid.zone.name for e in history}
-    print(f"\naccount {account}: {len(history)} payments via ONE index; "
+    entries = shard.index.scan((account,), None, None, shard.current_snapshot_ts())
+    zones = {e.rid.zone.name for e in entries}
+    print(f"\naccount {account}: {len(entries)} payments via ONE index; "
           f"rows live in zones {sorted(zones)}")
-    assert len({e.sort_values for e in history}) == len(history), \
+    assert len({e.sort_values for e in entries}) == len(entries), \
         "unified view must not duplicate rows across zones"
+    assert len(history_of(account)) == len(entries)
 
     # Repeatable audit snapshot while the data keeps changing.
     audit_ts = shard.current_snapshot_ts()
-    before = [e.include_values[0] for e in
-              shard.range_query((account,), None, None, query_ts=audit_ts)]
+    before = history_of(account, query_ts=audit_ts)
     shard.ingest([(account, seq_per_account[account] + 1, 123_456)])
     shard.run_cycles(6)
-    after = [e.include_values[0] for e in
-             shard.range_query((account,), None, None, query_ts=audit_ts)]
+    after = history_of(account, query_ts=audit_ts)
     assert before == after, "audit snapshot must be repeatable"
     print(f"audit snapshot at ts={audit_ts}: {len(before)} rows, repeatable "
           "under concurrent ingest")
-    live_now = shard.range_query((account,), None, None)
+    live_now = history_of(account)
     print(f"live view now sees {len(live_now)} rows (audit still sees "
           f"{len(after)})")
 

@@ -7,8 +7,9 @@ key to speed up time-based analytical queries" (section 2.1).
 This example drives a full Wildfire shard: high-rate sensor upserts with
 the paper's update model, grooming every cycle, post-grooming every 10
 cycles, asynchronous index evolution, and three query patterns on top --
-device point reads (OLTP), per-device message-range scans (OLAP on fresh
-data), and time travel over a sensor's version history.
+device point reads (OLTP), per-device message-range reads as typed
+queries (OLAP on fresh data), and time travel over a sensor's version
+history.
 
 Run:  python examples/iot_telemetry.py
 """
@@ -16,6 +17,7 @@ Run:  python examples/iot_telemetry.py
 import random
 
 from repro.core.definition import ColumnSpec
+from repro.planner import Query
 from repro.wildfire import IndexSpec, ShardConfig, TableSchema, WildfireShard
 from repro.workloads.generator import IoTUpdateWorkload
 
@@ -66,26 +68,30 @@ def main() -> None:
 
     # -- OLTP: point read of one sensor message ------------------------------
     device = 5
-    latest = shard.range_query((device,), None, None)
-    msg = latest[-1].sort_values[0]
+    latest = shard.query(Query(equalities=(("device", device),)))
+    msg = latest[-1][1]  # rows come back sorted: device, msg, reading
     record = shard.point_query((device,), (msg,))
     print(f"\npoint read device={device} msg={msg}: reading={record.values[2]}")
 
-    # -- OLAP on fresh data: a message-range scan per device ------------------
+    # -- OLAP on fresh data: a message-range read per device ------------------
     for d in (0, DEVICES // 2):
-        entries = shard.range_query((d,), (0,), (200,))
-        newest = max(e.begin_ts for e in entries) if entries else 0
-        print(f"scan device={d} msg in [0, 200]: {len(entries)} rows "
-              f"(newest beginTS {newest})")
+        rows = shard.query(
+            Query(equalities=(("device", d),), ranges=(("msg", 0, 200),))
+        )
+        peak = max(row[2] for row in rows) if rows else 0
+        print(f"range device={d} msg in [0, 200]: {len(rows)} rows "
+              f"(max reading {peak})")
 
     # -- index-only aggregation: no record fetches needed ---------------------
-    entries = shard.range_query((device,), None, None)
-    total = sum(e.include_values[0] for e in entries)
-    print(f"index-only SUM(reading) over device {device}: {total} "
-          f"({len(entries)} messages, zero block fetches for records)")
+    readings = Query(equalities=(("device", device),), projection=("reading",))
+    rows = shard.query(readings)
+    plan = shard.explain(readings)
+    print(f"SUM(reading) over device {device}: {sum(r[0] for r in rows)} "
+          f"({len(rows)} messages; plan: {plan['index']} index, "
+          f"index-only={plan['index_only']})")
 
     # -- time travel: update one sensor and read its history ------------------
-    target_msg = latest[0].sort_values[0]
+    target_msg = latest[0][1]
     for value in (111, 222, 333):
         shard.ingest([(device, target_msg, value)])
         shard.run_cycles(10)  # let it groom, post-groom and evolve

@@ -400,8 +400,8 @@ class UmziIndex:
     ) -> QueryExecutor:
         """An executor over runs its caller has pinned: no lifecycle, no
         release hook, the batch pruning of :attr:`config`.  A degraded
-        shard's ``point_query`` / ``range_query`` read through one, held
-        by its :meth:`pin_snapshot`."""
+        shard's ``point_query`` and primary typed plans read through one,
+        held by its :meth:`pin_snapshot`."""
         return QueryExecutor(
             self.definition,
             collect_runs=collect_runs,

@@ -314,15 +314,17 @@ class QueryExecutor:
         sort_lower: Optional[Sequence[KeyValue]] = None,
         sort_upper: Optional[Sequence[KeyValue]] = None,
         query_ts: int = MAX_QUERY_TS,
-        strategy: ReconcileStrategy = ReconcileStrategy.PRIORITY_QUEUE,
         bounds: Optional[_Bounds] = None,
+        strategy: ReconcileStrategy = ReconcileStrategy.PRIORITY_QUEUE,
     ) -> List[IndexEntry]:
         """Newest visible version of every key in the range, key-ordered.
 
         Runs are scanned undecoded (:meth:`IndexRun.scan_visible`),
         reconciled on raw sort keys, and only the winners are decoded.
         ``bounds`` are the range's :func:`compute_scan_bounds`, when the
-        caller encoded them already (a typed query, once for its shards).
+        caller encoded them already (a typed query, once for its shards);
+        the arguments are :meth:`UmziIndex.scan`'s, so a degraded shard's
+        pinned executor answers its typed plans in the index's place.
         """
         query = RangeScanQuery(
             tuple(equality_values),

@@ -15,9 +15,9 @@ Layers (mirroring DevilsDatabase's ``planner/baseline.py`` vs
   fresh across evolve/merge via the versionset publication sequence;
 * :mod:`repro.planner.plan` -- the typed :class:`Query` and the
   executable :class:`AccessPlan` (every plan renders an ``explain()``
-  dict); only typed queries are planned -- the shard's wrapper methods
-  (``index_lookup``/``range_query``/``secondary_*``) call the index
-  themselves;
+  dict); only typed queries are planned -- the shard's point wrappers
+  (``point_query``/``index_lookup``) call the index themselves, and a
+  range read is a typed query;
 * :mod:`repro.planner.baseline` -- always the primary index, never
   index-only: today's behaviour, kept as the ablation arm;
 * :mod:`repro.planner.smart` -- the cost model over all candidate

@@ -5,7 +5,7 @@ Pre-planner behaviour, preserved as the ablation arm (DevilsDatabase's
 index, every answer fetches records, and no plan is ever index-only.
 Predicates that bind the primary key prefix are used for the
 point/scan bounds (exactly what a caller hand-picking
-``index_lookup``/``range_query`` would have done); everything else is
+``UmziIndex.lookup``/``scan`` would have done); everything else is
 re-checked on the fetched records.  No statistics are consulted.
 """
 

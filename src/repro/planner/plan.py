@@ -17,10 +17,10 @@ executor runs -- and kept per shape and table by the smart planner; a
 query binds its validated values once for every shard it reaches
 (:class:`Binding`, :meth:`AccessPlan.bind`).
 
-Only typed queries are planned.  The shard's wrapper methods
-(``index_lookup``/``range_query``) already name their index and bounds,
-so they call ``UmziIndex.lookup``/``scan`` themselves and build neither a
-:class:`Query` nor an :class:`AccessPlan`.
+Only typed queries are planned.  The shard's point wrappers
+(``point_query``/``index_lookup``) already name their index and key, so
+they call ``UmziIndex.lookup`` themselves and build neither a
+:class:`Query` nor an :class:`AccessPlan`; a range read is a typed query.
 """
 
 from __future__ import annotations

@@ -1,7 +1,7 @@
 """Token-bucket admission control with per-query deadlines (ISSUE 7).
 
 The controller sits in front of the cluster serving path
-(``ShardedTable.point_query``/``range_query``/``ingest``) and decides, for
+(``ShardedTable.point_query``/``query``/``ingest``) and decides, for
 every arriving operation, one of three outcomes:
 
 * **admit immediately** -- a token is available; the op runs now.

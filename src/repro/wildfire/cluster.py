@@ -17,7 +17,7 @@ kind through one pipeline, :meth:`ShardedTable._serve`.
 :class:`~repro.qos.admission.QosConfig`, the table threads the full qos
 stack through its serving path:
 
-* every ``point_query``/``range_query``/``ingest`` passes a token-bucket
+* every ``point_query``/``query``/``ingest`` passes a token-bucket
   :class:`~repro.qos.admission.AdmissionController` (typed
   ``Overloaded``/``DeadlineExceeded`` sheds, per-query deadlines on the
   simulated clock);
@@ -25,9 +25,11 @@ stack through its serving path:
   every shard's maintenance when the admission backlog, retry pressure,
   or an open breaker says queries need the bandwidth;
 * each shard's shared tier gets a
-  :class:`~repro.qos.breaker.CircuitBreaker`; while it is open, queries
-  for that shard degrade to local tiers + a pinned versionset snapshot
-  (counted as ``degraded_reads``) instead of erroring.
+  :class:`~repro.qos.breaker.CircuitBreaker`; while it is open, point and
+  typed queries for that shard degrade to local tiers + a pinned
+  versionset snapshot (counted as ``degraded_reads``) instead of
+  erroring, and a shard that still cannot answer is named in a
+  :class:`~repro.qos.errors.PartialResultError`.
 
 **Routing epochs and online migration (ISSUES 8, 10).**  Routing goes
 through immutable :class:`~repro.wildfire.shardmap.ShardMap` epochs
@@ -64,7 +66,6 @@ from typing import Callable, Dict, List, NamedTuple, Optional, Sequence, Set, Tu
 
 from repro.core.definition import COLUMN_ENCODERS, encode_search_key, encode_typed
 from repro.core.encoding import EncodingError, KeyValue, columns_of, fnv1a64
-from repro.core.entry import IndexEntry
 from repro.qos.admission import AdmissionController, QosConfig
 from repro.qos.breaker import BreakerState, CircuitBreaker
 from repro.qos.errors import PartialResultError
@@ -88,25 +89,23 @@ TaggedRow = Tuple[Row, int, Row]  # (primary key, beginTS, projected row)
 
 
 class QueryKind(NamedTuple):
-    """What :meth:`ShardedTable._serve` needs to know about a query shape.
+    """What :meth:`ShardedTable._serve` asks each shard and how it folds
+    their parts.
 
     Methods are named, not bound: each call looks them up on the
     instance, so a test or the e2e tracer can replace them per shard.
     """
 
     live: str  # shard method answering the part, live or degraded
-    degradable: bool  # may a browned-out shard answer from its pinned snapshot
     combine: str  # table method folding per-shard parts into the answer
 
 
-POINT = QueryKind("point_query", True, "_newest_record")
+POINT = QueryKind("point_query", "_newest_record")
 # A point whose routing bytes are its lookup key, handed to its shards.
-KEYED_POINT = QueryKind("point_query", True, "_newest_record")
-RANGE = QueryKind("range_query", True, "_merge_versions")
-# A typed part is still ``(pk, beginTS, row)``-tagged, so even a single
-# shard's answer goes through the combine -- and its failure is reported
-# as a partial result like any other shard's (see ShardedTable.query).
-TYPED = QueryKind("_query_tagged", False, "_merge_rows")
+KEYED_POINT = QueryKind("point_query", "_newest_record")
+# A typed part is ``(pk, beginTS, row)``-tagged: even a lone holder's
+# part is folded (tags dropped, rows sorted) before it is the answer.
+TYPED = QueryKind("_query_tagged", "_merge_rows")
 
 
 class ShardedTable:
@@ -527,22 +526,6 @@ class ShardedTable:
         sharding_values = self._bound_sharding_values(equality_values, sort_values)
         return self._admitted(self._serve, POINT, sharding_values, args)
 
-    def range_query(
-        self,
-        equality_values: Sequence[KeyValue] = (),
-        sort_lower: Optional[Sequence[KeyValue]] = None,
-        sort_upper: Optional[Sequence[KeyValue]] = None,
-        query_ts: Optional[int] = None,
-    ) -> List[IndexEntry]:
-        """Routed if the equality columns pin the sharding key; otherwise a
-        scatter-gather over every shard with a client-side merge."""
-        return self._admitted(
-            self._serve,
-            RANGE,
-            self._bound_sharding_values(equality_values, ()),
-            (equality_values, sort_lower, sort_upper, query_ts),
-        )
-
     def query(self, query: Query) -> List[Tuple[KeyValue, ...]]:
         """Planner-routed typed query across the cluster.
 
@@ -555,12 +538,11 @@ class ShardedTable:
         dropping the tags.  Rows come back sorted by (row values,
         primary key), identical to :meth:`WildfireShard.query`.
 
-        Typed queries never serve degraded (snapshot-pinned) answers: a
-        shard whose storage browns out -- routed or scattered -- is
-        reported in a :class:`PartialResultError` naming it, tagged with
-        the serving epoch, instead of silently narrowing the result.
-        Predicate values are type-checked (``PlanError``) and normalised
-        first: a mistyped sharding value would hash to the wrong shard.
+        A range read is a typed query whose predicates bind the primary
+        key (``query_ts`` reads AS OF a snapshot).  It fails and degrades
+        like :meth:`point_query` (see :meth:`_serve`).  Predicate values
+        are type-checked (``PlanError``) and normalised first: a mistyped
+        sharding value would hash to the wrong shard.
         """
         binding = Binding(self.schema, query)
         bound = dict(zip(query.shape[0], binding.values[0]))
@@ -583,19 +565,19 @@ class ShardedTable:
     ):
         """The one serving pipeline: pin -> route or scatter -> gather.
 
-        A point or range query whose slot has a single holder returns
-        that shard's answer as is (errors included).  Everything else
-        -- a migration window's double-read, a scatter, any typed query
-        -- gathers per-shard parts, collects the shards that gave up
-        and combines the rest: a failing shard yields a typed
-        partial-result error naming it and the serving epoch, never a
-        bare ``TransientIOError``.
+        Every door fails and degrades alike.  A browned-out shard answers
+        from its degraded snapshot pin (:meth:`_shard_call`) unless it is
+        a fresh-write holder of an open migration window: a snapshot
+        could miss freshly cut-over writes, so those answer
+        authoritatively or not at all.  A shard that still cannot answer
+        -- retries exhausted, or a fresh holder browned out -- is named
+        in a :class:`PartialResultError` with the partial answer, the
+        cause and the serving epoch, never a bare ``TransientIOError``.
 
-        The fresh-write holders of an open migration window must answer
-        authoritatively or not at all: a degraded (snapshot-pinned)
-        answer could silently miss freshly cut-over writes, so their
-        brownouts surface in the partial result instead.  A ``KEYED_POINT``
-        hands its shards the routing bytes: its key is encoded once.
+        A slot with a lone holder is one call, without the gather; a
+        migration window's double-read and a scatter gather per-shard
+        parts and combine them.  A ``KEYED_POINT`` hands its shards the
+        routing bytes: its key is encoded once.
         """
         shard_map = self._maps.pin()
         try:
@@ -609,8 +591,14 @@ class ShardedTable:
                 shard_ids = route.read_shards(key_hash)
                 if kind is KEYED_POINT:
                     args = (*args, encoded)
-                if len(shard_ids) == 1 and kind is not TYPED:
-                    return self._shard_call(kind, shard_ids[0], args, True)
+                if len(shard_ids) == 1:
+                    try:
+                        part = self._shard_call(kind, shard_ids[0], args, True)
+                    except TransientIOError as exc:
+                        raise PartialResultError(
+                            shard_ids, (), exc, epoch=shard_map.epoch
+                        ) from exc
+                    return self._merge_rows((part,), False) if kind is TYPED else part
                 fresh = route.fresh_write_shards()
             else:
                 shard_ids = shard_map.scatter_shards()
@@ -650,7 +638,7 @@ class ShardedTable:
         through the mode's snapshot pin) -- two attribute reads if not."""
         shard = self.shards[shard_id]
         breaker = self._breakers[shard_id]
-        if breaker is None or not kind.degradable:
+        if breaker is None:
             return getattr(shard, kind.live)(*args)
         if (breaker.recorded_state is BreakerState.CLOSED
                 or breaker.state() is not BreakerState.OPEN):
@@ -677,32 +665,6 @@ class ShardedTable:
         first holder asked -- the fresh-write one -- on a tie)."""
         found = [record for record in parts if record is not None]
         return max(found, key=lambda record: record.begin_ts, default=None)
-
-    def _merge_versions(
-        self, parts: Sequence[List[IndexEntry]], _overlap: bool = True
-    ) -> List[IndexEntry]:
-        """Client-side range merge: key order, newest version per key.
-
-        Each shard already returns at most one (newest visible) version
-        per key; during a migration window the successor and the source
-        may both answer for the same key.  Sorting by the full sort key
-        (key bytes + descending-encoded beginTS) groups versions of one
-        key newest-first, so keeping the first entry per key drops both
-        exact duplicates (copied entries are byte-identical) and stale
-        source versions in one pass.
-        """
-        definition = self.shards[0].index.definition
-        entries = [entry for part in parts for entry in part]
-        entries.sort(key=lambda entry: entry.sort_key(definition))
-        merged: List[IndexEntry] = []
-        last_key: Optional[bytes] = None
-        for entry in entries:
-            key = entry.key_bytes(definition)
-            if key == last_key:
-                continue
-            last_key = key
-            merged.append(entry)
-        return merged
 
     def _merge_rows(
         self, parts: Sequence[Sequence[TaggedRow]], overlap: bool = True

@@ -9,15 +9,16 @@ the Umzi index over one storage hierarchy, and exposes:
   second, post-groomer every 20 seconds" as a cycle ratio), evolve in PSN
   order, merge -- called by the caller (:meth:`run_cycles`) or looped by
   one background thread per shard (:meth:`start_daemons`);
-* snapshot-isolation reads: point lookups, range scans, batched lookups,
-  and time travel via explicit query timestamps, each resolving RIDs to
+* snapshot-isolation reads: point lookups, typed queries (a range read
+  is one whose predicates bind the primary key), batched lookups, and
+  time travel via explicit query timestamps, each resolving RIDs to
   records through the block catalog.
 """
 
 from __future__ import annotations
 
 import threading
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from operator import itemgetter
 from typing import Dict, List, Optional, Sequence, Tuple
 
@@ -36,7 +37,7 @@ from repro.planner import (
 from repro.planner.plan import Binding, tuple_getter
 from repro.planner.smart import cannot_match
 from repro.storage.hierarchy import StorageHierarchy
-from repro.storage.retry import TransientIOError
+from repro.storage.retry import StorageBrownout, TransientIOError
 from repro.wildfire.blockstore import BlockCatalog
 from repro.wildfire.clock import HybridClock
 from repro.wildfire.groomer import Groomer
@@ -256,7 +257,7 @@ class WildfireShard:
         paper's 1s/20s cadence.  The gate and the ``TransientIOError``
         policy are :meth:`tick`'s own.
 
-        **Query safety.**  It is safe to issue point/range/batch queries
+        **Query safety.**  It is safe to issue point/typed/batch queries
         from any number of threads while the daemon runs: each query pins
         an immutable run-list version -- a single Ref/Unref -- and runs
         retired by concurrent evolves/merges are only physically reclaimed
@@ -393,19 +394,6 @@ class WildfireShard:
             return None
         return self.catalog.fetch_record(entry.rid)
 
-    def range_query(
-        self,
-        equality_values: Sequence[KeyValue] = (),
-        sort_lower: Optional[Sequence[KeyValue]] = None,
-        sort_upper: Optional[Sequence[KeyValue]] = None,
-        query_ts: Optional[int] = None,
-    ) -> List[IndexEntry]:
-        pin = self.degraded_pin
-        return (self.index if pin is None else pin.executor).scan(
-            equality_values, sort_lower, sort_upper,
-            query_ts if query_ts is not None else self.clock.snapshot_ts,
-        )
-
     # -- typed queries through the access-path planner (ISSUE 9) -----------------
 
     def plan_query(self, query: Query, binding: Binding) -> AccessPlan:
@@ -456,8 +444,15 @@ class WildfireShard:
         ``binding`` is the query's one :class:`Binding`.  The
         pk/begin_ts tags let the cluster layer merge scatter-gather and
         split-migration double-reads newest-wins per primary key before
-        dropping the tags; whoever hands out rows sorts them.
+        dropping the tags; whoever hands out rows sorts them.  A degraded
+        shard plans on the primary alone, the one index its pin holds: a
+        query only a secondary serves waits for the shared tier.
         """
+        if self.degraded_pin is not None:
+            if not set(self.index_spec.equality_columns) <= set(query.shape[0]):
+                raise StorageBrownout("shared", 0)
+            query = replace(query, index_hint=PRIMARY_INDEX_NAME)
+            binding = Binding(self.schema, query)
         plan = self.plan_query(query, binding)
         ts = query.query_ts if query.query_ts is not None else self.clock.snapshot_ts
         return self._execute_plan(plan, ts)
@@ -470,7 +465,9 @@ class WildfireShard:
         are attributed to its component (``index:<name>``, ``records``);
         whatever was attributed before is restored at the end."""
         shard_index = self.indexes.get(plan.index_name)
-        index = shard_index.index
+        pin = self.degraded_pin  # it holds the primary alone
+        index = (pin.executor if pin is not None and shard_index is self.indexes.primary
+                 else shard_index.index)
         horizon = min(ts, self.clock.snapshot_ts)  # read before the scan
         attribute = self.hierarchy.attribute_reads
         attributed = attribute(f"index:{plan.index_name}")
@@ -587,11 +584,13 @@ class WildfireShard:
     def enter_degraded_mode(self) -> None:
         """Pin the current run-list version for brownout serving.
 
-        Idempotent.  While degraded, :meth:`point_query` and
-        :meth:`range_query` answer through the pinned snapshot's executor:
+        Idempotent.  While degraded, :meth:`point_query` and typed
+        queries answer through the primary's pinned snapshot executor:
         the pin keeps every run of the version alive in the local tiers
         (cache eviction skips pinned runs), so queries stay off the
-        browning-out shared tier.  The answers are *stale-bounded*: as
+        browning-out shared tier.  Secondaries are not pinned, so a typed
+        query plans on the primary alone (no secondary plan or ghost
+        vouch reads a stale pin).  The answers are *stale-bounded*: as
         fresh as the moment the breaker opened, never fresher.
         """
         with self._degraded_lock:

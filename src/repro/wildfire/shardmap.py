@@ -2,7 +2,7 @@
 
 A :class:`ShardMap` is an immutable routing table: hash slot -> the
 shard(s) serving that slot.  The slot count is fixed at table creation
-(``fnv1a64(sharding key) % num_slots`` never changes, so no key ever
+(``fnv1a64(sharding key) % len(slots)`` never changes, so no key ever
 re-hashes); what a split changes is the *route* of one slot:
 
 * ``single``    -- one shard owns the slot (the pre-split state);
@@ -164,10 +164,6 @@ class ShardMap:
 
     epoch: int
     slots: Tuple[SlotRoute, ...]
-
-    @property
-    def num_slots(self) -> int:
-        return len(self.slots)
 
     def route_of(self, key_hash: int) -> SlotRoute:
         return self.slots[key_hash % len(self.slots)]

@@ -72,7 +72,7 @@ def seed_baseline(shard: WildfireShard) -> None:
 
 
 # Node-path (version-Ref) queries per completed check_baseline round:
-# index_lookup + range_query + index_batch_lookup + pin_snapshot (the
+# index_lookup + index.scan + index_batch_lookup + pin_snapshot (the
 # range scan inside the snapshot reads the snapshot's pin and takes none).
 QUERIES_PER_ROUND = 4
 
@@ -99,7 +99,9 @@ def check_baseline(
             return
         # Torn-snapshot check: a range scan must return exactly one
         # (reconciled) version per baseline msg, in order.
-        entries = shard.range_query((d,), (0,), (BASELINE_MSGS - 1,))
+        entries = shard.index.scan(
+            (d,), (0,), (BASELINE_MSGS - 1,), shard.clock.snapshot_ts
+        )
         msgs = [e.sort_values[0] for e in entries]
         if msgs != sorted(set(msgs)) or len(msgs) < BASELINE_MSGS:
             errors.append(f"torn scan for device {d}: {msgs}")

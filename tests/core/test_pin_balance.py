@@ -29,10 +29,11 @@ from repro.core.query import MAX_QUERY_TS, ReconcileStrategy
 from repro.faults.errors import SimulatedCrash, TransientIOError
 from repro.faults.plan import FaultPlan
 from repro.faults.storage import FaultyTier
+from repro.planner import Query
 from repro.planner.plan import PlanError
 from repro.qos.admission import QosConfig
 from repro.qos.breaker import BreakerConfig
-from repro.qos.errors import Overloaded
+from repro.qos.errors import Overloaded, PartialResultError
 from repro.storage.hierarchy import StorageHierarchy
 from repro.storage.metrics import IOStats
 from repro.wildfire.cluster import ShardedTable
@@ -69,7 +70,9 @@ INDEX_DOORS = {
 # through the degraded pin's executor.
 DEGRADED_DOORS = {
     "degraded_point_query": lambda shard: shard.point_query((1,), (3,)),
-    "degraded_range_query": lambda shard: shard.range_query((1,)),
+    "degraded_typed_query": lambda shard: shard.query(
+        Query(equalities=(("device", 1),))
+    ),
 }
 
 
@@ -201,7 +204,8 @@ def purged_table(qos):
     return table, tiers
 
 
-# The breaker never trips here, so a give-up reaches the client as is.
+# The breaker never trips here, so no shard degrades: a give-up reaches
+# the client naming its shard, and a crash as is.
 TABLE_QOS = QosConfig(breaker=BreakerConfig(failure_threshold=100))
 # A bucket of one token that queues nothing: the second op is shed (and
 # a backlog that never throttles the load's maintenance).
@@ -209,7 +213,8 @@ SHEDDING_QOS = QosConfig(
     rate_per_sim_s=1.0, burst=1.0, max_queue_ns=0, high_water_ns=10**18
 )
 TABLE_FAILURES = {
-    **{name: (TABLE_QOS, (7,), failure) for name, failure in FAILURES.items()},
+    "transient-giveup": (TABLE_QOS, (7,), PartialResultError),
+    "simulated-crash": (TABLE_QOS, (7,), SimulatedCrash),
     "shed": (SHEDDING_QOS, (7,), Overloaded),
     "refused-key": (TABLE_QOS, (True,), PlanError),
 }
@@ -227,7 +232,7 @@ def test_a_failed_table_point_releases_its_map_pin(qos, key, failure):
     counters = []
     for door in (ShardedTable.point_query, reference_point_query):
         table, tiers = purged_table(qos)
-        if failure in FAILURES.values():
+        if failure in (PartialResultError, SimulatedCrash):
             shard_id = table.shard_of_key(key)
             retired, freed, backlog = fail_next_shared_read(
                 table.shards[shard_id], tiers[shard_id], failure

@@ -17,6 +17,7 @@ from repro.core.query import (
     compute_scan_bounds,
     encode_point_key,
 )
+from repro.planner import PlanError, Query
 from repro.storage.hierarchy import StorageHierarchy
 
 from tests import reference_scan
@@ -132,12 +133,19 @@ class TestMistypedKeyValues:
         for door in (
             lambda: shard.point_query((1,), (bad,)),
             lambda: shard.index_lookup((1,), (bad,)),
-            lambda: shard.range_query((1,), (bad,), (9,)),
             lambda: shard.time_travel((1,), (bad,), MAX_QUERY_TS),
         ):
             with pytest.raises(QueryError) as refused:
                 door()
             assert str(refused.value) == f"key value of the wrong type: {refusal}"
+        # A range read is a typed query: it refuses the bound like any
+        # predicate value (``None`` is an open bound there, not a value).
+        if bad is not None:
+            with pytest.raises(PlanError) as refused:
+                shard.query(Query(
+                    equalities=(("eq0", 1),), ranges=(("sort0", bad, 9),),
+                ))
+            assert str(refused.value) == f"query predicate: {refusal}"
 
 
 class TestSynopsisPruning:

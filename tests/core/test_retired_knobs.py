@@ -37,7 +37,9 @@ from repro.storage.memory import DEFAULT_MEMORY_READ, MemoryTier
 from repro.storage.metrics import EpochStats
 from repro.storage.shared import SharedStorage
 from repro.storage.ssd import SSDTier
+from repro.wildfire import cluster
 from repro.wildfire.blockstore import BlockCatalog
+from repro.wildfire.cluster import ShardedTable
 from repro.wildfire.engine import ShardConfig, WildfireShard
 from repro.wildfire.indexer import IndexerDaemon
 from repro.wildfire.indexes import ShardIndexes
@@ -250,11 +252,14 @@ def test_the_shard_has_one_door_per_read_and_a_plain_driver():
         shard.run_cycles(1, ingest_fn=lambda cycle: [])
     assert shard.cycle == 0
     for door in ("degraded_point_query", "degraded_range_query",
-                 "secondary_scan", "secondary_lookup"):
+                 "secondary_scan", "secondary_lookup", "range_query"):
         assert not hasattr(shard, door)
 
 
-def test_the_shard_scans_answer_with_entries_only():
-    shard = make_shard()
-    with pytest.raises(TypeError, match="fetch_records"):
-        shard.range_query(fetch_records=True)
+def test_a_range_read_is_a_typed_query_at_both_layers():
+    """There is no range door: a cluster or a shard reads a range as a
+    typed ``Query``, and the cluster has no entry merge or kind for one."""
+    assert not hasattr(WildfireShard, "range_query")
+    for retired in ("range_query", "_merge_versions"):
+        assert not hasattr(ShardedTable, retired)
+    assert not hasattr(cluster, "RANGE")

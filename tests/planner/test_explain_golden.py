@@ -209,7 +209,9 @@ class TestWrappersCallTheIndex:
     file's 60-row shard.  The one intended difference: a mistyped value is
     still a ``QueryError``, but is now worded by ``ColumnSpec.validate``
     (2d5f04b leaked the encoder's text, passed a bool as an int, and let
-    an integer beyond int64 out as a bare ``EncodingError``)."""
+    an integer beyond int64 out as a bare ``EncodingError``).  The range
+    wrapper is gone: its recorded entries and refusals are the index's
+    own ``scan``, and a range read is a typed query."""
 
     def test_answers(self):
         shard = make_shard()
@@ -228,15 +230,19 @@ class TestWrappersCallTheIndex:
             _primary(3)
         ]
         assert shard.index_batch_lookup([]) == []
-        assert [_entry(e) for e in shard.range_query((), (10,), (13,))] == [
+        ts = shard.clock.snapshot_ts
+        assert [_entry(e) for e in shard.index.scan((), (10,), (13,), ts)] == [
             _primary(k) for k in (10, 11, 12, 13)
         ]
         assert [
-            (r.values, r.begin_ts) for r in map(fetch, shard.range_query(
-                (), (10,), (13,)
+            (r.values, r.begin_ts) for r in map(fetch, shard.index.scan(
+                (), (10,), (13,), ts
             ))
         ] == [_record(k) for k in (10, 11, 12, 13)]
-        assert len(shard.range_query()) == 60
+        assert shard.query(Query(ranges=(("order_id", 10, 13),))) == [
+            _record(k)[0] for k in (10, 11, 12, 13)
+        ]
+        assert len(shard.query(Query())) == 60
         # A secondary read is a typed query; the planner picks the index.
         covered = ("order_id", "amount")
         assert shard.query(Query(
@@ -272,17 +278,20 @@ class TestWrappersCallTheIndex:
              "every point lookup must bind all 0 equality and 1 sort columns"),
             (lambda: shard.index_batch_lookup([((), (1,)), ((), ())]), QueryError,
              "every point lookup must bind all 0 equality and 1 sort columns"),
-            (lambda: shard.range_query((1,), None, None), QueryError,
+            (lambda: shard.index.scan((1,), None, None), QueryError,
              "range scan must bind all 0 equality columns; got 1"),
-            (lambda: shard.range_query((), (1, 2), None), QueryError,
+            (lambda: shard.index.scan((), (1, 2), None), QueryError,
              "sort bound (1, 2) longer than the 1 sort columns"),
             # mistyped: the recorded type, the new wording
             (lambda: shard.index_lookup((), ("7",)), QueryError,
              mistyped + "'order_id' expects int64, got str ('7')"),
             (lambda: shard.point_query((), (7.5,)), QueryError,
              mistyped + "'order_id' expects int64, got float (7.5)"),
-            (lambda: shard.range_query((), ("a",), None),
+            (lambda: shard.index.scan((), ("a",), None),
              QueryError, mistyped + "'order_id' expects int64, got str ('a')"),
+            (lambda: shard.query(Query(ranges=(("order_id", "a", None),))),
+             PlanError, "query predicate: column 'order_id' expects int64, "
+             "got str ('a')"),
             # a secondary read is a typed query: the planner refuses it
             (lambda: shard.query(Query(equalities=(("customer", 5),))),
              PlanError, "query predicate: column 'customer' expects string, "

@@ -31,6 +31,7 @@ import pytest
 from repro.core.definition import ColumnSpec
 from repro.faults.crash import SimulatedCrash, install_crash_schedule
 from repro.faults.plan import FaultPlan
+from repro.planner import Query
 from repro.wildfire.cluster import ShardedTable
 from repro.wildfire.engine import ShardConfig
 from repro.wildfire.schema import IndexSpec, TableSchema
@@ -112,13 +113,11 @@ def keys_of(*phases):
 
 
 def blob_answers(table, devices, keys, query_ts=None, with_end_ts=True):
-    """Byte-level state: raw scan entry blobs + full point records."""
-    definition = table.shards[table.live_shard_ids()[0]].index.definition
+    """State at a snapshot: each device's full rows + full point records."""
     scans = {
-        d: tuple(
-            entry.to_blob(definition)
-            for entry in table.range_query((d,), query_ts=query_ts)
-        )
+        d: tuple(table.query(
+            Query(equalities=(("device", d),), query_ts=query_ts)
+        ))
         for d in devices
     }
     points = {}
@@ -136,7 +135,9 @@ def blob_answers(table, devices, keys, query_ts=None, with_end_ts=True):
 def value_answers(table, devices, keys):
     """Value-level state: what a client can observe, timestamps aside."""
     scans = {
-        d: tuple(entry.sort_values for entry in table.range_query((d,)))
+        d: tuple(table.query(
+            Query(equalities=(("device", d),), projection=("msg",))
+        ))
         for d in devices
     }
     points = {}
@@ -192,10 +193,10 @@ def assert_window_differential(arm, oracle, pool, window_phases, snapshot_ts):
 class TestCleanRoundTrip:
     @pytest.mark.parametrize("seed", SEEDS)
     def test_split_then_merge_is_byte_identical(self, seed):
-        """No writes inside the window: the entire end state -- values,
-        beginTS, endTS, raw entry blobs, and the AS-OF history at the
-        pre-split snapshot -- compares blob for blob with a cluster that
-        never reorganized."""
+        """No writes inside the window: the entire end state -- every
+        device's rows, each key's values, beginTS and endTS, and the
+        AS-OF history at the pre-split snapshot -- is identical to a
+        cluster that never reorganized."""
         pool, phase_a, phase_b = workload(seed)
         arm, oracle = make_table(), make_table()
         for table in (arm, oracle):

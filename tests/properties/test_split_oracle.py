@@ -7,7 +7,7 @@ cannot tell -- so after both arms drain:
 
 * every point answer agrees on values and visibility for every key ever
   written (and for never-written probe keys);
-* per-device range scans agree entry for entry on values;
+* per-device range reads (typed queries) agree row for row;
 * AS-OF queries at the pre-split snapshot timestamp are **byte
   identical** -- the copy is a verbatim ``(sort_key, blob)`` transfer,
   so history does not merely *agree*, it is the same bytes;
@@ -33,6 +33,7 @@ import pytest
 from repro.core.definition import ColumnSpec
 from repro.faults.crash import SimulatedCrash, install_crash_schedule
 from repro.faults.plan import FaultPlan
+from repro.planner import Query
 from repro.wildfire.cluster import ShardedTable
 from repro.wildfire.engine import ShardConfig
 from repro.wildfire.schema import IndexSpec, TableSchema
@@ -117,19 +118,17 @@ def keys_of(*phases):
 
 
 def blob_answers(table, devices, keys, query_ts=None, with_end_ts=True):
-    """Byte-level state: raw scan entry blobs + full point records.
+    """State at a snapshot: each device's full rows + full point records.
 
     ``with_end_ts=False`` drops ``end_ts`` from point answers: an old
     version's end timestamp *is* its successor version's ``beginTS``,
     which is exactly the component that legitimately diverges for keys
     rewritten across both successors after a split.
     """
-    definition = table.shards[table.live_shard_ids()[0]].index.definition
     scans = {
-        d: tuple(
-            entry.to_blob(definition)
-            for entry in table.range_query((d,), query_ts=query_ts)
-        )
+        d: tuple(table.query(
+            Query(equalities=(("device", d),), query_ts=query_ts)
+        ))
         for d in devices
     }
     points = {}
@@ -147,9 +146,9 @@ def blob_answers(table, devices, keys, query_ts=None, with_end_ts=True):
 def value_answers(table, devices, keys):
     """Value-level state: what a client can observe, timestamps aside."""
     scans = {
-        d: tuple(
-            entry.sort_values for entry in table.range_query((d,))
-        )
+        d: tuple(table.query(
+            Query(equalities=(("device", d),), projection=("msg",))
+        ))
         for d in devices
     }
     points = {}

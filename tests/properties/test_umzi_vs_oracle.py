@@ -107,7 +107,7 @@ def test_full_lifecycle_matches_oracle(batches, post_groom_every):
     # Range scans per device at the final snapshot.
     final_ts = snapshots[-1]
     for device in range(DEVICES):
-        got = shard.range_query((device,), (0,), (MESSAGES - 1,), query_ts=final_ts)
+        got = shard.index.scan((device,), (0,), (MESSAGES - 1,), final_ts)
         probe = IndexEntry.create(
             definition, (device,), (0,), (0,), 1, RID(Zone.GROOMED, 0, 0)
         )

@@ -13,6 +13,7 @@ import pytest
 from repro.core.definition import ColumnSpec
 from repro.faults.plan import FaultPlan
 from repro.faults.storage import FaultyTier
+from repro.planner import Query
 from repro.qos.admission import QosConfig
 from repro.qos.breaker import BreakerConfig, BreakerState
 from repro.qos.errors import Overloaded, PartialResultError, QosError
@@ -158,8 +159,10 @@ class TestBreakerAndDegradedReads:
         table.run_cycles(2)
         victim = table.shard_of_row((device, 0, 0))
         self.crash_and_brownout(table, tiers, victim)
-        entries = table.range_query((device,), (2,), (5,))
-        assert [e.sort_values[0] for e in entries] == [2, 3, 4, 5]
+        rows = table.query(
+            Query(equalities=(("device", device),), ranges=(("msg", 2, 5),))
+        )
+        assert [row[1] for row in rows] == [2, 3, 4, 5]
         assert table.qos_stats().degraded_reads > 0
 
     def test_maintenance_throttles_while_breaker_open(self):
@@ -225,8 +228,8 @@ class TestBreakerAndDegradedReads:
 
 
 def make_scatter_table(num_shards=2, seed=0):
-    """Sharded on ``device`` but indexed by ``msg`` equality, so a range
-    query binding only ``msg`` cannot route and must scatter-gather."""
+    """Sharded on ``device`` but indexed by ``msg`` equality, so a query
+    binding only ``msg`` cannot route and must scatter-gather."""
     tiers = {}
 
     def factory(shard_id):
@@ -265,20 +268,20 @@ class TestPartialResults:
         tiers[victim].set_outage(True)
         # Sharding key (device) unbound -> scatter across both shards.
         with pytest.raises(PartialResultError) as exc_info:
-            table.range_query((1,), None, None)
+            table.query(Query(equalities=(("msg", 1),)))
         error = exc_info.value
         assert error.failed_shards == (victim,)
         assert isinstance(error.cause, TransientIOError)
         assert isinstance(error, QosError)
         # The surviving shard's rows rode along with the error.
         assert len(error.partial) > 0
-        survivors = {e.sort_values[0] for e in error.partial}
+        survivors = {row[0] for row in error.partial}
         assert all(table.shard_of_row((d, 1, 0)) == 1 for d in survivors)
 
     def test_gather_clean_when_all_shards_healthy(self):
         table, _ = make_scatter_table(num_shards=2)
         table.ingest([(d, 1, d) for d in range(16)])
         table.run_cycles(2)
-        entries = table.range_query((1,), None, None)
-        assert len(entries) == 16
-        assert [e.sort_values[0] for e in entries] == list(range(16))
+        rows = table.query(Query(equalities=(("msg", 1),)))
+        assert len(rows) == 16
+        assert [row[0] for row in rows] == list(range(16))

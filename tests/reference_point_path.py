@@ -10,6 +10,8 @@ whether it is degraded; and the shard's lookup encodes its own key
 call goes to the live objects' counters, so
 ``tests/properties/test_point_path_oracle.py`` compares answers,
 refusals and ledgers of this path and the current one on twin tables.
+Its failure contract is the current one: a lone holder that gives up is
+named in a ``PartialResultError``, as a gathered shard is.
 """
 
 from typing import List, Optional
@@ -52,8 +54,13 @@ def _serve(table, sharding_values, args):
             key_hash = fnv1a64(encoded)
             route = shard_map.route_of(key_hash)
             shard_ids = route.read_shards(key_hash)
-            if len(shard_ids) == 1:
-                return _shard_call(table, shard_ids[0], args, True)
+            if len(shard_ids) == 1:  # a give-up names the shard, as a gather's
+                try:
+                    return _shard_call(table, shard_ids[0], args, True)
+                except TransientIOError as exc:
+                    raise PartialResultError(
+                        shard_ids, (), exc, epoch=shard_map.epoch
+                    ) from exc
             fresh = route.fresh_write_shards()
         else:
             shard_ids = shard_map.scatter_shards()

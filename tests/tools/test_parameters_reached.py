@@ -46,9 +46,6 @@ CONFIG_CLASSES = {
 }
 
 TEST_ONLY = {
-    "Query(query_ts)":
-        "a time-travel typed query; the e2e workloads and examples read at "
-        "the latest snapshot, tests pin AS-OF answers",
     "Query(index_hint)":
         "restricts the smart planner to one index: tests force each access "
         "path with it to compare plans against the baseline planner",

@@ -3,8 +3,9 @@
 ``ShardedTable.query`` routes on the sharding key when the query binds
 it, scatters otherwise (pruning shards whose synopses cannot match --
 ISSUE 10), merges newest-beginTS-wins per primary key (the migration
-double-read window), and reports failing shards through
-``PartialResultError`` -- typed queries never serve degraded answers.
+double-read window), and fails and degrades like a point: a browned-out
+shard outside a migration's fresh writes answers from its degraded pin,
+and a shard that still cannot answer is named in a ``PartialResultError``.
 Shards carrying secondary indexes split via per-index partition passes.
 Every index holds the sharding key: the primary's key columns must be
 the primary key, refused at construction otherwise.

@@ -113,8 +113,9 @@ class TestReadAttribution:
         shard = make_shard()
         seed(shard)
         cold_reset(shard)
-        # Legacy wrappers run outside any attribution scope.
-        shard.range_query(sort_lower=(0,), sort_upper=(59,))
+        # The point wrapper and the index API run outside any scope.
+        shard.point_query(sort_values=(7,))
+        shard.index.scan(sort_lower=(0,), sort_upper=(59,))
         assert shard.hierarchy.stats.attribution_snapshot() == {}
 
 
@@ -122,7 +123,7 @@ class TestBatchRecordFetch:
     def test_fetch_records_matches_singles_and_batches_block_reads(self):
         shard = make_shard()
         seed(shard)
-        entries = shard.range_query(sort_lower=(0,), sort_upper=(59,))
+        entries = shard.index.scan(sort_lower=(0,), sort_upper=(59,))
         rids = [e.rid for e in entries]
         singles = [shard.catalog.fetch_record(rid) for rid in rids]
         assert shard.catalog.fetch_records(rids) == [
@@ -147,7 +148,7 @@ class TestWrapperEquivalence:
         assert [record.values] == shard.query(
             Query(equalities=(("order_id", 7),))
         )
-        entries = shard.range_query(sort_lower=(10,), sort_upper=(20,))
+        entries = shard.index.scan(sort_lower=(10,), sort_upper=(20,))
         assert [e.sort_values[0] for e in entries] == [
             row[0] for row in shard.query(
                 Query(ranges=(("order_id", 10, 20),)),

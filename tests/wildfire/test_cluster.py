@@ -7,7 +7,7 @@ import pytest
 from repro.core.definition import ColumnSpec, ColumnType
 from repro.core.encoding import EncodingError
 from repro.core.query import QueryError
-from repro.planner import PlanError
+from repro.planner import PlanError, Query
 from repro.wildfire.cluster import ShardedTable
 from repro.wildfire.engine import ShardConfig
 from repro.wildfire.schema import IndexSpec, SchemaError, TableSchema
@@ -113,12 +113,14 @@ class TestRoutingOnTypedShardingValues:
         with pytest.raises(PlanError) as refused:
             table.point_query((), (bad,))
         assert str(refused.value) == f"sharding key: {refusal}"
-        # A sort bound routes nothing (the range scatters), so the shard it
-        # reaches refuses it: a QueryError, never a bare EncodingError.
-        for bounds in [((bad,), (10.0,)), ((0.0,), (bad,))]:
-            with pytest.raises(QueryError) as refused:
-                table.range_query((), *bounds)
-            assert str(refused.value) == f"key value of the wrong type: {refusal}"
+        # A range bound routes nothing (the query scatters); the typed door
+        # refuses it like any predicate value, never as a bare
+        # EncodingError.  ``None`` is an open bound there, not a value.
+        if bad is not None:
+            for low, high in [(bad, 10.0), (0.0, bad)]:
+                with pytest.raises(PlanError) as refused:
+                    table.query(Query(ranges=(("k", low, high),)))
+                assert str(refused.value) == f"query predicate: {refusal}"
 
     @pytest.mark.parametrize("bad,refusal", [
         (True, "column 'device' expects int64, got bool (True)"),
@@ -130,19 +132,21 @@ class TestRoutingOnTypedShardingValues:
     ], ids=["bool", "float", "str", "nan", "beyond-int64"])
     def test_routed_doors_refuse_what_ingest_refuses(self, bad, refusal):
         """INT64 sharding key bound by the equality column: the point and
-        the range door both route, and both refuse before any shard is
+        the typed door both route, and both refuse before any shard is
         asked.  ``True`` used to be answered as device 1."""
         table = make_table()
         table.ingest([(d, m, d) for d in range(4) for m in range(3)])
         table.tick()
         assert table.point_query((1,), (1,)).values == (1, 1, 1)
-        for door in (
-            lambda: table.point_query((bad,), (1,)),
-            lambda: table.range_query((bad,), (0,), (2,)),
+        for door, refused_as in (
+            (lambda: table.point_query((bad,), (1,)), "sharding key"),
+            (lambda: table.query(Query(
+                equalities=(("device", bad),), ranges=(("msg", 0, 2),),
+            )), "query predicate"),
         ):
             with pytest.raises(PlanError) as refused:
                 door()
-            assert str(refused.value) == f"sharding key: {refusal}"
+            assert str(refused.value) == f"{refused_as}: {refusal}"
         # A key value that routes nothing is refused by the shard's index.
         with pytest.raises(QueryError, match="column 'msg' expects int64, got bool"):
             table.point_query((1,), (True,))
@@ -152,7 +156,7 @@ class TestRoutingOnTypedShardingValues:
         table.ingest([(2.0, 7)])
         table.tick()
         assert table.point_query((), (2,)).values == (2.0, 7)
-        assert [e.sort_values for e in table.range_query((), (1,), (3,))] == [(2.0,)]
+        assert table.query(Query(ranges=(("k", 1, 3),))) == [(2.0, 7)]
 
 
 class TestRefusedBatchCommitsNothing:
@@ -234,8 +238,10 @@ class TestIngestAndQuery:
         table = make_table()
         table.ingest([(3, m, m) for m in range(10)])
         table.tick()
-        entries = table.range_query((3,), (2,), (5,))
-        assert [e.sort_values[0] for e in entries] == [2, 3, 4, 5]
+        rows = table.query(
+            Query(equalities=(("device", 3),), ranges=(("msg", 2, 5),))
+        )
+        assert [row[1] for row in rows] == [2, 3, 4, 5]
 
     def test_upsert_goes_to_same_shard(self):
         table = make_table()

@@ -11,6 +11,7 @@ from repro.core.index import UmziConfig
 from repro.core.levels import LevelConfig
 from repro.faults.plan import FaultPlan
 from repro.faults.storage import FaultyTier
+from repro.planner import Query
 from repro.storage.hierarchy import StorageHierarchy
 from repro.storage.metrics import IOStats
 from repro.storage.retry import TransientIOError
@@ -59,6 +60,13 @@ def make_shard(hierarchy=None, **config_overrides):
     )
 
 
+def device_range(device, low=None, high=None, **options):
+    """A range read of one device's messages, as a typed query."""
+    return Query(
+        equalities=(("device", device),), ranges=(("msg", low, high),), **options
+    )
+
+
 class TestUpsertSemantics:
     def test_last_writer_wins_across_grooms(self):
         shard = make_shard(post_groom_every=3)
@@ -72,18 +80,15 @@ class TestUpsertSemantics:
         shard = make_shard()
         shard.ingest([(1, m, m) for m in range(5)])
         shard.tick()
-        entries = shard.range_query((1,), (0,), (4,))
-        assert len(entries) == 5
+        rows = shard.query(device_range(1, 0, 4))
+        assert len(rows) == 5
 
-    def test_range_query_fetch_records(self):
+    def test_typed_range_read_returns_rows(self):
         shard = make_shard()
         shard.ingest([(1, m, m * 10) for m in range(5)])
         shard.tick()
-        records = [
-            shard.catalog.fetch_record(entry.rid)
-            for entry in shard.range_query((1,), (1,), (3,))
-        ]
-        assert [r.values[2] for r in records] == [10, 20, 30]
+        rows = shard.query(device_range(1, 1, 3))
+        assert [row[2] for row in rows] == [10, 20, 30]
 
     def test_missing_key(self):
         shard = make_shard()
@@ -161,8 +166,8 @@ class TestSnapshotIsolation:
 
 class TestDegradedMode:
     def test_the_live_doors_read_the_pinned_snapshot_while_degraded(self):
-        """Degraded mode is a state of ``point_query`` / ``range_query``:
-        while the pin is held they answer from the pinned version, never
+        """Degraded mode is a state of ``point_query`` / ``query``: while
+        the pin is held they answer from the pinned version, never
         fresher, and from the current one again once it is released."""
         shard = make_shard()
         shard.ingest([(1, 1, 10)])
@@ -172,12 +177,10 @@ class TestDegradedMode:
         shard.tick()
         assert shard.point_query((1,), (1,)).values == (1, 1, 10)
         assert shard.point_query((1,), (2,)) is None
-        assert [e.include_values for e in shard.range_query((1,))] == [(10,)]
+        assert shard.query(device_range(1)) == [(1, 1, 10)]
         shard.exit_degraded_mode()
         assert shard.point_query((1,), (1,)).values == (1, 1, 11)
-        assert [e.include_values for e in shard.range_query((1,))] == [
-            (11,), (20,)
-        ]
+        assert shard.query(device_range(1)) == [(1, 1, 11), (1, 2, 20)]
 
 
 class TestDeterministicDriver:

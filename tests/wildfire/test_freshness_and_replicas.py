@@ -2,6 +2,7 @@
 order."""
 
 from repro.core.definition import ColumnSpec
+from repro.planner import Query
 from repro.wildfire.engine import ShardConfig, WildfireShard
 from repro.wildfire.schema import IndexSpec, TableSchema
 
@@ -54,8 +55,10 @@ class TestMultiReplicaCommits:
         shard.ingest([(1, m, m) for m in range(3)])
         shard.ingest([(2, m, m) for m in range(3)])
         shard.tick()
-        assert len(shard.range_query((1,), (0,), (9,))) == 3
-        assert len(shard.range_query((2,), (0,), (9,))) == 3
+        for device in (1, 2):
+            assert len(shard.query(Query(
+                equalities=(("device", device),), ranges=(("msg", 0, 9),),
+            ))) == 3
 
     def test_begin_ts_monotone_across_replicas(self):
         shard = make_shard()

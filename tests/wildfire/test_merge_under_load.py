@@ -22,6 +22,7 @@ import threading
 import pytest
 
 from repro.core.definition import ColumnSpec
+from repro.planner import Query
 from repro.wildfire.cluster import ShardedTable
 from repro.wildfire.engine import ShardConfig
 from repro.wildfire.schema import IndexSpec, TableSchema
@@ -85,9 +86,9 @@ class TestMergeUnderLoad:
                     ):
                         errors.append((tid, device, msg, record))
                         return
-                    entries = table.range_query((device,))
-                    if len(entries) < MSGS:
-                        errors.append((tid, device, "range", len(entries)))
+                    rows = table.query(Query(equalities=(("device", device),)))
+                    if len(rows) < MSGS:
+                        errors.append((tid, device, "range", len(rows)))
                         return
                 except Exception as exc:  # noqa: BLE001 - the assertion
                     errors.append((tid, device, msg, repr(exc)))
@@ -157,7 +158,9 @@ class TestMergeUnderLoad:
             for i in range(queries // 2):
                 device = i % DEVICES
                 assert table.point_query((device,), (0,)) is not None
-                assert len(table.range_query((device,))) >= MSGS
+                assert len(table.query(
+                    Query(equalities=(("device", device),))
+                )) >= MSGS
             delta = table.epoch_stats().diff(before)
             assert delta.version_refs == queries
             assert delta.version_unrefs == queries

@@ -25,6 +25,7 @@ from repro.core.definition import ColumnSpec
 from repro.faults.crash import SimulatedCrash, install_crash_schedule
 from repro.faults.plan import FaultPlan
 from repro.faults.storage import FaultyTier
+from repro.planner import Query
 from repro.qos.admission import QosConfig
 from repro.qos.breaker import BreakerConfig, BreakerState
 from repro.qos.errors import PartialResultError
@@ -178,9 +179,9 @@ class TestPartialResultsInWindow:
         # The old holder's authoritative answer rode along.
         assert len(error.partial) == 1
         assert error.partial[0].values == (device, 1, device * 10)
-        # Range queries through the same window are tagged identically.
+        # Typed range reads through the same window are tagged identically.
         with pytest.raises(PartialResultError) as exc_info:
-            table.range_query((device,))
+            table.query(Query(equalities=(("device", device),)))
         assert exc_info.value.epoch == window_epoch
         assert exc_info.value.failed_shards == (holder,)
         # No degraded read was attempted for the fresh-write holder: its

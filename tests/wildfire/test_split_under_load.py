@@ -2,9 +2,13 @@
 
 Mirror of ``tests/core/test_concurrency_stress.py`` at the cluster
 layer: every shard's groom/post-groom/index daemons run on real threads,
-query threads hammer warm keys and an ingest thread appends fresh rows
--- and *in the middle of that* the hottest shard is split online.  The
-invariants:
+an ingest thread appends fresh rows, and the hottest shard is split
+online by a *pumped* migration (``begin_split`` + ``migration_step``).
+Query threads read every device -- a point and a typed range read each
+-- between every two steps of the pump, held there by a barrier, so
+each thread provably reads in every phase: before the cutover, in the
+double-read window before and during the copy, and after the final
+publish.  The invariants:
 
 * no query thread ever sees an error or a wrong/missing answer for a
   warm key -- the double-read window and both epoch publishes are
@@ -21,6 +25,7 @@ import threading
 import pytest
 
 from repro.core.definition import ColumnSpec
+from repro.planner import Query
 from repro.wildfire.cluster import ShardedTable
 from repro.wildfire.engine import ShardConfig
 from repro.wildfire.schema import IndexSpec, TableSchema
@@ -33,6 +38,8 @@ DEVICES = 24
 MSGS = 3
 QUERY_THREADS = 4
 INGEST_ROUNDS = 12
+COPY_BUDGET = 8  # pairs per migration step: the copy takes several steps
+BARRIER_TIMEOUT_S = 60.0
 
 
 def make_table(num_shards=2):
@@ -55,6 +62,11 @@ def expected(device, msg):
     return device * 100 + msg
 
 
+def device_rows(table, device):
+    """A range read of one device's rows: a typed query on its key."""
+    return table.query(Query(equalities=(("device", device),)))
+
+
 class TestSplitUnderLoad:
     def test_split_with_live_daemons_and_queries(self):
         table = make_table(num_shards=2)
@@ -67,27 +79,42 @@ class TestSplitUnderLoad:
         table.start_daemons(groom_interval_s=0.002)
         stop = threading.Event()
         errors = []
+        rounds = []  # (thread, phase) of every round of reads
+        phase = ["single"]
+        # The pump waits at ``go`` until every thread is ready to read,
+        # and at ``done`` until every thread has read: a step never runs
+        # while a thread reads, and no thread skips a phase.
+        go = threading.Barrier(QUERY_THREADS + 1, timeout=BARRIER_TIMEOUT_S)
+        done = threading.Barrier(QUERY_THREADS + 1, timeout=BARRIER_TIMEOUT_S)
+
+        def read_every_device(tid):
+            for device in range(DEVICES):
+                msg = (tid + device) % MSGS
+                record = table.point_query((device,), (msg,))
+                if record is None or record.values != (
+                    device, msg, expected(device, msg),
+                ):
+                    errors.append((tid, phase[0], device, msg, record))
+                rows = device_rows(table, device)
+                warm = [(device, m, expected(device, m)) for m in range(MSGS)]
+                if len(rows) < MSGS or rows[:MSGS] != warm:
+                    errors.append((tid, phase[0], device, "range", rows[:MSGS]))
 
         def query_loop(tid):
-            i = 0
-            while not stop.is_set():
-                device = (tid + i) % DEVICES
-                msg = i % MSGS
-                try:
-                    record = table.point_query((device,), (msg,))
-                    if record is None or record.values != (
-                        device, msg, expected(device, msg),
-                    ):
-                        errors.append((tid, device, msg, record))
+            try:
+                while True:
+                    go.wait()
+                    if stop.is_set():
                         return
-                    entries = table.range_query((device,))
-                    if len(entries) < MSGS:
-                        errors.append((tid, device, "range", len(entries)))
-                        return
-                except Exception as exc:  # noqa: BLE001 - the assertion
-                    errors.append((tid, device, msg, repr(exc)))
-                    return
-                i += 1
+                    try:
+                        read_every_device(tid)
+                    except Exception as exc:  # noqa: BLE001 - the assertion
+                        errors.append((tid, phase[0], repr(exc)))
+                    rounds.append((tid, phase[0]))
+                    done.wait()
+            except threading.BrokenBarrierError:
+                if not stop.is_set():
+                    errors.append((tid, phase[0], "barrier broken"))
 
         def ingest_loop():
             for round_no in range(INGEST_ROUNDS):
@@ -97,6 +124,11 @@ class TestSplitUnderLoad:
                     [(d, 100 + round_no, d) for d in range(DEVICES)]
                 )
 
+        def every_thread_reads(label):
+            phase[0] = label
+            go.wait()
+            done.wait()
+
         threads = [
             threading.Thread(target=query_loop, args=(tid,), daemon=True)
             for tid in range(QUERY_THREADS)
@@ -104,15 +136,38 @@ class TestSplitUnderLoad:
         threads.append(threading.Thread(target=ingest_loop, daemon=True))
         for thread in threads:
             thread.start()
+        labels = ["single"]
         try:
-            summary = table.split_shard(victim)
+            every_thread_reads("single")
+            summary = table.begin_split(victim)
+            labels.append(f"{summary['phase']}: cut over")
+            every_thread_reads(labels[-1])
+            while summary["phase"] != "done":
+                summary = table.migration_step(budget=COPY_BUDGET)
+                labels.append(
+                    "done" if summary["phase"] == "done"
+                    else f"{summary['phase']}: copy step {len(labels) - 1}"
+                )
+                every_thread_reads(labels[-1])
+            stop.set()
+            go.wait()  # release the threads to see ``stop``
         finally:
             stop.set()
+            go.abort()
+            done.abort()
             for thread in threads:
                 thread.join(timeout=10.0)
             table.stop_daemons()
 
         assert errors == []
+        # Every thread read in every phase: before the cutover, in the
+        # window before and during the copy, and after the final publish.
+        assert labels[0] == "single" and labels[-1] == "done"
+        assert labels[1] == "migrating: cut over"
+        assert sum(label.startswith("migrating: copy") for label in labels) >= 2
+        assert sorted(rounds) == sorted(
+            (tid, label) for tid in range(QUERY_THREADS) for label in labels
+        )
         assert summary["phase"] == "done"
         assert table.routing_epoch() == 2
         assert table.stats()["retired_shards"] == [victim]
@@ -150,7 +205,7 @@ class TestSplitUnderLoad:
             for i in range(queries // 2):
                 device = i % DEVICES
                 assert table.point_query((device,), (0,)) is not None
-                assert len(table.range_query((device,))) >= MSGS
+                assert len(device_rows(table, device)) >= MSGS
             delta = table.epoch_stats().diff(before)
             assert delta.version_refs == queries
             assert delta.version_unrefs == queries

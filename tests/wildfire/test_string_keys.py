@@ -9,6 +9,7 @@ import pytest
 
 from repro.core.definition import ColumnSpec, ColumnType
 from repro.core.entry import Zone
+from repro.planner import Query
 from repro.wildfire.engine import ShardConfig, WildfireShard
 from repro.wildfire.schema import IndexSpec, TableSchema
 
@@ -46,9 +47,11 @@ class TestStringKeysEndToEnd:
         shard.ingest([(d, m, b"x") for d in DEVICES for m in range(10)])
         shard.tick()
         for d in DEVICES:
-            entries = shard.range_query((d,), (2,), (6,))
-            assert [e.sort_values[0] for e in entries] == [2, 3, 4, 5, 6]
-            assert all(e.equality_values[0] == d for e in entries)
+            rows = shard.query(Query(
+                equalities=(("device", d),), ranges=(("msg", 2, 6),),
+            ))
+            assert [row[1] for row in rows] == [2, 3, 4, 5, 6]
+            assert all(row[0] == d for row in rows)
 
     def test_evolve_and_merge_with_string_keys(self):
         shard = make_shard()
