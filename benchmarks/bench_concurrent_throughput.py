@@ -19,7 +19,8 @@ their last numbers are frozen in ``docs/benchmarks.md``.
 All acceptance assertions are on deterministic counters -- never on
 wall-clock ratios (see ``tools/check_flaky.py``).
 
-Set ``UMZI_BENCH_SMOKE=1`` for the CI-sized fixture.
+Set ``UMZI_BENCH_SMOKE=1`` for the CI-sized fixture; it prints its table
+and persists nothing over the committed full-size artifacts.
 """
 
 import os
@@ -234,7 +235,10 @@ def test_concurrent_throughput():
               f"{SCALING_RUN_COUNTS} runs",
         metrics=metrics,
     )
-    report(result, slug="concurrent_throughput")
+    if _SMOKE:  # the smoke fixture's numbers must not replace the full-size artifacts
+        print("\n" + result.format_table())
+    else:
+        report(result, slug="concurrent_throughput")
 
     # Counter-asserted on every window: concurrent queries with zero
     # query errors while maintenance keeps retiring runs underneath, and

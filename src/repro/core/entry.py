@@ -16,6 +16,7 @@ from __future__ import annotations
 import enum
 import struct
 from itertools import groupby
+from operator import itemgetter
 from typing import Callable, Dict, List, NamedTuple, Sequence, Tuple
 
 from repro.core.definition import ColumnType, IndexDefinition, encode_typed
@@ -70,6 +71,9 @@ class RID(NamedTuple):
 # decoding any column.
 SORT_KEY_TS_BYTES = 8
 _UINT64_MAX = (1 << 64) - 1
+# A sort key's user key and its raw ``~beginTS`` suffix, as getters.
+user_key_of = itemgetter(slice(None, -SORT_KEY_TS_BYTES))
+ts_suffix_of = itemgetter(slice(-SORT_KEY_TS_BYTES, None))
 
 
 def begin_ts_of_sort_key(sort_key: bytes) -> int:
@@ -288,4 +292,6 @@ __all__ = [
     "encode_rid_column",
     "entry_blob_columns",
     "hash_column",
+    "ts_suffix_of",
+    "user_key_of",
 ]

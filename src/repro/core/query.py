@@ -59,6 +59,10 @@ class QueryError(ValueError):
     """Malformed query for the given index definition."""
 
 
+class SnapshotTooOldError(QueryError):
+    """An AS-OF read below the retention horizon, which merges collect at."""
+
+
 class ReconcileStrategy(enum.Enum):
     """How results from multiple runs are combined (section 7.1.2)."""
 
@@ -642,6 +646,7 @@ __all__ = [
     "QueryExecutor",
     "RangeScanQuery",
     "ReconcileStrategy",
+    "SnapshotTooOldError",
     "compute_scan_bounds",
     "encode_point_key",
     "encode_point_keys",

@@ -630,12 +630,10 @@ class ShardedTable:
         finally:
             self._maps.unpin(shard_map.epoch)
 
-    def _shard_call(
-        self, kind: QueryKind, shard_id: int, args: tuple, allow_degraded: bool
-    ):
-        """One shard's part through ``kind.live``; this only decides when
-        a shard enters or leaves degraded mode (its doors then read
-        through the mode's snapshot pin) -- two attribute reads if not."""
+    def _shard_call(self, kind: QueryKind, shard_id: int, args: tuple, allow_degraded: bool):
+        """One shard's part through ``kind.live``, deciding only when it enters
+        or leaves degraded mode (its doors then read through the mode's pin)
+        -- two attribute reads if not -- and counting a degraded answer."""
         shard = self.shards[shard_id]
         breaker = self._breakers[shard_id]
         if breaker is None:
@@ -654,8 +652,9 @@ class ShardedTable:
         elif not allow_degraded:
             raise StorageBrownout(f"shared/shard{shard_id}", 0)
         shard.enter_degraded_mode()
+        answer = getattr(shard, kind.live)(*args)  # a refusal counts nothing
         self._qos_io.qos.degraded_reads += 1
-        return getattr(shard, kind.live)(*args)
+        return answer
 
     @staticmethod
     def _newest_record(

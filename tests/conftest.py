@@ -141,10 +141,10 @@ def lookup_run(
     return run.lookup_visible(key, ts_floor(query_ts), lo, hi)
 
 
-def merged_blob_pairs(runs, retention_ts: Optional[int] = None):
+def merged_blob_pairs(runs, retention_ts: Optional[int] = None, dead_keys=()):
     """``merge_blocks`` flattened to ``(sort_key, entry_blob)`` pairs, at
-    a retention horizon."""
-    for keys, blobs in merge_blocks(runs, retention_ts):
+    a retention horizon, repairing ``dead_keys``."""
+    for keys, blobs in merge_blocks(runs, retention_ts, dead_keys):
         yield from zip(keys, blobs)
 
 

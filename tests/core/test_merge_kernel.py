@@ -24,7 +24,7 @@ from hypothesis import given, settings, strategies as st
 
 from repro.core.builder import RunBuilder
 from repro.core.definition import ColumnSpec, ColumnType, IndexDefinition
-from repro.core.entry import IndexEntry, RID, Zone
+from repro.core.entry import IndexEntry, RID, Zone, begin_ts_of_sort_key, user_key_of
 from repro.core.evolve import EvolveController, RidSplices, Watermark
 from repro.core.ids import RunIdAllocator
 from repro.core.index import UmziConfig
@@ -60,6 +60,11 @@ COUNTERS = ("raw_key_probes", "blob_copies", "entry_decodes", "evolve_blob_splic
 LEVELS = LevelConfig(
     groomed_levels=3, post_groomed_levels=2, max_runs_per_level=2, size_ratio=2
 )
+
+
+def user_key(definition, device, msg):
+    """The user key of ``make_entry(definition, device, msg, ...)``."""
+    return make_entry(definition, device, msg, 1, b"", 0).key_bytes(definition)
 
 
 def make_entry(definition, device, msg, begin_ts, body, gid):
@@ -186,6 +191,85 @@ class TestMergeMatchesTheHeap:
         assert [
             pair for keys, blobs in batches for pair in zip(keys, blobs)
         ] == list(reference_merge_blobs(runs, retention_ts))
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        fixture=fixtures(min_runs=1),
+        retention_ts=st.sampled_from([0, 1, MAX_TS // 3, MAX_TS // 2, MAX_TS, 1 << 70]),
+        dead=st.sets(
+            st.tuples(st.integers(0, 3 * DEVICES - 1), st.integers(0, MSGS - 1)),
+            max_size=12,
+        ),
+    )
+    def test_the_column_repair_is_the_per_entry_one(self, fixture, retention_ts, dead):
+        """The dead-key repair rides the retention filter a column at a
+        time: every horizon, any dead user keys (most of them present in
+        the runs), the same pairs, counters and timed fetches as the heap's
+        per-entry filter."""
+        definition, hierarchy, runs = fixture
+        dead_keys = {user_key(definition, d, m) for d, m in dead}
+        oracle = Pulled(
+            hierarchy,
+            lambda: reference_merge_blobs(runs, retention_ts, dead_keys), 1,
+        )
+        for budget in (1, None):
+            kernel = Pulled(
+                hierarchy,
+                lambda: merged_blob_pairs(runs, retention_ts, dead_keys), budget,
+            )
+            assert kernel.pairs == oracle.pairs
+            assert kernel.counters == oracle.counters
+            assert [b for _, b in kernel.fetched] == [b for _, b in oracle.fetched]
+
+    def test_a_batch_boundary_inside_one_keys_versions(self):
+        """64 B blocks hold one entry each, so a key's versions spread over
+        the batches of two interleaved runs: the first version at or below
+        the horizon closes the key across the boundary, and a dead key
+        loses every one of its versions there."""
+        hierarchy = StorageHierarchy()
+        builder = RunBuilder(UNBUCKETED, hierarchy, data_block_bytes=64)
+        runs = [
+            builder.build(f"r{parity}", [
+                make_entry(UNBUCKETED, device, 1, ts, b"", parity)
+                for device in (0, 1) for ts in range(1 + parity, 13, 2)
+            ], Zone.GROOMED, 0, parity, parity)
+            for parity in (1, 0)
+        ]
+        batches = [keys for keys, _ in merge_blocks(runs)]
+        assert any(
+            user_key_of(before[-1]) == user_key_of(after[0])
+            for before, after in zip(batches, batches[1:])
+        )
+        dead_keys = {user_key(UNBUCKETED, 1, 1)}
+        pairs = list(merged_blob_pairs(runs, 7, dead_keys))
+        assert pairs == list(reference_merge_blobs(runs, 7, dead_keys))
+        assert [
+            (user_key_of(key) == user_key(UNBUCKETED, 0, 1), begin_ts_of_sort_key(key))
+            for key, _ in pairs
+        ] == [(True, ts) for ts in (12, 11, 10, 9, 8, 7)] + [(False, ts) for ts in (12, 11, 10, 9, 8)]
+
+    def test_a_key_that_moves_a_b_a_keeps_its_live_entries(self):
+        """A secondary's shape: the device is the moving key, the msg the
+        pk.  The pk lived under A, then B, then A again: B is dead, while
+        A -- its live key -- keeps the newest version at or below the
+        horizon and everything above it."""
+        hierarchy = StorageHierarchy()
+        builder = RunBuilder(UNBUCKETED, hierarchy, data_block_bytes=64)
+        history = [(0, 2), (1, 5), (0, 9)]  # (device, beginTS), oldest first
+        runs = [
+            builder.build(f"r{gid}", [make_entry(UNBUCKETED, device, 1, ts, b"", gid)],
+                          Zone.GROOMED, 0, gid, gid)
+            for gid, (device, ts) in reversed(list(enumerate(history)))
+        ]
+        dead_keys = {user_key(UNBUCKETED, 1, 1)}
+        for horizon, kept in ((6, [(0, 9), (0, 2)]), (10, [(0, 9)]), (4, [(0, 9), (0, 2), (1, 5)])):
+            pairs = list(merged_blob_pairs(runs, horizon, dead_keys))
+            assert pairs == list(reference_merge_blobs(runs, horizon, dead_keys))
+            assert [
+                (0 if user_key_of(key) == user_key(UNBUCKETED, 0, 1) else 1,
+                 begin_ts_of_sort_key(key))
+                for key, _ in pairs
+            ] == kept, horizon
 
     @settings(max_examples=100, deadline=None)
     @given(fixture=fixtures(min_runs=1))

@@ -1,14 +1,18 @@
 """Tests for MVCC retention garbage collection during merges."""
 
-import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.core.builder import RunBuilder
+from repro.core.definition import ColumnSpec
 from repro.core.definition import i1_definition
 from repro.core.entry import IndexEntry, RID, Zone
 from repro.core.index import UmziConfig, UmziIndex
 from repro.core.levels import LevelConfig
 from repro.storage.hierarchy import StorageHierarchy
+from repro.wildfire.clock import COMMIT_BITS
+from repro.wildfire.cluster import ShardedTable
+from repro.wildfire.engine import TIME_TRAVEL_WINDOW_CYCLES
+from repro.wildfire.schema import IndexSpec, TableSchema
 
 from tests.conftest import key_of, merged_blob_pairs
 from tests.reference_merge import decode_pairs
@@ -105,7 +109,7 @@ class TestIndexRetention:
         # Key 7 updated in each of 4 runs (ts 1..4).
         for gid, ts in enumerate((1, 2, 3, 4)):
             index.add_groomed_run([version(7, ts)], gid, gid)
-        index.set_retention_ts(3)
+        index.retention_ts = 3
         index.run_maintenance()
         eq, sort = key_of(DEF, 7)
         # Newest and horizon-visible versions still answer:
@@ -115,14 +119,27 @@ class TestIndexRetention:
         total = sum(run.entry_count for run in index.all_runs())
         assert total == 2
 
-    def test_horizon_only_moves_forward(self):
-        index = self.build()
-        index.set_retention_ts(10)
-        with pytest.raises(ValueError):
-            index.set_retention_ts(5)
-        index.set_retention_ts(10)  # equal is fine
-        index.set_retention_ts(20)
-        assert index.retention_ts == 20
+    def test_the_shard_moves_its_horizon_forward_a_window_behind(self):
+        """Every tick sets each index's horizon ``TIME_TRAVEL_WINDOW_CYCLES``
+        groom cycles behind the snapshot -- 0 until the shard is older than
+        that -- so it never moves back, across a split's clock hand-over too."""
+        schema = TableSchema("ret", (ColumnSpec("k"), ColumnSpec("v")), ("k",), ("k",))
+        table = ShardedTable(schema, IndexSpec(sort_columns=("k",)), num_shards=1)
+        seen = {}  # shard id -> its horizons, tick by tick
+        for cycle in range(TIME_TRAVEL_WINDOW_CYCLES + 20):
+            if cycle == TIME_TRAVEL_WINDOW_CYCLES + 5:
+                table.split_shard(0)
+            table.ingest([(cycle, cycle)])
+            table.tick()
+            for shard_id in table.live_shard_ids():
+                shard = table.shards[shard_id]
+                horizons = {si.index.retention_ts for si in shard.indexes.all()}
+                window = TIME_TRAVEL_WINDOW_CYCLES << COMMIT_BITS
+                assert horizons == {max(0, shard.clock.snapshot_ts - window)}
+                seen.setdefault(shard_id, []).append(horizons.pop())
+        assert seen[0][0] == 0 and len(seen) == 3
+        for horizons in seen.values():
+            assert horizons[-1] > 0 and horizons == sorted(horizons)
 
     def test_no_retention_by_default(self):
         index = self.build()

@@ -2,7 +2,9 @@
 
 Drives a shard (with a secondary index) for 150 groom cycles of the IoT
 update workload, while exercising purge/load churn, a mid-run crash and
-recovery, and an advancing MVCC retention horizon -- cross-checking a
+recovery, and the shard's own MVCC retention horizon, which trails the
+snapshot by ``TIME_TRAVEL_WINDOW_CYCLES`` and so starts collecting
+versions once the run passes that many cycles -- cross-checking a
 dictionary oracle the whole way.  This is the closest the suite gets to a
 production burn-in.
 """
@@ -73,10 +75,6 @@ def test_soak_150_cycles():
             shard.index.cache.set_cache_level(total_levels - 1)
         if cycle == 75:
             shard.crash_and_recover()
-        if cycle % 40 == 0:
-            # Advance the retention horizon to "now": merges from here on
-            # may drop versions older than this snapshot.
-            shard.index.set_retention_ts(shard.current_snapshot_ts())
 
         if cycle % 10 == 0:
             # Spot-check 20 random known keys against the oracle.
@@ -106,6 +104,7 @@ def test_soak_150_cycles():
         )
 
     # Sanity on the machinery actually having run.
+    assert shard.index.retention_ts > 0  # the horizon crossed the window
     assert shard.post_groomer.max_psn >= CYCLES // 7
     assert shard.index.indexed_psn == shard.post_groomer.max_psn
     stats = shard.index.stats()

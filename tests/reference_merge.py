@@ -13,7 +13,9 @@ the same bytes.
 
 import heapq
 from itertools import accumulate
-from typing import Callable, Iterable, Iterator, List, Optional, Sequence, Tuple
+from typing import (
+    Callable, Collection, Iterable, Iterator, List, Optional, Sequence, Tuple,
+)
 
 from repro.core.builder import RunBuilder
 from repro.core.entry import (
@@ -75,10 +77,11 @@ def reference_iter_raw(run: IndexRun, start_ordinal: int = 0) -> Iterator[Pair]:
 def reference_merge_blobs(
     runs_newest_first: Sequence[IndexRun],
     retention_ts: Optional[int] = None,
+    dead_keys: Collection[bytes] = (),
 ) -> Iterator[Pair]:
     """The heap K-way merge: ``(sort_key, recency, blob)`` triples through
     ``heapq.merge``, identical sort keys deduplicated in favour of the
-    newest run, the retention filter per entry."""
+    newest run, the retention filter and the dead-key repair per entry."""
 
     def stream(run: IndexRun, recency: int):
         # recency is bound per stream so duplicate sort keys across runs
@@ -104,8 +107,9 @@ def reference_merge_blobs(
             if begin_ts_of_sort_key(sort_key) <= retention_ts:
                 # Versions arrive newest-first per key: the first one at or
                 # below the horizon is the version visible at retention_ts;
-                # older ones for this key are unreachable.
-                if retained_at_horizon:
+                # older ones for this key are unreachable, and so is every
+                # one of a dead key.
+                if retained_at_horizon or user_key in dead_keys:
                     continue
                 retained_at_horizon = True
         yield sort_key, blob

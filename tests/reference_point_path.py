@@ -11,7 +11,9 @@ call goes to the live objects' counters, so
 ``tests/properties/test_point_path_oracle.py`` compares answers,
 refusals and ledgers of this path and the current one on twin tables.
 Its failure contract is the current one: a lone holder that gives up is
-named in a ``PartialResultError``, as a gathered shard is.
+named in a ``PartialResultError``, as a gathered shard is, and a degraded
+read is counted only once the shard answered (a refused one counts
+nothing).
 """
 
 from typing import List, Optional
@@ -101,8 +103,9 @@ def _shard_call(table, shard_id, args, allow_degraded):
     elif not allow_degraded:
         raise StorageBrownout(f"shared/shard{shard_id}", 0)
     shard.enter_degraded_mode()
-    table.qos_stats().degraded_reads += 1
-    return _shard_point_query(shard, *args)
+    answer = _shard_point_query(shard, *args)
+    table.qos_stats().degraded_reads += 1  # counted once the shard answered
+    return answer
 
 
 def _shard_point_query(shard, equality_values, sort_values, query_ts):

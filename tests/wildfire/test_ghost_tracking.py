@@ -4,7 +4,8 @@
 time; ``tests/reference_ghosts.py`` keeps the per-row loop.  Twin shard
 index sets -- one on the kernel, one on the loop -- take the same grooms,
 splits and merges, and after every step each secondary's ``ghosted`` map
-(newest beginTS included) and every ``_key_memo`` must be equal -- the
+(newest beginTS included), its ``stale`` keys and every ``_key_memo``
+must be equal -- the
 loop's whole secondary keys cut to what the kernel keeps of them, their
 columns outside the primary key (a value for one column).  The
 batches draw primary keys from a tiny domain, so a key repeats inside one
@@ -22,7 +23,7 @@ from repro.wildfire.indexes import ShardIndexes
 from repro.wildfire.schema import IndexSpec, TableSchema
 
 from tests.conftest import groomed_block
-from tests.reference_ghosts import reference_track_ghosts
+from tests.reference_ghosts import reference_note_stale, reference_track_ghosts
 
 COLUMNS = (
     ColumnSpec("k1"), ColumnSpec("k2"), ColumnSpec("a"),
@@ -57,6 +58,7 @@ class Twins:
         )
         twin = self.loop
         twin._track_ghosts = lambda raw, ts: reference_track_ghosts(twin, raw, ts)
+        twin._note_stale = lambda si, pairs: reference_note_stale(twin, si, pairs)
         self.kernel.adopt_ghost_state([source.kernel for source in sources])
         self.loop.adopt_ghost_state([source.loop for source in sources])
         self.clock = clock  # block ids and beginTS, increasing
@@ -72,6 +74,7 @@ class Twins:
     def assert_equal(self):
         for name, shard_index in self.kernel.secondaries.items():
             assert shard_index.ghosted == self.loop.secondaries[name].ghosted, name
+            assert shard_index.stale == self.loop.secondaries[name].stale, name
         assert self.kernel._key_memo == {
             name: kernel_memo(self.loop, name, memo)
             for name, memo in self.loop._key_memo.items()
