@@ -78,18 +78,5 @@ class SortedArrayIndex:
             results.append(entry)
         return results
 
-    def all_versions(self, key_bytes: bytes) -> List[IndexEntry]:
-        """Every version of one key, newest first (test introspection)."""
-        start = bisect.bisect_left(self._keys, key_bytes)
-        upper = prefix_successor(key_bytes)
-        out: List[IndexEntry] = []
-        for position in range(start, len(self._keys)):
-            entry = self._entries[position]
-            key = entry.key_bytes(self.definition)
-            if upper != b"" and key >= upper:
-                break
-            out.append(entry)
-        return out
-
 
 __all__ = ["SortedArrayIndex"]

@@ -264,15 +264,5 @@ class ClassicLSMIndex:
 
     # -- introspection ---------------------------------------------------------------------------
 
-    def run_count(self) -> int:
-        with self._lock:
-            return sum(len(runs) for runs in self._levels)
-
-    def entry_count(self) -> int:
-        with self._lock:
-            return len(self._memtable) + sum(
-                run.entry_count for runs in self._levels for run in runs
-            )
-
 
 __all__ = ["ClassicLSMIndex"]

@@ -109,10 +109,6 @@ class SeparateZoneIndexes:
         rebuilt.insert_many(survivors)
         self.groomed = rebuilt
 
-    @property
-    def mid_evolution(self) -> bool:
-        return self._mid_evolution
-
     # -- divided-view queries --------------------------------------------------------------
 
     def lookup(

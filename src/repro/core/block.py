@@ -136,13 +136,6 @@ class DataBlockView:
 
     # -- zero-decode accessors --------------------------------------------------
 
-    def sort_key_at(self, index: int) -> bytes:
-        """Raw sort key of entry ``index`` -- a payload slice."""
-        if self._stats is not None:
-            self._stats.raw_key_probes += 1
-        start = self.base + self.table[index]
-        return self.payload[start : start + self.table[self.count + index]]
-
     def rid_at(self, index: int) -> Tuple[int, int, int]:
         """Entry ``index``'s RID as ints, off its blob's fixed suffix (no decode or copy)."""
         # Blob ``index`` ends where the next starts.

@@ -96,14 +96,5 @@ class BloomFilter:
         out._bits = bytearray(payload)
         return out
 
-    @property
-    def size_bytes(self) -> int:
-        return len(self._bits)
-
-    def fill_ratio(self) -> float:
-        """Fraction of set bits (diagnostics; ~0.5 at design capacity)."""
-        set_bits = sum(bin(b).count("1") for b in self._bits)
-        return set_bits / self.num_bits
-
 
 __all__ = ["BloomFilter"]

@@ -95,9 +95,6 @@ class CacheManager:
         """Should a new run at ``level`` be written through to the SSD?"""
         return level <= self._current_cached_level
 
-    def is_purged_level(self, level: int) -> bool:
-        return level > self._current_cached_level
-
     def is_run_cached(self, run: IndexRun) -> bool:
         """All data blocks locally present?"""
         return all(
@@ -302,10 +299,6 @@ class CacheManager:
             for lvl in range(0, level + 1):
                 for run in self._runs_at_level(lvl):
                     self.load_run(run)
-
-    def resume_dynamic_policy(self) -> None:
-        with self._lock:
-            self._manual = False
 
     def cached_fraction(self) -> float:
         """Fraction of persisted runs whose data is fully cached."""

@@ -20,7 +20,7 @@ import enum
 import struct
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Iterable, List, Mapping, Optional, Sequence, Tuple
+from typing import Iterable, List, Optional, Sequence, Tuple
 
 from repro.core.encoding import (
     INT64_MAX,
@@ -236,10 +236,6 @@ class IndexDefinition:
         """The 8-byte hash prefix each offset-array bucket starts at."""
         shift = 64 - self.hash_bits
         return tuple((b << shift).to_bytes(8, "big") for b in range(self.offset_array_size))
-
-    def column_index(self) -> Mapping[str, int]:
-        """Map column name -> position among key columns (synopsis layout)."""
-        return {spec.name: i for i, spec in enumerate(self.key_columns)}
 
     # -- value validation / encoding ------------------------------------------
 

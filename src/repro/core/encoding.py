@@ -251,32 +251,6 @@ def high_bits(hash_value: int, nbits: int) -> int:
 # ---------------------------------------------------------------------------
 
 
-def encode_value(value: KeyValue) -> bytes:
-    """Encode one scalar by its runtime type.
-
-    Mixed types within one column are rejected at the
-    :class:`~repro.core.definition.IndexDefinition` layer; this function is
-    the low-level dispatch used once the type is known valid.
-    """
-    if isinstance(value, bool):
-        # bool is an int subclass; keep it orderable but explicit.
-        return encode_int64(int(value))
-    if isinstance(value, int):
-        return encode_int64(value)
-    if isinstance(value, float):
-        return encode_float64(value)
-    if isinstance(value, str):
-        return encode_str(value)
-    if isinstance(value, bytes):
-        return encode_bytes(value)
-    raise EncodingError(f"unsupported key type {type(value).__name__}")
-
-
-def encode_composite(values: Sequence[KeyValue]) -> bytes:
-    """Concatenate encodings; composite order == tuple order."""
-    return b"".join(encode_value(v) for v in values)
-
-
 def prefix_successor(prefix: bytes) -> bytes:
     """Smallest byte string strictly greater than every string with ``prefix``.
 
@@ -308,7 +282,6 @@ __all__ = [
     "decode_uint64",
     "encode_bytes",
     "encode_bytes_column",
-    "encode_composite",
     "encode_float64",
     "encode_float64_column",
     "encode_int64",
@@ -318,7 +291,6 @@ __all__ = [
     "encode_ts_desc",
     "encode_ts_desc_column",
     "encode_uint64",
-    "encode_value",
     "fnv1a64",
     "hash_values",
     "high_bits",

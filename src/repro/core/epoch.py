@@ -336,10 +336,6 @@ class RunLifecycle:
                     pinned.update(node.run_ids.intersection(run_ids))
             return pinned
 
-    def is_pinned(self, run_id: str) -> bool:
-        """:meth:`pinned_among` for one run."""
-        return bool(self.pinned_among((run_id,)))
-
     def _query_refs_locked(self, node: _VersionNode) -> int:
         """Refs held by queries (the implicit current ref excluded)."""
         return node.refs - (1 if node is self._current else 0)
@@ -351,16 +347,6 @@ class RunLifecycle:
                 if self._query_refs_locked(node) > 0:
                     ids.update(node.run_ids)
         return sorted(ids)
-
-    def live_version_count(self) -> int:
-        """Live version-chain length (0 before the first pin or retire).
-
-        Bounded by 1 (the current node) + the number of distinct older
-        versions still pinned by in-flight queries -- the whole point of
-        the design: chain length tracks concurrency, not run count.
-        """
-        with self._locked:
-            return len(self._versions)
 
     def retired_backlog(self) -> int:
         """Retired-but-not-yet-reclaimed run count (0 when idle)."""

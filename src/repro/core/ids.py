@@ -40,10 +40,6 @@ class RunIdAllocator:
         self._next = 0
         self._lock = threading.Lock()
 
-    @property
-    def prefix(self) -> str:
-        return self._prefix
-
     def allocate(self, zone: Zone) -> str:
         with self._lock:
             seq = self._next

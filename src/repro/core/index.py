@@ -268,20 +268,6 @@ class UmziIndex:
     def indexed_psn(self) -> int:
         return self.evolver.indexed_psn
 
-    def needs_merge(self) -> bool:
-        return any(
-            self.merger.needs_merge(zone)
-            for zone in (Zone.GROOMED, Zone.POST_GROOMED)
-        )
-
-    def merge_step(self) -> Optional[MergeResult]:
-        """Perform at most one pending merge (deterministic mode)."""
-        for zone in (Zone.GROOMED, Zone.POST_GROOMED):
-            result = self.merger.merge_step(zone)
-            if result is not None:
-                return result
-        return None
-
     def run_maintenance(self) -> List[MergeResult]:
         """Merge until stable in both zones (each capped at
         :data:`~repro.core.merge.MAX_MERGES_PER_ZONE` steps), then a cache

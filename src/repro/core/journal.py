@@ -9,7 +9,7 @@ newest one.  Old checkpoints are trimmed opportunistically to keep the
 object small.
 
 Every checkpoint block carries a CRC32 of its own payload: a torn write
-(crash mid-append, bit rot) fails verification and ``latest`` falls back to
+(crash mid-append, bit rot) fails verification and recovery falls back to
 the newest *valid* checkpoint instead of recovering from garbage.  A
 block of any other length (truncated, padded, or an unverifiable
 checksum-less body) is skipped the same way.
@@ -76,23 +76,11 @@ class MetadataJournal:
         self._next_ordinal += 1
         self._trim()
 
-    def latest(self) -> Optional[Checkpoint]:
-        """The newest checkpoint that verifies; torn tails are skipped."""
-        ids = self.hierarchy.shared.namespace_block_ids(self.namespace)
-        for bid in reversed(ids):
-            block = self.hierarchy.read_shared(bid)
-            if block is None:
-                continue
-            checkpoint = self._try_decode(block.payload)
-            if checkpoint is not None:
-                return checkpoint
-        return None
-
     def valid_checkpoints(self) -> List[Checkpoint]:
         """All checkpoints that verify, newest first.
 
-        Recovery uses the full list (not just :meth:`latest`) when the
-        newest checkpoint promises coverage that shared storage cannot
+        Recovery uses the full list, not only the newest checkpoint, when
+        the newest one promises coverage that shared storage cannot
         actually support -- e.g. the post-groomed run a checkpoint
         described was torn mid-write -- and must fall back to the newest
         checkpoint consistent with the surviving runs.

@@ -104,14 +104,5 @@ class LevelConfig:
     def is_persisted(self, level: int) -> bool:
         return level not in self.non_persisted_levels
 
-    def next_persisted_level_at_or_above(self, level: int) -> int:
-        """First persisted level >= ``level`` (always exists: the last
-        groomed level is persisted or the search crosses into post-groomed,
-        which is always persisted)."""
-        candidate = level
-        while candidate < self.total_levels and not self.is_persisted(candidate):
-            candidate += 1
-        return candidate
-
 
 __all__ = ["LevelConfig", "LevelConfigError"]

@@ -254,9 +254,6 @@ class MergeController:
                 return level
         return None
 
-    def needs_merge(self, zone: Zone) -> bool:
-        return self.level_needing_merge(zone) is not None
-
     # -- execution -------------------------------------------------------------------
 
     def merge_step(self, zone: Zone) -> Optional[MergeResult]:

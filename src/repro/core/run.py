@@ -110,9 +110,6 @@ class Synopsis:
             ranges.append(ColumnRange(min(values), max(values)))
         return cls(ranges=tuple(ranges))
 
-    def column_range(self, position: int) -> Optional[ColumnRange]:
-        return self.ranges[position]
-
     @classmethod
     def union(cls, synopses: Sequence["Synopsis"]) -> "Synopsis":
         """Position-wise union of several runs' synopses.
@@ -438,13 +435,6 @@ class IndexRun:
         self._views.clear()
 
     # -- global-ordinal navigation --------------------------------------------------
-
-    def locate(self, ordinal: int) -> Tuple[int, int]:
-        """Map a global entry ordinal to ``(block_index, in_block_index)``."""
-        if not 0 <= ordinal < self.entry_count:
-            raise IndexError(f"ordinal {ordinal} out of range 0..{self.entry_count}")
-        block_index = bisect_right(self._cum, ordinal) - 1
-        return block_index, ordinal - self._cum[block_index]
 
     def lookup_visible(
         self, key: bytes, ts_floor: bytes, lo: int, hi: int

@@ -84,17 +84,6 @@ class RunList:
                 )
             self._publish_locked(runs[:start] + (new_run,) + runs[end:])
 
-    def remove(self, run_id: str) -> IndexRun:
-        """Unlink one run (garbage collection after evolve, section 5.4)."""
-        with self._mutation_lock:
-            runs = self._runs
-            ids = [run.run_id for run in runs]
-            if run_id not in ids:
-                raise RunListError(f"run {run_id} not present in list {self.name}")
-            i = ids.index(run_id)
-            self._publish_locked(runs[:i] + runs[i + 1:])
-            return runs[i]
-
     def remove_where(self, predicate: Callable[[IndexRun], bool]) -> List[IndexRun]:
         """Unlink every run matching ``predicate`` in one publication."""
         kept: List[IndexRun] = []

@@ -14,15 +14,14 @@ Public surface:
   ``repro.storage.retry`` so the storage layer never imports this
   package).
 
-The crash/recovery driver and workload generator that replay a plan
-against an index live with the suites that use them, in
-``tests/crash_harness.py``.
+The crash/recovery driver, its workload generator and the seeded plan
+generator live with the suites that use them, in
+``tests/crash_harness.py`` and ``tests/fault_plans.py``.
 """
 
 from repro.faults.crash import (
     CRASH_SITES,
     CrashSchedule,
-    active_schedule,
     crash_point,
     install_crash_schedule,
 )
@@ -47,7 +46,6 @@ __all__ = [
     "TornWrite",
     "TransientFault",
     "TransientIOError",
-    "active_schedule",
     "crash_point",
     "install_crash_schedule",
 ]

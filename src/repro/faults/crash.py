@@ -117,11 +117,6 @@ class CrashSchedule:
         with self._lock:
             return self._hits.get(site, 0)
 
-    @property
-    def crash_count(self) -> int:
-        with self._lock:
-            return len(self.fired)
-
 
 _active: Optional[CrashSchedule] = None
 
@@ -135,10 +130,6 @@ def crash_point(site: str) -> None:
     schedule = _active
     if schedule is not None:
         schedule.visit(site)
-
-
-def active_schedule() -> Optional[CrashSchedule]:
-    return _active
 
 
 @contextmanager
@@ -163,7 +154,6 @@ def install_crash_schedule(schedule: CrashSchedule) -> Iterator[CrashSchedule]:
 __all__ = [
     "CRASH_SITES",
     "CrashSchedule",
-    "active_schedule",
     "crash_point",
     "install_crash_schedule",
 ]

@@ -3,11 +3,12 @@
 A :class:`FaultPlan` is the deterministic schedule that drives both the
 storage-fault injector (:class:`~repro.faults.storage.FaultyTier`) and
 the process-crash schedule (:class:`~repro.faults.crash.CrashSchedule`).
-All randomness happens *here*, at generation time, from one
+All randomness happens at generation time, from one
 ``random.Random(seed)`` -- execution is pure table lookup, so the same
 seed over the same workload produces byte-identical fault behaviour on
 every run and every host.  That is what lets the property suite shrink a
-failing universe to "seed 17".
+failing universe to "seed 17"; it derives each plan from its seed with
+``tests/fault_plans.py``.
 
 Fault taxonomy (docs/architecture.md has the table):
 
@@ -35,17 +36,6 @@ import random
 from dataclasses import dataclass, field
 from typing import Dict, FrozenSet, List, Tuple
 
-from repro.faults.crash import CRASH_SITES, CrashSchedule
-
-# How hostile a generated universe can get: at most this many of each
-# fault, transient faults on shared ops up to ``MAX_OP_ORDINAL`` and crash
-# triggers within a site's first ``MAX_HIT_ORDINAL`` hits.
-MAX_CRASHES = 3
-MAX_TORN_WRITES = 2
-MAX_BIT_ROT = 2
-MAX_TRANSIENT = 3
-MAX_HIT_ORDINAL = 4
-MAX_OP_ORDINAL = 400
 # A generated brownout: each healthy op starts a failure burst with this
 # probability, of a length uniform in [min, max] ops.
 BROWNOUT_ERROR_RATE = 0.4
@@ -155,86 +145,6 @@ class FaultPlan:
     bit_rot: Tuple[BitRot, ...] = ()
     transient: Tuple[TransientFault, ...] = ()
     crash_triggers: Dict[str, FrozenSet[int]] = field(default_factory=dict)
-
-    def crash_schedule(self) -> CrashSchedule:
-        """A fresh (mutable, hit-counting) schedule for this plan."""
-        return CrashSchedule(self.crash_triggers)
-
-    @staticmethod
-    def generate(seed: int) -> "FaultPlan":
-        """Derive a plan from ``seed`` alone (no ambient randomness).
-
-        The ``MAX_*`` constants bound how hostile a universe can get;
-        transient-fault ``failures`` stays strictly below the default retry budget
-        (``MAX_ATTEMPTS = 4``) so injected blips are always
-        absorbable -- give-ups are exercised by dedicated outage tests,
-        not by the byte-identity property (where an op that errors out
-        would be a legitimate failure, not a wrong answer).
-        """
-        rng = random.Random(seed)
-
-        torn: List[TornWrite] = []
-        used_persists: set = set()
-        for _ in range(rng.randint(0, MAX_TORN_WRITES)):
-            ordinal = rng.randint(1, 12)
-            if ordinal in used_persists:
-                continue
-            used_persists.add(ordinal)
-            torn.append(
-                TornWrite(
-                    persist_ordinal=ordinal,
-                    keep_data_blocks=rng.randint(0, 3),
-                    drop_header=rng.random() < 0.5,
-                )
-            )
-
-        rot: List[BitRot] = []
-        for _ in range(rng.randint(0, MAX_BIT_ROT)):
-            rot.append(
-                BitRot(
-                    after_write_ordinal=rng.randint(1, 20),
-                    victim_index=rng.randint(0, 7),
-                    pos_seed=rng.randint(0, 1 << 30),
-                    xor_mask=rng.randint(1, 255),
-                )
-            )
-
-        transient: List[TransientFault] = []
-        used_ops: set = set()
-        for _ in range(rng.randint(0, MAX_TRANSIENT)):
-            ordinal = rng.randint(1, MAX_OP_ORDINAL)
-            if ordinal in used_ops:
-                continue
-            used_ops.add(ordinal)
-            transient.append(
-                TransientFault(
-                    op_ordinal=ordinal,
-                    failures=rng.randint(1, 2),
-                )
-            )
-
-        triggers: Dict[str, FrozenSet[int]] = {}
-        for _ in range(rng.randint(0, MAX_CRASHES)):
-            site = rng.choice(CRASH_SITES)
-            ordinal = rng.randint(1, MAX_HIT_ORDINAL)
-            triggers[site] = frozenset(triggers.get(site, frozenset()) | {ordinal})
-
-        return FaultPlan(
-            seed=seed,
-            torn_writes=tuple(sorted(torn, key=lambda t: t.persist_ordinal)),
-            bit_rot=tuple(rot),
-            transient=tuple(sorted(transient, key=lambda t: t.op_ordinal)),
-            crash_triggers=triggers,
-        )
-
-    def describe(self) -> str:
-        """One line for failure messages: what this universe contains."""
-        sites = {s: sorted(o) for s, o in sorted(self.crash_triggers.items())}
-        return (
-            f"FaultPlan(seed={self.seed}, torn={len(self.torn_writes)}, "
-            f"rot={len(self.bit_rot)}, transient={len(self.transient)}, "
-            f"crashes={sites})"
-        )
 
 
 __all__ = [

@@ -94,14 +94,6 @@ class FaultyTier(SharedStorage):
                 (self._op_seq + 1, frozenset(window.failing_offsets), window.length_ops)
             )
 
-    def brownout_active(self) -> bool:
-        """True while a window can still cover a *future* tier operation."""
-        with self._lock:
-            return any(
-                self._op_seq + 1 < anchor + length
-                for anchor, _, length in self._brownouts_active
-            )
-
     def _transient_gate(self, is_write: bool) -> None:
         """Raise TransientIOError if this op is scheduled to fail."""
         with self._lock:

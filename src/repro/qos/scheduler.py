@@ -63,11 +63,6 @@ class DaemonScheduler:
         with self._lock:
             self._fault_ledgers.append(faults)
 
-    @property
-    def throttled(self) -> bool:
-        with self._lock:
-            return self._throttled
-
     def allow_maintenance(self) -> bool:
         """Gate one shard cycle or migration start.  Counts every decision."""
         backlog = self._admission.backlog_ns() if self._admission else 0

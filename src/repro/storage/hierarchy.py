@@ -281,11 +281,6 @@ class StorageHierarchy:
 
     # -- deletion --------------------------------------------------------------
 
-    def delete_everywhere(self, block_id: BlockId) -> None:
-        self.memory.delete(block_id)
-        self.ssd.delete(block_id)
-        self.shared.delete(block_id)
-
     def delete_namespace(self, namespace: str) -> None:
         """Garbage-collect one logical object from every tier."""
         self.memory.delete_namespace(namespace)

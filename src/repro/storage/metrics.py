@@ -121,16 +121,8 @@ class FaultStats(_Counters):
     crashes_injected: int = 0
 
     @property
-    def transient_errors(self) -> int:
-        return self.transient_read_errors + self.transient_write_errors
-
-    @property
     def retries(self) -> int:
         return self.read_retries + self.write_retries
-
-    @property
-    def giveups(self) -> int:
-        return self.read_giveups + self.write_giveups
 
 
 @dataclass
@@ -184,13 +176,6 @@ class QosStats(_Counters):
     def offered(self) -> int:
         """Total queries that reached the front door (admitted + shed)."""
         return self.admitted + self.shed
-
-    def shed_rate(self) -> float:
-        """Fraction of offered queries that were shed (0.0 when idle)."""
-        offered = self.offered
-        if offered == 0:
-            return 0.0
-        return self.shed / offered
 
 
 @dataclass
@@ -344,13 +329,6 @@ class IOStats:
         """Copy of the per-component read-attribution counters."""
         with self.lock:
             return dict(self._attribution)
-
-    def intent_snapshot(self) -> Dict[str, IntentStats]:
-        """Snapshot of both intents' counters, keyed by intent value."""
-        return {
-            intent.value: stats.snapshot()
-            for intent, stats in self.intents.items()
-        }
 
     def row(self, tier: str) -> TierStats:
         """The live counter row of one tier, created on first ask and kept

@@ -34,6 +34,11 @@ def compose_begin_ts_column(groom_cycle: int, count: int) -> "list[int]":
     return [high | (order & _COMMIT_MASK) for order in range(count)]
 
 
+def cycles_span(cycles: int) -> int:
+    """How far apart two ``beginTS`` values ``cycles`` groom cycles apart are."""
+    return cycles << COMMIT_BITS
+
+
 def decompose_begin_ts(begin_ts: int) -> "tuple[int, int]":
     """Inverse of :func:`compose_begin_ts` (debugging / tests)."""
     return (begin_ts >> COMMIT_BITS) - 1, begin_ts & _COMMIT_MASK
@@ -88,4 +93,4 @@ class HybridClock:
 
 
 __all__ = ["COMMIT_BITS", "HybridClock", "compose_begin_ts",
-           "compose_begin_ts_column", "decompose_begin_ts"]
+           "compose_begin_ts_column", "cycles_span", "decompose_begin_ts"]

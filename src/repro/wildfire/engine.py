@@ -39,7 +39,7 @@ from repro.planner.smart import cannot_match
 from repro.storage.hierarchy import StorageHierarchy
 from repro.storage.retry import StorageBrownout, TransientIOError
 from repro.wildfire.blockstore import BlockCatalog
-from repro.wildfire.clock import COMMIT_BITS, HybridClock
+from repro.wildfire.clock import HybridClock, cycles_span
 from repro.wildfire.groomer import Groomer
 from repro.wildfire.indexer import IndexerDaemon
 from repro.wildfire.indexes import PRIMARY_INDEX_NAME, ShardIndexes
@@ -69,6 +69,7 @@ QUIESCE_MAX_ROUNDS = 256
 # reaches: each cycle sets the retention horizon this far below the
 # snapshot; merges collect below it, and an older ``query_ts`` is refused.
 TIME_TRAVEL_WINDOW_CYCLES = 64
+_WINDOW_TS = cycles_span(TIME_TRAVEL_WINDOW_CYCLES)  # the same, in beginTS units
 
 # A vouched row's beginTS and RID (``_execute_plan``'s entry rows end so).
 _BEGIN_TS, _RID = itemgetter(-2), itemgetter(-1)
@@ -225,7 +226,7 @@ class WildfireShard:
             evolved = self.indexer.drain()
             if evolved:
                 report["evolved"] = evolved
-            horizon = max(0, self.clock.snapshot_ts - (TIME_TRAVEL_WINDOW_CYCLES << COMMIT_BITS))
+            horizon = max(0, self.clock.snapshot_ts - _WINDOW_TS)
             for shard_index in self.indexes.all():
                 shard_index.index.retention_ts = horizon
             merges = self.maintenance.step()
@@ -248,10 +249,6 @@ class WildfireShard:
     def run_cycles(self, cycles: int) -> List[Dict[str, object]]:
         """Drive ``cycles`` ticks."""
         return [self.tick() for _ in range(cycles)]
-
-    @property
-    def cycle(self) -> int:
-        return self._cycle
 
     # ------------------------------------------------------------------------------
     # lifecycle -- the daemon thread (end-to-end experiments)

@@ -70,9 +70,6 @@ class IndexerDaemon:
 
     # -- polling ------------------------------------------------------------------
 
-    def pending_psns(self) -> int:
-        return max(0, self.post_groomer.max_psn - self.indexes.min_indexed_psn())
-
     def splices_of(self, op: PostGroomOp) -> RidSplices:
         """``op``'s splice map (raw ``~beginTS`` suffix -> serialized
         post-groomed RID): the one its PSN record published, which spares

@@ -104,11 +104,6 @@ class PostGroomer:
         with self._lock:
             self._ops[psn] = replace(self._ops[psn], splices=RidSplices())
 
-    @property
-    def last_post_groomed_gid(self) -> int:
-        with self._lock:
-            return self._last_post_groomed_gid
-
     # -- the operation ------------------------------------------------------------------
 
     def post_groom(self) -> Optional[PostGroomOp]:

@@ -24,11 +24,5 @@ class Record(NamedTuple):
     end_ts: Optional[int] = None
     prev_rid: Optional[RID] = None
 
-    def visible_at(self, query_ts: int) -> bool:
-        """Snapshot-isolation visibility: begun, and not yet ended."""
-        if self.begin_ts > query_ts:
-            return False
-        return self.end_ts is None or self.end_ts > query_ts
-
 
 __all__ = ["Record"]

@@ -72,9 +72,6 @@ class TableSchema:
     def column_names(self) -> Tuple[str, ...]:
         return tuple(c.name for c in self.columns)
 
-    def primary_key_of(self, values: Sequence[KeyValue]) -> Tuple[KeyValue, ...]:
-        return tuple(values[i] for i in self.positions(self.primary_key))
-
     def validate_row(self, values: Sequence[KeyValue]) -> Tuple[KeyValue, ...]:
         if len(values) != len(self.columns):
             raise SchemaError(

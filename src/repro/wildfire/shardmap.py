@@ -171,9 +171,6 @@ class ShardMap:
     def write_shard(self, key_hash: int) -> int:
         return self.route_of(key_hash).write_shard(key_hash)
 
-    def read_shards(self, key_hash: int) -> Tuple[int, ...]:
-        return self.route_of(key_hash).read_shards(key_hash)
-
     def scatter_shards(self) -> Tuple[int, ...]:
         """Union of every slot's possible holders, first-seen order."""
         seen: Dict[int, None] = {}
@@ -227,9 +224,6 @@ class ShardMapRegistry:
         self.current = initial
         self._refs: Dict[int, int] = {initial.epoch: 0}
         self._stats.versions_published += 1
-
-    def refs(self, epoch: int) -> int:
-        return self._refs.get(epoch, 0)
 
     def pin(self) -> ShardMap:
         """Ref the current map; its holder hands ``epoch`` to :meth:`unpin`
@@ -297,8 +291,8 @@ class ShardingKeySlicer:
     ~beginTS``; each key column's encoding is self-delimiting (fixed 8
     bytes for INT64/FLOAT64, escaped-and-terminated for STRING/BYTES), so
     the sharding columns' encoded slices can be located and concatenated
-    without decoding a single value.  The concatenation equals
-    ``encode_composite(sharding values)`` byte for byte, so
+    without decoding a single value.  The concatenation equals the
+    sharding values' column encodings joined, so
     ``fnv1a64`` of it is exactly the routing hash the ingest path uses.
     """
 

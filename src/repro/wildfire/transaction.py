@@ -68,10 +68,6 @@ class Transaction:
         self._closed = True
         self._side_log = []
 
-    @property
-    def pending(self) -> int:
-        return len(self._side_log)
-
     def _ensure_open(self) -> None:
         if self._closed:
             raise TransactionError("transaction already committed or aborted")

@@ -48,11 +48,6 @@ class KeyGenerator:
     def next_batch(self, count: int) -> List[int]:
         return [self.next_key() for _ in range(count)]
 
-    @property
-    def generated(self) -> int:
-        """Keys emitted so far (sequential mode only advances this)."""
-        return self._next_sequential
-
 
 @dataclass(frozen=True)
 class KeyMapper:
@@ -156,10 +151,6 @@ class IoTUpdateWorkload:
     @property
     def keys_ingested(self) -> int:
         return sum(len(cycle) for cycle in self._history)
-
-    def known_keys(self) -> List[int]:
-        """Distinct keys ingested so far (query-target sampling)."""
-        return sorted({key for cycle in self._history for key in cycle})
 
 
 __all__ = ["IoTUpdateWorkload", "KeyGenerator", "KeyMapper", "KeyMode"]

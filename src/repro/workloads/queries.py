@@ -8,7 +8,7 @@ queries use sequentially and randomly generated keys in a batch."
 from __future__ import annotations
 
 import random
-from typing import List, Sequence
+from typing import List
 
 from repro.core.query import PointLookup, RangeScanQuery, MAX_QUERY_TS
 from repro.workloads.generator import KeyMapper
@@ -46,9 +46,6 @@ class QueryBatchGenerator:
             self._lookup(self._rng.randrange(self.key_population))
             for _ in range(batch_size)
         ]
-
-    def batch_from_keys(self, keys: Sequence[int]) -> List[PointLookup]:
-        return [self._lookup(k) for k in keys]
 
     def _lookup(self, k: int) -> PointLookup:
         eq, sort = self.mapper.key_columns(k)

@@ -1,5 +1,7 @@
 """Tests for the sorted-array oracle index."""
 
+import bisect
+
 from hypothesis import given, settings, strategies as st
 
 from repro.baselines.btree import SortedArrayIndex
@@ -13,6 +15,17 @@ DEF = i1_definition()
 
 def key_bytes(k):
     return make_entry(DEF, k, 1).key_bytes(DEF)
+
+
+def all_versions(index, key):
+    """Every version of one key in ``index``, newest first."""
+    upper = prefix_successor(key)
+    out = []
+    for entry in index._entries[bisect.bisect_left(index._keys, key):]:
+        if upper != b"" and entry.key_bytes(index.definition) >= upper:
+            break
+        out.append(entry)
+    return out
 
 
 class TestBasics:
@@ -50,7 +63,7 @@ class TestBasics:
         index = SortedArrayIndex(DEF)
         for ts in (3, 1, 2):
             index.insert(make_entry(DEF, 7, ts))
-        versions = index.all_versions(key_bytes(7))
+        versions = all_versions(index, key_bytes(7))
         assert [e.begin_ts for e in versions] == [3, 2, 1]
 
 

@@ -15,6 +15,17 @@ def key_bytes(k):
     return make_entry(DEF, k, 1).key_bytes(DEF)
 
 
+def run_count(index):
+    return sum(len(runs) for runs in index._levels)
+
+
+def entry_count(index):
+    """Entries the index holds, duplicates included: memtable + runs."""
+    return len(index._memtable) + sum(
+        run.entry_count for runs in index._levels for run in runs
+    )
+
+
 class TestMemtableAndFlush:
     def test_lookup_from_memtable(self):
         index = ClassicLSMIndex(DEF, memtable_limit=100)
@@ -34,7 +45,7 @@ class TestMemtableAndFlush:
         index.insert(make_entry(DEF, 1, 10))
         index.flush()
         assert index.flushes == 1
-        assert index.run_count() >= 1
+        assert run_count(index) >= 1
 
 
 class TestLeveling:
@@ -48,7 +59,7 @@ class TestLeveling:
         assert len(index._levels) >= 4 and index._levels[3]
         for level_runs in index._levels:
             assert len(level_runs) <= 1
-        assert index.entry_count() == 200
+        assert entry_count(index) == 200
         for k in (0, 100, 199):
             assert index.lookup(key_bytes(k)).begin_ts == k + 1
 
@@ -56,7 +67,7 @@ class TestLeveling:
         index = ClassicLSMIndex(DEF, memtable_limit=4)
         for k in range(30):
             index.insert(make_entry(DEF, k, k + 1))
-        assert index.entry_count() == 30
+        assert entry_count(index) == 30
 
 
 class TestVersioning:
@@ -102,7 +113,7 @@ class TestFixedRIDWeakness:
 
         rewritten = index.rebuild_with_rids(remap_raw=remap_raw)
         assert rewritten == 16  # full write amplification
-        assert index.entry_count() == 16
+        assert entry_count(index) == 16
         for k in range(16):
             assert index.lookup(key_bytes(k)).rid == RID(Zone.POST_GROOMED, 100, k)
 
@@ -118,7 +129,7 @@ class TestFixedRIDWeakness:
             return None
 
         assert index.rebuild_with_rids(remap_raw=remap_raw) == 8
-        assert index.entry_count() == 16
+        assert entry_count(index) == 16
         for k in range(16):
             hit = index.lookup(key_bytes(k))
             assert hit.begin_ts == k + 1
@@ -131,11 +142,11 @@ class TestFixedRIDWeakness:
         for _ in range(2):  # two runs at level 0, as no leveling merge leaves
             run = index._build_run([make_entry(DEF, k, k + 1) for k in range(4)], 0)
             index._install(run, 0)
-        assert (index.run_count(), index.entry_count()) == (2, 8)
+        assert (run_count(index), entry_count(index)) == (2, 8)
         assert index.rebuild_with_rids(
             remap_raw=lambda sk, blob: RID(Zone.POST_GROOMED, 1, 0)
         ) == 4
-        assert index.entry_count() == 4
+        assert entry_count(index) == 4
 
     def test_raw_rebuild_is_zero_decode(self):
         """Raw rebuild must not materialize any IndexEntry (the last
@@ -162,7 +173,7 @@ class TestFixedRIDWeakness:
         assert index.rebuild_with_rids(
             remap_raw=lambda sk, blob: RID(Zone.POST_GROOMED, 1, 0)
         ) == 4
-        assert index.entry_count() == 4
+        assert entry_count(index) == 4
         assert index.lookup(key_bytes(0)).rid.zone is Zone.POST_GROOMED
 
 

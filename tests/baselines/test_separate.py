@@ -56,7 +56,7 @@ class TestDuplicateAnomaly:
         divided.begin_evolution(
             groomed_entries(range(5)), post_groomed_entries(range(5))
         )
-        assert divided.mid_evolution
+        assert divided._mid_evolution
         naive = divided.scan_naive_union(b"", b"")
         assert len(naive) == 10  # every row twice!
         divided.finish_evolution(

@@ -42,8 +42,8 @@ class TestFixtures:
         definition = i1_definition()
         index = build_index_with_runs(definition, 4, 10, KeyMode.SEQUENTIAL)
         synopses = [
-            (r.header.synopsis.column_range(0).min_value,
-             r.header.synopsis.column_range(0).max_value)
+            (r.header.synopsis.ranges[0].min_value,
+             r.header.synopsis.ranges[0].max_value)
             for r in index.all_runs()
         ]
         # Disjoint, contiguous key ranges per run.
@@ -55,8 +55,8 @@ class TestFixtures:
         definition = i1_definition()
         index = build_index_with_runs(definition, 4, 50, KeyMode.RANDOM)
         spans = [
-            (r.header.synopsis.column_range(0).min_value,
-             r.header.synopsis.column_range(0).max_value)
+            (r.header.synopsis.ranges[0].min_value,
+             r.header.synopsis.ranges[0].max_value)
             for r in index.all_runs()
         ]
         overlapping = any(

@@ -2,7 +2,8 @@
 
 from __future__ import annotations
 
-from typing import List, Optional, Sequence, Tuple
+from bisect import bisect_right
+from typing import Dict, List, Optional, Sequence, Tuple
 
 import pytest
 
@@ -26,6 +27,14 @@ from repro.core.definition import (
     i2_definition,
     i3_definition,
 )
+from repro.core.encoding import (
+    EncodingError,
+    KeyValue,
+    encode_bytes,
+    encode_float64,
+    encode_int64,
+    encode_str,
+)
 from repro.core.entry import IndexEntry, RID, Zone
 from repro.core.index import UmziConfig, UmziIndex
 from repro.core.levels import LevelConfig
@@ -33,7 +42,7 @@ from repro.core.merge import merge_blocks
 from repro.core.search import narrow_with_offset_array, ts_floor
 from repro.storage.hierarchy import StorageHierarchy
 from repro.storage.ssd import SSDTier
-from repro.storage.metrics import IOStats
+from repro.storage.metrics import IntentStats, IOStats
 
 
 @pytest.fixture
@@ -109,10 +118,89 @@ def rid_map(entries: Sequence[IndexEntry]):
     return {entry.begin_ts: entry.rid for entry in entries}.get
 
 
+def locate(run, ordinal: int) -> Tuple[int, int]:
+    """Map a global entry ordinal of ``run`` to ``(block_index,
+    in_block_index)``."""
+    if not 0 <= ordinal < run.entry_count:
+        raise IndexError(f"ordinal {ordinal} out of range 0..{run.entry_count}")
+    block_index = bisect_right(run._cum, ordinal) - 1
+    return block_index, ordinal - run._cum[block_index]
+
+
 def entry_at(run, ordinal: int) -> IndexEntry:
     """The decoded entry at global ``ordinal`` of ``run``."""
-    block_index, in_block = run.locate(ordinal)
+    block_index, in_block = locate(run, ordinal)
     return run.block_view(block_index).entry(in_block)
+
+
+def view_sort_key(view, index: int) -> bytes:
+    """Raw sort key of entry ``index`` of a ``DataBlockView`` -- a payload
+    slice, counted as one raw key probe."""
+    if view._stats is not None:
+        view._stats.raw_key_probes += 1
+    start = view.base + view.table[index]
+    return view.payload[start : start + view.table[view.count + index]]
+
+
+def encode_value(value: KeyValue) -> bytes:
+    """Encode one scalar by its runtime type (a ``bool`` as an int64)."""
+    if isinstance(value, (bool, int)):
+        return encode_int64(int(value))
+    if isinstance(value, float):
+        return encode_float64(value)
+    if isinstance(value, str):
+        return encode_str(value)
+    if isinstance(value, bytes):
+        return encode_bytes(value)
+    raise EncodingError(f"unsupported key type {type(value).__name__}")
+
+
+def encode_composite(values: Sequence[KeyValue]) -> bytes:
+    """Concatenated value encodings; composite order == tuple order."""
+    return b"".join(encode_value(v) for v in values)
+
+
+def intent_snapshot(stats: IOStats) -> Dict[str, IntentStats]:
+    """Both intents' counters, copied, keyed by intent value."""
+    return {intent.value: row.snapshot() for intent, row in stats.intents.items()}
+
+
+def latest_checkpoint(journal):
+    """The journal's newest checkpoint that verifies, or ``None``."""
+    return next(iter(journal.valid_checkpoints()), None)
+
+
+def live_version_count(lifecycle) -> int:
+    """Length of the lifecycle's live version chain: 1 (the current node)
+    plus the older versions in-flight queries still pin."""
+    with lifecycle._locked:
+        return len(lifecycle._versions)
+
+
+def is_pinned(lifecycle, run_id: str) -> bool:
+    return bool(lifecycle.pinned_among((run_id,)))
+
+
+def map_refs(registry, epoch: int) -> int:
+    """Pins a routing-map registry holds on ``epoch``."""
+    return registry._refs.get(epoch, 0)
+
+
+def unlink(run_list, run_id: str) -> None:
+    """Unlink the run ``run_id`` from ``run_list`` in one publication."""
+    (_unlinked,) = run_list.remove_where(lambda run: run.run_id == run_id)
+
+
+def needs_merge(index) -> bool:
+    return any(
+        index.merger.level_needing_merge(zone) is not None
+        for zone in (Zone.GROOMED, Zone.POST_GROOMED)
+    )
+
+
+def pending_psns(shard) -> int:
+    """Post-groomed PSNs some index of ``shard`` has not evolved yet."""
+    return max(0, shard.post_groomer.max_psn - shard.indexes.min_indexed_psn())
 
 
 def scan_run(

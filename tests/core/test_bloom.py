@@ -50,7 +50,8 @@ class TestBloomFilter:
     def test_fill_ratio_reasonable_at_capacity(self):
         bloom = BloomFilter.for_capacity(500, 0.01)
         bloom.add_all(f"k{i}".encode() for i in range(500))
-        assert 0.3 < bloom.fill_ratio() < 0.7
+        set_bits = sum(bin(b).count("1") for b in bloom._bits)
+        assert 0.3 < set_bits / bloom.num_bits < 0.7
 
     def test_validation(self):
         with pytest.raises(ValueError):

@@ -110,7 +110,7 @@ class TestManualCacheLevel:
         cache.set_cache_level(1)
         assert cache.is_run_cached(low)
         assert not cache.is_run_cached(high)
-        assert cache.is_purged_level(2)
+        assert cache.current_cached_level == 1
 
     def test_set_cache_level_loads_below(self):
         cache, hierarchy, lists, builder = setup()
@@ -167,7 +167,7 @@ class TestDynamicPolicy:
         run = add_run(builder, lists, 4, 0, range(50), zone=Zone.POST_GROOMED)
         cache.set_cache_level(3)
         assert not cache.is_run_cached(run)
-        cache.resume_dynamic_policy()
+        cache._manual = False  # back to the watermark policy
         cache.maintain()
         assert cache.is_run_cached(run)
         assert cache.current_cached_level == 4

@@ -209,7 +209,7 @@ class TestSweepAndCachePolicy:
         runs = shard.index.run_lists[Zone.POST_GROOMED].snapshot()
         assert len(runs) > 1
         for run in runs:
-            assert shard.index.cache.is_purged_level(run.level)
+            assert run.level > shard.index.cache.current_cached_level
             held = {
                 i for i in range(run.header.num_data_blocks)
                 if shard.hierarchy.is_cached(run.data_block_id(i))

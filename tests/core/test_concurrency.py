@@ -16,7 +16,7 @@ from repro.core.index import UmziConfig, UmziIndex
 from repro.core.levels import LevelConfig
 from repro.core.maintenance import MaintenanceService
 
-from tests.conftest import key_of, make_entries, rid_map
+from tests.conftest import key_of, make_entries, needs_merge, rid_map
 
 DEF = i1_definition()
 
@@ -56,7 +56,7 @@ class TestReadersVsMaintenance:
         def maintainer():
             # Merge beside the builds, then run until nothing is pending.
             deadline = time.time() + 10
-            while not builds_done.is_set() or index.needs_merge():
+            while not builds_done.is_set() or needs_merge(index):
                 if time.time() > deadline:
                     return
                 service.step()
@@ -78,7 +78,7 @@ class TestReadersVsMaintenance:
         for t in readers:
             t.join()
         assert errors == []
-        assert not index.needs_merge()
+        assert not needs_merge(index)
 
     def test_lookups_correct_during_evolves(self):
         index = build_index()

@@ -152,10 +152,6 @@ class TestIntrospection:
         text = i1_definition().describe()
         assert "eq0" in text and "sort0" in text and "incl0" in text
 
-    def test_column_index_positions(self):
-        d = i1_definition()
-        assert d.column_index() == {"eq0": 0, "sort0": 1}
-
     def test_key_and_all_columns(self):
         d = i1_definition()
         assert [c.name for c in d.key_columns] == ["eq0", "sort0"]

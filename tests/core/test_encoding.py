@@ -9,6 +9,7 @@ from hypothesis import given, strategies as st
 
 from repro.core import encoding as enc
 from repro.core.entry import begin_ts_of_sort_key
+from tests.conftest import encode_composite, encode_value
 
 int64s = st.integers(min_value=enc.INT64_MIN, max_value=enc.INT64_MAX)
 uint64s = st.integers(min_value=0, max_value=enc.UINT64_MAX)
@@ -109,16 +110,16 @@ class TestComposite:
         if len(a) != len(b):
             return  # fixed-arity composites only
         assert (tuple(a) < tuple(b)) == (
-            enc.encode_composite(a) < enc.encode_composite(b)
+            encode_composite(a) < encode_composite(b)
         )
 
     def test_mixed_types_dispatch(self):
-        out = enc.encode_composite([1, 2.5, "x", b"y"])
+        out = encode_composite([1, 2.5, "x", b"y"])
         assert isinstance(out, bytes) and len(out) > 0
 
     def test_unsupported_type_raises(self):
         with pytest.raises(enc.EncodingError):
-            enc.encode_value(object())
+            encode_value(object())
 
 
 class TestHashing:

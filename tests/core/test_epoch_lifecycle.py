@@ -14,7 +14,9 @@ from repro.core.runlist import RunList
 from repro.storage.hierarchy import BlockNotFoundError
 from repro.storage.metrics import EpochStats
 
-from tests.conftest import key_of, make_entries, rid_map
+from tests.conftest import (
+    is_pinned, key_of, live_version_count, make_entries, rid_map, unlink,
+)
 
 DEF = i1_definition()
 
@@ -100,7 +102,7 @@ class TestRunLifecycleUnit:
         lifecycle = lists.lifecycle
         freed = []
         pin = lifecycle.pin()
-        assert lifecycle.is_pinned("r1")
+        assert is_pinned(lifecycle, "r1")
         lists.remove("r1")
         lifecycle.retire("r1", lambda: freed.append("r1"))
         assert freed == []  # parked behind the pin
@@ -184,7 +186,7 @@ class TestRunListPublication:
         # RunList only needs run_id on this path.
         run_list.push_front(run)
         snap = run_list.snapshot()
-        run_list.remove("a")
+        unlink(run_list, "a")
         assert snap == [run]           # old snapshot unaffected
         assert run_list.snapshot() == []
 
@@ -302,7 +304,7 @@ class TestCachePinAwareness:
         index = build_index(runs=2)
         run = index.run_lists[Zone.GROOMED].snapshot()[0]
         run.block_view(0)  # the handle has fetched something
-        assert not index.cache.is_purged_level(run.level)
+        assert run.level <= index.cache.current_cached_level
         with reading(index, reader):
             skips_before = index.hierarchy.stats.epochs.eviction_pin_skips
             index.cache.release_after_query([run])
@@ -381,7 +383,7 @@ class TestVersionSetLifecycle:
         mid_pin = lifecycle.pin()          # pins {r1, r2}
         lists.add(FakeRun("r3"))
         new_pin = lifecycle.pin()          # pins {r1, r2, r3}
-        assert lifecycle.live_version_count() == 3
+        assert live_version_count(lifecycle) == 3
 
         # Remove r1 from the published set and retire it: every live
         # version still contains it, so it parks.
@@ -396,7 +398,7 @@ class TestVersionSetLifecycle:
         mid_pin.release()
         assert stats.versions_reclaimed >= 2
         assert freed == []
-        assert lifecycle.is_pinned("r1")
+        assert is_pinned(lifecycle, "r1")
         # The last (oldest) reader exits; now no live version covers r1.
         old_pin.release()
         assert freed == ["r1"]
@@ -432,7 +434,7 @@ class TestVersionSetLifecycle:
         never evict anything."""
         index = build_index(runs=2)
         run = index.run_lists[Zone.GROOMED].snapshot()[0]
-        assert not index.lifecycle.is_pinned(run.run_id)
+        assert not is_pinned(index.lifecycle, run.run_id)
         assert index.lifecycle.pinned_run_ids() == []
         assert index.cache.purge_run(run) > 0  # eviction proceeds
 
@@ -480,7 +482,7 @@ class TestVersionSetLifecycle:
                 gid, gid,
             )
             index.lookup((gid * 10,), (gid * 10,))
-            assert index.lifecycle.live_version_count() == 1
+            assert live_version_count(index.lifecycle) == 1
 
     def test_publication_never_runs_reclaims_inline(self):
         """Regression (review finding): ``note_publish`` fires inside
@@ -498,7 +500,7 @@ class TestVersionSetLifecycle:
 
         pin = index.lifecycle.pin()        # refs the version holding every run
         for run in (newest, middle):
-            groomed.remove(run.run_id)
+            unlink(groomed, run.run_id)
             index.lifecycle.retire(run.run_id, reclaim(run.run_id))
         index.add_groomed_run(make_entries(DEF, range(40, 50), 41), 4, 4)
         assert freed == []                 # parked behind the pin

@@ -12,7 +12,7 @@ from repro.core.levels import LevelConfig
 from repro.core.runlist import RunList
 from repro.storage.hierarchy import StorageHierarchy
 
-from tests.conftest import make_entries, rid_map
+from tests.conftest import latest_checkpoint, make_entries, rid_map
 
 DEF = i1_definition()
 
@@ -141,7 +141,7 @@ class TestJournal:
         ctrl, hierarchy, _, _, _, _ = setup()
         ctrl.evolve_streaming(1, rid_map([]), 0, 3)
         ctrl.evolve_streaming(2, rid_map([]), 4, 7)
-        latest = ctrl.journal.latest()
+        latest = latest_checkpoint(ctrl.journal)
         assert latest == Checkpoint(indexed_psn=2, max_covered_groomed_id=7)
 
     def test_journal_trims_old_checkpoints(self):
@@ -162,8 +162,8 @@ class TestJournal:
         ctrl.evolve_streaming(1, rid_map([]), 0, 5)
         hierarchy.crash_local_tiers()
         journal = MetadataJournal(hierarchy, "meta")
-        assert journal.latest().max_covered_groomed_id == 5
+        assert latest_checkpoint(journal).max_covered_groomed_id == 5
 
     def test_empty_journal_latest_none(self):
         hierarchy = StorageHierarchy()
-        assert MetadataJournal(hierarchy, "meta").latest() is None
+        assert latest_checkpoint(MetadataJournal(hierarchy, "meta")) is None

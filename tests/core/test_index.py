@@ -55,7 +55,10 @@ class TestBuildAndQuery:
     def test_merge_step_returns_none_when_stable(self):
         index = small_index()
         feed_runs(index, 1)
-        assert index.merge_step() is None
+        assert all(
+            index.merger.merge_step(zone) is None
+            for zone in (Zone.GROOMED, Zone.POST_GROOMED)
+        )
 
     def test_scan_across_runs(self):
         index = small_index()

@@ -9,6 +9,7 @@ from repro.core import journal as journal_module
 from repro.core.journal import Checkpoint, MetadataJournal
 from repro.storage.block import Block, BlockId
 from repro.storage.hierarchy import StorageHierarchy
+from tests.conftest import latest_checkpoint
 
 
 def torn_block(namespace: str, ordinal: int) -> Block:
@@ -25,7 +26,7 @@ class TestSteadyStateTrim:
             journal.append(Checkpoint(indexed_psn=psn, max_covered_groomed_id=psn))
         ids = hierarchy.shared.namespace_block_ids("j")
         assert [bid.ordinal for bid in ids] == [6, 7, 8, 9]
-        assert journal.latest() == Checkpoint(10, 10)
+        assert latest_checkpoint(journal) == Checkpoint(10, 10)
         assert [c.indexed_psn for c in journal.valid_checkpoints()] == [10, 9, 8, 7]
 
     def test_trim_reads_no_blocks_for_own_appends(self):
@@ -57,7 +58,7 @@ class TestTornTail:
         recovered._trim()
         ids = hierarchy.shared.namespace_block_ids("j")
         assert [bid.ordinal for bid in ids] == [0, 1, 2, 3, 4, 5]
-        assert recovered.latest() == Checkpoint(2, 2)
+        assert latest_checkpoint(recovered) == Checkpoint(2, 2)
 
     def test_trim_past_torn_tail_still_deletes_old_valid(self, monkeypatch):
         """With enough valid checkpoints, torn tail blocks do not stop
@@ -77,7 +78,7 @@ class TestTornTail:
         # keep=2 valid: ordinals 3 and 2 survive; 0 and 1 are trimmed;
         # the torn tail (newer than the cutoff) is untouched.
         assert [bid.ordinal for bid in ids] == [2, 3, 4, 5]
-        assert recovered.latest() == Checkpoint(4, 4)
+        assert latest_checkpoint(recovered) == Checkpoint(4, 4)
 
     def test_append_after_torn_tail_resumes_above_it(self):
         """A recovered journal must append above torn ordinals (shared
@@ -93,4 +94,4 @@ class TestTornTail:
         recovered.append(Checkpoint(2, 2))
         ids = hierarchy.shared.namespace_block_ids("j")
         assert [bid.ordinal for bid in ids] == [0, 1, 2, 3]
-        assert recovered.latest() == Checkpoint(2, 2)
+        assert latest_checkpoint(recovered) == Checkpoint(2, 2)

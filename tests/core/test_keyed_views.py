@@ -35,7 +35,7 @@ from repro.core.run import DataBlockView
 from repro.storage.hierarchy import StorageHierarchy
 from repro.storage.metrics import ReadIntent
 
-from tests.conftest import lookup_run, scan_run
+from tests.conftest import lookup_run, scan_run, view_sort_key
 from tests.reference_scan import (
     batch_lookup_in_run,
     chain_batch_lookup_in_run,
@@ -346,7 +346,7 @@ class TestResidencyRule:
         assert all(a is b for a, b in zip(columns, (v.keys for v in first)))
         assert len(builds) == len(first)  # built once
         view = first[0]
-        assert view.keys == [view.sort_key_at(i) for i in range(view.count)]
+        assert view.keys == [view_sort_key(view, i) for i in range(view.count)]
 
     def test_a_purged_level_never_gets_a_column(self, builds):
         index = cached_index()

@@ -70,14 +70,3 @@ class TestValidation:
         assert not config.is_persisted(2)
         assert config.is_persisted(0)
         assert config.is_persisted(3)
-
-
-class TestNextPersisted:
-    def test_skips_non_persisted_span(self):
-        config = LevelConfig(
-            groomed_levels=4, post_groomed_levels=2,
-            non_persisted_levels=frozenset({1, 2}),
-        )
-        assert config.next_persisted_level_at_or_above(1) == 3
-        assert config.next_persisted_level_at_or_above(3) == 3
-        assert config.next_persisted_level_at_or_above(0) == 0

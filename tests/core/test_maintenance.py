@@ -10,7 +10,7 @@ from repro.core.index import UmziConfig, UmziIndex
 from repro.core.levels import LevelConfig
 from repro.core.maintenance import MaintenanceService
 
-from tests.conftest import make_entries
+from tests.conftest import make_entries, needs_merge
 
 DEF = i1_definition()
 
@@ -33,7 +33,7 @@ class TestStepMode:
         service = MaintenanceService(index)
         results = service.step()
         assert results
-        assert not index.needs_merge()
+        assert not needs_merge(index)
 
     def test_step_with_nothing_pending(self):
         index = build_index()

@@ -40,7 +40,9 @@ from repro.wildfire.cluster import ShardedTable
 from repro.wildfire.engine import ShardConfig, WildfireShard
 from repro.wildfire.schema import IndexSpec, TableSchema
 
-from tests.conftest import assert_lifecycles_quiescent
+from tests.conftest import (
+    assert_lifecycles_quiescent, live_version_count, map_refs, unlink,
+)
 from tests.reference_point_path import reference_point_query
 
 DEVICES = 4
@@ -120,7 +122,7 @@ def fail_next_shared_read(shard, tier, failure):
         run_id = block_id.namespace
         for zone in (Zone.GROOMED, Zone.POST_GROOMED):
             if run_id in index.run_lists[zone]:
-                index.run_lists[zone].remove(run_id)
+                unlink(index.run_lists[zone], run_id)
         index.lifecycle.retire(run_id, lambda: freed.append(run_id))
         retired.append(run_id)
         backlog.append(index.lifecycle.retired_backlog())
@@ -143,7 +145,7 @@ def test_a_failed_query_releases_its_pin(door, failure):
         door(shard)
     assert retired and backlog == [1]
     assert epochs.pins_entered == epochs.pins_exited
-    assert lifecycle.live_version_count() == 1
+    assert live_version_count(lifecycle) == 1
     assert lifecycle.retired_backlog() == 0 and freed == retired
 
 
@@ -162,7 +164,7 @@ def test_a_failed_degraded_query_leaves_only_the_degraded_pin(door, failure):
     assert epochs.pins_entered == epochs.pins_exited + 1 and freed == []
     shard.exit_degraded_mode()
     assert epochs.pins_entered == epochs.pins_exited
-    assert lifecycle.live_version_count() == 1
+    assert live_version_count(lifecycle) == 1
     assert lifecycle.retired_backlog() == 0 and freed == retired
 
 
@@ -244,14 +246,14 @@ def test_a_failed_table_point_releases_its_map_pin(qos, key, failure):
         epoch = table.routing_epoch()
         with pytest.raises(failure):
             door(table, (), key)
-        assert table.maps.refs(epoch) == 0
+        assert map_refs(table.maps, epoch) == 0
         maps = table.epoch_stats()
         assert maps.version_refs == maps.version_unrefs
         assert retired == freed and backlog in ([], [1])
         for shard in table.shards:
             epochs = shard.hierarchy.stats.epochs
             assert epochs.pins_entered == epochs.pins_exited
-            assert shard.index.lifecycle.live_version_count() == 1
+            assert live_version_count(shard.index.lifecycle) == 1
         assert_lifecycles_quiescent(table)
         counters.append(qos_counters(table))
     assert counters[0] == counters[1]

@@ -21,6 +21,7 @@ from tests.reference_storage import (
     reference_is_pinned,
     reference_release_after_query,
 )
+from tests.conftest import intent_snapshot
 
 RUN_IDS = [f"r{i}" for i in range(6)]
 
@@ -56,7 +57,6 @@ def test_pinned_among_is_the_per_run_walk_for_every_run_at_once(sequence):
 
         answer = lifecycle.pinned_among(RUN_IDS)
         assert answer == {r for r in RUN_IDS if reference_is_pinned(lifecycle, r)}
-        assert answer == {r for r in RUN_IDS if lifecycle.is_pinned(r)}
         held_by_queries = set().union(*(held for _, held in live))
         assert answer == held_by_queries
         assert lifecycle.pinned_among(()) == set()
@@ -86,7 +86,7 @@ def release_observables(index, handles):
         "skips": stats.epochs.eviction_pin_skips,
         "tiers": stats.snapshot(),
         "sim_ns": stats.total_sim_ns,
-        "intents": stats.intent_snapshot(),
+        "intents": intent_snapshot(stats),
         "fetched": [sorted(run.fetched_blocks) for run in handles],
         "views": [sorted(run._views) for run in handles],
         "resident": sorted(index.hierarchy.ssd.block_ids()),

@@ -12,7 +12,7 @@ from repro.core.run import RunHeader, block_checksum
 from repro.storage.block import Block
 from repro.storage.hierarchy import StorageHierarchy
 
-from tests.conftest import make_entries
+from tests.conftest import latest_checkpoint, make_entries
 
 DEF = i1_definition()
 
@@ -96,7 +96,7 @@ class TestJournalTornWrites:
         # Torn write: the tail checkpoint lost its last bytes.
         hierarchy.shared.delete(ids[-1])
         hierarchy.shared.write(Block(ids[-1], newest.payload[:-6]))
-        assert journal.latest() == Checkpoint(1, 3)
+        assert latest_checkpoint(journal) == Checkpoint(1, 3)
 
     def test_flipped_byte_in_checkpoint_is_caught(self):
         hierarchy = StorageHierarchy()
@@ -109,7 +109,7 @@ class TestJournalTornWrites:
         tampered[5] ^= 0x10  # inside indexed_psn
         hierarchy.shared.delete(ids[-1])
         hierarchy.shared.write(Block(ids[-1], bytes(tampered)))
-        assert journal.latest() == Checkpoint(1, 3)
+        assert latest_checkpoint(journal) == Checkpoint(1, 3)
 
     def test_all_checkpoints_torn_means_none(self):
         hierarchy = StorageHierarchy()
@@ -118,4 +118,4 @@ class TestJournalTornWrites:
         ids = hierarchy.shared.namespace_block_ids("meta")
         hierarchy.shared.delete(ids[-1])
         hierarchy.shared.write(Block(ids[-1], b"JUNKJUNK"))
-        assert journal.latest() is None
+        assert latest_checkpoint(journal) is None

@@ -15,7 +15,7 @@ from repro.core.run import RunHeader, block_checksum
 from repro.storage.block import Block, BlockId
 from repro.storage.hierarchy import StorageHierarchy
 
-from tests.conftest import make_entries, key_of, v1_layout_payload
+from tests.conftest import key_of, latest_checkpoint, make_entries, v1_layout_payload
 
 DEF = i1_definition()
 
@@ -148,7 +148,7 @@ class TestPreChecksumFormatsRefused:
         }[shape]
         hierarchy.shared.delete(newest)
         hierarchy.shared.write(Block(newest, payload))
-        assert journal.latest() == Checkpoint(1, 3)
+        assert latest_checkpoint(journal) == Checkpoint(1, 3)
         assert journal.valid_checkpoints() == [Checkpoint(1, 3)]
 
     def test_a_checkpoint_without_its_checksum_is_skipped(self):
@@ -160,12 +160,12 @@ class TestPreChecksumFormatsRefused:
         unverified = b"UMZM" + struct.pack(">QqQ", 5, 9, 1)
         assert len(unverified) == 28
         hierarchy.shared.write(Block(BlockId("meta", 1), unverified))
-        assert journal.latest() == Checkpoint(1, 3)
+        assert latest_checkpoint(journal) == Checkpoint(1, 3)
         assert journal.valid_checkpoints() == [Checkpoint(1, 3)]
 
         alone = StorageHierarchy()
         alone.shared.write(Block(BlockId("meta", 0), unverified))
-        assert MetadataJournal(alone, "meta").latest() is None
+        assert latest_checkpoint(MetadataJournal(alone, "meta")) is None
         assert MetadataJournal(alone, "meta").valid_checkpoints() == []
 
 

@@ -14,7 +14,13 @@ from repro.core.run import (
 )
 from repro.storage.hierarchy import StorageHierarchy
 
-from tests.conftest import encode_data_block, entry_at, make_entries, run_entries
+from tests.conftest import (
+    encode_data_block,
+    entry_at,
+    locate,
+    make_entries,
+    run_entries,
+)
 
 
 @pytest.fixture
@@ -58,8 +64,8 @@ class TestSynopsis:
     def test_from_entries_covers_key_columns(self, built_run):
         definition, _, run, _ = built_run
         synopsis = run.header.synopsis
-        eq_range = synopsis.column_range(0)
-        sort_range = synopsis.column_range(1)
+        eq_range = synopsis.ranges[0]
+        sort_range = synopsis.ranges[1]
         assert eq_range == ColumnRange(0, 99)
         assert sort_range == ColumnRange(0, 99)
 
@@ -118,7 +124,7 @@ class TestNavigation:
     def test_locate_out_of_range(self, built_run):
         _, _, run, _ = built_run
         with pytest.raises(IndexError):
-            run.locate(run.entry_count)
+            locate(run, run.entry_count)
 
     def test_blocks_hold_every_entry_in_order(self, built_run):
         definition, _, run, entries = built_run

@@ -18,7 +18,8 @@ from repro.storage.block import Block
 from repro.storage.hierarchy import StorageHierarchy
 
 from tests.conftest import (
-    encode_data_block, entry_at, lookup_run, make_entries, scan_run, v1_layout_payload,
+    encode_composite, encode_data_block, entry_at, lookup_run, make_entries,
+    scan_run, v1_layout_payload,
 )
 from tests.reference_scan import batch_lookup_in_run
 from tests.reference_search import key_position_bounds, sort_key_at
@@ -35,7 +36,7 @@ def build_run(keys, block_bytes=256, bloom_fpr=None):
 
 
 def key_bytes_of(k):
-    from repro.core.encoding import encode_composite, encode_uint64
+    from repro.core.encoding import encode_uint64
 
     eq, sort = (k,), (k,)
     return encode_uint64(DEF.hash_of(eq)) + encode_composite(eq) + encode_composite(sort)
@@ -173,7 +174,8 @@ class TestOneBlockLayout:
 
         def store(payload):
             block_id = run.data_block_id(0)
-            hierarchy.delete_everywhere(block_id)  # shared storage is immutable
+            for tier in (hierarchy.memory, hierarchy.ssd, hierarchy.shared):
+                tier.delete(block_id)  # shared storage is immutable
             hierarchy.write_persisted(Block(block_id, payload))
             run.drop_decode_cache()
 

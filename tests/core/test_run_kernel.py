@@ -29,7 +29,7 @@ from repro.core.run import DataBlockView
 from repro.storage.hierarchy import StorageHierarchy
 from repro.storage.metrics import ReadIntent
 
-from tests.conftest import encode_data_block
+from tests.conftest import encode_data_block, locate
 from tests.reference_search import (
     key_position_bounds,
     reference_first_geq,
@@ -169,7 +169,7 @@ class TestKernelMatchesReferenceLoop:
         # and one for the block the scan starts in if no probe fell there.
         touched = expected_probes + [expected] * (expected < run.entry_count)
         assert reads.reads - reads_before == len(
-            {run.locate(ordinal)[0] for ordinal in touched}
+            {locate(run, ordinal)[0] for ordinal in touched}
         )
 
     def test_probe_counter_is_charged_once_per_entry_looked_at(self):

@@ -111,8 +111,8 @@ class TestStructuralInvariants:
         run = build_run(specs)
         if run.entry_count == 0:
             return
-        eq_range = run.header.synopsis.column_range(0)
-        sort_range = run.header.synopsis.column_range(1)
+        eq_range = run.header.synopsis.ranges[0]
+        sort_range = run.header.synopsis.ranges[1]
         for entry in run_entries(run):
             assert eq_range.min_value <= entry.equality_values[0] <= eq_range.max_value
             assert sort_range.min_value <= entry.sort_values[0] <= sort_range.max_value

@@ -106,14 +106,9 @@ class TestRemove:
         rl = RunList("t")
         for run in runs:
             rl.push_front(run)
-        removed = rl.remove("r1")
+        (removed,) = rl.remove_where(lambda r: r.run_id == "r1")
         assert removed.run_id == "r1"
         assert [r.run_id for r in rl.snapshot()] == ["r2", "r0"]
-
-    def test_remove_missing_raises(self):
-        rl = RunList("t")
-        with pytest.raises(RunListError):
-            rl.remove("ghost")
 
     def test_remove_where(self):
         runs = build_runs(4)
@@ -140,7 +135,9 @@ def ids_of(run_list):
 MUTATIONS = {
     "push_front": (lambda rl, spare: rl.push_front(spare), False, 1),
     "replace": (lambda rl, spare: rl.replace(["r2", "r1"], spare), False, 1),
-    "remove": (lambda rl, spare: rl.remove("r1"), False, 1),
+    "remove": (
+        lambda rl, spare: rl.remove_where(lambda r: r.run_id == "r1"), False, 1,
+    ),
     "remove_where matching": (
         lambda rl, spare: rl.remove_where(lambda r: r.run_id in ("r3", "r0")),
         False, 1,
@@ -156,7 +153,6 @@ MUTATIONS = {
     "replace out of order": (
         lambda rl, spare: rl.replace(["r1", "r2"], spare), True, 0,
     ),
-    "remove missing": (lambda rl, spare: rl.remove("ghost"), True, 0),
     "remove_where matching nothing": (
         lambda rl, spare: rl.remove_where(lambda r: False), False, 0,
     ),

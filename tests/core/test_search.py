@@ -7,7 +7,6 @@ from hypothesis import given, settings, strategies as st
 from repro.core.builder import RunBuilder
 from repro.core.definition import i1_definition
 from repro.core.encoding import (
-    encode_composite,
     encode_uint64,
     prefix_successor,
 )
@@ -15,7 +14,7 @@ from repro.core.entry import IndexEntry, RID, Zone
 from repro.core.search import narrow_with_offset_array
 from repro.storage.hierarchy import StorageHierarchy
 
-from tests.conftest import entry_at, lookup_run, scan_run
+from tests.conftest import encode_composite, entry_at, lookup_run, scan_run
 from tests.reference_scan import batch_lookup_in_run
 
 DEF = i1_definition()

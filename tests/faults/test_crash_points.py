@@ -2,9 +2,9 @@
 
 import pytest
 
+from repro.faults import crash
 from repro.faults.crash import (
     CrashSchedule,
-    active_schedule,
     crash_point,
     install_crash_schedule,
 )
@@ -13,7 +13,7 @@ from repro.faults.errors import SimulatedCrash
 
 class TestFiring:
     def test_noop_without_schedule(self):
-        assert active_schedule() is None
+        assert crash._active is None
         crash_point("evolve.pre_publish")  # must not raise
 
     def test_fires_at_targeted_hit_ordinal(self):
@@ -32,7 +32,7 @@ class TestFiring:
             for _ in range(5):
                 crash_point("merge.pre_splice")
         assert schedule.hits("merge.pre_splice") == 5
-        assert schedule.crash_count == 0
+        assert len(schedule.fired) == 0
 
     def test_disarm_lets_replay_pass(self):
         """A fired ordinal is consumed: the post-recovery replay of the
@@ -53,7 +53,7 @@ class TestFiring:
             crash_point("maintenance.step")
             with pytest.raises(SimulatedCrash):
                 crash_point("maintenance.step")
-        assert schedule.crash_count == 2
+        assert len(schedule.fired) == 2
 
 
 class TestCrashIsNotAnException:
@@ -83,5 +83,5 @@ class TestInstallation:
         with pytest.raises(SimulatedCrash):
             with install_crash_schedule(schedule):
                 crash_point("groom.enter")
-        assert active_schedule() is None
+        assert crash._active is None
         crash_point("groom.enter")  # no schedule: no-op again

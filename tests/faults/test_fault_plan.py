@@ -2,6 +2,7 @@
 
 from repro.faults.crash import CRASH_SITES, CrashSchedule
 from repro.faults.plan import FaultPlan
+from tests.fault_plans import describe_plan, generate_fault_plan
 from repro.storage.retry import MAX_ATTEMPTS
 
 import pytest
@@ -10,18 +11,18 @@ import pytest
 class TestDeterminism:
     def test_same_seed_same_plan(self):
         for seed in range(50):
-            assert FaultPlan.generate(seed) == FaultPlan.generate(seed)
+            assert generate_fault_plan(seed) == generate_fault_plan(seed)
 
     def test_describe_is_stable(self):
-        plan = FaultPlan.generate(17)
-        assert plan.describe() == FaultPlan.generate(17).describe()
-        assert "seed=17" in plan.describe()
+        plan = generate_fault_plan(17)
+        assert describe_plan(plan) == describe_plan(generate_fault_plan(17))
+        assert "seed=17" in describe_plan(plan)
 
     def test_seeds_differ(self):
         # Not a tautology for every pair, but across 50 seeds at least
         # two universes must differ or the generator is ignoring the seed.
-        plans = [FaultPlan.generate(seed) for seed in range(50)]
-        assert len({plan.describe() for plan in plans}) > 1
+        plans = [generate_fault_plan(seed) for seed in range(50)]
+        assert len({describe_plan(plan) for plan in plans}) > 1
 
 
 class TestBounds:
@@ -30,12 +31,12 @@ class TestBounds:
         property must never see a give-up (an error is a legitimate
         outcome only in dedicated outage tests)."""
         for seed in range(200):
-            for fault in FaultPlan.generate(seed).transient:
+            for fault in generate_fault_plan(seed).transient:
                 assert 1 <= fault.failures < MAX_ATTEMPTS
 
     def test_knob_ceilings(self):
         for seed in range(200):
-            plan = FaultPlan.generate(seed)
+            plan = generate_fault_plan(seed)
             assert len(plan.torn_writes) <= 2
             assert len(plan.bit_rot) <= 2
             assert len(plan.transient) <= 3
@@ -50,7 +51,7 @@ class TestBounds:
         for seed in range(200):
             ordinals = [
                 t.persist_ordinal
-                for t in FaultPlan.generate(seed).torn_writes
+                for t in generate_fault_plan(seed).torn_writes
             ]
             assert len(ordinals) == len(set(ordinals))
 
@@ -64,7 +65,7 @@ class TestScheduleConstruction:
         """Each crash_schedule() call yields fresh hit counters: replaying
         a plan must not inherit the previous run's disarmed ordinals."""
         plan = FaultPlan(seed=0, crash_triggers={"evolve.pre_publish": frozenset({1})})
-        first = plan.crash_schedule()
-        second = plan.crash_schedule()
+        first = CrashSchedule(plan.crash_triggers)
+        second = CrashSchedule(plan.crash_triggers)
         assert first is not second
         assert first._triggers == second._triggers

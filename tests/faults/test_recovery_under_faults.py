@@ -20,6 +20,7 @@ from tests.crash_harness import (
     generate_workload,
 )
 from repro.faults.plan import FaultPlan, TornWrite
+from tests.fault_plans import generate_fault_plan
 from repro.faults.storage import FaultyTier
 from repro.storage.hierarchy import StorageHierarchy
 from repro.storage.metrics import IOStats
@@ -66,7 +67,7 @@ class TestIdempotence:
         definition = i1_definition()
         workload = generate_workload(seed)
         driver = CrashRecoveryDriver(
-            definition, workload, plan=FaultPlan.generate(seed)
+            definition, workload, plan=generate_fault_plan(seed)
         )
         first = driver.run()
         second_state = driver.recover_again()

@@ -101,7 +101,8 @@ class TestGiveUps:
         assert faults.read_giveups == 1
         assert istats.giveups == 1
         assert (
-            faults.transient_errors == faults.retries + faults.giveups
+            faults.transient_read_errors + faults.transient_write_errors
+            == faults.retries + faults.read_giveups + faults.write_giveups
         )
 
     def test_a_budget_of_one_attempt_disables_retries(self, monkeypatch):

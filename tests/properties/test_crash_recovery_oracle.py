@@ -25,7 +25,7 @@ from tests.crash_harness import (
     generate_workload,
     run_oracle,
 )
-from repro.faults.plan import FaultPlan
+from tests.fault_plans import describe_plan, generate_fault_plan
 
 SEEDS = range(24)
 
@@ -38,12 +38,12 @@ def definition():
 @pytest.mark.parametrize("seed", SEEDS)
 def test_recovery_is_byte_identical_to_oracle(definition, seed):
     workload = generate_workload(seed)
-    plan = FaultPlan.generate(seed)
+    plan = generate_fault_plan(seed)
     oracle = run_oracle(definition, workload)
     driver = CrashRecoveryDriver(definition, workload, plan=plan)
     result = driver.run()
 
-    context = plan.describe()
+    context = describe_plan(plan)
     assert result.answers == oracle.answers, context
 
     # Recovery idempotence: recovering the already-recovered store again
@@ -57,8 +57,9 @@ def test_recovery_is_byte_identical_to_oracle(definition, seed):
     # exactly one retry (plans keep failures under the attempt budget;
     # give-ups belong to dedicated outage tests, never to this property).
     faults = driver.hierarchy.stats.faults
-    assert faults.retries == faults.transient_errors, context
-    assert faults.giveups == 0, context
+    transient_errors = faults.transient_read_errors + faults.transient_write_errors
+    assert faults.retries == transient_errors, context
+    assert faults.read_giveups + faults.write_giveups == 0, context
     # Every crash the schedule fired was survived (crashes == recoveries
     # during the driven phase; the final clean restart adds one more).
     expected_recoveries = result.crashes + (1 if plan is not None else 0)
@@ -74,13 +75,15 @@ def test_seeds_cover_every_fault_kind(definition):
     for seed in SEEDS:
         workload = generate_workload(seed)
         driver = CrashRecoveryDriver(
-            definition, workload, plan=FaultPlan.generate(seed)
+            definition, workload, plan=generate_fault_plan(seed)
         )
         result = driver.run()
         faults = driver.hierarchy.stats.faults
         fired["tears"] += faults.torn_writes
         fired["flips"] += faults.bit_flips
-        fired["transients"] += faults.transient_errors
+        fired["transients"] += (
+            faults.transient_read_errors + faults.transient_write_errors
+        )
         fired["crashes"] += result.crashes
         fired["replays"] += result.replayed_ingests + result.replayed_evolves
     assert all(count > 0 for count in fired.values()), fired

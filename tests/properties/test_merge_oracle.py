@@ -29,8 +29,9 @@ import random
 import pytest
 
 from repro.core.definition import ColumnSpec
-from repro.faults.crash import SimulatedCrash, install_crash_schedule
+from repro.faults.crash import CrashSchedule, SimulatedCrash, install_crash_schedule
 from repro.faults.plan import FaultPlan
+from tests.fault_plans import describe_plan
 from repro.planner import Query
 from repro.wildfire.cluster import ShardedTable
 from repro.wildfire.engine import ShardConfig
@@ -325,12 +326,12 @@ class TestCrashMatrix:
         arm.split_shard(0)
 
         plan = FaultPlan(seed=seed, crash_triggers={site: frozenset({1})})
-        with install_crash_schedule(plan.crash_schedule()):
+        with install_crash_schedule(CrashSchedule(plan.crash_triggers)):
             with pytest.raises(SimulatedCrash):
                 arm.merge_shards(1, 2)
 
         outcome = arm.recover_migration()
-        assert outcome["resumed"] is True, plan.describe()
+        assert outcome["resumed"] is True, describe_plan(plan)
         if site == "merge.pre_copy":
             # Nothing was published: the slot keeps its split route.
             assert outcome["outcome"] == "rolled_back"

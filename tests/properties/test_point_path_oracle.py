@@ -30,7 +30,7 @@ from repro.wildfire.cluster import ShardedTable
 from repro.wildfire.engine import ShardConfig
 from repro.wildfire.schema import IndexSpec, TableSchema
 
-from tests.conftest import assert_lifecycles_quiescent
+from tests.conftest import assert_lifecycles_quiescent, intent_snapshot, map_refs
 from tests.reference_point_path import reference_point_query
 
 DEVICES = 24
@@ -97,13 +97,13 @@ def ledger(table):
         stats = shard.hierarchy.stats
         shards.append((
             stats.epochs.snapshot(), stats.decode.snapshot(), stats.snapshot(),
-            stats.total_sim_ns, stats.intent_snapshot(), stats.faults.snapshot(),
+            stats.total_sim_ns, intent_snapshot(stats), stats.faults.snapshot(),
             shard.degraded_pin is not None,
         ))
     epochs = range(table.routing_epoch() + 1)
     return (
         table.qos_stats().snapshot(), table.epoch_stats().snapshot(),
-        [table.maps.refs(epoch) for epoch in epochs], shards,
+        [map_refs(table.maps, epoch) for epoch in epochs], shards,
     )
 
 
@@ -142,7 +142,7 @@ def check(twins, shape, query_ts=None, advance=True):
         want = outcome(reference_point_query, twin, key, query_ts)
         assert got == want, (shape, key, query_ts)
         assert ledger(table) == ledger(twin), (shape, key, query_ts)
-        assert table.maps.refs(table.routing_epoch()) == 0
+        assert map_refs(table.maps, table.routing_epoch()) == 0
 
 
 @pytest.mark.parametrize("shape", SHAPES)

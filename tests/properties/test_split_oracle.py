@@ -31,8 +31,9 @@ import random
 import pytest
 
 from repro.core.definition import ColumnSpec
-from repro.faults.crash import SimulatedCrash, install_crash_schedule
+from repro.faults.crash import CrashSchedule, SimulatedCrash, install_crash_schedule
 from repro.faults.plan import FaultPlan
+from tests.fault_plans import describe_plan
 from repro.planner import Query
 from repro.wildfire.cluster import ShardedTable
 from repro.wildfire.engine import ShardConfig
@@ -248,12 +249,12 @@ class TestCrashMatrix:
         snapshot_ts = oracle.shards[0].current_snapshot_ts()
 
         plan = FaultPlan(seed=seed, crash_triggers={site: frozenset({1})})
-        with install_crash_schedule(plan.crash_schedule()):
+        with install_crash_schedule(CrashSchedule(plan.crash_triggers)):
             with pytest.raises(SimulatedCrash):
                 split_arm.split_shard(0)
 
         outcome = split_arm.recover_migration()
-        assert outcome["resumed"] is True, plan.describe()
+        assert outcome["resumed"] is True, describe_plan(plan)
         if site == "split.pre_copy":
             # Nothing was published: fully-old routing, no successors.
             assert outcome["outcome"] == "rolled_back"

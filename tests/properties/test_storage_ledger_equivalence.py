@@ -28,6 +28,7 @@ from tests.reference_storage import (
     ReferenceFaultyShared,
     ReferenceHierarchy,
 )
+from tests.conftest import intent_snapshot
 
 PERSISTED = ("run-a", "run-b")  # namespaces written through shared storage
 LOCAL = "mem"  # cached-only writes: never the same id as a persisted block
@@ -118,7 +119,7 @@ def observable(hierarchy):
     return {
         "tiers": stats.snapshot(),
         "total_sim_ns": stats.total_sim_ns,
-        "intents": stats.intent_snapshot(),
+        "intents": intent_snapshot(stats),
         "faults": stats.faults.snapshot(),
         "breaker": (
             qos.breaker_opens, qos.breaker_closes,

@@ -21,6 +21,7 @@ from hypothesis import given, settings, strategies as st
 
 from repro.core.epoch import RunLifecycle, RunListVersion
 from repro.storage.metrics import EpochStats
+from tests.conftest import live_version_count
 
 
 class _Run:
@@ -138,4 +139,4 @@ def test_retired_run_freed_iff_no_live_version_contains_it(ops):
     # Exactly 2 refcount ops per pin, regardless of how the interleaving
     # went; the chain collapsed back to the current version alone.
     assert h.stats.version_refs == h.stats.version_unrefs == len(h.pins)
-    assert h.lifecycle.live_version_count() <= 1
+    assert live_version_count(h.lifecycle) <= 1

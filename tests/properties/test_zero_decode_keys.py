@@ -24,7 +24,9 @@ from repro.core.entry import (
 from repro.core.run import DataBlockView
 from repro.storage.hierarchy import StorageHierarchy
 
-from tests.conftest import encode_data_block, entry_at, v1_layout_payload
+from tests.conftest import (
+    encode_data_block, entry_at, v1_layout_payload, view_sort_key,
+)
 from tests.reference_merge import entry_blob_at
 from tests.reference_search import sort_key_at, view_at
 
@@ -101,7 +103,7 @@ class TestRawSliceEquivalence:
             entry = entry_at(run, ordinal)
             expected_sort_key = entry.sort_key(definition)
             view, in_block = view_at(run, ordinal)
-            assert view.sort_key_at(in_block) == expected_sort_key
+            assert view_sort_key(view, in_block) == expected_sort_key
             assert expected_sort_key[:-SORT_KEY_TS_BYTES] == entry.key_bytes(
                 definition
             )

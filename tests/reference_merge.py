@@ -35,6 +35,7 @@ from repro.core.run import (
     pack_data_block,
 )
 from repro.storage.metrics import ReadIntent
+from tests.conftest import locate, view_sort_key
 
 Pair = Tuple[bytes, bytes]  # (sort_key, entry_blob)
 
@@ -66,11 +67,11 @@ def reference_iter_raw(run: IndexRun, start_ordinal: int = 0) -> Iterator[Pair]:
     (as a maintenance stream) when the stream first steps into it."""
     if start_ordinal >= run.entry_count:
         return
-    block_index, first = run.locate(start_ordinal)
+    block_index, first = locate(run, start_ordinal)
     for bi in range(block_index, run.header.num_data_blocks):
         view = maintenance_view(run, bi)
         for i in range(first, view.count):
-            yield view.sort_key_at(i), entry_blob_at(view, i)
+            yield view_sort_key(view, i), entry_blob_at(view, i)
         first = 0
 
 

@@ -23,13 +23,14 @@ the splice map the PSN record publishes.
 import struct
 from typing import Dict, List, Optional, Tuple
 
-from repro.core.encoding import KeyValue, encode_composite, encode_ts_desc, fnv1a64
+from repro.core.encoding import KeyValue, encode_ts_desc, fnv1a64
 from repro.core.entry import RID, Zone
 from repro.core.evolve import RidSplices
 from repro.core.query import QueryExecutor
 from repro.storage.metrics import ReadIntent
 from repro.wildfire.columnar import encode_columns
 from repro.wildfire.record import Record
+from tests.conftest import encode_composite
 
 
 def reference_post_groomed_lookup(index, equality_values, sort_values, query_ts):
@@ -157,9 +158,11 @@ def per_key_repartition_and_write(
     bucket_of, buckets = _reserve_buckets(post_groomer, records)
     last_rid: Dict[tuple, RID] = {}
     rid_by_begin_ts: Dict[int, RID] = {}
+    schema = post_groomer.schema
+    pk_positions = schema.positions(schema.primary_key)
     for record, bucket in zip(records, bucket_of):
         block_id, slot = buckets[bucket]
-        key = post_groomer.schema.primary_key_of(record.values)
+        key = tuple(record.values[i] for i in pk_positions)
         prev_rid: Optional[RID] = last_rid.get(key)
         if prev_rid is None:
             key_values = [record.values[i] for i in post_groomer._key_positions]

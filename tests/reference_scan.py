@@ -50,6 +50,7 @@ from tests.reference_search import (
     reference_first_geq,
     view_at,
 )
+from tests.conftest import locate, view_sort_key
 
 
 def run_may_contain(
@@ -70,7 +71,7 @@ def reference_iter_sort_keys(
     """``(sort_key, block_view, in_block_index)`` in key order."""
     for ordinal in range(start_ordinal, run.entry_count):
         view, i = view_at(run, ordinal)
-        yield view.sort_key_at(i), view, i
+        yield view_sort_key(view, i), view, i
 
 
 def _probe_fences(run: IndexRun, target: bytes, lo: int, hi: int) -> Tuple[int, int]:
@@ -304,7 +305,7 @@ def chain_scan_visible(
     bounded = upper_exclusive != b""
     previous = None
     answered = False
-    block_index, first = run.locate(start_ordinal)
+    block_index, first = locate(run, start_ordinal)
     for bi in range(block_index, run.header.num_data_blocks):
         view = run.block_view(bi)
         payload, base, table = view.payload, view.base, view.table
@@ -400,9 +401,9 @@ def chain_batch_lookup_in_run(
         if window and window[0] <= cursor < window[1]:
             view, i = window[2], cursor - window[0]
         else:
-            block_index, i = run.locate(cursor)
+            block_index, i = locate(run, cursor)
             view = run.block_view(block_index)
-        sort_key = view.sort_key_at(i)
+        sort_key = view_sort_key(view, i)
         if sort_key[:-SORT_KEY_TS_BYTES] != key:
             continue
         if sort_key[-SORT_KEY_TS_BYTES:] >= floor:

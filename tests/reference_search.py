@@ -17,18 +17,19 @@ from bisect import bisect_left, bisect_right
 from typing import List, Optional, Tuple
 
 from repro.core.run import DataBlockView, IndexRun
+from tests.conftest import locate, view_sort_key
 
 
 def view_at(run: IndexRun, ordinal: int) -> Tuple[DataBlockView, int]:
     """``(block_view, in_block_index)`` of a run-global ordinal."""
-    block_index, in_block = run.locate(ordinal)
+    block_index, in_block = locate(run, ordinal)
     return run.block_view(block_index), in_block
 
 
 def sort_key_at(run: IndexRun, ordinal: int) -> bytes:
     """Raw sort key at a run-global ordinal, one block resolution per call."""
     view, in_block = view_at(run, ordinal)
-    return view.sort_key_at(in_block)
+    return view_sort_key(view, in_block)
 
 
 def reference_first_geq(

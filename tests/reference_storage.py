@@ -400,7 +400,7 @@ def reference_release_after_query(cache, touched_runs: List) -> None:
     lifecycle = cache._pinned_among.__self__
     for run in touched_runs:
         fetched = run.fetched_blocks
-        if not fetched or not cache.is_purged_level(run.level):
+        if not fetched or run.level <= cache.current_cached_level:
             continue
         if reference_is_pinned(lifecycle, run.run_id):
             hierarchy.stats.epochs.eviction_pin_skips += 1

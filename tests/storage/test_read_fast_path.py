@@ -29,6 +29,7 @@ from tests.reference_storage import (
     ReferenceFaultyShared,
     ReferenceHierarchy,
 )
+from tests.conftest import intent_snapshot
 
 BLOCK = BlockId("run-a", 1)
 BREAKERS = {
@@ -71,7 +72,7 @@ def observed(hierarchy):
     return {
         "tiers": stats.snapshot(),
         "total_sim_ns": stats.total_sim_ns,
-        "intents": stats.intent_snapshot(),
+        "intents": intent_snapshot(stats),
         "faults": stats.faults.snapshot(),
         "breaker": (
             breaker.recorded_state, breaker._consecutive_failures, qos.breaker_opens,
@@ -101,14 +102,14 @@ def test_the_counts_of_three_cases():
     a give-up under a CLOSED breaker and a mid-loop trip."""
     new, _ = hierarchies(1, BREAKERS["trips-first"])
     assert outcome(new) == b"payload"
-    row = new.stats.intent_snapshot()["query"]
+    row = intent_snapshot(new.stats)["query"]
     assert (row.retries, row.giveups, row.shared_reads, row.promotions) == (1, 0, 1, 1)
     assert new.stats.faults.backoff_sim_ns == backoff_ns(1)
     assert new._shared_breaker._consecutive_failures == 0  # the success cleared it
 
     new, _ = hierarchies(4, BREAKERS["never-trips"])
     assert outcome(new) is TransientIOError
-    row = new.stats.intent_snapshot()["query"]
+    row = intent_snapshot(new.stats)["query"]
     assert (row.retries, row.giveups, row.shared_reads) == (3, 1, 0)
     assert new.stats.faults.read_giveups == 1
     assert new.stats.faults.backoff_sim_ns == backoff_ns(1) + backoff_ns(2) + backoff_ns(3)
@@ -116,7 +117,7 @@ def test_the_counts_of_three_cases():
 
     new, _ = hierarchies(4, BREAKERS["trips-first"])
     assert outcome(new) is StorageBrownout
-    row = new.stats.intent_snapshot()["query"]
+    row = intent_snapshot(new.stats)["query"]
     assert (row.retries, row.giveups) == (3, 0)  # the fourth attempt failed fast
     assert new.stats.qos.breaker_fast_fails == 1
     assert new._shared_breaker.recorded_state is BreakerState.OPEN

@@ -16,6 +16,7 @@ from repro.storage.block import Block, BlockId
 from repro.storage.hierarchy import StorageHierarchy
 from repro.storage.metrics import ReadIntent
 from repro.storage.ssd import SSDTier
+from tests.conftest import intent_snapshot
 
 
 def make_hierarchy(**kwargs):
@@ -165,6 +166,6 @@ class TestLedger:
         assert delta.reads == 2
         assert delta.ssd_hits == 1 and delta.shared_reads == 1
         assert delta.local_hit_rate() == 0.5
-        snap = h.stats.intent_snapshot()
+        snap = intent_snapshot(h.stats)
         assert snap["query"].reads == 2
         assert snap["maintenance"].reads == 0

@@ -7,8 +7,11 @@ is also exercised against crafted positive/negative fixtures so the
 guard cannot silently rot into a no-op.
 """
 
+import ast
 import importlib.util
 import pathlib
+
+from tests.tools.program_tree import ROOT, program_sources
 
 _TOOL = (
     pathlib.Path(__file__).resolve().parents[2] / "tools" / "check_flaky.py"
@@ -23,12 +26,14 @@ def load_tool():
 
 
 def test_benchmark_tree_is_flake_guarded():
+    """Both rules over the one parse of the program tree."""
     tool = load_tool()
+    parsed = {ROOT / source.path: source for source in program_sources()}
     errors = []
     for path in tool.bench_files(tool.BENCH_DIRS):
-        errors += tool.check_repeat_annotations(path)
+        errors += tool.check_repeat_annotations(path, parsed[path].text)
     for path in tool.bench_files(tool.ASSERT_RULE_DIRS):
-        errors += tool.check_wallclock_asserts(path)
+        errors += tool.check_wallclock_asserts(path, parsed[path].tree)
     assert not errors, "\n".join(errors)
 
 
@@ -54,7 +59,7 @@ def test_detects_unannotated_repeat_one(tmp_path):
     tool = load_tool()
     bad = tmp_path / "bench_bad.py"
     bad.write_text("result = run_bench(sizes=(1, 2), repeat=1)\n")
-    assert len(tool.check_repeat_annotations(bad)) == 1
+    assert len(tool.check_repeat_annotations(bad, bad.read_text())) == 1
 
     annotated = tmp_path / "bench_ok.py"
     annotated.write_text(
@@ -62,7 +67,7 @@ def test_detects_unannotated_repeat_one(tmp_path):
         "other = run_bench(repeat=1)  # plot-only\n"
         '"""prose mentioning ``repeat=1`` is not a call."""\n'
     )
-    assert tool.check_repeat_annotations(annotated) == []
+    assert tool.check_repeat_annotations(annotated, annotated.read_text()) == []
 
 
 def test_retired_waiver_annotation_no_longer_passes(tmp_path):
@@ -74,7 +79,7 @@ def test_retired_waiver_annotation_no_longer_passes(tmp_path):
     waived.write_text(
         "result = run_bench(repeat=1)  # wallclock-shape-ok: 8x slack\n"
     )
-    errors = tool.check_repeat_annotations(waived)
+    errors = tool.check_repeat_annotations(waived, waived.read_text())
     assert len(errors) == 1
 
 
@@ -87,7 +92,7 @@ def test_detects_direct_wallclock_assert(tmp_path):
         "    slow = measure_wall_s(op_b, 1)\n"
         "    assert fast < slow * 2\n"
     )
-    errors = tool.check_wallclock_asserts(bad)
+    errors = tool.check_wallclock_asserts(bad, ast.parse(bad.read_text()))
     assert len(errors) == 1 and "measure_wall_s" in errors[0]
 
     ok = tmp_path / "bench_counters.py"
@@ -97,4 +102,4 @@ def test_detects_direct_wallclock_assert(tmp_path):
         "    series.add(n, elapsed)  # plotted, not asserted\n"
         "    assert delta.raw_key_probes > 0\n"
     )
-    assert tool.check_wallclock_asserts(ok) == []
+    assert tool.check_wallclock_asserts(ok, ast.parse(ok.read_text())) == []

@@ -2,7 +2,8 @@
 
 A dataclass field of a config class is a setting only if some program
 sets it: every ``.py`` under ``src/``, ``benchmarks/``, ``examples/`` and
-``tools/`` is parsed, and a field counts as reached when it is passed by
+``tools/`` is read from the one parse ``program_tree.py`` keeps, and a
+field counts as reached when it is passed by
 keyword (or by position) to its class, or by keyword to
 ``dataclasses.replace``.  A field no program sets is a branch only tests
 reach; it becomes the constant every caller already gets, or it is listed
@@ -12,7 +13,6 @@ that a program now sets is stale and fails too.
 
 import ast
 import dataclasses
-from pathlib import Path
 
 from repro.core.index import UmziConfig
 from repro.core.levels import LevelConfig
@@ -20,9 +20,8 @@ from repro.qos.admission import QosConfig
 from repro.qos.breaker import BreakerConfig
 from repro.wildfire.engine import ShardConfig
 from repro.wildfire.rebalance import RebalanceConfig
+from tests.tools.program_tree import as_sources, program_sources
 
-ROOT = Path(__file__).resolve().parents[2]
-CALLER_DIRS = ("src", "benchmarks", "examples", "tools")
 CONFIGS = (
     UmziConfig, ShardConfig, LevelConfig, QosConfig, BreakerConfig,
     RebalanceConfig,
@@ -53,8 +52,8 @@ def reached_fields(sources, configs):
         for config in configs
     }
     reached = set()
-    for source in sources:
-        for node in ast.walk(ast.parse(source)):
+    for source in as_sources(sources):
+        for node in source.nodes:
             if not isinstance(node, ast.Call):
                 continue
             callee = _callee(node)
@@ -87,14 +86,6 @@ def unreached(sources, configs, test_only):
     )
 
 
-def caller_sources():
-    return [
-        path.read_text()
-        for folder in CALLER_DIRS
-        for path in sorted((ROOT / folder).rglob("*.py"))
-    ]
-
-
 def test_the_walk_sees_keyword_positional_and_replace_callers():
     @dataclasses.dataclass(frozen=True)
     class Knobs:
@@ -117,7 +108,7 @@ def test_the_walk_sees_keyword_positional_and_replace_callers():
 
 
 def test_every_config_field_has_a_caller_or_a_reason():
-    missing, stale = unreached(caller_sources(), CONFIGS, TEST_ONLY)
+    missing, stale = unreached(program_sources(), CONFIGS, TEST_ONLY)
     assert missing == [], f"fields only tests set: {missing}"
     assert stale == [], f"TEST_ONLY entries a program now sets: {stale}"
     assert all(TEST_ONLY.values())

@@ -1,6 +1,7 @@
 """No ``src/`` module imports a name it never uses.
 
-Every non-``__init__`` module under ``src/`` is parsed; a name bound by a
+Every non-``__init__`` module under ``src/`` is read from the one parse
+``program_tree.py`` keeps; a name bound by a
 top-level ``import`` / ``from ... import`` must be read somewhere in the
 module, as a ``Name`` (attribute chains start with one) or inside a
 string annotation, or be re-exported through the module's ``__all__``.
@@ -10,20 +11,20 @@ job.
 
 import ast
 import re
-from pathlib import Path
 
 import pytest
 
-SRC = Path(__file__).resolve().parents[2] / "src"
-MODULES = sorted(
-    path for path in SRC.rglob("*.py") if path.name != "__init__.py"
-)
+from tests.tools.program_tree import Source, parsed
+
+MODULES = [
+    source for source in parsed("src") if not source.path.endswith("__init__.py")
+]
 _WORD = re.compile(r"[A-Za-z_][A-Za-z0-9_]*")
 
 
-def unused_imports(source: str):
+def unused_imports(source: Source):
     """``(line, name)`` of every top-level import ``source`` never uses."""
-    tree = ast.parse(source)
+    tree = source.tree
     imported = {}
     for node in tree.body:
         if isinstance(node, ast.Import) or (
@@ -33,7 +34,7 @@ def unused_imports(source: str):
                 imported[alias.asname or alias.name.split(".")[0]] = node.lineno
     # Where a name in a string counts as a use: annotations and __all__.
     string_sites = []
-    for node in ast.walk(tree):
+    for node in source.nodes:
         if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
             string_sites.append(node.returns)
         elif isinstance(node, (ast.arg, ast.AnnAssign)):
@@ -43,7 +44,7 @@ def unused_imports(source: str):
             for target in node.targets
         ):
             string_sites.append(node.value)
-    used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+    used = {node.id for node in source.nodes if isinstance(node, ast.Name)}
     for site in filter(None, string_sites):
         for node in ast.walk(site):
             if isinstance(node, ast.Constant) and isinstance(node.value, str):
@@ -60,16 +61,16 @@ def test_the_checker_sees_an_unused_name():
         "def f(x: 'Tuple[int]') -> List['Dict']:\n"
         "    return os.sep\n"
     )
-    assert unused_imports(source) == []
-    assert unused_imports("import os, sys\nos.sep\n") == [(1, "sys")]
-    assert unused_imports('import os\n"""os, in a docstring"""\n') == [
+    assert unused_imports(Source.of(source)) == []
+    assert unused_imports(Source.of("import os, sys\nos.sep\n")) == [(1, "sys")]
+    assert unused_imports(Source.of('import os\n"""os, in a docstring"""\n')) == [
         (1, "os")
     ]
-    assert unused_imports('from os import sep\n__all__ = ["sep"]\n') == []
+    assert unused_imports(Source.of('from os import sep\n__all__ = ["sep"]\n')) == []
 
 
 @pytest.mark.parametrize(
-    "path", MODULES, ids=lambda path: str(path.relative_to(SRC))
+    "source", MODULES, ids=lambda source: source.path.removeprefix("src/")
 )
-def test_no_unused_imports(path):
-    assert unused_imports(path.read_text()) == []
+def test_no_unused_imports(source):
+    assert unused_imports(source) == []

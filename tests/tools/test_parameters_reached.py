@@ -4,13 +4,16 @@ outside ``tests/``.
 The sibling of ``test_config_fields_reached.py`` for signatures.  A
 parameter with a default is a setting only if some program passes it:
 every ``.py`` under ``src/``, ``benchmarks/``, ``examples/`` and ``tools/``
-is parsed, and a parameter counts as passed when a call names its
-function (or, for ``__init__``, its class) and hands it over by keyword
-or by position.  Calls are matched by name, so a call to any function of
-that name counts.  A call spreading ``*args`` or ``**kwargs`` passes
-everything its callee takes, and a call through ``getattr(...)`` may
-reach any function named by a string literal in the same source -- that
-is how ``ShardedTable._serve`` dispatches ``QueryKind.live``.
+is read through the owner-resolving reader in ``program_tree.py``, and a
+parameter counts as passed when a call reaching its function (or, for
+``__init__``, its class or a subclass that inherits the constructor)
+hands it over by keyword or by position.  Where the reader resolves the
+call's receiver, only that owner's function is reached; elsewhere a call
+reaches every function of its name (the names ``test_functions_reached``
+lists in ``MATCHED_BY_NAME``).  A call spreading ``*args`` or
+``**kwargs`` passes everything its callee takes, and a call through
+``getattr(...)`` reaches what the reader says it dispatches to -- that is
+how ``ShardedTable._serve`` dispatches ``QueryKind.live``.
 
 A parameter no program passes is a branch only tests reach: it becomes
 the value every caller already gets, or it is listed in
@@ -28,18 +31,21 @@ over, which internal state (a memo) declares ``init=False``.  A class some
 source builds with ``object.__new__`` fills its fields without the
 constructor, so it is not read.  The config dataclasses
 are left to ``test_config_fields_reached.py``, which also sees
-``dataclasses.replace``.  Matching by name lets a parameter hide behind a
-same-named function's callers.
+``dataclasses.replace``.
 """
 
 import ast
 from dataclasses import dataclass
-from pathlib import Path
 
-ROOT = Path(__file__).resolve().parents[2]
-CALLER_DIRS = ("src", "benchmarks", "examples", "tools")
+from tests.tools.program_tree import (
+    Library,
+    as_sources,
+    decorated,
+    is_public,
+    library,
+    program_sources,
+)
 
-# Checked field by field, ``replace(...)`` included, by the sibling test.
 CONFIG_CLASSES = {
     "UmziConfig", "ShardConfig", "LevelConfig", "QosConfig", "BreakerConfig",
     "RebalanceConfig",
@@ -53,6 +59,10 @@ TEST_ONLY = {
         "benchmarks/e2e/tracer.py still lists read_many as a boundary; "
         "the door and its intent go with that boundary in a benchmark "
         "change",
+    "FaultPlan(crash_triggers)":
+        "the crash half of a fault universe: only the crash-recovery "
+        "oracles arm crash points, each from a CrashSchedule of a plan's "
+        "triggers (tests/fault_plans.py draws them from a seed)",
     "SeparateZoneIndexes(evolution_order)":
         "REMOVE_THEN_ADD is the paper's missing-result anomaly of separate "
         "per-zone indexes, which only tests show",
@@ -61,10 +71,10 @@ TEST_ONLY = {
 
 @dataclass(frozen=True)
 class Parameter:
-    """One defaulted parameter and the call names that reach it."""
+    """One defaulted parameter and the definition that takes it."""
 
     key: str  # ``Owner.function(name)``, or ``Class(name)`` for __init__
-    callees: frozenset
+    owner: str  # the definition key: ``Owner.function``, or ``Class``
     name: str
     position: int | None  # among the positional arguments a call passes
 
@@ -72,11 +82,7 @@ class Parameter:
 def _signature(function: ast.FunctionDef, method: bool):
     args = function.args
     positional = args.posonlyargs + args.args
-    static = any(
-        isinstance(d, ast.Name) and d.id == "staticmethod"
-        for d in function.decorator_list
-    )
-    if method and not static:
+    if method and not decorated(function, "staticmethod"):
         positional = positional[1:]
     defaulted = positional[len(positional) - len(args.defaults):]
     yield from (
@@ -88,64 +94,37 @@ def _signature(function: ast.FunctionDef, method: bool):
         if default is not None
     )
 
-
-def defaulted_parameters(sources):
+def defaulted_parameters(library: Library):
     """Every defaulted parameter of a public function, method or
-    constructor in ``sources`` (module-level and class-level defs)."""
+    constructor ``library`` defines (module-level and class-level defs)."""
     found = []
-    classes = {}
-    built_bare = set()  # classes some source builds with ``object.__new__``
-    for source in sources:
-        for node in ast.walk(ast.parse(source)):
-            if isinstance(node, ast.ClassDef):
-                classes[node.name] = node
-            if (isinstance(node, ast.Call) and ast.unparse(node.func) == "object.__new__"
-                    and node.args and isinstance(node.args[0], ast.Name)):
-                built_bare.add(node.args[0].id)
-    for source in sources:
-        for node in ast.parse(source).body:
-            if isinstance(node, ast.FunctionDef) and not node.name.startswith("_"):
-                found.extend(
-                    Parameter(f"{node.name}({name})", frozenset({node.name}),
-                              name, position)
-                    for name, position in _signature(node, method=False)
-                )
-            if not isinstance(node, ast.ClassDef) or node.name.startswith("_"):
-                continue
-            owners = {node.name} | {
-                name for name, cls in classes.items()
-                if _inherits_init(cls, node.name, classes)
-            }
-            if not (node.name in CONFIG_CLASSES | built_bare or _defines_init(node)):
-                found.extend(
-                    Parameter(f"{node.name}({name})", frozenset(owners),
-                              name, position)
-                    for name, position, read, own
-                    in _dataclass_fields(node, classes) if read and own
-                )
-            for item in node.body:
-                if not isinstance(item, ast.FunctionDef):
-                    continue
-                if item.name == "__init__":
-                    found.extend(
-                        Parameter(f"{node.name}({name})", frozenset(owners),
-                                  name, position)
-                        for name, position in _signature(item, method=True)
-                    )
-                elif not item.name.startswith("_"):
-                    found.extend(
-                        Parameter(f"{node.name}.{item.name}({name})",
-                                  frozenset({item.name}), name, position)
-                        for name, position in _signature(item, method=True)
-                    )
+    classes = {name: info.node for name, info in library.classes.items()}
+    built_bare = {  # classes some source builds with ``object.__new__``
+        node.args[0].id
+        for source in library.sources for node in source.nodes
+        if isinstance(node, ast.Call) and ast.unparse(node.func) == "object.__new__"
+        and node.args and isinstance(node.args[0], ast.Name)
+    }
+    for key, node, owner in library.definitions():
+        found.extend(
+            Parameter(f"{key}({name})", key, name, position)
+            for name, position in _signature(node, method=owner is not None)
+        )
+    for name, info in library.classes.items():
+        if not is_public(name):
+            continue
+        if "__init__" in info.methods:
+            found.extend(
+                Parameter(f"{name}({arg})", name, arg, position)
+                for arg, position in _signature(info.methods["__init__"], method=True)
+            )
+        elif name not in CONFIG_CLASSES | built_bare:
+            found.extend(
+                Parameter(f"{name}({field})", name, field, position)
+                for field, position, read, own in _dataclass_fields(info.node, classes)
+                if read and own
+            )
     return found
-
-
-def _defines_init(cls: ast.ClassDef) -> bool:
-    return any(
-        isinstance(item, ast.FunctionDef) and item.name == "__init__"
-        for item in cls.body
-    )
 
 
 def _dataclass_options(cls: ast.ClassDef):
@@ -198,93 +177,48 @@ def _dataclass_fields(cls: ast.ClassDef, classes):
         positional += not keyword
     return fields
 
-
-def _inherits_init(cls: ast.ClassDef, owner: str, classes) -> bool:
-    """Does ``cls`` (defining no ``__init__``) take ``owner``'s?"""
-    if _defines_init(cls):
-        return False
-    for base in cls.bases:
-        if isinstance(base, ast.Name):
-            if base.id == owner:
-                return True
-            if base.id in classes and _inherits_init(classes[base.id], owner, classes):
-                return True
-    return False
-
-
-def _callees(call: ast.Call, literals, supers):
-    if id(call) in supers:
-        return supers[id(call)]
-    func = call.func
-    if isinstance(func, ast.Name):
-        return {func.id}
-    if isinstance(func, ast.Attribute):
-        return {func.attr}
-    if (isinstance(func, ast.Call) and isinstance(func.func, ast.Name)
-            and func.func.id == "getattr"):
-        return literals
-    return set()
-
-
-def reached_parameters(sources, parameters):
+def reached_parameters(library: Library, sources, parameters):
     """Keys of the ``parameters`` some call in ``sources`` passes."""
-    by_callee = {}
+    by_owner = {}
     for parameter in parameters:
-        for callee in parameter.callees:
-            by_callee.setdefault(callee, []).append(parameter)
+        by_owner.setdefault(parameter.owner, []).append(parameter)
     reached = set()
-    for source in sources:
-        tree = ast.parse(source)
-        literals = {
-            node.value for node in ast.walk(tree)
-            if isinstance(node, ast.Constant) and isinstance(node.value, str)
-        }
-        # ``super().__init__(...)`` passes to the constructors of the
-        # enclosing class's bases.
-        supers = {
-            id(call): {base.id for base in cls.bases if isinstance(base, ast.Name)}
-            for cls in ast.walk(tree) if isinstance(cls, ast.ClassDef)
-            for call in ast.walk(cls)
-            if isinstance(call, ast.Call)
-            and isinstance(call.func, ast.Attribute)
-            and call.func.attr == "__init__"
-        }
-        for node in ast.walk(tree):
-            if not isinstance(node, ast.Call):
+    for source in as_sources(sources):
+        for reference in library.references(source):
+            call = reference.call
+            if call is None:
                 continue
-            spread = any(isinstance(arg, ast.Starred) for arg in node.args) or any(
-                kw.arg is None for kw in node.keywords
+            targets = set()
+            for key in (library.by_name(reference.name) if reference.keys is None
+                        else reference.keys):
+                targets |= (library.constructor_targets(key)
+                            if key in library.classes else {key})
+            spread = any(isinstance(arg, ast.Starred) for arg in call.args) or any(
+                kw.arg is None for kw in call.keywords
             )
-            keywords = {kw.arg for kw in node.keywords}
-            for callee in _callees(node, literals, supers):
-                for parameter in by_callee.get(callee, ()):
+            keywords = {kw.arg for kw in call.keywords}
+            for target in targets:
+                for parameter in by_owner.get(target, ()):
                     if (
                         spread
                         or parameter.name in keywords
                         or (parameter.position is not None
-                            and parameter.position < len(node.args))
+                            and parameter.position < len(call.args))
                     ):
                         reached.add(parameter.key)
     return reached
 
 
-def unreached(sources, parameters, test_only):
+def unreached(library: Library, sources, test_only):
     """(parameters no source passes and ``test_only`` omits, stale
     entries: passed by a program, or no longer a parameter)."""
+    parameters = defaulted_parameters(library)
     every = {parameter.key for parameter in parameters}
-    reached = reached_parameters(sources, parameters)
+    reached = reached_parameters(library, sources, parameters)
     return (
         sorted(every - reached - set(test_only)),
         sorted((set(test_only) & reached) | (set(test_only) - every)),
     )
-
-
-def _read(folder):
-    return [path.read_text() for path in sorted((ROOT / folder).rglob("*.py"))]
-
-
-def caller_sources():
-    return [source for folder in CALLER_DIRS for source in _read(folder)]
 
 
 def test_the_walk_sees_every_way_a_parameter_is_passed():
@@ -305,7 +239,8 @@ def test_the_walk_sees_every_way_a_parameter_is_passed():
         "class _Inner:\n"
         "    def read(self, depth=1): pass\n"
     )
-    parameters = defaulted_parameters([library])
+    lib = Library([library])
+    parameters = defaulted_parameters(lib)
     assert {p.key for p in parameters} == {
         "fetch(limit)", "fetch(fresh)", "Store(budget)", "Store(mode)",
         "Sized(size)",
@@ -318,15 +253,15 @@ def test_the_walk_sees_every_way_a_parameter_is_passed():
         "store.read(b, intent=None)\n",
         "Store.build(4)\n",
     ]
-    assert unreached(callers, parameters, {}) == (
+    assert unreached(lib, callers, {}) == (
         ["Store(budget)", "Store.read(retries)", "fetch(fresh)"], []
     )
-    assert unreached(callers, parameters, {
+    assert unreached(lib, callers, {
         "Store(budget)": "why", "Store.read(retries)": "why",
         "fetch(fresh)": "why", "fetch(limit)": "stale", "gone(x)": "stale",
     }) == ([], ["fetch(limit)", "gone(x)"])
     spread = [library, "fetch(k, **options)\n", "getattr(obj, 'read')(*args)\n"]
-    assert unreached(spread, parameters, {}) == (
+    assert unreached(lib, spread, {}) == (
         ["Sized(size)", "Store(budget)", "Store.build(size)"], []
     )
 
@@ -365,7 +300,8 @@ def test_the_walk_sees_the_constructor_a_dataclass_generates():
         "class Plainclass:\n"
         "    size: int = 3\n"
     )
-    parameters = {p.key: p for p in defaulted_parameters([library])}
+    lib = Library([library])
+    parameters = {p.key: p for p in defaulted_parameters(lib)}
     assert set(parameters) == {
         "Plain(limit)", "Plain(tags)", "Plain.size(scale)", "Child(extra)",
         "Child(late)", "Keyed(mode)", "Written(y)", "Counters(seen)",
@@ -380,15 +316,27 @@ def test_the_walk_sees_the_constructor_a_dataclass_generates():
         "Keyed('b')\n",  # a keyword-only field takes no position
         "Child(0, 1, (), 2, 3)\n",  # nor does Child's ``late``
     ]
-    assert unreached(callers, list(parameters.values()), {}) == (
+    assert unreached(lib, callers, {}) == (
         ["Child(late)", "Counters(seen)", "Keyed(mode)", "Plain.size(scale)",
          "Written(y)"], []
     )
 
 
+def test_a_parameter_hidden_behind_a_same_named_function_is_found():
+    lib = Library([
+        "class Index:\n"
+        "    def entry_count(self, level=0): pass\n"
+        "class Policy:\n"
+        "    def entry_count(self, shard=0): pass\n"
+    ])
+    resolved = ["def f(policy: Policy):\n    return policy.entry_count(shard=2)\n"]
+    assert unreached(lib, resolved, {}) == (["Index.entry_count(level)"], [])
+    by_name = ["def g(x):\n    return x.entry_count(level=1)\n"]
+    assert unreached(lib, by_name, {}) == (["Policy.entry_count(shard)"], [])
+
+
 def test_every_defaulted_parameter_has_a_caller_or_a_reason():
-    parameters = defaulted_parameters(_read("src"))
-    missing, stale = unreached(caller_sources(), parameters, TEST_ONLY)
+    missing, stale = unreached(library(), program_sources(), TEST_ONLY)
     assert missing == [], f"parameters only tests pass: {missing}"
     assert stale == [], f"stale TEST_ONLY entries: {stale}"
     assert all(TEST_ONLY.values())

@@ -112,17 +112,19 @@ class TestSideLog:
         tx = Transaction(schema(), HybridClock(), log)
         tx.upsert((1, 2))
         tx.upsert_many([(3, 4), [5, 6]])
-        assert tx.pending == 3
         tx.commit()
         (committed,) = log.drain()
         assert committed.rows == [(1, 2), (3, 4), (5, 6)]
 
     def test_a_refused_batch_stages_none_of_its_rows(self):
-        tx = Transaction(schema(), HybridClock(), CommittedLog())
+        log = CommittedLog()
+        tx = Transaction(schema(), HybridClock(), log)
         tx.upsert((1, 2))
         with pytest.raises(EncodingError, match="column 'v' expects int64"):
             tx.upsert_many([(3, 4), (5, "6"), (7, 8)])
-        assert tx.pending == 1
+        tx.commit()
+        (committed,) = log.drain()
+        assert committed.rows == [(1, 2)]
 
 
 class TestCommittedLog:

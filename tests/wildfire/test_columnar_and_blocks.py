@@ -47,19 +47,6 @@ def store_post_groomed(catalog, n, block_id):
     return catalog.store_post_groomed(rows(n), begin_ts(n), (None,) * n, block_id)
 
 
-class TestRecord:
-    def test_visibility(self):
-        record = Record(values=(1, "a", 0.0), begin_ts=10, end_ts=20)
-        assert not record.visible_at(9)
-        assert record.visible_at(10)
-        assert record.visible_at(19)
-        assert not record.visible_at(20)
-
-    def test_open_ended_visibility(self):
-        record = Record(values=(1, "a", 0.0), begin_ts=10)
-        assert record.visible_at(1 << 50)
-
-
 class TestColumnarRoundtrip:
     def test_roundtrip_with_hidden_columns(self):
         s = schema()

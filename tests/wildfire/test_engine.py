@@ -17,6 +17,7 @@ from repro.storage.metrics import IOStats
 from repro.storage.retry import TransientIOError
 from repro.wildfire.engine import ShardConfig, WildfireShard
 from repro.wildfire.schema import IndexSpec, TableSchema
+from tests.conftest import needs_merge, pending_psns
 
 TWO_SECONDARIES = {
     "by_reading": IndexSpec(sort_columns=("reading",)),
@@ -247,15 +248,15 @@ class TestThreadedDaemons:
                 return (
                     shard.committed_log.pending_rows() == 0
                     and shard.post_groomer.max_psn >= 2
-                    and shard.indexer.pending_psns() == 0
-                    and not any(index.needs_merge() for index in indexes)
+                    and pending_psns(shard) == 0
+                    and not any(needs_merge(index) for index in indexes)
                 )
 
             assert wait_until(settled)
         finally:
             shard.stop_daemons()
         assert shard.index.indexed_psn == shard.post_groomer.max_psn
-        assert not any(index.needs_merge() for index in indexes)
+        assert not any(needs_merge(index) for index in indexes)
         assert shard.point_query((3,), (11,)).values == (3, 11, 14)
 
     def test_one_maintenance_thread_per_running_shard(self):
@@ -302,7 +303,7 @@ class TestThreadedDaemons:
         shard.ingest([(d, 1, d) for d in range(4)])
         shard.groomer.groom()
         shard.post_groomer.post_groom()
-        assert shard.indexer.pending_psns() == 1
+        assert pending_psns(shard) == 1
         tier.set_outage(True)
         shard.ingest([(d, 2, d) for d in range(4)])
         shard.start_daemons(groom_interval_s=0.002)
@@ -312,7 +313,7 @@ class TestThreadedDaemons:
             assert wait_until(
                 lambda: shard.committed_log.pending_rows() == 0
                 and shard.post_groomer.max_psn >= 2
-                and shard.indexer.pending_psns() == 0
+                and pending_psns(shard) == 0
             )
             assert shard.daemons_running
         finally:

@@ -7,6 +7,7 @@ from repro.core.encoding import EncodingError
 from repro.core.entry import Zone
 from repro.wildfire.engine import ShardConfig, WildfireShard
 from repro.wildfire.schema import IndexSpec, TableSchema
+from tests.conftest import pending_psns
 
 
 def make_shard(post_groom_every=3, partition_buckets=2):
@@ -160,7 +161,7 @@ class TestIndexer:
             shard.ingest([(batch, m, 0) for m in range(5)])
             shard.groomer.groom()
             shard.post_groomer.post_groom()
-        assert shard.indexer.pending_psns() == 2
+        assert pending_psns(shard) == 2
         first = shard.indexer.step()
         assert first.evolve.psn == 1
         second = shard.indexer.step()

@@ -25,6 +25,7 @@ from repro.wildfire.engine import ShardConfig
 from repro.wildfire.schema import IndexSpec, TableSchema
 
 from tests.reference_point_path import reference_point_query
+from tests.conftest import map_refs
 
 ORDERS = 40
 
@@ -80,7 +81,7 @@ def test_a_refused_key_raises_what_it_raised_before(key, error, message):
     with pytest.raises(error) as reference:
         reference_point_query(twin, (), key)
     assert str(reference.value) == message
-    assert table.maps.refs(table.routing_epoch()) == 0
+    assert map_refs(table.maps, table.routing_epoch()) == 0
 
 
 def test_an_equality_value_on_a_sort_only_index_is_refused_as_before():

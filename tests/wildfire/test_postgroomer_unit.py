@@ -62,11 +62,13 @@ class TestPsnMetadata:
 
     def test_last_post_groomed_gid_tracked(self):
         shard = make_shard()
-        assert shard.post_groomer.last_post_groomed_gid == -1
+        assert shard.post_groomer.post_groom() is None  # nothing groomed yet
         shard.ingest([(1, 1, 0)])
         shard.groomer.groom()
-        shard.post_groomer.post_groom()
-        assert shard.post_groomer.last_post_groomed_gid == 0
+        op = shard.post_groomer.post_groom()
+        assert (op.min_groomed_id, op.max_groomed_id) == (0, 0)
+        # gid 0 is remembered as post-groomed: it is not migrated twice.
+        assert shard.post_groomer.post_groom() is None
 
 
 class TestOpMapsAreReleased:

@@ -5,6 +5,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.core.definition import ColumnSpec, ColumnType
+from repro.planner.plan import tuple_getter
 from repro.wildfire.schema import IndexSpec, SchemaError, TableSchema
 
 
@@ -51,7 +52,8 @@ class TestTableSchema:
     def test_key_extraction(self):
         schema = iot_schema()
         row = (7, 42, 99)
-        assert schema.primary_key_of(row) == (7, 42)
+        primary_key_of = tuple_getter(schema.positions(schema.primary_key))
+        assert primary_key_of(row) == (7, 42)
 
     def test_validate_row(self):
         schema = iot_schema()

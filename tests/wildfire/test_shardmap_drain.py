@@ -19,6 +19,7 @@ import pytest
 from repro.storage.metrics import EpochStats
 from repro.wildfire import shardmap as shardmap_module
 from repro.wildfire.shardmap import ShardMap, ShardMapError, ShardMapRegistry
+from tests.conftest import map_refs
 
 TIMEOUT_S = 1.0
 WAKE_BOUND_S = TIMEOUT_S / 4  # "well inside the timeout"
@@ -58,13 +59,13 @@ def drain_against_a_held_pin(registry):
     thread.start()
     assert pinned.wait(TIMEOUT_S)
     old = publish_next(registry)
-    assert registry.refs(old) == 1
+    assert map_refs(registry, old) == 1
     registry.drain(old)
     returned_at = time.monotonic()
     thread.join(TIMEOUT_S)
     assert not thread.is_alive()
     (release,) = released_at  # drain did not return before the release
-    assert registry.refs(old) == 0
+    assert map_refs(registry, old) == 0
     return returned_at - release
 
 
@@ -99,7 +100,7 @@ def test_a_pin_that_outlives_the_timeout_is_named_with_its_count(drain_timeout):
         registry.unpin(pin.epoch)
     drain_timeout.setattr(shardmap_module, "DRAIN_TIMEOUT_S", 0.0)
     registry.drain(old)  # nothing left: returns at once
-    assert registry.refs(old) == 0
+    assert map_refs(registry, old) == 0
 
 
 def test_an_unpin_that_never_notifies_is_caught(monkeypatch):
@@ -147,7 +148,7 @@ def test_pins_balance_and_every_drain_returns_under_contention(drain_timeout):
         for _ in range(publishes):
             old = publish_next(registry)
             registry.drain(old)
-            assert registry.refs(old) == 0  # new pins land on the new epoch
+            assert map_refs(registry, old) == 0  # new pins land on the new epoch
     finally:
         stop.set()
         for thread in threads:

@@ -22,7 +22,7 @@ contract:
 import pytest
 
 from repro.core.definition import ColumnSpec
-from repro.faults.crash import SimulatedCrash, install_crash_schedule
+from repro.faults.crash import CrashSchedule, SimulatedCrash, install_crash_schedule
 from repro.faults.plan import FaultPlan
 from repro.faults.storage import FaultyTier
 from repro.planner import Query
@@ -149,7 +149,7 @@ class TestPartialResultsInWindow:
         plan = FaultPlan(
             seed=0, crash_triggers={f"{direction}.pre_publish": frozenset({1})}
         )
-        with install_crash_schedule(plan.crash_schedule()):
+        with install_crash_schedule(CrashSchedule(plan.crash_triggers)):
             with pytest.raises(SimulatedCrash):
                 migrate(table, direction, sources)
         assert table.routing_epoch() == epoch + 1

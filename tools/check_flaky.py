@@ -73,10 +73,11 @@ def bench_files(dirs) -> list[Path]:
     return files
 
 
-def check_repeat_annotations(path: Path) -> list[str]:
-    """Rule 1: every ``repeat=1`` line carries an audit annotation."""
+def check_repeat_annotations(path: Path, text: str) -> list[str]:
+    """Rule 1: every ``repeat=1`` line of ``text`` (the file at ``path``)
+    carries an audit annotation."""
     errors: list[str] = []
-    for lineno, line in enumerate(path.read_text().splitlines(), start=1):
+    for lineno, line in enumerate(text.splitlines(), start=1):
         stripped = line.split("#", 1)[0]
         match_code = REPEAT_ONE_RE.search(stripped)
         if match_code is None:
@@ -142,8 +143,8 @@ class _WallClockAssertVisitor(ast.NodeVisitor):
         return name == "measure_wall_s"
 
 
-def check_wallclock_asserts(path: Path) -> list[str]:
-    tree = ast.parse(path.read_text(), filename=str(path))
+def check_wallclock_asserts(path: Path, tree: ast.Module) -> list[str]:
+    """Rule 2 over ``tree``, the parse of the file at ``path``."""
     visitor = _WallClockAssertVisitor(path)
     visitor.visit(tree)
     return visitor.errors
@@ -151,10 +152,15 @@ def check_wallclock_asserts(path: Path) -> list[str]:
 
 def main() -> int:
     errors: list[str] = []
+    texts = {
+        path: path.read_text()
+        for path in bench_files(BENCH_DIRS + ASSERT_RULE_DIRS)
+    }
     for path in bench_files(BENCH_DIRS):
-        errors += check_repeat_annotations(path)
+        errors += check_repeat_annotations(path, texts[path])
     for path in bench_files(ASSERT_RULE_DIRS):
-        errors += check_wallclock_asserts(path)
+        tree = ast.parse(texts[path], filename=str(path))
+        errors += check_wallclock_asserts(path, tree)
     if errors:
         print("\n".join(errors), file=sys.stderr)
         print(f"\n{len(errors)} flake-guard violation(s)", file=sys.stderr)
