@@ -86,7 +86,7 @@ class _Cursor:
 def merge_blocks(
     runs_newest_first: Sequence[IndexRun],
     retention_ts: Optional[int] = None,
-    dead_keys: Collection[bytes] = (),
+    dead_keys: Callable[[int], Collection[bytes]] = lambda _retention_ts: (),
 ) -> Iterator[Tuple[List[bytes], List[bytes]]]:
     """Zero-decode K-way merge, a block at a time: yields column batches
     ``(sort_keys, entry_blobs)`` in sort-key order.
@@ -110,9 +110,9 @@ def merge_blocks(
 
     ``retention_ts`` collects versions, a column at a time: a key keeps
     every version above it plus its newest at or below it (what a snapshot
-    at the horizon reads), and a user key in ``dead_keys`` (a secondary's
-    stale keys, ``ShardIndex.dead_keys``) none at or below it; inputs all
-    above it skip the filter, a fifth of the loop's time.  Every
+    at the horizon reads), and a user key ``dead_keys(retention_ts)`` holds
+    (a secondary's stale keys) none at or below it; inputs all above it
+    skip the filter, a fifth of the loop's time, and that call.  Every
     caller is background machinery, and a one-pass stream over potentially
     purged runs must not flood the SSD cache: input blocks are
     ``ReadIntent.MAINTENANCE`` reads.
@@ -124,6 +124,7 @@ def merge_blocks(
         [cursor.run.header.min_begin_ts for cursor in cursors]
     ):
         horizon = ts_floor(retention_ts)
+        dead = dead_keys(retention_ts)
     previous: Optional[bytes] = None  # the last sort key merged
     last_user, last_old = None, False  # the last entry's user key, at/below the horizon?
     while cursors:
@@ -158,8 +159,8 @@ def merge_blocks(
                     users = list(map(user_key_of, keys))
                     shadowed = map(and_, [last_old, *old[:-1]],
                                    map(eq, users, [last_user, *users[:-1]]))
-                    if dead_keys:
-                        shadowed = map(or_, shadowed, map(dead_keys.__contains__, users))
+                    if dead:
+                        shadowed = map(or_, shadowed, map(dead.__contains__, users))
                     # fresh and not (old and shadowed)
                     fresh = list(map(gt, fresh, map(and_, old, shadowed)))
                     last_user = users[-1]
@@ -314,8 +315,7 @@ class MergeController:
         # Zero-decode merge: entry blobs move from the input blocks into the
         # new run verbatim; the output synopsis is the union of the inputs'
         # (sound: merged entries are a subset, see Synopsis.union).
-        horizon, dead_keys = self._retention_provider()
-        merged = merge_blocks(inputs, horizon, dead_keys(horizon))
+        merged = merge_blocks(inputs, *self._retention_provider())
         new_run_id = self.allocator.allocate(zone)
         persisted = config.is_persisted(target_level)
         ancestors = self._ancestors_for(inputs, persisted)

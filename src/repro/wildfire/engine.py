@@ -185,7 +185,7 @@ class WildfireShard:
         return Transaction(self.schema, self.clock, self.committed_log)
 
     def ingest(self, rows: Sequence[Sequence[KeyValue]]) -> int:
-        """Auto-commit upsert of a batch of rows; returns the commit seq."""
+        """Auto-commit upsert of rows (or a ``ColumnBatch``); returns the commit seq."""
         transaction = self.begin()
         transaction.upsert_many(rows)
         commit_seq = transaction.commit()

@@ -17,9 +17,9 @@ from typing import List, Optional, Tuple
 from repro.faults.crash import crash_point
 from repro.wildfire.blockstore import BlockCatalog
 from repro.wildfire.clock import HybridClock, compose_begin_ts_column
-from repro.wildfire.columnar import encode_columns
+from repro.wildfire.columnar import encode_batch
 from repro.wildfire.indexes import ShardIndexes
-from repro.wildfire.schema import TableSchema
+from repro.wildfire.schema import ColumnBatch, TableSchema
 from repro.wildfire.txlog import CommittedLog, CommittedTransaction
 
 
@@ -85,22 +85,18 @@ class Groomer:
         # The low-order component preserves the replicas' commit order
         # while keeping every record version's timestamp unique and
         # monotonic within the cycle.
-        rows = [
-            row
-            for transaction in transactions  # drain() returns commit order
-            for row in transaction.rows
-        ]
-        begin_ts = compose_begin_ts_column(cycle, len(rows))
+        batch = ColumnBatch.concat([tx.batch for tx in transactions])  # commit order
+        begin_ts = compose_begin_ts_column(cycle, len(batch))
         # The user columns are encoded once, for the block and every index.
-        encoded = encode_columns(self.schema, rows)
+        encoded = encode_batch(self.schema, batch.columns)
 
-        block = self.catalog.store_groomed(rows, begin_ts, encoded)
+        block = self.catalog.store_groomed(tuple(zip(*batch.columns)), begin_ts, encoded)
         crash_point("groom.pre_index")
 
         # One run per index, built column at a time.  The cycle is readable
         # only then: a read at a snapshot covering rows some index lacks
         # could miss one that a later read at that snapshot finds.
-        run_ids = self.indexes.build_groomed_runs(block, encoded)
+        run_ids = self.indexes.build_groomed_runs(block, batch.columns, encoded)
         self.clock.publish_groom_cycle(cycle)
         self.grooms_done += 1
         return GroomResult(

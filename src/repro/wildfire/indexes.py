@@ -35,7 +35,7 @@ from repro.core.entry import encode_rid_column, entry_blob_columns, user_key_of
 from repro.core.index import UmziConfig, UmziIndex
 from repro.core.run import ColumnRange, Synopsis
 from repro.storage.hierarchy import StorageHierarchy
-from repro.wildfire.columnar import Columns, DataBlock, encode_columns
+from repro.wildfire.columnar import Columns, DataBlock, encode_batch
 from repro.wildfire.schema import IndexSpec, SchemaError, TableSchema
 
 PRIMARY_INDEX_NAME = "primary"
@@ -170,25 +170,24 @@ class ShardIndexes:
 
     # -- lifecycle fan-out ---------------------------------------------------------
 
-    def build_groomed_runs(
-        self, block: DataBlock, encoded: Optional[Columns] = None
-    ) -> Dict[str, str]:
+    def build_groomed_runs(self, block: DataBlock, raw: Optional[Sequence] = None,
+                           encoded: Optional[Columns] = None) -> Dict[str, str]:
         """One index run per index over one newly groomed block.
 
-        Column at a time: every user column is encoded once for all
-        indexes (``encoded``: the groomer's encode, which also wrote the
-        block), ``~beginTS`` and the RID once per record; each index joins
-        its columns into sort-key and blob columns (an equality value is
-        hashed once per shard, ``hash_memo``) and hands them to the run
-        builder in the order of a sorted permutation.  No entry is built
-        and nothing re-validated (rows were checked at ``upsert``); the run
+        Column at a time: ``raw`` and ``encoded`` are the groomer's batch
+        columns and its one encode of them (a lone block is transposed from
+        its rows), ``~beginTS`` and the RID encoded once per record; each
+        index joins its columns into sort-key and blob columns (an equality
+        value is hashed once per shard, ``hash_memo``) and hands them to the
+        run builder in the order of a sorted permutation.  No entry is built
+        and nothing re-validated (the door validated the batch); the run
         is byte-identical to ``IndexEntry.create(...)`` + ``RunBuilder.build``
         (tests/core/test_groom_kernel.py).
         """
         rows = block.rows
-        if encoded is None:
-            encoded = encode_columns(self.schema, rows)
-        raw = columns_of(rows, range(len(self.schema.columns)))
+        if raw is None:
+            raw = columns_of(rows, range(len(self.schema.columns)))
+            encoded = encode_batch(self.schema, raw)
         ts_desc = encode_ts_desc_column(block.begin_ts)
         rids = encode_rid_column(block.zone, block.block_id, len(rows))
         run_ids: Dict[str, str] = {}

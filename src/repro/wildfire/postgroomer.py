@@ -22,7 +22,7 @@ only) is exactly the paper's Figure 5.
 from __future__ import annotations
 
 import threading
-from itertools import compress
+from itertools import compress, groupby
 from dataclasses import dataclass, field, replace
 from typing import Dict, List, Optional, Sequence, Tuple
 
@@ -162,11 +162,23 @@ class PostGroomer:
         bucket_of = bucket_of or [0] * len(rows)
         sorted_buckets = sorted(set(bucket_of))
         first_id = self.catalog.reserve_post_groomed_ids(len(sorted_buckets))
-        # bucket -> (reserved block id, rows, beginTS, prevRID), bucket order
-        slots: Dict[int, Tuple[int, List, List, List]] = {
-            bucket: (first_id + i, [], [], [])
+        # bucket -> (reserved block id, rows, beginTS, prevRID, user column
+        # bytes), bucket order
+        slots: Dict[int, Tuple[int, List, List, List, List[List[bytes]]]] = {
+            bucket: (first_id + i, [], [], [], [[] for _ in self.schema.columns])
             for i, bucket in enumerate(sorted_buckets)
         }
+        # User bytes are copied as the groomed blocks stored them: a slice
+        # per column for each run of versions one bucket takes in a row.
+        start = 0
+        for block in blocks:
+            first = 0
+            for bucket, run in groupby(bucket_of[start:start + len(block.rows)]):
+                stop = first + len(list(run))
+                for column, section in zip(slots[bucket][4], block.column_bytes(first, stop)):
+                    column.append(section)
+                first = stop
+            start += first
 
         # Predecessors outside the batch: every distinct key goes through
         # the post-groomed portion of the index in ONE sorted sweep
@@ -190,7 +202,7 @@ class PostGroomer:
         post_groomed = int(Zone.POST_GROOMED)
         end_ts_of: Dict[RidTriple, int] = {}
         for key, row, ts, bucket in zip(keys, rows, begin_ts, bucket_of):
-            block_id, slot_rows, slot_ts, slot_prev = slots[bucket]
+            block_id, slot_rows, slot_ts, slot_prev, _bytes = slots[bucket]
             prev_rid = last_rid.get(key)
             if prev_rid is not None:
                 if prev_rid.__class__ is int:
@@ -203,9 +215,9 @@ class PostGroomer:
         self.catalog.update_end_ts(end_ts_of)
 
         splices = RidSplices()
-        for block_id, slot_rows, slot_ts, slot_prev in slots.values():
+        for block_id, slot_rows, slot_ts, slot_prev, encoded in slots.values():
             block = self.catalog.store_post_groomed(
-                slot_rows, slot_ts, slot_prev, block_id=block_id
+                slot_rows, slot_ts, slot_prev, block_id, encoded
             )
             splices.update(block.rid_splices())
         return [slot[0] for slot in slots.values()], splices, len(rows)

@@ -14,19 +14,19 @@ from __future__ import annotations
 
 import threading
 from dataclasses import dataclass
-from typing import Iterable, List, Optional, Tuple
+from typing import Iterable, List, Optional
 
-from repro.core.encoding import KeyValue
 from repro.storage.block import Block, BlockId
 from repro.storage.hierarchy import StorageHierarchy
+from repro.wildfire.schema import ColumnBatch
 
 
 @dataclass
 class CommittedTransaction:
-    """One committed transaction's upserts, in write order."""
+    """One committed transaction's upserts, in write order, column-major."""
 
     commit_seq: int
-    rows: List[Tuple[KeyValue, ...]]
+    batch: ColumnBatch
 
 
 class CommittedLog:
@@ -59,7 +59,8 @@ class CommittedLog:
             return
         # Only the byte volume matters for accounting; a compact length
         # estimate (rows x rough row size) avoids full serialization cost.
-        approx = 16 + 16 * len(transaction.rows) + 8 * sum(map(len, transaction.rows))
+        batch = transaction.batch
+        approx = 16 + len(batch) * (16 + 8 * len(batch.columns))
         with self._lock:
             ordinal = self._persist_ordinal
             self._persist_ordinal += 1
@@ -100,7 +101,7 @@ class CommittedLog:
 
     def pending_rows(self) -> int:
         with self._lock:
-            return sum(len(tx.rows) for tx in self._transactions)
+            return sum(len(tx.batch) for tx in self._transactions)
 
     def __len__(self) -> int:
         with self._lock:

@@ -231,8 +231,9 @@ def lookup_run(
 
 def merged_blob_pairs(runs, retention_ts: Optional[int] = None, dead_keys=()):
     """``merge_blocks`` flattened to ``(sort_key, entry_blob)`` pairs, at
-    a retention horizon, repairing ``dead_keys``."""
-    for keys, blobs in merge_blocks(runs, retention_ts, dead_keys):
+    a retention horizon, repairing ``dead_keys`` (the collection its
+    callable answers at ``retention_ts``)."""
+    for keys, blobs in merge_blocks(runs, retention_ts, lambda _ts: dead_keys):
         yield from zip(keys, blobs)
 
 
@@ -317,3 +318,8 @@ def block_records(block):
             block.rows, block.begin_ts, block.end_ts, block.prev_rids
         )
     )
+
+
+def committed_rows(transaction) -> List[tuple]:
+    """A committed transaction's rows, transposed from its column batch."""
+    return list(zip(*transaction.batch.columns))

@@ -7,8 +7,9 @@ hashes its sharding columns once and routes it under one map pin;
 take the same random batches through both doors -- every column type,
 values at and past the edges of each domain, bools and ``IntEnum``s,
 wrong-arity rows -- and must commit the same rows (values *and* their
-normalized types) to the same shards in the same transactions, and refuse
-the same batches with the same exception and message.
+normalized types, read back from the committed column batches) to the
+same shards in the same transactions, and refuse the same batches with
+the same exception and message.
 
 A refused batch is the one documented difference: the per-row door has
 already committed the shards it reached before the bad row's shard, the
@@ -17,13 +18,16 @@ batch door commits nothing anywhere.
 
 import enum
 
+import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from repro.core.definition import ColumnSpec, ColumnType
+from repro.core.encoding import EncodingError
 from repro.wildfire.cluster import ShardedTable
 from repro.wildfire.schema import IndexSpec, TableSchema
 
+from tests.conftest import committed_rows
 from tests.reference_ingest import reference_ingest
 
 
@@ -96,9 +100,10 @@ def typed(row):
 
 
 def drained(table):
-    """Per shard, per committed transaction, the typed rows; empties logs."""
+    """Per shard, per committed transaction, the typed rows transposed from
+    its committed columns; empties logs."""
     return [
-        [[typed(row) for row in tx.rows] for tx in shard.committed_log.drain()]
+        [[typed(row) for row in committed_rows(tx)] for tx in shard.committed_log.drain()]
         for shard in table.shards
     ]
 
@@ -138,3 +143,11 @@ def test_batch_door_matches_the_per_row_door(case):
         else:
             assert all(txs == [] for txs in new_committed)
             assert sum(len(rs) for txs in committed for rs in txs) < len(rows)
+
+
+def test_a_refused_batch_leaves_every_committed_log_empty():
+    table = make_table(("a",))
+    with pytest.raises(EncodingError, match="column 'b' expects float64"):
+        table.ingest([(k, 0.5, "s", b"") for k in range(12)] + [(99, "x", "s", b"")])
+    assert all(shard.committed_log.drain() == [] for shard in table.shards)
+    assert all(shard.hierarchy.stats.tier("ssd").writes == 0 for shard in table.shards)

@@ -18,7 +18,8 @@ prefix behind; the batch door commits nothing.
 from typing import Dict, List, Sequence
 
 from repro.core.definition import encode_typed
-from repro.core.encoding import fnv1a64
+from repro.core.encoding import columns_of, fnv1a64
+from repro.wildfire.schema import ColumnBatch
 from repro.wildfire.txlog import CommittedTransaction
 
 
@@ -30,16 +31,16 @@ def reference_key_hash(table, sharding_values: Sequence) -> int:
 
 
 def reference_shard_ingest(shard, rows: Sequence[Sequence]) -> int:
-    """``WildfireShard.ingest``: one validated upsert per row, one commit."""
+    """``WildfireShard.ingest``: one validated upsert per row, one commit
+    (of the rows' columns, as the committed log holds them)."""
     side_log: List[tuple] = []
     for row in rows:
         side_log.append(shard.schema.validate_row(row))
     if not side_log:
         return 0
     commit_seq = shard.clock.next_commit_seq()
-    shard.committed_log.append(
-        CommittedTransaction(commit_seq=commit_seq, rows=side_log)
-    )
+    columns = columns_of(side_log, range(len(shard.schema.columns)))
+    shard.committed_log.append(CommittedTransaction(commit_seq, ColumnBatch(columns)))
     return commit_seq
 
 

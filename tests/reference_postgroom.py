@@ -13,8 +13,10 @@ map.  That path lives on here, out of ``src/``, in two flavours:
   up in the batch (a fresh ``QueryExecutor``, a pin, a synopsis pass and a
   bisect per key).
 
-:func:`reference_migrate` stands in for ``PostGroomer._migrate`` with
-either: same blocks (every payload is also checked against the
+:func:`reencoded_payload` is the re-encode the column path replaced in
+turn, when it began copying the groomed blocks' stored user bytes by
+offset.  :func:`reference_migrate` stands in for ``PostGroomer._migrate``
+with either: same blocks (every payload is also checked against the
 record-based serializer the column path replaced), same ``prevRID``
 chains, same endTS overlay, and its ``beginTS -> RID`` map serialized into
 the splice map the PSN record publishes.
@@ -78,20 +80,26 @@ def record_block_bytes(zone: Zone, block_id: int, records, encoded) -> bytes:
     return b"".join(parts)
 
 
+def reencoded_payload(schema, block) -> bytes:
+    """A post-groomed block's bytes as the post-groom wrote them before it
+    copied the groomed blocks' encodings: its rows encoded again."""
+    return block.to_bytes(encode_columns(schema, block.rows))
+
+
 def _write_blocks(post_groomer, buckets: Dict[int, Tuple[int, List[Record]]]):
     """Write each bucket's records as a post-groomed block; every payload
     must be what the record-based serializer makes of those records."""
     catalog = post_groomer.catalog
     block_ids: List[int] = []
     for block_id, records in buckets.values():
+        encoded = encode_columns(post_groomer.schema, [r.values for r in records])
         block = catalog.store_post_groomed(
             [r.values for r in records],
             [r.begin_ts for r in records],
             [None if r.prev_rid is None else tuple(map(int, r.prev_rid))
              for r in records],
-            block_id=block_id,
+            block_id, encoded,
         )
-        encoded = encode_columns(post_groomer.schema, [r.values for r in records])
         assert block.to_bytes(encoded) == record_block_bytes(
             Zone.POST_GROOMED, block_id, records, encoded
         ), f"block {block_id}: column bytes differ from record bytes"

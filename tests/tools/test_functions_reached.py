@@ -54,6 +54,10 @@ TEST_ONLY = {
     "IOStats.reset":
         "zeroes a ledger in place, keeping each tier's bound row; the "
         "storage-ledger equivalence property interleaves it with charges",
+    "encode_columns":
+        "the row-tuple twin of encode_batch: the groom-kernel and "
+        "post-groom oracles encode row tuples with it, where the program "
+        "encodes the column batches it already holds",
     "install_crash_schedule":
         "the only way to arm crash_point: the crash-recovery oracles "
         "install a schedule around the operation they crash",

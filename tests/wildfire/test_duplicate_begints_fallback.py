@@ -13,6 +13,7 @@ PSN's splice map in place.
 import pytest
 
 from repro.core.definition import ColumnSpec
+from repro.core.encoding import columns_of
 from repro.core.entry import Zone
 from repro.core.evolve import EvolveError
 from repro.wildfire.columnar import encode_columns
@@ -38,7 +39,7 @@ def groom_block_with_duplicate_ts(shard, rows, begin_ts_of):
     begin_ts = [begin_ts_of(i) for i in range(len(rows))]
     encoded = encode_columns(shard.schema, rows)
     block = shard.catalog.store_groomed(rows, begin_ts, encoded)
-    shard.indexes.build_groomed_runs(block, encoded)
+    shard.indexes.build_groomed_runs(block, columns_of(rows, range(2)), encoded)
     return block
 
 

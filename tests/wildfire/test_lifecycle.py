@@ -5,9 +5,11 @@ import pytest
 from repro.core.definition import ColumnSpec, ColumnType
 from repro.core.encoding import EncodingError
 from repro.core.entry import Zone
+from repro.storage.retry import TransientIOError
 from repro.wildfire.engine import ShardConfig, WildfireShard
 from repro.wildfire.schema import IndexSpec, TableSchema
-from tests.conftest import pending_psns
+from repro.wildfire.txlog import CommittedTransaction
+from tests.conftest import committed_rows, pending_psns
 
 
 def make_shard(post_groom_every=3, partition_buckets=2):
@@ -105,7 +107,7 @@ class TestPoisonRows:
         shard.ingest([(1, 1, 10), (2, 1, 20)])
         shard.ingest([(3, 1, 30)])
 
-        def boom(block, encoded):
+        def boom(block, raw, encoded):
             raise RuntimeError("injected fault inside build_groomed_runs")
 
         monkeypatch.setattr(shard.indexes, "build_groomed_runs", boom)
@@ -119,6 +121,40 @@ class TestPoisonRows:
             assert shard.point_query((device,), (1,)).values == (
                 device, 1, reading,
             )
+
+
+    def test_a_transient_groom_abort_requeues_the_batches_in_commit_order(
+        self, monkeypatch
+    ):
+        shard = make_shard()
+        shard.ingest([(1, 1, 10), (2, 1, 20)])
+        shard.ingest([(3, 1, 30)])
+        shard.ingest([(1, 1, 11)])
+        batches = [tx.batch for tx in shard.committed_log.drain()]
+        shard.committed_log.requeue(
+            CommittedTransaction(seq, batch)
+            for seq, batch in reversed(list(enumerate(batches, 1)))
+        )
+
+        def brownout(block, write_through_ssd=True):
+            raise TransientIOError("injected shared-storage brownout")
+
+        monkeypatch.setattr(shard.hierarchy, "write_persisted", brownout)
+        with pytest.raises(TransientIOError):
+            shard.groomer.groom()
+        monkeypatch.undo()
+        assert shard.catalog.max_groomed_id == -1  # the block never landed
+        requeued = shard.committed_log.drain()
+        assert [tx.commit_seq for tx in requeued] == [1, 2, 3]
+        assert [tx.batch for tx in requeued] == batches  # the same columns
+        assert [committed_rows(tx) for tx in requeued] == [
+            [(1, 1, 10), (2, 1, 20)], [(3, 1, 30)], [(1, 1, 11)],
+        ]
+        shard.committed_log.requeue(requeued)
+        shard.tick()
+        assert shard.committed_log.pending_rows() == 0
+        for device, reading in ((1, 11), (2, 20), (3, 30)):
+            assert shard.point_query((device,), (1,)).values == (device, 1, reading)
 
 
 class TestPostGroomer:

@@ -17,6 +17,7 @@ from repro.wildfire.schema import IndexSpec, TableSchema
 from tests.conftest import block_records
 from tests.reference_postgroom import (
     per_key_repartition_and_write,
+    reencoded_payload,
     reference_migrate,
     sweep_repartition_and_write,
 )
@@ -438,3 +439,63 @@ class TestColumnPathMatchesRecordPath:
             for newer, older in zip(chain, chain[1:]):
                 assert older.end_ts == newer.begin_ts
                 assert older.values[:2] == newer.values[:2]
+
+
+class TestGatherMatchesReencode:
+    """The post-groom copies each version's user bytes from its groomed
+    block's payload by offset (a run of consecutive versions one bucket
+    takes as one slice per column); every post-groomed payload must be
+    what encoding its rows again writes (``reencoded_payload``)."""
+
+    @staticmethod
+    def post_groomed_payloads(shard, ops):
+        for op in ops:
+            for block_id in op.post_groomed_block_ids:
+                block = shard.catalog.get_block(Zone.POST_GROOMED, block_id)
+                stored = shard.hierarchy.shared.read(BlockId(
+                    shard.catalog.namespace_of(Zone.POST_GROOMED, block_id), 0
+                )).payload
+                yield block, stored
+
+    def run(self, shard, crash=False):
+        rng, ops = random.Random(7), []
+        for psn in range(3):
+            for groom in range(3):
+                shard.ingest([
+                    (rng.randrange(40), rng.randrange(9), rng.randrange(1000))
+                    for _ in range(rng.randint(1, 30))
+                ])
+                shard.groomer.groom()
+                if crash and groom == 1:  # blocks from bytes beside memoized ones
+                    shard.crash_and_recover()
+                    assert not any(zone is Zone.GROOMED for zone, _ in shard.catalog._decoded)
+            ops.append(shard.post_groomer.post_groom())
+            shard.indexer.drain()
+        checked = 0
+        for block, stored in self.post_groomed_payloads(shard, ops):
+            assert stored == reencoded_payload(shard.schema, block)
+            checked += 1
+        return ops, checked
+
+    def test_partitioned_buckets_interleave(self):
+        ops, checked = self.run(make_shard(partition_buckets=4))
+        assert all(len(op.post_groomed_block_ids) > 1 for op in ops)
+        assert checked == sum(len(op.post_groomed_block_ids) for op in ops)
+
+    def test_no_partition_key_copies_whole_sections(self):
+        schema = TableSchema(
+            name="flat",
+            columns=(ColumnSpec("device"), ColumnSpec("msg"), ColumnSpec("reading")),
+            primary_key=("device", "msg"),
+            sharding_key=("device",),
+        )
+        shard = WildfireShard(
+            schema, IndexSpec(("device",), ("msg",), ("reading",)),
+            config=ShardConfig(post_groom_every=100, partition_buckets=4),
+        )
+        ops, checked = self.run(shard)
+        assert checked == len(ops)  # one block a post-groom: bucket 0
+
+    def test_groomed_blocks_decoded_after_a_crash(self):
+        ops, checked = self.run(make_shard(partition_buckets=3), crash=True)
+        assert checked >= len(ops)

@@ -6,7 +6,7 @@ from hypothesis import strategies as st
 
 from repro.core.definition import ColumnSpec, ColumnType
 from repro.planner.plan import tuple_getter
-from repro.wildfire.schema import IndexSpec, SchemaError, TableSchema
+from repro.wildfire.schema import ColumnBatch, IndexSpec, SchemaError, TableSchema
 
 
 def iot_schema(**overrides):
@@ -65,7 +65,8 @@ class TestTableSchema:
 
 
 class TestValidateRows:
-    """``validate_rows`` is ``validate_row`` per row, refusals included."""
+    """``validate_rows`` is ``validate_row`` per row, refusals included,
+    kept column-major: its batch's columns transpose back to those rows."""
 
     @staticmethod
     def per_row(schema, rows):
@@ -77,9 +78,11 @@ class TestValidateRows:
     @staticmethod
     def batched(schema, rows):
         try:
-            return schema.validate_rows(rows)
+            batch = schema.validate_rows(rows)
         except Exception as exc:
             return type(exc), str(exc)
+        assert len(batch) == len(rows) and len(batch.columns) == len(schema.columns)
+        return list(zip(*batch.columns))
 
     @settings(max_examples=150, deadline=None)
     @given(st.lists(st.lists(
@@ -112,10 +115,22 @@ class TestValidateRows:
         assert str(refused.value) == "column 'reading' expects int64, got str ('x')"
         with pytest.raises(SchemaError, match="row has 2 values"):
             schema.validate_rows([(1, 2, 3), (1, 2)])
-        assert schema.validate_rows([]) == []
+        empty = schema.validate_rows([])
+        assert len(empty) == 0 and empty.columns == [[], [], []]
         # Any iterable of rows, a generator included.
         rows = ((d, 1, 2) for d in range(3))
-        assert schema.validate_rows(rows) == [(0, 1, 2), (1, 1, 2), (2, 1, 2)]
+        assert schema.validate_rows(rows).columns == [[0, 1, 2], [1, 1, 1], [2, 2, 2]]
+
+    def test_a_batch_is_split_and_joined_a_column_at_a_time(self):
+        batch = iot_schema().validate_rows([(d, d + 10, d + 20) for d in range(5)])
+        parts = batch.split([7, 3, 7, 7, 3])
+        assert list(parts) == [7, 3]  # first-seen order
+        assert parts[7].columns == [[0, 2, 3], [10, 12, 13], [20, 22, 23]]
+        assert len(parts[3]) == 2 and parts[3].columns == [[1, 4], [11, 14], [21, 24]]
+        assert batch.split([5] * 5) == {5: batch} and batch.split([]) == {}
+        assert ColumnBatch.concat([batch]) is batch
+        joined = ColumnBatch.concat([parts[3], parts[7]])
+        assert joined.columns == [[1, 4, 0, 2, 3], [11, 14, 10, 12, 13], [21, 24, 20, 22, 23]]
 
 
 class TestIndexSpec:
