@@ -65,7 +65,7 @@ from operator import attrgetter
 from typing import Callable, Dict, List, NamedTuple, Optional, Sequence, Set, Tuple
 
 from repro.core.definition import COLUMN_ENCODERS, encode_search_key, encode_typed
-from repro.core.encoding import EncodingError, KeyValue, fnv1a64
+from repro.core.encoding import EncodingError, KeyValue, fnv1a64, fnv1a64_column
 from repro.qos.admission import AdmissionController, QosConfig
 from repro.qos.breaker import BreakerState, CircuitBreaker
 from repro.qos.errors import PartialResultError
@@ -338,7 +338,7 @@ class ShardedTable:
         # Checked before any row is routed (a refused batch commits nothing
         # on any shard); sharding values encoded as ``key_hash`` encodes them.
         batch = self.schema.validate_rows(rows)
-        hashes = list(map(fnv1a64, map(b"".join, zip(*[
+        hashes = fnv1a64_column(list(map(b"".join, zip(*[
             COLUMN_ENCODERS[spec.ctype](batch.columns[p])
             for spec, p in zip(self._shard_specs, self._shard_positions)
         ]))))

@@ -176,13 +176,13 @@ class ShardIndexes:
 
         Column at a time: ``raw`` and ``encoded`` are the groomer's batch
         columns and its one encode of them (a lone block is transposed from
-        its rows), ``~beginTS`` and the RID encoded once per record; each
-        index joins its columns into sort-key and blob columns (an equality
-        value is hashed once per shard, ``hash_memo``) and hands them to the
-        run builder in the order of a sorted permutation.  No entry is built
-        and nothing re-validated (the door validated the batch); the run
-        is byte-identical to ``IndexEntry.create(...)`` + ``RunBuilder.build``
-        (tests/core/test_groom_kernel.py).
+        its rows); ``~beginTS``, RIDs, key column ranges and beginTS bounds
+        are made once per groom; each index joins its columns into sort-key
+        and blob columns (an equality value is hashed once per shard,
+        ``hash_memo``) and hands them to the run builder in sorted order.  No
+        entry is built and nothing re-validated (the door validated the batch);
+        the run is byte-identical to ``IndexEntry.create(...)`` +
+        ``RunBuilder.build`` (tests/core/test_groom_kernel.py).
         """
         rows = block.rows
         if raw is None:
@@ -196,6 +196,9 @@ class ShardIndexes:
         # entry it supersedes must not answer for itself meanwhile.  Their
         # beginTS is recorded only once every index holds them.
         newest = self._track_ghosts(raw, block.begin_ts) if rows else {}
+        keyed = {p for si in self.all() for p in chain(*si.positions[:2])}
+        ranges = {p: ColumnRange(min(raw[p]), max(raw[p])) for p in keyed} if rows else {}
+        bounds = (min(block.begin_ts), max(block.begin_ts)) if rows else None
         for shard_index in self.all():
             equality, sort, included = shard_index.positions
             # Peak memory holds one index's columns, not every index's.
@@ -207,14 +210,11 @@ class ShardIndexes:
             if shard_index.name in newest and newest[shard_index.name][1]:
                 self._revive(shard_index, sort_keys, newest[shard_index.name][1])
             order = sorted(range(len(sort_keys)), key=sort_keys.__getitem__)
-            synopsis = Synopsis(tuple(
-                ColumnRange(min(raw[p]), max(raw[p])) if rows else None
-                for p in equality + sort
-            ))
             run = shard_index.index.add_groomed_columns(
                 list(map(sort_keys.__getitem__, order)),
                 list(map(blobs.__getitem__, order)),
-                synopsis, block.block_id, block.block_id,
+                Synopsis(tuple(map(ranges.get, equality + sort))),
+                block.block_id, block.block_id, bounds,
             )
             run_ids[shard_index.name] = run.run_id
         for name, (begin_ts, _last) in newest.items():

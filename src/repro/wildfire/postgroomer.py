@@ -27,7 +27,7 @@ from dataclasses import dataclass, field, replace
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from repro.core.definition import COLUMN_ENCODERS
-from repro.core.encoding import columns_of, fnv1a64
+from repro.core.encoding import columns_of, fnv1a64_column
 from repro.core.entry import Zone
 from repro.core.evolve import RidSplices
 from repro.core.index import UmziIndex
@@ -158,7 +158,7 @@ class PostGroomer:
         positions, buckets = self._partition_positions, self.partition_buckets
         parts = [COLUMN_ENCODERS[self.schema.columns[p].ctype](column)
                  for p, column in zip(positions, columns_of(rows, positions))]
-        bucket_of = [fnv1a64(key) % buckets for key in map(b"".join, zip(*parts))]
+        bucket_of = [h % buckets for h in fnv1a64_column(list(map(b"".join, zip(*parts))))]
         bucket_of = bucket_of or [0] * len(rows)
         sorted_buckets = sorted(set(bucket_of))
         first_id = self.catalog.reserve_post_groomed_ids(len(sorted_buckets))
