@@ -14,8 +14,8 @@ groom, the shard copy and the LSM baseline's rebuild one sorted
 takes decoded :class:`IndexEntry` objects (``add_groomed_run``, tests),
 serialized once.
 Blobs are copied verbatim -- no entry is decoded.  Everything derivable
-from raw sort keys (offset array, begin-TS range, Bloom filter, block
-index) is computed from the bytes, a column at a time; only the synopsis,
+from raw sort keys (offset array, begin-TS range, block index) is
+computed from the bytes, a column at a time; only the synopsis,
 whose per-column min/max needs decoded values, is supplied by the caller
 (merges pass the union of the input synopses), and the begin-TS range by
 a caller that knows it exactly (the groom from its beginTS column, an
@@ -71,16 +71,12 @@ class RunBuilder:
         definition: IndexDefinition,
         hierarchy: StorageHierarchy,
         data_block_bytes: int = DEFAULT_DATA_BLOCK_BYTES,
-        bloom_fpr: Optional[float] = None,
     ) -> None:
         if data_block_bytes <= 0:
             raise ValueError("data_block_bytes must be positive")
         self.definition = definition
         self.hierarchy = hierarchy
         self.data_block_bytes = data_block_bytes
-        # When set, every built run carries a Bloom filter over its
-        # distinct key bytes with this false-positive rate (extension).
-        self.bloom_fpr = bloom_fpr
 
     # -- build -------------------------------------------------------------------------
 
@@ -177,15 +173,6 @@ class RunBuilder:
                       begin_ts_of_sort_key(min(map(suffix, sort_keys))))
         min_ts, max_ts = bounds
 
-        bloom_blob = None
-        if self.bloom_fpr is not None and count:
-            from repro.core.bloom import BloomFilter
-
-            distinct = {key[:-SORT_KEY_TS_BYTES] for key in sort_keys}
-            bloom = BloomFilter.for_capacity(len(distinct), self.bloom_fpr)
-            bloom.add_all(distinct)
-            bloom_blob = bloom.to_bytes()
-
         header = RunHeader(
             run_id=run_id,
             zone=zone,
@@ -200,7 +187,6 @@ class RunBuilder:
             max_begin_ts=max_ts,
             persisted=persisted,
             ancestor_run_ids=tuple(ancestor_run_ids),
-            bloom_blob=bloom_blob,
         )
 
         self._write_blocks(header, block_payloads, write_through_ssd)

@@ -67,12 +67,6 @@ class UmziConfig:
     name: str = "umzi"
     levels: LevelConfig = field(default_factory=LevelConfig)
     data_block_bytes: int = DEFAULT_DATA_BLOCK_BYTES
-    # Extension beyond the paper: per-key (instead of batch-granularity)
-    # synopsis pruning for batched lookups.  See QueryExecutor.
-    per_key_batch_pruning: bool = False
-    # Extension beyond the paper: per-run Bloom filters for point-lookup
-    # run pruning (None = off; otherwise the false-positive rate).
-    bloom_fpr: Optional[float] = None
     release_purged_blocks_after_query: bool = True
 
 
@@ -117,8 +111,7 @@ class UmziIndex:
             self.hierarchy, namespace=f"{self.config.name}-meta"
         )
         self.builder = RunBuilder(
-            definition, self.hierarchy, self.config.data_block_bytes,
-            bloom_fpr=self.config.bloom_fpr,
+            definition, self.hierarchy, self.config.data_block_bytes
         )
         self.cache = CacheManager(
             self.config.levels,
@@ -163,7 +156,6 @@ class UmziIndex:
         self.executor = QueryExecutor(
             definition,
             collect_runs=self.visible_runs,
-            per_key_batch_pruning=self.config.per_key_batch_pruning,
             on_query_done=(
                 self.cache.release_after_query
                 if self.config.release_purged_blocks_after_query
@@ -374,14 +366,9 @@ class UmziIndex:
         self, collect_runs: Callable[[], Sequence[IndexRun]]
     ) -> QueryExecutor:
         """An executor over runs its caller has pinned: no lifecycle, no
-        release hook, the batch pruning of :attr:`config`.  A degraded
-        shard's ``point_query`` and primary typed plans read through one,
-        held by its :meth:`pin_snapshot`."""
-        return QueryExecutor(
-            self.definition,
-            collect_runs=collect_runs,
-            per_key_batch_pruning=self.config.per_key_batch_pruning,
-        )
+        release hook.  A degraded shard's ``point_query`` and primary
+        typed plans read through one, held by its :meth:`pin_snapshot`."""
+        return QueryExecutor(self.definition, collect_runs=collect_runs)
 
     def pin_snapshot(self) -> "SnapshotPin":
         """Pin the current :class:`RunListVersion` for repeatable reads.

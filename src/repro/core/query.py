@@ -292,7 +292,6 @@ class QueryExecutor:
         definition: IndexDefinition,
         collect_runs: Callable[[], List[IndexRun]],
         use_offset_array: bool = True,
-        per_key_batch_pruning: bool = False,
         on_query_done: Optional[Callable[[List[IndexRun]], None]] = None,
         lifecycle: Optional[RunLifecycle] = None,
     ) -> None:
@@ -300,13 +299,6 @@ class QueryExecutor:
         self.collect_runs = collect_runs
         self._lifecycle = lifecycle
         self.use_offset_array = use_offset_array
-        # Paper-faithful batched lookups prune runs against the *batch's*
-        # value bounding box (that granularity is what makes random batches
-        # degrade linearly with run count in Figure 10b).  Per-key pruning
-        # is an extension beyond the paper -- it checks every key against
-        # every run synopsis individually, flattening that curve -- kept
-        # opt-in and quantified in benchmarks/bench_ablation_batch_pruning.py.
-        self.per_key_batch_pruning = per_key_batch_pruning
         # Hook for the cache manager: release transient blocks of purged runs.
         self._on_query_done = on_query_done
 
@@ -489,10 +481,6 @@ class QueryExecutor:
                         break
                 else:
                     searched.append(run)
-                    if header.bloom_blob is not None and not (
-                        run.may_contain_key(key)
-                    ):
-                        continue
                     if bucketed:
                         lo, hi = narrow_with_offset_array(run, hash_value)
                     else:
@@ -564,12 +552,10 @@ class QueryExecutor:
         # from its own snapshot's floor.
         if isinstance(query_ts, int):
             max_ts = query_ts
-            timestamps = None  # per slot, when they differ
             floors = [ts_floor(query_ts)] * len(keys)
         else:
             max_ts = max(query_ts)
-            timestamps = [query_ts[i] for i in positions]
-            floors = list(map(ts_floor, timestamps))
+            floors = [ts_floor(query_ts[i]) for i in positions]
         found: List[Optional[Tuple[DataBlockView, int]]] = [None] * len(keys)
         unresolved: Sequence[int] = range(len(keys))
         lifecycle, done = self._lifecycle, self._on_query_done
@@ -587,29 +573,9 @@ class QueryExecutor:
                 # Batch-granularity synopsis pruning (section 8.3: "the run
                 # synopsis enables pruning most of the irrelevant runs" for
                 # sequential batches, while random batches span the key
-                # space and must search every run).
+                # space and must search every run -- the linear curve of
+                # Figure 10b).
                 if not _synopsis_overlaps(run, max_ts, batch_box):
-                    continue
-                probe_slots = unresolved
-                if self.per_key_batch_pruning:
-                    # A point lookup pins every column, so each column's
-                    # range is a sound filter on its own.
-                    probe_slots = [
-                        slot for slot in unresolved
-                        if _synopsis_overlaps(
-                            run,
-                            max_ts if timestamps is None else timestamps[slot],
-                            [(c[positions[slot]],) * 2 for c in key_columns],
-                        )
-                    ]
-                if probe_slots and run.header.bloom_blob is not None:
-                    # Bloom membership is orthogonal to pruning granularity:
-                    # it filters individual keys whenever a filter exists.
-                    probe_slots = [
-                        slot for slot in probe_slots
-                        if run.may_contain_key(keys[slot])
-                    ]
-                if not probe_slots:
                     continue
                 # The cheap batch-level prune: full synopsis pruning needs
                 # decoded column values, but the offset array already says
@@ -617,7 +583,7 @@ class QueryExecutor:
                 # the dominant effect for equality-style batches.
                 fences = run.bucket_fences
                 if fences:
-                    for slot in probe_slots:
+                    for slot in unresolved:
                         if fences[buckets[slot]] < fences[buckets[slot] + 1]:
                             break
                     else:
@@ -625,7 +591,7 @@ class QueryExecutor:
                 touched.append(run)
                 run.batch_visible(
                     keys, buckets if self.use_offset_array else None,
-                    floors, probe_slots, found, intent,
+                    floors, unresolved, found, intent,
                 )
                 unresolved = [slot for slot in unresolved if found[slot] is None]
         finally:

@@ -171,9 +171,6 @@ class RunHeader:
     max_begin_ts: int
     persisted: bool
     ancestor_run_ids: Tuple[str, ...] = ()
-    # Optional serialized Bloom filter over the run's distinct key bytes
-    # (extension; see repro.core.bloom).
-    bloom_blob: Optional[bytes] = None
 
     @property
     def num_data_blocks(self) -> int:
@@ -226,12 +223,8 @@ class RunHeader:
         parts.append(struct.pack(">I", len(self.ancestor_run_ids)))
         for rid in self.ancestor_run_ids:
             parts.append(_pack_str(rid))
-        # optional bloom filter
-        if self.bloom_blob is None:
-            parts.append(b"\x00")
-        else:
-            parts.append(b"\x01")
-            parts.append(_pack_bytes(self.bloom_blob))
+        # Bloom-filter presence byte: always 0 (a 1 is refused on read)
+        parts.append(b"\x00")
         return b"".join(parts)
 
     @classmethod
@@ -299,9 +292,8 @@ class RunHeader:
         for _ in range(n_ancestors):
             ancestor, pos = _unpack_str(data, pos)
             ancestors.append(ancestor)
-        bloom_blob: Optional[bytes] = None
         if pos < len(data) and data[pos]:
-            bloom_blob, _ = _unpack_bytes(data, pos + 1)
+            raise ValueError("run header carries a Bloom filter")
         return cls(
             run_id=run_id,
             zone=Zone(zone_raw),
@@ -316,7 +308,6 @@ class RunHeader:
             max_begin_ts=max_ts,
             persisted=bool(persisted),
             ancestor_run_ids=tuple(ancestors),
-            bloom_blob=bloom_blob,
         )
 
 
@@ -360,8 +351,6 @@ class IndexRun:
         self.bucket_fences: Tuple[int, ...] = header.offset_array and (
             *header.offset_array, header.entry_count
         )
-        self._bloom = None  # decoded lazily from header.bloom_blob
-        self._bloom_decoded = False
 
     # -- identity / metadata ----------------------------------------------------
 
@@ -723,20 +712,6 @@ class IndexRun:
         ]
         # Every entry blob starts with its sort key.
         return [blob[:n] for blob, n in zip(blobs, table[count:])], blobs
-
-    # -- bloom membership (extension) -----------------------------------------------
-
-    def may_contain_key(self, key_bytes: bytes) -> bool:
-        """Bloom-filter membership test; ``True`` when no filter exists."""
-        if not self._bloom_decoded:
-            from repro.core.bloom import BloomFilter
-
-            blob = self.header.bloom_blob
-            self._bloom = BloomFilter.from_bytes(blob) if blob else None
-            self._bloom_decoded = True
-        if self._bloom is None:
-            return True
-        return self._bloom.might_contain(key_bytes)
 
 
 __all__ = [

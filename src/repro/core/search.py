@@ -84,11 +84,10 @@ def lookup_key_in_run(
     """Point lookup: the newest visible version of one exact key, if any.
 
     Equivalent to a range scan whose lower and upper sort-column bounds
-    coincide (paper section 7.2).  The run's Bloom filter (when present)
-    is consulted *before* any block fetch, so definite misses cost zero
-    data-block I/O; the search itself is :meth:`IndexRun.lookup_visible`.
+    coincide (paper section 7.2); the search itself is
+    :meth:`IndexRun.lookup_visible`.
     """
-    if run.entry_count == 0 or not run.may_contain_key(key):
+    if run.entry_count == 0:
         return None
     return run.lookup_visible(key, ts_floor(query_ts), 0, run.entry_count)
 

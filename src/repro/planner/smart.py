@@ -5,15 +5,14 @@ with RID fetch-back against the primary, and **index-only** variants
 when the index's entry columns (key + included) cover the projection
 and every residual predicate is entry-checkable.  Costs come entirely
 from :class:`~repro.planner.stats.AccessPathSynopsis` -- run counts,
-Bloom availability, entry counts, and the distinct-prefix estimate --
-so planning reads no blocks and decodes no entries.
+entry counts, and the distinct-prefix estimate -- so planning reads no
+blocks and decodes no entries.
 
 The constants are relative weights, not nanoseconds: a run probe is a
-few block reads of binary search, a Bloom-gated probe mostly skips
-runs, an entry scanned in bulk is cheap, and a record fetch is the
-expensive step the paper's included columns exist to avoid (section
-4.1: included columns "enable index-only plans").  Ties break
-deterministically: primary first, then index name.
+few block reads of binary search, an entry scanned in bulk is cheap,
+and a record fetch is the expensive step the paper's included columns
+exist to avoid (section 4.1: included columns "enable index-only
+plans").  Ties break deterministically: primary first, then index name.
 
 **Stale secondary entries** are the executor's business, not the
 planner's: secondary entries carry no endTS, so a row whose *secondary
@@ -56,7 +55,6 @@ from repro.planner.plan import (
 from repro.planner.stats import AccessPathSynopsis, SynopsisCatalog
 
 RUN_PROBE_COST = 2.0  # binary-search a run (header + a couple of blocks)
-BLOOM_PROBE_COST = 0.5  # point probe when every run is Bloom-gated
 ENTRY_SCAN_COST = 0.05  # one entry streamed through a range scan
 RECORD_FETCH_COST = 4.0  # resolve a RID through the block catalog
 FETCH_BACK_PROBE_COST = 2.0  # one primary point lookup per secondary hit
@@ -160,10 +158,7 @@ def _cost_terms(
             domain = (int(column_range.min_value), int(column_range.max_value))
         else:
             rows = rows * 0.5
-    if shape.mode == "point" and synopsis.all_runs_bloomed():
-        probe = synopsis.run_count * BLOOM_PROBE_COST
-    else:
-        probe = synopsis.run_count * RUN_PROBE_COST
+    probe = synopsis.run_count * RUN_PROBE_COST
     variants = []
     for prototype in prototypes:
         if prototype.index_only:
@@ -298,7 +293,6 @@ def cannot_match(
 
 
 __all__ = [
-    "BLOOM_PROBE_COST",
     "ENTRY_SCAN_COST",
     "FETCH_BACK_PROBE_COST",
     "RECORD_FETCH_COST",

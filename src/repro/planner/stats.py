@@ -1,14 +1,13 @@
 """Per-index access-path statistics, zero-decode (ISSUE 9, layer 1).
 
 Everything the cost model consumes is already sitting in run headers:
-entry counts, levels, Bloom availability, and the per-key-column
-min/max synopses the paper's run-pruning uses (section 4.3).  This
-module folds the current version's headers into one
-:class:`AccessPathSynopsis` per index -- no entry is decoded, no block
-is read (headers are resident after publication) -- and caches the
-result keyed on the index's versionset publication sequence, so the
-statistics refresh themselves across every groom/evolve/merge exactly
-when the run lists change and never otherwise.
+entry counts, levels, and the per-key-column min/max synopses the paper's
+run-pruning uses (section 4.3).  This module folds the current version's
+headers into one :class:`AccessPathSynopsis` per index -- no entry is
+decoded, no block is read (headers are resident after publication) -- and
+caches the result keyed on the index's versionset publication sequence,
+so the statistics refresh themselves across every groom/evolve/merge
+exactly when the run lists change and never otherwise.
 """
 
 from __future__ import annotations
@@ -39,14 +38,9 @@ class AccessPathSynopsis:
     run_count: int
     entry_count: int
     level_entry_counts: Tuple[Tuple[int, int], ...]
-    bloom_runs: int
     key_ranges: Tuple[Optional[ColumnRange], ...]
     key_types: Tuple[ColumnType, ...]
     distinct_prefix: Tuple[int, ...]
-
-    def all_runs_bloomed(self) -> bool:
-        """Every visible run carries a Bloom filter (point-probe discount)."""
-        return self.run_count > 0 and self.bloom_runs == self.run_count
 
 
 def _string_prefix_span(
@@ -88,7 +82,6 @@ def build_synopsis(shard_index, version_seq: int) -> AccessPathSynopsis:
     width = len(key_specs)
     runs = index.visible_runs()
     entry_count = 0
-    bloom_runs = 0
     levels: Dict[int, int] = {}
     merged: List[Optional[ColumnRange]] = [None] * width
     bounds_seen: List[set] = [set() for _ in range(width)]
@@ -96,8 +89,6 @@ def build_synopsis(shard_index, version_seq: int) -> AccessPathSynopsis:
         header = run.header
         entry_count += header.entry_count
         levels[header.level] = levels.get(header.level, 0) + header.entry_count
-        if header.bloom_blob is not None:
-            bloom_runs += 1
         ranges = header.synopsis.ranges
         for pos in range(min(width, len(ranges))):
             found = ranges[pos]
@@ -135,7 +126,6 @@ def build_synopsis(shard_index, version_seq: int) -> AccessPathSynopsis:
         run_count=len(runs),
         entry_count=entry_count,
         level_entry_counts=tuple(sorted(levels.items())),
-        bloom_runs=bloom_runs,
         key_ranges=tuple(merged),
         key_types=tuple(spec.ctype for spec in key_specs),
         distinct_prefix=tuple(distinct),

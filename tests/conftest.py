@@ -218,12 +218,11 @@ def scan_run(
 
 def lookup_run(
     run, key: bytes, query_ts: int, hash_value: Optional[int] = None,
-    use_offset_array: bool = True, use_bloom: bool = True,
+    use_offset_array: bool = True,
 ) -> Optional[IndexEntry]:
-    """``IndexRun.lookup_visible`` for one exact key, behind the run's
-    Bloom filter unless ``use_bloom`` is off, from ``hash_value``'s
-    offset-array bucket as :func:`scan_run` narrows."""
-    if run.entry_count == 0 or (use_bloom and not run.may_contain_key(key)):
+    """``IndexRun.lookup_visible`` for one exact key, from
+    ``hash_value``'s offset-array bucket as :func:`scan_run` narrows."""
+    if run.entry_count == 0:
         return None
     lo, hi = narrow_with_offset_array(run, hash_value if use_offset_array else None)
     return run.lookup_visible(key, ts_floor(query_ts), lo, hi)

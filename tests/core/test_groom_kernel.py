@@ -5,8 +5,8 @@ joins ``(sort_key, blob)`` pairs column at a time; the reference is what
 the groomer did before -- ``IndexEntry.create(...)`` per row, ``to_blob``
 per entry, ``RunBuilder.build`` -- which stays in ``src/`` for the
 per-entry callers and serves here as the oracle.  The persisted run has
-to come out byte-identical: sorted pairs, synopsis, offset array, Bloom
-blob, block payloads and header bytes.
+to come out byte-identical: sorted pairs, synopsis, offset array, block
+payloads and header bytes.
 """
 
 import pytest
@@ -111,12 +111,10 @@ def oracle_entries(schema, shard_index, rows, begin_ts):
 
 
 @settings(max_examples=120, deadline=None)
-@given(groomed_batches(), st.sampled_from([None, 0.01]), st.sampled_from([64, 4096]))
-def test_kernel_run_is_byte_identical_to_the_per_entry_build(
-    batch, bloom_fpr, data_block_bytes
-):
+@given(groomed_batches(), st.sampled_from([64, 4096]))
+def test_kernel_run_is_byte_identical_to_the_per_entry_build(batch, data_block_bytes):
     schema, spec, rows, begin_ts = batch
-    config = UmziConfig(bloom_fpr=bloom_fpr, data_block_bytes=data_block_bytes)
+    config = UmziConfig(data_block_bytes=data_block_bytes)
     hierarchy = StorageHierarchy()
     indexes = ShardIndexes(schema, spec, hierarchy, config)
     shard_index = indexes.primary
@@ -128,9 +126,7 @@ def test_kernel_run_is_byte_identical_to_the_per_entry_build(
 
     entries = oracle_entries(schema, shard_index, rows, begin_ts)
     oracle_storage = StorageHierarchy()
-    oracle = RunBuilder(
-        definition, oracle_storage, data_block_bytes, bloom_fpr=bloom_fpr
-    ).build(run_id, entries, Zone.GROOMED, 0, BLOCK_ID, BLOCK_ID)
+    oracle = RunBuilder(definition, oracle_storage, data_block_bytes).build(run_id, entries, Zone.GROOMED, 0, BLOCK_ID, BLOCK_ID)
 
     # The sorted (sort_key, blob) list ...
     expected_pairs = sorted(e.to_blob(definition) for e in entries)
@@ -138,7 +134,6 @@ def test_kernel_run_is_byte_identical_to_the_per_entry_build(
     # ... and everything the builder derives from it or is handed.
     assert run.header.synopsis == oracle.header.synopsis
     assert run.header.offset_array == oracle.header.offset_array
-    assert run.header.bloom_blob == oracle.header.bloom_blob
     assert run.header.block_meta == oracle.header.block_meta
     assert (run.header.min_begin_ts, run.header.max_begin_ts) == (
         min(begin_ts), max(begin_ts),

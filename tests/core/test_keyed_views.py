@@ -269,8 +269,8 @@ def test_hand_over_and_keys_outside_the_run(definition):
             arguments = (run, hot, ts, hash_of(hot), use_offset_array)
             keyed = assert_both_kinds_match(
                 run,
-                lambda: lookup_run(*arguments, use_bloom=False),
-                lambda: reference_lookup_key_in_run(*arguments, use_bloom=False),
+                lambda: lookup_run(*arguments),
+                lambda: reference_lookup_key_in_run(*arguments),
             )
             assert keyed.result is not None and keyed.result.begin_ts <= ts
             crossed += len(keyed.blocks) >= 2
@@ -280,8 +280,8 @@ def test_hand_over_and_keys_outside_the_run(definition):
             arguments = (run, key, 1 << 60, hash_of(key), use_offset_array)
             keyed = assert_both_kinds_match(
                 run,
-                lambda: lookup_run(*arguments, use_bloom=False),
-                lambda: reference_lookup_key_in_run(*arguments, use_bloom=False),
+                lambda: lookup_run(*arguments),
+                lambda: reference_lookup_key_in_run(*arguments),
             )
             assert keyed.result is None
 

@@ -312,20 +312,19 @@ class TestBuiltRunsAreTheSameBytes:
         fixture=fixtures(),
         retention_ts=RETENTIONS,
         out_block_bytes=st.sampled_from([64, 200, 1024, 4096]),
-        bloom_fpr=st.sampled_from([None, 0.01]),
     )
-    def test_merge_output(self, fixture, retention_ts, out_block_bytes, bloom_fpr):
+    def test_merge_output(self, fixture, retention_ts, out_block_bytes):
         definition, hierarchy, runs = fixture
         synopsis = union_synopsis(definition, runs)
         where = (Zone.GROOMED, 1, 0, 9)  # zone, level, groomed-id range
         kernel_storage, oracle_storage = StorageHierarchy(), StorageHierarchy()
         kernel = RunBuilder(
-            definition, kernel_storage, out_block_bytes, bloom_fpr
+            definition, kernel_storage, out_block_bytes
         ).build_from_columns(
             "out", merge_blocks(runs, retention_ts), synopsis, *where
         )
         oracle = reference_build_from_blobs(
-            RunBuilder(definition, oracle_storage, out_block_bytes, bloom_fpr),
+            RunBuilder(definition, oracle_storage, out_block_bytes),
             "out", reference_merge_blobs(runs, retention_ts), synopsis, *where,
         )
         assert kernel.header == oracle.header

@@ -27,9 +27,9 @@ from tests.reference_search import key_position_bounds, sort_key_at
 DEF = i1_definition()
 
 
-def build_run(keys, block_bytes=256, bloom_fpr=None):
+def build_run(keys, block_bytes=256):
     hierarchy = StorageHierarchy()
-    builder = RunBuilder(DEF, hierarchy, data_block_bytes=block_bytes, bloom_fpr=bloom_fpr)
+    builder = RunBuilder(DEF, hierarchy, data_block_bytes=block_bytes)
     entries = make_entries(DEF, keys)
     run = builder.build("r", entries, Zone.GROOMED, 0, 0, 0)
     return run, hierarchy, entries
@@ -66,19 +66,6 @@ class TestZeroDecodeAccounting:
         before = stats.snapshot()
         assert lookup_run(run, miss_key, 1 << 40, DEF.hash_of((131,))) is None
         assert stats.diff(before).entry_decodes == 0
-
-    def test_bloom_miss_skips_block_fetches(self):
-        run, hierarchy, _ = build_run(list(range(0, 100, 2)), bloom_fpr=0.001)
-        run.drop_decode_cache()
-        before_reads = hierarchy.stats.tier("ssd").reads
-        # Scan for a definitely-absent key: the bloom filter answers from
-        # the header alone.
-        misses = [
-            lookup_run(run, key_bytes_of(k), 1 << 40, DEF.hash_of((k,)))
-            for k in range(1001, 1101, 2)
-        ]
-        assert misses == [None] * len(misses)
-        assert hierarchy.stats.tier("ssd").reads == before_reads
 
     def test_batch_cursor_keeps_bucket_fence(self):
         # Regression: a bucket entirely behind the monotone cursor used to

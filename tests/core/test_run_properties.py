@@ -1,7 +1,7 @@
 """Property-based tests for the run format itself.
 
 The header carries every piece of metadata queries plan with (synopsis,
-offset array, block index, ancestors, optional Bloom filter); a round-trip
+offset array, block index, ancestors); a round-trip
 defect would silently corrupt pruning or recovery, so the serialization
 gets hypothesis coverage over randomized runs.
 """
@@ -27,11 +27,8 @@ entry_specs = st.lists(
 )
 
 
-def build_run(specs, bloom_fpr=None, ancestors=(), block_bytes=256):
-    builder = RunBuilder(
-        DEF, StorageHierarchy(), data_block_bytes=block_bytes,
-        bloom_fpr=bloom_fpr,
-    )
+def build_run(specs, ancestors=(), block_bytes=256):
+    builder = RunBuilder(DEF, StorageHierarchy(), data_block_bytes=block_bytes)
     entries = [
         IndexEntry.create(DEF, (k,), (k,), (k,), ts, RID(Zone.GROOMED, 0, i))
         for i, (k, ts) in enumerate(specs)
@@ -49,15 +46,6 @@ class TestHeaderRoundtrip:
         run = build_run(specs)
         decoded = RunHeader.from_bytes(DEF, run.header.to_bytes(DEF))
         assert decoded == run.header
-
-    @settings(max_examples=20, deadline=None)
-    @given(specs=entry_specs)
-    def test_roundtrip_with_bloom(self, specs):
-        run = build_run(specs, bloom_fpr=0.02)
-        decoded = RunHeader.from_bytes(DEF, run.header.to_bytes(DEF))
-        assert decoded == run.header
-        if specs:
-            assert decoded.bloom_blob is not None
 
     @settings(max_examples=20, deadline=None)
     @given(

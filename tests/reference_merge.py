@@ -200,14 +200,6 @@ def reference_build_from_blobs(
             oldest = suffix
     if blobs:
         seal_block()
-    bloom_blob = None
-    if builder.bloom_fpr is not None and blob_pairs:
-        from repro.core.bloom import BloomFilter
-
-        distinct = {sk[:-SORT_KEY_TS_BYTES] for sk, _blob in blob_pairs}
-        bloom = BloomFilter.for_capacity(len(distinct), builder.bloom_fpr)
-        bloom.add_all(distinct)
-        bloom_blob = bloom.to_bytes()
     header = RunHeader(
         run_id=run_id,
         zone=zone,
@@ -223,7 +215,6 @@ def reference_build_from_blobs(
         max_begin_ts=begin_ts_of_sort_key(newest) if blob_pairs else 0,
         persisted=persisted,
         ancestor_run_ids=tuple(ancestor_run_ids),
-        bloom_blob=bloom_blob,
     )
     builder._write_blocks(header, block_payloads, True)
     return IndexRun(definition, header, builder.hierarchy)

@@ -147,8 +147,6 @@ def reference_lookup(executor, equality_values, sort_values, query_ts) -> Option
                     break
             else:
                 searched.append(run)
-                if header.bloom_blob is not None and not run.may_contain_key(key):
-                    continue
                 if bucketed:
                     lo, hi = narrow_with_offset_array(run, hash_value)
                 else:

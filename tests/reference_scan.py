@@ -137,9 +137,8 @@ def reference_lookup_key_in_run(
     query_ts: int,
     hash_value: Optional[int] = None,
     use_offset_array: bool = True,
-    use_bloom: bool = True,
 ) -> Optional[IndexEntry]:
-    if run.entry_count == 0 or (use_bloom and not run.may_contain_key(key)):
+    if run.entry_count == 0:
         return None
     start = _search_start(run, key, hash_value, use_offset_array)
     return _first_visible(run, start, key, query_ts)
@@ -187,15 +186,12 @@ def _batch_lookup_shared_ts(
     sorted_keys: Sequence[Tuple[bytes, int]],
     query_ts: int,
     use_offset_array: bool,
-    use_bloom: bool,
 ) -> List[Optional[IndexEntry]]:
     results: List[Optional[IndexEntry]] = [None] * len(sorted_keys)
     if run.entry_count == 0:
         return results
     floor = 0  # monotone cursor: keys are sorted, so never search backwards
     for i, (key, hash_value) in enumerate(sorted_keys):
-        if use_bloom and not run.may_contain_key(key):
-            continue
         if use_offset_array and run.header.offset_array:
             lo, hi = narrow_with_offset_array(run, hash_value)
             if floor > lo:
@@ -214,7 +210,6 @@ def reference_batch_lookup_in_run(
     sorted_keys: Sequence[Tuple[bytes, int]],
     query_ts,
     use_offset_array: bool = True,
-    use_bloom: bool = True,
 ) -> List[Optional[IndexEntry]]:
     """The per-key batch kernel, mixed-timestamp re-entry included.
 
@@ -226,11 +221,10 @@ def reference_batch_lookup_in_run(
         query_ts = [query_ts] * len(sorted_keys)
     if len(set(query_ts)) <= 1:
         return _batch_lookup_shared_ts(
-            run, sorted_keys, query_ts[0] if query_ts else 0,
-            use_offset_array, use_bloom,
+            run, sorted_keys, query_ts[0] if query_ts else 0, use_offset_array
         )
     return [
-        _batch_lookup_shared_ts(run, [pair], ts, use_offset_array, use_bloom)[0]
+        _batch_lookup_shared_ts(run, [pair], ts, use_offset_array)[0]
         for pair, ts in zip(sorted_keys, query_ts)
     ]
 
@@ -371,7 +365,6 @@ def chain_batch_lookup_in_run(
     sorted_keys: Sequence[Tuple[bytes, int]],
     query_ts: Union[int, Sequence[int]],
     use_offset_array: bool = True,
-    use_bloom: bool = True,
 ) -> List[Optional[IndexEntry]]:
     """``search.batch_lookup_in_run``: one pass, the cursor and the last
     probe's block window kept across keys, one snapshot or one per key."""
@@ -387,8 +380,6 @@ def chain_batch_lookup_in_run(
     window: list = []
     cursor = 0
     for n, ((key, hash_value), floor) in enumerate(zip(sorted_keys, floors)):
-        if use_bloom and not run.may_contain_key(key):
-            continue
         lo, hi = cursor, count
         if bucketed:
             bucket_lo, hi = narrow_with_offset_array(run, hash_value)
@@ -421,11 +412,9 @@ def batch_lookup_in_run(
     sorted_keys: Sequence[Tuple[bytes, int]],
     query_ts: Union[int, Sequence[int]],
     use_offset_array: bool = True,
-    use_bloom: bool = True,
 ) -> List[Optional[IndexEntry]]:
     """The batch kernel ``IndexRun.batch_visible`` behind the arguments
-    the replaced ``search.batch_lookup_in_run`` took (the executor filters
-    by Bloom before the kernel; so does this)."""
+    the replaced ``search.batch_lookup_in_run`` took."""
     keys = [key for key, _ in sorted_keys]
     buckets = None
     if use_offset_array and run.definition.has_hash_column:
@@ -434,9 +423,7 @@ def batch_lookup_in_run(
     if isinstance(query_ts, int):
         query_ts = [query_ts] * len(keys)
     found: List = [None] * len(keys)
-    slots = [
-        slot for slot, key in enumerate(keys)
-        if not use_bloom or run.may_contain_key(key)
-    ]
-    run.batch_visible(keys, buckets, list(map(ts_floor, query_ts)), slots, found)
+    run.batch_visible(
+        keys, buckets, list(map(ts_floor, query_ts)), range(len(keys)), found
+    )
     return [hit and hit[0].entry(hit[1]) for hit in found]  # (view, i) hits
