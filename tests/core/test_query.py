@@ -173,6 +173,44 @@ class TestSynopsisPruning:
         runs = build_runs([[]])
         assert not run_may_contain(runs[0], RangeScanQuery((1,)))
 
+    @pytest.mark.parametrize("door", ["lookup", "batch_lookup", "batch_lookup_columns"])
+    def test_a_miss_outside_every_synopsis_reads_no_block(self, door):
+        """Runs carry no per-key filter: a key no run's synopsis covers is
+        answered from the headers alone, while a covered key reads blocks."""
+        runs = build_runs([
+            [entry(d, m, 1 + m) for d in range(10) for m in range(20)],
+            [entry(d, m, 50 + m) for d in range(5, 15) for m in range(20)],
+        ])
+        hierarchy = runs[0].hierarchy
+        ex = executor_for(runs)
+        answer = {
+            "lookup": lambda keys: [ex.lookup((d,), (m,)) for d, m in keys],
+            "batch_lookup": lambda keys: ex.batch_lookup(
+                [PointLookup((d,), (m,), MAX_QUERY_TS) for d, m in keys]
+            ),
+            "batch_lookup_columns": lambda keys: ex.batch_lookup_columns(
+                list(zip(*keys)), MAX_QUERY_TS
+            ),
+        }[door]
+        fetched = []
+        real_read = hierarchy.read
+
+        def recording_read(block_id, *args, **kwargs):
+            fetched.append(block_id)
+            return real_read(block_id, *args, **kwargs)
+
+        hierarchy.read = recording_read
+        try:
+            for run in runs:
+                run.drop_decode_cache()
+            assert answer([(50, 3), (99, 0), (20, 7)]) == [None] * 3
+            assert fetched == []
+            hits = answer([(3, 4), (12, 19)])
+        finally:
+            del hierarchy.read
+        assert [(e.begin_ts, e.equality_values) for e in hits] == [(5, (3,)), (69, (12,))]
+        assert fetched
+
 
 class TestReconciliation:
     def make_version_runs(self):
